@@ -25,10 +25,10 @@
 //! special point of the search space, not a parallel code path.
 
 use crate::BaselineOutcome;
-use rannc_cost::{megatron_partition, AnalyticalCost, CostModel};
+use rannc_cost::{megatron_partition, CostModel};
 use rannc_hw::{ClusterSpec, Precision};
 use rannc_pipeline::SimResult;
-use rannc_profile::ProfilerOptions;
+use rannc_profile::{Profiler, ProfilerOptions};
 
 pub use rannc_cost::TransformerDims;
 
@@ -47,7 +47,7 @@ pub fn megatron(
     // Megatron is purely analytic — it never profiles a task graph — so
     // an empty graph backs the default cost model.
     let g = rannc_graph::TaskGraph::new("megatron-analytic");
-    let cost = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+    let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
     megatron_with(dims, &cost, cluster, batch_size, precision)
 }
 
@@ -150,7 +150,7 @@ mod tests {
     fn moved_split_math_is_bit_identical_to_the_old_owner() {
         let g = rannc_graph::TaskGraph::new("megatron-analytic");
         let cl = cluster();
-        let cost = AnalyticalCost::new(&g, cl.device.clone(), ProfilerOptions::fp32());
+        let cost = Profiler::new(&g, cl.device.clone(), ProfilerOptions::fp32());
         for dims in [
             TransformerDims::from(&BertConfig::large()),
             TransformerDims::from(&BertConfig::enlarged(2048, 48)),
@@ -182,7 +182,7 @@ mod tests {
         // hand at S = 1 and keeping the fastest feasible point.
         let g = rannc_graph::TaskGraph::new("megatron-analytic");
         let cl = cluster();
-        let cost = AnalyticalCost::new(&g, cl.device.clone(), ProfilerOptions::fp32());
+        let cost = Profiler::new(&g, cl.device.clone(), ProfilerOptions::fp32());
         let dims = TransformerDims::from(&BertConfig::large());
         let mut best: Option<(f64, usize)> = None;
         let mut t = 1usize;

@@ -2,7 +2,10 @@
 //! benchmarks: how expensive is RaNNC's own search?).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rannc::core::{atomic_partition, block_partition, form_stage_dp, BlockLimits, DpParams};
+use rannc::core::{
+    atomic_partition, block_partition, form_stage_dp, BlockLimits, DpArena, DpCtx, DpParams,
+    RangeTable,
+};
 use rannc::prelude::*;
 
 fn bench_atomic(c: &mut Criterion) {
@@ -57,28 +60,24 @@ fn bench_stage_dp(c: &mut Criterion) {
             profile_batch: 1,
         },
     );
+    let cluster = ClusterSpec::v100_cluster(1);
+    let ranges = RangeTable::build(&g, &blocks, 1);
     for (s, d) in [(2usize, 8usize), (4, 8), (8, 8)] {
         group.bench_with_input(
             BenchmarkId::new("SxD", format!("{s}x{d}")),
             &(s, d),
             |b, &(s, d)| {
-                b.iter(|| {
-                    form_stage_dp(
-                        &g,
-                        &profiler,
-                        &blocks,
-                        &DpParams {
-                            stages: s,
-                            devices: d,
-                            batch_size: 64,
-                            replica_factor: 1,
-                            microbatches: 4,
-                            mem_limit: 32 << 30,
-                            tp: 1,
-                        },
-                        LinkSpec::nvlink(),
-                    )
-                });
+                let p = DpParams {
+                    stages: s,
+                    devices: d,
+                    batch_size: 64,
+                    replica_factor: 1,
+                    microbatches: 4,
+                    mem_limit: 32 << 30,
+                    tp: 1,
+                };
+                let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &p);
+                b.iter(|| form_stage_dp(&ctx, &mut DpArena::new()));
             },
         );
     }

@@ -197,8 +197,9 @@ mod tests {
     use super::*;
     use crate::atomic::atomic_partition;
     use crate::blocks::{block_partition, BlockLimits};
-    use crate::dp::form_stage_dp;
-    use rannc_hw::{DeviceSpec, LinkSpec};
+    use crate::dp::{form_stage_dp, DpArena};
+    use crate::stagecache::{DpCtx, RangeTable};
+    use rannc_hw::{ClusterSpec, DeviceSpec};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
 
@@ -257,7 +258,10 @@ mod tests {
                 profile_batch: 4,
             },
         );
-        let profiled = form_stage_dp(&g, &profiler, &blocks, &p, LinkSpec::nvlink()).unwrap();
+        let cluster = ClusterSpec::v100_cluster(1);
+        let ranges = RangeTable::build(&g, &blocks, 1);
+        let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &p);
+        let profiled = form_stage_dp(&ctx, &mut DpArena::new()).unwrap();
         assert!(
             additive.value >= profiled.value,
             "additive {} < profiled {}",

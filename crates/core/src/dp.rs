@@ -17,12 +17,8 @@
 //! implemented: when no feasible split exists at device budget `d`, no
 //! smaller budget is tried again.
 
-use crate::blocks::Block;
-use crate::placement::SlotTable;
-use crate::stagecache::{StageCost, StageCostCache, StageEvalCtx};
-use rannc_cost::CostModel;
-use rannc_graph::{TaskGraph, TaskSet};
-use rannc_hw::{ClusterSpec, LinkSpec};
+use crate::stagecache::{DpCtx, StageCost};
+use rannc_graph::TaskSet;
 use serde::{Deserialize, Serialize};
 
 /// Inputs of one `form_stage_dp` invocation.
@@ -132,20 +128,17 @@ struct MemoKey {
 /// Reusable cross-candidate scratch of Algorithm 1: the flat DP tables
 /// and the flat `(b_prev, b, repl)` stage-cost memo.
 ///
-/// Historically every `form_stage_dp_cached` invocation allocated its
-/// tables and memo from zero — at paper scale that is thousands of
-/// multi-megabyte allocations per sweep, and the memo entries of one
-/// candidate (pure functions of `(b_prev, b, repl)` given the memo key)
-/// were thrown away even though the next candidate with the same
-/// `(R, MB, ckpt)` re-derives exactly the same values. The arena keeps
-/// both across invocations: tables are `clear`+`resize` filled (capacity
+/// Memo entries of one candidate are pure functions of `(b_prev, b,
+/// repl)` given the memo key, so the next candidate with the same
+/// `(R, MB, T, ckpt)` can reuse them. The arena keeps tables and memo
+/// across invocations: tables are `clear`+`resize` filled (capacity
 /// retained), and the memo is *stamped* — entries written under an older
 /// stamp are invisible, so switching candidates is one integer bump, not
 /// an `O(nb²·d)` reset.
 ///
 /// Contract: an arena must only be reused across DP invocations that
-/// share the graph, cost model, block list and link (Algorithm 2's sweep
-/// guarantees this — its per-sweep arena pool hands an arena to one
+/// share the graph, cost model, block list and cluster (Algorithm 2's
+/// sweep guarantees this — its per-sweep arena pool hands an arena to one
 /// worker at a time). The parameter-level inputs are part of `MemoKey`
 /// and checked automatically.
 #[derive(Default)]
@@ -160,12 +153,24 @@ pub struct DpArena {
     memo: Vec<(u32, Option<StageCost>)>,
     stamp: u32,
     key: Option<MemoKey>,
+    hits: u64,
+    misses: u64,
 }
 
 impl DpArena {
     /// An empty arena; tables are sized on first use.
     pub fn new() -> Self {
         DpArena::default()
+    }
+
+    /// Stage lookups this arena's memo answered, over its lifetime.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Stage evaluations this arena ran (memo misses), over its lifetime.
+    pub fn misses(&self) -> u64 {
+        self.misses
     }
 
     /// Size the tables for one candidate and invalidate the memo if the
@@ -203,120 +208,32 @@ impl DpArena {
     }
 }
 
-/// Objective terms of a stage placed on a device group `scale`× slower
-/// than the template: the compute part stretches, the communication part
-/// does not. `scale == 1.0` short-circuits to the cached terms so a
-/// uniform fleet reproduces the homogeneous objective bit for bit.
-fn scaled_objectives(cost: &StageCost, scale: f64) -> (f64, f64) {
-    if scale == 1.0 {
-        (cost.obj_f, cost.obj_b)
-    } else {
-        (
-            cost.obj_f - cost.comp_f + cost.comp_f * scale,
-            cost.obj_b - cost.comp_b + cost.comp_b * scale,
-        )
-    }
-}
-
 /// Algorithm 1: `form_stage_dp(B, S, D, BS, R, MB)`.
 ///
 /// Returns `None` when INFEASIBLE (no split of the blocks into `S`
 /// memory-feasible stages over exactly `D` devices exists).
 ///
-/// Candidate-stage evaluations are memoised in a private
-/// [`StageCostCache`]; use [`form_stage_dp_cached`] to share one cache
-/// across DP invocations (Algorithm 2 does).
-pub fn form_stage_dp(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    p: &DpParams,
-    link: LinkSpec,
-) -> Option<DpSolution> {
-    form_stage_dp_cached(g, cost, blocks, p, link, &StageCostCache::new())
-}
-
-/// Algorithm 1 with a caller-provided shared stage-cost cache.
+/// The DP tables and the flat `(b_prev, b, repl)` stage-cost memo live in
+/// `arena` and survive across invocations: Algorithm 2 runs all
+/// candidates of one micro-batch group through one arena, so the memo
+/// filled by the `S`-stage candidate answers most lookups of the
+/// `S+1`-stage one. Memoised evaluations are pure functions of their
+/// key, so reuse is bit-identical to a fresh arena (`prop_dp_flat.rs`
+/// holds this against a HashMap-memo reference DP).
 ///
-/// The cache may be shared across any set of `(S, MB, R)` candidates over
-/// the *same* block list, batch size, memory limit and link — everything
-/// a stage cost depends on beyond those is part of the cache key. The
-/// result is bit-identical to [`form_stage_dp`]: cached evaluations are
-/// pure, so reuse cannot change any DP decision.
-pub fn form_stage_dp_cached(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    p: &DpParams,
-    link: LinkSpec,
-    cache: &StageCostCache,
-) -> Option<DpSolution> {
-    form_stage_dp_placed(g, cost, blocks, p, link, cache, None, None)
-}
-
-/// Algorithm 1, placement-aware: the heterogeneous-cluster entry point.
-///
-/// With `slots = None` this *is* [`form_stage_dp_cached`] — the legacy
-/// homogeneous DP, bit for bit. With a [`SlotTable`], each candidate
-/// stage occupying device slots `[d′, d)` is additionally checked
-/// against the tightest memory of those slots and its compute time is
-/// stretched by the group's worst slow-down versus the template device.
-/// Both adjustments happen *after* the position-independent cache
-/// lookup, so the stage-cost cache stays valid and shared. The paper's
-/// `d_min` pruning is disabled in placed mode: with position-dependent
-/// memory bounds, infeasibility at budget `d` no longer implies
-/// infeasibility below it.
-///
-/// `cluster` is required whenever `p.tp > 1` (tensor-parallel stage
-/// pricing needs the collective topology); `None` keeps the legacy
-/// pipeline-only evaluation.
-#[allow(clippy::too_many_arguments)]
-pub fn form_stage_dp_placed(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    p: &DpParams,
-    link: LinkSpec,
-    cache: &StageCostCache,
-    slots: Option<&SlotTable>,
-    cluster: Option<&ClusterSpec>,
-) -> Option<DpSolution> {
-    form_stage_dp_in(
-        g,
-        cost,
-        blocks,
-        p,
-        link,
-        cache,
-        slots,
-        cluster,
-        &mut DpArena::new(),
-    )
-}
-
-/// Algorithm 1 with caller-provided scratch: the engine entry point.
-///
-/// Identical to [`form_stage_dp_placed`] except the DP tables and the
-/// flat `(b_prev, b, repl)` stage-cost memo live in `arena` and survive
-/// across invocations — Algorithm 2 runs all candidates of one
-/// micro-batch group through one arena, so the memo filled by the
-/// `S`-stage candidate answers most lookups of the `S+1`-stage one.
-/// Memoised evaluations are pure functions of their key, so reuse is
-/// bit-identical to a fresh arena (the `prop_dp_flat.rs` property test
-/// holds this against [`form_stage_dp_hashmap`]).
-#[allow(clippy::too_many_arguments)]
-pub fn form_stage_dp_in(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    p: &DpParams,
-    link: LinkSpec,
-    cache: &StageCostCache,
-    slots: Option<&SlotTable>,
-    cluster: Option<&ClusterSpec>,
-    arena: &mut DpArena,
-) -> Option<DpSolution> {
-    let nb = blocks.len();
+/// With a [`SlotTable`](crate::placement::SlotTable) in `ctx`
+/// (heterogeneous clusters), each candidate stage occupying device slots
+/// `[d′, d)` is additionally checked against the tightest memory of
+/// those slots and its compute time is stretched by the group's worst
+/// slow-down versus the template device. Both
+/// adjustments happen *after* the position-independent memo lookup. The
+/// paper's `d_min` pruning is disabled in that mode: with
+/// position-dependent memory bounds, infeasibility at budget `d` no
+/// longer implies infeasibility below it.
+pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
+    let p = ctx.params();
+    let slots = ctx.slots();
+    let nb = ctx.ranges().blocks();
     let s_max = p.stages;
     let d_max = p.devices;
     if s_max == 0 || s_max > nb || d_max < s_max || p.microbatches == 0 || p.tp == 0 {
@@ -326,12 +243,12 @@ pub fn form_stage_dp_in(
     if p.batch_size / p.replica_factor / p.microbatches == 0 {
         return None;
     }
-    let eval = StageEvalCtx::new(g, cost, blocks, p, link, cluster);
 
     // DP tables, flattened [s][b][d], living in the arena.
     let bs1 = nb + 1;
     let ds1 = d_max + 1;
     let idx = |s: usize, b: usize, d: usize| (s * bs1 + b) * ds1 + d;
+    let memo_idx = |b_prev: usize, b: usize, repl: usize| (b_prev * bs1 + b) * ds1 + repl;
     arena.prepare(
         nb,
         ds1,
@@ -352,6 +269,8 @@ pub fn form_stage_dp_in(
         parent,
         memo,
         stamp,
+        hits,
+        misses,
         ..
     } = arena;
     let stamp = *stamp;
@@ -387,14 +306,16 @@ pub fn form_stage_dp_in(
                         // Flat stamped memo over (b_prev, b, repl): the
                         // same triple is queried from every (s, d) cell —
                         // and, across candidates sharing a memo key, from
-                        // every stage count — so an array index beats the
-                        // shared cache's hash + shard lock by an order of
-                        // magnitude.
-                        let li = (b_prev * bs1 + b) * ds1 + repl;
+                        // every stage count.
+                        let li = memo_idx(b_prev, b, repl);
                         let looked_up = match memo[li] {
-                            (st, c) if st == stamp => c,
+                            (st, c) if st == stamp => {
+                                *hits += 1;
+                                c
+                            }
                             _ => {
-                                let c = eval.eval_cached(cache, b_prev, b, repl);
+                                *misses += 1;
+                                let c = ctx.eval(b_prev, b, repl);
                                 memo[li] = (stamp, c);
                                 c
                             }
@@ -410,7 +331,7 @@ pub fn form_stage_dp_in(
                                 if cost.mem > t.group_mem(d_prev * p.tp, d * p.tp) {
                                     continue; // over this device group's memory
                                 }
-                                scaled_objectives(&cost, t.group_scale(d_prev * p.tp, d * p.tp))
+                                cost.scaled_objectives(t.group_scale(d_prev * p.tp, d * p.tp))
                             }
                         };
                         let cand_f = tf[idx(s - 1, b_prev, d_prev)].max(obj_f);
@@ -446,7 +367,9 @@ pub fn form_stage_dp_in(
         return None; // INFEASIBLE
     }
 
-    // Reconstruct.
+    // Reconstruct. Every chosen stage was evaluated under this
+    // invocation's stamp (a parent link is only written after its memo
+    // entry), so its cost is read back from the memo, not re-priced.
     let mut stages_rev: Vec<DpStage> = Vec::with_capacity(s_max);
     let (mut b, mut d) = (nb, d_max);
     for s in (1..=s_max).rev() {
@@ -454,10 +377,9 @@ pub fn form_stage_dp_in(
         let (b_prev, d_prev) = (b_prev as usize, d_prev as usize);
         let repl = d - d_prev;
         let micro = p.batch_size / p.replica_factor / p.microbatches / repl;
-        let cost = eval
-            .eval_cached(cache, b_prev, b, repl)
-            .expect("reconstructed stage must be feasible");
-        let set = eval.range_of(cache, b_prev, b).set.clone();
+        let (st, cost) = memo[memo_idx(b_prev, b, repl)];
+        debug_assert_eq!(st, stamp, "reconstructed stage must be memoised");
+        let cost = cost.expect("reconstructed stage must be feasible");
         let (fwd_time, bwd_time) = match slots {
             None => (cost.comp_f, cost.comp_b),
             Some(t) => {
@@ -466,158 +388,7 @@ pub fn form_stage_dp_in(
             }
         };
         stages_rev.push(DpStage {
-            set,
-            block_range: (b_prev, b),
-            devices: repl,
-            tensor_parallel: p.tp,
-            micro_batch: micro,
-            fwd_time,
-            bwd_time,
-            mem_bytes: cost.mem,
-            param_elems: cost.params,
-        });
-        b = b_prev;
-        d = d_prev;
-    }
-    stages_rev.reverse();
-
-    Some(DpSolution {
-        value: v[idx(s_max, nb, d_max)],
-        stages: stages_rev,
-        microbatches: p.microbatches,
-        replica_factor: p.replica_factor,
-    })
-}
-
-/// The legacy Algorithm 1: per-invocation `HashMap` memo, fresh tables
-/// every call.
-///
-/// This is the pre-arena implementation, kept verbatim as the reference
-/// the flat-table engine is differential-tested against: `prop_dp_flat`
-/// asserts [`form_stage_dp_in`] — including arena reuse across
-/// candidates — returns bit-identical plans and costs. Not used by the
-/// planner itself.
-#[allow(clippy::too_many_arguments)]
-pub fn form_stage_dp_hashmap(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    p: &DpParams,
-    link: LinkSpec,
-    cache: &StageCostCache,
-    slots: Option<&SlotTable>,
-    cluster: Option<&ClusterSpec>,
-) -> Option<DpSolution> {
-    let nb = blocks.len();
-    let s_max = p.stages;
-    let d_max = p.devices;
-    if s_max == 0 || s_max > nb || d_max < s_max || p.microbatches == 0 || p.tp == 0 {
-        return None;
-    }
-    if p.batch_size / p.replica_factor / p.microbatches == 0 {
-        return None;
-    }
-    let eval = StageEvalCtx::new(g, cost, blocks, p, link, cluster);
-
-    let bs1 = nb + 1;
-    let ds1 = d_max + 1;
-    let idx = |s: usize, b: usize, d: usize| (s * bs1 + b) * ds1 + d;
-    let mut v = vec![INF; (s_max + 1) * bs1 * ds1];
-    let mut tf = vec![0.0f64; (s_max + 1) * bs1 * ds1];
-    let mut tb = vec![0.0f64; (s_max + 1) * bs1 * ds1];
-    let mut parent: Vec<(u32, u32)> = vec![(u32::MAX, u32::MAX); (s_max + 1) * bs1 * ds1];
-    v[idx(0, 0, 0)] = 0.0;
-
-    let mut local: std::collections::HashMap<(usize, usize, usize), Option<StageCost>> =
-        std::collections::HashMap::new();
-
-    let mut d_min = 1usize;
-
-    for s in 1..=s_max {
-        for b in s..=nb - s_max + s {
-            let d_hi = d_max - (s_max - s);
-            let d_lo = d_min.max(s);
-            if d_hi < d_lo {
-                continue;
-            }
-            let mut d = d_hi;
-            loop {
-                let mut found = false;
-                let mut saw_micro_zero = false;
-                for b_prev in (s - 1)..b {
-                    for d_prev in (s - 1)..d {
-                        if v[idx(s - 1, b_prev, d_prev)] == INF {
-                            continue;
-                        }
-                        let repl = d - d_prev;
-                        if p.batch_size / p.replica_factor / p.microbatches / repl == 0 {
-                            saw_micro_zero = true;
-                            continue;
-                        }
-                        let looked_up = *local
-                            .entry((b_prev, b, repl))
-                            .or_insert_with(|| eval.eval_cached(cache, b_prev, b, repl));
-                        let Some(cost) = looked_up else {
-                            continue;
-                        };
-                        let (obj_f, obj_b) = match slots {
-                            None => (cost.obj_f, cost.obj_b),
-                            Some(t) => {
-                                if cost.mem > t.group_mem(d_prev * p.tp, d * p.tp) {
-                                    continue;
-                                }
-                                scaled_objectives(&cost, t.group_scale(d_prev * p.tp, d * p.tp))
-                            }
-                        };
-                        let cand_f = tf[idx(s - 1, b_prev, d_prev)].max(obj_f);
-                        let cand_b = tb[idx(s - 1, b_prev, d_prev)].max(obj_b);
-                        let cand_v = cand_f + cand_b;
-                        found = true;
-                        let here = idx(s, b, d);
-                        if cand_v < v[here] {
-                            v[here] = cand_v;
-                            tf[here] = cand_f;
-                            tb[here] = cand_b;
-                            parent[here] = (b_prev as u32, d_prev as u32);
-                        }
-                    }
-                }
-                if !found && !saw_micro_zero && slots.is_none() {
-                    d_min = d_min.max(d + 1);
-                    break;
-                }
-                if d == d_lo {
-                    break;
-                }
-                d -= 1;
-            }
-        }
-    }
-
-    if v[idx(s_max, nb, d_max)] == INF {
-        return None;
-    }
-
-    let mut stages_rev: Vec<DpStage> = Vec::with_capacity(s_max);
-    let (mut b, mut d) = (nb, d_max);
-    for s in (1..=s_max).rev() {
-        let (b_prev, d_prev) = parent[idx(s, b, d)];
-        let (b_prev, d_prev) = (b_prev as usize, d_prev as usize);
-        let repl = d - d_prev;
-        let micro = p.batch_size / p.replica_factor / p.microbatches / repl;
-        let cost = eval
-            .eval_cached(cache, b_prev, b, repl)
-            .expect("reconstructed stage must be feasible");
-        let set = eval.range_of(cache, b_prev, b).set.clone();
-        let (fwd_time, bwd_time) = match slots {
-            None => (cost.comp_f, cost.comp_b),
-            Some(t) => {
-                let sc = t.group_scale(d_prev * p.tp, d * p.tp);
-                (cost.comp_f * sc, cost.comp_b * sc)
-            }
-        };
-        stages_rev.push(DpStage {
-            set,
+            set: ctx.ranges().get(b_prev, b).set.clone(),
             block_range: (b_prev, b),
             devices: repl,
             tensor_parallel: p.tp,
@@ -644,8 +415,11 @@ pub fn form_stage_dp_hashmap(
 mod tests {
     use super::*;
     use crate::atomic::atomic_partition;
-    use crate::blocks::{block_partition, BlockLimits};
-    use rannc_hw::{DeviceSpec, LinkSpec};
+    use crate::blocks::{block_partition, Block, BlockLimits};
+    use crate::stagecache::RangeTable;
+    use rannc_cost::CostModel;
+    use rannc_graph::TaskGraph;
+    use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
 
@@ -666,6 +440,20 @@ mod tests {
         (g, blocks)
     }
 
+    /// One DP run on a fresh arena, planned against one V100 node (whose
+    /// planning link is NVLink).
+    fn solve(
+        g: &TaskGraph,
+        cost: &dyn CostModel,
+        blocks: &[Block],
+        p: &DpParams,
+    ) -> Option<DpSolution> {
+        let cluster = ClusterSpec::v100_cluster(1);
+        let ranges = RangeTable::build(g, blocks, 1);
+        let ctx = DpCtx::new(cost, &ranges, &cluster, None, p);
+        form_stage_dp(&ctx, &mut DpArena::new())
+    }
+
     fn params(s: usize, d: usize) -> DpParams {
         DpParams {
             stages: s,
@@ -682,8 +470,7 @@ mod tests {
     fn two_stage_split_of_uniform_chain_is_balanced() {
         let (g, blocks) = setup(16, 128, 8);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = form_stage_dp(&g, &profiler, &blocks, &params(2, 2), LinkSpec::nvlink())
-            .expect("feasible");
+        let sol = solve(&g, &profiler, &blocks, &params(2, 2)).expect("feasible");
         assert_eq!(sol.stages.len(), 2);
         // uniform chain: the two stages should contain similar block counts
         let (a, b) = (
@@ -700,8 +487,7 @@ mod tests {
     fn stages_cover_all_blocks_in_order() {
         let (g, blocks) = setup(12, 64, 6);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = form_stage_dp(&g, &profiler, &blocks, &params(3, 4), LinkSpec::nvlink())
-            .expect("feasible");
+        let sol = solve(&g, &profiler, &blocks, &params(3, 4)).expect("feasible");
         assert_eq!(sol.stages.len(), 3);
         let mut next = 0;
         for st in &sol.stages {
@@ -717,13 +503,7 @@ mod tests {
     fn infeasible_when_more_stages_than_blocks() {
         let (g, blocks) = setup(4, 32, 4);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = form_stage_dp(
-            &g,
-            &profiler,
-            &blocks,
-            &params(blocks.len() + 1, 16),
-            LinkSpec::nvlink(),
-        );
+        let sol = solve(&g, &profiler, &blocks, &params(blocks.len() + 1, 16));
         assert!(sol.is_none());
     }
 
@@ -733,7 +513,7 @@ mod tests {
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let mut p = params(2, 2);
         p.mem_limit = 1;
-        assert!(form_stage_dp(&g, &profiler, &blocks, &p, LinkSpec::nvlink()).is_none());
+        assert!(solve(&g, &profiler, &blocks, &p).is_none());
     }
 
     #[test]
@@ -742,12 +522,8 @@ mod tests {
         // the bottleneck; value with d=4 must be <= value with d=2.
         let (g, blocks) = setup(16, 128, 8);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let v2 = form_stage_dp(&g, &profiler, &blocks, &params(2, 2), LinkSpec::nvlink())
-            .unwrap()
-            .value;
-        let v4 = form_stage_dp(&g, &profiler, &blocks, &params(2, 4), LinkSpec::nvlink())
-            .unwrap()
-            .value;
+        let v2 = solve(&g, &profiler, &blocks, &params(2, 2)).unwrap().value;
+        let v4 = solve(&g, &profiler, &blocks, &params(2, 4)).unwrap().value;
         assert!(v4 <= v2 * 1.0001, "v2={v2} v4={v4}");
     }
 
@@ -758,7 +534,7 @@ mod tests {
         let (g, blocks) = setup(6, 32, 6);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let p = params(2, 3);
-        let dp = form_stage_dp(&g, &profiler, &blocks, &p, LinkSpec::nvlink()).unwrap();
+        let dp = solve(&g, &profiler, &blocks, &p).unwrap();
 
         // brute force all split points and device splits (exactly D devices)
         let nb = blocks.len();
@@ -809,8 +585,33 @@ mod tests {
     fn estimated_iteration_time_formula() {
         let (g, blocks) = setup(8, 64, 4);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = form_stage_dp(&g, &profiler, &blocks, &params(2, 2), LinkSpec::nvlink()).unwrap();
+        let sol = solve(&g, &profiler, &blocks, &params(2, 2)).unwrap();
         let expect = (4 + 2 - 1) as f64 * sol.value;
         assert!((sol.estimated_iteration_time() - expect).abs() < 1e-12);
+    }
+
+    /// A repeated candidate is answered entirely from the arena memo: no
+    /// new stage evaluation, one hit per lookup of the first run, and the
+    /// same solution bit for bit.
+    #[test]
+    fn arena_rerun_hits_the_memo_without_new_misses() {
+        let (g, blocks) = setup(12, 64, 6);
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let cluster = ClusterSpec::v100_cluster(1);
+        let ranges = RangeTable::build(&g, &blocks, 1);
+        let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &params(3, 4));
+        let mut arena = DpArena::new();
+        let first = form_stage_dp(&ctx, &mut arena).expect("feasible");
+        let (hits, misses) = (arena.hits(), arena.misses());
+        assert!(misses > 0, "a fresh arena must evaluate stages");
+        let second = form_stage_dp(&ctx, &mut arena).expect("feasible");
+        assert_eq!(arena.misses(), misses, "rerun evaluated a stage again");
+        assert_eq!(arena.hits(), hits + hits + misses, "one hit per lookup");
+        assert_eq!(first.value.to_bits(), second.value.to_bits());
+        for (a, b) in first.stages.iter().zip(&second.stages) {
+            assert_eq!(a.block_range, b.block_range);
+            assert_eq!(a.devices, b.devices);
+            assert_eq!(a.fwd_time.to_bits(), b.fwd_time.to_bits());
+        }
     }
 }

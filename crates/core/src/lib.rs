@@ -51,17 +51,14 @@ pub mod uncoarsen;
 
 pub use atomic::{atomic_partition, AtomicPartition};
 pub use blocks::{block_partition, Block, BlockLimits};
-pub use dp::{
-    form_stage_dp, form_stage_dp_cached, form_stage_dp_hashmap, form_stage_dp_in,
-    form_stage_dp_placed, DpArena, DpParams, DpSolution, DpStage,
-};
+pub use dp::{form_stage_dp, DpArena, DpParams, DpSolution, DpStage};
 pub use explain::annotate_recording;
 pub use placement::SlotTable;
 pub use plan::{PartitionPlan, PlanError, StagePlan};
 pub use plan_io::{decode_plan, encode_plan, load_plan, save_plan, PlanIoError};
 pub use replan::{diff_plans, PlanDiff, ReplanOutcome};
-pub use search::{form_stage, form_stage_seq, form_stage_with, SearchOptions, SearchStats};
-pub use stagecache::{prefetch_ranges, StageCost, StageCostCache, StageEvalCtx, StageKey};
+pub use search::{form_stage, form_stage_with, SearchOptions, SearchStats};
+pub use stagecache::{DpCtx, RangeTable, StageCost};
 
 use rannc_cost::{CostModel, CostModelSpec};
 use rannc_graph::TaskGraph;
@@ -106,7 +103,8 @@ pub struct PartitionConfig {
     pub noise_seed: u64,
     /// Static-verification post-pass behaviour (default: [`VerifyMode::Fail`]).
     pub verify: VerifyMode,
-    /// Partition-search engine options (thread count, cross-DP cache).
+    /// Partition-search engine options (worker threads, tensor-parallel
+    /// bound).
     pub search: SearchOptions,
     /// Cost model pricing the search (default: [`CostModelSpec::Analytical`]).
     pub cost: CostModelSpec,
@@ -188,7 +186,7 @@ pub struct PlannerStats {
     /// Profiling-oracle memo cache behaviour (hits/misses/contention,
     /// per-shard sizes).
     pub profiler_cache: CacheStats,
-    /// Search-engine counters, including the shared stage-cost cache.
+    /// Search-engine counters, including the DP arena memo.
     pub search: SearchStats,
 }
 

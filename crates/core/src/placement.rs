@@ -7,7 +7,7 @@
 //! on a throttled part runs slower.
 //!
 //! A [`SlotTable`] bridges the gap without touching the stage-cost
-//! cache. The planner's device-assignment convention is *contiguous*
+//! memo. The planner's device-assignment convention is *contiguous*
 //! (see `PartitionPlan::device_assignment`): within one pipeline
 //! replica, stage boundaries chop the slot range `[0, D)` left to
 //! right, and replica `r` of the pipeline occupies global ranks
@@ -19,11 +19,11 @@
 //! * the *worst compute slow-down* versus the template device.
 //!
 //! Both are folded over all `R` pipeline replicas, so one table covers
-//! the whole tier. Costs stay cached position-independently; the
+//! the whole tier. Costs stay memoised position-independently; the
 //! position-dependent memory test and time scale are applied *after*
-//! cache lookup. On a cluster whose devices all match the template the
-//! scale is exactly `1.0` and the memory bound equals the template's,
-//! making the placed DP bit-identical to the legacy one.
+//! the memo lookup. On a cluster whose devices all match the template
+//! the scale is exactly `1.0` and the memory bound equals the
+//! template's, making the placed DP bit-identical to the unplaced one.
 
 use rannc_hw::{ClusterSpec, DeviceSpec, Precision};
 

@@ -21,6 +21,11 @@ const MAGIC: &[u8; 4] = b"RNCP";
 const VERSION: u32 = 2;
 /// Oldest version the decoder still reads.
 const MIN_VERSION: u32 = 1;
+/// Smallest encoded stage in the v1 layout: universe (8) + member count
+/// (4) + six 8-byte fields; v2 adds the 8-byte tensor-parallel degree.
+const MIN_STAGE_BYTES_V1: usize = 60;
+/// Largest task-set universe a plan can carry: task ids are `u32`.
+const MAX_UNIVERSE: usize = u32::MAX as usize + 1;
 
 /// Why loading or decoding failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,10 +125,19 @@ pub fn decode_plan(mut data: &[u8]) -> Result<PartitionPlan, PlanIoError> {
     let batch_size = get_usize(&mut data)?;
     let bottleneck = get_f64(&mut data)?;
     let est_iteration_time = get_f64(&mut data)?;
+    // The checksum is trivially forgeable, so no header word may size an
+    // allocation before it is checked against the bytes actually present.
     let n_stages = get_u32(&mut data)? as usize;
-    let mut stages = Vec::with_capacity(n_stages);
+    let min_stage_bytes = MIN_STAGE_BYTES_V1 + if version >= 2 { 8 } else { 0 };
+    if n_stages > data.len() / min_stage_bytes {
+        return Err(PlanIoError::Truncated);
+    }
+    let mut stages: Vec<StagePlan> = Vec::with_capacity(n_stages);
     for _ in 0..n_stages {
         let universe = get_usize(&mut data)?;
+        if universe > MAX_UNIVERSE || stages.first().is_some_and(|s| s.set.universe() != universe) {
+            return Err(PlanIoError::Corrupted);
+        }
         let n_members = get_u32(&mut data)? as usize;
         let mut set = TaskSet::new(universe);
         for _ in 0..n_members {
@@ -448,6 +462,49 @@ mod tests {
         let checksum = fnv1a(&bytes[16..]);
         bytes[8..16].copy_from_slice(&checksum.to_le_bytes());
         assert_eq!(decode_plan(&bytes).unwrap_err(), PlanIoError::Corrupted);
+    }
+
+    /// Overwrite the file bytes at `offset` and re-stamp the checksum, as
+    /// a forger would: the FNV-1a checksum protects nothing on its own.
+    fn forge(bytes: &mut [u8], offset: usize, word: &[u8]) {
+        bytes[offset..offset + word.len()].copy_from_slice(word);
+        let checksum = fnv1a(&bytes[16..]);
+        bytes[8..16].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    /// File offset of the stage-count word: header (16) | name length (4)
+    /// | name | three counts and two times (40).
+    fn stage_count_offset(plan: &PartitionPlan) -> usize {
+        16 + 4 + plan.model.len() + 40
+    }
+
+    #[test]
+    fn forged_stage_count_is_truncated_not_an_allocation() {
+        let plan = sample_plan();
+        let mut bytes = encode_plan(&plan);
+        forge(
+            &mut bytes,
+            stage_count_offset(&plan),
+            &u32::MAX.to_le_bytes(),
+        );
+        assert_eq!(decode_plan(&bytes).unwrap_err(), PlanIoError::Truncated);
+    }
+
+    #[test]
+    fn forged_universe_is_corrupted_not_an_allocation() {
+        let plan = sample_plan();
+        let stage0 = stage_count_offset(&plan) + 4;
+        let mut huge = encode_plan(&plan);
+        forge(&mut huge, stage0, &(1u64 << 62).to_le_bytes());
+        assert_eq!(decode_plan(&huge).unwrap_err(), PlanIoError::Corrupted);
+        // stage 1 claiming a universe other than stage 0's: stage 0 is
+        // universe (8) | count (4) | 5 members (20) | seven words (56)
+        let mut mismatched = encode_plan(&plan);
+        forge(&mut mismatched, stage0 + 88, &101u64.to_le_bytes());
+        assert_eq!(
+            decode_plan(&mismatched).unwrap_err(),
+            PlanIoError::Corrupted
+        );
     }
 
     #[test]

@@ -14,36 +14,34 @@
 //!
 //! ## The parallel engine
 //!
-//! A node tier's `S × MB` candidate grid is embarrassingly parallel: each
-//! cell is one independent `form_stage_dp` invocation. [`form_stage_with`]
-//! groups the grid by micro-batch count and fans the groups out over
-//! [`crate::par::parallel_map_with`] with all candidates sharing one
-//! [`StageCostCache`] (prefetched up front via
-//! [`crate::stagecache::prefetch_ranges`]), so overlapping candidate
-//! stages are profiled once instead of once per DP invocation. Each
-//! group runs its stage counts ascending through one [`DpArena`], whose
-//! flat `(b_prev, b, repl)` memo persists across the group's candidates.
+//! A node tier's `S × MB × T` candidate grid is embarrassingly parallel:
+//! each cell is one independent `form_stage_dp` invocation.
+//! [`form_stage_with`] builds every block-range union once
+//! ([`RangeTable::build`]), groups the grid by `(MB, T)` and fans the
+//! groups out over [`crate::par::parallel_map_with`]. Each group runs its
+//! stage counts ascending through one [`DpArena`], whose flat
+//! `(b_prev, b, repl)` memo persists across the group's candidates.
 //! Candidates whose score *lower bound* (a cheap whole-graph profile,
 //! see `lower_bound` in the sweep) already exceeds the best score found
 //! are pruned without running their DP.
 //!
-//! **Determinism.** The chosen plan is bit-identical to the sequential
-//! scan's: candidate results are scattered back to grid order before the
-//! winner is chosen, every DP result is a pure function of its
-//! parameters (cached stage costs and arena memo entries equal fresh
-//! evaluations exactly), pruning only removes candidates that provably
-//! cannot win *or tie* (the bound is a true lower bound; ties survive
-//! the strict comparison, whatever order the racing best-so-far updates
-//! land in), and the winner is the *first* candidate with the minimal
-//! score — the same tie-breaking `Iterator::min_by` applies in a
-//! sequential scan. The `determinism` integration suite pins this
-//! contract for every bundled model.
+//! **Determinism.** The chosen plan is bit-identical to an unpruned
+//! sequential scan with a fresh arena per candidate: candidate results
+//! are scattered back to grid order before the winner is chosen, every
+//! DP result is a pure function of its parameters (arena memo entries
+//! equal fresh evaluations exactly), pruning only removes candidates
+//! that provably cannot win *or tie* (the bound is a true lower bound;
+//! ties survive the strict comparison, whatever order the racing
+//! best-so-far updates land in), and the winner is the *first*
+//! candidate with the minimal score — the same tie-breaking
+//! `Iterator::min_by` applies in a sequential scan. The `determinism`
+//! integration suite pins this contract against such a scan.
 
 use crate::blocks::Block;
-use crate::dp::{form_stage_dp_in, DpArena, DpParams, DpSolution};
+use crate::dp::{form_stage_dp, DpArena, DpParams, DpSolution};
 use crate::par;
 use crate::placement::SlotTable;
-use crate::stagecache::{prefetch_ranges, StageCostCache};
+use crate::stagecache::{DpCtx, RangeTable};
 use rannc_cost::CostModel;
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::ClusterSpec;
@@ -81,11 +79,6 @@ pub struct SearchOptions {
     /// Worker threads for the `(S, MB)` sweep; 0 resolves through
     /// [`par::max_threads`] (override → `RANNC_THREADS` → hardware).
     pub threads: usize,
-    /// Share one stage-cost cache across all DP invocations (cross-DP
-    /// memoization). Disabling reproduces the historical
-    /// one-memo-per-invocation behaviour — kept as the benchmark
-    /// baseline.
-    pub shared_cache: bool,
     /// Largest tensor-parallel degree `T` the sweep may try per stage
     /// (the third search axis). `1` disables intra-op partitioning and
     /// reproduces the historical `(S, MB)` grid bit for bit.
@@ -96,19 +89,6 @@ impl Default for SearchOptions {
     fn default() -> Self {
         SearchOptions {
             threads: 0,
-            shared_cache: true,
-            tp_max: 1,
-        }
-    }
-}
-
-impl SearchOptions {
-    /// The sequential reference configuration: one thread, no cross-DP
-    /// cache — exactly the historical scan.
-    pub fn sequential() -> Self {
-        SearchOptions {
-            threads: 1,
-            shared_cache: false,
             tp_max: 1,
         }
     }
@@ -131,14 +111,17 @@ pub struct SearchStats {
     pub node_tiers: usize,
     /// Worker threads the sweep ran with.
     pub threads: usize,
-    /// Shared stage-cost cache behaviour (zeroed when the cache is off).
+    /// DP arena memo behaviour: `hits` are memo hits, `misses` stage
+    /// evaluations, `shard_sizes` the evaluations of each arena (so
+    /// `entries()` is the total), `contention` always 0.
     pub stage_cache: CacheStats,
 }
 
 /// Pool of [`DpArena`]s for the grouped candidate sweep: a worker takes
-/// an arena for the duration of one micro-batch group and returns it
+/// an arena for the duration of one `(MB, T)` group and returns it
 /// after, so at most `threads` arenas ever exist per search and each
-/// carries its warm memo to the next group it serves.
+/// carries its allocations to the next group it serves. Groups differ in
+/// their memo key, so memo entries never cross groups.
 struct ArenaPool {
     pool: Mutex<Vec<DpArena>>,
 }
@@ -156,6 +139,17 @@ impl ArenaPool {
 
     fn put(&self, arena: DpArena) {
         self.pool.lock().unwrap().push(arena);
+    }
+
+    /// Memo counters summed over every arena the search used.
+    fn stats(&self) -> CacheStats {
+        let pool = self.pool.lock().unwrap();
+        CacheStats {
+            hits: pool.iter().map(DpArena::hits).sum(),
+            misses: pool.iter().map(DpArena::misses).sum(),
+            shard_sizes: pool.iter().map(|a| a.misses() as usize).collect(),
+            ..CacheStats::default()
+        }
     }
 }
 
@@ -206,8 +200,8 @@ impl SearchTally {
         self.pruned.add(n as u64);
     }
 
-    fn finish(mut self, cache: &StageCostCache) -> SearchStats {
-        self.stats.stage_cache = cache.stats();
+    fn finish(mut self, arenas: &ArenaPool) -> SearchStats {
+        self.stats.stage_cache = arenas.stats();
         crate::publish_cache_metrics("planner.stage_cache", &self.stats.stage_cache);
         self.stats
     }
@@ -236,27 +230,6 @@ pub fn form_stage(
     .0
 }
 
-/// Algorithm 2 on the sequential reference path (single thread, no
-/// cross-DP cache) — the baseline the determinism suite and the planner
-/// bench compare the engine against.
-pub fn form_stage_seq(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    cluster: &ClusterSpec,
-    batch_size: usize,
-) -> Option<DpSolution> {
-    form_stage_with(
-        g,
-        cost,
-        blocks,
-        cluster,
-        batch_size,
-        &SearchOptions::sequential(),
-    )
-    .0
-}
-
 /// Algorithm 2 with explicit engine options, returning search statistics
 /// alongside the solution.
 pub fn form_stage_with(
@@ -278,13 +251,11 @@ pub fn form_stage_with(
     } else {
         cluster.device.memory_bytes
     };
-    let link = cluster.planning_link();
     let threads = if opts.threads == 0 {
         par::max_threads()
     } else {
         opts.threads
     };
-    let cache = StageCostCache::new();
     let mut tally = SearchTally::new(threads);
 
     // Flight-recorder hook (see `rannc_obs::recorder`): one recording
@@ -297,32 +268,30 @@ pub fn form_stage_with(
     let recording = rannc_obs::recorder::enabled();
     rannc_obs::recorder::begin_search();
 
-    // Engine features: prefetch the whole range table and pre-size the
-    // profiler memo before the first DP touches either. Only worthwhile
-    // with the shared cache — the sequential reference keeps its
-    // historical lazy, per-candidate behaviour.
+    // Build every block-range union and pre-size the profiler memo
+    // before the first DP touches either.
     let nb = blocks.len();
-    if opts.shared_cache && nb > 0 {
+    let ranges = {
         let _pf = rannc_obs::trace::span("prefetch_ranges", "planner").arg_i("blocks", nb as i64);
         cost.reserve_profiles(nb * (nb + 1) / 2);
-        prefetch_ranges(g, blocks, &cache, threads);
-    }
+        RangeTable::build(g, blocks, threads)
+    };
 
     // Dominance pruning state. `best_bits` is the score of the best
     // feasible candidate seen so far (f64 bits in an atomic so the
     // parallel sweep shares it); a candidate whose score *lower bound*
     // strictly exceeds it cannot win or tie, so its DP is skipped.
-    // Disabled in heterogeneous mode (device groups may be faster than
-    // the planning template, breaking the bound's monotonicity) and on
-    // the sequential reference path.
-    // Also disabled while recording: the canonical sequential account
-    // below replays the same bound in grid order instead, so the
-    // artifact's pruned set is identical for any thread count.
-    let prune_enabled = opts.shared_cache && !hetero && nb > 0 && !recording;
-    let lb_for_record = opts.shared_cache && !hetero && nb > 0 && recording;
+    // The bound is unsound in heterogeneous mode (device groups may be
+    // faster than the planning template, breaking its monotonicity).
+    // Runtime pruning is also off while recording: the canonical
+    // sequential account below replays the same bound in grid order
+    // instead, so the artifact's pruned set is identical for any thread
+    // count.
+    let bound_enabled = !hetero && nb > 0;
+    let prune_enabled = bound_enabled && !recording;
     let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
     let pruned_now = AtomicUsize::new(0);
-    let full_set: Option<TaskSet> = if prune_enabled || lb_for_record {
+    let full_set: Option<TaskSet> = if bound_enabled {
         let mut s = blocks[0].set.clone();
         for b in &blocks[1..] {
             s.union_with(&b.set);
@@ -445,32 +414,8 @@ pub fn form_stage_with(
                         .arg_i("MB", p.microbatches as i64)
                         .arg_i("T", p.tp as i64)
                         .arg_i("n", n as i64);
-                    let sol = if opts.shared_cache {
-                        form_stage_dp_in(
-                            g,
-                            cost,
-                            blocks,
-                            p,
-                            link,
-                            &cache,
-                            slots.as_ref(),
-                            Some(cluster),
-                            &mut arena,
-                        )
-                    } else {
-                        // the historical reference: fresh memo, fresh cache
-                        form_stage_dp_in(
-                            g,
-                            cost,
-                            blocks,
-                            p,
-                            link,
-                            &StageCostCache::new(),
-                            slots.as_ref(),
-                            Some(cluster),
-                            &mut DpArena::new(),
-                        )
-                    };
+                    let ctx = DpCtx::new(cost, &ranges, cluster, slots.as_ref(), p);
+                    let sol = form_stage_dp(&ctx, &mut arena);
                     if prune_enabled {
                         if let Some(s) = &sol {
                             let score = score_solution(s, cluster, cost);
@@ -525,7 +470,7 @@ pub fn form_stage_with(
             let mut best = f64::INFINITY;
             for (i, sol) in solutions.iter().enumerate() {
                 let p = &grid[i];
-                if lb_for_record {
+                if bound_enabled {
                     let lb = lower_bound(p);
                     if lb > best * (1.0 + 1e-9) {
                         candidate(
@@ -566,12 +511,11 @@ pub fn form_stage_with(
             let best = candidates.into_iter().min_by(|a, b| {
                 score_solution(a, cluster, cost).total_cmp(&score_solution(b, cluster, cost))
             });
-            return (best, tally.finish(&cache));
+            return (best, tally.finish(&arenas));
         }
         n *= 2;
     }
-    let stats = tally.finish(&cache);
-    (None, stats)
+    (None, tally.finish(&arenas))
 }
 
 #[cfg(test)]

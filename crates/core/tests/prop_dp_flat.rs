@@ -1,19 +1,23 @@
 //! Differential property tests of the flat-table DP engine: the
-//! arena-backed DP (`form_stage_dp_in`) with cross-candidate memo reuse
-//! must match the legacy HashMap-memo DP (`form_stage_dp_hashmap`)
-//! bit-for-bit — plans AND costs — on random graphs, device counts and
-//! candidate orders, and the parallel sweep must match the sequential
-//! reference at every thread count.
+//! arena-backed DP (`form_stage_dp`) with cross-candidate memo reuse
+//! must match the HashMap-memo reference DP bit-for-bit — plans AND
+//! costs — on random graphs, device counts, tensor-parallel degrees and
+//! candidate orders, and the parallel sweep must match the exhaustive
+//! sequential scan at every thread count.
+
+#[path = "support/mod.rs"]
+mod support;
 
 use proptest::prelude::*;
 use rannc_core::{
-    atomic_partition, block_partition, form_stage_dp_hashmap, form_stage_dp_in, form_stage_seq,
-    form_stage_with, BlockLimits, DpArena, DpParams, DpSolution, SearchOptions, StageCostCache,
+    atomic_partition, block_partition, form_stage_dp, form_stage_with, BlockLimits, DpArena, DpCtx,
+    DpParams, DpSolution, RangeTable, SearchOptions,
 };
 use rannc_graph::TaskGraph;
-use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec};
+use rannc_hw::{ClusterSpec, DeviceSpec};
 use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
 use rannc_profile::{Profiler, ProfilerOptions};
+use support::{exhaustive_search, form_stage_dp_hashmap};
 
 fn graphs() -> impl Strategy<Value = TaskGraph> {
     prop_oneof![
@@ -64,6 +68,13 @@ fn assert_solutions_identical(a: &Option<DpSolution>, b: &Option<DpSolution>, wh
                 );
                 prop_assert_eq!(sa.devices, sb.devices, "{}: stage {} devices", what, i);
                 prop_assert_eq!(
+                    sa.tensor_parallel,
+                    sb.tensor_parallel,
+                    "{}: stage {} tp",
+                    what,
+                    i
+                );
+                prop_assert_eq!(
                     sa.micro_batch,
                     sb.micro_batch,
                     "{}: stage {} micro",
@@ -105,7 +116,8 @@ proptest! {
 
     /// One `DpArena` reused across a whole candidate grid — memo entries
     /// carried over between candidates that share a memo key — produces
-    /// the same solution as a fresh HashMap-memo DP for every candidate.
+    /// the same solution as a fresh HashMap-memo DP for every candidate,
+    /// with and without a tensor-parallel split.
     #[test]
     fn arena_reuse_matches_hashmap_dp(
         g in graphs(),
@@ -115,51 +127,47 @@ proptest! {
     ) {
         let blocks = blocks_of(&g, k);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let cluster = ClusterSpec::v100_cluster(1);
+        let ranges = RangeTable::build(&g, &blocks, 1);
         let batch_size = 1usize << batch_pow;
         let nb = blocks.len();
 
-        // The engine groups candidates by MB and reuses one arena per
-        // group; sweep the same grid here through a single arena to
+        // The engine groups candidates by (MB, T) and reuses one arena
+        // per group; sweep the same grid here through a single arena to
         // exercise cross-candidate reuse (and key-change invalidation
-        // between MB groups and between S = 1 / S > 1, which differ in
-        // the checkpoint flag).
+        // between MB and T groups and between S = 1 / S > 1, which
+        // differ in the checkpoint flag).
         let mut arena = DpArena::new();
-        let arena_cache = StageCostCache::new();
-        let hashmap_cache = StageCostCache::new();
-        for mb_pow in 0..3 {
-            let microbatches = 1usize << mb_pow;
-            for stages in 1..=devices.min(nb) {
-                for repl in [1usize, 2] {
-                    let p = DpParams {
-                        stages,
-                        devices,
-                        batch_size,
-                        replica_factor: repl,
-                        microbatches,
-                        mem_limit: 32 << 30,
-                        tp: 1,
-                    };
-                    let fast = form_stage_dp_in(
-                        &g, &profiler, &blocks, &p, LinkSpec::nvlink(),
-                        &arena_cache, None, None, &mut arena,
-                    );
-                    let legacy = form_stage_dp_hashmap(
-                        &g, &profiler, &blocks, &p, LinkSpec::nvlink(),
-                        &hashmap_cache, None, None,
-                    );
-                    assert_solutions_identical(
-                        &fast,
-                        &legacy,
-                        &format!("S={stages} MB={microbatches} R={repl}"),
-                    );
+        for tp in [1usize, 2] {
+            for mb_pow in 0..3 {
+                let microbatches = 1usize << mb_pow;
+                for stages in 1..=devices.min(nb) {
+                    for repl in [1usize, 2] {
+                        let p = DpParams {
+                            stages,
+                            devices,
+                            batch_size,
+                            replica_factor: repl,
+                            microbatches,
+                            mem_limit: 32 << 30,
+                            tp,
+                        };
+                        let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &p);
+                        let fast = form_stage_dp(&ctx, &mut arena);
+                        let reference = form_stage_dp_hashmap(&ctx);
+                        assert_solutions_identical(
+                            &fast,
+                            &reference,
+                            &format!("S={stages} MB={microbatches} R={repl} T={tp}"),
+                        );
+                    }
                 }
             }
         }
     }
 
     /// The full grouped/pruned/parallel sweep returns the same winner as
-    /// the sequential uncached reference engine, at several thread
-    /// counts.
+    /// the exhaustive sequential scan, at several thread counts.
     #[test]
     fn parallel_sweep_matches_sequential_reference(
         g in graphs(),
@@ -171,9 +179,9 @@ proptest! {
         let cluster = ClusterSpec::v100_cluster(nodes);
         let batch_size = 1usize << batch_pow;
 
-        let reference = form_stage_seq(&g, &profiler, &blocks, &cluster, batch_size);
+        let reference = exhaustive_search(&g, &profiler, &blocks, &cluster, batch_size, 1);
         for threads in [1usize, 2, 4] {
-            let opts = SearchOptions { threads, shared_cache: true, tp_max: 1 };
+            let opts = SearchOptions { threads, tp_max: 1 };
             let (engine, _stats) =
                 form_stage_with(&g, &profiler, &blocks, &cluster, batch_size, &opts);
             assert_solutions_identical(&engine, &reference, &format!("threads={threads}"));

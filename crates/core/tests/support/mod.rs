@@ -1,0 +1,216 @@
+//! Reference implementations the stage-level engine is differential-tested
+//! against. Not part of the public API: `prop_dp_flat.rs` and the root
+//! `determinism.rs` suite include this one file by path.
+//!
+//! * [`form_stage_dp_hashmap`] — Algorithm 1 with a per-invocation
+//!   `HashMap` memo and fresh tables every call, evaluating stages
+//!   through the public [`DpCtx::eval`];
+//! * [`exhaustive_search`] — Algorithm 2 as a sequential, unpruned scan:
+//!   one fresh arena per grid cell, first minimum of `score_solution`.
+
+// each suite uses a subset of the references
+#![allow(dead_code)]
+
+use rannc_core::search::score_solution;
+use rannc_core::{
+    form_stage_dp, Block, DpArena, DpCtx, DpParams, DpSolution, DpStage, RangeTable, SlotTable,
+    StageCost,
+};
+use rannc_cost::CostModel;
+use rannc_graph::TaskGraph;
+use rannc_hw::ClusterSpec;
+use std::collections::HashMap;
+
+/// Algorithm 1 with a `HashMap` memo private to the invocation.
+pub fn form_stage_dp_hashmap(ctx: &DpCtx) -> Option<DpSolution> {
+    const INF: f64 = f64::INFINITY;
+    let p = ctx.params();
+    let nb = ctx.ranges().blocks();
+    let s_max = p.stages;
+    let d_max = p.devices;
+    if s_max == 0 || s_max > nb || d_max < s_max || p.microbatches == 0 || p.tp == 0 {
+        return None;
+    }
+    if p.batch_size / p.replica_factor / p.microbatches == 0 {
+        return None;
+    }
+
+    let bs1 = nb + 1;
+    let ds1 = d_max + 1;
+    let idx = |s: usize, b: usize, d: usize| (s * bs1 + b) * ds1 + d;
+    let cells = (s_max + 1) * bs1 * ds1;
+    let mut v = vec![INF; cells];
+    let mut tf = vec![0.0f64; cells];
+    let mut tb = vec![0.0f64; cells];
+    let mut parent: Vec<(usize, usize)> = vec![(usize::MAX, usize::MAX); cells];
+    v[idx(0, 0, 0)] = 0.0;
+
+    let mut local: HashMap<(usize, usize, usize), Option<StageCost>> = HashMap::new();
+    let mut d_min = 1usize;
+
+    for s in 1..=s_max {
+        for b in s..=nb - s_max + s {
+            let d_hi = d_max - (s_max - s);
+            let d_lo = d_min.max(s);
+            if d_hi < d_lo {
+                continue;
+            }
+            let mut d = d_hi;
+            loop {
+                let mut found = false;
+                let mut saw_micro_zero = false;
+                for b_prev in (s - 1)..b {
+                    for d_prev in (s - 1)..d {
+                        if v[idx(s - 1, b_prev, d_prev)] == INF {
+                            continue;
+                        }
+                        let repl = d - d_prev;
+                        if p.batch_size / p.replica_factor / p.microbatches / repl == 0 {
+                            saw_micro_zero = true;
+                            continue;
+                        }
+                        let looked_up = *local
+                            .entry((b_prev, b, repl))
+                            .or_insert_with(|| ctx.eval(b_prev, b, repl));
+                        let Some(cost) = looked_up else {
+                            continue;
+                        };
+                        let (obj_f, obj_b) = match ctx.slots() {
+                            None => (cost.obj_f, cost.obj_b),
+                            Some(t) => {
+                                if cost.mem > t.group_mem(d_prev * p.tp, d * p.tp) {
+                                    continue;
+                                }
+                                cost.scaled_objectives(t.group_scale(d_prev * p.tp, d * p.tp))
+                            }
+                        };
+                        let cand_f = tf[idx(s - 1, b_prev, d_prev)].max(obj_f);
+                        let cand_b = tb[idx(s - 1, b_prev, d_prev)].max(obj_b);
+                        let cand_v = cand_f + cand_b;
+                        found = true;
+                        let here = idx(s, b, d);
+                        if cand_v < v[here] {
+                            v[here] = cand_v;
+                            tf[here] = cand_f;
+                            tb[here] = cand_b;
+                            parent[here] = (b_prev, d_prev);
+                        }
+                    }
+                }
+                if !found && !saw_micro_zero && ctx.slots().is_none() {
+                    d_min = d_min.max(d + 1);
+                    break;
+                }
+                if d == d_lo {
+                    break;
+                }
+                d -= 1;
+            }
+        }
+    }
+
+    if v[idx(s_max, nb, d_max)] == INF {
+        return None;
+    }
+
+    let mut stages_rev: Vec<DpStage> = Vec::with_capacity(s_max);
+    let (mut b, mut d) = (nb, d_max);
+    for s in (1..=s_max).rev() {
+        let (b_prev, d_prev) = parent[idx(s, b, d)];
+        let repl = d - d_prev;
+        let cost = local[&(b_prev, b, repl)].expect("reconstructed stage must be feasible");
+        let (fwd_time, bwd_time) = match ctx.slots() {
+            None => (cost.comp_f, cost.comp_b),
+            Some(t) => {
+                let sc = t.group_scale(d_prev * p.tp, d * p.tp);
+                (cost.comp_f * sc, cost.comp_b * sc)
+            }
+        };
+        stages_rev.push(DpStage {
+            set: ctx.ranges().get(b_prev, b).set.clone(),
+            block_range: (b_prev, b),
+            devices: repl,
+            tensor_parallel: p.tp,
+            micro_batch: p.batch_size / p.replica_factor / p.microbatches / repl,
+            fwd_time,
+            bwd_time,
+            mem_bytes: cost.mem,
+            param_elems: cost.params,
+        });
+        b = b_prev;
+        d = d_prev;
+    }
+    stages_rev.reverse();
+
+    Some(DpSolution {
+        value: v[idx(s_max, nb, d_max)],
+        stages: stages_rev,
+        microbatches: p.microbatches,
+        replica_factor: p.replica_factor,
+    })
+}
+
+/// Algorithm 2 without any of the engine's machinery: every `(S, MB, T)`
+/// cell of a node tier, in grid order, on one thread, each through a
+/// fresh arena, no dominance pruning; the tier's winner is the first
+/// candidate with the minimal `score_solution`.
+pub fn exhaustive_search(
+    g: &TaskGraph,
+    cost: &dyn CostModel,
+    blocks: &[Block],
+    cluster: &ClusterSpec,
+    batch_size: usize,
+    tp_max: usize,
+) -> Option<DpSolution> {
+    let d_node = cluster.node.devices;
+    let hetero = cluster.is_heterogeneous();
+    let mem_limit = if hetero {
+        cluster.max_memory_bytes()
+    } else {
+        cluster.device.memory_bytes
+    };
+    let ranges = RangeTable::build(g, blocks, 1);
+    let mut n = 1usize;
+    while n <= cluster.nodes {
+        let d = d_node * n;
+        let r = (cluster.nodes / n).max(1);
+        let slots = hetero
+            .then(|| SlotTable::build(cluster, d, r, cost.device(), cost.options().precision));
+        let mut best: Option<(f64, DpSolution)> = None;
+        for s in (d_node * (n - 1) + 1)..=d {
+            let mut mb = 1usize;
+            while mb <= batch_size / r {
+                for t in 1..=tp_max.max(1) {
+                    if !d.is_multiple_of(t) || d / t < s {
+                        continue;
+                    }
+                    let p = DpParams {
+                        stages: s,
+                        devices: d / t,
+                        batch_size,
+                        replica_factor: r,
+                        microbatches: mb,
+                        mem_limit,
+                        tp: t,
+                    };
+                    let ctx = DpCtx::new(cost, &ranges, cluster, slots.as_ref(), &p);
+                    if let Some(sol) = form_stage_dp(&ctx, &mut DpArena::new()) {
+                        let score = score_solution(&sol, cluster, cost);
+                        if best
+                            .as_ref()
+                            .is_none_or(|(b, _)| score.total_cmp(b).is_lt())
+                        {
+                            best = Some((score, sol));
+                        }
+                    }
+                }
+                mb *= 2;
+            }
+        }
+        if let Some((_, sol)) = best {
+            return Some(sol);
+        }
+        n *= 2;
+    }
+    None
+}

@@ -33,7 +33,7 @@ pub const CALIBRATION_VERSION: u64 = 1;
 /// Multiplicative correction factors for the analytical cost model.
 ///
 /// The identity calibration (all factors `1.0`, no per-op entries)
-/// reproduces [`AnalyticalCost`](crate::AnalyticalCost) bit-for-bit.
+/// reproduces the analytical model (the raw `Profiler`) bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Global factor on modelled kernel time, composed with `ops`.

@@ -8,17 +8,13 @@
 //! consumer prices a plan through exactly the same code path. Two
 //! implementations ship:
 //!
-//! * [`AnalyticalCost`] — today's [`Profiler`] roofline plus the
-//!   `rannc-hw` link/collective formulas, bit-identical to calling them
-//!   directly;
+//! * the raw [`Profiler`](rannc_profile::Profiler) — the analytical
+//!   model: its roofline plus the `rannc-hw` link/collective formulas,
+//!   bit-identical to calling them directly, so code holding a
+//!   `Profiler` passes it anywhere a `&dyn CostModel` is expected;
 //! * [`CalibratedCost`] — the analytical model with per-operator and
 //!   per-link correction factors loaded from a JSON [`Calibration`]
 //!   file (e.g. fitted from `rannc-obs` trace exports).
-//!
-//! The raw [`Profiler`] also implements [`CostModel`] directly (it *is*
-//! the analytical oracle), so existing code holding a `Profiler` can be
-//! passed anywhere a `&dyn CostModel` is expected without rebuilding
-//! caches.
 
 #![warn(missing_docs)]
 
@@ -29,7 +25,7 @@ pub mod tensor;
 
 pub use calibration::{Calibration, CalibrationError, CALIBRATION_VERSION};
 pub use migration::{MigrationCost, MigrationModel};
-pub use model::{AnalyticalCost, CalibratedCost, CostModel, CostModelSpec};
+pub use model::{CalibratedCost, CostModel, CostModelSpec};
 pub use tensor::{megatron_partition, TransformerDims};
 
 use serde::{Deserialize, Serialize};

@@ -105,9 +105,11 @@ pub trait CostModel: Sync {
     }
 }
 
-/// The raw profiler *is* the analytical oracle: this impl lets any code
-/// already holding a [`Profiler`] pass it wherever a `&dyn CostModel`
-/// is expected, with no wrapper and no second cache.
+/// The analytical cost model: the [`Profiler`] roofline for stage
+/// compute and memory plus the `rannc-hw` α–β and ring formulas. The
+/// profiler *is* the analytical oracle, so any code holding one passes
+/// it wherever a `&dyn CostModel` is expected, with no wrapper and no
+/// second cache.
 impl<'g> CostModel for Profiler<'g> {
     fn graph(&self) -> &TaskGraph {
         Profiler::graph(self)
@@ -184,108 +186,13 @@ impl<'g> CostModel for Profiler<'g> {
     }
 }
 
-/// The analytical cost model: today's [`Profiler`] roofline for stage
-/// compute/memory plus the `rannc-hw` α–β and ring formulas, owned as
-/// one object. Bit-identical to calling those APIs directly.
-pub struct AnalyticalCost<'g> {
-    profiler: Profiler<'g>,
-}
-
-impl<'g> AnalyticalCost<'g> {
-    /// Build the model (and its memo cache) for one graph and device.
-    pub fn new(g: &'g TaskGraph, device: DeviceSpec, opts: ProfilerOptions) -> Self {
-        AnalyticalCost {
-            profiler: Profiler::new(g, device, opts),
-        }
-    }
-
-    /// Wrap an existing profiler, keeping its warm cache.
-    pub fn from_profiler(profiler: Profiler<'g>) -> Self {
-        AnalyticalCost { profiler }
-    }
-
-    /// The underlying profile oracle.
-    pub fn profiler(&self) -> &Profiler<'g> {
-        &self.profiler
-    }
-}
-
-impl<'g> CostModel for AnalyticalCost<'g> {
-    fn graph(&self) -> &TaskGraph {
-        CostModel::graph(&self.profiler)
-    }
-
-    fn options(&self) -> &ProfilerOptions {
-        CostModel::options(&self.profiler)
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        CostModel::device(&self.profiler)
-    }
-
-    fn stage_cost(
-        &self,
-        set: &TaskSet,
-        batch: usize,
-        inflight: usize,
-        checkpointing: bool,
-    ) -> ProfileResult {
-        self.profiler
-            .stage_cost(set, batch, inflight, checkpointing)
-    }
-
-    fn stage_cost_tp(
-        &self,
-        set: &TaskSet,
-        batch: usize,
-        inflight: usize,
-        checkpointing: bool,
-        tp: usize,
-        cluster: &ClusterSpec,
-    ) -> ProfileResult {
-        self.profiler
-            .stage_cost_tp(set, batch, inflight, checkpointing, tp, cluster)
-    }
-
-    fn comm_bytes(&self, from: &TaskSet, to: &TaskSet, batch: usize) -> usize {
-        CostModel::comm_bytes(&self.profiler, from, to, batch)
-    }
-
-    fn transfer_time(&self, link: LinkSpec, bytes: usize) -> f64 {
-        self.profiler.transfer_time(link, bytes)
-    }
-
-    fn allreduce_time(
-        &self,
-        cluster: &ClusterSpec,
-        bytes: usize,
-        group: usize,
-        spans_nodes: bool,
-    ) -> f64 {
-        self.profiler
-            .allreduce_time(cluster, bytes, group, spans_nodes)
-    }
-
-    fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64 {
-        self.profiler.optimizer_time(device, grad_bytes)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        CostModel::cache_stats(&self.profiler)
-    }
-
-    fn reserve_profiles(&self, expected_sets: usize) {
-        CostModel::reserve_profiles(&self.profiler, expected_sets)
-    }
-}
-
 /// The analytical model with measured correction factors: per-operator
 /// compute factors are applied inside the profiler's roofline, per-link
 /// factors scale transfer and collective times, and an optional memory
 /// factor scales the peak-memory estimate.
 ///
-/// An identity [`Calibration`] prices bit-identically to
-/// [`AnalyticalCost`].
+/// An identity [`Calibration`] prices bit-identically to the analytical
+/// model (the raw [`Profiler`]).
 pub struct CalibratedCost<'g> {
     profiler: Profiler<'g>,
     cal: Calibration,
@@ -461,7 +368,7 @@ impl CostModelSpec {
         cluster: &ClusterSpec,
     ) -> Box<dyn CostModel + 'g> {
         match self {
-            CostModelSpec::Analytical => Box::new(AnalyticalCost::new(g, device, opts)),
+            CostModelSpec::Analytical => Box::new(Profiler::new(g, device, opts)),
             CostModelSpec::Calibrated(cal) => {
                 Box::new(CalibratedCost::new(g, device, opts, cal.clone(), cluster))
             }
@@ -501,7 +408,12 @@ mod tests {
         let g = bert_graph(&BertConfig::tiny());
         let cluster = ClusterSpec::v100_cluster(2);
         let raw = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
-        let model = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let model = CostModelSpec::Analytical.build(
+            &g,
+            cluster.device.clone(),
+            ProfilerOptions::fp32(),
+            &cluster,
+        );
         let s = whole_set(&g);
         let a = raw.profile_set(&s, 8, 4, true);
         let b = model.stage_cost(&s, 8, 4, true);
@@ -535,7 +447,7 @@ mod tests {
     fn identity_calibration_matches_analytical_bitwise() {
         let g = bert_graph(&BertConfig::tiny());
         let cluster = ClusterSpec::v100_cluster(2);
-        let analytical = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let analytical = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
         let calibrated = CalibratedCost::new(
             &g,
             cluster.device.clone(),
@@ -588,7 +500,7 @@ mod tests {
             optimizer: 1.4,
             memory: 1.1,
         };
-        let analytical = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let analytical = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
         let calibrated = CalibratedCost::new(
             &g,
             cluster.device.clone(),

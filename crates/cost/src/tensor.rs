@@ -162,19 +162,15 @@ pub fn megatron_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AnalyticalCost;
     use rannc_models::BertConfig;
-    use rannc_profile::ProfilerOptions;
+    use rannc_profile::{Profiler, ProfilerOptions};
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::v100_cluster(4)
     }
 
-    fn analytic_cost<'g>(
-        g: &'g rannc_graph::TaskGraph,
-        cluster: &ClusterSpec,
-    ) -> AnalyticalCost<'g> {
-        AnalyticalCost::new(g, cluster.device.clone(), ProfilerOptions::fp32())
+    fn analytic_cost<'g>(g: &'g rannc_graph::TaskGraph, cluster: &ClusterSpec) -> Profiler<'g> {
+        Profiler::new(g, cluster.device.clone(), ProfilerOptions::fp32())
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! can bend prices but never break monotonicity.
 
 use proptest::prelude::*;
-use rannc_cost::{AnalyticalCost, CalibratedCost, Calibration, CostModel};
+use rannc_cost::{CalibratedCost, Calibration, CostModel};
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::ClusterSpec;
 use rannc_models::{bert_graph, BertConfig};
-use rannc_profile::ProfilerOptions;
+use rannc_profile::{Profiler, ProfilerOptions};
 
 fn graph() -> TaskGraph {
     bert_graph(&BertConfig::tiny())
@@ -50,7 +50,7 @@ fn calibrations() -> impl Strategy<Value = Calibration> {
 fn for_both_models(cal: &Calibration, law: impl Fn(&dyn CostModel, &ClusterSpec, &str)) {
     let g = graph();
     let cluster = ClusterSpec::v100_cluster(2);
-    let analytical = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+    let analytical = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
     law(&analytical, &cluster, "analytical");
     let calibrated = CalibratedCost::new(
         &g,
@@ -225,12 +225,11 @@ proptest! {
         let (tlo, thi) = (t1.min(t2), t1.max(t2));
         let g = graph();
         let cluster = ClusterSpec::v100_cluster(2);
-        let m = AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let m = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
         let set = whole_set(m.graph());
-        let p = m.profiler();
 
-        let raw_lo = p.profile_set_tp(&set, mhi, 1, false, tlo);
-        let raw_hi = p.profile_set_tp(&set, mhi, 1, false, thi);
+        let raw_lo = m.profile_set_tp(&set, mhi, 1, false, tlo);
+        let raw_hi = m.profile_set_tp(&set, mhi, 1, false, thi);
         prop_assert!(
             raw_hi.fwd_time <= raw_lo.fwd_time && raw_hi.bwd_time <= raw_lo.bwd_time,
             "splitting wider got slower: T={tlo} ({}, {}) vs T={thi} ({}, {})",
@@ -245,8 +244,8 @@ proptest! {
             "activation all-reduce charged asymmetrically: fwd +{dfwd}, bwd +{dbwd}"
         );
 
-        let v_lo = p.tp_allreduce_bytes(&set, mlo);
-        let v_hi = p.tp_allreduce_bytes(&set, mhi);
+        let v_lo = m.tp_allreduce_bytes(&set, mlo);
+        let v_hi = m.tp_allreduce_bytes(&set, mhi);
         prop_assert!(
             v_lo <= v_hi,
             "all-reduce volume shrank with the micro-batch: \

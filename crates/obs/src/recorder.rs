@@ -183,7 +183,7 @@ pub struct WinnerRec {
 /// thread schedule and would break artifact byte-identity.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccountingRec {
-    /// Distinct `(range, batch)` stage costs in the shared stage cache.
+    /// Stage evaluations the search's DP arena memos ran.
     pub stage_cache_entries: u64,
     /// Distinct profiles in the profiler memo.
     pub profiler_cache_entries: u64,

@@ -236,7 +236,7 @@ impl<V: Copy + Default> FlatMemo<V> {
 /// The profiler memoises in two layers (see [`Profiler::profile_set`]):
 /// `stats_*` counts lookups of batch-independent set statistics, `time_*`
 /// lookups of per-`(set, batch)` raw times. `hits`/`misses` are the
-/// layer totals; caches with a single layer (the stage-cost cache) leave
+/// layer totals; single-layer memos (the planner's DP arena memo) leave
 /// the layered fields zero.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheStats {
@@ -615,8 +615,8 @@ impl<'g> Profiler<'g> {
     /// * `checkpointing` — whether gradient checkpointing is active.
     ///
     /// Memoisation is two-layered. The old single cache keyed the full
-    /// `(set, batch, inflight, ckpt)` tuple — but the stage-cost cache
-    /// upstream already dedupes exactly those tuples, so nearly every
+    /// `(set, batch, inflight, ckpt)` tuple — but the planner's stage
+    /// memo upstream dedupes exactly those tuples, so nearly every
     /// lookup that reached the profiler missed (~19% hit rate at bench
     /// scale). Splitting the memo below the `(inflight, ckpt)`-dependent
     /// assembly lets all variants of a set share the batch-independent

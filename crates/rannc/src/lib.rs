@@ -57,7 +57,7 @@ pub use rannc_verify as verify;
 /// The most common imports in one place.
 pub mod prelude {
     pub use rannc_core::{PartitionConfig, PartitionError, PartitionPlan, Rannc, VerifyMode};
-    pub use rannc_cost::{AnalyticalCost, CalibratedCost, Calibration, CostModel, CostModelSpec};
+    pub use rannc_cost::{CalibratedCost, Calibration, CostModel, CostModelSpec};
     pub use rannc_faults::{FaultEvent, FaultPlan};
     pub use rannc_graph::{GraphBuilder, OpKind, TaskGraph, TaskSet};
     pub use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec, NodeSpec, Precision};

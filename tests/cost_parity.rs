@@ -3,13 +3,12 @@
 //! The refactor's contract is *no behaviour change by default*: routing
 //! every price through [`CostModel`] instead of calling the profiler and
 //! `rannc-hw` formulas directly must leave plans and simulated iteration
-//! times bit-identical. Three oracles are compared on every bundled
-//! model at 16 and 32 devices:
+//! times bit-identical. Two oracles are compared on every bundled model
+//! at 16 and 32 devices:
 //!
-//! 1. the raw [`Profiler`] (the pre-refactor call path — it implements
-//!    `CostModel` directly);
-//! 2. [`AnalyticalCost`] (the default model);
-//! 3. [`CalibratedCost`] with the identity [`Calibration`] (every factor
+//! 1. the raw [`Profiler`] — the analytical model and the default (it
+//!    implements `CostModel` directly);
+//! 2. [`CalibratedCost`] with the identity [`Calibration`] (every factor
 //!    `1.0` — multiplying by `1.0` is bit-exact for finite IEEE-754).
 //!
 //! A final test proves the opposite direction: a *non*-identity
@@ -18,7 +17,7 @@
 //! decorative.
 
 use rannc::core::{PartitionConfig, PartitionPlan, Rannc, VerifyMode};
-use rannc::cost::{AnalyticalCost, CalibratedCost, Calibration, CostModel, CostModelSpec};
+use rannc::cost::{CalibratedCost, Calibration, CostModel, CostModelSpec};
 use rannc::graph::TaskGraph;
 use rannc::hw::ClusterSpec;
 use rannc::models::{
@@ -119,8 +118,7 @@ fn plans_identical_across_cost_models() {
 
 /// Every bundled model, 16 and 32 devices: the simulated iteration time
 /// of the chosen plan is bit-identical whether the simulator is priced
-/// by the raw profiler, `AnalyticalCost`, or the identity-calibrated
-/// model.
+/// by the raw profiler or the identity-calibrated model.
 #[test]
 fn simulated_iteration_times_identical_across_cost_models() {
     for nodes in [2usize, 4] {
@@ -130,8 +128,6 @@ fn simulated_iteration_times_identical_across_cost_models() {
             let plan = partition_with(&g, &cluster, CostModelSpec::Analytical);
 
             let raw = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
-            let analytical =
-                AnalyticalCost::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
             let identity = CalibratedCost::new(
                 &g,
                 cluster.device.clone(),
@@ -139,7 +135,7 @@ fn simulated_iteration_times_identical_across_cost_models() {
                 Calibration::identity(),
                 &cluster,
             );
-            let models: [&dyn CostModel; 3] = [&raw, &analytical, &identity];
+            let models: [&dyn CostModel; 2] = [&raw, &identity];
             let times: Vec<u64> = models
                 .iter()
                 .map(|m| {
@@ -149,9 +145,8 @@ fn simulated_iteration_times_identical_across_cost_models() {
                         .to_bits()
                 })
                 .collect();
-            assert_eq!(times[0], times[1], "{label}: analytical diverged from raw");
             assert_eq!(
-                times[0], times[2],
+                times[0], times[1],
                 "{label}: identity calibration diverged from raw"
             );
         }

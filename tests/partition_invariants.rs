@@ -139,7 +139,7 @@ fn all_model_builder_graphs_verify_clean() {
 #[test]
 fn more_devices_never_hurt_the_objective() {
     // the DP objective with a larger device budget can only improve
-    use rannc::core::{form_stage_dp, DpParams};
+    use rannc::core::{form_stage_dp, DpArena, DpCtx, DpParams, RangeTable};
     let g = mlp_graph(&MlpConfig::deep(128, 128, 12, 10));
     let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
     let atomic = atomic_partition(&g);
@@ -153,24 +153,21 @@ fn more_devices_never_hurt_the_objective() {
             profile_batch: 2,
         },
     );
+    let cluster = ClusterSpec::v100_cluster(1);
+    let ranges = RangeTable::build(&g, &blocks, 1);
     let mut last = f64::INFINITY;
     for d in [2usize, 4, 8] {
-        let sol = form_stage_dp(
-            &g,
-            &profiler,
-            &blocks,
-            &DpParams {
-                stages: 2,
-                devices: d,
-                batch_size: 128,
-                replica_factor: 1,
-                microbatches: 4,
-                mem_limit: 32 << 30,
-                tp: 1,
-            },
-            LinkSpec::nvlink(),
-        )
-        .expect("feasible");
+        let p = DpParams {
+            stages: 2,
+            devices: d,
+            batch_size: 128,
+            replica_factor: 1,
+            microbatches: 4,
+            mem_limit: 32 << 30,
+            tp: 1,
+        };
+        let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &p);
+        let sol = form_stage_dp(&ctx, &mut DpArena::new()).expect("feasible");
         assert!(
             sol.value <= last * 1.000001,
             "objective worsened with more devices: {last} -> {}",
