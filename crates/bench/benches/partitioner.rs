@@ -22,18 +22,24 @@ fn bench_atomic(c: &mut Criterion) {
 fn bench_blocks(c: &mut Criterion) {
     let mut group = c.benchmark_group("block_partition");
     group.sample_size(10);
-    for layers in [4usize, 16] {
-        let g = bert_graph(&BertConfig::enlarged(128, layers));
+    // two small BERTs at k = 16, and the paper-scale BERT 2048x256
+    // (7.4k tasks) at k = 32, the planner's flagship case
+    for (id, hidden, layers, k) in [
+        ("4", 128usize, 4usize, 16usize),
+        ("16", 128, 16, 16),
+        ("256-k32", 2048, 256, 32),
+    ] {
+        let g = bert_graph(&BertConfig::enlarged(hidden, layers));
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let atomic = atomic_partition(&g);
-        group.bench_with_input(BenchmarkId::from_parameter(layers), &layers, |b, _| {
+        group.bench_with_input(BenchmarkId::from_parameter(id), &k, |b, &k| {
             b.iter(|| {
                 block_partition(
                     &g,
                     &profiler,
                     &atomic,
                     BlockLimits {
-                        k: 16,
+                        k,
                         mem_limit: 32 << 30,
                         profile_batch: 1,
                     },

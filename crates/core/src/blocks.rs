@@ -11,7 +11,7 @@
 use crate::atomic::AtomicPartition;
 use rannc_cost::CostModel;
 use rannc_graph::convex::ConvexChecker;
-use rannc_graph::{traverse, TaskGraph, TaskSet};
+use rannc_graph::{TaskGraph, TaskId, TaskSet};
 
 /// Limits and knobs of the block-level phase.
 #[derive(Debug, Clone, Copy)]
@@ -41,7 +41,7 @@ pub struct Block {
 pub struct BlockCtx<'g, 'p> {
     pub g: &'g TaskGraph,
     pub cost: &'p dyn CostModel,
-    pub checker: ConvexChecker<'g>,
+    pub checker: ConvexChecker,
     pub limits: BlockLimits,
 }
 
@@ -55,24 +55,23 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
         }
     }
 
-    /// Profiled fwd+bwd time of a candidate group.
-    pub fn time(&self, set: &TaskSet) -> f64 {
+    /// Profiled fwd+bwd time and memory footprint of a candidate group,
+    /// from one profile lookup.
+    pub fn profile(&self, set: &TaskSet) -> (f64, usize) {
         let r = self
             .cost
             .stage_cost(set, self.limits.profile_batch, 1, true);
-        r.fwd_time + r.bwd_time
+        (r.fwd_time + r.bwd_time, r.mem_bytes)
     }
 
-    /// Profiled memory footprint of a candidate group.
-    pub fn mem(&self, set: &TaskSet) -> usize {
-        self.cost
-            .stage_cost(set, self.limits.profile_batch, 1, true)
-            .mem_bytes
+    /// Profiled fwd+bwd time of a candidate group.
+    pub fn time(&self, set: &TaskSet) -> f64 {
+        self.profile(set).0
     }
 
     /// Whether a candidate group fits the device memory bound.
     pub fn fits(&self, set: &TaskSet) -> bool {
-        self.mem(set) <= self.limits.mem_limit
+        self.profile(set).1 <= self.limits.mem_limit
     }
 
     /// Group-level adjacency lists for the current `groups`.
@@ -80,32 +79,79 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     /// Two groups are adjacent when a value produced in one is consumed in
     /// the other. Constant-task clones shared by two groups may mark them
     /// adjacent; that is harmless (a merge of such groups is still legal).
+    ///
+    /// Each row lists its neighbours in first-occurrence order of the
+    /// [`group_edges`] walk: coarsening and uncoarsening break exact ties
+    /// (identical layers) by this order. O(tasks + edges + groups).
     pub fn adjacency(&self, groups: &[TaskSet]) -> Vec<Vec<u32>> {
-        let n = self.g.num_tasks();
-        let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (gi, set) in groups.iter().enumerate() {
-            for t in set.iter() {
-                membership[t.index()].push(gi as u32);
-            }
-        }
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
-        for t in self.g.task_ids() {
-            for s in self.g.task_successors(t) {
-                for &a in &membership[t.index()] {
-                    for &b in &membership[s.index()] {
-                        if a != b {
-                            if !adj[a as usize].contains(&b) {
-                                adj[a as usize].push(b);
-                            }
-                            if !adj[b as usize].contains(&a) {
-                                adj[b as usize].push(a);
-                            }
-                        }
+        group_edges(self.g, &self.checker, groups.iter(), |_, a, b| {
+            adj[a as usize].push(b);
+            adj[b as usize].push(a);
+        });
+        dedup_rows(&mut adj);
+        adj
+    }
+}
+
+/// Walk every group-level edge of a family of task sets: for each task
+/// edge `t → s`, every pair of sets `a ∋ t`, `b ∋ s` with `a ≠ b` is handed
+/// to `edge(t, a, b)`.
+///
+/// The order is fixed: tasks ascending, each task's distinct successors
+/// (from `checker`) ascending, then `a` and `b` ascending. Sets may share
+/// tasks (clones).
+fn group_edges<'s>(
+    g: &TaskGraph,
+    checker: &ConvexChecker,
+    sets: impl Iterator<Item = &'s TaskSet> + Clone,
+    mut edge: impl FnMut(TaskId, u32, u32),
+) {
+    // flat membership: the sets holding task `t` are
+    // `member[start[t]..start[t + 1]]`, ascending
+    let n = g.num_tasks();
+    let mut start = vec![0u32; n + 1];
+    for set in sets.clone() {
+        for t in set.iter() {
+            start[t.index() + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut member = vec![0u32; start[n] as usize];
+    for (si, set) in sets.enumerate() {
+        for t in set.iter() {
+            member[fill[t.index()] as usize] = si as u32;
+            fill[t.index()] += 1;
+        }
+    }
+    let of = |t: TaskId| &member[start[t.index()] as usize..start[t.index() + 1] as usize];
+
+    for t in g.task_ids() {
+        for &s in checker.successors(t) {
+            for &a in of(t) {
+                for &b in of(s) {
+                    if a != b {
+                        edge(t, a, b);
                     }
                 }
             }
         }
-        adj
+    }
+}
+
+/// Drop repeated entries from every row, keeping each entry's first
+/// occurrence in place. Entries index rows. O(rows + entries).
+fn dedup_rows(rows: &mut [Vec<u32>]) {
+    let mut seen_in = vec![u32::MAX; rows.len()];
+    for (r, row) in rows.iter_mut().enumerate() {
+        row.retain(|&e| {
+            let first = seen_in[e as usize] != r as u32;
+            seen_in[e as usize] = r as u32;
+            first
+        });
     }
 }
 
@@ -140,12 +186,11 @@ pub fn block_partition(
     let mut blocks: Vec<Block> = groups
         .into_iter()
         .map(|set| {
-            let time = ctx.time(&set);
-            let mem = ctx.mem(&set);
+            let (time, mem) = ctx.profile(&set);
             Block { set, time, mem }
         })
         .collect();
-    sort_topologically(g, &mut blocks);
+    sort_topologically(g, &ctx.checker, &mut blocks);
     blocks
 }
 
@@ -156,35 +201,20 @@ pub fn block_partition(
 /// two blocks would create spurious edges, so an edge is only recorded
 /// when the consumer's block does not itself contain the producing task.
 /// Ties are broken by minimum task topo position for determinism.
-pub(crate) fn sort_topologically(g: &TaskGraph, blocks: &mut [Block]) {
-    let n_tasks = g.num_tasks();
+fn sort_topologically(g: &TaskGraph, checker: &ConvexChecker, blocks: &mut [Block]) {
     let nb = blocks.len();
-    let pos = traverse::topo_positions(g);
 
-    // membership lists (clones may appear in several blocks)
-    let mut member: Vec<Vec<u32>> = vec![Vec::new(); n_tasks];
-    for (bi, b) in blocks.iter().enumerate() {
-        for t in b.set.iter() {
-            member[t.index()].push(bi as u32);
-        }
-    }
-    // block-level edges
+    // block-level edges, each recorded once
     let mut succs: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    let mut indeg = vec![0u32; nb];
-    for t in g.task_ids() {
-        for s in g.task_successors(t) {
-            for &a in &member[t.index()] {
-                for &b in &member[s.index()] {
-                    if a != b
-                        && !blocks[b as usize].set.contains(t)
-                        && !succs[a as usize].contains(&b)
-                    {
-                        succs[a as usize].push(b);
-                        indeg[b as usize] += 1;
-                    }
-                }
-            }
+    group_edges(g, checker, blocks.iter().map(|b| &b.set), |t, a, b| {
+        if !blocks[b as usize].set.contains(t) {
+            succs[a as usize].push(b);
         }
+    });
+    dedup_rows(&mut succs);
+    let mut indeg = vec![0u32; nb];
+    for &b in succs.iter().flatten() {
+        indeg[b as usize] += 1;
     }
     // Kahn with a min-position tie-break for a stable, sensible order
     let min_pos: Vec<u32> = blocks
@@ -192,7 +222,7 @@ pub(crate) fn sort_topologically(g: &TaskGraph, blocks: &mut [Block]) {
         .map(|b| {
             b.set
                 .iter()
-                .map(|t| pos[t.index()])
+                .map(|t| checker.pos(t))
                 .min()
                 .unwrap_or(u32::MAX)
         })
@@ -254,6 +284,66 @@ mod tests {
                 profile_batch: 4,
             },
         )
+    }
+
+    /// Group adjacency as first built: membership lists and a
+    /// `Vec::contains` dedupe per row.
+    fn adjacency_by_contains(g: &TaskGraph, groups: &[TaskSet]) -> Vec<Vec<u32>> {
+        let mut membership: Vec<Vec<u32>> = vec![Vec::new(); g.num_tasks()];
+        for (gi, set) in groups.iter().enumerate() {
+            for t in set.iter() {
+                membership[t.index()].push(gi as u32);
+            }
+        }
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
+        for t in g.task_ids() {
+            for s in g.task_successors(t) {
+                for &a in &membership[t.index()] {
+                    for &b in &membership[s.index()] {
+                        if a != b {
+                            if !adj[a as usize].contains(&b) {
+                                adj[a as usize].push(b);
+                            }
+                            if !adj[b as usize].contains(&a) {
+                                adj[b as usize].push(a);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        adj
+    }
+
+    #[test]
+    fn adjacency_rows_keep_first_occurrence_order() {
+        // coarsening and uncoarsening break exact ties by row order, so
+        // the rows must match the original construction entry for entry
+        let g = bert_graph(&BertConfig::tiny());
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let atomic = atomic_partition(&g);
+        let ctx = BlockCtx::new(
+            &g,
+            &profiler,
+            BlockLimits {
+                k: 8,
+                mem_limit: 32 << 30,
+                profile_batch: 2,
+            },
+        );
+        let mut reversed = atomic.sets.clone();
+        reversed.reverse();
+        let mut unsorted_rows = 0;
+        for groups in [&atomic.sets, &reversed] {
+            let adj = ctx.adjacency(groups);
+            assert_eq!(adj, adjacency_by_contains(&g, groups));
+            unsorted_rows += adj
+                .iter()
+                .filter(|row| row.windows(2).any(|w| w[0] > w[1]))
+                .count();
+        }
+        // rows are not simply sorted: the pin covers the order
+        assert!(unsorted_rows > 0);
     }
 
     #[test]

@@ -76,10 +76,13 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                     continue;
                 }
                 let union = groups[v].union(&groups[w]);
-                if !ctx.checker.is_convex(&union) || !ctx.fits(&union) {
+                if !ctx.checker.is_convex(&union) {
                     continue;
                 }
-                let t = ctx.time(&union);
+                let (t, mem) = ctx.profile(&union);
+                if mem > ctx.limits.mem_limit {
+                    continue;
+                }
                 if best.as_ref().map(|(_, bt, _)| t < *bt).unwrap_or(true) {
                     best = Some((w, t, union));
                 }

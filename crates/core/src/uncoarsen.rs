@@ -20,10 +20,24 @@
 //! and the move is applied when `Δ < 0`. Moves of whole subtree nodes keep
 //! every deeper merge pair inside a single group, which is the paper's
 //! "propagated to `G_{L'}`" bookkeeping in our flattened representation.
+//!
+//! Each candidate costs work in proportion to the moved piece, not to the
+//! groups around it:
+//!
+//! * **Piece-local Δ.** Only tasks of the piece change membership, so a
+//!   value neither produced nor consumed in the piece crosses the (A, B)
+//!   cut the same way before and after. Δ sums, as integers, the
+//!   before/after cut bytes of the piece's own values only; every total
+//!   stays far below 2^53, so the `f64` Δ equals the four-`cut_bytes`
+//!   formula above bit for bit.
+//! * **Legality last.** Among candidates with `Δ < 0` the first strict
+//!   minimum wins, so convexity and memory are checked only for a
+//!   candidate that would beat the current best — the same move wins as
+//!   when every candidate is checked first.
 
 use crate::blocks::BlockCtx;
 use crate::coarsen::MergeRecord;
-use rannc_graph::{traverse, TaskSet};
+use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet, ValueId};
 
 /// Run uncoarsening over `groups` in place.
 ///
@@ -33,32 +47,43 @@ pub fn uncoarsen(
     groups: &mut [TaskSet],
     merges: &[MergeRecord],
 ) -> usize {
+    let g = ctx.g;
     let mut moves = 0;
     // Group adjacency changes only when a move is applied, so cache it
     // across the (many) merge records instead of rebuilding per record.
     let mut adj = ctx.adjacency(groups);
+    let mut piece_values = [PieceValues::new(g), PieceValues::new(g)];
     // coarsest first: iterate the records in reverse application order
     for m in merges.iter().rev() {
-        let union = m.v.union(&m.w);
-        // locate the group currently containing the whole pair
-        let Some(a_idx) = groups.iter().position(|gset| union.is_subset(gset)) else {
+        let Some(a_idx) = pair_group(groups, m) else {
             continue; // an earlier move separated the pair
         };
-        let mut best: Option<(usize, bool, f64)> = None; // (target, move_v, delta)
+        let pieces = [&m.v, &m.w];
+        // both pieces lie inside A; one may leave only if A stays nonempty
+        let movable = pieces.map(|piece| !groups[a_idx].is_subset(piece));
+        for (values, piece) in piece_values.iter_mut().zip(pieces) {
+            values.collect(g, piece);
+        }
+        let mut best: Option<(usize, usize, f64)> = None; // (target, piece, delta)
         for &b in &adj[a_idx] {
             let b_idx = b as usize;
-            for (move_v, piece) in [(true, &m.v), (false, &m.w)] {
-                if let Some(delta) = eval_move(ctx, groups, a_idx, b_idx, piece) {
-                    if delta < 0.0 && best.as_ref().map(|(_, _, bd)| delta < *bd).unwrap_or(true) {
-                        best = Some((b_idx, move_v, delta));
-                    }
+            for p in 0..2 {
+                if !movable[p] {
+                    continue;
+                }
+                let (a, b, piece) = (&groups[a_idx], &groups[b_idx], pieces[p]);
+                let delta = move_delta(g, a, b, piece, &piece_values[p]);
+                if delta < 0.0
+                    && best.as_ref().map(|(_, _, bd)| delta < *bd).unwrap_or(true)
+                    && move_is_legal(ctx, a, b, piece)
+                {
+                    best = Some((b_idx, p, delta));
                 }
             }
         }
-        if let Some((b_idx, move_v, _)) = best {
-            let piece = if move_v { &m.v } else { &m.w };
-            groups[a_idx].difference_with(piece);
-            groups[b_idx].union_with(piece);
+        if let Some((b_idx, p, _)) = best {
+            groups[a_idx].difference_with(pieces[p]);
+            groups[b_idx].union_with(pieces[p]);
             moves += 1;
             adj = ctx.adjacency(groups);
         }
@@ -66,42 +91,110 @@ pub fn uncoarsen(
     moves
 }
 
-/// Evaluate moving `piece` from `groups[a]` to `groups[b]`.
+/// Index of the first group containing the whole merge pair `v ∪ w`.
 ///
-/// Returns the communication-byte delta if the move is structurally legal
-/// (piece strictly inside `a`, both results convex, target fits memory),
-/// `None` otherwise.
-fn eval_move(
-    ctx: &mut BlockCtx<'_, '_>,
-    groups: &[TaskSet],
-    a: usize,
-    b: usize,
+/// That group must contain `v`'s first task, so only groups holding it
+/// are tested for containment.
+fn pair_group(groups: &[TaskSet], m: &MergeRecord) -> Option<usize> {
+    let contains_pair = |gset: &TaskSet| m.v.is_subset(gset) && m.w.is_subset(gset);
+    match m.v.first() {
+        Some(t) => groups
+            .iter()
+            .position(|gset| gset.contains(t) && contains_pair(gset)),
+        None => groups.iter().position(contains_pair),
+    }
+}
+
+/// The values whose (A, B) cut contribution a move of a piece can change:
+/// those produced in the piece (with their producer) and those consumed in
+/// it whose producer lies outside it.
+struct PieceValues {
+    /// `(producer, value)` pairs of the last collected piece.
+    list: Vec<(TaskId, ValueId)>,
+    /// `seen[v] == stamp` once consumed value `v` is collected.
+    seen: Vec<u32>,
+    stamp: u32,
+}
+
+impl PieceValues {
+    fn new(g: &TaskGraph) -> Self {
+        PieceValues {
+            list: Vec::new(),
+            seen: vec![0; g.num_values()],
+            stamp: 0,
+        }
+    }
+
+    /// Collect the values of `piece`.
+    ///
+    /// Produced values are listed once per `outputs` entry, as
+    /// [`traverse::cut_bytes`] counts them; consumed values once each.
+    fn collect(&mut self, g: &TaskGraph, piece: &TaskSet) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        self.list.clear();
+        for t in piece.iter() {
+            let task = g.task(t);
+            self.list.extend(task.outputs.iter().map(|&v| (t, v)));
+            for &v in &task.inputs {
+                let Some(q) = g.value(v).producer else {
+                    continue; // graph inputs cross no cut
+                };
+                if !piece.contains(q) && self.seen[v.index()] != self.stamp {
+                    self.seen[v.index()] = self.stamp;
+                    self.list.push((q, v));
+                }
+            }
+        }
+    }
+}
+
+/// Communication-byte delta of moving `piece` from group `a` to group `b`:
+/// the four-`cut_bytes` Δ of the module doc, summed over the piece's
+/// `values` only (negative = fewer bytes cross the pair's cut).
+///
+/// Membership in `A∖p` and `B∪p` is tested through `(a, b, piece)`; no
+/// set is built.
+fn move_delta(
+    g: &TaskGraph,
+    a: &TaskSet,
+    b: &TaskSet,
     piece: &TaskSet,
-) -> Option<f64> {
-    if !piece.is_subset(&groups[a]) {
-        return None;
+    values: &PieceValues,
+) -> f64 {
+    let (mut before, mut after) = (0usize, 0usize);
+    for &(q, v) in &values.list {
+        let val = g.value(v);
+        // which of A, B, A∖p, B∪p the value's consumers reach
+        let (mut to_a, mut to_b, mut to_a_rest, mut to_b_new) = (false, false, false, false);
+        for &c in &val.consumers {
+            let (in_a, in_b, in_p) = (a.contains(c), b.contains(c), piece.contains(c));
+            to_a |= in_a;
+            to_b |= in_b;
+            to_a_rest |= in_a && !in_p;
+            to_b_new |= in_b || in_p;
+        }
+        let (q_a, q_b, q_p) = (a.contains(q), b.contains(q), piece.contains(q));
+        let size = val.size_bytes();
+        before += size * ((q_a && to_b) as usize + (q_b && to_a) as usize);
+        after += size * ((q_a && !q_p && to_b_new) as usize + ((q_b || q_p) && to_a_rest) as usize);
     }
-    let mut a_rest = groups[a].clone();
+    after as f64 - before as f64
+}
+
+/// Whether moving `piece` from group `a` to group `b` keeps both groups
+/// convex and within device memory.
+fn move_is_legal(ctx: &mut BlockCtx<'_, '_>, a: &TaskSet, b: &TaskSet, piece: &TaskSet) -> bool {
+    let mut a_rest = a.clone();
     a_rest.difference_with(piece);
-    if a_rest.is_empty() {
-        return None;
-    }
-    let b_new = groups[b].union(piece);
-    if !ctx.checker.is_convex(&a_rest) || !ctx.checker.is_convex(&b_new) {
-        return None;
-    }
-    if !ctx.fits(&b_new) {
-        return None;
-    }
-    // Exact local delta: edges between the moved piece and third groups
-    // keep crossing exactly one boundary before and after, so only the
-    // (A, B) pair's cut changes.
-    let g = ctx.g;
-    let before = (traverse::cut_bytes(g, &groups[a], &groups[b])
-        + traverse::cut_bytes(g, &groups[b], &groups[a])) as f64;
-    let after =
-        (traverse::cut_bytes(g, &a_rest, &b_new) + traverse::cut_bytes(g, &b_new, &a_rest)) as f64;
-    Some(after - before) // negative = fewer bytes cross cuts
+    let b_new = b.union(piece);
+    ctx.checker.is_convex(&a_rest)
+        && ctx.checker.is_convex(&b_new)
+        && ctx.fits(&b_new)
+        && ctx.fits(&a_rest)
 }
 
 /// Total communication bytes across all group boundaries — the objective
@@ -125,6 +218,7 @@ mod tests {
     use crate::blocks::{BlockCtx, BlockLimits};
     use crate::coarsen::coarsen;
     use rannc_graph::convex::ConvexChecker;
+    use rannc_graph::{DType, GraphBuilder, OpKind};
     use rannc_hw::DeviceSpec;
     use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
@@ -194,5 +288,166 @@ mod tests {
         // checked inside `pipeline` for both model families
         let g = mlp_graph(&MlpConfig::deep(64, 64, 16, 8));
         let _ = pipeline(&g, 4, true);
+    }
+
+    /// Δ from four whole-group `cut_bytes` scans over materialised groups.
+    fn full_cut_delta(g: &TaskGraph, a: &TaskSet, b: &TaskSet, piece: &TaskSet) -> f64 {
+        let mut a_rest = a.clone();
+        a_rest.difference_with(piece);
+        let b_new = b.union(piece);
+        let before = (traverse::cut_bytes(g, a, b) + traverse::cut_bytes(g, b, a)) as f64;
+        let after = (traverse::cut_bytes(g, &a_rest, &b_new)
+            + traverse::cut_bytes(g, &b_new, &a_rest)) as f64;
+        after - before
+    }
+
+    /// A residual chain whose layers share one tied weight: the weight's
+    /// transpose is a constant task cloned into every layer's matmul
+    /// component, and every layer input is consumed in three components.
+    fn tied_residual_chain() -> TaskGraph {
+        let mut b = GraphBuilder::new("tied-residual");
+        let mut h = b.input("x", [8, 16], DType::F32);
+        let w = b.param("w", [16, 16]);
+        let wt = b.transpose(w, [16, 16]);
+        for _ in 0..8 {
+            let m = b.matmul(h, wt);
+            let r = b.unary(OpKind::Relu, h);
+            let s = b.binary(OpKind::Add, m, r);
+            h = b.binary(OpKind::Add, s, h);
+        }
+        b.output(h);
+        b.finish()
+    }
+
+    #[test]
+    fn piece_local_delta_matches_full_cut_delta() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for (g, k) in [
+            (bert_graph(&BertConfig::tiny()), 8),
+            (tied_residual_chain(), 4),
+        ] {
+            let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+            let atomic = atomic_partition(&g);
+            let limits = BlockLimits {
+                k,
+                mem_limit: 32 << 30,
+                profile_batch: 2,
+            };
+            let coarse = coarsen(&mut BlockCtx::new(&g, &profiler, limits), &atomic.sets).groups;
+            let mut values = PieceValues::new(&g);
+            let mut checked = 0;
+            for groups in [&atomic.sets, &coarse] {
+                for _ in 0..2000 {
+                    let a = (next() % groups.len() as u64) as usize;
+                    let b = (next() % groups.len() as u64) as usize;
+                    let members: Vec<TaskId> = groups[a].iter().collect();
+                    if a == b || members.len() < 2 {
+                        continue;
+                    }
+                    // a random nonempty piece strictly inside A
+                    let mut piece = TaskSet::new(g.num_tasks());
+                    for &t in &members {
+                        if next() % 2 == 0 {
+                            piece.insert(t);
+                        }
+                    }
+                    if piece.is_empty() {
+                        piece.insert(members[0]);
+                    }
+                    if piece.len() == members.len() {
+                        piece.remove(members[members.len() - 1]);
+                    }
+                    values.collect(&g, &piece);
+                    let local = move_delta(&g, &groups[a], &groups[b], &piece, &values);
+                    let full = full_cut_delta(&g, &groups[a], &groups[b], &piece);
+                    assert_eq!(local.to_bits(), full.to_bits(), "{}: A={a} B={b}", g.name);
+                    checked += 1;
+                }
+            }
+            assert!(checked > 1000, "{}: only {checked} pieces checked", g.name);
+        }
+    }
+
+    #[test]
+    fn delta_fixture_has_clones_and_wide_values() {
+        // the cases a piece-local Δ could get wrong must be in the fixture:
+        // a cloned constant task shared by two groups, and a value
+        // consumed in three or more groups
+        let g = tied_residual_chain();
+        let atomic = atomic_partition(&g);
+        let groups = &atomic.sets;
+        let owners = |t: TaskId| groups.iter().filter(|s| s.contains(t)).count();
+        assert!(g.task_ids().any(|t| owners(t) >= 2), "no shared clone");
+        let consuming = |v: &rannc_graph::Value| {
+            groups
+                .iter()
+                .filter(|s| v.consumers.iter().any(|&c| s.contains(c)))
+                .count()
+        };
+        assert!(
+            g.values().any(|(_, v)| consuming(v) >= 3),
+            "no value consumed in three groups"
+        );
+    }
+
+    #[test]
+    fn moves_keep_both_groups_within_memory() {
+        // A chain of three adds sharing one large constant `mask`, whose
+        // producer is cloned into every add's group. Moving {mask, p1}
+        // from A = {mask, p1, p2} to B = {mask, p0} cuts a double-counted
+        // mask crossing (Δ = −|mask|), but leaves p2 receiving the mask as
+        // a stage input: the source group outgrows A itself.
+        let mut gb = GraphBuilder::new("shared-mask");
+        let x = gb.input("x", [8, 16], DType::F32);
+        let k = gb.constant("k", [64, 16], DType::F32);
+        let mask = gb.unary(OpKind::Relu, k);
+        let h0 = gb.binary(OpKind::Add, x, mask);
+        let h1 = gb.binary(OpKind::Add, h0, mask);
+        let h2 = gb.binary(OpKind::Add, h1, mask);
+        gb.output(h2);
+        let g = gb.finish();
+        let [c, p0, p1, p2] = [0, 1, 2, 3].map(TaskId);
+        let set = |ids: &[TaskId]| TaskSet::from_ids(g.num_tasks(), ids.iter().copied());
+        let merge = MergeRecord {
+            level: 0,
+            v: set(&[c, p1]),
+            w: set(&[c, p2]),
+        };
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let mem =
+            |s: &TaskSet| rannc_cost::CostModel::stage_cost(&profiler, s, 2, 1, true).mem_bytes;
+        let run = |mem_limit: usize| {
+            let limits = BlockLimits {
+                k: 2,
+                mem_limit,
+                profile_batch: 2,
+            };
+            let mut groups = vec![set(&[c, p0]), set(&[c, p1, p2])];
+            let moves = uncoarsen(
+                &mut BlockCtx::new(&g, &profiler, limits),
+                &mut groups,
+                std::slice::from_ref(&merge),
+            );
+            (moves, groups)
+        };
+
+        // without a binding limit the move is taken, and its source grows
+        let (moves, groups) = run(32 << 30);
+        assert_eq!(moves, 1);
+        assert!(mem(&groups[1]) > mem(&set(&[c, p1, p2])));
+
+        // with the limit at the larger input group, both groups must still fit
+        let tight = mem(&set(&[c, p0])).max(mem(&set(&[c, p1, p2])));
+        let (moves, groups) = run(tight);
+        for s in &groups {
+            assert!(mem(s) <= tight, "group needs {} > {tight}", mem(s));
+        }
+        assert_eq!(moves, 0);
     }
 }

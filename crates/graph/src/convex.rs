@@ -17,24 +17,33 @@ use crate::{TaskGraph, TaskId, TaskSet};
 
 /// Reusable convexity checker for one graph.
 ///
-/// Holds the topological positions and a stamped visited buffer so repeated
-/// checks (the coarsening phase performs tens of thousands) allocate
-/// nothing.
-pub struct ConvexChecker<'g> {
-    g: &'g TaskGraph,
+/// Holds the topological positions, flat successor lists and a stamped
+/// visited buffer so repeated checks (the coarsening phase performs tens of
+/// thousands) allocate nothing.
+pub struct ConvexChecker {
     pos: Vec<u32>,
+    succs: Successors,
     visited: Vec<u32>,
     stamp: u32,
     stack: Vec<TaskId>,
 }
 
-impl<'g> ConvexChecker<'g> {
+impl ConvexChecker {
     /// Build a checker for `g` (computes a topological order once).
-    pub fn new(g: &'g TaskGraph) -> Self {
+    pub fn new(g: &TaskGraph) -> Self {
         let pos = crate::traverse::topo_positions(g);
+        let mut succs = Successors {
+            start: Vec::with_capacity(g.num_tasks() + 1),
+            list: Vec::new(),
+        };
+        succs.start.push(0);
+        for t in g.task_ids() {
+            succs.list.extend(g.task_successors(t));
+            succs.start.push(succs.list.len() as u32);
+        }
         ConvexChecker {
-            g,
             pos,
+            succs,
             visited: vec![0; g.num_tasks()],
             stamp: 0,
             stack: Vec::new(),
@@ -45,6 +54,13 @@ impl<'g> ConvexChecker<'g> {
     #[inline]
     pub fn pos(&self, t: TaskId) -> u32 {
         self.pos[t.index()]
+    }
+
+    /// Distinct successors of `t`, ascending — [`TaskGraph::task_successors`]
+    /// without the allocation.
+    #[inline]
+    pub fn successors(&self, t: TaskId) -> &[TaskId] {
+        self.succs.of(t)
     }
 
     /// Whether `s` is convex in the graph.
@@ -67,31 +83,47 @@ impl<'g> ConvexChecker<'g> {
             self.stamp = 1;
         }
         let stamp = self.stamp;
-        self.stack.clear();
+        let (pos, succs) = (&self.pos, &self.succs);
+        let (visited, stack) = (&mut self.visited, &mut self.stack);
+        stack.clear();
         // Seed with successors outside S, pruned to the topo window.
         for t in s.iter() {
-            for succ in self.g.task_successors(t) {
+            for &succ in succs.of(t) {
                 let i = succ.index();
-                if !s.contains(succ) && self.pos[i] < max_pos && self.visited[i] != stamp {
-                    self.visited[i] = stamp;
-                    self.stack.push(succ);
+                if !s.contains(succ) && pos[i] < max_pos && visited[i] != stamp {
+                    visited[i] = stamp;
+                    stack.push(succ);
                 }
             }
         }
         // Forward search; re-entering S means a violating path exists.
-        while let Some(t) = self.stack.pop() {
-            for succ in self.g.task_successors(t) {
+        while let Some(t) = stack.pop() {
+            for &succ in succs.of(t) {
                 if s.contains(succ) {
                     return false;
                 }
                 let i = succ.index();
-                if self.pos[i] < max_pos && self.visited[i] != stamp {
-                    self.visited[i] = stamp;
-                    self.stack.push(succ);
+                if pos[i] < max_pos && visited[i] != stamp {
+                    visited[i] = stamp;
+                    stack.push(succ);
                 }
             }
         }
         true
+    }
+}
+
+/// Distinct successors of every task, flat: those of `t` are
+/// `list[start[t]..start[t + 1]]`, ascending.
+struct Successors {
+    start: Vec<u32>,
+    list: Vec<TaskId>,
+}
+
+impl Successors {
+    #[inline]
+    fn of(&self, t: TaskId) -> &[TaskId] {
+        &self.list[self.start[t.index()] as usize..self.start[t.index() + 1] as usize]
     }
 }
 

@@ -9,6 +9,11 @@ cargo build --release --workspace --offline
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
+echo "==> paper-scale block-phase parity (BERT 2048x256, k 32, against the reference)"
+# ignored in the default run for its size: the block phase at paper scale
+# must produce exactly the reference's blocks and uncoarsening moves
+cargo test --release -q -p rannc-core --offline --test prop_blocks_identical -- --ignored
+
 echo "==> formula-ownership gate (collective math only in rannc-hw / rannc-cost)"
 # every comm/collective-time formula lives behind the CostModel layer;
 # nothing outside rannc-hw / rannc-cost may call the ring formula directly
