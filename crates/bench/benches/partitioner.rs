@@ -6,6 +6,7 @@ use rannc::core::{
     atomic_partition, block_partition, form_stage_dp, BlockLimits, DpArena, DpCtx, DpParams,
     RangeTable,
 };
+use rannc::graph::TaskId;
 use rannc::prelude::*;
 
 fn bench_atomic(c: &mut Criterion) {
@@ -90,6 +91,53 @@ fn bench_stage_dp(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-lookup cost of the profiling oracle on the paper-scale BERT
+/// 2048x256: a memo hit on both layers, and a set-statistics miss, for
+/// block-range sets of three sizes (whole model, half, one block).
+fn bench_profile_set(c: &mut Criterion) {
+    let mut group = c.benchmark_group("profile_set");
+    let g = bert_graph(&BertConfig::enlarged(2048, 256));
+    let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+    let blocks = block_partition(
+        &g,
+        &profiler,
+        &atomic_partition(&g),
+        BlockLimits {
+            k: 32,
+            mem_limit: 32 << 30,
+            profile_batch: 1,
+        },
+    );
+    let ranges = RangeTable::build(&g, &blocks, 1);
+    let nb = ranges.blocks();
+    for (id, to) in [("whole", nb), ("half", nb / 2), ("block", 1)] {
+        let set = &ranges.get(0, to).set;
+        let _ = profiler.profile_set(set, 1, 1, false);
+        group.bench_with_input(BenchmarkId::new("hit", id), set, |b, set| {
+            b.iter(|| profiler.profile_set(set, 1, 1, false));
+        });
+        // Each iteration queries a set never seen before: `set` minus the
+        // first members picked by the bits of a fresh counter. The
+        // all-reduce volume reads only the statistics layer, so this times
+        // one statistics miss (plus one set clone).
+        let members: Vec<TaskId> = set.iter().take(32).collect();
+        let mut fresh = 0u64;
+        group.bench_with_input(BenchmarkId::new("stats_miss", id), set, |b, set| {
+            b.iter(|| {
+                fresh += 1;
+                let mut s = set.clone();
+                for (i, &t) in members.iter().enumerate() {
+                    if fresh >> i & 1 == 1 {
+                        s.remove(t);
+                    }
+                }
+                profiler.tp_allreduce_bytes(&s, 1)
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("rannc_partition_end_to_end");
     group.sample_size(10);
@@ -110,6 +158,7 @@ criterion_group!(
     bench_atomic,
     bench_blocks,
     bench_stage_dp,
+    bench_profile_set,
     bench_end_to_end
 );
 criterion_main!(benches);

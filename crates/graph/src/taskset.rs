@@ -51,6 +51,18 @@ impl TaskSet {
         self.universe
     }
 
+    /// The backing bitset words: bit `i % 64` of word `i / 64` is task `i`.
+    ///
+    /// Invariant: bits at or above [`TaskSet::universe`] are always zero
+    /// (`insert` rejects out-of-universe ids and every set operation
+    /// combines equal-universe operands), so two sets over one universe
+    /// have equal members exactly when they have equal words. Hashing
+    /// the words is therefore a valid membership key.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Insert an id. Panics if out of universe (programming error).
     #[inline]
     pub fn insert(&mut self, id: TaskId) {
@@ -210,6 +222,18 @@ mod tests {
         let mut d = u.clone();
         d.difference_with(&a);
         assert_eq!(d.iter().collect::<Vec<_>>(), ids(&[4]));
+    }
+
+    #[test]
+    fn equal_members_have_equal_words() {
+        let direct = TaskSet::from_ids(130, ids(&[1, 64, 129]));
+        let unioned =
+            TaskSet::from_ids(130, ids(&[1, 64])).union(&TaskSet::from_ids(130, ids(&[129])));
+        let mut differenced = TaskSet::from_ids(130, ids(&[1, 2, 64, 128, 129]));
+        differenced.difference_with(&TaskSet::from_ids(130, ids(&[2, 128])));
+        assert_eq!(direct.words(), unioned.words());
+        assert_eq!(direct.words(), differenced.words());
+        assert_eq!(direct.words().len(), 3);
     }
 
     #[test]

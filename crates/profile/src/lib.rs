@@ -14,9 +14,12 @@
 //!   ([`flops`], [`Profiler`]);
 //! * **memory** — parameter, gradient, Adam-state and activation footprints
 //!   with and without gradient checkpointing ([`memory`]);
-//! * **caching** — results are memoised on a fingerprint of
-//!   (task set, micro-batch, in-flight count, checkpointing), mirroring how
-//!   RaNNC amortizes profiling across the DP's many candidate stages.
+//! * **caching** — results are memoised in two layers keyed on a 128-bit
+//!   hash of the task set's bitset words (O(words), not O(members)):
+//!   batch-independent set statistics, and raw times per (micro-batch,
+//!   tensor-parallel degree). A miss reads flat per-task rows built once
+//!   per [`Profiler`], never the graph. This mirrors how RaNNC amortizes
+//!   profiling across the DP's many candidate stages.
 //!
 //! An optional multiplicative noise model emulates real measurement jitter
 //! so robustness of the partitioning algorithms can be tested.

@@ -2,7 +2,7 @@
 
 use crate::flops::task_flops;
 use crate::memory::MemoryParams;
-use rannc_graph::{traverse, TaskGraph, TaskSet, ValueKind};
+use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet, ValueKind};
 use rannc_hw::{DeviceSpec, LinkSpec, Precision};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Number of independently locked cache shards. A key's shard is chosen
-/// by its fingerprint hash, so concurrent `profile_set` callers touching
-/// different subcomponents almost never share a lock.
+/// by its hash, so concurrent `profile_set` callers touching different
+/// subcomponents almost never share a lock.
 const CACHE_SHARDS: usize = 16;
 
 /// Tunables of the analytical profiler.
@@ -93,16 +93,42 @@ struct TaskCost {
     /// Non-constant tasks scale with the micro-batch size; constant tasks
     /// (weight transposes etc.) run once regardless of batch.
     scales: bool,
+    /// This task's rows in [`Profiler::static_inputs`].
     params: std::ops::Range<u32>,
+    /// This task's rows in [`Profiler::act_inputs`].
+    acts: std::ops::Range<u32>,
     /// Per-op calibration factor applied to the roofline term (1.0 = the
     /// pure analytical model; `x * 1.0` is bit-identical to `x`).
     cal: f64,
 }
 
+/// One static (parameter or constant) input of a task, flattened at
+/// construction so the set-statistics miss path never reads the graph.
+#[derive(Debug, Clone, Copy)]
+struct StaticInput {
+    value: u32,
+    /// Parameter elements of the value; 0 for a constant.
+    param_elems: usize,
+}
+
+/// One non-static (activation) input of a task, flattened likewise.
+#[derive(Debug, Clone, Copy)]
+struct ActInput {
+    value: u32,
+    /// Producing task, or [`NO_PRODUCER`] for a graph input. Out of every
+    /// universe, so `TaskSet::contains` is false for it.
+    producer: u32,
+    /// FP32 bytes of one sample of the value.
+    bytes: usize,
+}
+
+/// [`ActInput::producer`] of a value no task produces.
+const NO_PRODUCER: u32 = u32::MAX;
+
 /// Batch-independent statistics of a task set: the memory-model inputs
 /// that depend only on *which* tasks are in the set, never on the
 /// micro-batch size, in-flight count, or checkpointing flag.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SetStats {
     param_elems: usize,
     ingress_bytes: usize,
@@ -124,19 +150,27 @@ struct TimeProfile {
     flops: f64,
 }
 
-/// One slot of a [`FlatMemo`] probe sequence.
+/// One slot of a [`FlatMemo`] probe sequence; empty while `aux` is
+/// [`EMPTY_AUX`].
 #[derive(Debug, Clone, Copy, Default)]
 struct MemoSlot<V: Copy> {
     fp: u128,
-    aux: u32,
-    used: bool,
+    aux: u64,
     val: V,
 }
 
-/// Open-addressed fingerprint→value table with linear probing.
+/// The aux word of an empty [`MemoSlot`]. No key uses it: time entries
+/// carry a tensor-parallel degree of at least 1 in their high half
+/// ([`time_aux`]) and statistics entries use [`STATS_AUX`].
+const EMPTY_AUX: u64 = 0;
+
+/// The aux word of every set-statistics entry.
+const STATS_AUX: u64 = 1;
+
+/// Open-addressed `(set key, aux)`→value table with linear probing.
 ///
 /// Replaces the per-shard `HashMap`: profile keys are already
-/// high-quality 128-bit fingerprints, so SipHash re-hashing every lookup
+/// high-quality 128-bit hashes ([`set_key`]), so SipHash re-hashing every lookup
 /// was pure overhead, and the flat slot array keeps a probe sequence on
 /// adjacent cache lines. Capacity is a power of two, grown at ~70% load;
 /// [`FlatMemo::reserve`] lets the planner pre-size the table from the
@@ -156,17 +190,12 @@ impl<V: Copy + Default> FlatMemo<V> {
         }
     }
 
-    #[inline]
-    fn probe_start(fp: u128, aux: u32) -> u64 {
-        splitmix((fp as u64) ^ (fp >> 64) as u64 ^ ((aux as u64) << 32))
-    }
-
-    fn get(&self, fp: u128, aux: u32) -> Option<V> {
+    fn get(&self, fp: u128, aux: u64) -> Option<V> {
         let mask = self.slots.len() - 1;
-        let mut i = Self::probe_start(fp, aux) as usize & mask;
+        let mut i = key_hash(fp, aux) as usize & mask;
         loop {
             let s = &self.slots[i];
-            if !s.used {
+            if s.aux == EMPTY_AUX {
                 return None;
             }
             if s.fp == fp && s.aux == aux {
@@ -176,7 +205,8 @@ impl<V: Copy + Default> FlatMemo<V> {
         }
     }
 
-    fn insert(&mut self, fp: u128, aux: u32, val: V) {
+    fn insert(&mut self, fp: u128, aux: u64, val: V) {
+        assert_ne!(aux, EMPTY_AUX, "aux word {EMPTY_AUX} marks an empty slot");
         // keep load under 70% so probe sequences stay short
         if (self.len + 1) * 10 >= self.slots.len() * 7 {
             self.grow(self.slots.len() * 2);
@@ -184,18 +214,13 @@ impl<V: Copy + Default> FlatMemo<V> {
         self.insert_nogrow(fp, aux, val);
     }
 
-    fn insert_nogrow(&mut self, fp: u128, aux: u32, val: V) {
+    fn insert_nogrow(&mut self, fp: u128, aux: u64, val: V) {
         let mask = self.slots.len() - 1;
-        let mut i = Self::probe_start(fp, aux) as usize & mask;
+        let mut i = key_hash(fp, aux) as usize & mask;
         loop {
             let s = &mut self.slots[i];
-            if !s.used {
-                *s = MemoSlot {
-                    fp,
-                    aux,
-                    used: true,
-                    val,
-                };
+            if s.aux == EMPTY_AUX {
+                *s = MemoSlot { fp, aux, val };
                 self.len += 1;
                 return;
             }
@@ -221,7 +246,7 @@ impl<V: Copy + Default> FlatMemo<V> {
         let old = std::mem::replace(&mut self.slots, vec![MemoSlot::default(); new_slots]);
         self.len = 0;
         for s in old {
-            if s.used {
+            if s.aux != EMPTY_AUX {
                 self.insert_nogrow(s.fp, s.aux, s.val);
             }
         }
@@ -288,15 +313,19 @@ thread_local! {
 
 /// Analytical stand-in for RaNNC's on-device profiler.
 ///
-/// Construction walks the graph once; each [`Profiler::profile_set`] call
-/// is then a linear pass over the subcomponent with memoisation keyed on a
-/// 128-bit fingerprint of the task set.
+/// Construction walks the graph once, flattening each task's cost data
+/// and inputs into per-task rows. A [`Profiler::profile_set`] call is then
+/// a memo lookup keyed on a 128-bit hash of the set's bitset words
+/// ([`set_key`]): O(words), not O(members), so a hit costs what a bitset
+/// pass costs. A miss is one pass over the members that reads only those
+/// rows, never the graph.
 pub struct Profiler<'g> {
     g: &'g TaskGraph,
     device: DeviceSpec,
     opts: ProfilerOptions,
     costs: Vec<TaskCost>,
-    param_vals: Vec<u32>,
+    static_inputs: Vec<StaticInput>,
+    act_inputs: Vec<ActInput>,
     set_stats: Vec<Mutex<FlatMemo<SetStats>>>,
     time_profiles: Vec<Mutex<FlatMemo<TimeProfile>>>,
     stats_hits: AtomicU64,
@@ -324,15 +353,29 @@ impl<'g> Profiler<'g> {
     ) -> Self {
         let non_constant = traverse::non_constant_tasks(g);
         let mut costs = Vec::with_capacity(g.num_tasks());
-        let mut param_vals = Vec::new();
+        let mut static_inputs = Vec::new();
+        let mut act_inputs = Vec::new();
         for (tid, task) in g.tasks() {
-            let start = param_vals.len() as u32;
+            let (params_start, acts_start) = (static_inputs.len() as u32, act_inputs.len() as u32);
             for &v in &task.inputs {
-                if g.value(v).kind.is_static() {
-                    param_vals.push(v.0);
+                let val = g.value(v);
+                if val.kind.is_static() {
+                    static_inputs.push(StaticInput {
+                        value: v.0,
+                        param_elems: if val.kind == ValueKind::Param {
+                            val.numel()
+                        } else {
+                            0
+                        },
+                    });
+                } else {
+                    act_inputs.push(ActInput {
+                        value: v.0,
+                        producer: val.producer.map_or(NO_PRODUCER, |p| p.0),
+                        bytes: val.size_bytes(),
+                    });
                 }
             }
-            let end = param_vals.len() as u32;
             let out_act_bytes = task.outputs.iter().map(|&v| g.value(v).size_bytes()).sum();
             let (act_bytes, static_bytes) = crate::flops::task_bytes_split(g, tid);
             costs.push(TaskCost {
@@ -342,7 +385,8 @@ impl<'g> Profiler<'g> {
                 out_act_bytes,
                 compute_bound: task.op.is_compute_bound(),
                 scales: non_constant[tid.index()],
-                params: start..end,
+                params: params_start..static_inputs.len() as u32,
+                acts: acts_start..act_inputs.len() as u32,
                 cal: scale_of(&task.op),
             });
         }
@@ -351,7 +395,8 @@ impl<'g> Profiler<'g> {
             device,
             opts,
             costs,
-            param_vals,
+            static_inputs,
+            act_inputs,
             set_stats: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(FlatMemo::new()))
                 .collect(),
@@ -383,10 +428,11 @@ impl<'g> Profiler<'g> {
     }
 
     /// Shard index for a memo key; mixes every field so keys differing
-    /// only in the aux word still spread across shards.
+    /// only in the aux word still spread across shards. Taken from the
+    /// hash's high half: a shard's [`FlatMemo`] probes with the low bits.
     #[inline]
-    fn shard_of(fp: u128, aux: u32) -> usize {
-        (splitmix((fp as u64) ^ (fp >> 64) as u64 ^ ((aux as u64) << 32)) as usize) % CACHE_SHARDS
+    fn shard_of(fp: u128, aux: u64) -> usize {
+        (key_hash(fp, aux) >> 32) as usize % CACHE_SHARDS
     }
 
     /// The graph this profiler measures.
@@ -458,18 +504,23 @@ impl<'g> Profiler<'g> {
         }
     }
 
-    /// Forward time of one task at a given micro-batch size.
-    fn task_fwd_time(&self, c: &TaskCost, batch: usize) -> f64 {
+    /// Forward time of one task at a given micro-batch size, with its
+    /// compute split `tp` ways (1 = no tensor parallelism). Splittable
+    /// (compute-bound) tasks divide FLOPs, activation traffic, and
+    /// parameter reads across the group; the launch overhead is paid in
+    /// full by every member. Other tasks divide by 1.0, which is exact, so
+    /// `tp == 1` is the plain roofline bit for bit.
+    fn task_fwd_time(&self, c: &TaskCost, batch: usize, tp: usize) -> f64 {
         let scale = if c.scales { batch as f64 } else { 1.0 };
         let byte_scale = self.opts.precision.activation_bytes() as f64 / 4.0;
-        let flops = c.flops * scale;
-        // activations scale with batch; parameter reads are amortized
-        let bytes = (c.act_bytes * scale + c.static_bytes) * byte_scale;
-        let peak = if c.compute_bound {
-            self.device.sustained_flops(self.opts.precision)
+        let (split, peak) = if c.compute_bound {
+            (tp as f64, self.device.sustained_flops(self.opts.precision))
         } else {
-            self.device.sustained_flops(Precision::FP32)
+            (1.0, self.device.sustained_flops(Precision::FP32))
         };
+        let flops = c.flops * scale / split;
+        // activations scale with batch; parameter reads are amortized
+        let bytes = (c.act_bytes * scale + c.static_bytes) / split * byte_scale;
         let t_compute = flops / peak;
         let t_memory = bytes / self.device.mem_bandwidth;
         // Calibration scales the modelled kernel time, not the fixed launch
@@ -478,12 +529,11 @@ impl<'g> Profiler<'g> {
     }
 
     /// Batch-independent miss path: parameter elements and deduplicated
-    /// ingress/intermediate activation bytes of the set.
+    /// ingress/intermediate activation bytes of the set. Reads only the
+    /// flat per-task rows built at construction; every sum is an exact
+    /// integer.
     fn compute_set_stats(&self, set: &TaskSet) -> SetStats {
-        let mut param_elems = 0usize;
-        let mut ingress = 0usize;
-        let mut inter_act = 0usize;
-        let mut split_out = 0usize;
+        let mut stats = SetStats::default();
         SCRATCH.with(|cell| {
             let mut buf = cell.borrow_mut();
             let (stamps, stamp) = &mut *buf;
@@ -495,106 +545,53 @@ impl<'g> Profiler<'g> {
                 stamps.iter_mut().for_each(|s| *s = 0);
                 *stamp = 1;
             }
+            let stamp = *stamp;
             for t in set.iter() {
                 let c = &self.costs[t.index()];
                 if c.scales {
-                    inter_act += c.out_act_bytes;
+                    stats.inter_act_bytes += c.out_act_bytes;
                     if c.compute_bound {
-                        split_out += c.out_act_bytes;
+                        stats.split_out_bytes += c.out_act_bytes;
                     }
                 }
-                for pi in c.params.clone() {
-                    let v = self.param_vals[pi as usize] as usize;
-                    if stamps[v] != *stamp {
-                        stamps[v] = *stamp;
-                        if self.g.value(rannc_graph::ValueId(v as u32)).kind == ValueKind::Param {
-                            param_elems += self.g.value(rannc_graph::ValueId(v as u32)).numel();
+                // Static and activation inputs are distinct values, so the
+                // two passes share one stamp epoch without ever stamping
+                // the same id; each value counts once per set.
+                for row in &self.static_inputs[c.params.start as usize..c.params.end as usize] {
+                    let v = row.value as usize;
+                    if stamps[v] != stamp {
+                        stamps[v] = stamp;
+                        stats.param_elems += row.param_elems;
+                    }
+                }
+                for row in &self.act_inputs[c.acts.start as usize..c.acts.end as usize] {
+                    let v = row.value as usize;
+                    if stamps[v] != stamp {
+                        stamps[v] = stamp;
+                        if !set.contains(TaskId(row.producer)) {
+                            stats.ingress_bytes += row.bytes;
                         }
-                    }
-                }
-                // Non-static ingress bytes, deduplicated by the same stamp
-                // epoch. Safe to share: this pass touches only non-static
-                // values, the parameter pass above only static ones, so the
-                // two never stamp the same id. Replaces a quadratic
-                // collect-then-filter over `ingress_values` that dominated
-                // the cost of a cache miss.
-                for &v in &self.g.task(t).inputs {
-                    let val = self.g.value(v);
-                    if val.kind.is_static() {
-                        continue;
-                    }
-                    let vi = v.0 as usize;
-                    if stamps[vi] == *stamp {
-                        continue;
-                    }
-                    stamps[vi] = *stamp;
-                    let produced_inside = val.producer.map(|p| set.contains(p)).unwrap_or(false);
-                    if !produced_inside {
-                        ingress += val.size_bytes();
                     }
                 }
             }
         });
-        SetStats {
-            param_elems,
-            ingress_bytes: ingress,
-            inter_act_bytes: inter_act,
-            split_out_bytes: split_out,
-        }
+        stats
     }
 
-    /// Per-`(set, batch)` miss path: the roofline time and FLOP sums,
-    /// before overheads. The accumulation order over `set.iter()` matches
-    /// the historical fused loop exactly, so the sums are bit-identical.
-    fn compute_time_profile(&self, set: &TaskSet, batch: usize) -> TimeProfile {
+    /// Per-`(set, batch, tp)` miss path: the roofline time and FLOP sums,
+    /// before overheads, with FLOPs reported per tensor-parallel group
+    /// member. The accumulation order over `set.iter()` is fixed, so the
+    /// sums are bit-identical across calls.
+    fn compute_time_profile(&self, set: &TaskSet, batch: usize, tp: usize) -> TimeProfile {
         let mut fwd = 0.0;
         let mut bwd = 0.0;
         let mut flops = 0.0;
         for t in set.iter() {
             let c = &self.costs[t.index()];
-            let tf = self.task_fwd_time(c, batch);
+            let tf = self.task_fwd_time(c, batch, tp);
             fwd += tf;
             // backward: dgrad+wgrad for dense ops ≈ 2× forward; ~1× for
             // element-wise / normalization / layout ops.
-            bwd += if c.compute_bound { 2.0 * tf } else { tf };
-            flops += c.flops * if c.scales { batch as f64 } else { 1.0 };
-        }
-        TimeProfile {
-            fwd_raw: fwd,
-            bwd_raw: bwd,
-            flops,
-        }
-    }
-
-    /// Forward time of one task with its compute split `tp` ways.
-    /// Splittable (compute-bound) tasks divide FLOPs, activation traffic,
-    /// and parameter reads across the group; the launch overhead is paid
-    /// in full by every member. Non-splittable tasks are unchanged.
-    fn task_fwd_time_tp(&self, c: &TaskCost, batch: usize, tp: usize) -> f64 {
-        if !c.compute_bound {
-            return self.task_fwd_time(c, batch);
-        }
-        let scale = if c.scales { batch as f64 } else { 1.0 };
-        let byte_scale = self.opts.precision.activation_bytes() as f64 / 4.0;
-        let t = tp as f64;
-        let flops = c.flops * scale / t;
-        let bytes = (c.act_bytes * scale + c.static_bytes) / t * byte_scale;
-        let peak = self.device.sustained_flops(self.opts.precision);
-        let t_compute = flops / peak;
-        let t_memory = bytes / self.device.mem_bandwidth;
-        t_compute.max(t_memory) * c.cal + self.opts.launch_overhead
-    }
-
-    /// [`Profiler::compute_time_profile`] with splittable compute divided
-    /// `tp` ways. FLOPs are reported per group member.
-    fn compute_time_profile_tp(&self, set: &TaskSet, batch: usize, tp: usize) -> TimeProfile {
-        let mut fwd = 0.0;
-        let mut bwd = 0.0;
-        let mut flops = 0.0;
-        for t in set.iter() {
-            let c = &self.costs[t.index()];
-            let tf = self.task_fwd_time_tp(c, batch, tp);
-            fwd += tf;
             bwd += if c.compute_bound { 2.0 * tf } else { tf };
             let f = c.flops * if c.scales { batch as f64 } else { 1.0 };
             flops += if c.compute_bound { f / tp as f64 } else { f };
@@ -614,15 +611,16 @@ impl<'g> Profiler<'g> {
     ///   memory peak (`MB` for synchronous fill–drain);
     /// * `checkpointing` — whether gradient checkpointing is active.
     ///
-    /// Memoisation is two-layered. The old single cache keyed the full
-    /// `(set, batch, inflight, ckpt)` tuple — but the planner's stage
-    /// memo upstream dedupes exactly those tuples, so nearly every
-    /// lookup that reached the profiler missed (~19% hit rate at bench
-    /// scale). Splitting the memo below the `(inflight, ckpt)`-dependent
-    /// assembly lets all variants of a set share the batch-independent
-    /// statistics, and all `(inflight, ckpt)` combinations share the raw
-    /// time sums. The assembly replays the exact float operations of the
-    /// fused path, so results are bit-identical.
+    /// Memoisation is two-layered, both layers keyed on [`set_key`]. The
+    /// old single cache keyed the full `(set, batch, inflight, ckpt)`
+    /// tuple — but the planner's stage memo upstream dedupes exactly
+    /// those tuples, so nearly every lookup that reached the profiler
+    /// missed (~19% hit rate at bench scale). Splitting the memo below
+    /// the `(inflight, ckpt)`-dependent assembly lets all variants of a
+    /// set share the batch-independent statistics, and all
+    /// `(inflight, ckpt)` combinations share the raw time sums. The
+    /// assembly replays the exact float operations of the fused path, so
+    /// results are bit-identical.
     pub fn profile_set(
         &self,
         set: &TaskSet,
@@ -630,52 +628,17 @@ impl<'g> Profiler<'g> {
         inflight: usize,
         checkpointing: bool,
     ) -> ProfileResult {
-        let fp = fingerprint(set);
-
-        // layer 1: batch-independent set statistics
-        let stats = self.set_stats_cached(fp, set);
-
-        // layer 2: raw per-(set, batch) time sums
-        let time =
-            self.time_profile_cached(fp, batch as u32, || self.compute_time_profile(set, batch));
-
-        // assembly: identical float-op order to the historical fused path
-        // per-execution host overhead (sync, input staging)
-        let fwd = time.fwd_raw + self.opts.invocation_overhead;
-        let mut bwd = time.bwd_raw + self.opts.invocation_overhead;
-        if checkpointing {
-            // recomputation replays the forward pass before backward
-            bwd += fwd;
-        }
-
-        let mem = MemoryParams {
-            precision: self.opts.precision,
-            checkpointing,
-            inflight: inflight.max(1),
-        };
-        let mem_bytes = mem.stage_bytes(
-            stats.param_elems,
-            stats.ingress_bytes,
-            stats.inter_act_bytes,
-            batch,
-        );
-
-        let noise = self.noise_factor(fp ^ batch as u128);
-        ProfileResult {
-            fwd_time: fwd * noise,
-            bwd_time: bwd * noise,
-            mem_bytes,
-            param_elems: stats.param_elems,
-            flops: time.flops,
-        }
+        self.profile_set_tp(set, batch, inflight, checkpointing, 1)
     }
 
     /// Layer-1 memo lookup: batch-independent set statistics.
-    fn set_stats_cached(&self, fp: u128, set: &TaskSet) -> SetStats {
-        let stats_shard = Self::shard_of(fp, 0);
+    fn set_stats_cached(&self, key: u128, set: &TaskSet) -> SetStats {
+        let stats_shard = Self::shard_of(key, STATS_AUX);
         // bind the lookup before matching: a guard held through the match
         // arms would self-deadlock on the re-lock in the miss arm
-        let stats_lookup = self.lock_memo(&self.set_stats, stats_shard).get(fp, 0);
+        let stats_lookup = self
+            .lock_memo(&self.set_stats, stats_shard)
+            .get(key, STATS_AUX);
         match stats_lookup {
             Some(hit) => {
                 self.stats_hits.fetch_add(1, Ordering::Relaxed);
@@ -685,22 +648,26 @@ impl<'g> Profiler<'g> {
                 self.stats_misses.fetch_add(1, Ordering::Relaxed);
                 let computed = self.compute_set_stats(set);
                 self.lock_memo(&self.set_stats, stats_shard)
-                    .insert(fp, 0, computed);
+                    .insert(key, STATS_AUX, computed);
                 computed
             }
         }
     }
 
-    /// Layer-2 memo lookup: raw time sums under the given aux word, with
-    /// `compute` as the miss path.
+    /// Layer-2 memo lookup: raw time sums of `(set, batch, tp)`, whose
+    /// aux word is `aux`.
     fn time_profile_cached(
         &self,
-        fp: u128,
-        aux: u32,
-        compute: impl FnOnce() -> TimeProfile,
+        key: u128,
+        aux: u64,
+        set: &TaskSet,
+        batch: usize,
+        tp: usize,
     ) -> TimeProfile {
-        let time_shard = Self::shard_of(fp, aux);
-        let time_lookup = self.lock_memo(&self.time_profiles, time_shard).get(fp, aux);
+        let time_shard = Self::shard_of(key, aux);
+        let time_lookup = self
+            .lock_memo(&self.time_profiles, time_shard)
+            .get(key, aux);
         match time_lookup {
             Some(hit) => {
                 self.time_hits.fetch_add(1, Ordering::Relaxed);
@@ -708,9 +675,9 @@ impl<'g> Profiler<'g> {
             }
             None => {
                 self.time_misses.fetch_add(1, Ordering::Relaxed);
-                let computed = compute();
+                let computed = self.compute_time_profile(set, batch, tp);
                 self.lock_memo(&self.time_profiles, time_shard)
-                    .insert(fp, aux, computed);
+                    .insert(key, aux, computed);
                 computed
             }
         }
@@ -728,8 +695,8 @@ impl<'g> Profiler<'g> {
     /// reduced" observation. The per-pass activation all-reduce is *not*
     /// included here; the cost model adds it (it needs cluster topology).
     ///
-    /// `tp <= 1` short-circuits to [`Profiler::profile_set`] —
-    /// bit-identical results, same memo keys, same cache counters.
+    /// `tp <= 1` is [`Profiler::profile_set`] — the same memo entries and
+    /// bit-identical results.
     pub fn profile_set_tp(
         &self,
         set: &TaskSet,
@@ -738,22 +705,22 @@ impl<'g> Profiler<'g> {
         checkpointing: bool,
         tp: usize,
     ) -> ProfileResult {
-        if tp <= 1 {
-            return self.profile_set(set, batch, inflight, checkpointing);
-        }
-        debug_assert!(tp < 1024, "tensor-parallel degree {tp} out of range");
-        debug_assert!(batch < 1 << 21, "micro-batch {batch} out of range");
-        let fp = fingerprint(set);
-        let stats = self.set_stats_cached(fp, set);
-        // TP entries live in a disjoint aux keyspace (top bit set) so they
-        // can never collide with the plain per-batch entries.
-        let aux = 0x8000_0000u32 | ((batch as u32) << 10) | tp as u32;
-        let time =
-            self.time_profile_cached(fp, aux, || self.compute_time_profile_tp(set, batch, tp));
+        let tp = tp.max(1);
+        let key = set_key(set);
+        let aux = time_aux(batch, tp);
 
+        // layer 1: batch-independent set statistics
+        let stats = self.set_stats_cached(key, set);
+
+        // layer 2: raw per-(set, batch, tp) time sums
+        let time = self.time_profile_cached(key, aux, set, batch, tp);
+
+        // assembly: identical float-op order to the historical fused path
+        // per-execution host overhead (sync, input staging)
         let fwd = time.fwd_raw + self.opts.invocation_overhead;
         let mut bwd = time.bwd_raw + self.opts.invocation_overhead;
         if checkpointing {
+            // recomputation replays the forward pass before backward
             bwd += fwd;
         }
 
@@ -769,7 +736,7 @@ impl<'g> Profiler<'g> {
             batch,
         );
 
-        let noise = self.noise_factor(fp ^ aux as u128);
+        let noise = self.noise_factor(key ^ aux as u128);
         ProfileResult {
             fwd_time: fwd * noise,
             bwd_time: bwd * noise,
@@ -783,8 +750,7 @@ impl<'g> Profiler<'g> {
     /// splittable tasks' output activations for `batch` samples at
     /// activation precision. Zero for stages with no splittable ops.
     pub fn tp_allreduce_bytes(&self, set: &TaskSet, batch: usize) -> usize {
-        let fp = fingerprint(set);
-        let stats = self.set_stats_cached(fp, set);
+        let stats = self.set_stats_cached(set_key(set), set);
         (stats.split_out_bytes as f64
             * batch as f64
             * self.opts.precision.activation_bytes() as f64
@@ -840,17 +806,39 @@ impl CommCost {
     }
 }
 
-/// 128-bit FNV-style fingerprint of a task set's words. Collisions across
-/// the few hundred thousand distinct sets a run profiles are negligible.
-fn fingerprint(set: &TaskSet) -> u128 {
+/// 128-bit memo key of a task set: its non-zero bitset words, each mixed
+/// with its word index, folded into two independent 64-bit lanes. Costs
+/// O(words), not O(members). Equal members give equal words
+/// ([`TaskSet::words`]), so the key is a function of membership alone,
+/// however the set was built. Collisions across the few hundred thousand
+/// distinct sets a run profiles are negligible.
+fn set_key(set: &TaskSet) -> u128 {
     let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
     let mut h2: u64 = 0x9e37_79b9_7f4a_7c15;
-    for t in set.iter() {
-        let x = splitmix(t.0 as u64 + 1);
-        h1 = (h1 ^ x).wrapping_mul(0x1000_0000_01b3);
-        h2 = h2.rotate_left(13) ^ splitmix(x ^ 0xdead_beef);
+    for (i, &w) in set.words().iter().enumerate() {
+        if w == 0 {
+            continue;
+        }
+        let salt = splitmix(i as u64);
+        h1 = (h1 ^ splitmix(w ^ salt)).wrapping_mul(0x1000_0000_01b3);
+        h2 = h2.rotate_left(13) ^ splitmix(w.wrapping_add(salt) ^ 0xdead_beef);
     }
     ((h1 as u128) << 64) | h2 as u128
+}
+
+/// Aux word of a time-memo entry: the micro-batch in the low 32 bits and
+/// the tensor-parallel degree (1 when unsplit) in the high 32. Lossless:
+/// a value that does not fit panics instead of aliasing another entry.
+fn time_aux(batch: usize, tp: usize) -> u64 {
+    let batch = u32::try_from(batch).expect("micro-batch exceeds u32::MAX samples");
+    let tp = u32::try_from(tp).expect("tensor-parallel degree exceeds u32::MAX");
+    (tp as u64) << 32 | batch as u64
+}
+
+/// Hash of a full memo key, for shard choice and probe start.
+#[inline]
+fn key_hash(fp: u128, aux: u64) -> u64 {
+    splitmix((fp as u64) ^ (fp >> 64) as u64 ^ aux.rotate_left(32))
 }
 
 #[inline]
@@ -864,10 +852,79 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
+    use rannc_models::{
+        bert_graph, gpt_graph, mlp_graph, resnet_graph, t5_graph, BertConfig, GptConfig, MlpConfig,
+        ResNetConfig, T5Config,
+    };
 
     fn whole_set(g: &TaskGraph) -> TaskSet {
         TaskSet::from_ids(g.num_tasks(), g.task_ids())
+    }
+
+    /// The set statistics computed straight from the graph: every member's
+    /// inputs and outputs looked up through `g.value()`, each value counted
+    /// once. The reference the flat-row miss path must equal.
+    fn reference_set_stats(g: &TaskGraph, set: &TaskSet) -> SetStats {
+        let non_constant = traverse::non_constant_tasks(g);
+        let mut stats = SetStats::default();
+        let mut seen = vec![false; g.num_values()];
+        for t in set.iter() {
+            let task = g.task(t);
+            if non_constant[t.index()] {
+                let out: usize = task.outputs.iter().map(|&v| g.value(v).size_bytes()).sum();
+                stats.inter_act_bytes += out;
+                if task.op.is_compute_bound() {
+                    stats.split_out_bytes += out;
+                }
+            }
+            for &v in &task.inputs {
+                if std::mem::replace(&mut seen[v.index()], true) {
+                    continue;
+                }
+                let val = g.value(v);
+                if val.kind == ValueKind::Param {
+                    stats.param_elems += val.numel();
+                } else if !val.kind.is_static() && !val.producer.is_some_and(|p| set.contains(p)) {
+                    stats.ingress_bytes += val.size_bytes();
+                }
+            }
+        }
+        stats
+    }
+
+    /// Assert that the profiler's statistics of `set`, and everything
+    /// `profile_set_tp`/`tp_allreduce_bytes` derive from them, equal the
+    /// reference at `tp ∈ {1, 2, 4}`, with and without checkpointing.
+    fn assert_stats_match_reference(g: &TaskGraph, p: &Profiler<'_>, set: &TaskSet) {
+        let want = reference_set_stats(g, set);
+        assert_eq!(p.compute_set_stats(set), want);
+        let batch = 4;
+        for tp in [1usize, 2, 4] {
+            for checkpointing in [false, true] {
+                let got = p.profile_set_tp(set, batch, 2, checkpointing, tp);
+                let mem = MemoryParams {
+                    precision: p.options().precision,
+                    checkpointing,
+                    inflight: 2,
+                };
+                assert_eq!(got.param_elems, want.param_elems);
+                assert_eq!(
+                    got.mem_bytes,
+                    mem.stage_bytes(
+                        want.param_elems / tp,
+                        want.ingress_bytes,
+                        want.inter_act_bytes,
+                        batch
+                    ),
+                    "tp {tp}, checkpointing {checkpointing}"
+                );
+            }
+        }
+        let act_scale = p.options().precision.activation_bytes() as f64 / 4.0;
+        assert_eq!(
+            p.tp_allreduce_bytes(set, batch),
+            (want.split_out_bytes as f64 * batch as f64 * act_scale) as usize
+        );
     }
 
     #[test]
@@ -916,8 +973,8 @@ mod tests {
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let n = g.num_tasks();
         let half = n / 2;
-        let a = TaskSet::from_ids(n, (0..half as u32).map(rannc_graph::TaskId));
-        let b = TaskSet::from_ids(n, (half as u32..n as u32).map(rannc_graph::TaskId));
+        let a = TaskSet::from_ids(n, (0..half as u32).map(TaskId));
+        let b = TaskSet::from_ids(n, (half as u32..n as u32).map(TaskId));
         let ra = p.profile_set(&a, 1, 1, false);
         let rb = p.profile_set(&b, 1, 1, false);
         assert_eq!(ra.param_elems + rb.param_elems, g.param_count());
@@ -993,12 +1050,12 @@ mod tests {
     #[test]
     fn flat_memo_survives_growth() {
         let mut memo: FlatMemo<usize> = FlatMemo::new();
-        for i in 0..1000u64 {
-            memo.insert((i as u128) << 3, i as u32, i as usize);
+        for i in 1..=1000u64 {
+            memo.insert((i as u128) << 3, i, i as usize);
         }
         assert_eq!(memo.len, 1000);
-        for i in 0..1000u64 {
-            assert_eq!(memo.get((i as u128) << 3, i as u32), Some(i as usize));
+        for i in 1..=1000u64 {
+            assert_eq!(memo.get((i as u128) << 3, i), Some(i as usize));
         }
         assert_eq!(memo.get(0xdead_beef, 7), None);
         // overwrite keeps len stable
@@ -1020,7 +1077,7 @@ mod tests {
             .map(|i| {
                 let lo = (i * 7) % n;
                 let hi = (lo + 1 + (i * 13) % (n - lo)).min(n);
-                TaskSet::from_ids(n as usize, (lo..hi).map(rannc_graph::TaskId))
+                TaskSet::from_ids(n as usize, (lo..hi).map(TaskId))
             })
             .collect();
         std::thread::scope(|scope| {
@@ -1042,37 +1099,98 @@ mod tests {
 
     #[test]
     fn inline_ingress_matches_reference() {
-        // The stamp-deduplicated ingress pass inside `profile_set` must
-        // agree with the straightforward collect-then-filter reference.
+        // Contiguous ranges: the stamp-deduplicated ingress must also
+        // agree with the collect-then-filter `traverse::ingress_values`.
         let g = bert_graph(&BertConfig::tiny());
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let n = g.num_tasks() as u32;
         for (lo, hi) in [(0, n / 2), (n / 4, 3 * n / 4), (n / 2, n), (0, n)] {
-            let set = TaskSet::from_ids(n as usize, (lo..hi).map(rannc_graph::TaskId));
-            let reference: usize = traverse::ingress_values(&g, &set)
+            let set = TaskSet::from_ids(n as usize, (lo..hi).map(TaskId));
+            let ingress: usize = traverse::ingress_values(&g, &set)
                 .into_iter()
                 .filter(|&v| !g.value(v).kind.is_static())
                 .map(|v| g.value(v).size_bytes())
                 .sum();
-            let batch = 4;
-            let got = p.profile_set(&set, batch, 1, false);
-            let mem = MemoryParams {
-                precision: Precision::FP32,
-                checkpointing: false,
-                inflight: 1,
-            };
-            let inter: usize = set
-                .iter()
-                .filter(|t| traverse::non_constant_tasks(&g)[t.index()])
-                .flat_map(|t| g.task(t).outputs.clone())
-                .map(|v| g.value(v).size_bytes())
-                .sum();
-            assert_eq!(
-                got.mem_bytes,
-                mem.stage_bytes(got.param_elems, reference, inter, batch),
-                "range {lo}..{hi}"
-            );
+            assert_eq!(reference_set_stats(&g, &set).ingress_bytes, ingress);
+            assert_stats_match_reference(&g, &p, &set);
         }
+    }
+
+    #[test]
+    fn set_stats_match_reference_on_atomic_unions() {
+        // Random non-contiguous unions of atomic sets. The bert and gpt
+        // graphs tie parameters, and atomic sets clone constants, so
+        // values are shared between the united sets and dedup matters.
+        let graphs = [
+            bert_graph(&BertConfig::tiny()),
+            gpt_graph(&GptConfig::tiny()),
+            t5_graph(&T5Config::tiny()),
+            resnet_graph(&ResNetConfig::tiny()),
+        ];
+        let mut rng = 0x5eed_u64;
+        for g in &graphs {
+            let p = Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::mixed());
+            let atoms = rannc_core::atomic_partition(g).sets;
+            for _ in 0..16 {
+                rng = splitmix(rng);
+                // keep each atomic set with probability 1/4 .. 3/4
+                let keep = 1 + rng % 3;
+                let mut set = TaskSet::new(g.num_tasks());
+                for atom in &atoms {
+                    rng = splitmix(rng);
+                    if rng % 4 < keep {
+                        set.union_with(atom);
+                    }
+                }
+                assert_stats_match_reference(g, &p, &set);
+            }
+        }
+    }
+
+    #[test]
+    fn set_key_depends_on_word_position() {
+        // equal word values at different word indices are different sets
+        let set = |ids: &[u32]| TaskSet::from_ids(200, ids.iter().map(|&t| TaskId(t)));
+        let keys = [
+            set_key(&set(&[])),
+            set_key(&set(&[0])),
+            set_key(&set(&[64])),
+            set_key(&set(&[0, 64])),
+            set_key(&set(&[64, 128])),
+            set_key(&set(&[0, 128])),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        // and the key ignores how the set was built
+        assert_eq!(
+            set_key(&set(&[0, 64])),
+            set_key(&set(&[0]).union(&set(&[64])))
+        );
+    }
+
+    #[test]
+    fn tp_memo_keys_do_not_alias() {
+        // Queries whose old packed aux words collided: micro-batches that
+        // differ only above bit 21, and a degree of 1024 or more spilling
+        // into the batch bits. Each must equal a fresh profiler's answer.
+        let g = bert_graph(&BertConfig::tiny());
+        let shared = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let s = whole_set(&g);
+        let queries = [(1usize, 2usize), (1 + (1 << 22), 2), (2, 2), (1, 1026)];
+        let first: Vec<ProfileResult> = queries
+            .iter()
+            .map(|&(batch, tp)| shared.profile_set_tp(&s, batch, 1, false, tp))
+            .collect();
+        for (&(batch, tp), got) in queries.iter().zip(&first) {
+            let fresh = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+            let want = fresh.profile_set_tp(&s, batch, 1, false, tp);
+            assert_eq!(*got, want, "batch {batch}, tp {tp}");
+            assert_eq!(shared.profile_set_tp(&s, batch, 1, false, tp), want);
+        }
+        assert_eq!(shared.cache_stats().time_misses, queries.len() as u64);
     }
 
     #[test]
@@ -1135,8 +1253,8 @@ mod tests {
     fn comm_bytes_scale_with_batch_and_precision() {
         let g = mlp_graph(&MlpConfig::deep(32, 64, 2, 10));
         let n = g.num_tasks();
-        let a = TaskSet::from_ids(n, (0..3u32).map(rannc_graph::TaskId));
-        let b = TaskSet::from_ids(n, (3..n as u32).map(rannc_graph::TaskId));
+        let a = TaskSet::from_ids(n, (0..3u32).map(TaskId));
+        let b = TaskSet::from_ids(n, (3..n as u32).map(TaskId));
         let p32 = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let p16 = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::mixed());
         let c1 = p32.comm_bytes(&a, &b, 1);

@@ -3,10 +3,12 @@
 //! subcomponents of arbitrary models.
 
 use proptest::prelude::*;
+use rannc_core::{Block, RangeTable};
 use rannc_graph::{TaskGraph, TaskId, TaskSet};
 use rannc_hw::DeviceSpec;
 use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
 use rannc_profile::{Profiler, ProfilerOptions};
+use std::collections::HashSet;
 
 fn graphs() -> impl Strategy<Value = TaskGraph> {
     prop_oneof![
@@ -111,5 +113,75 @@ proptest! {
         // params may be shared across the cut (e.g. tied embeddings), so
         // the halves can sum to >= the whole but never less
         prop_assert!(ra.param_elems + rb.param_elems >= rw.param_elems);
+    }
+
+    /// The memo key is a function of membership alone: one set built by
+    /// `from_ids`, by `union` and by `difference_with` is one memo entry,
+    /// computed once and then hit.
+    #[test]
+    fn memo_key_is_a_function_of_membership(g in graphs(), sel in any::<u64>()) {
+        let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let n = g.num_tasks();
+        let members: Vec<TaskId> = g
+            .task_ids()
+            .filter(|t| (sel >> (t.index() % 64)) & 1 == 1)
+            .collect();
+        let direct = TaskSet::from_ids(n, members.iter().copied());
+        let (evens, odds): (Vec<TaskId>, Vec<TaskId>) =
+            members.iter().partition(|t| t.index() % 2 == 0);
+        let unioned = TaskSet::from_ids(n, evens).union(&TaskSet::from_ids(n, odds));
+        let mut differenced = TaskSet::from_ids(n, g.task_ids());
+        differenced.difference_with(&TaskSet::from_ids(
+            n,
+            g.task_ids().filter(|t| !direct.contains(*t)),
+        ));
+        let a = p.profile_set(&direct, 4, 2, false);
+        let b = p.profile_set(&unioned, 4, 2, false);
+        let c = p.profile_set(&differenced, 4, 2, false);
+        prop_assert_eq!(a, b);
+        prop_assert_eq!(a, c);
+        let stats = p.cache_stats();
+        prop_assert_eq!((stats.stats_misses, stats.stats_hits), (1, 2));
+        prop_assert_eq!((stats.time_misses, stats.time_hits), (1, 2));
+        prop_assert_eq!(stats.entries(), 2);
+    }
+
+    /// Every range of a 32-block range table, plus random unions of its
+    /// blocks, misses the statistics memo exactly once per distinct set.
+    #[test]
+    fn range_table_misses_once_per_distinct_set(layers in 1usize..3, sel in any::<u64>()) {
+        let g = bert_graph(&BertConfig { layers, ..BertConfig::tiny() });
+        let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let n = g.num_tasks();
+        let nb = 32.min(n);
+        let blocks: Vec<Block> = (0..nb)
+            .map(|b| Block {
+                set: TaskSet::from_ids(n, (b * n / nb..(b + 1) * n / nb).map(|t| TaskId(t as u32))),
+                time: 0.0,
+                mem: 0,
+            })
+            .collect();
+        let ranges = RangeTable::build(&g, &blocks, 1);
+        let mut distinct = HashSet::new();
+        for from in 0..nb {
+            for to in from + 1..=nb {
+                let set = &ranges.get(from, to).set;
+                let _ = p.profile_set(set, 4, 2, false);
+                distinct.insert(set.clone());
+            }
+        }
+        let mut rng = sel;
+        for _ in 0..64 {
+            let mut set = TaskSet::new(n);
+            for block in &blocks {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                if rng >> 62 == 0 {
+                    set.union_with(&block.set);
+                }
+            }
+            let _ = p.profile_set(&set, 4, 2, false);
+            distinct.insert(set);
+        }
+        prop_assert_eq!(p.cache_stats().stats_misses, distinct.len() as u64);
     }
 }
