@@ -24,6 +24,7 @@ use rannc::models::{
     bert_graph, gpt_graph, mlp_graph, resnet_graph, BertConfig, GptConfig, MlpConfig, ResNetConfig,
     ResNetDepth,
 };
+use rannc::obs::json;
 use rannc::profile::{CacheStats, ProfilerOptions};
 use std::time::Instant;
 
@@ -764,65 +765,47 @@ pub fn to_json(report: &BenchReport) -> String {
     out
 }
 
-/// JSON check for the CI gate: well-formedness (delegating to the
-/// observability crate's recursive-descent parser — the offline build
-/// has no JSON crate) plus, for schema-v3+ reports, the tensor-parallel
-/// range invariants. Each case's `tp_max` must be a positive integer and
-/// every `plan_tp` entry must be a degree the sweep was actually allowed
-/// to try: `1 <= T <= tp_max` and `T <= devices`. Non-report documents
-/// (no `cases` array) only get the well-formedness check.
+/// JSON check for the CI gate: well-formedness plus, for reports (an
+/// object root with a `cases` array), the tensor-parallel range
+/// invariants. Each case needs a string `model`; its `tp_max` and
+/// `devices`, when present, must be positive integers, and every
+/// `plan_tp` entry must be a degree the sweep was actually allowed to
+/// try: `1 <= T <= tp_max` and `T <= devices`. Other documents only get
+/// the well-formedness check. Unknown keys are ignored: the report
+/// grows additively.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    use rannc::obs::json::{parse, Value};
-    let doc = parse(s).map_err(|e| e.to_string())?;
-    let Some(cases) = doc.get("cases").and_then(Value::as_arr) else {
-        return Ok(());
-    };
-    let as_pos_int = |v: &Value| -> Option<usize> {
-        let f = v.as_f64()?;
-        (f.fract() == 0.0 && f >= 1.0).then_some(f as usize)
-    };
-    for c in cases {
-        let model = c
-            .get("model")
-            .and_then(Value::as_str)
-            .unwrap_or("<unnamed>")
-            .to_string();
-        let tp_max = match c.get("tp_max") {
-            Some(v) => Some(
-                as_pos_int(v)
-                    .ok_or_else(|| format!("case {model}: `tp_max` must be a positive integer"))?,
-            ),
-            None => None,
+    json::decode(s, |root| {
+        if !root.value().is_obj() {
+            return Ok(());
+        }
+        let Some(cases) = root.obj()?.opt("cases") else {
+            return Ok(());
         };
-        let devices = c.get("devices").and_then(as_pos_int);
-        if let Some(tp) = c.get("plan_tp") {
-            let arr = tp
-                .as_arr()
-                .ok_or_else(|| format!("case {model}: `plan_tp` must be an array"))?;
-            for (i, t) in arr.iter().enumerate() {
-                let t = as_pos_int(t).ok_or_else(|| {
-                    format!("case {model}: plan_tp[{i}] must be a positive integer")
-                })?;
-                if let Some(bound) = tp_max {
-                    if t > bound {
-                        return Err(format!(
-                            "case {model}: plan_tp[{i}] = {t} exceeds the search \
-                             bound tp_max = {bound}"
-                        ));
-                    }
+        for c in cases.items()? {
+            let c = c.obj()?;
+            let model = c.get("model")?.str()?;
+            let tp_max = c.opt("tp_max").map(|n| n.positive()).transpose()?;
+            let devices = c.opt("devices").map(|n| n.positive()).transpose()?;
+            let Some(plan_tp) = c.opt("plan_tp") else {
+                continue;
+            };
+            for node in plan_tp.items()? {
+                let t = node.positive()?;
+                if let Some(bound) = tp_max.filter(|&b| t > b) {
+                    return Err(node.error(format!(
+                        "case {model}: degree {t} exceeds the search bound tp_max = {bound}"
+                    )));
                 }
-                if let Some(d) = devices {
-                    if t > d {
-                        return Err(format!(
-                            "case {model}: plan_tp[{i}] = {t} exceeds the cluster's \
-                             {d} device(s)"
-                        ));
-                    }
+                if let Some(d) = devices.filter(|&d| t > d) {
+                    return Err(node.error(format!(
+                        "case {model}: degree {t} exceeds the cluster's {d} device(s)"
+                    )));
                 }
             }
         }
-    }
-    Ok(())
+        Ok(())
+    })
+    .map_err(|e| e.to_string())
 }
 
 /// Minimum profiler-cache hit rate `--check` accepts on every case. The
@@ -849,21 +832,30 @@ pub const GEOMEAN_TOLERANCE: f64 = 0.05;
 /// the run's geomean speedup dropped more than [`GEOMEAN_TOLERANCE`]
 /// below the baseline's, or the baseline file was unusable.
 pub fn compare_baseline(report: &BenchReport, baseline: &str) -> Result<Vec<String>, String> {
-    use rannc::obs::json::{parse, Value};
-    let doc = parse(baseline).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let base_cases = doc
-        .get("cases")
-        .and_then(Value::as_arr)
-        .ok_or("baseline has no `cases` array")?;
+    // (model, engine_seconds, speedup) per baseline case, and the geomean
+    let (base_cases, base_geo) = json::decode(baseline, |root| {
+        let root = root.obj()?;
+        let cases = root
+            .get("cases")?
+            .items()?
+            .map(|c| {
+                let c = c.obj()?;
+                Ok((
+                    c.get("model")?.str()?.to_string(),
+                    c.get("engine_seconds")?.f64()?,
+                    c.opt("speedup").map(|n| n.f64()).transpose()?,
+                ))
+            })
+            .collect::<Result<Vec<_>, json::SchemaError>>()?;
+        let geo = root.opt("geomean_speedup").map(|n| n.f64()).transpose()?;
+        Ok((cases, geo))
+    })
+    .map_err(|e| format!("unusable baseline: {e}"))?;
     let mut lines = Vec::new();
     let mut regressions = Vec::new();
     for c in &report.cases {
-        let base = base_cases
-            .iter()
-            .find(|b| b.get("model").and_then(Value::as_str) == Some(c.model.as_str()));
-        let Some(base_secs) = base
-            .and_then(|b| b.get("engine_seconds"))
-            .and_then(Value::as_f64)
+        let Some(&(_, base_secs, base_speedup)) =
+            base_cases.iter().find(|(model, ..)| *model == c.model)
         else {
             lines.push(format!("  {}: not in baseline, skipped", c.model));
             continue;
@@ -871,9 +863,7 @@ pub fn compare_baseline(report: &BenchReport, baseline: &str) -> Result<Vec<Stri
         let limit = base_secs * (1.0 + BASELINE_TOLERANCE) + BASELINE_FLOOR_SECONDS;
         let delta_pct = (c.engine_seconds - base_secs) / base_secs * 100.0;
         let ok = c.engine_seconds <= limit;
-        let base_speedup = base
-            .and_then(|b| b.get("speedup"))
-            .and_then(Value::as_f64)
+        let base_speedup = base_speedup
             .map(|s| format!(", speedup {:.2}x vs {:.2}x", c.speedup(), s))
             .unwrap_or_default();
         lines.push(format!(
@@ -892,7 +882,7 @@ pub fn compare_baseline(report: &BenchReport, baseline: &str) -> Result<Vec<Stri
     // Geomean-speedup gate: the aggregate 1-thread-vs-engine advantage must
     // not silently erode even if every case stays inside its individual
     // wall-time tolerance.
-    if let Some(base_geo) = doc.get("geomean_speedup").and_then(Value::as_f64) {
+    if let Some(base_geo) = base_geo {
         let geo = report.geomean_speedup();
         let floor = base_geo * (1.0 - GEOMEAN_TOLERANCE);
         let ok = geo >= floor;

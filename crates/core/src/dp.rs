@@ -19,7 +19,6 @@
 
 use crate::stagecache::{DpCtx, StageCost};
 use rannc_graph::TaskSet;
-use serde::{Deserialize, Serialize};
 
 /// Inputs of one `form_stage_dp` invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +44,7 @@ pub struct DpParams {
 }
 
 /// One stage of a DP solution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DpStage {
     /// Tasks of the stage (union of its blocks).
     pub set: TaskSet,

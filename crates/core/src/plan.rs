@@ -4,10 +4,9 @@ use crate::dp::DpSolution;
 use rannc_graph::TaskSet;
 use rannc_hw::ClusterSpec;
 use rannc_verify::{PlanView, StageView};
-use serde::{Deserialize, Serialize};
 
 /// A plan/cluster combination that cannot be materialised.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The plan needs more device ranks than the cluster has.
     ClusterOversubscribed {
@@ -34,17 +33,8 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Pre-3D plan files carry no `tensor_parallel` field; they deserialize
-/// as unsplit stages. Only referenced through the `#[serde(default)]`
-/// attribute, which the vendored serde stub ignores (the `.rncp` codec
-/// hand-rolls the same defaulting).
-#[allow(dead_code)]
-fn default_tensor_parallel() -> usize {
-    1
-}
-
 /// One pipeline stage of the final plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StagePlan {
     /// Tasks assigned to the stage.
     pub set: TaskSet,
@@ -52,9 +42,8 @@ pub struct StagePlan {
     pub replicas: usize,
     /// Tensor-parallel degree: each data-parallel replica is itself a
     /// group of this many devices splitting the stage's matmuls.
-    /// Defaults to 1 so plan files written before the 3D search load
-    /// unchanged.
-    #[serde(default = "default_tensor_parallel")]
+    /// Plan files written before the 3D search carry none; `plan_io`
+    /// loads them as 1.
     pub tensor_parallel: usize,
     /// Per-replica micro-batch size.
     pub micro_batch: usize,
@@ -69,7 +58,7 @@ pub struct StagePlan {
 }
 
 /// The complete result of RaNNC's automatic partitioning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionPlan {
     /// Name of the partitioned model.
     pub model: String,

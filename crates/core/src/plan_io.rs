@@ -414,6 +414,15 @@ mod tests {
             }
             other => panic!("expected FailedVerification, got {other:?}"),
         }
+        // counts whose product overflows are infeasible, not a panic
+        let mut plan = sample_plan();
+        plan.microbatches = usize::MAX;
+        match decode_plan(&encode_plan(&plan)).unwrap_err() {
+            PlanIoError::FailedVerification(report) => {
+                assert!(report.has_code(rannc_verify::Code::MicrobatchInfeasible));
+            }
+            other => panic!("expected FailedVerification, got {other:?}"),
+        }
     }
 
     #[test]

@@ -22,11 +22,10 @@ use crate::{PartitionError, Rannc};
 use rannc_cost::{MigrationCost, MigrationModel};
 use rannc_graph::TaskGraph;
 use rannc_hw::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 /// Structural difference between two plans, from the point of view of
 /// state that must physically move to adopt the new one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanDiff {
     /// New-plan stages whose task set, device offset, or width differ
     /// from every old stage (i.e. stages whose parameters must move).

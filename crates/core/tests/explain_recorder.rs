@@ -4,16 +4,18 @@
 //! - a disabled recorder allocates nothing across a full partitioning;
 //! - the explain artifact is byte-identical for 1/2/4 worker threads and
 //!   validates under its own checker;
-//! - a repartition replaces the recording with the degraded search.
+//! - a repartition replaces the recording with the degraded search;
+//! - the strict decoder inverts the serializer on real 2D and 3D
+//!   recordings.
 //!
 //! The recorder is process-global, so every test holds
 //! `rannc_obs::trace::test_guard()` for its whole body.
 
 use rannc_core::{PartitionConfig, PartitionPlan, Rannc, VerifyMode};
 use rannc_hw::{ClusterSpec, DeviceRank};
-use rannc_models::{mlp_graph, MlpConfig};
+use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
 use rannc_obs::check::check_explain;
-use rannc_obs::recorder;
+use rannc_obs::recorder::{self, CandidateOutcome, Recording};
 
 fn quick_config(threads: usize) -> PartitionConfig {
     PartitionConfig::new(64)
@@ -130,4 +132,40 @@ fn repartition_records_the_degraded_search() {
     assert_eq!(ctx.total_devices, degraded.planning_view().total_devices());
     let winner = rec.winner.as_ref().expect("winner");
     assert_eq!(winner.stages.len(), replanned.stages.len());
+}
+
+#[test]
+fn real_recordings_round_trip_through_the_decoder() {
+    let _guard = rannc_obs::trace::test_guard();
+    // Megatron regime (mini-batch 4 on one 8-GPU node), so the 3D sweep
+    // records candidates with T > 1
+    let g = bert_graph(&BertConfig::enlarged(1024, 4));
+    let cluster = ClusterSpec::v100_cluster(1);
+    for tp_max in [1usize, 4] {
+        recorder::set_enabled(true);
+        recorder::reset();
+        Rannc::new(
+            PartitionConfig::new(4)
+                .with_k(8)
+                .with_verify(VerifyMode::Off)
+                .with_tp_max(tp_max),
+        )
+        .partition(&g, &cluster)
+        .unwrap();
+        let rec = recorder::take().expect("recording");
+        recorder::set_enabled(false);
+        let back = Recording::from_json(&recorder::to_json(&rec)).expect("artifact decodes");
+        assert_eq!(
+            back, rec,
+            "tp_max {tp_max}: decode is not the inverse of to_json"
+        );
+        let max_tp = rec
+            .tiers
+            .iter()
+            .flat_map(|t| &t.candidates)
+            .filter(|c| matches!(c.outcome, CandidateOutcome::Feasible { .. }))
+            .map(|c| c.tp)
+            .max();
+        assert_eq!(max_tp > Some(1), tp_max > 1, "tp_max {tp_max}: {max_tp:?}");
+    }
 }

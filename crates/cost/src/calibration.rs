@@ -23,7 +23,7 @@
 //!
 //! [`CalibratedCost`]: crate::CalibratedCost
 
-use rannc_obs::json::{self, Value};
+use rannc_obs::json::{self, DecodeError, Node, Obj, SchemaError};
 use std::fmt;
 use std::path::Path;
 
@@ -135,77 +135,44 @@ impl Calibration {
     }
 
     /// Parse a version-1 calibration document, rejecting unknown keys,
-    /// unknown versions, and non-positive factors.
+    /// duplicate keys, unknown versions, and non-positive factors.
     pub fn from_json(s: &str) -> Result<Self, CalibrationError> {
-        let doc = json::parse(s).map_err(|e| CalibrationError::Parse(e.to_string()))?;
-        let fields = match &doc {
-            Value::Obj(fields) => fields,
-            _ => {
-                return Err(CalibrationError::Schema(
-                    "document must be an object".into(),
-                ))
-            }
-        };
-        let mut cal = Calibration::identity();
-        let mut saw_version = false;
-        for (key, value) in fields {
-            match key.as_str() {
-                "version" => {
-                    let v = value.as_f64().ok_or_else(|| {
-                        CalibrationError::Schema("version must be a number".into())
-                    })?;
-                    if v != CALIBRATION_VERSION as f64 {
-                        return Err(CalibrationError::Schema(format!(
-                            "unsupported version {v} (this build reads {CALIBRATION_VERSION})"
-                        )));
-                    }
-                    saw_version = true;
-                }
-                "compute" => cal.compute = factor(key, value)?,
-                "ops" => {
-                    let entries = match value {
-                        Value::Obj(entries) => entries,
-                        _ => {
-                            return Err(CalibrationError::Schema("ops must be an object".into()));
-                        }
-                    };
-                    for (op, f) in entries {
-                        cal.ops.push((op.clone(), factor(op, f)?));
-                    }
-                }
-                "links" => {
-                    let entries = match value {
-                        Value::Obj(entries) => entries,
-                        _ => {
-                            return Err(CalibrationError::Schema("links must be an object".into()));
-                        }
-                    };
-                    for (link, f) in entries {
-                        match link.as_str() {
-                            "intra" => cal.link_intra = factor(link, f)?,
-                            "inter" => cal.link_inter = factor(link, f)?,
-                            other => {
-                                return Err(CalibrationError::Schema(format!(
-                                    "unknown link \"{other}\" (expected \"intra\"/\"inter\")"
-                                )));
-                            }
-                        }
-                    }
-                }
-                "allreduce" => cal.allreduce = factor(key, value)?,
-                "optimizer" => cal.optimizer = factor(key, value)?,
-                "memory" => cal.memory = factor(key, value)?,
-                other => {
-                    return Err(CalibrationError::Schema(format!(
-                        "unknown key \"{other}\" in calibration file"
-                    )));
+        json::decode(s, |root| {
+            let doc = root.obj()?;
+            doc.deny_unknown(&[
+                "version",
+                "compute",
+                "ops",
+                "links",
+                "allreduce",
+                "optimizer",
+                "memory",
+            ])?;
+            doc.version(CALIBRATION_VERSION)?;
+            let mut cal = Calibration {
+                compute: opt_factor(&doc, "compute")?,
+                allreduce: opt_factor(&doc, "allreduce")?,
+                optimizer: opt_factor(&doc, "optimizer")?,
+                memory: opt_factor(&doc, "memory")?,
+                ..Calibration::identity()
+            };
+            if let Some(ops) = doc.opt("ops") {
+                for (op, f) in ops.obj()?.entries() {
+                    cal.ops.push((op.to_string(), factor(f)?));
                 }
             }
-        }
-        if !saw_version {
-            return Err(CalibrationError::Schema("missing \"version\"".into()));
-        }
-        Ok(cal)
+            if let Some(links) = doc.opt("links") {
+                let links = links.obj()?;
+                links.deny_unknown(&["intra", "inter"])?;
+                cal.link_intra = opt_factor(&links, "intra")?;
+                cal.link_inter = opt_factor(&links, "inter")?;
+            }
+            Ok(cal)
+        })
+        .map_err(|e| match e {
+            DecodeError::Parse(e) => CalibrationError::Parse(e.to_string()),
+            DecodeError::Schema(e) => CalibrationError::Schema(e.to_string()),
+        })
     }
 
     /// Load a calibration file from disk.
@@ -228,17 +195,17 @@ impl Default for Calibration {
     }
 }
 
-/// A positive finite factor, or a schema error naming the field.
-fn factor(key: &str, value: &Value) -> Result<f64, CalibrationError> {
-    let f = value
-        .as_f64()
-        .ok_or_else(|| CalibrationError::Schema(format!("\"{key}\" must be a number")))?;
-    if !f.is_finite() || f <= 0.0 {
-        return Err(CalibrationError::Schema(format!(
-            "\"{key}\" must be a positive finite factor, got {f}"
-        )));
+/// A positive finite factor.
+fn factor(node: Node<'_>) -> Result<f64, SchemaError> {
+    match node.f64()? {
+        f if f > 0.0 => Ok(f),
+        f => Err(node.error(format!("expected a positive factor, got {f}"))),
     }
-    Ok(f)
+}
+
+/// An optional factor field; absent is the identity.
+fn opt_factor(o: &Obj<'_>, key: &str) -> Result<f64, SchemaError> {
+    o.opt(key).map_or(Ok(1.0), factor)
 }
 
 /// Why a calibration file could not be read.
@@ -331,6 +298,26 @@ mod tests {
         ));
         assert!(matches!(
             Calibration::from_json("{"),
+            Err(CalibrationError::Parse(_))
+        ));
+        for bad in [
+            r#"{"version": 1.0}"#,
+            r#"{"version": 1, "version": 1}"#,
+            r#"{"version": 1, "ops": {"matmul": 1.1, "matmul": 0.9}}"#,
+            r#"{"version": 1, "ops": {"matmul": "fast"}}"#,
+            r#"{"version": 1, "memory": 1e999}"#,
+            r#"{"version": 1, "links": [1.0, 2.0]}"#,
+        ] {
+            assert!(
+                matches!(
+                    Calibration::from_json(bad),
+                    Err(CalibrationError::Schema(_))
+                ),
+                "accepted {bad}"
+            );
+        }
+        assert!(matches!(
+            Calibration::from_json(&"[".repeat(200_000)),
             Err(CalibrationError::Parse(_))
         ));
     }

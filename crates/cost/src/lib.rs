@@ -28,7 +28,6 @@ pub use migration::{MigrationCost, MigrationModel};
 pub use model::{CalibratedCost, CostModel, CostModelSpec};
 pub use tensor::{megatron_partition, TransformerDims};
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Estimated per-iteration time of a synchronous fill–drain pipeline:
@@ -41,13 +40,13 @@ pub fn sync_pipeline_iteration(stages: usize, microbatches: usize, bottleneck: f
 }
 
 /// Scalar correction factors a cost model hands to value types that
-/// cannot hold a trait object (notably `PipelineSpec`, which is
-/// serializable and priced long after the model is gone).
+/// cannot hold a trait object (notably `PipelineSpec`, a plain value
+/// priced long after the model is gone).
 ///
 /// All factors default to `1.0`; multiplying by `1.0` is bit-identical
 /// for every finite IEEE-754 value, so the identity factors reproduce
 /// the uncalibrated formulas exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostFactors {
     /// Scales modelled compute time (simulated ticks, not the profiler —
     /// per-op compute calibration happens inside the profiler itself).

@@ -24,10 +24,9 @@
 
 use rannc_hw::{ClusterSpec, LinkSpec, Precision};
 use rannc_profile::memory::ADAM_BYTES_PER_PARAM;
-use serde::{Deserialize, Serialize};
 
 /// Priced cost of migrating state to adopt a new plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCost {
     /// Weight bytes moved (compute-precision weights + FP32 master copy).
     pub param_bytes: usize,

@@ -80,7 +80,7 @@ pub trait CostModel: Sync {
     fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64;
 
     /// Scalar factors for consumers that cannot hold a trait object
-    /// (e.g. a serialized `PipelineSpec`). Identity for the analytical
+    /// (e.g. a `PipelineSpec`). Identity for the analytical
     /// model.
     fn factors(&self) -> CostFactors {
         CostFactors::identity()

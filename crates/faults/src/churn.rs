@@ -24,10 +24,10 @@
 
 use crate::FaultRng;
 use rannc_hw::{ClusterSpec, DeviceRank, SpecError};
-use serde::{Deserialize, Serialize};
+use rannc_obs::json::{self, DecodeError, SchemaError};
 
 /// One cluster-membership or health change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClusterEvent {
     /// A device fails or is drained (leaves the healthy pool).
     Leave {
@@ -79,7 +79,7 @@ impl ClusterEvent {
 }
 
 /// A cluster event pinned to the training-iteration clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedEvent {
     /// Iteration at which the event manifests (0-based, non-decreasing
     /// within a trace).
@@ -113,7 +113,7 @@ impl std::error::Error for TraceError {}
 
 /// A deterministic cluster-churn schedule: the event list plus the seed
 /// that generated it (0 for hand-written traces).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterEventTrace {
     seed: u64,
     events: Vec<TimedEvent>,
@@ -263,79 +263,64 @@ impl ClusterEventTrace {
         out
     }
 
-    /// Parse a schema-v1 JSON document.
+    /// Parse a schema-v1 JSON document. Hand-written input is read
+    /// strictly: unknown or duplicate keys, inexact or negative integers
+    /// and decreasing event times are schema errors. `seed` is optional
+    /// (0 when absent).
     pub fn from_json(s: &str) -> Result<Self, TraceError> {
-        use rannc_obs::json::{self, Value};
-        let doc = json::parse(s).map_err(|e| TraceError::Parse(e.to_string()))?;
-        if !doc.is_obj() {
-            return Err(TraceError::Schema("top level must be an object".into()));
-        }
-        let version = doc
-            .get("version")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| TraceError::Schema("missing \"version\"".into()))?;
-        if version != 1.0 {
-            return Err(TraceError::Schema(format!("unsupported version {version}")));
-        }
-        // the JSON layer stores numbers as f64, which silently truncates
-        // u64 seeds above 2^53 — recover the seed from the raw text so a
-        // save/load round trip preserves it bit-exactly
-        let seed = seed_from_raw(s)
-            .or_else(|| doc.get("seed").and_then(Value::as_f64).map(|v| v as u64))
-            .unwrap_or(0);
-        let mut trace = ClusterEventTrace::new(seed);
-        let events = doc
-            .get("events")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| TraceError::Schema("missing \"events\" array".into()))?;
-        for (i, ev) in events.iter().enumerate() {
-            let bad = |what: &str| TraceError::Schema(format!("event {i}: {what}"));
-            let at = ev
-                .get("at")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| bad("missing \"at\""))? as usize;
-            if let Some(last) = trace.events.last() {
-                if at < last.at_iter {
-                    return Err(bad("decreasing \"at\""));
+        json::decode(s, |root| {
+            let doc = root.obj()?;
+            doc.deny_unknown(&["version", "seed", "events"])?;
+            doc.version(1)?;
+            let seed = doc.opt("seed").map_or(Ok(0), |n| n.u64())?;
+            let mut trace = ClusterEventTrace::new(seed);
+            for ev in doc.get("events")?.items()? {
+                let ev = ev.obj()?;
+                let at = ev.get("at")?;
+                let at_iter = at.usize()?;
+                if trace
+                    .events
+                    .last()
+                    .is_some_and(|last| at_iter < last.at_iter)
+                {
+                    return Err(at.error("decreasing event time"));
                 }
+                let rank = || -> Result<DeviceRank, SchemaError> {
+                    Ok(DeviceRank {
+                        node: ev.get("node")?.usize()?,
+                        local: ev.get("local")?.usize()?,
+                    })
+                };
+                let kind = ev.get("kind")?;
+                let (event, keys): (_, &[&str]) = match kind.str()? {
+                    "leave" => (ClusterEvent::Leave { rank: rank()? }, &RANK_KEYS),
+                    "recover" => (ClusterEvent::Recover { rank: rank()? }, &RANK_KEYS),
+                    "degrade" => {
+                        let factor = ev.get("factor")?;
+                        let f = factor.f64()?;
+                        if !(f > 0.0 && f <= 1.0) {
+                            return Err(
+                                factor.error(format!("expected a factor in (0, 1], got {f}"))
+                            );
+                        }
+                        let event = ClusterEvent::Degrade {
+                            rank: rank()?,
+                            factor: f,
+                        };
+                        (event, &["at", "kind", "node", "local", "factor"])
+                    }
+                    "join" => (ClusterEvent::Join, &["at", "kind"]),
+                    other => return Err(kind.error(format!("unknown kind {other:?}"))),
+                };
+                ev.deny_unknown(keys)?;
+                trace.events.push(TimedEvent { at_iter, event });
             }
-            let kind = ev
-                .get("kind")
-                .and_then(Value::as_str)
-                .ok_or_else(|| bad("missing \"kind\""))?;
-            let rank = || -> Result<DeviceRank, TraceError> {
-                let node = ev
-                    .get("node")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| bad("missing \"node\""))? as usize;
-                let local = ev
-                    .get("local")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| bad("missing \"local\""))? as usize;
-                Ok(DeviceRank { node, local })
-            };
-            let event = match kind {
-                "leave" => ClusterEvent::Leave { rank: rank()? },
-                "recover" => ClusterEvent::Recover { rank: rank()? },
-                "degrade" => {
-                    let factor = ev
-                        .get("factor")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| bad("missing \"factor\""))?;
-                    if !(factor > 0.0 && factor <= 1.0) {
-                        return Err(bad("\"factor\" outside (0, 1]"));
-                    }
-                    ClusterEvent::Degrade {
-                        rank: rank()?,
-                        factor,
-                    }
-                }
-                "join" => ClusterEvent::Join,
-                other => return Err(bad(&format!("unknown kind {other:?}"))),
-            };
-            trace.events.push(TimedEvent { at_iter: at, event });
-        }
-        Ok(trace)
+            Ok(trace)
+        })
+        .map_err(|e| match e {
+            DecodeError::Parse(e) => TraceError::Parse(e.to_string()),
+            DecodeError::Schema(e) => TraceError::Schema(e.to_string()),
+        })
     }
 
     /// Write the trace to a file.
@@ -355,20 +340,8 @@ impl ClusterEventTrace {
     }
 }
 
-/// Scan the raw document for `"seed": <digits>` — full u64 precision,
-/// unlike the f64-backed JSON value layer.
-fn seed_from_raw(s: &str) -> Option<u64> {
-    let i = s.find("\"seed\"")? + "\"seed\"".len();
-    let rest = s[i..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .char_indices()
-        .find(|(_, c)| !c.is_ascii_digit())
-        .map_or(rest.len(), |(i, _)| i);
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
+/// Keys of an event that names a device.
+const RANK_KEYS: [&str; 4] = ["at", "kind", "node", "local"];
 
 #[cfg(test)]
 mod tests {
@@ -486,6 +459,41 @@ mod tests {
             ),
             Err(TraceError::Schema(_))
         ));
+        // values the reader once coerced silently: negative or
+        // fractional integers, saturating casts, unknown and duplicate
+        // keys, and a `seed` outside the root
+        for bad in [
+            r#"{"version": 1, "events": [{"at": -4, "kind": "join"}]}"#,
+            r#"{"version": 1, "events": [{"at": 2.9, "kind": "join"}]}"#,
+            r#"{"version": 1, "events": [{"at": 1, "kind": "leave", "node": 0, "local": -1}]}"#,
+            r#"{"version": 1, "events": [{"at": 1, "kind": "leave", "node": 1e300, "local": 0}]}"#,
+            r#"{"version": 1, "seed": -1, "events": []}"#,
+            r#"{"version": 1, "seed": 1.5, "events": []}"#,
+            r#"{"version": 1, "seed": 18446744073709551616, "events": []}"#,
+            r#"{"version": 1, "seed": 1, "seed": 2, "events": []}"#,
+            r#"{"version": 1, "events": [], "comment": "typo"}"#,
+            r#"{"version": 1, "events": [{"at": 1, "kind": "join", "seed": 5}]}"#,
+            r#"{"version": 1, "events": [{"at": 1, "kind": "join", "node": 0}]}"#,
+            r#"{"version": 1.0, "events": []}"#,
+        ] {
+            assert!(
+                matches!(
+                    ClusterEventTrace::from_json(bad),
+                    Err(TraceError::Schema(_))
+                ),
+                "accepted {bad}"
+            );
+        }
+        assert!(matches!(
+            ClusterEventTrace::from_json(&"[".repeat(200_000)),
+            Err(TraceError::Parse(_))
+        ));
+        // the full u64 range is exact
+        let max = ClusterEventTrace::from_json(
+            r#"{"version": 1, "seed": 18446744073709551615, "events": []}"#,
+        )
+        .expect("u64::MAX seed");
+        assert_eq!(max.seed(), u64::MAX);
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //! exactly reproducible: same seed, same failures, same recovery — the
 //! property the bit-identical recovery tests rely on.
 
-use serde::{Deserialize, Serialize};
-
 pub mod churn;
 
 pub use churn::{ClusterEvent, ClusterEventTrace, TimedEvent, TraceError};
@@ -25,7 +23,7 @@ pub use churn::{ClusterEvent, ClusterEventTrace, TimedEvent, TraceError};
 /// One scripted failure event. Ranks are *global device ranks* for the
 /// simulator and *stage indices* for the threaded trainer — each consumer
 /// documents its interpretation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// Permanent loss of one device at the start of iteration `at_iter`
     /// (0-based). The device stays dead for the rest of the run.
@@ -59,7 +57,7 @@ pub enum FaultEvent {
 
 /// A deterministic fault schedule: scripted events plus the seed that
 /// drives probabilistic draws.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     events: Vec<FaultEvent>,

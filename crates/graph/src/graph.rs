@@ -2,10 +2,9 @@
 
 use crate::shape::{DType, Shape};
 use crate::{OpKind, TaskId, ValueId, ValueKind};
-use serde::{Deserialize, Serialize};
 
 /// A tensor value node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Value {
     /// Human-readable name (unique names are the builder's responsibility).
     pub name: String,
@@ -37,7 +36,7 @@ impl Value {
 }
 
 /// A task (operator) node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Task {
     /// Human-readable name.
     pub name: String,
@@ -52,7 +51,6 @@ pub struct Task {
     /// ignores scopes — they exist so the *manual* baseline partitioners
     /// (GPipe, PipeDream-2BW) can split at the layer granularity their
     /// users are forced to declare (paper §II-C, §IV-A).
-    #[serde(default)]
     pub scope: String,
 }
 
@@ -104,7 +102,7 @@ impl std::error::Error for GraphError {}
 /// This is the ONNX-style representation of §III-A of the paper:
 /// "we first convert an entire model to a task graph … where there are two
 /// types of nodes: tasks and values".
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskGraph {
     /// Model name, e.g. `"bert[h=1024,l=24]"`.
     pub name: String,

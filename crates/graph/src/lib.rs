@@ -39,18 +39,16 @@ pub use op::OpKind;
 pub use shape::{DType, Shape};
 pub use taskset::TaskSet;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a task (operator) node inside one [`TaskGraph`].
 ///
 /// Stored as `u32` so that id-indexed side tables stay compact even for
 /// graphs with tens of thousands of tasks (a 256-layer BERT produces
 /// ~15,000 atomic subcomponents, paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
 
 /// Identifier of a value (tensor) node inside one [`TaskGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(pub u32);
 
 impl TaskId {
@@ -87,7 +85,7 @@ impl std::fmt::Display for ValueId {
 /// rest drives the atomic-level partitioning phase: tasks whose inputs are
 /// all parameters or constants are *constant tasks* and are folded into the
 /// subcomponent of their consumer (paper, §III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueKind {
     /// An input to the entire model (e.g. the token-id mini-batch).
     Input,

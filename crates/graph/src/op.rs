@@ -7,14 +7,12 @@
 //! as atomic tasks"), so the enum only needs enough structure for the
 //! analytical profiler to derive FLOPs and byte counts.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of computation a task performs.
 ///
 /// Attribute fields hold integral values only so that `OpKind` is `Eq` and
 /// `Hash` — the profile cache in `rannc-profile` keys on subcomponent
 /// fingerprints that include operator kinds.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Dense matrix multiplication `[m,k] x [k,n] -> [m,n]`.
     MatMul,

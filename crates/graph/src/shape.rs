@@ -6,10 +6,8 @@
 //! with the micro-batch size. This matches how RaNNC's profiler varies the
 //! batch size passed to `profile(U, bs)` in Algorithm 1 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Element type of a tensor value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 32-bit IEEE float (FP32 training).
     F32,
@@ -37,7 +35,7 @@ impl DType {
 /// A tensor shape: the dimensions of one sample (no batch dimension).
 ///
 /// An empty dimension list denotes a scalar.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -6,14 +6,13 @@
 //! perf-book guidance on index-based data structures.
 
 use crate::TaskId;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-universe bitset of [`TaskId`]s.
 ///
 /// All sets participating in one partitioning run share the same universe
 /// size (the task count of the graph), so binary operations simply zip the
 /// backing words.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TaskSet {
     words: Vec<u64>,
     /// Number of bits in the universe.

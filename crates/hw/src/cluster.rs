@@ -2,11 +2,10 @@
 
 use crate::device::DeviceSpec;
 use crate::link::LinkSpec;
-use serde::{Deserialize, Serialize};
 
 /// One compute node: a set of identical devices joined by an intra-node
 /// interconnect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Devices per node (`D_node` in Algorithm 2).
     pub devices: usize,
@@ -25,7 +24,7 @@ impl NodeSpec {
 }
 
 /// Geometric position of a device in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeviceRank {
     /// Node index.
     pub node: usize,
@@ -36,7 +35,7 @@ pub struct DeviceRank {
 /// A device that deviates from the cluster's template [`DeviceSpec`] —
 /// a different accelerator tier, less memory, or a thermally throttled
 /// part. Ranks without an override are the template device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceOverride {
     /// Which device.
     pub rank: DeviceRank,
@@ -48,7 +47,7 @@ pub struct DeviceOverride {
 /// `a == b` overrides node `a`'s intra-node link; `a != b` overrides the
 /// inter-node link between the (unordered) node pair. Pairs are stored
 /// normalized with `a <= b`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkOverride {
     /// First node of the (unordered) pair.
     pub a: usize,
@@ -113,7 +112,7 @@ impl std::error::Error for SpecError {}
 /// `inter_link`, with optional per-device and per-link overrides for
 /// heterogeneous fleets. A cluster with no overrides is exactly the
 /// paper's homogeneous pool and takes the legacy planning paths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of compute nodes (`N` in Algorithm 2).
     pub nodes: usize,
@@ -130,11 +129,9 @@ pub struct ClusterSpec {
     pub lost_devices: Vec<DeviceRank>,
     /// Devices that differ from the template (mixed accelerator tiers,
     /// degraded parts). Empty for a homogeneous cluster.
-    #[serde(default)]
     pub device_overrides: Vec<DeviceOverride>,
     /// Links that differ from the default two-tier interconnect.
     /// Empty for a homogeneous cluster.
-    #[serde(default)]
     pub link_overrides: Vec<LinkOverride>,
 }
 

@@ -1,14 +1,12 @@
 //! Accelerator device model.
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric precision regime of a training run.
 ///
 /// The paper evaluates FP32 and mixed precision (Apex AMP, §IV-B). Mixed
 /// precision computes matmuls on tensor cores at a much higher peak and
 /// halves activation bytes, but keeps FP32 master weights, so parameter
 /// and optimizer memory *grow* slightly (fp16 weights + fp32 master copy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Plain FP32 training.
     FP32,
@@ -65,7 +63,7 @@ impl std::fmt::Display for Precision {
 }
 
 /// Static description of one accelerator device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name, for reports.
     pub name: String,

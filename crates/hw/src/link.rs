@@ -1,10 +1,8 @@
 //! Point-to-point interconnect model.
 
-use serde::{Deserialize, Serialize};
-
 /// A point-to-point link characterized by bandwidth and latency
 /// (the classic α–β model: `time = α + bytes·β`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Sustained bandwidth in bytes/s.
     pub bandwidth: f64,

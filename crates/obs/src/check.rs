@@ -1,12 +1,12 @@
 //! Validators for exported observability files — the engine behind
 //! `rannc-plan obs-check` and the round-trip test suite.
 //!
-//! [`check_trace`] parses a Chrome-trace JSON document and verifies the
+//! [`check_trace`] decodes a Chrome-trace JSON document and verifies the
 //! structural contract every consumer (Perfetto, the round-trip tests)
 //! relies on:
 //!
 //! * the root is an object with a `traceEvents` array;
-//! * every event is an object with string `ph`/`name` and numeric
+//! * every event is an object with string `ph`/`name` and integer
 //!   `pid`/`tid`; complete (`"X"`) slices carry finite `ts` and
 //!   `dur ≥ 0` (no end-before-start);
 //! * per lane, slices are properly nested: a slice starting inside
@@ -18,12 +18,15 @@
 //! against the frozen schema in [`crate::sink`].
 //!
 //! [`check_explain`] validates a plan flight-recorder artifact
-//! (`rannc_explain` schema v1, see [`crate::recorder`]) — structure,
-//! value ranges, and the internal cross-checks (accounting totals match
-//! the per-tier candidate lists; the winner's score is the minimum
-//! feasible candidate score).
+//! (`rannc_explain` schema v1): [`Recording::from_json`] decodes it
+//! strictly, then [`explain_recording`] cross-checks the winner against
+//! the candidates (its score is the minimum feasible score).
+//!
+//! All three are additive exports: every reader here ignores unknown
+//! keys, and decodes through [`crate::json::decode`].
 
-use crate::json::{self, Value};
+use crate::json;
+use crate::recorder::{CandidateOutcome, Recording};
 use std::collections::BTreeMap;
 
 /// What a successful trace check observed.
@@ -52,61 +55,40 @@ impl TraceSummary {
 /// Tolerance for float timestamp comparisons, microseconds.
 const EPS_US: f64 = 1e-3;
 
-fn field_str<'a>(e: &'a Value, key: &str, i: usize) -> Result<&'a str, String> {
-    e.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("event {i}: missing string `{key}`"))
-}
-
-fn field_num(e: &Value, key: &str, i: usize) -> Result<f64, String> {
-    e.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("event {i}: missing numeric `{key}`"))
-}
-
 /// Validate a Chrome-trace JSON document.
 pub fn check_trace(text: &str) -> Result<TraceSummary, String> {
-    let root = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let events = root
-        .get("traceEvents")
-        .ok_or("missing `traceEvents` field")?
-        .as_arr()
-        .ok_or("`traceEvents` is not an array")?;
-
     let mut summary = TraceSummary::default();
     // (ts, dur, name) slices per lane
     let mut lanes: BTreeMap<u64, Vec<(f64, f64, String)>> = BTreeMap::new();
     let mut names: BTreeMap<String, usize> = BTreeMap::new();
-
-    for (i, e) in events.iter().enumerate() {
-        if !e.is_obj() {
-            return Err(format!("event {i} is not an object"));
-        }
-        let ph = field_str(e, "ph", i)?;
-        let name = field_str(e, "name", i)?;
-        let tid = field_num(e, "tid", i)?;
-        field_num(e, "pid", i)?;
-        match ph {
-            "M" => summary.metadata += 1,
-            "X" => {
-                let ts = field_num(e, "ts", i)?;
-                let dur = field_num(e, "dur", i)?;
-                if !ts.is_finite() || !dur.is_finite() {
-                    return Err(format!("event {i} (`{name}`): non-finite ts/dur"));
+    json::decode(text, |root| {
+        for e in root.obj()?.get("traceEvents")?.items()? {
+            let e = e.obj()?;
+            let ph = e.get("ph")?;
+            let name = e.get("name")?.str()?;
+            let tid = e.get("tid")?.u64()?;
+            e.get("pid")?.u64()?;
+            match ph.str()? {
+                "M" => summary.metadata += 1,
+                "X" => {
+                    let ts = e.get("ts")?.f64()?;
+                    let dur = e.get("dur")?;
+                    if dur.f64()? < 0.0 {
+                        return Err(dur.error(format!("`{name}` ends before it starts")));
+                    }
+                    summary.slices += 1;
+                    *names.entry(name.to_string()).or_insert(0) += 1;
+                    lanes
+                        .entry(tid)
+                        .or_default()
+                        .push((ts, dur.f64()?, name.to_string()));
                 }
-                if dur < 0.0 {
-                    return Err(format!("event {i} (`{name}`): ends before it starts"));
-                }
-                summary.slices += 1;
-                *names.entry(name.to_string()).or_insert(0) += 1;
-                lanes
-                    .entry(tid as u64)
-                    .or_default()
-                    .push((ts, dur, name.to_string()));
+                other => return Err(ph.error(format!("`{name}`: unsupported ph `{other}`"))),
             }
-            other => return Err(format!("event {i} (`{name}`): unsupported ph `{other}`")),
         }
-    }
+        Ok(())
+    })
+    .map_err(|e| e.to_string())?;
 
     // per-lane nesting: sweep slices in (start asc, longer first) order
     // with a stack of open intervals
@@ -164,93 +146,62 @@ pub fn check_metrics(text: &str) -> Result<MetricsSummary, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let n = lineno + 1;
-        let v = json::parse(line).map_err(|e| format!("line {n}: not valid JSON: {e}"))?;
-        if !v.is_obj() {
-            return Err(format!("line {n}: not a JSON object"));
-        }
-        let metric = v
-            .get("metric")
-            .and_then(Value::as_str)
-            .ok_or(format!("line {n}: missing string `metric`"))?;
-        let kind = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or(format!("line {n}: missing string `type`"))?;
-        match kind {
-            "counter" | "gauge" => {
-                let value = v
-                    .get("value")
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("line {n} (`{metric}`): missing numeric `value`"))?;
-                if kind == "counter" {
-                    if value < 0.0 || value.fract() != 0.0 {
-                        return Err(format!(
-                            "line {n} (`{metric}`): counter value {value} is not a \
-                             non-negative integer"
-                        ));
-                    }
+        json::decode(line, |v| {
+            let v = v.obj()?;
+            let metric = v.get("metric")?.str()?;
+            let kind = v.get("type")?;
+            match kind.str()? {
+                "counter" => {
+                    v.get("value")?.u64()?;
                     summary.counters += 1;
-                } else {
+                }
+                "gauge" => {
+                    v.get("value")?.f64()?;
                     summary.gauges += 1;
                 }
-            }
-            "histogram" => {
-                let count = v
-                    .get("count")
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("line {n} (`{metric}`): missing numeric `count`"))?;
-                v.get("sum")
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("line {n} (`{metric}`): missing numeric `sum`"))?;
-                // additive v1.1 quantile fields: optional, but when
-                // present they must be finite and ordered
-                let mut last_q = f64::NEG_INFINITY;
-                for key in ["p50", "p90", "p99"] {
-                    if let Some(qv) = v.get(key) {
-                        let q = qv.as_f64().filter(|q| q.is_finite()).ok_or(format!(
-                            "line {n} (`{metric}`): `{key}` is not a finite number"
-                        ))?;
-                        if q < last_q {
-                            return Err(format!(
-                                "line {n} (`{metric}`): quantiles not monotone \
-                                 (`{key}` = {q} after {last_q})"
-                            ));
+                "histogram" => {
+                    let count = v.get("count")?;
+                    v.get("sum")?.f64()?;
+                    // additive v1.1 quantile fields: optional, but when
+                    // present they must be finite and ordered
+                    let mut last_q = f64::NEG_INFINITY;
+                    for key in ["p50", "p90", "p99"] {
+                        if let Some(q) = v.opt(key) {
+                            if q.f64()? < last_q {
+                                return Err(q.error(format!(
+                                    "`{metric}`: quantiles not monotone ({} after {last_q})",
+                                    q.f64()?
+                                )));
+                            }
+                            last_q = q.f64()?;
                         }
-                        last_q = q;
                     }
-                }
-                let buckets = v
-                    .get("buckets")
-                    .and_then(Value::as_arr)
-                    .ok_or(format!("line {n} (`{metric}`): missing `buckets` array"))?;
-                let mut total = 0.0;
-                let mut last_le = f64::NEG_INFINITY;
-                for (bi, b) in buckets.iter().enumerate() {
-                    let le = b
-                        .get("le")
-                        .and_then(Value::as_f64)
-                        .ok_or(format!("line {n} (`{metric}`): bucket {bi} missing `le`"))?;
-                    let c = b.get("count").and_then(Value::as_f64).ok_or(format!(
-                        "line {n} (`{metric}`): bucket {bi} missing `count`"
-                    ))?;
-                    if le < last_le {
-                        return Err(format!(
-                            "line {n} (`{metric}`): bucket bounds not ascending"
-                        ));
+                    let mut total = 0u64;
+                    let mut last_le = f64::NEG_INFINITY;
+                    for b in v.get("buckets")?.items()? {
+                        let b = b.obj()?;
+                        let le = b.get("le")?;
+                        if le.f64()? < last_le {
+                            return Err(
+                                le.error(format!("`{metric}`: bucket bounds not ascending"))
+                            );
+                        }
+                        last_le = le.f64()?;
+                        total = total.saturating_add(b.get("count")?.u64()?);
                     }
-                    last_le = le;
-                    total += c;
+                    if total != count.u64()? {
+                        return Err(count.error(format!(
+                            "`{metric}`: bucket counts sum to {total}, `count` is {}",
+                            count.u64()?
+                        )));
+                    }
+                    summary.histograms += 1;
                 }
-                if (total - count).abs() > 0.5 {
-                    return Err(format!(
-                        "line {n} (`{metric}`): bucket counts sum to {total}, `count` is {count}"
-                    ));
-                }
-                summary.histograms += 1;
+                other => return Err(kind.error(format!("`{metric}`: unknown type `{other}`"))),
             }
-            other => return Err(format!("line {n} (`{metric}`): unknown type `{other}`")),
-        }
+            Ok(())
+        })
+        .map_err(|e| format!("line {}: {e}", lineno + 1))?;
     }
     Ok(summary)
 }
@@ -272,210 +223,54 @@ pub struct ExplainSummary {
     pub winner_stages: usize,
 }
 
-fn nonneg_int(v: &Value) -> Option<u64> {
-    match v.as_f64() {
-        Some(n) if n.is_finite() && n >= 0.0 && n.fract() == 0.0 => Some(n as u64),
-        _ => None,
+/// Decode a plan flight-recorder artifact and cross-check its winner:
+/// present exactly when some candidate was feasible, and scored exactly
+/// like the best feasible candidate.
+pub fn explain_recording(text: &str) -> Result<Recording, String> {
+    let rec = Recording::from_json(text).map_err(|e| e.to_string())?;
+    let best = rec
+        .tiers
+        .iter()
+        .flat_map(|t| &t.candidates)
+        .filter_map(|c| match c.outcome {
+            CandidateOutcome::Feasible { score, .. } => Some(score),
+            _ => None,
+        })
+        .reduce(f64::min);
+    match (&rec.winner, best) {
+        (None, None) => {}
+        (None, Some(_)) => {
+            return Err(format!(
+                "winner is null but {} candidate(s) were feasible",
+                rec.totals().1
+            ))
+        }
+        (Some(_), None) => return Err("winner present but no candidate was feasible".into()),
+        (Some(w), Some(best)) => {
+            // tolerate only float-format round-off
+            if (w.score - best).abs() > 1e-9 * best.max(1e-30) {
+                return Err(format!(
+                    "winner score {} does not match best feasible candidate score {best}",
+                    w.score
+                ));
+            }
+        }
     }
-}
-
-fn expl_int(v: &Value, key: &str, what: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(nonneg_int)
-        .ok_or_else(|| format!("{what}: missing non-negative integer `{key}`"))
-}
-
-fn expl_time(v: &Value, key: &str, what: &str) -> Result<f64, String> {
-    match v.get(key).and_then(Value::as_f64) {
-        Some(t) if t.is_finite() && t >= 0.0 => Ok(t),
-        _ => Err(format!("{what}: missing finite non-negative `{key}`")),
-    }
+    Ok(rec)
 }
 
 /// Validate a plan flight-recorder artifact (`rannc_explain` schema v1).
 pub fn check_explain(text: &str) -> Result<ExplainSummary, String> {
-    let root = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    if !root.is_obj() {
-        return Err("root is not an object".into());
-    }
-    match root.get("schema").and_then(Value::as_str) {
-        Some("rannc_explain") => {}
-        Some(other) => return Err(format!("unknown schema `{other}`")),
-        None => return Err("missing string `schema`".into()),
-    }
-    match root.get("version").and_then(nonneg_int) {
-        Some(1) => {}
-        Some(v) => return Err(format!("unsupported schema version {v}")),
-        None => return Err("missing integer `version`".into()),
-    }
-    for key in ["model", "cost_model"] {
-        if root.get(key).and_then(Value::as_str).is_none() {
-            return Err(format!("missing string `{key}`"));
-        }
-    }
-    expl_int(&root, "batch_size", "root")?;
-    let cluster = root.get("cluster").ok_or("missing `cluster`")?;
-    if !cluster.is_obj() {
-        return Err("`cluster` is not an object".into());
-    }
-    for key in ["nodes", "gpus_per_node", "total_devices"] {
-        expl_int(cluster, key, "cluster")?;
-    }
-
-    let mut summary = ExplainSummary::default();
-    let mut min_feasible_score = f64::INFINITY;
-    let tiers = root
-        .get("tiers")
-        .ok_or("missing `tiers`")?
-        .as_arr()
-        .ok_or("`tiers` is not an array")?;
-    for (ti, t) in tiers.iter().enumerate() {
-        let what = format!("tier {ti}");
-        if !t.is_obj() {
-            return Err(format!("{what}: not an object"));
-        }
-        for key in ["n", "devices", "replica_factor"] {
-            if expl_int(t, key, &what)? == 0 {
-                return Err(format!("{what}: `{key}` must be positive"));
-            }
-        }
-        summary.tiers += 1;
-        let cands = t
-            .get("candidates")
-            .and_then(Value::as_arr)
-            .ok_or(format!("{what}: missing `candidates` array"))?;
-        for (ci, c) in cands.iter().enumerate() {
-            let what = format!("tier {ti} candidate {ci}");
-            if expl_int(c, "stages", &what)? == 0 || expl_int(c, "microbatches", &what)? == 0 {
-                return Err(format!("{what}: `stages`/`microbatches` must be positive"));
-            }
-            // `tp` is additive (only emitted when > 1); when present it
-            // must be a positive integer
-            if let Some(tp) = c.get("tp") {
-                if nonneg_int(tp).is_none_or(|t| t == 0) {
-                    return Err(format!("{what}: `tp` must be a positive integer"));
-                }
-            }
-            summary.candidates += 1;
-            match c.get("outcome").and_then(Value::as_str) {
-                Some("feasible") => {
-                    let score = expl_time(c, "score", &what)?;
-                    expl_time(c, "bottleneck", &what)?;
-                    min_feasible_score = min_feasible_score.min(score);
-                    summary.feasible += 1;
-                }
-                Some("pruned") => {
-                    expl_time(c, "lower_bound", &what)?;
-                    summary.pruned += 1;
-                }
-                Some("infeasible") => summary.infeasible += 1,
-                Some(other) => return Err(format!("{what}: unknown outcome `{other}`")),
-                None => return Err(format!("{what}: missing string `outcome`")),
-            }
-        }
-    }
-
-    let winner = root.get("winner").ok_or("missing `winner`")?;
-    match winner {
-        Value::Null => {
-            if summary.feasible > 0 {
-                return Err(format!(
-                    "winner is null but {} candidate(s) were feasible",
-                    summary.feasible
-                ));
-            }
-        }
-        w if w.is_obj() => {
-            if summary.feasible == 0 {
-                return Err("winner present but no candidate was feasible".into());
-            }
-            let score = expl_time(w, "score", "winner")?;
-            expl_time(w, "bottleneck", "winner")?;
-            expl_time(w, "est_iteration_time", "winner")?;
-            for key in ["microbatches", "replica_factor"] {
-                if expl_int(w, key, "winner")? == 0 {
-                    return Err(format!("winner: `{key}` must be positive"));
-                }
-            }
-            // the winner must be exactly the best feasible candidate —
-            // tolerate only float-format round-off
-            let tol = 1e-9 * min_feasible_score.max(1e-30);
-            if (score - min_feasible_score).abs() > tol {
-                return Err(format!(
-                    "winner score {score} does not match best feasible candidate \
-                     score {min_feasible_score}"
-                ));
-            }
-            let stages = w
-                .get("stages")
-                .and_then(Value::as_arr)
-                .ok_or("winner: missing `stages` array")?;
-            if stages.is_empty() {
-                return Err("winner: `stages` is empty".into());
-            }
-            for (si, s) in stages.iter().enumerate() {
-                let what = format!("winner stage {si}");
-                for key in ["tasks", "devices", "micro_batch"] {
-                    if expl_int(s, key, &what)? == 0 {
-                        return Err(format!("{what}: `{key}` must be positive"));
-                    }
-                }
-                // additive tensor-parallel degree: absent means 1
-                if let Some(tp) = s.get("tensor_parallel") {
-                    if nonneg_int(tp).is_none_or(|t| t == 0) {
-                        return Err(format!(
-                            "{what}: `tensor_parallel` must be a positive integer"
-                        ));
-                    }
-                }
-                for key in [
-                    "fwd_time",
-                    "bwd_time",
-                    "transfer_time",
-                    "allreduce_time",
-                    "optimizer_time",
-                ] {
-                    expl_time(s, key, &what)?;
-                }
-                expl_int(s, "mem_estimate_bytes", &what)?;
-                expl_int(s, "param_elems", &what)?;
-                match s.get("mem_certified_bytes") {
-                    Some(Value::Null) => {}
-                    Some(v) if nonneg_int(v).is_some() => {}
-                    _ => {
-                        return Err(format!(
-                            "{what}: `mem_certified_bytes` must be a non-negative \
-                             integer or null"
-                        ))
-                    }
-                }
-            }
-            summary.winner_stages = stages.len();
-        }
-        _ => return Err("`winner` is neither null nor an object".into()),
-    }
-
-    let acc = root.get("accounting").ok_or("missing `accounting`")?;
-    if !acc.is_obj() {
-        return Err("`accounting` is not an object".into());
-    }
-    expl_int(acc, "stage_cache_entries", "accounting")?;
-    expl_int(acc, "profiler_cache_entries", "accounting")?;
-    for (key, expect) in [
-        ("candidates", summary.candidates),
-        ("feasible", summary.feasible),
-        ("pruned", summary.pruned),
-        ("infeasible", summary.infeasible),
-        ("node_tiers", summary.tiers),
-    ] {
-        let got = expl_int(acc, key, "accounting")?;
-        if got != expect as u64 {
-            return Err(format!(
-                "accounting `{key}` is {got} but the tier lists say {expect}"
-            ));
-        }
-    }
-    Ok(summary)
+    let rec = explain_recording(text)?;
+    let (candidates, feasible, pruned, infeasible) = rec.totals();
+    Ok(ExplainSummary {
+        tiers: rec.tiers.len(),
+        candidates,
+        feasible,
+        pruned,
+        infeasible,
+        winner_stages: rec.winner.map_or(0, |w| w.stages.len()),
+    })
 }
 
 #[cfg(test)]
@@ -723,6 +518,34 @@ mod tests {
                 ),
                 "negative certified memory",
             ),
+            (
+                good.replace("\"batch_size\": 32", "\"batch_size\": 1e300"),
+                "batch size that saturates an integer cast",
+            ),
+            (
+                good.replace("\"batch_size\": 32", "\"batch_size\": 32.5"),
+                "fractional batch size",
+            ),
+            (
+                good.replace("\"version\": 1", "\"version\": 1.0"),
+                "version that is not an integer literal",
+            ),
+            (
+                good.replace(
+                    "\"model\": \"mlp\"",
+                    "\"model\": \"mlp\", \"model\": \"gpt\"",
+                ),
+                "duplicate key",
+            ),
+            (
+                good.replace("\"lower_bound\": 0.75", "\"lower_bound\": -0.75"),
+                "negative lower bound",
+            ),
+            (
+                good.replace("\"stage_cache_entries\": 2", "\"stage_cache_entries\": -2"),
+                "negative cache entry count",
+            ),
+            ("[".repeat(200_000), "200,000 nested arrays"),
         ];
         for (bad, why) in cases {
             assert_ne!(bad, good, "mutation did not apply: {why}");

@@ -3,122 +3,13 @@
 //! per-stage cost-breakdown table, a top-k runner-up list, and a pruning
 //! account, and diffs two artifacts stage by stage.
 //!
-//! Every entry point validates the artifact through
-//! [`crate::check::check_explain`] first, so rendering never has to
+//! Every entry point decodes the artifact through
+//! [`crate::check::explain_recording`] first, so rendering never has to
 //! defend against malformed input — a corrupted artifact fails loudly
 //! before any table is built.
 
-use crate::check::check_explain;
-use crate::json::{self, Value};
-use crate::recorder::{
-    AccountingRec, CandidateOutcome, CandidateRec, ContextRec, Recording, TierRec, WinnerRec,
-    WinnerStageRec,
-};
-
-/// Parse (and validate) an artifact back into a [`Recording`].
-pub fn parse_artifact(text: &str) -> Result<Recording, String> {
-    check_explain(text)?;
-    let root = json::parse(text).map_err(|e| e.to_string())?;
-    let int = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64;
-    let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-    let cluster = root.get("cluster").cloned().unwrap_or(Value::Null);
-    let context = ContextRec {
-        model: root
-            .get("model")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_string(),
-        batch_size: int(&root, "batch_size") as usize,
-        nodes: int(&cluster, "nodes") as usize,
-        gpus_per_node: int(&cluster, "gpus_per_node") as usize,
-        total_devices: int(&cluster, "total_devices") as usize,
-        cost_model: root
-            .get("cost_model")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_string(),
-    };
-    let mut tiers = Vec::new();
-    for t in root
-        .get("tiers")
-        .and_then(Value::as_arr)
-        .unwrap_or_default()
-    {
-        let mut candidates = Vec::new();
-        for c in t
-            .get("candidates")
-            .and_then(Value::as_arr)
-            .unwrap_or_default()
-        {
-            let outcome = match c.get("outcome").and_then(Value::as_str) {
-                Some("feasible") => CandidateOutcome::Feasible {
-                    score: num(c, "score"),
-                    bottleneck: num(c, "bottleneck"),
-                },
-                Some("pruned") => CandidateOutcome::Pruned {
-                    lower_bound: num(c, "lower_bound"),
-                },
-                _ => CandidateOutcome::Infeasible,
-            };
-            candidates.push(CandidateRec {
-                stages: int(c, "stages") as usize,
-                microbatches: int(c, "microbatches") as usize,
-                // absent on 2D artifacts: the candidate was unsplit
-                tp: c.get("tp").and_then(Value::as_f64).unwrap_or(1.0) as usize,
-                outcome,
-            });
-        }
-        tiers.push(TierRec {
-            n: int(t, "n") as usize,
-            devices: int(t, "devices") as usize,
-            replica_factor: int(t, "replica_factor") as usize,
-            candidates,
-        });
-    }
-    let winner = root.get("winner").filter(|w| w.is_obj()).map(|w| {
-        let mut stages = Vec::new();
-        for s in w.get("stages").and_then(Value::as_arr).unwrap_or_default() {
-            stages.push(WinnerStageRec {
-                tasks: int(s, "tasks") as usize,
-                devices: int(s, "devices") as usize,
-                tensor_parallel: s
-                    .get("tensor_parallel")
-                    .and_then(Value::as_f64)
-                    .unwrap_or(1.0) as usize,
-                micro_batch: int(s, "micro_batch") as usize,
-                fwd_time: num(s, "fwd_time"),
-                bwd_time: num(s, "bwd_time"),
-                transfer_time: num(s, "transfer_time"),
-                allreduce_time: num(s, "allreduce_time"),
-                optimizer_time: num(s, "optimizer_time"),
-                mem_estimate_bytes: int(s, "mem_estimate_bytes"),
-                mem_certified_bytes: match s.get("mem_certified_bytes") {
-                    Some(Value::Num(n)) => Some(*n as u64),
-                    _ => None,
-                },
-                param_elems: int(s, "param_elems"),
-            });
-        }
-        WinnerRec {
-            stages,
-            microbatches: int(w, "microbatches") as usize,
-            replica_factor: int(w, "replica_factor") as usize,
-            score: num(w, "score"),
-            bottleneck: num(w, "bottleneck"),
-            est_iteration_time: num(w, "est_iteration_time"),
-        }
-    });
-    let acc = root.get("accounting").cloned().unwrap_or(Value::Null);
-    Ok(Recording {
-        context: Some(context),
-        tiers,
-        winner,
-        accounting: Some(AccountingRec {
-            stage_cache_entries: int(&acc, "stage_cache_entries"),
-            profiler_cache_entries: int(&acc, "profiler_cache_entries"),
-        }),
-    })
-}
+use crate::check::explain_recording;
+use crate::recorder::{CandidateOutcome, Recording};
 
 fn ms(t: f64) -> String {
     format!("{:.3}", t * 1e3)
@@ -167,7 +58,7 @@ fn feasible_sorted(rec: &Recording) -> Vec<Feasible> {
 /// Render one artifact: header, per-stage cost breakdown, top-`top_k`
 /// runner-ups, pruning and cache account.
 pub fn render(text: &str, top_k: usize) -> Result<String, String> {
-    let rec = parse_artifact(text)?;
+    let rec = explain_recording(text)?;
     let ctx = rec.context.clone().unwrap_or_default();
     let acc = rec.accounting.clone().unwrap_or_default();
     let (total, feas, pruned, infeas) = rec.totals();
@@ -311,8 +202,8 @@ fn diff_line(label: &str, a: f64, b: f64) -> String {
 /// Render the stage-by-stage cost delta between two artifacts (`a` is
 /// the baseline, `b` the comparison — e.g. before/after a device loss).
 pub fn render_diff(a_text: &str, b_text: &str) -> Result<String, String> {
-    let a = parse_artifact(a_text).map_err(|e| format!("first artifact: {e}"))?;
-    let b = parse_artifact(b_text).map_err(|e| format!("second artifact: {e}"))?;
+    let a = explain_recording(a_text).map_err(|e| format!("first artifact: {e}"))?;
+    let b = explain_recording(b_text).map_err(|e| format!("second artifact: {e}"))?;
     let (actx, bctx) = (
         a.context.clone().unwrap_or_default(),
         b.context.clone().unwrap_or_default(),
@@ -484,7 +375,7 @@ mod tests {
     fn parse_round_trips_the_recording() {
         let _g = test_guard();
         let text = recording(4, 0.010);
-        let rec = parse_artifact(&text).expect("valid artifact");
+        let rec = Recording::from_json(&text).expect("valid artifact");
         assert_eq!(to_json(&rec), text, "parse→serialize is the identity");
     }
 

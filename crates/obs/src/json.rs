@@ -1,14 +1,19 @@
-//! Minimal JSON reader — just enough for the obs validators and tests.
+//! Minimal JSON layer: a recursive-descent parser into a [`Value`]
+//! tree, the strict reader every artifact loader decodes through, and
+//! the emit primitives (the offline dependency set has no JSON crate).
 //!
-//! The offline dependency set has no JSON crate, so this module provides
-//! a small recursive-descent parser into a [`Value`] tree plus a pure
-//! well-formedness check ([`validate`]). It accepts standard JSON
-//! (RFC 8259) with two deliberate simplifications: numbers parse via
-//! `f64::from_str` (covers every number this workspace emits) and string
-//! escapes are passed through unescaped except `\"`, `\\`, `\/`, `\n`,
-//! `\t`, `\r` (unicode escapes keep their raw form).
+//! The parser decodes the escapes `\"`, `\\`, `\/`, `\n`, `\t`, `\r`
+//! and keeps `\uXXXX`, `\b`, `\f` raw; other escapes, raw control
+//! characters and nesting deeper than [`MAX_DEPTH`] are [`ParseError`]s.
+//! A literal of digits alone that fits a `u64` is a [`Value::Int`], so
+//! integers reach loaders exactly. [`decode`] hands the root to a schema
+//! as a [`Node`] with typed, range-checked getters; [`Obj`] rejects
+//! duplicate keys, and errors name the JSON path (see DESIGN.md §17).
 
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,13 +22,16 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// A number literal of digits alone that fits a `u64`.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object, in source order (duplicate keys kept as-is).
+    /// An object, in source order (duplicate keys kept as-is; [`Obj`]
+    /// rejects them).
     Obj(Vec<(String, Value)>),
 }
 
@@ -52,9 +60,10 @@ impl Value {
         }
     }
 
-    /// The number, if this is a number.
+    /// The number, if this is a number (integers convert to `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -81,6 +90,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
+            Value::Int(n) => out.push_str(&n.to_string()),
             Value::Num(n) => out.push_str(&fmt_f64(*n)),
             Value::Str(s) => {
                 out.push('"');
@@ -112,6 +122,17 @@ impl Value {
             }
         }
     }
+
+    /// The value as an error message shows it.
+    fn describe(&self) -> String {
+        match self {
+            Value::Str(_) => "a string".into(),
+            Value::Arr(_) => "an array".into(),
+            Value::Obj(_) => "an object".into(),
+            Value::Num(n) if n.abs() >= 1e15 => format!("{n:e}"),
+            scalar => scalar.to_json(),
+        }
+    }
 }
 
 /// A parse error with a byte offset.
@@ -136,6 +157,7 @@ pub fn parse(s: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         b: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.ws();
     let v = p.value()?;
@@ -151,9 +173,223 @@ pub fn validate(s: &str) -> Result<(), String> {
     parse(s).map(|_| ()).map_err(|e| e.to_string())
 }
 
+/// A schema violation: what is wrong, and the JSON path where.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SchemaError {
+    /// Path of the offending value (`""` for the document root).
+    pub path: String,
+    /// What is wrong with it.
+    pub msg: String,
+}
+
+impl fmt::Display for SchemaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.path.is_empty() {
+            write!(f, "document root: {}", self.msg)
+        } else {
+            write!(f, "`{}`: {}", self.path, self.msg)
+        }
+    }
+}
+
+impl std::error::Error for SchemaError {}
+
+/// Why [`decode`] failed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DecodeError {
+    /// The text is not a JSON document.
+    Parse(ParseError),
+    /// The document violates the schema.
+    Schema(SchemaError),
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Parse(e) => write!(f, "not valid JSON: {e}"),
+            DecodeError::Schema(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Parse `text` and decode its root with `schema`.
+pub fn decode<T>(
+    text: &str,
+    schema: impl FnOnce(Node<'_>) -> Result<T, SchemaError>,
+) -> Result<T, DecodeError> {
+    let root = parse(text).map_err(DecodeError::Parse)?;
+    schema(Node {
+        v: &root,
+        path: String::new(),
+    })
+    .map_err(DecodeError::Schema)
+}
+
+/// One value of a document being decoded, with its JSON path.
+#[derive(Debug, Clone)]
+pub struct Node<'a> {
+    v: &'a Value,
+    path: String,
+}
+
+impl<'a> Node<'a> {
+    /// A schema error at this value.
+    pub fn error(&self, msg: impl Into<String>) -> SchemaError {
+        SchemaError {
+            path: self.path.clone(),
+            msg: msg.into(),
+        }
+    }
+
+    fn expected(&self, what: &str) -> SchemaError {
+        self.error(format!("expected {what}, got {}", self.v.describe()))
+    }
+
+    /// The raw value, for schemas that branch on its shape.
+    pub fn value(&self) -> &'a Value {
+        self.v
+    }
+
+    /// `None` for `null`, for nullable fields.
+    pub fn non_null(self) -> Option<Node<'a>> {
+        (!matches!(self.v, Value::Null)).then_some(self)
+    }
+
+    /// An exact non-negative integer.
+    pub fn u64(&self) -> Result<u64, SchemaError> {
+        match self.v {
+            Value::Int(n) => Ok(*n),
+            _ => Err(self.expected("a non-negative integer")),
+        }
+    }
+
+    /// An exact non-negative integer that fits a `usize`.
+    pub fn usize(&self) -> Result<usize, SchemaError> {
+        usize::try_from(self.u64()?).map_err(|_| self.expected("an integer that fits usize"))
+    }
+
+    /// An exact integer `>= 1` that fits a `usize`.
+    pub fn positive(&self) -> Result<usize, SchemaError> {
+        match self.usize()? {
+            0 => Err(self.expected("a positive integer")),
+            n => Ok(n),
+        }
+    }
+
+    /// A finite number (integers convert).
+    pub fn f64(&self) -> Result<f64, SchemaError> {
+        match self.v.as_f64() {
+            Some(x) if x.is_finite() => Ok(x),
+            _ => Err(self.expected("a finite number")),
+        }
+    }
+
+    /// A string.
+    pub fn str(&self) -> Result<&'a str, SchemaError> {
+        self.v.as_str().ok_or_else(|| self.expected("a string"))
+    }
+
+    /// The items of an array, each with its indexed path.
+    pub fn items(&self) -> Result<impl Iterator<Item = Node<'a>> + '_, SchemaError> {
+        let items = self.v.as_arr().ok_or_else(|| self.expected("an array"))?;
+        Ok(items.iter().enumerate().map(move |(i, v)| Node {
+            v,
+            path: format!("{}[{i}]", self.path),
+        }))
+    }
+
+    /// An object view; duplicate keys are an error.
+    pub fn obj(&self) -> Result<Obj<'a>, SchemaError> {
+        let Value::Obj(fields) = self.v else {
+            return Err(self.expected("an object"));
+        };
+        let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        if let Some(dup) = keys.windows(2).find(|w| w[0] == w[1]) {
+            return Err(self.error(format!("duplicate key `{}`", dup[0])));
+        }
+        Ok(Obj {
+            fields,
+            node: self.clone(),
+        })
+    }
+}
+
+/// An object being decoded: keyed access to its fields as [`Node`]s.
+#[derive(Debug, Clone)]
+pub struct Obj<'a> {
+    fields: &'a [(String, Value)],
+    node: Node<'a>,
+}
+
+impl<'a> Obj<'a> {
+    fn child(&self, key: &str, v: &'a Value) -> Node<'a> {
+        let path = match self.node.path.as_str() {
+            "" => key.to_string(),
+            parent => format!("{parent}.{key}"),
+        };
+        Node { v, path }
+    }
+
+    fn error(&self, msg: impl Into<String>) -> SchemaError {
+        self.node.error(msg)
+    }
+
+    /// Check the `version` field against the one version this build
+    /// reads.
+    pub fn version(&self, want: u64) -> Result<(), SchemaError> {
+        let v = self.get("version")?;
+        match v.u64()? {
+            n if n == want => Ok(()),
+            n => Err(v.error(format!("unsupported version {n} (this build reads {want})"))),
+        }
+    }
+
+    /// An optional field.
+    pub fn opt(&self, key: &str) -> Option<Node<'a>> {
+        self.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| self.child(key, v))
+    }
+
+    /// A required field.
+    pub fn get(&self, key: &str) -> Result<Node<'a>, SchemaError> {
+        let missing = || self.error(format!("missing field `{key}`"));
+        self.opt(key).ok_or_else(missing)
+    }
+
+    /// Every field in source order, for map-shaped objects.
+    pub fn entries(&self) -> impl Iterator<Item = (&'a str, Node<'a>)> + '_ {
+        self.fields
+            .iter()
+            .map(|(k, v)| (k.as_str(), self.child(k, v)))
+    }
+
+    /// The unknown-key policy of hand-written inputs: any key outside
+    /// `known` is an error. Additive exports skip this call, so readers
+    /// ignore fields a newer writer added.
+    pub fn deny_unknown(&self, known: &[&str]) -> Result<(), SchemaError> {
+        match self
+            .fields
+            .iter()
+            .find(|(k, _)| !known.contains(&k.as_str()))
+        {
+            Some((k, _)) => Err(self.error(format!(
+                "unknown key `{k}` (expected one of: {})",
+                known.join(", ")
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -173,8 +409,19 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Value, ParseError> {
         self.ws();
         match self.b.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than MAX_DEPTH (128)"));
+                }
+                self.depth += 1;
+                let v = if self.b[self.pos] == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Value::Str),
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
             _ => {
@@ -192,7 +439,6 @@ impl Parser<'_> {
             }
         }
     }
-
     fn object(&mut self) -> Result<Value, ParseError> {
         self.pos += 1; // '{'
         let mut fields = Vec::new();
@@ -265,19 +511,24 @@ impl Parser<'_> {
                         Some(b'n') => out.push('\n'),
                         Some(b't') => out.push('\t'),
                         Some(b'r') => out.push('\r'),
-                        Some(other) => {
-                            // keep unknown escapes raw (incl. \uXXXX)
+                        Some(other @ (b'u' | b'b' | b'f')) => {
+                            // kept raw: \uXXXX, \b, \f
                             out.push('\\');
                             out.push(other as char);
                         }
+                        Some(_) => return Err(self.err("invalid escape")),
                         None => return Err(self.err("dangling escape")),
                     }
                     self.pos += 2;
                 }
+                0..=0x1f => return Err(self.err("unescaped control character in string")),
                 _ => {
-                    // copy the raw byte run up to the next quote/escape
+                    // copy the raw byte run up to the next quote, escape
+                    // or control character
                     let start = self.pos;
-                    while self.pos < self.b.len() && !matches!(self.b[self.pos], b'"' | b'\\') {
+                    while self.pos < self.b.len()
+                        && !matches!(self.b[self.pos], b'"' | b'\\' | 0..=0x1f)
+                    {
                         self.pos += 1;
                     }
                     out.push_str(
@@ -300,11 +551,18 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| self.err("invalid number"))
+        // the scanned bytes are ASCII by construction
+        let text = std::str::from_utf8(&self.b[start..self.pos]).unwrap_or_default();
+        // digits alone without a leading zero: exact when it fits a u64
+        let integral =
+            text.bytes().all(|c| c.is_ascii_digit()) && (text == "0" || !text.starts_with('0'));
+        match text.parse::<u64>() {
+            Ok(n) if integral => Ok(Value::Int(n)),
+            _ => text
+                .parse::<f64>()
+                .map(Value::Num)
+                .map_err(|_| self.err("invalid number")),
+        }
     }
 }
 
@@ -376,6 +634,107 @@ mod tests {
         ] {
             assert!(validate(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        // 200,000 brackets used to overflow the parser's stack
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.msg.contains("nesting"), "{err}");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("{{\"a\": {at_cap}}}");
+        assert!(parse(&over).unwrap_err().msg.contains("nesting"));
+    }
+
+    #[test]
+    fn integer_literals_parse_exactly() {
+        let max = u64::MAX.to_string();
+        assert_eq!(parse(&max).unwrap(), Value::Int(u64::MAX));
+        assert_eq!(parse("0").unwrap(), Value::Int(0));
+        // beyond u64, negative, fractional or exponent: a float
+        assert!(matches!(
+            parse("18446744073709551616").unwrap(),
+            Value::Num(_)
+        ));
+        assert_eq!(parse("-1").unwrap(), Value::Num(-1.0));
+        assert_eq!(parse("3.0").unwrap(), Value::Num(3.0));
+        assert_eq!(parse("1e2").unwrap(), Value::Num(100.0));
+        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
+        assert!(
+            matches!(parse("007").unwrap(), Value::Num(_)),
+            "leading zero"
+        );
+        for bad in [".5", "1e", "-", "+1", "1e+", "--1", "1-2"] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// Decode `text` by reading the field at `a[0].b` with `read`.
+    fn read_b<T>(
+        text: &str,
+        read: impl Fn(Node<'_>) -> Result<T, SchemaError>,
+    ) -> Result<T, DecodeError> {
+        decode(text, |root| {
+            let a = root.obj()?.get("a")?;
+            let first = a.items()?.next().ok_or_else(|| a.error("empty"))?;
+            read(first.obj()?.get("b")?)
+        })
+    }
+
+    #[test]
+    fn reader_getters_are_typed_and_name_the_path() {
+        assert_eq!(read_b(r#"{"a": [{"b": 7}]}"#, |n| n.u64()), Ok(7));
+        assert_eq!(read_b(r#"{"a": [{"b": 7}]}"#, |n| n.f64()), Ok(7.0));
+        assert_eq!(
+            read_b(r#"{"a": [{"b": "x"}]}"#, |n| n.str().map(str::to_string)),
+            Ok("x".to_string())
+        );
+        for (doc, why) in [
+            (r#"{"a": [{"b": -1}]}"#, "negative"),
+            (r#"{"a": [{"b": 1.5}]}"#, "fractional"),
+            (r#"{"a": [{"b": 1e300}]}"#, "huge float"),
+            (r#"{"a": [{"b": 18446744073709551616}]}"#, "beyond u64"),
+            (r#"{"a": [{"b": "1"}]}"#, "string"),
+            (r#"{"a": [{"b": 0}]}"#, "zero"),
+        ] {
+            let err = read_b(doc, |n| n.positive()).unwrap_err();
+            match err {
+                DecodeError::Schema(e) => assert_eq!(e.path, "a[0].b", "{why}"),
+                other => panic!("{why}: {other:?}"),
+            }
+        }
+        let Err(DecodeError::Schema(e)) = read_b(r#"{"a": [{"c": 1}]}"#, |n| n.u64()) else {
+            panic!("missing field accepted");
+        };
+        assert_eq!(e.to_string(), "`a[0]`: missing field `b`");
+        assert!(
+            read_b(r#"{"a": [{"b": 1e999}]}"#, |n| n.f64()).is_err(),
+            "infinite"
+        );
+        assert!(matches!(
+            read_b(r#"{"a": [{"b": 1, "b": 2}]}"#, |n| n.u64()),
+            Err(DecodeError::Schema(_))
+        ));
+        assert!(matches!(
+            read_b("{", |n| n.u64()),
+            Err(DecodeError::Parse(_))
+        ));
+    }
+
+    #[test]
+    fn deny_unknown_states_the_policy() {
+        let strict = |text: &str| {
+            decode(text, |root| {
+                let o = root.obj()?;
+                o.deny_unknown(&["a"])?;
+                o.opt("a").map(|n| n.u64()).transpose()
+            })
+        };
+        assert_eq!(strict(r#"{"a": 3}"#), Ok(Some(3)));
+        assert_eq!(strict("{}"), Ok(None));
+        let err = strict(r#"{"a": 3, "typo": 1}"#).unwrap_err();
+        assert!(err.to_string().contains("unknown key `typo`"), "{err}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! recomputed as a canonical sequential scan over the grid instead of
 //! sampling the racy runtime best-so-far.
 
-use crate::json::{escape, fmt_f64};
+use crate::json::{self, escape, fmt_f64, DecodeError, Node, Obj, SchemaError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -219,6 +219,149 @@ impl Recording {
         }
         (total, feas, pruned, infeas)
     }
+
+    /// Decode a `rannc_explain` v1 artifact — the inverse of [`to_json`].
+    ///
+    /// Strict where it reads: integers must be exact non-negative
+    /// literals (counts and sizes positive), times finite and
+    /// non-negative, and the accounting totals must match the tier
+    /// lists they summarize. Unknown keys are ignored, because the
+    /// schema grows additively (`tp`, `tensor_parallel`).
+    /// `check::check_explain` adds the cross-checks on the winner.
+    pub fn from_json(text: &str) -> Result<Recording, DecodeError> {
+        json::decode(text, |root| {
+            let root = root.obj()?;
+            let schema = root.get("schema")?;
+            if schema.str()? != "rannc_explain" {
+                return Err(schema.error(format!("unknown schema `{}`", schema.str()?)));
+            }
+            root.version(1)?;
+            let cluster = root.get("cluster")?.obj()?;
+            let context = ContextRec {
+                model: root.get("model")?.str()?.to_string(),
+                batch_size: root.get("batch_size")?.usize()?,
+                nodes: cluster.get("nodes")?.usize()?,
+                gpus_per_node: cluster.get("gpus_per_node")?.usize()?,
+                total_devices: cluster.get("total_devices")?.usize()?,
+                cost_model: root.get("cost_model")?.str()?.to_string(),
+            };
+            let tiers = root
+                .get("tiers")?
+                .items()?
+                .map(|t| decode_tier(t.obj()?))
+                .collect::<Result<Vec<_>, _>>()?;
+            let winner = root.get("winner")?.non_null();
+            let winner = winner.map(|w| decode_winner(w.obj()?)).transpose()?;
+            let acc = root.get("accounting")?.obj()?;
+            let rec = Recording {
+                context: Some(context),
+                tiers,
+                winner,
+                accounting: Some(AccountingRec {
+                    stage_cache_entries: acc.get("stage_cache_entries")?.u64()?,
+                    profiler_cache_entries: acc.get("profiler_cache_entries")?.u64()?,
+                }),
+            };
+            let (total, feas, pruned, infeas) = rec.totals();
+            for (key, expect) in [
+                ("candidates", total),
+                ("feasible", feas),
+                ("pruned", pruned),
+                ("infeasible", infeas),
+                ("node_tiers", rec.tiers.len()),
+            ] {
+                let field = acc.get(key)?;
+                let got = field.usize()?;
+                if got != expect {
+                    return Err(field.error(format!("is {got} but the tier lists say {expect}")));
+                }
+            }
+            Ok(rec)
+        })
+    }
+}
+
+/// A finite, non-negative duration in seconds.
+fn seconds(node: Node<'_>) -> Result<f64, SchemaError> {
+    match node.f64()? {
+        t if t >= 0.0 => Ok(t),
+        t => Err(node.error(format!("expected a non-negative time, got {t}"))),
+    }
+}
+
+/// An optional positive degree: absent means 1 (2D artifacts omit it).
+fn degree(o: &Obj<'_>, key: &str) -> Result<usize, SchemaError> {
+    o.opt(key).map_or(Ok(1), |n| n.positive())
+}
+
+fn decode_tier(t: Obj<'_>) -> Result<TierRec, SchemaError> {
+    let candidates = t
+        .get("candidates")?
+        .items()?
+        .map(|c| {
+            let c = c.obj()?;
+            let outcome = c.get("outcome")?;
+            let outcome = match outcome.str()? {
+                "feasible" => CandidateOutcome::Feasible {
+                    score: seconds(c.get("score")?)?,
+                    bottleneck: seconds(c.get("bottleneck")?)?,
+                },
+                "pruned" => CandidateOutcome::Pruned {
+                    lower_bound: seconds(c.get("lower_bound")?)?,
+                },
+                "infeasible" => CandidateOutcome::Infeasible,
+                other => return Err(outcome.error(format!("unknown outcome `{other}`"))),
+            };
+            Ok(CandidateRec {
+                stages: c.get("stages")?.positive()?,
+                microbatches: c.get("microbatches")?.positive()?,
+                tp: degree(&c, "tp")?,
+                outcome,
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(TierRec {
+        n: t.get("n")?.positive()?,
+        devices: t.get("devices")?.positive()?,
+        replica_factor: t.get("replica_factor")?.positive()?,
+        candidates,
+    })
+}
+
+fn decode_winner(w: Obj<'_>) -> Result<WinnerRec, SchemaError> {
+    let stages_node = w.get("stages")?;
+    let stages = stages_node
+        .items()?
+        .map(|s| {
+            let s = s.obj()?;
+            let certified = s.get("mem_certified_bytes")?.non_null();
+            Ok(WinnerStageRec {
+                tasks: s.get("tasks")?.positive()?,
+                devices: s.get("devices")?.positive()?,
+                tensor_parallel: degree(&s, "tensor_parallel")?,
+                micro_batch: s.get("micro_batch")?.positive()?,
+                fwd_time: seconds(s.get("fwd_time")?)?,
+                bwd_time: seconds(s.get("bwd_time")?)?,
+                transfer_time: seconds(s.get("transfer_time")?)?,
+                allreduce_time: seconds(s.get("allreduce_time")?)?,
+                optimizer_time: seconds(s.get("optimizer_time")?)?,
+                mem_estimate_bytes: s.get("mem_estimate_bytes")?.u64()?,
+                mem_certified_bytes: certified.map(|n| n.u64()).transpose()?,
+                param_elems: s.get("param_elems")?.u64()?,
+            })
+        })
+        .collect::<Result<Vec<_>, SchemaError>>()?;
+    if stages.is_empty() {
+        return Err(stages_node.error("a winner needs at least one stage"));
+    }
+    Ok(WinnerRec {
+        stages,
+        microbatches: w.get("microbatches")?.positive()?,
+        replica_factor: w.get("replica_factor")?.positive()?,
+        score: seconds(w.get("score")?)?,
+        bottleneck: seconds(w.get("bottleneck")?)?,
+        est_iteration_time: seconds(w.get("est_iteration_time")?)?,
+    })
 }
 
 /// Start a fresh recording, discarding any previous one. Called by

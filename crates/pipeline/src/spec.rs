@@ -2,10 +2,9 @@
 
 use rannc_cost::CostFactors;
 use rannc_hw::{ClusterSpec, LinkSpec};
-use serde::{Deserialize, Serialize};
 
 /// One pipeline stage as the simulator sees it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StageSpec {
     /// Forward time of one micro-batch on one replica, seconds.
     pub fwd_time: f64,
@@ -27,7 +26,7 @@ pub struct StageSpec {
 }
 
 /// A full pipeline configuration to simulate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineSpec {
     /// Stages in order.
     pub stages: Vec<StageSpec>,
@@ -44,7 +43,6 @@ pub struct PipelineSpec {
     /// Cost-model correction factors applied to the priced quantities.
     /// Identity by default — a spec priced without a calibrated model
     /// reproduces the analytical formulas bit-for-bit.
-    #[serde(default)]
     pub cost: CostFactors,
 }
 
@@ -167,7 +165,7 @@ impl PipelineSpec {
 }
 
 /// What a simulation run reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimResult {
     /// Wall time of one training iteration, seconds.
     pub iteration_time: f64,

@@ -21,7 +21,6 @@ use rannc_core::PartitionPlan;
 use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, Precision};
 use rannc_verify::{CertifiedStage, CommProgram, Report};
-use serde::{Deserialize, Serialize};
 
 /// Per-stage work ordering of the synchronous schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +32,7 @@ pub enum SyncSchedule {
 }
 
 /// What a timeline event did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkKind {
     /// Forward pass of one micro-batch.
     Forward,
@@ -42,7 +41,7 @@ pub enum WorkKind {
 }
 
 /// One executed work item (for tests and visualization).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimelineEvent {
     /// Stage index.
     pub stage: usize,

@@ -19,7 +19,6 @@
 //!   micro-batch keeps all intermediates alive.
 
 use rannc_hw::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Bytes of Adam state per parameter (FP32 first and second moments).
 pub const ADAM_BYTES_PER_PARAM: usize = 8;
@@ -29,7 +28,7 @@ pub const ADAM_BYTES_PER_PARAM: usize = 8;
 pub const DEVICE_OVERHEAD_BYTES: usize = 1 << 30;
 
 /// Inputs to the memory model, independent of any particular subcomponent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryParams {
     /// Training precision regime.
     pub precision: Precision,

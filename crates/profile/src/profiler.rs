@@ -4,7 +4,6 @@ use crate::flops::task_flops;
 use crate::memory::MemoryParams;
 use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet, ValueKind};
 use rannc_hw::{DeviceSpec, LinkSpec, Precision};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -66,7 +65,7 @@ impl ProfilerOptions {
 
 /// What `profile` returns for one candidate stage: the paper's
 /// `t^f, t^b, m` triple plus bookkeeping used by reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileResult {
     /// Forward-pass wall time for one micro-batch, seconds.
     pub fwd_time: f64,

@@ -1,10 +1,9 @@
 //! The dense row-major `f32` matrix.
 
 use crate::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix of `f32` (`rows × cols`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     /// Row count.
     pub rows: usize,

@@ -6,10 +6,8 @@
 //! are stable across releases: tests and scripts match on `RV0xx`
 //! identifiers, never on message text.
 
-use serde::{Deserialize, Serialize};
-
 /// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Severity {
     /// The artifact is unusable: training would crash, deadlock or
     /// silently compute the wrong thing.
@@ -28,7 +26,7 @@ pub enum Severity {
 /// memory). The numeric identifier of each variant is part of the
 /// public contract (see DESIGN.md §8/§13); add new codes, never
 /// renumber existing ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
     /// A task references a value id outside the graph.
     DanglingValueRef,
@@ -181,7 +179,7 @@ impl std::fmt::Display for Code {
 }
 
 /// Where a diagnostic points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Location {
     /// The artifact as a whole.
     Model,
@@ -225,7 +223,7 @@ impl std::fmt::Display for Location {
 
 /// One finding. The message holds the human-readable specifics (numbers
 /// are rendered into the string so the type stays `Eq`-comparable).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Diagnostic {
     /// Stable code.
     pub code: Code,
@@ -270,7 +268,7 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// An ordered collection of diagnostics from one or more passes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
     /// The findings, in check order.
     pub diagnostics: Vec<Diagnostic>,

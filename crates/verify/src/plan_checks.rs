@@ -192,14 +192,19 @@ fn check_microbatching(plan: &PlanView<'_>, r: &mut Report) {
             ));
             continue;
         }
-        let used = s.micro_batch * s.replicas * plan.microbatches * plan.replica_factor;
-        if used > plan.batch_size {
+        // a decoded plan file can carry any counts: the product may
+        // overflow, which is infeasible too
+        let used = [s.replicas, plan.microbatches, plan.replica_factor]
+            .into_iter()
+            .try_fold(s.micro_batch, usize::checked_mul);
+        let Some(used) = used.filter(|&u| u <= plan.batch_size) else {
             r.push(Diagnostic::new(
                 Code::MicrobatchInfeasible,
                 Location::Stage(i),
                 format!(
-                    "stage consumes {used} samples per iteration \
+                    "stage consumes {} samples per iteration \
                      ({} x {} x {} x {}) but the global batch is only {}",
+                    used.map_or("more than usize::MAX".into(), |u| u.to_string()),
                     s.micro_batch,
                     s.replicas,
                     plan.microbatches,
@@ -207,7 +212,9 @@ fn check_microbatching(plan: &PlanView<'_>, r: &mut Report) {
                     plan.batch_size
                 ),
             ));
-        } else if used < plan.batch_size {
+            continue;
+        };
+        if used < plan.batch_size {
             r.push(Diagnostic::new(
                 Code::UnevenBatchSplit,
                 Location::Stage(i),

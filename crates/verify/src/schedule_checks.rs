@@ -9,10 +9,9 @@
 //! wait on each other forever.
 
 use crate::diag::{Code, Diagnostic, Location, Report};
-use serde::{Deserialize, Serialize};
 
 /// Forward or backward half of a micro-batch's pass through a stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Activation-producing pass.
     Forward,
@@ -25,7 +24,7 @@ pub enum PhaseKind {
 /// `orders[s]` lists the ops stage `s` runs, in issue order. Built from a
 /// `rannc-pipeline` schedule via `sync_work_orders` (see that crate), or
 /// by hand in tests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleModel {
     /// Pipeline depth.
     pub stages: usize,

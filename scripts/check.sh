@@ -54,6 +54,29 @@ if grep -rnE --include='*.rs' \
     exit 1
 fi
 
+echo "==> one-reader gate (artifact loaders decode through obs::json::decode)"
+# Every JSON loader reads through the strict reader in rannc-obs's json
+# module: outside it, no non-test code under crates/*/src parses JSON or
+# walks a Value with the untyped accessors. The rannc_benchmark package
+# is exempt (it has its own workspace and is changed only with the
+# benchmark).
+READER_HITS="$(find crates/*/src -name '*.rs' ! -path '*/rannc_benchmark/*' \
+    ! -path crates/obs/src/json.rs -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    | grep -E 'json::(parse|\{[^}]*\bparse\b)|\bas_f64\b|\bas_arr\b' || true)"
+if [ -n "$READER_HITS" ]; then
+    echo "$READER_HITS"
+    echo "FAILED: JSON read outside obs::json's strict reader"
+    exit 1
+fi
+# the serde stubs are a dead contract: no derive, attribute or manifest
+# entry may bring it back (vendor/serde stays for rannc_benchmark)
+if grep -rn "serde" Cargo.toml crates/*/Cargo.toml crates/*/src \
+    --exclude-dir=rannc_benchmark; then
+    echo "FAILED: serde referenced in the workspace"
+    exit 1
+fi
+
 echo "==> verifier smoke-gate (rannc-plan verify --deep, all models x 16/32 devices)"
 # --deep adds the dataflow-certified layer: liveness-certified peak
 # memory within capacity and a race-free derived communication program
@@ -152,6 +175,23 @@ if ./target/release/rannc-plan explain "$OBS_TMP/explain_corrupt.json" \
     >/dev/null 2>&1; then
     echo "explain accepted a corrupted artifact"; exit 1
 fi
+
+echo "==> hostile-input smoke (200,000 nested brackets: exit 1, not a stack overflow)"
+head -c 200000 /dev/zero | tr '\0' '[' > "$OBS_TMP/deep.json"
+for cmd in "explain $OBS_TMP/deep.json" \
+    "obs-check --trace $OBS_TMP/deep.json" \
+    "obs-check --metrics $OBS_TMP/deep.json" \
+    "--model mlp --hidden 64 --layers 4 --nodes 1 --batch 32 --k 4 \
+        --cost-model calibrated:$OBS_TMP/deep.json" \
+    "churn --model mlp --hidden 64 --layers 4 --nodes 1 --batch 32 --k 4 \
+        --churn-trace $OBS_TMP/deep.json"; do
+    status=0
+    # shellcheck disable=SC2086
+    ./target/release/rannc-plan $cmd >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "rannc-plan $cmd exited $status on a deeply nested file (expected 1)"; exit 1
+    fi
+done
 
 echo "==> churn smoke (seeded 50-event campaign, all policies, verified plans)"
 # bert at 16 devices under a seeded 50-event churn stream: the campaign
