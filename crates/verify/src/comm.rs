@@ -32,10 +32,9 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::diag::{Code, Diagnostic, Location, Report};
-use crate::liveness::stage_liveness;
 use crate::plan_checks::PlanView;
 use crate::schedule_checks::{PhaseKind, ScheduleModel};
-use rannc_graph::{TaskGraph, ValueId};
+use rannc_graph::{TaskGraph, TaskSet, ValueId};
 
 /// Identity of one point-to-point message: which stage boundary it
 /// crosses, which micro-batch, and which half of the pass.
@@ -486,7 +485,7 @@ fn check_collective_orders(p: &CommProgram, r: &mut Report) {
     // occurrence counts per (group, rank), and the first issue index of
     // each group on each rank
     let mut counts: Vec<HashMap<usize, usize>> = vec![HashMap::new(); p.groups.len()];
-    let mut first_pos: Vec<HashMap<usize, usize>> = vec![HashMap::new(); p.groups.len()];
+    let mut first_pos: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); p.groups.len()];
     for (rank, prog) in p.programs.iter().enumerate() {
         for (idx, op) in prog.iter().enumerate() {
             if let CommOp::AllReduce { group, .. } = op {
@@ -516,7 +515,8 @@ fn check_collective_orders(p: &CommProgram, r: &mut Report) {
         }
     }
     // pairwise relative order: ranks sharing two groups must issue them
-    // in the same order
+    // in the same order (ranks visited ascending, so a finding names the
+    // lowest-ranked crossing pair)
     for a in 0..p.groups.len() {
         for b in a + 1..p.groups.len() {
             let mut seen: Option<(bool, usize)> = None; // (a_before_b, rank)
@@ -694,18 +694,21 @@ fn check_deadlock(p: &CommProgram, r: &mut Report) {
     }
 }
 
+/// Whether `v` is live on entry to the stage `set`: non-static, read by
+/// a task of the stage and produced outside it — exactly the live-in set
+/// of the stage's forward→backward program (DESIGN.md §13).
+pub(crate) fn live_on_entry(g: &TaskGraph, set: &TaskSet, v: ValueId) -> bool {
+    let val = g.value(v);
+    !val.kind.is_static()
+        && val.consumers.iter().any(|c| set.contains(*c))
+        && !val.producer.is_some_and(|p| set.contains(p))
+}
+
 /// Liveness-informed transfer hygiene: RV063 for transfers of values
 /// dead at the consumer stage, RV064 for duplicate deliveries of one
 /// value to one device.
 pub fn verify_transfers(g: &TaskGraph, plan: &PlanView<'_>, p: &CommProgram) -> Report {
     let mut r = Report::new();
-    // live-in facts per stage (what the stage actually reads)
-    let live_in: Vec<Option<crate::dataflow::FactSet>> = plan
-        .stages
-        .iter()
-        .map(|s| (s.set.universe() == g.num_tasks()).then(|| stage_liveness(g, s.set).live_in))
-        .collect();
-
     let mut dead_reported: std::collections::BTreeSet<(u32, usize, usize)> = Default::default();
     let mut deliveries: BTreeMap<(usize, usize, u8, u32), usize> = BTreeMap::new();
     let mut link_of: HashMap<(usize, usize, u8, u32), (usize, usize)> = HashMap::new();
@@ -719,8 +722,9 @@ pub fn verify_transfers(g: &TaskGraph, plan: &PlanView<'_>, p: &CommProgram) -> 
             };
             for &v in values {
                 if tag.kind == PhaseKind::Forward {
-                    if let Some(Some(live)) = live_in.get(tag.dst_stage) {
-                        if !live.contains(v as usize)
+                    let dst = plan.stages.get(tag.dst_stage).map(|s| s.set);
+                    if let Some(set) = dst.filter(|set| set.universe() == g.num_tasks()) {
+                        if !live_on_entry(g, set, ValueId(v))
                             && dead_reported.insert((v, tag.src_stage, tag.dst_stage))
                         {
                             r.push(Diagnostic::new(
@@ -971,6 +975,42 @@ mod tests {
         assert!(r.has_code(Code::CollectiveOrderMismatch), "{}", r.render());
         // the crossed barriers also deadlock under the dependency model
         assert!(r.has_code(Code::CommDeadlock), "{}", r.render());
+    }
+
+    /// Three ranks, two groups: ranks 0 and 2 issue `dp-stage0` first,
+    /// rank 1 issues `dp-stage1` first. The finding names the
+    /// lowest-ranked crossing pair on every run, whatever the hasher.
+    #[test]
+    fn crossed_collectives_name_the_lowest_ranked_pair() {
+        let group = |label: &str| CollectiveGroup {
+            members: vec![0, 1, 2],
+            label: label.into(),
+            tp_stage: None,
+        };
+        let ar = |group| CommOp::AllReduce { group, bytes: 64 };
+        let p = CommProgram {
+            programs: vec![vec![ar(0), ar(1)], vec![ar(1), ar(0)], vec![ar(0), ar(1)]],
+            groups: vec![group("dp-stage0"), group("dp-stage1")],
+            stage_of_rank: vec![Some(0); 3],
+        };
+        for _ in 0..50 {
+            let r = verify_comm(&p);
+            let crossed: Vec<String> = r
+                .diagnostics
+                .iter()
+                .filter(|d| d.code == Code::CollectiveOrderMismatch)
+                .map(|d| d.render())
+                .collect();
+            assert_eq!(
+                crossed,
+                vec![
+                    "error[RV060]: device d1: rank d0 issues dp-stage0 before dp-stage1 but \
+                     rank d1 issues them in the opposite order — the collectives cross and \
+                     both groups hang"
+                        .to_string()
+                ],
+            );
+        }
     }
 
     #[test]

@@ -21,18 +21,18 @@
 //! | tensor parallelism | [`comm::verify_tp_groups`] | `RV071` |
 //! | certified memory | [`liveness::certify_memory`] | `RV072`, `RV100`–`RV101` |
 //!
-//! The last two rows are the *deep* (dataflow-certified) checks: built
-//! on the gen/kill fixpoint framework in [`dataflow`], they certify a
-//! liveness-derived peak-memory bound per (stage, device slot) and
-//! statically race-check the per-rank communication program implied by
-//! the plan and schedule. [`verify_deep`] bundles them.
+//! The comm, tensor-parallel and memory rows are the *deep* checks: they
+//! certify a peak-memory bound per (stage, device slot) from each
+//! stage's liveness, computed in closed form over its forward→backward
+//! program ([`liveness::stage_liveness`]), and statically race-check the
+//! per-rank communication program implied by the plan and schedule.
+//! [`verify_deep`] bundles them.
 //!
 //! The crate sits *below* `rannc-core` so the partitioner can run it as
 //! a post-pass; plans are therefore checked through the borrowed
 //! [`PlanView`] rather than the concrete plan type.
 
 pub mod comm;
-pub mod dataflow;
 pub mod diag;
 pub mod graph_checks;
 pub mod liveness;

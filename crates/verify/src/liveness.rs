@@ -8,9 +8,9 @@
 //!
 //! * the per-micro-batch intermediate footprint is the maximum
 //!   simultaneously-live set of in-stage values over the stage's
-//!   forward→backward program, computed by the gen/kill liveness
-//!   instance of [`crate::dataflow`] — never larger than the profiler's
-//!   sum;
+//!   forward→backward program, computed in closed form in one pass over
+//!   the stage's tasks ([`stage_liveness`]) — never larger than the
+//!   profiler's sum;
 //! * the activation stash depth is read off the stage's *actual*
 //!   [`ScheduleModel`] issue order ([`ScheduleModel::stash_depth`]) —
 //!   `MB` for fill–drain, the remaining pipeline depth for 1F1B;
@@ -31,7 +31,6 @@
 //! offending [`Location::Device`]. A profiler estimate *below* the
 //! certified peak means the plan was priced optimistically: RV101.
 
-use crate::dataflow::{solve, Direction, FactSet, GenKill};
 use crate::diag::{Code, Diagnostic, Location, Report};
 use crate::plan_checks::PlanView;
 use crate::schedule_checks::ScheduleModel;
@@ -56,111 +55,78 @@ pub struct StageLiveness {
     /// Maximum simultaneously-live intermediate bytes over the
     /// forward→backward program. Never exceeds `inter_bytes`.
     pub peak_live_bytes: usize,
-    /// Values live at stage entry (the ingress values actually
-    /// consumed) — what the dead-transfer check (RV063) reads.
-    pub live_in: FactSet,
 }
 
-/// Run the liveness instance of the dataflow framework over one stage.
+/// Liveness of one stage's forward→backward program, in closed form.
 ///
-/// Program shape: `n` forward nodes in topological order, one boundary
-/// node (uses every value that escapes the stage), `n` backward nodes
-/// in reverse order (each uses its task's input activations). Facts are
-/// value ids; gen = uses, kill = defs.
+/// Program shape: the stage's tasks `t_0..t_{n-1}` forward in
+/// topological order, one boundary point (every value leaving the stage
+/// is alive until sent), then the tasks backward, each re-reading its
+/// non-static inputs. With `U` the non-static values the stage reads and
+/// `E` its outputs that escape (a consumer outside the stage, or a model
+/// output), the live intermediates after forward point `i` are the
+/// counted outputs of `t_0..t_i` in `U ∪ E` plus `t_i`'s own outputs;
+/// the boundary and backward points define nothing and read only
+/// `U ∪ E`, so each is a subset of the last forward one (DESIGN.md §13).
 pub fn stage_liveness(g: &TaskGraph, set: &TaskSet) -> StageLiveness {
-    let width = g.num_values();
     let positions = traverse::topo_positions(g);
+    let non_constant = traverse::non_constant_tasks(g);
+    liveness(g, set, &positions, &non_constant)
+}
+
+/// [`stage_liveness`] with the whole-graph facts (`topo_positions`,
+/// `non_constant_tasks`) computed once by the caller.
+fn liveness(
+    g: &TaskGraph,
+    set: &TaskSet,
+    positions: &[u32],
+    non_constant: &[bool],
+) -> StageLiveness {
     let mut tasks: Vec<_> = set.iter().collect();
     tasks.sort_by_key(|t| positions[t.index()]);
-    let n = tasks.len();
-    let non_constant = traverse::non_constant_tasks(g);
 
-    // Values whose bytes the intermediate accounting counts: produced
-    // in-stage by a scaling (non-constant) task — mirrors the
-    // profiler's `out_act_bytes` sum term for term.
-    let mut counted = vec![false; width];
+    // U, and the ingress stash: its values produced outside the stage
+    let mut read = vec![false; g.num_values()];
+    let mut ingress_bytes = 0usize;
     for &t in &tasks {
-        if non_constant[t.index()] {
-            for &v in &g.task(t).outputs {
-                counted[v.0 as usize] = true;
-            }
-        }
-    }
-
-    // nodes: 0..n forward, n boundary, n+1..=2n backward (reverse order)
-    let nodes = 2 * n + 1;
-    let mut transfer: Vec<GenKill> = (0..nodes).map(|_| GenKill::identity(width)).collect();
-    for (i, &t) in tasks.iter().enumerate() {
-        let task = g.task(t);
-        for &v in &task.inputs {
-            if g.value(v).kind.is_static() {
+        for &v in &g.task(t).inputs {
+            let val = g.value(v);
+            if val.kind.is_static() || read[v.index()] {
                 continue;
             }
-            // forward use …
-            transfer[i].gen.insert(v.0 as usize);
-            // … and the backward of this task re-reads its inputs
-            transfer[2 * n - i].gen.insert(v.0 as usize);
-        }
-        for &v in &task.outputs {
-            transfer[i].kill.insert(v.0 as usize);
+            read[v.index()] = true;
+            if !val.producer.is_some_and(|p| set.contains(p)) {
+                ingress_bytes += val.size_bytes();
+            }
         }
     }
-    // boundary: everything that escapes the stage is alive until sent
+
+    // Only outputs of scaling (non-constant) tasks are counted — the
+    // profiler's `out_act_bytes` sum term for term. `kept` holds the
+    // counted outputs so far that stay live past their forward point.
+    let (mut inter_bytes, mut kept, mut peak_live_bytes) = (0usize, 0usize, 0usize);
     for &t in &tasks {
+        if !non_constant[t.index()] {
+            continue;
+        }
+        let mut dead = 0usize;
         for &v in &g.task(t).outputs {
             let val = g.value(v);
             let escapes = val.consumers.iter().any(|c| !set.contains(*c));
-            if escapes || g.outputs().contains(&v) {
-                transfer[n].gen.insert(v.0 as usize);
+            if read[v.index()] || escapes || g.outputs().contains(&v) {
+                kept += val.size_bytes();
+            } else {
+                dead += val.size_bytes();
             }
+            inter_bytes += val.size_bytes();
         }
+        peak_live_bytes = peak_live_bytes.max(kept + dead);
     }
-    let edges: Vec<(usize, usize)> = (0..nodes - 1).map(|i| (i, i + 1)).collect();
-    let sol = solve(Direction::Backward, nodes, width, &edges, &transfer);
-
-    let bytes_of = |s: &FactSet| -> usize {
-        s.iter()
-            .filter(|&v| counted[v])
-            .map(|v| g.value(rannc_graph::ValueId(v as u32)).size_bytes())
-            .sum()
-    };
-    // Peak over program points: after node i executes, its defs are
-    // materialised even if immediately dead, so fold them in.
-    let mut peak_live_bytes = 0usize;
-    for (i, post) in sol.post.iter().enumerate() {
-        let mut point = post.clone();
-        if i < n {
-            for &v in &g.task(tasks[i]).outputs {
-                point.insert(v.0 as usize);
-            }
-        }
-        peak_live_bytes = peak_live_bytes.max(bytes_of(&point));
-    }
-    let inter_bytes = counted
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c)
-        .map(|(v, _)| g.value(rannc_graph::ValueId(v as u32)).size_bytes())
-        .sum();
-    let live_in = sol
-        .pre
-        .first()
-        .cloned()
-        .unwrap_or_else(|| FactSet::new(width));
-    let ingress_bytes = live_in
-        .iter()
-        .filter(|&v| {
-            let val = g.value(rannc_graph::ValueId(v as u32));
-            !val.kind.is_static() && !val.producer.map(|p| set.contains(p)).unwrap_or(false)
-        })
-        .map(|v| g.value(rannc_graph::ValueId(v as u32)).size_bytes())
-        .sum();
 
     StageLiveness {
         ingress_bytes,
         inter_bytes,
         peak_live_bytes,
-        live_in,
     }
 }
 
@@ -201,6 +167,8 @@ pub fn certify_memory(
         .iter()
         .map(|s| s.replicas * s.tensor_parallel.max(1))
         .sum();
+    let positions = traverse::topo_positions(g);
+    let non_constant = traverse::non_constant_tasks(g);
     let mut offset = 0usize;
     for (i, s) in plan.stages.iter().enumerate() {
         let width = s.replicas * s.tensor_parallel.max(1);
@@ -208,7 +176,7 @@ pub fn certify_memory(
             offset += width;
             continue; // RV021 already reported by verify_plan
         }
-        let lv = stage_liveness(g, s.set);
+        let lv = liveness(g, s.set, &positions, &non_constant);
         let stash = schedule.stash_depth(i);
         let mem = MemoryParams {
             precision,
@@ -307,7 +275,13 @@ fn gib(bytes: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::plan_checks::StageView;
-    use rannc_graph::{DType, GraphBuilder, OpKind, TaskId};
+    use proptest::prelude::*;
+    use rannc_graph::{DType, GraphBuilder, OpKind, TaskId, ValueId};
+    use rannc_models::{
+        bert_graph, gpt_graph, mlp_graph, resnet_graph, t5_graph, BertConfig, GptConfig, MlpConfig,
+        ResNetConfig, T5Config,
+    };
+    use std::collections::{BTreeSet, HashMap};
 
     /// x -> relu -> relu -> relu -> relu (chain of 4, one input).
     fn chain(len: usize) -> TaskGraph {
@@ -344,7 +318,207 @@ mod tests {
         let lv = stage_liveness(&g, &first);
         // 3 intermediates produced, the last one escapes to stage 2
         assert_eq!(lv.inter_bytes, 3 * 64 * 4);
-        assert!(lv.live_in.iter().count() >= 1);
+        // the model input is the only ingress
+        assert_eq!(lv.ingress_bytes, 64 * 4);
+    }
+
+    /// Liveness by definition: a brute-force walk over the stage
+    /// program's 2n+1 points — forward `t_0..t_{n-1}` in topological
+    /// order, the boundary (uses every value leaving the stage), then
+    /// backward `t_{n-1}..t_0` (each re-reads its task's non-static
+    /// inputs). A value is live after point `p` iff it is defined at or
+    /// before `p` and used after `p`; a forward point also holds its
+    /// task's own outputs. Returns the figures and the live-in set (the
+    /// values used before any definition).
+    fn reference(g: &TaskGraph, set: &TaskSet) -> (usize, usize, usize, BTreeSet<ValueId>) {
+        let positions = traverse::topo_positions(g);
+        let non_constant = traverse::non_constant_tasks(g);
+        let mut tasks: Vec<TaskId> = set.iter().collect();
+        tasks.sort_by_key(|t| positions[t.index()]);
+        let n = tasks.len();
+        let points = 2 * n + 1;
+
+        let mut uses: Vec<Vec<ValueId>> = vec![Vec::new(); points];
+        let mut defs: Vec<Vec<ValueId>> = vec![Vec::new(); points];
+        for (i, &t) in tasks.iter().enumerate() {
+            let task = g.task(t);
+            let reads: Vec<ValueId> = task
+                .inputs
+                .iter()
+                .copied()
+                .filter(|&v| !g.value(v).kind.is_static())
+                .collect();
+            uses[i].extend(&reads);
+            uses[2 * n - i].extend(&reads);
+            defs[i].extend(&task.outputs);
+            for &v in &task.outputs {
+                let leaves = g.value(v).consumers.iter().any(|c| !set.contains(*c));
+                if leaves || g.outputs().contains(&v) {
+                    uses[n].push(v);
+                }
+            }
+        }
+        let mut def_at: HashMap<ValueId, usize> = HashMap::new();
+        let mut first_use: HashMap<ValueId, usize> = HashMap::new();
+        let mut last_use: HashMap<ValueId, usize> = HashMap::new();
+        for (p, (defined, used)) in defs.iter().zip(&uses).enumerate() {
+            for &v in defined {
+                def_at.entry(v).or_insert(p);
+            }
+            for &v in used {
+                first_use.entry(v).or_insert(p);
+                last_use.insert(v, p);
+            }
+        }
+        let values: BTreeSet<ValueId> = def_at.keys().chain(first_use.keys()).copied().collect();
+        let counted = |v: ValueId| {
+            g.value(v)
+                .producer
+                .is_some_and(|t| set.contains(t) && non_constant[t.index()])
+        };
+        let size = |v: ValueId| g.value(v).size_bytes();
+
+        let mut peak_live_bytes = 0;
+        for (p, defined_here) in defs.iter().enumerate() {
+            let live: usize = values
+                .iter()
+                .filter(|&&v| counted(v))
+                .filter(|v| {
+                    let defined = def_at.get(v).is_some_and(|&d| d <= p);
+                    let used_after = last_use.get(v).is_some_and(|&u| u > p);
+                    (defined && used_after) || defined_here.contains(v)
+                })
+                .map(|&v| size(v))
+                .sum();
+            peak_live_bytes = peak_live_bytes.max(live);
+        }
+        let inter_bytes = def_at
+            .keys()
+            .filter(|&&v| counted(v))
+            .map(|&v| size(v))
+            .sum();
+        let live_in: BTreeSet<ValueId> = first_use
+            .iter()
+            .filter(|(v, &u)| def_at.get(v).is_none_or(|&d| u <= d))
+            .map(|(&v, _)| v)
+            .collect();
+        let ingress_bytes = live_in
+            .iter()
+            .filter(|&&v| !g.value(v).producer.is_some_and(|t| set.contains(t)))
+            .map(|&v| size(v))
+            .sum();
+        (ingress_bytes, inter_bytes, peak_live_bytes, live_in)
+    }
+
+    /// A branchy graph with what the model families lack: a model output
+    /// produced mid-program and, last, an output nobody reads.
+    fn side_outputs() -> TaskGraph {
+        let mut b = GraphBuilder::new("side-outputs");
+        let x = b.input("x", [64], DType::F32);
+        let a = b.unary(OpKind::Relu, x);
+        let early = b.unary(OpKind::Relu, a);
+        b.output(early);
+        let mut y = b.unary(OpKind::Relu, a);
+        y = b.unary(OpKind::Relu, y);
+        b.output(y);
+        b.unary(OpKind::Relu, a); // dead on arrival
+        b.finish()
+    }
+
+    /// Every model family the planner partitions, at test size, plus
+    /// [`side_outputs`].
+    fn model_zoo() -> Vec<TaskGraph> {
+        vec![
+            side_outputs(),
+            bert_graph(&BertConfig::tiny()),
+            gpt_graph(&GptConfig::tiny()),
+            t5_graph(&T5Config::tiny()),
+            resnet_graph(&ResNetConfig::tiny()),
+            mlp_graph(&MlpConfig::deep(64, 64, 8, 10)),
+        ]
+    }
+
+    /// `g`'s tasks in topological order cut into `k` contiguous stages.
+    fn contiguous_stages(g: &TaskGraph, k: usize) -> Vec<TaskSet> {
+        let n = g.num_tasks();
+        let positions = traverse::topo_positions(g);
+        let mut order: Vec<TaskId> = (0..n as u32).map(TaskId).collect();
+        order.sort_by_key(|t| positions[t.index()]);
+        (0..k)
+            .map(|c| TaskSet::from_ids(n, order[c * n / k..(c + 1) * n / k].iter().copied()))
+            .collect()
+    }
+
+    fn assert_matches_reference(g: &TaskGraph, set: &TaskSet) {
+        let lv = stage_liveness(g, set);
+        let (ingress, inter, peak, live_in) = reference(g, set);
+        let what = format!("{} stage of {} tasks", g.name, set.len());
+        assert_eq!(lv.ingress_bytes, ingress, "ingress: {what}");
+        assert_eq!(lv.inter_bytes, inter, "inter: {what}");
+        assert_eq!(lv.peak_live_bytes, peak, "peak: {what}");
+        // the per-value rule RV063 applies to forward transfers
+        let entering: BTreeSet<ValueId> = g
+            .values()
+            .map(|(v, _)| v)
+            .filter(|&v| crate::comm::live_on_entry(g, set, v))
+            .collect();
+        assert_eq!(entering, live_in, "live-in: {what}");
+    }
+
+    #[test]
+    fn closed_form_matches_reference_on_structured_stages() {
+        for g in model_zoo() {
+            let n = g.num_tasks();
+            assert_matches_reference(&g, &TaskSet::new(n));
+            for t in [0, n / 2, n - 1] {
+                assert_matches_reference(&g, &TaskSet::singleton(n, TaskId(t as u32)));
+            }
+            for k in 1..=4 {
+                for stage in contiguous_stages(&g, k) {
+                    assert_matches_reference(&g, &stage);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random non-convex stages: each task joins with probability
+        /// `density / 64`.
+        #[test]
+        fn closed_form_matches_reference_on_random_stages(
+            model in 0usize..6,
+            seed in any::<u64>(),
+            density in 1u64..64,
+        ) {
+            let g = model_zoo().swap_remove(model);
+            let mut state = seed;
+            let stage = TaskSet::from_ids(
+                g.num_tasks(),
+                (0..g.num_tasks() as u32).map(TaskId).filter(|_| {
+                    // splitmix64
+                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                    (z ^ (z >> 31)) % 64 < density
+                }),
+            );
+            assert_matches_reference(&g, &stage);
+        }
+    }
+
+    /// Paper scale: BERT 2048x256 (7,446 tasks) cut into four contiguous
+    /// stages. Ignored in the default run for its size; `scripts/check.sh`
+    /// runs it in release.
+    #[test]
+    #[ignore]
+    fn closed_form_matches_reference_at_paper_scale() {
+        let g = bert_graph(&BertConfig::enlarged(2048, 256));
+        for stage in contiguous_stages(&g, 4) {
+            assert_matches_reference(&g, &stage);
+        }
     }
 
     fn one_stage_view<'a>(

@@ -14,6 +14,12 @@ echo "==> paper-scale block-phase parity (BERT 2048x256, k 32, against the refer
 # must produce exactly the reference's blocks and uncoarsening moves
 cargo test --release -q -p rannc-core --offline --test prop_blocks_identical -- --ignored
 
+echo "==> paper-scale liveness parity (BERT 2048x256, 4 stages, against the definition)"
+# ignored in the default run for its size: the closed-form stage liveness
+# must equal the brute-force walk over every program point
+cargo test --release -q -p rannc-verify --offline --lib \
+    closed_form_matches_reference_at_paper_scale -- --ignored
+
 echo "==> formula-ownership gate (collective math only in rannc-hw / rannc-cost)"
 # every comm/collective-time formula lives behind the CostModel layer;
 # nothing outside rannc-hw / rannc-cost may call the ring formula directly
@@ -38,10 +44,12 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, no deleted search machinery)"
+echo "==> one-path gate (one stage DP, no deleted search or fixpoint machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
+# Stage liveness has one closed form: the generic gen/kill fixpoint
+# framework stays deleted from the verifier.
 DP_ENTRIES="$(grep -rn --include='*.rs' "pub fn form_stage_dp\b" crates/*/src | wc -l)"
 if [ "$DP_ENTRIES" -ne 1 ]; then
     echo "FAILED: expected exactly one pub fn form_stage_dp in crates/*/src, found $DP_ENTRIES"
@@ -51,6 +59,10 @@ if grep -rnE --include='*.rs' \
     "StageCostCache|StageKey|AnalyticalCost|form_stage_seq|shared_cache|form_stage_dp_(cached|placed|in|hashmap)" \
     crates/*/src; then
     echo "FAILED: deleted search/cost machinery referenced in crates/*/src"
+    exit 1
+fi
+if grep -rnE --include='*.rs' "mod dataflow|GenKill|FactSet|fn solve" crates/verify/src; then
+    echo "FAILED: deleted dataflow fixpoint framework referenced in crates/verify/src"
     exit 1
 fi
 
