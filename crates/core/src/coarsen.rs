@@ -41,13 +41,16 @@ pub struct CoarsenResult {
 pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenResult {
     let k = ctx.limits.k;
     let mut groups: Vec<TaskSet> = atomic_sets.to_vec();
+    // Only the atoms are profiled up front (independently, so fanned out
+    // across cores). Later levels carry each group's time: a merged group
+    // keeps the time its winning union was priced at, an unmerged one its
+    // previous time.
+    let mut times: Vec<f64> = crate::par::parallel_map(&groups, |s| ctx.time(s));
     let mut merges = Vec::new();
     let mut level = 0usize;
 
     while groups.len() > k {
         let adj = ctx.adjacency(&groups);
-        // profiling each group is independent; fan out across cores
-        let times: Vec<f64> = crate::par::parallel_map(&groups, |s| ctx.time(s));
 
         // ascending computation time
         let mut order: Vec<usize> = (0..groups.len()).collect();
@@ -55,6 +58,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
 
         let mut used = vec![false; groups.len()];
         let mut next: Vec<TaskSet> = Vec::with_capacity(groups.len() / 2 + 1);
+        let mut next_times: Vec<f64> = Vec::with_capacity(next.capacity());
         let mut merged_any = false;
         let mut remaining = groups.len();
 
@@ -67,6 +71,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
             // pass the rest through.
             if remaining <= k {
                 next.push(groups[v].clone());
+                next_times.push(times[v]);
                 continue;
             }
             let mut best: Option<(usize, f64, TaskSet)> = None;
@@ -88,7 +93,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                 }
             }
             match best {
-                Some((w, _, union)) => {
+                Some((w, t, union)) => {
                     used[w] = true;
                     merges.push(MergeRecord {
                         level,
@@ -96,10 +101,14 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                         w: groups[w].clone(),
                     });
                     next.push(union);
+                    next_times.push(t);
                     merged_any = true;
                     remaining -= 1; // two groups became one
                 }
-                None => next.push(groups[v].clone()),
+                None => {
+                    next.push(groups[v].clone());
+                    next_times.push(times[v]);
+                }
             }
         }
 
@@ -109,6 +118,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
             break;
         }
         groups = next;
+        times = next_times;
         level += 1;
     }
 

@@ -517,6 +517,22 @@ mod tests {
     }
 
     #[test]
+    fn largest_universe_decodes_to_its_members_window() {
+        // a stage's set holds the words its members span, not the
+        // universe's: {0, 1} over 2^32 task ids decodes to one word
+        let mut plan = sample_plan();
+        for (stage, ids) in plan.stages.iter_mut().zip([[0, 1], [70, 99]]) {
+            stage.set = TaskSet::from_ids(MAX_UNIVERSE, ids.map(TaskId));
+        }
+        let back = decode_plan(&encode_plan(&plan)).unwrap();
+        for (a, b) in back.stages.iter().zip(&plan.stages) {
+            assert_eq!(a.set, b.set);
+            assert_eq!(a.set.universe(), MAX_UNIVERSE);
+            assert_eq!(a.set.indexed_words().len(), 1);
+        }
+    }
+
+    #[test]
     fn real_plan_roundtrips() {
         use crate::{PartitionConfig, Rannc};
         let g = rannc_models::mlp_graph(&rannc_models::MlpConfig::deep(32, 32, 6, 4));

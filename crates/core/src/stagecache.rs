@@ -81,10 +81,9 @@ pub struct RangeTable {
 
 impl RangeTable {
     /// Build the table for `blocks`: one prefix-union sweep per `from`
-    /// row, rows spread over `threads` workers. Row `f` extends its
-    /// running union by one block per step, so the whole table costs
-    /// `O(nb²)` set words instead of the `O(nb³)` of unioning every range
-    /// from scratch.
+    /// row, rows spread over `threads` workers. Row `f` unions each range
+    /// with the next block, so the whole table costs `O(nb²)` set words
+    /// instead of the `O(nb³)` of unioning every range from scratch.
     pub fn build(g: &TaskGraph, blocks: &[Block], threads: usize) -> Self {
         let nb = blocks.len();
         let rows: Vec<usize> = (0..nb).collect();
@@ -95,14 +94,17 @@ impl RangeTable {
                     egress: 0,
                 })
                 .collect();
-            let mut set = blocks[from].set.clone();
             for to in (from + 1)..=nb {
-                if to > from + 1 {
-                    set.union_with(&blocks[to - 1].set);
-                }
+                // row[to - 1] is range [from, to - 1): one exact-size
+                // allocation per range, no running set to grow and clone
+                let set = if to == from + 1 {
+                    blocks[from].set.clone()
+                } else {
+                    row[to - 1].set.union(&blocks[to - 1].set)
+                };
                 row.push(RangeInfo {
                     egress: traverse::egress_bytes(g, &set),
-                    set: set.clone(),
+                    set,
                 });
             }
             row

@@ -37,8 +37,10 @@ impl ConvexChecker {
             list: Vec::new(),
         };
         succs.start.push(0);
+        let mut buf = Vec::new();
         for t in g.task_ids() {
-            succs.list.extend(g.task_successors(t));
+            g.task_successors_into(t, &mut buf);
+            succs.list.extend_from_slice(&buf);
             succs.start.push(succs.list.len() as u32);
         }
         ConvexChecker {

@@ -263,26 +263,45 @@ impl TaskGraph {
 
     /// Distinct predecessor tasks of `id` (producers of its inputs).
     pub fn task_predecessors(&self, id: TaskId) -> Vec<TaskId> {
-        let mut preds: Vec<TaskId> = self.tasks[id.index()]
-            .inputs
-            .iter()
-            .filter_map(|&v| self.values[v.index()].producer)
-            .collect();
-        preds.sort_unstable();
-        preds.dedup();
+        let mut preds = Vec::new();
+        self.task_predecessors_into(id, &mut preds);
         preds
     }
 
-    /// Distinct successor tasks of `id` (consumers of its outputs).
+    /// [`TaskGraph::task_predecessors`] into `out` (cleared first), so a
+    /// whole-graph walk reuses one buffer instead of allocating per task.
+    pub fn task_predecessors_into(&self, id: TaskId, out: &mut Vec<TaskId>) {
+        out.clear();
+        out.extend(
+            self.tasks[id.index()]
+                .inputs
+                .iter()
+                .filter_map(|&v| self.values[v.index()].producer),
+        );
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Distinct successor tasks of `id` (consumers of its outputs),
+    /// ascending.
     pub fn task_successors(&self, id: TaskId) -> Vec<TaskId> {
-        let mut succs: Vec<TaskId> = self.tasks[id.index()]
-            .outputs
-            .iter()
-            .flat_map(|&v| self.values[v.index()].consumers.iter().copied())
-            .collect();
-        succs.sort_unstable();
-        succs.dedup();
+        let mut succs = Vec::new();
+        self.task_successors_into(id, &mut succs);
         succs
+    }
+
+    /// [`TaskGraph::task_successors`] into `out` (cleared first), so a
+    /// whole-graph walk reuses one buffer instead of allocating per task.
+    pub fn task_successors_into(&self, id: TaskId, out: &mut Vec<TaskId>) {
+        out.clear();
+        out.extend(
+            self.tasks[id.index()]
+                .outputs
+                .iter()
+                .flat_map(|&v| self.values[v.index()].consumers.iter().copied()),
+        );
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Total number of trainable parameters (elements, not bytes).

@@ -9,8 +9,10 @@ use crate::{TaskGraph, TaskId, TaskSet, ValueId};
 pub fn topo_order(g: &TaskGraph) -> Vec<TaskId> {
     let n = g.num_tasks();
     let mut indegree = vec![0u32; n];
+    let mut adj = Vec::new();
     for t in g.task_ids() {
-        indegree[t.index()] = g.task_predecessors(t).len() as u32;
+        g.task_predecessors_into(t, &mut adj);
+        indegree[t.index()] = adj.len() as u32;
     }
     let mut queue: Vec<TaskId> = (0..n as u32)
         .map(TaskId)
@@ -22,7 +24,8 @@ pub fn topo_order(g: &TaskGraph) -> Vec<TaskId> {
         let t = queue[head];
         head += 1;
         order.push(t);
-        for s in g.task_successors(t) {
+        g.task_successors_into(t, &mut adj);
+        for &s in &adj {
             indegree[s.index()] -= 1;
             if indegree[s.index()] == 0 {
                 queue.push(s);

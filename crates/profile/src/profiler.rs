@@ -315,7 +315,7 @@ thread_local! {
 /// Construction walks the graph once, flattening each task's cost data
 /// and inputs into per-task rows. A [`Profiler::profile_set`] call is then
 /// a memo lookup keyed on a 128-bit hash of the set's bitset words
-/// ([`set_key`]): O(words), not O(members), so a hit costs what a bitset
+/// ([`set_key`]): O(window), not O(members), so a hit costs what a bitset
 /// pass costs. A miss is one pass over the members that reads only those
 /// rows, never the graph.
 pub struct Profiler<'g> {
@@ -806,15 +806,17 @@ impl CommCost {
 }
 
 /// 128-bit memo key of a task set: its non-zero bitset words, each mixed
-/// with its word index, folded into two independent 64-bit lanes. Costs
-/// O(words), not O(members). Equal members give equal words
-/// ([`TaskSet::words`]), so the key is a function of membership alone,
-/// however the set was built. Collisions across the few hundred thousand
-/// distinct sets a run profiles are negligible.
+/// with its absolute word index, folded into two independent 64-bit
+/// lanes. Costs O(window), not O(members) or O(universe). Equal members
+/// give equal windows ([`TaskSet::indexed_words`]), so the key is a
+/// function of membership alone, however the set was built; skipping zero
+/// words makes it the fold over the full universe-wide word array.
+/// Collisions across the few hundred thousand distinct sets a run
+/// profiles are negligible.
 fn set_key(set: &TaskSet) -> u128 {
     let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
     let mut h2: u64 = 0x9e37_79b9_7f4a_7c15;
-    for (i, &w) in set.words().iter().enumerate() {
+    for (i, w) in set.indexed_words() {
         if w == 0 {
             continue;
         }
@@ -1168,6 +1170,53 @@ mod tests {
             set_key(&set(&[0, 64])),
             set_key(&set(&[0]).union(&set(&[64])))
         );
+    }
+
+    /// The memo key over a set's full universe-wide word array, as it was
+    /// computed before sets were trimmed to their window.
+    fn dense_set_key(set: &TaskSet) -> u128 {
+        let mut dense = vec![0u64; set.universe().div_ceil(64)];
+        for t in set.iter() {
+            dense[t.index() / 64] |= 1 << (t.index() % 64);
+        }
+        let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h2: u64 = 0x9e37_79b9_7f4a_7c15;
+        for (i, &w) in dense.iter().enumerate() {
+            if w == 0 {
+                continue;
+            }
+            let salt = splitmix(i as u64);
+            h1 = (h1 ^ splitmix(w ^ salt)).wrapping_mul(0x1000_0000_01b3);
+            h2 = h2.rotate_left(13) ^ splitmix(w.wrapping_add(salt) ^ 0xdead_beef);
+        }
+        ((h1 as u128) << 64) | h2 as u128
+    }
+
+    #[test]
+    fn set_key_matches_the_dense_fold() {
+        // memo keys (and the seeded noise drawn from them) must not move
+        // with the set representation: windowed sets with interior zero
+        // words, far-apart unions and trimmed differences key exactly as
+        // the fold over every universe word did
+        let n = 1000usize;
+        let mut state = 7u64;
+        let mut next = move |bound: usize| {
+            state = splitmix(state);
+            state as usize % bound
+        };
+        let mut sets = vec![TaskSet::new(n)];
+        for _ in 0..200 {
+            let mut ids: Vec<TaskId> = (0..1 + next(12)).map(|_| TaskId(next(n) as u32)).collect();
+            ids.sort_unstable_by(|a, b| b.cmp(a));
+            let built = TaskSet::from_ids(n, ids);
+            let other = &sets[next(sets.len())];
+            let mut diff = built.union(other);
+            diff.difference_with(&sets[next(sets.len())]);
+            sets.extend([built.union(other), diff, built]);
+        }
+        for set in &sets {
+            assert_eq!(set_key(set), dense_set_key(set), "{set:?}");
+        }
     }
 
     #[test]

@@ -76,8 +76,9 @@ pub fn verify_plan(g: &TaskGraph, plan: &PlanView<'_>, cluster: &ClusterSpec) ->
     if acyclic {
         check_coverage(g, plan, &compatible, &mut r);
         check_duplicates(g, plan, &compatible, &mut r);
-        check_convexity(g, plan, &compatible, &mut r);
-        check_stage_order(g, plan, &compatible, &mut r);
+        let mut ck = ConvexChecker::new(g);
+        check_convexity(&mut ck, plan, &compatible, &mut r);
+        check_stage_order(g, &ck, plan, &compatible, &mut r);
         check_zero_compute(g, plan, &compatible, &mut r);
     }
     check_memory(plan, cluster, &mut r);
@@ -341,8 +342,12 @@ fn check_duplicates(g: &TaskGraph, plan: &PlanView<'_>, compatible: &[bool], r: 
 
 /// RV025: every stage must be convex (paper §III-B: a non-convex stage
 /// can deadlock the pipeline).
-fn check_convexity(g: &TaskGraph, plan: &PlanView<'_>, compatible: &[bool], r: &mut Report) {
-    let mut ck = ConvexChecker::new(g);
+fn check_convexity(
+    ck: &mut ConvexChecker,
+    plan: &PlanView<'_>,
+    compatible: &[bool],
+    r: &mut Report,
+) {
     for (i, (s, ok)) in plan.stages.iter().zip(compatible).enumerate() {
         if *ok && !ck.is_convex(s.set) {
             r.push(Diagnostic::new(
@@ -360,7 +365,13 @@ fn check_convexity(g: &TaskGraph, plan: &PlanView<'_>, compatible: &[bool], r: &
 /// RV026: data must flow forward: no value produced in a later stage may
 /// be consumed in an earlier one. Clone-aware: a constant task shared by
 /// both stages is not an edge between them.
-fn check_stage_order(g: &TaskGraph, plan: &PlanView<'_>, compatible: &[bool], r: &mut Report) {
+fn check_stage_order(
+    g: &TaskGraph,
+    ck: &ConvexChecker,
+    plan: &PlanView<'_>,
+    compatible: &[bool],
+    r: &mut Report,
+) {
     for (i, (a, a_ok)) in plan.stages.iter().zip(compatible).enumerate() {
         if !*a_ok {
             continue;
@@ -373,7 +384,7 @@ fn check_stage_order(g: &TaskGraph, plan: &PlanView<'_>, compatible: &[bool], r:
                 if a.set.contains(t) {
                     continue; // shared constant-task clone
                 }
-                for s in g.task_successors(t) {
+                for &s in ck.successors(t) {
                     if a.set.contains(s) && !b.set.contains(s) {
                         r.push(Diagnostic::new(
                             Code::BackwardStageEdge,
