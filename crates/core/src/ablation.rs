@@ -259,7 +259,7 @@ mod tests {
             },
         );
         let cluster = ClusterSpec::v100_cluster(1);
-        let ranges = RangeTable::build(&g, &blocks, 1);
+        let ranges = RangeTable::build(&g, &profiler, &blocks);
         let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &p);
         let profiled = form_stage_dp(&ctx, &mut DpArena::new()).unwrap();
         assert!(

@@ -13,7 +13,12 @@
 //! the sum of the slowest forward and slowest backward stage times — the
 //! bottleneck quantity of a synchronous pipeline. Each candidate stage is
 //! *profiled* (`profile(U, ⌊BS/R/MB/(d−d′)⌋)`) and rejected if its memory
-//! exceeds the device's. The `d_min` incremental pruning of the paper is
+//! exceeds the device's. The rejection comes first: a stage's memory is
+//! priced from its batch-independent set statistics alone, and only a
+//! stage that fits has its time profiled (see
+//! [`DpCtx::eval`](crate::stagecache::DpCtx::eval)), so the many
+//! over-memory candidates cost O(1) in their size. The result is what
+//! profiling first would give. The `d_min` incremental pruning of the paper is
 //! implemented: when no feasible split exists at device budget `d`, no
 //! smaller budget is tried again.
 
@@ -448,7 +453,7 @@ mod tests {
         p: &DpParams,
     ) -> Option<DpSolution> {
         let cluster = ClusterSpec::v100_cluster(1);
-        let ranges = RangeTable::build(g, blocks, 1);
+        let ranges = RangeTable::build(g, cost, blocks);
         let ctx = DpCtx::new(cost, &ranges, &cluster, None, p);
         form_stage_dp(&ctx, &mut DpArena::new())
     }
@@ -597,7 +602,7 @@ mod tests {
         let (g, blocks) = setup(12, 64, 6);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let cluster = ClusterSpec::v100_cluster(1);
-        let ranges = RangeTable::build(&g, &blocks, 1);
+        let ranges = RangeTable::build(&g, &profiler, &blocks);
         let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &params(3, 4));
         let mut arena = DpArena::new();
         let first = form_stage_dp(&ctx, &mut arena).expect("feasible");

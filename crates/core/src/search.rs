@@ -43,7 +43,7 @@ use crate::par;
 use crate::placement::SlotTable;
 use crate::stagecache::{DpCtx, RangeTable};
 use rannc_cost::CostModel;
-use rannc_graph::{TaskGraph, TaskSet};
+use rannc_graph::TaskGraph;
 use rannc_hw::ClusterSpec;
 use rannc_profile::CacheStats;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -268,13 +268,12 @@ pub fn form_stage_with(
     let recording = rannc_obs::recorder::enabled();
     rannc_obs::recorder::begin_search();
 
-    // Build every block-range union and pre-size the profiler memo
-    // before the first DP touches either.
+    // Build every block-range union, with its egress and seeded set
+    // statistics, before the first DP touches any.
     let nb = blocks.len();
     let ranges = {
         let _pf = rannc_obs::trace::span("prefetch_ranges", "planner").arg_i("blocks", nb as i64);
-        cost.reserve_profiles(nb * (nb + 1) / 2);
-        RangeTable::build(g, blocks, threads)
+        RangeTable::build(g, cost, blocks)
     };
 
     // Dominance pruning state. `best_bits` is the score of the best
@@ -291,24 +290,16 @@ pub fn form_stage_with(
     let prune_enabled = bound_enabled && !recording;
     let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
     let pruned_now = AtomicUsize::new(0);
-    let full_set: Option<TaskSet> = if bound_enabled {
-        let mut s = blocks[0].set.clone();
-        for b in &blocks[1..] {
-            s.union_with(&b.set);
-        }
-        Some(s)
-    } else {
-        None
-    };
     // Score lower bound of a candidate: every stage's micro-batch is at
     // least `m_lo = max(1, ⌊q/(D−S+1)⌋)` and per-task time is monotone in
     // the micro-batch, so `Σ_stages t ≥ t_full(m_lo)` and the bottleneck
     // `V = max f + max b ≥ (Σf + Σb)/S ≥ (f_full + b_full)(m_lo)/S`.
     // Comm and all-reduce terms are ≥ 0 on top. Under profiler noise σ
     // the full-set measurement may read up to (1+σ) high while true
-    // stage times may read (1−σ) low, hence the guard factor.
+    // stage times may read (1−σ) low, hence the guard factor. The full
+    // set is the range table's `[0, nb)`: same members, same memo key.
     let lower_bound = |p: &DpParams| -> f64 {
-        let full = full_set.as_ref().expect("bound requires the full set");
+        let full = &ranges.get(0, nb).set;
         let q = p.batch_size / p.replica_factor / p.microbatches;
         if q == 0 {
             return f64::INFINITY; // the DP rejects these outright
@@ -402,9 +393,10 @@ pub fn form_stage_with(
                 .map(|&i| {
                     let p = &grid[i];
                     if prune_enabled {
-                        let lb = lower_bound(p);
+                        // nothing to prune against until a candidate is
+                        // feasible: leave the bound unpriced until then
                         let best = f64::from_bits(best_bits.load(Ordering::Relaxed));
-                        if lb > best * (1.0 + 1e-9) {
+                        if best.is_finite() && lower_bound(p) > best * (1.0 + 1e-9) {
                             pruned_now.fetch_add(1, Ordering::Relaxed);
                             return None;
                         }
@@ -470,7 +462,7 @@ pub fn form_stage_with(
             let mut best = f64::INFINITY;
             for (i, sol) in solutions.iter().enumerate() {
                 let p = &grid[i];
-                if bound_enabled {
+                if bound_enabled && best.is_finite() {
                     let lb = lower_bound(p);
                     if lb > best * (1.0 + 1e-9) {
                         candidate(
@@ -523,6 +515,7 @@ mod tests {
     use super::*;
     use crate::atomic::atomic_partition;
     use crate::blocks::{block_partition, BlockLimits};
+    use rannc_graph::TaskSet;
     use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec, NodeSpec};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
@@ -602,6 +595,148 @@ mod tests {
         let (profiler, blocks) = prep(&g, mem);
         let cluster = small_cluster(2, mem);
         assert!(form_stage(&g, &profiler, &blocks, &cluster, 32).is_none());
+    }
+
+    /// A search in which no stage fits memory rejects every stage from
+    /// its set statistics: the time layer is never priced.
+    #[test]
+    fn infeasible_search_never_prices_time() {
+        let g = mlp_graph(&MlpConfig::deep(512, 512, 8, 10));
+        let mem = 1usize << 20; // 1 MiB: below even the fixed overhead
+        let (_, blocks) = prep(&g, mem);
+        let cluster = small_cluster(2, mem);
+        for tp_max in [1, 2] {
+            let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+            let opts = SearchOptions { threads: 2, tp_max };
+            let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, 32, &opts);
+            assert!(sol.is_none());
+            assert!(stats.stage_cache.misses > 0, "the DP evaluated no stage");
+            assert_eq!(cost.cache_stats().time_misses, 0, "tp_max {tp_max}");
+        }
+    }
+
+    /// Forwards to a profiler, counting the stages whose memory fits the
+    /// device and the time pricings of the whole model (the dominance
+    /// bound's, and the DP's of the one-stage range).
+    struct Counting<'a> {
+        inner: Profiler<'a>,
+        whole: TaskSet,
+        mem_ok: AtomicU64,
+        whole_timed: AtomicU64,
+    }
+
+    impl Counting<'_> {
+        fn timed(&self, set: &TaskSet) {
+            if *set == self.whole {
+                self.whole_timed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    impl CostModel for Counting<'_> {
+        fn graph(&self) -> &TaskGraph {
+            CostModel::graph(&self.inner)
+        }
+        fn options(&self) -> &ProfilerOptions {
+            CostModel::options(&self.inner)
+        }
+        fn device(&self) -> &DeviceSpec {
+            CostModel::device(&self.inner)
+        }
+        fn stage_cost(
+            &self,
+            set: &TaskSet,
+            batch: usize,
+            inflight: usize,
+            ckpt: bool,
+        ) -> rannc_profile::ProfileResult {
+            self.timed(set);
+            self.inner.stage_cost(set, batch, inflight, ckpt)
+        }
+        fn stage_cost_tp(
+            &self,
+            set: &TaskSet,
+            batch: usize,
+            inflight: usize,
+            ckpt: bool,
+            tp: usize,
+            cluster: &ClusterSpec,
+        ) -> rannc_profile::ProfileResult {
+            self.timed(set);
+            self.inner
+                .stage_cost_tp(set, batch, inflight, ckpt, tp, cluster)
+        }
+        fn stage_mem(
+            &self,
+            set: &TaskSet,
+            batch: usize,
+            inflight: usize,
+            ckpt: bool,
+            tp: usize,
+        ) -> usize {
+            let mem = self.inner.stage_mem(set, batch, inflight, ckpt, tp);
+            if mem <= self.inner.device().memory_bytes {
+                self.mem_ok.fetch_add(1, Ordering::Relaxed);
+            }
+            mem
+        }
+        fn comm_bytes(&self, from: &TaskSet, to: &TaskSet, batch: usize) -> usize {
+            CostModel::comm_bytes(&self.inner, from, to, batch)
+        }
+        fn transfer_time(&self, link: LinkSpec, bytes: usize) -> f64 {
+            self.inner.transfer_time(link, bytes)
+        }
+        fn allreduce_time(
+            &self,
+            cluster: &ClusterSpec,
+            bytes: usize,
+            group: usize,
+            spans_nodes: bool,
+        ) -> f64 {
+            self.inner
+                .allreduce_time(cluster, bytes, group, spans_nodes)
+        }
+        fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64 {
+            self.inner.optimizer_time(device, grad_bytes)
+        }
+        fn cache_stats(&self) -> CacheStats {
+            CostModel::cache_stats(&self.inner)
+        }
+        fn seed_prefix_unions(&self, parts: &[&TaskSet], unions: &[TaskSet]) {
+            self.inner.seed_prefix_unions(parts, unions)
+        }
+    }
+
+    /// In a feasible search under memory pressure, only stages that fit
+    /// are timed: time misses never exceed the memory-feasible
+    /// evaluations (plus the whole-model pricings of the bound).
+    #[test]
+    fn feasible_search_times_only_memory_feasible_stages() {
+        let g = mlp_graph(&MlpConfig::deep(512, 512, 12, 10));
+        let mem = (1usize << 30) + 40 * (1 << 20); // overhead + 40 MB
+        let (_, blocks) = prep(&g, mem);
+        let cluster = small_cluster(2, mem);
+        for tp_max in [1, 2] {
+            let cost = Counting {
+                inner: Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32()),
+                whole: TaskSet::from_ids(g.num_tasks(), g.task_ids()),
+                mem_ok: AtomicU64::new(0),
+                whole_timed: AtomicU64::new(0),
+            };
+            let opts = SearchOptions { threads: 2, tp_max };
+            let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, 32, &opts);
+            assert!(sol.is_some());
+            let mem_ok = cost.mem_ok.load(Ordering::Relaxed);
+            assert!(
+                mem_ok < stats.stage_cache.misses,
+                "no stage was over memory: the case does not test the ordering"
+            );
+            let time_misses = cost.cache_stats().time_misses;
+            assert!(
+                time_misses <= mem_ok + cost.whole_timed.load(Ordering::Relaxed),
+                "tp_max {tp_max}: {time_misses} time misses, {mem_ok} stages fit memory"
+            );
+        }
     }
 
     #[test]

@@ -5,19 +5,24 @@
 //! every candidate queries the same block-range unions `[from, to)`.
 //! [`RangeTable::build`] computes all of them once per search, up front,
 //! with incremental prefix unions (`[f, t+1)` = `[f, t) ∪ block t`), so a
-//! range query inside the DP is one array index.
+//! range query inside the DP is one array index. The same walk fills each
+//! range's egress and seeds the cost model's set statistics for it, so no
+//! range's members are scanned again: a row costs one pass over its
+//! blocks' members.
 //!
-//! [`DpCtx::eval`] prices one candidate stage. It is a pure function of
-//! `(from, to, repl)` and the context, so a result cannot depend on which
-//! thread or candidate computed it; repeats within a candidate group are
-//! answered by the DP arena's memo ([`crate::dp::DpArena`]).
+//! [`DpCtx::eval`] prices one candidate stage: memory first, from the
+//! seeded statistics, and time only for a stage that fits. A stage over
+//! the memory bound therefore costs O(1) in its size. The evaluation is a
+//! pure function of `(from, to, repl)` and the context, so a result
+//! cannot depend on which thread or candidate computed it; repeats within
+//! a candidate group are answered by the DP arena's memo
+//! ([`crate::dp::DpArena`]).
 
 use crate::blocks::Block;
 use crate::dp::DpParams;
-use crate::par;
 use crate::placement::SlotTable;
 use rannc_cost::CostModel;
-use rannc_graph::{traverse, TaskGraph, TaskSet};
+use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::{ClusterSpec, LinkSpec};
 
 /// Evaluated cost of one candidate stage.
@@ -80,39 +85,80 @@ pub struct RangeTable {
 }
 
 impl RangeTable {
-    /// Build the table for `blocks`: one prefix-union sweep per `from`
-    /// row, rows spread over `threads` workers. Row `f` unions each range
-    /// with the next block, so the whole table costs `O(nb²)` set words
-    /// instead of the `O(nb³)` of unioning every range from scratch.
-    pub fn build(g: &TaskGraph, blocks: &[Block], threads: usize) -> Self {
+    /// Build the table for `blocks`: one pass per `from` row. Row `f`
+    /// walks `[f, t+1) = [f, t) ∪ block t`, so each block's members are
+    /// read once per row: the whole table costs `O(nb · Σ|block|)`
+    /// instead of a scan of every range. The walk carries each range's
+    /// egress and hands the row to [`CostModel::seed_prefix_unions`],
+    /// which fills the set statistics of every range of the row in the
+    /// same one pass.
+    ///
+    /// Exact for any block order: blocks need not be topological or
+    /// convex, only pairwise disjoint. Rows run on the calling thread:
+    /// at k = 32 the whole table is a few milliseconds, and building it
+    /// on worker threads raised the process's peak memory more than it
+    /// saved time.
+    pub fn build(g: &TaskGraph, cost: &dyn CostModel, blocks: &[Block]) -> Self {
         let nb = blocks.len();
-        let rows: Vec<usize> = (0..nb).collect();
-        let filled = par::parallel_map_with(&rows, threads, |&from| {
-            let mut row: Vec<RangeInfo> = (0..=from)
-                .map(|_| RangeInfo {
-                    set: TaskSet::new(0),
-                    egress: 0,
-                })
-                .collect();
-            for to in (from + 1)..=nb {
-                // row[to - 1] is range [from, to - 1): one exact-size
-                // allocation per range, no running set to grow and clone
-                let set = if to == from + 1 {
-                    blocks[from].set.clone()
-                } else {
-                    row[to - 1].set.union(&blocks[to - 1].set)
-                };
-                row.push(RangeInfo {
-                    egress: traverse::egress_bytes(g, &set),
-                    set,
-                });
-            }
-            row
-        });
-        RangeTable {
-            nb,
-            ranges: filled.into_iter().flatten().collect(),
+        // per value: consumer slots a range must hold for the value to stay
+        // inside it (never reached by a model output), and its FP32 bytes
+        let mut facts: Vec<(u32, usize)> = g
+            .values()
+            .map(|(_, val)| (val.consumers.len() as u32, val.size_bytes()))
+            .collect();
+        for &v in g.outputs() {
+            facts[v.index()].0 = u32::MAX;
         }
+        // per value: in-range consumer slots, and whether its producer is
+        // in range
+        let mut consumed = vec![0u32; facts.len()];
+        let mut produced = vec![false; facts.len()];
+        let mut ranges = Vec::with_capacity(nb * (nb + 1));
+        for from in 0..nb {
+            consumed.fill(0);
+            produced.fill(false);
+            let parts: Vec<&TaskSet> = blocks[from..].iter().map(|b| &b.set).collect();
+            let mut egress = 0usize;
+            let mut sets: Vec<TaskSet> = Vec::with_capacity(parts.len());
+            let mut egresses = Vec::with_capacity(parts.len());
+            for (i, part) in parts.iter().enumerate() {
+                for t in part.iter() {
+                    let task = g.task(t);
+                    for &v in &task.outputs {
+                        let v = v.index();
+                        produced[v] = true;
+                        if consumed[v] < facts[v].0 {
+                            egress += facts[v].1;
+                        }
+                    }
+                    for &v in &task.inputs {
+                        let v = v.index();
+                        consumed[v] += 1;
+                        if produced[v] && consumed[v] == facts[v].0 {
+                            egress -= facts[v].1; // its last consumer joined
+                        }
+                    }
+                }
+                // one exact-size allocation per range, no running set to
+                // grow and clone
+                sets.push(match i {
+                    0 => (*part).clone(),
+                    _ => sets[i - 1].union(part),
+                });
+                egresses.push(egress);
+            }
+            cost.seed_prefix_unions(&parts, &sets);
+            ranges.extend((0..=from).map(|_| RangeInfo {
+                set: TaskSet::new(0),
+                egress: 0,
+            }));
+            ranges.extend(
+                sets.into_iter()
+                    .zip(egresses)
+                    .map(|(set, egress)| RangeInfo { set, egress }),
+            );
+        }
+        RangeTable { nb, ranges }
     }
 
     /// Number of blocks the table covers.
@@ -198,6 +244,14 @@ impl<'a> DpCtx<'a> {
             return None;
         }
         let range = self.ranges.get(from, to);
+        // Memory first: an over-memory stage is rejected from its memoised
+        // set statistics, without pricing its time.
+        let mem = self
+            .cost
+            .stage_mem(&range.set, micro, self.p.microbatches, self.ckpt, self.p.tp);
+        if mem > self.p.mem_limit {
+            return None;
+        }
         // tp == 1 takes the historical call exactly (same memo keys and
         // float ops), so tensor-parallel support cannot perturb plans
         // searched with `--tp-max 1`.
@@ -214,9 +268,7 @@ impl<'a> DpCtx<'a> {
             self.cost
                 .stage_cost(&range.set, micro, self.p.microbatches, self.ckpt)
         };
-        if prof.mem_bytes > self.p.mem_limit {
-            return None;
-        }
+        debug_assert_eq!(prof.mem_bytes, mem, "stage_mem must be stage_cost's memory");
         // objective includes sending outputs onward (except the last stage)
         let comm = if to < self.ranges.nb && range.egress > 0 {
             let bytes = (range.egress as f64 * micro as f64 * self.act_scale) as usize;
@@ -240,6 +292,7 @@ mod tests {
     use super::*;
     use crate::atomic::atomic_partition;
     use crate::blocks::{block_partition, BlockLimits};
+    use rannc_graph::traverse;
     use rannc_hw::DeviceSpec;
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
@@ -278,7 +331,7 @@ mod tests {
         let (g, blocks) = setup();
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let cluster = ClusterSpec::v100_cluster(1);
-        let ranges = RangeTable::build(&g, &blocks, 1);
+        let ranges = RangeTable::build(&g, &profiler, &blocks);
         let ctx = |p: &DpParams| DpCtx::new(&profiler, &ranges, &cluster, None, p);
         let nb = blocks.len();
         let a = ctx(&params(1)).eval(0, nb, 1).unwrap();
@@ -289,12 +342,12 @@ mod tests {
     }
 
     /// Every `(from, to)` entry is the union of blocks `[from, to)` with
-    /// that union's egress, and a threaded build equals a serial one.
+    /// that union's egress.
     #[test]
-    fn concurrent_fill_matches_sequential() {
+    fn fill_matches_union_and_egress_definitions() {
         let (g, blocks) = setup();
-        let serial = RangeTable::build(&g, &blocks, 1);
-        let threaded = RangeTable::build(&g, &blocks, 2);
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let table = RangeTable::build(&g, &profiler, &blocks);
         let nb = blocks.len();
         assert!(nb > 2, "need several blocks, got {nb}");
         for from in 0..nb {
@@ -307,8 +360,7 @@ mod tests {
                     egress: traverse::egress_bytes(&g, &set),
                     set,
                 };
-                assert_eq!(serial.get(from, to), &expect, "serial [{from}, {to})");
-                assert_eq!(threaded.get(from, to), &expect, "threaded [{from}, {to})");
+                assert_eq!(table.get(from, to), &expect, "[{from}, {to})");
             }
         }
     }

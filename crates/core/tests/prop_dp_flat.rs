@@ -128,7 +128,7 @@ proptest! {
         let blocks = blocks_of(&g, k);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let cluster = ClusterSpec::v100_cluster(1);
-        let ranges = RangeTable::build(&g, &blocks, 1);
+        let ranges = RangeTable::build(&g, &profiler, &blocks);
         let batch_size = 1usize << batch_pow;
         let nb = blocks.len();
 

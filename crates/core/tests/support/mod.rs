@@ -169,7 +169,7 @@ pub fn exhaustive_search(
     } else {
         cluster.device.memory_bytes
     };
-    let ranges = RangeTable::build(g, blocks, 1);
+    let ranges = RangeTable::build(g, cost, blocks);
     let mut n = 1usize;
     while n <= cluster.nodes {
         let d = d_node * n;

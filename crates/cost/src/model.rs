@@ -53,6 +53,21 @@ pub trait CostModel: Sync {
         cluster: &ClusterSpec,
     ) -> ProfileResult;
 
+    /// Peak memory of a candidate stage alone: exactly
+    /// `stage_cost_tp(set, batch, inflight, checkpointing, tp, _).mem_bytes`
+    /// (and `stage_cost`'s at `tp <= 1`), computed from the
+    /// batch-independent set statistics without pricing time. Algorithm 1
+    /// checks it first, so a stage over the memory bound is rejected
+    /// before its time is profiled.
+    fn stage_mem(
+        &self,
+        set: &TaskSet,
+        batch: usize,
+        inflight: usize,
+        checkpointing: bool,
+        tp: usize,
+    ) -> usize;
+
     /// Activation bytes crossing the cut from `from` to `to` for one
     /// micro-batch, at activation precision.
     fn comm_bytes(&self, from: &TaskSet, to: &TaskSet, batch: usize) -> usize;
@@ -89,12 +104,14 @@ pub trait CostModel: Sync {
     /// Memo-cache counters of the underlying profile oracle.
     fn cache_stats(&self) -> CacheStats;
 
-    /// Hint that about `expected_sets` distinct task sets are about to be
-    /// priced (the planner calls this with its block-range count before a
-    /// sweep), letting the oracle pre-size its memo tables. Default:
-    /// no-op — correctness never depends on it.
-    fn reserve_profiles(&self, expected_sets: usize) {
-        let _ = expected_sets;
+    /// Hint from the planner's range table: `unions[i]` is
+    /// `parts[0] ∪ … ∪ parts[i]` for pairwise-disjoint `parts`, and every
+    /// union is about to be priced. Lets the oracle fill its
+    /// batch-independent set statistics for the whole row in one pass
+    /// over the parts' members. Default: no-op — results never depend on
+    /// it.
+    fn seed_prefix_unions(&self, parts: &[&TaskSet], unions: &[TaskSet]) {
+        let _ = (parts, unions);
     }
 
     /// Stable name of the pricing family, for reports and the explain
@@ -155,6 +172,17 @@ impl<'g> CostModel for Profiler<'g> {
         r
     }
 
+    fn stage_mem(
+        &self,
+        set: &TaskSet,
+        batch: usize,
+        inflight: usize,
+        checkpointing: bool,
+        tp: usize,
+    ) -> usize {
+        self.profile_mem_tp(set, batch, inflight, checkpointing, tp)
+    }
+
     fn comm_bytes(&self, from: &TaskSet, to: &TaskSet, batch: usize) -> usize {
         Profiler::comm_bytes(self, from, to, batch)
     }
@@ -181,8 +209,8 @@ impl<'g> CostModel for Profiler<'g> {
         Profiler::cache_stats(self)
     }
 
-    fn reserve_profiles(&self, expected_sets: usize) {
-        Profiler::reserve_profiles(self, expected_sets)
+    fn seed_prefix_unions(&self, parts: &[&TaskSet], unions: &[TaskSet]) {
+        self.seed_prefix_stats(parts, unions)
     }
 }
 
@@ -222,6 +250,17 @@ impl<'g> CalibratedCost<'g> {
         &self.cal
     }
 
+    /// The memory factor applied to an analytical peak-memory estimate,
+    /// guarded so the identity calibration stays exact on the integer
+    /// round-trip.
+    fn calibrated_mem(&self, bytes: usize) -> usize {
+        if self.cal.memory == 1.0 {
+            bytes
+        } else {
+            (bytes as f64 * self.cal.memory).round() as usize
+        }
+    }
+
     /// Per-link factor: the inter-node factor for the inter-node link,
     /// the intra-node factor for everything else.
     fn link_factor(&self, link: LinkSpec) -> f64 {
@@ -256,11 +295,7 @@ impl<'g> CostModel for CalibratedCost<'g> {
         let mut r = self
             .profiler
             .stage_cost(set, batch, inflight, checkpointing);
-        // guard the multiply so the identity calibration stays exact on
-        // the integer round-trip
-        if self.cal.memory != 1.0 {
-            r.mem_bytes = (r.mem_bytes as f64 * self.cal.memory).round() as usize;
-        }
+        r.mem_bytes = self.calibrated_mem(r.mem_bytes);
         r
     }
 
@@ -279,9 +314,7 @@ impl<'g> CostModel for CalibratedCost<'g> {
         let mut r = self
             .profiler
             .profile_set_tp(set, batch, inflight, checkpointing, tp);
-        if self.cal.memory != 1.0 {
-            r.mem_bytes = (r.mem_bytes as f64 * self.cal.memory).round() as usize;
-        }
+        r.mem_bytes = self.calibrated_mem(r.mem_bytes);
         // the TP activation all-reduce is priced through the *calibrated*
         // collective path, unlike the profiler's raw impl
         let bytes = self.profiler.tp_allreduce_bytes(set, batch);
@@ -291,6 +324,20 @@ impl<'g> CostModel for CalibratedCost<'g> {
             r.bwd_time += ar;
         }
         r
+    }
+
+    fn stage_mem(
+        &self,
+        set: &TaskSet,
+        batch: usize,
+        inflight: usize,
+        checkpointing: bool,
+        tp: usize,
+    ) -> usize {
+        self.calibrated_mem(
+            self.profiler
+                .profile_mem_tp(set, batch, inflight, checkpointing, tp),
+        )
     }
 
     fn comm_bytes(&self, from: &TaskSet, to: &TaskSet, batch: usize) -> usize {
@@ -338,8 +385,8 @@ impl<'g> CostModel for CalibratedCost<'g> {
         CostModel::cache_stats(&self.profiler)
     }
 
-    fn reserve_profiles(&self, expected_sets: usize) {
-        CostModel::reserve_profiles(&self.profiler, expected_sets)
+    fn seed_prefix_unions(&self, parts: &[&TaskSet], unions: &[TaskSet]) {
+        self.profiler.seed_prefix_stats(parts, unions)
     }
 
     fn name(&self) -> &'static str {

@@ -11,7 +11,10 @@ use proptest::prelude::*;
 use rannc_cost::{CalibratedCost, Calibration, CostModel};
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::ClusterSpec;
-use rannc_models::{bert_graph, BertConfig};
+use rannc_models::{
+    bert_graph, gpt_graph, mlp_graph, resnet_graph, t5_graph, BertConfig, GptConfig, MlpConfig,
+    ResNetConfig, T5Config,
+};
 use rannc_profile::{Profiler, ProfilerOptions};
 
 fn graph() -> TaskGraph {
@@ -62,8 +65,93 @@ fn for_both_models(cal: &Calibration, law: impl Fn(&dyn CostModel, &ClusterSpec,
     law(&calibrated, &cluster, "calibrated");
 }
 
+/// The tiny graph of model family `i` (bert, gpt, t5, resnet, mlp).
+fn family_graph(i: usize) -> TaskGraph {
+    match i {
+        0 => bert_graph(&BertConfig::tiny()),
+        1 => gpt_graph(&GptConfig::tiny()),
+        2 => t5_graph(&T5Config::tiny()),
+        3 => resnet_graph(&ResNetConfig::tiny()),
+        _ => mlp_graph(&MlpConfig::deep(64, 64, 8, 10)),
+    }
+}
+
+/// A pseudo-random subset of `g`'s tasks: each task is kept when its
+/// hashed id, salted with `sel`, has its low bit set.
+fn random_set(g: &TaskGraph, sel: u64) -> TaskSet {
+    let mix = |t: u64| {
+        let mut x = (t ^ sel).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^= x >> 31;
+        x.wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 63
+    };
+    TaskSet::from_ids(
+        g.num_tasks(),
+        g.task_ids().filter(|t| mix(t.index() as u64) == 1),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Memory-only pricing is exactly the memory `stage_cost_tp` reports
+    /// (and `stage_cost`'s at `tp = 1`), for both models — an identity
+    /// and a random calibration, whose memory factor is not 1.0 — on
+    /// random sets of every model family, at every tensor-parallel
+    /// degree, in-flight count and checkpointing flag.
+    #[test]
+    fn stage_mem_is_stage_cost_memory(
+        cal in calibrations(),
+        family in 0usize..5,
+        sel in any::<u64>(),
+        batch in 1usize..64,
+    ) {
+        let g = family_graph(family);
+        let cluster = ClusterSpec::v100_cluster(2);
+        let set = random_set(&g, sel);
+        let analytical = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::mixed());
+        let models: Vec<(Box<dyn CostModel + '_>, &str)> = vec![
+            (Box::new(analytical), "analytical"),
+            (
+                Box::new(CalibratedCost::new(
+                    &g,
+                    cluster.device.clone(),
+                    ProfilerOptions::mixed(),
+                    Calibration::identity(),
+                    &cluster,
+                )),
+                "identity-calibrated",
+            ),
+            (
+                Box::new(CalibratedCost::new(
+                    &g,
+                    cluster.device.clone(),
+                    ProfilerOptions::mixed(),
+                    cal.clone(),
+                    &cluster,
+                )),
+                "calibrated",
+            ),
+        ];
+        for (m, label) in &models {
+            for tp in [1usize, 2, 4, 8] {
+                for inflight in [1usize, 2, 5, 16] {
+                    for ckpt in [false, true] {
+                        // memory first, as the DP asks: nothing memoised yet
+                        let mem = m.stage_mem(&set, batch, inflight, ckpt, tp);
+                        let full = m.stage_cost_tp(&set, batch, inflight, ckpt, tp, &cluster);
+                        prop_assert_eq!(
+                            mem, full.mem_bytes,
+                            "{}: tp {}, inflight {}, ckpt {}", label, tp, inflight, ckpt
+                        );
+                        if tp == 1 {
+                            let plain = m.stage_cost(&set, batch, inflight, ckpt);
+                            prop_assert_eq!(mem, plain.mem_bytes, "{}: stage_cost", label);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// Transfer time is nondecreasing in bytes, on both link classes.
     #[test]

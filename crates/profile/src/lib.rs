@@ -17,8 +17,12 @@
 //! * **caching** — results are memoised in two layers keyed on a 128-bit
 //!   hash of the task set's bitset words (O(words), not O(members)):
 //!   batch-independent set statistics, and raw times per (micro-batch,
-//!   tensor-parallel degree). A miss reads flat per-task rows built once
-//!   per [`Profiler`], never the graph. This mirrors how RaNNC amortizes
+//!   tensor-parallel degree). Memory is priced from the statistics alone
+//!   ([`Profiler::profile_mem_tp`]), so an over-memory stage never
+//!   reaches the time layer. A miss reads flat per-task rows built once
+//!   per [`Profiler`], never the graph, and
+//!   [`Profiler::seed_prefix_stats`] fills the statistics of a whole row
+//!   of prefix unions in one pass. This mirrors how RaNNC amortizes
 //!   profiling across the DP's many candidate stages.
 //!
 //! An optional multiplicative noise model emulates real measurement jitter

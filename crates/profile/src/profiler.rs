@@ -96,6 +96,8 @@ struct TaskCost {
     params: std::ops::Range<u32>,
     /// This task's rows in [`Profiler::act_inputs`].
     acts: std::ops::Range<u32>,
+    /// This task's rows in [`Profiler::outputs`].
+    outs: std::ops::Range<u32>,
     /// Per-op calibration factor applied to the roofline term (1.0 = the
     /// pure analytical model; `x * 1.0` is bit-identical to `x`).
     cal: f64,
@@ -123,6 +125,14 @@ struct ActInput {
 
 /// [`ActInput::producer`] of a value no task produces.
 const NO_PRODUCER: u32 = u32::MAX;
+
+/// One output of a task, flattened likewise. Outputs are never static.
+#[derive(Debug, Clone, Copy)]
+struct Output {
+    value: u32,
+    /// FP32 bytes of one sample of the value.
+    bytes: usize,
+}
 
 /// Batch-independent statistics of a task set: the memory-model inputs
 /// that depend only on *which* tasks are in the set, never on the
@@ -171,9 +181,7 @@ const STATS_AUX: u64 = 1;
 /// Replaces the per-shard `HashMap`: profile keys are already
 /// high-quality 128-bit hashes ([`set_key`]), so SipHash re-hashing every lookup
 /// was pure overhead, and the flat slot array keeps a probe sequence on
-/// adjacent cache lines. Capacity is a power of two, grown at ~70% load;
-/// [`FlatMemo::reserve`] lets the planner pre-size the table from the
-/// block count before a sweep starts.
+/// adjacent cache lines. Capacity is a power of two, grown at ~70% load.
 struct FlatMemo<V: Copy + Default> {
     slots: Vec<MemoSlot<V>>,
     len: usize,
@@ -228,16 +236,6 @@ impl<V: Copy + Default> FlatMemo<V> {
                 return;
             }
             i = (i + 1) & mask;
-        }
-    }
-
-    /// Pre-size for `additional` further entries without rehashing later.
-    fn reserve(&mut self, additional: usize) {
-        let needed = ((self.len + additional) * 10 / 7 + 1)
-            .next_power_of_two()
-            .max(Self::MIN_SLOTS);
-        if needed > self.slots.len() {
-            self.grow(needed);
         }
     }
 
@@ -325,6 +323,7 @@ pub struct Profiler<'g> {
     costs: Vec<TaskCost>,
     static_inputs: Vec<StaticInput>,
     act_inputs: Vec<ActInput>,
+    outputs: Vec<Output>,
     set_stats: Vec<Mutex<FlatMemo<SetStats>>>,
     time_profiles: Vec<Mutex<FlatMemo<TimeProfile>>>,
     stats_hits: AtomicU64,
@@ -354,8 +353,10 @@ impl<'g> Profiler<'g> {
         let mut costs = Vec::with_capacity(g.num_tasks());
         let mut static_inputs = Vec::new();
         let mut act_inputs = Vec::new();
+        let mut outputs = Vec::new();
         for (tid, task) in g.tasks() {
             let (params_start, acts_start) = (static_inputs.len() as u32, act_inputs.len() as u32);
+            let outs_start = outputs.len() as u32;
             for &v in &task.inputs {
                 let val = g.value(v);
                 if val.kind.is_static() {
@@ -375,7 +376,11 @@ impl<'g> Profiler<'g> {
                     });
                 }
             }
-            let out_act_bytes = task.outputs.iter().map(|&v| g.value(v).size_bytes()).sum();
+            outputs.extend(task.outputs.iter().map(|&v| Output {
+                value: v.0,
+                bytes: g.value(v).size_bytes(),
+            }));
+            let out_act_bytes = outputs[outs_start as usize..].iter().map(|o| o.bytes).sum();
             let (act_bytes, static_bytes) = crate::flops::task_bytes_split(g, tid);
             costs.push(TaskCost {
                 flops: task_flops(g, tid),
@@ -386,6 +391,7 @@ impl<'g> Profiler<'g> {
                 scales: non_constant[tid.index()],
                 params: params_start..static_inputs.len() as u32,
                 acts: acts_start..act_inputs.len() as u32,
+                outs: outs_start..outputs.len() as u32,
                 cal: scale_of(&task.op),
             });
         }
@@ -396,6 +402,7 @@ impl<'g> Profiler<'g> {
             costs,
             static_inputs,
             act_inputs,
+            outputs,
             set_stats: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(FlatMemo::new()))
                 .collect(),
@@ -463,21 +470,6 @@ impl<'g> Profiler<'g> {
                 .sum::<usize>()
     }
 
-    /// Pre-size the memo tables for a sweep expected to profile about
-    /// `expected_sets` distinct task sets. Called by the planner with the
-    /// block-count-derived range count so miss-path inserts never rehash
-    /// mid-sweep. A no-op when the tables are already large enough.
-    pub fn reserve_profiles(&self, expected_sets: usize) {
-        let per_shard = expected_sets / CACHE_SHARDS + 1;
-        for shard in &self.set_stats {
-            shard.lock().unwrap().reserve(per_shard);
-        }
-        for shard in &self.time_profiles {
-            // a sweep queries each range at a handful of micro-batch sizes
-            shard.lock().unwrap().reserve(per_shard * 4);
-        }
-    }
-
     /// Snapshot of cache behaviour since construction: hits, misses,
     /// shard-lock contention, and per-shard entry counts, with the
     /// per-layer breakdown of the two-level memo.
@@ -527,54 +519,109 @@ impl<'g> Profiler<'g> {
         t_compute.max(t_memory) * c.cal + self.opts.launch_overhead
     }
 
-    /// Batch-independent miss path: parameter elements and deduplicated
-    /// ingress/intermediate activation bytes of the set. Reads only the
-    /// flat per-task rows built at construction; every sum is an exact
-    /// integer.
-    fn compute_set_stats(&self, set: &TaskSet) -> SetStats {
-        let mut stats = SetStats::default();
+    /// Run `f` on this thread's stamp buffer with `parts` fresh,
+    /// consecutive stamps `base..base + parts`: every stamp in the buffer
+    /// is below `base`, so no value counts as seen yet.
+    fn with_stamps<R>(&self, parts: usize, f: impl FnOnce(&mut [u32], u32) -> R) -> R {
+        let parts = u32::try_from(parts).expect("more parts than stamps");
         SCRATCH.with(|cell| {
             let mut buf = cell.borrow_mut();
             let (stamps, stamp) = &mut *buf;
             if stamps.len() < self.g.num_values() {
                 stamps.resize(self.g.num_values(), 0);
             }
-            *stamp = stamp.wrapping_add(1);
-            if *stamp == 0 {
+            if stamp.checked_add(parts).is_none() {
                 stamps.iter_mut().for_each(|s| *s = 0);
-                *stamp = 1;
+                *stamp = 0;
             }
-            let stamp = *stamp;
-            for t in set.iter() {
-                let c = &self.costs[t.index()];
-                if c.scales {
-                    stats.inter_act_bytes += c.out_act_bytes;
-                    if c.compute_bound {
-                        stats.split_out_bytes += c.out_act_bytes;
-                    }
+            let base = *stamp + 1;
+            *stamp += parts;
+            f(stamps, base)
+        })
+    }
+
+    /// The one set-statistics accumulation routine: turn `stats`, the
+    /// statistics of the parts stamped `base..cur`, into those of `union`
+    /// = those parts ∪ `part`, stamping values first seen here with `cur`.
+    /// Parts must be disjoint; their order is free. Reads only the flat
+    /// per-task rows built at construction; every sum is an exact
+    /// integer, so any split of a set into parts gives the statistics of
+    /// the set computed in one part.
+    fn add_part(
+        &self,
+        stats: &mut SetStats,
+        stamps: &mut [u32],
+        (base, cur): (u32, u32),
+        part: &TaskSet,
+        union: &TaskSet,
+    ) {
+        for t in part.iter() {
+            let c = &self.costs[t.index()];
+            if c.scales {
+                stats.inter_act_bytes += c.out_act_bytes;
+                if c.compute_bound {
+                    stats.split_out_bytes += c.out_act_bytes;
                 }
-                // Static and activation inputs are distinct values, so the
-                // two passes share one stamp epoch without ever stamping
-                // the same id; each value counts once per set.
-                for row in &self.static_inputs[c.params.start as usize..c.params.end as usize] {
-                    let v = row.value as usize;
-                    if stamps[v] != stamp {
-                        stamps[v] = stamp;
-                        stats.param_elems += row.param_elems;
-                    }
-                }
-                for row in &self.act_inputs[c.acts.start as usize..c.acts.end as usize] {
-                    let v = row.value as usize;
-                    if stamps[v] != stamp {
-                        stamps[v] = stamp;
-                        if !set.contains(TaskId(row.producer)) {
-                            stats.ingress_bytes += row.bytes;
-                        }
+            }
+            if cur > base {
+                // an earlier part read this output as ingress (its producer
+                // was outside the union then); now it is produced inside
+                for row in &self.outputs[c.outs.start as usize..c.outs.end as usize] {
+                    if (base..cur).contains(&stamps[row.value as usize]) {
+                        stats.ingress_bytes -= row.bytes;
                     }
                 }
             }
-        });
-        stats
+            // Static and activation inputs are distinct values, so the
+            // two passes share one stamp range without ever stamping the
+            // same id; each value counts once per union.
+            for row in &self.static_inputs[c.params.start as usize..c.params.end as usize] {
+                let v = row.value as usize;
+                if stamps[v] < base {
+                    stamps[v] = cur;
+                    stats.param_elems += row.param_elems;
+                }
+            }
+            for row in &self.act_inputs[c.acts.start as usize..c.acts.end as usize] {
+                let v = row.value as usize;
+                if stamps[v] < base {
+                    stamps[v] = cur;
+                    if !union.contains(TaskId(row.producer)) {
+                        stats.ingress_bytes += row.bytes;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Batch-independent miss path: parameter elements and deduplicated
+    /// ingress/intermediate activation bytes of the set, [`Self::add_part`]
+    /// with the set as its only part.
+    fn compute_set_stats(&self, set: &TaskSet) -> SetStats {
+        self.with_stamps(1, |stamps, base| {
+            let mut stats = SetStats::default();
+            self.add_part(&mut stats, stamps, (base, base), set, set);
+            stats
+        })
+    }
+
+    /// Seed the set-statistics memo with every prefix union of `parts`:
+    /// `unions[i]` must be `parts[0] ∪ … ∪ parts[i]`, the parts pairwise
+    /// disjoint, in any order. One pass over the parts' members fills all
+    /// of them, where looking each union up would walk its members anew.
+    /// Seeded entries equal what a miss would compute, so seeding never
+    /// changes a result; it counts as neither a hit nor a miss.
+    pub fn seed_prefix_stats(&self, parts: &[&TaskSet], unions: &[TaskSet]) {
+        assert_eq!(parts.len(), unions.len(), "one union per part");
+        self.with_stamps(parts.len(), |stamps, base| {
+            let mut stats = SetStats::default();
+            for (i, (part, union)) in parts.iter().zip(unions).enumerate() {
+                self.add_part(&mut stats, stamps, (base, base + i as u32), part, union);
+                let key = set_key(union);
+                self.lock_memo(&self.set_stats, Self::shard_of(key, STATS_AUX))
+                    .insert(key, STATS_AUX, stats);
+            }
+        })
     }
 
     /// Per-`(set, batch, tp)` miss path: the roofline time and FLOP sums,
@@ -723,17 +770,7 @@ impl<'g> Profiler<'g> {
             bwd += fwd;
         }
 
-        let mem = MemoryParams {
-            precision: self.opts.precision,
-            checkpointing,
-            inflight: inflight.max(1),
-        };
-        let mem_bytes = mem.stage_bytes(
-            stats.param_elems / tp,
-            stats.ingress_bytes,
-            stats.inter_act_bytes,
-            batch,
-        );
+        let mem_bytes = self.stage_mem_bytes(&stats, batch, inflight, checkpointing, tp);
 
         let noise = self.noise_factor(key ^ aux as u128);
         ProfileResult {
@@ -743,6 +780,48 @@ impl<'g> Profiler<'g> {
             param_elems: stats.param_elems,
             flops: time.flops,
         }
+    }
+
+    /// Peak memory of a stage from its set statistics: the one memory
+    /// formula behind [`Profiler::profile_set_tp`] and
+    /// [`Profiler::profile_mem_tp`]. Weight/optimizer state is sharded
+    /// `tp` ways; activation buffers stay full-size.
+    fn stage_mem_bytes(
+        &self,
+        stats: &SetStats,
+        batch: usize,
+        inflight: usize,
+        checkpointing: bool,
+        tp: usize,
+    ) -> usize {
+        let mem = MemoryParams {
+            precision: self.opts.precision,
+            checkpointing,
+            inflight: inflight.max(1),
+        };
+        mem.stage_bytes(
+            stats.param_elems / tp,
+            stats.ingress_bytes,
+            stats.inter_act_bytes,
+            batch,
+        )
+    }
+
+    /// The memory half of [`Profiler::profile_set_tp`]: exactly its
+    /// `mem_bytes`, computed from the batch-independent set statistics
+    /// alone. Never touches the time layer, so once a set's statistics
+    /// are memoised, pricing its memory costs O(window), whatever the
+    /// set's size.
+    pub fn profile_mem_tp(
+        &self,
+        set: &TaskSet,
+        batch: usize,
+        inflight: usize,
+        checkpointing: bool,
+        tp: usize,
+    ) -> usize {
+        let stats = self.set_stats_cached(set_key(set), set);
+        self.stage_mem_bytes(&stats, batch, inflight, checkpointing, tp.max(1))
     }
 
     /// Per-micro-batch tensor-parallel all-reduce volume of a stage: the
@@ -1144,6 +1223,50 @@ mod tests {
                     }
                 }
                 assert_stats_match_reference(g, &p, &set);
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_prefix_stats_match_reference_in_any_part_order() {
+        // Parts that interleave task ids, unioned in random order: a value
+        // read by an early part and produced by a later one must leave the
+        // ingress when its producer joins, and shared parameters and
+        // constants must count once per union.
+        let graphs = [
+            bert_graph(&BertConfig::tiny()),
+            gpt_graph(&GptConfig::tiny()),
+            t5_graph(&T5Config::tiny()),
+            resnet_graph(&ResNetConfig::tiny()),
+            mlp_graph(&MlpConfig::deep(32, 64, 4, 10)),
+        ];
+        let mut rng = 0x5eed_u64;
+        for g in &graphs {
+            let n = g.num_tasks();
+            for k in 1..6usize {
+                let mut members = vec![Vec::new(); k];
+                for t in g.task_ids() {
+                    rng = splitmix(rng);
+                    members[rng as usize % k].push(t);
+                }
+                let parts: Vec<TaskSet> = members
+                    .into_iter()
+                    .map(|m| TaskSet::from_ids(n, m))
+                    .collect();
+                let mut unions: Vec<TaskSet> = Vec::new();
+                for part in &parts {
+                    unions.push(match unions.last() {
+                        Some(prev) => prev.union(part),
+                        None => part.clone(),
+                    });
+                }
+                let p = Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+                p.seed_prefix_stats(&parts.iter().collect::<Vec<_>>(), &unions);
+                for u in &unions {
+                    assert_eq!(p.set_stats_cached(set_key(u), u), reference_set_stats(g, u));
+                }
+                let stats = p.cache_stats();
+                assert_eq!((stats.stats_misses, stats.stats_hits), (0, k as u64));
             }
         }
     }

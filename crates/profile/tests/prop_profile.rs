@@ -161,7 +161,9 @@ proptest! {
                 mem: 0,
             })
             .collect();
-        let ranges = RangeTable::build(&g, &blocks, 1);
+        // built through a second profiler: `p` sees every set unseeded
+        let seeder = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let ranges = RangeTable::build(&g, &seeder, &blocks);
         let mut distinct = HashSet::new();
         for from in 0..nb {
             for to in from + 1..=nb {

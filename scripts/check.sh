@@ -14,6 +14,12 @@ echo "==> paper-scale block-phase parity (BERT 2048x256, k 32, against the refer
 # must produce exactly the reference's blocks and uncoarsening moves
 cargo test --release -q -p rannc-core --offline --test prop_blocks_identical -- --ignored
 
+echo "==> paper-scale range-table parity (BERT 2048x256, k 32, all 528 ranges)"
+# ignored in the default run for its size: the one-pass row walk must give
+# every range the egress of its union and seed statistics that price it
+# bit-identically to an unseeded profiler
+cargo test --release -q -p rannc-core --offline --test prop_range_table -- --ignored
+
 echo "==> paper-scale liveness parity (BERT 2048x256, 4 stages, against the definition)"
 # ignored in the default run for its size: the closed-form stage liveness
 # must equal the brute-force walk over every program point

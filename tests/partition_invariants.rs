@@ -154,7 +154,7 @@ fn more_devices_never_hurt_the_objective() {
         },
     );
     let cluster = ClusterSpec::v100_cluster(1);
-    let ranges = RangeTable::build(&g, &blocks, 1);
+    let ranges = RangeTable::build(&g, &profiler, &blocks);
     let mut last = f64::INFINITY;
     for d in [2usize, 4, 8] {
         let p = DpParams {
