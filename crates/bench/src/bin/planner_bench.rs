@@ -14,8 +14,8 @@
 //! With `--check` the binary exits nonzero if the emitted JSON is
 //! malformed, any engine plan differs from the one-thread baseline, the
 //! DP arena memo never hit on any case (the memoization would be dead
-//! weight; pruning can leave a small case only single-stage candidates,
-//! which never repeat a lookup), or —
+//! weight; a small case may have only single-stage candidates, which
+//! never repeat a lookup), or —
 //! when tracing is off — the observability layer allocated anything
 //! during the timed runs (the zero-overhead-when-disabled contract; the
 //! plan flight recorder is held to the same standard). `--check` also

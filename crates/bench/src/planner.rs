@@ -418,9 +418,9 @@ pub fn explain_artifact(
 
 /// `--check` gate for the plan flight recorder. The first quick-grid
 /// case is partitioned with the recorder on at 1, 2 and 4 worker
-/// threads: the three explain artifacts must be byte-identical (the
-/// canonical pruning replay makes the candidate record independent of
-/// sweep interleaving), the artifact must pass `obs::check_explain`,
+/// threads: the three explain artifacts must be byte-identical (every
+/// grid cell runs its DP and is recorded in grid order after the sweep,
+/// so the record is independent of sweep interleaving), the artifact must pass `obs::check_explain`,
 /// and the recorded plan must be bit-identical to a recorder-off run —
 /// recording is observability, never a behaviour change.
 ///
@@ -466,9 +466,9 @@ pub fn check_explain_determinism(quick: bool) -> Result<Vec<String>, String> {
         ));
     }
     Ok(vec![format!(
-        "  {}: {} candidate(s) over {} tier(s) ({} feasible, {} pruned), artifact \
+        "  {}: {} candidate(s) over {} tier(s) ({} feasible), artifact \
          byte-identical across 1/2/4 thread(s), validator OK, plan unperturbed",
-        case.name, summary.candidates, summary.tiers, summary.feasible, summary.pruned
+        case.name, summary.candidates, summary.tiers, summary.feasible
     )])
 }
 
@@ -710,7 +710,7 @@ fn json_cache(stats: &CacheStats) -> String {
 pub fn to_json(report: &BenchReport) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"rannc_planner_search\",\n");
-    out.push_str("  \"version\": 4,\n");
+    out.push_str("  \"version\": 5,\n");
     out.push_str(&format!("  \"threads\": {},\n", report.threads));
     out.push_str(&format!("  \"tp_max\": {},\n", report.tp_max));
     out.push_str(&format!("  \"quick\": {},\n", report.quick));
@@ -729,7 +729,7 @@ pub fn to_json(report: &BenchReport) -> String {
              \"speedup\": {:.6},\n     \
              \"plans_identical\": {}, \"plan_stages\": {}, \
              \"tp_max\": {}, \"plan_tp\": [{}],\n     \
-             \"search\": {{\"candidates\": {}, \"feasible\": {}, \"pruned\": {}, \
+             \"search\": {{\"candidates\": {}, \"feasible\": {}, \
              \"node_tiers\": {}, \"threads\": {}}},\n     \
              \"stage_cache\": {},\n     \
              \"profiler_cache\": {}}}{}\n",
@@ -753,7 +753,6 @@ pub fn to_json(report: &BenchReport) -> String {
                 .join(", "),
             c.search.candidates,
             c.search.feasible,
-            c.search.pruned,
             c.search.node_tiers,
             c.search.threads,
             json_stage_cache(&c.search.stage_cache),

@@ -48,7 +48,7 @@ The `explain` subcommand renders a plan flight recording written by
 --explain-out: the winning plan's per-stage cost breakdown (fwd/bwd
 compute, transfer, all-reduce, optimizer, estimated vs certified peak
 memory), the top-k runner-up plans with cost deltas, and the search's
-pruning/cache account. With --diff it attributes the cost delta
+candidate/cache account. With --diff it attributes the cost delta
 between two recordings (e.g. before/after a device loss) stage by
 stage. Exits nonzero if an artifact fails its schema validation.
 

@@ -134,13 +134,11 @@ fn main() {
     } else {
         let started = std::time::Instant::now();
         match rannc.partition_with_stats(&graph, &cluster) {
-            Ok((p, _stats)) => {
+            Ok((p, stats)) => {
                 if args.planner_stats {
-                    // sourced from the metrics registry (same numbers as
-                    // the per-run snapshot in a single-run process)
                     eprintln!(
                         "{}\n  wall clock: {:.3} s",
-                        rannc::core::PlannerStats::render_registry(),
+                        stats.render(),
                         started.elapsed().as_secs_f64()
                     );
                 }

@@ -69,9 +69,13 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
         self.profile(set).0
     }
 
-    /// Whether a candidate group fits the device memory bound.
+    /// Whether a candidate group fits the device memory bound. Prices
+    /// memory only: exactly [`BlockCtx::profile`]'s memory, without its
+    /// time.
     pub fn fits(&self, set: &TaskSet) -> bool {
-        self.profile(set).1 <= self.limits.mem_limit
+        self.cost
+            .stage_mem(set, self.limits.profile_batch, 1, true, 1)
+            <= self.limits.mem_limit
     }
 
     /// Group-level adjacency lists for the current `groups`.

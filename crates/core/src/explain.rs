@@ -1,7 +1,7 @@
 //! Flight-recorder annotation: context, winner attribution, accounting.
 //!
 //! The hooks in [`crate::search`] capture the *sweep* — every candidate
-//! `(S, MB)` per node tier with its score or pruning lower bound. This
+//! `(S, MB)` per node tier with its score or infeasibility. This
 //! module stamps the remaining sections of the explain artifact onto the
 //! open recording once a plan exists:
 //!

@@ -204,20 +204,6 @@ fn cache_nums(s: &CacheStats) -> CacheNums {
     ]
 }
 
-fn cache_nums_from_registry(prefix: &str) -> CacheNums {
-    let g = |field: &str| match rannc_obs::metrics::value(&format!("{prefix}.{field}")) {
-        Some(rannc_obs::metrics::MetricValue::Gauge(v)) => v.max(0.0) as u64,
-        _ => 0,
-    };
-    [
-        g("hits"),
-        g("misses"),
-        g("entries"),
-        g("contention"),
-        g("max_shard"),
-    ]
-}
-
 /// Publish a cache snapshot as `{prefix}.{hits,misses,entries,contention,
 /// max_shard}` gauges (last-run semantics, like the rendered stats).
 pub(crate) fn publish_cache_metrics(prefix: &str, s: &CacheStats) {
@@ -230,79 +216,42 @@ pub(crate) fn publish_cache_metrics(prefix: &str, s: &CacheStats) {
     }
 }
 
-fn render_planner_stats(search: [u64; 5], sc: CacheNums, pc: CacheNums) -> String {
-    let rate = |hits: u64, misses: u64| {
-        if hits + misses == 0 {
-            0.0
-        } else {
-            100.0 * hits as f64 / (hits + misses) as f64
-        }
-    };
-    format!(
-        "planner stats:\n  \
-         search: {} DP candidate(s), {} feasible, {} pruned, {} node tier(s), \
-         {} thread(s)\n  \
-         stage cache: {} hits / {} misses ({:.1}% hit rate), {} entries, \
-         {} contended lock(s), max shard {}\n  \
-         profiler cache: {} hits / {} misses ({:.1}% hit rate), {} entries, \
-         {} contended lock(s), max shard {}",
-        search[0],
-        search[1],
-        search[2],
-        search[3],
-        search[4],
-        sc[0],
-        sc[1],
-        rate(sc[0], sc[1]),
-        sc[2],
-        sc[3],
-        sc[4],
-        pc[0],
-        pc[1],
-        rate(pc[0], pc[1]),
-        pc[2],
-        pc[3],
-        pc[4],
-    )
-}
-
 impl PlannerStats {
     /// Multi-line human-readable rendering.
     pub fn render(&self) -> String {
-        render_planner_stats(
-            [
-                self.search.candidates as u64,
-                self.search.feasible as u64,
-                self.search.pruned as u64,
-                self.search.node_tiers as u64,
-                self.search.threads as u64,
-            ],
-            cache_nums(&self.search.stage_cache),
-            cache_nums(&self.profiler_cache),
-        )
-    }
-
-    /// The same rendering, sourced from the global metrics registry
-    /// instead of a per-run snapshot. After a single partitioning run in
-    /// a fresh process the two are identical; across several runs the
-    /// registry view is cumulative for search counters and last-run for
-    /// cache gauges.
-    pub fn render_registry() -> String {
-        use rannc_obs::metrics::{counter_value, value, MetricValue};
-        let threads = match value("planner.search.threads") {
-            Some(MetricValue::Gauge(v)) => v.max(0.0) as u64,
-            _ => 0,
+        let rate = |hits: u64, misses: u64| {
+            if hits + misses == 0 {
+                0.0
+            } else {
+                100.0 * hits as f64 / (hits + misses) as f64
+            }
         };
-        render_planner_stats(
-            [
-                counter_value("planner.search.candidates"),
-                counter_value("planner.search.feasible"),
-                counter_value("planner.search.pruned"),
-                counter_value("planner.search.node_tiers"),
-                threads,
-            ],
-            cache_nums_from_registry("planner.stage_cache"),
-            cache_nums_from_registry("planner.profiler_cache"),
+        let search = &self.search;
+        let sc = cache_nums(&search.stage_cache);
+        let pc = cache_nums(&self.profiler_cache);
+        format!(
+            "planner stats:\n  \
+             search: {} DP candidate(s), {} feasible, {} node tier(s), {} thread(s)\n  \
+             stage cache: {} hits / {} misses ({:.1}% hit rate), {} entries, \
+             {} contended lock(s), max shard {}\n  \
+             profiler cache: {} hits / {} misses ({:.1}% hit rate), {} entries, \
+             {} contended lock(s), max shard {}",
+            search.candidates,
+            search.feasible,
+            search.node_tiers,
+            search.threads,
+            sc[0],
+            sc[1],
+            rate(sc[0], sc[1]),
+            sc[2],
+            sc[3],
+            sc[4],
+            pc[0],
+            pc[1],
+            rate(pc[0], pc[1]),
+            pc[2],
+            pc[3],
+            pc[4],
         )
     }
 }

@@ -21,21 +21,18 @@
 //! groups out over [`crate::par::parallel_map_with`]. Each group runs its
 //! stage counts ascending through one [`DpArena`], whose flat
 //! `(b_prev, b, repl)` memo persists across the group's candidates.
-//! Candidates whose score *lower bound* (a cheap whole-graph profile,
-//! see `lower_bound` in the sweep) already exceeds the best score found
-//! are pruned without running their DP.
+//! Every cell runs its DP, as in the paper's Algorithm 2.
 //!
-//! **Determinism.** The chosen plan is bit-identical to an unpruned
-//! sequential scan with a fresh arena per candidate: candidate results
-//! are scattered back to grid order before the winner is chosen, every
-//! DP result is a pure function of its parameters (arena memo entries
-//! equal fresh evaluations exactly), pruning only removes candidates
-//! that provably cannot win *or tie* (the bound is a true lower bound;
-//! ties survive the strict comparison, whatever order the racing
-//! best-so-far updates land in), and the winner is the *first*
+//! **Determinism.** The chosen plan is bit-identical to a sequential
+//! scan with a fresh arena per candidate: candidate results are
+//! scattered back to grid order before the winner is chosen, every DP
+//! result is a pure function of its parameters (arena memo entries
+//! equal fresh evaluations exactly), and the winner is the *first*
 //! candidate with the minimal score — the same tie-breaking
-//! `Iterator::min_by` applies in a sequential scan. The `determinism`
-//! integration suite pins this contract against such a scan.
+//! `Iterator::min_by` applies in a sequential scan. The set of DPs that
+//! run, and so every search counter, does not depend on the thread
+//! schedule. The `determinism` integration suite pins this contract
+//! against such a scan.
 
 use crate::blocks::Block;
 use crate::dp::{form_stage_dp, DpArena, DpParams, DpSolution};
@@ -46,7 +43,6 @@ use rannc_cost::CostModel;
 use rannc_graph::TaskGraph;
 use rannc_hw::ClusterSpec;
 use rannc_profile::CacheStats;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Estimated wall time of one training iteration under the synchronous
@@ -101,11 +97,8 @@ pub struct SearchStats {
     pub candidates: usize,
     /// DP invocations that returned a feasible solution.
     pub feasible: usize,
-    /// Grid cells skipped by the dominance bound: their score lower bound
-    /// already exceeded the best candidate found, so the DP never ran.
-    /// Plan-preserving — a pruned cell can never hold the winner or a
-    /// tie with it (the bound is a true lower bound and ties survive the
-    /// strict comparison).
+    /// Always 0: the search runs every grid cell's DP. Kept only because
+    /// the benchmark reads it; it goes with the next benchmark change.
     pub pruned: usize,
     /// Node tiers (`n` values) examined.
     pub node_tiers: usize,
@@ -161,7 +154,6 @@ struct SearchTally {
     stats: SearchStats,
     candidates: rannc_obs::metrics::Counter,
     feasible: rannc_obs::metrics::Counter,
-    pruned: rannc_obs::metrics::Counter,
     node_tiers: rannc_obs::metrics::Counter,
 }
 
@@ -175,7 +167,6 @@ impl SearchTally {
             },
             candidates: rannc_obs::metrics::counter("planner.search.candidates"),
             feasible: rannc_obs::metrics::counter("planner.search.feasible"),
-            pruned: rannc_obs::metrics::counter("planner.search.pruned"),
             node_tiers: rannc_obs::metrics::counter("planner.search.node_tiers"),
         }
     }
@@ -193,11 +184,6 @@ impl SearchTally {
     fn feasible(&mut self, n: usize) {
         self.stats.feasible += n;
         self.feasible.add(n as u64);
-    }
-
-    fn pruned(&mut self, n: usize) {
-        self.stats.pruned += n;
-        self.pruned.add(n as u64);
     }
 
     fn finish(mut self, arenas: &ArenaPool) -> SearchStats {
@@ -259,13 +245,9 @@ pub fn form_stage_with(
     let mut tally = SearchTally::new(threads);
 
     // Flight-recorder hook (see `rannc_obs::recorder`): one recording
-    // per search. While recording, *runtime* pruning is turned off — the
-    // racy best-so-far makes the pruned set depend on the thread
-    // schedule — and a canonical sequential pruning account is replayed
-    // after each tier's scatter instead. Both modes are plan-preserving;
-    // while the recorder is disabled every hook is a branch on one
-    // relaxed atomic load and allocates nothing.
-    let recording = rannc_obs::recorder::enabled();
+    // per search, one candidate per grid cell logged in grid order after
+    // each tier's scatter. While the recorder is disabled every hook is
+    // a branch on one relaxed atomic load and allocates nothing.
     rannc_obs::recorder::begin_search();
 
     // Build every block-range union, with its egress and seeded set
@@ -276,49 +258,6 @@ pub fn form_stage_with(
         RangeTable::build(g, cost, blocks)
     };
 
-    // Dominance pruning state. `best_bits` is the score of the best
-    // feasible candidate seen so far (f64 bits in an atomic so the
-    // parallel sweep shares it); a candidate whose score *lower bound*
-    // strictly exceeds it cannot win or tie, so its DP is skipped.
-    // The bound is unsound in heterogeneous mode (device groups may be
-    // faster than the planning template, breaking its monotonicity).
-    // Runtime pruning is also off while recording: the canonical
-    // sequential account below replays the same bound in grid order
-    // instead, so the artifact's pruned set is identical for any thread
-    // count.
-    let bound_enabled = !hetero && nb > 0;
-    let prune_enabled = bound_enabled && !recording;
-    let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-    let pruned_now = AtomicUsize::new(0);
-    // Score lower bound of a candidate: every stage's micro-batch is at
-    // least `m_lo = max(1, ⌊q/(D−S+1)⌋)` and per-task time is monotone in
-    // the micro-batch, so `Σ_stages t ≥ t_full(m_lo)` and the bottleneck
-    // `V = max f + max b ≥ (Σf + Σb)/S ≥ (f_full + b_full)(m_lo)/S`.
-    // Comm and all-reduce terms are ≥ 0 on top. Under profiler noise σ
-    // the full-set measurement may read up to (1+σ) high while true
-    // stage times may read (1−σ) low, hence the guard factor. The full
-    // set is the range table's `[0, nb)`: same members, same memo key.
-    let lower_bound = |p: &DpParams| -> f64 {
-        let full = &ranges.get(0, nb).set;
-        let q = p.batch_size / p.replica_factor / p.microbatches;
-        if q == 0 {
-            return f64::INFINITY; // the DP rejects these outright
-        }
-        let repl_max = p.devices + 1 - p.stages;
-        let m_lo = (q / repl_max).max(1);
-        let prof = cost.stage_cost(full, m_lo, p.microbatches, p.stages > 1);
-        // a T-way split divides compute by at most T (its all-reduce term
-        // only adds), so /(S·T) stays a true lower bound; T = 1 is the
-        // same float division as the historical /S
-        let v_lb = (prof.fwd_time + prof.bwd_time) / (p.stages * p.tp) as f64;
-        let sigma = cost.options().noise_sigma;
-        let guard = if sigma > 0.0 {
-            (1.0 - sigma) / (1.0 + sigma)
-        } else {
-            1.0
-        };
-        rannc_cost::sync_pipeline_iteration(p.stages, p.microbatches, v_lb) * guard
-    };
     let arenas = ArenaPool::new();
 
     let mut n = 1usize;
@@ -392,40 +331,13 @@ pub fn form_stage_with(
                 .iter()
                 .map(|&i| {
                     let p = &grid[i];
-                    if prune_enabled {
-                        // nothing to prune against until a candidate is
-                        // feasible: leave the bound unpriced until then
-                        let best = f64::from_bits(best_bits.load(Ordering::Relaxed));
-                        if best.is_finite() && lower_bound(p) > best * (1.0 + 1e-9) {
-                            pruned_now.fetch_add(1, Ordering::Relaxed);
-                            return None;
-                        }
-                    }
                     let _dp = rannc_obs::trace::span("dp", "planner")
                         .arg_i("S", p.stages as i64)
                         .arg_i("MB", p.microbatches as i64)
                         .arg_i("T", p.tp as i64)
                         .arg_i("n", n as i64);
                     let ctx = DpCtx::new(cost, &ranges, cluster, slots.as_ref(), p);
-                    let sol = form_stage_dp(&ctx, &mut arena);
-                    if prune_enabled {
-                        if let Some(s) = &sol {
-                            let score = score_solution(s, cluster, cost);
-                            let mut cur = best_bits.load(Ordering::Relaxed);
-                            while score < f64::from_bits(cur) {
-                                match best_bits.compare_exchange_weak(
-                                    cur,
-                                    score.to_bits(),
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                ) {
-                                    Ok(_) => break,
-                                    Err(seen) => cur = seen,
-                                }
-                            }
-                        }
-                    }
-                    sol
+                    form_stage_dp(&ctx, &mut arena)
                 })
                 .collect();
             arenas.put(arena);
@@ -449,49 +361,17 @@ pub fn form_stage_with(
                 solutions[i] = sol;
             }
         }
-        tally.pruned(pruned_now.swap(0, Ordering::Relaxed));
-        // Canonical per-candidate record: a sequential re-scan in grid
-        // order replays what the dominance bound would have pruned in
-        // the historical one-thread sweep, so the artifact's pruning
-        // account is deterministic regardless of sweep threading. Cells
-        // the replay prunes keep their DP result out of the record (a
-        // pruned run never computes it) but still feed the winner pick
-        // below, which is why recording cannot perturb the plan.
-        if recording {
+        if rannc_obs::recorder::enabled() {
             use rannc_obs::recorder::{candidate, CandidateOutcome};
-            let mut best = f64::INFINITY;
-            for (i, sol) in solutions.iter().enumerate() {
-                let p = &grid[i];
-                if bound_enabled && best.is_finite() {
-                    let lb = lower_bound(p);
-                    if lb > best * (1.0 + 1e-9) {
-                        candidate(
-                            p.stages,
-                            p.microbatches,
-                            p.tp,
-                            CandidateOutcome::Pruned { lower_bound: lb },
-                        );
-                        continue;
-                    }
-                }
-                match sol {
-                    Some(s) => {
-                        let score = score_solution(s, cluster, cost);
-                        candidate(
-                            p.stages,
-                            p.microbatches,
-                            p.tp,
-                            CandidateOutcome::Feasible {
-                                score,
-                                bottleneck: s.value,
-                            },
-                        );
-                        if score < best {
-                            best = score;
-                        }
-                    }
-                    None => candidate(p.stages, p.microbatches, p.tp, CandidateOutcome::Infeasible),
-                }
+            for (p, sol) in grid.iter().zip(&solutions) {
+                let outcome = match sol {
+                    Some(s) => CandidateOutcome::Feasible {
+                        score: score_solution(s, cluster, cost),
+                        bottleneck: s.value,
+                    },
+                    None => CandidateOutcome::Infeasible,
+                };
+                candidate(p.stages, p.microbatches, p.tp, outcome);
             }
         }
         let candidates: Vec<DpSolution> = solutions.into_iter().flatten().collect();
@@ -616,21 +496,10 @@ mod tests {
     }
 
     /// Forwards to a profiler, counting the stages whose memory fits the
-    /// device and the time pricings of the whole model (the dominance
-    /// bound's, and the DP's of the one-stage range).
+    /// device.
     struct Counting<'a> {
         inner: Profiler<'a>,
-        whole: TaskSet,
-        mem_ok: AtomicU64,
-        whole_timed: AtomicU64,
-    }
-
-    impl Counting<'_> {
-        fn timed(&self, set: &TaskSet) {
-            if *set == self.whole {
-                self.whole_timed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        mem_ok: Mutex<u64>,
     }
 
     impl CostModel for Counting<'_> {
@@ -650,7 +519,6 @@ mod tests {
             inflight: usize,
             ckpt: bool,
         ) -> rannc_profile::ProfileResult {
-            self.timed(set);
             self.inner.stage_cost(set, batch, inflight, ckpt)
         }
         fn stage_cost_tp(
@@ -662,7 +530,6 @@ mod tests {
             tp: usize,
             cluster: &ClusterSpec,
         ) -> rannc_profile::ProfileResult {
-            self.timed(set);
             self.inner
                 .stage_cost_tp(set, batch, inflight, ckpt, tp, cluster)
         }
@@ -676,7 +543,7 @@ mod tests {
         ) -> usize {
             let mem = self.inner.stage_mem(set, batch, inflight, ckpt, tp);
             if mem <= self.inner.device().memory_bytes {
-                self.mem_ok.fetch_add(1, Ordering::Relaxed);
+                *self.mem_ok.lock().unwrap() += 1;
             }
             mem
         }
@@ -709,7 +576,7 @@ mod tests {
 
     /// In a feasible search under memory pressure, only stages that fit
     /// are timed: time misses never exceed the memory-feasible
-    /// evaluations (plus the whole-model pricings of the bound).
+    /// evaluations.
     #[test]
     fn feasible_search_times_only_memory_feasible_stages() {
         let g = mlp_graph(&MlpConfig::deep(512, 512, 12, 10));
@@ -719,21 +586,19 @@ mod tests {
         for tp_max in [1, 2] {
             let cost = Counting {
                 inner: Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32()),
-                whole: TaskSet::from_ids(g.num_tasks(), g.task_ids()),
-                mem_ok: AtomicU64::new(0),
-                whole_timed: AtomicU64::new(0),
+                mem_ok: Mutex::new(0),
             };
             let opts = SearchOptions { threads: 2, tp_max };
             let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, 32, &opts);
             assert!(sol.is_some());
-            let mem_ok = cost.mem_ok.load(Ordering::Relaxed);
+            let mem_ok = *cost.mem_ok.lock().unwrap();
             assert!(
                 mem_ok < stats.stage_cache.misses,
                 "no stage was over memory: the case does not test the ordering"
             );
             let time_misses = cost.cache_stats().time_misses;
             assert!(
-                time_misses <= mem_ok + cost.whole_timed.load(Ordering::Relaxed),
+                time_misses <= mem_ok,
                 "tp_max {tp_max}: {time_misses} time misses, {mem_ok} stages fit memory"
             );
         }

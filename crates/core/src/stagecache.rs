@@ -252,22 +252,14 @@ impl<'a> DpCtx<'a> {
         if mem > self.p.mem_limit {
             return None;
         }
-        // tp == 1 takes the historical call exactly (same memo keys and
-        // float ops), so tensor-parallel support cannot perturb plans
-        // searched with `--tp-max 1`.
-        let prof = if self.p.tp > 1 {
-            self.cost.stage_cost_tp(
-                &range.set,
-                micro,
-                self.p.microbatches,
-                self.ckpt,
-                self.p.tp,
-                self.cluster,
-            )
-        } else {
-            self.cost
-                .stage_cost(&range.set, micro, self.p.microbatches, self.ckpt)
-        };
+        let prof = self.cost.stage_cost_tp(
+            &range.set,
+            micro,
+            self.p.microbatches,
+            self.ckpt,
+            self.p.tp,
+            self.cluster,
+        );
         debug_assert_eq!(prof.mem_bytes, mem, "stage_mem must be stage_cost's memory");
         // objective includes sending outputs onward (except the last stage)
         let comm = if to < self.ranges.nb && range.egress > 0 {

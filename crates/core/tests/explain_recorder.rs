@@ -4,6 +4,10 @@
 //! - a disabled recorder allocates nothing across a full partitioning;
 //! - the explain artifact is byte-identical for 1/2/4 worker threads and
 //!   validates under its own checker;
+//! - a recording lists every grid cell, each scored exactly like a
+//!   fresh-arena DP of that cell;
+//! - the search counters do not depend on the thread count or on the
+//!   recorder;
 //! - a repartition replaces the recording with the degraded search;
 //! - the strict decoder inverts the serializer on real 2D and 3D
 //!   recordings.
@@ -11,11 +15,20 @@
 //! The recorder is process-global, so every test holds
 //! `rannc_obs::trace::test_guard()` for its whole body.
 
-use rannc_core::{PartitionConfig, PartitionPlan, Rannc, VerifyMode};
+mod support;
+
+use rannc_core::search::score_solution;
+use rannc_core::{
+    atomic_partition, block_partition, form_stage_with, Block, BlockLimits, PartitionConfig,
+    PartitionPlan, Rannc, SearchOptions, VerifyMode,
+};
+use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, DeviceRank};
 use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
 use rannc_obs::check::check_explain;
 use rannc_obs::recorder::{self, CandidateOutcome, Recording};
+use rannc_profile::{Profiler, ProfilerOptions};
+use support::exhaustive_cells;
 
 fn quick_config(threads: usize) -> PartitionConfig {
     PartitionConfig::new(64)
@@ -64,7 +77,7 @@ fn recorder_is_plan_preserving_and_free_while_disabled() {
     assert!(recorder::take().is_none(), "disabled run left a recording");
 
     // enabled: same plan, bit for bit — recording must not perturb the
-    // search (runtime pruning is swapped for the canonical replay)
+    // search
     recorder::set_enabled(true);
     let plan_on = rannc.partition(&g, &cluster).unwrap();
     let rec = recorder::take().expect("enabled run records");
@@ -79,7 +92,7 @@ fn recorder_is_plan_preserving_and_free_while_disabled() {
         winner.est_iteration_time.to_bits(),
         plan_on.est_iteration_time.to_bits()
     );
-    let (candidates, feasible, _, _) = rec.totals();
+    let (candidates, feasible, _) = rec.totals();
     assert!(candidates > 0 && feasible > 0);
 }
 
@@ -167,5 +180,117 @@ fn real_recordings_round_trip_through_the_decoder() {
             .map(|c| c.tp)
             .max();
         assert_eq!(max_tp > Some(1), tp_max > 1, "tp_max {tp_max}: {max_tp:?}");
+    }
+}
+
+/// The `scripts/check.sh` explain config: BERT 256×4 on 2 nodes, batch
+/// 64, k 8. The block phase mirrors `Rannc::partition`'s defaults.
+const EXPLAIN_BATCH: usize = 64;
+
+fn explain_case() -> (TaskGraph, ClusterSpec) {
+    (
+        bert_graph(&BertConfig::enlarged(256, 4)),
+        ClusterSpec::v100_cluster(2),
+    )
+}
+
+fn blocks_of(g: &TaskGraph, cluster: &ClusterSpec) -> Vec<Block> {
+    let profiler = Profiler::new(g, cluster.device.clone(), ProfilerOptions::fp32());
+    block_partition(
+        g,
+        &profiler,
+        &atomic_partition(g),
+        BlockLimits {
+            k: 8,
+            mem_limit: cluster.device.memory_bytes,
+            profile_batch: 1,
+        },
+    )
+}
+
+#[test]
+fn recording_lists_every_grid_cell_with_its_fresh_dp_score() {
+    let _guard = rannc_obs::trace::test_guard();
+    let (g, cluster) = explain_case();
+    let blocks = blocks_of(&g, &cluster);
+    let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+    recorder::set_enabled(true);
+    recorder::reset();
+    let opts = SearchOptions {
+        threads: 2,
+        tp_max: 1,
+    };
+    let (sol, _) = form_stage_with(&g, &cost, &blocks, &cluster, EXPLAIN_BATCH, &opts);
+    let rec = recorder::take().expect("recording");
+    recorder::set_enabled(false);
+    assert!(sol.is_some(), "the explain config is feasible");
+
+    let fresh = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+    let reference = exhaustive_cells(&g, &fresh, &blocks, &cluster, EXPLAIN_BATCH, 1);
+    assert_eq!(rec.tiers.len(), reference.len(), "node tiers");
+    for (tier, want) in rec.tiers.iter().zip(&reference) {
+        assert_eq!(tier.n, want.n);
+        assert_eq!(tier.candidates.len(), want.cells.len(), "tier n={}", want.n);
+        for (c, (p, sol)) in tier.candidates.iter().zip(&want.cells) {
+            let cell = format!(
+                "n={} S={} MB={} T={}",
+                want.n, p.stages, p.microbatches, p.tp
+            );
+            assert_eq!(
+                (c.stages, c.microbatches, c.tp),
+                (p.stages, p.microbatches, p.tp),
+                "{cell}: grid order"
+            );
+            match (&c.outcome, sol) {
+                (CandidateOutcome::Feasible { score, bottleneck }, Some(s)) => {
+                    let want_score = score_solution(s, &cluster, &fresh);
+                    assert_eq!(score.to_bits(), want_score.to_bits(), "{cell}: score");
+                    assert_eq!(
+                        bottleneck.to_bits(),
+                        s.value.to_bits(),
+                        "{cell}: bottleneck"
+                    );
+                }
+                (CandidateOutcome::Infeasible, None) => {}
+                (outcome, sol) => panic!(
+                    "{cell}: recorded {outcome:?}, fresh DP feasible: {}",
+                    sol.is_some()
+                ),
+            }
+        }
+    }
+}
+
+#[test]
+fn search_counters_do_not_depend_on_threads_or_the_recorder() {
+    let _guard = rannc_obs::trace::test_guard();
+    let (g, cluster) = explain_case();
+    let blocks = blocks_of(&g, &cluster);
+    let mut seen = Vec::new();
+    for recording in [false, true] {
+        for threads in [1usize, 2, 4] {
+            recorder::set_enabled(recording);
+            recorder::reset();
+            let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+            let opts = SearchOptions { threads, tp_max: 1 };
+            let (_, stats) = form_stage_with(&g, &cost, &blocks, &cluster, EXPLAIN_BATCH, &opts);
+            recorder::set_enabled(false);
+            recorder::reset();
+            // the stage evaluations and memo hits of the DP arenas:
+            // every run does the same DP work
+            let work = (
+                stats.candidates,
+                stats.feasible,
+                stats.node_tiers,
+                stats.stage_cache.misses,
+                stats.stage_cache.hits,
+            );
+            seen.push((recording, threads, work));
+        }
+    }
+    let (_, _, first) = seen[0];
+    assert!(first.1 > 0, "the explain config is feasible");
+    for &(recording, threads, work) in &seen {
+        assert_eq!(work, first, "recorder {recording}, {threads} thread(s)");
     }
 }

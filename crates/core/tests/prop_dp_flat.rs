@@ -166,7 +166,7 @@ proptest! {
         }
     }
 
-    /// The full grouped/pruned/parallel sweep returns the same winner as
+    /// The full grouped/parallel sweep returns the same winner as
     /// the exhaustive sequential scan, at several thread counts.
     #[test]
     fn parallel_sweep_matches_sequential_reference(

@@ -5,8 +5,10 @@
 //! * [`form_stage_dp_hashmap`] — Algorithm 1 with a per-invocation
 //!   `HashMap` memo and fresh tables every call, evaluating stages
 //!   through the public [`DpCtx::eval`];
-//! * [`exhaustive_search`] — Algorithm 2 as a sequential, unpruned scan:
-//!   one fresh arena per grid cell, first minimum of `score_solution`.
+//! * [`exhaustive_cells`] — Algorithm 2 cell by cell: every grid cell's
+//!   DP result, one fresh arena per cell, on one thread;
+//! * [`exhaustive_search`] — the sequential scan over those cells: first
+//!   minimum of `score_solution`.
 
 // each suite uses a subset of the references
 #![allow(dead_code)]
@@ -150,18 +152,28 @@ pub fn form_stage_dp_hashmap(ctx: &DpCtx) -> Option<DpSolution> {
     })
 }
 
-/// Algorithm 2 without any of the engine's machinery: every `(S, MB, T)`
-/// cell of a node tier, in grid order, on one thread, each through a
-/// fresh arena, no dominance pruning; the tier's winner is the first
-/// candidate with the minimal `score_solution`.
-pub fn exhaustive_search(
+/// One node tier of [`exhaustive_cells`]: every grid cell's parameters
+/// and DP result, in grid order.
+pub struct TierCells {
+    /// Nodes dedicated to one pipeline replica.
+    pub n: usize,
+    /// `(params, result)` per `(S, MB, T)` cell, S then MB then T
+    /// ascending.
+    pub cells: Vec<(DpParams, Option<DpSolution>)>,
+}
+
+/// Algorithm 2 cell by cell, without any of the engine's machinery:
+/// every `(S, MB, T)` cell of a node tier, in grid order, on one thread,
+/// each through a fresh arena. Returns the tiers up to and including the
+/// first with a feasible cell (all of them when none has one).
+pub fn exhaustive_cells(
     g: &TaskGraph,
     cost: &dyn CostModel,
     blocks: &[Block],
     cluster: &ClusterSpec,
     batch_size: usize,
     tp_max: usize,
-) -> Option<DpSolution> {
+) -> Vec<TierCells> {
     let d_node = cluster.node.devices;
     let hetero = cluster.is_heterogeneous();
     let mem_limit = if hetero {
@@ -170,13 +182,14 @@ pub fn exhaustive_search(
         cluster.device.memory_bytes
     };
     let ranges = RangeTable::build(g, cost, blocks);
+    let mut tiers = Vec::new();
     let mut n = 1usize;
     while n <= cluster.nodes {
         let d = d_node * n;
         let r = (cluster.nodes / n).max(1);
         let slots = hetero
             .then(|| SlotTable::build(cluster, d, r, cost.device(), cost.options().precision));
-        let mut best: Option<(f64, DpSolution)> = None;
+        let mut cells = Vec::new();
         for s in (d_node * (n - 1) + 1)..=d {
             let mut mb = 1usize;
             while mb <= batch_size / r {
@@ -194,23 +207,37 @@ pub fn exhaustive_search(
                         tp: t,
                     };
                     let ctx = DpCtx::new(cost, &ranges, cluster, slots.as_ref(), &p);
-                    if let Some(sol) = form_stage_dp(&ctx, &mut DpArena::new()) {
-                        let score = score_solution(&sol, cluster, cost);
-                        if best
-                            .as_ref()
-                            .is_none_or(|(b, _)| score.total_cmp(b).is_lt())
-                        {
-                            best = Some((score, sol));
-                        }
-                    }
+                    cells.push((p, form_stage_dp(&ctx, &mut DpArena::new())));
                 }
                 mb *= 2;
             }
         }
-        if let Some((_, sol)) = best {
-            return Some(sol);
+        let feasible = cells.iter().any(|(_, sol)| sol.is_some());
+        tiers.push(TierCells { n, cells });
+        if feasible {
+            break;
         }
         n *= 2;
     }
-    None
+    tiers
+}
+
+/// Algorithm 2 as a sequential scan over [`exhaustive_cells`]: the
+/// winner is the first cell of the last tier with the minimal
+/// `score_solution`.
+pub fn exhaustive_search(
+    g: &TaskGraph,
+    cost: &dyn CostModel,
+    blocks: &[Block],
+    cluster: &ClusterSpec,
+    batch_size: usize,
+    tp_max: usize,
+) -> Option<DpSolution> {
+    let last = exhaustive_cells(g, cost, blocks, cluster, batch_size, tp_max).pop()?;
+    last.cells
+        .into_iter()
+        .filter_map(|(_, sol)| sol)
+        .map(|sol| (score_solution(&sol, cluster, cost), sol))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .map(|(_, sol)| sol)
 }

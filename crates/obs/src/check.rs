@@ -18,7 +18,7 @@
 //! against the frozen schema in [`crate::sink`].
 //!
 //! [`check_explain`] validates a plan flight-recorder artifact
-//! (`rannc_explain` schema v1): [`Recording::from_json`] decodes it
+//! (`rannc_explain` schema v2): [`Recording::from_json`] decodes it
 //! strictly, then [`explain_recording`] cross-checks the winner against
 //! the candidates (its score is the minimum feasible score).
 //!
@@ -215,8 +215,6 @@ pub struct ExplainSummary {
     pub candidates: usize,
     /// Cells with a feasible DP solution.
     pub feasible: usize,
-    /// Cells skipped by the dominance bound.
-    pub pruned: usize,
     /// Cells whose DP found no placement.
     pub infeasible: usize,
     /// Stages of the winning plan (0 when the search was infeasible).
@@ -259,15 +257,14 @@ pub fn explain_recording(text: &str) -> Result<Recording, String> {
     Ok(rec)
 }
 
-/// Validate a plan flight-recorder artifact (`rannc_explain` schema v1).
+/// Validate a plan flight-recorder artifact (`rannc_explain` schema v2).
 pub fn check_explain(text: &str) -> Result<ExplainSummary, String> {
     let rec = explain_recording(text)?;
-    let (candidates, feasible, pruned, infeasible) = rec.totals();
+    let (candidates, feasible, infeasible) = rec.totals();
     Ok(ExplainSummary {
         tiers: rec.tiers.len(),
         candidates,
         feasible,
-        pruned,
         infeasible,
         winner_stages: rec.winner.map_or(0, |w| w.stages.len()),
     })
@@ -429,7 +426,7 @@ mod tests {
                         stages: 2,
                         microbatches: 1,
                         tp: 1,
-                        outcome: CandidateOutcome::Pruned { lower_bound: 0.75 },
+                        outcome: CandidateOutcome::Infeasible,
                     },
                 ],
             }],
@@ -468,7 +465,7 @@ mod tests {
         assert_eq!(s.tiers, 1);
         assert_eq!(s.candidates, 2);
         assert_eq!(s.feasible, 1);
-        assert_eq!(s.pruned, 1);
+        assert_eq!(s.infeasible, 1);
         assert_eq!(s.winner_stages, 1);
     }
 
@@ -485,11 +482,11 @@ mod tests {
                 "wrong schema tag",
             ),
             (
-                good.replace("\"version\": 1", "\"version\": 2"),
-                "unsupported version",
+                good.replace("\"version\": 2", "\"version\": 1"),
+                "version 1 artifact",
             ),
             (
-                good.replace("\"outcome\": \"pruned\"", "\"outcome\": \"maybe\""),
+                good.replace("\"outcome\": \"infeasible\"", "\"outcome\": \"maybe\""),
                 "unknown outcome",
             ),
             (
@@ -527,7 +524,7 @@ mod tests {
                 "fractional batch size",
             ),
             (
-                good.replace("\"version\": 1", "\"version\": 1.0"),
+                good.replace("\"version\": 2", "\"version\": 2.0"),
                 "version that is not an integer literal",
             ),
             (
@@ -536,10 +533,6 @@ mod tests {
                     "\"model\": \"mlp\", \"model\": \"gpt\"",
                 ),
                 "duplicate key",
-            ),
-            (
-                good.replace("\"lower_bound\": 0.75", "\"lower_bound\": -0.75"),
-                "negative lower bound",
             ),
             (
                 good.replace("\"stage_cache_entries\": 2", "\"stage_cache_entries\": -2"),

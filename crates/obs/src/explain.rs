@@ -1,6 +1,6 @@
 //! Renderer behind `rannc-plan explain` — turns a flight-recorder
-//! artifact ([`crate::recorder`], `rannc_explain` schema v1) into a
-//! per-stage cost-breakdown table, a top-k runner-up list, and a pruning
+//! artifact ([`crate::recorder`], `rannc_explain` schema v2) into a
+//! per-stage cost-breakdown table, a top-k runner-up list, and a search
 //! account, and diffs two artifacts stage by stage.
 //!
 //! Every entry point decodes the artifact through
@@ -56,12 +56,12 @@ fn feasible_sorted(rec: &Recording) -> Vec<Feasible> {
 }
 
 /// Render one artifact: header, per-stage cost breakdown, top-`top_k`
-/// runner-ups, pruning and cache account.
+/// runner-ups, search and cache account.
 pub fn render(text: &str, top_k: usize) -> Result<String, String> {
     let rec = explain_recording(text)?;
     let ctx = rec.context.clone().unwrap_or_default();
     let acc = rec.accounting.clone().unwrap_or_default();
-    let (total, feas, pruned, infeas) = rec.totals();
+    let (total, feas, infeas) = rec.totals();
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -87,8 +87,7 @@ pub fn render(text: &str, top_k: usize) -> Result<String, String> {
                 ms(w.score - w.est_iteration_time),
                 ms(w.bottleneck)
             ));
-            // the tp column appears only when some stage is split, so 2D
-            // artifacts render byte-identically to the frozen v1 layout
+            // the tp column appears only when some stage is split
             let any_tp = w.stages.iter().any(|s| s.tensor_parallel > 1);
             let tp_hdr = if any_tp {
                 format!(" {:>4}", "tp")
@@ -166,21 +165,12 @@ pub fn render(text: &str, top_k: usize) -> Result<String, String> {
     }
 
     out.push_str(&format!(
-        "\nsearch: {} tier(s), {} candidate(s) — {} feasible, {} pruned, {} infeasible\n",
+        "\nsearch: {} tier(s), {} candidate(s) — {} feasible, {} infeasible\n",
         rec.tiers.len(),
         total,
         feas,
-        pruned,
         infeas
     ));
-    if total > 0 {
-        out.push_str(&format!(
-            "pruning skipped {} of {} DP invocations ({:.1}%)\n",
-            pruned,
-            total,
-            pruned as f64 / total as f64 * 100.0
-        ));
-    }
     out.push_str(&format!(
         "caches: {} stage-cost entries, {} profiler entries\n",
         acc.stage_cache_entries, acc.profiler_cache_entries
@@ -284,11 +274,10 @@ pub fn render_diff(a_text: &str, b_text: &str) -> Result<String, String> {
         (None, None) => out.push_str("winner: both searches INFEASIBLE\n"),
     }
 
-    let (at, af, ap, ai) = a.totals();
-    let (bt, bf, bp, bi) = b.totals();
+    let (at, af, ai) = a.totals();
+    let (bt, bf, bi) = b.totals();
     out.push_str(&format!(
-        "\nsearch: candidates {at} -> {bt}, feasible {af} -> {bf}, \
-         pruned {ap} -> {bp}, infeasible {ai} -> {bi}\n"
+        "\nsearch: candidates {at} -> {bt}, feasible {af} -> {bf}, infeasible {ai} -> {bi}\n"
     ));
     Ok(out)
 }
@@ -336,9 +325,7 @@ mod tests {
                         stages: 2,
                         microbatches: 1,
                         tp: 1,
-                        outcome: CandidateOutcome::Pruned {
-                            lower_bound: fwd * 4.0,
-                        },
+                        outcome: CandidateOutcome::Infeasible,
                     },
                 ],
             }],
@@ -380,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn render_shows_breakdown_runner_ups_and_pruning() {
+    fn render_shows_breakdown_runner_ups_and_search_account() {
         let text = recording(4, 0.010);
         let out = render(&text, 3).expect("renders");
         assert!(out.contains("mlp-12l"), "{out}");
@@ -389,7 +376,10 @@ mod tests {
             out.contains("runner-up plans (top 1 of 1 feasible)"),
             "{out}"
         );
-        assert!(out.contains("pruning skipped 1 of 3"), "{out}");
+        assert!(
+            out.contains("3 candidate(s) — 2 feasible, 1 infeasible"),
+            "{out}"
+        );
         assert!(out.contains("7 stage-cost entries"), "{out}");
     }
 

@@ -26,8 +26,8 @@
 //!
 //! A third layer with the same cost contract as tracing is the plan
 //! flight [`recorder`]: decision-level telemetry of the partition search
-//! (every swept candidate, the winner's cost attribution, pruning and
-//! cache accounting), serialized to the frozen `rannc_explain` schema v1
+//! (every swept candidate, the winner's cost attribution, candidate and
+//! cache accounting), serialized to the frozen `rannc_explain` schema v2
 //! and rendered by [`explain`] for the `rannc-plan explain` subcommand.
 //!
 //! ```

@@ -3,9 +3,9 @@
 //!
 //! Where [`crate::trace`] answers *where wall-clock time went*, the
 //! recorder answers *why this plan won*: it captures every swept
-//! `(S, MB)` candidate of every node tier with its score, pruning lower
-//! bound, or infeasibility, plus the winner's per-stage cost attribution
-//! and the cache/pruning accounting — the raw material for the
+//! `(S, MB)` candidate of every node tier with its score or
+//! infeasibility, plus the winner's per-stage cost attribution and the
+//! candidate/cache accounting — the raw material for the
 //! `rannc-plan explain` subcommand.
 //!
 //! The cost contract mirrors the tracing layer exactly: every recording
@@ -16,12 +16,13 @@
 //! suite and `planner_bench --check` pin both halves).
 //!
 //! **Determinism.** The serialized artifact ([`to_json`], frozen schema
-//! `rannc_explain` v1) is byte-identical across worker-thread counts.
-//! Everything thread-schedule-dependent is deliberately excluded:
-//! no timestamps, no thread ids, no cache hit/miss counts (only *entry*
-//! counts, which are schedule-independent), and the pruning account is
-//! recomputed as a canonical sequential scan over the grid instead of
-//! sampling the racy runtime best-so-far.
+//! `rannc_explain` v2) is byte-identical across worker-thread counts.
+//! The search runs the DP on every grid cell and records the cells in
+//! grid order after the sweep, so the candidate list is the work a
+//! recorder-off run does. Everything thread-schedule-dependent is
+//! deliberately excluded: no timestamps, no thread ids, and no cache
+//! hit/miss counts (only *entry* counts, which are
+//! schedule-independent).
 
 use crate::json::{self, escape, fmt_f64, DecodeError, Node, Obj, SchemaError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,13 +73,6 @@ pub enum CandidateOutcome {
         score: f64,
         /// DP bottleneck value, seconds.
         bottleneck: f64,
-    },
-    /// The dominance bound skipped the DP: `lower_bound` already
-    /// exceeded the best score seen at that point of the canonical
-    /// sequential scan.
-    Pruned {
-        /// The score lower bound that justified the skip.
-        lower_bound: f64,
     },
     /// The DP ran and found no feasible placement.
     Infeasible,
@@ -203,24 +197,23 @@ pub struct Recording {
 }
 
 impl Recording {
-    /// Candidate totals over all tiers: `(candidates, feasible, pruned,
+    /// Candidate totals over all tiers: `(candidates, feasible,
     /// infeasible)`.
-    pub fn totals(&self) -> (usize, usize, usize, usize) {
-        let (mut total, mut feas, mut pruned, mut infeas) = (0, 0, 0, 0);
+    pub fn totals(&self) -> (usize, usize, usize) {
+        let (mut total, mut feas, mut infeas) = (0, 0, 0);
         for t in &self.tiers {
             for c in &t.candidates {
                 total += 1;
                 match c.outcome {
                     CandidateOutcome::Feasible { .. } => feas += 1,
-                    CandidateOutcome::Pruned { .. } => pruned += 1,
                     CandidateOutcome::Infeasible => infeas += 1,
                 }
             }
         }
-        (total, feas, pruned, infeas)
+        (total, feas, infeas)
     }
 
-    /// Decode a `rannc_explain` v1 artifact — the inverse of [`to_json`].
+    /// Decode a `rannc_explain` v2 artifact — the inverse of [`to_json`].
     ///
     /// Strict where it reads: integers must be exact non-negative
     /// literals (counts and sizes positive), times finite and
@@ -235,7 +228,7 @@ impl Recording {
             if schema.str()? != "rannc_explain" {
                 return Err(schema.error(format!("unknown schema `{}`", schema.str()?)));
             }
-            root.version(1)?;
+            root.version(2)?;
             let cluster = root.get("cluster")?.obj()?;
             let context = ContextRec {
                 model: root.get("model")?.str()?.to_string(),
@@ -262,11 +255,10 @@ impl Recording {
                     profiler_cache_entries: acc.get("profiler_cache_entries")?.u64()?,
                 }),
             };
-            let (total, feas, pruned, infeas) = rec.totals();
+            let (total, feas, infeas) = rec.totals();
             for (key, expect) in [
                 ("candidates", total),
                 ("feasible", feas),
-                ("pruned", pruned),
                 ("infeasible", infeas),
                 ("node_tiers", rec.tiers.len()),
             ] {
@@ -305,9 +297,6 @@ fn decode_tier(t: Obj<'_>) -> Result<TierRec, SchemaError> {
                 "feasible" => CandidateOutcome::Feasible {
                     score: seconds(c.get("score")?)?,
                     bottleneck: seconds(c.get("bottleneck")?)?,
-                },
-                "pruned" => CandidateOutcome::Pruned {
-                    lower_bound: seconds(c.get("lower_bound")?)?,
                 },
                 "infeasible" => CandidateOutcome::Infeasible,
                 other => return Err(outcome.error(format!("unknown outcome `{other}`"))),
@@ -450,7 +439,7 @@ pub fn take() -> Option<Recording> {
     lock(&CURRENT).take()
 }
 
-/// Serialize a recording to the frozen `rannc_explain` schema v1.
+/// Serialize a recording to the frozen `rannc_explain` schema v2.
 ///
 /// Field order, formatting ([`fmt_f64`]) and layout are part of the
 /// contract: the same recording always serializes to the same bytes, and
@@ -459,12 +448,12 @@ pub fn take() -> Option<Recording> {
 pub fn to_json(rec: &Recording) -> String {
     let ctx = rec.context.clone().unwrap_or_default();
     let acc = rec.accounting.clone().unwrap_or_default();
-    let (total, feas, pruned, infeas) = rec.totals();
+    let (total, feas, infeas) = rec.totals();
 
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"rannc_explain\",\n");
-    out.push_str("  \"version\": 1,\n");
+    out.push_str("  \"version\": 2,\n");
     out.push_str(&format!("  \"model\": \"{}\",\n", escape(&ctx.model)));
     out.push_str(&format!("  \"batch_size\": {},\n", ctx.batch_size));
     out.push_str(&format!(
@@ -493,8 +482,7 @@ pub fn to_json(rec: &Recording) -> String {
                 "\n      {{\"stages\": {}, \"microbatches\": {}, ",
                 c.stages, c.microbatches
             ));
-            // 3D searches carry the T column; 2D artifacts stay
-            // byte-identical to the frozen v1 layout
+            // 3D searches carry the T column; 2D artifacts omit it
             if c.tp > 1 {
                 out.push_str(&format!("\"tp\": {}, ", c.tp));
             }
@@ -504,12 +492,6 @@ pub fn to_json(rec: &Recording) -> String {
                         "\"outcome\": \"feasible\", \"score\": {}, \"bottleneck\": {}}}",
                         fmt_f64(*score),
                         fmt_f64(*bottleneck)
-                    ));
-                }
-                CandidateOutcome::Pruned { lower_bound } => {
-                    out.push_str(&format!(
-                        "\"outcome\": \"pruned\", \"lower_bound\": {}}}",
-                        fmt_f64(*lower_bound)
                     ));
                 }
                 CandidateOutcome::Infeasible => {
@@ -586,12 +568,10 @@ pub fn to_json(rec: &Recording) -> String {
     }
 
     out.push_str(&format!(
-        "  \"accounting\": {{\"candidates\": {}, \"feasible\": {}, \"pruned\": {}, \
-         \"infeasible\": {}, \"node_tiers\": {}, \"stage_cache_entries\": {}, \
-         \"profiler_cache_entries\": {}}}\n",
+        "  \"accounting\": {{\"candidates\": {}, \"feasible\": {}, \"infeasible\": {}, \
+         \"node_tiers\": {}, \"stage_cache_entries\": {}, \"profiler_cache_entries\": {}}}\n",
         total,
         feas,
-        pruned,
         infeas,
         rec.tiers.len(),
         acc.stage_cache_entries,
@@ -619,7 +599,15 @@ mod tests {
                 bottleneck: 0.125,
             },
         );
-        candidate(1, 2, 1, CandidateOutcome::Pruned { lower_bound: 0.5 });
+        candidate(
+            1,
+            2,
+            1,
+            CandidateOutcome::Feasible {
+                score: 0.5,
+                bottleneck: 0.25,
+            },
+        );
         candidate(2, 1, 1, CandidateOutcome::Infeasible);
         set_context(|| ContextRec {
             model: "mlp-test".into(),
@@ -682,7 +670,7 @@ mod tests {
         set_enabled(false);
         assert_eq!(rec.tiers.len(), 1);
         assert_eq!(rec.tiers[0].candidates.len(), 3);
-        assert_eq!(rec.totals(), (3, 1, 1, 1));
+        assert_eq!(rec.totals(), (3, 2, 1));
         assert!(take().is_none(), "take drains the recording");
     }
 
@@ -698,10 +686,10 @@ mod tests {
         assert_eq!(a, b, "same recording, same bytes");
         let v = crate::json::parse(&a).expect("artifact is valid JSON");
         assert_eq!(v.get("schema").unwrap().as_str(), Some("rannc_explain"));
-        assert_eq!(v.get("version").unwrap().as_f64(), Some(1.0));
+        assert_eq!(v.get("version").unwrap().as_f64(), Some(2.0));
         let acc = v.get("accounting").unwrap();
         assert_eq!(acc.get("candidates").unwrap().as_f64(), Some(3.0));
-        assert_eq!(acc.get("pruned").unwrap().as_f64(), Some(1.0));
+        assert_eq!(acc.get("feasible").unwrap().as_f64(), Some(2.0));
         crate::check::check_explain(&a).expect("artifact passes its validator");
     }
 

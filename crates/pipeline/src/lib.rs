@@ -111,21 +111,16 @@ pub fn spec_from_plan(
     let mut stages = Vec::with_capacity(plan.stages.len());
     for (i, st) in plan.stages.iter().enumerate() {
         let tp = st.tensor_parallel.max(1);
-        // tp == 1 takes the historical pricing path exactly; split stages
-        // are priced through the Megatron-split oracle, which folds the
-        // per-pass activation all-reduce into fwd/bwd
-        let prof = if tp > 1 {
-            cost.stage_cost_tp(
-                &st.set,
-                st.micro_batch,
-                plan.microbatches,
-                ckpt,
-                tp,
-                cluster,
-            )
-        } else {
-            cost.stage_cost(&st.set, st.micro_batch, plan.microbatches, ckpt)
-        };
+        // split stages are priced through the Megatron-split oracle, which
+        // folds the per-pass activation all-reduce into fwd/bwd
+        let prof = cost.stage_cost_tp(
+            &st.set,
+            st.micro_batch,
+            plan.microbatches,
+            ckpt,
+            tp,
+            cluster,
+        );
         let comm_to_next_bytes = if i + 1 < plan.stages.len() {
             cost.comm_bytes(&st.set, &plan.stages[i + 1].set, st.micro_batch)
         } else {

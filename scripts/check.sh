@@ -141,8 +141,8 @@ echo "    tensor-parallel smoke clean: T>1 chosen, deep verify passed, 2D unchan
 echo "==> planner-bench smoke (engine vs one-thread baseline, self-checked)"
 # --check exits nonzero on malformed JSON, a plan that differs from the
 # one-thread run, or a memo/cache that never hits. The comparison against
-# the unpruned reference scan lives in the determinism and prop_dp_flat
-# suites.
+# the sequential fresh-arena reference scan lives in the determinism and
+# prop_dp_flat suites.
 ./target/release/planner_bench --quick --threads 4 --check \
     --out BENCH_partition_quick.json \
     || { echo "planner_bench smoke FAILED"; exit 1; }

@@ -1,9 +1,9 @@
 //! Determinism suite for the parallel partition-search engine.
 //!
-//! The engine's contract is *bit-identical plans*: the concurrent,
-//! pruned `(S, MB, T)` sweep with arena memo reuse must choose exactly
-//! the plan an exhaustive sequential scan chooses (the test-support
-//! reference: unpruned, one fresh arena per candidate) — same stage
+//! The engine's contract is *bit-identical plans*: the concurrent
+//! `(S, MB, T)` sweep with arena memo reuse must choose exactly the plan
+//! an exhaustive sequential scan chooses (the test-support reference:
+//! one fresh arena per candidate) — same stage
 //! boundaries, same device allocation, same micro-batching, same
 //! objective value to the last bit — for every bundled model and
 //! cluster size. Anything less would make planner performance a
@@ -123,8 +123,8 @@ fn parallel_engine_matches_sequential_plans() {
             memo_hits += stats.stage_cache.hits;
         }
     }
-    // Pruning can leave a tiny model a single S = 1 candidate, whose DP
-    // never repeats a lookup; across the grid the memo must answer some.
+    // A tiny model may have only S = 1 candidates, whose DP never
+    // repeats a lookup; across the grid the memo must answer some.
     assert!(memo_hits > 0, "arena memo never hit on the bundled grid");
 }
 
@@ -189,7 +189,7 @@ fn tp_max_one_reproduces_the_sequential_scan() {
     );
 }
 
-/// Paper-scale grid at 128 devices: the grouped/pruned/arena engine
+/// Paper-scale grid at 128 devices: the grouped/arena engine
 /// still returns the exhaustive scan's plan bit-for-bit on the models
 /// the paper-scale bench sweeps. The 256-layer BERT is left to the
 /// release-mode bench — profiling its 7.4k tasks in a debug test run
