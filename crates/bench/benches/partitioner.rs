@@ -6,7 +6,6 @@ use rannc::core::{
     atomic_partition, block_partition, form_stage_dp, BlockLimits, DpArena, DpCtx, DpParams,
     RangeTable,
 };
-use rannc::graph::TaskId;
 use rannc::prelude::*;
 
 fn bench_atomic(c: &mut Criterion) {
@@ -91,9 +90,10 @@ fn bench_stage_dp(c: &mut Criterion) {
     group.finish();
 }
 
-/// The per-lookup cost of the profiling oracle on the paper-scale BERT
-/// 2048x256: a memo hit on both layers, and a set-statistics miss, for
-/// block-range sets of three sizes (whole model, half, one block).
+/// The per-query cost of the profiling oracle on the paper-scale BERT
+/// 2048x256, for block-range sets of three sizes (whole model, half, one
+/// block): a range answered from its own time cache, and the same tasks
+/// priced as a plain set, one walk for statistics and one for time.
 fn bench_profile_set(c: &mut Criterion) {
     let mut group = c.benchmark_group("profile_set");
     let g = bert_graph(&BertConfig::enlarged(2048, 256));
@@ -111,28 +111,13 @@ fn bench_profile_set(c: &mut Criterion) {
     let ranges = RangeTable::build(&g, &profiler, &blocks);
     let nb = ranges.blocks();
     for (id, to) in [("whole", nb), ("half", nb / 2), ("block", 1)] {
-        let set = &ranges.get(0, to).set;
-        let _ = profiler.profile_set(set, 1, 1, false);
-        group.bench_with_input(BenchmarkId::new("hit", id), set, |b, set| {
-            b.iter(|| profiler.profile_set(set, 1, 1, false));
+        let range = &ranges.get(0, to).set;
+        let _ = profiler.profile(range, 1, 1, false, 1);
+        group.bench_with_input(BenchmarkId::new("cached", id), range, |b, range| {
+            b.iter(|| profiler.profile(range, 1, 1, false, 1));
         });
-        // Each iteration queries a set never seen before: `set` minus the
-        // first members picked by the bits of a fresh counter. The
-        // all-reduce volume reads only the statistics layer, so this times
-        // one statistics miss (plus one set clone).
-        let members: Vec<TaskId> = set.iter().take(32).collect();
-        let mut fresh = 0u64;
-        group.bench_with_input(BenchmarkId::new("stats_miss", id), set, |b, set| {
-            b.iter(|| {
-                fresh += 1;
-                let mut s = set.clone();
-                for (i, &t) in members.iter().enumerate() {
-                    if fresh >> i & 1 == 1 {
-                        s.remove(t);
-                    }
-                }
-                profiler.tp_allreduce_bytes(&s, 1)
-            });
+        group.bench_with_input(BenchmarkId::new("walk", id), range.tasks(), |b, set| {
+            b.iter(|| profiler.profile_set(set, 1, 1, false));
         });
     }
     group.finish();

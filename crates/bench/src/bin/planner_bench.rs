@@ -268,8 +268,8 @@ fn main() {
                 eprintln!("check failed: {} profiler cache hit rate is zero", c.model);
                 failed = true;
             }
-            // the two-layer miss-path overhaul promises a real hit rate,
-            // not just a nonzero one, on every bundled case
+            // a range's time entry serves every variant of its point:
+            // a real hit rate, not just a nonzero one, on every case
             if c.profiler_cache.hit_rate() < planner::PROFILER_HIT_RATE_FLOOR {
                 eprintln!(
                     "check failed: {} profiler cache hit rate {:.1}% is below the \

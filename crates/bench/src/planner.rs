@@ -674,9 +674,9 @@ pub fn check_tp_search() -> Result<Vec<String>, String> {
     )])
 }
 
-/// The DP arena memo's counters: a memo has no shards to contend on and
-/// no layered set/time split, so only hits, misses and entries apply.
-fn json_stage_cache(stats: &CacheStats) -> String {
+/// A cache's counters: the DP arena memo's, or the block ranges' time
+/// caches'.
+fn json_cache(stats: &CacheStats) -> String {
     format!(
         "{{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.6}, \"entries\": {}}}",
         stats.hits,
@@ -686,31 +686,12 @@ fn json_stage_cache(stats: &CacheStats) -> String {
     )
 }
 
-fn json_cache(stats: &CacheStats) -> String {
-    format!(
-        "{{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.6}, \"contention\": {}, \
-         \"entries\": {}, \"shards\": {}, \
-         \"stats_hits\": {}, \"stats_misses\": {}, \
-         \"time_hits\": {}, \"time_misses\": {}}}",
-        stats.hits,
-        stats.misses,
-        stats.hit_rate(),
-        stats.contention,
-        stats.entries(),
-        stats.shard_sizes.len(),
-        stats.stats_hits,
-        stats.stats_misses,
-        stats.time_hits,
-        stats.time_misses,
-    )
-}
-
 /// Render the report as `BENCH_partition.json` (hand-rolled: the offline
 /// dependency set has no JSON crate).
 pub fn to_json(report: &BenchReport) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"rannc_planner_search\",\n");
-    out.push_str("  \"version\": 5,\n");
+    out.push_str("  \"version\": 6,\n");
     out.push_str(&format!("  \"threads\": {},\n", report.threads));
     out.push_str(&format!("  \"tp_max\": {},\n", report.tp_max));
     out.push_str(&format!("  \"quick\": {},\n", report.quick));
@@ -755,7 +736,7 @@ pub fn to_json(report: &BenchReport) -> String {
             c.search.feasible,
             c.search.node_tiers,
             c.search.threads,
-            json_stage_cache(&c.search.stage_cache),
+            json_cache(&c.search.stage_cache),
             json_cache(&c.profiler_cache),
             if i + 1 == report.cases.len() { "" } else { "," },
         ));
@@ -807,10 +788,11 @@ pub fn validate_json(s: &str) -> Result<(), String> {
     .map_err(|e| e.to_string())
 }
 
-/// Minimum profiler-cache hit rate `--check` accepts on every case. The
-/// two-layer memo (batch-independent set stats + per-batch timings) is
-/// designed to make checkpoint/inflight variants hit, so a rate below
-/// this means the miss-path split stopped paying for itself.
+/// Minimum profiler-cache hit rate `--check` accepts on every case: the
+/// block ranges' time caches, whose one entry per `(micro-batch, T)`
+/// point serves every stage count and `(inflight, ckpt)` variant that
+/// prices it, so a rate below this means the ranges stopped reusing
+/// their times.
 pub const PROFILER_HIT_RATE_FLOOR: f64 = 0.6;
 
 /// Relative tolerance for baseline comparison (the acceptance budget for

@@ -73,8 +73,9 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     /// memory only: exactly [`BlockCtx::profile`]'s memory, without its
     /// time.
     pub fn fits(&self, set: &TaskSet) -> bool {
+        let set = self.cost.profiler().profiled(set);
         self.cost
-            .stage_mem(set, self.limits.profile_batch, 1, true, 1)
+            .stage_mem(&set, self.limits.profile_batch, 1, true, 1)
             <= self.limits.mem_limit
     }
 
@@ -288,6 +289,28 @@ mod tests {
                 profile_batch: 4,
             },
         )
+    }
+
+    #[test]
+    fn block_phase_does_no_cache_work() {
+        // every candidate group is priced as a plain set, one walk for
+        // its statistics and one for its time: nothing is cached, so
+        // nothing is counted
+        let g = bert_graph(&BertConfig::tiny());
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let blocks = block_partition(
+            &g,
+            &profiler,
+            &atomic_partition(&g),
+            BlockLimits {
+                k: 4,
+                mem_limit: 32 << 30,
+                profile_batch: 4,
+            },
+        );
+        assert!(blocks.len() > 1);
+        let stats = profiler.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries()), (0, 0, 0));
     }
 
     /// Group adjacency as first built: membership lists and a

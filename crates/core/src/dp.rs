@@ -392,7 +392,7 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
             }
         };
         stages_rev.push(DpStage {
-            set: ctx.ranges().get(b_prev, b).set.clone(),
+            set: ctx.ranges().get(b_prev, b).set.tasks().clone(),
             block_range: (b_prev, b),
             devices: repl,
             tensor_parallel: p.tp,

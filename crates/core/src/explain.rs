@@ -11,13 +11,13 @@
 //!   optimizer step) and both memory columns (the profiler estimate the
 //!   search priced with, and the liveness-certified peak recomputed via
 //!   `rannc-verify`);
-//! - **accounting** — cache *entry* counts. Hit/miss tallies depend on
-//!   sweep interleaving, so only the deterministic sizes are recorded.
+//! - **accounting** — cache *entry* counts.
 //!
 //! Everything is gated on [`rannc_obs::recorder::enabled`]: while the
 //! recorder is off this is one atomic load and an early return.
 
 use crate::plan::PartitionPlan;
+use crate::search::stage_allreduce_time;
 use crate::PlannerStats;
 use rannc_cost::CostModel;
 use rannc_graph::TaskGraph;
@@ -29,10 +29,11 @@ use rannc_verify::{liveness::certify_memory, ScheduleModel};
 /// recording left open by the stage-level search. No-op while the
 /// recorder is disabled.
 ///
-/// The recorded winner score is rebuilt from the plan with the same
-/// pricing calls [`crate::search::score_solution`] makes, in the same
-/// order, so it is bit-equal to the score of the winning sweep candidate
-/// — `obs::check::check_explain` cross-checks the two.
+/// The recorded winner score is rebuilt from the plan with
+/// `stage_allreduce_time`, the all-reduce term
+/// [`crate::search::score_solution`] uses, so it is bit-equal to the
+/// score of the winning sweep candidate — `obs::check::check_explain`
+/// cross-checks the two.
 pub fn annotate_recording(
     g: &TaskGraph,
     cost: &dyn CostModel,
@@ -85,16 +86,17 @@ pub fn annotate_recording(
             }
             None => 0.0,
         };
-        let group = st.replicas * plan.replica_factor;
-        // mirror score_solution: each tensor-parallel shard all-reduces
-        // its own gradient slice across the data-parallel group
-        let grad_bytes = st.param_elems * 4 / st.tensor_parallel;
-        let allreduce_time = if group > 1 {
-            cost.allreduce_time(cluster, grad_bytes, group, plan.replica_factor > 1)
-        } else {
-            0.0
-        };
+        let allreduce_time = stage_allreduce_time(
+            cost,
+            cluster,
+            st.param_elems,
+            st.tensor_parallel,
+            st.replicas,
+            plan.replica_factor,
+        );
         allreduce_max = allreduce_max.max(allreduce_time);
+        // the optimizer steps this shard's gradient slice
+        let grad_bytes = st.param_elems * 4 / st.tensor_parallel;
         stages.push(WinnerStageRec {
             tasks: st.set.len(),
             devices: st.replicas,

@@ -183,35 +183,20 @@ impl PartitionConfig {
 /// `--planner-stats` flag and the planner bench JSON.
 #[derive(Debug, Clone, Default)]
 pub struct PlannerStats {
-    /// Profiling-oracle memo cache behaviour (hits/misses/contention,
-    /// per-shard sizes).
+    /// Time-cache behaviour of the search's block ranges (hits, misses).
     pub profiler_cache: CacheStats,
     /// Search-engine counters, including the DP arena memo.
     pub search: SearchStats,
 }
 
-/// The rendered quantities of one cache in [`PlannerStats`] output:
-/// `[hits, misses, entries, contention, max_shard]`.
-type CacheNums = [u64; 5];
-
-fn cache_nums(s: &CacheStats) -> CacheNums {
-    [
-        s.hits,
-        s.misses,
-        s.entries() as u64,
-        s.contention,
-        s.shard_sizes.iter().max().copied().unwrap_or(0) as u64,
-    ]
-}
-
-/// Publish a cache snapshot as `{prefix}.{hits,misses,entries,contention,
-/// max_shard}` gauges (last-run semantics, like the rendered stats).
+/// Publish a cache snapshot as `{prefix}.{hits,misses,entries}` gauges
+/// (last-run semantics, like the rendered stats).
 pub(crate) fn publish_cache_metrics(prefix: &str, s: &CacheStats) {
-    let nums = cache_nums(s);
-    for (field, v) in ["hits", "misses", "entries", "contention", "max_shard"]
-        .iter()
-        .zip(nums)
-    {
+    for (field, v) in [
+        ("hits", s.hits),
+        ("misses", s.misses),
+        ("entries", s.entries() as u64),
+    ] {
         rannc_obs::metrics::gauge(&format!("{prefix}.{field}")).set(v as f64);
     }
 }
@@ -219,39 +204,27 @@ pub(crate) fn publish_cache_metrics(prefix: &str, s: &CacheStats) {
 impl PlannerStats {
     /// Multi-line human-readable rendering.
     pub fn render(&self) -> String {
-        let rate = |hits: u64, misses: u64| {
-            if hits + misses == 0 {
-                0.0
-            } else {
-                100.0 * hits as f64 / (hits + misses) as f64
-            }
+        let cache = |s: &CacheStats| {
+            format!(
+                "{} hits / {} misses ({:.1}% hit rate), {} entries",
+                s.hits,
+                s.misses,
+                100.0 * s.hit_rate(),
+                s.entries()
+            )
         };
         let search = &self.search;
-        let sc = cache_nums(&search.stage_cache);
-        let pc = cache_nums(&self.profiler_cache);
         format!(
             "planner stats:\n  \
              search: {} DP candidate(s), {} feasible, {} node tier(s), {} thread(s)\n  \
-             stage cache: {} hits / {} misses ({:.1}% hit rate), {} entries, \
-             {} contended lock(s), max shard {}\n  \
-             profiler cache: {} hits / {} misses ({:.1}% hit rate), {} entries, \
-             {} contended lock(s), max shard {}",
+             stage cache: {}\n  \
+             profiler cache: {}",
             search.candidates,
             search.feasible,
             search.node_tiers,
             search.threads,
-            sc[0],
-            sc[1],
-            rate(sc[0], sc[1]),
-            sc[2],
-            sc[3],
-            sc[4],
-            pc[0],
-            pc[1],
-            rate(pc[0], pc[1]),
-            pc[2],
-            pc[3],
-            pc[4],
+            cache(&search.stage_cache),
+            cache(&self.profiler_cache),
         )
     }
 }
@@ -326,7 +299,7 @@ impl Rannc {
     }
 
     /// [`Rannc::partition`], additionally returning planner observability
-    /// counters (cache hit rates, contention, search shape).
+    /// counters (cache hit rates, search shape).
     pub fn partition_with_stats(
         &self,
         graph: &TaskGraph,

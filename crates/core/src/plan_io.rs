@@ -135,7 +135,14 @@ pub fn decode_plan(mut data: &[u8]) -> Result<PartitionPlan, PlanIoError> {
     let mut stages: Vec<StagePlan> = Vec::with_capacity(n_stages);
     for _ in 0..n_stages {
         let universe = get_usize(&mut data)?;
-        if universe > MAX_UNIVERSE || stages.first().is_some_and(|s| s.set.universe() != universe) {
+        let valid = match stages.first() {
+            // Checked before any set is built: a plan lists every task of
+            // its graph at least once, so the universe cannot exceed the
+            // task ids the rest of the payload can hold.
+            None => universe <= MAX_UNIVERSE && universe <= data.len() / 4,
+            Some(first) => first.set.universe() == universe,
+        };
+        if !valid {
             return Err(PlanIoError::Corrupted);
         }
         let n_members = get_u32(&mut data)? as usize;
@@ -265,9 +272,11 @@ mod tests {
     use super::*;
     use rannc_graph::TaskId;
 
+    /// Two stages covering a 66-task universe, as every real plan covers
+    /// its graph; stage 0 spans two bitset words.
     fn sample_plan() -> PartitionPlan {
         let mk = |ids: &[u32], replicas: usize| StagePlan {
-            set: TaskSet::from_ids(100, ids.iter().map(|&i| TaskId(i))),
+            set: TaskSet::from_ids(66, ids.iter().map(|&i| TaskId(i))),
             replicas,
             tensor_parallel: 1,
             micro_batch: 2,
@@ -278,7 +287,10 @@ mod tests {
         };
         PartitionPlan {
             model: "bert[h=1024,l=24]".into(),
-            stages: vec![mk(&[0, 1, 2, 63, 64], 3), mk(&[70, 99], 5)],
+            stages: vec![
+                mk(&[0, 1, 2, 63, 64], 3),
+                mk(&(3..63).chain([65]).collect::<Vec<_>>(), 5),
+            ],
             microbatches: 8,
             replica_factor: 4,
             batch_size: 512,
@@ -517,19 +529,29 @@ mod tests {
     }
 
     #[test]
-    fn largest_universe_decodes_to_its_members_window() {
-        // a stage's set holds the words its members span, not the
-        // universe's: {0, 1} over 2^32 task ids decodes to one word
-        let mut plan = sample_plan();
-        for (stage, ids) in plan.stages.iter_mut().zip([[0, 1], [70, 99]]) {
-            stage.set = TaskSet::from_ids(MAX_UNIVERSE, ids.map(TaskId));
-        }
-        let back = decode_plan(&encode_plan(&plan)).unwrap();
-        for (a, b) in back.stages.iter().zip(&plan.stages) {
-            assert_eq!(a.set, b.set);
-            assert_eq!(a.set.universe(), MAX_UNIVERSE);
-            assert_eq!(a.set.indexed_words().len(), 1);
-        }
+    fn forged_universe_spanning_every_id_is_corrupted_not_an_allocation() {
+        // both stages claiming all 2^32 task ids, stage 0 listing the
+        // first and the last: a set built from it would span a 512 MiB
+        // window, but the payload lists far fewer ids than such a graph
+        // has tasks. Stage 1's universe sits after stage 0's universe (8),
+        // count (4), 5 members (20) and seven words (56).
+        let plan = sample_plan();
+        let stage0 = stage_count_offset(&plan) + 4;
+        let forged = |universe: u64| {
+            let mut bytes = encode_plan(&plan);
+            forge(&mut bytes, stage0, &universe.to_le_bytes());
+            forge(&mut bytes, stage0 + 88, &universe.to_le_bytes());
+            bytes
+        };
+        let mut bytes = forged(MAX_UNIVERSE as u64);
+        forge(&mut bytes, stage0 + 12 + 16, &u32::MAX.to_le_bytes());
+        assert_eq!(decode_plan(&bytes).unwrap_err(), PlanIoError::Corrupted);
+        // the smallest universe the payload's ids cannot cover
+        let ids_left = (encode_plan(&plan).len() - stage0 - 8) / 4;
+        assert_eq!(
+            decode_plan(&forged(ids_left as u64 + 1)).unwrap_err(),
+            PlanIoError::Corrupted
+        );
     }
 
     #[test]

@@ -48,25 +48,45 @@ use std::sync::Mutex;
 /// Estimated wall time of one training iteration under the synchronous
 /// pipeline for a DP solution: fill–drain pipeline slots plus the
 /// per-iteration gradient all-reduce of the most expensive stage.
-///
-/// Stage `i` has `devices_i × R` replicas in total; its gradients
-/// (4 bytes/param master precision) are all-reduced across that group,
-/// spanning nodes whenever `R > 1`. The collective is priced through the
-/// cost model, never inline.
 pub fn score_solution(sol: &DpSolution, cluster: &ClusterSpec, cost: &dyn CostModel) -> f64 {
-    let pipeline = sol.estimated_iteration_time();
-    let mut allreduce: f64 = 0.0;
-    for st in &sol.stages {
-        let group = st.devices * sol.replica_factor;
-        if group > 1 {
-            // each tensor-parallel shard all-reduces only its own slice
-            // of the gradients across the stage's data-parallel group
-            let bytes = st.param_elems * 4 / st.tensor_parallel;
-            let t = cost.allreduce_time(cluster, bytes, group, sol.replica_factor > 1);
-            allreduce = allreduce.max(t);
-        }
+    let allreduce = sol
+        .stages
+        .iter()
+        .map(|st| {
+            stage_allreduce_time(
+                cost,
+                cluster,
+                st.param_elems,
+                st.tensor_parallel,
+                st.devices,
+                sol.replica_factor,
+            )
+        })
+        .fold(0.0, f64::max);
+    sol.estimated_iteration_time() + allreduce
+}
+
+/// Per-iteration gradient all-reduce time of a stage on `devices` data
+/// parallel units in each of `R` pipeline replicas: `devices × R` replicas
+/// in total, spanning nodes whenever `R > 1`. Each tensor-parallel shard
+/// all-reduces only its own slice of the gradients (4 bytes/param master
+/// precision). Zero for a single replica. The collective is priced
+/// through the cost model, never inline.
+pub(crate) fn stage_allreduce_time(
+    cost: &dyn CostModel,
+    cluster: &ClusterSpec,
+    param_elems: usize,
+    tensor_parallel: usize,
+    devices: usize,
+    replica_factor: usize,
+) -> f64 {
+    let group = devices * replica_factor;
+    if group > 1 {
+        let bytes = param_elems * 4 / tensor_parallel;
+        cost.allreduce_time(cluster, bytes, group, replica_factor > 1)
+    } else {
+        0.0
     }
-    pipeline + allreduce
 }
 
 /// Tuning knobs of the partition-search engine.
@@ -104,9 +124,8 @@ pub struct SearchStats {
     pub node_tiers: usize,
     /// Worker threads the sweep ran with.
     pub threads: usize,
-    /// DP arena memo behaviour: `hits` are memo hits, `misses` stage
-    /// evaluations, `shard_sizes` the evaluations of each arena (so
-    /// `entries()` is the total), `contention` always 0.
+    /// DP arena memo behaviour: `hits` are memo hits, `misses` (and so
+    /// `entries()`) stage evaluations.
     pub stage_cache: CacheStats,
 }
 
@@ -140,8 +159,6 @@ impl ArenaPool {
         CacheStats {
             hits: pool.iter().map(DpArena::hits).sum(),
             misses: pool.iter().map(DpArena::misses).sum(),
-            shard_sizes: pool.iter().map(|a| a.misses() as usize).collect(),
-            ..CacheStats::default()
         }
     }
 }
@@ -250,8 +267,8 @@ pub fn form_stage_with(
     // a branch on one relaxed atomic load and allocates nothing.
     rannc_obs::recorder::begin_search();
 
-    // Build every block-range union, with its egress and seeded set
-    // statistics, before the first DP touches any.
+    // Build every block-range union, with its egress and set statistics,
+    // before the first DP touches any.
     let nb = blocks.len();
     let ranges = {
         let _pf = rannc_obs::trace::span("prefetch_ranges", "planner").arg_i("blocks", nb as i64);
@@ -398,7 +415,7 @@ mod tests {
     use rannc_graph::TaskSet;
     use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec, NodeSpec};
     use rannc_models::{mlp_graph, MlpConfig};
-    use rannc_profile::{Profiler, ProfilerOptions};
+    use rannc_profile::{ProfiledSet, Profiler, ProfilerOptions};
 
     /// A small test cluster: `nodes` × 2 devices with `mem` bytes each.
     fn small_cluster(nodes: usize, mem: usize) -> ClusterSpec {
@@ -478,7 +495,7 @@ mod tests {
     }
 
     /// A search in which no stage fits memory rejects every stage from
-    /// its set statistics: the time layer is never priced.
+    /// its set statistics: no range's time is ever priced.
     #[test]
     fn infeasible_search_never_prices_time() {
         let g = mlp_graph(&MlpConfig::deep(512, 512, 8, 10));
@@ -491,7 +508,7 @@ mod tests {
             let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, 32, &opts);
             assert!(sol.is_none());
             assert!(stats.stage_cache.misses > 0, "the DP evaluated no stage");
-            assert_eq!(cost.cache_stats().time_misses, 0, "tp_max {tp_max}");
+            assert_eq!(cost.cache_stats().misses, 0, "tp_max {tp_max}");
         }
     }
 
@@ -503,14 +520,8 @@ mod tests {
     }
 
     impl CostModel for Counting<'_> {
-        fn graph(&self) -> &TaskGraph {
-            CostModel::graph(&self.inner)
-        }
-        fn options(&self) -> &ProfilerOptions {
-            CostModel::options(&self.inner)
-        }
-        fn device(&self) -> &DeviceSpec {
-            CostModel::device(&self.inner)
+        fn profiler(&self) -> &Profiler<'_> {
+            &self.inner
         }
         fn stage_cost(
             &self,
@@ -523,7 +534,7 @@ mod tests {
         }
         fn stage_cost_tp(
             &self,
-            set: &TaskSet,
+            set: &ProfiledSet<'_>,
             batch: usize,
             inflight: usize,
             ckpt: bool,
@@ -535,7 +546,7 @@ mod tests {
         }
         fn stage_mem(
             &self,
-            set: &TaskSet,
+            set: &ProfiledSet<'_>,
             batch: usize,
             inflight: usize,
             ckpt: bool,
@@ -566,12 +577,6 @@ mod tests {
         fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64 {
             self.inner.optimizer_time(device, grad_bytes)
         }
-        fn cache_stats(&self) -> CacheStats {
-            CostModel::cache_stats(&self.inner)
-        }
-        fn seed_prefix_unions(&self, parts: &[&TaskSet], unions: &[TaskSet]) {
-            self.inner.seed_prefix_unions(parts, unions)
-        }
     }
 
     /// In a feasible search under memory pressure, only stages that fit
@@ -596,7 +601,7 @@ mod tests {
                 mem_ok < stats.stage_cache.misses,
                 "no stage was over memory: the case does not test the ordering"
             );
-            let time_misses = cost.cache_stats().time_misses;
+            let time_misses = cost.cache_stats().misses;
             assert!(
                 time_misses <= mem_ok,
                 "tp_max {tp_max}: {time_misses} time misses, {mem_ok} stages fit memory"

@@ -5,13 +5,14 @@
 //! every candidate queries the same block-range unions `[from, to)`.
 //! [`RangeTable::build`] computes all of them once per search, up front,
 //! with incremental prefix unions (`[f, t+1)` = `[f, t) ∪ block t`), so a
-//! range query inside the DP is one array index. The same walk fills each
-//! range's egress and seeds the cost model's set statistics for it, so no
-//! range's members are scanned again: a row costs one pass over its
-//! blocks' members.
+//! range query inside the DP is one array index. Each range is a
+//! [`ProfiledSet`] that owns its statistics, filled by the same one-pass
+//! row walk as its egress, and caches its own time sums per
+//! `(micro-batch, tp)`: no range's members are scanned for statistics
+//! again, and no pricing goes through a shared memo.
 //!
 //! [`DpCtx::eval`] prices one candidate stage: memory first, from the
-//! seeded statistics, and time only for a stage that fits. A stage over
+//! range's statistics, and time only for a stage that fits. A stage over
 //! the memory bound therefore costs O(1) in its size. The evaluation is a
 //! pure function of `(from, to, repl)` and the context, so a result
 //! cannot depend on which thread or candidate computed it; repeats within
@@ -24,6 +25,7 @@ use crate::placement::SlotTable;
 use rannc_cost::CostModel;
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::{ClusterSpec, LinkSpec};
+use rannc_profile::ProfiledSet;
 
 /// Evaluated cost of one candidate stage.
 ///
@@ -68,17 +70,17 @@ impl StageCost {
 }
 
 /// Union of a block range.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct RangeInfo {
-    /// Union of the range's block task sets.
-    pub set: TaskSet,
+    /// Union of the range's block task sets, with its statistics and
+    /// time cache.
+    pub set: ProfiledSet<'static>,
     /// FP32 bytes of one sample's values leaving the set.
     pub egress: usize,
 }
 
-/// Every block-range union of one block partition: slot `from·(nb+1)+to`
-/// holds range `[from, to)`. Slots with `to ≤ from` hold an empty,
-/// allocation-free placeholder and are never read.
+/// Every block-range union of one block partition, row by row: row
+/// `from` holds ranges `[from, from+1) … [from, nb)`.
 pub struct RangeTable {
     nb: usize,
     ranges: Vec<RangeInfo>,
@@ -89,9 +91,8 @@ impl RangeTable {
     /// walks `[f, t+1) = [f, t) ∪ block t`, so each block's members are
     /// read once per row: the whole table costs `O(nb · Σ|block|)`
     /// instead of a scan of every range. The walk carries each range's
-    /// egress and hands the row to [`CostModel::seed_prefix_unions`],
-    /// which fills the set statistics of every range of the row in the
-    /// same one pass.
+    /// egress, and [`rannc_profile::Profiler::profiled_prefixes`] builds
+    /// the row's unions with their set statistics in the same one pass.
     ///
     /// Exact for any block order: blocks need not be topological or
     /// convex, only pairwise disjoint. Rows run on the calling thread:
@@ -113,15 +114,14 @@ impl RangeTable {
         // in range
         let mut consumed = vec![0u32; facts.len()];
         let mut produced = vec![false; facts.len()];
-        let mut ranges = Vec::with_capacity(nb * (nb + 1));
+        let mut ranges = Vec::with_capacity(nb * (nb + 1) / 2);
         for from in 0..nb {
             consumed.fill(0);
             produced.fill(false);
             let parts: Vec<&TaskSet> = blocks[from..].iter().map(|b| &b.set).collect();
             let mut egress = 0usize;
-            let mut sets: Vec<TaskSet> = Vec::with_capacity(parts.len());
-            let mut egresses = Vec::with_capacity(parts.len());
-            for (i, part) in parts.iter().enumerate() {
+            let sets = cost.profiler().profiled_prefixes(&parts);
+            for (part, set) in parts.iter().zip(sets) {
                 for t in part.iter() {
                     let task = g.task(t);
                     for &v in &task.outputs {
@@ -139,24 +139,8 @@ impl RangeTable {
                         }
                     }
                 }
-                // one exact-size allocation per range, no running set to
-                // grow and clone
-                sets.push(match i {
-                    0 => (*part).clone(),
-                    _ => sets[i - 1].union(part),
-                });
-                egresses.push(egress);
+                ranges.push(RangeInfo { set, egress });
             }
-            cost.seed_prefix_unions(&parts, &sets);
-            ranges.extend((0..=from).map(|_| RangeInfo {
-                set: TaskSet::new(0),
-                egress: 0,
-            }));
-            ranges.extend(
-                sets.into_iter()
-                    .zip(egresses)
-                    .map(|(set, egress)| RangeInfo { set, egress }),
-            );
         }
         RangeTable { nb, ranges }
     }
@@ -169,7 +153,9 @@ impl RangeTable {
     /// The union and egress of block range `[from, to)`.
     pub fn get(&self, from: usize, to: usize) -> &RangeInfo {
         debug_assert!(from < to && to <= self.nb, "range [{from}, {to})");
-        &self.ranges[from * (self.nb + 1) + to]
+        // rows before `from` hold nb, nb−1, …, nb−from+1 ranges
+        let row = from * self.nb - from * from.saturating_sub(1) / 2;
+        &self.ranges[row + to - from - 1]
     }
 }
 
@@ -244,8 +230,8 @@ impl<'a> DpCtx<'a> {
             return None;
         }
         let range = self.ranges.get(from, to);
-        // Memory first: an over-memory stage is rejected from its memoised
-        // set statistics, without pricing its time.
+        // Memory first: an over-memory stage is rejected from its set
+        // statistics, without pricing its time.
         let mem = self
             .cost
             .stage_mem(&range.set, micro, self.p.microbatches, self.ckpt, self.p.tp);
@@ -334,7 +320,7 @@ mod tests {
     }
 
     /// Every `(from, to)` entry is the union of blocks `[from, to)` with
-    /// that union's egress.
+    /// that union's egress, and building the table prices no time.
     #[test]
     fn fill_matches_union_and_egress_definitions() {
         let (g, blocks) = setup();
@@ -348,12 +334,11 @@ mod tests {
                 for b in &blocks[from + 1..to] {
                     set.union_with(&b.set);
                 }
-                let expect = RangeInfo {
-                    egress: traverse::egress_bytes(&g, &set),
-                    set,
-                };
-                assert_eq!(table.get(from, to), &expect, "[{from}, {to})");
+                let range = table.get(from, to);
+                assert_eq!(range.set.tasks(), &set, "[{from}, {to})");
+                assert_eq!(range.egress, traverse::egress_bytes(&g, &set));
             }
         }
+        assert_eq!(profiler.cache_stats(), Default::default());
     }
 }

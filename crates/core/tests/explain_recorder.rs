@@ -92,6 +92,18 @@ fn recorder_is_plan_preserving_and_free_while_disabled() {
         winner.est_iteration_time.to_bits(),
         plan_on.est_iteration_time.to_bits()
     );
+    // the winner's score is rebuilt from the plan with the all-reduce
+    // term the sweep scored cells with: it is the best cell's, bit for bit
+    let best = rec
+        .tiers
+        .iter()
+        .flat_map(|t| &t.candidates)
+        .filter_map(|c| match c.outcome {
+            CandidateOutcome::Feasible { score, .. } => Some(score),
+            CandidateOutcome::Infeasible => None,
+        })
+        .fold(f64::INFINITY, f64::min);
+    assert_eq!(winner.score.to_bits(), best.to_bits());
     let (candidates, feasible, _) = rec.totals();
     assert!(candidates > 0 && feasible > 0);
 }
@@ -276,14 +288,16 @@ fn search_counters_do_not_depend_on_threads_or_the_recorder() {
             let (_, stats) = form_stage_with(&g, &cost, &blocks, &cluster, EXPLAIN_BATCH, &opts);
             recorder::set_enabled(false);
             recorder::reset();
-            // the stage evaluations and memo hits of the DP arenas:
-            // every run does the same DP work
+            // the stage evaluations and memo hits of the DP arenas, and
+            // the ranges' time-cache lookups: every run does the same work
             let work = (
                 stats.candidates,
                 stats.feasible,
                 stats.node_tiers,
                 stats.stage_cache.misses,
                 stats.stage_cache.hits,
+                cost.cache_stats().misses,
+                cost.cache_stats().hits,
             );
             seen.push((recording, threads, work));
         }

@@ -3,7 +3,7 @@
 use crate::{Calibration, CostFactors};
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec};
-use rannc_profile::{CacheStats, ProfileResult, Profiler, ProfilerOptions};
+use rannc_profile::{CacheStats, ProfileResult, ProfiledSet, Profiler, ProfilerOptions};
 
 /// The single pricing interface for stage compute time, activation
 /// transfer time, collective time, and peak memory.
@@ -14,18 +14,30 @@ use rannc_profile::{CacheStats, ProfileResult, Profiler, ProfilerOptions};
 /// Implementations must be `Sync`: the parallel `(S, MB)` sweep shares
 /// one model across worker threads.
 pub trait CostModel: Sync {
+    /// The analytical profiler underneath. It builds the
+    /// [`ProfiledSet`]s the model prices: a set's statistics are
+    /// structural, so calibration never changes them, only their price.
+    fn profiler(&self) -> &Profiler<'_>;
+
     /// The task graph this model prices.
-    fn graph(&self) -> &TaskGraph;
+    fn graph(&self) -> &TaskGraph {
+        self.profiler().graph()
+    }
 
     /// The profiling options (precision, overheads, noise) in effect.
-    fn options(&self) -> &ProfilerOptions;
+    fn options(&self) -> &ProfilerOptions {
+        self.profiler().options()
+    }
 
     /// The device model stages run on.
-    fn device(&self) -> &DeviceSpec;
+    fn device(&self) -> &DeviceSpec {
+        self.profiler().device()
+    }
 
     /// The paper's `profile(U, batch)`: forward/backward time and peak
     /// memory of one candidate stage at a micro-batch size, with
     /// `inflight` micro-batches resident and optional checkpointing.
+    /// Prices a plain set: nothing is cached or counted.
     fn stage_cost(
         &self,
         set: &TaskSet,
@@ -41,11 +53,12 @@ pub trait CostModel: Sync {
     /// activation all-reduce over the group folded into the forward and
     /// backward times (which is why this variant needs the cluster).
     ///
-    /// `tp == 1` must be bit-identical to [`CostModel::stage_cost`] —
-    /// same float operations, same memo keys, same cache counters.
+    /// `tp == 1` must be bit-identical to [`CostModel::stage_cost`] of
+    /// the set's tasks — same float operations. The set's time sums are
+    /// cached in the set and counted in [`CostModel::cache_stats`].
     fn stage_cost_tp(
         &self,
-        set: &TaskSet,
+        set: &ProfiledSet<'_>,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
@@ -61,7 +74,7 @@ pub trait CostModel: Sync {
     /// before its time is profiled.
     fn stage_mem(
         &self,
-        set: &TaskSet,
+        set: &ProfiledSet<'_>,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
@@ -101,17 +114,9 @@ pub trait CostModel: Sync {
         CostFactors::identity()
     }
 
-    /// Memo-cache counters of the underlying profile oracle.
-    fn cache_stats(&self) -> CacheStats;
-
-    /// Hint from the planner's range table: `unions[i]` is
-    /// `parts[0] ∪ … ∪ parts[i]` for pairwise-disjoint `parts`, and every
-    /// union is about to be priced. Lets the oracle fill its
-    /// batch-independent set statistics for the whole row in one pass
-    /// over the parts' members. Default: no-op — results never depend on
-    /// it.
-    fn seed_prefix_unions(&self, parts: &[&TaskSet], unions: &[TaskSet]) {
-        let _ = (parts, unions);
+    /// Time-cache counters of every [`ProfiledSet`] this model priced.
+    fn cache_stats(&self) -> CacheStats {
+        self.profiler().cache_stats()
     }
 
     /// Stable name of the pricing family, for reports and the explain
@@ -125,19 +130,10 @@ pub trait CostModel: Sync {
 /// The analytical cost model: the [`Profiler`] roofline for stage
 /// compute and memory plus the `rannc-hw` α–β and ring formulas. The
 /// profiler *is* the analytical oracle, so any code holding one passes
-/// it wherever a `&dyn CostModel` is expected, with no wrapper and no
-/// second cache.
-impl<'g> CostModel for Profiler<'g> {
-    fn graph(&self) -> &TaskGraph {
-        Profiler::graph(self)
-    }
-
-    fn options(&self) -> &ProfilerOptions {
-        Profiler::options(self)
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        Profiler::device(self)
+/// it wherever a `&dyn CostModel` is expected, with no wrapper.
+impl CostModel for Profiler<'_> {
+    fn profiler(&self) -> &Profiler<'_> {
+        self
     }
 
     fn stage_cost(
@@ -152,18 +148,19 @@ impl<'g> CostModel for Profiler<'g> {
 
     fn stage_cost_tp(
         &self,
-        set: &TaskSet,
+        set: &ProfiledSet<'_>,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
         cluster: &ClusterSpec,
     ) -> ProfileResult {
-        if tp <= 1 {
-            return self.profile_set(set, batch, inflight, checkpointing);
-        }
-        let mut r = self.profile_set_tp(set, batch, inflight, checkpointing, tp);
-        let bytes = self.tp_allreduce_bytes(set, batch);
+        let mut r = self.profile(set, batch, inflight, checkpointing, tp);
+        let bytes = if tp > 1 {
+            self.tp_allreduce_bytes(set, batch)
+        } else {
+            0
+        };
         if bytes > 0 {
             let ar = cluster.replica_allreduce_time(bytes, tp, tp > cluster.node.devices);
             r.fwd_time += ar;
@@ -174,13 +171,13 @@ impl<'g> CostModel for Profiler<'g> {
 
     fn stage_mem(
         &self,
-        set: &TaskSet,
+        set: &ProfiledSet<'_>,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
     ) -> usize {
-        self.profile_mem_tp(set, batch, inflight, checkpointing, tp)
+        self.profile_mem(set, batch, inflight, checkpointing, tp)
     }
 
     fn comm_bytes(&self, from: &TaskSet, to: &TaskSet, batch: usize) -> usize {
@@ -203,14 +200,6 @@ impl<'g> CostModel for Profiler<'g> {
 
     fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64 {
         device.optimizer_step_time(grad_bytes)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        Profiler::cache_stats(self)
-    }
-
-    fn seed_prefix_unions(&self, parts: &[&TaskSet], unions: &[TaskSet]) {
-        self.seed_prefix_stats(parts, unions)
     }
 }
 
@@ -272,17 +261,9 @@ impl<'g> CalibratedCost<'g> {
     }
 }
 
-impl<'g> CostModel for CalibratedCost<'g> {
-    fn graph(&self) -> &TaskGraph {
-        CostModel::graph(&self.profiler)
-    }
-
-    fn options(&self) -> &ProfilerOptions {
-        CostModel::options(&self.profiler)
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        CostModel::device(&self.profiler)
+impl CostModel for CalibratedCost<'_> {
+    fn profiler(&self) -> &Profiler<'_> {
+        &self.profiler
     }
 
     fn stage_cost(
@@ -294,30 +275,31 @@ impl<'g> CostModel for CalibratedCost<'g> {
     ) -> ProfileResult {
         let mut r = self
             .profiler
-            .stage_cost(set, batch, inflight, checkpointing);
+            .profile_set(set, batch, inflight, checkpointing);
         r.mem_bytes = self.calibrated_mem(r.mem_bytes);
         r
     }
 
     fn stage_cost_tp(
         &self,
-        set: &TaskSet,
+        set: &ProfiledSet<'_>,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
         cluster: &ClusterSpec,
     ) -> ProfileResult {
-        if tp <= 1 {
-            return self.stage_cost(set, batch, inflight, checkpointing);
-        }
         let mut r = self
             .profiler
-            .profile_set_tp(set, batch, inflight, checkpointing, tp);
+            .profile(set, batch, inflight, checkpointing, tp);
         r.mem_bytes = self.calibrated_mem(r.mem_bytes);
         // the TP activation all-reduce is priced through the *calibrated*
         // collective path, unlike the profiler's raw impl
-        let bytes = self.profiler.tp_allreduce_bytes(set, batch);
+        let bytes = if tp > 1 {
+            self.profiler.tp_allreduce_bytes(set, batch)
+        } else {
+            0
+        };
         if bytes > 0 {
             let ar = self.allreduce_time(cluster, bytes, tp, tp > cluster.node.devices);
             r.fwd_time += ar;
@@ -328,7 +310,7 @@ impl<'g> CostModel for CalibratedCost<'g> {
 
     fn stage_mem(
         &self,
-        set: &TaskSet,
+        set: &ProfiledSet<'_>,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
@@ -336,7 +318,7 @@ impl<'g> CostModel for CalibratedCost<'g> {
     ) -> usize {
         self.calibrated_mem(
             self.profiler
-                .profile_mem_tp(set, batch, inflight, checkpointing, tp),
+                .profile_mem(set, batch, inflight, checkpointing, tp),
         )
     }
 
@@ -379,14 +361,6 @@ impl<'g> CostModel for CalibratedCost<'g> {
             allreduce_inter: self.cal.allreduce * self.cal.link_inter,
             optimizer: self.cal.optimizer,
         }
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        CostModel::cache_stats(&self.profiler)
-    }
-
-    fn seed_prefix_unions(&self, parts: &[&TaskSet], unions: &[TaskSet]) {
-        self.profiler.seed_prefix_stats(parts, unions)
     }
 
     fn name(&self) -> &'static str {

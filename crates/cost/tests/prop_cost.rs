@@ -133,12 +133,13 @@ proptest! {
             ),
         ];
         for (m, label) in &models {
+            let profiled = m.profiler().profiled(&set);
             for tp in [1usize, 2, 4, 8] {
                 for inflight in [1usize, 2, 5, 16] {
                     for ckpt in [false, true] {
-                        // memory first, as the DP asks: nothing memoised yet
-                        let mem = m.stage_mem(&set, batch, inflight, ckpt, tp);
-                        let full = m.stage_cost_tp(&set, batch, inflight, ckpt, tp, &cluster);
+                        // memory first, as the DP asks: no time priced yet
+                        let mem = m.stage_mem(&profiled, batch, inflight, ckpt, tp);
+                        let full = m.stage_cost_tp(&profiled, batch, inflight, ckpt, tp, &cluster);
                         prop_assert_eq!(
                             mem, full.mem_bytes,
                             "{}: tp {}, inflight {}, ckpt {}", label, tp, inflight, ckpt
@@ -251,7 +252,7 @@ proptest! {
         for_both_models(&cal, |m, cluster, label| {
             let set = whole_set(m.graph());
             let plain = m.stage_cost(&set, mb, inflight, ckpt);
-            let tp = m.stage_cost_tp(&set, mb, inflight, ckpt, 1, cluster);
+            let tp = m.stage_cost_tp(&m.profiler().profiled(&set), mb, inflight, ckpt, 1, cluster);
             assert!(
                 plain.fwd_time.to_bits() == tp.fwd_time.to_bits()
                     && plain.bwd_time.to_bits() == tp.bwd_time.to_bits()
@@ -278,8 +279,9 @@ proptest! {
         for_both_models(&cal, |m, cluster, label| {
             let set = whole_set(m.graph());
             let full = m.stage_cost(&set, mb, 1, ckpt);
-            let a = m.stage_cost_tp(&set, mb, 1, ckpt, lo, cluster);
-            let b = m.stage_cost_tp(&set, mb, 1, ckpt, hi, cluster);
+            let profiled = m.profiler().profiled(&set);
+            let a = m.stage_cost_tp(&profiled, mb, 1, ckpt, lo, cluster);
+            let b = m.stage_cost_tp(&profiled, mb, 1, ckpt, hi, cluster);
             assert!(
                 b.mem_bytes <= a.mem_bytes,
                 "{label}/ckpt={ckpt}: mem(T={hi}) = {} > mem(T={lo}) = {}",
@@ -314,10 +316,11 @@ proptest! {
         let g = graph();
         let cluster = ClusterSpec::v100_cluster(2);
         let m = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
-        let set = whole_set(m.graph());
+        let whole = whole_set(m.graph());
+        let set = m.profiled(&whole);
 
-        let raw_lo = m.profile_set_tp(&set, mhi, 1, false, tlo);
-        let raw_hi = m.profile_set_tp(&set, mhi, 1, false, thi);
+        let raw_lo = m.profile(&set, mhi, 1, false, tlo);
+        let raw_hi = m.profile(&set, mhi, 1, false, thi);
         prop_assert!(
             raw_hi.fwd_time <= raw_lo.fwd_time && raw_hi.bwd_time <= raw_lo.bwd_time,
             "splitting wider got slower: T={tlo} ({}, {}) vs T={thi} ({}, {})",

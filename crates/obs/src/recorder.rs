@@ -179,7 +179,7 @@ pub struct WinnerRec {
 pub struct AccountingRec {
     /// Stage evaluations the search's DP arena memos ran.
     pub stage_cache_entries: u64,
-    /// Distinct profiles in the profiler memo.
+    /// Time entries the block ranges' caches filled.
     pub profiler_cache_entries: u64,
 }
 

@@ -114,7 +114,7 @@ pub fn spec_from_plan(
         // split stages are priced through the Megatron-split oracle, which
         // folds the per-pass activation all-reduce into fwd/bwd
         let prof = cost.stage_cost_tp(
-            &st.set,
+            &cost.profiler().profiled(&st.set),
             st.micro_batch,
             plan.microbatches,
             ckpt,

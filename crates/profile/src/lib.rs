@@ -14,16 +14,15 @@
 //!   ([`flops`], [`Profiler`]);
 //! * **memory** — parameter, gradient, Adam-state and activation footprints
 //!   with and without gradient checkpointing ([`memory`]);
-//! * **caching** — results are memoised in two layers keyed on a 128-bit
-//!   hash of the task set's bitset words (O(words), not O(members)):
-//!   batch-independent set statistics, and raw times per (micro-batch,
-//!   tensor-parallel degree). Memory is priced from the statistics alone
-//!   ([`Profiler::profile_mem_tp`]), so an over-memory stage never
-//!   reaches the time layer. A miss reads flat per-task rows built once
-//!   per [`Profiler`], never the graph, and
-//!   [`Profiler::seed_prefix_stats`] fills the statistics of a whole row
-//!   of prefix unions in one pass. This mirrors how RaNNC amortizes
-//!   profiling across the DP's many candidate stages.
+//! * **reuse** — the profiler keeps no results. A set priced repeatedly
+//!   is a [`ProfiledSet`]: its batch-independent statistics, computed
+//!   once, and its raw times per (micro-batch, tensor-parallel degree),
+//!   filled on first use. Memory is priced from the statistics alone
+//!   ([`Profiler::profile_mem`]), so an over-memory stage is never
+//!   timed. Every walk reads flat per-task rows built once per
+//!   [`Profiler`], never the graph, and [`Profiler::profiled_prefixes`]
+//!   builds a whole row of prefix unions in one pass. This mirrors how
+//!   RaNNC amortizes profiling across the DP's many candidate stages.
 //!
 //! An optional multiplicative noise model emulates real measurement jitter
 //! so robustness of the partitioning algorithms can be tested.
@@ -33,4 +32,4 @@ pub mod memory;
 pub mod profiler;
 
 pub use memory::MemoryParams;
-pub use profiler::{CacheStats, CommCost, ProfileResult, Profiler, ProfilerOptions};
+pub use profiler::{CacheStats, ProfileResult, ProfiledSet, Profiler, ProfilerOptions};

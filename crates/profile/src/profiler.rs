@@ -1,17 +1,13 @@
-//! The `profile(U, batch)` oracle with memoisation.
+//! The `profile(U, batch)` oracle.
 
 use crate::flops::task_flops;
 use crate::memory::MemoryParams;
 use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet, ValueKind};
-use rannc_hw::{DeviceSpec, LinkSpec, Precision};
+use rannc_hw::{DeviceSpec, Precision};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
-
-/// Number of independently locked cache shards. A key's shard is chosen
-/// by its hash, so concurrent `profile_set` callers touching different
-/// subcomponents almost never share a lock.
-const CACHE_SHARDS: usize = 16;
+use std::sync::{Mutex, PoisonError};
 
 /// Tunables of the analytical profiler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +60,7 @@ impl ProfilerOptions {
 }
 
 /// What `profile` returns for one candidate stage: the paper's
-/// `t^f, t^b, m` triple plus bookkeeping used by reports.
+/// `t^f, t^b, m` triple plus the stage's parameter count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileResult {
     /// Forward-pass wall time for one micro-batch, seconds.
@@ -76,8 +72,6 @@ pub struct ProfileResult {
     pub mem_bytes: usize,
     /// Parameter elements in the subcomponent.
     pub param_elems: usize,
-    /// Forward FLOPs for the profiled micro-batch.
-    pub flops: f64,
 }
 
 /// Per-task precomputed cost data.
@@ -104,7 +98,7 @@ struct TaskCost {
 }
 
 /// One static (parameter or constant) input of a task, flattened at
-/// construction so the set-statistics miss path never reads the graph.
+/// construction so the set-statistics walk never reads the graph.
 #[derive(Debug, Clone, Copy)]
 struct StaticInput {
     value: u32,
@@ -147,143 +141,33 @@ struct SetStats {
     split_out_bytes: usize,
 }
 
-/// Raw time sums of one `(set, batch)` pair, before the invocation
-/// overhead, checkpointing recompute, and noise factor are applied —
-/// those depend on `(inflight, ckpt)` and are cheap to reapply, so
-/// memoising below them lets every `(inflight, ckpt)` variant of a query
-/// hit the same entry.
-#[derive(Debug, Clone, Copy, Default)]
+/// Raw time sums of one `(set, batch, tp)` point and its noise factor,
+/// before the invocation overhead and checkpointing recompute are
+/// applied — those depend on `(inflight, ckpt)` and are cheap to
+/// reapply, so caching below them lets every `(inflight, ckpt)` variant
+/// of a point share one entry.
+#[derive(Debug, Clone, Copy)]
 struct TimeProfile {
     fwd_raw: f64,
     bwd_raw: f64,
-    flops: f64,
+    noise: f64,
 }
 
-/// One slot of a [`FlatMemo`] probe sequence; empty while `aux` is
-/// [`EMPTY_AUX`].
-#[derive(Debug, Clone, Copy, Default)]
-struct MemoSlot<V: Copy> {
-    fp: u128,
-    aux: u64,
-    val: V,
-}
-
-/// The aux word of an empty [`MemoSlot`]. No key uses it: time entries
-/// carry a tensor-parallel degree of at least 1 in their high half
-/// ([`time_aux`]) and statistics entries use [`STATS_AUX`].
-const EMPTY_AUX: u64 = 0;
-
-/// The aux word of every set-statistics entry.
-const STATS_AUX: u64 = 1;
-
-/// Open-addressed `(set key, aux)`→value table with linear probing.
-///
-/// Replaces the per-shard `HashMap`: profile keys are already
-/// high-quality 128-bit hashes ([`set_key`]), so SipHash re-hashing every lookup
-/// was pure overhead, and the flat slot array keeps a probe sequence on
-/// adjacent cache lines. Capacity is a power of two, grown at ~70% load.
-struct FlatMemo<V: Copy + Default> {
-    slots: Vec<MemoSlot<V>>,
-    len: usize,
-}
-
-impl<V: Copy + Default> FlatMemo<V> {
-    const MIN_SLOTS: usize = 16;
-
-    fn new() -> Self {
-        FlatMemo {
-            slots: vec![MemoSlot::default(); Self::MIN_SLOTS],
-            len: 0,
-        }
-    }
-
-    fn get(&self, fp: u128, aux: u64) -> Option<V> {
-        let mask = self.slots.len() - 1;
-        let mut i = key_hash(fp, aux) as usize & mask;
-        loop {
-            let s = &self.slots[i];
-            if s.aux == EMPTY_AUX {
-                return None;
-            }
-            if s.fp == fp && s.aux == aux {
-                return Some(s.val);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn insert(&mut self, fp: u128, aux: u64, val: V) {
-        assert_ne!(aux, EMPTY_AUX, "aux word {EMPTY_AUX} marks an empty slot");
-        // keep load under 70% so probe sequences stay short
-        if (self.len + 1) * 10 >= self.slots.len() * 7 {
-            self.grow(self.slots.len() * 2);
-        }
-        self.insert_nogrow(fp, aux, val);
-    }
-
-    fn insert_nogrow(&mut self, fp: u128, aux: u64, val: V) {
-        let mask = self.slots.len() - 1;
-        let mut i = key_hash(fp, aux) as usize & mask;
-        loop {
-            let s = &mut self.slots[i];
-            if s.aux == EMPTY_AUX {
-                *s = MemoSlot { fp, aux, val };
-                self.len += 1;
-                return;
-            }
-            if s.fp == fp && s.aux == aux {
-                s.val = val;
-                return;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn grow(&mut self, new_slots: usize) {
-        let old = std::mem::replace(&mut self.slots, vec![MemoSlot::default(); new_slots]);
-        self.len = 0;
-        for s in old {
-            if s.aux != EMPTY_AUX {
-                self.insert_nogrow(s.fp, s.aux, s.val);
-            }
-        }
-    }
-}
-
-/// Counters of a sharded memo cache, for `--planner-stats` and the bench
-/// JSON. `contention` counts lock acquisitions that found the shard busy
-/// (a `try_lock` failure before the blocking lock) — the observable the
-/// sharding exists to minimize.
-///
-/// The profiler memoises in two layers (see [`Profiler::profile_set`]):
-/// `stats_*` counts lookups of batch-independent set statistics, `time_*`
-/// lookups of per-`(set, batch)` raw times. `hits`/`misses` are the
-/// layer totals; single-layer memos (the planner's DP arena memo) leave
-/// the layered fields zero.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Counters of the time caches of every [`ProfiledSet`] one profiler
+/// priced, for `--planner-stats` and the bench JSON. The same shape
+/// counts the planner's DP arena memo.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered from a cache.
     pub hits: u64,
     /// Lookups that had to compute (and then insert).
     pub misses: u64,
-    /// Shard-lock acquisitions that initially found the lock held.
-    pub contention: u64,
-    /// Entry count per shard, in shard order.
-    pub shard_sizes: Vec<usize>,
-    /// Hits on the batch-independent set-statistics layer.
-    pub stats_hits: u64,
-    /// Misses on the batch-independent set-statistics layer.
-    pub stats_misses: u64,
-    /// Hits on the per-`(set, batch)` raw-time layer.
-    pub time_hits: u64,
-    /// Misses on the per-`(set, batch)` raw-time layer.
-    pub time_misses: u64,
 }
 
 impl CacheStats {
-    /// Total memoised entries across all shards.
+    /// Entries the caches hold: every miss inserts exactly one.
     pub fn entries(&self) -> usize {
-        self.shard_sizes.iter().sum()
+        self.misses as usize
     }
 
     /// Fraction of lookups served from the cache (0 when none happened).
@@ -297,11 +181,32 @@ impl CacheStats {
     }
 }
 
+/// A task set with its batch-independent statistics, priced repeatedly.
+///
+/// The planner's range table builds one per block range
+/// ([`Profiler::profiled_prefixes`]) and prices it at many
+/// `(micro-batch, tp)` points. Each point's raw time sums are computed
+/// once, under this set's own lock, and kept here: racing lookups of one
+/// point wait for the first and count one miss. A set is priced by the
+/// profiler that built it.
+#[derive(Debug)]
+pub struct ProfiledSet<'s> {
+    set: Cow<'s, TaskSet>,
+    stats: SetStats,
+    /// Time sums per [`time_key`], in fill order.
+    times: Mutex<Vec<(u64, TimeProfile)>>,
+}
+
+impl ProfiledSet<'_> {
+    /// The tasks of the set.
+    pub fn tasks(&self) -> &TaskSet {
+        &self.set
+    }
+}
+
 thread_local! {
-    /// Per-thread stamp vector for value deduplication on the miss path.
-    ///
-    /// Replaces the old mutex-guarded take/put `ScratchPool`: a thread
-    /// resolves its buffer once per miss with no lock at all, and the
+    /// Per-thread stamp vector for value deduplication in the statistics
+    /// walk: a thread resolves its buffer with no lock at all, and the
     /// buffer grows monotonically to the largest `num_values` seen.
     /// Stale stamps from other graphs sharing the buffer are harmless —
     /// the epoch bump invalidates every previous stamp.
@@ -311,11 +216,11 @@ thread_local! {
 /// Analytical stand-in for RaNNC's on-device profiler.
 ///
 /// Construction walks the graph once, flattening each task's cost data
-/// and inputs into per-task rows. A [`Profiler::profile_set`] call is then
-/// a memo lookup keyed on a 128-bit hash of the set's bitset words
-/// ([`set_key`]): O(window), not O(members), so a hit costs what a bitset
-/// pass costs. A miss is one pass over the members that reads only those
-/// rows, never the graph.
+/// and inputs into per-task rows. Pricing a set is then one pass over its
+/// members that reads only those rows, never the graph. The profiler
+/// keeps no results: a [`ProfiledSet`] carries its own statistics and
+/// times, and the hit/miss counters of those time caches are the
+/// profiler's only mutable state.
 pub struct Profiler<'g> {
     g: &'g TaskGraph,
     device: DeviceSpec,
@@ -324,13 +229,8 @@ pub struct Profiler<'g> {
     static_inputs: Vec<StaticInput>,
     act_inputs: Vec<ActInput>,
     outputs: Vec<Output>,
-    set_stats: Vec<Mutex<FlatMemo<SetStats>>>,
-    time_profiles: Vec<Mutex<FlatMemo<TimeProfile>>>,
-    stats_hits: AtomicU64,
-    stats_misses: AtomicU64,
-    time_hits: AtomicU64,
-    time_misses: AtomicU64,
-    contention: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl<'g> Profiler<'g> {
@@ -403,42 +303,9 @@ impl<'g> Profiler<'g> {
             static_inputs,
             act_inputs,
             outputs,
-            set_stats: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(FlatMemo::new()))
-                .collect(),
-            time_profiles: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(FlatMemo::new()))
-                .collect(),
-            stats_hits: AtomicU64::new(0),
-            stats_misses: AtomicU64::new(0),
-            time_hits: AtomicU64::new(0),
-            time_misses: AtomicU64::new(0),
-            contention: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
-    }
-
-    /// Lock a memo shard, counting initial `try_lock` failures.
-    fn lock_memo<'a, V: Copy + Default>(
-        &self,
-        shards: &'a [Mutex<FlatMemo<V>>],
-        shard: usize,
-    ) -> MutexGuard<'a, FlatMemo<V>> {
-        match shards[shard].try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
-                shards[shard].lock().unwrap()
-            }
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-        }
-    }
-
-    /// Shard index for a memo key; mixes every field so keys differing
-    /// only in the aux word still spread across shards. Taken from the
-    /// hash's high half: a shard's [`FlatMemo`] probes with the low bits.
-    #[inline]
-    fn shard_of(fp: u128, aux: u64) -> usize {
-        (key_hash(fp, aux) >> 32) as usize % CACHE_SHARDS
     }
 
     /// The graph this profiler measures.
@@ -456,42 +323,13 @@ impl<'g> Profiler<'g> {
         &self.opts
     }
 
-    /// Number of memoised entries across both layers (for diagnostics
-    /// and benches).
-    pub fn cache_len(&self) -> usize {
-        self.set_stats
-            .iter()
-            .map(|s| s.lock().unwrap().len)
-            .sum::<usize>()
-            + self
-                .time_profiles
-                .iter()
-                .map(|s| s.lock().unwrap().len)
-                .sum::<usize>()
-    }
-
-    /// Snapshot of cache behaviour since construction: hits, misses,
-    /// shard-lock contention, and per-shard entry counts, with the
-    /// per-layer breakdown of the two-level memo.
+    /// Hits and misses of the time caches of every [`ProfiledSet`] this
+    /// profiler priced since construction. Pricing a plain set counts
+    /// nothing.
     pub fn cache_stats(&self) -> CacheStats {
-        let stats_hits = self.stats_hits.load(Ordering::Relaxed);
-        let stats_misses = self.stats_misses.load(Ordering::Relaxed);
-        let time_hits = self.time_hits.load(Ordering::Relaxed);
-        let time_misses = self.time_misses.load(Ordering::Relaxed);
         CacheStats {
-            hits: stats_hits + time_hits,
-            misses: stats_misses + time_misses,
-            contention: self.contention.load(Ordering::Relaxed),
-            shard_sizes: self
-                .set_stats
-                .iter()
-                .zip(&self.time_profiles)
-                .map(|(a, b)| a.lock().unwrap().len + b.lock().unwrap().len)
-                .collect(),
-            stats_hits,
-            stats_misses,
-            time_hits,
-            time_misses,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
         }
     }
 
@@ -594,10 +432,9 @@ impl<'g> Profiler<'g> {
         }
     }
 
-    /// Batch-independent miss path: parameter elements and deduplicated
-    /// ingress/intermediate activation bytes of the set, [`Self::add_part`]
-    /// with the set as its only part.
-    fn compute_set_stats(&self, set: &TaskSet) -> SetStats {
+    /// Parameter elements and deduplicated ingress/intermediate activation
+    /// bytes of `set`: [`Self::add_part`] with the set as its only part.
+    fn set_stats(&self, set: &TaskSet) -> SetStats {
         self.with_stamps(1, |stamps, base| {
             let mut stats = SetStats::default();
             self.add_part(&mut stats, stamps, (base, base), set, set);
@@ -605,33 +442,48 @@ impl<'g> Profiler<'g> {
         })
     }
 
-    /// Seed the set-statistics memo with every prefix union of `parts`:
-    /// `unions[i]` must be `parts[0] ∪ … ∪ parts[i]`, the parts pairwise
-    /// disjoint, in any order. One pass over the parts' members fills all
-    /// of them, where looking each union up would walk its members anew.
-    /// Seeded entries equal what a miss would compute, so seeding never
-    /// changes a result; it counts as neither a hit nor a miss.
-    pub fn seed_prefix_stats(&self, parts: &[&TaskSet], unions: &[TaskSet]) {
-        assert_eq!(parts.len(), unions.len(), "one union per part");
+    /// `set` with its statistics, ready to be priced through
+    /// [`Profiler::profile`] and [`Profiler::profile_mem`]. Borrows the
+    /// set: building one costs a statistics walk, no copy.
+    pub fn profiled<'s>(&self, set: &'s TaskSet) -> ProfiledSet<'s> {
+        ProfiledSet {
+            set: Cow::Borrowed(set),
+            stats: self.set_stats(set),
+            times: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Every prefix union `parts[0] ∪ … ∪ parts[i]` of pairwise-disjoint
+    /// `parts` (in any order), each with its statistics. One pass over the
+    /// parts' members fills all of them, where profiling each union on
+    /// its own would walk its members anew.
+    pub fn profiled_prefixes(&self, parts: &[&TaskSet]) -> Vec<ProfiledSet<'static>> {
         self.with_stamps(parts.len(), |stamps, base| {
             let mut stats = SetStats::default();
-            for (i, (part, union)) in parts.iter().zip(unions).enumerate() {
-                self.add_part(&mut stats, stamps, (base, base + i as u32), part, union);
-                let key = set_key(union);
-                self.lock_memo(&self.set_stats, Self::shard_of(key, STATS_AUX))
-                    .insert(key, STATS_AUX, stats);
+            let mut prefixes: Vec<ProfiledSet<'static>> = Vec::with_capacity(parts.len());
+            for (i, &part) in parts.iter().enumerate() {
+                // one exact-size allocation per union
+                let union = match prefixes.last() {
+                    Some(prev) => prev.set.union(part),
+                    None => part.clone(),
+                };
+                self.add_part(&mut stats, stamps, (base, base + i as u32), part, &union);
+                prefixes.push(ProfiledSet {
+                    set: Cow::Owned(union),
+                    stats,
+                    times: Mutex::new(Vec::new()),
+                });
             }
+            prefixes
         })
     }
 
-    /// Per-`(set, batch, tp)` miss path: the roofline time and FLOP sums,
-    /// before overheads, with FLOPs reported per tensor-parallel group
-    /// member. The accumulation order over `set.iter()` is fixed, so the
+    /// Raw roofline time sums of `set` at `(batch, tp)`, and its noise
+    /// factor. The accumulation order over `set.iter()` is fixed, so the
     /// sums are bit-identical across calls.
-    fn compute_time_profile(&self, set: &TaskSet, batch: usize, tp: usize) -> TimeProfile {
+    fn time_profile(&self, set: &TaskSet, batch: usize, tp: usize) -> TimeProfile {
         let mut fwd = 0.0;
         let mut bwd = 0.0;
-        let mut flops = 0.0;
         for t in set.iter() {
             let c = &self.costs[t.index()];
             let tf = self.task_fwd_time(c, batch, tp);
@@ -639,14 +491,28 @@ impl<'g> Profiler<'g> {
             // backward: dgrad+wgrad for dense ops ≈ 2× forward; ~1× for
             // element-wise / normalization / layout ops.
             bwd += if c.compute_bound { 2.0 * tf } else { tf };
-            let f = c.flops * if c.scales { batch as f64 } else { 1.0 };
-            flops += if c.compute_bound { f / tp as f64 } else { f };
         }
         TimeProfile {
             fwd_raw: fwd,
             bwd_raw: bwd,
-            flops,
+            noise: self.noise_factor(set, time_key(batch, tp)),
         }
+    }
+
+    /// The time sums of `set` at `(batch, tp)`: from the set's own cache,
+    /// or computed and inserted while holding its lock.
+    fn cached_time(&self, set: &ProfiledSet<'_>, batch: usize, tp: usize) -> TimeProfile {
+        let key = time_key(batch, tp);
+        // a fill that panicked pushed nothing, so a poisoned cache is valid
+        let mut times = set.times.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&(_, time)) = times.iter().find(|(k, _)| *k == key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return time;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let time = self.time_profile(&set.set, batch, tp);
+        times.push((key, time));
+        time
     }
 
     /// Profile a candidate stage: the paper's `profile(U, bs)`.
@@ -657,16 +523,9 @@ impl<'g> Profiler<'g> {
     ///   memory peak (`MB` for synchronous fill–drain);
     /// * `checkpointing` — whether gradient checkpointing is active.
     ///
-    /// Memoisation is two-layered, both layers keyed on [`set_key`]. The
-    /// old single cache keyed the full `(set, batch, inflight, ckpt)`
-    /// tuple — but the planner's stage memo upstream dedupes exactly
-    /// those tuples, so nearly every lookup that reached the profiler
-    /// missed (~19% hit rate at bench scale). Splitting the memo below
-    /// the `(inflight, ckpt)`-dependent assembly lets all variants of a
-    /// set share the batch-independent statistics, and all
-    /// `(inflight, ckpt)` combinations share the raw time sums. The
-    /// assembly replays the exact float operations of the fused path, so
-    /// results are bit-identical.
+    /// One pass over the members for the statistics and one for the time
+    /// sums; nothing is kept. Exactly [`Profiler::profile`] of the set at
+    /// `tp = 1`.
     pub fn profile_set(
         &self,
         set: &TaskSet,
@@ -674,63 +533,14 @@ impl<'g> Profiler<'g> {
         inflight: usize,
         checkpointing: bool,
     ) -> ProfileResult {
-        self.profile_set_tp(set, batch, inflight, checkpointing, 1)
+        let stats = self.set_stats(set);
+        let time = self.time_profile(set, batch, 1);
+        self.assemble(&stats, time, batch, inflight, checkpointing, 1)
     }
 
-    /// Layer-1 memo lookup: batch-independent set statistics.
-    fn set_stats_cached(&self, key: u128, set: &TaskSet) -> SetStats {
-        let stats_shard = Self::shard_of(key, STATS_AUX);
-        // bind the lookup before matching: a guard held through the match
-        // arms would self-deadlock on the re-lock in the miss arm
-        let stats_lookup = self
-            .lock_memo(&self.set_stats, stats_shard)
-            .get(key, STATS_AUX);
-        match stats_lookup {
-            Some(hit) => {
-                self.stats_hits.fetch_add(1, Ordering::Relaxed);
-                hit
-            }
-            None => {
-                self.stats_misses.fetch_add(1, Ordering::Relaxed);
-                let computed = self.compute_set_stats(set);
-                self.lock_memo(&self.set_stats, stats_shard)
-                    .insert(key, STATS_AUX, computed);
-                computed
-            }
-        }
-    }
-
-    /// Layer-2 memo lookup: raw time sums of `(set, batch, tp)`, whose
-    /// aux word is `aux`.
-    fn time_profile_cached(
-        &self,
-        key: u128,
-        aux: u64,
-        set: &TaskSet,
-        batch: usize,
-        tp: usize,
-    ) -> TimeProfile {
-        let time_shard = Self::shard_of(key, aux);
-        let time_lookup = self
-            .lock_memo(&self.time_profiles, time_shard)
-            .get(key, aux);
-        match time_lookup {
-            Some(hit) => {
-                self.time_hits.fetch_add(1, Ordering::Relaxed);
-                hit
-            }
-            None => {
-                self.time_misses.fetch_add(1, Ordering::Relaxed);
-                let computed = self.compute_time_profile(set, batch, tp);
-                self.lock_memo(&self.time_profiles, time_shard)
-                    .insert(key, aux, computed);
-                computed
-            }
-        }
-    }
-
-    /// [`Profiler::profile_set`] with the stage's splittable compute
-    /// divided across a tensor-parallel group of `tp` devices.
+    /// [`Profiler::profile_set`] of a [`ProfiledSet`], with the stage's
+    /// splittable compute divided across a tensor-parallel group of `tp`
+    /// devices. Reads the set's statistics and its cached time sums.
     ///
     /// Compute-bound tasks (the matmul-bearing ops Megatron column/row
     /// partitions) divide FLOPs, activation traffic, and parameter reads
@@ -740,28 +550,30 @@ impl<'g> Profiler<'g> {
     /// paper's "the size of the buffer to store the results is not
     /// reduced" observation. The per-pass activation all-reduce is *not*
     /// included here; the cost model adds it (it needs cluster topology).
-    ///
-    /// `tp <= 1` is [`Profiler::profile_set`] — the same memo entries and
-    /// bit-identical results.
-    pub fn profile_set_tp(
+    pub fn profile(
         &self,
-        set: &TaskSet,
+        set: &ProfiledSet<'_>,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
     ) -> ProfileResult {
         let tp = tp.max(1);
-        let key = set_key(set);
-        let aux = time_aux(batch, tp);
+        let time = self.cached_time(set, batch, tp);
+        self.assemble(&set.stats, time, batch, inflight, checkpointing, tp)
+    }
 
-        // layer 1: batch-independent set statistics
-        let stats = self.set_stats_cached(key, set);
-
-        // layer 2: raw per-(set, batch, tp) time sums
-        let time = self.time_profile_cached(key, aux, set, batch, tp);
-
-        // assembly: identical float-op order to the historical fused path
+    /// The one assembly of a stage's price from its statistics and time
+    /// sums, in the float-op order of the historical fused path.
+    fn assemble(
+        &self,
+        stats: &SetStats,
+        time: TimeProfile,
+        batch: usize,
+        inflight: usize,
+        checkpointing: bool,
+        tp: usize,
+    ) -> ProfileResult {
         // per-execution host overhead (sync, input staging)
         let fwd = time.fwd_raw + self.opts.invocation_overhead;
         let mut bwd = time.bwd_raw + self.opts.invocation_overhead;
@@ -769,23 +581,18 @@ impl<'g> Profiler<'g> {
             // recomputation replays the forward pass before backward
             bwd += fwd;
         }
-
-        let mem_bytes = self.stage_mem_bytes(&stats, batch, inflight, checkpointing, tp);
-
-        let noise = self.noise_factor(key ^ aux as u128);
         ProfileResult {
-            fwd_time: fwd * noise,
-            bwd_time: bwd * noise,
-            mem_bytes,
+            fwd_time: fwd * time.noise,
+            bwd_time: bwd * time.noise,
+            mem_bytes: self.stage_mem_bytes(stats, batch, inflight, checkpointing, tp),
             param_elems: stats.param_elems,
-            flops: time.flops,
         }
     }
 
     /// Peak memory of a stage from its set statistics: the one memory
-    /// formula behind [`Profiler::profile_set_tp`] and
-    /// [`Profiler::profile_mem_tp`]. Weight/optimizer state is sharded
-    /// `tp` ways; activation buffers stay full-size.
+    /// formula behind [`Profiler::profile`] and [`Profiler::profile_mem`].
+    /// Weight/optimizer state is sharded `tp` ways; activation buffers
+    /// stay full-size.
     fn stage_mem_bytes(
         &self,
         stats: &SetStats,
@@ -807,29 +614,25 @@ impl<'g> Profiler<'g> {
         )
     }
 
-    /// The memory half of [`Profiler::profile_set_tp`]: exactly its
-    /// `mem_bytes`, computed from the batch-independent set statistics
-    /// alone. Never touches the time layer, so once a set's statistics
-    /// are memoised, pricing its memory costs O(window), whatever the
-    /// set's size.
-    pub fn profile_mem_tp(
+    /// The memory half of [`Profiler::profile`]: exactly its `mem_bytes`,
+    /// from the set's statistics alone, so pricing it costs O(1) whatever
+    /// the set's size.
+    pub fn profile_mem(
         &self,
-        set: &TaskSet,
+        set: &ProfiledSet<'_>,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
     ) -> usize {
-        let stats = self.set_stats_cached(set_key(set), set);
-        self.stage_mem_bytes(&stats, batch, inflight, checkpointing, tp.max(1))
+        self.stage_mem_bytes(&set.stats, batch, inflight, checkpointing, tp.max(1))
     }
 
     /// Per-micro-batch tensor-parallel all-reduce volume of a stage: the
     /// splittable tasks' output activations for `batch` samples at
     /// activation precision. Zero for stages with no splittable ops.
-    pub fn tp_allreduce_bytes(&self, set: &TaskSet, batch: usize) -> usize {
-        let stats = self.set_stats_cached(set_key(set), set);
-        (stats.split_out_bytes as f64
+    pub fn tp_allreduce_bytes(&self, set: &ProfiledSet<'_>, batch: usize) -> usize {
+        (set.stats.split_out_bytes as f64
             * batch as f64
             * self.opts.precision.activation_bytes() as f64
             / 4.0) as usize
@@ -842,56 +645,27 @@ impl<'g> Profiler<'g> {
         (base as f64 * batch as f64 * self.opts.precision.activation_bytes() as f64 / 4.0) as usize
     }
 
-    /// Time to move one micro-batch's cut from `from` to `to` over `link`.
-    pub fn comm_time(&self, from: &TaskSet, to: &TaskSet, batch: usize, link: LinkSpec) -> f64 {
-        let bytes = self.comm_bytes(from, to, batch);
-        if bytes == 0 {
-            0.0
-        } else {
-            link.transfer_time(bytes)
-        }
-    }
-
-    fn noise_factor(&self, salt: u128) -> f64 {
+    /// The measurement-noise factor of `set` at the time point `key`: a
+    /// fixed draw in `[1−σ, 1+σ]` salted by the set's membership hash, or
+    /// exactly 1 without noise.
+    fn noise_factor(&self, set: &TaskSet, key: u64) -> f64 {
         if self.opts.noise_sigma == 0.0 {
             return 1.0;
         }
+        let salt = set_key(set) ^ key as u128;
         let h = splitmix(self.opts.noise_seed ^ (salt as u64) ^ ((salt >> 64) as u64));
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
         1.0 + self.opts.noise_sigma * (2.0 * unit - 1.0)
     }
 }
 
-/// Communication cost helper bound to a link and precision — used by the
-/// schedule simulator for stage-to-stage transfers.
-#[derive(Debug, Clone, Copy)]
-pub struct CommCost {
-    /// Link model used for the transfer.
-    pub link: LinkSpec,
-    /// Activation precision in flight.
-    pub precision: Precision,
-}
-
-impl CommCost {
-    /// Transfer time of `fp32_bytes`-sized values for `batch` samples.
-    pub fn time(&self, fp32_bytes: usize, batch: usize) -> f64 {
-        if fp32_bytes == 0 {
-            return 0.0;
-        }
-        let bytes = (fp32_bytes as f64 * batch as f64 * self.precision.activation_bytes() as f64
-            / 4.0) as usize;
-        self.link.transfer_time(bytes)
-    }
-}
-
-/// 128-bit memo key of a task set: its non-zero bitset words, each mixed
-/// with its absolute word index, folded into two independent 64-bit
-/// lanes. Costs O(window), not O(members) or O(universe). Equal members
-/// give equal windows ([`TaskSet::indexed_words`]), so the key is a
-/// function of membership alone, however the set was built; skipping zero
-/// words makes it the fold over the full universe-wide word array.
-/// Collisions across the few hundred thousand distinct sets a run
-/// profiles are negligible.
+/// 128-bit membership hash of a task set, the noise model's salt: its
+/// non-zero bitset words, each mixed with its absolute word index, folded
+/// into two independent 64-bit lanes. Costs O(window), not O(members) or
+/// O(universe). Equal members give equal windows
+/// ([`TaskSet::indexed_words`]), so the hash is a function of membership
+/// alone, however the set was built; skipping zero words makes it the
+/// fold over the full universe-wide word array.
 fn set_key(set: &TaskSet) -> u128 {
     let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
     let mut h2: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -906,19 +680,13 @@ fn set_key(set: &TaskSet) -> u128 {
     ((h1 as u128) << 64) | h2 as u128
 }
 
-/// Aux word of a time-memo entry: the micro-batch in the low 32 bits and
-/// the tensor-parallel degree (1 when unsplit) in the high 32. Lossless:
-/// a value that does not fit panics instead of aliasing another entry.
-fn time_aux(batch: usize, tp: usize) -> u64 {
+/// Key of a time point: the micro-batch in the low 32 bits and the
+/// tensor-parallel degree (1 when unsplit) in the high 32. Lossless: a
+/// value that does not fit panics instead of aliasing another point.
+fn time_key(batch: usize, tp: usize) -> u64 {
     let batch = u32::try_from(batch).expect("micro-batch exceeds u32::MAX samples");
     let tp = u32::try_from(tp).expect("tensor-parallel degree exceeds u32::MAX");
     (tp as u64) << 32 | batch as u64
-}
-
-/// Hash of a full memo key, for shard choice and probe start.
-#[inline]
-fn key_hash(fp: u128, aux: u64) -> u64 {
-    splitmix((fp as u64) ^ (fp >> 64) as u64 ^ aux.rotate_left(32))
 }
 
 #[inline]
@@ -973,15 +741,16 @@ mod tests {
     }
 
     /// Assert that the profiler's statistics of `set`, and everything
-    /// `profile_set_tp`/`tp_allreduce_bytes` derive from them, equal the
+    /// `profile`/`tp_allreduce_bytes` derive from them, equal the
     /// reference at `tp ∈ {1, 2, 4}`, with and without checkpointing.
     fn assert_stats_match_reference(g: &TaskGraph, p: &Profiler<'_>, set: &TaskSet) {
         let want = reference_set_stats(g, set);
-        assert_eq!(p.compute_set_stats(set), want);
+        let profiled = p.profiled(set);
+        assert_eq!(profiled.stats, want);
         let batch = 4;
         for tp in [1usize, 2, 4] {
             for checkpointing in [false, true] {
-                let got = p.profile_set_tp(set, batch, 2, checkpointing, tp);
+                let got = p.profile(&profiled, batch, 2, checkpointing, tp);
                 let mem = MemoryParams {
                     precision: p.options().precision,
                     checkpointing,
@@ -1002,7 +771,7 @@ mod tests {
         }
         let act_scale = p.options().precision.activation_bytes() as f64 / 4.0;
         assert_eq!(
-            p.tp_allreduce_bytes(set, batch),
+            p.tp_allreduce_bytes(&profiled, batch),
             (want.split_out_bytes as f64 * batch as f64 * act_scale) as usize
         );
     }
@@ -1016,7 +785,6 @@ mod tests {
         let r8 = p.profile_set(&s, 8, 1, false);
         assert!(r8.fwd_time > r1.fwd_time);
         assert!(r8.bwd_time > r1.bwd_time);
-        assert!(r8.flops > 7.0 * r1.flops);
     }
 
     #[test]
@@ -1076,12 +844,16 @@ mod tests {
         let g = bert_graph(&BertConfig::tiny());
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let s = whole_set(&g);
-        let r1 = p.profile_set(&s, 4, 2, true);
-        // one stats entry + one time entry
-        assert_eq!(p.cache_len(), 2);
-        let r2 = p.profile_set(&s, 4, 2, true);
-        assert_eq!(p.cache_len(), 2);
+        let profiled = p.profiled(&s);
+        let r1 = p.profile(&profiled, 4, 2, true, 1);
+        // one time entry, in the set's own cache
+        assert_eq!(p.cache_stats().entries(), 1);
+        let r2 = p.profile(&profiled, 4, 2, true, 1);
+        assert_eq!(p.cache_stats().entries(), 1);
         assert_eq!(r1, r2);
+        // pricing the plain set gives the same result and counts nothing
+        assert_eq!(p.profile_set(&s, 4, 2, true), r1);
+        assert_eq!(p.cache_stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -1089,69 +861,50 @@ mod tests {
         let g = bert_graph(&BertConfig::tiny());
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let s = whole_set(&g);
-        // miss both layers
-        let _ = p.profile_set(&s, 4, 2, true);
-        // hit both layers
-        let _ = p.profile_set(&s, 4, 2, true);
-        // batch changed: stats layer hits, time layer misses
-        let _ = p.profile_set(&s, 8, 2, true);
+        let profiled = p.profiled(&s);
+        assert_eq!(p.cache_stats(), CacheStats::default());
+        // miss
+        let _ = p.profile(&profiled, 4, 2, true, 1);
+        // hit
+        let _ = p.profile(&profiled, 4, 2, true, 1);
+        // batch changed: miss
+        let _ = p.profile(&profiled, 8, 2, true, 1);
         let stats = p.cache_stats();
-        assert_eq!(stats.stats_hits, 2);
-        assert_eq!(stats.stats_misses, 1);
-        assert_eq!(stats.time_hits, 1);
-        assert_eq!(stats.time_misses, 2);
-        assert_eq!(stats.hits, 3);
-        assert_eq!(stats.misses, 3);
-        // one stats entry + two time entries
-        assert_eq!(stats.entries(), 3);
-        assert_eq!(stats.shard_sizes.len(), CACHE_SHARDS);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+        assert_eq!(stats.entries(), 2);
+        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn inflight_and_ckpt_variants_hit_both_layers() {
-        // The whole point of the split memo: (inflight, ckpt) only affect
-        // the cheap assembly, so variants of an already-profiled
-        // (set, batch) never recompute anything.
+    fn inflight_and_ckpt_variants_share_one_time_entry() {
+        // (inflight, ckpt) only affect the cheap assembly, so variants of
+        // an already-priced (set, batch) never recompute anything
         let g = bert_graph(&BertConfig::tiny());
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let s = whole_set(&g);
-        let _ = p.profile_set(&s, 4, 2, true);
+        let profiled = p.profiled(&s);
+        let _ = p.profile(&profiled, 4, 2, true, 1);
         let before = p.cache_stats();
-        let _ = p.profile_set(&s, 4, 8, true);
-        let _ = p.profile_set(&s, 4, 2, false);
-        let _ = p.profile_set(&s, 4, 1, false);
+        for (inflight, ckpt) in [(8, true), (2, false), (1, false)] {
+            assert_eq!(
+                p.profile(&profiled, 4, inflight, ckpt, 1),
+                p.profile_set(&s, 4, inflight, ckpt)
+            );
+        }
         let after = p.cache_stats();
         assert_eq!(after.misses, before.misses, "variants must not recompute");
-        assert_eq!(after.hits, before.hits + 6);
-        assert_eq!(after.entries(), before.entries());
-    }
-
-    #[test]
-    fn flat_memo_survives_growth() {
-        let mut memo: FlatMemo<usize> = FlatMemo::new();
-        for i in 1..=1000u64 {
-            memo.insert((i as u128) << 3, i, i as usize);
-        }
-        assert_eq!(memo.len, 1000);
-        for i in 1..=1000u64 {
-            assert_eq!(memo.get((i as u128) << 3, i), Some(i as usize));
-        }
-        assert_eq!(memo.get(0xdead_beef, 7), None);
-        // overwrite keeps len stable
-        memo.insert(8, 1, 99);
-        assert_eq!(memo.len, 1000);
-        assert_eq!(memo.get(8, 1), Some(99));
+        assert_eq!(after.hits, before.hits + 3);
     }
 
     #[test]
     fn concurrent_profiling_is_consistent() {
-        // Many threads profiling overlapping subcomponents must agree with
-        // a sequential profiler exactly (thread-local scratch must not leak
-        // state between concurrent calls).
+        // Threads pricing the same shared sets at the same points must
+        // agree with plain pricing exactly (thread-local scratch must not
+        // leak state between concurrent calls), and each (set, point) must
+        // miss exactly once whatever the schedule: a racing lookup waits
+        // for the fill under the set's lock.
         let g = bert_graph(&BertConfig::tiny());
-        let shared = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let fresh = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let n = g.num_tasks() as u32;
         let sets: Vec<TaskSet> = (0..32u32)
             .map(|i| {
@@ -1160,21 +913,32 @@ mod tests {
                 TaskSet::from_ids(n as usize, (lo..hi).map(TaskId))
             })
             .collect();
+        let shared: Vec<ProfiledSet<'_>> = sets.iter().map(|s| p.profiled(s)).collect();
+        let points = [(4usize, 1usize), (4, 2), (8, 1)];
+        let threads = 4;
         std::thread::scope(|scope| {
-            for chunk in sets.chunks(8) {
-                let shared = &shared;
-                scope.spawn(move || {
-                    for s in chunk {
-                        let _ = shared.profile_set(s, 4, 2, true);
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    for (set, profiled) in sets.iter().zip(&shared) {
+                        for &(batch, tp) in &points {
+                            let got = p.profile(profiled, batch, 2, true, tp);
+                            if tp == 1 {
+                                assert_eq!(got, p.profile_set(set, batch, 2, true));
+                            }
+                        }
                     }
                 });
             }
         });
-        for s in &sets {
-            let a = shared.profile_set(s, 4, 2, true);
-            let b = fresh.profile_set(s, 4, 2, true);
-            assert_eq!(a, b);
-        }
+        let lookups = (threads * sets.len() * points.len()) as u64;
+        let misses = (sets.len() * points.len()) as u64;
+        assert_eq!(
+            p.cache_stats(),
+            CacheStats {
+                hits: lookups - misses,
+                misses
+            }
+        );
     }
 
     #[test]
@@ -1228,7 +992,7 @@ mod tests {
     }
 
     #[test]
-    fn seeded_prefix_stats_match_reference_in_any_part_order() {
+    fn prefix_stats_match_reference_in_any_part_order() {
         // Parts that interleave task ids, unioned in random order: a value
         // read by an early part and produced by a later one must leave the
         // ingress when its producer joins, and shared parameters and
@@ -1253,20 +1017,15 @@ mod tests {
                     .into_iter()
                     .map(|m| TaskSet::from_ids(n, m))
                     .collect();
-                let mut unions: Vec<TaskSet> = Vec::new();
-                for part in &parts {
-                    unions.push(match unions.last() {
-                        Some(prev) => prev.union(part),
-                        None => part.clone(),
-                    });
-                }
                 let p = Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-                p.seed_prefix_stats(&parts.iter().collect::<Vec<_>>(), &unions);
-                for u in &unions {
-                    assert_eq!(p.set_stats_cached(set_key(u), u), reference_set_stats(g, u));
+                let prefixes = p.profiled_prefixes(&parts.iter().collect::<Vec<_>>());
+                let mut union = TaskSet::new(n);
+                for (part, prefix) in parts.iter().zip(&prefixes) {
+                    union.union_with(part);
+                    assert_eq!(prefix.tasks(), &union);
+                    assert_eq!(prefix.stats, reference_set_stats(g, &union));
                 }
-                let stats = p.cache_stats();
-                assert_eq!((stats.stats_misses, stats.stats_hits), (0, k as u64));
+                assert_eq!(p.cache_stats(), CacheStats::default());
             }
         }
     }
@@ -1295,8 +1054,8 @@ mod tests {
         );
     }
 
-    /// The memo key over a set's full universe-wide word array, as it was
-    /// computed before sets were trimmed to their window.
+    /// The membership hash over a set's full universe-wide word array, as
+    /// it was computed before sets were trimmed to their window.
     fn dense_set_key(set: &TaskSet) -> u128 {
         let mut dense = vec![0u64; set.universe().div_ceil(64)];
         for t in set.iter() {
@@ -1317,8 +1076,7 @@ mod tests {
 
     #[test]
     fn set_key_matches_the_dense_fold() {
-        // memo keys (and the seeded noise drawn from them) must not move
-        // with the set representation: windowed sets with interior zero
+        // the noise salt must not move with the set representation: windowed sets with interior zero
         // words, far-apart unions and trimmed differences key exactly as
         // the fold over every universe word did
         let n = 1000usize;
@@ -1344,24 +1102,26 @@ mod tests {
 
     #[test]
     fn tp_memo_keys_do_not_alias() {
-        // Queries whose old packed aux words collided: micro-batches that
+        // Points whose once-packed time keys collided: micro-batches that
         // differ only above bit 21, and a degree of 1024 or more spilling
-        // into the batch bits. Each must equal a fresh profiler's answer.
+        // into the batch bits. Each must equal a fresh profiler's answer
+        // and fill its own entry of the one shared set.
         let g = bert_graph(&BertConfig::tiny());
         let shared = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let s = whole_set(&g);
+        let profiled = shared.profiled(&s);
         let queries = [(1usize, 2usize), (1 + (1 << 22), 2), (2, 2), (1, 1026)];
         let first: Vec<ProfileResult> = queries
             .iter()
-            .map(|&(batch, tp)| shared.profile_set_tp(&s, batch, 1, false, tp))
+            .map(|&(batch, tp)| shared.profile(&profiled, batch, 1, false, tp))
             .collect();
         for (&(batch, tp), got) in queries.iter().zip(&first) {
             let fresh = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-            let want = fresh.profile_set_tp(&s, batch, 1, false, tp);
+            let want = fresh.profile(&fresh.profiled(&s), batch, 1, false, tp);
             assert_eq!(*got, want, "batch {batch}, tp {tp}");
-            assert_eq!(shared.profile_set_tp(&s, batch, 1, false, tp), want);
+            assert_eq!(shared.profile(&profiled, batch, 1, false, tp), want);
         }
-        assert_eq!(shared.cache_stats().time_misses, queries.len() as u64);
+        assert_eq!(shared.cache_stats().misses, queries.len() as u64);
     }
 
     #[test]

@@ -16,8 +16,8 @@ cargo test --release -q -p rannc-core --offline --test prop_blocks_identical -- 
 
 echo "==> paper-scale range-table parity (BERT 2048x256, k 32, all 528 ranges)"
 # ignored in the default run for its size: the one-pass row walk must give
-# every range the egress of its union and seed statistics that price it
-# bit-identically to an unseeded profiler
+# every range the egress of its union and statistics that price it
+# bit-identically to a from-scratch walk of the union
 cargo test --release -q -p rannc-core --offline --test prop_range_table -- --ignored
 
 echo "==> paper-scale liveness parity (BERT 2048x256, 4 stages, against the definition)"
@@ -50,12 +50,14 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, no deleted search or fixpoint machinery)"
+echo "==> one-path gate (one stage DP, no deleted search, memo or fixpoint machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
 # Stage liveness has one closed form: the generic gen/kill fixpoint
-# framework stays deleted from the verifier.
+# framework stays deleted from the verifier. The profiler keeps no
+# results: its sharded memo and the range-table seeding hint stay
+# deleted, and the only lock in pricing is a profiled set's time cache.
 DP_ENTRIES="$(grep -rn --include='*.rs' "pub fn form_stage_dp\b" crates/*/src | wc -l)"
 if [ "$DP_ENTRIES" -ne 1 ]; then
     echo "FAILED: expected exactly one pub fn form_stage_dp in crates/*/src, found $DP_ENTRIES"
@@ -69,6 +71,18 @@ if grep -rnE --include='*.rs' \
 fi
 if grep -rnE --include='*.rs' "mod dataflow|GenKill|FactSet|fn solve" crates/verify/src; then
     echo "FAILED: deleted dataflow fixpoint framework referenced in crates/verify/src"
+    exit 1
+fi
+if grep -rnE --include='*.rs' \
+    "FlatMemo|CACHE_SHARDS|lock_memo|seed_prefix_unions|seed_prefix_stats" crates/*/src; then
+    echo "FAILED: deleted profiler memo machinery referenced in crates/*/src"
+    exit 1
+fi
+PROFILE_LOCKS="$(grep -rnE --include='*.rs' "try_lock|Mutex<|RwLock" crates/profile/src)"
+if [ "$(echo "$PROFILE_LOCKS" | grep -c .)" -ne 1 ] \
+    || ! echo "$PROFILE_LOCKS" | grep -q "times: Mutex<"; then
+    echo "$PROFILE_LOCKS"
+    echo "FAILED: crates/profile/src must hold exactly one lock, a profiled set's time cache"
     exit 1
 fi
 
