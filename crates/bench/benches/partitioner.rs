@@ -92,8 +92,9 @@ fn bench_stage_dp(c: &mut Criterion) {
 
 /// The per-query cost of the profiling oracle on the paper-scale BERT
 /// 2048x256, for block-range sets of three sizes (whole model, half, one
-/// block): a range answered from its own time cache, and the same tasks
-/// priced as a plain set, one walk for statistics and one for time.
+/// block): a range priced from its blocks' filled time slots, and the
+/// same tasks priced as a plain set, one walk for statistics and one for
+/// time.
 fn bench_profile_set(c: &mut Criterion) {
     let mut group = c.benchmark_group("profile_set");
     let g = bert_graph(&BertConfig::enlarged(2048, 256));
@@ -109,12 +110,16 @@ fn bench_profile_set(c: &mut Criterion) {
         },
     );
     let ranges = RangeTable::build(&g, &profiler, &blocks);
+    let row = ranges.row(1, 1);
     let nb = ranges.blocks();
     for (id, to) in [("whole", nb), ("half", nb / 2), ("block", 1)] {
         let range = &ranges.get(0, to).set;
-        let _ = profiler.profile(range, 1, 1, false, 1);
-        group.bench_with_input(BenchmarkId::new("cached", id), range, |b, range| {
-            b.iter(|| profiler.profile(range, 1, 1, false, 1));
+        let _ = ranges.time(&profiler, &row, 0, to);
+        group.bench_with_input(BenchmarkId::new("composed", id), range, |b, range| {
+            b.iter(|| {
+                let time = ranges.time(&profiler, &row, 0, to);
+                profiler.profile(range, time, 1, 1, false, 1)
+            });
         });
         group.bench_with_input(BenchmarkId::new("walk", id), range.tasks(), |b, set| {
             b.iter(|| profiler.profile_set(set, 1, 1, false));

@@ -268,8 +268,8 @@ fn main() {
                 eprintln!("check failed: {} profiler cache hit rate is zero", c.model);
                 failed = true;
             }
-            // a range's time entry serves every variant of its point:
-            // a real hit rate, not just a nonzero one, on every case
+            // a block's time slot serves every range and variant of its
+            // point: a real hit rate, not just a nonzero one, on every case
             if c.profiler_cache.hit_rate() < planner::PROFILER_HIT_RATE_FLOOR {
                 eprintln!(
                     "check failed: {} profiler cache hit rate {:.1}% is below the \

@@ -789,10 +789,10 @@ pub fn validate_json(s: &str) -> Result<(), String> {
 }
 
 /// Minimum profiler-cache hit rate `--check` accepts on every case: the
-/// block ranges' time caches, whose one entry per `(micro-batch, T)`
-/// point serves every stage count and `(inflight, ckpt)` variant that
-/// prices it, so a rate below this means the ranges stopped reusing
-/// their times.
+/// blocks' time-sum slots, whose one fill per `(micro-batch, T)` point
+/// serves every range over the block and every stage count and
+/// `(inflight, ckpt)` variant that prices it, so a rate below this means
+/// stage times stopped being composed from reused block sums.
 pub const PROFILER_HIT_RATE_FLOOR: f64 = 0.6;
 
 /// Relative tolerance for baseline comparison (the acceptance budget for

@@ -12,6 +12,7 @@ use crate::atomic::AtomicPartition;
 use rannc_cost::CostModel;
 use rannc_graph::convex::ConvexChecker;
 use rannc_graph::{TaskGraph, TaskId, TaskSet};
+use rannc_profile::TimeSums;
 
 /// Limits and knobs of the block-level phase.
 #[derive(Debug, Clone, Copy)]
@@ -58,9 +59,44 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     /// Profiled fwd+bwd time and memory footprint of a candidate group,
     /// from one profile lookup.
     pub fn profile(&self, set: &TaskSet) -> (f64, usize) {
+        self.price(set, self.sums(set))
+    }
+
+    /// Exact time sums of a candidate group at the phase's profiling
+    /// batch: one walk of its members.
+    pub fn sums(&self, set: &TaskSet) -> TimeSums {
+        self.cost
+            .profiler()
+            .time_sums(set.iter(), self.limits.profile_batch, 1)
+    }
+
+    /// Exact time sums of `v ∪ w` from those of `v` and `w`: their sum,
+    /// minus the sums of the tasks both hold (cloned constants), which
+    /// are the only members walked. Equal to [`BlockCtx::sums`] of the
+    /// union, bit for bit.
+    pub fn union_sums(
+        &self,
+        (v, v_sums): (&TaskSet, TimeSums),
+        (w, w_sums): (&TaskSet, TimeSums),
+    ) -> TimeSums {
+        let sums = v_sums + w_sums;
+        if !v.intersects(w) {
+            return sums;
+        }
+        let both = v.iter().filter(|&t| w.contains(t));
+        sums - self
+            .cost
+            .profiler()
+            .time_sums(both, self.limits.profile_batch, 1)
+    }
+
+    /// [`BlockCtx::profile`] of a group whose exact time sums are `sums`:
+    /// a statistics walk and no time walk.
+    pub fn price(&self, set: &TaskSet, sums: TimeSums) -> (f64, usize) {
+        let profiled = self.cost.profiler().profiled(set);
         let r = self
             .cost
-            .stage_cost(set, self.limits.profile_batch, 1, true);
+            .stage_price(&profiled, sums, self.limits.profile_batch, 1, true, 1);
         (r.fwd_time + r.bwd_time, r.mem_bytes)
     }
 
@@ -293,9 +329,8 @@ mod tests {
 
     #[test]
     fn block_phase_does_no_cache_work() {
-        // every candidate group is priced as a plain set, one walk for
-        // its statistics and one for its time: nothing is cached, so
-        // nothing is counted
+        // every candidate group is priced from time sums the phase
+        // carries itself: no slot is read, so nothing is counted
         let g = bert_graph(&BertConfig::tiny());
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let blocks = block_partition(
@@ -311,6 +346,35 @@ mod tests {
         assert!(blocks.len() > 1);
         let stats = profiler.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries()), (0, 0, 0));
+    }
+
+    #[test]
+    fn union_sums_equal_the_walked_sums_of_the_union() {
+        // overlapping and disjoint operands: a union's composed time sums,
+        // and so its price, equal a walk of the union bit for bit
+        let g = bert_graph(&BertConfig::tiny());
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let ctx = BlockCtx::new(
+            &g,
+            &profiler,
+            BlockLimits {
+                k: 4,
+                mem_limit: 32 << 30,
+                profile_batch: 3,
+            },
+        );
+        let n = g.num_tasks() as u32;
+        let range = |lo: u32, hi: u32| TaskSet::from_ids(n as usize, (lo..hi).map(TaskId));
+        for (v, w) in [
+            (range(0, n / 2), range(n / 4, 3 * n / 4)),
+            (range(0, n / 3), range(n / 3, n)),
+            (range(0, n), range(n / 5, n / 4)),
+        ] {
+            let union = v.union(&w);
+            let sums = ctx.union_sums((&v, ctx.sums(&v)), (&w, ctx.sums(&w)));
+            assert_eq!(sums, ctx.sums(&union));
+            assert_eq!(ctx.price(&union, sums), ctx.profile(&union));
+        }
     }
 
     /// Group adjacency as first built: membership lists and a

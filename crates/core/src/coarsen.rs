@@ -12,6 +12,7 @@
 
 use crate::blocks::BlockCtx;
 use rannc_graph::TaskSet;
+use rannc_profile::TimeSums;
 
 /// One recorded merge: at `level`, groups with task sets `v` and `w`
 /// became `v ∪ w`.
@@ -41,11 +42,17 @@ pub struct CoarsenResult {
 pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenResult {
     let k = ctx.limits.k;
     let mut groups: Vec<TaskSet> = atomic_sets.to_vec();
-    // Only the atoms are profiled up front (independently, so fanned out
-    // across cores). Later levels carry each group's time: a merged group
-    // keeps the time its winning union was priced at, an unmerged one its
+    // Only the atoms are walked (independently, so fanned out across
+    // cores). Later levels carry each group's exact time sums and time: a
+    // union's sums are composed from its operands', a merged group keeps
+    // the time its winning union was priced at, an unmerged one its
     // previous time.
-    let mut times: Vec<f64> = crate::par::parallel_map(&groups, |s| ctx.time(s));
+    let (mut sums, mut times): (Vec<TimeSums>, Vec<f64>) = crate::par::parallel_map(&groups, |s| {
+        let sums = ctx.sums(s);
+        (sums, ctx.price(s, sums).0)
+    })
+    .into_iter()
+    .unzip();
     let mut merges = Vec::new();
     let mut level = 0usize;
 
@@ -58,6 +65,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
 
         let mut used = vec![false; groups.len()];
         let mut next: Vec<TaskSet> = Vec::with_capacity(groups.len() / 2 + 1);
+        let mut next_sums: Vec<TimeSums> = Vec::with_capacity(next.capacity());
         let mut next_times: Vec<f64> = Vec::with_capacity(next.capacity());
         let mut merged_any = false;
         let mut remaining = groups.len();
@@ -71,10 +79,11 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
             // pass the rest through.
             if remaining <= k {
                 next.push(groups[v].clone());
+                next_sums.push(sums[v]);
                 next_times.push(times[v]);
                 continue;
             }
-            let mut best: Option<(usize, f64, TaskSet)> = None;
+            let mut best: Option<(usize, f64, TaskSet, TimeSums)> = None;
             for &w in &adj[v] {
                 let w = w as usize;
                 if used[w] {
@@ -84,16 +93,17 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                 if !ctx.checker.is_convex(&union) {
                     continue;
                 }
-                let (t, mem) = ctx.profile(&union);
+                let union_sums = ctx.union_sums((&groups[v], sums[v]), (&groups[w], sums[w]));
+                let (t, mem) = ctx.price(&union, union_sums);
                 if mem > ctx.limits.mem_limit {
                     continue;
                 }
-                if best.as_ref().map(|(_, bt, _)| t < *bt).unwrap_or(true) {
-                    best = Some((w, t, union));
+                if best.as_ref().map(|(_, bt, ..)| t < *bt).unwrap_or(true) {
+                    best = Some((w, t, union, union_sums));
                 }
             }
             match best {
-                Some((w, t, union)) => {
+                Some((w, t, union, union_sums)) => {
                     used[w] = true;
                     merges.push(MergeRecord {
                         level,
@@ -101,12 +111,14 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                         w: groups[w].clone(),
                     });
                     next.push(union);
+                    next_sums.push(union_sums);
                     next_times.push(t);
                     merged_any = true;
                     remaining -= 1; // two groups became one
                 }
                 None => {
                     next.push(groups[v].clone());
+                    next_sums.push(sums[v]);
                     next_times.push(times[v]);
                 }
             }
@@ -118,6 +130,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
             break;
         }
         groups = next;
+        sums = next_sums;
         times = next_times;
         level += 1;
     }

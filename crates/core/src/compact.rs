@@ -11,6 +11,7 @@
 
 use crate::blocks::BlockCtx;
 use rannc_graph::{traverse, TaskSet};
+use rannc_profile::TimeSums;
 
 /// Run compaction until `k` groups remain (or no further merge is
 /// possible, in which case slightly more than `k` groups are returned).
@@ -21,9 +22,19 @@ pub fn compact(ctx: &mut BlockCtx<'_, '_>, groups: Vec<TaskSet>) -> Vec<TaskSet>
 
     let mut list: Vec<TaskSet> = groups;
     list.sort_by_key(|s| min_pos(s));
+    if list.len() <= k {
+        return list;
+    }
+    // Each group is walked once; a merged group's exact time sums are
+    // composed from its operands', so its time is priced without a walk.
+    let (mut sums, mut times): (Vec<TimeSums>, Vec<f64>) = crate::par::parallel_map(&list, |s| {
+        let sums = ctx.sums(s);
+        (sums, ctx.price(s, sums).0)
+    })
+    .into_iter()
+    .unzip();
 
     while list.len() > k {
-        let times: Vec<f64> = crate::par::parallel_map(&list, |s| ctx.time(s));
         let mut order: Vec<usize> = (0..list.len()).collect();
         order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
 
@@ -41,12 +52,16 @@ pub fn compact(ctx: &mut BlockCtx<'_, '_>, groups: Vec<TaskSet>) -> Vec<TaskSet>
             candidates.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
             for &j in &candidates {
                 let union = list[i].union(&list[j]);
-                if !ctx.fits(&union) || !ctx.checker.is_convex(&union) {
+                let union_sums = ctx.union_sums((&list[i], sums[i]), (&list[j], sums[j]));
+                let (time, mem) = ctx.price(&union, union_sums);
+                if mem > ctx.limits.mem_limit || !ctx.checker.is_convex(&union) {
                     continue;
                 }
                 let (lo, hi) = (i.min(j), i.max(j));
-                list[lo] = union;
+                (list[lo], sums[lo], times[lo]) = (union, union_sums, time);
                 list.remove(hi);
+                sums.remove(hi);
+                times.remove(hi);
                 merged = true;
                 break;
             }

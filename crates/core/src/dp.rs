@@ -22,8 +22,9 @@
 //! implemented: when no feasible split exists at device budget `d`, no
 //! smaller budget is tried again.
 
-use crate::stagecache::{DpCtx, StageCost};
+use crate::stagecache::{DpCtx, StageCost, TimeRow};
 use rannc_graph::TaskSet;
+use std::sync::Arc;
 
 /// Inputs of one `form_stage_dp` invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,8 +130,10 @@ struct MemoKey {
     tp: usize,
 }
 
-/// Reusable cross-candidate scratch of Algorithm 1: the flat DP tables
-/// and the flat `(b_prev, b, repl)` stage-cost memo.
+/// Reusable cross-candidate scratch of Algorithm 1: the flat DP tables,
+/// the flat `(b_prev, b, repl)` stage-cost memo, and one time-row handle
+/// per `repl` (the micro-batch a stage prices at depends only on `repl`
+/// under one memo key).
 ///
 /// Memo entries of one candidate are pure functions of `(b_prev, b,
 /// repl)` given the memo key, so the next candidate with the same
@@ -155,6 +158,8 @@ pub struct DpArena {
     parent: Vec<(u32, u32)>,
     /// `(stamp, result)` per `(b_prev, b, repl)`; valid iff stamp matches.
     memo: Vec<(u32, Option<StageCost>)>,
+    /// Time-row handle per `repl`, fetched on first use under this key.
+    rows: Vec<Option<Arc<TimeRow>>>,
     stamp: u32,
     key: Option<MemoKey>,
     hits: u64,
@@ -190,7 +195,10 @@ impl DpArena {
             self.memo.resize(memo_len, (0, None));
             self.stamp = 1;
             self.key = Some(key);
+            self.rows.clear();
+            self.rows.resize(ds1, None);
         } else if self.key != Some(key) {
+            self.rows.iter_mut().for_each(|r| *r = None);
             self.stamp = match self.stamp.checked_add(1) {
                 Some(s) => s,
                 None => {
@@ -272,6 +280,7 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
         tb,
         parent,
         memo,
+        rows,
         stamp,
         hits,
         misses,
@@ -319,7 +328,7 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
                             }
                             _ => {
                                 *misses += 1;
-                                let c = ctx.eval(b_prev, b, repl);
+                                let c = ctx.eval_at(b_prev, b, repl, &mut rows[repl]);
                                 memo[li] = (stamp, c);
                                 c
                             }

@@ -183,7 +183,8 @@ impl PartitionConfig {
 /// `--planner-stats` flag and the planner bench JSON.
 #[derive(Debug, Clone, Default)]
 pub struct PlannerStats {
-    /// Time-cache behaviour of the search's block ranges (hits, misses).
+    /// Time-sum slot behaviour of the search's blocks (fills are
+    /// misses, reads of a filled slot hits).
     pub profiler_cache: CacheStats,
     /// Search-engine counters, including the DP arena memo.
     pub search: SearchStats,

@@ -415,7 +415,7 @@ mod tests {
     use rannc_graph::TaskSet;
     use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec, NodeSpec};
     use rannc_models::{mlp_graph, MlpConfig};
-    use rannc_profile::{ProfiledSet, Profiler, ProfilerOptions};
+    use rannc_profile::{ProfiledSet, Profiler, ProfilerOptions, TimeSums};
 
     /// A small test cluster: `nodes` × 2 devices with `mem` bytes each.
     fn small_cluster(nodes: usize, mem: usize) -> ClusterSpec {
@@ -513,36 +513,28 @@ mod tests {
     }
 
     /// Forwards to a profiler, counting the stages whose memory fits the
-    /// device.
+    /// device and the stages whose time is priced.
     struct Counting<'a> {
         inner: Profiler<'a>,
         mem_ok: Mutex<u64>,
+        timed: Mutex<u64>,
     }
 
     impl CostModel for Counting<'_> {
         fn profiler(&self) -> &Profiler<'_> {
             &self.inner
         }
-        fn stage_cost(
-            &self,
-            set: &TaskSet,
-            batch: usize,
-            inflight: usize,
-            ckpt: bool,
-        ) -> rannc_profile::ProfileResult {
-            self.inner.stage_cost(set, batch, inflight, ckpt)
-        }
-        fn stage_cost_tp(
+        fn stage_price(
             &self,
             set: &ProfiledSet<'_>,
+            time: TimeSums,
             batch: usize,
             inflight: usize,
             ckpt: bool,
             tp: usize,
-            cluster: &ClusterSpec,
         ) -> rannc_profile::ProfileResult {
-            self.inner
-                .stage_cost_tp(set, batch, inflight, ckpt, tp, cluster)
+            *self.timed.lock().unwrap() += 1;
+            self.inner.stage_price(set, time, batch, inflight, ckpt, tp)
         }
         fn stage_mem(
             &self,
@@ -580,8 +572,9 @@ mod tests {
     }
 
     /// In a feasible search under memory pressure, only stages that fit
-    /// are timed: time misses never exceed the memory-feasible
-    /// evaluations.
+    /// are timed, and every time comes from block time slots: no more
+    /// stages are timed than fit memory, and each timed stage reads at
+    /// least one slot.
     #[test]
     fn feasible_search_times_only_memory_feasible_stages() {
         let g = mlp_graph(&MlpConfig::deep(512, 512, 12, 10));
@@ -592,6 +585,7 @@ mod tests {
             let cost = Counting {
                 inner: Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32()),
                 mem_ok: Mutex::new(0),
+                timed: Mutex::new(0),
             };
             let opts = SearchOptions { threads: 2, tp_max };
             let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, 32, &opts);
@@ -601,10 +595,15 @@ mod tests {
                 mem_ok < stats.stage_cache.misses,
                 "no stage was over memory: the case does not test the ordering"
             );
-            let time_misses = cost.cache_stats().misses;
+            let timed = *cost.timed.lock().unwrap();
             assert!(
-                time_misses <= mem_ok,
-                "tp_max {tp_max}: {time_misses} time misses, {mem_ok} stages fit memory"
+                timed <= mem_ok,
+                "tp_max {tp_max}: {timed} stages timed, {mem_ok} stages fit memory"
+            );
+            let slots = cost.cache_stats();
+            assert!(
+                slots.hits + slots.misses >= timed,
+                "tp_max {tp_max}: {slots:?}"
             );
         }
     }

@@ -7,9 +7,10 @@
 //! with incremental prefix unions (`[f, t+1)` = `[f, t) ∪ block t`), so a
 //! range query inside the DP is one array index. Each range is a
 //! [`ProfiledSet`] that owns its statistics, filled by the same one-pass
-//! row walk as its egress, and caches its own time sums per
-//! `(micro-batch, tp)`: no range's members are scanned for statistics
-//! again, and no pricing goes through a shared memo.
+//! row walk as its egress. A range's time is composed, never walked: the
+//! table keeps one search-wide row of exact per-block time sums per
+//! `(micro-batch, tp)` point, each block's filled once on first use, and
+//! a range costs the sum of its blocks' sums ([`RangeTable::time`]).
 //!
 //! [`DpCtx::eval`] prices one candidate stage: memory first, from the
 //! range's statistics, and time only for a stage that fits. A stage over
@@ -23,9 +24,11 @@ use crate::blocks::Block;
 use crate::dp::DpParams;
 use crate::placement::SlotTable;
 use rannc_cost::CostModel;
-use rannc_graph::{TaskGraph, TaskSet};
+use rannc_graph::{TaskGraph, TaskId, TaskSet};
 use rannc_hw::{ClusterSpec, LinkSpec};
-use rannc_profile::ProfiledSet;
+use rannc_profile::{ProfiledSet, Profiler, TimeSums};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Evaluated cost of one candidate stage.
 ///
@@ -72,18 +75,33 @@ impl StageCost {
 /// Union of a block range.
 #[derive(Debug)]
 pub struct RangeInfo {
-    /// Union of the range's block task sets, with its statistics and
-    /// time cache.
+    /// Union of the range's block task sets, with its statistics.
     pub set: ProfiledSet<'static>,
     /// FP32 bytes of one sample's values leaving the set.
     pub egress: usize,
+    /// Tasks the range's blocks hold more than once (cloned constants),
+    /// once per extra copy: the sum of the blocks' time sums counts each
+    /// of them that many times too often.
+    extra: Vec<TaskId>,
+}
+
+/// Exact time sums of every block at one `(micro-batch, tp)` point, each
+/// filled on first use. Shared by every DP of a search that prices at
+/// this point.
+pub struct TimeRow {
+    batch: usize,
+    tp: usize,
+    slots: Box<[OnceLock<TimeSums>]>,
 }
 
 /// Every block-range union of one block partition, row by row: row
-/// `from` holds ranges `[from, from+1) … [from, nb)`.
+/// `from` holds ranges `[from, from+1) … [from, nb)`. Also the search's
+/// per-block time sums, one [`TimeRow`] per `(micro-batch, tp)` point.
 pub struct RangeTable {
     nb: usize,
+    blocks: Vec<TaskSet>,
     ranges: Vec<RangeInfo>,
+    rows: Mutex<BTreeMap<(usize, usize), Arc<TimeRow>>>,
 }
 
 impl RangeTable {
@@ -91,14 +109,16 @@ impl RangeTable {
     /// walks `[f, t+1) = [f, t) ∪ block t`, so each block's members are
     /// read once per row: the whole table costs `O(nb · Σ|block|)`
     /// instead of a scan of every range. The walk carries each range's
-    /// egress, and [`rannc_profile::Profiler::profiled_prefixes`] builds
-    /// the row's unions with their set statistics in the same one pass.
+    /// egress and the tasks its blocks repeat, and
+    /// [`rannc_profile::Profiler::profiled_prefixes`] builds the row's
+    /// unions with their set statistics in the same one pass. No time is
+    /// priced.
     ///
-    /// Exact for any block order: blocks need not be topological or
-    /// convex, only pairwise disjoint. Rows run on the calling thread:
-    /// at k = 32 the whole table is a few milliseconds, and building it
-    /// on worker threads raised the process's peak memory more than it
-    /// saved time.
+    /// Exact for any block order: blocks need not be topological, convex
+    /// or disjoint (the block phase clones constants into every block
+    /// that reads them). Rows run on the calling thread: at k = 32 the
+    /// whole table is a few milliseconds, and building it on worker
+    /// threads raised the process's peak memory more than it saved time.
     pub fn build(g: &TaskGraph, cost: &dyn CostModel, blocks: &[Block]) -> Self {
         let nb = blocks.len();
         // per value: consumer slots a range must hold for the value to stay
@@ -114,15 +134,24 @@ impl RangeTable {
         // in range
         let mut consumed = vec![0u32; facts.len()];
         let mut produced = vec![false; facts.len()];
-        let mut ranges = Vec::with_capacity(nb * (nb + 1) / 2);
+        let mut ranges: Vec<RangeInfo> = Vec::with_capacity(nb * (nb + 1) / 2);
         for from in 0..nb {
             consumed.fill(0);
             produced.fill(false);
             let parts: Vec<&TaskSet> = blocks[from..].iter().map(|b| &b.set).collect();
             let mut egress = 0usize;
+            let mut extra = Vec::new();
             let sets = cost.profiler().profiled_prefixes(&parts);
-            for (part, set) in parts.iter().zip(sets) {
+            for (i, (part, set)) in parts.iter().zip(sets).enumerate() {
+                // the row's union so far, when this block shares tasks with it
+                let held = (i > 0)
+                    .then(|| ranges[ranges.len() - 1].set.tasks())
+                    .filter(|prev| prev.intersects(part));
                 for t in part.iter() {
+                    if held.is_some_and(|held| held.contains(t)) {
+                        extra.push(t); // an earlier block of the range holds it
+                        continue;
+                    }
                     let task = g.task(t);
                     for &v in &task.outputs {
                         let v = v.index();
@@ -139,10 +168,19 @@ impl RangeTable {
                         }
                     }
                 }
-                ranges.push(RangeInfo { set, egress });
+                ranges.push(RangeInfo {
+                    set,
+                    egress,
+                    extra: extra.clone(),
+                });
             }
         }
-        RangeTable { nb, ranges }
+        RangeTable {
+            nb,
+            blocks: blocks.iter().map(|b| b.set.clone()).collect(),
+            ranges,
+            rows: Mutex::new(BTreeMap::new()),
+        }
     }
 
     /// Number of blocks the table covers.
@@ -156,6 +194,36 @@ impl RangeTable {
         // rows before `from` hold nb, nb−1, …, nb−from+1 ranges
         let row = from * self.nb - from * from.saturating_sub(1) / 2;
         &self.ranges[row + to - from - 1]
+    }
+
+    /// The search-wide per-block time sums at `(batch, tp)`, created
+    /// empty on first request. Takes the table's one lock: callers keep
+    /// the handle for as long as they price at this point.
+    pub fn row(&self, batch: usize, tp: usize) -> Arc<TimeRow> {
+        // a panic while inserting leaves the map valid
+        let mut rows = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(rows.entry((batch, tp)).or_insert_with(|| {
+            Arc::new(TimeRow {
+                batch,
+                tp,
+                slots: (0..self.nb).map(|_| OnceLock::new()).collect(),
+            })
+        }))
+    }
+
+    /// Exact time sums of range `[from, to)` at `row`'s point: the sum of
+    /// its blocks' sums, each filled on first use, minus the extra copies
+    /// of tasks several of its blocks hold. Equal, bit for bit, to a walk
+    /// of the range's union.
+    pub fn time(&self, profiler: &Profiler<'_>, row: &TimeRow, from: usize, to: usize) -> TimeSums {
+        let (batch, tp) = (row.batch, row.tp);
+        let sums = profiler.sum_parts(&row.slots[from..to], &self.blocks[from..to], batch, tp);
+        let extra = &self.get(from, to).extra;
+        if extra.is_empty() {
+            sums
+        } else {
+            sums - profiler.time_sums(extra.iter().copied(), batch, tp)
+        }
     }
 }
 
@@ -225,6 +293,20 @@ impl<'a> DpCtx<'a> {
     /// units. `None` when the micro-batch would be empty or the stage
     /// exceeds the memory bound.
     pub fn eval(&self, from: usize, to: usize, repl: usize) -> Option<StageCost> {
+        self.eval_at(from, to, repl, &mut None)
+    }
+
+    /// [`DpCtx::eval`] with a caller-kept handle of the time row the
+    /// stage's point prices at, fetched on first use. The point depends
+    /// only on `repl` within a DP arena's memo key, so the arena keeps
+    /// one handle per `repl` and a time lookup takes no lock.
+    pub(crate) fn eval_at(
+        &self,
+        from: usize,
+        to: usize,
+        repl: usize,
+        row: &mut Option<Arc<TimeRow>>,
+    ) -> Option<StageCost> {
         let micro = self.p.batch_size / self.p.replica_factor / self.p.microbatches / repl;
         if micro == 0 {
             return None;
@@ -238,8 +320,12 @@ impl<'a> DpCtx<'a> {
         if mem > self.p.mem_limit {
             return None;
         }
+        let row = row.get_or_insert_with(|| self.ranges.row(micro, self.p.tp));
+        debug_assert_eq!((row.batch, row.tp), (micro, self.p.tp), "stale time row");
+        let time = self.ranges.time(self.cost.profiler(), row, from, to);
         let prof = self.cost.stage_cost_tp(
             &range.set,
+            time,
             micro,
             self.p.microbatches,
             self.ckpt,

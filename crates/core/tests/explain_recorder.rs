@@ -289,7 +289,7 @@ fn search_counters_do_not_depend_on_threads_or_the_recorder() {
             recorder::set_enabled(false);
             recorder::reset();
             // the stage evaluations and memo hits of the DP arenas, and
-            // the ranges' time-cache lookups: every run does the same work
+            // the blocks' time-slot fills and reads: every run does the same work
             let work = (
                 stats.candidates,
                 stats.feasible,

@@ -8,7 +8,10 @@
 //! * [`exhaustive_cells`] — Algorithm 2 cell by cell: every grid cell's
 //!   DP result, one fresh arena per cell, on one thread;
 //! * [`exhaustive_search`] — the sequential scan over those cells: first
-//!   minimum of `score_solution`.
+//!   minimum of `score_solution`;
+//! * [`walked_range_cost`] — a block range's price from scratch: its
+//!   union rebuilt member by member and walked, never composed from the
+//!   blocks' time sums.
 
 // each suite uses a subset of the references
 #![allow(dead_code)]
@@ -19,8 +22,9 @@ use rannc_core::{
     StageCost,
 };
 use rannc_cost::CostModel;
-use rannc_graph::TaskGraph;
+use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::ClusterSpec;
+use rannc_profile::ProfileResult;
 use std::collections::HashMap;
 
 /// Algorithm 1 with a `HashMap` memo private to the invocation.
@@ -240,4 +244,33 @@ pub fn exhaustive_search(
         .map(|sol| (score_solution(&sol, cluster, cost), sol))
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .map(|(_, sol)| sol)
+}
+
+/// The price of block range `[from, to)` from scratch: the union of the
+/// blocks' members inserted one by one, then one statistics walk and one
+/// time walk of it through `cost`'s profiler, and
+/// [`CostModel::stage_cost_tp`] at `(batch, inflight, ckpt)` and `tp`.
+pub fn walked_range_cost(
+    cost: &dyn CostModel,
+    blocks: &[Block],
+    (from, to): (usize, usize),
+    (batch, inflight, ckpt): (usize, usize, bool),
+    tp: usize,
+    cluster: &ClusterSpec,
+) -> ProfileResult {
+    let mut union = TaskSet::new(cost.graph().num_tasks());
+    for t in blocks[from..to].iter().flat_map(|b| b.set.iter()) {
+        union.insert(t);
+    }
+    let p = cost.profiler();
+    let time = p.time_sums(union.iter(), batch, tp);
+    cost.stage_cost_tp(
+        &p.profiled(&union),
+        time,
+        batch,
+        inflight,
+        ckpt,
+        tp,
+        cluster,
+    )
 }

@@ -3,7 +3,7 @@
 use crate::{Calibration, CostFactors};
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec};
-use rannc_profile::{CacheStats, ProfileResult, ProfiledSet, Profiler, ProfilerOptions};
+use rannc_profile::{CacheStats, ProfileResult, ProfiledSet, Profiler, ProfilerOptions, TimeSums};
 
 /// The single pricing interface for stage compute time, activation
 /// transfer time, collective time, and peak memory.
@@ -34,40 +34,76 @@ pub trait CostModel: Sync {
         self.profiler().device()
     }
 
+    /// The one pricing of a stage's compute and memory: forward/backward
+    /// time and peak memory of `set` at a micro-batch size, with
+    /// `inflight` micro-batches resident, optional checkpointing, and its
+    /// splittable compute divided `tp` ways. `time` must be the set's
+    /// exact time sums at `(batch, tp)`, walked
+    /// ([`Profiler::time_sums`]) or composed from parts. Excludes the
+    /// tensor-parallel all-reduce, which [`CostModel::stage_cost_tp`]
+    /// adds.
+    fn stage_price(
+        &self,
+        set: &ProfiledSet<'_>,
+        time: TimeSums,
+        batch: usize,
+        inflight: usize,
+        checkpointing: bool,
+        tp: usize,
+    ) -> ProfileResult;
+
     /// The paper's `profile(U, batch)`: forward/backward time and peak
     /// memory of one candidate stage at a micro-batch size, with
     /// `inflight` micro-batches resident and optional checkpointing.
-    /// Prices a plain set: nothing is cached or counted.
+    /// Prices a plain set, one walk for its statistics and one for its
+    /// time: nothing is cached or counted.
     fn stage_cost(
         &self,
         set: &TaskSet,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
-    ) -> ProfileResult;
+    ) -> ProfileResult {
+        let p = self.profiler();
+        let time = p.time_sums(set.iter(), batch, 1);
+        self.stage_price(&p.profiled(set), time, batch, inflight, checkpointing, 1)
+    }
 
-    /// Tensor-parallel stage pricing: [`CostModel::stage_cost`] with the
-    /// stage's splittable (matmul-bearing) compute divided across a
-    /// `tp`-wide tensor-parallel group, weight/optimizer state sharded
-    /// `tp` ways, activation buffers full-size, and the per-pass
-    /// activation all-reduce over the group folded into the forward and
-    /// backward times (which is why this variant needs the cluster).
+    /// Tensor-parallel stage pricing: [`CostModel::stage_price`] with the
+    /// per-pass activation all-reduce over the `tp`-wide group folded
+    /// into the forward and backward times (which is why this variant
+    /// needs the cluster), priced through
+    /// [`CostModel::allreduce_time`].
     ///
-    /// `tp == 1` must be bit-identical to [`CostModel::stage_cost`] of
-    /// the set's tasks — same float operations. The set's time sums are
-    /// cached in the set and counted in [`CostModel::cache_stats`].
+    /// `tp == 1` is bit-identical to [`CostModel::stage_cost`] of the
+    /// set's tasks — same float operations.
+    #[allow(clippy::too_many_arguments)]
     fn stage_cost_tp(
         &self,
         set: &ProfiledSet<'_>,
+        time: TimeSums,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
         cluster: &ClusterSpec,
-    ) -> ProfileResult;
+    ) -> ProfileResult {
+        let mut r = self.stage_price(set, time, batch, inflight, checkpointing, tp);
+        let bytes = if tp > 1 {
+            self.profiler().tp_allreduce_bytes(set, batch)
+        } else {
+            0
+        };
+        if bytes > 0 {
+            let ar = self.allreduce_time(cluster, bytes, tp, tp > cluster.node.devices);
+            r.fwd_time += ar;
+            r.bwd_time += ar;
+        }
+        r
+    }
 
     /// Peak memory of a candidate stage alone: exactly
-    /// `stage_cost_tp(set, batch, inflight, checkpointing, tp, _).mem_bytes`
+    /// `stage_price(set, _, batch, inflight, checkpointing, tp).mem_bytes`
     /// (and `stage_cost`'s at `tp <= 1`), computed from the
     /// batch-independent set statistics without pricing time. Algorithm 1
     /// checks it first, so a stage over the memory bound is rejected
@@ -114,7 +150,8 @@ pub trait CostModel: Sync {
         CostFactors::identity()
     }
 
-    /// Time-cache counters of every [`ProfiledSet`] this model priced.
+    /// Counters of the time-sum slots this model's profiler filled and
+    /// read ([`Profiler::sum_parts`]).
     fn cache_stats(&self) -> CacheStats {
         self.profiler().cache_stats()
     }
@@ -136,37 +173,16 @@ impl CostModel for Profiler<'_> {
         self
     }
 
-    fn stage_cost(
-        &self,
-        set: &TaskSet,
-        batch: usize,
-        inflight: usize,
-        checkpointing: bool,
-    ) -> ProfileResult {
-        self.profile_set(set, batch, inflight, checkpointing)
-    }
-
-    fn stage_cost_tp(
+    fn stage_price(
         &self,
         set: &ProfiledSet<'_>,
+        time: TimeSums,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
-        cluster: &ClusterSpec,
     ) -> ProfileResult {
-        let mut r = self.profile(set, batch, inflight, checkpointing, tp);
-        let bytes = if tp > 1 {
-            self.tp_allreduce_bytes(set, batch)
-        } else {
-            0
-        };
-        if bytes > 0 {
-            let ar = cluster.replica_allreduce_time(bytes, tp, tp > cluster.node.devices);
-            r.fwd_time += ar;
-            r.bwd_time += ar;
-        }
-        r
+        self.profile(set, time, batch, inflight, checkpointing, tp)
     }
 
     fn stage_mem(
@@ -266,45 +282,19 @@ impl CostModel for CalibratedCost<'_> {
         &self.profiler
     }
 
-    fn stage_cost(
-        &self,
-        set: &TaskSet,
-        batch: usize,
-        inflight: usize,
-        checkpointing: bool,
-    ) -> ProfileResult {
-        let mut r = self
-            .profiler
-            .profile_set(set, batch, inflight, checkpointing);
-        r.mem_bytes = self.calibrated_mem(r.mem_bytes);
-        r
-    }
-
-    fn stage_cost_tp(
+    fn stage_price(
         &self,
         set: &ProfiledSet<'_>,
+        time: TimeSums,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
-        cluster: &ClusterSpec,
     ) -> ProfileResult {
         let mut r = self
             .profiler
-            .profile(set, batch, inflight, checkpointing, tp);
+            .profile(set, time, batch, inflight, checkpointing, tp);
         r.mem_bytes = self.calibrated_mem(r.mem_bytes);
-        // the TP activation all-reduce is priced through the *calibrated*
-        // collective path, unlike the profiler's raw impl
-        let bytes = if tp > 1 {
-            self.profiler.tp_allreduce_bytes(set, batch)
-        } else {
-            0
-        };
-        if bytes > 0 {
-            let ar = self.allreduce_time(cluster, bytes, tp, tp > cluster.node.devices);
-            r.fwd_time += ar;
-            r.bwd_time += ar;
-        }
         r
     }
 

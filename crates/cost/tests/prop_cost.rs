@@ -139,7 +139,8 @@ proptest! {
                     for ckpt in [false, true] {
                         // memory first, as the DP asks: no time priced yet
                         let mem = m.stage_mem(&profiled, batch, inflight, ckpt, tp);
-                        let full = m.stage_cost_tp(&profiled, batch, inflight, ckpt, tp, &cluster);
+                        let time = m.profiler().time_sums(set.iter(), batch, tp);
+                        let full = m.stage_cost_tp(&profiled, time, batch, inflight, ckpt, tp, &cluster);
                         prop_assert_eq!(
                             mem, full.mem_bytes,
                             "{}: tp {}, inflight {}, ckpt {}", label, tp, inflight, ckpt
@@ -252,7 +253,9 @@ proptest! {
         for_both_models(&cal, |m, cluster, label| {
             let set = whole_set(m.graph());
             let plain = m.stage_cost(&set, mb, inflight, ckpt);
-            let tp = m.stage_cost_tp(&m.profiler().profiled(&set), mb, inflight, ckpt, 1, cluster);
+            let p = m.profiler();
+            let time = p.time_sums(set.iter(), mb, 1);
+            let tp = m.stage_cost_tp(&p.profiled(&set), time, mb, inflight, ckpt, 1, cluster);
             assert!(
                 plain.fwd_time.to_bits() == tp.fwd_time.to_bits()
                     && plain.bwd_time.to_bits() == tp.bwd_time.to_bits()
@@ -280,8 +283,9 @@ proptest! {
             let set = whole_set(m.graph());
             let full = m.stage_cost(&set, mb, 1, ckpt);
             let profiled = m.profiler().profiled(&set);
-            let a = m.stage_cost_tp(&profiled, mb, 1, ckpt, lo, cluster);
-            let b = m.stage_cost_tp(&profiled, mb, 1, ckpt, hi, cluster);
+            let time = |tp: usize| m.profiler().time_sums(set.iter(), mb, tp);
+            let a = m.stage_cost_tp(&profiled, time(lo), mb, 1, ckpt, lo, cluster);
+            let b = m.stage_cost_tp(&profiled, time(hi), mb, 1, ckpt, hi, cluster);
             assert!(
                 b.mem_bytes <= a.mem_bytes,
                 "{label}/ckpt={ckpt}: mem(T={hi}) = {} > mem(T={lo}) = {}",
@@ -319,15 +323,16 @@ proptest! {
         let whole = whole_set(m.graph());
         let set = m.profiled(&whole);
 
-        let raw_lo = m.profile(&set, mhi, 1, false, tlo);
-        let raw_hi = m.profile(&set, mhi, 1, false, thi);
+        let time = |tp: usize| m.time_sums(whole.iter(), mhi, tp);
+        let raw_lo = m.profile(&set, time(tlo), mhi, 1, false, tlo);
+        let raw_hi = m.profile(&set, time(thi), mhi, 1, false, thi);
         prop_assert!(
             raw_hi.fwd_time <= raw_lo.fwd_time && raw_hi.bwd_time <= raw_lo.bwd_time,
             "splitting wider got slower: T={tlo} ({}, {}) vs T={thi} ({}, {})",
             raw_lo.fwd_time, raw_lo.bwd_time, raw_hi.fwd_time, raw_hi.bwd_time
         );
 
-        let full = m.stage_cost_tp(&set, mhi, 1, false, thi, &cluster);
+        let full = m.stage_cost_tp(&set, time(thi), mhi, 1, false, thi, &cluster);
         let dfwd = full.fwd_time - raw_hi.fwd_time;
         let dbwd = full.bwd_time - raw_hi.bwd_time;
         prop_assert!(

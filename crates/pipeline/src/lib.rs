@@ -113,8 +113,10 @@ pub fn spec_from_plan(
         let tp = st.tensor_parallel.max(1);
         // split stages are priced through the Megatron-split oracle, which
         // folds the per-pass activation all-reduce into fwd/bwd
+        let profiler = cost.profiler();
         let prof = cost.stage_cost_tp(
-            &cost.profiler().profiled(&st.set),
+            &profiler.profiled(&st.set),
+            profiler.time_sums(st.set.iter(), st.micro_batch, tp),
             st.micro_batch,
             plan.microbatches,
             ckpt,

@@ -16,8 +16,11 @@
 //!   with and without gradient checkpointing ([`memory`]);
 //! * **reuse** — the profiler keeps no results. A set priced repeatedly
 //!   is a [`ProfiledSet`]: its batch-independent statistics, computed
-//!   once, and its raw times per (micro-batch, tensor-parallel degree),
-//!   filled on first use. Memory is priced from the statistics alone
+//!   once. Raw times are exact fixed-point [`TimeSums`], so the sums of
+//!   a union are composed from its parts' sums bit for bit: a block
+//!   range is priced from per-block sums filled once per (micro-batch,
+//!   tensor-parallel degree) ([`Profiler::sum_parts`]), never by walking
+//!   its members. Memory is priced from the statistics alone
 //!   ([`Profiler::profile_mem`]), so an over-memory stage is never
 //!   timed. Every walk reads flat per-task rows built once per
 //!   [`Profiler`], never the graph, and [`Profiler::profiled_prefixes`]
@@ -32,4 +35,7 @@ pub mod memory;
 pub mod profiler;
 
 pub use memory::MemoryParams;
-pub use profiler::{CacheStats, ProfileResult, ProfiledSet, Profiler, ProfilerOptions};
+pub use profiler::{
+    CacheStats, ProfileResult, ProfiledSet, Profiler, ProfilerOptions, TimeSums,
+    MIN_LAUNCH_OVERHEAD,
+};

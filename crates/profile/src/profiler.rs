@@ -6,15 +6,18 @@ use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet, ValueKind};
 use rannc_hw::{DeviceSpec, Precision};
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::ops::{Add, AddAssign, Sub, SubAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::OnceLock;
 
 /// Tunables of the analytical profiler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfilerOptions {
     /// Training precision (affects peaks and byte sizes).
     pub precision: Precision,
-    /// Fixed per-kernel launch overhead in seconds.
+    /// Fixed per-kernel launch overhead in seconds. At least
+    /// [`MIN_LAUNCH_OVERHEAD`]: every per-task time includes it, which is
+    /// what makes the exact time sums ([`TimeSums`]) exact.
     pub launch_overhead: f64,
     /// Fixed overhead per *profiled subcomponent execution* (host-side
     /// synchronization, input staging) in seconds. Added once to each
@@ -141,21 +144,86 @@ struct SetStats {
     split_out_bytes: usize,
 }
 
-/// Raw time sums of one `(set, batch, tp)` point and its noise factor,
-/// before the invocation overhead and checkpointing recompute are
-/// applied — those depend on `(inflight, ckpt)` and are cheap to
-/// reapply, so caching below them lets every `(inflight, ckpt)` variant
-/// of a point share one entry.
-#[derive(Debug, Clone, Copy)]
-struct TimeProfile {
-    fwd_raw: f64,
-    bwd_raw: f64,
-    noise: f64,
+/// Fractional bits of the fixed-point time sums: one unit is 2⁻⁸⁰ s.
+const TIME_FRAC_BITS: i32 = 80;
+
+/// The smallest `launch_overhead` a [`Profiler`] accepts, 2⁻²⁷ s (~7.5 ns).
+/// Every per-task time is at least the launch overhead, so the last
+/// mantissa bit of any per-task time is at or above 2⁻⁷⁹ s, and the time
+/// converts to a count of 2⁻⁸⁰ s exactly.
+pub const MIN_LAUNCH_OVERHEAD: f64 = 1.0 / (1u64 << 27) as f64;
+
+/// Exact raw time sums of a task set at one `(micro-batch, tp)` point:
+/// its members' forward and backward roofline times, before the
+/// invocation overhead, checkpointing recompute and noise that
+/// [`Profiler::profile`] applies. Each sum is an integer count of
+/// 2⁻⁸⁰ s, to which every per-task time converts exactly, so sums are
+/// exact and independent of order: the sums of `v ∪ w` are those of `v`
+/// plus those of `w` minus those of `v ∩ w`, bit for bit. The only
+/// rounding is one conversion to seconds when a price is assembled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TimeSums {
+    fwd: i128,
+    bwd: i128,
 }
 
-/// Counters of the time caches of every [`ProfiledSet`] one profiler
-/// priced, for `--planner-stats` and the bench JSON. The same shape
-/// counts the planner's DP arena memo.
+impl AddAssign for TimeSums {
+    fn add_assign(&mut self, other: TimeSums) {
+        self.fwd += other.fwd;
+        self.bwd += other.bwd;
+    }
+}
+
+impl SubAssign for TimeSums {
+    fn sub_assign(&mut self, other: TimeSums) {
+        self.fwd -= other.fwd;
+        self.bwd -= other.bwd;
+    }
+}
+
+impl Add for TimeSums {
+    type Output = TimeSums;
+    fn add(mut self, other: TimeSums) -> TimeSums {
+        self += other;
+        self
+    }
+}
+
+impl Sub for TimeSums {
+    type Output = TimeSums;
+    fn sub(mut self, other: TimeSums) -> TimeSums {
+        self -= other;
+        self
+    }
+}
+
+/// `secs` as an exact count of 2⁻⁸⁰ s, decoded from its bits: the
+/// mantissa shifted by the exponent (`as i128` is a library call).
+/// Panics unless `secs` is a normal value in `[2⁻²⁸, 2³³)` s: below it
+/// (zero, negative, subnormal) the conversion would be inexact, above it
+/// (non-finite included) a sum could overflow.
+#[inline]
+fn to_fixed(secs: f64) -> i128 {
+    let bits = secs.to_bits();
+    // the sign bit lands above the exponent: a negative value fails below
+    let shift = (bits >> 52) as i32 - 1075 + TIME_FRAC_BITS;
+    assert!(
+        (0..=60).contains(&shift),
+        "per-task time {secs} s has no exact fixed-point value"
+    );
+    (((bits & ((1 << 52) - 1)) | (1 << 52)) as i128) << shift
+}
+
+/// A fixed-point count of 2⁻⁸⁰ s in seconds: the one rounding step.
+#[inline]
+fn to_secs(fixed: i128) -> f64 {
+    const UNIT: f64 = 1.0 / (1u128 << TIME_FRAC_BITS) as f64;
+    fixed as f64 * UNIT
+}
+
+/// Counters of the time-sum slots one profiler filled and read through
+/// [`Profiler::sum_parts`], for `--planner-stats` and the bench JSON. The
+/// same shape counts the planner's DP arena memo.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from a cache.
@@ -165,7 +233,7 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Entries the caches hold: every miss inserts exactly one.
+    /// Entries the caches hold: every miss fills exactly one.
     pub fn entries(&self) -> usize {
         self.misses as usize
     }
@@ -185,16 +253,13 @@ impl CacheStats {
 ///
 /// The planner's range table builds one per block range
 /// ([`Profiler::profiled_prefixes`]) and prices it at many
-/// `(micro-batch, tp)` points. Each point's raw time sums are computed
-/// once, under this set's own lock, and kept here: racing lookups of one
-/// point wait for the first and count one miss. A set is priced by the
-/// profiler that built it.
+/// `(micro-batch, tp)` points from time sums composed of its blocks'
+/// ([`Profiler::sum_parts`]). A set is priced by the profiler that built
+/// it.
 #[derive(Debug)]
 pub struct ProfiledSet<'s> {
     set: Cow<'s, TaskSet>,
     stats: SetStats,
-    /// Time sums per [`time_key`], in fill order.
-    times: Mutex<Vec<(u64, TimeProfile)>>,
 }
 
 impl ProfiledSet<'_> {
@@ -218,9 +283,10 @@ thread_local! {
 /// Construction walks the graph once, flattening each task's cost data
 /// and inputs into per-task rows. Pricing a set is then one pass over its
 /// members that reads only those rows, never the graph. The profiler
-/// keeps no results: a [`ProfiledSet`] carries its own statistics and
-/// times, and the hit/miss counters of those time caches are the
-/// profiler's only mutable state.
+/// keeps no results: a [`ProfiledSet`] carries its own statistics, time
+/// sums live in the caller's slots ([`Profiler::sum_parts`]), and the
+/// hit/miss counters of those slots are the profiler's only mutable
+/// state.
 pub struct Profiler<'g> {
     g: &'g TaskGraph,
     device: DeviceSpec,
@@ -234,7 +300,9 @@ pub struct Profiler<'g> {
 }
 
 impl<'g> Profiler<'g> {
-    /// Build a profiler for one graph on one device model.
+    /// Build a profiler for one graph on one device model. Panics unless
+    /// `opts.launch_overhead` is finite and at least
+    /// [`MIN_LAUNCH_OVERHEAD`].
     pub fn new(g: &'g TaskGraph, device: DeviceSpec, opts: ProfilerOptions) -> Self {
         Profiler::new_scaled(g, device, opts, |_| 1.0)
     }
@@ -249,6 +317,11 @@ impl<'g> Profiler<'g> {
         opts: ProfilerOptions,
         scale_of: impl Fn(&rannc_graph::OpKind) -> f64,
     ) -> Self {
+        assert!(
+            opts.launch_overhead.is_finite() && opts.launch_overhead >= MIN_LAUNCH_OVERHEAD,
+            "launch_overhead {} s is below 2^-27 s: per-task times would not sum exactly",
+            opts.launch_overhead
+        );
         let non_constant = traverse::non_constant_tasks(g);
         let mut costs = Vec::with_capacity(g.num_tasks());
         let mut static_inputs = Vec::new();
@@ -323,9 +396,9 @@ impl<'g> Profiler<'g> {
         &self.opts
     }
 
-    /// Hits and misses of the time caches of every [`ProfiledSet`] this
-    /// profiler priced since construction. Pricing a plain set counts
-    /// nothing.
+    /// Hits and misses of the time-sum slots read through
+    /// [`Profiler::sum_parts`] since construction: a miss fills a slot, a
+    /// hit reads a filled one. Pricing a plain set counts nothing.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -381,19 +454,24 @@ impl<'g> Profiler<'g> {
     /// The one set-statistics accumulation routine: turn `stats`, the
     /// statistics of the parts stamped `base..cur`, into those of `union`
     /// = those parts ∪ `part`, stamping values first seen here with `cur`.
-    /// Parts must be disjoint; their order is free. Reads only the flat
-    /// per-task rows built at construction; every sum is an exact
-    /// integer, so any split of a set into parts gives the statistics of
-    /// the set computed in one part.
+    /// Parts may overlap: a task of `held`, the earlier parts' union when
+    /// it shares tasks with `part` (`None` otherwise), adds nothing. The
+    /// order of the parts is free. Reads only the flat per-task rows
+    /// built at construction; every sum is an exact integer, so any split
+    /// of a set into parts gives the statistics of the set computed in
+    /// one part.
     fn add_part(
         &self,
         stats: &mut SetStats,
         stamps: &mut [u32],
         (base, cur): (u32, u32),
         part: &TaskSet,
-        union: &TaskSet,
+        (held, union): (Option<&TaskSet>, &TaskSet),
     ) {
         for t in part.iter() {
+            if held.is_some_and(|held| held.contains(t)) {
+                continue;
+            }
             let c = &self.costs[t.index()];
             if c.scales {
                 stats.inter_act_bytes += c.out_act_bytes;
@@ -437,7 +515,7 @@ impl<'g> Profiler<'g> {
     fn set_stats(&self, set: &TaskSet) -> SetStats {
         self.with_stamps(1, |stamps, base| {
             let mut stats = SetStats::default();
-            self.add_part(&mut stats, stamps, (base, base), set, set);
+            self.add_part(&mut stats, stamps, (base, base), set, (None, set));
             stats
         })
     }
@@ -449,70 +527,87 @@ impl<'g> Profiler<'g> {
         ProfiledSet {
             set: Cow::Borrowed(set),
             stats: self.set_stats(set),
-            times: Mutex::new(Vec::new()),
         }
     }
 
-    /// Every prefix union `parts[0] ∪ … ∪ parts[i]` of pairwise-disjoint
-    /// `parts` (in any order), each with its statistics. One pass over the
-    /// parts' members fills all of them, where profiling each union on
-    /// its own would walk its members anew.
+    /// Every prefix union `parts[0] ∪ … ∪ parts[i]` of `parts` (in any
+    /// order, possibly overlapping), each with its statistics. One pass
+    /// over the parts' members fills all of them, where profiling each
+    /// union on its own would walk its members anew.
     pub fn profiled_prefixes(&self, parts: &[&TaskSet]) -> Vec<ProfiledSet<'static>> {
         self.with_stamps(parts.len(), |stamps, base| {
             let mut stats = SetStats::default();
             let mut prefixes: Vec<ProfiledSet<'static>> = Vec::with_capacity(parts.len());
             for (i, &part) in parts.iter().enumerate() {
+                let prev = prefixes.last().map(|p| &*p.set);
                 // one exact-size allocation per union
-                let union = match prefixes.last() {
-                    Some(prev) => prev.set.union(part),
-                    None => part.clone(),
-                };
-                self.add_part(&mut stats, stamps, (base, base + i as u32), part, &union);
+                let union = prev.map_or_else(|| part.clone(), |prev| prev.union(part));
+                let held = prev.filter(|prev| prev.intersects(part));
+                self.add_part(
+                    &mut stats,
+                    stamps,
+                    (base, base + i as u32),
+                    part,
+                    (held, &union),
+                );
                 prefixes.push(ProfiledSet {
                     set: Cow::Owned(union),
                     stats,
-                    times: Mutex::new(Vec::new()),
                 });
             }
             prefixes
         })
     }
 
-    /// Raw roofline time sums of `set` at `(batch, tp)`, and its noise
-    /// factor. The accumulation order over `set.iter()` is fixed, so the
-    /// sums are bit-identical across calls.
-    fn time_profile(&self, set: &TaskSet, batch: usize, tp: usize) -> TimeProfile {
-        let mut fwd = 0.0;
-        let mut bwd = 0.0;
-        for t in set.iter() {
+    /// Exact raw time sums of `tasks` at `(batch, tp)`: one walk over the
+    /// tasks, each converted to fixed point on its own, so the order of
+    /// the tasks does not matter. A task listed twice counts twice.
+    pub fn time_sums(
+        &self,
+        tasks: impl IntoIterator<Item = TaskId>,
+        batch: usize,
+        tp: usize,
+    ) -> TimeSums {
+        let tp = tp.max(1);
+        let mut sums = TimeSums::default();
+        for t in tasks {
             let c = &self.costs[t.index()];
-            let tf = self.task_fwd_time(c, batch, tp);
-            fwd += tf;
+            let fwd = to_fixed(self.task_fwd_time(c, batch, tp));
+            sums.fwd += fwd;
             // backward: dgrad+wgrad for dense ops ≈ 2× forward; ~1× for
             // element-wise / normalization / layout ops.
-            bwd += if c.compute_bound { 2.0 * tf } else { tf };
+            sums.bwd += if c.compute_bound { 2 * fwd } else { fwd };
         }
-        TimeProfile {
-            fwd_raw: fwd,
-            bwd_raw: bwd,
-            noise: self.noise_factor(set, time_key(batch, tp)),
-        }
+        sums
     }
 
-    /// The time sums of `set` at `(batch, tp)`: from the set's own cache,
-    /// or computed and inserted while holding its lock.
-    fn cached_time(&self, set: &ProfiledSet<'_>, batch: usize, tp: usize) -> TimeProfile {
-        let key = time_key(batch, tp);
-        // a fill that panicked pushed nothing, so a poisoned cache is valid
-        let mut times = set.times.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&(_, time)) = times.iter().find(|(k, _)| *k == key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return time;
+    /// The summed time sums of `parts` at `(batch, tp)`. Part `i`'s sums
+    /// are read from `slots[i]`, or walked into it on first read; the
+    /// caller keeps one slot per part and point, and hands the same part
+    /// to a slot every time. A fill counts one miss, inside the slot's
+    /// one-time initialisation; every other read counts one hit. So the
+    /// counters depend only on which slots are read, never on which
+    /// thread filled one.
+    pub fn sum_parts(
+        &self,
+        slots: &[OnceLock<TimeSums>],
+        parts: &[TaskSet],
+        batch: usize,
+        tp: usize,
+    ) -> TimeSums {
+        debug_assert_eq!(slots.len(), parts.len(), "one slot per part");
+        let mut fills = 0u64;
+        let mut sums = TimeSums::default();
+        for (slot, part) in slots.iter().zip(parts) {
+            sums += *slot.get_or_init(|| {
+                fills += 1;
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.time_sums(part.iter(), batch, tp)
+            });
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let time = self.time_profile(&set.set, batch, tp);
-        times.push((key, time));
-        time
+        self.hits
+            .fetch_add(slots.len() as u64 - fills, Ordering::Relaxed);
+        sums
     }
 
     /// Profile a candidate stage: the paper's `profile(U, bs)`.
@@ -533,14 +628,16 @@ impl<'g> Profiler<'g> {
         inflight: usize,
         checkpointing: bool,
     ) -> ProfileResult {
-        let stats = self.set_stats(set);
-        let time = self.time_profile(set, batch, 1);
-        self.assemble(&stats, time, batch, inflight, checkpointing, 1)
+        let time = self.time_sums(set.iter(), batch, 1);
+        self.profile(&self.profiled(set), time, batch, inflight, checkpointing, 1)
     }
 
-    /// [`Profiler::profile_set`] of a [`ProfiledSet`], with the stage's
-    /// splittable compute divided across a tensor-parallel group of `tp`
-    /// devices. Reads the set's statistics and its cached time sums.
+    /// [`Profiler::profile_set`] of a [`ProfiledSet`] whose exact time
+    /// sums at `(batch, tp)` are `time`, with the stage's splittable
+    /// compute divided across a tensor-parallel group of `tp` devices.
+    /// The one assembly of a stage's price from its statistics and time
+    /// sums; the sums must be the set's at this point, walked
+    /// ([`Profiler::time_sums`]) or composed from parts.
     ///
     /// Compute-bound tasks (the matmul-bearing ops Megatron column/row
     /// partitions) divide FLOPs, activation traffic, and parameter reads
@@ -553,39 +650,26 @@ impl<'g> Profiler<'g> {
     pub fn profile(
         &self,
         set: &ProfiledSet<'_>,
+        time: TimeSums,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
     ) -> ProfileResult {
         let tp = tp.max(1);
-        let time = self.cached_time(set, batch, tp);
-        self.assemble(&set.stats, time, batch, inflight, checkpointing, tp)
-    }
-
-    /// The one assembly of a stage's price from its statistics and time
-    /// sums, in the float-op order of the historical fused path.
-    fn assemble(
-        &self,
-        stats: &SetStats,
-        time: TimeProfile,
-        batch: usize,
-        inflight: usize,
-        checkpointing: bool,
-        tp: usize,
-    ) -> ProfileResult {
+        let noise = self.noise_factor(&set.set, time_key(batch, tp));
         // per-execution host overhead (sync, input staging)
-        let fwd = time.fwd_raw + self.opts.invocation_overhead;
-        let mut bwd = time.bwd_raw + self.opts.invocation_overhead;
+        let fwd = to_secs(time.fwd) + self.opts.invocation_overhead;
+        let mut bwd = to_secs(time.bwd) + self.opts.invocation_overhead;
         if checkpointing {
             // recomputation replays the forward pass before backward
             bwd += fwd;
         }
         ProfileResult {
-            fwd_time: fwd * time.noise,
-            bwd_time: bwd * time.noise,
-            mem_bytes: self.stage_mem_bytes(stats, batch, inflight, checkpointing, tp),
-            param_elems: stats.param_elems,
+            fwd_time: fwd * noise,
+            bwd_time: bwd * noise,
+            mem_bytes: self.stage_mem_bytes(&set.stats, batch, inflight, checkpointing, tp),
+            param_elems: set.stats.param_elems,
         }
     }
 
@@ -680,9 +764,10 @@ fn set_key(set: &TaskSet) -> u128 {
     ((h1 as u128) << 64) | h2 as u128
 }
 
-/// Key of a time point: the micro-batch in the low 32 bits and the
-/// tensor-parallel degree (1 when unsplit) in the high 32. Lossless: a
-/// value that does not fit panics instead of aliasing another point.
+/// Key of a time point, the noise model's per-point salt: the micro-batch
+/// in the low 32 bits and the tensor-parallel degree (1 when unsplit) in
+/// the high 32. Lossless: a value that does not fit panics instead of
+/// aliasing another point.
 fn time_key(batch: usize, tp: usize) -> u64 {
     let batch = u32::try_from(batch).expect("micro-batch exceeds u32::MAX samples");
     let tp = u32::try_from(tp).expect("tensor-parallel degree exceeds u32::MAX");
@@ -750,7 +835,8 @@ mod tests {
         let batch = 4;
         for tp in [1usize, 2, 4] {
             for checkpointing in [false, true] {
-                let got = p.profile(&profiled, batch, 2, checkpointing, tp);
+                let time = p.time_sums(set.iter(), batch, tp);
+                let got = p.profile(&profiled, time, batch, 2, checkpointing, tp);
                 let mem = MemoryParams {
                     precision: p.options().precision,
                     checkpointing,
@@ -839,20 +925,29 @@ mod tests {
         assert!(rm.fwd_time < rf.fwd_time);
     }
 
+    /// One fresh slot per entry of `n`.
+    fn slots(n: usize) -> Vec<OnceLock<TimeSums>> {
+        (0..n).map(|_| OnceLock::new()).collect()
+    }
+
     #[test]
     fn cache_hits() {
         let g = bert_graph(&BertConfig::tiny());
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let s = whole_set(&g);
-        let profiled = p.profiled(&s);
-        let r1 = p.profile(&profiled, 4, 2, true, 1);
-        // one time entry, in the set's own cache
+        let (slot, part) = (slots(1), [s.clone()]);
+        let t1 = p.sum_parts(&slot, &part, 4, 1);
+        // one filled slot
         assert_eq!(p.cache_stats().entries(), 1);
-        let r2 = p.profile(&profiled, 4, 2, true, 1);
+        let t2 = p.sum_parts(&slot, &part, 4, 1);
         assert_eq!(p.cache_stats().entries(), 1);
-        assert_eq!(r1, r2);
-        // pricing the plain set gives the same result and counts nothing
-        assert_eq!(p.profile_set(&s, 4, 2, true), r1);
+        assert_eq!(t1, t2);
+        // pricing from the slot's sums equals pricing the plain set, and
+        // the plain set counts nothing
+        assert_eq!(
+            p.profile(&p.profiled(&s), t1, 4, 2, true, 1),
+            p.profile_set(&s, 4, 2, true)
+        );
         assert_eq!(p.cache_stats(), CacheStats { hits: 1, misses: 1 });
     }
 
@@ -860,15 +955,15 @@ mod tests {
     fn cache_stats_track_hits_and_misses() {
         let g = bert_graph(&BertConfig::tiny());
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let s = whole_set(&g);
-        let profiled = p.profiled(&s);
+        let part = [whole_set(&g)];
+        let (at4, at8) = (slots(1), slots(1));
         assert_eq!(p.cache_stats(), CacheStats::default());
         // miss
-        let _ = p.profile(&profiled, 4, 2, true, 1);
+        let _ = p.sum_parts(&at4, &part, 4, 1);
         // hit
-        let _ = p.profile(&profiled, 4, 2, true, 1);
-        // batch changed: miss
-        let _ = p.profile(&profiled, 8, 2, true, 1);
+        let _ = p.sum_parts(&at4, &part, 4, 1);
+        // batch changed, so another slot: miss
+        let _ = p.sum_parts(&at8, &part, 8, 1);
         let stats = p.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert_eq!(stats.entries(), 2);
@@ -878,16 +973,18 @@ mod tests {
     #[test]
     fn inflight_and_ckpt_variants_share_one_time_entry() {
         // (inflight, ckpt) only affect the cheap assembly, so variants of
-        // an already-priced (set, batch) never recompute anything
+        // an already-filled (set, batch) slot never recompute anything
         let g = bert_graph(&BertConfig::tiny());
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let s = whole_set(&g);
         let profiled = p.profiled(&s);
-        let _ = p.profile(&profiled, 4, 2, true, 1);
+        let (slot, part) = (slots(1), [s.clone()]);
+        let _ = p.sum_parts(&slot, &part, 4, 1);
         let before = p.cache_stats();
         for (inflight, ckpt) in [(8, true), (2, false), (1, false)] {
+            let time = p.sum_parts(&slot, &part, 4, 1);
             assert_eq!(
-                p.profile(&profiled, 4, inflight, ckpt, 1),
+                p.profile(&profiled, time, 4, inflight, ckpt, 1),
                 p.profile_set(&s, 4, inflight, ckpt)
             );
         }
@@ -900,9 +997,9 @@ mod tests {
     fn concurrent_profiling_is_consistent() {
         // Threads pricing the same shared sets at the same points must
         // agree with plain pricing exactly (thread-local scratch must not
-        // leak state between concurrent calls), and each (set, point) must
-        // miss exactly once whatever the schedule: a racing lookup waits
-        // for the fill under the set's lock.
+        // leak state between concurrent calls), and each (set, point)
+        // slot must miss exactly once whatever the schedule: a racing
+        // read waits for the one fill.
         let g = bert_graph(&BertConfig::tiny());
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let n = g.num_tasks() as u32;
@@ -915,13 +1012,16 @@ mod tests {
             .collect();
         let shared: Vec<ProfiledSet<'_>> = sets.iter().map(|s| p.profiled(s)).collect();
         let points = [(4usize, 1usize), (4, 2), (8, 1)];
+        let point_slots: Vec<Vec<OnceLock<TimeSums>>> =
+            points.iter().map(|_| slots(sets.len())).collect();
         let threads = 4;
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    for (set, profiled) in sets.iter().zip(&shared) {
-                        for &(batch, tp) in &points {
-                            let got = p.profile(profiled, batch, 2, true, tp);
+                    for (i, (set, profiled)) in sets.iter().zip(&shared).enumerate() {
+                        for (&(batch, tp), slots) in points.iter().zip(&point_slots) {
+                            let time = p.sum_parts(&slots[i..i + 1], &sets[i..i + 1], batch, tp);
+                            let got = p.profile(profiled, time, batch, 2, true, tp);
                             if tp == 1 {
                                 assert_eq!(got, p.profile_set(set, batch, 2, true));
                             }
@@ -939,6 +1039,113 @@ mod tests {
                 misses
             }
         );
+    }
+
+    /// The exact sum of `values`, correctly rounded to f64: Shewchuk's
+    /// non-overlapping partials (the algorithm of Python's `math.fsum`),
+    /// independent of any fixed-point scale.
+    fn fsum(values: impl IntoIterator<Item = f64>) -> f64 {
+        let mut partials: Vec<f64> = Vec::new();
+        for mut x in values {
+            let mut kept = 0;
+            for i in 0..partials.len() {
+                let mut y = partials[i];
+                if x.abs() < y.abs() {
+                    std::mem::swap(&mut x, &mut y);
+                }
+                let hi = x + y;
+                let lo = y - (hi - x);
+                if lo != 0.0 {
+                    partials[kept] = lo;
+                    kept += 1;
+                }
+                x = hi;
+            }
+            partials.truncate(kept);
+            partials.push(x);
+        }
+        // round the partials' exact sum once, half to even
+        let mut hi = 0.0;
+        if let Some(mut n) = partials.len().checked_sub(1) {
+            hi = partials[n];
+            let mut lo = 0.0;
+            while n > 0 {
+                n -= 1;
+                let x = hi;
+                let y = partials[n];
+                hi = x + y;
+                let yr = hi - x;
+                lo = y - yr;
+                if lo != 0.0 {
+                    break;
+                }
+            }
+            if n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) || (lo > 0.0 && partials[n - 1] > 0.0))
+            {
+                let y = lo * 2.0;
+                let x = hi + y;
+                if y == x - hi {
+                    hi = x;
+                }
+            }
+        }
+        hi
+    }
+
+    #[test]
+    fn time_sums_are_the_correctly_rounded_exact_sums() {
+        // The fixed-point walk must give, after its one rounding, exactly
+        // the correctly rounded sum of the per-task f64 times, for every
+        // model, point and precision: an independent exact reference.
+        let graphs = [
+            bert_graph(&BertConfig::tiny()),
+            gpt_graph(&GptConfig::tiny()),
+            resnet_graph(&ResNetConfig::tiny()),
+            mlp_graph(&MlpConfig::deep(32, 64, 4, 10)),
+        ];
+        for g in &graphs {
+            for opts in [ProfilerOptions::fp32(), ProfilerOptions::mixed()] {
+                let p = Profiler::new(g, DeviceSpec::v100_32gb(), opts);
+                for (batch, tp) in [(1usize, 1usize), (4, 2), (64, 4)] {
+                    let fwd: Vec<f64> = g
+                        .task_ids()
+                        .map(|t| p.task_fwd_time(&p.costs[t.index()], batch, tp))
+                        .collect();
+                    let bwd = g.task_ids().zip(&fwd).map(|(t, &f)| {
+                        if p.costs[t.index()].compute_bound {
+                            2.0 * f
+                        } else {
+                            f
+                        }
+                    });
+                    let sums = p.time_sums(g.task_ids(), batch, tp);
+                    assert_eq!(to_secs(sums.fwd), fsum(fwd.iter().copied()), "{}", g.name);
+                    assert_eq!(to_secs(sums.bwd), fsum(bwd), "{}", g.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_point_conversion_is_exact_and_bounded() {
+        for secs in [MIN_LAUNCH_OVERHEAD, 5.0e-6, 0.1 + 0.2, 1.0, 3.0e9] {
+            assert_eq!(to_secs(to_fixed(secs)), secs);
+            assert_eq!(
+                to_fixed(secs) % 2,
+                0,
+                "the last bit sits at or above 2^-79 s"
+            );
+        }
+        for bad in [
+            0.0,
+            -1.0,
+            MIN_LAUNCH_OVERHEAD / 4.0,
+            f64::NAN,
+            f64::INFINITY,
+            1e10,
+        ] {
+            assert!(std::panic::catch_unwind(|| to_fixed(bad)).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -993,10 +1200,12 @@ mod tests {
 
     #[test]
     fn prefix_stats_match_reference_in_any_part_order() {
-        // Parts that interleave task ids, unioned in random order: a value
-        // read by an early part and produced by a later one must leave the
-        // ingress when its producer joins, and shared parameters and
-        // constants must count once per union.
+        // Parts that interleave task ids, unioned in random order, and
+        // from k = 2 on with a share of tasks in a second part too: a
+        // value read by an early part and produced by a later one must
+        // leave the ingress when its producer joins, shared parameters
+        // and constants must count once per union, and a task two parts
+        // hold must count once.
         let graphs = [
             bert_graph(&BertConfig::tiny()),
             gpt_graph(&GptConfig::tiny()),
@@ -1012,6 +1221,9 @@ mod tests {
                 for t in g.task_ids() {
                     rng = splitmix(rng);
                     members[rng as usize % k].push(t);
+                    if (rng >> 32).is_multiple_of(5) {
+                        members[(rng >> 40) as usize % k].push(t);
+                    }
                 }
                 let parts: Vec<TaskSet> = members
                     .into_iter()
@@ -1104,22 +1316,29 @@ mod tests {
     fn tp_memo_keys_do_not_alias() {
         // Points whose once-packed time keys collided: micro-batches that
         // differ only above bit 21, and a degree of 1024 or more spilling
-        // into the batch bits. Each must equal a fresh profiler's answer
-        // and fill its own entry of the one shared set.
+        // into the batch bits. Each must equal a fresh profiler's answer,
+        // noise salt included, and fill its own slot of the one shared
+        // set.
         let g = bert_graph(&BertConfig::tiny());
-        let shared = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let opts = ProfilerOptions::fp32().with_noise(0.1, 3);
+        let shared = Profiler::new(&g, DeviceSpec::v100_32gb(), opts);
         let s = whole_set(&g);
         let profiled = shared.profiled(&s);
         let queries = [(1usize, 2usize), (1 + (1 << 22), 2), (2, 2), (1, 1026)];
-        let first: Vec<ProfileResult> = queries
-            .iter()
-            .map(|&(batch, tp)| shared.profile(&profiled, batch, 1, false, tp))
-            .collect();
-        for (&(batch, tp), got) in queries.iter().zip(&first) {
-            let fresh = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-            let want = fresh.profile(&fresh.profiled(&s), batch, 1, false, tp);
+        let query_slots = slots(queries.len());
+        let part = [s.clone()];
+        let price = |i: usize| {
+            let (batch, tp) = queries[i];
+            let time = shared.sum_parts(&query_slots[i..i + 1], &part, batch, tp);
+            shared.profile(&profiled, time, batch, 1, false, tp)
+        };
+        let first: Vec<ProfileResult> = (0..queries.len()).map(price).collect();
+        for (i, (&(batch, tp), got)) in queries.iter().zip(&first).enumerate() {
+            let fresh = Profiler::new(&g, DeviceSpec::v100_32gb(), opts);
+            let time = fresh.time_sums(s.iter(), batch, tp);
+            let want = fresh.profile(&fresh.profiled(&s), time, batch, 1, false, tp);
             assert_eq!(*got, want, "batch {batch}, tp {tp}");
-            assert_eq!(shared.profile(&profiled, batch, 1, false, tp), want);
+            assert_eq!(price(i), want);
         }
         assert_eq!(shared.cache_stats().misses, queries.len() as u64);
     }

@@ -7,7 +7,7 @@ use rannc_core::{Block, RangeTable};
 use rannc_graph::{TaskGraph, TaskId, TaskSet};
 use rannc_hw::DeviceSpec;
 use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
-use rannc_profile::{CacheStats, Profiler, ProfilerOptions};
+use rannc_profile::{CacheStats, Profiler, ProfilerOptions, TimeSums, MIN_LAUNCH_OVERHEAD};
 
 fn graphs() -> impl Strategy<Value = TaskGraph> {
     prop_oneof![
@@ -31,8 +31,104 @@ fn subrange(g: &TaskGraph, sel: u64) -> TaskSet {
     TaskSet::from_ids(n, (lo as u32..hi as u32).map(TaskId))
 }
 
+fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// A launch overhead below 2⁻²⁷ s would make per-task times inexact in
+/// fixed point: the profiler refuses it at construction.
+#[test]
+#[should_panic(expected = "launch_overhead")]
+fn launch_overhead_below_the_exact_floor_panics() {
+    let g = mlp_graph(&MlpConfig::deep(16, 16, 2, 4));
+    let opts = ProfilerOptions {
+        launch_overhead: MIN_LAUNCH_OVERHEAD / 2.0,
+        ..ProfilerOptions::fp32()
+    };
+    let _ = Profiler::new(&g, DeviceSpec::v100_32gb(), opts);
+}
+
+/// The floor itself is accepted, and a non-finite overhead is not.
+#[test]
+fn launch_overhead_floor_is_inclusive_and_finite() {
+    let g = mlp_graph(&MlpConfig::deep(16, 16, 2, 4));
+    let with = |launch_overhead: f64| ProfilerOptions {
+        launch_overhead,
+        ..ProfilerOptions::fp32()
+    };
+    let p = Profiler::new(&g, DeviceSpec::v100_32gb(), with(MIN_LAUNCH_OVERHEAD));
+    let whole = TaskSet::from_ids(g.num_tasks(), g.task_ids());
+    assert!(p.profile_set(&whole, 4, 1, false).fwd_time > 0.0);
+    for bad in [f64::INFINITY, f64::NAN] {
+        let built = std::panic::catch_unwind(|| {
+            Profiler::new(&g, DeviceSpec::v100_32gb(), with(bad));
+        });
+        assert!(built.is_err(), "launch_overhead {bad}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Exact additive time: a random task set split into random parts,
+    /// disjoint or overlapping, composed in a random order as
+    /// `U ∪ P = U + P − (U ∩ P)`, has the walked set's time sums bit for
+    /// bit, and so prices bit-identically, at `tp ∈ {1, 2, 4}`, with
+    /// and without noise.
+    #[test]
+    fn composed_time_equals_walked_time_in_any_part_order(
+        g in graphs(),
+        seed in any::<u64>(),
+        parts in 1usize..6,
+        overlap in any::<bool>(),
+        noise in any::<bool>(),
+    ) {
+        let opts = if noise {
+            ProfilerOptions::mixed().with_noise(0.1, seed)
+        } else {
+            ProfilerOptions::mixed()
+        };
+        let p = Profiler::new(&g, DeviceSpec::v100_32gb(), opts);
+        let n = g.num_tasks();
+        let mut rng = seed;
+        let mut members = vec![Vec::new(); parts];
+        for t in g.task_ids() {
+            rng = splitmix(rng);
+            if rng.is_multiple_of(4) {
+                continue; // not in the set
+            }
+            members[(rng >> 8) as usize % parts].push(t);
+            if overlap && (rng >> 32).is_multiple_of(3) {
+                members[(rng >> 40) as usize % parts].push(t);
+            }
+        }
+        let mut sets: Vec<TaskSet> = members.into_iter().map(|m| TaskSet::from_ids(n, m)).collect();
+        for i in (1..sets.len()).rev() {
+            rng = splitmix(rng);
+            sets.swap(i, rng as usize % (i + 1));
+        }
+        for (batch, tp) in [(1usize, 1usize), (8, 2), (3, 4)] {
+            let mut union = TaskSet::new(n);
+            let mut composed = TimeSums::default();
+            for part in &sets {
+                let both = part.iter().filter(|&t| union.contains(t));
+                composed += p.time_sums(part.iter(), batch, tp) - p.time_sums(both, batch, tp);
+                union.union_with(part);
+            }
+            prop_assert_eq!(composed, p.time_sums(union.iter(), batch, tp));
+            let profiled = p.profiled(&union);
+            let a = p.profile(&profiled, composed, batch, 2, true, tp);
+            let walked = p.profile(&profiled, p.time_sums(union.iter(), batch, tp), batch, 2, true, tp);
+            prop_assert_eq!(a.fwd_time.to_bits(), walked.fwd_time.to_bits());
+            prop_assert_eq!(a.bwd_time.to_bits(), walked.bwd_time.to_bits());
+            if tp == 1 {
+                prop_assert_eq!(a, p.profile_set(&union, batch, 2, true));
+            }
+        }
+    }
 
     /// Time is monotone in the micro-batch size.
     #[test]
@@ -115,8 +211,9 @@ proptest! {
 
     /// The set's membership hash, which salts the noise model, is a
     /// function of membership alone: one set built by `from_ids`, by
-    /// `union` and by `difference_with` draws the same noise, and as a
-    /// profiled set fills one time entry, then hits it.
+    /// `union` and by `difference_with` draws the same noise, also when
+    /// priced as a profiled set from time sums composed of two parts.
+    /// Pricing from sums reads no slot, so nothing is counted.
     #[test]
     fn memo_key_is_a_function_of_membership(g in graphs(), sel in any::<u64>()) {
         let opts = ProfilerOptions::fp32().with_noise(0.1, sel);
@@ -129,6 +226,7 @@ proptest! {
         let direct = TaskSet::from_ids(n, members.iter().copied());
         let (evens, odds): (Vec<TaskId>, Vec<TaskId>) =
             members.iter().partition(|t| t.index() % 2 == 0);
+        let composed = p.time_sums(evens.iter().copied(), 4, 1) + p.time_sums(odds.iter().copied(), 4, 1);
         let unioned = TaskSet::from_ids(n, evens).union(&TaskSet::from_ids(n, odds));
         let mut differenced = TaskSet::from_ids(n, g.task_ids());
         differenced.difference_with(&TaskSet::from_ids(
@@ -138,16 +236,13 @@ proptest! {
         let a = p.profile_set(&direct, 4, 2, false);
         prop_assert_eq!(a, p.profile_set(&unioned, 4, 2, false));
         prop_assert_eq!(a, p.profile_set(&differenced, 4, 2, false));
-        let profiled = p.profiled(&unioned);
-        for _ in 0..3 {
-            prop_assert_eq!(a, p.profile(&profiled, 4, 2, false, 1));
-        }
-        prop_assert_eq!(p.cache_stats(), CacheStats { hits: 2, misses: 1 });
+        prop_assert_eq!(a, p.profile(&p.profiled(&unioned), composed, 4, 2, false, 1));
+        prop_assert_eq!(p.cache_stats(), CacheStats::default());
     }
 
     /// Every range of a 32-block range table, priced at one point by
-    /// concurrent lookups, misses its time cache exactly once, and prices
-    /// exactly as the plain set of its tasks.
+    /// concurrent lookups, prices exactly as the plain set of its tasks,
+    /// and each block's time slot, a distinct set, misses exactly once.
     #[test]
     fn range_table_misses_once_per_distinct_set(layers in 1usize..3, threads in 1usize..4) {
         let g = bert_graph(&BertConfig { layers, ..BertConfig::tiny() });
@@ -165,20 +260,23 @@ proptest! {
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
+                    let row = ranges.row(4, 1);
                     for from in 0..nb {
                         for to in from + 1..=nb {
                             let range = &ranges.get(from, to).set;
-                            let got = p.profile(range, 4, 2, false, 1);
+                            let time = ranges.time(&p, &row, from, to);
+                            let got = p.profile(range, time, 4, 2, false, 1);
                             assert_eq!(got, p.profile_set(range.tasks(), 4, 2, false));
                         }
                     }
                 });
             }
         });
-        let distinct = (nb * (nb + 1) / 2) as u64;
+        // range [f, t) reads t − f slots
+        let reads = (threads * nb * (nb + 1) * (nb + 2) / 6) as u64;
         prop_assert_eq!(
             p.cache_stats(),
-            CacheStats { hits: (threads as u64 - 1) * distinct, misses: distinct }
+            CacheStats { hits: reads - nb as u64, misses: nb as u64 }
         );
     }
 }
