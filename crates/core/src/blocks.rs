@@ -100,11 +100,6 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
         (r.fwd_time + r.bwd_time, r.mem_bytes)
     }
 
-    /// Profiled fwd+bwd time of a candidate group.
-    pub fn time(&self, set: &TaskSet) -> f64 {
-        self.profile(set).0
-    }
-
     /// Whether a candidate group fits the device memory bound. Prices
     /// memory only: exactly [`BlockCtx::profile`]'s memory, without its
     /// time.
@@ -115,7 +110,8 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
             <= self.limits.mem_limit
     }
 
-    /// Group-level adjacency lists for the current `groups`.
+    /// Group-level adjacency lists for the current `groups`, and their
+    /// boundary.
     ///
     /// Two groups are adjacent when a value produced in one is consumed in
     /// the other. Constant-task clones shared by two groups may mark them
@@ -123,21 +119,29 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     ///
     /// Each row lists its neighbours in first-occurrence order of the
     /// [`group_edges`] walk: coarsening and uncoarsening break exact ties
-    /// (identical layers) by this order. O(tasks + edges + groups).
-    pub fn adjacency(&self, groups: &[TaskSet]) -> Vec<Vec<u32>> {
+    /// (identical layers) by this order.
+    ///
+    /// The boundary holds both ends of every task edge `t → s` that joins
+    /// two different groups (`a ∋ t`, `b ∋ s`, `a ≠ b`), a clone's edges
+    /// included; uncoarsening moves only pieces that touch it. Built in
+    /// the same walk. O(tasks + edges + groups).
+    pub fn adjacency(&self, groups: &[TaskSet]) -> (Vec<Vec<u32>>, TaskSet) {
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
-        group_edges(self.g, &self.checker, groups.iter(), |_, a, b| {
+        let mut boundary = TaskSet::new(self.g.num_tasks());
+        group_edges(self.g, &self.checker, groups.iter(), |t, s, a, b| {
             adj[a as usize].push(b);
             adj[b as usize].push(a);
+            boundary.insert(t);
+            boundary.insert(s);
         });
         dedup_rows(&mut adj);
-        adj
+        (adj, boundary)
     }
 }
 
 /// Walk every group-level edge of a family of task sets: for each task
 /// edge `t → s`, every pair of sets `a ∋ t`, `b ∋ s` with `a ≠ b` is handed
-/// to `edge(t, a, b)`.
+/// to `edge(t, s, a, b)`.
 ///
 /// The order is fixed: tasks ascending, each task's distinct successors
 /// (from `checker`) ascending, then `a` and `b` ascending. Sets may share
@@ -146,7 +150,7 @@ fn group_edges<'s>(
     g: &TaskGraph,
     checker: &ConvexChecker,
     sets: impl Iterator<Item = &'s TaskSet> + Clone,
-    mut edge: impl FnMut(TaskId, u32, u32),
+    mut edge: impl FnMut(TaskId, TaskId, u32, u32),
 ) {
     // flat membership: the sets holding task `t` are
     // `member[start[t]..start[t + 1]]`, ascending
@@ -175,7 +179,7 @@ fn group_edges<'s>(
             for &a in of(t) {
                 for &b in of(s) {
                     if a != b {
-                        edge(t, a, b);
+                        edge(t, s, a, b);
                     }
                 }
             }
@@ -215,9 +219,12 @@ pub fn block_partition(
     };
     let mut groups = coarse.groups;
     {
-        let _s =
+        let span =
             rannc_obs::trace::span("uncoarsen", "planner").arg_i("groups", groups.len() as i64);
-        crate::uncoarsen::uncoarsen(&mut ctx, &mut groups, &coarse.merges);
+        let walk = crate::uncoarsen::uncoarsen(&mut ctx, &mut groups, &coarse.merges);
+        let _s = span
+            .arg_i("moves", walk.moves as i64)
+            .arg_i("pieces", walk.pieces as i64);
     }
     let groups = {
         let _s = rannc_obs::trace::span("compact", "planner").arg_i("groups", groups.len() as i64);
@@ -247,7 +254,7 @@ fn sort_topologically(g: &TaskGraph, checker: &ConvexChecker, blocks: &mut [Bloc
 
     // block-level edges, each recorded once
     let mut succs: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    group_edges(g, checker, blocks.iter().map(|b| &b.set), |t, a, b| {
+    group_edges(g, checker, blocks.iter().map(|b| &b.set), |t, _, a, b| {
         if !blocks[b as usize].set.contains(t) {
             succs[a as usize].push(b);
         }
@@ -349,6 +356,48 @@ mod tests {
     }
 
     #[test]
+    fn uncoarsen_span_carries_moves_and_pieces() {
+        // the span reports what uncoarsening itself returns, and both
+        // counts repeat exactly from run to run
+        let _guard = rannc_obs::trace::test_guard();
+        let g = bert_graph(&BertConfig::tiny());
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let atomic = atomic_partition(&g);
+        let limits = BlockLimits {
+            k: 4,
+            mem_limit: 32 << 30,
+            profile_batch: 4,
+        };
+        let mut ctx = BlockCtx::new(&g, &profiler, limits);
+        let coarse = crate::coarsen::coarsen(&mut ctx, &atomic.sets);
+        let mut groups = coarse.groups;
+        let walk = crate::uncoarsen::uncoarsen(&mut ctx, &mut groups, &coarse.merges);
+        assert!(walk.moves > 0 && walk.pieces < 2 * coarse.merges.len());
+
+        let tid = rannc_obs::trace::current_tid();
+        let arg = |args: &[(&str, rannc_obs::trace::ArgVal)], key| {
+            args.iter().find_map(|(k, v)| match v {
+                rannc_obs::trace::ArgVal::Int(i) if *k == key => Some(*i as usize),
+                _ => None,
+            })
+        };
+        for _ in 0..2 {
+            rannc_obs::set_enabled(true);
+            rannc_obs::trace::reset();
+            block_partition(&g, &profiler, &atomic, limits);
+            rannc_obs::set_enabled(false);
+            // other tests may trace concurrently: keep this thread's span
+            let span = rannc_obs::trace::drain_events()
+                .into_iter()
+                .find(|e| e.tid == tid && e.name == "uncoarsen")
+                .expect("uncoarsen span");
+            assert_eq!(arg(&span.args, "moves"), Some(walk.moves));
+            assert_eq!(arg(&span.args, "pieces"), Some(walk.pieces));
+        }
+        rannc_obs::trace::reset();
+    }
+
+    #[test]
     fn union_sums_equal_the_walked_sums_of_the_union() {
         // overlapping and disjoint operands: a union's composed time sums,
         // and so its price, equal a walk of the union bit for bit
@@ -426,7 +475,7 @@ mod tests {
         reversed.reverse();
         let mut unsorted_rows = 0;
         for groups in [&atomic.sets, &reversed] {
-            let adj = ctx.adjacency(groups);
+            let (adj, _) = ctx.adjacency(groups);
             assert_eq!(adj, adjacency_by_contains(&g, groups));
             unsorted_rows += adj
                 .iter()

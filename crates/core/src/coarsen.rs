@@ -57,7 +57,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
     let mut level = 0usize;
 
     while groups.len() > k {
-        let adj = ctx.adjacency(&groups);
+        let (adj, _) = ctx.adjacency(&groups);
 
         // ascending computation time
         let mut order: Vec<usize> = (0..groups.len()).collect();
@@ -78,7 +78,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
             // Once we are down to k groups at this level, stop merging and
             // pass the rest through.
             if remaining <= k {
-                next.push(groups[v].clone());
+                next.push(take(&mut groups, v));
                 next_sums.push(sums[v]);
                 next_times.push(times[v]);
                 continue;
@@ -107,8 +107,8 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                     used[w] = true;
                     merges.push(MergeRecord {
                         level,
-                        v: groups[v].clone(),
-                        w: groups[w].clone(),
+                        v: take(&mut groups, v),
+                        w: take(&mut groups, w),
                     });
                     next.push(union);
                     next_sums.push(union_sums);
@@ -117,7 +117,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                     remaining -= 1; // two groups became one
                 }
                 None => {
-                    next.push(groups[v].clone());
+                    next.push(take(&mut groups, v));
                     next_sums.push(sums[v]);
                     next_times.push(times[v]);
                 }
@@ -140,6 +140,13 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
         merges,
         levels: level,
     }
+}
+
+/// Move group `i` out of this level. Only used slots are taken, and a
+/// used slot is never read again, so its operands move into the merge
+/// record or the next level instead of being cloned.
+fn take(groups: &mut [TaskSet], i: usize) -> TaskSet {
+    std::mem::replace(&mut groups[i], TaskSet::new(0))
 }
 
 #[cfg(test)]

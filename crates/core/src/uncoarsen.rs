@@ -30,6 +30,17 @@
 //!   before/after cut bytes of the piece's own values only; every total
 //!   stays far below 2^53, so the `f64` Δ equals the four-`cut_bytes`
 //!   formula above bit for bit.
+//! * **Boundary pieces only.** Moving p from A to B lowers the cut only
+//!   if p produces a value consumed in B or consumes a value produced in
+//!   B. So a piece holding no *boundary* task — an end of a task edge
+//!   joining two different groups, from [`BlockCtx::adjacency`] — has
+//!   Δ ≥ 0 toward every B: every edge of its tasks has both ends in A
+//!   alone, so the values it produces reach A only, and those it consumes
+//!   come from a producer that stays in A∖p. Such a piece is never
+//!   collected or priced, and a merge whose pieces both miss the boundary
+//!   is skipped before its pair's group is looked up. A constant cloned
+//!   into A and B is held by two groups, so its edge into p puts p on the
+//!   boundary.
 //! * **Legality last.** Among candidates with `Δ < 0` the first strict
 //!   minimum wins, so convexity and memory are checked only for a
 //!   candidate that would beat the current best — the same move wins as
@@ -39,36 +50,53 @@ use crate::blocks::BlockCtx;
 use crate::coarsen::MergeRecord;
 use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet, ValueId};
 
+/// What one uncoarsening run did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UncoarsenWalk {
+    /// Moves applied.
+    pub moves: usize,
+    /// Merge pieces walked: on the boundary, still inside their pair's
+    /// group, and movable, so their values were collected and Δ priced.
+    pub pieces: usize,
+}
+
 /// Run uncoarsening over `groups` in place.
-///
-/// Returns the number of moves applied (useful for tests/diagnostics).
 pub fn uncoarsen(
     ctx: &mut BlockCtx<'_, '_>,
     groups: &mut [TaskSet],
     merges: &[MergeRecord],
-) -> usize {
+) -> UncoarsenWalk {
     let g = ctx.g;
-    let mut moves = 0;
-    // Group adjacency changes only when a move is applied, so cache it
-    // across the (many) merge records instead of rebuilding per record.
-    let mut adj = ctx.adjacency(groups);
+    let mut walk = UncoarsenWalk::default();
+    // Group adjacency and the boundary change only when a move is
+    // applied, so cache them across the (many) merge records instead of
+    // rebuilding per record.
+    let (mut adj, mut boundary) = ctx.adjacency(groups);
     let mut piece_values = [PieceValues::new(g), PieceValues::new(g)];
     // coarsest first: iterate the records in reverse application order
     for m in merges.iter().rev() {
+        let pieces = [&m.v, &m.w];
+        // a piece off the boundary has Δ ≥ 0 toward every group
+        let on_boundary = pieces.map(|piece| piece.intersects(&boundary));
+        if on_boundary == [false, false] {
+            continue;
+        }
         let Some(a_idx) = pair_group(groups, m) else {
             continue; // an earlier move separated the pair
         };
-        let pieces = [&m.v, &m.w];
         // both pieces lie inside A; one may leave only if A stays nonempty
-        let movable = pieces.map(|piece| !groups[a_idx].is_subset(piece));
-        for (values, piece) in piece_values.iter_mut().zip(pieces) {
-            values.collect(g, piece);
+        let walked = [0, 1].map(|p| on_boundary[p] && !groups[a_idx].is_subset(pieces[p]));
+        for p in 0..2 {
+            if walked[p] {
+                piece_values[p].collect(g, pieces[p]);
+                walk.pieces += 1;
+            }
         }
         let mut best: Option<(usize, usize, f64)> = None; // (target, piece, delta)
         for &b in &adj[a_idx] {
             let b_idx = b as usize;
             for p in 0..2 {
-                if !movable[p] {
+                if !walked[p] {
                     continue;
                 }
                 let (a, b, piece) = (&groups[a_idx], &groups[b_idx], pieces[p]);
@@ -84,11 +112,11 @@ pub fn uncoarsen(
         if let Some((b_idx, p, _)) = best {
             groups[a_idx].difference_with(pieces[p]);
             groups[b_idx].union_with(pieces[p]);
-            moves += 1;
-            adj = ctx.adjacency(groups);
+            walk.moves += 1;
+            (adj, boundary) = ctx.adjacency(groups);
         }
     }
-    moves
+    walk
 }
 
 /// Index of the first group containing the whole merge pair `v ∪ w`.
@@ -242,7 +270,7 @@ mod tests {
         let res = coarsen(&mut ctx, &atomic.sets);
         let mut groups = res.groups.clone();
         let before = total_cut_bytes(g, &groups);
-        let moves = uncoarsen(&mut ctx, &mut groups, &res.merges);
+        let moves = uncoarsen(&mut ctx, &mut groups, &res.merges).moves;
         let after = total_cut_bytes(g, &groups);
         // The move criterion is local to the (source, target) pair — the
         // paper's is too — so global monotonicity only holds on graphs
@@ -374,6 +402,117 @@ mod tests {
         }
     }
 
+    /// Both ends of every task edge joining two different groups, from
+    /// the definition, and the number of those edges whose producer is a
+    /// clone held by two or more groups.
+    fn boundary_by_definition(g: &TaskGraph, groups: &[TaskSet]) -> (TaskSet, usize) {
+        let mut holders: Vec<Vec<usize>> = vec![Vec::new(); g.num_tasks()];
+        for (i, set) in groups.iter().enumerate() {
+            for t in set.iter() {
+                holders[t.index()].push(i);
+            }
+        }
+        let mut boundary = TaskSet::new(g.num_tasks());
+        let mut clone_edges = 0;
+        for t in g.task_ids() {
+            for s in g.task_successors(t) {
+                let (ht, hs) = (&holders[t.index()], &holders[s.index()]);
+                if ht.iter().any(|a| hs.iter().any(|b| a != b)) {
+                    boundary.insert(t);
+                    boundary.insert(s);
+                    clone_edges += (ht.len() >= 2) as usize;
+                }
+            }
+        }
+        (boundary, clone_edges)
+    }
+
+    #[test]
+    fn pieces_off_the_boundary_never_lower_the_cut() {
+        // the lemma behind skipping pieces off the boundary: every piece
+        // with no boundary task has Δ ≥ 0 toward every other group, over
+        // atomic, coarsened and hand-made groupings with cloned constants
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let set = |ids: &[u32]| TaskSet::from_ids(4, ids.iter().map(|&i| TaskId(i)));
+        // with `c` unique to one group, p0 has no boundary edge
+        let mask_groupings = vec![
+            vec![set(&[0, 1, 2]), set(&[3])],
+            vec![set(&[0, 1]), set(&[0, 2, 3])],
+        ];
+        // (graph, extra groupings, whether it clones constants)
+        for (g, extra, cloned) in [
+            (tied_residual_chain(), vec![], true),
+            (bert_graph(&BertConfig::tiny()), vec![], false),
+            (shared_mask_chain(), mask_groupings, true),
+        ] {
+            let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+            let limits = |k| BlockLimits {
+                k,
+                mem_limit: 32 << 30,
+                profile_batch: 2,
+            };
+            let atomic = atomic_partition(&g);
+            let mut groupings = vec![atomic.sets.clone()];
+            for k in [2, 4, 8] {
+                let mut ctx = BlockCtx::new(&g, &profiler, limits(k));
+                groupings.push(coarsen(&mut ctx, &atomic.sets).groups);
+            }
+            groupings.extend(extra);
+            let ctx = BlockCtx::new(&g, &profiler, limits(2));
+            let mut values = PieceValues::new(&g);
+            let (mut checked, mut clone_edges) = (0, 0);
+            for groups in &groupings {
+                let (_, boundary) = ctx.adjacency(groups);
+                let (want, clones) = boundary_by_definition(&g, groups);
+                assert_eq!(boundary, want, "{}: boundary", g.name);
+                clone_edges += clones;
+                for (a, group) in groups.iter().enumerate() {
+                    let inner: Vec<TaskId> =
+                        group.iter().filter(|&t| !boundary.contains(t)).collect();
+                    if inner.is_empty() {
+                        continue;
+                    }
+                    for _ in 0..8 {
+                        // a random nonempty piece of A's non-boundary tasks
+                        let mut piece = TaskSet::new(g.num_tasks());
+                        for &t in &inner {
+                            if next() % 2 == 0 {
+                                piece.insert(t);
+                            }
+                        }
+                        if piece.is_empty() {
+                            piece.insert(inner[(next() % inner.len() as u64) as usize]);
+                        }
+                        values.collect(&g, &piece);
+                        for (b, other) in groups.iter().enumerate() {
+                            if b == a {
+                                continue;
+                            }
+                            let delta = move_delta(&g, group, other, &piece, &values);
+                            assert!(delta >= 0.0, "{}: A={a} B={b} Δ={delta}", g.name);
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+            assert!(checked > 0, "{}: no piece off the boundary", g.name);
+            // the clone case is exercised: a constant held by two groups
+            // puts its consumers on the boundary
+            assert_eq!(
+                clone_edges > 0,
+                cloned,
+                "{}: boundary edges from a clone",
+                g.name
+            );
+        }
+    }
+
     #[test]
     fn delta_fixture_has_clones_and_wide_values() {
         // the cases a piece-local Δ could get wrong must be in the fixture:
@@ -396,13 +535,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn moves_keep_both_groups_within_memory() {
-        // A chain of three adds sharing one large constant `mask`, whose
-        // producer is cloned into every add's group. Moving {mask, p1}
-        // from A = {mask, p1, p2} to B = {mask, p0} cuts a double-counted
-        // mask crossing (Δ = −|mask|), but leaves p2 receiving the mask as
-        // a stage input: the source group outgrows A itself.
+    /// A chain of three adds `p0 → p1 → p2` sharing one large constant
+    /// `mask`, produced by task `c`. Tasks are `[c, p0, p1, p2]`.
+    fn shared_mask_chain() -> TaskGraph {
         let mut gb = GraphBuilder::new("shared-mask");
         let x = gb.input("x", [8, 16], DType::F32);
         let k = gb.constant("k", [64, 16], DType::F32);
@@ -411,7 +546,17 @@ mod tests {
         let h1 = gb.binary(OpKind::Add, h0, mask);
         let h2 = gb.binary(OpKind::Add, h1, mask);
         gb.output(h2);
-        let g = gb.finish();
+        gb.finish()
+    }
+
+    #[test]
+    fn moves_keep_both_groups_within_memory() {
+        // The mask's producer is cloned into every add's group. Moving
+        // {mask, p1} from A = {mask, p1, p2} to B = {mask, p0} cuts a
+        // double-counted mask crossing (Δ = −|mask|), but leaves p2
+        // receiving the mask as a stage input: the source group outgrows
+        // A itself.
+        let g = shared_mask_chain();
         let [c, p0, p1, p2] = [0, 1, 2, 3].map(TaskId);
         let set = |ids: &[TaskId]| TaskSet::from_ids(g.num_tasks(), ids.iter().copied());
         let merge = MergeRecord {
@@ -429,12 +574,12 @@ mod tests {
                 profile_batch: 2,
             };
             let mut groups = vec![set(&[c, p0]), set(&[c, p1, p2])];
-            let moves = uncoarsen(
+            let walk = uncoarsen(
                 &mut BlockCtx::new(&g, &profiler, limits),
                 &mut groups,
                 std::slice::from_ref(&merge),
             );
-            (moves, groups)
+            (walk.moves, groups)
         };
 
         // without a binding limit the move is taken, and its source grows

@@ -83,7 +83,7 @@ fn check(name: &str, g: &TaskGraph, limits: BlockLimits) -> usize {
 
     // uncoarsening: same groups after the same number of moves
     let mut got_groups = got.groups.clone();
-    let got_moves = uncoarsen::uncoarsen(&mut ctx, &mut got_groups, &got.merges);
+    let got_moves = uncoarsen::uncoarsen(&mut ctx, &mut got_groups, &got.merges).moves;
     let mut want_groups = want.groups.clone();
     let want_moves = reference::uncoarsen(&mut ctx, &mut want_groups, &want.merges);
     assert_eq!(got_groups, want_groups, "{what}: uncoarsened groups");

@@ -61,7 +61,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
 
     while groups.len() > k {
         let adj = adjacency(ctx.g, &groups);
-        let times: Vec<f64> = groups.iter().map(|s| ctx.time(s)).collect();
+        let times: Vec<f64> = groups.iter().map(|s| ctx.profile(s).0).collect();
         let mut order: Vec<usize> = (0..groups.len()).collect();
         order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
 
@@ -89,7 +89,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                 if !ctx.checker.is_convex(&union) || !ctx.fits(&union) {
                     continue;
                 }
-                let t = ctx.time(&union);
+                let t = ctx.profile(&union).0;
                 if best.as_ref().map(|(_, bt, _)| t < *bt).unwrap_or(true) {
                     best = Some((w, t, union));
                 }
@@ -273,7 +273,7 @@ pub fn block_partition(
     let mut blocks: Vec<Block> = groups
         .into_iter()
         .map(|set| {
-            let time = ctx.time(&set);
+            let time = ctx.profile(&set).0;
             let mem = ctx
                 .cost
                 .stage_cost(&set, limits.profile_batch, 1, true)
