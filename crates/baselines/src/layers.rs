@@ -7,7 +7,7 @@
 //! preserving the imbalance the paper highlights (e.g. the BERT head's
 //! vocabulary matmul living inside the last layer group).
 
-use rannc_graph::{traverse, TaskGraph, TaskSet};
+use rannc_graph::{TaskGraph, TaskSet};
 
 /// One user-declared layer: its scope name and task set.
 #[derive(Debug, Clone)]
@@ -23,10 +23,10 @@ pub struct LayerGroup {
 /// (or the first group if none precedes).
 pub fn layer_groups(g: &TaskGraph) -> Vec<LayerGroup> {
     let n = g.num_tasks();
-    let order = traverse::topo_order(g);
+    let order = g.index().order();
     let mut groups: Vec<LayerGroup> = Vec::new();
     let mut index_of: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-    for &t in &order {
+    for &t in order {
         let scope = g.task(t).scope.as_str();
         let gi = if scope.is_empty() {
             if groups.is_empty() {
@@ -52,7 +52,7 @@ pub fn layer_groups(g: &TaskGraph) -> Vec<LayerGroup> {
     // front of Kahn order, so first-appearance ordering would misplace
     // the head group. The deepest task of each layer orders them as the
     // model executes.
-    let pos = traverse::topo_positions(g);
+    let pos = g.index().positions();
     groups.sort_by_key(|l| l.set.iter().map(|t| pos[t.index()]).max().unwrap_or(0));
     groups
 }

@@ -9,7 +9,7 @@
 //! The paper's two-sweep procedure:
 //!
 //! 1. a forward sweep classifies tasks as constant / non-constant
-//!    ([`rannc_graph::traverse::non_constant_tasks`]);
+//!    (the graph index's [`rannc_graph::GraphIndex::non_constant`]);
 //! 2. a backward sweep forms one subcomponent per non-constant task and
 //!    folds every constant task into the subcomponent(s) consuming its
 //!    output — *cloning* it when the output fans out to several
@@ -20,7 +20,7 @@
 //! several [`TaskSet`]s; each owner accounts for the (cheap) constant
 //! computation independently, exactly like the paper's physical clones.
 
-use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet};
+use rannc_graph::{TaskGraph, TaskSet};
 
 /// Result of the atomic-level phase.
 #[derive(Debug, Clone)]
@@ -28,8 +28,6 @@ pub struct AtomicPartition {
     /// Atomic subcomponents in topological order of their non-constant
     /// task. Constant tasks may appear in more than one set (clones).
     pub sets: Vec<TaskSet>,
-    /// Per-task classification from the forward sweep.
-    pub non_constant: Vec<bool>,
 }
 
 impl AtomicPartition {
@@ -47,37 +45,37 @@ impl AtomicPartition {
 /// Run atomic-level partitioning.
 pub fn atomic_partition(g: &TaskGraph) -> AtomicPartition {
     let n = g.num_tasks();
-    let non_constant = traverse::non_constant_tasks(g);
-    let order = g.topo_order();
+    let index = g.index();
+    let (non_constant, order) = (index.non_constant(), index.order());
 
-    // One subcomponent per non-constant task, indexed densely; remember
-    // each task's owning subcomponents (non-constant: exactly one;
-    // constant: every subcomponent consuming its output chain).
-    let mut comp_of: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // One subcomponent per non-constant task, created along the
+    // topological order (so components end up topologically sorted).
+    const NONE: u32 = u32::MAX;
+    let mut comp = vec![NONE; n];
     let mut sets: Vec<TaskSet> = Vec::new();
-    let mut comp_order: Vec<TaskId> = Vec::new();
-
-    // Forward pass over the topological order to create components for
-    // non-constant tasks (so components end up topologically sorted).
-    for &t in &order {
+    for &t in order {
         if non_constant[t.index()] {
-            let c = sets.len() as u32;
+            comp[t.index()] = sets.len() as u32;
             sets.push(TaskSet::singleton(n, t));
-            comp_of[t.index()].push(c);
-            comp_order.push(t);
         }
     }
 
     // Backward sweep: fold each constant task into the component(s) of its
-    // consumers. Reverse topological order guarantees consumers are
-    // already assigned.
+    // consumers — a non-constant consumer's own component, a constant
+    // consumer's owners. Reverse topological order guarantees consumers
+    // are already assigned.
+    let mut owners_of: Vec<Vec<u32>> = vec![Vec::new(); n];
     for &t in order.iter().rev() {
         if non_constant[t.index()] {
             continue;
         }
         let mut owners: Vec<u32> = Vec::new();
-        for s in g.task_successors(t) {
-            for &c in &comp_of[s.index()] {
+        for &s in index.successors(t) {
+            let of_s = match comp[s.index()] {
+                NONE => &owners_of[s.index()][..],
+                c => &[c][..],
+            };
+            for &c in of_s {
                 if !owners.contains(&c) {
                     owners.push(c);
                 }
@@ -86,10 +84,10 @@ pub fn atomic_partition(g: &TaskGraph) -> AtomicPartition {
         for &c in &owners {
             sets[c as usize].insert(t);
         }
-        comp_of[t.index()] = owners;
+        owners_of[t.index()] = owners;
     }
 
-    AtomicPartition { sets, non_constant }
+    AtomicPartition { sets }
 }
 
 /// Check the §III-A invariants; used by tests and debug assertions.
@@ -97,9 +95,10 @@ pub fn atomic_partition(g: &TaskGraph) -> AtomicPartition {
 /// Returns an error message on the first violation.
 pub fn check_invariants(g: &TaskGraph, p: &AtomicPartition) -> Result<(), String> {
     let n = g.num_tasks();
+    let non_constant = g.index().non_constant();
     // every set has exactly one non-constant task
     for (i, s) in p.sets.iter().enumerate() {
-        let nc = s.iter().filter(|t| p.non_constant[t.index()]).count();
+        let nc = s.iter().filter(|t| non_constant[t.index()]).count();
         if nc != 1 {
             return Err(format!("subcomponent {i} has {nc} non-constant tasks"));
         }
@@ -121,7 +120,7 @@ pub fn check_invariants(g: &TaskGraph, p: &AtomicPartition) -> Result<(), String
     }
     // non-constant tasks appear in exactly one set
     for t in g.task_ids() {
-        if p.non_constant[t.index()] {
+        if non_constant[t.index()] {
             let owners = p.sets.iter().filter(|s| s.contains(t)).count();
             if owners != 1 {
                 return Err(format!("non-constant task {t} appears in {owners} sets"));
@@ -239,13 +238,13 @@ mod tests {
     fn components_topologically_ordered() {
         let g = bert_graph(&BertConfig::tiny());
         let p = atomic_partition(&g);
-        let pos = rannc_graph::traverse::topo_positions(&g);
+        let pos = g.index().positions();
         // the unique non-constant task of each set is ordered
         let mut last = 0u32;
         for s in &p.sets {
             let t = s
                 .iter()
-                .find(|t| p.non_constant[t.index()])
+                .find(|t| g.index().non_constant()[t.index()])
                 .expect("one non-constant task");
             assert!(pos[t.index()] >= last);
             last = pos[t.index()];

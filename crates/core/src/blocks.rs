@@ -11,6 +11,7 @@
 use crate::atomic::AtomicPartition;
 use rannc_cost::CostModel;
 use rannc_graph::convex::ConvexChecker;
+use rannc_graph::taskset::Membership;
 use rannc_graph::{TaskGraph, TaskId, TaskSet};
 use rannc_profile::TimeSums;
 
@@ -42,7 +43,7 @@ pub struct Block {
 pub struct BlockCtx<'g, 'p> {
     pub g: &'g TaskGraph,
     pub cost: &'p dyn CostModel,
-    pub checker: ConvexChecker,
+    pub checker: ConvexChecker<'g>,
     pub limits: BlockLimits,
 }
 
@@ -128,7 +129,7 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     pub fn adjacency(&self, groups: &[TaskSet]) -> (Vec<Vec<u32>>, TaskSet) {
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
         let mut boundary = TaskSet::new(self.g.num_tasks());
-        group_edges(self.g, &self.checker, groups.iter(), |t, s, a, b| {
+        group_edges(self.g, groups.iter(), |t, s, a, b| {
             adj[a as usize].push(b);
             adj[b as usize].push(a);
             boundary.insert(t);
@@ -144,40 +145,19 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
 /// to `edge(t, s, a, b)`.
 ///
 /// The order is fixed: tasks ascending, each task's distinct successors
-/// (from `checker`) ascending, then `a` and `b` ascending. Sets may share
-/// tasks (clones).
+/// (from the graph index) ascending, then `a` and `b` ascending. Sets may
+/// share tasks (clones).
 fn group_edges<'s>(
     g: &TaskGraph,
-    checker: &ConvexChecker,
     sets: impl Iterator<Item = &'s TaskSet> + Clone,
     mut edge: impl FnMut(TaskId, TaskId, u32, u32),
 ) {
-    // flat membership: the sets holding task `t` are
-    // `member[start[t]..start[t + 1]]`, ascending
-    let n = g.num_tasks();
-    let mut start = vec![0u32; n + 1];
-    for set in sets.clone() {
-        for t in set.iter() {
-            start[t.index() + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        start[i + 1] += start[i];
-    }
-    let mut fill = start.clone();
-    let mut member = vec![0u32; start[n] as usize];
-    for (si, set) in sets.enumerate() {
-        for t in set.iter() {
-            member[fill[t.index()] as usize] = si as u32;
-            fill[t.index()] += 1;
-        }
-    }
-    let of = |t: TaskId| &member[start[t.index()] as usize..start[t.index() + 1] as usize];
-
+    let held = Membership::new(g.num_tasks(), sets.enumerate().map(|(i, s)| (i as u32, s)));
+    let index = g.index();
     for t in g.task_ids() {
-        for &s in checker.successors(t) {
-            for &a in of(t) {
-                for &b in of(s) {
+        for &s in index.successors(t) {
+            for &a in held.of(t) {
+                for &b in held.of(s) {
                     if a != b {
                         edge(t, s, a, b);
                     }
@@ -238,7 +218,7 @@ pub fn block_partition(
             Block { set, time, mem }
         })
         .collect();
-    sort_topologically(g, &ctx.checker, &mut blocks);
+    sort_topologically(g, &mut blocks);
     blocks
 }
 
@@ -249,12 +229,12 @@ pub fn block_partition(
 /// two blocks would create spurious edges, so an edge is only recorded
 /// when the consumer's block does not itself contain the producing task.
 /// Ties are broken by minimum task topo position for determinism.
-fn sort_topologically(g: &TaskGraph, checker: &ConvexChecker, blocks: &mut [Block]) {
+fn sort_topologically(g: &TaskGraph, blocks: &mut [Block]) {
     let nb = blocks.len();
 
     // block-level edges, each recorded once
     let mut succs: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    group_edges(g, checker, blocks.iter().map(|b| &b.set), |t, _, a, b| {
+    group_edges(g, blocks.iter().map(|b| &b.set), |t, _, a, b| {
         if !blocks[b as usize].set.contains(t) {
             succs[a as usize].push(b);
         }
@@ -265,12 +245,13 @@ fn sort_topologically(g: &TaskGraph, checker: &ConvexChecker, blocks: &mut [Bloc
         indeg[b as usize] += 1;
     }
     // Kahn with a min-position tie-break for a stable, sensible order
+    let pos = g.index().positions();
     let min_pos: Vec<u32> = blocks
         .iter()
         .map(|b| {
             b.set
                 .iter()
-                .map(|t| checker.pos(t))
+                .map(|t| pos[t.index()])
                 .min()
                 .unwrap_or(u32::MAX)
         })

@@ -10,14 +10,14 @@
 //! on graphs with parallel branches.
 
 use crate::blocks::BlockCtx;
-use rannc_graph::{traverse, TaskSet};
+use rannc_graph::TaskSet;
 use rannc_profile::TimeSums;
 
 /// Run compaction until `k` groups remain (or no further merge is
 /// possible, in which case slightly more than `k` groups are returned).
 pub fn compact(ctx: &mut BlockCtx<'_, '_>, groups: Vec<TaskSet>) -> Vec<TaskSet> {
     let k = ctx.limits.k;
-    let pos = traverse::topo_positions(ctx.g);
+    let pos = ctx.g.index().positions();
     let min_pos = |s: &TaskSet| s.iter().map(|t| pos[t.index()]).min().unwrap_or(u32::MAX);
 
     let mut list: Vec<TaskSet> = groups;

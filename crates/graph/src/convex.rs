@@ -13,66 +13,45 @@
 //! layer-local sets produced during coarsening this makes each check touch
 //! only a few dozen tasks instead of the whole graph.
 
+use crate::index::GraphIndex;
 use crate::{TaskGraph, TaskId, TaskSet};
 
 /// Reusable convexity checker for one graph.
 ///
-/// Holds the topological positions, flat successor lists and a stamped
-/// visited buffer so repeated checks (the coarsening phase performs tens of
-/// thousands) allocate nothing.
-pub struct ConvexChecker {
-    pos: Vec<u32>,
-    succs: Successors,
+/// Reads the positions and successor lists from the graph's
+/// [`GraphIndex`] and keeps only a stamped visited buffer and a stack, so
+/// repeated checks (the coarsening phase performs tens of thousands)
+/// allocate nothing.
+pub struct ConvexChecker<'g> {
+    index: &'g GraphIndex,
+    pos: &'g [u32],
     visited: Vec<u32>,
     stamp: u32,
     stack: Vec<TaskId>,
 }
 
-impl ConvexChecker {
-    /// Build a checker for `g` (computes a topological order once).
-    pub fn new(g: &TaskGraph) -> Self {
-        let pos = crate::traverse::topo_positions(g);
-        let mut succs = Successors {
-            start: Vec::with_capacity(g.num_tasks() + 1),
-            list: Vec::new(),
-        };
-        succs.start.push(0);
-        let mut buf = Vec::new();
-        for t in g.task_ids() {
-            g.task_successors_into(t, &mut buf);
-            succs.list.extend_from_slice(&buf);
-            succs.start.push(succs.list.len() as u32);
-        }
+impl<'g> ConvexChecker<'g> {
+    /// Build a checker for `g`. Panics if the graph is cyclic.
+    pub fn new(g: &'g TaskGraph) -> Self {
+        let index = g.index();
         ConvexChecker {
-            pos,
-            succs,
+            index,
+            pos: index.positions(),
             visited: vec![0; g.num_tasks()],
             stamp: 0,
             stack: Vec::new(),
         }
     }
 
-    /// Topological position of a task.
-    #[inline]
-    pub fn pos(&self, t: TaskId) -> u32 {
-        self.pos[t.index()]
-    }
-
-    /// Distinct successors of `t`, ascending — [`TaskGraph::task_successors`]
-    /// without the allocation.
-    #[inline]
-    pub fn successors(&self, t: TaskId) -> &[TaskId] {
-        self.succs.of(t)
-    }
-
     /// Whether `s` is convex in the graph.
     ///
     /// Empty and singleton sets are trivially convex.
     pub fn is_convex(&mut self, s: &TaskSet) -> bool {
+        let (index, pos) = (self.index, self.pos);
         let mut max_pos = 0u32;
         let mut count = 0usize;
         for t in s.iter() {
-            max_pos = max_pos.max(self.pos[t.index()]);
+            max_pos = max_pos.max(pos[t.index()]);
             count += 1;
         }
         if count <= 1 {
@@ -85,12 +64,11 @@ impl ConvexChecker {
             self.stamp = 1;
         }
         let stamp = self.stamp;
-        let (pos, succs) = (&self.pos, &self.succs);
         let (visited, stack) = (&mut self.visited, &mut self.stack);
         stack.clear();
         // Seed with successors outside S, pruned to the topo window.
         for t in s.iter() {
-            for &succ in succs.of(t) {
+            for &succ in index.successors(t) {
                 let i = succ.index();
                 if !s.contains(succ) && pos[i] < max_pos && visited[i] != stamp {
                     visited[i] = stamp;
@@ -100,7 +78,7 @@ impl ConvexChecker {
         }
         // Forward search; re-entering S means a violating path exists.
         while let Some(t) = stack.pop() {
-            for &succ in succs.of(t) {
+            for &succ in index.successors(t) {
                 if s.contains(succ) {
                     return false;
                 }
@@ -112,20 +90,6 @@ impl ConvexChecker {
             }
         }
         true
-    }
-}
-
-/// Distinct successors of every task, flat: those of `t` are
-/// `list[start[t]..start[t + 1]]`, ascending.
-struct Successors {
-    start: Vec<u32>,
-    list: Vec<TaskId>,
-}
-
-impl Successors {
-    #[inline]
-    fn of(&self, t: TaskId) -> &[TaskId] {
-        &self.list[self.start[t.index()] as usize..self.start[t.index() + 1] as usize]
     }
 }
 

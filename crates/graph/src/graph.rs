@@ -1,7 +1,9 @@
 //! The [`TaskGraph`] container: tasks, values and their connectivity.
 
+use crate::index::GraphIndex;
 use crate::shape::{DType, Shape};
 use crate::{OpKind, TaskId, ValueId, ValueKind};
+use std::sync::OnceLock;
 
 /// A tensor value node.
 #[derive(Debug, Clone)]
@@ -109,6 +111,9 @@ pub struct TaskGraph {
     tasks: Vec<Task>,
     values: Vec<Value>,
     outputs: Vec<ValueId>,
+    /// Whole-graph facts, derived on the first [`TaskGraph::index`] call
+    /// and dropped by every `&mut self` method.
+    index: OnceLock<GraphIndex>,
 }
 
 impl TaskGraph {
@@ -119,7 +124,17 @@ impl TaskGraph {
             tasks: Vec::new(),
             values: Vec::new(),
             outputs: Vec::new(),
+            index: OnceLock::new(),
         }
+    }
+
+    /// The graph's [`GraphIndex`]: topological order and positions,
+    /// distinct successors and non-constant flags. Built on the first
+    /// call (concurrent first callers wait for one build) and shared by
+    /// every later one until the graph is edited.
+    #[inline]
+    pub fn index(&self) -> &GraphIndex {
+        self.index.get_or_init(|| GraphIndex::build(self))
     }
 
     /// Add a value node and return its id.
@@ -130,6 +145,7 @@ impl TaskGraph {
         dtype: DType,
         kind: ValueKind,
     ) -> ValueId {
+        self.index.take();
         let id = ValueId(self.values.len() as u32);
         self.values.push(Value {
             name: name.into(),
@@ -179,6 +195,7 @@ impl TaskGraph {
                 return Err(GraphError::StaticOutput(v));
             }
         }
+        self.index.take();
         for &v in &inputs {
             self.values[v.index()].consumers.push(id);
         }
@@ -197,6 +214,7 @@ impl TaskGraph {
 
     /// Declare a value to be an output of the entire model.
     pub fn mark_output(&mut self, v: ValueId) {
+        self.index.take();
         if !self.outputs.contains(&v) {
             self.outputs.push(v);
         }
@@ -261,38 +279,30 @@ impl TaskGraph {
         (0..self.tasks.len() as u32).map(TaskId)
     }
 
-    /// Distinct predecessor tasks of `id` (producers of its inputs).
+    /// Distinct predecessor tasks of `id` (producers of its inputs),
+    /// ascending.
     pub fn task_predecessors(&self, id: TaskId) -> Vec<TaskId> {
-        let mut preds = Vec::new();
-        self.task_predecessors_into(id, &mut preds);
+        let mut preds: Vec<TaskId> = self.tasks[id.index()]
+            .inputs
+            .iter()
+            .filter_map(|&v| self.values[v.index()].producer)
+            .collect();
+        preds.sort_unstable();
+        preds.dedup();
         preds
     }
 
-    /// [`TaskGraph::task_predecessors`] into `out` (cleared first), so a
-    /// whole-graph walk reuses one buffer instead of allocating per task.
-    pub fn task_predecessors_into(&self, id: TaskId, out: &mut Vec<TaskId>) {
-        out.clear();
-        out.extend(
-            self.tasks[id.index()]
-                .inputs
-                .iter()
-                .filter_map(|&v| self.values[v.index()].producer),
-        );
-        out.sort_unstable();
-        out.dedup();
-    }
-
     /// Distinct successor tasks of `id` (consumers of its outputs),
-    /// ascending.
+    /// ascending: a copy of [`GraphIndex::successors`]. Whole-graph walks
+    /// read the index's slices instead.
     pub fn task_successors(&self, id: TaskId) -> Vec<TaskId> {
-        let mut succs = Vec::new();
-        self.task_successors_into(id, &mut succs);
-        succs
+        self.index().successors(id).to_vec()
     }
 
-    /// [`TaskGraph::task_successors`] into `out` (cleared first), so a
-    /// whole-graph walk reuses one buffer instead of allocating per task.
-    pub fn task_successors_into(&self, id: TaskId, out: &mut Vec<TaskId>) {
+    /// Distinct successor tasks of `id` into `out` (cleared first), from
+    /// the value links: the definition the index builder flattens. Every
+    /// other reader goes through [`TaskGraph::index`].
+    pub(crate) fn task_successors_into(&self, id: TaskId, out: &mut Vec<TaskId>) {
         out.clear();
         out.extend(
             self.tasks[id.index()]
@@ -335,17 +345,10 @@ impl TaskGraph {
                 return Err(GraphError::OrphanActivation(ValueId(i as u32)));
             }
         }
-        // Kahn's algorithm as a cycle check.
-        if crate::traverse::topo_order(self).len() != self.tasks.len() {
+        if !self.index().is_acyclic() {
             return Err(GraphError::Cycle);
         }
         Ok(())
-    }
-
-    /// Topological order of the tasks (delegates to
-    /// [`crate::traverse::topo_order`]).
-    pub fn topo_order(&self) -> Vec<TaskId> {
-        crate::traverse::topo_order(self)
     }
 }
 
@@ -431,6 +434,26 @@ mod tests {
         let (g, x, _) = small_graph();
         let inputs: Vec<_> = g.input_ids().collect();
         assert_eq!(inputs, vec![x]);
+    }
+
+    #[test]
+    fn every_edit_drops_the_index() {
+        let (mut g, x, y) = small_graph();
+        let built = |g: &TaskGraph| g.index.get().is_some();
+        g.index();
+        g.add_value("z", [8], DType::F32, ValueKind::Activation);
+        assert!(!built(&g), "add_value");
+        g.index();
+        let z = ValueId(g.num_values() as u32 - 1);
+        g.add_task("relu2", OpKind::Relu, vec![y], vec![z]).unwrap();
+        assert!(!built(&g), "add_task");
+        g.index();
+        g.mark_output(z);
+        assert!(!built(&g), "mark_output");
+        assert_eq!(g.index(), &GraphIndex::build(&g));
+        assert_eq!(g.index().order().len(), 3);
+        assert!(g.index().non_constant().iter().all(|&nc| nc));
+        assert_eq!(g.value(x).consumers, vec![TaskId(0)]);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! ([`TaskSet`]) and need fast answers to the questions this crate
 //! specializes in:
 //!
-//! * topological order and per-task position ([`TaskGraph::topo_order`]),
+//! * whole-graph facts derived once per graph: topological order and
+//!   per-task position, distinct successors and the non-constant flags
+//!   ([`TaskGraph::index`], [`GraphIndex`]),
 //! * adjacency between task sets (do they exchange a value?),
 //! * communication volume across a cut ([`traverse::cut_bytes`]),
 //! * *convexity* of a task set — whether no path leaves the set and
@@ -28,6 +30,7 @@ pub mod builder;
 pub mod convex;
 pub mod dot;
 pub mod graph;
+pub mod index;
 pub mod op;
 pub mod shape;
 pub mod taskset;
@@ -35,6 +38,7 @@ pub mod traverse;
 
 pub use builder::GraphBuilder;
 pub use graph::{Task, TaskGraph, Value};
+pub use index::GraphIndex;
 pub use op::OpKind;
 pub use shape::{DType, Shape};
 pub use taskset::TaskSet;

@@ -309,6 +309,45 @@ impl FromIterator<TaskId> for TaskSet {
     }
 }
 
+/// Which sets of a family hold each task, flat: the labels of the sets
+/// holding `t` are [`Membership::of`]`(t)`, in the family's order. Sets
+/// may share tasks (constant-task clones). O(universe + members) to build.
+pub struct Membership {
+    start: Vec<u32>,
+    member: Vec<u32>,
+}
+
+impl Membership {
+    /// Index a family of `(label, set)` pairs over a universe of `n`
+    /// tasks; every set's universe must be at most `n`.
+    pub fn new<'s>(n: usize, sets: impl Iterator<Item = (u32, &'s TaskSet)> + Clone) -> Self {
+        let mut start = vec![0u32; n + 1];
+        for (_, set) in sets.clone() {
+            for t in set.iter() {
+                start[t.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut member = vec![0u32; start[n] as usize];
+        for (label, set) in sets {
+            for t in set.iter() {
+                member[fill[t.index()] as usize] = label;
+                fill[t.index()] += 1;
+            }
+        }
+        Membership { start, member }
+    }
+
+    /// Labels of the sets holding `t`.
+    #[inline]
+    pub fn of(&self, t: TaskId) -> &[u32] {
+        &self.member[self.start[t.index()] as usize..self.start[t.index() + 1] as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

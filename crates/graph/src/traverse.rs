@@ -2,49 +2,28 @@
 
 use crate::{TaskGraph, TaskId, TaskSet, ValueId};
 
-/// Topological order of all tasks (Kahn's algorithm).
+/// Topological order of all tasks, borrowed from the graph's index
+/// ([`crate::GraphIndex::order`]).
 ///
-/// If the graph contains a cycle, the returned order is shorter than the
-/// task count; [`TaskGraph::validate`] uses that as the cycle check.
-pub fn topo_order(g: &TaskGraph) -> Vec<TaskId> {
-    let n = g.num_tasks();
-    let mut indegree = vec![0u32; n];
-    let mut adj = Vec::new();
-    for t in g.task_ids() {
-        g.task_predecessors_into(t, &mut adj);
-        indegree[t.index()] = adj.len() as u32;
-    }
-    let mut queue: Vec<TaskId> = (0..n as u32)
-        .map(TaskId)
-        .filter(|t| indegree[t.index()] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    let mut head = 0;
-    while head < queue.len() {
-        let t = queue[head];
-        head += 1;
-        order.push(t);
-        g.task_successors_into(t, &mut adj);
-        for &s in &adj {
-            indegree[s.index()] -= 1;
-            if indegree[s.index()] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    order
+/// If the graph contains a cycle, the order is shorter than the task
+/// count; [`TaskGraph::validate`] uses that as the cycle check.
+pub fn topo_order(g: &TaskGraph) -> &[TaskId] {
+    g.index().order()
 }
 
 /// Per-task topological position: `pos[t.index()]` is the rank of task `t`
-/// in [`topo_order`]. Panics if the graph is cyclic.
-pub fn topo_positions(g: &TaskGraph) -> Vec<u32> {
-    let order = topo_order(g);
-    assert_eq!(order.len(), g.num_tasks(), "graph has a cycle");
-    let mut pos = vec![0u32; g.num_tasks()];
-    for (rank, t) in order.iter().enumerate() {
-        pos[t.index()] = rank as u32;
-    }
-    pos
+/// in [`topo_order`]. Panics if the graph is cyclic. Borrowed from the
+/// graph's index ([`crate::GraphIndex::positions`]).
+pub fn topo_positions(g: &TaskGraph) -> &[u32] {
+    g.index().positions()
+}
+
+/// Classify every task as *non-constant* (output depends on the model
+/// input) or *constant* (computable from parameters/constants alone):
+/// `flags[t.index()] == true` for non-constant tasks (paper §III-A).
+/// Borrowed from the graph's index ([`crate::GraphIndex::non_constant`]).
+pub fn non_constant_tasks(g: &TaskGraph) -> &[bool] {
+    g.index().non_constant()
 }
 
 /// All tasks reachable from `start` (inclusive) following task→successor
@@ -53,7 +32,7 @@ pub fn reachable_from(g: &TaskGraph, start: &TaskSet) -> TaskSet {
     let mut seen = start.clone();
     let mut stack: Vec<TaskId> = start.iter().collect();
     while let Some(t) = stack.pop() {
-        for s in g.task_successors(t) {
+        for &s in g.index().successors(t) {
             if !seen.contains(s) {
                 seen.insert(s);
                 stack.push(s);
@@ -77,30 +56,6 @@ pub fn reaching(g: &TaskGraph, targets: &TaskSet) -> TaskSet {
         }
     }
     seen
-}
-
-/// Classify every task as *non-constant* (output depends on the model
-/// input) or *constant* (computable from parameters/constants alone).
-///
-/// Paper §III-A: "since non-constant tasks take inputs that are either the
-/// input to the entire model or the output of other non-constant tasks, we
-/// identify non-constant tasks by exploring a model's task graph from its
-/// input in a forward manner". Returns `flags[t.index()] == true` for
-/// non-constant tasks.
-pub fn non_constant_tasks(g: &TaskGraph) -> Vec<bool> {
-    let mut flags = vec![false; g.num_tasks()];
-    for t in topo_order(g) {
-        let task = g.task(t);
-        let non_constant = task.inputs.iter().any(|&v| {
-            let val = g.value(v);
-            match val.producer {
-                Some(p) => flags[p.index()],
-                None => val.kind == crate::ValueKind::Input,
-            }
-        });
-        flags[t.index()] = non_constant;
-    }
-    flags
 }
 
 /// Whether task sets `a` and `b` are adjacent: some value produced in one is

@@ -322,7 +322,7 @@ impl<'g> Profiler<'g> {
             "launch_overhead {} s is below 2^-27 s: per-task times would not sum exactly",
             opts.launch_overhead
         );
-        let non_constant = traverse::non_constant_tasks(g);
+        let non_constant = g.index().non_constant();
         let mut costs = Vec::with_capacity(g.num_tasks());
         let mut static_inputs = Vec::new();
         let mut act_inputs = Vec::new();
@@ -798,7 +798,7 @@ mod tests {
     /// inputs and outputs looked up through `g.value()`, each value counted
     /// once. The reference the flat-row miss path must equal.
     fn reference_set_stats(g: &TaskGraph, set: &TaskSet) -> SetStats {
-        let non_constant = traverse::non_constant_tasks(g);
+        let non_constant = g.index().non_constant();
         let mut stats = SetStats::default();
         let mut seen = vec![false; g.num_values()];
         for t in set.iter() {

@@ -147,7 +147,7 @@ fn check_links(g: &TaskGraph, r: &mut Report) {
 /// RV003: Kahn's algorithm must order every task. Returns whether the
 /// graph is acyclic (reachability and plan checks need a topo order).
 fn check_cycle(g: &TaskGraph, r: &mut Report) -> bool {
-    let order = traverse::topo_order(g);
+    let order = g.index().order();
     if order.len() != g.num_tasks() {
         let in_order = TaskSet::from_ids(g.num_tasks(), order.iter().copied());
         let stuck = g.task_ids().find(|&t| !in_order.contains(t));

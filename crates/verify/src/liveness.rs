@@ -34,7 +34,7 @@
 use crate::diag::{Code, Diagnostic, Location, Report};
 use crate::plan_checks::PlanView;
 use crate::schedule_checks::ScheduleModel;
-use rannc_graph::{traverse, TaskGraph, TaskSet};
+use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::{ClusterSpec, Precision};
 use rannc_profile::memory::DEVICE_OVERHEAD_BYTES;
 use rannc_profile::MemoryParams;
@@ -68,20 +68,12 @@ pub struct StageLiveness {
 /// counted outputs of `t_0..t_i` in `U ∪ E` plus `t_i`'s own outputs;
 /// the boundary and backward points define nothing and read only
 /// `U ∪ E`, so each is a subset of the last forward one (DESIGN.md §13).
+///
+/// Reads the topological positions and the non-constant flags from the
+/// graph's index, so a call costs a walk of the stage only. Panics if the
+/// graph is cyclic.
 pub fn stage_liveness(g: &TaskGraph, set: &TaskSet) -> StageLiveness {
-    let positions = traverse::topo_positions(g);
-    let non_constant = traverse::non_constant_tasks(g);
-    liveness(g, set, &positions, &non_constant)
-}
-
-/// [`stage_liveness`] with the whole-graph facts (`topo_positions`,
-/// `non_constant_tasks`) computed once by the caller.
-fn liveness(
-    g: &TaskGraph,
-    set: &TaskSet,
-    positions: &[u32],
-    non_constant: &[bool],
-) -> StageLiveness {
+    let (positions, non_constant) = (g.index().positions(), g.index().non_constant());
     let mut tasks: Vec<_> = set.iter().collect();
     tasks.sort_by_key(|t| positions[t.index()]);
 
@@ -167,8 +159,6 @@ pub fn certify_memory(
         .iter()
         .map(|s| s.replicas * s.tensor_parallel.max(1))
         .sum();
-    let positions = traverse::topo_positions(g);
-    let non_constant = traverse::non_constant_tasks(g);
     let mut offset = 0usize;
     for (i, s) in plan.stages.iter().enumerate() {
         let width = s.replicas * s.tensor_parallel.max(1);
@@ -176,7 +166,7 @@ pub fn certify_memory(
             offset += width;
             continue; // RV021 already reported by verify_plan
         }
-        let lv = liveness(g, s.set, &positions, &non_constant);
+        let lv = stage_liveness(g, s.set);
         let stash = schedule.stash_depth(i);
         let mem = MemoryParams {
             precision,
@@ -331,8 +321,7 @@ mod tests {
     /// task's own outputs. Returns the figures and the live-in set (the
     /// values used before any definition).
     fn reference(g: &TaskGraph, set: &TaskSet) -> (usize, usize, usize, BTreeSet<ValueId>) {
-        let positions = traverse::topo_positions(g);
-        let non_constant = traverse::non_constant_tasks(g);
+        let (positions, non_constant) = (g.index().positions(), g.index().non_constant());
         let mut tasks: Vec<TaskId> = set.iter().collect();
         tasks.sort_by_key(|t| positions[t.index()]);
         let n = tasks.len();
@@ -441,7 +430,7 @@ mod tests {
     /// `g`'s tasks in topological order cut into `k` contiguous stages.
     fn contiguous_stages(g: &TaskGraph, k: usize) -> Vec<TaskSet> {
         let n = g.num_tasks();
-        let positions = traverse::topo_positions(g);
+        let positions = g.index().positions();
         let mut order: Vec<TaskId> = (0..n as u32).map(TaskId).collect();
         order.sort_by_key(|t| positions[t.index()]);
         (0..k)

@@ -9,8 +9,10 @@
 
 use crate::diag::{Code, Diagnostic, Location, Report};
 use rannc_graph::convex::ConvexChecker;
-use rannc_graph::{traverse, TaskGraph, TaskSet};
+use rannc_graph::taskset::Membership;
+use rannc_graph::{TaskGraph, TaskId, TaskSet};
 use rannc_hw::ClusterSpec;
+use std::collections::BTreeMap;
 
 /// One stage of a plan, borrowed.
 #[derive(Debug, Clone, Copy)]
@@ -60,7 +62,7 @@ pub fn verify_plan(g: &TaskGraph, plan: &PlanView<'_>, cluster: &ClusterSpec) ->
     // Graph-dependent checks index by task id and need a topo order; skip
     // them (rather than panic) when the graph itself is broken or the
     // stage sets are not id-compatible with it.
-    let acyclic = traverse::topo_order(g).len() == g.num_tasks();
+    let acyclic = g.index().is_acyclic();
     if !acyclic {
         r.push(Diagnostic::new(
             Code::GraphCycle,
@@ -78,7 +80,7 @@ pub fn verify_plan(g: &TaskGraph, plan: &PlanView<'_>, cluster: &ClusterSpec) ->
         check_duplicates(g, plan, &compatible, &mut r);
         let mut ck = ConvexChecker::new(g);
         check_convexity(&mut ck, plan, &compatible, &mut r);
-        check_stage_order(g, &ck, plan, &compatible, &mut r);
+        check_stage_order(g, plan, &compatible, &mut r);
         check_zero_compute(g, plan, &compatible, &mut r);
     }
     check_memory(plan, cluster, &mut r);
@@ -315,7 +317,7 @@ fn check_coverage(g: &TaskGraph, plan: &PlanView<'_>, compatible: &[bool], r: &m
 /// RV024: only constant tasks (cloned into each consumer by atomic-level
 /// partitioning, paper §III-A) may appear in more than one stage.
 fn check_duplicates(g: &TaskGraph, plan: &PlanView<'_>, compatible: &[bool], r: &mut Report) {
-    let non_constant = traverse::non_constant_tasks(g);
+    let non_constant = g.index().non_constant();
     let mut owner: Vec<Option<usize>> = vec![None; g.num_tasks()];
     for (i, (s, ok)) in plan.stages.iter().zip(compatible).enumerate() {
         if !*ok {
@@ -365,41 +367,51 @@ fn check_convexity(
 /// RV026: data must flow forward: no value produced in a later stage may
 /// be consumed in an earlier one. Clone-aware: a constant task shared by
 /// both stages is not an edge between them.
-fn check_stage_order(
-    g: &TaskGraph,
-    ck: &ConvexChecker,
-    plan: &PlanView<'_>,
-    compatible: &[bool],
-    r: &mut Report,
-) {
-    for (i, (a, a_ok)) in plan.stages.iter().zip(compatible).enumerate() {
-        if !*a_ok {
+///
+/// One walk over the task edges `t → s` in ascending order, O(tasks +
+/// edges): with `t` in stage `j`, `s` in an earlier stage `i`, `t ∉ i`
+/// and `s ∉ j`, the edge is pair `(i, j)`'s witness unless the pair has
+/// one already. So each bad pair is reported once, pairs ascending, with
+/// the first `t` of stage `j` that feeds stage `i` and its first such
+/// successor.
+fn check_stage_order(g: &TaskGraph, plan: &PlanView<'_>, compatible: &[bool], r: &mut Report) {
+    let stages = plan
+        .stages
+        .iter()
+        .zip(compatible)
+        .enumerate()
+        .filter(|(_, (_, ok))| **ok)
+        .map(|(i, (s, _))| (i as u32, s.set));
+    let held = Membership::new(g.num_tasks(), stages);
+    let index = g.index();
+    let mut witness: BTreeMap<(u32, u32), (TaskId, TaskId)> = BTreeMap::new();
+    for t in g.task_ids() {
+        let later = held.of(t);
+        if later.is_empty() {
             continue;
         }
-        for (j, (b, b_ok)) in plan.stages.iter().zip(compatible).enumerate().skip(i + 1) {
-            if !*b_ok {
-                continue;
-            }
-            'pair: for t in b.set.iter() {
-                if a.set.contains(t) {
-                    continue; // shared constant-task clone
-                }
-                for &s in ck.successors(t) {
-                    if a.set.contains(s) && !b.set.contains(s) {
-                        r.push(Diagnostic::new(
-                            Code::BackwardStageEdge,
-                            Location::StagePair(i, j),
-                            format!(
-                                "task `{}` in stage {j} feeds task `{}` in earlier stage {i}",
-                                g.task(t).name,
-                                g.task(s).name
-                            ),
-                        ));
-                        break 'pair; // one witness per stage pair
+        for &s in index.successors(t) {
+            let earlier = held.of(s);
+            for &j in later {
+                // `earlier` is ascending: stop at the first stage not before `j`
+                for &i in earlier.iter().take_while(|&&i| i < j) {
+                    if !later.contains(&i) && !earlier.contains(&j) {
+                        witness.entry((i, j)).or_insert((t, s));
                     }
                 }
             }
         }
+    }
+    for ((i, j), (t, s)) in witness {
+        r.push(Diagnostic::new(
+            Code::BackwardStageEdge,
+            Location::StagePair(i as usize, j as usize),
+            format!(
+                "task `{}` in stage {j} feeds task `{}` in earlier stage {i}",
+                g.task(t).name,
+                g.task(s).name
+            ),
+        ));
     }
 }
 
@@ -799,5 +811,216 @@ mod tests {
         let r = verify_plan_structure(&view);
         assert!(r.has_code(Code::BottleneckImbalance), "{}", r.render());
         assert!(!r.has_errors(), "{}", r.render());
+    }
+
+    #[test]
+    fn cyclic_graph_reported_and_graph_checks_skipped() {
+        // t0: x,b -> a ; t1: a -> b  — a 2-cycle through values
+        let mut g = TaskGraph::new("loop");
+        let x = g.add_value("x", [1], DType::F32, rannc_graph::ValueKind::Input);
+        let a = g.add_value("a", [1], DType::F32, rannc_graph::ValueKind::Activation);
+        let b = g.add_value("b", [1], DType::F32, rannc_graph::ValueKind::Activation);
+        g.add_task("t0", OpKind::Add, vec![x, b], vec![a]).unwrap();
+        g.add_task("t1", OpKind::Relu, vec![a], vec![b]).unwrap();
+        g.mark_output(b);
+        assert!(g.index().order().len() < g.num_tasks());
+        // stage 0 = {t1} is fed by stage 1 = {t0}, and t0 is in no other
+        // stage: RV026 and coverage would fire on an acyclic graph
+        let p = Owned {
+            sets: vec![
+                TaskSet::from_ids(2, [TaskId(1)]),
+                TaskSet::from_ids(2, [TaskId(0)]),
+            ],
+            microbatches: 4,
+            replica_factor: 1,
+            batch_size: 8,
+        };
+        let r = verify_plan(&g, &p.view(), &cluster());
+        assert!(r.has_code(Code::GraphCycle), "{}", r.render());
+        for skipped in [
+            Code::BackwardStageEdge,
+            Code::NonConvexStage,
+            Code::CoverageHole,
+            Code::DuplicateAssignment,
+        ] {
+            assert!(!r.has_code(skipped), "{}", r.render());
+        }
+    }
+
+    /// RV026 as first written: every stage pair `(i, j)`, `i < j`,
+    /// scanned for a task of stage `j` feeding stage `i`, one witness per
+    /// pair. The reference the one-walk [`check_stage_order`] must match
+    /// diagnostic for diagnostic.
+    fn stage_order_pairwise(g: &TaskGraph, plan: &PlanView<'_>, compatible: &[bool]) -> Report {
+        let mut r = Report::new();
+        for (i, (a, a_ok)) in plan.stages.iter().zip(compatible).enumerate() {
+            if !*a_ok {
+                continue;
+            }
+            for (j, (b, b_ok)) in plan.stages.iter().zip(compatible).enumerate().skip(i + 1) {
+                if !*b_ok {
+                    continue;
+                }
+                'pair: for t in b.set.iter() {
+                    if a.set.contains(t) {
+                        continue; // shared constant-task clone
+                    }
+                    for s in g.task_successors(t) {
+                        if a.set.contains(s) && !b.set.contains(s) {
+                            r.push(Diagnostic::new(
+                                Code::BackwardStageEdge,
+                                Location::StagePair(i, j),
+                                format!(
+                                    "task `{}` in stage {j} feeds task `{}` in earlier stage {i}",
+                                    g.task(t).name,
+                                    g.task(s).name
+                                ),
+                            ));
+                            break 'pair;
+                        }
+                    }
+                }
+            }
+        }
+        r
+    }
+
+    /// `k` stages cut from `g`'s non-constant tasks in topological order,
+    /// each constant task cloned into every stage holding one of its
+    /// consumers (as atomic-level partitioning does).
+    fn cloned_stages(g: &TaskGraph, k: usize) -> Vec<TaskSet> {
+        let (n, index) = (g.num_tasks(), g.index());
+        let non_constant = index.non_constant();
+        let chain: Vec<TaskId> = index
+            .order()
+            .iter()
+            .copied()
+            .filter(|t| non_constant[t.index()])
+            .collect();
+        let mut sets: Vec<TaskSet> = (0..k)
+            .map(|c| {
+                let run = &chain[c * chain.len() / k..(c + 1) * chain.len() / k];
+                TaskSet::from_ids(n, run.iter().copied())
+            })
+            .collect();
+        for &t in index.order().iter().rev() {
+            if non_constant[t.index()] {
+                continue;
+            }
+            for set in &mut sets {
+                if index.successors(t).iter().any(|&s| set.contains(s)) {
+                    set.insert(t);
+                }
+            }
+        }
+        sets
+    }
+
+    fn assert_stage_order_matches(g: &TaskGraph, sets: Vec<TaskSet>, what: &str) -> usize {
+        let p = Owned {
+            sets,
+            microbatches: 4,
+            replica_factor: 1,
+            batch_size: 8,
+        };
+        let view = p.view();
+        let compatible: Vec<bool> = view
+            .stages
+            .iter()
+            .map(|s| s.set.universe() == g.num_tasks())
+            .collect();
+        let mut fast = Report::new();
+        check_stage_order(g, &view, &compatible, &mut fast);
+        let reference = stage_order_pairwise(g, &view, &compatible);
+        assert_eq!(fast.diagnostics, reference.diagnostics, "{what}");
+        fast.diagnostics.len()
+    }
+
+    /// A relu chain whose two matmuls share one transposed weight: a
+    /// constant task chain (transpose, then relu) feeding both, so stage
+    /// cuts between the matmuls clone it into two stages.
+    fn shared_constant() -> TaskGraph {
+        let mut b = GraphBuilder::new("shared-constant");
+        let w = b.param("w", [8, 8]);
+        let wt = b.transpose(w, [8, 8]);
+        let wt = b.unary(OpKind::Relu, wt);
+        let mut x = b.input("x", [8], DType::F32);
+        for i in 0..12 {
+            x = if i % 5 == 1 {
+                b.matmul(x, wt)
+            } else {
+                b.unary(OpKind::Relu, x)
+            };
+        }
+        b.output(x);
+        b.finish()
+    }
+
+    #[test]
+    fn stage_order_walk_matches_pairwise_reference() {
+        use rannc_models::{bert_graph, gpt_graph, resnet_graph, BertConfig, GptConfig};
+        use rannc_models::{ResNetConfig, T5Config};
+        let graphs = [
+            shared_constant(),
+            bert_graph(&BertConfig::tiny()),
+            gpt_graph(&GptConfig::tiny()),
+            rannc_models::t5_graph(&T5Config::tiny()),
+            resnet_graph(&ResNetConfig::tiny()),
+        ];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % m as u64) as usize
+        };
+        let (mut clones_shared, mut multi_pair) = (0, 0);
+        for g in &graphs {
+            let k = 5;
+            let clean = cloned_stages(g, k);
+            clones_shared += g
+                .task_ids()
+                .filter(|&t| clean.iter().filter(|s| s.contains(t)).count() > 1)
+                .count();
+            let name = &g.name;
+            assert_eq!(assert_stage_order_matches(g, clean.clone(), name), 0);
+
+            // every stage pair bad at once
+            let mut reversed = clean.clone();
+            reversed.reverse();
+            let bad = assert_stage_order_matches(g, reversed, &format!("{name} reversed"));
+            assert!(bad >= k - 1, "{name} reversed: {bad} bad pairs");
+            multi_pair += (bad > 1) as usize;
+
+            // one swapped pair
+            let mut swapped = clean.clone();
+            swapped.swap(1, 3);
+            assert!(assert_stage_order_matches(g, swapped, &format!("{name} swap")) > 0);
+
+            // a stage id-incompatible with the graph sits between the others
+            let mut foreign = clean.clone();
+            foreign.reverse();
+            foreign[2] = TaskSet::from_ids(g.num_tasks() + 1, [TaskId(0)]);
+            assert_stage_order_matches(g, foreign, &format!("{name} foreign stage"));
+
+            // random moves and extra clones
+            for round in 0..40 {
+                let mut sets = clean.clone();
+                for _ in 0..1 + next(4) {
+                    let t = TaskId(next(g.num_tasks()) as u32);
+                    let to = next(k);
+                    if g.index().non_constant()[t.index()] {
+                        for s in &mut sets {
+                            s.remove(t);
+                        }
+                    }
+                    sets[to].insert(t);
+                }
+                let bad = assert_stage_order_matches(g, sets, &format!("{name} mutation {round}"));
+                multi_pair += (bad > 1) as usize;
+            }
+        }
+        assert!(clones_shared > 0, "no constant clone spans two stages");
+        assert!(multi_pair > 0, "no mutation produced several bad pairs");
     }
 }

@@ -51,7 +51,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, no deleted search, memo or fixpoint machinery)"
+echo "==> one-path gate (one stage DP, one graph index, no deleted search, memo or fixpoint machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -82,6 +82,18 @@ if grep -rnE --include='*.rs' \
 fi
 if grep -rnE --include='*.rs' "try_lock|Mutex|RwLock" crates/profile/src; then
     echo "FAILED: crates/profile/src must hold no lock"
+    exit 1
+fi
+
+# The graph index is the one place that derives whole-graph facts: its
+# builder (crates/graph/src/index.rs) is the only Kahn pass and the only
+# successor-table build over a task graph, and every other reader
+# borrows TaskGraph::index, so a request never re-derives them.
+# task_predecessors_into stays deleted (Kahn's in-degrees come from the
+# successor table).
+if grep -rnE --include='*.rs' "(\.|::)task_(successors|predecessors)_into\(" crates/*/src \
+    | grep -v '^crates/graph/src/index.rs:'; then
+    echo "FAILED: task_successors_into/task_predecessors_into called outside the graph index builder"
     exit 1
 fi
 
