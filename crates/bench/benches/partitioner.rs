@@ -67,7 +67,7 @@ fn bench_stage_dp(c: &mut Criterion) {
         },
     );
     let cluster = ClusterSpec::v100_cluster(1);
-    let ranges = RangeTable::build(&g, &profiler, &blocks);
+    let ranges = RangeTable::build(&profiler, &blocks);
     for (s, d) in [(2usize, 8usize), (4, 8), (8, 8)] {
         group.bench_with_input(
             BenchmarkId::new("SxD", format!("{s}x{d}")),
@@ -109,7 +109,7 @@ fn bench_profile_set(c: &mut Criterion) {
             profile_batch: 1,
         },
     );
-    let ranges = RangeTable::build(&g, &profiler, &blocks);
+    let ranges = RangeTable::build(&profiler, &blocks);
     let row = ranges.row(1, 1);
     let nb = ranges.blocks();
     for (id, to) in [("whole", nb), ("half", nb / 2), ("block", 1)] {

@@ -117,7 +117,7 @@ OBSERVABILITY OPTIONS:
   --trace <FILE>        (obs-check) trace file to validate
   --metrics <FILE>      (obs-check) metrics file to validate
   --explain-out <FILE>  record the partition search and write the explain
-                        artifact (schema v1 JSON) for `explain`
+                        artifact (schema v2 JSON) for `explain`
   --lose-device <RANK>  after planning, drop device RANK and replan; the
                         recording (and the simulated iteration) then
                         reflect the degraded search

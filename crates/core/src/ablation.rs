@@ -259,7 +259,7 @@ mod tests {
             },
         );
         let cluster = ClusterSpec::v100_cluster(1);
-        let ranges = RangeTable::build(&g, &profiler, &blocks);
+        let ranges = RangeTable::build(&profiler, &blocks);
         let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &p);
         let profiled = form_stage_dp(&ctx, &mut DpArena::new()).unwrap();
         assert!(

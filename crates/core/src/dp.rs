@@ -431,7 +431,6 @@ mod tests {
     use crate::blocks::{block_partition, Block, BlockLimits};
     use crate::stagecache::RangeTable;
     use rannc_cost::CostModel;
-    use rannc_graph::TaskGraph;
     use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
@@ -455,14 +454,9 @@ mod tests {
 
     /// One DP run on a fresh arena, planned against one V100 node (whose
     /// planning link is NVLink).
-    fn solve(
-        g: &TaskGraph,
-        cost: &dyn CostModel,
-        blocks: &[Block],
-        p: &DpParams,
-    ) -> Option<DpSolution> {
+    fn solve(cost: &dyn CostModel, blocks: &[Block], p: &DpParams) -> Option<DpSolution> {
         let cluster = ClusterSpec::v100_cluster(1);
-        let ranges = RangeTable::build(g, cost, blocks);
+        let ranges = RangeTable::build(cost, blocks);
         let ctx = DpCtx::new(cost, &ranges, &cluster, None, p);
         form_stage_dp(&ctx, &mut DpArena::new())
     }
@@ -483,7 +477,7 @@ mod tests {
     fn two_stage_split_of_uniform_chain_is_balanced() {
         let (g, blocks) = setup(16, 128, 8);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = solve(&g, &profiler, &blocks, &params(2, 2)).expect("feasible");
+        let sol = solve(&profiler, &blocks, &params(2, 2)).expect("feasible");
         assert_eq!(sol.stages.len(), 2);
         // uniform chain: the two stages should contain similar block counts
         let (a, b) = (
@@ -500,7 +494,7 @@ mod tests {
     fn stages_cover_all_blocks_in_order() {
         let (g, blocks) = setup(12, 64, 6);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = solve(&g, &profiler, &blocks, &params(3, 4)).expect("feasible");
+        let sol = solve(&profiler, &blocks, &params(3, 4)).expect("feasible");
         assert_eq!(sol.stages.len(), 3);
         let mut next = 0;
         for st in &sol.stages {
@@ -516,7 +510,7 @@ mod tests {
     fn infeasible_when_more_stages_than_blocks() {
         let (g, blocks) = setup(4, 32, 4);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = solve(&g, &profiler, &blocks, &params(blocks.len() + 1, 16));
+        let sol = solve(&profiler, &blocks, &params(blocks.len() + 1, 16));
         assert!(sol.is_none());
     }
 
@@ -526,7 +520,7 @@ mod tests {
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let mut p = params(2, 2);
         p.mem_limit = 1;
-        assert!(solve(&g, &profiler, &blocks, &p).is_none());
+        assert!(solve(&profiler, &blocks, &p).is_none());
     }
 
     #[test]
@@ -535,8 +529,8 @@ mod tests {
         // the bottleneck; value with d=4 must be <= value with d=2.
         let (g, blocks) = setup(16, 128, 8);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let v2 = solve(&g, &profiler, &blocks, &params(2, 2)).unwrap().value;
-        let v4 = solve(&g, &profiler, &blocks, &params(2, 4)).unwrap().value;
+        let v2 = solve(&profiler, &blocks, &params(2, 2)).unwrap().value;
+        let v4 = solve(&profiler, &blocks, &params(2, 4)).unwrap().value;
         assert!(v4 <= v2 * 1.0001, "v2={v2} v4={v4}");
     }
 
@@ -547,7 +541,7 @@ mod tests {
         let (g, blocks) = setup(6, 32, 6);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let p = params(2, 3);
-        let dp = solve(&g, &profiler, &blocks, &p).unwrap();
+        let dp = solve(&profiler, &blocks, &p).unwrap();
 
         // brute force all split points and device splits (exactly D devices)
         let nb = blocks.len();
@@ -598,7 +592,7 @@ mod tests {
     fn estimated_iteration_time_formula() {
         let (g, blocks) = setup(8, 64, 4);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let sol = solve(&g, &profiler, &blocks, &params(2, 2)).unwrap();
+        let sol = solve(&profiler, &blocks, &params(2, 2)).unwrap();
         let expect = (4 + 2 - 1) as f64 * sol.value;
         assert!((sol.estimated_iteration_time() - expect).abs() < 1e-12);
     }
@@ -611,7 +605,7 @@ mod tests {
         let (g, blocks) = setup(12, 64, 6);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let cluster = ClusterSpec::v100_cluster(1);
-        let ranges = RangeTable::build(&g, &profiler, &blocks);
+        let ranges = RangeTable::build(&profiler, &blocks);
         let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &params(3, 4));
         let mut arena = DpArena::new();
         let first = form_stage_dp(&ctx, &mut arena).expect("feasible");

@@ -442,8 +442,9 @@ impl Rannc {
     /// are convex and were memory-feasible on the full cluster, so they
     /// are reused directly as the block sequence — skipping the multilevel
     /// block phase (in the planner benchmark's per-layer ledger for BERT
-    /// 2048×256 on 128 devices, coarsening and uncoarsening take about half
-    /// of a [`Rannc::partition`] call and the stage search about 40%) —
+    /// 2048×256 on 128 devices, coarsening and uncoarsening take about
+    /// two thirds of a [`Rannc::partition`] call, and the stage search,
+    /// range table and sweep together, about a fifth) —
     /// and only Algorithm 2's stage-level search reruns against the
     /// degraded cluster's [`ClusterSpec::planning_view`]. If the coarse
     /// warm-start blocks turn out infeasible on the shrunken cluster

@@ -243,6 +243,11 @@ pub fn form_stage_with(
     batch_size: usize,
     opts: &SearchOptions,
 ) -> (Option<DpSolution>, SearchStats) {
+    debug_assert_eq!(
+        g.num_tasks(),
+        cost.graph().num_tasks(),
+        "blocks of another graph"
+    );
     let n_nodes = cluster.nodes;
     let d_node = cluster.node.devices;
     let hetero = cluster.is_heterogeneous();
@@ -271,8 +276,10 @@ pub fn form_stage_with(
     // before the first DP touches any.
     let nb = blocks.len();
     let ranges = {
-        let _pf = rannc_obs::trace::span("prefetch_ranges", "planner").arg_i("blocks", nb as i64);
-        RangeTable::build(g, cost, blocks)
+        let span = rannc_obs::trace::span("prefetch_ranges", "planner").arg_i("blocks", nb as i64);
+        let ranges = RangeTable::build(cost, blocks);
+        let _s = span.arg_i("boundary_rows", ranges.boundary_rows() as i64);
+        ranges
     };
 
     let arenas = ArenaPool::new();
@@ -510,6 +517,40 @@ mod tests {
             assert!(stats.stage_cache.misses > 0, "the DP evaluated no stage");
             assert_eq!(cost.cache_stats().misses, 0, "tp_max {tp_max}");
         }
+    }
+
+    #[test]
+    fn prefetch_span_carries_blocks_and_boundary_rows() {
+        // the span reports the table's own block and boundary-row counts,
+        // and both repeat exactly from run to run
+        let _guard = rannc_obs::trace::test_guard();
+        let g = rannc_models::bert_graph(&rannc_models::BertConfig::tiny());
+        let (profiler, blocks) = prep(&g, 32 << 30);
+        let rows = RangeTable::build(&profiler, &blocks).boundary_rows();
+        assert!(blocks.len() > 1 && rows > 0);
+
+        let cluster = small_cluster(2, 32 << 30);
+        let tid = rannc_obs::trace::current_tid();
+        let arg = |args: &[(&str, rannc_obs::trace::ArgVal)], key| {
+            args.iter().find_map(|(k, v)| match v {
+                rannc_obs::trace::ArgVal::Int(i) if *k == key => Some(*i as usize),
+                _ => None,
+            })
+        };
+        for _ in 0..2 {
+            rannc_obs::set_enabled(true);
+            rannc_obs::trace::reset();
+            form_stage(&g, &profiler, &blocks, &cluster, 32).expect("feasible");
+            rannc_obs::set_enabled(false);
+            // other tests may trace concurrently: keep this thread's span
+            let span = rannc_obs::trace::drain_events()
+                .into_iter()
+                .find(|e| e.tid == tid && e.name == "prefetch_ranges")
+                .expect("prefetch_ranges span");
+            assert_eq!(arg(&span.args, "blocks"), Some(blocks.len()));
+            assert_eq!(arg(&span.args, "boundary_rows"), Some(rows));
+        }
+        rannc_obs::trace::reset();
     }
 
     /// Forwards to a profiler, counting the stages whose memory fits the

@@ -6,11 +6,26 @@
 //! [`RangeTable::build`] computes all of them once per search, up front,
 //! with incremental prefix unions (`[f, t+1)` = `[f, t) ∪ block t`), so a
 //! range query inside the DP is one array index. Each range is a
-//! [`ProfiledSet`] that owns its statistics, filled by the same one-pass
-//! row walk as its egress. A range's time is composed, never walked: the
-//! table keeps one search-wide row of exact per-block time sums per
-//! `(micro-batch, tp)` point, each block's filled once on first use, and
-//! a range costs the sum of its blocks' sums ([`RangeTable::time`]).
+//! [`Prefix`]: a [`rannc_profile::ProfiledSet`] that owns its
+//! statistics, with its egress beside it.
+//!
+//! Both rest on the boundary lemma: a value interior to block `b` (its
+//! producer, if any, and every consumer held by `b` alone, and no model
+//! output) adds the same statistics to every range holding `b` and no
+//! egress, and a task `b` alone holds adds its output bytes the same
+//! way. So the table splits the blocks once
+//! ([`rannc_profile::Profiler::boundary_split`], one pass over the
+//! graph's value rows and one over the blocks' members) into per-block
+//! fixed statistics and the boundary rows, the value rows that cross
+//! blocks; each row `f` adds the fixed parts and walks only the boundary
+//! rows of blocks `f..nb`. The table costs `O(Σ|block| + nb · boundary
+//! rows)` instead of a walk of every member per row, and every range is
+//! bit-identical to a walk of its union.
+//!
+//! A range's time is composed, never walked: the table keeps one
+//! search-wide row of exact per-block time sums per `(micro-batch, tp)`
+//! point, each block's filled once on first use, and a range costs the
+//! sum of its blocks' sums ([`RangeTable::time`]).
 //!
 //! [`DpCtx::eval`] prices one candidate stage: memory first, from the
 //! range's statistics, and time only for a stage that fits. A stage over
@@ -24,9 +39,8 @@ use crate::blocks::Block;
 use crate::dp::DpParams;
 use crate::placement::SlotTable;
 use rannc_cost::CostModel;
-use rannc_graph::{TaskGraph, TaskId, TaskSet};
 use rannc_hw::{ClusterSpec, LinkSpec};
-use rannc_profile::{ProfiledSet, Profiler, TimeSums};
+use rannc_profile::{BoundarySplit, Prefix, Profiler, TimeSums};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -72,19 +86,6 @@ impl StageCost {
     }
 }
 
-/// Union of a block range.
-#[derive(Debug)]
-pub struct RangeInfo {
-    /// Union of the range's block task sets, with its statistics.
-    pub set: ProfiledSet<'static>,
-    /// FP32 bytes of one sample's values leaving the set.
-    pub egress: usize,
-    /// Tasks the range's blocks hold more than once (cloned constants),
-    /// once per extra copy: the sum of the blocks' time sums counts each
-    /// of them that many times too often.
-    extra: Vec<TaskId>,
-}
-
 /// Exact time sums of every block at one `(micro-batch, tp)` point, each
 /// filled on first use. Shared by every DP of a search that prices at
 /// this point.
@@ -99,88 +100,46 @@ pub struct TimeRow {
 /// per-block time sums, one [`TimeRow`] per `(micro-batch, tp)` point.
 pub struct RangeTable {
     nb: usize,
-    blocks: Vec<TaskSet>,
-    ranges: Vec<RangeInfo>,
+    split: BoundarySplit,
+    ranges: Vec<Prefix>,
     rows: Mutex<BTreeMap<(usize, usize), Arc<TimeRow>>>,
 }
 
 impl RangeTable {
-    /// Build the table for `blocks`: one pass per `from` row. Row `f`
-    /// walks `[f, t+1) = [f, t) ∪ block t`, so each block's members are
-    /// read once per row: the whole table costs `O(nb · Σ|block|)`
-    /// instead of a scan of every range. The walk carries each range's
-    /// egress and the tasks its blocks repeat, and
-    /// [`rannc_profile::Profiler::profiled_prefixes`] builds the row's
-    /// unions with their set statistics in the same one pass. No time is
-    /// priced.
+    /// Build the table for `blocks`: split the blocks once at their
+    /// boundary ([`rannc_profile::Profiler::boundary_split`]), then fill
+    /// each row's ranges from the blocks' fixed statistics and a walk of
+    /// their boundary rows ([`BoundarySplit::prefixes`]), which carries
+    /// each range's statistics, egress and the tasks its blocks repeat.
+    /// The split reads every member once; a row reads only the values
+    /// that cross blocks, so the table costs `O(Σ|block| + nb · B)`
+    /// for `B` boundary rows instead of a walk of every member per row.
+    /// No time is priced.
     ///
     /// Exact for any block order: blocks need not be topological, convex
     /// or disjoint (the block phase clones constants into every block
-    /// that reads them). Rows run on the calling thread: at k = 32 the
-    /// whole table is a few milliseconds, and building it on worker
-    /// threads raised the process's peak memory more than it saved time.
-    pub fn build(g: &TaskGraph, cost: &dyn CostModel, blocks: &[Block]) -> Self {
+    /// that reads them). Rows run on the calling thread: the whole table
+    /// costs well under a millisecond at k = 32.
+    pub fn build(cost: &dyn CostModel, blocks: &[Block]) -> Self {
         let nb = blocks.len();
-        // per value: consumer slots a range must hold for the value to stay
-        // inside it (never reached by a model output), and its FP32 bytes
-        let mut facts: Vec<(u32, usize)> = g
-            .values()
-            .map(|(_, val)| (val.consumers.len() as u32, val.size_bytes()))
-            .collect();
-        for &v in g.outputs() {
-            facts[v.index()].0 = u32::MAX;
-        }
-        // per value: in-range consumer slots, and whether its producer is
-        // in range
-        let mut consumed = vec![0u32; facts.len()];
-        let mut produced = vec![false; facts.len()];
-        let mut ranges: Vec<RangeInfo> = Vec::with_capacity(nb * (nb + 1) / 2);
+        let split = cost
+            .profiler()
+            .boundary_split(blocks.iter().map(|b| b.set.clone()).collect());
+        let mut ranges = Vec::with_capacity(nb * (nb + 1) / 2);
         for from in 0..nb {
-            consumed.fill(0);
-            produced.fill(false);
-            let parts: Vec<&TaskSet> = blocks[from..].iter().map(|b| &b.set).collect();
-            let mut egress = 0usize;
-            let mut extra = Vec::new();
-            let sets = cost.profiler().profiled_prefixes(&parts);
-            for (i, (part, set)) in parts.iter().zip(sets).enumerate() {
-                // the row's union so far, when this block shares tasks with it
-                let held = (i > 0)
-                    .then(|| ranges[ranges.len() - 1].set.tasks())
-                    .filter(|prev| prev.intersects(part));
-                for t in part.iter() {
-                    if held.is_some_and(|held| held.contains(t)) {
-                        extra.push(t); // an earlier block of the range holds it
-                        continue;
-                    }
-                    let task = g.task(t);
-                    for &v in &task.outputs {
-                        let v = v.index();
-                        produced[v] = true;
-                        if consumed[v] < facts[v].0 {
-                            egress += facts[v].1;
-                        }
-                    }
-                    for &v in &task.inputs {
-                        let v = v.index();
-                        consumed[v] += 1;
-                        if produced[v] && consumed[v] == facts[v].0 {
-                            egress -= facts[v].1; // its last consumer joined
-                        }
-                    }
-                }
-                ranges.push(RangeInfo {
-                    set,
-                    egress,
-                    extra: extra.clone(),
-                });
-            }
+            ranges.extend(split.prefixes(from));
         }
         RangeTable {
             nb,
-            blocks: blocks.iter().map(|b| b.set.clone()).collect(),
+            split,
             ranges,
             rows: Mutex::new(BTreeMap::new()),
         }
+    }
+
+    /// Boundary rows of the blocks: the value rows a row walk reads.
+    pub fn boundary_rows(&self) -> usize {
+        self.split.boundary_rows()
     }
 
     /// Number of blocks the table covers.
@@ -188,8 +147,8 @@ impl RangeTable {
         self.nb
     }
 
-    /// The union and egress of block range `[from, to)`.
-    pub fn get(&self, from: usize, to: usize) -> &RangeInfo {
+    /// The union, statistics and egress of block range `[from, to)`.
+    pub fn get(&self, from: usize, to: usize) -> &Prefix {
         debug_assert!(from < to && to <= self.nb, "range [{from}, {to})");
         // rows before `from` hold nb, nb−1, …, nb−from+1 ranges
         let row = from * self.nb - from * from.saturating_sub(1) / 2;
@@ -217,12 +176,13 @@ impl RangeTable {
     /// of the range's union.
     pub fn time(&self, profiler: &Profiler<'_>, row: &TimeRow, from: usize, to: usize) -> TimeSums {
         let (batch, tp) = (row.batch, row.tp);
-        let sums = profiler.sum_parts(&row.slots[from..to], &self.blocks[from..to], batch, tp);
-        let extra = &self.get(from, to).extra;
-        if extra.is_empty() {
+        let blocks = &self.split.parts()[from..to];
+        let sums = profiler.sum_parts(&row.slots[from..to], blocks, batch, tp);
+        let repeated = &self.get(from, to).repeated;
+        if repeated.is_empty() {
             sums
         } else {
-            sums - profiler.time_sums(extra.iter().copied(), batch, tp)
+            sums - profiler.time_sums(repeated.iter().copied(), batch, tp)
         }
     }
 }
@@ -395,7 +355,7 @@ mod tests {
         let (g, blocks) = setup();
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let cluster = ClusterSpec::v100_cluster(1);
-        let ranges = RangeTable::build(&g, &profiler, &blocks);
+        let ranges = RangeTable::build(&profiler, &blocks);
         let ctx = |p: &DpParams| DpCtx::new(&profiler, &ranges, &cluster, None, p);
         let nb = blocks.len();
         let a = ctx(&params(1)).eval(0, nb, 1).unwrap();
@@ -411,7 +371,7 @@ mod tests {
     fn fill_matches_union_and_egress_definitions() {
         let (g, blocks) = setup();
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let table = RangeTable::build(&g, &profiler, &blocks);
+        let table = RangeTable::build(&profiler, &blocks);
         let nb = blocks.len();
         assert!(nb > 2, "need several blocks, got {nb}");
         for from in 0..nb {

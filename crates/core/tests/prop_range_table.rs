@@ -1,8 +1,8 @@
-//! The range table's one-pass row walk against the definitions.
+//! The range table's boundary-split row walk against the definitions.
 //!
 //! `RangeTable::build` fills every block range's egress and set
-//! statistics from one walk per row over the blocks' members, and
-//! `RangeTable::time` composes a range's time from per-block time sums.
+//! statistics from each block's fixed statistics and one walk per row
+//! over the blocks' boundary rows, and `RangeTable::time` composes a range's time from per-block time sums.
 //! On random partitions of every bundled model family, disjoint or with
 //! tasks shared by several blocks, in shuffled block order (neither
 //! convex nor topological), every range must hold the union of its
@@ -13,7 +13,12 @@
 //! plan's stages) and the block phase's own blocks, which clone shared
 //! constants into several blocks, are checked the same way, and an
 //! ignored paper-scale run covers all 528 ranges of BERT 2048×256 at
-//! k = 32 (run by `scripts/check.sh`).
+//! k = 32 (run by `scripts/check.sh`). Hand-made blocks stress the
+//! table's boundary split, where a block's interior values add fixed
+//! statistics and only values that cross blocks are walked: a value
+//! every block reads, a weight the first and last block share, a model
+//! output produced and read inside one block, a graph input several
+//! blocks read, and blocks whose every task is a boundary task.
 
 #[path = "support/mod.rs"]
 mod support;
@@ -143,7 +148,7 @@ fn check_ranges(
     let priced = Profiler::new(g, DeviceSpec::v100_32gb(), opts);
     let fresh = Profiler::new(g, DeviceSpec::v100_32gb(), opts);
     let cluster = ClusterSpec::v100_cluster(2);
-    let ranges = RangeTable::build(g, &priced, blocks);
+    let ranges = RangeTable::build(&priced, blocks);
     assert_eq!(priced.cache_stats(), CacheStats::default(), "{what}: build");
     let nb = blocks.len();
     assert_eq!(ranges.blocks(), nb);
@@ -287,6 +292,106 @@ fn row_walk_matches_definitions_on_block_phase_and_warm_start_blocks() {
             opts,
             &format!("{} warm start", g.name),
         );
+    }
+}
+
+/// A layered graph whose natural blocks cross at every kind of value the
+/// boundary split treats apart, with its per-layer task runs. A mask
+/// produced in layer 0 is read by every layer (the attention-mask
+/// fan-out); the weight `tied` is read by layer 0 and by the head in the
+/// last layer; layer 1's sum is a model output its own layer also reads;
+/// and the graph input `x` is read by every layer.
+fn split_stress() -> (TaskGraph, Vec<Vec<TaskId>>) {
+    const LAYERS: usize = 4;
+    let mut b = GraphBuilder::new("split-stress");
+    let x = b.input("x", [4, 8], DType::F32);
+    let raw = b.input("mask", [4, 8], DType::F32);
+    let tied = b.param("tied", [8, 8]);
+    let mask = b.unary(OpKind::Relu, raw);
+    let mut h = b.matmul(x, tied);
+    let mut layers: Vec<Vec<TaskId>> = Vec::new();
+    let mut first = 0;
+    for l in 0..LAYERS {
+        let w = b.param(&format!("w{l}"), [8, 8]);
+        let a = b.matmul(h, w);
+        let s = b.binary(OpKind::Add, a, mask);
+        if l == 1 {
+            b.output(s);
+        }
+        let t = b.binary(OpKind::Mul, s, x);
+        h = b.unary(OpKind::Relu, t);
+        if l == LAYERS - 1 {
+            h = b.matmul(h, tied);
+            b.output(h);
+        }
+        let end = b.graph().num_tasks() as u32;
+        layers.push((first..end).map(TaskId).collect());
+        first = end;
+    }
+    (b.finish(), layers)
+}
+
+/// The split-stress graph in three blockings, each in forward and
+/// reversed order, with and without noise: one block per layer; the
+/// same plus a copy of layer 2, so every task of two blocks is held
+/// twice; and the mask's readers pulled into one block of their own, so
+/// each of its tasks reads values produced in other blocks.
+#[test]
+fn row_walk_matches_definitions_on_split_stress_blocks() {
+    let (g, layers) = split_stress();
+    let n = g.num_tasks();
+    let block = |ids: Vec<TaskId>| Block {
+        set: TaskSet::from_ids(n, ids),
+        time: 0.0,
+        mem: 0,
+    };
+    let mask = g.task(layers[0][0]).outputs[0];
+    let readers = g.value(mask).consumers.clone();
+    let tied = g.task(layers[0][1]).inputs[1];
+    let reading_layers = |v: rannc_graph::ValueId| {
+        layers
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| g.value(v).consumers.iter().any(|c| l.contains(c)))
+            .map(|(i, _)| i)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(reading_layers(mask), (0..layers.len()).collect::<Vec<_>>());
+    assert_eq!(
+        reading_layers(g.input_ids().next().unwrap()).len(),
+        layers.len()
+    );
+    assert_eq!(reading_layers(tied), vec![0, layers.len() - 1]);
+    let inner = g.value(g.outputs()[0]);
+    assert!(layers[1].contains(&inner.producer.unwrap()));
+    assert_eq!(reading_layers(g.outputs()[0]), vec![1]);
+
+    let layered: Vec<Block> = layers.iter().cloned().map(block).collect();
+    let mut copied = layered.clone();
+    copied.insert(1, block(layers[2].clone()));
+    let mut by_reader: Vec<Block> = layers
+        .iter()
+        .map(|l| block(l.iter().copied().filter(|t| !readers.contains(t)).collect()))
+        .collect();
+    by_reader.push(block(readers.clone()));
+    for (what, blocks) in [
+        ("layers", layered),
+        ("copied layer", copied),
+        ("mask readers", by_reader),
+    ] {
+        for reversed in [false, true] {
+            let mut blocks = blocks.clone();
+            if reversed {
+                blocks.reverse();
+            }
+            for opts in [
+                ProfilerOptions::mixed(),
+                ProfilerOptions::mixed().with_noise(0.1, 7),
+            ] {
+                let at = format!("split-stress {what}, reversed {reversed}");
+                check_ranges(&g, &blocks, &PRICINGS, opts, &at);
+            }
+        }
     }
 }
 

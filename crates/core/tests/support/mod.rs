@@ -178,6 +178,11 @@ pub fn exhaustive_cells(
     batch_size: usize,
     tp_max: usize,
 ) -> Vec<TierCells> {
+    assert_eq!(
+        g.num_tasks(),
+        cost.graph().num_tasks(),
+        "blocks of another graph"
+    );
     let d_node = cluster.node.devices;
     let hetero = cluster.is_heterogeneous();
     let mem_limit = if hetero {
@@ -185,7 +190,7 @@ pub fn exhaustive_cells(
     } else {
         cluster.device.memory_bytes
     };
-    let ranges = RangeTable::build(g, cost, blocks);
+    let ranges = RangeTable::build(cost, blocks);
     let mut tiers = Vec::new();
     let mut n = 1usize;
     while n <= cluster.nodes {

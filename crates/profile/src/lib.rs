@@ -23,9 +23,12 @@
 //!   its members. Memory is priced from the statistics alone
 //!   ([`Profiler::profile_mem`]), so an over-memory stage is never
 //!   timed. Every walk reads flat per-task rows built once per
-//!   [`Profiler`], never the graph, and [`Profiler::profiled_prefixes`]
-//!   builds a whole row of prefix unions in one pass. This mirrors how
-//!   RaNNC amortizes profiling across the DP's many candidate stages.
+//!   [`Profiler`], never the graph. A list of parts is split once at its
+//!   boundary ([`Profiler::boundary_split`]): each part's interior
+//!   values and own tasks add fixed statistics, so a row of prefix
+//!   unions walks only the values that cross parts
+//!   ([`BoundarySplit::prefixes`]). This mirrors how RaNNC amortizes
+//!   profiling across the DP's many candidate stages.
 //!
 //! An optional multiplicative noise model emulates real measurement jitter
 //! so robustness of the partitioning algorithms can be tested.
@@ -36,6 +39,6 @@ pub mod profiler;
 
 pub use memory::MemoryParams;
 pub use profiler::{
-    CacheStats, ProfileResult, ProfiledSet, Profiler, ProfilerOptions, TimeSums,
-    MIN_LAUNCH_OVERHEAD,
+    BoundarySplit, CacheStats, Prefix, ProfileResult, ProfiledSet, Profiler, ProfilerOptions,
+    TimeSums, MIN_LAUNCH_OVERHEAD,
 };

@@ -10,6 +10,9 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+mod split;
+pub use split::{BoundarySplit, Prefix};
+
 /// Tunables of the analytical profiler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfilerOptions {
@@ -144,6 +147,16 @@ struct SetStats {
     split_out_bytes: usize,
 }
 
+impl SetStats {
+    /// Add the statistics of a disjoint contribution.
+    fn add(&mut self, other: &SetStats) {
+        self.param_elems += other.param_elems;
+        self.ingress_bytes += other.ingress_bytes;
+        self.inter_act_bytes += other.inter_act_bytes;
+        self.split_out_bytes += other.split_out_bytes;
+    }
+}
+
 /// Fractional bits of the fixed-point time sums: one unit is 2⁻⁸⁰ s.
 const TIME_FRAC_BITS: i32 = 80;
 
@@ -252,7 +265,7 @@ impl CacheStats {
 /// A task set with its batch-independent statistics, priced repeatedly.
 ///
 /// The planner's range table builds one per block range
-/// ([`Profiler::profiled_prefixes`]) and prices it at many
+/// ([`BoundarySplit::prefixes`]) and prices it at many
 /// `(micro-batch, tp)` points from time sums composed of its blocks'
 /// ([`Profiler::sum_parts`]). A set is priced by the profiler that built
 /// it.
@@ -528,35 +541,6 @@ impl<'g> Profiler<'g> {
             set: Cow::Borrowed(set),
             stats: self.set_stats(set),
         }
-    }
-
-    /// Every prefix union `parts[0] ∪ … ∪ parts[i]` of `parts` (in any
-    /// order, possibly overlapping), each with its statistics. One pass
-    /// over the parts' members fills all of them, where profiling each
-    /// union on its own would walk its members anew.
-    pub fn profiled_prefixes(&self, parts: &[&TaskSet]) -> Vec<ProfiledSet<'static>> {
-        self.with_stamps(parts.len(), |stamps, base| {
-            let mut stats = SetStats::default();
-            let mut prefixes: Vec<ProfiledSet<'static>> = Vec::with_capacity(parts.len());
-            for (i, &part) in parts.iter().enumerate() {
-                let prev = prefixes.last().map(|p| &*p.set);
-                // one exact-size allocation per union
-                let union = prev.map_or_else(|| part.clone(), |prev| prev.union(part));
-                let held = prev.filter(|prev| prev.intersects(part));
-                self.add_part(
-                    &mut stats,
-                    stamps,
-                    (base, base + i as u32),
-                    part,
-                    (held, &union),
-                );
-                prefixes.push(ProfiledSet {
-                    set: Cow::Owned(union),
-                    stats,
-                });
-            }
-            prefixes
-        })
     }
 
     /// Exact raw time sums of `tasks` at `(batch, tp)`: one walk over the
@@ -1205,7 +1189,8 @@ mod tests {
         // value read by an early part and produced by a later one must
         // leave the ingress when its producer joins, shared parameters
         // and constants must count once per union, and a task two parts
-        // hold must count once.
+        // hold must count once. Every first part starts a row of
+        // prefixes, as the planner's range table walks them.
         let graphs = [
             bert_graph(&BertConfig::tiny()),
             gpt_graph(&GptConfig::tiny()),
@@ -1230,12 +1215,20 @@ mod tests {
                     .map(|m| TaskSet::from_ids(n, m))
                     .collect();
                 let p = Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-                let prefixes = p.profiled_prefixes(&parts.iter().collect::<Vec<_>>());
-                let mut union = TaskSet::new(n);
-                for (part, prefix) in parts.iter().zip(&prefixes) {
-                    union.union_with(part);
-                    assert_eq!(prefix.tasks(), &union);
-                    assert_eq!(prefix.stats, reference_set_stats(g, &union));
+                let split = p.boundary_split(parts.clone());
+                for from in 0..k {
+                    let prefixes = split.prefixes(from);
+                    assert_eq!(prefixes.len(), k - from);
+                    let mut union = TaskSet::new(n);
+                    let mut copies = 0;
+                    for (part, prefix) in parts[from..].iter().zip(&prefixes) {
+                        copies += part.len();
+                        union.union_with(part);
+                        assert_eq!(prefix.set.tasks(), &union);
+                        assert_eq!(prefix.set.stats, reference_set_stats(g, &union));
+                        assert_eq!(prefix.egress, traverse::egress_bytes(g, &union));
+                        assert_eq!(prefix.repeated.len(), copies - union.len());
+                    }
                 }
                 assert_eq!(p.cache_stats(), CacheStats::default());
             }

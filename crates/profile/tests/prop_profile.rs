@@ -256,7 +256,7 @@ proptest! {
                 mem: 0,
             })
             .collect();
-        let ranges = RangeTable::build(&g, &p, &blocks);
+        let ranges = RangeTable::build(&p, &blocks);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {

@@ -15,8 +15,8 @@ echo "==> paper-scale block-phase parity (BERT 2048x256, k 32, against the refer
 cargo test --release -q -p rannc-core --offline --test prop_blocks_identical -- --ignored
 
 echo "==> paper-scale range-table parity (BERT 2048x256, k 32, all 528 ranges)"
-# ignored in the default run for its size: the one-pass row walk must give
-# every range the egress of its union and statistics that, with its time
+# ignored in the default run for its size: the boundary-split row walk must
+# give every range the egress of its union and statistics that, with its time
 # composed from the blocks' time sums, price it bit-identically to a
 # from-scratch walk of the union
 cargo test --release -q -p rannc-core --offline --test prop_range_table -- --ignored
@@ -59,7 +59,9 @@ echo "==> one-path gate (one stage DP, one graph index, no deleted search, memo 
 # framework stays deleted from the verifier. The profiler keeps no
 # results: its sharded memo and the range-table seeding hint stay
 # deleted, and it holds no lock at all (time sums live in caller-kept
-# one-time slots).
+# one-time slots). The range table has one build path, the boundary
+# split: the per-row full walk (profiled_prefixes) stays deleted, and
+# the from-scratch reference lives only in crates/core/tests/support/.
 DP_ENTRIES="$(grep -rn --include='*.rs' "pub fn form_stage_dp\b" crates/*/src | wc -l)"
 if [ "$DP_ENTRIES" -ne 1 ]; then
     echo "FAILED: expected exactly one pub fn form_stage_dp in crates/*/src, found $DP_ENTRIES"
@@ -78,6 +80,10 @@ fi
 if grep -rnE --include='*.rs' \
     "FlatMemo|CACHE_SHARDS|lock_memo|seed_prefix_unions|seed_prefix_stats" crates/*/src; then
     echo "FAILED: deleted profiler memo machinery referenced in crates/*/src"
+    exit 1
+fi
+if grep -rn --include='*.rs' "profiled_prefixes" crates/*/src; then
+    echo "FAILED: the per-row range walk (profiled_prefixes) referenced in crates/*/src"
     exit 1
 fi
 if grep -rnE --include='*.rs' "try_lock|Mutex|RwLock" crates/profile/src; then
