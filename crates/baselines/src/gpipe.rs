@@ -344,8 +344,8 @@ mod tests {
         let re = simulate_sync(&pinned, SyncSchedule::FillDrain, false).result;
         assert_eq!(base.iteration_time.to_bits(), re.iteration_time.to_bits());
         assert_eq!(
-            spec.allreduce_time().to_bits(),
-            pinned.allreduce_time().to_bits()
+            spec.tail().allreduce.to_bits(),
+            pinned.tail().allreduce.to_bits()
         );
     }
 

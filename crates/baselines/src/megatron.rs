@@ -122,14 +122,16 @@ mod tests {
         let ar_bytes = b * s * h * act_bytes;
         let comm = 4.0
             * dims.layers as f64
-            * cost.allreduce_time(cluster, ar_bytes, t, t > cluster.node.devices);
+            * cost
+                .factors()
+                .allreduce_time(cluster, ar_bytes, t, t > cluster.node.devices);
         let grad_bytes = dims.params() * 4 / t;
         let dp_allreduce = if dp > 1 {
-            cost.allreduce_time(cluster, grad_bytes, dp, true)
+            cost.factors().allreduce_time(cluster, grad_bytes, dp, true)
         } else {
             0.0
         };
-        let optimizer = cost.optimizer_time(dev, grad_bytes);
+        let optimizer = cost.factors().optimizer_time(dev, grad_bytes);
         let iteration = compute + comm + dp_allreduce + optimizer;
         let state_per_param = precision.weight_bytes()
             + precision.master_copy_bytes()

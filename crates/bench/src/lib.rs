@@ -11,6 +11,7 @@
 //! | §IV-C coarsening ablation | `coarsening_ablation` | [`ablation::run`] |
 //! | §IV-B loss validation | `loss_validation` | re-uses `rannc::train` |
 //! | planner engine speedup | `planner_bench` | [`planner::run`] |
+//! | search score vs simulator rank agreement | `score_regret` | [`regret::TierAgreement`] |
 //!
 //! Binaries accept `--quick` for a reduced grid (used in CI); the default
 //! reproduces the paper's full parameter grid. Criterion micro-benchmarks
@@ -20,6 +21,7 @@ pub mod ablation;
 pub mod fig4;
 pub mod fig5;
 pub mod planner;
+pub mod regret;
 pub mod report;
 
 /// Table I of the paper, reproduced verbatim as a feature matrix.

@@ -17,9 +17,8 @@
 //! recorder is off this is one atomic load and an early return.
 
 use crate::plan::PartitionPlan;
-use crate::search::stage_allreduce_time;
 use crate::PlannerStats;
-use rannc_cost::CostModel;
+use rannc_cost::{sync_iteration_time, CostModel, IterationTail, StageGrads};
 use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, Precision};
 use rannc_obs::recorder::{self, AccountingRec, ContextRec, WinnerRec, WinnerStageRec};
@@ -29,11 +28,10 @@ use rannc_verify::{liveness::certify_memory, ScheduleModel};
 /// recording left open by the stage-level search. No-op while the
 /// recorder is disabled.
 ///
-/// The recorded winner score is rebuilt from the plan with
-/// `stage_allreduce_time`, the all-reduce term
-/// [`crate::search::score_solution`] uses, so it is bit-equal to the
-/// score of the winning sweep candidate — `obs::check::check_explain`
-/// cross-checks the two.
+/// The recorded winner score is [`rannc_cost::sync_iteration_time`] of
+/// the plan, from the inputs [`crate::search::score_solution`] reads off
+/// the winning solution, so it is bit-equal to the score of the winning
+/// sweep candidate — `obs::check::check_explain` cross-checks the two.
 pub fn annotate_recording(
     g: &TaskGraph,
     cost: &dyn CostModel,
@@ -70,9 +68,12 @@ pub fn annotate_recording(
     let all_certified = certified.len() == plan.stages.len();
 
     let link = cluster.planning_link();
-    let mut allreduce_max = 0.0f64;
+    let factors = cost.factors();
+    let grads = (plan.stages.iter())
+        .map(|st| StageGrads::of_params(st.param_elems, st.replicas, st.tensor_parallel));
+    let tail = IterationTail::price(cluster, factors, plan.replica_factor, grads.clone());
     let mut stages = Vec::with_capacity(plan.stages.len());
-    for (i, st) in plan.stages.iter().enumerate() {
+    for ((i, st), grad) in plan.stages.iter().enumerate().zip(grads) {
         // stage-boundary activation transfer to the next stage; empty
         // cuts are free (the α–β pricing itself charges latency at 0 B)
         let transfer_time = match plan.stages.get(i + 1) {
@@ -86,17 +87,6 @@ pub fn annotate_recording(
             }
             None => 0.0,
         };
-        let allreduce_time = stage_allreduce_time(
-            cost,
-            cluster,
-            st.param_elems,
-            st.tensor_parallel,
-            st.replicas,
-            plan.replica_factor,
-        );
-        allreduce_max = allreduce_max.max(allreduce_time);
-        // the optimizer steps this shard's gradient slice
-        let grad_bytes = st.param_elems * 4 / st.tensor_parallel;
         stages.push(WinnerStageRec {
             tasks: st.set.len(),
             devices: st.replicas,
@@ -105,8 +95,14 @@ pub fn annotate_recording(
             fwd_time: st.fwd_time,
             bwd_time: st.bwd_time,
             transfer_time,
-            allreduce_time,
-            optimizer_time: cost.optimizer_time(cost.device(), grad_bytes),
+            allreduce_time: grad.allreduce_time(
+                cluster,
+                factors,
+                plan.replica_factor,
+                tail.spans_nodes,
+            ),
+            // the optimizer steps this shard's gradient slice
+            optimizer_time: factors.optimizer_time(&cluster.device, grad.grad_bytes),
             mem_estimate_bytes: st.mem_bytes as u64,
             mem_certified_bytes: if all_certified {
                 Some(certified[i].certified_bytes as u64)
@@ -120,7 +116,7 @@ pub fn annotate_recording(
         stages,
         microbatches: plan.microbatches,
         replica_factor: plan.replica_factor,
-        score: plan.est_iteration_time + allreduce_max,
+        score: sync_iteration_time(plan.stages.len(), plan.microbatches, plan.bottleneck, tail),
         bottleneck: plan.bottleneck,
         est_iteration_time: plan.est_iteration_time,
     });

@@ -39,54 +39,24 @@ use crate::dp::{form_stage_dp, DpArena, DpParams, DpSolution};
 use crate::par;
 use crate::placement::SlotTable;
 use crate::stagecache::{DpCtx, RangeTable};
-use rannc_cost::CostModel;
+use rannc_cost::{sync_iteration_time, CostModel, IterationTail, StageGrads};
 use rannc_graph::TaskGraph;
 use rannc_hw::ClusterSpec;
 use rannc_profile::CacheStats;
 use std::sync::Mutex;
 
 /// Estimated wall time of one training iteration under the synchronous
-/// pipeline for a DP solution: fill–drain pipeline slots plus the
-/// per-iteration gradient all-reduce of the most expensive stage.
+/// pipeline for a DP solution: the closed form
+/// [`rannc_cost::sync_iteration_time`] — fill–drain pipeline slots, then
+/// the slowest stage group's gradient all-reduce and the optimizer step,
+/// the same tail the schedule simulators append.
 pub fn score_solution(sol: &DpSolution, cluster: &ClusterSpec, cost: &dyn CostModel) -> f64 {
-    let allreduce = sol
+    let grads = sol
         .stages
         .iter()
-        .map(|st| {
-            stage_allreduce_time(
-                cost,
-                cluster,
-                st.param_elems,
-                st.tensor_parallel,
-                st.devices,
-                sol.replica_factor,
-            )
-        })
-        .fold(0.0, f64::max);
-    sol.estimated_iteration_time() + allreduce
-}
-
-/// Per-iteration gradient all-reduce time of a stage on `devices` data
-/// parallel units in each of `R` pipeline replicas: `devices × R` replicas
-/// in total, spanning nodes whenever `R > 1`. Each tensor-parallel shard
-/// all-reduces only its own slice of the gradients (4 bytes/param master
-/// precision). Zero for a single replica. The collective is priced
-/// through the cost model, never inline.
-pub(crate) fn stage_allreduce_time(
-    cost: &dyn CostModel,
-    cluster: &ClusterSpec,
-    param_elems: usize,
-    tensor_parallel: usize,
-    devices: usize,
-    replica_factor: usize,
-) -> f64 {
-    let group = devices * replica_factor;
-    if group > 1 {
-        let bytes = param_elems * 4 / tensor_parallel;
-        cost.allreduce_time(cluster, bytes, group, replica_factor > 1)
-    } else {
-        0.0
-    }
+        .map(|st| StageGrads::of_params(st.param_elems, st.devices, st.tensor_parallel));
+    let tail = IterationTail::price(cluster, cost.factors(), sol.replica_factor, grads);
+    sync_iteration_time(sol.stages.len(), sol.microbatches, sol.value, tail)
 }
 
 /// Tuning knobs of the partition-search engine.
@@ -385,12 +355,17 @@ pub fn form_stage_with(
                 solutions[i] = sol;
             }
         }
+        // score each feasible cell once, in grid order
+        let scored: Vec<Option<(f64, DpSolution)>> = solutions
+            .into_iter()
+            .map(|sol| sol.map(|s| (score_solution(&s, cluster, cost), s)))
+            .collect();
         if rannc_obs::recorder::enabled() {
             use rannc_obs::recorder::{candidate, CandidateOutcome};
-            for (p, sol) in grid.iter().zip(&solutions) {
-                let outcome = match sol {
-                    Some(s) => CandidateOutcome::Feasible {
-                        score: score_solution(s, cluster, cost),
+            for (p, cell) in grid.iter().zip(&scored) {
+                let outcome = match cell {
+                    Some((score, s)) => CandidateOutcome::Feasible {
+                        score: *score,
                         bottleneck: s.value,
                     },
                     None => CandidateOutcome::Infeasible,
@@ -398,16 +373,13 @@ pub fn form_stage_with(
                 candidate(p.stages, p.microbatches, p.tp, outcome);
             }
         }
-        let candidates: Vec<DpSolution> = solutions.into_iter().flatten().collect();
+        let candidates: Vec<(f64, DpSolution)> = scored.into_iter().flatten().collect();
         tally.feasible(candidates.len());
-        if !candidates.is_empty() {
-            // Deterministic tie-break: min_by keeps the *first* minimum in
-            // grid order, so the parallel sweep picks the exact candidate
-            // a sequential scan would.
-            let best = candidates.into_iter().min_by(|a, b| {
-                score_solution(a, cluster, cost).total_cmp(&score_solution(b, cluster, cost))
-            });
-            return (best, tally.finish(&arenas));
+        // Deterministic tie-break: min_by keeps the *first* minimum in grid
+        // order, so the parallel sweep picks the exact candidate a
+        // sequential scan would.
+        if let Some((_, best)) = candidates.into_iter().min_by(|a, b| a.0.total_cmp(&b.0)) {
+            return (Some(best), tally.finish(&arenas));
         }
         n *= 2;
     }
@@ -596,19 +568,6 @@ mod tests {
         }
         fn transfer_time(&self, link: LinkSpec, bytes: usize) -> f64 {
             self.inner.transfer_time(link, bytes)
-        }
-        fn allreduce_time(
-            &self,
-            cluster: &ClusterSpec,
-            bytes: usize,
-            group: usize,
-            spans_nodes: bool,
-        ) -> f64 {
-            self.inner
-                .allreduce_time(cluster, bytes, group, spans_nodes)
-        }
-        fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64 {
-            self.inner.optimizer_time(device, grad_bytes)
         }
     }
 

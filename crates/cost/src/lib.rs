@@ -15,29 +15,27 @@
 //! * [`CalibratedCost`] — the analytical model with per-operator and
 //!   per-link correction factors loaded from a JSON [`Calibration`]
 //!   file (e.g. fitted from `rannc-obs` trace exports).
+//!
+//! A synchronous iteration has one closed form, [`sync_iteration_time`]:
+//! the search scores with it, and the simulators append its
+//! [`IterationTail`].
 
 #![warn(missing_docs)]
 
 mod calibration;
+mod iteration;
 mod migration;
 mod model;
 pub mod tensor;
 
 pub use calibration::{Calibration, CalibrationError, CALIBRATION_VERSION};
+pub use iteration::{sync_iteration_time, sync_pipeline_iteration, IterationTail, StageGrads};
 pub use migration::{MigrationCost, MigrationModel};
 pub use model::{CalibratedCost, CostModel, CostModelSpec};
 pub use tensor::{megatron_partition, TransformerDims};
 
+use rannc_hw::{ClusterSpec, DeviceSpec};
 use std::time::Duration;
-
-/// Estimated per-iteration time of a synchronous fill–drain pipeline:
-/// `(MB + S − 1) · V` — `MB` bottleneck slots plus `S − 1` fill/drain
-/// slots at the bottleneck stage time `V`. The planner's DP objective and
-/// every iteration-time report share this one formula.
-#[inline]
-pub fn sync_pipeline_iteration(stages: usize, microbatches: usize, bottleneck: f64) -> f64 {
-    (microbatches + stages - 1) as f64 * bottleneck
-}
 
 /// Scalar correction factors a cost model hands to value types that
 /// cannot hold a trait object (notably `PipelineSpec`, a plain value
@@ -71,6 +69,28 @@ impl CostFactors {
             allreduce_inter: 1.0,
             optimizer: 1.0,
         }
+    }
+
+    /// Gradient all-reduce time of `bytes` over a group of `group`
+    /// devices, crossing nodes or not, at the matching factor.
+    pub fn allreduce_time(
+        &self,
+        cluster: &ClusterSpec,
+        bytes: usize,
+        group: usize,
+        spans_nodes: bool,
+    ) -> f64 {
+        let factor = if spans_nodes {
+            self.allreduce_inter
+        } else {
+            self.allreduce_intra
+        };
+        cluster.replica_allreduce_time(bytes, group, spans_nodes) * factor
+    }
+
+    /// Time of one optimizer (Adam) step over `grad_bytes` of gradients.
+    pub fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64 {
+        device.optimizer_step_time(grad_bytes) * self.optimizer
     }
 }
 

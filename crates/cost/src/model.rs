@@ -73,7 +73,7 @@ pub trait CostModel: Sync {
     /// per-pass activation all-reduce over the `tp`-wide group folded
     /// into the forward and backward times (which is why this variant
     /// needs the cluster), priced through
-    /// [`CostModel::allreduce_time`].
+    /// [`CostFactors::allreduce_time`].
     ///
     /// `tp == 1` is bit-identical to [`CostModel::stage_cost`] of the
     /// set's tasks — same float operations.
@@ -95,7 +95,10 @@ pub trait CostModel: Sync {
             0
         };
         if bytes > 0 {
-            let ar = self.allreduce_time(cluster, bytes, tp, tp > cluster.node.devices);
+            let spans_nodes = tp > cluster.node.devices;
+            let ar = self
+                .factors()
+                .allreduce_time(cluster, bytes, tp, spans_nodes);
             r.fwd_time += ar;
             r.bwd_time += ar;
         }
@@ -127,25 +130,11 @@ pub trait CostModel: Sync {
     /// check for zero themselves, as they always have).
     fn transfer_time(&self, link: LinkSpec, bytes: usize) -> f64;
 
-    /// Gradient all-reduce time over a replica group of `group` devices.
-    /// The caller supplies the layout fact (`spans_nodes`) because each
-    /// call site has its own placement invariant; link selection and the
-    /// ring formula live in `rannc-hw`.
-    fn allreduce_time(
-        &self,
-        cluster: &ClusterSpec,
-        bytes: usize,
-        group: usize,
-        spans_nodes: bool,
-    ) -> f64;
-
-    /// Time for one optimizer (Adam) step over `grad_bytes` of
-    /// gradients on `device`.
-    fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64;
-
-    /// Scalar factors for consumers that cannot hold a trait object
-    /// (e.g. a `PipelineSpec`). Identity for the analytical
-    /// model.
+    /// The model's scalar correction factors. Collectives and optimizer
+    /// steps are priced through them ([`CostFactors::allreduce_time`],
+    /// [`CostFactors::optimizer_time`]), here and in consumers that cannot
+    /// hold a trait object (e.g. a `PipelineSpec`). Identity for the
+    /// analytical model.
     fn factors(&self) -> CostFactors {
         CostFactors::identity()
     }
@@ -202,20 +191,6 @@ impl CostModel for Profiler<'_> {
 
     fn transfer_time(&self, link: LinkSpec, bytes: usize) -> f64 {
         link.transfer_time(bytes)
-    }
-
-    fn allreduce_time(
-        &self,
-        cluster: &ClusterSpec,
-        bytes: usize,
-        group: usize,
-        spans_nodes: bool,
-    ) -> f64 {
-        cluster.replica_allreduce_time(bytes, group, spans_nodes)
-    }
-
-    fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64 {
-        device.optimizer_step_time(grad_bytes)
     }
 }
 
@@ -321,28 +296,6 @@ impl CostModel for CalibratedCost<'_> {
         self.profiler.transfer_time(link, bytes) * self.link_factor(link)
     }
 
-    fn allreduce_time(
-        &self,
-        cluster: &ClusterSpec,
-        bytes: usize,
-        group: usize,
-        spans_nodes: bool,
-    ) -> f64 {
-        let link_factor = if spans_nodes {
-            self.cal.link_inter
-        } else {
-            self.cal.link_intra
-        };
-        self.profiler
-            .allreduce_time(cluster, bytes, group, spans_nodes)
-            * self.cal.allreduce
-            * link_factor
-    }
-
-    fn optimizer_time(&self, device: &DeviceSpec, grad_bytes: usize) -> f64 {
-        self.profiler.optimizer_time(device, grad_bytes) * self.cal.optimizer
-    }
-
     fn factors(&self) -> CostFactors {
         CostFactors {
             compute: self.cal.compute,
@@ -445,12 +398,18 @@ mod tests {
         for spans in [false, true] {
             assert_eq!(
                 cluster.replica_allreduce_time(1 << 26, 4, spans).to_bits(),
-                model.allreduce_time(&cluster, 1 << 26, 4, spans).to_bits()
+                model
+                    .factors()
+                    .allreduce_time(&cluster, 1 << 26, 4, spans)
+                    .to_bits()
             );
         }
         assert_eq!(
             cluster.device.optimizer_step_time(1 << 26).to_bits(),
-            model.optimizer_time(&cluster.device, 1 << 26).to_bits()
+            model
+                .factors()
+                .optimizer_time(&cluster.device, 1 << 26)
+                .to_bits()
         );
     }
 
@@ -480,18 +439,22 @@ mod tests {
         for spans in [false, true] {
             assert_eq!(
                 analytical
+                    .factors()
                     .allreduce_time(&cluster, 1 << 26, 8, spans)
                     .to_bits(),
                 calibrated
+                    .factors()
                     .allreduce_time(&cluster, 1 << 26, 8, spans)
                     .to_bits()
             );
         }
         assert_eq!(
             analytical
+                .factors()
                 .optimizer_time(&cluster.device, 1 << 26)
                 .to_bits(),
             calibrated
+                .factors()
                 .optimizer_time(&cluster.device, 1 << 26)
                 .to_bits()
         );
@@ -533,12 +496,21 @@ mod tests {
                 > analytical.transfer_time(cluster.inter_link, 1 << 20) * 2.0
         );
         assert!(
-            calibrated.allreduce_time(&cluster, 1 << 26, 4, true)
-                > analytical.allreduce_time(&cluster, 1 << 26, 4, true) * 3.0
+            calibrated
+                .factors()
+                .allreduce_time(&cluster, 1 << 26, 4, true)
+                > analytical
+                    .factors()
+                    .allreduce_time(&cluster, 1 << 26, 4, true)
+                    * 3.0
         );
         assert!(
-            calibrated.optimizer_time(&cluster.device, 1 << 26)
-                > analytical.optimizer_time(&cluster.device, 1 << 26)
+            calibrated
+                .factors()
+                .optimizer_time(&cluster.device, 1 << 26)
+                > analytical
+                    .factors()
+                    .optimizer_time(&cluster.device, 1 << 26)
         );
     }
 

@@ -124,17 +124,17 @@ pub fn megatron_partition(
     let compute = fwd * 4.0;
     // 2 activation all-reduces per layer per pass, 4 per layer total
     let ar_bytes = b * s * h * act_bytes;
-    let comm = 4.0
-        * dims.layers as f64
-        * cost.allreduce_time(cluster, ar_bytes, t, t > cluster.node.devices);
+    let f = cost.factors();
+    let comm =
+        4.0 * dims.layers as f64 * f.allreduce_time(cluster, ar_bytes, t, t > cluster.node.devices);
     // data-parallel gradient all-reduce of each shard
     let grad_bytes = dims.params() * 4 / t;
     let dp_allreduce = if dp > 1 {
-        cost.allreduce_time(cluster, grad_bytes, dp, true)
+        f.allreduce_time(cluster, grad_bytes, dp, true)
     } else {
         0.0
     };
-    let optimizer = cost.optimizer_time(dev, grad_bytes);
+    let optimizer = f.optimizer_time(dev, grad_bytes);
     let iteration = compute + comm + dp_allreduce + optimizer;
 
     // --- memory ----------------------------------------------------------

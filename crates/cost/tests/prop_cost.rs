@@ -189,15 +189,15 @@ proptest! {
         let (glo, ghi) = (g1.min(g2), g1.max(g2));
         for_both_models(&cal, |m, cluster, label| {
             for spans in [false, true] {
-                let by_bytes_lo = m.allreduce_time(cluster, blo, ghi, spans);
-                let by_bytes_hi = m.allreduce_time(cluster, bhi, ghi, spans);
+                let by_bytes_lo = m.factors().allreduce_time(cluster, blo, ghi, spans);
+                let by_bytes_hi = m.factors().allreduce_time(cluster, bhi, ghi, spans);
                 assert!(
                     by_bytes_lo <= by_bytes_hi,
                     "{label}/spans={spans}: allreduce({blo} B) = {by_bytes_lo} \
                      > allreduce({bhi} B) = {by_bytes_hi}"
                 );
-                let by_group_lo = m.allreduce_time(cluster, bhi, glo, spans);
-                let by_group_hi = m.allreduce_time(cluster, bhi, ghi, spans);
+                let by_group_lo = m.factors().allreduce_time(cluster, bhi, glo, spans);
+                let by_group_hi = m.factors().allreduce_time(cluster, bhi, ghi, spans);
                 assert!(
                     by_group_lo <= by_group_hi,
                     "{label}/spans={spans}: allreduce(group {glo}) = {by_group_lo} \
@@ -358,8 +358,8 @@ proptest! {
     ) {
         let (lo, hi) = (a.min(b), a.max(b));
         for_both_models(&cal, |m, cluster, label| {
-            let t_lo = m.optimizer_time(&cluster.device, lo);
-            let t_hi = m.optimizer_time(&cluster.device, hi);
+            let t_lo = m.factors().optimizer_time(&cluster.device, lo);
+            let t_hi = m.factors().optimizer_time(&cluster.device, hi);
             assert!(
                 t_lo <= t_hi,
                 "{label}: optimizer({lo}) = {t_lo} > optimizer({hi}) = {t_hi}"

@@ -23,37 +23,6 @@ pub fn ring_allreduce_time(link: LinkSpec, bytes: usize, n: usize) -> f64 {
 }
 
 impl ClusterSpec {
-    /// All-reduce time of `bytes` across the device group `ranks`.
-    ///
-    /// The ring is bottlenecked by its slowest edge: if the group spans
-    /// several nodes, that is the inter-node link; otherwise NVLink.
-    pub fn allreduce_time(&self, bytes: usize, ranks: &[usize]) -> f64 {
-        if ranks.len() <= 1 {
-            return 0.0;
-        }
-        let first_node = self.rank(ranks[0]).node;
-        let spans_nodes = ranks.iter().any(|&r| self.rank(r).node != first_node);
-        let link = if spans_nodes {
-            self.inter_link
-        } else if self.link_overrides.is_empty() {
-            self.node.intra_link
-        } else {
-            // heterogeneous interconnect: the ring is bottlenecked by the
-            // slowest edge it actually crosses — here, this node's link
-            self.node_link(first_node, first_node)
-        };
-        ring_allreduce_time(link, bytes, ranks.len())
-    }
-
-    /// All-reduce across `n` replicas assumed to be spread one per node
-    /// (the common layout for replicated pipeline stages).
-    pub fn allreduce_time_across_nodes(&self, bytes: usize, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        ring_allreduce_time(self.inter_link, bytes, n)
-    }
-
     /// Single entry point for gradient all-reduce over a replica group of
     /// `group` devices: the caller decides whether the group spans nodes
     /// (each site has its own layout invariant — replicated stages sit one
@@ -85,7 +54,7 @@ mod tests {
     fn single_participant_free() {
         assert_eq!(ring_allreduce_time(LinkSpec::nvlink(), 1 << 30, 1), 0.0);
         let c = ClusterSpec::v100_cluster(1);
-        assert_eq!(c.allreduce_time(1 << 30, &[0]), 0.0);
+        assert_eq!(c.replica_allreduce_time(1 << 30, 1, false), 0.0);
     }
 
     #[test]
@@ -101,8 +70,8 @@ mod tests {
     #[test]
     fn cross_node_group_uses_infiniband() {
         let c = ClusterSpec::v100_cluster(2);
-        let intra = c.allreduce_time(1 << 28, &[0, 1, 2, 3]);
-        let inter = c.allreduce_time(1 << 28, &[0, 8]);
+        let intra = c.replica_allreduce_time(1 << 28, 4, false);
+        let inter = c.replica_allreduce_time(1 << 28, 2, true);
         // 2 participants move (2·1/2)·bytes = bytes; 4 participants move
         // 1.5×bytes, but IB is 2× slower than NVLink, so inter wins on time.
         assert!(inter > intra * 0.5, "inter={inter} intra={intra}");
@@ -124,7 +93,7 @@ mod tests {
         let bytes = 340_000_000usize * 4;
         assert_eq!(
             c.replica_allreduce_time(bytes, 4, true).to_bits(),
-            c.allreduce_time_across_nodes(bytes, 4).to_bits()
+            ring_allreduce_time(c.inter_link, bytes, 4).to_bits()
         );
         assert_eq!(
             c.replica_allreduce_time(bytes, 8, false).to_bits(),
@@ -152,12 +121,6 @@ mod tests {
             hetero_intra.replica_allreduce_time(bytes, 4, false)
                 > base.replica_allreduce_time(bytes, 4, false)
         );
-        assert!(
-            hetero_intra.allreduce_time(bytes, &[0, 1]).to_bits()
-                == base.allreduce_time(bytes, &[0, 1]).to_bits(),
-            "node 0's intra link is not overridden"
-        );
-        assert!(hetero_intra.allreduce_time(bytes, &[8, 9]) > base.allreduce_time(bytes, &[8, 9]));
     }
 
     #[test]
@@ -165,7 +128,7 @@ mod tests {
         // 340M params * 4 B = 1.36 GB; across 4 nodes over IB the ring
         // all-reduce should take on the order of 0.1–0.3 s.
         let c = ClusterSpec::v100_cluster(4);
-        let t = c.allreduce_time_across_nodes(340_000_000 * 4, 4);
+        let t = c.replica_allreduce_time(340_000_000 * 4, 4, true);
         assert!(t > 0.05 && t < 0.5, "t = {t}");
     }
 }

@@ -78,7 +78,7 @@ pub fn render(text: &str, top_k: usize) -> Result<String, String> {
         Some(w) => {
             out.push_str(&format!(
                 "\nwinner: {} stage(s), MB={}, R={} — score {} ms \
-                 (pipeline {} ms + allreduce {} ms), bottleneck {} ms\n",
+                 (pipeline {} ms + all-reduce + optimizer {} ms), bottleneck {} ms\n",
                 w.stages.len(),
                 w.microbatches,
                 w.replica_factor,
@@ -180,7 +180,7 @@ pub fn render(text: &str, top_k: usize) -> Result<String, String> {
 
 fn diff_line(label: &str, a: f64, b: f64) -> String {
     format!(
-        "  {:<12} {} -> {} ms ({:+.3} ms, {})\n",
+        "  {:<22} {} -> {} ms ({:+.3} ms, {})\n",
         label,
         ms(a),
         ms(b),
@@ -227,7 +227,7 @@ pub fn render_diff(a_text: &str, b_text: &str) -> Result<String, String> {
                 wb.est_iteration_time,
             ));
             out.push_str(&diff_line(
-                "allreduce",
+                "all-reduce + optimizer",
                 wa.score - wa.est_iteration_time,
                 wb.score - wb.est_iteration_time,
             ));

@@ -165,7 +165,8 @@ pub struct WinnerRec {
     pub microbatches: usize,
     /// Pipeline-replica factor.
     pub replica_factor: usize,
-    /// The score the winner was chosen by (pipeline + all-reduce).
+    /// The score the winner was chosen by: the closed-form iteration
+    /// time, pipeline + slowest gradient all-reduce + optimizer step.
     pub score: f64,
     /// Bottleneck `max fwd + max bwd`, seconds.
     pub bottleneck: f64,

@@ -29,8 +29,9 @@ pub fn simulate_async_2bw(spec: &PipelineSpec) -> SimResult {
         bottleneck = bottleneck.max(t);
     }
     // all-reduce overlaps with compute; only the excess is exposed
-    let exposed_allreduce = (spec.allreduce_time() - bottleneck).max(0.0);
-    let iteration = bottleneck + exposed_allreduce + spec.optimizer_time();
+    let tail = spec.tail();
+    let exposed_allreduce = (tail.allreduce - bottleneck).max(0.0);
+    let iteration = bottleneck + exposed_allreduce + tail.optimizer;
     SimResult::new(iteration, spec.batch_size, busy)
 }
 

@@ -11,7 +11,7 @@
 //! parallelism "could train only the smallest model" (§IV-B).
 
 use crate::spec::SimResult;
-use rannc_cost::CostModel;
+use rannc_cost::{sync_iteration_time, CostModel, IterationTail, StageGrads};
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::ClusterSpec;
 
@@ -75,14 +75,15 @@ pub fn simulate_data_parallel(
     }
     let (micro, prof) = chosen.expect("loop guarantees Some or early return");
 
+    // one stage replicated on every device: the synchronous closed form
+    // at S = 1, with the accumulation steps as its micro-batches
     let steps = per_device.div_ceil(micro);
-    let compute = steps as f64 * (prof.fwd_time + prof.bwd_time);
-    let grad_bytes = prof.param_elems * 4;
-    let ranks: Vec<usize> = (0..devices).collect();
-    let allreduce = cluster.allreduce_time(grad_bytes, &ranks);
-    let optimizer = cost.optimizer_time(&cluster.device, grad_bytes);
-    let iteration = compute + allreduce + optimizer;
-    DataParallelOutcome::Feasible(SimResult::new(iteration, batch_size, vec![compute]))
+    let step = prof.fwd_time + prof.bwd_time;
+    let grads = StageGrads::of_params(prof.param_elems, devices, 1);
+    let tail = IterationTail::price(cluster, cost.factors(), 1, [grads]);
+    let iteration = sync_iteration_time(1, steps, step, tail);
+    let busy = vec![steps as f64 * step];
+    DataParallelOutcome::Feasible(SimResult::new(iteration, batch_size, busy))
 }
 
 #[cfg(test)]

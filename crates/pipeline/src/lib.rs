@@ -99,8 +99,8 @@ pub fn simulate_plan(
 /// cost model is the source of truth for *costs*. This separation lets a
 /// plan produced under profiling noise be evaluated by a clean oracle.
 /// The model's [`CostFactors`](rannc_cost::CostFactors) are embedded into
-/// the spec so downstream pricing (`comm_time`, `allreduce_time`,
-/// `optimizer_time`) stays consistent with the model that built it.
+/// the spec so downstream pricing (`comm_time` and the iteration `tail`)
+/// stays consistent with the model that built it.
 pub fn spec_from_plan(
     plan: &PartitionPlan,
     cost: &dyn CostModel,

@@ -1,6 +1,6 @@
 //! Simulator input/output types.
 
-use rannc_cost::CostFactors;
+use rannc_cost::{CostFactors, IterationTail, StageGrads};
 use rannc_hw::{ClusterSpec, LinkSpec};
 
 /// One pipeline stage as the simulator sees it.
@@ -123,44 +123,15 @@ impl PipelineSpec {
         }
     }
 
-    /// Per-iteration gradient all-reduce time: the slowest stage group.
-    ///
-    /// Stage `i` synchronizes gradients across `replicas × replica_factor`
-    /// devices. The group crosses node boundaries (InfiniBand) when whole
-    /// pipeline replicas span nodes (`replica_factor > 1`) or when one
-    /// pipeline's stages and replicas cannot fit inside a single node —
-    /// the placement any of the compared frameworks would face on the
-    /// paper's 8-GPU nodes.
-    pub fn allreduce_time(&self) -> f64 {
-        let pipeline_devices: usize = self
-            .stages
-            .iter()
-            .map(|s| s.replicas * s.tensor_parallel.max(1))
-            .sum();
-        let spans_nodes = self.replica_factor > 1 || pipeline_devices > self.cluster.node.devices;
-        let factor = if spans_nodes {
-            self.cost.allreduce_inter
-        } else {
-            self.cost.allreduce_intra
-        };
-        let mut worst: f64 = 0.0;
-        for st in &self.stages {
-            let group = st.replicas * self.replica_factor;
-            if group > 1 {
-                let t = self
-                    .cluster
-                    .replica_allreduce_time(st.grad_bytes, group, spans_nodes);
-                worst = worst.max(t * factor);
-            }
-        }
-        worst
-    }
-
-    /// Optimizer-step time: Adam reads/writes ~4 words per parameter, so
-    /// the update is memory-bandwidth bound on the largest stage.
-    pub fn optimizer_time(&self) -> f64 {
-        let worst = self.stages.iter().map(|s| s.grad_bytes).max().unwrap_or(0);
-        self.cluster.device.optimizer_step_time(worst) * self.cost.optimizer
+    /// The iteration tail after the last backward pass, priced as the
+    /// search's closed form prices it.
+    pub fn tail(&self) -> IterationTail {
+        let grads = self.stages.iter().map(|s| StageGrads {
+            grad_bytes: s.grad_bytes,
+            replicas: s.replicas,
+            tensor_parallel: s.tensor_parallel,
+        });
+        IterationTail::price(&self.cluster, self.cost, self.replica_factor, grads)
     }
 }
 
@@ -231,10 +202,10 @@ mod tests {
     #[test]
     fn allreduce_zero_without_replication() {
         let s = toy_spec(2, 4);
-        assert_eq!(s.allreduce_time(), 0.0);
+        assert_eq!(s.tail().allreduce, 0.0);
         let mut r = toy_spec(2, 4);
         r.replica_factor = 2;
-        assert!(r.allreduce_time() > 0.0);
+        assert!(r.tail().allreduce > 0.0);
     }
 
     #[test]
@@ -281,9 +252,9 @@ mod tests {
 
     #[test]
     fn optimizer_time_scales_with_params() {
-        let small = toy_spec(2, 4).optimizer_time();
+        let small = toy_spec(2, 4).tail().optimizer;
         let mut big = toy_spec(2, 4);
         big.stages[0].grad_bytes *= 100;
-        assert!(big.optimizer_time() > small * 50.0);
+        assert!(big.tail().optimizer > small * 50.0);
     }
 }

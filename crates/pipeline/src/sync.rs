@@ -295,7 +295,7 @@ pub fn simulate_sync(
     }
 
     let compute_end = stage_free.iter().cloned().fold(0.0, f64::max);
-    let iteration = compute_end + spec.allreduce_time() + spec.optimizer_time();
+    let iteration = spec.tail().after(compute_end);
     SyncSimOutput {
         result: SimResult::new(iteration, spec.batch_size, busy),
         timeline,
@@ -306,6 +306,7 @@ pub fn simulate_sync(
 mod tests {
     use super::*;
     use crate::spec::{PipelineSpec, StageSpec};
+    use rannc_cost::{sync_iteration_time, IterationTail, StageGrads};
     use rannc_hw::{ClusterSpec, LinkSpec};
 
     fn spec(stages: usize, mb: usize, fwd: f64, bwd: f64) -> PipelineSpec {
@@ -340,17 +341,48 @@ mod tests {
 
     #[test]
     fn fill_drain_matches_closed_form() {
-        // Equal stages, no comm: makespan = (MB + S - 1) * (f + b) exactly
-        // when f == b (the forward and backward wavefronts tile densely).
-        let (s_count, mb, f) = (4, 8, 0.01);
-        let s = spec(s_count, mb, f, f);
-        let out = simulate_sync(&s, SyncSchedule::FillDrain, false);
-        let expect = (mb + s_count - 1) as f64 * 2.0 * f;
-        assert!(
-            (out.result.iteration_time - expect).abs() < 1e-9,
-            "got {}, expected {expect}",
-            out.result.iteration_time
-        );
+        // Equal comm-free stages tile the fill–drain schedule densely, for
+        // any f and b: the last backward ends at (MB + S - 1) * (f + b),
+        // and the iteration is the closed form the search scores with —
+        // that pipeline plus the gradient all-reduce and optimizer tail.
+        // (S, MB, f, b, stage replicas, R, grad bytes, nodes)
+        let cases = [
+            (4, 8, 0.01, 0.01, 1, 1, 0, 1),
+            (4, 8, 0.01, 0.025, 1, 1, 0, 1),
+            (3, 16, 0.004, 0.011, 1, 1, 0, 1),
+            // replicated stages inside one node
+            (3, 4, 0.02, 0.05, 2, 1, 64 << 20, 1),
+            // whole-pipeline replicas
+            (2, 8, 0.003, 0.007, 1, 2, 256 << 20, 2),
+            (2, 4, 0.003, 0.007, 3, 4, 32 << 20, 4),
+            // one pipeline wider than one node (12 devices on 8-GPU nodes)
+            (4, 2, 0.003, 0.007, 3, 1, 32 << 20, 2),
+        ];
+        for (s_count, mb, f, b, replicas, r, grad_bytes, nodes) in cases {
+            let mut s = spec(s_count, mb, f, b);
+            s.replica_factor = r;
+            s.cluster = ClusterSpec::v100_cluster(nodes);
+            for st in &mut s.stages {
+                st.replicas = replicas;
+                st.grad_bytes = grad_bytes;
+            }
+            let got = simulate_sync(&s, SyncSchedule::FillDrain, false)
+                .result
+                .iteration_time;
+            let grads = s.stages.iter().map(|st| StageGrads {
+                grad_bytes: st.grad_bytes,
+                replicas: st.replicas,
+                tensor_parallel: st.tensor_parallel,
+            });
+            let tail = IterationTail::price(&s.cluster, s.cost, r, grads);
+            assert_eq!(tail.allreduce > 0.0, replicas * r > 1);
+            let expect = sync_iteration_time(s_count, mb, f + b, tail);
+            assert!(
+                ((got - expect) / expect).abs() <= 1e-12,
+                "S={s_count} MB={mb} f={f} b={b} x{replicas} R={r}: \
+                 got {got}, expected {expect}"
+            );
+        }
     }
 
     #[test]

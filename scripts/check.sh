@@ -51,7 +51,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, no deleted search, memo or fixpoint machinery)"
+echo "==> one-path gate (one stage DP, one graph index, one iteration closed form, no deleted search, memo or fixpoint machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -88,6 +88,22 @@ if grep -rn --include='*.rs' "profiled_prefixes" crates/*/src; then
 fi
 if grep -rnE --include='*.rs' "try_lock|Mutex|RwLock" crates/profile/src; then
     echo "FAILED: crates/profile/src must hold no lock"
+    exit 1
+fi
+
+# A synchronous iteration has one closed form (rannc-cost's
+# sync_iteration_time and IterationTail): the search score, explain's
+# winner score and the simulators' tails all price through it. The
+# search's own all-reduce term stays deleted, and nothing outside
+# rannc-hw / rannc-cost prices a gradient all-reduce or an optimizer
+# step from the raw hardware formulas.
+if grep -rn --include='*.rs' "stage_allreduce_time" crates/*/src; then
+    echo "FAILED: the deleted per-stage all-reduce term is back in crates/*/src"
+    exit 1
+fi
+if grep -rnE --include='*.rs' "(replica_allreduce_time|optimizer_step_time)\(" \
+    crates tests examples | grep -v '^crates/hw/src/' | grep -v '^crates/cost/src/'; then
+    echo "FAILED: all-reduce or optimizer time priced outside rannc-hw/rannc-cost"
     exit 1
 fi
 
@@ -189,6 +205,12 @@ timeout 120 ./target/release/planner_bench --paper-scale --quick --threads 4 \
     --check --repeat 1 --out BENCH_partition_paper_quick.json \
     || { echo "planner_bench paper-scale smoke FAILED (or blew the 120 s budget)"; exit 1; }
 rm -f BENCH_partition_paper_quick.json
+
+echo "==> score-regret smoke (search score vs simulator on the quick Fig. 4/5 grids)"
+# measurement only: the harness simulates every feasible cell of each
+# winning tier and prints the score/sim error, Kendall tau and top-1 regret
+./target/release/score_regret --quick >/dev/null \
+    || { echo "score_regret smoke FAILED"; exit 1; }
 
 echo "==> observability smoke (trace + metrics export, validated by obs-check)"
 OBS_TMP="$(mktemp -d)"
