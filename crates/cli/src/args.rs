@@ -15,8 +15,12 @@ USAGE:
   rannc-plan explain --diff <ARTIFACT_A> <ARTIFACT_B>
 
 The `faults` subcommand partitions the model, then simulates a long
-training campaign under an injected fault plan with BOTH recovery
-policies (degrade-only vs elastic replan) and reports goodput and MTTR.
+training campaign under an injected fault plan with two policies
+(degrade-in-place vs replan-always) and reports goodput, MTTR and the
+iterations lost since the last checkpoint. The fault plan plays through
+the churn engine: stragglers and link faults slow the starting cluster,
+and each device failure is a leave event. A rank outside the cluster
+exits 1.
 
 The `churn` subcommand simulates continuous cluster churn: a seeded
 stream of join/leave/degrade/recover events plays against the plan
@@ -83,6 +87,7 @@ PLANNER ENGINE OPTIONS:
 FAULT OPTIONS (faults subcommand):
   --fail <RANK@ITER>      kill device RANK at iteration ITER (repeatable)
   --straggler <RANK@X>    rank RANK computes X times slower (repeatable)
+                          (RANK is a global device rank for both flags)
   --link-degrade <F>      links keep fraction F of bandwidth, 0 < F <= 1
   --comm-error <P>        per-transfer failure probability in [0, 1)
   --iterations <N>        campaign length in iterations (default 100000)

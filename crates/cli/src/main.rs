@@ -11,8 +11,10 @@
 //! optionally an ASCII timeline (`--timeline`) or a Graphviz dump of the
 //! partitioned graph (`--dot FILE`).
 //!
-//! The `faults` subcommand partitions the model and then runs a
-//! fault-injected training campaign under both recovery policies:
+//! The `faults` subcommand partitions the model and then plays a fault
+//! plan through the churn campaign engine, degrading in place against
+//! replanning (the `churn` subcommand plays a generated or loaded
+//! cluster-event trace through the same engine):
 //!
 //! ```sh
 //! rannc-plan faults --model mlp --hidden 64 --layers 8 --nodes 2 \
@@ -34,7 +36,7 @@ mod args;
 use args::{Args, ChurnPolicyArg, Command, CostModelArg, ModelKind};
 use rannc::faults::ClusterEventTrace;
 use rannc::pipeline::viz::render_timeline;
-use rannc::pipeline::{ChurnPolicy, ChurnReport, ChurnSimConfig, FaultSimReport};
+use rannc::pipeline::{ChurnPolicy, ChurnReport, ChurnSimConfig};
 use rannc::prelude::*;
 
 fn main() {
@@ -413,8 +415,9 @@ fn run_verify(
     }
 }
 
-/// The `faults` subcommand: simulate the same campaign under both
-/// recovery policies and print a side-by-side report.
+/// The `faults` subcommand: play the fault plan through the churn
+/// engine, degrading in place against replanning, with the iterations
+/// since the last checkpoint re-executed after each loss.
 fn run_faults(
     args: &Args,
     rannc: &Rannc,
@@ -438,6 +441,16 @@ fn run_faults(
     if faults.is_empty() {
         eprintln!("note: no fault events given; simulating a fault-free campaign");
     }
+    let (start, trace) = match faults.to_churn(cluster) {
+        Ok(campaign) => campaign,
+        Err(e) => {
+            eprintln!(
+                "fault plan does not fit the {}x{} cluster: {e}",
+                cluster.nodes, cluster.node.devices
+            );
+            std::process::exit(1);
+        }
+    };
 
     println!(
         "fault campaign: {} iterations, checkpoint every {}, {} scripted event(s), seed {}",
@@ -446,64 +459,8 @@ fn run_faults(
         faults.events().len(),
         args.seed
     );
-    let mut goodputs = Vec::new();
-    for policy in [RecoveryPolicy::Degrade, RecoveryPolicy::Replan] {
-        let cfg = FaultSimConfig {
-            iterations: args.iterations,
-            checkpoint_every: args.checkpoint_every,
-            detect_timeout: args.detect_timeout,
-            restore_cost: args.restore_cost,
-            replan_cost: args.replan_cost,
-            policy,
-        };
-        let report =
-            match rannc::pipeline::simulate_faulted(rannc, plan, cost, cluster, &faults, &cfg) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("fault simulation failed: {e}");
-                    std::process::exit(1);
-                }
-            };
-        print_report(policy, &report);
-        goodputs.push((policy, report.goodput));
-    }
-    if let [(_, degrade), (_, replan)] = goodputs[..] {
-        if replan > degrade && degrade > 0.0 {
-            println!(
-                "\nelastic replanning sustains {:.2}x the goodput of degrade-only recovery",
-                replan / degrade
-            );
-        }
-    }
-}
-
-fn print_report(policy: RecoveryPolicy, r: &FaultSimReport) {
-    println!(
-        "\npolicy {policy:?}: {} iterations in {:.1} s | goodput {:.1} samples/s | \
-         {} recoveries | MTTR {:.1} s{}",
-        r.completed_iterations,
-        r.wall_time,
-        r.goodput,
-        r.recoveries.len(),
-        r.mttr(),
-        if r.halted { " | HALTED" } else { "" },
-    );
-    for rec in &r.recoveries {
-        println!(
-            "  rank {} died at iteration {}: lost {} iteration(s), {:.1} s downtime, {}",
-            rec.rank,
-            rec.at_iter,
-            rec.lost_iters,
-            rec.downtime,
-            if rec.replanned {
-                "re-partitioned for survivors".to_string()
-            } else if rec.new_iteration_time.is_finite() {
-                "kept plan (degraded)".to_string()
-            } else {
-                "unrecoverable".to_string()
-            },
-        );
-    }
+    let policies = [ChurnPolicy::DegradeInPlace, ChurnPolicy::ReplanAlways];
+    run_campaigns(args, rannc, plan, cost, &start, &trace, &policies);
 }
 
 /// The `churn` subcommand: play a cluster-event stream against the plan
@@ -558,8 +515,24 @@ fn run_churn(
             ChurnPolicy::Adaptive,
         ],
     };
+    run_campaigns(args, rannc, plan, cost, cluster, &trace, &policies);
+}
+
+/// Play `trace` from `cluster` under each policy, print every report,
+/// and name the best policy when there is a choice. Only a fault plan
+/// models checkpoints: its losses re-execute the work since the last one.
+fn run_campaigns(
+    args: &Args,
+    rannc: &Rannc,
+    plan: &rannc::core::PartitionPlan,
+    cost: &dyn CostModel,
+    cluster: &ClusterSpec,
+    trace: &ClusterEventTrace,
+    policies: &[ChurnPolicy],
+) {
+    let checkpoint_every = (args.command == Command::Faults).then_some(args.checkpoint_every);
     let mut scored: Vec<(ChurnPolicy, f64)> = Vec::new();
-    for policy in policies {
+    for &policy in policies {
         let cfg = ChurnSimConfig {
             iterations: args.iterations,
             detect_timeout: args.detect_timeout,
@@ -567,17 +540,18 @@ fn run_churn(
             replan_cost: args.replan_cost,
             policy,
             horizon: args.horizon,
+            checkpoint_every,
             ..ChurnSimConfig::default()
         };
-        let report = match rannc::pipeline::simulate_churn(rannc, plan, cost, cluster, &trace, &cfg)
+        let report = match rannc::pipeline::simulate_churn(rannc, plan, cost, cluster, trace, &cfg)
         {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("churn simulation failed: {e}");
+                eprintln!("campaign simulation failed: {e}");
                 std::process::exit(1);
             }
         };
-        print_churn_report(policy, &report);
+        print_churn_report(&cfg, &report);
         scored.push((policy, report.goodput));
     }
     if scored.len() > 1 {
@@ -592,20 +566,26 @@ fn run_churn(
     }
 }
 
-fn print_churn_report(policy: ChurnPolicy, r: &ChurnReport) {
+fn print_churn_report(cfg: &ChurnSimConfig, r: &ChurnReport) {
     println!(
-        "\npolicy {policy:?}: {} iterations in {:.1} s | goodput {:.1} samples/s | \
-         {} replan(s) | MTTR {:.1} s{}",
+        "\npolicy {:?}: {} iterations in {:.1} s | goodput {:.1} samples/s | \
+         {} replan(s) | MTTR {:.1} s{}{}",
+        cfg.policy,
         r.completed_iterations,
         r.wall_time,
         r.goodput,
         r.replans,
         r.mttr(),
+        if cfg.checkpoint_every.is_some() {
+            format!(" | {} lost iteration(s)", r.lost_iters())
+        } else {
+            String::new()
+        },
         if r.halted { " | HALTED" } else { "" },
     );
     for d in &r.decisions {
         println!(
-            "  iter {:>7} {:<8} -> {:<8} {:.1} s downtime, {:.2} ms/iter{}",
+            "  iter {:>7} {:<8} -> {:<8} {:.1} s downtime, {:.2} ms/iter{}{}",
             d.at_iter,
             d.event,
             d.action.tag(),
@@ -617,6 +597,11 @@ fn print_churn_report(policy: ChurnPolicy, r: &ChurnReport) {
             },
             if d.moved_bytes > 0 {
                 format!(", moved {:.1} MiB", d.moved_bytes as f64 / (1 << 20) as f64)
+            } else {
+                String::new()
+            },
+            if d.lost_iters > 0 {
+                format!(", re-ran {} iteration(s)", d.lost_iters)
             } else {
                 String::new()
             },

@@ -1,11 +1,11 @@
 //! Cluster-churn event streams: continuous membership and health change.
 //!
-//! Where a [`crate::FaultPlan`] scripts *failures within one training
-//! run*, a [`ClusterEventTrace`] scripts the *life of the cluster
-//! itself*: devices leave and come back, parts throttle and recover,
-//! fresh nodes join. The trace is plain data plus the seed that
-//! generated it, so a churn campaign replays exactly — same seed, same
-//! events, same replan decisions.
+//! A [`ClusterEventTrace`] scripts the *life of the cluster*: devices
+//! leave and come back, parts throttle and recover, fresh nodes join.
+//! The trace is plain data plus the seed that generated it, so a churn
+//! campaign replays exactly — same seed, same events, same replan
+//! decisions. A [`crate::FaultPlan`]'s device failures become `leave`
+//! events of such a trace ([`crate::FaultPlan::to_churn`]).
 //!
 //! The on-disk format is JSON, schema version 1:
 //!
@@ -54,14 +54,22 @@ pub enum ClusterEvent {
 
 impl ClusterEvent {
     /// Apply the event to a cluster, yielding the changed cluster.
-    /// `Leave` propagates the hw layer's typed [`SpecError`] (last
-    /// device, out-of-shape rank); every other event is total.
+    /// An event naming a device outside the cluster's shape is
+    /// [`SpecError::DeviceOutsideCluster`], and `Leave` of the last
+    /// healthy device is [`SpecError::LastDevice`]; `Join` is total.
     pub fn apply(&self, cluster: &ClusterSpec) -> Result<ClusterSpec, SpecError> {
+        let inside = |rank| {
+            if cluster.contains(rank) {
+                Ok(cluster.clone())
+            } else {
+                Err(SpecError::DeviceOutsideCluster { rank })
+            }
+        };
         match *self {
             ClusterEvent::Leave { rank } => cluster.without_device(rank),
-            ClusterEvent::Recover { rank } => Ok(cluster.clone().with_device_restored(rank)),
+            ClusterEvent::Recover { rank } => Ok(inside(rank)?.with_device_restored(rank)),
             ClusterEvent::Degrade { rank, factor } => {
-                Ok(cluster.clone().with_degraded_device(rank, factor))
+                Ok(inside(rank)?.with_degraded_device(rank, factor))
             }
             ClusterEvent::Join => Ok(cluster.clone().with_joined_node()),
         }
@@ -384,6 +392,35 @@ mod tests {
         }
         let err = ClusterEvent::Leave { rank: rank(0, 7) }.apply(&c);
         assert_eq!(err, Err(SpecError::LastDevice { rank: rank(0, 7) }));
+    }
+
+    #[test]
+    fn degrade_and_recover_outside_the_cluster_are_typed_errors() {
+        // node 9 of a 2-node cluster: no phantom override, no restore
+        let c = ClusterSpec::v100_cluster(2);
+        let bad = rank(9, 0);
+        for event in [
+            ClusterEvent::Degrade {
+                rank: bad,
+                factor: 0.5,
+            },
+            ClusterEvent::Recover { rank: bad },
+            ClusterEvent::Leave { rank: bad },
+        ] {
+            assert_eq!(
+                event.apply(&c),
+                Err(SpecError::DeviceOutsideCluster { rank: bad }),
+                "{event:?}"
+            );
+        }
+        assert_eq!(
+            ClusterEvent::Degrade {
+                rank: rank(0, 8),
+                factor: 0.5
+            }
+            .apply(&c),
+            Err(SpecError::DeviceOutsideCluster { rank: rank(0, 8) })
+        );
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! driving any probabilistic draws (transient communication errors). The
 //! same plan is consumed by two very different executors:
 //!
-//! * `rannc-pipeline`'s analytical simulator, which folds the events into
-//!   its cost model to predict goodput and MTTR under failures, and
+//! * `rannc-pipeline`'s campaign simulator, through
+//!   [`FaultPlan::to_churn`]: the latency faults slow the starting
+//!   cluster, the device failures become a [`ClusterEventTrace`] of
+//!   losses, and the churn engine predicts goodput and MTTR, and
 //! * `rannc-train`'s threaded trainer, which physically kills stage
 //!   threads and exercises detection, checkpoint restore, and resume.
 //!
@@ -19,6 +21,7 @@
 pub mod churn;
 
 pub use churn::{ClusterEvent, ClusterEventTrace, TimedEvent, TraceError};
+use rannc_hw::{ClusterSpec, SpecError};
 
 /// One scripted failure event. Ranks are *global device ranks* for the
 /// simulator and *stage indices* for the threaded trainer — each consumer
@@ -175,6 +178,58 @@ impl FaultPlan {
         1.0 - survive
     }
 
+    /// The plan as a churn campaign on `cluster`: a starting cluster that
+    /// carries the latency faults, plus a trace of the device losses.
+    ///
+    /// * `DeviceFail` becomes a `Leave` of `cluster.rank(rank)` at its
+    ///   iteration, in [`FaultPlan::device_failures`] order.
+    /// * `Straggler` degrades its device on the starting cluster to
+    ///   `1 / slowdown` of its efficiency. It is not an event: it slows
+    ///   the run from iteration 0 and gives a policy nothing to react to.
+    /// * `LinkDegrade` and `TransientCommError` scale every link's
+    ///   bandwidth (both template tiers and any overrides) by
+    ///   [`link_factor`](Self::link_factor) times the expected share of
+    ///   transfers that need no retry, `1 − `[`comm_error_prob`](Self::comm_error_prob).
+    ///
+    /// A rank outside the cluster is [`SpecError::DeviceOutsideCluster`].
+    pub fn to_churn(
+        &self,
+        cluster: &ClusterSpec,
+    ) -> Result<(ClusterSpec, ClusterEventTrace), SpecError> {
+        let rank = |global: usize| {
+            let rank = cluster.rank(global);
+            if cluster.contains(rank) {
+                Ok(rank)
+            } else {
+                Err(SpecError::DeviceOutsideCluster { rank })
+            }
+        };
+        let mut start = cluster.clone();
+        for e in &self.events {
+            if let FaultEvent::Straggler { rank: r, slowdown } = *e {
+                let r = rank(r)?;
+                // a 1x straggler is healthy; an identical override would
+                // still mark the cluster heterogeneous
+                if slowdown > 1.0 {
+                    start = start.with_degraded_device(r, 1.0 / slowdown);
+                }
+            }
+        }
+        let scale = self.link_factor() * (1.0 - self.comm_error_prob());
+        if scale < 1.0 {
+            start.node.intra_link.bandwidth *= scale;
+            start.inter_link.bandwidth *= scale;
+            for o in &mut start.link_overrides {
+                o.link.bandwidth *= scale;
+            }
+        }
+        let mut trace = ClusterEventTrace::new(self.seed);
+        for (r, at_iter) in self.device_failures() {
+            trace.push(at_iter, ClusterEvent::Leave { rank: rank(r)? });
+        }
+        Ok((start, trace))
+    }
+
     /// Seeded stream for this plan's probabilistic draws. Consumers must
     /// create it once per run so identical runs see identical draws.
     pub fn rng(&self) -> FaultRng {
@@ -217,6 +272,7 @@ impl FaultRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rannc_hw::{DeviceRank, LinkSpec};
 
     #[test]
     fn queries_over_mixed_plan() {
@@ -287,6 +343,101 @@ mod tests {
     }
 
     #[test]
+    fn to_churn_maps_failures_stragglers_and_links() {
+        let cluster = ClusterSpec::v100_cluster(2).with_link_override(0, 1, LinkSpec::nvlink());
+        let plan = FaultPlan::new(5)
+            .with_event(FaultEvent::DeviceFail {
+                rank: 9,
+                at_iter: 40,
+            })
+            .with_event(FaultEvent::DeviceFail {
+                rank: 3,
+                at_iter: 40,
+            })
+            .with_event(FaultEvent::DeviceFail {
+                rank: 12,
+                at_iter: 7,
+            })
+            .with_event(FaultEvent::Straggler {
+                rank: 10,
+                slowdown: 4.0,
+            })
+            .with_event(FaultEvent::LinkDegrade { factor: 0.5 })
+            .with_event(FaultEvent::TransientCommError { prob: 0.2 });
+        let (start, trace) = plan.to_churn(&cluster).unwrap();
+
+        // losses in (at_iter, rank) order, on the cluster's geometry
+        let leaves: Vec<(usize, ClusterEvent)> = trace
+            .events()
+            .iter()
+            .map(|e| (e.at_iter, e.event))
+            .collect();
+        let leave = |node, local| ClusterEvent::Leave {
+            rank: DeviceRank { node, local },
+        };
+        assert_eq!(
+            leaves,
+            vec![(7, leave(1, 4)), (40, leave(0, 3)), (40, leave(1, 1))]
+        );
+        assert_eq!(trace.seed(), 5);
+
+        // the straggler is a degraded device from iteration 0
+        let slow = start.device_at(DeviceRank { node: 1, local: 2 });
+        assert_eq!(
+            slow.compute_efficiency,
+            cluster.device.compute_efficiency * 0.25
+        );
+        assert_eq!(start.device_overrides.len(), 1);
+        assert!(start.lost_devices.is_empty());
+
+        // every link, template or override, keeps 0.5 × 0.8 of its bandwidth
+        let scale = 0.5 * (1.0 - plan.comm_error_prob());
+        assert_eq!(
+            start.node.intra_link.bandwidth,
+            cluster.node.intra_link.bandwidth * scale
+        );
+        assert_eq!(
+            start.inter_link.bandwidth,
+            cluster.inter_link.bandwidth * scale
+        );
+        assert_eq!(
+            start.node_link(0, 1).bandwidth,
+            LinkSpec::nvlink().bandwidth * scale
+        );
+        assert_eq!(start.inter_link.latency, cluster.inter_link.latency);
+    }
+
+    #[test]
+    fn to_churn_rejects_ranks_outside_the_cluster() {
+        // ranks 99 and 77 on one 8-device node: typed errors, not a halt
+        // at the failure or a silently ignored straggler
+        let cluster = ClusterSpec::v100_cluster(1);
+        for (event, rank) in [
+            (
+                FaultEvent::DeviceFail {
+                    rank: 99,
+                    at_iter: 10,
+                },
+                99,
+            ),
+            (
+                FaultEvent::Straggler {
+                    rank: 77,
+                    slowdown: 3.0,
+                },
+                77,
+            ),
+        ] {
+            assert_eq!(
+                FaultPlan::new(0).with_event(event).to_churn(&cluster),
+                Err(SpecError::DeviceOutsideCluster {
+                    rank: cluster.rank(rank)
+                })
+            );
+        }
+    }
+
+    #[test]
     fn empty_plan_is_neutral() {
         let plan = FaultPlan::new(1);
         assert!(plan.is_empty());
@@ -294,5 +445,11 @@ mod tests {
         assert_eq!(plan.slowdown_for(0), 1.0);
         assert_eq!(plan.link_factor(), 1.0);
         assert_eq!(plan.comm_error_prob(), 0.0);
+        // and it plays as the cluster itself, with no events
+        let cluster = ClusterSpec::v100_cluster(2);
+        assert_eq!(
+            plan.to_churn(&cluster),
+            Ok((cluster.clone(), ClusterEventTrace::new(1)))
+        );
     }
 }

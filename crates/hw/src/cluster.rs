@@ -321,6 +321,11 @@ impl ClusterSpec {
         }
     }
 
+    /// True when `rank` lies inside the cluster's shape.
+    pub fn contains(&self, rank: DeviceRank) -> bool {
+        rank.node < self.nodes && rank.local < self.node.devices
+    }
+
     /// True when `rank` is marked failed.
     pub fn is_lost(&self, rank: DeviceRank) -> bool {
         self.lost_devices.contains(&rank)
@@ -331,7 +336,7 @@ impl ClusterSpec {
     /// unusable cluster, and [`SpecError::DeviceOutsideCluster`] for a
     /// rank beyond the cluster's shape.
     pub fn without_device(&self, rank: DeviceRank) -> Result<ClusterSpec, SpecError> {
-        if rank.node >= self.nodes || rank.local >= self.node.devices {
+        if !self.contains(rank) {
             return Err(SpecError::DeviceOutsideCluster { rank });
         }
         let mut degraded = self.clone();

@@ -11,7 +11,9 @@
 //! * **asynchronous 2BW pipeline** ([`async2bw`]) — PipeDream-2BW's
 //!   flush-free steady state (higher utilization, parameter staleness);
 //! * **pure data parallelism** ([`dataparallel`]) — per-device full
-//!   replicas with gradient accumulation and ring all-reduce.
+//!   replicas with gradient accumulation and ring all-reduce;
+//! * **campaigns** ([`churn`]) — many iterations of a plan under cluster
+//!   churn or a scripted fault plan, scored on goodput and MTTR.
 //!
 //! The entry point for RaNNC plans is [`simulate_plan`], which converts a
 //! [`rannc_core::PartitionPlan`] into a [`PipelineSpec`] and runs the
@@ -20,7 +22,6 @@
 pub mod async2bw;
 pub mod churn;
 pub mod dataparallel;
-pub mod fault;
 pub mod spec;
 pub mod sync;
 pub mod trace;
@@ -29,7 +30,6 @@ pub mod viz;
 pub use churn::{
     simulate_churn, ChurnAction, ChurnDecision, ChurnPolicy, ChurnReport, ChurnSimConfig,
 };
-pub use fault::{simulate_faulted, FaultSimConfig, FaultSimReport, RecoveryEvent, RecoveryPolicy};
 pub use spec::{PipelineSpec, SimResult, SpecError, StageSpec};
 pub use sync::{
     comm_program, deep_verify_plan, schedule_model, simulate_sync, sync_work_orders, SyncSchedule,

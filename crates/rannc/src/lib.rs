@@ -65,10 +65,7 @@ pub mod prelude {
         bert_graph, gpt_graph, mlp_graph, resnet_graph, t5_graph, BertConfig, GptConfig, MlpConfig,
         ResNetConfig, ResNetDepth, T5Config,
     };
-    pub use rannc_pipeline::{
-        simulate_faulted, simulate_plan, simulate_sync, FaultSimConfig, RecoveryPolicy,
-        SyncSchedule,
-    };
+    pub use rannc_pipeline::{simulate_plan, simulate_sync, SyncSchedule};
     pub use rannc_profile::{Profiler, ProfilerOptions};
 }
 

@@ -51,7 +51,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, one iteration closed form, no deleted search, memo or fixpoint machinery)"
+echo "==> one-path gate (one stage DP, one graph index, one iteration closed form, one campaign simulator, no deleted search, memo or fixpoint machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -116,6 +116,17 @@ fi
 if grep -rnE --include='*.rs' "(\.|::)task_(successors|predecessors)_into\(" crates/*/src \
     | grep -v '^crates/graph/src/index.rs:'; then
     echo "FAILED: task_successors_into/task_predecessors_into called outside the graph index builder"
+    exit 1
+fi
+
+# A training campaign has one simulator, the churn engine: a fault plan
+# plays through it as a starting cluster plus a trace of losses
+# (FaultPlan::to_churn), and priced_iteration_time is the one pricer of a
+# plan's iteration on a changed cluster. The fault engine, its pricer,
+# config and policy enum stay deleted.
+if grep -rnE --include='*.rs' \
+    "simulate_faulted|faulted_iteration_time|FaultSimConfig|RecoveryPolicy" crates/*/src; then
+    echo "FAILED: the deleted fault campaign engine is back in crates/*/src"
     exit 1
 fi
 
@@ -281,6 +292,23 @@ echo "==> churn smoke (seeded 50-event campaign, all policies, verified plans)"
     || { echo "churn trace replay FAILED"; exit 1; }
 ./target/release/rannc-plan obs-check --trace "$OBS_TMP/churn_trace.json" \
     || { echo "churn obs-check FAILED"; exit 1; }
+
+echo "==> faults smoke (README fault plan through the churn engine, out-of-shape rank exits 1)"
+# the README example: a device loss and a straggler, degrade-in-place
+# against replan-always; the obs trace it emits must validate
+./target/release/rannc-plan faults --model mlp --hidden 64 --layers 8 \
+    --nodes 2 --batch 32 --k 8 --fail 0@50000 --straggler 3@2.0 \
+    --trace-out "$OBS_TMP/faults_trace.json" >/dev/null \
+    || { echo "faults campaign FAILED"; exit 1; }
+./target/release/rannc-plan obs-check --trace "$OBS_TMP/faults_trace.json" \
+    || { echo "faults obs-check FAILED"; exit 1; }
+# rank 99 does not exist on one 8-device node: a typed error, exit 1
+status=0
+./target/release/rannc-plan faults --model mlp --hidden 64 --layers 8 \
+    --nodes 1 --batch 32 --k 8 --fail 99@10 >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "rannc-plan faults --fail 99@10 on one node exited $status (expected 1)"; exit 1
+fi
 
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets --offline -- -D warnings
