@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rannc::core::{
     atomic_partition, block_partition, form_stage_dp, BlockLimits, DpArena, DpCtx, DpParams,
-    RangeTable,
+    RangeTable, SlotTable,
 };
 use rannc::prelude::*;
 
@@ -82,7 +82,8 @@ fn bench_stage_dp(c: &mut Criterion) {
                     mem_limit: 32 << 30,
                     tp: 1,
                 };
-                let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &p);
+                let slots = SlotTable::build(&cluster, d, 1, profiler.device(), Precision::FP32);
+                let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, &p);
                 b.iter(|| form_stage_dp(&ctx, &mut DpArena::new()));
             },
         );

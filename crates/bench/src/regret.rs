@@ -15,7 +15,7 @@
 use rannc::core::search::score_solution;
 use rannc::core::{
     atomic_partition, block_partition, form_stage_dp, BlockLimits, DpArena, DpCtx, DpParams,
-    RangeTable,
+    RangeTable, SlotTable,
 };
 use rannc::prelude::*;
 
@@ -78,6 +78,8 @@ impl TierAgreement {
         let mut n = 1;
         while n <= cluster.nodes {
             let r = (cluster.nodes / n).max(1);
+            let precision = cost.options().precision;
+            let slots = SlotTable::build(cluster, d_node * n, r, cost.device(), precision);
             let mut cells = Vec::new();
             for s in (d_node * (n - 1) + 1)..=(d_node * n) {
                 let mut mb = 1;
@@ -91,7 +93,7 @@ impl TierAgreement {
                         mem_limit,
                         tp: 1,
                     };
-                    let ctx = DpCtx::new(cost, &ranges, cluster, None, &p);
+                    let ctx = DpCtx::new(cost, &ranges, cluster, &slots, &p);
                     if let Some(sol) = form_stage_dp(&ctx, &mut arena) {
                         let plan = PartitionPlan::from_solution(g.name.clone(), &sol, p.batch_size);
                         let sim =

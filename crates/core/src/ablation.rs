@@ -198,8 +198,9 @@ mod tests {
     use crate::atomic::atomic_partition;
     use crate::blocks::{block_partition, BlockLimits};
     use crate::dp::{form_stage_dp, DpArena};
+    use crate::placement::SlotTable;
     use crate::stagecache::{DpCtx, RangeTable};
-    use rannc_hw::{ClusterSpec, DeviceSpec};
+    use rannc_hw::{ClusterSpec, DeviceSpec, Precision};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
 
@@ -260,7 +261,14 @@ mod tests {
         );
         let cluster = ClusterSpec::v100_cluster(1);
         let ranges = RangeTable::build(&profiler, &blocks);
-        let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &p);
+        let slots = SlotTable::build(
+            &cluster,
+            p.devices,
+            p.replica_factor,
+            profiler.device(),
+            Precision::FP32,
+        );
+        let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, &p);
         let profiled = form_stage_dp(&ctx, &mut DpArena::new()).unwrap();
         assert!(
             additive.value >= profiled.value,

@@ -119,8 +119,9 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     /// adjacent; that is harmless (a merge of such groups is still legal).
     ///
     /// Each row lists its neighbours in first-occurrence order of the
-    /// [`group_edges`] walk: coarsening and uncoarsening break exact ties
-    /// (identical layers) by this order.
+    /// cross-group edge walk (tasks ascending, each task's successors
+    /// ascending, then the two groups ascending): coarsening and
+    /// uncoarsening break exact ties (identical layers) by this order.
     ///
     /// The boundary holds both ends of every task edge `t → s` that joins
     /// two different groups (`a ∋ t`, `b ∋ s`, `a ≠ b`), a clone's edges

@@ -233,18 +233,24 @@ impl DpArena {
 /// key, so reuse is bit-identical to a fresh arena (`prop_dp_flat.rs`
 /// holds this against a HashMap-memo reference DP).
 ///
-/// With a [`SlotTable`](crate::placement::SlotTable) in `ctx`
-/// (heterogeneous clusters), each candidate stage occupying device slots
-/// `[d′, d)` is additionally checked against the tightest memory of
-/// those slots and its compute time is stretched by the group's worst
-/// slow-down versus the template device. Both
-/// adjustments happen *after* the position-independent memo lookup. The
-/// paper's `d_min` pruning is disabled in that mode: with
-/// position-dependent memory bounds, infeasibility at budget `d` no
-/// longer implies infeasibility below it.
+/// Every candidate is placed: through `ctx`'s
+/// [`SlotTable`](crate::placement::SlotTable), a stage occupying device
+/// slots `[d′, d)` is checked against the tightest memory of those slots
+/// and its compute time is stretched by the group's worst slow-down
+/// versus the template device. Both adjustments happen *after* the
+/// position-independent memo lookup; on a cluster with no overrides
+/// neither changes a bit. The paper's `d_min` pruning runs only on such
+/// clusters: with position-dependent memory bounds, infeasibility at
+/// budget `d` no longer implies infeasibility below it.
 pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
     let p = ctx.params();
     let slots = ctx.slots();
+    // The one planning decision keyed on overrides. The pruning is not
+    // exact: keyed instead on uniform device memory, it changed
+    // churn-bert256-d128's plans (sim_samples_per_s 22.6907 → 22.7963);
+    // dropped altogether it kept every plan but cost resnet152x8-d128
+    // ~37% plan_s_p50 (4.9 → 6.8 ms) and bert256-d128 ~13%.
+    let prune = !ctx.cluster().is_heterogeneous();
     let nb = ctx.ranges().blocks();
     let s_max = p.stages;
     let d_max = p.devices;
@@ -336,17 +342,13 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
                         let Some(cost) = looked_up else {
                             continue; // over device memory
                         };
-                        let (obj_f, obj_b) = match slots {
-                            None => (cost.obj_f, cost.obj_b),
-                            Some(t) => {
-                                // DP units map to physical slot spans of
-                                // width tp: [d_prev·tp, d·tp)
-                                if cost.mem > t.group_mem(d_prev * p.tp, d * p.tp) {
-                                    continue; // over this device group's memory
-                                }
-                                cost.scaled_objectives(t.group_scale(d_prev * p.tp, d * p.tp))
-                            }
-                        };
+                        // DP units map to physical slot spans of width
+                        // tp: [d_prev·tp, d·tp)
+                        let (from, to) = (d_prev * p.tp, d * p.tp);
+                        if cost.mem > slots.group_mem(from, to) {
+                            continue; // over this device group's memory
+                        }
+                        let (obj_f, obj_b) = cost.scaled_objectives(slots.group_scale(from, to));
                         let cand_f = tf[idx(s - 1, b_prev, d_prev)].max(obj_f);
                         let cand_b = tb[idx(s - 1, b_prev, d_prev)].max(obj_b);
                         let cand_v = cand_f + cand_b;
@@ -360,10 +362,10 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
                         }
                     }
                 }
-                if !found && !saw_micro_zero && slots.is_none() {
+                if !found && !saw_micro_zero && prune {
                     // the paper's pruning: a memory-driven failure with
                     // budget d implies failure with any smaller budget.
-                    // Unsound in placed mode, where the memory bound
+                    // Unsound with overrides, where the memory bound
                     // depends on which slots a group lands on.
                     d_min = d_min.max(d + 1);
                     break;
@@ -393,13 +395,8 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
         let (st, cost) = memo[memo_idx(b_prev, b, repl)];
         debug_assert_eq!(st, stamp, "reconstructed stage must be memoised");
         let cost = cost.expect("reconstructed stage must be feasible");
-        let (fwd_time, bwd_time) = match slots {
-            None => (cost.comp_f, cost.comp_b),
-            Some(t) => {
-                let sc = t.group_scale(d_prev * p.tp, d * p.tp);
-                (cost.comp_f * sc, cost.comp_b * sc)
-            }
-        };
+        let sc = slots.group_scale(d_prev * p.tp, d * p.tp);
+        let (fwd_time, bwd_time) = (cost.comp_f * sc, cost.comp_b * sc);
         stages_rev.push(DpStage {
             set: ctx.ranges().get(b_prev, b).set.tasks().clone(),
             block_range: (b_prev, b),
@@ -429,6 +426,7 @@ mod tests {
     use super::*;
     use crate::atomic::atomic_partition;
     use crate::blocks::{block_partition, Block, BlockLimits};
+    use crate::placement::SlotTable;
     use crate::stagecache::RangeTable;
     use rannc_cost::CostModel;
     use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec};
@@ -452,12 +450,25 @@ mod tests {
         (g, blocks)
     }
 
+    /// The placement table of `p`'s tier on `cluster`.
+    fn slot_table(cluster: &ClusterSpec, cost: &dyn CostModel, p: &DpParams) -> SlotTable {
+        let precision = cost.options().precision;
+        SlotTable::build(
+            cluster,
+            p.devices * p.tp,
+            p.replica_factor,
+            cost.device(),
+            precision,
+        )
+    }
+
     /// One DP run on a fresh arena, planned against one V100 node (whose
     /// planning link is NVLink).
     fn solve(cost: &dyn CostModel, blocks: &[Block], p: &DpParams) -> Option<DpSolution> {
         let cluster = ClusterSpec::v100_cluster(1);
         let ranges = RangeTable::build(cost, blocks);
-        let ctx = DpCtx::new(cost, &ranges, &cluster, None, p);
+        let slots = slot_table(&cluster, cost, p);
+        let ctx = DpCtx::new(cost, &ranges, &cluster, &slots, p);
         form_stage_dp(&ctx, &mut DpArena::new())
     }
 
@@ -606,7 +617,8 @@ mod tests {
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let cluster = ClusterSpec::v100_cluster(1);
         let ranges = RangeTable::build(&profiler, &blocks);
-        let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &params(3, 4));
+        let slots = slot_table(&cluster, &profiler, &params(3, 4));
+        let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, &params(3, 4));
         let mut arena = DpArena::new();
         let first = form_stage_dp(&ctx, &mut arena).expect("feasible");
         let (hits, misses) = (arena.hits(), arena.misses());

@@ -338,13 +338,9 @@ impl Rannc {
                 &atomic,
                 BlockLimits {
                     k: self.config.k,
-                    // heterogeneous fleets: a block only needs to fit the
-                    // largest device — per-group bounds are the stage DP's
-                    mem_limit: if cluster.is_heterogeneous() {
-                        cluster.max_memory_bytes()
-                    } else {
-                        cluster.device.memory_bytes
-                    },
+                    // a block only needs to fit the largest device —
+                    // per-group bounds are the stage DP's
+                    mem_limit: cluster.max_memory_bytes(),
                     profile_batch: self.config.profile_batch,
                 },
             )

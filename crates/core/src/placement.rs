@@ -1,4 +1,5 @@
-//! Device-group placement tables for heterogeneous clusters.
+//! Device-group placement tables: the per-slot memory and speed the
+//! stage DP prices a placed stage against.
 //!
 //! Algorithm 1 treats the device pool as interchangeable: a stage using
 //! `d − d′` devices is priced once, independent of *which* devices it
@@ -8,12 +9,11 @@
 //!
 //! A [`SlotTable`] bridges the gap without touching the stage-cost
 //! memo. The planner's device-assignment convention is *contiguous*
-//! (see `PartitionPlan::device_assignment`): within one pipeline
-//! replica, stage boundaries chop the slot range `[0, D)` left to
-//! right, and replica `r` of the pipeline occupies global ranks
-//! `r·D + slot`. So DP cell `(s, b, d)` with predecessor `d′` always
-//! places a stage on slots `[d′, d)` — a position the DP knows — and
-//! the table answers, in O(1):
+//! ([`ClusterSpec::slot_devices`] owns it): within one pipeline replica,
+//! stage boundaries chop the slot range `[0, D)` left to right, and
+//! replica `r` of the pipeline occupies global ranks `r·D + slot`. So DP
+//! cell `(s, b, d)` with predecessor `d′` always places a stage on slots
+//! `[d′, d)` — a position the DP knows — and the table answers, in O(1):
 //!
 //! * the *tightest memory* any replica of those slots offers, and
 //! * the *worst compute slow-down* versus the template device.
@@ -21,9 +21,10 @@
 //! Both are folded over all `R` pipeline replicas, so one table covers
 //! the whole tier. Costs stay memoised position-independently; the
 //! position-dependent memory test and time scale are applied *after*
-//! the memo lookup. On a cluster whose devices all match the template
-//! the scale is exactly `1.0` and the memory bound equals the
-//! template's, making the placed DP bit-identical to the unplaced one.
+//! the memo lookup. Every tier of every cluster is planned through a
+//! table: a homogeneous cluster is the case with no overrides, where the
+//! scale is exactly `1.0` and the memory bound equals the template's,
+//! so the placed DP gives the paper's plain DP bit for bit.
 
 use rannc_hw::{ClusterSpec, DeviceSpec, Precision};
 
@@ -41,10 +42,8 @@ pub struct SlotTable {
 impl SlotTable {
     /// Build the table for a tier: `devices` slots per pipeline replica,
     /// `replica_factor` replicas, priced against `template` at
-    /// `precision`. Global rank `r·devices + slot` hosts replica `r` of
-    /// slot `slot`; ranks beyond the cluster's shape fold in as the
-    /// template device (they can only appear transiently, between a
-    /// node join and the next replan).
+    /// `precision`. The slots map to devices through
+    /// [`ClusterSpec::slot_devices`].
     pub fn build(
         cluster: &ClusterSpec,
         devices: usize,
@@ -52,17 +51,10 @@ impl SlotTable {
         template: &DeviceSpec,
         precision: Precision,
     ) -> SlotTable {
-        let total = cluster.total_devices();
         let mut mem = vec![usize::MAX; devices];
         let mut scale = vec![0.0f64; devices];
         for (slot, (m, sc)) in mem.iter_mut().zip(scale.iter_mut()).enumerate() {
-            for r in 0..replica_factor.max(1) {
-                let global = r * devices + slot;
-                let d = if global < total {
-                    cluster.device_at_global(global)
-                } else {
-                    template
-                };
+            for (_, d) in cluster.slot_devices(slot..slot + 1, devices, replica_factor.max(1)) {
                 *m = (*m).min(d.memory_bytes);
                 *sc = (*sc).max(d.time_scale_vs(template, precision));
             }

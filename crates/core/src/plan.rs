@@ -143,21 +143,20 @@ impl PartitionPlan {
             });
         }
         let per_replica = self.devices_per_replica();
-        let mut out = Vec::with_capacity(self.replica_factor);
-        for r in 0..self.replica_factor {
-            let base = r * per_replica;
-            let mut next = base;
-            let mut stages = Vec::with_capacity(self.stages.len());
-            for s in &self.stages {
-                // slot-width convention: a stage owns `replicas × tp`
-                // contiguous ranks; data-parallel replica j is the
-                // tp-wide tensor group [j·tp, (j+1)·tp) within them
-                let width = s.replicas * s.tensor_parallel;
-                let ranks: Vec<usize> = (next..next + width).collect();
-                next += width;
-                stages.push(ranks);
+        let mut out = vec![Vec::with_capacity(self.stages.len()); self.replica_factor];
+        let mut offset = 0;
+        for s in &self.stages {
+            // slot-width convention: a stage owns `replicas × tp`
+            // contiguous slots; data-parallel replica j is the tp-wide
+            // tensor group [j·tp, (j+1)·tp) within them
+            let width = s.replicas * s.tensor_parallel;
+            let mut ranks = cluster
+                .slot_devices(offset..offset + width, per_replica, self.replica_factor)
+                .map(|(global, _)| global);
+            for stages in &mut out {
+                stages.push(ranks.by_ref().take(width).collect());
             }
-            out.push(stages);
+            offset += width;
         }
         Ok(out)
     }
@@ -289,6 +288,37 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), plan.total_devices());
+    }
+
+    #[test]
+    fn device_assignment_follows_the_slot_walk() {
+        // T = 2, R = 2: stages of 1 and 3 tensor groups, 8 slots per
+        // pipeline replica across two nodes
+        let mut sol = fake_solution();
+        for st in &mut sol.stages {
+            st.tensor_parallel = 2;
+        }
+        let plan = PartitionPlan::from_solution("toy", &sol, 64);
+        let cluster = ClusterSpec::v100_cluster(2);
+        let asg = plan.device_assignment(&cluster).unwrap();
+        assert_eq!(
+            asg,
+            vec![
+                vec![vec![0, 1], (2..8).collect()],
+                vec![vec![8, 9], (10..16).collect()]
+            ]
+        );
+        let mut offset = 0;
+        for (i, st) in plan.stages.iter().enumerate() {
+            let width = st.replicas * st.tensor_parallel;
+            let walk: Vec<usize> = cluster
+                .slot_devices(offset..offset + width, plan.devices_per_replica(), 2)
+                .map(|(global, _)| global)
+                .collect();
+            let assigned: Vec<usize> = asg.iter().flat_map(|rep| rep[i].clone()).collect();
+            assert_eq!(assigned, walk, "stage {i}");
+            offset += width;
+        }
     }
 
     #[test]

@@ -220,15 +220,10 @@ pub fn form_stage_with(
     );
     let n_nodes = cluster.nodes;
     let d_node = cluster.node.devices;
-    let hetero = cluster.is_heterogeneous();
-    // The global bound only pre-filters; in heterogeneous mode the
-    // binding per-group check is the slot table's, so the bound must
-    // admit anything the *largest* device could host.
-    let mem_limit = if hetero {
-        cluster.max_memory_bytes()
-    } else {
-        cluster.device.memory_bytes
-    };
+    // The global bound only pre-filters; the binding per-group check is
+    // the slot table's, so the bound must admit anything the *largest*
+    // device could host.
+    let mem_limit = cluster.max_memory_bytes();
     let threads = if opts.threads == 0 {
         par::max_threads()
     } else {
@@ -293,17 +288,7 @@ pub fn form_stage_with(
         }
         tally.candidates(grid.len());
         // one placement table per tier: it depends only on (D, R)
-        let slots = if hetero {
-            Some(SlotTable::build(
-                cluster,
-                d,
-                r,
-                cost.device(),
-                cost.options().precision,
-            ))
-        } else {
-            None
-        };
+        let slots = SlotTable::build(cluster, d, r, cost.device(), cost.options().precision);
         // Group the grid by (micro-batch count, tensor-parallel degree):
         // all candidates of one group share the arena's memo key (same
         // R, MB, T, ckpt for S ≥ 2), so the flat (b_prev, b, repl) memo
@@ -330,7 +315,7 @@ pub fn form_stage_with(
                         .arg_i("MB", p.microbatches as i64)
                         .arg_i("T", p.tp as i64)
                         .arg_i("n", n as i64);
-                    let ctx = DpCtx::new(cost, &ranges, cluster, slots.as_ref(), p);
+                    let ctx = DpCtx::new(cost, &ranges, cluster, &slots, p);
                     form_stage_dp(&ctx, &mut arena)
                 })
                 .collect();

@@ -72,8 +72,8 @@ impl StageCost {
     /// Objective terms of the stage placed on a device group `scale`×
     /// slower than the template: the compute part stretches, the
     /// communication part does not. `scale == 1.0` short-circuits to the
-    /// memoised terms so a uniform fleet reproduces the homogeneous
-    /// objective bit for bit.
+    /// memoised terms so a uniform fleet prices the unplaced objective
+    /// bit for bit.
     pub fn scaled_objectives(&self, scale: f64) -> (f64, f64) {
         if scale == 1.0 {
             (self.obj_f, self.obj_b)
@@ -202,9 +202,9 @@ pub struct DpCtx<'a> {
     link: LinkSpec,
     /// Collective topology, consulted for tensor-parallel pricing.
     cluster: &'a ClusterSpec,
-    /// Per-slot memory and speed of a heterogeneous tier; `None` on a
-    /// homogeneous cluster.
-    slots: Option<&'a SlotTable>,
+    /// Per-slot memory and speed of the candidate's tier. On a cluster
+    /// with no overrides every group reads as the template device.
+    slots: &'a SlotTable,
     /// The DP parameters (`S`, `D`, `BS`, `R`, `MB`, `T`, memory bound).
     p: DpParams,
     /// Gradient checkpointing active (`S > 1`).
@@ -219,7 +219,7 @@ impl<'a> DpCtx<'a> {
         cost: &'a dyn CostModel,
         ranges: &'a RangeTable,
         cluster: &'a ClusterSpec,
-        slots: Option<&'a SlotTable>,
+        slots: &'a SlotTable,
         p: &DpParams,
     ) -> Self {
         DpCtx {
@@ -244,8 +244,13 @@ impl<'a> DpCtx<'a> {
         self.ranges
     }
 
-    /// The heterogeneous tier's placement table, if any.
-    pub fn slots(&self) -> Option<&'a SlotTable> {
+    /// The cluster the candidate is planned on.
+    pub fn cluster(&self) -> &'a ClusterSpec {
+        self.cluster
+    }
+
+    /// The tier's placement table.
+    pub fn slots(&self) -> &'a SlotTable {
         self.slots
     }
 
@@ -317,7 +322,7 @@ mod tests {
     use crate::atomic::atomic_partition;
     use crate::blocks::{block_partition, BlockLimits};
     use rannc_graph::traverse;
-    use rannc_hw::DeviceSpec;
+    use rannc_hw::{DeviceSpec, Precision};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
 
@@ -356,7 +361,8 @@ mod tests {
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let cluster = ClusterSpec::v100_cluster(1);
         let ranges = RangeTable::build(&profiler, &blocks);
-        let ctx = |p: &DpParams| DpCtx::new(&profiler, &ranges, &cluster, None, p);
+        let slots = SlotTable::build(&cluster, 4, 1, profiler.device(), Precision::FP32);
+        let ctx = |p: &DpParams| DpCtx::new(&profiler, &ranges, &cluster, &slots, p);
         let nb = blocks.len();
         let a = ctx(&params(1)).eval(0, nb, 1).unwrap();
         let b = ctx(&params(2)).eval(0, nb, 1).unwrap();

@@ -11,7 +11,7 @@ mod support;
 use proptest::prelude::*;
 use rannc_core::{
     atomic_partition, block_partition, form_stage_dp, form_stage_with, BlockLimits, DpArena, DpCtx,
-    DpParams, DpSolution, RangeTable, SearchOptions,
+    DpParams, DpSolution, RangeTable, SearchOptions, SlotTable,
 };
 use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, DeviceSpec};
@@ -152,7 +152,10 @@ proptest! {
                             mem_limit: 32 << 30,
                             tp,
                         };
-                        let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &p);
+                        let precision = profiler.options().precision;
+                        let slots =
+                            SlotTable::build(&cluster, devices * tp, repl, profiler.device(), precision);
+                        let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, &p);
                         let fast = form_stage_dp(&ctx, &mut arena);
                         let reference = form_stage_dp_hashmap(&ctx);
                         assert_solutions_identical(

@@ -31,6 +31,9 @@ use std::collections::HashMap;
 pub fn form_stage_dp_hashmap(ctx: &DpCtx) -> Option<DpSolution> {
     const INF: f64 = f64::INFINITY;
     let p = ctx.params();
+    // The reference stays unplaced on a cluster with no overrides, so the
+    // always-placed engine is checked against the paper's plain DP.
+    let placed = ctx.cluster().is_heterogeneous().then(|| ctx.slots());
     let nb = ctx.ranges().blocks();
     let s_max = p.stages;
     let d_max = p.devices;
@@ -81,7 +84,7 @@ pub fn form_stage_dp_hashmap(ctx: &DpCtx) -> Option<DpSolution> {
                         let Some(cost) = looked_up else {
                             continue;
                         };
-                        let (obj_f, obj_b) = match ctx.slots() {
+                        let (obj_f, obj_b) = match placed {
                             None => (cost.obj_f, cost.obj_b),
                             Some(t) => {
                                 if cost.mem > t.group_mem(d_prev * p.tp, d * p.tp) {
@@ -103,7 +106,7 @@ pub fn form_stage_dp_hashmap(ctx: &DpCtx) -> Option<DpSolution> {
                         }
                     }
                 }
-                if !found && !saw_micro_zero && ctx.slots().is_none() {
+                if !found && !saw_micro_zero && placed.is_none() {
                     d_min = d_min.max(d + 1);
                     break;
                 }
@@ -125,7 +128,7 @@ pub fn form_stage_dp_hashmap(ctx: &DpCtx) -> Option<DpSolution> {
         let (b_prev, d_prev) = parent[idx(s, b, d)];
         let repl = d - d_prev;
         let cost = local[&(b_prev, b, repl)].expect("reconstructed stage must be feasible");
-        let (fwd_time, bwd_time) = match ctx.slots() {
+        let (fwd_time, bwd_time) = match placed {
             None => (cost.comp_f, cost.comp_b),
             Some(t) => {
                 let sc = t.group_scale(d_prev * p.tp, d * p.tp);
@@ -184,8 +187,7 @@ pub fn exhaustive_cells(
         "blocks of another graph"
     );
     let d_node = cluster.node.devices;
-    let hetero = cluster.is_heterogeneous();
-    let mem_limit = if hetero {
+    let mem_limit = if cluster.is_heterogeneous() {
         cluster.max_memory_bytes()
     } else {
         cluster.device.memory_bytes
@@ -196,8 +198,7 @@ pub fn exhaustive_cells(
     while n <= cluster.nodes {
         let d = d_node * n;
         let r = (cluster.nodes / n).max(1);
-        let slots = hetero
-            .then(|| SlotTable::build(cluster, d, r, cost.device(), cost.options().precision));
+        let slots = SlotTable::build(cluster, d, r, cost.device(), cost.options().precision);
         let mut cells = Vec::new();
         for s in (d_node * (n - 1) + 1)..=d {
             let mut mb = 1usize;
@@ -215,7 +216,7 @@ pub fn exhaustive_cells(
                         mem_limit,
                         tp: t,
                     };
-                    let ctx = DpCtx::new(cost, &ranges, cluster, slots.as_ref(), &p);
+                    let ctx = DpCtx::new(cost, &ranges, cluster, &slots, &p);
                     cells.push((p, form_stage_dp(&ctx, &mut DpArena::new())));
                 }
                 mb *= 2;

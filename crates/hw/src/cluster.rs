@@ -2,6 +2,7 @@
 
 use crate::device::DeviceSpec;
 use crate::link::LinkSpec;
+use std::ops::Range;
 
 /// One compute node: a set of identical devices joined by an intra-node
 /// interconnect.
@@ -111,7 +112,8 @@ impl std::error::Error for SpecError {}
 /// The whole cluster: `nodes` nodes of `node.devices` devices joined by
 /// `inter_link`, with optional per-device and per-link overrides for
 /// heterogeneous fleets. A cluster with no overrides is exactly the
-/// paper's homogeneous pool and takes the legacy planning paths.
+/// paper's homogeneous pool: every consumer reads it through the same
+/// placed path, which then sees the template at every rank and link.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of compute nodes (`N` in Algorithm 2).
@@ -166,9 +168,11 @@ impl ClusterSpec {
         }
     }
 
-    /// True when any device or link deviates from the template. All
-    /// heterogeneous-only planning machinery keys off this; when it is
-    /// false the planner runs the exact legacy (homogeneous) code paths.
+    /// True when any device or link deviates from the template. Planning,
+    /// verification and pricing do not branch on it: the one decision
+    /// keyed on it is the stage DP's `d_min` pruning, which is exact only
+    /// when the memory bound of a device group does not depend on where
+    /// the group lands.
     #[inline]
     pub fn is_heterogeneous(&self) -> bool {
         !self.device_overrides.is_empty() || !self.link_overrides.is_empty()
@@ -192,27 +196,40 @@ impl ClusterSpec {
     /// Largest usable memory across healthy devices. Falls back to the
     /// template when every device is lost.
     pub fn max_memory_bytes(&self) -> usize {
-        self.healthy_device_memories()
+        (0..self.total_devices())
+            .map(|g| self.rank(g))
+            .filter(|&r| !self.is_lost(r))
+            .map(|r| self.device_at(r).memory_bytes)
             .max()
             .unwrap_or(self.device.memory_bytes)
     }
 
-    /// Smallest usable memory across healthy devices. Falls back to the
-    /// template when every device is lost.
-    pub fn min_memory_bytes(&self) -> usize {
-        self.healthy_device_memories()
-            .min()
-            .unwrap_or(self.device.memory_bytes)
-    }
-
-    fn healthy_device_memories(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.total_devices()).filter_map(|g| {
-            let r = self.rank(g);
-            if self.is_lost(r) {
-                None
-            } else {
-                Some(self.device_at(r).memory_bytes)
-            }
+    /// The devices behind per-replica slots `slots` in each of `replicas`
+    /// pipeline replicas of `per_replica` slots, as `(global rank,
+    /// device)` pairs, replica by replica.
+    ///
+    /// This is the planner's one placement convention: each pipeline
+    /// replica occupies a contiguous rank range, so replica `r` of slot
+    /// `j` is global rank `r·per_replica + j`. Ranks past the cluster's
+    /// shape read as the template device (they can only appear
+    /// transiently, between a node join and the next replan).
+    pub fn slot_devices(
+        &self,
+        slots: Range<usize>,
+        per_replica: usize,
+        replicas: usize,
+    ) -> impl Iterator<Item = (usize, &DeviceSpec)> + '_ {
+        let total = self.total_devices();
+        (0..replicas).flat_map(move |r| {
+            slots.clone().map(move |slot| {
+                let global = r * per_replica + slot;
+                let device = if global < total {
+                    self.device_at_global(global)
+                } else {
+                    &self.device
+                };
+                (global, device)
+            })
         })
     }
 
@@ -305,11 +322,7 @@ impl ClusterSpec {
     /// slowest intra-node tier is used.
     #[inline]
     pub fn planning_link(&self) -> LinkSpec {
-        if self.link_overrides.is_empty() {
-            self.node.intra_link
-        } else {
-            self.slowest_intra_link()
-        }
+        self.slowest_intra_link()
     }
 
     /// Time for `bytes` to move between two global ranks.
@@ -438,9 +451,6 @@ impl ClusterSpec {
             device_overrides: Vec::new(),
             link_overrides: Vec::new(),
         };
-        if !self.is_heterogeneous() {
-            return view;
-        }
         // compose a conservative per-node device over the survivors
         for (new_idx, &old_idx) in survivors.iter().enumerate() {
             let composed = self.compose_node_device(old_idx);
@@ -682,7 +692,7 @@ mod tests {
                 .memory_bytes,
             small.memory_bytes
         );
-        assert_eq!(view.min_memory_bytes(), small.memory_bytes);
+        assert_eq!(view.max_memory_bytes(), c.device.memory_bytes);
     }
 
     #[test]
@@ -702,9 +712,78 @@ mod tests {
     fn memory_extremes_track_overrides() {
         let c = ClusterSpec::v100_cluster(1);
         assert_eq!(c.max_memory_bytes(), c.device.memory_bytes);
-        assert_eq!(c.min_memory_bytes(), c.device.memory_bytes);
-        let h = c.with_device_override(DeviceRank { node: 0, local: 5 }, DeviceSpec::a100_40gb());
+        let a100 = DeviceRank { node: 0, local: 5 };
+        let h = c.with_device_override(a100, DeviceSpec::a100_40gb());
         assert_eq!(h.max_memory_bytes(), 40 * (1 << 30));
-        assert_eq!(h.min_memory_bytes(), h.device.memory_bytes);
+        // a lost device no longer bounds the planner
+        let lost = h.without_device(a100).unwrap();
+        assert_eq!(lost.max_memory_bytes(), lost.device.memory_bytes);
+    }
+
+    #[test]
+    fn slot_devices_walk_replicas_contiguously() {
+        let small = DeviceSpec::v100_32gb().with_memory(16 * (1 << 30));
+        let c = ClusterSpec::v100_cluster(1)
+            .with_device_override(DeviceRank { node: 0, local: 6 }, small.clone());
+        // slots [2, 4) of 2 replicas × 4 slots: replica-major ranks
+        let walk: Vec<(usize, usize)> = c
+            .slot_devices(2..4, 4, 2)
+            .map(|(g, d)| (g, d.memory_bytes))
+            .collect();
+        let big = c.device.memory_bytes;
+        assert_eq!(
+            walk,
+            vec![(2, big), (3, big), (6, small.memory_bytes), (7, big)]
+        );
+        // ranks past the shape read as the template device
+        let past: Vec<usize> = c.slot_devices(0..1, 8, 3).map(|(g, _)| g).collect();
+        assert_eq!(past, vec![0, 8, 16]);
+        assert!(c
+            .slot_devices(0..1, 8, 3)
+            .skip(1)
+            .all(|(_, d)| *d == c.device));
+        assert_eq!(c.slot_devices(0..0, 8, 3).count(), 0);
+    }
+
+    #[test]
+    fn default_valued_link_overrides_read_as_the_plain_cluster() {
+        // overrides that restate the default tiers take the general code
+        // and must land exactly where the plain cluster does
+        let plain = ClusterSpec::v100_cluster(3);
+        let restated = plain
+            .clone()
+            .with_link_override(1, 1, plain.node.intra_link)
+            .with_link_override(0, 2, plain.inter_link);
+        assert!(restated.is_heterogeneous());
+        assert_eq!(restated.planning_link(), plain.planning_link());
+        let bytes = 340_000_000usize * 4;
+        for (group, spans_nodes) in [(3, true), (8, false), (1, true)] {
+            assert_eq!(
+                restated
+                    .replica_allreduce_time(bytes, group, spans_nodes)
+                    .to_bits(),
+                plain
+                    .replica_allreduce_time(bytes, group, spans_nodes)
+                    .to_bits()
+            );
+        }
+        let lost = DeviceRank { node: 2, local: 3 };
+        for (a, b) in [
+            (plain.clone(), restated.clone()),
+            (
+                plain.without_device(lost).unwrap(),
+                restated.without_device(lost).unwrap(),
+            ),
+        ] {
+            let (va, vb) = (a.planning_view(), b.planning_view());
+            assert_eq!((va.nodes, &va.node), (vb.nodes, &vb.node));
+            assert!(vb.device_overrides.is_empty());
+            assert_eq!(vb.planning_link(), va.planning_link());
+            for x in 0..va.nodes {
+                for y in 0..va.nodes {
+                    assert_eq!(vb.node_link(x, y), va.node_link(x, y));
+                }
+            }
+        }
     }
 }

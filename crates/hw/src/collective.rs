@@ -29,14 +29,7 @@ impl ClusterSpec {
     /// per node, tensor-parallel groups fill a node first) and this method
     /// owns the link selection and the ring formula.
     pub fn replica_allreduce_time(&self, bytes: usize, group: usize, spans_nodes: bool) -> f64 {
-        let link = if self.link_overrides.is_empty() {
-            // homogeneous interconnect: the legacy two-tier selection
-            if spans_nodes {
-                self.inter_link
-            } else {
-                self.node.intra_link
-            }
-        } else if spans_nodes {
+        let link = if spans_nodes {
             // a cross-node ring is bottlenecked by its slowest edge
             self.slowest_inter_link()
         } else {

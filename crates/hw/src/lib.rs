@@ -9,9 +9,11 @@
 //!
 //! * device compute peaks and memory capacity ([`DeviceSpec`]),
 //! * point-to-point link bandwidth/latency ([`LinkSpec`]),
-//! * the node/cluster shape ([`ClusterSpec`]) with device-rank geometry,
+//! * the node/cluster shape ([`ClusterSpec`]) with device-rank geometry
+//!   and the one slot-to-rank placement convention
+//!   ([`ClusterSpec::slot_devices`]),
 //! * collective cost models (ring all-reduce) used for the data-parallel
-//!   gradient synchronization ([`ClusterSpec::allreduce_time`]).
+//!   gradient synchronization ([`ClusterSpec::replica_allreduce_time`]).
 //!
 //! Footnote 3 of the paper: "to estimate communication time, we use the
 //! intra-node bandwidth, not the inter-node bandwidth", because the

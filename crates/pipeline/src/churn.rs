@@ -16,11 +16,13 @@
 //! charges each recovered loss the iterations lost since the last
 //! checkpoint.
 //!
-//! Pricing is placement-aware: when the evolved cluster is
-//! heterogeneous, every stage's simulated time is stretched by the
-//! worst [`time_scale`](rannc_hw::DeviceSpec::time_scale_vs) of the
-//! devices its contiguous slot group occupies, the same convention the
-//! placed DP and the plan verifier use.
+//! Pricing is placement-aware: every stage's simulated time is
+//! stretched by the worst
+//! [`time_scale`](rannc_hw::DeviceSpec::time_scale_vs) of the devices
+//! its contiguous slot group occupies
+//! ([`ClusterSpec::slot_devices`], the convention the placed DP and the
+//! plan verifier use). On a cluster with no overrides every scale is
+//! exactly `1.0` and no stage stretches.
 
 use crate::sync::{simulate_sync, SyncSchedule};
 use crate::{spec_from_plan, PlanSpecError};
@@ -186,30 +188,20 @@ fn priced_iteration_time(
     view: &ClusterSpec,
 ) -> Result<f64, PlanSpecError> {
     let mut spec = spec_from_plan(plan, cost, view)?;
-    if view.is_heterogeneous() {
-        let precision = cost.options().precision;
-        let per_replica = plan.devices_per_replica();
-        let mut off = 0usize;
-        for (i, st) in plan.stages.iter().enumerate() {
-            let width = st.replicas * st.tensor_parallel.max(1);
-            let mut worst = 1.0f64;
-            for rep in 0..plan.replica_factor {
-                for slot in off..off + width {
-                    let g = rep * per_replica + slot;
-                    if g < view.total_devices() {
-                        worst = worst.max(
-                            view.device_at_global(g)
-                                .time_scale_vs(&view.device, precision),
-                        );
-                    }
-                }
-            }
-            if worst > 1.0 {
-                spec.stages[i].fwd_time *= worst;
-                spec.stages[i].bwd_time *= worst;
-            }
-            off += width;
+    let precision = cost.options().precision;
+    let per_replica = plan.devices_per_replica();
+    let mut off = 0usize;
+    for (i, st) in plan.stages.iter().enumerate() {
+        let width = st.replicas * st.tensor_parallel.max(1);
+        let worst = view
+            .slot_devices(off..off + width, per_replica, plan.replica_factor)
+            .map(|(_, d)| d.time_scale_vs(&view.device, precision))
+            .fold(1.0f64, f64::max);
+        if worst > 1.0 {
+            spec.stages[i].fwd_time *= worst;
+            spec.stages[i].bwd_time *= worst;
         }
+        off += width;
     }
     Ok(simulate_sync(&spec, SyncSchedule::FillDrain, false)
         .result

@@ -8,7 +8,9 @@
 //! gradient all-reduce per replicated stage. [`CommProgram::derive`]
 //! materialises that program from the plan, the placement
 //! (`assignment[pipeline_replica][stage] = global ranks`, the
-//! `SlotTable` convention) and the stage's *actual* [`ScheduleModel`]
+//! contiguous convention of
+//! [`ClusterSpec::slot_devices`](rannc_hw::ClusterSpec::slot_devices)) and the
+//! stage's *actual* [`ScheduleModel`]
 //! issue order; [`verify_comm`] then checks it the way an MPI
 //! verifier would:
 //!

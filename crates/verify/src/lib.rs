@@ -56,8 +56,8 @@ use rannc_hw::{ClusterSpec, Precision};
 /// (RV063/RV064).
 ///
 /// `assignment` is `assignment[pipeline_replica][stage] = global ranks`
-/// (the `SlotTable` convention; `PartitionPlan::device_assignment`
-/// produces it). The certified stages are returned alongside the report
+/// (the contiguous convention of [`ClusterSpec::slot_devices`];
+/// `PartitionPlan::device_assignment` produces it). The certified stages are returned alongside the report
 /// so callers can inspect the bounds that back the diagnostics.
 pub fn verify_deep(
     g: &rannc_graph::TaskGraph,

@@ -26,10 +26,11 @@
 //! is the same program, so its liveness peak is the same bound.
 //!
 //! The certified peak is checked against the capacity of every device
-//! slot the stage lands on (contiguous assignment convention, the same
-//! walk as `SlotTable`/RV027) — an overflow is RV100, anchored at the
-//! offending [`Location::Device`]. A profiler estimate *below* the
-//! certified peak means the plan was priced optimistically: RV101.
+//! slot the stage lands on (the contiguous walk of
+//! [`ClusterSpec::slot_devices`], as in RV027) — an overflow is RV100,
+//! anchored at the offending [`Location::Device`]. A profiler estimate
+//! *below* the certified peak means the plan was priced optimistically:
+//! RV101.
 
 use crate::diag::{Code, Diagnostic, Location, Report};
 use crate::plan_checks::PlanView;
@@ -188,22 +189,18 @@ pub fn certify_memory(
             shard_elems * mem.state_bytes_per_param() + activations + DEVICE_OVERHEAD_BYTES;
 
         // Tightest device over every (pipeline replica, slot) the stage
-        // occupies — the same contiguous walk as RV027/SlotTable, kept
-        // per-slot so the finding can name the device.
+        // occupies, kept per-slot so the finding can name the device.
         let mut capacity = usize::MAX;
         let mut device = offset;
-        for rep in 0..plan.replica_factor.max(1) {
-            for slot in offset..offset + width {
-                let global = rep * per_replica + slot;
-                let d = if global < cluster.total_devices() {
-                    cluster.device_at_global(global)
-                } else {
-                    &cluster.device
-                };
-                if d.memory_bytes < capacity {
-                    capacity = d.memory_bytes;
-                    device = global;
-                }
+        let group = cluster.slot_devices(
+            offset..offset + width,
+            per_replica,
+            plan.replica_factor.max(1),
+        );
+        for (global, d) in group {
+            if d.memory_bytes < capacity {
+                capacity = d.memory_bytes;
+                device = global;
             }
         }
         if capacity == usize::MAX {

@@ -438,11 +438,10 @@ fn check_zero_compute(g: &TaskGraph, plan: &PlanView<'_>, compatible: &[bool], r
 
 /// RV027: profiled peak memory must fit the devices the stage runs on.
 ///
-/// Homogeneous clusters check against the template device. On a
-/// heterogeneous cluster the check follows the contiguous assignment
-/// convention (replica `r` of per-replica slot `j` is global rank
-/// `r·D + j`) and each stage must fit the *smallest* device any of its
-/// replicas lands on.
+/// The check follows the contiguous assignment convention
+/// ([`ClusterSpec::slot_devices`]) and each stage must fit the
+/// *smallest* device any of its replicas lands on; a cluster with no
+/// overrides reads as the template device everywhere.
 fn check_memory(plan: &PlanView<'_>, cluster: &ClusterSpec, r: &mut Report) {
     let per_replica: usize = plan
         .stages
@@ -452,23 +451,15 @@ fn check_memory(plan: &PlanView<'_>, cluster: &ClusterSpec, r: &mut Report) {
     let mut offset = 0usize;
     for (i, s) in plan.stages.iter().enumerate() {
         let width = s.replicas * s.tensor_parallel;
-        let cap = if cluster.is_heterogeneous() {
-            let mut cap = usize::MAX;
-            for rep in 0..plan.replica_factor.max(1) {
-                for slot in offset..offset + width {
-                    let global = rep * per_replica + slot;
-                    let d = if global < cluster.total_devices() {
-                        cluster.device_at_global(global)
-                    } else {
-                        &cluster.device
-                    };
-                    cap = cap.min(d.memory_bytes);
-                }
-            }
-            cap
-        } else {
-            cluster.device.memory_bytes
-        };
+        let cap = cluster
+            .slot_devices(
+                offset..offset + width,
+                per_replica,
+                plan.replica_factor.max(1),
+            )
+            .map(|(_, d)| d.memory_bytes)
+            .min()
+            .unwrap_or(cluster.device.memory_bytes); // zero-replica stage: RV029 territory
         if s.mem_bytes > cap {
             r.push(Diagnostic::new(
                 Code::MemoryOverCapacity,

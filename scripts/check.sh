@@ -130,6 +130,47 @@ if grep -rnE --include='*.rs' \
     exit 1
 fi
 
+echo "==> one-placement gate (every cluster planned, verified and priced through the placed path)"
+# A homogeneous cluster is a cluster with no overrides: the planner, the
+# verifier, the churn pricer and the link selectors have no separate path
+# for it. Outside non-test code is_heterogeneous() chooses only the stage
+# DP's d_min pruning (the score-regret harness asserts it too); no link
+# selector short-cuts on an empty override table; the contiguous slot
+# rule (replica r of slot j is rank r·per_replica + j) is written once,
+# in ClusterSpec::slot_devices; and the optional placement table stays
+# deleted. The rannc_benchmark package is exempt (it has its own
+# workspace and is changed only with the benchmark).
+HETERO_HITS="$(find crates/*/src -name '*.rs' ! -path '*/rannc_benchmark/*' -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    | grep -F 'is_heterogeneous()' | grep -vE '^[^:]+:[0-9]+: *//' \
+    | grep -vE '^crates/core/src/dp\.rs:[0-9]+: +let prune = !ctx\.cluster\(\)\.is_heterogeneous\(\);$' \
+    | grep -vE '^crates/bench/src/regret\.rs:[0-9]+: +assert!\(!cluster\.is_heterogeneous\(\), ' \
+    || true)"
+if [ -n "$HETERO_HITS" ]; then
+    echo "$HETERO_HITS"
+    echo "FAILED: is_heterogeneous() chooses a path outside the stage DP's d_min pruning"
+    exit 1
+fi
+if grep -rn --include='*.rs' "link_overrides.is_empty()" crates tests examples \
+    --exclude-dir=rannc_benchmark \
+    | grep -vF '!self.device_overrides.is_empty() || !self.link_overrides.is_empty()'; then
+    echo "FAILED: a link selector short-cuts on an empty override table"
+    exit 1
+fi
+if grep -rn --include='*.rs' '\* per_replica +' crates tests examples \
+    --exclude-dir=rannc_benchmark | grep -v '^crates/hw/src/cluster.rs:'; then
+    echo "FAILED: the slot-to-rank rule written outside ClusterSpec::slot_devices"
+    exit 1
+fi
+if [ "$(grep -c '\* per_replica +' crates/hw/src/cluster.rs)" -ne 1 ]; then
+    echo "FAILED: expected the slot-to-rank rule exactly once in ClusterSpec::slot_devices"
+    exit 1
+fi
+if grep -rnF --include='*.rs' "Option<&'a SlotTable>" crates tests examples; then
+    echo "FAILED: the optional placement table is back"
+    exit 1
+fi
+
 echo "==> one-reader gate (artifact loaders decode through obs::json::decode)"
 # Every JSON loader reads through the strict reader in rannc-obs's json
 # module: outside it, no non-test code under crates/*/src parses JSON or
@@ -312,6 +353,9 @@ fi
 
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "==> cargo doc (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -2,13 +2,15 @@
 //!
 //! The heterogeneity layer's contract: a cluster whose devices and links
 //! are all *functionally* identical to the template must produce plans
-//! bit-identical to the legacy homogeneous planner — even when the
-//! cluster is *formally* heterogeneous (overrides present) and therefore
-//! takes the placement-aware DP path. The suite forces that path with
-//! name-only device overrides (same numbers, different label): the slot
-//! table's time scale is then exactly `1.0` and every group memory bound
-//! equals the template's, so any deviation from the legacy plan is a
-//! planner bug, not a rounding artifact.
+//! bit-identical to the plain cluster's — even when the cluster is
+//! *formally* heterogeneous (overrides present), which also turns off
+//! the stage DP's `d_min` pruning. The suite forces that with name-only
+//! device overrides (same numbers, different label), where the slot
+//! table's time scale is exactly `1.0` and every group memory bound
+//! equals the template's, and with link overrides that restate the
+//! default tiers, where every link read lands on the default link. Any
+//! deviation from the plain plan is a planner bug, not a rounding
+//! artifact.
 
 use rannc::core::{PartitionConfig, PartitionPlan, Rannc};
 use rannc::graph::TaskGraph;
@@ -40,6 +42,25 @@ fn name_tagged(cluster: &ClusterSpec) -> ClusterSpec {
     }
     assert!(tagged.is_heterogeneous());
     tagged
+}
+
+/// Override every intra-node link and every inter-node pair with the
+/// default tier it already has: functionally identical, formally
+/// heterogeneous.
+fn link_restated(cluster: &ClusterSpec) -> ClusterSpec {
+    let mut restated = cluster.clone();
+    for a in 0..cluster.nodes {
+        for b in a..cluster.nodes {
+            let link = if a == b {
+                cluster.node.intra_link
+            } else {
+                cluster.inter_link
+            };
+            restated = restated.with_link_override(a, b, link);
+        }
+    }
+    assert!(restated.is_heterogeneous());
+    restated
 }
 
 /// Field-by-field equality with float fields compared by bit pattern.
@@ -91,13 +112,17 @@ fn assert_plans_identical(a: &PartitionPlan, b: &PartitionPlan, label: &str) {
 fn name_tagged_fleet_plans_bit_identically() {
     for nodes in [2usize, 4] {
         let plain = ClusterSpec::v100_cluster(nodes);
-        let tagged = name_tagged(&plain);
-        for g in bundled_models() {
-            let rannc = Rannc::new(PartitionConfig::new(64).with_k(8));
-            let label = format!("{} on {} nodes", g.name, nodes);
-            let a = rannc.partition(&g, &plain).expect("plain plan");
-            let b = rannc.partition(&g, &tagged).expect("tagged plan");
-            assert_plans_identical(&a, &b, &label);
+        for (probe, what) in [
+            (name_tagged(&plain), "devices tagged"),
+            (link_restated(&plain), "links restated"),
+        ] {
+            for g in bundled_models() {
+                let rannc = Rannc::new(PartitionConfig::new(64).with_k(8));
+                let label = format!("{} on {} nodes, {what}", g.name, nodes);
+                let a = rannc.partition(&g, &plain).expect("plain plan");
+                let b = rannc.partition(&g, &probe).expect("probe plan");
+                assert_plans_identical(&a, &b, &label);
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! `tests/verify_mutations.rs`.
 
 use proptest::prelude::*;
-use rannc::core::{atomic_partition, block_partition, BlockLimits};
+use rannc::core::{atomic_partition, block_partition, BlockLimits, SlotTable};
 use rannc::graph::convex::ConvexChecker;
 use rannc::prelude::*;
 use rannc::verify::{verify_graph, verify_plan};
@@ -166,7 +166,8 @@ fn more_devices_never_hurt_the_objective() {
             mem_limit: 32 << 30,
             tp: 1,
         };
-        let ctx = DpCtx::new(&profiler, &ranges, &cluster, None, &p);
+        let slots = SlotTable::build(&cluster, d, 1, profiler.device(), Precision::FP32);
+        let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, &p);
         let sol = form_stage_dp(&ctx, &mut DpArena::new()).expect("feasible");
         assert!(
             sol.value <= last * 1.000001,
