@@ -35,7 +35,6 @@ pub use model::{CalibratedCost, CostModel, CostModelSpec};
 pub use tensor::{megatron_partition, TransformerDims};
 
 use rannc_hw::{ClusterSpec, DeviceSpec};
-use std::time::Duration;
 
 /// Scalar correction factors a cost model hands to value types that
 /// cannot hold a trait object (notably `PipelineSpec`, a plain value
@@ -46,8 +45,9 @@ use std::time::Duration;
 /// the uncalibrated formulas exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostFactors {
-    /// Scales modelled compute time (simulated ticks, not the profiler —
-    /// per-op compute calibration happens inside the profiler itself).
+    /// The calibration's global compute factor. Nothing scales by it
+    /// here: per-op compute calibration happens inside the profiler, so
+    /// priced stage times already carry it.
     pub compute: f64,
     /// Scales point-to-point activation transfer time.
     pub transfer: f64,
@@ -100,37 +100,6 @@ impl Default for CostFactors {
     }
 }
 
-/// Nominal wall-clock ticks the threaded trainer uses to scale its
-/// injected delays (straggler slowdowns, link degradation). Owned by the
-/// cost layer so simulated time and planned time share one source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimTicks {
-    /// Nominal per-micro-batch compute used to scale straggler sleeps.
-    pub compute: Duration,
-    /// Nominal per-transfer latency used to scale link-degrade sleeps.
-    pub comm: Duration,
-}
-
-impl SimTicks {
-    /// Ticks scaled by a cost model's correction factors.
-    pub fn scaled(factors: CostFactors) -> Self {
-        let base = SimTicks::default();
-        SimTicks {
-            compute: base.compute.mul_f64(factors.compute),
-            comm: base.comm.mul_f64(factors.transfer),
-        }
-    }
-}
-
-impl Default for SimTicks {
-    fn default() -> Self {
-        SimTicks {
-            compute: Duration::from_micros(200),
-            comm: Duration::from_micros(100),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,18 +124,5 @@ mod tests {
         assert_eq!(f.allreduce_intra, 1.0);
         assert_eq!(f.allreduce_inter, 1.0);
         assert_eq!(f.optimizer, 1.0);
-    }
-
-    #[test]
-    fn sim_ticks_scale() {
-        let base = SimTicks::default();
-        assert_eq!(SimTicks::scaled(CostFactors::identity()), base);
-        let slow = SimTicks::scaled(CostFactors {
-            compute: 2.0,
-            transfer: 3.0,
-            ..CostFactors::identity()
-        });
-        assert_eq!(slow.compute, base.compute * 2);
-        assert_eq!(slow.comm, base.comm * 3);
     }
 }

@@ -1,31 +1,25 @@
 //! # rannc-faults
 //!
-//! Deterministic, seeded fault injection for pipeline training.
+//! Deterministic, seeded fault and churn scripts for training campaigns.
 //!
-//! A [`FaultPlan`] is an explicit script of failure events plus a seed
-//! driving any probabilistic draws (transient communication errors). The
-//! same plan is consumed by two very different executors:
+//! A [`FaultPlan`] is an explicit script of failure events plus a seed.
+//! It has one executor, `rannc-pipeline`'s campaign simulator, reached
+//! through [`FaultPlan::to_churn`]: the latency faults slow the starting
+//! cluster, the device failures become a [`ClusterEventTrace`] of losses,
+//! and the churn engine predicts goodput and MTTR.
 //!
-//! * `rannc-pipeline`'s campaign simulator, through
-//!   [`FaultPlan::to_churn`]: the latency faults slow the starting
-//!   cluster, the device failures become a [`ClusterEventTrace`] of
-//!   losses, and the churn engine predicts goodput and MTTR, and
-//! * `rannc-train`'s threaded trainer, which physically kills stage
-//!   threads and exercises detection, checkpoint restore, and resume.
-//!
-//! Because the plan is data (not callbacks) and every random draw comes
-//! from a splitmix64 stream derived from the seed, a run under faults is
-//! exactly reproducible: same seed, same failures, same recovery — the
-//! property the bit-identical recovery tests rely on.
+//! Plans and traces are data, not callbacks, and a generated trace draws
+//! every random choice from a splitmix64 stream derived from its seed, so
+//! a campaign is exactly reproducible: same seed, same events, same
+//! report.
 
 pub mod churn;
 
 pub use churn::{ClusterEvent, ClusterEventTrace, TimedEvent, TraceError};
 use rannc_hw::{ClusterSpec, SpecError};
 
-/// One scripted failure event. Ranks are *global device ranks* for the
-/// simulator and *stage indices* for the threaded trainer — each consumer
-/// documents its interpretation.
+/// One scripted failure event. Ranks are global device ranks, read on the
+/// cluster the plan is played against ([`ClusterSpec::rank`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// Permanent loss of one device at the start of iteration `at_iter`
@@ -51,15 +45,15 @@ pub enum FaultEvent {
         factor: f64,
     },
     /// Each communication attempt independently fails with probability
-    /// `prob` and must be retried (drawn from the plan's seeded stream).
+    /// `prob` and must be retried.
     TransientCommError {
         /// Per-transfer failure probability in `[0, 1)`.
         prob: f64,
     },
 }
 
-/// A deterministic fault schedule: scripted events plus the seed that
-/// drives probabilistic draws.
+/// A deterministic fault schedule: scripted events plus the seed its
+/// churn trace carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -67,7 +61,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Empty plan (fault-free run) with a seed for probabilistic events.
+    /// Empty plan (fault-free run) with a seed.
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -128,27 +122,6 @@ impl FaultPlan {
             .collect();
         fails.sort_by_key(|&(rank, at_iter)| (at_iter, rank));
         fails
-    }
-
-    /// The first device failure at exactly iteration `iter`, if any.
-    pub fn failure_at(&self, iter: usize) -> Option<usize> {
-        self.device_failures()
-            .into_iter()
-            .find(|&(_, at)| at == iter)
-            .map(|(rank, _)| rank)
-    }
-
-    /// Compute slowdown factor for `rank` (product of its stragglers; 1.0
-    /// when the rank is healthy).
-    pub fn slowdown_for(&self, rank: usize) -> f64 {
-        self.events
-            .iter()
-            .filter_map(|e| match *e {
-                FaultEvent::Straggler { rank: r, slowdown } if r == rank => Some(slowdown),
-                _ => None,
-            })
-            .product::<f64>()
-            .max(1.0)
     }
 
     /// Remaining link bandwidth fraction (product of all degrades; 1.0
@@ -229,15 +202,9 @@ impl FaultPlan {
         }
         Ok((start, trace))
     }
-
-    /// Seeded stream for this plan's probabilistic draws. Consumers must
-    /// create it once per run so identical runs see identical draws.
-    pub fn rng(&self) -> FaultRng {
-        FaultRng::new(self.seed)
-    }
 }
 
-/// Splitmix64 stream used for transient-fault draws.
+/// Splitmix64 stream behind [`ClusterEventTrace::generate`]'s draws.
 #[derive(Debug, Clone)]
 pub struct FaultRng {
     state: u64,
@@ -261,11 +228,6 @@ impl FaultRng {
     /// Uniform `f64` in `[0, 1)`.
     pub fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Bernoulli draw: true with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit_f64() < p
     }
 }
 
@@ -293,10 +255,6 @@ mod tests {
             .with_event(FaultEvent::TransientCommError { prob: 0.1 });
 
         assert_eq!(plan.device_failures(), vec![(1, 4), (3, 10)]);
-        assert_eq!(plan.failure_at(4), Some(1));
-        assert_eq!(plan.failure_at(5), None);
-        assert_eq!(plan.slowdown_for(2), 1.5);
-        assert_eq!(plan.slowdown_for(0), 1.0);
         assert_eq!(plan.link_factor(), 0.5);
         assert!((plan.comm_error_prob() - 0.1).abs() < 1e-12);
     }
@@ -307,24 +265,6 @@ mod tests {
             .with_event(FaultEvent::TransientCommError { prob: 0.5 })
             .with_event(FaultEvent::TransientCommError { prob: 0.5 });
         assert!((plan.comm_error_prob() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rng_deterministic_per_seed() {
-        let plan = FaultPlan::new(42).with_event(FaultEvent::TransientCommError { prob: 0.3 });
-        let draws_a: Vec<bool> = {
-            let mut r = plan.rng();
-            (0..64).map(|_| r.chance(0.3)).collect()
-        };
-        let draws_b: Vec<bool> = {
-            let mut r = plan.rng();
-            (0..64).map(|_| r.chance(0.3)).collect()
-        };
-        assert_eq!(draws_a, draws_b);
-
-        let mut other = FaultPlan::new(43).rng();
-        let draws_c: Vec<bool> = (0..64).map(|_| other.chance(0.3)).collect();
-        assert_ne!(draws_a, draws_c);
     }
 
     #[test]
@@ -442,7 +382,6 @@ mod tests {
         let plan = FaultPlan::new(1);
         assert!(plan.is_empty());
         assert!(plan.device_failures().is_empty());
-        assert_eq!(plan.slowdown_for(0), 1.0);
         assert_eq!(plan.link_factor(), 1.0);
         assert_eq!(plan.comm_error_prob(), 0.0);
         // and it plays as the cluster itself, with no events

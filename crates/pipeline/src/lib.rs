@@ -101,6 +101,11 @@ pub fn simulate_plan(
 /// The model's [`CostFactors`](rannc_cost::CostFactors) are embedded into
 /// the spec so downstream pricing (`comm_time` and the iteration `tail`)
 /// stays consistent with the model that built it.
+///
+/// Every stage is priced on the cost model's device: `cluster`'s device
+/// overrides are not applied, so a degraded or mixed fleet simulates as
+/// if every slot held the template device. Churn `sim_samples_per_s` and
+/// `replan_regret` therefore do not yet see degraded devices.
 pub fn spec_from_plan(
     plan: &PartitionPlan,
     cost: &dyn CostModel,

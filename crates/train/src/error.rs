@@ -1,18 +1,11 @@
 //! Typed errors for the threaded trainer.
 
-/// Why a training run (or one segment of a fault-tolerant run) failed.
+/// Why a training run failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TrainError {
     /// The configuration is unusable (empty stages, indivisible batch…).
     InvalidConfig(String),
-    /// A stage died from an injected `DeviceFail` at the given iteration.
-    StageKilled {
-        /// Stage index that died.
-        stage: usize,
-        /// Global iteration at which the fault fired.
-        at_iter: usize,
-    },
-    /// A stage thread panicked (unscripted crash).
+    /// A stage thread panicked.
     StagePanicked {
         /// Stage index whose thread panicked.
         stage: usize,
@@ -29,30 +22,18 @@ pub enum TrainError {
         /// Global iteration being processed when the timeout hit.
         at_iter: usize,
     },
-    /// Recovery was attempted more times than the configured limit —
-    /// the fault plan keeps killing faster than checkpoints advance.
-    TooManyRecoveries {
-        /// The configured attempt limit.
-        limit: usize,
-    },
 }
 
 impl std::fmt::Display for TrainError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TrainError::InvalidConfig(why) => write!(f, "invalid training config: {why}"),
-            TrainError::StageKilled { stage, at_iter } => {
-                write!(f, "stage {stage} killed at iteration {at_iter}")
-            }
             TrainError::StagePanicked { stage } => write!(f, "stage {stage} thread panicked"),
             TrainError::StageStalled { stage } => {
                 write!(f, "stage {stage} stalled past its channel timeout")
             }
             TrainError::SupervisorTimeout { at_iter } => {
                 write!(f, "supervisor timed out at iteration {at_iter}")
-            }
-            TrainError::TooManyRecoveries { limit } => {
-                write!(f, "exceeded recovery attempt limit ({limit})")
             }
         }
     }

@@ -17,7 +17,6 @@
 pub mod channel;
 pub mod data;
 pub mod error;
-pub mod ft;
 pub mod layer;
 pub mod pipeline;
 pub mod stage;
@@ -26,7 +25,6 @@ pub mod validate;
 
 pub use data::Dataset;
 pub use error::TrainError;
-pub use ft::{train_with_faults, Checkpoint, FtConfig, FtReport, RecoveryRecord};
 pub use layer::Layer;
 pub use pipeline::{train_pipeline, Mode, TrainConfig};
 pub use stage::{build_mlp, restage, split_into_stages, Stage};

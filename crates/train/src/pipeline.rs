@@ -15,14 +15,12 @@
 //!
 //! Every channel operation carries a timeout and every failure path is a
 //! typed [`TrainError`]: a dead or hung stage unwinds the whole pipeline
-//! within one timeout instead of deadlocking it, which is what the
-//! fault-tolerant supervisor in [`crate::ft`] builds on.
+//! within one timeout instead of deadlocking it.
 
 use crate::channel::{bounded, RecvError, SendError, Sender};
 use crate::data::Dataset;
 use crate::error::TrainError;
 use crate::stage::Stage;
-use rannc_cost::SimTicks;
 use rannc_tensor::{ops, Matrix};
 use std::time::{Duration, Instant};
 
@@ -69,77 +67,6 @@ impl TrainConfig {
     }
 }
 
-/// Per-stage fault-injection context (neutral by default). Built from a
-/// `rannc_faults::FaultPlan` by [`crate::ft`]; the plain trainer runs with
-/// all-neutral contexts.
-#[derive(Debug, Clone)]
-pub(crate) struct StageFaultCtx {
-    /// Die at the start of this global iteration.
-    pub kill_at: Option<usize>,
-    /// Die by panicking instead of returning (exercises the supervisor's
-    /// join-error path).
-    pub kill_by_panic: bool,
-    /// Compute slowdown factor (`>= 1`; sleeps, does not change math).
-    pub slowdown: f64,
-    /// Remaining link bandwidth fraction (`(0, 1]`; sleeps on sends).
-    pub link_factor: f64,
-    /// Per-transfer transient failure probability (adds a deterministic
-    /// retry delay, never loses data).
-    pub comm_prob: f64,
-    /// Seed for the stateless transient-failure draws.
-    pub seed: u64,
-    /// Nominal compute/transfer tick durations the injected delays scale
-    /// (shared with the cost layer so simulated and planned time agree).
-    pub ticks: SimTicks,
-}
-
-impl Default for StageFaultCtx {
-    fn default() -> Self {
-        StageFaultCtx {
-            kill_at: None,
-            kill_by_panic: false,
-            slowdown: 1.0,
-            link_factor: 1.0,
-            comm_prob: 0.0,
-            seed: 0,
-            ticks: SimTicks::default(),
-        }
-    }
-}
-
-impl StageFaultCtx {
-    fn compute_delay(&self) {
-        if self.slowdown > 1.0 {
-            std::thread::sleep(self.ticks.compute.mul_f64(self.slowdown - 1.0));
-        }
-    }
-
-    /// Delay one inter-stage transfer: link degradation stretches it,
-    /// and a transient failure (a stateless deterministic draw keyed on
-    /// the transfer's coordinates, so replays see identical faults
-    /// regardless of thread timing) costs one retransmit.
-    fn comm_delay(&self, it: usize, mb: usize, stage: usize) {
-        if self.link_factor < 1.0 {
-            std::thread::sleep(self.ticks.comm.mul_f64(1.0 / self.link_factor - 1.0));
-        }
-        if self.comm_prob > 0.0 {
-            let h = splitmix(self.seed ^ (it as u64) << 40 ^ (mb as u64) << 20 ^ stage as u64);
-            let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-            if unit < self.comm_prob {
-                std::thread::sleep(self.ticks.comm); // retransmit
-            }
-        }
-    }
-}
-
-#[inline]
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 enum Msg {
     Fwd(usize, Matrix),
     Bwd(usize, Matrix),
@@ -147,15 +74,14 @@ enum Msg {
 
 /// How a stage thread died (stage index is its position in the results).
 enum StageFail {
-    /// Injected `DeviceFail` fired at this global iteration.
-    Killed { at_iter: usize },
     /// A channel operation timed out (hung neighbour).
     Stalled,
     /// A neighbour's endpoint dropped (cascade from another failure).
     Disconnected,
 }
 
-/// Channel timeout for plain (non-fault-injected) training runs.
+/// Timeout of every channel operation: how long a stage or the supervisor
+/// waits on a hung neighbour before the run fails.
 const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Train `stages` as a thread-per-stage pipeline over `data`.
@@ -170,28 +96,18 @@ pub fn train_pipeline(
     cfg: &TrainConfig,
     mode: Mode,
 ) -> Result<(Vec<f32>, Vec<Stage>), TrainError> {
-    run_segment(
-        stages,
-        data,
-        cfg,
-        mode,
-        0..cfg.iterations,
-        &[],
-        DEFAULT_TIMEOUT,
-    )
+    run_segment(stages, data, cfg, mode, 0..cfg.iterations)
 }
 
-/// Run iterations `range` of a training job: the unit of work between two
-/// checkpoints. Shared by [`train_pipeline`] (whole job, no faults) and
-/// the fault-tolerant supervisor (one segment per call, with injection).
+/// Run iterations `range` of a training job. [`train_pipeline`] runs the
+/// whole job as one segment; a run that re-splits its stages mid-way
+/// (see [`crate::stage::restage`]) runs one segment per split.
 pub(crate) fn run_segment(
     stages: Vec<Stage>,
     data: &Dataset,
     cfg: &TrainConfig,
     mode: Mode,
     range: std::ops::Range<usize>,
-    faults: &[StageFaultCtx],
-    timeout: Duration,
 ) -> Result<(Vec<f32>, Vec<Stage>), TrainError> {
     cfg.validate(stages.len())?;
     let _seg = rannc_obs::trace::span("segment", "train")
@@ -199,10 +115,6 @@ pub(crate) fn run_segment(
         .arg_i("to_iter", range.end as i64)
         .arg_i("stages", stages.len() as i64);
     let n_stages = stages.len();
-    assert!(
-        faults.is_empty() || faults.len() == n_stages,
-        "fault contexts must match stage count"
-    );
     let micro = cfg.batch_size / cfg.microbatches;
     let iters: Vec<usize> = range.collect();
 
@@ -222,7 +134,6 @@ pub(crate) fn run_segment(
         labels_per_iter.push(ys);
     }
     let labels_per_iter = &labels_per_iter;
-    let iters_ref = &iters;
 
     // channels: fwd[s] feeds stage s; bwd[s] feeds stage s (from s+1)
     let cap = cfg.microbatches;
@@ -250,27 +161,19 @@ pub(crate) fn run_segment(
             let next_fwd = (s + 1 < n_stages).then(|| fwd_tx[s + 1].as_ref().unwrap().clone());
             let prev_bwd = (s > 0).then(|| bwd_tx[s - 1].as_ref().unwrap().clone());
             let my_loss = (s + 1 == n_stages).then(|| loss_tx.as_ref().unwrap().clone());
-            let fault = faults.get(s).cloned().unwrap_or_default();
             let cfg = *cfg;
             handles.push(scope.spawn(move || -> StageOutcome {
                 let send = |tx: &Sender<Msg>, msg: Msg| -> Result<(), StageFail> {
-                    match tx.send_timeout(msg, timeout) {
+                    match tx.send_timeout(msg, DEFAULT_TIMEOUT) {
                         Ok(()) => Ok(()),
                         Err(SendError::Timeout(_)) => Err(StageFail::Stalled),
                         Err(SendError::Disconnected(_)) => Err(StageFail::Disconnected),
                     }
                 };
-                for &it in iters_ref.iter() {
-                    if fault.kill_at == Some(it) {
-                        if fault.kill_by_panic {
-                            panic!("injected fault: stage {s} dies at iteration {it}");
-                        }
-                        return Err(StageFail::Killed { at_iter: it });
-                    }
-                    let idx = it - iters_ref[0];
+                for labels in labels_per_iter {
                     // ---- forward phase ----
                     for m in 0..cfg.microbatches {
-                        let msg = match my_fwd.recv_timeout(timeout) {
+                        let msg = match my_fwd.recv_timeout(DEFAULT_TIMEOUT) {
                             Ok(msg) => msg,
                             Err(RecvError::Timeout) => return Err(StageFail::Stalled),
                             Err(RecvError::Disconnected) => return Err(StageFail::Disconnected),
@@ -279,17 +182,14 @@ pub(crate) fn run_segment(
                             return Err(StageFail::Disconnected);
                         };
                         debug_assert_eq!(mb, m);
-                        fault.compute_delay();
                         let y = stage.forward(mb, x);
                         if let Some(next) = &next_fwd {
-                            fault.comm_delay(it, mb, s);
                             send(next, Msg::Fwd(mb, y))?;
                         } else {
                             // last stage: loss + gradient, start backward
-                            let (loss, dlogits) =
-                                ops::softmax_cross_entropy(&y, &labels_per_iter[idx][mb]);
+                            let (loss, dlogits) = ops::softmax_cross_entropy(&y, &labels[mb]);
                             if let Some(loss_tx) = &my_loss {
-                                match loss_tx.send_timeout(loss, timeout) {
+                                match loss_tx.send_timeout(loss, DEFAULT_TIMEOUT) {
                                     Ok(()) => {}
                                     Err(SendError::Timeout(_)) => return Err(StageFail::Stalled),
                                     Err(SendError::Disconnected(_)) => {
@@ -302,7 +202,6 @@ pub(crate) fn run_segment(
                                 stage.step_immediate(mb);
                             }
                             if let Some(prev) = &prev_bwd {
-                                fault.comm_delay(it, mb, s);
                                 send(prev, Msg::Bwd(mb, dy))?;
                             }
                         }
@@ -310,7 +209,7 @@ pub(crate) fn run_segment(
                     // ---- backward phase (non-last stages) ----
                     if next_fwd.is_some() {
                         for _ in 0..cfg.microbatches {
-                            let msg = match my_bwd.recv_timeout(timeout) {
+                            let msg = match my_bwd.recv_timeout(DEFAULT_TIMEOUT) {
                                 Ok(msg) => msg,
                                 Err(RecvError::Timeout) => return Err(StageFail::Stalled),
                                 Err(RecvError::Disconnected) => {
@@ -320,13 +219,11 @@ pub(crate) fn run_segment(
                             let Msg::Bwd(mb, g) = msg else {
                                 return Err(StageFail::Disconnected);
                             };
-                            fault.compute_delay();
                             let dy = stage.backward(mb, g);
                             if mode == Mode::Asynchronous {
                                 stage.step_immediate(mb);
                             }
                             if let Some(prev) = &prev_bwd {
-                                fault.comm_delay(it, mb, s);
                                 send(prev, Msg::Bwd(mb, dy))?;
                             }
                         }
@@ -339,9 +236,9 @@ pub(crate) fn run_segment(
                 Ok(stage)
             }));
         }
-        // the supervisor keeps only its injector; dropping every other
+        // the supervisor keeps only its feed; dropping every other
         // original sender arms the disconnect cascade
-        let injector = fwd_tx[0].take().expect("injector");
+        let feed = fwd_tx[0].take().expect("feed");
         for tx in fwd_tx.iter_mut().skip(1) {
             *tx = None;
         }
@@ -352,21 +249,20 @@ pub(crate) fn run_segment(
 
         // supervisor loop: feed one iteration, collect its losses — any
         // stage death or hang surfaces here within one timeout
-        let mut losses_flat: Vec<f32> = Vec::with_capacity(iters_ref.len() * cfg.microbatches);
+        let mut losses_flat: Vec<f32> = Vec::with_capacity(iters.len() * cfg.microbatches);
         let mut driver_err: Option<TrainError> = None;
         let step_hist = rannc_obs::metrics::histogram("train.step_seconds");
         let step_count = rannc_obs::metrics::counter("train.iterations");
-        'drive: for (idx, xs) in inputs_per_iter.into_iter().enumerate() {
-            let it = iters_ref[idx];
+        'drive: for (&it, xs) in iters.iter().zip(inputs_per_iter) {
             let step_started = Instant::now();
             for (m, x) in xs.into_iter().enumerate() {
-                if injector.send_timeout(Msg::Fwd(m, x), timeout).is_err() {
+                if feed.send_timeout(Msg::Fwd(m, x), DEFAULT_TIMEOUT).is_err() {
                     driver_err = Some(TrainError::SupervisorTimeout { at_iter: it });
                     break 'drive;
                 }
             }
             for _ in 0..cfg.microbatches {
-                match loss_rx.recv_timeout(timeout) {
+                match loss_rx.recv_timeout(DEFAULT_TIMEOUT) {
                     Ok(loss) => losses_flat.push(loss),
                     Err(_) => {
                         driver_err = Some(TrainError::SupervisorTimeout { at_iter: it });
@@ -377,9 +273,9 @@ pub(crate) fn run_segment(
             step_hist.observe(step_started.elapsed().as_secs_f64());
             step_count.inc();
         }
-        // unwind: dropping the injector (and later the loss receiver)
-        // lets surviving threads observe disconnects and exit
-        drop(injector);
+        // unwind: dropping the feed (and later the loss receiver) lets
+        // surviving threads observe disconnects and exit
+        drop(feed);
         let outcomes: Vec<Result<StageOutcome, ()>> = handles
             .into_iter()
             .map(|h| h.join().map_err(|_| ()))
@@ -387,27 +283,18 @@ pub(crate) fn run_segment(
         (outcomes, losses_flat, driver_err)
     });
 
-    // classify the run: injected kills dominate, then panics, then the
-    // supervisor's own timeout, then secondary stalls/disconnects
-    let mut killed: Option<(usize, usize)> = None;
+    // classify the run: panics dominate, then the supervisor's own
+    // timeout, then secondary stalls/disconnects
     let mut panicked: Option<usize> = None;
     let mut stalled: Option<usize> = None;
     for (s, outcome) in outcomes.iter().enumerate() {
         match outcome {
             Err(()) => panicked = panicked.or(Some(s)),
-            Ok(Err(StageFail::Killed { at_iter })) => {
-                if killed.map(|(_, at)| *at_iter < at).unwrap_or(true) {
-                    killed = Some((s, *at_iter));
-                }
-            }
             Ok(Err(StageFail::Stalled)) | Ok(Err(StageFail::Disconnected)) => {
                 stalled = stalled.or(Some(s))
             }
             Ok(Ok(_)) => {}
         }
-    }
-    if let Some((stage, at_iter)) = killed {
-        return Err(TrainError::StageKilled { stage, at_iter });
     }
     if let Some(stage) = panicked {
         return Err(TrainError::StagePanicked { stage });
@@ -574,78 +461,22 @@ mod tests {
     }
 
     #[test]
-    fn injected_kill_is_detected_and_typed() {
+    fn stage_panic_is_typed_and_unwinds_by_disconnect() {
+        // stage 1 expects 5 input features but stage 0 emits 16, so its
+        // first forward panics in `ops::matmul`; the neighbours must see
+        // the dropped channels and exit long before any channel timeout
         let data = Dataset::synthetic(64, 8, 4, 11);
-        let stages = split_into_stages(build_mlp(&[8, 32, 32, 4], 5), 3, 0.01);
-        let mut faults = vec![StageFaultCtx::default(); 3];
-        faults[1].kill_at = Some(4);
-        let err = run_segment(
-            stages,
-            &data,
-            &cfg(),
-            Mode::Synchronous,
-            0..10,
-            &faults,
-            Duration::from_millis(300),
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            TrainError::StageKilled {
-                stage: 1,
-                at_iter: 4
-            }
+        let stages = vec![
+            Stage::new(build_mlp(&[8, 16], 5), 0.01),
+            Stage::new(build_mlp(&[5, 4], 6), 0.01),
+            Stage::new(build_mlp(&[4, 4], 7), 0.01),
+        ];
+        let started = Instant::now();
+        let err = train_pipeline(stages, &data, &cfg(), Mode::Synchronous).unwrap_err();
+        assert_eq!(err, TrainError::StagePanicked { stage: 1 });
+        assert!(
+            started.elapsed() < DEFAULT_TIMEOUT / 2,
+            "the panic surfaced through a timeout, not the disconnect cascade"
         );
-    }
-
-    #[test]
-    fn injected_panic_is_detected_and_typed() {
-        let data = Dataset::synthetic(64, 8, 4, 11);
-        let stages = split_into_stages(build_mlp(&[8, 32, 32, 4], 5), 3, 0.01);
-        let mut faults = vec![StageFaultCtx::default(); 3];
-        faults[2].kill_at = Some(3);
-        faults[2].kill_by_panic = true;
-        let err = run_segment(
-            stages,
-            &data,
-            &cfg(),
-            Mode::Synchronous,
-            0..10,
-            &faults,
-            Duration::from_millis(300),
-        )
-        .unwrap_err();
-        assert_eq!(err, TrainError::StagePanicked { stage: 2 });
-    }
-
-    #[test]
-    fn straggler_and_comm_faults_do_not_change_math() {
-        let data = Dataset::synthetic(64, 8, 4, 11);
-        let dims = [8usize, 32, 32, 4];
-        let clean = train_pipeline(
-            split_into_stages(build_mlp(&dims, 5), 2, 0.01),
-            &data,
-            &cfg(),
-            Mode::Synchronous,
-        )
-        .unwrap()
-        .0;
-        let mut faults = vec![StageFaultCtx::default(); 2];
-        faults[0].slowdown = 2.0;
-        faults[1].link_factor = 0.5;
-        faults[1].comm_prob = 0.3;
-        faults[1].seed = 99;
-        let slowed = run_segment(
-            split_into_stages(build_mlp(&dims, 5), 2, 0.01),
-            &data,
-            &cfg(),
-            Mode::Synchronous,
-            0..10,
-            &faults,
-            Duration::from_secs(10),
-        )
-        .unwrap()
-        .0;
-        assert_eq!(clean, slowed, "latency faults must not alter results");
     }
 }

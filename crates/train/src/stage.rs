@@ -193,7 +193,6 @@ mod tests {
         // changed its split
         use crate::data::Dataset;
         use crate::pipeline::{run_segment, Mode, TrainConfig};
-        use std::time::Duration;
 
         let data = Dataset::synthetic(64, 8, 4, 11);
         let cfg = TrainConfig {
@@ -201,25 +200,16 @@ mod tests {
             batch_size: 16,
             microbatches: 4,
         };
-        let timeout = Duration::from_secs(10);
         let fresh = || split_into_stages(build_mlp(&[8, 32, 32, 32, 4], 5), 3, 0.01);
 
         let (ref_losses, ref_stages) =
-            run_segment(fresh(), &data, &cfg, Mode::Synchronous, 0..20, &[], timeout).unwrap();
+            run_segment(fresh(), &data, &cfg, Mode::Synchronous, 0..20).unwrap();
 
         let (mut losses, trained) =
-            run_segment(fresh(), &data, &cfg, Mode::Synchronous, 0..10, &[], timeout).unwrap();
+            run_segment(fresh(), &data, &cfg, Mode::Synchronous, 0..10).unwrap();
         let restaged = restage(trained, 2, 0.01);
-        let (tail, final_stages) = run_segment(
-            restaged,
-            &data,
-            &cfg,
-            Mode::Synchronous,
-            10..20,
-            &[],
-            timeout,
-        )
-        .unwrap();
+        let (tail, final_stages) =
+            run_segment(restaged, &data, &cfg, Mode::Synchronous, 10..20).unwrap();
         losses.extend(tail);
 
         assert_eq!(losses, ref_losses, "losses diverged across the re-split");

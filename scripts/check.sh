@@ -130,6 +130,20 @@ if grep -rnE --include='*.rs' \
     exit 1
 fi
 
+# A fault plan has one reading: global device ranks, played by the
+# campaign simulator. The numeric fault-tolerant trainer, its per-stage
+# injection context and its tick scale stay deleted, and the trainer
+# depends on neither the fault plans nor the cost layer.
+if grep -rnE --include='*.rs' \
+    "train_with_faults|StageFaultCtx|FtConfig|FtReport|SimTicks|kill_by_panic" crates/*/src; then
+    echo "FAILED: the deleted fault-tolerant trainer is back in crates/*/src"
+    exit 1
+fi
+if grep -nE "rannc-faults|rannc-cost" crates/train/Cargo.toml; then
+    echo "FAILED: rannc-train depends on rannc-faults or rannc-cost again"
+    exit 1
+fi
+
 echo "==> one-placement gate (every cluster planned, verified and priced through the placed path)"
 # A homogeneous cluster is a cluster with no overrides: the planner, the
 # verifier, the churn pricer and the link selectors have no separate path
