@@ -14,6 +14,7 @@ use rannc_graph::convex::ConvexChecker;
 use rannc_graph::taskset::Membership;
 use rannc_graph::{TaskGraph, TaskId, TaskSet};
 use rannc_profile::TimeSums;
+use std::cell::OnceCell;
 
 /// Limits and knobs of the block-level phase.
 #[derive(Debug, Clone, Copy)]
@@ -110,35 +111,303 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
             .stage_mem(&set, self.limits.profile_batch, 1, true, 1)
             <= self.limits.mem_limit
     }
+}
 
-    /// Group-level adjacency lists for the current `groups`, and their
-    /// boundary.
-    ///
-    /// Two groups are adjacent when a value produced in one is consumed in
-    /// the other. Constant-task clones shared by two groups may mark them
-    /// adjacent; that is harmless (a merge of such groups is still legal).
-    ///
-    /// Each row lists its neighbours in first-occurrence order of the
-    /// cross-group edge walk (tasks ascending, each task's successors
-    /// ascending, then the two groups ascending): coarsening and
-    /// uncoarsening break exact ties (identical layers) by this order.
-    ///
-    /// The boundary holds both ends of every task edge `t → s` that joins
-    /// two different groups (`a ∋ t`, `b ∋ s`, `a ≠ b`), a clone's edges
-    /// included; uncoarsening moves only pieces that touch it. Built in
-    /// the same walk. O(tasks + edges + groups).
-    pub fn adjacency(&self, groups: &[TaskSet]) -> (Vec<Vec<u32>>, TaskSet) {
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
-        let mut boundary = TaskSet::new(self.g.num_tasks());
-        group_edges(self.g, groups.iter(), |t, s, a, b| {
-            adj[a as usize].push(b);
-            adj[b as usize].push(a);
-            boundary.insert(t);
-            boundary.insert(s);
-        });
-        dedup_rows(&mut adj);
-        (adj, boundary)
+/// A task edge `t → s` as raw ids; [`NO_EDGE`] sorts after every real one.
+type Edge = (u32, u32);
+const NO_EDGE: Edge = (u32::MAX, u32::MAX);
+
+/// One entry of a [`GroupGraph`] row: a neighbouring group and the
+/// smallest task edge each way between it and the row's group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Link {
+    /// The neighbouring group.
+    to: u32,
+    /// Smallest task edge from the row's group into `to`, or [`NO_EDGE`].
+    out: Edge,
+    /// Smallest task edge from `to` into the row's group, or [`NO_EDGE`].
+    inn: Edge,
+}
+
+impl Link {
+    /// The link's place in row `r`: the first step `(t, s, a, b)` of the
+    /// full walk that joins `r` and `to`, packed to compare as the tuple.
+    /// Row `to` gives the mirrored link the same key.
+    fn key(&self, r: u32) -> u128 {
+        let step = |(t, s): Edge, a: u32, b: u32| {
+            (t as u128) << 96 | (s as u128) << 64 | (a as u128) << 32 | b as u128
+        };
+        step(self.out, r, self.to).min(step(self.inn, self.to, r))
     }
+
+    /// The same link in row `to`, pointing back at `r`.
+    fn mirror(&self, r: u32) -> Link {
+        Link {
+            to: r,
+            out: self.inn,
+            inn: self.out,
+        }
+    }
+}
+
+/// Whether a task edge from a task held by the groups `from` to one held
+/// by the groups `to` joins two different groups. A task's labels are
+/// distinct, so two of them on either side always make such a pair.
+fn joins(from: &[u32], to: &[u32]) -> bool {
+    match (from, to) {
+        ([], _) | (_, []) => false,
+        ([a], [b]) => a != b,
+        _ => true,
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Full group-edge walks made by [`GroupGraph::build`] on this thread.
+    static FULL_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Group-level adjacency of a family of groups and its boundary, kept
+/// current while the groups merge (coarsening) or trade pieces
+/// (uncoarsening) instead of being rebuilt from every task edge.
+///
+/// Two groups are adjacent when a value produced in one is consumed in
+/// the other. Constant-task clones shared by two groups may mark them
+/// adjacent; that is harmless (a merge of such groups is still legal).
+///
+/// Each row lists its neighbours in first-occurrence order of the full
+/// cross-group edge walk (tasks ascending, each task's successors
+/// ascending, then the two groups ascending): coarsening and uncoarsening
+/// break exact ties (identical layers) by this order. Every entry keeps
+/// the smallest task edge each way between the two groups, so the walk
+/// step that first joins them, and with it the row order, can be
+/// recomputed after a merge or a move without the walk.
+///
+/// The boundary holds both ends of every task edge `t → s` that joins two
+/// different groups (`a ∋ t`, `b ∋ s`, `a ≠ b`), a clone's edges included;
+/// uncoarsening moves only pieces that touch it. A contraction leaves it
+/// to be derived again on its first read, which coarsening never makes.
+pub struct GroupGraph<'g> {
+    g: &'g TaskGraph,
+    rows: Vec<Vec<Link>>,
+    held: Membership,
+    boundary: OnceCell<TaskSet>,
+    /// Scratch for [`settle`]: `u32::MAX` for every group between calls.
+    slot: Vec<u32>,
+    rows_rewalked: usize,
+}
+
+impl<'g> GroupGraph<'g> {
+    /// The graph of `groups`, from one walk of each group's task edges
+    /// (every task edge is seen from both ends). O(tasks + edges +
+    /// groups).
+    pub fn build(g: &'g TaskGraph, groups: &[TaskSet]) -> Self {
+        #[cfg(test)]
+        FULL_WALKS.with(|w| w.set(w.get() + 1));
+        let labelled = groups.iter().enumerate().map(|(i, s)| (i as u32, s));
+        let held = Membership::new(g.num_tasks(), labelled);
+        let mut graph = GroupGraph {
+            g,
+            rows: vec![Vec::new(); groups.len()],
+            held,
+            boundary: OnceCell::new(),
+            slot: vec![u32::MAX; groups.len()],
+            rows_rewalked: 0,
+        };
+        let mut boundary = TaskSet::new(g.num_tasks());
+        let mut raw = Vec::new();
+        for (r, group) in groups.iter().enumerate() {
+            graph.walk_row(group, r as u32, &mut raw);
+            // every cross-group edge is an out link of a row
+            for &(t, s) in raw.iter().map(|l| &l.out).filter(|&&e| e != NO_EDGE) {
+                boundary.insert(TaskId(t));
+                boundary.insert(TaskId(s));
+            }
+            settle(&mut raw, r as u32, &mut graph.slot);
+            graph.rows[r] = raw.clone();
+        }
+        graph.boundary = OnceCell::from(boundary);
+        graph
+    }
+
+    /// The neighbours of group `r`, in walk order.
+    pub fn neighbours(&self, r: usize) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.rows[r].iter().map(|l| l.to)
+    }
+
+    /// Both ends of every task edge joining two different groups.
+    pub fn boundary(&self) -> &TaskSet {
+        self.boundary.get_or_init(|| {
+            let n = self.g.num_tasks();
+            TaskSet::from_ids(n, self.g.task_ids().filter(|&t| self.on_cut(t)))
+        })
+    }
+
+    /// Rows walked again after moves, over the graph's life.
+    pub fn rows_rewalked(&self) -> usize {
+        self.rows_rewalked
+    }
+
+    /// Merge groups: group `i` becomes group `into[i]` of `groups`.
+    ///
+    /// A new row is the union of its operands' rows, renamed, without
+    /// the links between operands; each direction keeps the smaller of
+    /// its operands' edges, which is the smallest edge of the union, and
+    /// the row is re-sorted under the new names. The task holders are
+    /// renamed too, and the boundary is dropped until it is read.
+    pub fn contract(&mut self, into: &[u32], groups: usize) {
+        let mut rows: Vec<Vec<Link>> = vec![Vec::new(); groups];
+        for (mut row, &x) in std::mem::take(&mut self.rows).into_iter().zip(into) {
+            row.retain_mut(|l| {
+                l.to = into[l.to as usize];
+                l.to != x
+            });
+            let merged = &mut rows[x as usize];
+            if merged.is_empty() {
+                *merged = row;
+            } else {
+                merged.append(&mut row);
+            }
+        }
+        self.slot.truncate(groups);
+        for (r, row) in rows.iter_mut().enumerate() {
+            settle(row, r as u32, &mut self.slot);
+        }
+        self.rows = rows;
+        self.held.contract(into);
+        self.boundary.take();
+    }
+
+    /// `piece` moved from group `a` to group `b`, and `groups` shows the
+    /// move. Rows `a` and `b` are walked again from their tasks, their
+    /// neighbours' mirror entries patched, and a derived boundary
+    /// rechecked on the piece's tasks and their graph neighbours, the
+    /// only tasks whose edges can change sides.
+    pub fn apply_move(&mut self, groups: &[TaskSet], piece: &TaskSet, a: usize, b: usize) {
+        for t in piece.iter() {
+            self.held.relabel(t, a as u32, b as u32);
+        }
+        self.rewalk(&groups[a], a as u32);
+        self.rewalk(&groups[b], b as u32);
+        let Some(mut boundary) = self.boundary.take() else {
+            return; // not derived yet: its first read sees the move
+        };
+        let index = self.g.index();
+        let mut touched: Vec<TaskId> = Vec::new();
+        for t in piece.iter() {
+            touched.push(t);
+            touched.extend_from_slice(index.successors(t));
+            touched.extend_from_slice(index.predecessors(t));
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for t in touched {
+            if self.on_cut(t) {
+                boundary.insert(t);
+            } else {
+                boundary.remove(t);
+            }
+        }
+        self.boundary = OnceCell::from(boundary);
+    }
+
+    /// The links of group `r` (tasks `group`) into `row`, unsettled: one
+    /// per task edge between the group and a task another group holds,
+    /// from the graph index's successor and predecessor tables.
+    fn walk_row(&mut self, group: &TaskSet, r: u32, row: &mut Vec<Link>) {
+        let index = self.g.index();
+        row.clear();
+        for t in group.iter() {
+            for &s in index.successors(t) {
+                for &n in self.held.of(s) {
+                    if n != r {
+                        row.push(Link {
+                            to: n,
+                            out: (t.0, s.0),
+                            inn: NO_EDGE,
+                        });
+                    }
+                }
+            }
+            for &q in index.predecessors(t) {
+                for &n in self.held.of(q) {
+                    if n != r {
+                        row.push(Link {
+                            to: n,
+                            out: NO_EDGE,
+                            inn: (q.0, t.0),
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Walk row `r` (group `group`) again and patch its neighbours'
+    /// entries for it.
+    fn rewalk(&mut self, group: &TaskSet, r: u32) {
+        self.rows_rewalked += 1;
+        let mut row = Vec::new();
+        self.walk_row(group, r, &mut row);
+        settle(&mut row, r, &mut self.slot);
+        let was = std::mem::replace(&mut self.rows[r as usize], row);
+        for l in was {
+            if !self.rows[r as usize].iter().any(|m| m.to == l.to) {
+                self.rows[l.to as usize].retain(|m| m.to != r);
+            }
+        }
+        for i in 0..self.rows[r as usize].len() {
+            let l = self.rows[r as usize][i];
+            let back = &mut self.rows[l.to as usize];
+            match back.iter_mut().find(|m| m.to == r) {
+                Some(m) => *m = l.mirror(r),
+                None => back.push(l.mirror(r)),
+            }
+            back.sort_unstable_by_key(|m| m.key(l.to));
+        }
+    }
+
+    /// Whether some task edge into or out of `t` joins two different
+    /// groups.
+    fn on_cut(&self, t: TaskId) -> bool {
+        let index = self.g.index();
+        let here = self.held.of(t);
+        index
+            .successors(t)
+            .iter()
+            .any(|&s| joins(here, self.held.of(s)))
+            || index
+                .predecessors(t)
+                .iter()
+                .any(|&q| joins(self.held.of(q), here))
+    }
+}
+
+/// Merge the links of row `r` that share a neighbour, each direction
+/// keeping its smallest edge, and sort the row by [`Link::key`]. `slot`
+/// covers every group and is `u32::MAX` throughout on entry and exit.
+fn settle(row: &mut Vec<Link>, r: u32, slot: &mut [u32]) {
+    let mut kept = 0;
+    for i in 0..row.len() {
+        let l = row[i];
+        match slot[l.to as usize] {
+            u32::MAX => {
+                slot[l.to as usize] = kept as u32;
+                row[kept] = l;
+                kept += 1;
+            }
+            j => {
+                let m = &mut row[j as usize];
+                m.out = m.out.min(l.out);
+                m.inn = m.inn.min(l.inn);
+            }
+        }
+    }
+    row.truncate(kept);
+    for l in row.iter() {
+        slot[l.to as usize] = u32::MAX;
+    }
+    row.sort_unstable_by_key(|l| l.key(r));
 }
 
 /// Walk every group-level edge of a family of task sets: for each task
@@ -194,9 +463,13 @@ pub fn block_partition(
     let mut ctx = BlockCtx::new(g, cost, limits);
 
     let coarse = {
-        let _s =
+        let span =
             rannc_obs::trace::span("coarsen", "planner").arg_i("atoms", atomic.sets.len() as i64);
-        crate::coarsen::coarsen(&mut ctx, &atomic.sets)
+        let coarse = crate::coarsen::coarsen(&mut ctx, &atomic.sets);
+        let _s = span
+            .arg_i("levels", coarse.levels as i64)
+            .arg_i("candidates", coarse.candidates as i64);
+        coarse
     };
     let mut groups = coarse.groups;
     {
@@ -205,7 +478,8 @@ pub fn block_partition(
         let walk = crate::uncoarsen::uncoarsen(&mut ctx, &mut groups, &coarse.merges);
         let _s = span
             .arg_i("moves", walk.moves as i64)
-            .arg_i("pieces", walk.pieces as i64);
+            .arg_i("pieces", walk.pieces as i64)
+            .arg_i("rows_rewalked", walk.rows_rewalked as i64);
     }
     let groups = {
         let _s = rannc_obs::trace::span("compact", "planner").arg_i("groups", groups.len() as i64);
@@ -339,8 +613,8 @@ mod tests {
 
     #[test]
     fn uncoarsen_span_carries_moves_and_pieces() {
-        // the span reports what uncoarsening itself returns, and both
-        // counts repeat exactly from run to run
+        // the coarsen and uncoarsen spans report what the steps themselves
+        // return, and every count repeats exactly from run to run
         let _guard = rannc_obs::trace::test_guard();
         let g = bert_graph(&BertConfig::tiny());
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
@@ -355,6 +629,8 @@ mod tests {
         let mut groups = coarse.groups;
         let walk = crate::uncoarsen::uncoarsen(&mut ctx, &mut groups, &coarse.merges);
         assert!(walk.moves > 0 && walk.pieces < 2 * coarse.merges.len());
+        assert_eq!(walk.rows_rewalked, 2 * walk.moves);
+        assert!(coarse.levels > 0 && coarse.candidates >= coarse.merges.len());
 
         let tid = rannc_obs::trace::current_tid();
         let arg = |args: &[(&str, rannc_obs::trace::ArgVal)], key| {
@@ -368,13 +644,24 @@ mod tests {
             rannc_obs::trace::reset();
             block_partition(&g, &profiler, &atomic, limits);
             rannc_obs::set_enabled(false);
-            // other tests may trace concurrently: keep this thread's span
-            let span = rannc_obs::trace::drain_events()
-                .into_iter()
-                .find(|e| e.tid == tid && e.name == "uncoarsen")
-                .expect("uncoarsen span");
-            assert_eq!(arg(&span.args, "moves"), Some(walk.moves));
-            assert_eq!(arg(&span.args, "pieces"), Some(walk.pieces));
+            // other tests may trace concurrently: keep this thread's spans
+            let events = rannc_obs::trace::drain_events();
+            let span = |name| {
+                events
+                    .iter()
+                    .find(|e| e.tid == tid && e.name == name)
+                    .unwrap_or_else(|| panic!("{name} span"))
+            };
+            let coarsen = span("coarsen");
+            assert_eq!(arg(&coarsen.args, "levels"), Some(coarse.levels));
+            assert_eq!(arg(&coarsen.args, "candidates"), Some(coarse.candidates));
+            let uncoarsen = span("uncoarsen");
+            assert_eq!(arg(&uncoarsen.args, "moves"), Some(walk.moves));
+            assert_eq!(arg(&uncoarsen.args, "pieces"), Some(walk.pieces));
+            assert_eq!(
+                arg(&uncoarsen.args, "rows_rewalked"),
+                Some(walk.rows_rewalked)
+            );
         }
         rannc_obs::trace::reset();
     }
@@ -408,64 +695,32 @@ mod tests {
         }
     }
 
-    /// Group adjacency as first built: membership lists and a
-    /// `Vec::contains` dedupe per row.
-    fn adjacency_by_contains(g: &TaskGraph, groups: &[TaskSet]) -> Vec<Vec<u32>> {
-        let mut membership: Vec<Vec<u32>> = vec![Vec::new(); g.num_tasks()];
-        for (gi, set) in groups.iter().enumerate() {
-            for t in set.iter() {
-                membership[t.index()].push(gi as u32);
-            }
-        }
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
-        for t in g.task_ids() {
-            for s in g.task_successors(t) {
-                for &a in &membership[t.index()] {
-                    for &b in &membership[s.index()] {
-                        if a != b {
-                            if !adj[a as usize].contains(&b) {
-                                adj[a as usize].push(b);
-                            }
-                            if !adj[b as usize].contains(&a) {
-                                adj[b as usize].push(a);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        adj
-    }
-
     #[test]
-    fn adjacency_rows_keep_first_occurrence_order() {
-        // coarsening and uncoarsening break exact ties by row order, so
-        // the rows must match the original construction entry for entry
-        let g = bert_graph(&BertConfig::tiny());
-        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let atomic = atomic_partition(&g);
-        let ctx = BlockCtx::new(
-            &g,
-            &profiler,
-            BlockLimits {
-                k: 8,
+    fn each_step_walks_every_task_edge_once() {
+        // coarsening builds its group graph from the atoms and contracts
+        // it per level; uncoarsening builds one and patches it per move
+        let walks = || FULL_WALKS.with(|w| w.replace(0));
+        for (g, k) in [
+            (bert_graph(&BertConfig::tiny()), 4),
+            (mlp_graph(&MlpConfig::deep(64, 64, 16, 10)), 8),
+        ] {
+            let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+            let atomic = atomic_partition(&g);
+            let limits = BlockLimits {
+                k,
                 mem_limit: 32 << 30,
                 profile_batch: 2,
-            },
-        );
-        let mut reversed = atomic.sets.clone();
-        reversed.reverse();
-        let mut unsorted_rows = 0;
-        for groups in [&atomic.sets, &reversed] {
-            let (adj, _) = ctx.adjacency(groups);
-            assert_eq!(adj, adjacency_by_contains(&g, groups));
-            unsorted_rows += adj
-                .iter()
-                .filter(|row| row.windows(2).any(|w| w[0] > w[1]))
-                .count();
+            };
+            let mut ctx = BlockCtx::new(&g, &profiler, limits);
+            walks();
+            let coarse = crate::coarsen::coarsen(&mut ctx, &atomic.sets);
+            assert!(coarse.levels > 1, "{}: levels", g.name);
+            assert_eq!(walks(), 1, "{}: coarsening walks", g.name);
+            let mut groups = coarse.groups;
+            let walk = crate::uncoarsen::uncoarsen(&mut ctx, &mut groups, &coarse.merges);
+            assert_eq!(walks(), 1, "{}: uncoarsening walks", g.name);
+            assert_eq!(walk.rows_rewalked, 2 * walk.moves, "{}", g.name);
         }
-        // rows are not simply sorted: the pin covers the order
-        assert!(unsorted_rows > 0);
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!
 //! The merge hierarchy is recorded so that the uncoarsening step can
 //! revisit every (v, w) pair from coarsest to finest.
+//!
+//! The group adjacency is built once, from the atoms, and contracted after
+//! every level ([`GroupGraph::contract`]).
 
-use crate::blocks::BlockCtx;
+use crate::blocks::{BlockCtx, GroupGraph};
 use rannc_graph::TaskSet;
 use rannc_profile::TimeSums;
 
@@ -35,11 +38,24 @@ pub struct CoarsenResult {
     pub merges: Vec<MergeRecord>,
     /// Number of levels executed.
     pub levels: usize,
+    /// Merge candidates tried: adjacent, still-unused pairs whose union
+    /// was tested for convexity.
+    pub candidates: usize,
 }
 
 /// Run coarsening from the atomic subcomponents down to (at most) `k`
 /// groups.
 pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenResult {
+    coarsen_with(ctx, atomic_sets, |_, _| {})
+}
+
+/// [`coarsen`], handing the group graph and the groups it describes to
+/// `observe` after its build and after every contraction.
+pub fn coarsen_with(
+    ctx: &mut BlockCtx<'_, '_>,
+    atomic_sets: &[TaskSet],
+    mut observe: impl FnMut(&[TaskSet], &GroupGraph),
+) -> CoarsenResult {
     let k = ctx.limits.k;
     let mut groups: Vec<TaskSet> = atomic_sets.to_vec();
     // Only the atoms are walked (independently, so fanned out across
@@ -55,15 +71,18 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
     .unzip();
     let mut merges = Vec::new();
     let mut level = 0usize;
+    let mut candidates = 0usize;
+    let mut graph = GroupGraph::build(ctx.g, &groups);
+    observe(&groups, &graph);
 
     while groups.len() > k {
-        let (adj, _) = ctx.adjacency(&groups);
-
         // ascending computation time
         let mut order: Vec<usize> = (0..groups.len()).collect();
         order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
 
         let mut used = vec![false; groups.len()];
+        // `into[i]`: the group of the next level that group `i` joins
+        let mut into = vec![0u32; groups.len()];
         let mut next: Vec<TaskSet> = Vec::with_capacity(groups.len() / 2 + 1);
         let mut next_sums: Vec<TimeSums> = Vec::with_capacity(next.capacity());
         let mut next_times: Vec<f64> = Vec::with_capacity(next.capacity());
@@ -75,6 +94,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                 continue;
             }
             used[v] = true;
+            into[v] = next.len() as u32;
             // Once we are down to k groups at this level, stop merging and
             // pass the rest through.
             if remaining <= k {
@@ -84,11 +104,12 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                 continue;
             }
             let mut best: Option<(usize, f64, TaskSet, TimeSums)> = None;
-            for &w in &adj[v] {
+            for w in graph.neighbours(v) {
                 let w = w as usize;
                 if used[w] {
                     continue;
                 }
+                candidates += 1;
                 let union = groups[v].union(&groups[w]);
                 if !ctx.checker.is_convex(&union) {
                     continue;
@@ -105,6 +126,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
             match best {
                 Some((w, t, union, union_sums)) => {
                     used[w] = true;
+                    into[w] = into[v];
                     merges.push(MergeRecord {
                         level,
                         v: take(&mut groups, v),
@@ -133,12 +155,17 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
         sums = next_sums;
         times = next_times;
         level += 1;
+        if groups.len() > k {
+            graph.contract(&into, groups.len());
+            observe(&groups, &graph);
+        }
     }
 
     CoarsenResult {
         groups,
         merges,
         levels: level,
+        candidates,
     }
 }
 

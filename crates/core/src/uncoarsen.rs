@@ -33,7 +33,7 @@
 //! * **Boundary pieces only.** Moving p from A to B lowers the cut only
 //!   if p produces a value consumed in B or consumes a value produced in
 //!   B. So a piece holding no *boundary* task — an end of a task edge
-//!   joining two different groups, from [`BlockCtx::adjacency`] — has
+//!   joining two different groups, kept by the [`GroupGraph`] — has
 //!   Δ ≥ 0 toward every B: every edge of its tasks has both ends in A
 //!   alone, so the values it produces reach A only, and those it consumes
 //!   come from a producer that stays in A∖p. Such a piece is never
@@ -41,12 +41,16 @@
 //!   is skipped before its pair's group is looked up. A constant cloned
 //!   into A and B is held by two groups, so its edge into p puts p on the
 //!   boundary.
+//! * **One walk of every task edge.** The group graph and its boundary
+//!   are built once from the input groups. A move changes only the
+//!   source and target groups, so [`GroupGraph::apply_move`] walks just
+//!   their two rows again and patches the rest.
 //! * **Legality last.** Among candidates with `Δ < 0` the first strict
 //!   minimum wins, so convexity and memory are checked only for a
 //!   candidate that would beat the current best — the same move wins as
 //!   when every candidate is checked first.
 
-use crate::blocks::BlockCtx;
+use crate::blocks::{BlockCtx, GroupGraph};
 use crate::coarsen::MergeRecord;
 use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet, ValueId};
 
@@ -58,6 +62,8 @@ pub struct UncoarsenWalk {
     /// Merge pieces walked: on the boundary, still inside their pair's
     /// group, and movable, so their values were collected and Δ priced.
     pub pieces: usize,
+    /// Group-graph rows walked again after moves (two per move).
+    pub rows_rewalked: usize,
 }
 
 /// Run uncoarsening over `groups` in place.
@@ -66,18 +72,29 @@ pub fn uncoarsen(
     groups: &mut [TaskSet],
     merges: &[MergeRecord],
 ) -> UncoarsenWalk {
+    uncoarsen_with(ctx, groups, merges, |_, _| {})
+}
+
+/// [`uncoarsen`], handing the group graph and the groups it describes to
+/// `observe` after its build and after every move.
+pub fn uncoarsen_with(
+    ctx: &mut BlockCtx<'_, '_>,
+    groups: &mut [TaskSet],
+    merges: &[MergeRecord],
+    mut observe: impl FnMut(&[TaskSet], &GroupGraph),
+) -> UncoarsenWalk {
     let g = ctx.g;
     let mut walk = UncoarsenWalk::default();
     // Group adjacency and the boundary change only when a move is
-    // applied, so cache them across the (many) merge records instead of
-    // rebuilding per record.
-    let (mut adj, mut boundary) = ctx.adjacency(groups);
+    // applied: built once, then patched on the two groups a move changes.
+    let mut graph = GroupGraph::build(g, groups);
+    observe(groups, &graph);
     let mut piece_values = [PieceValues::new(g), PieceValues::new(g)];
     // coarsest first: iterate the records in reverse application order
     for m in merges.iter().rev() {
         let pieces = [&m.v, &m.w];
         // a piece off the boundary has Δ ≥ 0 toward every group
-        let on_boundary = pieces.map(|piece| piece.intersects(&boundary));
+        let on_boundary = pieces.map(|piece| piece.intersects(graph.boundary()));
         if on_boundary == [false, false] {
             continue;
         }
@@ -93,7 +110,7 @@ pub fn uncoarsen(
             }
         }
         let mut best: Option<(usize, usize, f64)> = None; // (target, piece, delta)
-        for &b in &adj[a_idx] {
+        for b in graph.neighbours(a_idx) {
             let b_idx = b as usize;
             for p in 0..2 {
                 if !walked[p] {
@@ -113,9 +130,11 @@ pub fn uncoarsen(
             groups[a_idx].difference_with(pieces[p]);
             groups[b_idx].union_with(pieces[p]);
             walk.moves += 1;
-            (adj, boundary) = ctx.adjacency(groups);
+            graph.apply_move(groups, pieces[p], a_idx, b_idx);
+            observe(groups, &graph);
         }
     }
+    walk.rows_rewalked = graph.rows_rewalked();
     walk
 }
 
@@ -464,11 +483,10 @@ mod tests {
                 groupings.push(coarsen(&mut ctx, &atomic.sets).groups);
             }
             groupings.extend(extra);
-            let ctx = BlockCtx::new(&g, &profiler, limits(2));
             let mut values = PieceValues::new(&g);
             let (mut checked, mut clone_edges) = (0, 0);
             for groups in &groupings {
-                let (_, boundary) = ctx.adjacency(groups);
+                let boundary = GroupGraph::build(&g, groups).boundary().clone();
                 let (want, clones) = boundary_by_definition(&g, groups);
                 assert_eq!(boundary, want, "{}: boundary", g.name);
                 clone_edges += clones;

@@ -4,14 +4,17 @@
 //! same uncoarsening move count, and the same blocks in the same order with
 //! bit-equal profiled times — on every bundled model family, for several
 //! `k`, a generous and a tight memory bound, and 1 and 2 worker threads.
+//! The group graph the two steps keep current must equal a rebuild from
+//! scratch after every change.
 
 #[path = "support/blocks.rs"]
 mod reference;
 
-use rannc_core::blocks::{BlockCtx, BlockLimits};
+use rannc_core::blocks::{BlockCtx, BlockLimits, GroupGraph};
+use rannc_core::coarsen::MergeRecord;
 use rannc_core::{atomic_partition, block_partition, coarsen, par, uncoarsen, Block};
 use rannc_cost::CostModel;
-use rannc_graph::TaskGraph;
+use rannc_graph::{DType, GraphBuilder, OpKind, TaskGraph, TaskId, TaskSet};
 use rannc_hw::DeviceSpec;
 use rannc_models::{
     bert_graph, gpt_graph, mlp_graph, resnet_graph, t5_graph, BertConfig, GptConfig, MlpConfig,
@@ -38,7 +41,7 @@ fn tight_limit(g: &TaskGraph, cost: &dyn CostModel, profile_batch: usize) -> usi
     let mem = |set| cost.stage_cost(set, profile_batch, 1, true).mem_bytes;
     let atomic = atomic_partition(g);
     let largest_atom = atomic.sets.iter().map(mem).max().unwrap_or(0);
-    let mut all = rannc_graph::TaskSet::new(g.num_tasks());
+    let mut all = TaskSet::new(g.num_tasks());
     for s in &atomic.sets {
         all.union_with(s);
     }
@@ -138,4 +141,139 @@ fn block_phase_matches_reference_at_paper_scale() {
         },
     );
     assert!(moves > 0, "paper-scale uncoarsening applied no move");
+}
+
+/// A chain of three adds `p0 → p1 → p2` sharing one large constant
+/// `mask`, produced by task `c` and cloned into every add's atom. Tasks
+/// are `[c, p0, p1, p2]`.
+fn shared_mask_chain() -> TaskGraph {
+    let mut gb = GraphBuilder::new("shared-mask");
+    let x = gb.input("x", [8, 16], DType::F32);
+    let k = gb.constant("k", [64, 16], DType::F32);
+    let mask = gb.unary(OpKind::Relu, k);
+    let h0 = gb.binary(OpKind::Add, x, mask);
+    let h1 = gb.binary(OpKind::Add, h0, mask);
+    let h2 = gb.binary(OpKind::Add, h1, mask);
+    gb.output(h2);
+    gb.finish()
+}
+
+/// Checks of a maintained group graph against a rebuild from scratch.
+#[derive(Default)]
+struct GraphChecks {
+    /// Graphs compared.
+    states: usize,
+    /// Compared rows not in ascending neighbour order.
+    unsorted_rows: usize,
+}
+
+impl GraphChecks {
+    /// The graph's rows, entry for entry and in order, and its boundary
+    /// must equal the reference's for `groups`.
+    fn check(&mut self, g: &TaskGraph, groups: &[TaskSet], graph: &GroupGraph, what: &str) {
+        let rows: Vec<Vec<u32>> = (0..groups.len())
+            .map(|r| graph.neighbours(r).collect())
+            .collect();
+        assert_eq!(rows, reference::adjacency(g, groups), "{what}: rows");
+        assert_eq!(
+            graph.boundary(),
+            &reference::boundary(g, groups),
+            "{what}: boundary"
+        );
+        self.states += 1;
+        self.unsorted_rows += rows
+            .iter()
+            .filter(|row| row.windows(2).any(|w| w[0] > w[1]))
+            .count();
+    }
+}
+
+/// Coarsen and uncoarsen `g`, checking the group graph after its build in
+/// each step, after every contraction and after every move. Returns the
+/// uncoarsening move count.
+fn check_graph_through_the_steps(
+    name: &str,
+    g: &TaskGraph,
+    limits: BlockLimits,
+    checks: &mut GraphChecks,
+) -> usize {
+    let profiler = Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+    let atomic = atomic_partition(g);
+    let mut ctx = BlockCtx::new(g, &profiler, limits);
+    let what = format!("{name} k={} mem={}", limits.k, limits.mem_limit);
+    let mut level = 0;
+    let coarse = coarsen::coarsen_with(&mut ctx, &atomic.sets, |groups, graph| {
+        checks.check(
+            g,
+            groups,
+            graph,
+            &format!("{what} coarsening level {level}"),
+        );
+        level += 1;
+    });
+    let mut groups = coarse.groups;
+    let mut moves = 0;
+    let walk = uncoarsen::uncoarsen_with(&mut ctx, &mut groups, &coarse.merges, |groups, graph| {
+        checks.check(g, groups, graph, &format!("{what} after {moves} moves"));
+        moves += 1;
+    });
+    assert_eq!(moves, walk.moves + 1, "{what}: one check per move");
+    walk.moves
+}
+
+#[test]
+fn group_graph_matches_a_rebuild() {
+    let mut checks = GraphChecks::default();
+    let mut moves = 0;
+    for (name, g) in models() {
+        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let tight = tight_limit(&g, &profiler, 2);
+        for k in [4, 8, 32] {
+            for mem_limit in [GENEROUS, tight] {
+                let limits = BlockLimits {
+                    k,
+                    mem_limit,
+                    profile_batch: 2,
+                };
+                moves += check_graph_through_the_steps(name, &g, limits, &mut checks);
+            }
+        }
+    }
+    assert!(moves > 0, "no uncoarsening move anywhere in the grid");
+    // rows are not simply sorted: the comparison covers their order
+    assert!(checks.unsorted_rows > 0, "every compared row was sorted");
+
+    // the clone fixture: coarsened into one and two groups, and the move
+    // of {c, p1} into a group that already holds the clone c
+    let g = shared_mask_chain();
+    for k in [1, 2] {
+        let limits = BlockLimits {
+            k,
+            mem_limit: GENEROUS,
+            profile_batch: 2,
+        };
+        check_graph_through_the_steps("shared-mask", &g, limits, &mut checks);
+    }
+    let [c, p0, p1, p2] = [0, 1, 2, 3].map(TaskId);
+    let set = |ids: &[TaskId]| TaskSet::from_ids(g.num_tasks(), ids.iter().copied());
+    let merge = MergeRecord {
+        level: 0,
+        v: set(&[c, p1]),
+        w: set(&[c, p2]),
+    };
+    let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+    let limits = BlockLimits {
+        k: 2,
+        mem_limit: GENEROUS,
+        profile_batch: 2,
+    };
+    let mut groups = vec![set(&[c, p0]), set(&[c, p1, p2])];
+    let walk = uncoarsen::uncoarsen_with(
+        &mut BlockCtx::new(&g, &profiler, limits),
+        &mut groups,
+        std::slice::from_ref(&merge),
+        |groups, graph| checks.check(&g, groups, graph, "shared-mask clone move"),
+    );
+    assert_eq!(walk.moves, 1);
+    assert_eq!(groups, [set(&[c, p0, p1]), set(&[p2])]);
 }

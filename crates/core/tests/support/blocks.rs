@@ -5,7 +5,10 @@
 //! It is the straightforward formulation of §III-B:
 //!
 //! * [`adjacency`] dedupes each row with `Vec::contains` (quadratic in the
-//!   row length) over freshly allocated membership and successor lists;
+//!   row length) over freshly allocated membership and successor lists,
+//!   and [`boundary`] tests every task edge's holders; the production
+//!   `GroupGraph`, built once per step and then contracted or patched,
+//!   must equal both after every change;
 //! * [`coarsen`] profiles every merge candidate twice (memory, then time);
 //! * [`uncoarsen`] checks every candidate move for legality first — both
 //!   groups convex, both within device memory — then prices it with four
@@ -51,6 +54,26 @@ pub fn adjacency(g: &TaskGraph, groups: &[TaskSet]) -> Vec<Vec<u32>> {
     adj
 }
 
+/// Both ends of every task edge `t → s` with `a ∋ t`, `b ∋ s`, `a ≠ b`.
+pub fn boundary(g: &TaskGraph, groups: &[TaskSet]) -> TaskSet {
+    let holders = |t| -> Vec<usize> {
+        (0..groups.len())
+            .filter(|&i| groups[i].contains(t))
+            .collect()
+    };
+    let mut boundary = TaskSet::new(g.num_tasks());
+    for t in g.task_ids() {
+        for s in g.task_successors(t) {
+            let (ht, hs) = (holders(t), holders(s));
+            if ht.iter().any(|a| hs.iter().any(|b| a != b)) {
+                boundary.insert(t);
+                boundary.insert(s);
+            }
+        }
+    }
+    boundary
+}
+
 /// Coarsening: level by level, each group (ascending time) merges with
 /// the adjacent unused group minimising the merged time.
 pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenResult {
@@ -58,6 +81,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
     let mut groups: Vec<TaskSet> = atomic_sets.to_vec();
     let mut merges = Vec::new();
     let mut level = 0usize;
+    let mut candidates = 0usize;
 
     while groups.len() > k {
         let adj = adjacency(ctx.g, &groups);
@@ -85,6 +109,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                 if used[w] {
                     continue;
                 }
+                candidates += 1;
                 let union = groups[v].union(&groups[w]);
                 if !ctx.checker.is_convex(&union) || !ctx.fits(&union) {
                     continue;
@@ -121,6 +146,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
         groups,
         merges,
         levels: level,
+        candidates,
     }
 }
 

@@ -1,14 +1,14 @@
 //! The per-graph index: whole-graph facts every phase reads.
 //!
 //! The topological order, the per-task positions, the distinct-successor
-//! lists and the non-constant flags (paper §III-A) are facts of a
-//! [`TaskGraph`], not of one partitioning request. [`TaskGraph::index`]
-//! derives them once, on first use, and hands out the same
-//! [`GraphIndex`] to every later reader; every `&mut self` method of the
-//! graph drops it, so it is rebuilt after an edit.
+//! and distinct-predecessor lists and the non-constant flags (paper
+//! §III-A) are facts of a [`TaskGraph`], not of one partitioning request.
+//! [`TaskGraph::index`] derives them once, on first use, and hands out
+//! the same [`GraphIndex`] to every later reader; every `&mut self`
+//! method of the graph drops it, so it is rebuilt after an edit.
 //!
 //! The builder here is the only place that runs Kahn's algorithm over a
-//! task graph or builds its successor table.
+//! task graph or builds its successor and predecessor tables.
 
 use crate::{TaskGraph, TaskId, ValueKind};
 
@@ -24,12 +24,17 @@ pub struct GraphIndex {
     /// `succ_list[succ_start[t]..succ_start[t + 1]]`, ascending.
     succ_start: Vec<u32>,
     succ_list: Vec<TaskId>,
+    /// The distinct predecessors of `t` are
+    /// `pred_list[pred_start[t]..pred_start[t + 1]]`, ascending.
+    pred_start: Vec<u32>,
+    pred_list: Vec<TaskId>,
     /// `non_constant[t]`: `t`'s output depends on the model input.
     non_constant: Vec<bool>,
 }
 
 impl GraphIndex {
-    /// Derive every fact of `g` in one successor walk plus one Kahn pass.
+    /// Derive every fact of `g` in one successor walk, one transpose of
+    /// it and one Kahn pass.
     pub(crate) fn build(g: &TaskGraph) -> Self {
         let n = g.num_tasks();
         // Distinct successors, flat. A task's distinct predecessors are
@@ -49,10 +54,28 @@ impl GraphIndex {
             succ_start.push(succ_list.len() as u32);
         }
 
-        // Kahn's algorithm: the queue, once drained, is the order.
         let succs = |t: TaskId| {
             &succ_list[succ_start[t.index()] as usize..succ_start[t.index() + 1] as usize]
         };
+
+        // Distinct predecessors, flat: the successor table transposed,
+        // sized by the in-degrees. Listing each `t` under its successors
+        // in ascending `t` keeps every predecessor list ascending.
+        let mut pred_start = Vec::with_capacity(n + 1);
+        pred_start.push(0);
+        for &d in &indegree {
+            pred_start.push(pred_start[pred_start.len() - 1] + d);
+        }
+        let mut fill = pred_start.clone();
+        let mut pred_list = vec![TaskId(0); succ_list.len()];
+        for t in g.task_ids() {
+            for &s in succs(t) {
+                pred_list[fill[s.index()] as usize] = t;
+                fill[s.index()] += 1;
+            }
+        }
+
+        // Kahn's algorithm: the queue, once drained, is the order.
         let mut order: Vec<TaskId> = g.task_ids().filter(|t| indegree[t.index()] == 0).collect();
         order.reserve(n - order.len());
         let mut head = 0;
@@ -98,6 +121,8 @@ impl GraphIndex {
             pos,
             succ_start,
             succ_list,
+            pred_start,
+            pred_list,
             non_constant,
         }
     }
@@ -132,6 +157,14 @@ impl GraphIndex {
     pub fn successors(&self, t: TaskId) -> &[TaskId] {
         &self.succ_list
             [self.succ_start[t.index()] as usize..self.succ_start[t.index() + 1] as usize]
+    }
+
+    /// Distinct predecessor tasks of `t` (producers of its inputs),
+    /// ascending.
+    #[inline]
+    pub fn predecessors(&self, t: TaskId) -> &[TaskId] {
+        &self.pred_list
+            [self.pred_start[t.index()] as usize..self.pred_start[t.index() + 1] as usize]
     }
 
     /// Per-task classification: `non_constant()[t.index()]` is `true` when

@@ -312,8 +312,14 @@ impl FromIterator<TaskId> for TaskSet {
 /// Which sets of a family hold each task, flat: the labels of the sets
 /// holding `t` are [`Membership::of`]`(t)`, in the family's order. Sets
 /// may share tasks (constant-task clones). O(universe + members) to build.
+///
+/// Merges ([`Membership::contract`]) and moves ([`Membership::relabel`])
+/// edit the labels in place: each task keeps every label once, but no
+/// longer in any order.
 pub struct Membership {
+    /// `t`'s labels are `member[start[t]..start[t] + len[t]]`.
     start: Vec<u32>,
+    len: Vec<u32>,
     member: Vec<u32>,
 }
 
@@ -321,30 +327,74 @@ impl Membership {
     /// Index a family of `(label, set)` pairs over a universe of `n`
     /// tasks; every set's universe must be at most `n`.
     pub fn new<'s>(n: usize, sets: impl Iterator<Item = (u32, &'s TaskSet)> + Clone) -> Self {
-        let mut start = vec![0u32; n + 1];
+        let mut len = vec![0u32; n];
         for (_, set) in sets.clone() {
             for t in set.iter() {
-                start[t.index() + 1] += 1;
+                len[t.index()] += 1;
             }
         }
-        for i in 0..n {
-            start[i + 1] += start[i];
+        let mut start = Vec::with_capacity(n);
+        let mut total = 0u32;
+        for &l in &len {
+            start.push(total);
+            total += l;
         }
         let mut fill = start.clone();
-        let mut member = vec![0u32; start[n] as usize];
+        let mut member = vec![0u32; total as usize];
         for (label, set) in sets {
             for t in set.iter() {
                 member[fill[t.index()] as usize] = label;
                 fill[t.index()] += 1;
             }
         }
-        Membership { start, member }
+        Membership { start, len, member }
     }
 
     /// Labels of the sets holding `t`.
     #[inline]
     pub fn of(&self, t: TaskId) -> &[u32] {
-        &self.member[self.start[t.index()] as usize..self.start[t.index() + 1] as usize]
+        let i = self.start[t.index()] as usize;
+        &self.member[i..i + self.len[t.index()] as usize]
+    }
+
+    /// Set `i` became set `into[i]` (several may become one): relabel
+    /// every task, keeping each label once.
+    pub fn contract(&mut self, into: &[u32]) {
+        for t in 0..self.len.len() {
+            let i = self.start[t] as usize;
+            let held = &mut self.member[i..i + self.len[t] as usize];
+            for label in held.iter_mut() {
+                *label = into[*label as usize];
+            }
+            if held.len() > 1 {
+                held.sort_unstable();
+                let mut kept = 1;
+                for j in 1..held.len() {
+                    if held[j] != held[kept - 1] {
+                        held[kept] = held[j];
+                        kept += 1;
+                    }
+                }
+                self.len[t] = kept as u32;
+            }
+        }
+    }
+
+    /// Task `t` left set `from` for set `to`. Panics if `from` does not
+    /// hold `t`.
+    pub fn relabel(&mut self, t: TaskId, from: u32, to: u32) {
+        let i = self.start[t.index()] as usize;
+        let held = &mut self.member[i..i + self.len[t.index()] as usize];
+        let at = held
+            .iter()
+            .position(|&l| l == from)
+            .expect("relabel: `from` does not hold the task");
+        if held.contains(&to) {
+            held.swap(at, held.len() - 1);
+            self.len[t.index()] -= 1;
+        } else {
+            held[at] = to;
+        }
     }
 }
 
@@ -456,5 +506,26 @@ mod tests {
         let a = TaskSet::new(10);
         let b = TaskSet::new(20);
         let _ = a.is_subset(&b);
+    }
+
+    #[test]
+    fn membership_follows_moves_and_merges() {
+        let set = |v: &[u32]| TaskSet::from_ids(4, ids(v));
+        let family = [set(&[0, 1]), set(&[1, 2]), set(&[3])];
+        let labelled = || family.iter().enumerate().map(|(i, s)| (i as u32, s));
+        let mut held = Membership::new(4, labelled());
+        assert_eq!(held.of(TaskId(1)), &[0, 1]);
+        // task 2 moves from set 1 to set 2; task 1 moves from set 0 to
+        // set 1, which already holds it, so it keeps one label
+        held.relabel(TaskId(2), 1, 2);
+        assert_eq!(held.of(TaskId(2)), &[2]);
+        held.relabel(TaskId(1), 0, 1);
+        assert_eq!(held.of(TaskId(1)), &[1]);
+        // sets 0 and 1 merge into set 0 and set 2 becomes set 1: task 1,
+        // held by both operands, keeps one label
+        let mut held = Membership::new(4, labelled());
+        held.contract(&[0, 0, 1]);
+        let labels: Vec<&[u32]> = (0..4).map(|t| held.of(TaskId(t))).collect();
+        assert_eq!(labels, [&[0][..], &[0], &[0], &[1]]);
     }
 }

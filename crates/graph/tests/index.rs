@@ -74,6 +74,12 @@ fn assert_index_matches_definitions(g: &TaskGraph) {
             "{}: successors of {t}",
             g.name
         );
+        assert_eq!(
+            index.predecessors(t),
+            &g.task_predecessors(t)[..],
+            "{}: predecessors of {t}",
+            g.name
+        );
     }
     assert_eq!(
         index.non_constant(),

@@ -27,6 +27,12 @@ echo "==> paper-scale liveness parity (BERT 2048x256, 4 stages, against the defi
 cargo test --release -q -p rannc-verify --offline --lib \
     closed_form_matches_reference_at_paper_scale -- --ignored
 
+echo "==> benchmark package tests (rannc_benchmark, its own workspace)"
+# the benchmark package is outside the repository workspace, so the
+# workspace test run above never builds it: run its own tests here
+cargo test --release -q --offline \
+    --manifest-path crates/bench/src/bin/rannc_benchmark/Cargo.toml
+
 echo "==> formula-ownership gate (collective math only in rannc-hw / rannc-cost)"
 # every comm/collective-time formula lives behind the CostModel layer;
 # nothing outside rannc-hw / rannc-cost may call the ring formula directly
@@ -51,7 +57,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, one iteration closed form, one campaign simulator, no deleted search, memo or fixpoint machinery)"
+echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, no deleted search, memo or fixpoint machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -109,13 +115,23 @@ fi
 
 # The graph index is the one place that derives whole-graph facts: its
 # builder (crates/graph/src/index.rs) is the only Kahn pass and the only
-# successor-table build over a task graph, and every other reader
-# borrows TaskGraph::index, so a request never re-derives them.
-# task_predecessors_into stays deleted (Kahn's in-degrees come from the
-# successor table).
+# successor- and predecessor-table build over a task graph, and every
+# other reader borrows TaskGraph::index, so a request never re-derives
+# them. task_predecessors_into stays deleted (Kahn's in-degrees and the
+# predecessor table both come from the successor table).
 if grep -rnE --include='*.rs' "(\.|::)task_(successors|predecessors)_into\(" crates/*/src \
     | grep -v '^crates/graph/src/index.rs:'; then
     echo "FAILED: task_successors_into/task_predecessors_into called outside the graph index builder"
+    exit 1
+fi
+
+# The block phase walks every task edge once per step: coarsening and
+# uncoarsening each build one GroupGraph, then contract it per level or
+# patch it per move. The per-level and per-move rebuild
+# (BlockCtx::adjacency) stays deleted; the from-scratch walk lives only
+# in crates/core/tests/support/ as the oracle.
+if grep -rnE --include='*.rs' "fn adjacency|\.adjacency\(" crates/core/src; then
+    echo "FAILED: the group-adjacency rebuild is back in crates/core/src"
     exit 1
 fi
 
