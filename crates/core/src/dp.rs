@@ -21,6 +21,18 @@
 //! profiling first would give. The `d_min` incremental pruning of the paper is
 //! implemented: when no feasible split exists at device budget `d`, no
 //! smaller budget is tried again.
+//!
+//! The inner loop touches only what it uses. A finished DP row `(s, b)`
+//! records its finite device counts in ascending order, so cell
+//! `(s, b, d)` walks, for each `b_prev`, only the live cells of row
+//! `(s − 1, b_prev)` below `d`: the pairs the full `(b_prev, d_prev)`
+//! walk would visit, in the same order, minus the infeasible ones, which
+//! never reached the memo or the tie-break. Most pairs are infeasible
+//! (70% in a resnet152x8-d128 search, 84% in a bert256-d128 one). Each
+//! lookup reads a 32-byte hot memo entry (objective terms and memory);
+//! the compute-only times and parameter count sit in a cold entry, read
+//! only for a device group slower than the template and when the
+//! solution is rebuilt.
 
 use crate::stagecache::{DpCtx, StageCost, TimeRow};
 use rannc_graph::TaskSet;
@@ -130,18 +142,71 @@ struct MemoKey {
     tp: usize,
 }
 
+/// `Hot::mem` of a stage over the memory bound ([`DpCtx::eval`] gave
+/// `None`): no device group holds it.
+const OVER_MEMORY: usize = usize::MAX;
+
+/// The half of a memo entry every lookup reads: the stamp, the
+/// objective terms and the memory (32 bytes).
+#[derive(Debug, Clone, Copy)]
+struct Hot {
+    stamp: u32,
+    obj_f: f64,
+    obj_b: f64,
+    /// [`OVER_MEMORY`] for a stage over the memory bound.
+    mem: usize,
+}
+
+/// The half of a memo entry read only for a group slower than the
+/// template and at reconstruction. Valid iff its hot half's stamp is.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cold {
+    comp_f: f64,
+    comp_b: f64,
+    params: usize,
+}
+
+impl Hot {
+    const EMPTY: Hot = Hot {
+        stamp: 0,
+        obj_f: 0.0,
+        obj_b: 0.0,
+        mem: OVER_MEMORY,
+    };
+
+    /// The stage cost the two halves hold.
+    fn cost(&self, cold: &Cold) -> StageCost {
+        StageCost {
+            obj_f: self.obj_f,
+            obj_b: self.obj_b,
+            comp_f: cold.comp_f,
+            comp_b: cold.comp_b,
+            mem: self.mem,
+            params: cold.params,
+        }
+    }
+}
+
 /// Reusable cross-candidate scratch of Algorithm 1: the flat DP tables,
-/// the flat `(b_prev, b, repl)` stage-cost memo, and one time-row handle
-/// per `repl` (the micro-batch a stage prices at depends only on `repl`
-/// under one memo key).
+/// the live predecessor lists, the flat `(b_prev, b, repl)` stage-cost
+/// memo, and one time-row handle per `repl` (the micro-batch a stage
+/// prices at depends only on `repl` under one memo key).
 ///
-/// Memo entries of one candidate are pure functions of `(b_prev, b,
-/// repl)` given the memo key, so the next candidate with the same
-/// `(R, MB, T, ckpt)` can reuse them. The arena keeps tables and memo
-/// across invocations: tables are `clear`+`resize` filled (capacity
-/// retained), and the memo is *stamped* — entries written under an older
-/// stamp are invisible, so switching candidates is one integer bump, not
-/// an `O(nb²·d)` reset.
+/// The memo is split in two: a 32-byte hot entry (stamp, objective
+/// terms, memory; a stage over the memory bound is a sentinel memory)
+/// that every lookup reads, and a cold entry (compute-only times,
+/// parameters) read only for a slowed device group and at
+/// reconstruction. Memo entries of one candidate are pure functions of
+/// `(b_prev, b, repl)` given the memo key, so the next candidate with
+/// the same `(R, MB, T, ckpt)` can reuse them. The arena keeps tables
+/// and memo across invocations: tables are `clear`+`resize` filled
+/// (capacity retained), and the memo is *stamped* — entries written
+/// under an older stamp are invisible, so switching candidates is one
+/// integer bump, not an `O(nb²·d)` reset.
+///
+/// The live lists hold, per finished DP row `(s, b)`, its finite device
+/// counts in ascending order, so a cell walks only predecessors that
+/// can lie on a solution.
 ///
 /// Contract: an arena must only be reused across DP invocations that
 /// share the graph, cost model, block list and cluster (Algorithm 2's
@@ -156,14 +221,21 @@ pub struct DpArena {
     tf: Vec<f64>,
     tb: Vec<f64>,
     parent: Vec<(u32, u32)>,
-    /// `(stamp, result)` per `(b_prev, b, repl)`; valid iff stamp matches.
-    memo: Vec<(u32, Option<StageCost>)>,
+    /// Finite device counts of every finished row, ascending per row.
+    live: Vec<u32>,
+    /// `live[start..end]` per row `(s, b)`; empty for an unfinished row.
+    live_rows: Vec<(u32, u32)>,
+    /// Hot half per `(b_prev, b, repl)`; valid iff its stamp matches.
+    hot: Vec<Hot>,
+    /// Cold half per `(b_prev, b, repl)`, written with its hot half.
+    cold: Vec<Cold>,
     /// Time-row handle per `repl`, fetched on first use under this key.
     rows: Vec<Option<Arc<TimeRow>>>,
     stamp: u32,
     key: Option<MemoKey>,
     hits: u64,
     misses: u64,
+    visits: u64,
 }
 
 impl DpArena {
@@ -182,17 +254,26 @@ impl DpArena {
         self.misses
     }
 
+    /// Predecessor pairs `(b_prev, d_prev)` the DPs walked, over the
+    /// arena's lifetime: every one is a finite cell, so each is a memo
+    /// lookup or a micro-batch-too-thin skip.
+    pub fn visits(&self) -> u64 {
+        self.visits
+    }
+
     /// Size the tables for one candidate and invalidate the memo if the
-    /// memo key changed. `cells` is the DP table length for this
-    /// candidate's stage count.
-    fn prepare(&mut self, nb: usize, ds1: usize, key: MemoKey, cells: usize) {
+    /// memo key changed. `dp_rows` is the number of DP rows `(s, b)` for
+    /// this candidate's stage count.
+    fn prepare(&mut self, nb: usize, ds1: usize, key: MemoKey, dp_rows: usize) {
         let bs1 = nb + 1;
         let memo_len = nb * bs1 * ds1;
-        if self.nb != nb || self.ds1 != ds1 || self.memo.len() != memo_len {
+        if self.nb != nb || self.ds1 != ds1 || self.hot.len() != memo_len {
             self.nb = nb;
             self.ds1 = ds1;
-            self.memo.clear();
-            self.memo.resize(memo_len, (0, None));
+            self.hot.clear();
+            self.hot.resize(memo_len, Hot::EMPTY);
+            self.cold.clear();
+            self.cold.resize(memo_len, Cold::default());
             self.stamp = 1;
             self.key = Some(key);
             self.rows.clear();
@@ -203,12 +284,13 @@ impl DpArena {
                 Some(s) => s,
                 None => {
                     // stamp wrapped: pay one full reset every 2^32 keys
-                    self.memo.iter_mut().for_each(|m| *m = (0, None));
+                    self.hot.iter_mut().for_each(|m| *m = Hot::EMPTY);
                     1
                 }
             };
             self.key = Some(key);
         }
+        let cells = dp_rows * ds1;
         self.v.clear();
         self.v.resize(cells, INF);
         self.tf.clear();
@@ -217,6 +299,9 @@ impl DpArena {
         self.tb.resize(cells, 0.0);
         self.parent.clear();
         self.parent.resize(cells, (u32::MAX, u32::MAX));
+        self.live.clear();
+        self.live_rows.clear();
+        self.live_rows.resize(dp_rows, (0, 0));
     }
 }
 
@@ -249,7 +334,8 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
     // exact: keyed instead on uniform device memory, it changed
     // churn-bert256-d128's plans (sim_samples_per_s 22.6907 → 22.7963);
     // dropped altogether it kept every plan but cost resnet152x8-d128
-    // ~37% plan_s_p50 (4.9 → 6.8 ms) and bert256-d128 ~13%.
+    // ~40% plan_s_p50 (3.5 → 4.9 ms) and bert256-d128 ~13% (16.0 →
+    // 18.1 ms): besides infeasible cells, it skips whole device budgets.
     let prune = !ctx.cluster().is_heterogeneous();
     let nb = ctx.ranges().blocks();
     let s_max = p.stages;
@@ -257,8 +343,11 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
     if s_max == 0 || s_max > nb || d_max < s_max || p.microbatches == 0 || p.tp == 0 {
         return None;
     }
-    // per-microbatch samples available to one pipeline replica
-    if p.batch_size / p.replica_factor / p.microbatches == 0 {
+    // per-microbatch samples available to one pipeline replica: a stage
+    // on `repl` units gets a micro-batch of `samples / repl`, empty for
+    // `repl > samples`
+    let samples = p.batch_size / p.replica_factor / p.microbatches;
+    if samples == 0 {
         return None;
     }
 
@@ -278,22 +367,28 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
             ckpt: p.stages > 1,
             tp: p.tp,
         },
-        (s_max + 1) * bs1 * ds1,
+        (s_max + 1) * bs1,
     );
     let DpArena {
         v,
         tf,
         tb,
         parent,
-        memo,
+        live,
+        live_rows,
+        hot,
+        cold,
         rows,
         stamp,
         hits,
         misses,
+        visits,
         ..
     } = arena;
     let stamp = *stamp;
     v[idx(0, 0, 0)] = 0.0;
+    live.push(0);
+    live_rows[0] = (0, 1);
 
     let mut d_min = 1usize;
 
@@ -310,12 +405,19 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
                 let mut found = false;
                 let mut saw_micro_zero = false;
                 for b_prev in (s - 1)..b {
-                    for d_prev in (s - 1)..d {
-                        if v[idx(s - 1, b_prev, d_prev)] == INF {
-                            continue; // previous stage infeasible
+                    // Only the finite cells of row (s−1, b_prev), in the
+                    // ascending order of the full d_prev walk: an
+                    // infeasible previous stage never reaches `found`,
+                    // the micro-batch test or the memo.
+                    let (start, end) = live_rows[(s - 1) * bs1 + b_prev];
+                    for &d_prev in &live[start as usize..end as usize] {
+                        let d_prev = d_prev as usize;
+                        if d_prev >= d {
+                            break;
                         }
+                        *visits += 1;
                         let repl = d - d_prev;
-                        if p.batch_size / p.replica_factor / p.microbatches / repl == 0 {
+                        if repl > samples {
                             // batch too thin for this replica count; this
                             // failure mode RELAXES as d shrinks, so it must
                             // not trigger the d_min pruning below
@@ -327,28 +429,49 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
                         // and, across candidates sharing a memo key, from
                         // every stage count.
                         let li = memo_idx(b_prev, b, repl);
-                        let looked_up = match memo[li] {
-                            (st, c) if st == stamp => {
-                                *hits += 1;
-                                c
-                            }
-                            _ => {
-                                *misses += 1;
-                                let c = ctx.eval_at(b_prev, b, repl, &mut rows[repl]);
-                                memo[li] = (stamp, c);
-                                c
-                            }
+                        let entry = if hot[li].stamp == stamp {
+                            *hits += 1;
+                            hot[li]
+                        } else {
+                            *misses += 1;
+                            let entry = match ctx.eval_at(b_prev, b, repl, &mut rows[repl]) {
+                                Some(c) => {
+                                    debug_assert_ne!(c.mem, OVER_MEMORY, "memory sentinel");
+                                    cold[li] = Cold {
+                                        comp_f: c.comp_f,
+                                        comp_b: c.comp_b,
+                                        params: c.params,
+                                    };
+                                    Hot {
+                                        stamp,
+                                        obj_f: c.obj_f,
+                                        obj_b: c.obj_b,
+                                        mem: c.mem,
+                                    }
+                                }
+                                None => Hot {
+                                    stamp,
+                                    ..Hot::EMPTY
+                                },
+                            };
+                            hot[li] = entry;
+                            entry
                         };
-                        let Some(cost) = looked_up else {
+                        if entry.mem == OVER_MEMORY {
                             continue; // over device memory
-                        };
+                        }
                         // DP units map to physical slot spans of width
                         // tp: [d_prev·tp, d·tp)
                         let (from, to) = (d_prev * p.tp, d * p.tp);
-                        if cost.mem > slots.group_mem(from, to) {
+                        if entry.mem > slots.group_mem(from, to) {
                             continue; // over this device group's memory
                         }
-                        let (obj_f, obj_b) = cost.scaled_objectives(slots.group_scale(from, to));
+                        let scale = slots.group_scale(from, to);
+                        let (obj_f, obj_b) = if scale == 1.0 {
+                            (entry.obj_f, entry.obj_b)
+                        } else {
+                            entry.cost(&cold[li]).scaled_objectives(scale)
+                        };
                         let cand_f = tf[idx(s - 1, b_prev, d_prev)].max(obj_f);
                         let cand_b = tb[idx(s - 1, b_prev, d_prev)].max(obj_b);
                         let cand_v = cand_f + cand_b;
@@ -375,6 +498,15 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
                 }
                 d -= 1;
             }
+            // The row is finished (a pruned one too: its cells below the
+            // cut stay infinite): record its finite device counts.
+            let start = live.len() as u32;
+            live.extend(
+                (d_lo..=d_hi)
+                    .filter(|&d| v[idx(s, b, d)] != INF)
+                    .map(|d| d as u32),
+            );
+            live_rows[s * bs1 + b] = (start, live.len() as u32);
         }
     }
 
@@ -391,10 +523,14 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
         let (b_prev, d_prev) = parent[idx(s, b, d)];
         let (b_prev, d_prev) = (b_prev as usize, d_prev as usize);
         let repl = d - d_prev;
-        let micro = p.batch_size / p.replica_factor / p.microbatches / repl;
-        let (st, cost) = memo[memo_idx(b_prev, b, repl)];
-        debug_assert_eq!(st, stamp, "reconstructed stage must be memoised");
-        let cost = cost.expect("reconstructed stage must be feasible");
+        let micro = samples / repl;
+        let li = memo_idx(b_prev, b, repl);
+        debug_assert_eq!(hot[li].stamp, stamp, "reconstructed stage must be memoised");
+        debug_assert_ne!(
+            hot[li].mem, OVER_MEMORY,
+            "reconstructed stage must be feasible"
+        );
+        let cost = hot[li].cost(&cold[li]);
         let sc = slots.group_scale(d_prev * p.tp, d * p.tp);
         let (fwd_time, bwd_time) = (cost.comp_f * sc, cost.comp_b * sc);
         stages_rev.push(DpStage {

@@ -310,13 +310,20 @@ pub fn form_stage_with(
                 .iter()
                 .map(|&i| {
                     let p = &grid[i];
-                    let _dp = rannc_obs::trace::span("dp", "planner")
+                    let span = rannc_obs::trace::span("dp", "planner")
                         .arg_i("S", p.stages as i64)
                         .arg_i("MB", p.microbatches as i64)
                         .arg_i("T", p.tp as i64)
                         .arg_i("n", n as i64);
                     let ctx = DpCtx::new(cost, &ranges, cluster, &slots, p);
-                    form_stage_dp(&ctx, &mut arena)
+                    let (visits, evals) = (arena.visits(), arena.misses());
+                    let sol = form_stage_dp(&ctx, &mut arena);
+                    // predecessor pairs walked and stages evaluated (memo
+                    // misses) by this DP alone
+                    let _dp = span
+                        .arg_i("visits", (arena.visits() - visits) as i64)
+                        .arg_i("evals", (arena.misses() - evals) as i64);
+                    sol
                 })
                 .collect();
             arenas.put(arena);

@@ -1,9 +1,12 @@
 //! Differential property tests of the flat-table DP engine: the
 //! arena-backed DP (`form_stage_dp`) with cross-candidate memo reuse
 //! must match the HashMap-memo reference DP bit-for-bit — plans AND
-//! costs — on random graphs, device counts, tensor-parallel degrees and
-//! candidate orders, and the parallel sweep must match the exhaustive
-//! sequential scan at every thread count.
+//! costs — on random graphs, device counts, tensor-parallel degrees,
+//! memory bounds, placed clusters and candidate orders, and the
+//! parallel sweep must match the exhaustive sequential scan at every
+//! thread count. The engine walks only finite predecessors; the
+//! reference walks every pair, and the counts of the two walks must
+//! agree.
 
 #[path = "support/mod.rs"]
 mod support;
@@ -14,10 +17,13 @@ use rannc_core::{
     DpParams, DpSolution, RangeTable, SearchOptions, SlotTable,
 };
 use rannc_graph::TaskGraph;
-use rannc_hw::{ClusterSpec, DeviceSpec};
-use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
+use rannc_hw::{ClusterSpec, DeviceRank, DeviceSpec};
+use rannc_models::{
+    bert_graph, mlp_graph, resnet_graph, BertConfig, MlpConfig, ResNetConfig, ResNetDepth,
+};
+use rannc_obs::trace::{self, ArgVal};
 use rannc_profile::{Profiler, ProfilerOptions};
-use support::{exhaustive_search, form_stage_dp_hashmap};
+use support::{exhaustive_search, form_stage_dp_hashmap, tier_grid, Walk};
 
 fn graphs() -> impl Strategy<Value = TaskGraph> {
     prop_oneof![
@@ -45,6 +51,57 @@ fn blocks_of(g: &TaskGraph, k: usize) -> Vec<rannc_core::Block> {
             profile_batch: 2,
         },
     )
+}
+
+/// The smallest and largest memory of any block range of `ranges` as
+/// one stage at `batch_size` on one replica: the span a memory bound is
+/// drawn from so that some stages fit and some do not.
+fn stage_mem_span(
+    profiler: &Profiler<'_>,
+    ranges: &RangeTable,
+    cluster: &ClusterSpec,
+    batch_size: usize,
+) -> (usize, usize) {
+    let p = DpParams {
+        stages: 2,
+        devices: 1,
+        batch_size,
+        replica_factor: 1,
+        microbatches: 1,
+        mem_limit: usize::MAX,
+        tp: 1,
+    };
+    let precision = profiler.options().precision;
+    let slots = SlotTable::build(cluster, 1, 1, profiler.device(), precision);
+    let ctx = DpCtx::new(profiler, ranges, cluster, &slots, &p);
+    let nb = ranges.blocks();
+    let mems = (0..nb)
+        .flat_map(|from| (from + 1..=nb).map(move |to| (from, to)))
+        .map(|(from, to)| ctx.eval(from, to, 1).expect("no memory bound").mem);
+    mems.fold((usize::MAX, 0), |(lo, hi), m| (lo.min(m), hi.max(m)))
+}
+
+/// One V100 node, as is (`kind` 0), with device `rank` at half compute
+/// efficiency (1), or with device `rank` holding only `small_mem` bytes
+/// (2).
+fn one_node(kind: usize, rank: usize, small_mem: usize) -> ClusterSpec {
+    let cluster = ClusterSpec::v100_cluster(1);
+    let rank = DeviceRank {
+        node: 0,
+        local: rank,
+    };
+    match kind {
+        0 => cluster,
+        1 => {
+            let mut slow = cluster.device.clone();
+            slow.compute_efficiency *= 0.5;
+            cluster.with_device_override(rank, slow)
+        }
+        _ => {
+            let small = cluster.device.clone().with_memory(small_mem);
+            cluster.with_device_override(rank, small)
+        }
+    }
 }
 
 /// Bit-level equality of two optional DP solutions: every float is
@@ -117,20 +174,32 @@ proptest! {
     /// One `DpArena` reused across a whole candidate grid — memo entries
     /// carried over between candidates that share a memo key — produces
     /// the same solution as a fresh HashMap-memo DP for every candidate,
-    /// with and without a tensor-parallel split.
+    /// with and without a tensor-parallel split. The memory bound is
+    /// drawn across the stages' memory, so infeasible cells, empty
+    /// predecessor lists and `d_min` pruning all occur, and the cluster
+    /// may hold a slower device (group time scales above 1) or a
+    /// smaller one (a binding group memory). The engine visits exactly
+    /// the reference's finite predecessor pairs.
     #[test]
     fn arena_reuse_matches_hashmap_dp(
         g in graphs(),
         devices in 2usize..7,
         batch_pow in 4usize..7,
         k in 4usize..8,
+        mem_frac in 0.0f64..1.25,
+        kind in 0usize..3,
+        odd_rank in 0usize..4,
+        small_frac in 0.0f64..1.0,
     ) {
         let blocks = blocks_of(&g, k);
         let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let cluster = ClusterSpec::v100_cluster(1);
         let ranges = RangeTable::build(&profiler, &blocks);
         let batch_size = 1usize << batch_pow;
         let nb = blocks.len();
+        let (lo, hi) = stage_mem_span(&profiler, &ranges, &ClusterSpec::v100_cluster(1), batch_size);
+        let mem_limit = lo + ((hi - lo) as f64 * mem_frac) as usize;
+        let small_mem = lo + (mem_limit.saturating_sub(lo) as f64 * small_frac) as usize;
+        let cluster = one_node(kind, odd_rank, small_mem);
 
         // The engine groups candidates by (MB, T) and reuses one arena
         // per group; sweep the same grid here through a single arena to
@@ -149,19 +218,29 @@ proptest! {
                             batch_size,
                             replica_factor: repl,
                             microbatches,
-                            mem_limit: 32 << 30,
+                            mem_limit,
                             tp,
                         };
                         let precision = profiler.options().precision;
                         let slots =
                             SlotTable::build(&cluster, devices * tp, repl, profiler.device(), precision);
                         let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, &p);
+                        let before = (arena.visits(), arena.hits() + arena.misses());
                         let fast = form_stage_dp(&ctx, &mut arena);
-                        let reference = form_stage_dp_hashmap(&ctx);
-                        assert_solutions_identical(
-                            &fast,
-                            &reference,
-                            &format!("S={stages} MB={microbatches} R={repl} T={tp}"),
+                        let (reference, walk) = form_stage_dp_hashmap(&ctx);
+                        let what = format!("S={stages} MB={microbatches} R={repl} T={tp} kind={kind}");
+                        assert_solutions_identical(&fast, &reference, &what);
+                        prop_assert_eq!(
+                            arena.visits() - before.0,
+                            walk.lookups + walk.micro_zero,
+                            "{}: visits",
+                            what
+                        );
+                        prop_assert_eq!(
+                            arena.hits() + arena.misses() - before.1,
+                            walk.lookups,
+                            "{}: lookups",
+                            what
                         );
                     }
                 }
@@ -190,4 +269,163 @@ proptest! {
             assert_solutions_identical(&engine, &reference, &format!("threads={threads}"));
         }
     }
+}
+
+/// The integer argument `key` of a trace event.
+fn arg(args: &[(&str, ArgVal)], key: &str) -> usize {
+    args.iter()
+        .find_map(|(k, v)| match v {
+            ArgVal::Int(i) if *k == key => Some(*i as usize),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("span arg {key}"))
+}
+
+/// Every `dp` span of a small memory-tight search reports the
+/// predecessor pairs its DP walked and the stages it evaluated. The
+/// walk is exactly the reference's memo lookups plus its micro-batch
+/// skips, so no infeasible predecessor is visited; both counts repeat
+/// run to run, and the evaluations sum to the search's memo misses.
+#[test]
+fn dp_spans_count_visits_and_evals() {
+    let _serial = trace::test_guard();
+    let g = mlp_graph(&MlpConfig::deep(512, 512, 12, 10));
+    let mem = (1usize << 30) + 40 * (1 << 20); // overhead + 40 MB
+    let cluster = ClusterSpec {
+        device: DeviceSpec::v100_32gb().with_memory(mem),
+        ..ClusterSpec::v100_cluster(2)
+    };
+    let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+    let atomic = atomic_partition(&g);
+    let limits = BlockLimits {
+        k: 8,
+        mem_limit: mem,
+        profile_batch: 4,
+    };
+    let blocks = block_partition(&g, &profiler, &atomic, limits);
+    let ranges = RangeTable::build(&profiler, &blocks);
+    let (batch_size, tp_max) = (32, 2);
+    let opts = SearchOptions { threads: 1, tp_max };
+    let tid = trace::current_tid();
+
+    let mut runs = Vec::new();
+    for _ in 0..2 {
+        trace::reset();
+        rannc_obs::set_enabled(true);
+        let (sol, stats) = form_stage_with(&g, &profiler, &blocks, &cluster, batch_size, &opts);
+        rannc_obs::set_enabled(false);
+        assert!(sol.is_some());
+        // other tests may trace concurrently: keep this thread's spans
+        let spans: Vec<[usize; 6]> = trace::drain_events()
+            .into_iter()
+            .filter(|e| e.tid == tid && e.name == "dp")
+            .map(|e| ["n", "S", "MB", "T", "visits", "evals"].map(|key| arg(&e.args, key)))
+            .collect();
+        assert_eq!(spans.len(), stats.candidates, "one dp span per grid cell");
+        let evals: usize = spans.iter().map(|s| s[5]).sum();
+        assert_eq!(
+            evals as u64, stats.stage_cache.misses,
+            "evals sum to misses"
+        );
+        runs.push(spans);
+    }
+    assert_eq!(runs[0], runs[1], "dp span counts differ between runs");
+
+    let mut skipped = Walk::default();
+    for &[n, s, mb, t, visits, _] in &runs[0] {
+        let p = tier_grid(&cluster, n, batch_size, tp_max, cluster.max_memory_bytes())
+            .into_iter()
+            .find(|p| (p.stages, p.microbatches, p.tp) == (s, mb, t))
+            .expect("span of a grid cell");
+        let d = n * cluster.node.devices;
+        let precision = profiler.options().precision;
+        let slots = SlotTable::build(&cluster, d, p.replica_factor, profiler.device(), precision);
+        let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, &p);
+        let (_, walk) = form_stage_dp_hashmap(&ctx);
+        assert_eq!(
+            visits as u64,
+            walk.lookups + walk.micro_zero,
+            "n={n} S={s} MB={mb} T={t}: {walk:?}"
+        );
+        skipped.infeasible += walk.infeasible;
+        skipped.micro_zero += walk.micro_zero;
+    }
+    assert!(
+        skipped.infeasible > 0 && skipped.micro_zero > 0,
+        "the search skipped no predecessor: {skipped:?}"
+    );
+    trace::reset();
+}
+
+/// Every cell of tiers `tiers` of `g`'s search grid on `cluster`, run
+/// through one arena in grid order and through the HashMap-memo
+/// reference: the solutions must agree bit for bit, and some cell must
+/// be feasible. The blocks are the planner's (`k = 32`, bounded by the
+/// largest device).
+fn pooled_parity(
+    name: &str,
+    g: &TaskGraph,
+    cluster: &ClusterSpec,
+    batch_size: usize,
+    tp_max: usize,
+    tiers: &[usize],
+) {
+    let profiler = Profiler::new(g, cluster.device.clone(), ProfilerOptions::fp32());
+    let atomic = atomic_partition(g);
+    let mem_limit = cluster.max_memory_bytes();
+    let limits = BlockLimits {
+        k: 32,
+        mem_limit,
+        profile_batch: 1,
+    };
+    let blocks = block_partition(g, &profiler, &atomic, limits);
+    let ranges = RangeTable::build(&profiler, &blocks);
+    let precision = profiler.options().precision;
+    let mut arena = DpArena::new();
+    let (mut cells, mut feasible) = (0, 0);
+    for &n in tiers {
+        let d = n * cluster.node.devices;
+        let r = (cluster.nodes / n).max(1);
+        let slots = SlotTable::build(cluster, d, r, profiler.device(), precision);
+        for p in tier_grid(cluster, n, batch_size, tp_max, mem_limit) {
+            let ctx = DpCtx::new(&profiler, &ranges, cluster, &slots, &p);
+            let fast = form_stage_dp(&ctx, &mut arena);
+            let (reference, _) = form_stage_dp_hashmap(&ctx);
+            let what = format!(
+                "{name} n={n} S={} MB={} T={}",
+                p.stages, p.microbatches, p.tp
+            );
+            assert_solutions_identical(&fast, &reference, &what);
+            cells += 1;
+            feasible += usize::from(fast.is_some());
+        }
+    }
+    assert!(feasible > 0, "{name}: no feasible cell among {cells}");
+}
+
+/// Paper scale: the benchmark's workloads, cell by cell — BERT 2048×256
+/// and ResNet-152 ×8 on 16×8 V100s at batch 1024, BERT 2048×64 on 2×8
+/// V100s at batch 8 with T up to 8, and ResNet-152 ×8 on a 16×8 cluster
+/// with a slower device and a smaller-memory one. Every grid cell of
+/// the listed tiers through one arena matches the reference bit for
+/// bit. Run by `scripts/check.sh`.
+#[test]
+#[ignore = "paper scale; run with --release -- --ignored"]
+fn pooled_arena_matches_hashmap_dp_at_paper_scale() {
+    let v100x128 = ClusterSpec::v100_cluster(16);
+    let bert256 = bert_graph(&BertConfig::enlarged(2048, 256));
+    let resnet = resnet_graph(&ResNetConfig::new(ResNetDepth::R152, 8));
+    let bert64 = bert_graph(&BertConfig::enlarged(2048, 64));
+    let mut slow = v100x128.device.clone();
+    slow.compute_efficiency *= 0.5;
+    let small = v100x128.device.clone().with_memory(16 << 30);
+    let placed = v100x128
+        .clone()
+        .with_device_override(DeviceRank { node: 0, local: 3 }, slow)
+        .with_device_override(DeviceRank { node: 1, local: 6 }, small);
+    pooled_parity("bert256-d128", &bert256, &v100x128, 1024, 1, &[1, 2, 4]);
+    pooled_parity("resnet152x8-d128", &resnet, &v100x128, 1024, 1, &[1]);
+    let v100x16 = ClusterSpec::v100_cluster(2);
+    pooled_parity("bert64-tp8", &bert64, &v100x16, 8, 8, &[1, 2]);
+    pooled_parity("resnet152x8-placed", &resnet, &placed, 1024, 1, &[1, 2]);
 }

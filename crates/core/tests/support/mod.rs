@@ -4,7 +4,9 @@
 //!
 //! * [`form_stage_dp_hashmap`] — Algorithm 1 with a per-invocation
 //!   `HashMap` memo and fresh tables every call, evaluating stages
-//!   through the public [`DpCtx::eval`];
+//!   through the public [`DpCtx::eval`] and walking every predecessor
+//!   pair; it counts what each pair met ([`Walk`]);
+//! * [`tier_grid`] — one node tier's `(S, MB, T)` cells in grid order;
 //! * [`exhaustive_cells`] — Algorithm 2 cell by cell: every grid cell's
 //!   DP result, one fresh arena per cell, on one thread;
 //! * [`exhaustive_search`] — the sequential scan over those cells: first
@@ -27,8 +29,25 @@ use rannc_hw::ClusterSpec;
 use rannc_profile::ProfileResult;
 use std::collections::HashMap;
 
-/// Algorithm 1 with a `HashMap` memo private to the invocation.
-pub fn form_stage_dp_hashmap(ctx: &DpCtx) -> Option<DpSolution> {
+/// What the predecessor pairs `(b_prev, d_prev)` of one DP met.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Walk {
+    /// Pairs whose previous stage is infeasible (an infinite cell).
+    pub infeasible: u64,
+    /// Pairs skipped because the micro-batch would be empty.
+    pub micro_zero: u64,
+    /// Pairs that looked their stage up in the memo.
+    pub lookups: u64,
+}
+
+/// Algorithm 1 with a `HashMap` memo private to the invocation, and the
+/// counts of what its full predecessor walk met.
+pub fn form_stage_dp_hashmap(ctx: &DpCtx) -> (Option<DpSolution>, Walk) {
+    let mut walk = Walk::default();
+    (dp_hashmap(ctx, &mut walk), walk)
+}
+
+fn dp_hashmap(ctx: &DpCtx, walk: &mut Walk) -> Option<DpSolution> {
     const INF: f64 = f64::INFINITY;
     let p = ctx.params();
     // The reference stays unplaced on a cluster with no overrides, so the
@@ -71,13 +90,16 @@ pub fn form_stage_dp_hashmap(ctx: &DpCtx) -> Option<DpSolution> {
                 for b_prev in (s - 1)..b {
                     for d_prev in (s - 1)..d {
                         if v[idx(s - 1, b_prev, d_prev)] == INF {
+                            walk.infeasible += 1;
                             continue;
                         }
                         let repl = d - d_prev;
                         if p.batch_size / p.replica_factor / p.microbatches / repl == 0 {
+                            walk.micro_zero += 1;
                             saw_micro_zero = true;
                             continue;
                         }
+                        walk.lookups += 1;
                         let looked_up = *local
                             .entry((b_prev, b, repl))
                             .or_insert_with(|| ctx.eval(b_prev, b, repl));
@@ -199,29 +221,14 @@ pub fn exhaustive_cells(
         let d = d_node * n;
         let r = (cluster.nodes / n).max(1);
         let slots = SlotTable::build(cluster, d, r, cost.device(), cost.options().precision);
-        let mut cells = Vec::new();
-        for s in (d_node * (n - 1) + 1)..=d {
-            let mut mb = 1usize;
-            while mb <= batch_size / r {
-                for t in 1..=tp_max.max(1) {
-                    if !d.is_multiple_of(t) || d / t < s {
-                        continue;
-                    }
-                    let p = DpParams {
-                        stages: s,
-                        devices: d / t,
-                        batch_size,
-                        replica_factor: r,
-                        microbatches: mb,
-                        mem_limit,
-                        tp: t,
-                    };
-                    let ctx = DpCtx::new(cost, &ranges, cluster, &slots, &p);
-                    cells.push((p, form_stage_dp(&ctx, &mut DpArena::new())));
-                }
-                mb *= 2;
-            }
-        }
+        let cells: Vec<_> = tier_grid(cluster, n, batch_size, tp_max, mem_limit)
+            .into_iter()
+            .map(|p| {
+                let ctx = DpCtx::new(cost, &ranges, cluster, &slots, &p);
+                let sol = form_stage_dp(&ctx, &mut DpArena::new());
+                (p, sol)
+            })
+            .collect();
         let feasible = cells.iter().any(|(_, sol)| sol.is_some());
         tiers.push(TierCells { n, cells });
         if feasible {
@@ -230,6 +237,43 @@ pub fn exhaustive_cells(
         n *= 2;
     }
     tiers
+}
+
+/// The `(S, MB, T)` cells of node tier `n` (nodes per pipeline replica)
+/// in Algorithm 2's grid order: `S` ascending, then `MB`, then `T` over
+/// the divisors of the tier's device budget.
+pub fn tier_grid(
+    cluster: &ClusterSpec,
+    n: usize,
+    batch_size: usize,
+    tp_max: usize,
+    mem_limit: usize,
+) -> Vec<DpParams> {
+    let d_node = cluster.node.devices;
+    let d = d_node * n;
+    let r = (cluster.nodes / n).max(1);
+    let mut grid = Vec::new();
+    for s in (d_node * (n - 1) + 1)..=d {
+        let mut mb = 1usize;
+        while mb <= batch_size / r {
+            for t in 1..=tp_max.max(1) {
+                if !d.is_multiple_of(t) || d / t < s {
+                    continue;
+                }
+                grid.push(DpParams {
+                    stages: s,
+                    devices: d / t,
+                    batch_size,
+                    replica_factor: r,
+                    microbatches: mb,
+                    mem_limit,
+                    tp: t,
+                });
+            }
+            mb *= 2;
+        }
+    }
+    grid
 }
 
 /// Algorithm 2 as a sequential scan over [`exhaustive_cells`]: the

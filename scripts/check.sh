@@ -14,6 +14,13 @@ echo "==> paper-scale block-phase parity (BERT 2048x256, k 32, against the refer
 # must produce exactly the reference's blocks and uncoarsening moves
 cargo test --release -q -p rannc-core --offline --test prop_blocks_identical -- --ignored
 
+echo "==> paper-scale stage-DP parity (the benchmark's search grids, against the reference)"
+# ignored in the default run for its size: every grid cell of bert256,
+# resnet152x8 (also on a cluster with slow and small-memory devices) and
+# bert64 at T up to 8, run through one reused arena, must give the
+# HashMap-memo reference DP's solution bit for bit
+cargo test --release -q -p rannc-core --offline --test prop_dp_flat -- --ignored
+
 echo "==> paper-scale range-table parity (BERT 2048x256, k 32, all 528 ranges)"
 # ignored in the default run for its size: the boundary-split row walk must
 # give every range the egress of its union and statistics that, with its time
