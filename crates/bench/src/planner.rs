@@ -545,7 +545,7 @@ pub fn check_cost_models(quick: bool) -> Result<Vec<String>, String> {
 /// cycles (RV060–RV062, RV100). Returns one line per (case, cluster).
 pub fn check_certified_memory(quick: bool) -> Result<Vec<String>, String> {
     use rannc::hw::Precision;
-    use rannc::pipeline::{deep_verify_plan, SyncSchedule};
+    use rannc::pipeline::SyncSchedule;
     let mut lines = Vec::new();
     for case in cases(quick) {
         for nodes in [2usize, 4] {
@@ -564,15 +564,17 @@ pub fn check_certified_memory(quick: bool) -> Result<Vec<String>, String> {
                 })?;
             let mut worst_ratio = 0.0f64;
             for schedule in [SyncSchedule::FillDrain, SyncSchedule::OneFOneB] {
-                let (report, certified) =
-                    deep_verify_plan(&case.graph, &plan, &cluster, schedule, Precision::FP32)
-                        .map_err(|e| {
-                            format!(
-                                "{} @{} devices: cannot derive the comm program: {e}",
-                                case.name,
-                                cluster.total_devices()
-                            )
-                        })?;
+                let model = schedule.model(plan.stages.len(), plan.microbatches);
+                let (report, certified) = plan
+                    .certify(&case.graph, &cluster, &model, Precision::FP32)
+                    .map_err(|e| {
+                        format!(
+                            "{} @{} devices: cannot derive the comm program: \
+                             plan not mappable to devices: {e}",
+                            case.name,
+                            cluster.total_devices()
+                        )
+                    })?;
                 if report.has_errors() {
                     return Err(format!(
                         "{} @{} devices [{schedule:?}]: deep verification found errors:\n{}",

@@ -371,17 +371,16 @@ fn run_verify(
     let mut report = verify_graph(graph);
     report.merge(verify_plan(graph, &plan.view(), cluster));
     for schedule in [SyncSchedule::FillDrain, SyncSchedule::OneFOneB] {
-        report.merge(verify_schedule(&rannc::pipeline::schedule_model(
-            schedule,
-            plan.stages.len(),
-            plan.microbatches,
-        )));
+        report.merge(verify_schedule(
+            &schedule.model(plan.stages.len(), plan.microbatches),
+        ));
     }
     let mut scope = "graph, plan, and both schedules";
     if args.deep {
         scope = "graph, plan, both schedules, certified memory, and comm programs";
         for schedule in [SyncSchedule::FillDrain, SyncSchedule::OneFOneB] {
-            match rannc::pipeline::deep_verify_plan(graph, plan, cluster, schedule, precision) {
+            let model = schedule.model(plan.stages.len(), plan.microbatches);
+            match plan.certify(graph, cluster, &model, precision) {
                 Ok((deep, certified)) => {
                     for (i, c) in certified.iter().enumerate() {
                         eprintln!(
@@ -397,7 +396,10 @@ fn run_verify(
                     report.merge(deep);
                 }
                 Err(e) => {
-                    eprintln!("cannot derive the communication program: {e}");
+                    eprintln!(
+                        "cannot derive the communication program: \
+                         plan not mappable to devices: {e}"
+                    );
                     std::process::exit(1);
                 }
             }

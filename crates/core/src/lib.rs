@@ -57,7 +57,7 @@ pub use placement::SlotTable;
 pub use plan::{PartitionPlan, PlanError, StagePlan};
 pub use plan_io::{decode_plan, encode_plan, load_plan, save_plan, PlanIoError};
 pub use replan::{diff_plans, PlanDiff, ReplanOutcome};
-pub use search::{form_stage, form_stage_with, SearchOptions, SearchStats};
+pub use search::{form_stage_with, SearchOptions, SearchStats};
 pub use stagecache::{DpCtx, RangeTable, StageCost};
 
 use rannc_cost::{CostModel, CostModelSpec};
@@ -155,12 +155,6 @@ impl PartitionConfig {
     /// [`par::max_threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.search.threads = threads;
-        self
-    }
-
-    /// Set the full search-engine options.
-    pub fn with_search(mut self, search: SearchOptions) -> Self {
-        self.search = search;
         self
     }
 
@@ -365,17 +359,18 @@ impl Rannc {
         let sol = sol.ok_or(PartitionError::Infeasible)?;
         let plan = PartitionPlan::from_solution(graph.name.clone(), &sol, self.config.batch_size);
         explain::annotate_recording(graph, cost, cluster, &plan, self.config.precision, &stats);
-        self.verified_traced(graph, cluster, plan)
-            .map(|p| (p, stats))
+        self.verified(graph, cluster, plan).map(|p| (p, stats))
     }
 
-    /// The static-verification post-pass, per [`PartitionConfig::verify`].
+    /// The static-verification post-pass, per [`PartitionConfig::verify`],
+    /// inside the `verify` trace span.
     fn verified(
         &self,
         graph: &TaskGraph,
         cluster: &ClusterSpec,
         plan: PartitionPlan,
     ) -> Result<PartitionPlan, PartitionError> {
+        let _s = rannc_obs::trace::span("verify", "planner");
         if self.config.verify == VerifyMode::Off {
             return Ok(plan);
         }
@@ -384,19 +379,9 @@ impl Rannc {
             // The deep post-pass needs a concrete placement; a plan that
             // cannot be placed at all is rejected with the structural
             // report (RV028 has already flagged the device shortfall).
-            if let Ok(assignment) = plan.device_assignment(cluster) {
-                let schedule =
-                    rannc_verify::ScheduleModel::fill_drain(plan.stages.len(), plan.microbatches);
-                let checkpointing = plan.stages.len() > 1;
-                let (deep, _) = rannc_verify::verify_deep(
-                    graph,
-                    &plan.view(),
-                    cluster,
-                    &schedule,
-                    &assignment,
-                    self.config.precision,
-                    checkpointing,
-                );
+            let schedule =
+                rannc_verify::ScheduleModel::fill_drain(plan.stages.len(), plan.microbatches);
+            if let Ok((deep, _)) = plan.certify(graph, cluster, &schedule, self.config.precision) {
                 report.merge(deep);
             }
         }
@@ -416,18 +401,6 @@ impl Rannc {
                 }
             }
         }
-    }
-
-    /// `verified` behind a trace span (kept separate so both partition
-    /// entry points share the instrumentation).
-    fn verified_traced(
-        &self,
-        graph: &TaskGraph,
-        cluster: &ClusterSpec,
-        plan: PartitionPlan,
-    ) -> Result<PartitionPlan, PartitionError> {
-        let _s = rannc_obs::trace::span("verify", "planner");
-        self.verified(graph, cluster, plan)
     }
 
     /// Re-partition `graph` after device loss, warm-started from a
@@ -515,7 +488,7 @@ impl Rannc {
                 );
                 // Verify against the planning view: that is the capacity
                 // the warm-started search was allowed to use.
-                self.verified_traced(graph, &view, plan)
+                self.verified(graph, &view, plan)
             }
             // Coarse warm-start blocks can be infeasible where finer ones
             // are not — fall back to the full pipeline.
@@ -674,18 +647,11 @@ mod tests {
             .with_verify(VerifyMode::Certify);
         let plan = Rannc::new(cfg).partition(&g, &cluster).unwrap();
         // re-run the same deep checks through the library API and agree
-        let assignment = plan.device_assignment(&cluster).unwrap();
         let schedule =
             rannc_verify::ScheduleModel::fill_drain(plan.stages.len(), plan.microbatches);
-        let (report, certified) = rannc_verify::verify_deep(
-            &g,
-            &plan.view(),
-            &cluster,
-            &schedule,
-            &assignment,
-            rannc_hw::Precision::FP32,
-            plan.stages.len() > 1,
-        );
+        let (report, certified) = plan
+            .certify(&g, &cluster, &schedule, rannc_hw::Precision::FP32)
+            .unwrap();
         assert!(!report.has_errors(), "{}", report.render());
         for c in &certified {
             assert!(c.certified_bytes <= c.capacity_bytes);

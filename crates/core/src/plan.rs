@@ -1,9 +1,9 @@
 //! The finished partition plan: stages, replicas, device assignment.
 
 use crate::dp::DpSolution;
-use rannc_graph::TaskSet;
-use rannc_hw::ClusterSpec;
-use rannc_verify::{PlanView, StageView};
+use rannc_graph::{TaskGraph, TaskSet};
+use rannc_hw::{ClusterSpec, Precision};
+use rannc_verify::{CertifiedStage, PlanView, Report, ScheduleModel, StageView};
 
 /// A plan/cluster combination that cannot be materialised.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,6 +159,34 @@ impl PartitionPlan {
             offset += width;
         }
         Ok(out)
+    }
+
+    /// Deep-verify the plan on `cluster` under `schedule`: its
+    /// liveness-certified peak memory against every hosting device slot
+    /// (RV100/RV101) and its derived communication program (RV060–RV064,
+    /// RV07x), placed by [`PartitionPlan::device_assignment`]. Gradient
+    /// checkpointing follows the planner's convention: on whenever the
+    /// pipeline has more than one stage. Returns the report with the
+    /// per-stage certified bounds, or the placement error when the plan
+    /// cannot be placed on `cluster` at all.
+    pub fn certify(
+        &self,
+        g: &TaskGraph,
+        cluster: &ClusterSpec,
+        schedule: &ScheduleModel,
+        precision: Precision,
+    ) -> Result<(Report, Vec<CertifiedStage>), PlanError> {
+        let assignment = self.device_assignment(cluster)?;
+        let checkpointing = self.stages.len() > 1;
+        Ok(rannc_verify::verify_deep(
+            g,
+            &self.view(),
+            cluster,
+            schedule,
+            &assignment,
+            precision,
+            checkpointing,
+        ))
     }
 
     /// Borrow the plan in the shape `rannc-verify` checks.

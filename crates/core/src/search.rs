@@ -1,5 +1,5 @@
-//! Stage-count / device-allocation search: Algorithm 2, `form_stage`
-//! (paper §III-C).
+//! Stage-count / device-allocation search: Algorithm 2 (the paper's
+//! `form_stage`, §III-C), entered through [`form_stage_with`].
 //!
 //! The outer loop doubles the number of compute nodes `n` dedicated to one
 //! pipeline replica. From `n` it derives the device budget `D = D_node·n`
@@ -180,31 +180,12 @@ impl SearchTally {
     }
 }
 
-/// Algorithm 2: `form_stage(N, D_node, BS)`.
+/// Algorithm 2: `form_stage(N, D_node, BS)` under explicit engine
+/// options.
 ///
 /// Returns the best feasible solution, or `None` if the model cannot be
-/// partitioned onto the cluster at all (INFEASIBLE). Runs the parallel
-/// engine with default options; see [`form_stage_with`].
-pub fn form_stage(
-    g: &TaskGraph,
-    cost: &dyn CostModel,
-    blocks: &[Block],
-    cluster: &ClusterSpec,
-    batch_size: usize,
-) -> Option<DpSolution> {
-    form_stage_with(
-        g,
-        cost,
-        blocks,
-        cluster,
-        batch_size,
-        &SearchOptions::default(),
-    )
-    .0
-}
-
-/// Algorithm 2 with explicit engine options, returning search statistics
-/// alongside the solution.
+/// partitioned onto the cluster at all (INFEASIBLE), with the search
+/// statistics alongside.
 pub fn form_stage_with(
     g: &TaskGraph,
     cost: &dyn CostModel,
@@ -427,7 +408,10 @@ mod tests {
         let g = mlp_graph(&MlpConfig::deep(64, 64, 8, 10));
         let (profiler, blocks) = prep(&g, 32 << 30);
         let cluster = small_cluster(2, 32 << 30);
-        let sol = form_stage(&g, &profiler, &blocks, &cluster, 32).expect("feasible");
+        let opts = SearchOptions::default();
+        let sol = form_stage_with(&g, &profiler, &blocks, &cluster, 32, &opts)
+            .0
+            .expect("feasible");
         assert_eq!(sol.replica_factor, 2, "whole-pipeline replicas = N/n");
         assert!(sol.stages.len() <= 2);
         assert_eq!(sol.devices_per_replica(), 2);
@@ -444,7 +428,10 @@ mod tests {
         let mem = (1usize << 30) + 40 * (1 << 20); // overhead + 40 MB
         let (profiler, blocks) = prep(&g, mem);
         let cluster = small_cluster(2, mem);
-        let sol = form_stage(&g, &profiler, &blocks, &cluster, 32).expect("feasible");
+        let opts = SearchOptions::default();
+        let sol = form_stage_with(&g, &profiler, &blocks, &cluster, 32, &opts)
+            .0
+            .expect("feasible");
         assert!(
             sol.stages.len() >= 2,
             "expected multi-stage, got {}",
@@ -462,7 +449,10 @@ mod tests {
         let mem = 1usize << 20; // 1 MiB: below even the fixed overhead
         let (profiler, blocks) = prep(&g, mem);
         let cluster = small_cluster(2, mem);
-        assert!(form_stage(&g, &profiler, &blocks, &cluster, 32).is_none());
+        let opts = SearchOptions::default();
+        assert!(form_stage_with(&g, &profiler, &blocks, &cluster, 32, &opts)
+            .0
+            .is_none());
     }
 
     /// A search in which no stage fits memory rejects every stage from
@@ -501,10 +491,13 @@ mod tests {
                 _ => None,
             })
         };
+        let opts = SearchOptions::default();
         for _ in 0..2 {
             rannc_obs::set_enabled(true);
             rannc_obs::trace::reset();
-            form_stage(&g, &profiler, &blocks, &cluster, 32).expect("feasible");
+            form_stage_with(&g, &profiler, &blocks, &cluster, 32, &opts)
+                .0
+                .expect("feasible");
             rannc_obs::set_enabled(false);
             // other tests may trace concurrently: keep this thread's span
             let span = rannc_obs::trace::drain_events()
@@ -605,7 +598,10 @@ mod tests {
         let g = mlp_graph(&MlpConfig::deep(64, 64, 8, 10));
         let (profiler, blocks) = prep(&g, 32 << 30);
         let cluster = small_cluster(1, 32 << 30);
-        let sol = form_stage(&g, &profiler, &blocks, &cluster, 64).expect("feasible");
+        let opts = SearchOptions::default();
+        let sol = form_stage_with(&g, &profiler, &blocks, &cluster, 64, &opts)
+            .0
+            .expect("feasible");
         // the chosen MB should not be the degenerate maximum (which would
         // inflate fill/drain time without memory need)
         assert!(sol.microbatches <= 64);

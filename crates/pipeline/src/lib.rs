@@ -30,11 +30,9 @@ pub mod viz;
 pub use churn::{
     simulate_churn, ChurnAction, ChurnDecision, ChurnPolicy, ChurnReport, ChurnSimConfig,
 };
+pub use rannc_verify::PhaseKind;
 pub use spec::{PipelineSpec, SimResult, SpecError, StageSpec};
-pub use sync::{
-    comm_program, deep_verify_plan, schedule_model, simulate_sync, sync_work_orders, SyncSchedule,
-    TimelineEvent, WorkKind,
-};
+pub use sync::{simulate_sync, SyncSchedule, TimelineEvent};
 pub use trace::{publish_sim_metrics, record_timeline};
 
 use rannc_core::PartitionPlan;
@@ -55,8 +53,6 @@ pub enum PlanSpecError {
     /// The derived spec is structurally unusable (empty stages, zero
     /// replicas, …).
     BadSpec(SpecError),
-    /// The plan cannot be mapped onto the cluster's device ranks.
-    BadAssignment(rannc_core::PlanError),
 }
 
 impl std::fmt::Display for PlanSpecError {
@@ -69,7 +65,6 @@ impl std::fmt::Display for PlanSpecError {
                 stage + 1
             ),
             PlanSpecError::BadSpec(e) => write!(f, "plan yields invalid spec: {e}"),
-            PlanSpecError::BadAssignment(e) => write!(f, "plan not mappable to devices: {e}"),
         }
     }
 }

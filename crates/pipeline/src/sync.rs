@@ -2,7 +2,8 @@
 //!
 //! Reproduces Fig. 1 of the paper: micro-batches flow forward through the
 //! stages, then backward; parameters update only after every micro-batch's
-//! gradient is in — no staleness. Two per-stage work orders are supported:
+//! gradient is in — no staleness. Two per-stage issue orders are
+//! supported:
 //!
 //! * [`SyncSchedule::FillDrain`] — GPipe's order (all forwards, then all
 //!   backwards), used by GPipe and RaNNC;
@@ -10,17 +11,16 @@
 //!   alternate backward/forward), which bounds in-flight micro-batches by
 //!   the pipeline depth.
 //!
-//! The simulator is a deterministic discrete-event loop over per-stage
-//! work queues: an item starts when its producer dependency is met and its
-//! stage is free. After the last backward, replicated stages all-reduce
-//! gradients and the optimizer steps.
+//! The orders themselves are defined once, by [`ScheduleModel`]'s
+//! constructors in `rannc-verify`: the simulator executes exactly the
+//! orders `verify_schedule` proves deadlock-free and the deep verifier
+//! certifies. The simulator is a deterministic discrete-event loop over
+//! those per-stage orders: an op starts when its producer dependency is
+//! met and its stage is free. After the last backward, replicated stages
+//! all-reduce gradients and the optimizer steps.
 
 use crate::spec::{PipelineSpec, SimResult};
-use crate::PlanSpecError;
-use rannc_core::PartitionPlan;
-use rannc_graph::TaskGraph;
-use rannc_hw::{ClusterSpec, Precision};
-use rannc_verify::{CertifiedStage, CommProgram, Report};
+use rannc_verify::{PhaseKind, ScheduleModel};
 
 /// Per-stage work ordering of the synchronous schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,13 +31,17 @@ pub enum SyncSchedule {
     OneFOneB,
 }
 
-/// What a timeline event did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkKind {
-    /// Forward pass of one micro-batch.
-    Forward,
-    /// Backward pass of one micro-batch.
-    Backward,
+impl SyncSchedule {
+    /// This schedule's per-stage issue orders for `stages` stages and
+    /// `mb` micro-batches: what [`simulate_sync`] executes,
+    /// `rannc_verify::verify_schedule` proves deadlock-free and
+    /// `PartitionPlan::certify` certifies.
+    pub fn model(self, stages: usize, mb: usize) -> ScheduleModel {
+        match self {
+            SyncSchedule::FillDrain => ScheduleModel::fill_drain(stages, mb),
+            SyncSchedule::OneFOneB => ScheduleModel::one_f_one_b(stages, mb),
+        }
+    }
 }
 
 /// One executed work item (for tests and visualization).
@@ -46,7 +50,7 @@ pub struct TimelineEvent {
     /// Stage index.
     pub stage: usize,
     /// Forward or backward.
-    pub kind: WorkKind,
+    pub kind: PhaseKind,
     /// Micro-batch index.
     pub micro: usize,
     /// Start time, seconds.
@@ -64,141 +68,12 @@ pub struct SyncSimOutput {
     pub timeline: Option<Vec<TimelineEvent>>,
 }
 
-/// Build the per-stage work order.
-fn work_order(
-    schedule: SyncSchedule,
-    stage: usize,
-    stages: usize,
-    mb: usize,
-) -> Vec<(WorkKind, usize)> {
-    let mut seq = Vec::with_capacity(2 * mb);
-    match schedule {
-        SyncSchedule::FillDrain => {
-            for m in 0..mb {
-                seq.push((WorkKind::Forward, m));
-            }
-            // backward in reverse arrival order
-            for m in (0..mb).rev() {
-                seq.push((WorkKind::Backward, m));
-            }
-        }
-        SyncSchedule::OneFOneB => {
-            let warmup = (stages - 1 - stage).min(mb);
-            let mut next_f = 0usize;
-            let mut next_b = 0usize;
-            for _ in 0..warmup {
-                seq.push((WorkKind::Forward, next_f));
-                next_f += 1;
-            }
-            while next_b < mb {
-                if next_f < mb {
-                    seq.push((WorkKind::Forward, next_f));
-                    next_f += 1;
-                }
-                seq.push((WorkKind::Backward, next_b));
-                next_b += 1;
-            }
-        }
-    }
-    seq
-}
-
-/// Per-stage issue orders for `schedule`, exactly as [`simulate_sync`]
-/// executes them. Also the bridge to static verification: feed the
-/// result to [`schedule_model`] and `rannc-verify` proves the schedule
-/// deadlock-free without running the simulator.
-pub fn sync_work_orders(
-    schedule: SyncSchedule,
-    stages: usize,
-    mb: usize,
-) -> Vec<Vec<(WorkKind, usize)>> {
-    (0..stages)
-        .map(|s| {
-            let mut seq = work_order(schedule, s, stages, mb);
-            if schedule == SyncSchedule::OneFOneB {
-                seq.dedup();
-            }
-            seq
-        })
-        .collect()
-}
-
-/// Flatten a synchronous schedule into the op model that
-/// `rannc_verify::verify_schedule` analyses.
-pub fn schedule_model(
-    schedule: SyncSchedule,
-    stages: usize,
-    mb: usize,
-) -> rannc_verify::ScheduleModel {
-    use rannc_verify::PhaseKind;
-    rannc_verify::ScheduleModel {
-        stages,
-        microbatches: mb,
-        orders: sync_work_orders(schedule, stages, mb)
-            .into_iter()
-            .map(|order| {
-                order
-                    .into_iter()
-                    .map(|(kind, m)| {
-                        let phase = match kind {
-                            WorkKind::Forward => PhaseKind::Forward,
-                            WorkKind::Backward => PhaseKind::Backward,
-                        };
-                        (phase, m)
-                    })
-                    .collect()
-            })
-            .collect(),
-    }
-}
-
-/// Derive the per-rank communication program a plan implies under
-/// `schedule`: stage-boundary activation/gradient sends and recvs in
-/// the schedule's issue order, plus one gradient all-reduce per
-/// replicated stage. The placement is the plan's contiguous
-/// [`rannc_core::PartitionPlan::device_assignment`]; the result feeds
-/// `rannc_verify::comm::verify_comm` / `verify_transfers`.
-pub fn comm_program(
-    g: &TaskGraph,
-    plan: &PartitionPlan,
-    cluster: &ClusterSpec,
-    schedule: SyncSchedule,
-) -> Result<CommProgram, PlanSpecError> {
-    let assignment = plan
-        .device_assignment(cluster)
-        .map_err(PlanSpecError::BadAssignment)?;
-    let model = schedule_model(schedule, plan.stages.len(), plan.microbatches);
-    Ok(CommProgram::derive(g, &plan.view(), &model, &assignment))
-}
-
-/// Run every dataflow-certified check on a plan under a concrete
-/// schedule: liveness-certified peak memory per device slot
-/// (RV100/RV101) and the static comm-race pass (RV060–RV064).
-///
-/// Gradient checkpointing follows the planner's own convention
-/// (enabled whenever the pipeline has more than one stage). Returns
-/// the merged report plus the per-stage certified bounds.
-pub fn deep_verify_plan(
-    g: &TaskGraph,
-    plan: &PartitionPlan,
-    cluster: &ClusterSpec,
-    schedule: SyncSchedule,
-    precision: Precision,
-) -> Result<(Report, Vec<CertifiedStage>), PlanSpecError> {
-    let assignment = plan
-        .device_assignment(cluster)
-        .map_err(PlanSpecError::BadAssignment)?;
-    let model = schedule_model(schedule, plan.stages.len(), plan.microbatches);
-    let checkpointing = plan.stages.len() > 1;
-    Ok(rannc_verify::verify_deep(
-        g,
-        &plan.view(),
-        cluster,
-        &model,
-        &assignment,
-        precision,
-        checkpointing,
-    ))
+/// Per-stage clocks of a schedule that ran to completion.
+struct Executed {
+    /// When each stage finished its last op, seconds.
+    stage_free: Vec<f64>,
+    /// Compute seconds each stage spent busy.
+    busy: Vec<f64>,
 }
 
 /// Run the synchronous pipeline simulation.
@@ -217,17 +92,42 @@ pub fn simulate_sync(
     if let Err(e) = spec.validate() {
         panic!("invalid pipeline spec: {e}");
     }
-    let s_count = spec.stages.len();
-    let mb = spec.microbatches;
+    let model = schedule.model(spec.stages.len(), spec.microbatches);
+    let mut timeline = want_timeline.then(Vec::new);
+    let run = match execute(spec, &model, timeline.as_mut()) {
+        Ok(run) => run,
+        Err((s, item)) => panic!("schedule deadlocked at stage {s} item {item}"),
+    };
+    let compute_end = run.stage_free.iter().cloned().fold(0.0, f64::max);
+    let iteration = spec.tail().after(compute_end);
+    SyncSimOutput {
+        result: SimResult::new(iteration, spec.batch_size, run.busy),
+        timeline,
+    }
+}
 
-    let seqs = sync_work_orders(schedule, s_count, mb);
+/// Execute `model`'s per-stage issue orders on `spec`'s stage times.
+///
+/// Dependencies, for micro-batch `m` — the rules `verify_schedule`
+/// builds its DAG from: program order within a stage; `F(s, m)` waits
+/// for `F(s-1, m)` plus the activation transfer; `B(s, m)` waits for
+/// `F(s, m)` and, below the last stage, for `B(s+1, m)` plus the
+/// gradient transfer. Returns the first stuck op `(stage, item)` when
+/// the orders deadlock.
+fn execute(
+    spec: &PipelineSpec,
+    model: &ScheduleModel,
+    mut timeline: Option<&mut Vec<TimelineEvent>>,
+) -> Result<Executed, (usize, usize)> {
+    let s_count = model.stages;
+    let mb = model.microbatches;
+    let seqs = &model.orders;
 
     let mut ptr = vec![0usize; s_count];
     let mut stage_free = vec![0.0f64; s_count];
     let mut fwd_end: Vec<Vec<Option<f64>>> = vec![vec![None; mb]; s_count];
     let mut bwd_end: Vec<Vec<Option<f64>>> = vec![vec![None; mb]; s_count];
     let mut busy = vec![0.0f64; s_count];
-    let mut timeline = want_timeline.then(Vec::new);
 
     loop {
         let mut progressed = false;
@@ -236,14 +136,14 @@ pub fn simulate_sync(
                 let (kind, m) = seqs[s][ptr[s]];
                 // dependency ready time
                 let ready = match kind {
-                    WorkKind::Forward => {
+                    PhaseKind::Forward => {
                         if s == 0 {
                             Some(0.0)
                         } else {
                             fwd_end[s - 1][m].map(|t| t + spec.comm_time(s - 1))
                         }
                     }
-                    WorkKind::Backward => {
+                    PhaseKind::Backward => {
                         if s == s_count - 1 {
                             fwd_end[s][m]
                         } else {
@@ -257,14 +157,14 @@ pub fn simulate_sync(
                 };
                 let Some(ready) = ready else { break };
                 let dur = match kind {
-                    WorkKind::Forward => spec.stages[s].fwd_time,
-                    WorkKind::Backward => spec.stages[s].bwd_time,
+                    PhaseKind::Forward => spec.stages[s].fwd_time,
+                    PhaseKind::Backward => spec.stages[s].bwd_time,
                 };
                 let start = stage_free[s].max(ready);
                 let end = start + dur;
                 match kind {
-                    WorkKind::Forward => fwd_end[s][m] = Some(end),
-                    WorkKind::Backward => bwd_end[s][m] = Some(end),
+                    PhaseKind::Forward => fwd_end[s][m] = Some(end),
+                    PhaseKind::Backward => bwd_end[s][m] = Some(end),
                 }
                 stage_free[s] = end;
                 busy[s] += dur;
@@ -285,21 +185,10 @@ pub fn simulate_sync(
             break;
         }
     }
-    for s in 0..s_count {
-        assert_eq!(
-            ptr[s],
-            seqs[s].len(),
-            "schedule deadlocked at stage {s} item {}",
-            ptr[s]
-        );
+    if let Some(s) = (0..s_count).find(|&s| ptr[s] < seqs[s].len()) {
+        return Err((s, ptr[s]));
     }
-
-    let compute_end = stage_free.iter().cloned().fold(0.0, f64::max);
-    let iteration = spec.tail().after(compute_end);
-    SyncSimOutput {
-        result: SimResult::new(iteration, spec.batch_size, busy),
-        timeline,
-    }
+    Ok(Executed { stage_free, busy })
 }
 
 #[cfg(test)]
@@ -448,11 +337,11 @@ mod tests {
             for st in 0..2 {
                 let f0 = tl
                     .iter()
-                    .find(|e| e.stage == st && e.micro == m && e.kind == WorkKind::Forward)
+                    .find(|e| e.stage == st && e.micro == m && e.kind == PhaseKind::Forward)
                     .unwrap();
                 let f1 = tl
                     .iter()
-                    .find(|e| e.stage == st + 1 && e.micro == m && e.kind == WorkKind::Forward)
+                    .find(|e| e.stage == st + 1 && e.micro == m && e.kind == PhaseKind::Forward)
                     .unwrap();
                 assert!(f1.start >= f0.end - 1e-12);
             }
@@ -462,11 +351,11 @@ mod tests {
             for st in 0..2 {
                 let b0 = tl
                     .iter()
-                    .find(|e| e.stage == st && e.micro == m && e.kind == WorkKind::Backward)
+                    .find(|e| e.stage == st && e.micro == m && e.kind == PhaseKind::Backward)
                     .unwrap();
                 let b1 = tl
                     .iter()
-                    .find(|e| e.stage == st + 1 && e.micro == m && e.kind == WorkKind::Backward)
+                    .find(|e| e.stage == st + 1 && e.micro == m && e.kind == PhaseKind::Backward)
                     .unwrap();
                 assert!(b0.start >= b1.end - 1e-12);
             }
@@ -479,7 +368,7 @@ mod tests {
         // simulator accepts, the verifier certifies
         for (stages, mb) in [(1, 1), (2, 2), (3, 5), (4, 8), (6, 6), (1, 4)] {
             for schedule in [SyncSchedule::FillDrain, SyncSchedule::OneFOneB] {
-                let model = schedule_model(schedule, stages, mb);
+                let model = schedule.model(stages, mb);
                 let report = rannc_verify::verify_schedule(&model);
                 assert!(
                     report.is_clean(),
@@ -491,35 +380,74 @@ mod tests {
     }
 
     #[test]
-    fn schedule_model_matches_the_verify_constructors() {
-        // `rannc-verify` re-derives canonical schedules so the planner
-        // can certify plans without depending on this crate; pin the
-        // two constructions together op for op
-        for (stages, mb) in [(1, 1), (2, 2), (3, 5), (4, 8), (6, 6), (1, 4)] {
-            let fd = schedule_model(SyncSchedule::FillDrain, stages, mb);
-            let pinned = rannc_verify::ScheduleModel::fill_drain(stages, mb);
-            assert_eq!(fd.orders, pinned.orders, "fill_drain {stages}x{mb}");
-            let ob = schedule_model(SyncSchedule::OneFOneB, stages, mb);
-            let pinned = rannc_verify::ScheduleModel::one_f_one_b(stages, mb);
-            assert_eq!(ob.orders, pinned.orders, "one_f_one_b {stages}x{mb}");
+    fn executor_finishes_exactly_when_the_verifier_proves_the_orders() {
+        // the simulator's dependency rules and the verifier's DAG are the
+        // same rules: permute each stage's issue order of a complete
+        // model at random, and the executor runs to the end iff
+        // verify_schedule reports no error
+        let mut state = 0x5eed_u64;
+        let mut next = move |n: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let (mut finished, mut stuck) = (0, 0);
+        for _ in 0..3000 {
+            let (stages, mb) = (1 + next(4), 1 + next(4));
+            let schedule = [SyncSchedule::FillDrain, SyncSchedule::OneFOneB][next(2)];
+            let mut model = schedule.model(stages, mb);
+            for order in &mut model.orders {
+                if next(2) == 0 {
+                    // full Fisher–Yates shuffle
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, next(i + 1));
+                    }
+                } else if order.len() > 1 {
+                    // a few adjacent swaps stay near a valid order
+                    for _ in 0..next(3) {
+                        let i = next(order.len() - 1);
+                        order.swap(i, i + 1);
+                    }
+                }
+            }
+            let proved = !rannc_verify::verify_schedule(&model).has_errors();
+            let ran = execute(&spec(stages, mb, 0.01, 0.02), &model, None).is_ok();
+            assert_eq!(ran, proved, "{stages}x{mb} orders {:?}", model.orders);
+            if ran {
+                finished += 1;
+            } else {
+                stuck += 1;
+            }
         }
+        // both sides of the equivalence were exercised
+        assert!(
+            finished >= 100 && stuck >= 100,
+            "{finished} ran, {stuck} stuck"
+        );
     }
 
     #[test]
     fn planned_mlp_deep_verifies_under_both_schedules() {
         use rannc_core::{PartitionConfig, Rannc};
         use rannc_models::{mlp_graph, MlpConfig};
+        use rannc_verify::CommProgram;
 
         let g = mlp_graph(&MlpConfig::deep(256, 256, 8, 10));
         let cluster = ClusterSpec::v100_cluster(1);
         let plan = Rannc::new(PartitionConfig::new(64).with_k(8))
             .partition(&g, &cluster)
             .unwrap();
+        let assignment = plan.device_assignment(&cluster).unwrap();
         for schedule in [SyncSchedule::FillDrain, SyncSchedule::OneFOneB] {
-            let program = comm_program(&g, &plan, &cluster, schedule).unwrap();
+            let model = schedule.model(plan.stages.len(), plan.microbatches);
+            let program = CommProgram::derive(&g, &plan.view(), &model, &assignment);
             assert_eq!(program.programs.len(), plan.total_devices());
-            let (report, certified) =
-                deep_verify_plan(&g, &plan, &cluster, schedule, rannc_hw::Precision::FP32).unwrap();
+            let (report, certified) = plan
+                .certify(&g, &cluster, &model, rannc_hw::Precision::FP32)
+                .unwrap();
             assert!(!report.has_errors(), "{schedule:?}:\n{}", report.render());
             assert_eq!(certified.len(), plan.stages.len());
             for c in &certified {

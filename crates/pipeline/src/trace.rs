@@ -14,8 +14,9 @@
 //! gauges.
 
 use crate::spec::SimResult;
-use crate::sync::{TimelineEvent, WorkKind};
+use crate::sync::TimelineEvent;
 use rannc_obs::trace::{self, ArgVal};
+use rannc_verify::PhaseKind;
 use std::borrow::Cow;
 
 /// Record a simulated timeline as trace slices on per-stage virtual
@@ -35,8 +36,8 @@ pub fn record_timeline(label: &str, events: &[TimelineEvent], stages: usize) -> 
             continue;
         }
         let name = match e.kind {
-            WorkKind::Forward => format!("F{}", e.micro),
-            WorkKind::Backward => format!("B{}", e.micro),
+            PhaseKind::Forward => format!("F{}", e.micro),
+            PhaseKind::Backward => format!("B{}", e.micro),
         };
         trace::record_slice(
             lanes[e.stage],

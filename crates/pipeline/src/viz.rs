@@ -5,7 +5,8 @@
 //! micro-batch digit, backward work as a letter, idle as dots. Useful in
 //! examples and for eyeballing bubble structure.
 
-use crate::sync::{TimelineEvent, WorkKind};
+use crate::sync::TimelineEvent;
+use rannc_verify::PhaseKind;
 
 /// Render `events` (from [`crate::sync::simulate_sync`] with
 /// `want_timeline = true`) as an ASCII Gantt chart of `width` columns.
@@ -28,8 +29,8 @@ pub fn render_timeline(events: &[TimelineEvent], stages: usize, width: usize) ->
         let c0 = (e.start * scale).floor() as usize;
         let c1 = (((e.end * scale).ceil() as usize).max(c0 + 1)).min(width);
         let ch = match e.kind {
-            WorkKind::Forward => char::from_digit((e.micro % 10) as u32, 10).unwrap(),
-            WorkKind::Backward => (b'a' + (e.micro % 26) as u8) as char,
+            PhaseKind::Forward => char::from_digit((e.micro % 10) as u32, 10).unwrap(),
+            PhaseKind::Backward => (b'a' + (e.micro % 26) as u8) as char,
         };
         for cell in rows[e.stage][c0..c1].iter_mut() {
             *cell = ch;

@@ -18,5 +18,5 @@ pub mod optim;
 pub mod rng;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, AdamSlotState, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer, Sgd};
 pub use rng::Rng;

@@ -75,36 +75,7 @@ impl Adam {
             .map(|s| (s.m.len() + s.v.len()) * 4)
             .sum()
     }
-
-    /// Detach one slot's moment state, leaving the slot empty. `None` if
-    /// the slot was never stepped. Pairs with [`Adam::restore_slot`] to
-    /// migrate optimizer state when parameters are re-hosted (e.g. a
-    /// pipeline stage split changes after an elastic replan).
-    pub fn take_slot(&mut self, slot: usize) -> Option<AdamSlotState> {
-        self.state
-            .get_mut(slot)
-            .and_then(Option::take)
-            .map(AdamSlotState)
-    }
-
-    /// Install a previously detached slot state. Panics if the slot is
-    /// already occupied — migration must not silently clobber moments.
-    pub fn restore_slot(&mut self, slot: usize, state: AdamSlotState) {
-        if self.state.len() <= slot {
-            self.state.resize(slot + 1, None);
-        }
-        assert!(
-            self.state[slot].is_none(),
-            "Adam slot {slot} already occupied"
-        );
-        self.state[slot] = Some(state.0);
-    }
 }
-
-/// Opaque snapshot of a single Adam slot (both moments and the step
-/// counter), detached via [`Adam::take_slot`].
-#[derive(Debug, Clone)]
-pub struct AdamSlotState(AdamSlot);
 
 impl Optimizer for Adam {
     fn step(&mut self, slot: usize, param: &mut [f32], grad: &[f32]) {
@@ -183,53 +154,6 @@ mod tests {
         adam.step(0, &mut a, &[1.0, 1.0]);
         let mut b = vec![0.0f32; 3];
         adam.step(0, &mut b, &[1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn slot_migration_is_exact() {
-        // stepping 10+10 with the moments migrated to another optimizer
-        // instance mid-way must equal 20 straight steps
-        let grads = |i: usize, x: &[f32]| vec![2.0 * (x[0] - 3.0) + i as f32 * 0.01];
-        let mut x_ref = vec![0.0f32];
-        let mut adam_ref = Adam::new(0.1);
-        for i in 0..20 {
-            let g = grads(i, &x_ref);
-            adam_ref.step(0, &mut x_ref, &g);
-        }
-
-        let mut x = vec![0.0f32];
-        let mut a = Adam::new(0.1);
-        for i in 0..10 {
-            let g = grads(i, &x);
-            a.step(0, &mut x, &g);
-        }
-        let moved = a.take_slot(0).expect("slot stepped");
-        assert_eq!(a.state_bytes(), 0, "take_slot must leave the slot empty");
-        let mut b = Adam::new(0.1);
-        b.restore_slot(3, moved);
-        for i in 10..20 {
-            let g = grads(i, &x);
-            b.step(3, &mut x, &g);
-        }
-        assert_eq!(x, x_ref, "migrated moments diverged");
-    }
-
-    #[test]
-    fn take_of_untouched_slot_is_none() {
-        let mut adam = Adam::new(0.1);
-        assert!(adam.take_slot(0).is_none());
-        assert!(adam.take_slot(7).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "already occupied")]
-    fn restore_into_occupied_slot_panics() {
-        let mut adam = Adam::new(0.1);
-        let mut p = vec![0.0f32];
-        adam.step(0, &mut p, &[1.0]);
-        let st = adam.take_slot(0).unwrap();
-        adam.restore_slot(0, st.clone());
-        adam.restore_slot(0, st);
     }
 
     #[test]

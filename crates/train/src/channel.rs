@@ -1,8 +1,9 @@
 //! A bounded MPSC channel with send/recv timeouts and disconnect
 //! detection, built on `std::sync::{Mutex, Condvar}`.
 //!
-//! The trainer needs exactly three properties from its channels, all in
-//! service of fault tolerance:
+//! The trainer needs exactly three properties from its channels, all so
+//! that a panicked or hung stage fails the run with a typed error instead
+//! of deadlocking it:
 //!
 //! 1. **bounded capacity** — a dead consumer backpressures its producer
 //!    instead of letting queues grow without limit;

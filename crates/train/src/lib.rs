@@ -27,6 +27,6 @@ pub use data::Dataset;
 pub use error::TrainError;
 pub use layer::Layer;
 pub use pipeline::{train_pipeline, Mode, TrainConfig};
-pub use stage::{build_mlp, restage, split_into_stages, Stage};
+pub use stage::{build_mlp, split_into_stages, Stage};
 pub use transformer::{LayerNorm, TransformerBlock};
 pub use validate::{loss_validation, loss_validation_transformer, LossValidation};

@@ -96,33 +96,18 @@ pub fn train_pipeline(
     cfg: &TrainConfig,
     mode: Mode,
 ) -> Result<(Vec<f32>, Vec<Stage>), TrainError> {
-    run_segment(stages, data, cfg, mode, 0..cfg.iterations)
-}
-
-/// Run iterations `range` of a training job. [`train_pipeline`] runs the
-/// whole job as one segment; a run that re-splits its stages mid-way
-/// (see [`crate::stage::restage`]) runs one segment per split.
-pub(crate) fn run_segment(
-    stages: Vec<Stage>,
-    data: &Dataset,
-    cfg: &TrainConfig,
-    mode: Mode,
-    range: std::ops::Range<usize>,
-) -> Result<(Vec<f32>, Vec<Stage>), TrainError> {
     cfg.validate(stages.len())?;
-    let _seg = rannc_obs::trace::span("segment", "train")
-        .arg_i("from_iter", range.start as i64)
-        .arg_i("to_iter", range.end as i64)
+    let _run = rannc_obs::trace::span("run", "train")
+        .arg_i("iterations", cfg.iterations as i64)
         .arg_i("stages", stages.len() as i64);
     let n_stages = stages.len();
     let micro = cfg.batch_size / cfg.microbatches;
-    let iters: Vec<usize> = range.collect();
 
     // micro-batch inputs (driver side) and labels (last stage side),
-    // precomputed per iteration in the segment
-    let mut labels_per_iter: Vec<Vec<Vec<usize>>> = Vec::with_capacity(iters.len());
-    let mut inputs_per_iter: Vec<Vec<Matrix>> = Vec::with_capacity(iters.len());
-    for &it in &iters {
+    // precomputed per iteration
+    let mut labels_per_iter: Vec<Vec<Vec<usize>>> = Vec::with_capacity(cfg.iterations);
+    let mut inputs_per_iter: Vec<Vec<Matrix>> = Vec::with_capacity(cfg.iterations);
+    for it in 0..cfg.iterations {
         let (x, y) = data.batch(it, cfg.batch_size);
         let mut xs = Vec::with_capacity(cfg.microbatches);
         let mut ys = Vec::with_capacity(cfg.microbatches);
@@ -249,11 +234,11 @@ pub(crate) fn run_segment(
 
         // supervisor loop: feed one iteration, collect its losses — any
         // stage death or hang surfaces here within one timeout
-        let mut losses_flat: Vec<f32> = Vec::with_capacity(iters.len() * cfg.microbatches);
+        let mut losses_flat: Vec<f32> = Vec::with_capacity(cfg.iterations * cfg.microbatches);
         let mut driver_err: Option<TrainError> = None;
         let step_hist = rannc_obs::metrics::histogram("train.step_seconds");
         let step_count = rannc_obs::metrics::counter("train.iterations");
-        'drive: for (&it, xs) in iters.iter().zip(inputs_per_iter) {
+        'drive: for (it, xs) in inputs_per_iter.into_iter().enumerate() {
             let step_started = Instant::now();
             for (m, x) in xs.into_iter().enumerate() {
                 if feed.send_timeout(Msg::Fwd(m, x), DEFAULT_TIMEOUT).is_err() {
@@ -313,7 +298,7 @@ pub(crate) fn run_segment(
             _ => unreachable!("failures classified above"),
         })
         .collect();
-    debug_assert_eq!(losses_flat.len(), iters.len() * cfg.microbatches);
+    debug_assert_eq!(losses_flat.len(), cfg.iterations * cfg.microbatches);
     let losses = losses_flat
         .chunks(cfg.microbatches)
         .map(|c| c.iter().sum::<f32>() / c.len() as f32)

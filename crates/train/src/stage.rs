@@ -1,7 +1,7 @@
 //! A pipeline stage: an ordered stack of layers with a local optimizer.
 
 use crate::layer::Layer;
-use rannc_tensor::{Adam, AdamSlotState, Matrix};
+use rannc_tensor::{Adam, Matrix};
 
 /// One pipeline stage owning a slice of the model and its optimizer.
 ///
@@ -84,45 +84,6 @@ pub fn build_mlp(dims: &[usize], seed: u64) -> Vec<Layer> {
     layers
 }
 
-/// Re-split trained stages into a different stage count, migrating both
-/// the layers and their per-layer Adam moments — the trainer-level
-/// analogue of the planner's post-replan parameter migration. The
-/// continued run is bit-identical to one that never changed its split:
-/// synchronous pipeline math is invariant to stage boundaries, and the
-/// optimizer state travels with each layer.
-pub fn restage(stages: Vec<Stage>, n: usize, lr: f32) -> Vec<Stage> {
-    // each layer owns the optimizer-slot range
-    // [i * SLOT_STRIDE, (i + 1) * SLOT_STRIDE) within its stage; detach
-    // every slot of that range alongside the layer itself
-    let mut layers: Vec<Layer> = Vec::new();
-    let mut moments: Vec<Vec<Option<AdamSlotState>>> = Vec::new();
-    for mut stage in stages {
-        for (i, layer) in stage.layers.drain(..).enumerate() {
-            let base = Layer::SLOT_STRIDE * i;
-            moments.push(
-                (0..Layer::SLOT_STRIDE)
-                    .map(|k| stage.opt.take_slot(base + k))
-                    .collect(),
-            );
-            layers.push(layer);
-        }
-    }
-    let mut out = split_into_stages(layers, n, lr);
-    let mut moments = moments.into_iter();
-    for stage in &mut out {
-        for i in 0..stage.layers.len() {
-            let base = Layer::SLOT_STRIDE * i;
-            let states = moments.next().expect("one moment range per layer");
-            for (k, state) in states.into_iter().enumerate() {
-                if let Some(state) = state {
-                    stage.opt.restore_slot(base + k, state);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Split a flat layer list into `n` stages of (as equal as possible)
 /// consecutive layers.
 pub fn split_into_stages(layers: Vec<Layer>, n: usize, lr: f32) -> Vec<Stage> {
@@ -165,69 +126,6 @@ mod tests {
             n_layers
         );
         assert_eq!(stages.iter().map(Stage::param_count).sum::<usize>(), total);
-    }
-
-    #[test]
-    fn restage_preserves_layers_and_params() {
-        let layers = build_mlp(&[8, 16, 16, 16, 4], 1);
-        let n_layers = layers.len();
-        let total: usize = layers.iter().map(Layer::param_count).sum();
-        let stages = split_into_stages(layers, 4, 0.01);
-        let restaged = restage(stages, 2, 0.01);
-        assert_eq!(restaged.len(), 2);
-        assert_eq!(
-            restaged.iter().map(|s| s.layers().len()).sum::<usize>(),
-            n_layers
-        );
-        assert_eq!(
-            restaged.iter().map(Stage::param_count).sum::<usize>(),
-            total
-        );
-    }
-
-    #[test]
-    fn restage_mid_run_continues_bit_identically() {
-        // train 10 iterations on 3 stages, re-split to 2 stages (layers +
-        // Adam moments migrate), train 10 more — the loss trajectory and
-        // final weights must be bit-identical to a run that never
-        // changed its split
-        use crate::data::Dataset;
-        use crate::pipeline::{run_segment, Mode, TrainConfig};
-
-        let data = Dataset::synthetic(64, 8, 4, 11);
-        let cfg = TrainConfig {
-            iterations: 20,
-            batch_size: 16,
-            microbatches: 4,
-        };
-        let fresh = || split_into_stages(build_mlp(&[8, 32, 32, 32, 4], 5), 3, 0.01);
-
-        let (ref_losses, ref_stages) =
-            run_segment(fresh(), &data, &cfg, Mode::Synchronous, 0..20).unwrap();
-
-        let (mut losses, trained) =
-            run_segment(fresh(), &data, &cfg, Mode::Synchronous, 0..10).unwrap();
-        let restaged = restage(trained, 2, 0.01);
-        let (tail, final_stages) =
-            run_segment(restaged, &data, &cfg, Mode::Synchronous, 10..20).unwrap();
-        losses.extend(tail);
-
-        assert_eq!(losses, ref_losses, "losses diverged across the re-split");
-        let flat = |stages: &[Stage]| -> Vec<Vec<f32>> {
-            stages
-                .iter()
-                .flat_map(|s| s.layers().iter())
-                .filter_map(|l| match l {
-                    Layer::Linear { w, .. } => Some(w.data.clone()),
-                    _ => None,
-                })
-                .collect()
-        };
-        assert_eq!(
-            flat(&final_stages),
-            flat(&ref_stages),
-            "weights diverged across the re-split"
-        );
     }
 
     #[test]

@@ -21,9 +21,10 @@ pub enum PhaseKind {
 
 /// A pipeline schedule flattened to per-stage execution orders.
 ///
-/// `orders[s]` lists the ops stage `s` runs, in issue order. Built from a
-/// `rannc-pipeline` schedule via `sync_work_orders` (see that crate), or
-/// by hand in tests.
+/// `orders[s]` lists the ops stage `s` runs, in issue order. Built by
+/// [`ScheduleModel::fill_drain`] or [`ScheduleModel::one_f_one_b`] — the
+/// only definitions of a synchronous schedule: `rannc-pipeline`'s
+/// simulator executes these orders — or by hand in tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleModel {
     /// Pipeline depth.
@@ -36,9 +37,8 @@ pub struct ScheduleModel {
 
 impl ScheduleModel {
     /// Canonical GPipe fill–drain order: all forwards in arrival order,
-    /// then all backwards in reverse. Mirrors
-    /// `rannc_pipeline::sync_work_orders(SyncSchedule::FillDrain, ..)`
-    /// op for op (a `rannc-pipeline` test pins the two together).
+    /// then all backwards in reverse. What `rannc-pipeline` simulates
+    /// for `SyncSchedule::FillDrain`.
     pub fn fill_drain(stages: usize, microbatches: usize) -> ScheduleModel {
         let orders = (0..stages)
             .map(|_| {
@@ -56,8 +56,8 @@ impl ScheduleModel {
     }
 
     /// Canonical 1F1B order: `stages − 1 − s` warmup forwards, then
-    /// alternate. Mirrors
-    /// `rannc_pipeline::sync_work_orders(SyncSchedule::OneFOneB, ..)`.
+    /// alternate. What `rannc-pipeline` simulates for
+    /// `SyncSchedule::OneFOneB`.
     pub fn one_f_one_b(stages: usize, microbatches: usize) -> ScheduleModel {
         let orders = (0..stages)
             .map(|s| {

@@ -64,7 +64,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, no deleted search, memo or fixpoint machinery)"
+echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, no deleted search, memo or fixpoint machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -164,6 +164,22 @@ if grep -rnE --include='*.rs' \
 fi
 if grep -nE "rannc-faults|rannc-cost" crates/train/Cargo.toml; then
     echo "FAILED: rannc-train depends on rannc-faults or rannc-cost again"
+    exit 1
+fi
+
+# A synchronous schedule has one definition and a plan one certify path:
+# rannc-verify's ScheduleModel::{fill_drain, one_f_one_b} build the only
+# issue orders (the simulator executes them, the verifier proves them),
+# and PartitionPlan::certify is the one step from a plan to its deep
+# report. The simulator's own order builders, its model bridge and the
+# pipeline crate's certify wrappers stay deleted, as does the trainer's
+# stage-migration path (restage and the Adam slot transfer it used).
+# The rannc_benchmark package is exempt (it has its own workspace and is
+# changed only with the benchmark).
+if grep -rnE --include='*.rs' \
+    "fn work_order|sync_work_orders|fn schedule_model|WorkKind|deep_verify_plan|fn comm_program|BadAssignment|fn restage|take_slot|restore_slot|AdamSlotState" \
+    crates/*/src --exclude-dir=rannc_benchmark; then
+    echo "FAILED: a second schedule definition or certify path is back in crates/*/src"
     exit 1
 fi
 

@@ -86,7 +86,7 @@ fn chrome_trace_roundtrip_bert_16_devices() {
     // --- 4. the 1F1B schedule renders on per-stage lanes ---
     let fwd = timeline
         .iter()
-        .filter(|e| matches!(e.kind, rannc::pipeline::WorkKind::Forward))
+        .filter(|e| matches!(e.kind, rannc::pipeline::PhaseKind::Forward))
         .count();
     let f0 = summary.count_of("F0");
     assert!(f0 >= 1, "micro-batch 0 forward slices present");

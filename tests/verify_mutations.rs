@@ -205,7 +205,7 @@ fn graph_mutation_mislabeled_static_detected() {
 
 #[test]
 fn schedule_mutation_truncated_order_is_incomplete() {
-    let mut model = rannc::pipeline::schedule_model(SyncSchedule::FillDrain, 3, 4);
+    let mut model = SyncSchedule::FillDrain.model(3, 4);
     model.orders[2].pop();
     let report = verify_schedule(&model);
     assert!(
@@ -245,8 +245,11 @@ fn schedule_mutation_warmup_mismatch_deadlocks() {
 /// The fixture plus its derived fill-drain communication program.
 fn derived_program() -> (TaskGraph, ClusterSpec, PartitionPlan, CommProgram) {
     let (g, cluster, plan) = multi_stage_fixture();
-    let program = rannc::pipeline::comm_program(&g, &plan, &cluster, SyncSchedule::FillDrain)
+    let assignment = plan
+        .device_assignment(&cluster)
         .expect("fixture placement must be derivable");
+    let model = ScheduleModel::fill_drain(plan.stages.len(), plan.microbatches);
+    let program = CommProgram::derive(&g, &plan.view(), &model, &assignment);
     (g, cluster, plan, program)
 }
 
@@ -254,9 +257,10 @@ fn derived_program() -> (TaskGraph, ClusterSpec, PartitionPlan, CommProgram) {
 fn deep_baseline_fixture_certifies_clean() {
     let (g, cluster, plan) = multi_stage_fixture();
     for schedule in [SyncSchedule::FillDrain, SyncSchedule::OneFOneB] {
-        let (report, certified) =
-            rannc::pipeline::deep_verify_plan(&g, &plan, &cluster, schedule, Precision::FP32)
-                .expect("fixture must deep-verify");
+        let model = schedule.model(plan.stages.len(), plan.microbatches);
+        let (report, certified) = plan
+            .certify(&g, &cluster, &model, Precision::FP32)
+            .expect("fixture must deep-verify");
         assert!(!report.has_errors(), "{schedule:?}:\n{}", report.render());
         assert_eq!(certified.len(), plan.stages.len());
         for c in &certified {
@@ -487,16 +491,9 @@ fn mutation_starved_device_is_rv100() {
     let mut small = ClusterSpec::v100_cluster(1);
     small.device = small.device.clone().with_memory(64 << 20);
     let model = ScheduleModel::fill_drain(plan.stages.len(), plan.microbatches);
-    let assignment = plan.device_assignment(&small).expect("same device count");
-    let (report, certified) = rannc::verify::verify_deep(
-        &g,
-        &plan.view(),
-        &small,
-        &model,
-        &assignment,
-        Precision::FP32,
-        true,
-    );
+    let (report, certified) = plan
+        .certify(&g, &small, &model, Precision::FP32)
+        .expect("same device count");
     assert_code(&report, Code::CertifiedMemoryOverCapacity, "shrink devices");
     assert!(certified
         .iter()
@@ -514,14 +511,10 @@ fn mutation_shrunken_estimate_is_rv101() {
     // the plan claims stage 0 fits in one byte: the certificate calls
     // the estimate broken (a warning — capacity itself still holds)
     plan.stages[0].mem_bytes = 1;
-    let (report, _) = rannc::pipeline::deep_verify_plan(
-        &g,
-        &plan,
-        &cluster,
-        SyncSchedule::FillDrain,
-        Precision::FP32,
-    )
-    .expect("fixture must deep-verify");
+    let model = ScheduleModel::fill_drain(plan.stages.len(), plan.microbatches);
+    let (report, _) = plan
+        .certify(&g, &cluster, &model, Precision::FP32)
+        .expect("fixture must deep-verify");
     assert_code(&report, Code::MemoryEstimateDivergence, "shrink mem_bytes");
     assert!(
         !report.has_errors(),
@@ -599,8 +592,7 @@ fn all_bundled_models_verify_clean_on_16_and_32_devices() {
                 report.render()
             );
             for schedule in [SyncSchedule::FillDrain, SyncSchedule::OneFOneB] {
-                let model =
-                    rannc::pipeline::schedule_model(schedule, plan.stages.len(), plan.microbatches);
+                let model = schedule.model(plan.stages.len(), plan.microbatches);
                 let sreport = verify_schedule(&model);
                 assert!(
                     sreport.is_clean(),
@@ -610,14 +602,9 @@ fn all_bundled_models_verify_clean_on_16_and_32_devices() {
                 );
                 // the deep pass: certified peak within capacity, derived
                 // comm program free of races, under both schedules
-                let (dreport, certified) = rannc::pipeline::deep_verify_plan(
-                    g,
-                    &plan,
-                    &cluster,
-                    schedule,
-                    Precision::FP32,
-                )
-                .unwrap_or_else(|e| panic!("{} {schedule:?} on {nodes} nodes: {e}", g.name));
+                let (dreport, certified) = plan
+                    .certify(g, &cluster, &model, Precision::FP32)
+                    .unwrap_or_else(|e| panic!("{} {schedule:?} on {nodes} nodes: {e}", g.name));
                 assert!(
                     !dreport.has_errors(),
                     "{} {schedule:?} deep on {nodes} nodes:\n{}",
