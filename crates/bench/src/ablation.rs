@@ -9,7 +9,7 @@
 
 use crate::report::{Cell, Table};
 use rannc::core::ablation::{form_stage_dp_no_coarsening, AblationOutcome};
-use rannc::core::{atomic_partition, DpParams, PartitionPlan};
+use rannc::core::{atomic_partition, tier_grids, PartitionPlan};
 use rannc::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -104,8 +104,8 @@ pub fn run(cfg: &AblationConfig, verbose: bool) -> (Table, Vec<AblationRow>) {
         };
         let with_secs = t0.elapsed().as_secs_f64();
 
-        // no coarsening: atomic components straight into the DP; sweep the
-        // same stage/microbatch space as Algorithm 2's first feasible tier
+        // no coarsening: atomic components straight into the DP over
+        // Algorithm 2's grids
         let t0 = Instant::now();
         let without = run_no_coarsening(&g, &profiler, &cluster, cfg);
         let without_secs = t0.elapsed().as_secs_f64();
@@ -128,7 +128,10 @@ pub fn run(cfg: &AblationConfig, verbose: bool) -> (Table, Vec<AblationRow>) {
     (table, rows)
 }
 
-/// The §IV-C variant: Algorithm 2's search loop over the additive DP.
+/// The §IV-C variant: the additive DP over Algorithm 2's node tiers and
+/// `(S, MB)` grids ([`tier_grids`]). Unlike the search it stops at the
+/// first stage count `S` with a feasible cell, and picks that `S`'s
+/// micro-batch count by simulated iteration time, not by score.
 pub fn run_no_coarsening(
     g: &TaskGraph,
     profiler: &Profiler<'_>,
@@ -137,51 +140,31 @@ pub fn run_no_coarsening(
 ) -> Cell {
     let atomic = atomic_partition(g);
     let deadline = Instant::now() + cfg.budget;
-    let d_node = cluster.node.devices;
-    let mut n = 1usize;
-    while n <= cluster.nodes {
-        let d = d_node * n;
-        let r = (cluster.nodes / n).max(1);
-        for s in (d_node * (n - 1) + 1)..=(d_node * n) {
-            let mut best: Option<(f64, PartitionPlan)> = None;
-            let mut mb = 1usize;
-            while mb <= cfg.batch / r {
+    for tier in tier_grids(cluster, cfg.batch, 1) {
+        for cells in tier.cells.chunk_by(|a, b| a.stages == b.stages) {
+            let mut best: Option<f64> = None;
+            for params in cells {
                 if Instant::now() > deadline {
                     return Cell::Dnf;
                 }
-                let params = DpParams {
-                    stages: s,
-                    devices: d,
-                    batch_size: cfg.batch,
-                    replica_factor: r,
-                    microbatches: mb,
-                    mem_limit: cluster.device.memory_bytes,
-                    tp: 1,
-                };
                 let remaining = deadline.saturating_duration_since(Instant::now());
-                match form_stage_dp_no_coarsening(g, profiler, &atomic, &params, remaining) {
+                match form_stage_dp_no_coarsening(g, profiler, &atomic, params, remaining) {
                     AblationOutcome::Solved(sol) => {
                         let plan = PartitionPlan::from_solution(g.name.clone(), &sol, cfg.batch);
                         let sim = rannc::pipeline::simulate_plan(&plan, profiler, cluster)
                             .expect("valid plan");
-                        if best
-                            .as_ref()
-                            .map(|(t, _)| sim.iteration_time < *t)
-                            .unwrap_or(true)
-                        {
-                            best = Some((sim.iteration_time, plan));
+                        if best.is_none_or(|t| sim.iteration_time < t) {
+                            best = Some(sim.iteration_time);
                         }
                     }
                     AblationOutcome::Infeasible => {}
                     AblationOutcome::TimedOut { .. } => return Cell::Dnf,
                 }
-                mb *= 2;
             }
-            if let Some((t, _)) = best {
+            if let Some(t) = best {
                 return Cell::Throughput(cfg.batch as f64 / t);
             }
         }
-        n *= 2;
     }
     Cell::Oom
 }

@@ -7,8 +7,8 @@
 //! configured thread count (the engine), so the speedup measures thread
 //! scaling.
 //!
-//! Both runs get a fresh profiler so neither inherits the other's memo
-//! state. The two plans are compared field-by-field (bit-identical
+//! Both runs get a fresh profiler so each run's slot counters are its
+//! own. The two plans are compared field-by-field (bit-identical
 //! objective values included) — the speedup claim is only meaningful if
 //! faster returns the *same* answer. Results are emitted as
 //! `BENCH_partition.json` so the perf trajectory is tracked PR over PR.
@@ -259,11 +259,7 @@ pub fn run_case(
             &case.graph,
             &*model,
             &atomic,
-            BlockLimits {
-                k: case.k,
-                mem_limit: cluster.device.memory_bytes,
-                profile_batch: 1,
-            },
+            BlockLimits::for_request(&PartitionConfig::new(case.batch).with_k(case.k), &cluster),
         )
     };
     let prep_seconds = t0.elapsed().as_secs_f64();

@@ -1,22 +1,16 @@
 //! Rank agreement between the search score and the simulator.
 //!
-//! Algorithm 2 returns the feasible `(S, MB)` cell of the first feasible
-//! node tier with the lowest closed-form score. This module re-runs that
-//! tier one cell at a time through public calls (`atomic_partition`,
-//! `block_partition`, `RangeTable::build`, `DpCtx` with `form_stage_dp`),
-//! turns every feasible cell into a plan with
-//! `PartitionPlan::from_solution`, and simulates it. The score agrees
-//! with the simulator when the score's winner is also the fastest cell
-//! the simulator sees: its *top-1 regret* is zero.
+//! Algorithm 2 returns the feasible cell of the first feasible node tier
+//! with the lowest closed-form score. This module takes that tier from
+//! the search itself (`scan_first_feasible_tier`), turns every feasible
+//! cell into a plan with `PartitionPlan::from_solution`, and simulates
+//! it. The score agrees with the simulator when the score's winner is
+//! also the fastest cell the simulator sees: its *top-1 regret* is zero.
 //!
-//! Homogeneous clusters and the default `T = 1` grid only, which is what
-//! the Fig. 4 and Fig. 5 grids use.
+//! Homogeneous clusters only. The Fig. 4 and Fig. 5 grids search the
+//! default `T = 1` grid, so a cell is named by its `(S, MB)`.
 
-use rannc::core::search::score_solution;
-use rannc::core::{
-    atomic_partition, block_partition, form_stage_dp, BlockLimits, DpArena, DpCtx, DpParams,
-    RangeTable, SlotTable,
-};
+use rannc::core::{atomic_partition, block_partition, scan_first_feasible_tier, BlockLimits};
 use rannc::prelude::*;
 
 /// One feasible cell of the winning tier.
@@ -28,6 +22,8 @@ pub struct ScoredCell {
     pub microbatches: usize,
     /// The search's closed-form iteration time, seconds.
     pub score: f64,
+    /// The DP objective of the cell's solution, seconds.
+    pub bottleneck: f64,
     /// The simulated iteration time of the cell's plan, seconds.
     pub sim: f64,
 }
@@ -46,14 +42,15 @@ pub struct TierAgreement {
     pub replica_factor: usize,
     /// Every feasible cell, `S` ascending then `MB` ascending.
     pub cells: Vec<ScoredCell>,
-    /// Index of the score's winner: the first minimum, as in the search.
+    /// Index of the search's winner in `cells`.
     pub winner: usize,
 }
 
 impl TierAgreement {
-    /// Score and simulate every feasible cell of the winning tier of
-    /// `cfg`'s search over `cluster`, priced by `cost`. `None` when no
-    /// tier has a feasible cell.
+    /// Simulate every feasible cell of the winning tier of `cfg`'s
+    /// search over `cluster`, priced by `cost`, with the blocks
+    /// `Rannc::partition` would build. `None` when no tier has a
+    /// feasible cell.
     pub fn measure(
         g: &TaskGraph,
         cost: &dyn CostModel,
@@ -61,67 +58,35 @@ impl TierAgreement {
         cfg: &PartitionConfig,
     ) -> Option<Self> {
         assert!(!cluster.is_heterogeneous(), "homogeneous clusters only");
-        let mem_limit = cluster.device.memory_bytes;
-        let blocks = block_partition(
-            g,
-            cost,
-            &atomic_partition(g),
-            BlockLimits {
-                k: cfg.k,
-                mem_limit,
-                profile_batch: cfg.profile_batch,
-            },
-        );
-        let ranges = RangeTable::build(cost, &blocks);
-        let mut arena = DpArena::new();
-        let d_node = cluster.node.devices;
-        let mut n = 1;
-        while n <= cluster.nodes {
-            let r = (cluster.nodes / n).max(1);
-            let precision = cost.options().precision;
-            let slots = SlotTable::build(cluster, d_node * n, r, cost.device(), precision);
-            let mut cells = Vec::new();
-            for s in (d_node * (n - 1) + 1)..=(d_node * n) {
-                let mut mb = 1;
-                while mb <= cfg.batch_size / r {
-                    let p = DpParams {
-                        stages: s,
-                        devices: d_node * n,
-                        batch_size: cfg.batch_size,
-                        replica_factor: r,
-                        microbatches: mb,
-                        mem_limit,
-                        tp: 1,
-                    };
-                    let ctx = DpCtx::new(cost, &ranges, cluster, &slots, &p);
-                    if let Some(sol) = form_stage_dp(&ctx, &mut arena) {
-                        let plan = PartitionPlan::from_solution(g.name.clone(), &sol, p.batch_size);
-                        let sim =
-                            simulate_plan(&plan, cost, cluster).expect("a feasible cell simulates");
-                        cells.push(ScoredCell {
-                            stages: s,
-                            microbatches: mb,
-                            score: score_solution(&sol, cluster, cost),
-                            sim: sim.iteration_time,
-                        });
-                    }
-                    mb *= 2;
-                }
+        let limits = BlockLimits::for_request(cfg, cluster);
+        let blocks = block_partition(g, cost, &atomic_partition(g), limits);
+        let (scan, _) =
+            scan_first_feasible_tier(g, cost, &blocks, cluster, cfg.batch_size, &cfg.search);
+        let scan = scan?;
+        let mut cells = Vec::new();
+        let mut winner = 0;
+        for (i, cell) in scan.cells.iter().enumerate() {
+            let Some((score, sol)) = &cell.scored else {
+                continue;
+            };
+            if i == scan.winner {
+                winner = cells.len();
             }
-            // min_by keeps the first minimum, as the search does
-            let winner = (cells.iter().enumerate())
-                .min_by(|a, b| a.1.score.total_cmp(&b.1.score))
-                .map(|(i, _)| i);
-            if let Some(winner) = winner {
-                return Some(TierAgreement {
-                    replica_factor: r,
-                    cells,
-                    winner,
-                });
-            }
-            n *= 2;
+            let plan = PartitionPlan::from_solution(g.name.clone(), sol, cfg.batch_size);
+            let sim = simulate_plan(&plan, cost, cluster).expect("a feasible cell simulates");
+            cells.push(ScoredCell {
+                stages: cell.params.stages,
+                microbatches: cell.params.microbatches,
+                score: *score,
+                bottleneck: sol.value,
+                sim: sim.iteration_time,
+            });
         }
-        None
+        Some(TierAgreement {
+            replica_factor: scan.replica_factor,
+            cells,
+            winner,
+        })
     }
 
     /// The score's winner.
@@ -182,6 +147,7 @@ mod tests {
             stages: 1,
             microbatches: 1,
             score,
+            bottleneck: score,
             sim,
         }
     }
@@ -229,6 +195,11 @@ mod tests {
             .iteration_time;
         let tier = TierAgreement::measure(&g, &cost, &cluster, &cfg).unwrap();
         assert_eq!(tier.replica_factor, plan.replica_factor);
+        assert_eq!(
+            tier.winner().bottleneck.to_bits(),
+            plan.bottleneck.to_bits(),
+            "the tier's winner is not the plan"
+        );
         assert!(tier.cells.len() > 1, "a tier of one cell tests nothing");
         for c in &tier.cells {
             assert!(

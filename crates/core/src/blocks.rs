@@ -9,10 +9,12 @@
 //! (which bounds future stage-to-stage traffic).
 
 use crate::atomic::AtomicPartition;
+use crate::PartitionConfig;
 use rannc_cost::CostModel;
 use rannc_graph::convex::ConvexChecker;
 use rannc_graph::taskset::Membership;
 use rannc_graph::{TaskGraph, TaskId, TaskSet};
+use rannc_hw::ClusterSpec;
 use rannc_profile::TimeSums;
 use std::cell::OnceCell;
 
@@ -26,6 +28,18 @@ pub struct BlockLimits {
     pub mem_limit: usize,
     /// Micro-batch size used when profiling candidate groups for balance.
     pub profile_batch: usize,
+}
+
+impl BlockLimits {
+    /// A request's limits: `config`'s `k` and profiling batch, and the
+    /// largest device's memory (per-group bounds are the stage DP's).
+    pub fn for_request(config: &PartitionConfig, cluster: &ClusterSpec) -> Self {
+        BlockLimits {
+            k: config.k,
+            mem_limit: cluster.max_memory_bytes(),
+            profile_batch: config.profile_batch,
+        }
+    }
 }
 
 /// A coarse-grained block: a convex set of tasks with profiled cost.

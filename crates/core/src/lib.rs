@@ -57,7 +57,9 @@ pub use placement::SlotTable;
 pub use plan::{PartitionPlan, PlanError, StagePlan};
 pub use plan_io::{decode_plan, encode_plan, load_plan, save_plan, PlanIoError};
 pub use replan::{diff_plans, PlanDiff, ReplanOutcome};
-pub use search::{form_stage_with, SearchOptions, SearchStats};
+pub use search::{
+    form_stage_with, scan_first_feasible_tier, tier_grids, SearchOptions, SearchStats,
+};
 pub use stagecache::{DpCtx, RangeTable, StageCost};
 
 use rannc_cost::{CostModel, CostModelSpec};
@@ -306,17 +308,34 @@ impl Rannc {
         let _root = rannc_obs::trace::span("partition", "planner")
             .arg_i("tasks", graph.num_tasks() as i64)
             .arg_i("batch_size", self.config.batch_size as i64);
+        let cost = self.cost_model(graph, cluster);
+        self.plan_cold(graph, cluster, &*cost)
+    }
+
+    /// A request's one cost model, on `cluster`'s template device.
+    fn cost_model<'g>(
+        &self,
+        graph: &'g TaskGraph,
+        cluster: &ClusterSpec,
+    ) -> Box<dyn CostModel + 'g> {
         let opts = ProfilerOptions {
             precision: self.config.precision,
             ..ProfilerOptions::fp32()
         }
         .with_noise(self.config.noise_sigma, self.config.noise_seed);
-        let cost = self
-            .config
+        self.config
             .cost
-            .build(graph, cluster.device.clone(), opts, cluster);
-        let cost: &dyn CostModel = &*cost;
+            .build(graph, cluster.device.clone(), opts, cluster)
+    }
 
+    /// The three-phase pipeline: atomic and block-level partitioning at
+    /// the configured `k`, then [`Rannc::plan_blocks`].
+    fn plan_cold(
+        &self,
+        graph: &TaskGraph,
+        cluster: &ClusterSpec,
+        cost: &dyn CostModel,
+    ) -> Result<(PartitionPlan, PlannerStats), PartitionError> {
         let atomic = {
             let _s = rannc_obs::trace::span("atomic", "planner");
             atomic_partition(graph)
@@ -326,33 +345,42 @@ impl Rannc {
         }
         let blocks = {
             let _s = rannc_obs::trace::span("blocks", "planner").arg_i("k", self.config.k as i64);
-            block_partition(
-                graph,
-                cost,
-                &atomic,
-                BlockLimits {
-                    k: self.config.k,
-                    // a block only needs to fit the largest device —
-                    // per-group bounds are the stage DP's
-                    mem_limit: cluster.max_memory_bytes(),
-                    profile_batch: self.config.profile_batch,
-                },
-            )
+            let limits = BlockLimits::for_request(&self.config, cluster);
+            block_partition(graph, cost, &atomic, limits)
         };
+        self.plan_blocks(graph, cluster, cost, &blocks)
+    }
+
+    /// Every request's last step: Algorithm 2 over `blocks`, the plan,
+    /// its flight-recorder annotation and the verification post-pass.
+    fn plan_blocks(
+        &self,
+        graph: &TaskGraph,
+        cluster: &ClusterSpec,
+        cost: &dyn CostModel,
+        blocks: &[Block],
+    ) -> Result<(PartitionPlan, PlannerStats), PartitionError> {
+        // the slot counters of this search alone, though the request's
+        // cost model may have served an earlier one
+        let before = cost.cache_stats();
         let (sol, search) = {
             let _s =
                 rannc_obs::trace::span("search", "planner").arg_i("blocks", blocks.len() as i64);
             form_stage_with(
                 graph,
                 cost,
-                &blocks,
+                blocks,
                 cluster,
                 self.config.batch_size,
                 &self.config.search,
             )
         };
+        let after = cost.cache_stats();
         let stats = PlannerStats {
-            profiler_cache: cost.cache_stats(),
+            profiler_cache: CacheStats {
+                hits: after.hits - before.hits,
+                misses: after.misses - before.misses,
+            },
             search,
         };
         publish_cache_metrics("planner.profiler_cache", &stats.profiler_cache);
@@ -385,70 +413,69 @@ impl Rannc {
                 report.merge(deep);
             }
         }
-        match self.config.verify {
-            VerifyMode::Off => unreachable!(),
-            VerifyMode::Warn => {
-                if !report.is_clean() {
-                    eprintln!("{}", report.render());
-                }
-                Ok(plan)
+        if self.config.verify == VerifyMode::Warn {
+            if !report.is_clean() {
+                eprintln!("{}", report.render());
             }
-            VerifyMode::Fail | VerifyMode::Certify => {
-                if report.has_errors() {
-                    Err(PartitionError::FailedVerification(report))
-                } else {
-                    Ok(plan)
-                }
-            }
+        } else if report.has_errors() {
+            return Err(PartitionError::FailedVerification(report));
         }
+        Ok(plan)
     }
 
     /// Re-partition `graph` after device loss, warm-started from a
     /// previous plan.
     ///
-    /// Elastic recovery path: when devices fail mid-training we want a new
-    /// plan for the surviving hardware *fast*. The old plan's stage sets
-    /// are convex and were memory-feasible on the full cluster, so they
-    /// are reused directly as the block sequence — skipping the multilevel
-    /// block phase (in the planner benchmark's per-layer ledger for BERT
-    /// 2048×256 on 128 devices, coarsening and uncoarsening take about
-    /// two thirds of a [`Rannc::partition`] call, and the stage search,
-    /// range table and sweep together, about a fifth) —
-    /// and only Algorithm 2's stage-level search reruns against the
-    /// degraded cluster's [`ClusterSpec::planning_view`]. If the coarse
-    /// warm-start blocks turn out infeasible on the shrunken cluster
-    /// (e.g. a merged stage no longer fits one device's memory), the
-    /// full three-phase partitioning is rerun as a fallback.
+    /// The old plan's stage sets are convex and were memory-feasible on
+    /// the full cluster, so they become the block sequence: the block
+    /// phase (about two thirds of a [`Rannc::partition`] call on BERT
+    /// 2048×256 at 128 devices) is skipped, and only Algorithm 2 reruns
+    /// on the degraded cluster's [`ClusterSpec::planning_view`]. If those
+    /// coarse blocks admit no plan (a merged stage no longer fits one
+    /// device), the full three-phase pipeline reruns on the same cost
+    /// model. Plans are verified against the planning view: that is the
+    /// capacity the search was allowed to use.
     pub fn repartition(
         &self,
         graph: &TaskGraph,
         old_plan: &PartitionPlan,
         degraded: &ClusterSpec,
     ) -> Result<PartitionPlan, PartitionError> {
+        let _root = rannc_obs::trace::span("repartition", "planner")
+            .arg_i("old_stages", old_plan.stages.len() as i64);
+        let (view, cost) = self.replan_request(graph, degraded)?;
+        self.warm_start(graph, old_plan, &view, &*cost)
+    }
+
+    /// A replan request's planning view of `degraded` and its cost model.
+    fn replan_request<'g>(
+        &self,
+        graph: &'g TaskGraph,
+        degraded: &ClusterSpec,
+    ) -> Result<(ClusterSpec, Box<dyn CostModel + 'g>), PartitionError> {
         if graph.num_tasks() == 0 {
             return Err(PartitionError::EmptyGraph);
         }
-        let _root = rannc_obs::trace::span("repartition", "planner")
-            .arg_i("old_stages", old_plan.stages.len() as i64);
-        rannc_obs::metrics::counter("planner.repartitions").inc();
         let view = degraded.planning_view();
         if view.total_devices() == 0 {
             return Err(PartitionError::ClusterEmpty);
         }
-        if old_plan.stages.is_empty() {
-            return self.partition(graph, &view);
-        }
-        let opts = ProfilerOptions {
-            precision: self.config.precision,
-            ..ProfilerOptions::fp32()
-        }
-        .with_noise(self.config.noise_sigma, self.config.noise_seed);
-        let cost = self
-            .config
-            .cost
-            .build(graph, view.device.clone(), opts, &view);
-        let cost: &dyn CostModel = &*cost;
+        let cost = self.cost_model(graph, &view);
+        Ok((view, cost))
+    }
 
+    /// [`Rannc::repartition`] on a request's view and cost model.
+    fn warm_start(
+        &self,
+        graph: &TaskGraph,
+        old_plan: &PartitionPlan,
+        view: &ClusterSpec,
+        cost: &dyn CostModel,
+    ) -> Result<PartitionPlan, PartitionError> {
+        rannc_obs::metrics::counter("planner.repartitions").inc();
+        if old_plan.stages.is_empty() {
+            return self.plan_cold(graph, view, cost).map(|(p, _)| p);
+        }
         // Old stages, in pipeline order, become the warm-start blocks.
         let blocks: Vec<Block> = old_plan
             .stages
@@ -462,44 +489,20 @@ impl Rannc {
                 }
             })
             .collect();
-        let (sol, search) = form_stage_with(
-            graph,
-            cost,
-            &blocks,
-            &view,
-            self.config.batch_size,
-            &self.config.search,
-        );
-        match sol {
-            Some(sol) => {
-                let plan =
-                    PartitionPlan::from_solution(graph.name.clone(), &sol, self.config.batch_size);
-                let stats = PlannerStats {
-                    profiler_cache: cost.cache_stats(),
-                    search,
-                };
-                explain::annotate_recording(
-                    graph,
-                    cost,
-                    &view,
-                    &plan,
-                    self.config.precision,
-                    &stats,
-                );
-                // Verify against the planning view: that is the capacity
-                // the warm-started search was allowed to use.
-                self.verified(graph, &view, plan)
-            }
+        match self.plan_blocks(graph, view, cost, &blocks) {
             // Coarse warm-start blocks can be infeasible where finer ones
             // are not — fall back to the full pipeline.
-            None => self.partition(graph, &view),
+            Err(PartitionError::Infeasible) => self.plan_cold(graph, view, cost),
+            other => other,
         }
+        .map(|(p, _)| p)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan_io::encode_plan;
     use rannc_hw::{DeviceSpec, LinkSpec, NodeSpec};
     use rannc_models::{bert_graph, mlp_graph, BertConfig, MlpConfig};
 
@@ -585,6 +588,29 @@ mod tests {
         let replanned = rannc.repartition(&g, &plan, &degraded).unwrap();
         assert!(replanned.total_devices() <= 8);
         assert!(replanned.est_throughput() > 0.0);
+    }
+
+    /// A repartition whose old stages no longer fit falls back to the
+    /// full pipeline: its plan is, bit for bit, a cold partition of the
+    /// planning view.
+    #[test]
+    fn repartition_fallback_is_a_cold_partition_bit_for_bit() {
+        let g = mlp_graph(&MlpConfig::deep(512, 512, 12, 10));
+        let rannc = Rannc::new(PartitionConfig::new(32).with_k(8));
+        let plan = rannc.partition(&g, &ClusterSpec::v100_cluster(1)).unwrap();
+        // devices with room for about a quarter of the model's weights
+        // and optimizer state beyond the fixed overhead
+        let mut degraded = ClusterSpec::v100_cluster(1);
+        degraded.device = degraded.device.with_memory((1 << 30) + 16 * (1 << 20));
+        let replanned = rannc.repartition(&g, &plan, &degraded).unwrap();
+        // a warm answer only merges old stages, so more stages than the
+        // old plan had means the fallback ran
+        assert!(
+            replanned.stages.len() > plan.stages.len(),
+            "the old stages fit: the case tests no fallback"
+        );
+        let cold = rannc.partition(&g, &degraded.planning_view()).unwrap();
+        assert_eq!(encode_plan(&replanned), encode_plan(&cold));
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Minimal scoped-thread parallel map for the profiling and search sweeps.
 //!
 //! The block-level phase profiles thousands of candidate groups per
-//! coarsening level and the stage-level search fans a whole `(S, MB)`
-//! candidate grid out at once; each evaluation is independent and the
-//! profiler is `Sync` (its memo cache is sharded behind per-shard
-//! mutexes), so a fork–join map over the standard library's scoped
-//! threads gives near-linear speedups on large graphs without pulling a
+//! coarsening level, and the stage-level search fans each node tier's
+//! `(MB, T)` candidate groups out, one tier at a time. Each evaluation
+//! is independent and the profiler is `Sync` without a lock (it keeps
+//! no results; its only mutable state is its atomic slot counters), so
+//! a fork–join map over the standard library's scoped threads gives
+//! near-linear speedups on large graphs without pulling a
 //! task-scheduler dependency into the core crate.
 //!
 //! Work is claimed dynamically: workers pull fixed-size chunks from a
 //! shared atomic cursor (work-stealing-style), so uneven per-item cost —
-//! a DP invocation at `S = 8` costs far more than one at `S = 1` — does
-//! not leave threads idle behind a static partition.
+//! a DP at `S = 8` costs far more than one at `S = 1`, and a group at a
+//! large `T` holds fewer stage counts than one at `T = 1` — does not
+//! leave threads idle behind a static partition.
 //!
 //! The worker count is resolved by [`max_threads`]: an explicit
 //! [`set_threads`] override wins, then the `RANNC_THREADS` environment

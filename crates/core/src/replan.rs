@@ -12,7 +12,10 @@
 //! 2. **What if replanning fails?** [`Rannc::replan_with_backoff`] runs
 //!    a ladder: the warm-started repartition first, then full replans at
 //!    progressively doubled block counts `k` (finer blocks can fit where
-//!    coarse warm-start stages cannot). Every attempt is traced; the
+//!    coarse warm-start stages cannot). The whole ladder is one request:
+//!    one planning view and one cost model serve every attempt, and each
+//!    attempt ends in the same search, plan, annotate and verify step as
+//!    [`Rannc::partition`]. Every attempt is traced; the
 //!    caller only sees an error once the whole ladder is exhausted — at
 //!    which point "degrade in place" (keep the old plan on the slower
 //!    cluster) is the policy layer's remaining move.
@@ -127,22 +130,23 @@ impl Rannc {
     ) -> Result<ReplanOutcome, PartitionError> {
         let _root = rannc_obs::trace::span("replan", "planner")
             .arg_i("max_attempts", (1 + extra_attempts) as i64);
+        // one planning view and one cost model serve every rung
+        let (view, cost) = self.replan_request(graph, degraded)?;
         let mut last_err = None;
         for attempt in 0..=extra_attempts {
             let _s = rannc_obs::trace::span("replan.attempt", "planner")
                 .arg_i("attempt", attempt as i64);
             rannc_obs::metrics::counter("planner.replan.attempts").inc();
             let result = if attempt == 0 {
-                self.repartition(graph, old_plan, degraded)
+                self.warm_start(graph, old_plan, &view, &*cost)
             } else {
                 // backoff rung: finer blocks, full three-phase replan
                 let finer = Rannc::new(self.config().clone().with_k(self.config().k << attempt));
-                finer.repartition(graph, &PartitionPlan::empty_like(old_plan), degraded)
+                finer.plan_cold(graph, &view, &*cost).map(|(p, _)| p)
             };
             match result {
                 Ok(plan) => {
                     let diff = diff_plans(old_plan, &plan);
-                    let view = degraded.planning_view();
                     let migration = MigrationModel::for_cluster(&view, self.config().precision)
                         .price(
                             diff.moved_param_elems,
@@ -168,26 +172,10 @@ impl Rannc {
     }
 }
 
-impl PartitionPlan {
-    /// A zero-stage placeholder carrying `reference`'s identity fields —
-    /// feeds [`Rannc::repartition`]'s "no warm-start stages" path, which
-    /// runs the full three-phase pipeline.
-    fn empty_like(reference: &PartitionPlan) -> PartitionPlan {
-        PartitionPlan {
-            model: reference.model.clone(),
-            stages: Vec::new(),
-            microbatches: reference.microbatches,
-            replica_factor: reference.replica_factor,
-            batch_size: reference.batch_size,
-            bottleneck: 0.0,
-            est_iteration_time: 0.0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan_io::encode_plan;
     use crate::PartitionConfig;
     use rannc_hw::DeviceRank;
     use rannc_models::{mlp_graph, MlpConfig};
@@ -264,6 +252,26 @@ mod tests {
         } else {
             assert!(out.migration.downtime_steps >= 1);
         }
+    }
+
+    /// Ladder rung `a ≥ 1` is, bit for bit, a cold partition of the
+    /// planning view at `k << a`.
+    #[test]
+    fn backoff_rung_is_a_cold_partition_at_finer_k() {
+        let g = mlp_graph(&MlpConfig::deep(512, 512, 12, 10));
+        let cfg = PartitionConfig::new(256).with_k(1);
+        let rannc = Rannc::new(cfg.clone());
+        let plan = rannc.partition(&g, &ClusterSpec::v100_cluster(1)).unwrap();
+        // devices too small for the model as one block, though two fit
+        let mut small = ClusterSpec::v100_cluster(1);
+        small.device = small.device.with_memory((1 << 30) + 50 * (1 << 20));
+        let out = rannc
+            .replan_with_backoff(&g, &plan, &small, 3)
+            .expect("a rung finds a plan");
+        assert!(out.attempts >= 2, "the warm start succeeded: no rung ran");
+        let finer = Rannc::new(cfg.with_k(1 << (out.attempts - 1)));
+        let cold = finer.partition(&g, &small.planning_view()).unwrap();
+        assert_eq!(encode_plan(&out.plan), encode_plan(&cold));
     }
 
     #[test]

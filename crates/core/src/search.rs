@@ -4,10 +4,13 @@
 //! The outer loop doubles the number of compute nodes `n` dedicated to one
 //! pipeline replica. From `n` it derives the device budget `D = D_node·n`
 //! and the pipeline-replica factor `R = N/n`, then scans stage counts
-//! `S ∈ (D_node·(n−1), D_node·n]` and micro-batch counts `MB = 1, 2, 4, …`
-//! `≤ ⌊BS/R⌋`, invoking Algorithm 1 for each. The first `S` with any
-//! feasible solution wins; among its `MB` candidates the one with the best
-//! estimated iteration time is returned.
+//! `S ∈ (D_node·(n−1), D_node·n]`, micro-batch counts `MB = 1, 2, 4, …`
+//! `≤ ⌊BS/R⌋` and tensor-parallel degrees `T ≤ tp_max`, invoking
+//! Algorithm 1 for each cell ([`tier_grids`] builds each tier's grid). The
+//! first tier with any feasible cell wins; of its cells the one with the
+//! lowest [`score_solution`] is returned, the first minimum in grid order.
+//! [`scan_first_feasible_tier`] returns that whole tier, scored, and
+//! [`form_stage_with`] its winner.
 //!
 //! Aligning `D` to whole nodes keeps inter-stage traffic on NVLink, which
 //! is also why Algorithm 1 plans with the intra-node link (footnote 3).
@@ -16,7 +19,7 @@
 //!
 //! A node tier's `S × MB × T` candidate grid is embarrassingly parallel:
 //! each cell is one independent `form_stage_dp` invocation.
-//! [`form_stage_with`] builds every block-range union once
+//! [`scan_first_feasible_tier`] builds every block-range union once
 //! ([`RangeTable::build`]), groups the grid by `(MB, T)` and fans the
 //! groups out over [`crate::par::parallel_map_with`]. Each group runs its
 //! stage counts ascending through one [`DpArena`], whose flat
@@ -62,7 +65,7 @@ pub fn score_solution(sol: &DpSolution, cluster: &ClusterSpec, cost: &dyn CostMo
 /// Tuning knobs of the partition-search engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOptions {
-    /// Worker threads for the `(S, MB)` sweep; 0 resolves through
+    /// Worker threads for the `(S, MB, T)` sweep; 0 resolves through
     /// [`par::max_threads`] (override → `RANNC_THREADS` → hardware).
     pub threads: usize,
     /// Largest tensor-parallel degree `T` the sweep may try per stage
@@ -80,7 +83,7 @@ impl Default for SearchOptions {
     }
 }
 
-/// Counters describing one [`form_stage_with`] run.
+/// Counters describing one [`scan_first_feasible_tier`] run.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
     /// DP invocations attempted (grid cells across all node tiers).
@@ -104,17 +107,12 @@ pub struct SearchStats {
 /// after, so at most `threads` arenas ever exist per search and each
 /// carries its allocations to the next group it serves. Groups differ in
 /// their memo key, so memo entries never cross groups.
+#[derive(Default)]
 struct ArenaPool {
     pool: Mutex<Vec<DpArena>>,
 }
 
 impl ArenaPool {
-    fn new() -> Self {
-        ArenaPool {
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-
     fn take(&self) -> DpArena {
         self.pool.lock().unwrap().pop().unwrap_or_default()
     }
@@ -133,84 +131,133 @@ impl ArenaPool {
     }
 }
 
-/// Single-call-site tally feeding both the per-run [`SearchStats`] (exact
-/// for this invocation, even with concurrent searches in one process) and
-/// the process-global metrics registry (cumulative, feeds
-/// `--planner-stats` and the metrics export).
-struct SearchTally {
-    stats: SearchStats,
-    candidates: rannc_obs::metrics::Counter,
-    feasible: rannc_obs::metrics::Counter,
-    node_tiers: rannc_obs::metrics::Counter,
+/// Close one search's [`SearchStats`] (exact for this invocation) and add
+/// its totals to the process-global metrics registry (cumulative).
+fn finish(mut stats: SearchStats, arenas: &ArenaPool) -> SearchStats {
+    stats.stage_cache = arenas.stats();
+    for (name, n) in [
+        ("candidates", stats.candidates),
+        ("feasible", stats.feasible),
+        ("node_tiers", stats.node_tiers),
+    ] {
+        rannc_obs::metrics::counter(&format!("planner.search.{name}")).add(n as u64);
+    }
+    crate::publish_cache_metrics("planner.stage_cache", &stats.stage_cache);
+    stats
 }
 
-impl SearchTally {
-    fn new(threads: usize) -> Self {
-        rannc_obs::metrics::gauge("planner.search.threads").set(threads as f64);
-        SearchTally {
-            stats: SearchStats {
-                threads,
-                ..SearchStats::default()
-            },
-            candidates: rannc_obs::metrics::counter("planner.search.candidates"),
-            feasible: rannc_obs::metrics::counter("planner.search.feasible"),
-            node_tiers: rannc_obs::metrics::counter("planner.search.node_tiers"),
-        }
-    }
-
-    fn tier(&mut self) {
-        self.stats.node_tiers += 1;
-        self.node_tiers.inc();
-    }
-
-    fn candidates(&mut self, n: usize) {
-        self.stats.candidates += n;
-        self.candidates.add(n as u64);
-    }
-
-    fn feasible(&mut self, n: usize) {
-        self.stats.feasible += n;
-        self.feasible.add(n as u64);
-    }
-
-    fn finish(mut self, arenas: &ArenaPool) -> SearchStats {
-        self.stats.stage_cache = arenas.stats();
-        crate::publish_cache_metrics("planner.stage_cache", &self.stats.stage_cache);
-        self.stats
-    }
+/// One node tier of Algorithm 2's outer loop and its candidate grid.
+#[derive(Debug, Clone)]
+pub struct TierGrid {
+    /// Compute nodes `n` dedicated to one pipeline replica.
+    pub nodes: usize,
+    /// Device budget `D = D_node·n` of one pipeline replica.
+    pub devices: usize,
+    /// Whole-pipeline replicas `R = N/n`.
+    pub replica_factor: usize,
+    /// The tier's `(S, MB, T)` cells, `S` ascending, then `MB`, then `T`.
+    pub cells: Vec<DpParams>,
 }
 
-/// Algorithm 2: `form_stage(N, D_node, BS)` under explicit engine
-/// options.
-///
-/// Returns the best feasible solution, or `None` if the model cannot be
-/// partitioned onto the cluster at all (INFEASIBLE), with the search
-/// statistics alongside.
-pub fn form_stage_with(
+/// Algorithm 2's node tiers `n = 1, 2, 4, … ≤ N` on `cluster`, each grid
+/// built when the iterator reaches it: `S ∈ (D_node·(n−1), D_node·n]`,
+/// `MB = 1, 2, 4, … ≤ ⌊BS/R⌋`, and innermost, ascending so that a tie
+/// resolves to the smallest degree, the `T ≤ tp_max` that divide `D`
+/// with `D/T ≥ S`; `tp_max = 1` is the paper's `(S, MB)` grid. The
+/// memory bound is the largest device's: it only pre-filters, and the
+/// binding per-group check is the slot table's.
+pub fn tier_grids(
+    cluster: &ClusterSpec,
+    batch_size: usize,
+    tp_max: usize,
+) -> impl Iterator<Item = TierGrid> + '_ {
+    let d_node = cluster.node.devices;
+    let mem_limit = cluster.max_memory_bytes();
+    std::iter::successors(Some(1usize), |n| Some(n * 2))
+        .take_while(|&n| n <= cluster.nodes)
+        .map(move |n| {
+            let d = d_node * n;
+            let r = (cluster.nodes / n).max(1);
+            let mut cells = Vec::new();
+            for s in (d_node * (n - 1) + 1)..=d {
+                let mut mb = 1usize;
+                while mb <= batch_size / r {
+                    for t in 1..=tp_max.max(1) {
+                        if !d.is_multiple_of(t) || d / t < s {
+                            continue;
+                        }
+                        cells.push(DpParams {
+                            stages: s,
+                            devices: d / t,
+                            batch_size,
+                            replica_factor: r,
+                            microbatches: mb,
+                            mem_limit,
+                            tp: t,
+                        });
+                    }
+                    mb *= 2;
+                }
+            }
+            TierGrid {
+                nodes: n,
+                devices: d,
+                replica_factor: r,
+                cells,
+            }
+        })
+}
+
+/// One grid cell of a [`TierScan`].
+#[derive(Debug, Clone)]
+pub struct ScanCell {
+    /// The cell's Algorithm 1 inputs.
+    pub params: DpParams,
+    /// The cell's [`score_solution`] and DP solution; `None` if infeasible.
+    pub scored: Option<(f64, DpSolution)>,
+}
+
+/// The first node tier with a feasible cell, every cell solved and
+/// scored.
+#[derive(Debug, Clone)]
+pub struct TierScan {
+    /// Whole-pipeline replicas `R = N/n`.
+    pub replica_factor: usize,
+    /// Every cell of the tier, in grid order.
+    pub cells: Vec<ScanCell>,
+    /// Index in `cells` of the winner: the first feasible cell with the
+    /// minimal score.
+    pub winner: usize,
+}
+
+/// Algorithm 2 (`form_stage(N, D_node, BS)`) under explicit engine
+/// options: the tiers of [`tier_grids`] in order, every cell's DP run,
+/// up to the first tier with a feasible cell. Returns that tier, or
+/// `None` if the model cannot be partitioned onto the cluster at all
+/// (INFEASIBLE), with the search statistics alongside.
+pub fn scan_first_feasible_tier(
     g: &TaskGraph,
     cost: &dyn CostModel,
     blocks: &[Block],
     cluster: &ClusterSpec,
     batch_size: usize,
     opts: &SearchOptions,
-) -> (Option<DpSolution>, SearchStats) {
+) -> (Option<TierScan>, SearchStats) {
     debug_assert_eq!(
         g.num_tasks(),
         cost.graph().num_tasks(),
         "blocks of another graph"
     );
-    let n_nodes = cluster.nodes;
-    let d_node = cluster.node.devices;
-    // The global bound only pre-filters; the binding per-group check is
-    // the slot table's, so the bound must admit anything the *largest*
-    // device could host.
-    let mem_limit = cluster.max_memory_bytes();
     let threads = if opts.threads == 0 {
         par::max_threads()
     } else {
         opts.threads
     };
-    let mut tally = SearchTally::new(threads);
+    rannc_obs::metrics::gauge("planner.search.threads").set(threads as f64);
+    let mut stats = SearchStats {
+        threads,
+        ..SearchStats::default()
+    };
 
     // Flight-recorder hook (see `rannc_obs::recorder`): one recording
     // per search, one candidate per grid cell logged in grid order after
@@ -228,46 +275,18 @@ pub fn form_stage_with(
         ranges
     };
 
-    let arenas = ArenaPool::new();
+    let arenas = ArenaPool::default();
 
-    let mut n = 1usize;
-    while n <= n_nodes {
-        tally.tier();
-        let d = d_node * n;
-        let r = (n_nodes / n).max(1);
+    for tier in tier_grids(cluster, batch_size, opts.tp_max) {
+        let (n, d, r, grid) = (tier.nodes, tier.devices, tier.replica_factor, tier.cells);
+        stats.node_tiers += 1;
         rannc_obs::recorder::tier(n, d, r);
-        // The tier's candidate grid, in deterministic (S asc, MB asc)
-        // order. All stage counts of the tier are collected before
-        // choosing: for memory-tight models the minimum feasible S is
-        // often not the fastest one (more stages allow more micro-batches
-        // and finer balance), and the paper's "return Best sol in A"
-        // picks among all of a tier's solutions.
-        let mut grid: Vec<DpParams> = Vec::new();
-        for s in (d_node * (n - 1) + 1)..=(d_node * n) {
-            let mut mb = 1usize;
-            while mb <= batch_size / r {
-                // T innermost, ascending, over divisors of the tier's
-                // device budget: at equal score the first minimum in grid
-                // order wins, so ties resolve to the smallest degree and
-                // `tp_max = 1` reproduces the historical grid exactly.
-                for t in 1..=opts.tp_max.max(1) {
-                    if !d.is_multiple_of(t) || d / t < s {
-                        continue;
-                    }
-                    grid.push(DpParams {
-                        stages: s,
-                        devices: d / t,
-                        batch_size,
-                        replica_factor: r,
-                        microbatches: mb,
-                        mem_limit,
-                        tp: t,
-                    });
-                }
-                mb *= 2;
-            }
-        }
-        tally.candidates(grid.len());
+        // All stage counts of the tier are solved before choosing: for
+        // memory-tight models the minimum feasible S is often not the
+        // fastest one (more stages allow more micro-batches and finer
+        // balance), and the paper's "return Best sol in A" picks among
+        // all of a tier's solutions.
+        stats.candidates += grid.len();
         // one placement table per tier: it depends only on (D, R)
         let slots = SlotTable::build(cluster, d, r, cost.device(), cost.options().precision);
         // Group the grid by (micro-batch count, tensor-parallel degree):
@@ -320,23 +339,23 @@ pub fn form_stage_with(
             groups.iter().map(run_group).collect()
         };
         drop(sweep);
-        // scatter results back to deterministic (S asc, MB asc) grid order
-        let mut solutions: Vec<Option<DpSolution>> = Vec::new();
-        solutions.resize_with(grid.len(), || None);
+        // scatter results back to deterministic grid order, scoring each
+        // feasible cell once
+        let mut cells: Vec<ScanCell> = (grid.iter())
+            .map(|&params| ScanCell {
+                params,
+                scored: None,
+            })
+            .collect();
         for ((_, members), outs) in groups.iter().zip(grouped) {
             for (&i, sol) in members.iter().zip(outs) {
-                solutions[i] = sol;
+                cells[i].scored = sol.map(|s| (score_solution(&s, cluster, cost), s));
             }
         }
-        // score each feasible cell once, in grid order
-        let scored: Vec<Option<(f64, DpSolution)>> = solutions
-            .into_iter()
-            .map(|sol| sol.map(|s| (score_solution(&s, cluster, cost), s)))
-            .collect();
         if rannc_obs::recorder::enabled() {
             use rannc_obs::recorder::{candidate, CandidateOutcome};
-            for (p, cell) in grid.iter().zip(&scored) {
-                let outcome = match cell {
+            for ScanCell { params: p, scored } in &cells {
+                let outcome = match scored {
                     Some((score, s)) => CandidateOutcome::Feasible {
                         score: *score,
                         bottleneck: s.value,
@@ -346,17 +365,39 @@ pub fn form_stage_with(
                 candidate(p.stages, p.microbatches, p.tp, outcome);
             }
         }
-        let candidates: Vec<(f64, DpSolution)> = scored.into_iter().flatten().collect();
-        tally.feasible(candidates.len());
+        stats.feasible += cells.iter().filter(|c| c.scored.is_some()).count();
         // Deterministic tie-break: min_by keeps the *first* minimum in grid
         // order, so the parallel sweep picks the exact candidate a
         // sequential scan would.
-        if let Some((_, best)) = candidates.into_iter().min_by(|a, b| a.0.total_cmp(&b.0)) {
-            return (Some(best), tally.finish(&arenas));
+        let winner = (cells.iter().enumerate())
+            .filter_map(|(i, c)| c.scored.as_ref().map(|(score, _)| (i, score)))
+            .min_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i);
+        if let Some(winner) = winner {
+            let scan = TierScan {
+                replica_factor: r,
+                cells,
+                winner,
+            };
+            return (Some(scan), finish(stats, &arenas));
         }
-        n *= 2;
     }
-    (None, tally.finish(&arenas))
+    (None, finish(stats, &arenas))
+}
+
+/// Algorithm 2's best feasible solution: the winner of
+/// [`scan_first_feasible_tier`], or `None` (INFEASIBLE).
+pub fn form_stage_with(
+    g: &TaskGraph,
+    cost: &dyn CostModel,
+    blocks: &[Block],
+    cluster: &ClusterSpec,
+    batch_size: usize,
+    opts: &SearchOptions,
+) -> (Option<DpSolution>, SearchStats) {
+    let (scan, stats) = scan_first_feasible_tier(g, cost, blocks, cluster, batch_size, opts);
+    let winner = scan.map(|mut t| t.cells.swap_remove(t.winner).scored.expect("feasible").1);
+    (winner, stats)
 }
 
 #[cfg(test)]

@@ -183,6 +183,30 @@ if grep -rnE --include='*.rs' \
     exit 1
 fi
 
+# Algorithm 2 has one owner: core::search builds the (S, MB, T) grid
+# (tier_grids), runs its cells and applies the first-minimum rule, and a
+# harness that needs a tier reads scan_first_feasible_tier instead of
+# driving Algorithm 1 itself. A Rannc request runs one pipeline (one cost
+# model, then search, plan, annotate and verify), so the ladder's
+# zero-stage placeholder plan stays deleted. Test modules, tests/ and
+# the rannc_benchmark package (changed only with the benchmark) are
+# exempt.
+if grep -rn --include='*.rs' "fn empty_like" crates tests examples \
+    --exclude-dir=rannc_benchmark; then
+    echo "FAILED: the zero-stage placeholder plan is back"
+    exit 1
+fi
+DP_CALLS="$(find crates/*/src -name '*.rs' ! -path '*/rannc_benchmark/*' \
+    ! -path crates/core/src/search.rs -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    | grep -F 'form_stage_dp(' | grep -vE '^[^:]+:[0-9]+: *//' \
+    | grep -vE '^crates/core/src/dp\.rs:[0-9]+: pub fn form_stage_dp\(' || true)"
+if [ -n "$DP_CALLS" ]; then
+    echo "$DP_CALLS"
+    echo "FAILED: form_stage_dp called outside core::search in non-test code"
+    exit 1
+fi
+
 echo "==> one-placement gate (every cluster planned, verified and priced through the placed path)"
 # A homogeneous cluster is a cluster with no overrides: the planner, the
 # verifier, the churn pricer and the link selectors have no separate path

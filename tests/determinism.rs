@@ -12,18 +12,19 @@
 #[path = "../crates/core/tests/support/mod.rs"]
 mod support;
 
+use rannc::core::search::score_solution;
 use rannc::core::{
-    atomic_partition, block_partition, form_stage_with, Block, BlockLimits, DpSolution,
-    PartitionConfig, Rannc, SearchOptions, VerifyMode,
+    atomic_partition, block_partition, form_stage_with, scan_first_feasible_tier, Block,
+    BlockLimits, DpSolution, PartitionConfig, Rannc, SearchOptions, VerifyMode,
 };
 use rannc::graph::TaskGraph;
-use rannc::hw::ClusterSpec;
+use rannc::hw::{ClusterSpec, DeviceRank};
 use rannc::models::{
     bert_graph, gpt_graph, mlp_graph, resnet_graph, BertConfig, GptConfig, MlpConfig, ResNetConfig,
     ResNetDepth,
 };
 use rannc::profile::{Profiler, ProfilerOptions};
-use support::exhaustive_search;
+use support::{exhaustive_cells, exhaustive_search};
 
 fn bundled_models() -> Vec<TaskGraph> {
     vec![
@@ -162,6 +163,69 @@ fn three_axis_sweep_is_thread_deterministic() {
                 &sol,
                 &format!("{} tp_max=4 threads={threads}", g.name),
             );
+        }
+    }
+}
+
+/// The engine's tier scan is the reference's last tier cell by cell: the
+/// same grid order, bit-identical solutions and scores, and the winner
+/// at the first minimum. Every bundled model at 1, 2 and 4 threads,
+/// `tp_max` 1 and 4, on a homogeneous cluster and on one with a slow and
+/// a small-memory device.
+#[test]
+fn tier_scan_matches_the_exhaustive_cells() {
+    let homogeneous = ClusterSpec::v100_cluster(2);
+    let mut slow = homogeneous.device.clone();
+    slow.compute_efficiency *= 0.5;
+    let small = homogeneous.device.clone().with_memory(16 << 30);
+    let placed = homogeneous
+        .clone()
+        .with_device_override(DeviceRank { node: 0, local: 3 }, slow)
+        .with_device_override(DeviceRank { node: 1, local: 6 }, small);
+    let models = bundled_models();
+    let clusters = [("homogeneous", &homogeneous), ("placed", &placed)];
+    for (g, (name, cluster)) in models.iter().flat_map(|g| clusters.map(|c| (g, c))) {
+        let (profiler, blocks) = prep(g, cluster);
+        for tp_max in [1usize, 4] {
+            let reference = exhaustive_cells(g, &profiler, &blocks, cluster, 64, tp_max)
+                .pop()
+                .expect("a tier");
+            let scores: Vec<Option<f64>> = (reference.cells.iter())
+                .map(|(_, sol)| sol.as_ref().map(|s| score_solution(s, cluster, &profiler)))
+                .collect();
+            let first_min = (scores.iter().enumerate())
+                .filter_map(|(i, score)| score.map(|v| (i, v)))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .map(|(i, _)| i)
+                .expect("a feasible cell");
+            for threads in [1usize, 2, 4] {
+                let label = format!("{} {name} tp_max={tp_max} threads={threads}", g.name);
+                let opts = SearchOptions { threads, tp_max };
+                let scan = scan_first_feasible_tier(g, &profiler, &blocks, cluster, 64, &opts)
+                    .0
+                    .expect("feasible");
+                assert_eq!(
+                    scan.cells.len(),
+                    reference.cells.len(),
+                    "{label}: grid size differs"
+                );
+                let cells = scan.cells.iter().zip(&reference.cells).zip(&scores);
+                for (i, ((cell, (params, sol)), score)) in cells.enumerate() {
+                    let label = format!("{label} cell {i}");
+                    assert_eq!(cell.params, *params, "{label}: parameters differ");
+                    let (scan_score, scan_sol) = match &cell.scored {
+                        Some((v, s)) => (Some(v.to_bits()), Some(s.clone())),
+                        None => (None, None),
+                    };
+                    assert_identical(sol, &scan_sol, &label);
+                    assert_eq!(
+                        scan_score,
+                        score.map(f64::to_bits),
+                        "{label}: score differs"
+                    );
+                }
+                assert_eq!(scan.winner, first_min, "{label}: winner differs");
+            }
         }
     }
 }
