@@ -5,41 +5,23 @@
 //! `BS / total_devices` samples per iteration. Gradient accumulation
 //! (§IV-A) splits that share into steps of at most `max_micro` samples to
 //! bound activation memory; gradients are ring-all-reduced across all
-//! devices once per iteration. No gradient checkpointing (the stock model
-//! descriptions the paper uses for this baseline don't enable it), so
-//! activations of a whole step stay resident — which is why data
-//! parallelism "could train only the smallest model" (§IV-B).
+//! devices once per iteration. It is the planner's `S = 1` point run in
+//! the 1F1B order: [`Residency::one_f_one_b`] at one stage holds one step
+//! and does not checkpoint (the stock model descriptions the paper uses
+//! for this baseline don't enable it), so a whole step's activations stay
+//! resident — which is why data parallelism "could train only the
+//! smallest model" (§IV-B).
 
-use crate::spec::SimResult;
+use crate::BaselineOutcome;
 use rannc_cost::{sync_iteration_time, CostModel, IterationTail, StageGrads};
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::ClusterSpec;
+use rannc_pipeline::SimResult;
+use rannc_profile::Residency;
 
-/// Outcome of the data-parallel feasibility + performance model.
-#[derive(Debug, Clone)]
-pub enum DataParallelOutcome {
-    /// Trains; one iteration takes `result.iteration_time`.
-    Feasible(SimResult),
-    /// Out of memory even with one-sample accumulation steps.
-    OutOfMemory {
-        /// Memory needed at micro-batch 1, bytes.
-        needed: usize,
-        /// Device memory available, bytes.
-        available: usize,
-    },
-}
-
-impl DataParallelOutcome {
-    /// The result if feasible.
-    pub fn ok(self) -> Option<SimResult> {
-        match self {
-            DataParallelOutcome::Feasible(r) => Some(r),
-            DataParallelOutcome::OutOfMemory { .. } => None,
-        }
-    }
-}
-
-/// Simulate one iteration of pure data parallelism for the whole graph.
+/// Simulate one iteration of pure data parallelism for the whole graph,
+/// or [`BaselineOutcome::OutOfMemory`] when even one-sample steps do not
+/// fit.
 ///
 /// Picks the largest accumulation micro-step (a power of two ≤ the
 /// per-device share) that fits device memory.
@@ -48,7 +30,7 @@ pub fn simulate_data_parallel(
     cost: &dyn CostModel,
     cluster: &ClusterSpec,
     batch_size: usize,
-) -> DataParallelOutcome {
+) -> BaselineOutcome {
     let devices = cluster.total_devices();
     let per_device = (batch_size / devices).max(1);
     let whole = TaskSet::from_ids(g.num_tasks(), g.task_ids());
@@ -58,22 +40,17 @@ pub fn simulate_data_parallel(
     if micro > per_device {
         micro /= 2;
     }
-    let mut chosen = None;
-    while micro >= 1 {
-        let prof = cost.stage_cost(&whole, micro, 1, false);
+    let (micro, prof) = loop {
+        let residency = Residency::one_f_one_b(1, per_device.div_ceil(micro));
+        let prof = cost.stage_cost(&whole, micro, residency.inflight, residency.checkpointing);
         if prof.mem_bytes <= cluster.device.memory_bytes {
-            chosen = Some((micro, prof));
-            break;
+            break (micro, prof);
         }
         if micro == 1 {
-            return DataParallelOutcome::OutOfMemory {
-                needed: prof.mem_bytes,
-                available: cluster.device.memory_bytes,
-            };
+            return BaselineOutcome::OutOfMemory;
         }
         micro /= 2;
-    }
-    let (micro, prof) = chosen.expect("loop guarantees Some or early return");
+    };
 
     // one stage replicated on every device: the synchronous closed form
     // at S = 1, with the accumulation steps as its micro-batches
@@ -83,7 +60,10 @@ pub fn simulate_data_parallel(
     let tail = IterationTail::price(cluster, cost.factors(), 1, [grads]);
     let iteration = sync_iteration_time(1, steps, step, tail);
     let busy = vec![steps as f64 * step];
-    DataParallelOutcome::Feasible(SimResult::new(iteration, batch_size, busy))
+    BaselineOutcome::Feasible {
+        result: SimResult::new(iteration, batch_size, busy),
+        config: format!("S=1 x{devices} replicas, MB={steps}"),
+    }
 }
 
 #[cfg(test)]
@@ -118,7 +98,7 @@ mod tests {
             ..ClusterSpec::v100_cluster(1)
         };
         let out = simulate_data_parallel(&g, &profiler, &cluster, 64);
-        assert!(matches!(out, DataParallelOutcome::OutOfMemory { .. }));
+        assert!(matches!(out, BaselineOutcome::OutOfMemory));
     }
 
     #[test]

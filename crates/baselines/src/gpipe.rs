@@ -14,91 +14,24 @@
 //! would be as balanced as possible. We also set the number of microbatches
 //! … to 64."
 
-use crate::layers::{layer_groups, uniform_layer_split, LayerGroup};
+use crate::layers::{layer_groups, layer_uniform_sweep, run_split, Framework};
 use crate::BaselineOutcome;
 use rannc_cost::CostModel;
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::ClusterSpec;
-use rannc_pipeline::{simulate_sync, PipelineSpec, StageSpec, SyncSchedule};
+use rannc_pipeline::{simulate_sync, PipelineSpec, SimResult, SyncSchedule};
+use rannc_profile::Residency;
 
-/// Knobs of a uniform (equal-replica) pipeline configuration.
-pub(crate) struct UniformSpec {
-    /// Replicas per stage (all stages equal — the GPipe constraint).
-    pub replicas: usize,
-    /// Micro-batch count.
-    pub microbatches: usize,
-    /// Global batch size.
-    pub batch_size: usize,
-    /// Override the in-flight micro-batch count for memory estimation
-    /// (PipeDream-2BW bounds it by pipeline depth; `None` = `microbatches`).
-    pub inflight_override: Option<usize>,
-    /// Extra resident weight versions (2BW double buffering).
-    pub extra_weight_copies: usize,
-}
+/// GPipe's synchronous fill–drain schedule.
+const GPIPE: Framework = Framework {
+    residency: Residency::fill_drain,
+    extra_weight_copies: 0,
+    simulate: fill_drain,
+    suffix: "",
+};
 
-/// Build the pipeline spec for a set of equally-replicated stages, or
-/// `None` when some stage exceeds device memory.
-pub(crate) fn build_spec(
-    cost: &dyn CostModel,
-    cluster: &ClusterSpec,
-    stage_sets: &[TaskSet],
-    u: &UniformSpec,
-) -> Option<PipelineSpec> {
-    let UniformSpec {
-        replicas,
-        microbatches,
-        batch_size,
-        inflight_override,
-        extra_weight_copies,
-    } = *u;
-    let micro = batch_size / replicas.max(1) / microbatches.max(1);
-    if micro == 0 {
-        return None;
-    }
-    let ckpt = stage_sets.len() > 1;
-    let inflight = inflight_override.unwrap_or(microbatches);
-    let mut stages = Vec::with_capacity(stage_sets.len());
-    for (i, set) in stage_sets.iter().enumerate() {
-        let prof = cost.stage_cost(set, micro, inflight, ckpt);
-        // extra weight versions (PipeDream-2BW double buffering)
-        let mem = prof.mem_bytes
-            + extra_weight_copies * prof.param_elems * cost.options().precision.weight_bytes();
-        if mem > cluster.device.memory_bytes {
-            return None;
-        }
-        let comm_to_next_bytes = if i + 1 < stage_sets.len() {
-            cost.comm_bytes(set, &stage_sets[i + 1], micro)
-        } else {
-            0
-        };
-        stages.push(StageSpec {
-            fwd_time: prof.fwd_time,
-            bwd_time: prof.bwd_time,
-            comm_to_next_bytes,
-            grad_bytes: prof.param_elems * 4,
-            replicas,
-            tensor_parallel: 1,
-        });
-    }
-    Some(PipelineSpec {
-        stages,
-        microbatches,
-        replica_factor: 1,
-        batch_size,
-        link: cluster.planning_link(),
-        cluster: cluster.clone(),
-        cost: cost.factors(),
-    })
-}
-
-/// Number of *splittable* layers: GPipe counts the repeated encoder
-/// blocks; embeddings merge into the first stage and heads into the last.
-fn splittable_layers(groups: &[LayerGroup]) -> usize {
-    groups
-        .iter()
-        .filter(|l| l.scope.contains("layer") || l.scope.contains("block"))
-        .count()
-        .max(1)
+fn fill_drain(spec: &PipelineSpec) -> SimResult {
+    simulate_sync(spec, SyncSchedule::FillDrain, false).result
 }
 
 /// GPipe-Hybrid: sweep stage counts {2, 4, 8, 16} (layer-divisible only),
@@ -110,53 +43,7 @@ pub fn gpipe_hybrid(
     cluster: &ClusterSpec,
     batch_size: usize,
 ) -> BaselineOutcome {
-    let groups = layer_groups(g);
-    let layers = splittable_layers(&groups);
-    let devices = cluster.total_devices();
-    let mut best: Option<(f64, rannc_pipeline::SimResult, String)> = None;
-    let mut any_candidate = false;
-
-    for stages in [2usize, 4, 8, 16] {
-        if stages > groups.len()
-            || !layers.is_multiple_of(stages)
-            || !devices.is_multiple_of(stages)
-        {
-            continue;
-        }
-        let replicas = devices / stages;
-        let stage_sets = uniform_layer_split(&groups, stages, g.num_tasks());
-        let mut mb = 1usize;
-        while mb * replicas <= batch_size {
-            any_candidate = true;
-            let u = UniformSpec {
-                replicas,
-                microbatches: mb,
-                batch_size,
-                inflight_override: None,
-                extra_weight_copies: 0,
-            };
-            if let Some(spec) = build_spec(cost, cluster, &stage_sets, &u) {
-                let result = simulate_sync(&spec, SyncSchedule::FillDrain, false).result;
-                if best
-                    .as_ref()
-                    .map(|(t, _, _)| result.iteration_time < *t)
-                    .unwrap_or(true)
-                {
-                    best = Some((
-                        result.iteration_time,
-                        result,
-                        format!("S={stages} x{replicas} replicas, MB={mb}"),
-                    ));
-                }
-            }
-            mb *= 2;
-        }
-    }
-    match best {
-        Some((_, result, config)) => BaselineOutcome::Feasible { result, config },
-        None if any_candidate => BaselineOutcome::OutOfMemory,
-        None => BaselineOutcome::Unsupported,
-    }
+    layer_uniform_sweep(g, cost, cluster, batch_size, &GPIPE)
 }
 
 /// GPipe-Model (torchgpipe): one node, `stages` ≤ devices-per-node stages
@@ -175,10 +62,11 @@ pub fn gpipe_model(
     // manual balancing: contiguous split minimizing the max stage time via
     // binary search over per-layer profiled times (what a careful user
     // would do by hand, still at whole-layer granularity)
+    let probe = Residency::probe();
     let times: Vec<f64> = groups
         .iter()
         .map(|l| {
-            let p = cost.stage_cost(&l.set, 1, 1, true);
+            let p = cost.stage_cost(&l.set, 1, probe.inflight, probe.checkpointing);
             p.fwd_time + p.bwd_time
         })
         .collect();
@@ -200,21 +88,11 @@ pub fn gpipe_model(
         ..cluster.clone()
     };
     let mb = 64usize.min(batch_size.max(1));
-    let u = UniformSpec {
-        replicas: 1,
-        microbatches: mb,
-        batch_size,
-        inflight_override: None,
-        extra_weight_copies: 0,
-    };
-    match build_spec(cost, &one_node, &stage_sets, &u) {
-        Some(spec) => {
-            let result = simulate_sync(&spec, SyncSchedule::FillDrain, false).result;
-            BaselineOutcome::Feasible {
-                result,
-                config: format!("S={stages} model-parallel, MB={mb}"),
-            }
-        }
+    match run_split(cost, &one_node, &stage_sets, 1, mb, batch_size, &GPIPE) {
+        Some(result) => BaselineOutcome::Feasible {
+            result,
+            config: format!("S={stages} model-parallel, MB={mb}"),
+        },
         None => BaselineOutcome::OutOfMemory,
     }
 }
@@ -276,6 +154,8 @@ fn balanced_contiguous_split(times: &[f64], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::uniform_layer_split;
+    use rannc_core::{PartitionPlan, StagePlan};
     use rannc_hw::DeviceSpec;
     use rannc_models::{bert_graph, resnet_graph, BertConfig, ResNetConfig};
     use rannc_profile::{Profiler, ProfilerOptions};
@@ -314,10 +194,10 @@ mod tests {
 
     #[test]
     fn gpipe_is_the_t1_restriction_of_the_unified_model() {
-        // GPipe has no intra-op axis: every stage spec it builds carries
-        // tensor_parallel = 1, so the baseline is exactly the unified
-        // (S, MB, T) pipeline model pinned at T = 1 — pinning the degree
-        // explicitly changes nothing, bit for bit.
+        // GPipe has no intra-op axis: a layer split runs as a plan whose
+        // stages all carry tensor_parallel = 1, so the baseline is exactly
+        // the unified (S, MB, T) pipeline model pinned at T = 1, and the
+        // plan's simulation is the baseline's, bit for bit.
         let cfg = BertConfig {
             layers: 4,
             ..BertConfig::tiny()
@@ -327,25 +207,31 @@ mod tests {
         let cluster = ClusterSpec::v100_cluster(1);
         let groups = layer_groups(&g);
         let stage_sets = uniform_layer_split(&groups, 2, g.num_tasks());
-        let u = UniformSpec {
+        let result = run_split(&profiler, &cluster, &stage_sets, 4, 4, 64, &GPIPE);
+        let stages = stage_sets.iter().map(|set| StagePlan {
+            set: set.clone(),
             replicas: 4,
+            tensor_parallel: 1,
+            micro_batch: 4,
+            fwd_time: 0.0,
+            bwd_time: 0.0,
+            mem_bytes: 0,
+            param_elems: 0,
+        });
+        let plan = PartitionPlan {
+            model: g.name.clone(),
+            stages: stages.collect(),
             microbatches: 4,
+            replica_factor: 1,
             batch_size: 64,
-            inflight_override: None,
-            extra_weight_copies: 0,
+            bottleneck: 0.0,
+            est_iteration_time: 0.0,
         };
-        let spec = build_spec(&profiler, &cluster, &stage_sets, &u).expect("feasible");
-        assert!(spec.stages.iter().all(|s| s.tensor_parallel == 1));
-        let base = simulate_sync(&spec, SyncSchedule::FillDrain, false).result;
-        let mut pinned = spec.clone();
-        for st in &mut pinned.stages {
-            st.tensor_parallel = 1;
-        }
-        let re = simulate_sync(&pinned, SyncSchedule::FillDrain, false).result;
-        assert_eq!(base.iteration_time.to_bits(), re.iteration_time.to_bits());
+        let sim = rannc_pipeline::simulate_plan(&plan, &profiler, &cluster).unwrap();
+        let result = result.expect("feasible");
         assert_eq!(
-            spec.tail().allreduce.to_bits(),
-            pinned.tail().allreduce.to_bits()
+            result.iteration_time.to_bits(),
+            sim.iteration_time.to_bits()
         );
     }
 

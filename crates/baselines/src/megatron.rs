@@ -19,10 +19,13 @@
 //!   (§IV-B); the harness picks the best feasible one.
 //!
 //! The split arithmetic itself is owned by `rannc-cost`'s
-//! [`tensor`](rannc_cost::tensor) module, where the unified 3D partition
-//! search prices per-stage tensor parallelism through the same formulas.
-//! This baseline is the `(S = 1, T = t)` sweep over that owner — a
-//! special point of the search space, not a parallel code path.
+//! [`tensor`](rannc_cost::tensor) module, and this baseline is the
+//! `(S = 1, T = t)` sweep over that owner. It is not yet priced as a
+//! point of the search space: it counts matmul FLOPs only, from
+//! [`TransformerDims`], while the search prices the profiled graph's
+//! roofline, memory-bound ops and launch overheads included — 1.73× more
+//! per sample on BERT 1024×24. Pricing it through the search's
+//! `stage_cost_tp` is ROADMAP.md's "One tensor-parallel price" item.
 
 use crate::BaselineOutcome;
 use rannc_cost::{megatron_partition, CostModel};

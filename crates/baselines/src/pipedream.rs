@@ -12,13 +12,22 @@
 //! micro-batch count, and uses activation recomputation — so it trains
 //! everything GPipe-Hybrid can, sometimes more.
 
-use crate::gpipe::{build_spec, UniformSpec};
-use crate::layers::{layer_groups, uniform_layer_split};
+use crate::layers::{layer_uniform_sweep, Framework};
 use crate::BaselineOutcome;
 use rannc_cost::CostModel;
 use rannc_graph::TaskGraph;
 use rannc_hw::ClusterSpec;
 use rannc_pipeline::async2bw::simulate_async_2bw;
+use rannc_profile::Residency;
+
+/// 2BW's residency is 1F1B's: in-flight activations bounded by the
+/// pipeline depth; one extra weight version resident.
+const PIPEDREAM_2BW: Framework = Framework {
+    residency: Residency::one_f_one_b,
+    extra_weight_copies: 1,
+    simulate: simulate_async_2bw,
+    suffix: " (async 2BW)",
+};
 
 /// Run the PipeDream-2BW baseline: sweep stage counts {2, 4, 8, 16} and
 /// micro-batch counts, simulate the async 2BW steady state, return best.
@@ -28,56 +37,7 @@ pub fn pipedream_2bw(
     cluster: &ClusterSpec,
     batch_size: usize,
 ) -> BaselineOutcome {
-    let groups = layer_groups(g);
-    let layers = groups
-        .iter()
-        .filter(|l| l.scope.contains("layer") || l.scope.contains("block"))
-        .count()
-        .max(1);
-    let devices = cluster.total_devices();
-    let mut best: Option<(f64, rannc_pipeline::SimResult, String)> = None;
-    let mut any_candidate = false;
-
-    for stages in [2usize, 4, 8, 16] {
-        if stages > groups.len() || layers % stages != 0 || !devices.is_multiple_of(stages) {
-            continue;
-        }
-        let replicas = devices / stages;
-        let stage_sets = uniform_layer_split(&groups, stages, g.num_tasks());
-        let mut mb = 1usize;
-        while mb * replicas <= batch_size {
-            any_candidate = true;
-            // in-flight activations bounded by pipeline depth; one extra
-            // weight version resident
-            let u = UniformSpec {
-                replicas,
-                microbatches: mb,
-                batch_size,
-                inflight_override: Some(stages.min(mb)),
-                extra_weight_copies: 1,
-            };
-            if let Some(spec) = build_spec(cost, cluster, &stage_sets, &u) {
-                let result = simulate_async_2bw(&spec);
-                if best
-                    .as_ref()
-                    .map(|(t, _, _)| result.iteration_time < *t)
-                    .unwrap_or(true)
-                {
-                    best = Some((
-                        result.iteration_time,
-                        result,
-                        format!("S={stages} x{replicas} replicas, MB={mb} (async 2BW)"),
-                    ));
-                }
-            }
-            mb *= 2;
-        }
-    }
-    match best {
-        Some((_, result, config)) => BaselineOutcome::Feasible { result, config },
-        None if any_candidate => BaselineOutcome::OutOfMemory,
-        None => BaselineOutcome::Unsupported,
-    }
+    layer_uniform_sweep(g, cost, cluster, batch_size, &PIPEDREAM_2BW)
 }
 
 #[cfg(test)]

@@ -4,11 +4,10 @@
 //! supports).
 
 use rannc::baselines::{
-    gpipe_hybrid, megatron, pipedream_2bw, simulate_data_parallel, BaselineOutcome,
-    DataParallelOutcome, TransformerDims,
+    gpipe_hybrid, megatron, pipedream_2bw, simulate_data_parallel, TransformerDims,
 };
 use rannc::prelude::*;
-use rannc_bench::report::{Cell, Table};
+use rannc_bench::report::{rannc_cell, Cell, Table};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -38,46 +37,24 @@ fn main() {
         eprintln!("[gpt] {} ...", cfg.name());
         let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
 
-        let dp = match simulate_data_parallel(&g, &profiler, &cluster, batch) {
-            DataParallelOutcome::Feasible(r) => Cell::Throughput(r.throughput),
-            DataParallelOutcome::OutOfMemory { .. } => Cell::Oom,
-        };
-        let mega = to_cell(megatron(
-            &TransformerDims::from(&cfg),
-            &cluster,
-            batch,
-            Precision::FP32,
-        ));
-        let gp = to_cell(gpipe_hybrid(&g, &profiler, &cluster, batch));
-        let pd = to_cell(pipedream_2bw(&g, &profiler, &cluster, batch));
-        let ra = match Rannc::new(PartitionConfig::new(batch).with_k(32)).partition(&g, &cluster) {
-            Ok(plan) => Cell::Throughput(
-                rannc::pipeline::simulate_plan(&plan, &profiler, &cluster)
-                    .expect("valid plan")
-                    .throughput,
-            ),
-            Err(_) => Cell::Oom,
-        };
+        let dims = TransformerDims::from(&cfg);
         table.push_row(
             cfg.name(),
             vec![
                 Cell::Throughput(g.param_count() as f64 / 1e9),
-                dp,
-                mega,
-                gp,
-                pd,
-                ra,
+                simulate_data_parallel(&g, &profiler, &cluster, batch).into(),
+                megatron(&dims, &cluster, batch, Precision::FP32).into(),
+                gpipe_hybrid(&g, &profiler, &cluster, batch).into(),
+                pipedream_2bw(&g, &profiler, &cluster, batch).into(),
+                rannc_cell(
+                    &g,
+                    &profiler,
+                    &cluster,
+                    PartitionConfig::new(batch).with_k(32),
+                ),
             ],
         );
     }
     println!("{}", table.render());
     println!("(params column in billions; all other columns samples/s)");
-}
-
-fn to_cell(out: BaselineOutcome) -> Cell {
-    match out {
-        BaselineOutcome::Feasible { result, .. } => Cell::Throughput(result.throughput),
-        BaselineOutcome::OutOfMemory => Cell::Oom,
-        BaselineOutcome::Unsupported => Cell::NotApplicable,
-    }
 }

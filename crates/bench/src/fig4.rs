@@ -6,10 +6,9 @@
 //! GPipe-Hybrid, PipeDream-2BW, RaNNC (FP32 + mixed). GPipe-Hybrid and
 //! PipeDream-2BW do not support mixed precision (§IV-B).
 
-use crate::report::{Cell, Table};
+use crate::report::{rannc_cell, Cell, Table};
 use rannc::baselines::{
-    gpipe_hybrid, megatron, pipedream_2bw, simulate_data_parallel, BaselineOutcome,
-    DataParallelOutcome, TransformerDims,
+    gpipe_hybrid, megatron, pipedream_2bw, simulate_data_parallel, TransformerDims,
 };
 use rannc::prelude::*;
 
@@ -97,49 +96,21 @@ pub fn run_config(bert: &BertConfig, cluster: &ClusterSpec, cfg: &Fig4Config) ->
     let prof32 = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
     let prof16 = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::mixed());
 
-    let dp = match simulate_data_parallel(&g, &prof32, cluster, cfg.batch) {
-        DataParallelOutcome::Feasible(r) => Cell::Throughput(r.throughput),
-        DataParallelOutcome::OutOfMemory { .. } => Cell::Oom,
-    };
-    let mega32 = baseline_cell(megatron(&dims, cluster, cfg.batch, Precision::FP32));
-    let mega16 = baseline_cell(megatron(&dims, cluster, cfg.batch, Precision::Mixed));
-    let gpipe = baseline_cell(gpipe_hybrid(&g, &prof32, cluster, cfg.batch));
-    let pd = baseline_cell(pipedream_2bw(&g, &prof32, cluster, cfg.batch));
-    let rannc32 = rannc_cell(&g, &prof32, cluster, cfg, Precision::FP32);
-    let rannc16 = rannc_cell(&g, &prof16, cluster, cfg, Precision::Mixed);
-
-    vec![dp, mega32, mega16, gpipe, pd, rannc32, rannc16]
-}
-
-/// Partition with RaNNC and simulate the resulting synchronous pipeline.
-pub fn rannc_cell(
-    g: &TaskGraph,
-    profiler: &Profiler<'_>,
-    cluster: &ClusterSpec,
-    cfg: &Fig4Config,
-    precision: Precision,
-) -> Cell {
-    let rannc = Rannc::new(
-        PartitionConfig::new(cfg.batch)
+    let rannc = |cost: &Profiler<'_>, precision| {
+        let config = PartitionConfig::new(cfg.batch)
             .with_k(cfg.k)
-            .with_precision(precision),
-    );
-    match rannc.partition(g, cluster) {
-        Ok(plan) => {
-            let sim = rannc::pipeline::simulate_plan(&plan, profiler, cluster).expect("valid plan");
-            Cell::Throughput(sim.throughput)
-        }
-        Err(PartitionError::Infeasible) => Cell::Oom,
-        Err(e) => panic!("unexpected partition error: {e}"),
-    }
-}
-
-fn baseline_cell(out: BaselineOutcome) -> Cell {
-    match out {
-        BaselineOutcome::Feasible { result, .. } => Cell::Throughput(result.throughput),
-        BaselineOutcome::OutOfMemory => Cell::Oom,
-        BaselineOutcome::Unsupported => Cell::NotApplicable,
-    }
+            .with_precision(precision);
+        rannc_cell(&g, cost, cluster, config)
+    };
+    vec![
+        simulate_data_parallel(&g, &prof32, cluster, cfg.batch).into(),
+        megatron(&dims, cluster, cfg.batch, Precision::FP32).into(),
+        megatron(&dims, cluster, cfg.batch, Precision::Mixed).into(),
+        gpipe_hybrid(&g, &prof32, cluster, cfg.batch).into(),
+        pipedream_2bw(&g, &prof32, cluster, cfg.batch).into(),
+        rannc(&prof32, Precision::FP32),
+        rannc(&prof16, Precision::Mixed),
+    ]
 }
 
 #[cfg(test)]

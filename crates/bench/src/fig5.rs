@@ -6,8 +6,8 @@
 //! MB=64), RaNNC. Megatron-LM and GPipe-Hybrid are architecture-bound to
 //! Transformers and appear as "n/a".
 
-use crate::report::{Cell, Table};
-use rannc::baselines::{gpipe_model, simulate_data_parallel, BaselineOutcome, DataParallelOutcome};
+use crate::report::{rannc_cell, Cell, Table};
+use rannc::baselines::{gpipe_model, simulate_data_parallel};
 use rannc::prelude::*;
 
 /// Grid and environment of a Fig. 5 run.
@@ -90,30 +90,22 @@ pub fn run_config(
     let g = resnet_graph(model);
     let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
 
-    let dp = match simulate_data_parallel(&g, &profiler, cluster, batch) {
-        DataParallelOutcome::Feasible(r) => Cell::Throughput(r.throughput),
-        DataParallelOutcome::OutOfMemory { .. } => Cell::Oom,
-    };
     // GPipe-Model can only use a single node (paper §IV-B)
     let gp = if single_node {
-        match gpipe_model(&g, &profiler, cluster, batch) {
-            BaselineOutcome::Feasible { result, .. } => Cell::Throughput(result.throughput),
-            BaselineOutcome::OutOfMemory => Cell::Oom,
-            BaselineOutcome::Unsupported => Cell::NotApplicable,
-        }
+        gpipe_model(&g, &profiler, cluster, batch).into()
     } else {
         Cell::NotApplicable
     };
-    let rannc = match Rannc::new(PartitionConfig::new(batch).with_k(k)).partition(&g, cluster) {
-        Ok(plan) => {
-            let sim =
-                rannc::pipeline::simulate_plan(&plan, &profiler, cluster).expect("valid plan");
-            Cell::Throughput(sim.throughput)
-        }
-        Err(PartitionError::Infeasible) => Cell::Oom,
-        Err(e) => panic!("unexpected partition error: {e}"),
-    };
-    vec![dp, gp, rannc]
+    vec![
+        simulate_data_parallel(&g, &profiler, cluster, batch).into(),
+        gp,
+        rannc_cell(
+            &g,
+            &profiler,
+            cluster,
+            PartitionConfig::new(batch).with_k(k),
+        ),
+    ]
 }
 
 #[cfg(test)]

@@ -1,4 +1,8 @@
-//! Plain-text table rendering for the figure harnesses.
+//! Plain-text table rendering for the figure harnesses, and the two
+//! conversions every harness fills its cells with.
+
+use rannc::baselines::BaselineOutcome;
+use rannc::prelude::*;
 
 /// One cell of a throughput table: a number, or the reason there is none.
 #[derive(Debug, Clone)]
@@ -29,6 +33,36 @@ impl Cell {
             Cell::NotApplicable => "n/a".to_string(),
             Cell::Dnf => "DNF".to_string(),
         }
+    }
+}
+
+impl From<BaselineOutcome> for Cell {
+    fn from(out: BaselineOutcome) -> Self {
+        match out {
+            BaselineOutcome::Feasible { result, .. } => Cell::Throughput(result.throughput),
+            BaselineOutcome::OutOfMemory => Cell::Oom,
+            BaselineOutcome::Unsupported => Cell::NotApplicable,
+        }
+    }
+}
+
+/// Partition `g` with RaNNC under `config` and simulate the plan on
+/// `cost`. Only [`PartitionError::Infeasible`] is a memory result (OOM);
+/// any other partition error, a verifier rejection included, panics with
+/// its text.
+pub fn rannc_cell(
+    g: &TaskGraph,
+    cost: &dyn CostModel,
+    cluster: &ClusterSpec,
+    config: PartitionConfig,
+) -> Cell {
+    match Rannc::new(config).partition(g, cluster) {
+        Ok(plan) => {
+            let sim = rannc::pipeline::simulate_plan(&plan, cost, cluster).expect("valid plan");
+            Cell::Throughput(sim.throughput)
+        }
+        Err(PartitionError::Infeasible) => Cell::Oom,
+        Err(e) => panic!("unexpected partition error: {e}"),
     }
 }
 

@@ -15,7 +15,7 @@ use rannc_graph::convex::ConvexChecker;
 use rannc_graph::taskset::Membership;
 use rannc_graph::{TaskGraph, TaskId, TaskSet};
 use rannc_hw::ClusterSpec;
-use rannc_profile::TimeSums;
+use rannc_profile::{Residency, TimeSums};
 use std::cell::OnceCell;
 
 /// Limits and knobs of the block-level phase.
@@ -110,9 +110,15 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     /// a statistics walk and no time walk.
     pub fn price(&self, set: &TaskSet, sums: TimeSums) -> (f64, usize) {
         let profiled = self.cost.profiler().profiled(set);
-        let r = self
-            .cost
-            .stage_price(&profiled, sums, self.limits.profile_batch, 1, true, 1);
+        let probe = Residency::probe();
+        let r = self.cost.stage_price(
+            &profiled,
+            sums,
+            self.limits.profile_batch,
+            probe.inflight,
+            probe.checkpointing,
+            1,
+        );
         (r.fwd_time + r.bwd_time, r.mem_bytes)
     }
 
@@ -121,9 +127,15 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     /// time.
     pub fn fits(&self, set: &TaskSet) -> bool {
         let set = self.cost.profiler().profiled(set);
-        self.cost
-            .stage_mem(&set, self.limits.profile_batch, 1, true, 1)
-            <= self.limits.mem_limit
+        let probe = Residency::probe();
+        let mem = self.cost.stage_mem(
+            &set,
+            self.limits.profile_batch,
+            probe.inflight,
+            probe.checkpointing,
+            1,
+        );
+        mem <= self.limits.mem_limit
     }
 }
 

@@ -36,6 +36,7 @@
 
 use crate::stagecache::{DpCtx, StageCost, TimeRow};
 use rannc_graph::TaskSet;
+use rannc_profile::Residency;
 use std::sync::Arc;
 
 /// Inputs of one `form_stage_dp` invocation.
@@ -138,7 +139,7 @@ struct MemoKey {
     microbatches: usize,
     batch_size: usize,
     mem_limit: usize,
-    ckpt: bool,
+    residency: Residency,
     tp: usize,
 }
 
@@ -198,8 +199,8 @@ impl Hot {
 /// parameters) read only for a slowed device group and at
 /// reconstruction. Memo entries of one candidate are pure functions of
 /// `(b_prev, b, repl)` given the memo key, so the next candidate with
-/// the same `(R, MB, T, ckpt)` can reuse them. The arena keeps tables
-/// and memo across invocations: tables are `clear`+`resize` filled
+/// the same `(R, MB, T)` and residency can reuse them. The arena keeps
+/// tables and memo across invocations: tables are `clear`+`resize` filled
 /// (capacity retained), and the memo is *stamped* — entries written
 /// under an older stamp are invisible, so switching candidates is one
 /// integer bump, not an `O(nb²·d)` reset.
@@ -364,7 +365,7 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
             microbatches: p.microbatches,
             batch_size: p.batch_size,
             mem_limit: p.mem_limit,
-            ckpt: p.stages > 1,
+            residency: ctx.residency(),
             tp: p.tp,
         },
         (s_max + 1) * bs1,

@@ -22,6 +22,7 @@ use rannc_cost::{sync_iteration_time, CostModel, IterationTail, StageGrads};
 use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, Precision};
 use rannc_obs::recorder::{self, AccountingRec, ContextRec, WinnerRec, WinnerStageRec};
+use rannc_profile::Residency;
 use rannc_verify::{liveness::certify_memory, ScheduleModel};
 
 /// Attach context, winner attribution, and cache accounting to the
@@ -63,7 +64,7 @@ pub fn annotate_recording(
         cluster,
         &schedule,
         precision,
-        plan.stages.len() > 1,
+        Residency::fill_drain(plan.stages.len(), plan.microbatches).checkpointing,
     );
     let all_certified = certified.len() == plan.stages.len();
 

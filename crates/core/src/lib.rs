@@ -17,9 +17,6 @@
 //!    over block sequences and device counts, driven by Algorithm 2's
 //!    node/stage/micro-batch search.
 //!
-//! The ablated §IV-C variant (no coarsening, additive cost model) lives in
-//! [`ablation`].
-//!
 //! ```
 //! use rannc_core::{Rannc, PartitionConfig};
 //! use rannc_hw::ClusterSpec;
@@ -33,7 +30,6 @@
 //! assert!(plan.total_devices() <= cluster.total_devices());
 //! ```
 
-pub mod ablation;
 pub mod atomic;
 pub mod blocks;
 pub mod coarsen;
@@ -65,7 +61,7 @@ pub use stagecache::{DpCtx, RangeTable, StageCost};
 use rannc_cost::{CostModel, CostModelSpec};
 use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, Precision};
-use rannc_profile::{CacheStats, ProfilerOptions};
+use rannc_profile::{CacheStats, ProfilerOptions, Residency};
 use rannc_verify::Report;
 
 /// How [`Rannc::partition`] treats its verification post-pass.
@@ -481,7 +477,13 @@ impl Rannc {
             .stages
             .iter()
             .map(|s| {
-                let r = cost.stage_cost(&s.set, self.config.profile_batch, 1, true);
+                let probe = Residency::probe();
+                let r = cost.stage_cost(
+                    &s.set,
+                    self.config.profile_batch,
+                    probe.inflight,
+                    probe.checkpointing,
+                );
                 Block {
                     set: s.set.clone(),
                     time: r.fwd_time + r.bwd_time,

@@ -3,6 +3,7 @@
 use crate::dp::DpSolution;
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::{ClusterSpec, Precision};
+use rannc_profile::Residency;
 use rannc_verify::{CertifiedStage, PlanView, Report, ScheduleModel, StageView};
 
 /// A plan/cluster combination that cannot be materialised.
@@ -165,10 +166,9 @@ impl PartitionPlan {
     /// liveness-certified peak memory against every hosting device slot
     /// (RV100/RV101) and its derived communication program (RV060–RV064,
     /// RV07x), placed by [`PartitionPlan::device_assignment`]. Gradient
-    /// checkpointing follows the planner's convention: on whenever the
-    /// pipeline has more than one stage. Returns the report with the
-    /// per-stage certified bounds, or the placement error when the plan
-    /// cannot be placed on `cluster` at all.
+    /// checkpointing follows the planner's rule, [`Residency`]. Returns
+    /// the report with the per-stage certified bounds, or the placement
+    /// error when the plan cannot be placed on `cluster` at all.
     pub fn certify(
         &self,
         g: &TaskGraph,
@@ -177,7 +177,8 @@ impl PartitionPlan {
         precision: Precision,
     ) -> Result<(Report, Vec<CertifiedStage>), PlanError> {
         let assignment = self.device_assignment(cluster)?;
-        let checkpointing = self.stages.len() > 1;
+        let checkpointing =
+            Residency::fill_drain(self.stages.len(), self.microbatches).checkpointing;
         Ok(rannc_verify::verify_deep(
             g,
             &self.view(),

@@ -291,7 +291,7 @@ pub fn scan_first_feasible_tier(
         let slots = SlotTable::build(cluster, d, r, cost.device(), cost.options().precision);
         // Group the grid by (micro-batch count, tensor-parallel degree):
         // all candidates of one group share the arena's memo key (same
-        // R, MB, T, ckpt for S ≥ 2), so the flat (b_prev, b, repl) memo
+        // R, MB, T and residency for S ≥ 2), so the flat (b_prev, b, repl) memo
         // filled by one stage count answers most lookups of the next.
         // Groups are the parallel work unit; results are scattered back
         // to grid order below, so the regrouping cannot perturb the

@@ -40,7 +40,7 @@ use crate::dp::DpParams;
 use crate::placement::SlotTable;
 use rannc_cost::CostModel;
 use rannc_hw::{ClusterSpec, LinkSpec};
-use rannc_profile::{BoundarySplit, Prefix, Profiler, TimeSums};
+use rannc_profile::{BoundarySplit, Prefix, Profiler, Residency, TimeSums};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -190,8 +190,8 @@ impl RangeTable {
 /// The inputs of one `form_stage_dp` invocation: the search-constant
 /// cost model, range table (which carries the graph's block partition)
 /// and cluster, plus the candidate's placement table and parameters.
-/// Fields are private because the link, checkpointing flag and
-/// activation scale are derived from them at construction.
+/// Fields are private because the link, residency and activation scale
+/// are derived from them at construction.
 pub struct DpCtx<'a> {
     /// The pricing oracle (profiler roofline or a calibrated model).
     cost: &'a dyn CostModel,
@@ -207,8 +207,9 @@ pub struct DpCtx<'a> {
     slots: &'a SlotTable,
     /// The DP parameters (`S`, `D`, `BS`, `R`, `MB`, `T`, memory bound).
     p: DpParams,
-    /// Gradient checkpointing active (`S > 1`).
-    ckpt: bool,
+    /// What every stage keeps resident: fill–drain at the candidate's
+    /// `(S, MB)`.
+    residency: Residency,
     /// Activation-precision scale relative to FP32.
     act_scale: f64,
 }
@@ -229,7 +230,7 @@ impl<'a> DpCtx<'a> {
             cluster,
             slots,
             p: *p,
-            ckpt: p.stages > 1,
+            residency: Residency::fill_drain(p.stages, p.microbatches),
             act_scale: cost.options().precision.activation_bytes() as f64 / 4.0,
         }
     }
@@ -237,6 +238,11 @@ impl<'a> DpCtx<'a> {
     /// The DP parameters.
     pub fn params(&self) -> &DpParams {
         &self.p
+    }
+
+    /// What every stage of the candidate keeps resident.
+    pub(crate) fn residency(&self) -> Residency {
+        self.residency
     }
 
     /// The block-range table.
@@ -279,9 +285,13 @@ impl<'a> DpCtx<'a> {
         let range = self.ranges.get(from, to);
         // Memory first: an over-memory stage is rejected from its set
         // statistics, without pricing its time.
+        let Residency {
+            inflight,
+            checkpointing,
+        } = self.residency;
         let mem = self
             .cost
-            .stage_mem(&range.set, micro, self.p.microbatches, self.ckpt, self.p.tp);
+            .stage_mem(&range.set, micro, inflight, checkpointing, self.p.tp);
         if mem > self.p.mem_limit {
             return None;
         }
@@ -292,8 +302,8 @@ impl<'a> DpCtx<'a> {
             &range.set,
             time,
             micro,
-            self.p.microbatches,
-            self.ckpt,
+            inflight,
+            checkpointing,
             self.p.tp,
             self.cluster,
         );

@@ -10,18 +10,18 @@
 //!   optimizer step (used for RaNNC and the GPipe baselines);
 //! * **asynchronous 2BW pipeline** ([`async2bw`]) — PipeDream-2BW's
 //!   flush-free steady state (higher utilization, parameter staleness);
-//! * **pure data parallelism** ([`dataparallel`]) — per-device full
-//!   replicas with gradient accumulation and ring all-reduce;
 //! * **campaigns** ([`churn`]) — many iterations of a plan under cluster
 //!   churn or a scripted fault plan, scored on goodput and MTTR.
 //!
 //! The entry point for RaNNC plans is [`simulate_plan`], which converts a
 //! [`rannc_core::PartitionPlan`] into a [`PipelineSpec`] and runs the
-//! synchronous simulator.
+//! synchronous simulator. The pipeline baselines in `rannc-baselines`
+//! price their layer splits as plans through the same [`spec_from_plan`];
+//! pure data parallelism, a closed form with no schedule to simulate,
+//! lives there too.
 
 pub mod async2bw;
 pub mod churn;
-pub mod dataparallel;
 pub mod spec;
 pub mod sync;
 pub mod trace;
@@ -39,6 +39,7 @@ use rannc_core::PartitionPlan;
 use rannc_cost::CostModel;
 use rannc_graph::traverse;
 use rannc_hw::ClusterSpec;
+use rannc_profile::Residency;
 
 /// Why a partition plan could not be turned into a simulator spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,7 +108,7 @@ pub fn spec_from_plan(
     cluster: &ClusterSpec,
 ) -> Result<PipelineSpec, PlanSpecError> {
     let g = cost.graph();
-    let ckpt = plan.stages.len() > 1;
+    let residency = Residency::fill_drain(plan.stages.len(), plan.microbatches);
     let mut stages = Vec::with_capacity(plan.stages.len());
     for (i, st) in plan.stages.iter().enumerate() {
         let tp = st.tensor_parallel.max(1);
@@ -118,8 +119,8 @@ pub fn spec_from_plan(
             &profiler.profiled(&st.set),
             profiler.time_sums(st.set.iter(), st.micro_batch, tp),
             st.micro_batch,
-            plan.microbatches,
-            ckpt,
+            residency.inflight,
+            residency.checkpointing,
             tp,
             cluster,
         );

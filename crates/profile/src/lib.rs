@@ -37,7 +37,7 @@ pub mod flops;
 pub mod memory;
 pub mod profiler;
 
-pub use memory::MemoryParams;
+pub use memory::{MemoryParams, Residency};
 pub use profiler::{
     BoundarySplit, CacheStats, Prefix, ProfileResult, ProfiledSet, Profiler, ProfilerOptions,
     TimeSums, MIN_LAUNCH_OVERHEAD,

@@ -27,38 +27,62 @@ pub const ADAM_BYTES_PER_PARAM: usize = 8;
 /// buffers. ~1 GiB on the paper's V100 setup.
 pub const DEVICE_OVERHEAD_BYTES: usize = 1 << 30;
 
+/// What a stage keeps resident under a pipeline schedule: how many
+/// micro-batches' activations it holds at once, and whether it
+/// checkpoints. The planner, the simulator's pricing and every pipeline
+/// baseline read this one rule. Gradient checkpointing is on whenever the
+/// model is split into more than one stage (§IV-A).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Residency {
+    /// Micro-batches simultaneously in flight on the stage.
+    pub inflight: usize,
+    /// Whether gradient checkpointing is active.
+    pub checkpointing: bool,
+}
+
+impl Residency {
+    /// Fill–drain (GPipe): every stage runs all `MB` forwards before its
+    /// first backward, so it holds `MB` micro-batches.
+    pub fn fill_drain(stages: usize, microbatches: usize) -> Self {
+        Residency {
+            inflight: microbatches,
+            checkpointing: stages > 1,
+        }
+    }
+
+    /// 1F1B: stage `s` holds `min(MB, S − s)` micro-batches, so the
+    /// deepest stash is stage 0's, `min(S, MB)`. At `S = 1` this is
+    /// gradient accumulation: one micro-batch, no checkpointing.
+    pub fn one_f_one_b(stages: usize, microbatches: usize) -> Self {
+        Residency {
+            inflight: stages.min(microbatches),
+            checkpointing: stages > 1,
+        }
+    }
+
+    /// The block phase's probe: one micro-batch of a group that will be
+    /// one stage of a split model, so checkpointing is on.
+    pub fn probe() -> Self {
+        Residency {
+            inflight: 1,
+            checkpointing: true,
+        }
+    }
+}
+
 /// Inputs to the memory model, independent of any particular subcomponent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryParams {
     /// Training precision regime.
     pub precision: Precision,
-    /// Whether gradient checkpointing is active (RaNNC enables it whenever
-    /// the model is split into more than one stage, §IV-A).
+    /// Whether gradient checkpointing is active ([`Residency`]).
     pub checkpointing: bool,
     /// Number of micro-batches simultaneously in flight on the stage
-    /// (`MB` for a synchronous fill–drain schedule).
+    /// ([`Residency`]).
     pub inflight: usize,
 }
 
 impl MemoryParams {
-    /// FP32, no checkpointing, one micro-batch — single-device training.
-    pub fn single_device(precision: Precision) -> Self {
-        MemoryParams {
-            precision,
-            checkpointing: false,
-            inflight: 1,
-        }
-    }
-
-    /// Pipeline-stage defaults: checkpointing on, `inflight` micro-batches.
-    pub fn pipeline(precision: Precision, inflight: usize) -> Self {
-        MemoryParams {
-            precision,
-            checkpointing: true,
-            inflight: inflight.max(1),
-        }
-    }
-
     /// Bytes of parameter-proportional state per parameter *element*:
     /// weights + master copy + gradients + Adam moments.
     pub fn state_bytes_per_param(&self) -> usize {
@@ -108,11 +132,19 @@ impl MemoryParams {
 mod tests {
     use super::*;
 
+    fn params(precision: Precision, checkpointing: bool, inflight: usize) -> MemoryParams {
+        MemoryParams {
+            precision,
+            checkpointing,
+            inflight,
+        }
+    }
+
     #[test]
     fn state_bytes_fp32() {
         // 4 (weights) + 0 (master) + 4 (grads) + 8 (adam) = 16
         assert_eq!(
-            MemoryParams::single_device(Precision::FP32).state_bytes_per_param(),
+            params(Precision::FP32, false, 1).state_bytes_per_param(),
             16
         );
     }
@@ -122,7 +154,7 @@ mod tests {
         // 2 + 4 + 2 + 8 = 16 — mixed precision does NOT reduce state
         // memory (it adds a master copy), matching AMP behaviour.
         assert_eq!(
-            MemoryParams::single_device(Precision::Mixed).state_bytes_per_param(),
+            params(Precision::Mixed, false, 1).state_bytes_per_param(),
             16
         );
     }
@@ -130,14 +162,8 @@ mod tests {
     #[test]
     fn checkpointing_reduces_activation_memory() {
         let base = (1_000_000usize, 1_000, 10_000_000usize, 4usize);
-        let with =
-            MemoryParams::pipeline(Precision::FP32, 8).stage_bytes(base.0, base.1, base.2, base.3);
-        let without = MemoryParams {
-            precision: Precision::FP32,
-            checkpointing: false,
-            inflight: 8,
-        }
-        .stage_bytes(base.0, base.1, base.2, base.3);
+        let with = params(Precision::FP32, true, 8).stage_bytes(base.0, base.1, base.2, base.3);
+        let without = params(Precision::FP32, false, 8).stage_bytes(base.0, base.1, base.2, base.3);
         assert!(with < without);
         // the gap is roughly (inflight-1) × intermediates
         let gap = without - with;
@@ -146,18 +172,8 @@ mod tests {
 
     #[test]
     fn mixed_precision_halves_activations() {
-        let f32_mem = MemoryParams {
-            precision: Precision::FP32,
-            checkpointing: false,
-            inflight: 1,
-        }
-        .stage_bytes(0, 0, 100_000_000, 8);
-        let mixed_mem = MemoryParams {
-            precision: Precision::Mixed,
-            checkpointing: false,
-            inflight: 1,
-        }
-        .stage_bytes(0, 0, 100_000_000, 8);
+        let f32_mem = params(Precision::FP32, false, 1).stage_bytes(0, 0, 100_000_000, 8);
+        let mixed_mem = params(Precision::Mixed, false, 1).stage_bytes(0, 0, 100_000_000, 8);
         let act_f32 = f32_mem - DEVICE_OVERHEAD_BYTES;
         let act_mixed = mixed_mem - DEVICE_OVERHEAD_BYTES;
         assert_eq!(act_mixed * 2, act_f32);
@@ -168,7 +184,7 @@ mod tests {
         // Sanity against the paper's setting: BERT-Large (340M params) at
         // micro-batch 1 with ~1.8 GB of per-sample activations trains on
         // one 32 GB V100 under data parallelism with grad accumulation.
-        let p = MemoryParams::single_device(Precision::FP32);
+        let p = params(Precision::FP32, false, 1);
         let mem = p.stage_bytes(340_000_000, 2_000_000, 1_800_000_000, 1);
         assert!(mem < 32 * (1usize << 30), "mem = {} GiB", mem >> 30);
     }
@@ -177,7 +193,7 @@ mod tests {
     fn twelve_b_params_do_not_fit_one_device() {
         // 12.9B params × 16 B/param ≈ 206 GB — no single V100 can hold the
         // states; this is why the paper's largest model needs ≥ 7 stages.
-        let p = MemoryParams::single_device(Precision::FP32);
+        let p = params(Precision::FP32, false, 1);
         let mem = p.stage_bytes(12_900_000_000, 0, 0, 1);
         assert!(mem > 6 * 32 * (1usize << 30));
     }

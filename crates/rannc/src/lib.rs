@@ -33,8 +33,8 @@
 //! | [`profile`] | the analytical `profile(U, batch)` oracle |
 //! | [`cost`] | pluggable cost models (analytical / calibrated) |
 //! | [`core`] | the paper's partitioner (atomic / block / stage phases) |
-//! | [`pipeline`] | event-driven schedule simulator (sync, 2BW, DP) |
-//! | [`baselines`] | Megatron-LM, GPipe-Hybrid/Model, PipeDream-2BW |
+//! | [`pipeline`] | event-driven schedule simulator (sync, 2BW) |
+//! | [`baselines`] | Megatron-LM, GPipe-Hybrid/Model, PipeDream-2BW, data parallelism |
 //! | [`faults`] | seeded fault plans (device loss, stragglers, …) |
 //! | [`verify`] | static graph/plan/schedule verifier (`RV0xx` diagnostics) |
 //! | [`obs`] | tracing spans, metrics registry, Chrome-trace export |

@@ -285,6 +285,7 @@ fn check_deadlock_freedom(model: &ScheduleModel, r: &mut Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rannc_profile::Residency;
     use PhaseKind::{Backward as B, Forward as F};
 
     /// GPipe fill–drain: all forwards in order, then all backwards in
@@ -407,6 +408,28 @@ mod tests {
         }
         // out-of-range stage falls back to the worst case
         assert_eq!(fd.stash_depth(99), 8);
+        // the residency rule the planner and the baselines price with is
+        // each schedule's deepest stash
+        let deepest = |m: &ScheduleModel| (0..m.stages).map(|s| m.stash_depth(s)).max();
+        for stages in 1..=8 {
+            for mb in 1..=16 {
+                let fd = Residency::fill_drain(stages, mb);
+                let ofob = Residency::one_f_one_b(stages, mb);
+                let at = format!("S = {stages}, MB = {mb}");
+                assert_eq!(
+                    Some(fd.inflight),
+                    deepest(&ScheduleModel::fill_drain(stages, mb)),
+                    "{at}"
+                );
+                assert_eq!(
+                    Some(ofob.inflight),
+                    deepest(&ScheduleModel::one_f_one_b(stages, mb)),
+                    "{at}"
+                );
+                assert_eq!(fd.checkpointing, stages > 1, "{at}");
+                assert_eq!(ofob.checkpointing, stages > 1, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! ```
 
 use rannc::baselines::{
-    gpipe_hybrid, megatron, simulate_data_parallel, BaselineOutcome, DataParallelOutcome,
-    TransformerDims,
+    gpipe_hybrid, megatron, simulate_data_parallel, BaselineOutcome, TransformerDims,
 };
 use rannc::prelude::*;
 
@@ -42,11 +41,11 @@ fn main() {
         let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
 
         let dp = match simulate_data_parallel(&g, &profiler, &cluster, batch) {
-            DataParallelOutcome::Feasible(r) => {
+            BaselineOutcome::Feasible { result, .. } => {
                 largest[0].1 = largest[0].1.max(params);
-                format!("{:.1}/s", r.throughput)
+                format!("{:.1}/s", result.throughput)
             }
-            DataParallelOutcome::OutOfMemory { .. } => "OOM".into(),
+            _ => "OOM".into(),
         };
         let mega = match megatron(
             &TransformerDims::from(&cfg),
@@ -74,7 +73,8 @@ fn main() {
                     rannc::pipeline::simulate_plan(&plan, &profiler, &cluster).expect("valid plan");
                 format!("{:.1}/s", sim.throughput)
             }
-            Err(_) => "OOM".into(),
+            Err(PartitionError::Infeasible) => "OOM".into(),
+            Err(e) => panic!("unexpected partition error: {e}"),
         };
         println!(
             "{:>18} {:>7.2}B {:>13} {:>13} {:>13} {:>13}",

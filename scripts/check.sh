@@ -64,7 +64,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, no deleted search, memo or fixpoint machinery)"
+echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, baselines as plans, no deleted search, memo or fixpoint machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -204,6 +204,33 @@ DP_CALLS="$(find crates/*/src -name '*.rs' ! -path '*/rannc_benchmark/*' \
 if [ -n "$DP_CALLS" ]; then
     echo "$DP_CALLS"
     echo "FAILED: form_stage_dp called outside core::search in non-test code"
+    exit 1
+fi
+
+# A stage has one residency rule and a baseline is a plan:
+# rannc_profile::memory::Residency is the one place the in-flight count and
+# the checkpointing switch (on whenever S > 1) are written, so no other
+# module spells a checkpoint literal. The pipeline baselines price their
+# layer splits as plans through spec_from_plan: their private spec
+# builder, its knobs and data parallelism's second outcome type stay
+# deleted. The §IV-C ablation DP is a reproduction harness in rannc-bench,
+# not a second stage DP in the planner. Test modules and the
+# rannc_benchmark package (changed only with the benchmark) are exempt.
+NONTEST_SRC="$(find crates/*/src -name '*.rs' ! -path '*/rannc_benchmark/*' -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    | grep -vE '^[^:]+:[0-9]+: *//' || true)"
+if echo "$NONTEST_SRC" | grep -E '\b(UniformSpec|build_spec|inflight_override|DataParallelOutcome)\b'; then
+    echo "FAILED: a baseline's private spec builder or outcome type is back in crates/*/src"
+    exit 1
+fi
+if echo "$NONTEST_SRC" | grep -E '^crates/core/src/' \
+    | grep -E 'form_stage_dp_no_coarsening|AblationOutcome'; then
+    echo "FAILED: the §IV-C ablation DP is back in crates/core/src"
+    exit 1
+fi
+if echo "$NONTEST_SRC" | grep -E 'stages > 1|stages\.len\(\) > 1|s_max > 1' \
+    | grep -v '^crates/profile/src/memory.rs:'; then
+    echo "FAILED: a checkpoint literal outside the residency rule (rannc_profile::memory)"
     exit 1
 fi
 

@@ -4,7 +4,7 @@
 
 use rannc::baselines::{
     gpipe_hybrid, gpipe_model, megatron, pipedream_2bw, simulate_data_parallel, BaselineOutcome,
-    DataParallelOutcome, TransformerDims,
+    TransformerDims,
 };
 use rannc::prelude::*;
 use rannc::train::loss_validation;
@@ -133,7 +133,7 @@ fn data_parallel_hits_the_memory_wall_first() {
     assert!(
         matches!(
             simulate_data_parallel(&big, &profiler, &cluster, 256),
-            DataParallelOutcome::OutOfMemory { .. }
+            BaselineOutcome::OutOfMemory
         ),
         "1.2B params must OOM under plain data parallelism"
     );
