@@ -20,12 +20,15 @@
 //!
 //! The split arithmetic itself is owned by `rannc-cost`'s
 //! [`tensor`](rannc_cost::tensor) module, and this baseline is the
-//! `(S = 1, T = t)` sweep over that owner. It is not yet priced as a
-//! point of the search space: it counts matmul FLOPs only, from
-//! [`TransformerDims`], while the search prices the profiled graph's
-//! roofline, memory-bound ops and launch overheads included — 1.73× more
-//! per sample on BERT 1024×24. Pricing it through the search's
-//! `stage_cost_tp` is ROADMAP.md's "One tensor-parallel price" item.
+//! `(S = 1, T = t)` sweep over that owner. Its all-reduce volume is the
+//! search's: the planner reads the same Megatron layout off the graph's
+//! split rule and all-reduces only the row-split matmul outputs, two per
+//! layer per pass. It is not yet priced as a point of the search space:
+//! it counts matmul FLOPs only, from [`TransformerDims`], while the
+//! search prices the profiled graph's roofline, memory-bound ops and
+//! launch overheads included — 1.73× more per sample on BERT 1024×24.
+//! Pricing it through the search's `stage_cost_tp` is ROADMAP.md's "One
+//! tensor-parallel price" item.
 
 use crate::BaselineOutcome;
 use rannc_cost::{megatron_partition, CostModel};

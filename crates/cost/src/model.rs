@@ -36,8 +36,9 @@ pub trait CostModel: Sync {
 
     /// The one pricing of a stage's compute and memory: forward/backward
     /// time and peak memory of `set` at a micro-batch size, with
-    /// `inflight` micro-batches resident, optional checkpointing, and its
-    /// splittable compute divided `tp` ways. `time` must be the set's
+    /// `inflight` micro-batches resident, optional checkpointing, on one
+    /// shard of a `tp`-wide group (the graph's split rule decides what
+    /// divides, [`Profiler::profile`]). `time` must be the set's
     /// exact time sums at `(batch, tp)`, walked
     /// ([`Profiler::time_sums`]) or composed from parts. Excludes the
     /// tensor-parallel all-reduce, which [`CostModel::stage_cost_tp`]
@@ -70,9 +71,10 @@ pub trait CostModel: Sync {
     }
 
     /// Tensor-parallel stage pricing: [`CostModel::stage_price`] with the
-    /// per-pass activation all-reduce over the `tp`-wide group folded
-    /// into the forward and backward times (which is why this variant
-    /// needs the cluster), priced through
+    /// per-pass activation all-reduce over the `tp`-wide group — the
+    /// stage's row-split matmul outputs, [`Profiler::tp_allreduce_bytes`]
+    /// — folded into the forward and backward times (which is why this
+    /// variant needs the cluster), priced through
     /// [`CostFactors::allreduce_time`].
     ///
     /// `tp == 1` is bit-identical to [`CostModel::stage_cost`] of the

@@ -7,11 +7,18 @@
 //! requires one owner for the split arithmetic, so the analytic
 //! transformer evaluation moved here: the Megatron baseline is now a
 //! thin sweep over [`megatron_partition`] (the `S = 1` fixed point of
-//! the unified 3D search), and the planner's generic per-stage TP
-//! pricing ([`CostModel::stage_cost_tp`]) shares the same conventions —
-//! compute divided `T` ways per matmul-bearing op, weight/optimizer
-//! state sharded, full-size activation buffers, and a per-pass
-//! activation all-reduce over the `T`-group.
+//! the unified 3D search).
+//!
+//! The planner's per-stage TP pricing ([`CostModel::stage_cost_tp`])
+//! reads the graph's split rule (`rannc_graph::split`, Megatron's
+//! layout) instead of these formulas: split tasks divide `T` ways,
+//! weight/optimizer state and column/head-split activations shard
+//! `1/T`, and a stage all-reduces only its row-split matmul outputs.
+//! Both move the same communication volume — two all-reduces of
+//! `b·s·h` activations per layer per pass (`tests/tp_megatron_parity.rs`).
+//! They still differ in compute: [`megatron_partition`] counts matmul
+//! FLOPs from [`TransformerDims`], the search prices the profiled
+//! graph.
 
 use crate::CostModel;
 use rannc_hw::{ClusterSpec, Precision};

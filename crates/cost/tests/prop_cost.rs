@@ -267,9 +267,10 @@ proptest! {
     }
 
     /// Per-device stage memory is nonincreasing in the tensor-parallel
-    /// degree (weights and optimizer state shard `1/T`, activations stay
-    /// full-size), while `param_elems` always reports the FULL unsharded
-    /// count — callers shard gradient volume themselves.
+    /// degree (weights, optimizer state and the column- and head-split
+    /// activations shard `1/T`; the rest stay full-size), while
+    /// `param_elems` always reports the FULL unsharded count — callers
+    /// shard gradient volume themselves.
     #[test]
     fn tp_memory_nonincreasing_and_params_unsharded(
         cal in calibrations(),
@@ -306,8 +307,9 @@ proptest! {
     /// The Megatron split math itself: raw per-shard compute (before the
     /// folded activation all-reduce) is nonincreasing in `T`; the stage
     /// cost charges the all-reduce symmetrically to forward and backward;
-    /// and the per-micro-batch all-reduce volume is nondecreasing in the
-    /// micro-batch size.
+    /// and the per-micro-batch all-reduce volume (the row-split matmul
+    /// outputs, `tp_megatron_parity.rs` pins it to Megatron's) is
+    /// nondecreasing in the micro-batch size.
     #[test]
     fn tp_split_compute_and_allreduce_laws(
         mb1 in 1usize..17,

@@ -2,13 +2,14 @@
 //!
 //! [`GraphBuilder`] wraps [`TaskGraph`] with shape-inferring helpers for
 //! the layer types the model builders in `rannc-models` compose: linear
-//! layers, layer norm, convolutions, attention primitives, element-wise
+//! layers (replicated, column- or row-parallel), layer norm, convolutions, attention primitives, element-wise
 //! ops. Builder methods panic on misuse (shape mismatches are programming
 //! errors in model definitions, caught at graph-construction time, just as
 //! PyTorch raises on the first forward pass).
 
 use crate::graph::TaskGraph;
 use crate::shape::{DType, Shape};
+use crate::split::TpSplit;
 use crate::{OpKind, ValueId, ValueKind};
 
 /// Incremental graph builder with shape inference.
@@ -135,8 +136,47 @@ impl GraphBuilder {
     }
 
     /// Fully-connected layer: creates weight `[in, out]` and bias `[out]`
-    /// parameters, emits matmul + bias.
+    /// parameters, emits matmul + bias. The matmul is replicated under
+    /// tensor parallelism ([`crate::split`]).
     pub fn linear(&mut self, prefix: &str, x: ValueId, in_dim: usize, out_dim: usize) -> ValueId {
+        self.linear_split(prefix, x, in_dim, out_dim, None)
+    }
+
+    /// [`GraphBuilder::linear`] whose matmul is column-parallel (Megatron
+    /// layout): each tensor-parallel shard holds `1/T` of the weight's
+    /// columns and computes `1/T` of the output features.
+    pub fn linear_column(
+        &mut self,
+        prefix: &str,
+        x: ValueId,
+        in_dim: usize,
+        out_dim: usize,
+    ) -> ValueId {
+        self.linear_split(prefix, x, in_dim, out_dim, Some(TpSplit::Column))
+    }
+
+    /// [`GraphBuilder::linear`] whose matmul is row-parallel (Megatron
+    /// layout): it reads a column- or head-split activation, each shard
+    /// holds `1/T` of the weight's rows, and the partial sums are
+    /// all-reduced before the bias.
+    pub fn linear_row(
+        &mut self,
+        prefix: &str,
+        x: ValueId,
+        in_dim: usize,
+        out_dim: usize,
+    ) -> ValueId {
+        self.linear_split(prefix, x, in_dim, out_dim, Some(TpSplit::Row))
+    }
+
+    fn linear_split(
+        &mut self,
+        prefix: &str,
+        x: ValueId,
+        in_dim: usize,
+        out_dim: usize,
+        tag: Option<TpSplit>,
+    ) -> ValueId {
         let xs = self.g.value(x).shape.clone();
         assert_eq!(
             xs.dim(xs.rank() - 1),
@@ -147,6 +187,12 @@ impl GraphBuilder {
         let w = self.param(&format!("{prefix}.weight"), [in_dim, out_dim]);
         let b = self.param(&format!("{prefix}.bias"), [out_dim]);
         let mm = self.matmul(x, w);
+        let task = self
+            .g
+            .value(mm)
+            .producer
+            .expect("matmul output has a producer");
+        self.g.set_tp_tag(task, tag);
         self.binary(OpKind::Bias, mm, b)
     }
 

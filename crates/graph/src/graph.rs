@@ -2,6 +2,7 @@
 
 use crate::index::GraphIndex;
 use crate::shape::{DType, Shape};
+use crate::split::TpSplit;
 use crate::{OpKind, TaskId, ValueId, ValueKind};
 use std::sync::OnceLock;
 
@@ -54,6 +55,11 @@ pub struct Task {
     /// (GPipe, PipeDream-2BW) can split at the layer granularity their
     /// users are forced to declare (paper §II-C, §IV-A).
     pub scope: String,
+    /// The tensor-parallel split the model declares for this task (a
+    /// column- or row-split weight matmul), or `None` to let the split
+    /// rule derive it ([`crate::split`]). Read the derived split through
+    /// [`GraphIndex::split`], never this tag.
+    pub tp_tag: Option<TpSplit>,
 }
 
 /// Errors detected while constructing or validating a graph.
@@ -208,8 +214,17 @@ impl TaskGraph {
             inputs,
             outputs,
             scope,
+            tp_tag: None,
         });
         Ok(id)
+    }
+
+    /// Declare task `t`'s tensor-parallel split (`None`: derived by the
+    /// split rule, [`crate::split`]). Drops the index, whose derived
+    /// splits depend on every tag.
+    pub fn set_tp_tag(&mut self, t: TaskId, tag: Option<TpSplit>) {
+        self.index.take();
+        self.tasks[t.index()].tp_tag = tag;
     }
 
     /// Declare a value to be an output of the entire model.

@@ -1,8 +1,8 @@
 //! The per-graph index: whole-graph facts every phase reads.
 //!
 //! The topological order, the per-task positions, the distinct-successor
-//! and distinct-predecessor lists and the non-constant flags (paper
-//! §III-A) are facts of a [`TaskGraph`], not of one partitioning request.
+//! and distinct-predecessor lists, the non-constant flags (paper
+//! §III-A) and the tensor-parallel splits ([`crate::split`]) are facts of a [`TaskGraph`], not of one partitioning request.
 //! [`TaskGraph::index`] derives them once, on first use, and hands out
 //! the same [`GraphIndex`] to every later reader; every `&mut self`
 //! method of the graph drops it, so it is rebuilt after an edit.
@@ -10,6 +10,7 @@
 //! The builder here is the only place that runs Kahn's algorithm over a
 //! task graph or builds its successor and predecessor tables.
 
+use crate::split::{self, TpSplit};
 use crate::{TaskGraph, TaskId, ValueKind};
 
 /// Whole-graph facts of one [`TaskGraph`] (see the module docs). Obtain
@@ -30,6 +31,8 @@ pub struct GraphIndex {
     pred_list: Vec<TaskId>,
     /// `non_constant[t]`: `t`'s output depends on the model input.
     non_constant: Vec<bool>,
+    /// `split[t]`: `t`'s tensor-parallel split.
+    split: Vec<TpSplit>,
 }
 
 impl GraphIndex {
@@ -116,6 +119,7 @@ impl GraphIndex {
             });
         }
 
+        let split = split::derive(g, &order);
         GraphIndex {
             order,
             pos,
@@ -124,6 +128,7 @@ impl GraphIndex {
             pred_start,
             pred_list,
             non_constant,
+            split,
         }
     }
 
@@ -173,5 +178,12 @@ impl GraphIndex {
     #[inline]
     pub fn non_constant(&self) -> &[bool] {
         &self.non_constant
+    }
+
+    /// Task `t`'s tensor-parallel split, derived by the split rule
+    /// ([`crate::split`]): the one place a split is decided.
+    #[inline]
+    pub fn split(&self, t: TaskId) -> TpSplit {
+        self.split[t.index()]
     }
 }

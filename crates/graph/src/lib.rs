@@ -15,8 +15,9 @@
 //! specializes in:
 //!
 //! * whole-graph facts derived once per graph: topological order and
-//!   per-task position, distinct successors and the non-constant flags
-//!   ([`TaskGraph::index`], [`GraphIndex`]),
+//!   per-task position, distinct successors, the non-constant flags and
+//!   the tensor-parallel splits ([`TaskGraph::index`], [`GraphIndex`],
+//!   [`split`]),
 //! * adjacency between task sets (do they exchange a value?),
 //! * communication volume across a cut ([`traverse::cut_bytes`]),
 //! * *convexity* of a task set — whether no path leaves the set and
@@ -33,6 +34,7 @@ pub mod graph;
 pub mod index;
 pub mod op;
 pub mod shape;
+pub mod split;
 pub mod taskset;
 pub mod traverse;
 
@@ -41,6 +43,7 @@ pub use graph::{Task, TaskGraph, Value};
 pub use index::GraphIndex;
 pub use op::OpKind;
 pub use shape::{DType, Shape};
+pub use split::TpSplit;
 pub use taskset::TaskSet;
 
 /// Identifier of a task (operator) node inside one [`TaskGraph`].

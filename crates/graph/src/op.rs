@@ -121,7 +121,10 @@ impl OpKind {
     }
 
     /// Whether the operator's cost is dominated by dense arithmetic
-    /// (matmul-like / conv-like) rather than memory traffic.
+    /// (matmul-like / conv-like) rather than memory traffic: the profiler
+    /// prices it at the precision's matmul peak and its backward at twice
+    /// its forward. Which tasks a tensor-parallel group splits is the
+    /// split rule's decision ([`crate::split`]), not this one.
     pub fn is_compute_bound(&self) -> bool {
         matches!(
             self,

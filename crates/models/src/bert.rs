@@ -145,10 +145,11 @@ pub fn bert_graph(cfg: &BertConfig) -> TaskGraph {
         b.set_scope(p.clone());
         let x = hidden_states;
 
-        // self-attention
-        let q = b.linear(&format!("{p}.attn.q"), x, h, h);
-        let k = b.linear(&format!("{p}.attn.k"), x, h, h);
-        let v = b.linear(&format!("{p}.attn.v"), x, h, h);
+        // self-attention; tensor-parallel layout as in Megatron-LM:
+        // q/k/v and ffn.in column-split, attn.out and ffn.out row-split
+        let q = b.linear_column(&format!("{p}.attn.q"), x, h, h);
+        let k = b.linear_column(&format!("{p}.attn.k"), x, h, h);
+        let v = b.linear_column(&format!("{p}.attn.v"), x, h, h);
         let qh = b.transpose(q, [heads, seq, dh]);
         let kh = b.transpose(k, [heads, dh, seq]);
         let vh = b.transpose(v, [heads, seq, dh]);
@@ -160,15 +161,15 @@ pub fn bert_graph(cfg: &BertConfig) -> TaskGraph {
         let probs = b.dropout(probs);
         let ctx = b.bmm(probs, vh); // [heads, seq, dh]
         let ctx = b.transpose(ctx, [seq, h]);
-        let attn_out = b.linear(&format!("{p}.attn.out"), ctx, h, h);
+        let attn_out = b.linear_row(&format!("{p}.attn.out"), ctx, h, h);
         let attn_out = b.dropout(attn_out);
         let x = b.binary(OpKind::Add, attn_out, x);
         let x = b.layer_norm(&format!("{p}.attn.ln"), x, h);
 
         // feed-forward
-        let ff = b.linear(&format!("{p}.ffn.in"), x, h, cfg.intermediate);
+        let ff = b.linear_column(&format!("{p}.ffn.in"), x, h, cfg.intermediate);
         let ff = b.unary(OpKind::Gelu, ff);
-        let ff = b.linear(&format!("{p}.ffn.out"), ff, cfg.intermediate, h);
+        let ff = b.linear_row(&format!("{p}.ffn.out"), ff, cfg.intermediate, h);
         let ff = b.dropout(ff);
         let x2 = b.binary(OpKind::Add, ff, x);
         hidden_states = b.layer_norm(&format!("{p}.ffn.ln"), x2, h);

@@ -98,11 +98,12 @@ pub fn gpt_graph(cfg: &GptConfig) -> TaskGraph {
     for l in 0..cfg.layers {
         let p = format!("decoder.layer{l}");
         b.set_scope(p.clone());
-        // pre-LN attention
+        // pre-LN attention; tensor-parallel layout as in Megatron-LM:
+        // q/k/v and mlp.in column-split, attn.out and mlp.out row-split
         let a_in = b.layer_norm(&format!("{p}.ln1"), x, h);
-        let q = b.linear(&format!("{p}.attn.q"), a_in, h, h);
-        let k = b.linear(&format!("{p}.attn.k"), a_in, h, h);
-        let v = b.linear(&format!("{p}.attn.v"), a_in, h, h);
+        let q = b.linear_column(&format!("{p}.attn.q"), a_in, h, h);
+        let k = b.linear_column(&format!("{p}.attn.k"), a_in, h, h);
+        let v = b.linear_column(&format!("{p}.attn.v"), a_in, h, h);
         let qh = b.transpose(q, [heads, seq, dh]);
         let kh = b.transpose(k, [heads, dh, seq]);
         let vh = b.transpose(v, [heads, seq, dh]);
@@ -113,14 +114,14 @@ pub fn gpt_graph(cfg: &GptConfig) -> TaskGraph {
         let probs = b.softmax(scores);
         let ctx = b.bmm(probs, vh);
         let ctx = b.transpose(ctx, [seq, h]);
-        let attn = b.linear(&format!("{p}.attn.out"), ctx, h, h);
+        let attn = b.linear_row(&format!("{p}.attn.out"), ctx, h, h);
         x = b.binary(OpKind::Add, attn, x);
 
         // pre-LN MLP
         let m_in = b.layer_norm(&format!("{p}.ln2"), x, h);
-        let m = b.linear(&format!("{p}.mlp.in"), m_in, h, 4 * h);
+        let m = b.linear_column(&format!("{p}.mlp.in"), m_in, h, 4 * h);
         let m = b.unary(OpKind::Gelu, m);
-        let m = b.linear(&format!("{p}.mlp.out"), m, 4 * h, h);
+        let m = b.linear_row(&format!("{p}.mlp.out"), m, 4 * h, h);
         x = b.binary(OpKind::Add, m, x);
     }
 

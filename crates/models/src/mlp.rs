@@ -48,14 +48,26 @@ impl MlpConfig {
 }
 
 /// Build the training graph (features → logits → cross-entropy).
+///
+/// Tensor-parallel layout: hidden layers pair up Megatron-style, the
+/// first of each pair column-split and the second row-split. An unpaired
+/// last hidden layer and the head are replicated.
 pub fn mlp_graph(cfg: &MlpConfig) -> TaskGraph {
     let mut b = GraphBuilder::new(cfg.name());
     let mut x = b.input("features", [cfg.input_dim], DType::F32);
     let label = b.input("label", [1], DType::I64);
     let mut prev = cfg.input_dim;
+    let paired = cfg.hidden_dims.len() / 2 * 2;
     for (i, &w) in cfg.hidden_dims.iter().enumerate() {
         b.set_scope(format!("fc{i}"));
-        x = b.linear(&format!("fc{i}"), x, prev, w);
+        let name = format!("fc{i}");
+        x = if i >= paired {
+            b.linear(&name, x, prev, w)
+        } else if i % 2 == 0 {
+            b.linear_column(&name, x, prev, w)
+        } else {
+            b.linear_row(&name, x, prev, w)
+        };
         x = b.unary(OpKind::Relu, x);
         prev = w;
     }

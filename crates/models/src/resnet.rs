@@ -138,6 +138,11 @@ fn bottleneck(
 }
 
 /// Build the training graph (image → logits → cross-entropy loss).
+///
+/// Tensor-parallel layout: no task is tagged, so the split rule
+/// (`rannc_graph::split`) replicates every task. Convolutions have no
+/// column/row pairing here, and the classifier's logits feed the loss,
+/// which reads them whole.
 pub fn resnet_graph(cfg: &ResNetConfig) -> TaskGraph {
     let wf = cfg.width_factor;
     let mut b = GraphBuilder::new(cfg.name());

@@ -107,9 +107,11 @@ fn attention(
     mask: Option<ValueId>,
 ) -> ValueId {
     let dh = kv_inner / heads;
-    let q = b.linear(&format!("{prefix}.q"), x, hidden, kv_inner);
-    let k = b.linear(&format!("{prefix}.k"), kv, hidden, kv_inner);
-    let v = b.linear(&format!("{prefix}.v"), kv, hidden, kv_inner);
+    // tensor-parallel layout as in Megatron-LM: q/k/v column-split, the
+    // output projection row-split (the FFNs pair up the same way)
+    let q = b.linear_column(&format!("{prefix}.q"), x, hidden, kv_inner);
+    let k = b.linear_column(&format!("{prefix}.k"), kv, hidden, kv_inner);
+    let v = b.linear_column(&format!("{prefix}.v"), kv, hidden, kv_inner);
     let qh = b.transpose(q, [heads, q_len, dh]);
     let kh = b.transpose(k, [heads, dh, kv_len]);
     let vh = b.transpose(v, [heads, kv_len, dh]);
@@ -123,7 +125,7 @@ fn attention(
     let probs = b.softmax(scores);
     let ctx = b.bmm(probs, vh);
     let ctx = b.transpose(ctx, [q_len, kv_inner]);
-    b.linear(&format!("{prefix}.out"), ctx, kv_inner, hidden)
+    b.linear_row(&format!("{prefix}.out"), ctx, kv_inner, hidden)
 }
 
 /// Build the sequence-to-sequence training graph.
@@ -167,9 +169,9 @@ pub fn t5_graph(cfg: &T5Config) -> TaskGraph {
         );
         enc = b.binary(OpKind::Add, attn, enc);
         let m_in = b.layer_norm(&format!("{p}.ln2"), enc, h);
-        let m = b.linear(&format!("{p}.ffn.in"), m_in, h, cfg.intermediate);
+        let m = b.linear_column(&format!("{p}.ffn.in"), m_in, h, cfg.intermediate);
         let m = b.unary(OpKind::Relu, m);
-        let m = b.linear(&format!("{p}.ffn.out"), m, cfg.intermediate, h);
+        let m = b.linear_row(&format!("{p}.ffn.out"), m, cfg.intermediate, h);
         enc = b.binary(OpKind::Add, m, enc);
     }
     b.set_scope("encoder.final");
@@ -219,9 +221,9 @@ pub fn t5_graph(cfg: &T5Config) -> TaskGraph {
         dec = b.binary(OpKind::Add, cross, dec);
         // FFN
         let m_in = b.layer_norm(&format!("{p}.ln3"), dec, h);
-        let m = b.linear(&format!("{p}.ffn.in"), m_in, h, cfg.intermediate);
+        let m = b.linear_column(&format!("{p}.ffn.in"), m_in, h, cfg.intermediate);
         let m = b.unary(OpKind::Relu, m);
-        let m = b.linear(&format!("{p}.ffn.out"), m, cfg.intermediate, h);
+        let m = b.linear_row(&format!("{p}.ffn.out"), m, cfg.intermediate, h);
         dec = b.binary(OpKind::Add, m, dec);
     }
 

@@ -2,7 +2,7 @@
 
 use crate::flops::task_flops;
 use crate::memory::MemoryParams;
-use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet, ValueKind};
+use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet, TpSplit, ValueKind};
 use rannc_hw::{DeviceSpec, Precision};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -88,7 +88,11 @@ struct TaskCost {
     /// Fixed byte traffic (parameter/constant reads).
     static_bytes: f64,
     out_act_bytes: usize,
+    /// Dense arithmetic: priced at the precision's matmul peak, and its
+    /// backward (dgrad + wgrad) costs twice its forward.
     compute_bound: bool,
+    /// The task's tensor-parallel split ([`rannc_graph::split`]).
+    split: TpSplit,
     /// Non-constant tasks scale with the micro-batch size; constant tasks
     /// (weight transposes etc.) run once regardless of batch.
     scales: bool,
@@ -142,7 +146,10 @@ struct SetStats {
     param_elems: usize,
     ingress_bytes: usize,
     inter_act_bytes: usize,
-    /// FP32 output bytes (batch 1) of the tensor-splittable tasks — the
+    /// The part of `inter_act_bytes` output by column- and head-split
+    /// tasks: each shard of a tensor-parallel group holds `1/T` of it.
+    split_act_bytes: usize,
+    /// FP32 output bytes (batch 1) of the row-split matmuls — the
     /// per-pass all-reduce volume of a tensor-parallel stage.
     split_out_bytes: usize,
 }
@@ -153,7 +160,27 @@ impl SetStats {
         self.param_elems += other.param_elems;
         self.ingress_bytes += other.ingress_bytes;
         self.inter_act_bytes += other.inter_act_bytes;
+        self.split_act_bytes += other.split_act_bytes;
         self.split_out_bytes += other.split_out_bytes;
+    }
+
+    /// The statistics of one task's outputs, `bytes` of them, by its
+    /// split: every output is intermediate, a column or head split's is
+    /// sharded, and a row split's is all-reduced.
+    fn of_outputs(bytes: usize, split: TpSplit) -> SetStats {
+        SetStats {
+            inter_act_bytes: bytes,
+            split_act_bytes: if split.shards_output() { bytes } else { 0 },
+            split_out_bytes: if split == TpSplit::Row { bytes } else { 0 },
+            ..SetStats::default()
+        }
+    }
+
+    /// Intermediate activation bytes (batch 1) on each shard of a
+    /// `tp`-wide group: the sharded part counts `1/T`. All of them at
+    /// `tp = 1`.
+    fn inter_act_bytes_per_shard(&self, tp: usize) -> usize {
+        self.inter_act_bytes - self.split_act_bytes + self.split_act_bytes / tp
     }
 }
 
@@ -335,7 +362,8 @@ impl<'g> Profiler<'g> {
             "launch_overhead {} s is below 2^-27 s: per-task times would not sum exactly",
             opts.launch_overhead
         );
-        let non_constant = g.index().non_constant();
+        let index = g.index();
+        let non_constant = index.non_constant();
         let mut costs = Vec::with_capacity(g.num_tasks());
         let mut static_inputs = Vec::new();
         let mut act_inputs = Vec::new();
@@ -374,6 +402,7 @@ impl<'g> Profiler<'g> {
                 static_bytes,
                 out_act_bytes,
                 compute_bound: task.op.is_compute_bound(),
+                split: index.split(tid),
                 scales: non_constant[tid.index()],
                 params: params_start..static_inputs.len() as u32,
                 acts: acts_start..act_inputs.len() as u32,
@@ -419,19 +448,21 @@ impl<'g> Profiler<'g> {
         }
     }
 
-    /// Forward time of one task at a given micro-batch size, with its
-    /// compute split `tp` ways (1 = no tensor parallelism). Splittable
-    /// (compute-bound) tasks divide FLOPs, activation traffic, and
-    /// parameter reads across the group; the launch overhead is paid in
-    /// full by every member. Other tasks divide by 1.0, which is exact, so
-    /// `tp == 1` is the plain roofline bit for bit.
+    /// Forward time of one task at a given micro-batch size on one shard
+    /// of a `tp`-wide tensor-parallel group (1 = no tensor parallelism).
+    /// Split tasks (column, head or row, [`rannc_graph::split`]) divide
+    /// FLOPs, activation traffic, and parameter reads across the group;
+    /// the launch overhead is paid in full by every member. Replicated
+    /// tasks divide by 1.0, which is exact, so `tp == 1` is the plain
+    /// roofline bit for bit.
     fn task_fwd_time(&self, c: &TaskCost, batch: usize, tp: usize) -> f64 {
         let scale = if c.scales { batch as f64 } else { 1.0 };
         let byte_scale = self.opts.precision.activation_bytes() as f64 / 4.0;
-        let (split, peak) = if c.compute_bound {
-            (tp as f64, self.device.sustained_flops(self.opts.precision))
+        let split = if c.split.is_split() { tp as f64 } else { 1.0 };
+        let peak = if c.compute_bound {
+            self.device.sustained_flops(self.opts.precision)
         } else {
-            (1.0, self.device.sustained_flops(Precision::FP32))
+            self.device.sustained_flops(Precision::FP32)
         };
         let flops = c.flops * scale / split;
         // activations scale with batch; parameter reads are amortized
@@ -487,10 +518,7 @@ impl<'g> Profiler<'g> {
             }
             let c = &self.costs[t.index()];
             if c.scales {
-                stats.inter_act_bytes += c.out_act_bytes;
-                if c.compute_bound {
-                    stats.split_out_bytes += c.out_act_bytes;
-                }
+                stats.add(&SetStats::of_outputs(c.out_act_bytes, c.split));
             }
             if cur > base {
                 // an earlier part read this output as ingress (its producer
@@ -617,20 +645,20 @@ impl<'g> Profiler<'g> {
     }
 
     /// [`Profiler::profile_set`] of a [`ProfiledSet`] whose exact time
-    /// sums at `(batch, tp)` are `time`, with the stage's splittable
-    /// compute divided across a tensor-parallel group of `tp` devices.
-    /// The one assembly of a stage's price from its statistics and time
-    /// sums; the sums must be the set's at this point, walked
-    /// ([`Profiler::time_sums`]) or composed from parts.
+    /// sums at `(batch, tp)` are `time`, on one shard of a tensor-parallel
+    /// group of `tp` devices. The one assembly of a stage's price from
+    /// its statistics and time sums; the sums must be the set's at this
+    /// point, walked ([`Profiler::time_sums`]) or composed from parts.
     ///
-    /// Compute-bound tasks (the matmul-bearing ops Megatron column/row
-    /// partitions) divide FLOPs, activation traffic, and parameter reads
-    /// `tp` ways; every other task runs replicated on all group members.
-    /// Weight/optimizer state is sharded (`param_elems / tp` in the
-    /// memory model) while activation buffers stay full-size — the
-    /// paper's "the size of the buffer to store the results is not
-    /// reduced" observation. The per-pass activation all-reduce is *not*
-    /// included here; the cost model adds it (it needs cluster topology).
+    /// The graph's split rule ([`rannc_graph::split`], Megatron's layout)
+    /// decides what divides: split tasks divide FLOPs, activation
+    /// traffic, and parameter reads `tp` ways, and every replicated task
+    /// runs whole on all group members. Weight/optimizer state is sharded
+    /// (`param_elems / tp` in the memory model), column- and head-split
+    /// activations are charged `1/tp` on each shard, and every other
+    /// activation (a row-split matmul's all-reduced output included) is
+    /// full-size. The per-pass activation all-reduce is *not* included
+    /// here; the cost model adds it (it needs cluster topology).
     pub fn profile(
         &self,
         set: &ProfiledSet<'_>,
@@ -659,8 +687,8 @@ impl<'g> Profiler<'g> {
 
     /// Peak memory of a stage from its set statistics: the one memory
     /// formula behind [`Profiler::profile`] and [`Profiler::profile_mem`].
-    /// Weight/optimizer state is sharded `tp` ways; activation buffers
-    /// stay full-size.
+    /// Weight/optimizer state is sharded `tp` ways, and so are the column-
+    /// and head-split activations; the rest stay full-size.
     fn stage_mem_bytes(
         &self,
         stats: &SetStats,
@@ -677,7 +705,7 @@ impl<'g> Profiler<'g> {
         mem.stage_bytes(
             stats.param_elems / tp,
             stats.ingress_bytes,
-            stats.inter_act_bytes,
+            stats.inter_act_bytes_per_shard(tp),
             batch,
         )
     }
@@ -696,9 +724,11 @@ impl<'g> Profiler<'g> {
         self.stage_mem_bytes(&set.stats, batch, inflight, checkpointing, tp.max(1))
     }
 
-    /// Per-micro-batch tensor-parallel all-reduce volume of a stage: the
-    /// splittable tasks' output activations for `batch` samples at
-    /// activation precision. Zero for stages with no splittable ops.
+    /// Per-micro-batch, per-pass tensor-parallel all-reduce volume of a
+    /// stage: the row-split matmuls' outputs (their partial sums) for
+    /// `batch` samples at activation precision — Megatron's two
+    /// all-reduces per transformer layer. Zero for stages with no
+    /// row-split matmul.
     pub fn tp_allreduce_bytes(&self, set: &ProfiledSet<'_>, batch: usize) -> usize {
         (set.stats.split_out_bytes as f64
             * batch as f64
@@ -780,7 +810,8 @@ mod tests {
 
     /// The set statistics computed straight from the graph: every member's
     /// inputs and outputs looked up through `g.value()`, each value counted
-    /// once. The reference the flat-row miss path must equal.
+    /// once, and its outputs sharded or all-reduced by the graph's split
+    /// rule. The reference the flat-row miss path must equal.
     fn reference_set_stats(g: &TaskGraph, set: &TaskSet) -> SetStats {
         let non_constant = g.index().non_constant();
         let mut stats = SetStats::default();
@@ -790,8 +821,10 @@ mod tests {
             if non_constant[t.index()] {
                 let out: usize = task.outputs.iter().map(|&v| g.value(v).size_bytes()).sum();
                 stats.inter_act_bytes += out;
-                if task.op.is_compute_bound() {
-                    stats.split_out_bytes += out;
+                match g.index().split(t) {
+                    TpSplit::Column | TpSplit::Head => stats.split_act_bytes += out,
+                    TpSplit::Row => stats.split_out_bytes += out,
+                    TpSplit::Replicated => {}
                 }
             }
             for &v in &task.inputs {
@@ -827,14 +860,10 @@ mod tests {
                     inflight: 2,
                 };
                 assert_eq!(got.param_elems, want.param_elems);
+                let inter = want.inter_act_bytes - want.split_act_bytes + want.split_act_bytes / tp;
                 assert_eq!(
                     got.mem_bytes,
-                    mem.stage_bytes(
-                        want.param_elems / tp,
-                        want.ingress_bytes,
-                        want.inter_act_bytes,
-                        batch
-                    ),
+                    mem.stage_bytes(want.param_elems / tp, want.ingress_bytes, inter, batch),
                     "tp {tp}, checkpointing {checkpointing}"
                 );
             }
@@ -844,6 +873,37 @@ mod tests {
             p.tp_allreduce_bytes(&profiled, batch),
             (want.split_out_bytes as f64 * batch as f64 * act_scale) as usize
         );
+    }
+
+    /// At `tp > 1` the split rule alone decides what divides: a replicated
+    /// task's time is bit-identical to its `tp = 1` time, a split task's
+    /// (column, head or row) is no slower, and the split matmuls are
+    /// strictly faster. Row-split outputs are what `tp_allreduce_bytes`
+    /// counts, and the sharded activations shrink the memory.
+    #[test]
+    fn split_rule_decides_what_divides() {
+        let g = bert_graph(&BertConfig::tiny());
+        let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        for t in g.task_ids() {
+            let c = &p.costs[t.index()];
+            let (one, four) = (p.task_fwd_time(c, 8, 1), p.task_fwd_time(c, 8, 4));
+            match g.index().split(t) {
+                TpSplit::Replicated => assert_eq!(one.to_bits(), four.to_bits(), "{t}"),
+                _ if c.compute_bound => assert!(four < one, "{t}"),
+                _ => assert!(four <= one, "{t}"),
+            }
+        }
+        let whole = whole_set(&g);
+        let set = p.profiled(&whole);
+        let rows: usize = g
+            .task_ids()
+            .filter(|&t| g.index().split(t) == TpSplit::Row)
+            .map(|t| p.costs[t.index()].out_act_bytes)
+            .sum();
+        assert!(rows > 0);
+        assert_eq!(p.tp_allreduce_bytes(&set, 1), rows);
+        assert!(set.stats.split_act_bytes > 0);
+        assert!(p.profile_mem(&set, 8, 1, false, 4) < p.profile_mem(&set, 8, 1, false, 1));
     }
 
     #[test]

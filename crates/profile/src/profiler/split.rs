@@ -6,7 +6,7 @@
 //! that contains `b`, and nothing to any other: no egress, no ingress
 //! through a producer (a value with no producer counts its bytes once),
 //! and its parameter elements exactly once. A task `b` alone holds adds
-//! its intermediate and splittable output bytes the same way. So one pass
+//! its intermediate, sharded and all-reduced output bytes the same way. So one pass
 //! over every part fixes each part's share of those terms, and a prefix
 //! walk reads only the rest: the *boundary rows*, the value rows of a
 //! part's tasks whose value is not interior to it, with every row of a
@@ -57,10 +57,10 @@ struct WalkedTask {
     task: TaskId,
     /// Held by several parts: a prefix counts it once, at its first part.
     cloned: bool,
-    /// Intermediate and splittable output bytes the walk adds: the task's
-    /// own when cloned, zero otherwise (they are in its part's fixed
-    /// statistics).
-    bytes: (usize, usize),
+    /// Output statistics the walk adds (intermediate, sharded and
+    /// all-reduced bytes): the task's own when cloned, zero otherwise
+    /// (they are in its part's fixed statistics).
+    outputs: SetStats,
     /// Its rows in [`BoundarySplit::rows`].
     rows: Range<u32>,
 }
@@ -154,11 +154,13 @@ impl Profiler<'_> {
             for t in part.iter() {
                 let c = &self.costs[t.index()];
                 let cloned = owner[t.index()] != i;
-                let inter = if c.scales { c.out_act_bytes } else { 0 };
-                let split_out = if c.compute_bound { inter } else { 0 };
+                let outputs = if c.scales {
+                    SetStats::of_outputs(c.out_act_bytes, c.split)
+                } else {
+                    SetStats::default()
+                };
                 if !cloned {
-                    fixed.inter_act_bytes += inter;
-                    fixed.split_out_bytes += split_out;
+                    fixed.add(&outputs);
                 }
                 let start = split.rows.len() as u32;
                 // a value interior to part i has every row in tasks i alone
@@ -191,7 +193,7 @@ impl Profiler<'_> {
                     split.tasks.push(WalkedTask {
                         task: t,
                         cloned,
-                        bytes: if cloned { (inter, split_out) } else { (0, 0) },
+                        outputs: if cloned { outputs } else { SetStats::default() },
                         rows,
                     });
                 }
@@ -273,8 +275,7 @@ impl BoundarySplit {
                     repeated.push(task.task); // an earlier part holds it
                     continue;
                 }
-                stats.inter_act_bytes += task.bytes.0;
-                stats.split_out_bytes += task.bytes.1;
+                stats.add(&task.outputs);
                 for row in &self.rows[task.rows.start as usize..task.rows.end as usize] {
                     let v = &self.values[row.value as usize];
                     let s = &mut state[row.value as usize];

@@ -4,8 +4,10 @@
 //! A partition plan plus a schedule fully determines the communication
 //! every rank performs in one iteration: stage-boundary activation
 //! sends/recvs (one per crossing value per micro-batch), the mirror
-//! gradient transfers on the backward pass, and one data-parallel
-//! gradient all-reduce per replicated stage. [`CommProgram::derive`]
+//! gradient transfers on the backward pass, on a tensor-parallel stage
+//! one all-reduce of its row-split matmul outputs per micro-batch and
+//! pass, and one data-parallel gradient all-reduce per replicated
+//! stage. [`CommProgram::derive`]
 //! materialises that program from the plan, the placement
 //! (`assignment[pipeline_replica][stage] = global ranks`, the
 //! contiguous convention of
@@ -34,9 +36,9 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::diag::{Code, Diagnostic, Location, Report};
-use crate::plan_checks::PlanView;
+use crate::plan_checks::{PlanView, StageView};
 use crate::schedule_checks::{PhaseKind, ScheduleModel};
-use rannc_graph::{TaskGraph, TaskSet, ValueId};
+use rannc_graph::{TaskGraph, TaskSet, TpSplit, ValueId};
 
 /// Identity of one point-to-point message: which stage boundary it
 /// crosses, which micro-batch, and which half of the pass.
@@ -102,7 +104,9 @@ pub enum CommOp {
     AllReduce {
         /// Index into [`CommProgram::groups`].
         group: usize,
-        /// Payload bytes.
+        /// FP32 payload bytes: a data-parallel group's gradient shard, or
+        /// one micro-batch's row-split matmul outputs on a
+        /// tensor-parallel group.
         bytes: usize,
     },
 }
@@ -222,9 +226,11 @@ impl CommProgram {
                 let outgoing: Vec<(&(usize, usize), &Vec<u32>)> =
                     pairs.iter().filter(|((i, _), _)| *i == s).collect();
                 let tp = tp_of(s);
-                // the TP activation all-reduce is priced at the stage's
-                // crossing bytes; the race checks only read membership
-                let act_bytes: usize = outgoing.iter().map(|(_, vs)| bytes_of(vs)).sum();
+                let act_bytes = if tp > 1 {
+                    tp_allreduce_payload(g, &plan.stages[s])
+                } else {
+                    0
+                };
                 for &(phase, m) in orders {
                     let me = slot(s, m);
                     match phase {
@@ -245,8 +251,8 @@ impl CommProgram {
                                 });
                             }
                             if tp > 1 {
-                                // the split ranks reduce their partial
-                                // outputs before the leader sends them on
+                                // the split ranks reduce the partial sums
+                                // of their row-split matmuls
                                 tp_allreduce(
                                     &mut programs,
                                     &mut groups,
@@ -289,8 +295,8 @@ impl CommProgram {
                                 });
                             }
                             if tp > 1 {
-                                // mirror of the forward: reduce the split
-                                // input gradients before sending upstream
+                                // mirror of the forward: reduce the input
+                                // gradients of the column-split matmuls
                                 tp_allreduce(
                                     &mut programs,
                                     &mut groups,
@@ -366,6 +372,26 @@ impl CommProgram {
             stage_of_rank,
         }
     }
+}
+
+/// FP32 bytes of one micro-batch's tensor-parallel all-reduce on
+/// `stage`, per pass: the outputs of its row-split matmuls (the graph's
+/// split rule, [`rannc_graph::split`]) for `micro_batch` samples — the
+/// volume the search prices through `Profiler::tp_allreduce_bytes`.
+/// Zero for a stage whose set does not fit the graph (RV021).
+fn tp_allreduce_payload(g: &TaskGraph, stage: &StageView<'_>) -> usize {
+    if stage.set.universe() != g.num_tasks() {
+        return 0;
+    }
+    let (index, non_constant) = (g.index(), g.index().non_constant());
+    let per_sample: usize = stage
+        .set
+        .iter()
+        .filter(|&t| non_constant[t.index()] && index.split(t) == TpSplit::Row)
+        .flat_map(|t| &g.task(t).outputs)
+        .map(|&v| g.value(v).size_bytes())
+        .sum();
+    per_sample * stage.micro_batch
 }
 
 /// Push one tensor-parallel activation all-reduce over the tp-wide
@@ -902,6 +928,51 @@ mod tests {
         assert!(r.is_clean(), "{}", r.render());
         let t = verify_tp_groups(&p, &view);
         assert!(t.is_clean(), "{}", t.render());
+    }
+
+    /// The program's TP all-reduces carry what the search prices: on
+    /// each stage of a 2-layer BERT split two ways at `T = 2`, every
+    /// micro-batch's forward and backward all-reduce moves exactly
+    /// `tp_allreduce_bytes` (at FP32, the program's unit).
+    #[test]
+    fn tp_allreduce_bytes_match_the_price() {
+        use rannc_models::{bert_graph, BertConfig};
+        use rannc_profile::{Profiler, ProfilerOptions};
+        let g = bert_graph(&BertConfig::tiny());
+        let sets = split_sets(&g);
+        let mut view = two_stage_view(&sets, 1);
+        view.stages.iter_mut().for_each(|s| s.tensor_parallel = 2);
+        let (mb, micro) = (4, view.stages[0].micro_batch);
+        let assignment = vec![vec![vec![0, 1], vec![2, 3]]];
+        let p = CommProgram::derive(&g, &view, &ScheduleModel::fill_drain(2, mb), &assignment);
+        let prof = Profiler::new(
+            &g,
+            rannc_hw::DeviceSpec::v100_32gb(),
+            ProfilerOptions::fp32(),
+        );
+        for (s, set) in sets.iter().enumerate() {
+            let want = prof.tp_allreduce_bytes(&prof.profiled(set), micro);
+            assert!(want > 0, "stage {s} holds a row-split matmul");
+            for (rank, prog) in p.programs.iter().enumerate() {
+                if p.stage_of_rank[rank] != Some(s) {
+                    continue;
+                }
+                let tp: Vec<usize> = prog
+                    .iter()
+                    .filter_map(|op| match op {
+                        CommOp::AllReduce { group, bytes }
+                            if p.groups[*group].tp_stage.is_some() =>
+                        {
+                            Some(*bytes)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                // one forward and one backward all-reduce per micro-batch
+                assert_eq!(tp, vec![want; 2 * mb], "stage {s}, rank {rank}");
+            }
+        }
+        assert!(verify_comm(&p).is_clean());
     }
 
     #[test]

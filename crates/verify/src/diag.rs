@@ -45,6 +45,11 @@ pub enum Code {
     InconsistentLinks,
     /// The graph declares no model outputs.
     NoModelOutputs,
+    /// The tensor-parallel split rule is inconsistent: a row-split
+    /// matmul reads no column- or head-split activation, or a split
+    /// tensor leaves its split region other than through a row-split
+    /// matmul (the layout would need a collective nobody prices).
+    TpSplitInconsistent,
     /// The plan has no stages.
     NoStages,
     /// A stage set's universe disagrees with the graph (or other stages).
@@ -109,7 +114,8 @@ pub enum Code {
     /// of one data-parallel replica, with every member issuing it.
     TpCollectiveMismatch,
     /// The T-scaled liveness-certified peak (parameter/optimizer state
-    /// sharded `1/T`, activations unsharded) of a tensor-parallel stage
+    /// and column- and head-split activations sharded `1/T`, every other
+    /// activation full-size) of a tensor-parallel stage
     /// exceeds the capacity of a device hosting it.
     TpCertifiedMemoryOverCapacity,
 }
@@ -126,6 +132,7 @@ impl Code {
             Code::MislabeledStatic => "RV006",
             Code::InconsistentLinks => "RV007",
             Code::NoModelOutputs => "RV008",
+            Code::TpSplitInconsistent => "RV009",
             Code::NoStages => "RV020",
             Code::UniverseMismatch => "RV021",
             Code::EmptyStage => "RV022",
@@ -359,6 +366,7 @@ mod tests {
             Code::MislabeledStatic,
             Code::InconsistentLinks,
             Code::NoModelOutputs,
+            Code::TpSplitInconsistent,
             Code::NoStages,
             Code::UniverseMismatch,
             Code::EmptyStage,

@@ -6,12 +6,13 @@
 //! can also arrive from deserialization or hand assembly, and `validate()`
 //! stops at the first problem. This pass re-checks everything, reports
 //! *all* findings, and adds the checks `validate()` lacks: dead tasks,
-//! producer/consumer back-link consistency, and the shape rules the
-//! builders in `rannc-graph::builder` enforce only at construction time.
+//! producer/consumer back-link consistency, the shape rules the
+//! builders in `rannc-graph::builder` enforce only at construction time,
+//! and the consistency of the tensor-parallel split rule.
 
 use crate::diag::{Code, Diagnostic, Location, Report};
 use rannc_graph::shape::{DType, Shape};
-use rannc_graph::{traverse, OpKind, Task, TaskGraph, TaskSet, ValueKind};
+use rannc_graph::{traverse, OpKind, Task, TaskGraph, TaskSet, TpSplit, ValueKind};
 
 /// Run every graph check and collect the findings.
 pub fn verify_graph(g: &TaskGraph) -> Report {
@@ -24,9 +25,71 @@ pub fn verify_graph(g: &TaskGraph) -> Report {
     check_outputs(g, &mut r);
     if acyclic {
         check_reachability(g, &mut r);
+        check_tp_splits(g, &mut r);
     }
     check_shapes(g, &mut r);
     r
+}
+
+/// RV009: the graph's tensor-parallel splits ([`rannc_graph::split`])
+/// form Megatron regions. Every row-split matmul reads a column- or
+/// head-split activation, and a split tensor leaves its region only
+/// through a row-split matmul: each consumer is one, or an untagged task
+/// that inherits a split, and no split tensor is a model output.
+/// Anything else would need a collective the cost model never prices.
+fn check_tp_splits(g: &TaskGraph, r: &mut Report) {
+    let index = g.index();
+    let carried = |v: rannc_graph::ValueId| {
+        g.value(v)
+            .producer
+            .map_or(TpSplit::Replicated, |p| index.split(p).carried())
+    };
+    for (t, task) in g.tasks() {
+        let split = index.split(t);
+        if split == TpSplit::Row && !task.inputs.iter().any(|&v| carried(v).shards_output()) {
+            r.push(Diagnostic::new(
+                Code::TpSplitInconsistent,
+                Location::Task(t.0),
+                format!(
+                    "row-split task `{}` reads no column- or head-split activation",
+                    task.name
+                ),
+            ));
+        }
+        if !split.shards_output() {
+            continue;
+        }
+        for &v in &task.outputs {
+            if g.outputs().contains(&v) {
+                r.push(Diagnostic::new(
+                    Code::TpSplitInconsistent,
+                    Location::Value(v.0),
+                    format!(
+                        "{split:?}-split output of `{}` is a model output",
+                        task.name
+                    ),
+                ));
+            }
+            for &c in &g.value(v).consumers {
+                let consumer = g.task(c);
+                let inherits = consumer.tp_tag.is_none() && index.split(c).shards_output();
+                if !inherits && index.split(c) != TpSplit::Row {
+                    r.push(Diagnostic::new(
+                        Code::TpSplitInconsistent,
+                        Location::Task(c.0),
+                        format!(
+                            "{:?}-split task `{}` reads the {split:?}-split output of `{}`: \
+                             a split tensor leaves its region other than through a \
+                             row-split matmul",
+                            index.split(c),
+                            consumer.name,
+                            task.name
+                        ),
+                    ));
+                }
+            }
+        }
+    }
 }
 
 /// RV001: every task input/output id must name an existing value, and
@@ -469,6 +532,66 @@ mod tests {
         g.mark_output(y);
         let r = verify_graph(&g);
         assert!(r.has_code(Code::ShapeRuleViolation), "{}", r.render());
+    }
+
+    fn model_zoo() -> Vec<TaskGraph> {
+        use rannc_models::*;
+        vec![
+            bert_graph(&BertConfig::tiny()),
+            gpt_graph(&GptConfig::tiny()),
+            t5_graph(&T5Config::tiny()),
+            mlp_graph(&MlpConfig::deep(32, 64, 4, 10)),
+            mlp_graph(&MlpConfig::deep(32, 64, 5, 10)),
+            resnet_graph(&ResNetConfig::tiny()),
+        ]
+    }
+
+    #[test]
+    fn every_builder_has_consistent_tp_splits() {
+        for g in model_zoo() {
+            let r = verify_graph(&g);
+            assert!(
+                !r.has_code(Code::TpSplitInconsistent),
+                "{}: {}",
+                g.name,
+                r.render()
+            );
+            let splits = g.task_ids().map(|t| g.index().split(t));
+            let rows = splits.filter(|&s| s == TpSplit::Row).count();
+            if g.name.starts_with("resnet") {
+                assert_eq!(rows, 0, "{}", g.name);
+            } else {
+                assert!(rows > 0, "{} has no row-split matmul", g.name);
+            }
+        }
+    }
+
+    #[test]
+    fn replicated_row_matmul_trips_rv009() {
+        for mut g in model_zoo() {
+            let Some(row) = g.task_ids().find(|&t| g.index().split(t) == TpSplit::Row) else {
+                continue; // ResNet: nothing to retag
+            };
+            g.set_tp_tag(row, Some(TpSplit::Replicated));
+            let r = verify_graph(&g);
+            assert!(r.has_code(Code::TpSplitInconsistent), "{}", g.name);
+            let d = r
+                .diagnostics
+                .iter()
+                .find(|d| d.code == Code::TpSplitInconsistent)
+                .unwrap();
+            assert_eq!(d.location, Location::Task(row.0), "{}: {d}", g.name);
+        }
+    }
+
+    #[test]
+    fn row_matmul_without_split_input_trips_rv009() {
+        let mut b = GraphBuilder::new("lonely-row");
+        let x = b.input("x", [4, 8], DType::F32);
+        let y = b.linear_row("r", x, 8, 8);
+        b.output(y);
+        let r = verify_graph(&b.finish());
+        assert!(r.has_code(Code::TpSplitInconsistent), "{}", r.render());
     }
 
     #[test]

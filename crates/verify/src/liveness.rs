@@ -16,7 +16,11 @@
 //!   `MB` for fill–drain, the remaining pipeline depth for 1F1B;
 //! * parameter/optimizer state and the device overhead reuse the
 //!   `rannc-profile` memory model verbatim, so the two formulas can be
-//!   cross-checked term by term.
+//!   cross-checked term by term;
+//! * on a tensor-parallel stage both read the graph's split rule
+//!   ([`rannc_graph::split`]): a column- or head-split task's outputs
+//!   count `1/T` on each shard, every other value full-size, so the
+//!   certificate never exceeds the estimate the search charged.
 //!
 //! Execution model certified against (documented in DESIGN.md §13): the
 //! stage's tasks run in topological order; backward visits them in
@@ -44,21 +48,24 @@ use rannc_profile::MemoryParams;
 /// certified peak is reported as RV101.
 pub const DIVERGENCE_TOLERANCE: f64 = 0.02;
 
-/// Per-sample liveness facts of one stage (all byte figures are FP32
-/// per-sample, exactly like the profiler's aggregates — precision and
-/// micro-batch scaling happen in [`certify_memory`]).
+/// Per-sample liveness facts of one stage on one shard of its
+/// tensor-parallel group (all byte figures are FP32 per-sample, exactly
+/// like the profiler's aggregates — precision and micro-batch scaling
+/// happen in [`certify_memory`]).
 #[derive(Debug, Clone)]
 pub struct StageLiveness {
     /// Deduplicated non-static ingress bytes (the checkpoint stash).
     pub ingress_bytes: usize,
-    /// Sum of all in-stage intermediate bytes (the profiler's figure).
+    /// Sum of all in-stage intermediate bytes, the sharded ones at `1/T`
+    /// (the profiler's figure).
     pub inter_bytes: usize,
     /// Maximum simultaneously-live intermediate bytes over the
     /// forward→backward program. Never exceeds `inter_bytes`.
     pub peak_live_bytes: usize,
 }
 
-/// Liveness of one stage's forward→backward program, in closed form.
+/// Liveness of one stage's forward→backward program on one shard of a
+/// `tp`-wide tensor-parallel group, in closed form.
 ///
 /// Program shape: the stage's tasks `t_0..t_{n-1}` forward in
 /// topological order, one boundary point (every value leaving the stage
@@ -69,12 +76,17 @@ pub struct StageLiveness {
 /// counted outputs of `t_0..t_i` in `U ∪ E` plus `t_i`'s own outputs;
 /// the boundary and backward points define nothing and read only
 /// `U ∪ E`, so each is a subset of the last forward one (DESIGN.md §13).
+/// A point's live bytes are its full-size values plus `1/tp` of its
+/// sharded ones (outputs of column- and head-split tasks), so at
+/// `tp = 1` every value counts whole.
 ///
-/// Reads the topological positions and the non-constant flags from the
-/// graph's index, so a call costs a walk of the stage only. Panics if the
-/// graph is cyclic.
-pub fn stage_liveness(g: &TaskGraph, set: &TaskSet) -> StageLiveness {
-    let (positions, non_constant) = (g.index().positions(), g.index().non_constant());
+/// Reads the topological positions, the non-constant flags and the
+/// splits from the graph's index, so a call costs a walk of the stage
+/// only. Panics if the graph is cyclic.
+pub fn stage_liveness(g: &TaskGraph, set: &TaskSet, tp: usize) -> StageLiveness {
+    let tp = tp.max(1);
+    let index = g.index();
+    let (positions, non_constant) = (index.positions(), index.non_constant());
     let mut tasks: Vec<_> = set.iter().collect();
     tasks.sort_by_key(|t| positions[t.index()]);
 
@@ -95,30 +107,41 @@ pub fn stage_liveness(g: &TaskGraph, set: &TaskSet) -> StageLiveness {
     }
 
     // Only outputs of scaling (non-constant) tasks are counted — the
-    // profiler's `out_act_bytes` sum term for term. `kept` holds the
-    // counted outputs so far that stay live past their forward point.
-    let (mut inter_bytes, mut kept, mut peak_live_bytes) = (0usize, 0usize, 0usize);
+    // profiler's `out_act_bytes` sum term for term. Every byte figure is a
+    // pair (full-size, sharded) until a point's bytes are read. `kept`
+    // holds the counted outputs so far that stay live past their forward
+    // point.
+    let per_shard = |(full, sharded): (usize, usize)| full + sharded / tp;
+    let (mut inter, mut kept, mut peak_live_bytes) = ((0usize, 0usize), (0usize, 0usize), 0usize);
     for &t in &tasks {
         if !non_constant[t.index()] {
             continue;
         }
-        let mut dead = 0usize;
+        let sharded = index.split(t).shards_output();
+        let mut dead = (0usize, 0usize);
         for &v in &g.task(t).outputs {
             let val = g.value(v);
             let escapes = val.consumers.iter().any(|c| !set.contains(*c));
+            let add = |acc: &mut (usize, usize)| {
+                if sharded {
+                    acc.1 += val.size_bytes();
+                } else {
+                    acc.0 += val.size_bytes();
+                }
+            };
             if read[v.index()] || escapes || g.outputs().contains(&v) {
-                kept += val.size_bytes();
+                add(&mut kept);
             } else {
-                dead += val.size_bytes();
+                add(&mut dead);
             }
-            inter_bytes += val.size_bytes();
+            add(&mut inter);
         }
-        peak_live_bytes = peak_live_bytes.max(kept + dead);
+        peak_live_bytes = peak_live_bytes.max(per_shard((kept.0 + dead.0, kept.1 + dead.1)));
     }
 
     StageLiveness {
         ingress_bytes,
-        inter_bytes,
+        inter_bytes: per_shard(inter),
         peak_live_bytes,
     }
 }
@@ -167,7 +190,7 @@ pub fn certify_memory(
             offset += width;
             continue; // RV021 already reported by verify_plan
         }
-        let lv = stage_liveness(g, s.set);
+        let lv = stage_liveness(g, s.set, s.tensor_parallel);
         let stash = schedule.stash_depth(i);
         let mem = MemoryParams {
             precision,
@@ -182,8 +205,9 @@ pub fn certify_memory(
             stash * (per_mb(lv.ingress_bytes) + per_mb(lv.peak_live_bytes))
         };
         // T-scaled certificate: each device of a tensor-parallel group
-        // holds a 1/T shard of the parameters and optimizer state but the
-        // full activations (the splits all-gather their outputs).
+        // holds a 1/T shard of the parameters and optimizer state and of
+        // the column- and head-split activations (in `lv`); every other
+        // activation is full-size, as in the profiler's formula.
         let shard_elems = s.param_elems / s.tensor_parallel.max(1);
         let certified =
             shard_elems * mem.state_bytes_per_param() + activations + DEVICE_OVERHEAD_BYTES;
@@ -210,11 +234,14 @@ pub fn certify_memory(
         if certified > capacity {
             // RV072 keeps tensor-parallel overflows distinguishable from
             // the unsplit RV100 case: the certificate already credits the
-            // 1/T parameter shard, so splitting further won't save it.
+            // 1/T parameter and split-activation shards.
             let (code, tp_note) = if s.tensor_parallel > 1 {
                 (
                     Code::TpCertifiedMemoryOverCapacity,
-                    format!(", params sharded 1/{}", s.tensor_parallel),
+                    format!(
+                        ", params and split activations sharded 1/{}",
+                        s.tensor_parallel
+                    ),
                 )
             } else {
                 (Code::CertifiedMemoryOverCapacity, String::new())
@@ -288,7 +315,7 @@ mod tests {
     #[test]
     fn chain_liveness_is_tighter_than_the_sum() {
         let g = chain(6);
-        let lv = stage_liveness(&g, &full_set(&g));
+        let lv = stage_liveness(&g, &full_set(&g), 1);
         assert!(lv.peak_live_bytes <= lv.inter_bytes);
         assert!(lv.peak_live_bytes > 0);
         // a relu chain keeps every activation alive for its backward
@@ -302,7 +329,7 @@ mod tests {
     fn split_stage_sees_partial_liveness() {
         let g = chain(6);
         let first = TaskSet::from_ids(g.num_tasks(), (0..3).map(TaskId));
-        let lv = stage_liveness(&g, &first);
+        let lv = stage_liveness(&g, &first, 1);
         // 3 intermediates produced, the last one escapes to stage 2
         assert_eq!(lv.inter_bytes, 3 * 64 * 4);
         // the model input is the only ingress
@@ -315,9 +342,20 @@ mod tests {
     /// backward `t_{n-1}..t_0` (each re-reads its task's non-static
     /// inputs). A value is live after point `p` iff it is defined at or
     /// before `p` and used after `p`; a forward point also holds its
-    /// task's own outputs. Returns the figures and the live-in set (the
-    /// values used before any definition).
-    fn reference(g: &TaskGraph, set: &TaskSet) -> (usize, usize, usize, BTreeSet<ValueId>) {
+    /// task's own outputs. Returns the ingress bytes, the intermediate
+    /// bytes and every point's live bytes, each of the last two as a
+    /// (full-size, sharded) pair by the producer's split, and the live-in
+    /// set (the values used before any definition).
+    #[allow(clippy::type_complexity)]
+    fn reference(
+        g: &TaskGraph,
+        set: &TaskSet,
+    ) -> (
+        usize,
+        (usize, usize),
+        Vec<(usize, usize)>,
+        BTreeSet<ValueId>,
+    ) {
         let (positions, non_constant) = (g.index().positions(), g.index().non_constant());
         let mut tasks: Vec<TaskId> = set.iter().collect();
         tasks.sort_by_key(|t| positions[t.index()]);
@@ -363,26 +401,31 @@ mod tests {
                 .is_some_and(|t| set.contains(t) && non_constant[t.index()])
         };
         let size = |v: ValueId| g.value(v).size_bytes();
+        let pair = |vs: &mut dyn Iterator<Item = ValueId>| {
+            vs.fold((0, 0), |(full, sharded), v| {
+                let p = g.value(v).producer.unwrap();
+                if g.index().split(p).shards_output() {
+                    (full, sharded + size(v))
+                } else {
+                    (full + size(v), sharded)
+                }
+            })
+        };
 
-        let mut peak_live_bytes = 0;
-        for (p, defined_here) in defs.iter().enumerate() {
-            let live: usize = values
-                .iter()
-                .filter(|&&v| counted(v))
-                .filter(|v| {
-                    let defined = def_at.get(v).is_some_and(|&d| d <= p);
-                    let used_after = last_use.get(v).is_some_and(|&u| u > p);
-                    (defined && used_after) || defined_here.contains(v)
-                })
-                .map(|&v| size(v))
-                .sum();
-            peak_live_bytes = peak_live_bytes.max(live);
-        }
-        let inter_bytes = def_at
-            .keys()
-            .filter(|&&v| counted(v))
-            .map(|&v| size(v))
-            .sum();
+        let live_bytes = defs
+            .iter()
+            .enumerate()
+            .map(|(p, defined_here)| {
+                pair(
+                    &mut values.iter().copied().filter(|&v| counted(v)).filter(|v| {
+                        let defined = def_at.get(v).is_some_and(|&d| d <= p);
+                        let used_after = last_use.get(v).is_some_and(|&u| u > p);
+                        (defined && used_after) || defined_here.contains(v)
+                    }),
+                )
+            })
+            .collect();
+        let inter_bytes = pair(&mut def_at.keys().copied().filter(|&v| counted(v)));
         let live_in: BTreeSet<ValueId> = first_use
             .iter()
             .filter(|(v, &u)| def_at.get(v).is_none_or(|&d| u <= d))
@@ -393,7 +436,7 @@ mod tests {
             .filter(|&&v| !g.value(v).producer.is_some_and(|t| set.contains(t)))
             .map(|&v| size(v))
             .sum();
-        (ingress_bytes, inter_bytes, peak_live_bytes, live_in)
+        (ingress_bytes, inter_bytes, live_bytes, live_in)
     }
 
     /// A branchy graph with what the model families lack: a model output
@@ -435,13 +478,20 @@ mod tests {
             .collect()
     }
 
+    /// The closed form equals the definition on one shard of every
+    /// tensor-parallel width: sharded values count `1/tp` at each point.
     fn assert_matches_reference(g: &TaskGraph, set: &TaskSet) {
-        let lv = stage_liveness(g, set);
-        let (ingress, inter, peak, live_in) = reference(g, set);
+        let (ingress, inter, live_bytes, live_in) = reference(g, set);
+        for tp in [1, 2, 8] {
+            let lv = stage_liveness(g, set, tp);
+            let per_shard = |(full, sharded): (usize, usize)| full + sharded / tp;
+            let peak = live_bytes.iter().map(|&b| per_shard(b)).max().unwrap_or(0);
+            let what = format!("{} stage of {} tasks at tp {tp}", g.name, set.len());
+            assert_eq!(lv.ingress_bytes, ingress, "ingress: {what}");
+            assert_eq!(lv.inter_bytes, per_shard(inter), "inter: {what}");
+            assert_eq!(lv.peak_live_bytes, peak, "peak: {what}");
+        }
         let what = format!("{} stage of {} tasks", g.name, set.len());
-        assert_eq!(lv.ingress_bytes, ingress, "ingress: {what}");
-        assert_eq!(lv.inter_bytes, inter, "inter: {what}");
-        assert_eq!(lv.peak_live_bytes, peak, "peak: {what}");
         // the per-value rule RV063 applies to forward transfers
         let entering: BTreeSet<ValueId> = g
             .values()
@@ -649,6 +699,85 @@ mod tests {
             "{}",
             r.render()
         );
+    }
+
+    /// The search never accepts a stage that certification rejects: on
+    /// contiguous BERT stages at `T ∈ {1, 2, 4, 8}`, both precisions and
+    /// both schedules, the certified peak never exceeds the search's
+    /// stage memory (`Profiler::profile_mem` at the schedule's
+    /// residency), so a device the estimate fits also fits the
+    /// certificate.
+    #[test]
+    fn search_memory_covers_the_certificate_at_every_tp() {
+        use rannc_profile::memory::Residency;
+        use rannc_profile::{Profiler, ProfilerOptions};
+        let g = bert_graph(&BertConfig::enlarged(256, 4));
+        let cluster = ClusterSpec::v100_cluster(4);
+        let (mb, micro) = (4, 2);
+        for opts in [ProfilerOptions::fp32(), ProfilerOptions::mixed()] {
+            let prof = Profiler::new(&g, cluster.device.clone(), opts);
+            for k in 1..=3 {
+                let sets = contiguous_stages(&g, k);
+                for tp in [1, 2, 4, 8] {
+                    for (schedule, residency) in [
+                        (
+                            ScheduleModel::fill_drain(k, mb),
+                            Residency::fill_drain(k, mb),
+                        ),
+                        (
+                            ScheduleModel::one_f_one_b(k, mb),
+                            Residency::one_f_one_b(k, mb),
+                        ),
+                    ] {
+                        let (inflight, ckpt) = (residency.inflight, residency.checkpointing);
+                        let stages = sets
+                            .iter()
+                            .map(|set| StageView {
+                                set,
+                                replicas: 1,
+                                tensor_parallel: tp,
+                                micro_batch: micro,
+                                fwd_time: 0.01,
+                                bwd_time: 0.02,
+                                mem_bytes: prof.profile_mem(
+                                    &prof.profiled(set),
+                                    micro,
+                                    inflight,
+                                    ckpt,
+                                    tp,
+                                ),
+                                param_elems: prof.profile_set(set, micro, 1, false).param_elems,
+                            })
+                            .collect();
+                        let view = PlanView {
+                            model: "bert",
+                            stages,
+                            microbatches: mb,
+                            replica_factor: 1,
+                            batch_size: micro * mb,
+                        };
+                        let (r, cert) =
+                            certify_memory(&g, &view, &cluster, &schedule, opts.precision, ckpt);
+                        for (i, c) in cert.iter().enumerate() {
+                            assert!(
+                                c.certified_bytes <= c.estimate_bytes,
+                                "{:?}, stage {i} of {k} at tp {tp}, stash {}: certified {} > \
+                                 estimate {}",
+                                opts.precision,
+                                c.stash_depth,
+                                c.certified_bytes,
+                                c.estimate_bytes
+                            );
+                        }
+                        assert!(
+                            !r.has_code(Code::MemoryEstimateDivergence),
+                            "{}",
+                            r.render()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

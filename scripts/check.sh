@@ -339,7 +339,18 @@ TP1_PLAN="$(./target/release/rannc-plan --model bert --hidden 1024 --layers 4 \
 if echo "$TP1_PLAN" | grep -q "tensor"; then
     echo "2D search (--tp-max 1) printed a tensor-parallel stage"; exit 1
 fi
-echo "    tensor-parallel smoke clean: T>1 chosen, deep verify passed, 2D unchanged"
+# The benchmark's tensor-parallel setting (bert64-tp8-certify): BERT
+# 2048x64 on 2x8 V100 at batch 8. With Megatron-layout pricing (only the
+# row-split matmul outputs are all-reduced; split tasks divide compute
+# and activations) the sweep must shard a stage at least 4 ways, and the
+# plan must pass the deep verifier.
+TP8_PLAN="$(./target/release/rannc-plan verify --model bert --hidden 2048 --layers 64 \
+    --nodes 2 --batch 8 --tp-max 8 --deep)" \
+    || { echo "bert64 --tp-max 8 deep verify FAILED"; exit 1; }
+if ! echo "$TP8_PLAN" | grep -qE "x([4-9]|[1-9][0-9]+) tensor"; then
+    echo "bert64 --tp-max 8 printed no stage with T >= 4"; exit 1
+fi
+echo "    tensor-parallel smoke clean: T>1 chosen, deep verify passed, 2D unchanged, bert64 T>=4"
 
 echo "==> planner-bench smoke (engine vs one-thread baseline, self-checked)"
 # --check exits nonzero on malformed JSON, a plan that differs from the
