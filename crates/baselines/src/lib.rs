@@ -4,7 +4,8 @@
 //!
 //! * **Megatron-LM** ([`mod@megatron`]) — manual *tensor* partitioning for
 //!   Transformer models only; no gradient accumulation; full-size result
-//!   buffers (the two properties behind its OOMs in Fig. 4).
+//!   buffers (the two properties behind its OOMs in Fig. 4). Its own
+//!   analytic model, not a point of the planner's space.
 //! * **GPipe-Hybrid** ([`gpipe`]) — manual *graph* partitioning at layer
 //!   granularity with hybrid parallelism: uniform layer counts per stage,
 //!   the same replica count for every stage, stage counts from
@@ -36,7 +37,7 @@ pub mod pipedream;
 pub use dataparallel::simulate_data_parallel;
 pub use gpipe::{gpipe_hybrid, gpipe_model};
 pub use layers::{layer_groups, LayerGroup};
-pub use megatron::{megatron, megatron_with, TransformerDims};
+pub use megatron::{megatron, TransformerDims};
 pub use pipedream::pipedream_2bw;
 
 use rannc_pipeline::SimResult;

@@ -145,7 +145,7 @@ pub fn run_no_coarsening(
 ) -> Cell {
     let atomic = atomic_partition(g);
     let deadline = Instant::now() + cfg.budget;
-    for tier in tier_grids(cluster, cfg.batch, 1) {
+    for tier in tier_grids(g, cluster, cfg.batch, 1) {
         for cells in tier.cells.chunk_by(|a, b| a.stages == b.stages) {
             let mut best: Option<f64> = None;
             for params in cells {

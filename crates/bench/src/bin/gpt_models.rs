@@ -43,7 +43,7 @@ fn main() {
             vec![
                 Cell::Throughput(g.param_count() as f64 / 1e9),
                 simulate_data_parallel(&g, &profiler, &cluster, batch).into(),
-                megatron(&dims, &cluster, batch, Precision::FP32).into(),
+                megatron(&dims, &profiler, &cluster, batch).into(),
                 gpipe_hybrid(&g, &profiler, &cluster, batch).into(),
                 pipedream_2bw(&g, &profiler, &cluster, batch).into(),
                 rannc_cell(

@@ -104,8 +104,8 @@ pub fn run_config(bert: &BertConfig, cluster: &ClusterSpec, cfg: &Fig4Config) ->
     };
     vec![
         simulate_data_parallel(&g, &prof32, cluster, cfg.batch).into(),
-        megatron(&dims, cluster, cfg.batch, Precision::FP32).into(),
-        megatron(&dims, cluster, cfg.batch, Precision::Mixed).into(),
+        megatron(&dims, &prof32, cluster, cfg.batch).into(),
+        megatron(&dims, &prof16, cluster, cfg.batch).into(),
         gpipe_hybrid(&g, &prof32, cluster, cfg.batch).into(),
         pipedream_2bw(&g, &prof32, cluster, cfg.batch).into(),
         rannc(&prof32, Precision::FP32),

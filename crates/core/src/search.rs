@@ -163,14 +163,16 @@ pub struct TierGrid {
 /// built when the iterator reaches it: `S ∈ (D_node·(n−1), D_node·n]`,
 /// `MB = 1, 2, 4, … ≤ ⌊BS/R⌋`, and innermost, ascending so that a tie
 /// resolves to the smallest degree, the `T ≤ tp_max` that divide `D`
-/// with `D/T ≥ S`; `tp_max = 1` is the paper's `(S, MB)` grid. The
-/// memory bound is the largest device's: it only pre-filters, and the
-/// binding per-group check is the slot table's.
-pub fn tier_grids(
-    cluster: &ClusterSpec,
+/// with `D/T ≥ S` and that `g` allows ([`rannc_graph::GraphIndex::allows_tp`]);
+/// `tp_max = 1` is the paper's `(S, MB)` grid. The memory bound is the
+/// largest device's: it only pre-filters, and the binding per-group check
+/// is the slot table's.
+pub fn tier_grids<'a>(
+    g: &'a TaskGraph,
+    cluster: &'a ClusterSpec,
     batch_size: usize,
     tp_max: usize,
-) -> impl Iterator<Item = TierGrid> + '_ {
+) -> impl Iterator<Item = TierGrid> + 'a {
     let d_node = cluster.node.devices;
     let mem_limit = cluster.max_memory_bytes();
     std::iter::successors(Some(1usize), |n| Some(n * 2))
@@ -183,7 +185,7 @@ pub fn tier_grids(
                 let mut mb = 1usize;
                 while mb <= batch_size / r {
                     for t in 1..=tp_max.max(1) {
-                        if !d.is_multiple_of(t) || d / t < s {
+                        if !d.is_multiple_of(t) || d / t < s || !g.index().allows_tp(t) {
                             continue;
                         }
                         cells.push(DpParams {
@@ -277,7 +279,7 @@ pub fn scan_first_feasible_tier(
 
     let arenas = ArenaPool::default();
 
-    for tier in tier_grids(cluster, batch_size, opts.tp_max) {
+    for tier in tier_grids(g, cluster, batch_size, opts.tp_max) {
         let (n, d, r, grid) = (tier.nodes, tier.devices, tier.replica_factor, tier.cells);
         stats.node_tiers += 1;
         rannc_obs::recorder::tier(n, d, r);

@@ -13,8 +13,8 @@ mod support;
 
 use proptest::prelude::*;
 use rannc_core::{
-    atomic_partition, block_partition, form_stage_dp, form_stage_with, BlockLimits, DpArena, DpCtx,
-    DpParams, DpSolution, RangeTable, SearchOptions, SlotTable,
+    atomic_partition, block_partition, form_stage_dp, form_stage_with, scan_first_feasible_tier,
+    BlockLimits, DpArena, DpCtx, DpParams, DpSolution, RangeTable, SearchOptions, SlotTable,
 };
 use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, DeviceRank, DeviceSpec};
@@ -23,7 +23,7 @@ use rannc_models::{
 };
 use rannc_obs::trace::{self, ArgVal};
 use rannc_profile::{Profiler, ProfilerOptions};
-use support::{exhaustive_search, form_stage_dp_hashmap, tier_grid, Walk};
+use support::{exhaustive_cells, exhaustive_search, form_stage_dp_hashmap, tier_grid, Walk};
 
 fn graphs() -> impl Strategy<Value = TaskGraph> {
     prop_oneof![
@@ -271,6 +271,36 @@ proptest! {
     }
 }
 
+/// Tensor parallelism splits attention heads, so a degree must divide
+/// the head count: on BERT 128×4 (2 heads) on one 8-GPU node with
+/// `tp_max = 4`, neither the engine's scan nor the reference grid offers
+/// `T = 4`, although it divides the node's devices.
+#[test]
+fn scan_skips_degrees_the_head_count_forbids() {
+    let g = bert_graph(&BertConfig::enlarged(128, 4));
+    let cluster = ClusterSpec::v100_cluster(1);
+    let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+    let blocks = blocks_of(&g, 8);
+    let (batch_size, tp_max) = (32, 4);
+    let opts = SearchOptions { threads: 1, tp_max };
+    let (scan, _) = scan_first_feasible_tier(&g, &profiler, &blocks, &cluster, batch_size, &opts);
+    let mut degrees: Vec<usize> = scan
+        .expect("BERT 128x4 fits one node")
+        .cells
+        .iter()
+        .map(|c| c.params.tp)
+        .collect();
+    degrees.sort_unstable();
+    degrees.dedup();
+    assert_eq!(degrees, [1, 2]);
+    let reference = exhaustive_cells(&g, &profiler, &blocks, &cluster, batch_size, tp_max);
+    for tier in reference {
+        for (p, _) in tier.cells {
+            assert_ne!(p.tp, 4, "S={} MB={}", p.stages, p.microbatches);
+        }
+    }
+}
+
 /// The integer argument `key` of a trace event.
 fn arg(args: &[(&str, ArgVal)], key: &str) -> usize {
     args.iter()
@@ -333,10 +363,17 @@ fn dp_spans_count_visits_and_evals() {
 
     let mut skipped = Walk::default();
     for &[n, s, mb, t, visits, _] in &runs[0] {
-        let p = tier_grid(&cluster, n, batch_size, tp_max, cluster.max_memory_bytes())
-            .into_iter()
-            .find(|p| (p.stages, p.microbatches, p.tp) == (s, mb, t))
-            .expect("span of a grid cell");
+        let p = tier_grid(
+            &g,
+            &cluster,
+            n,
+            batch_size,
+            tp_max,
+            cluster.max_memory_bytes(),
+        )
+        .into_iter()
+        .find(|p| (p.stages, p.microbatches, p.tp) == (s, mb, t))
+        .expect("span of a grid cell");
         let d = n * cluster.node.devices;
         let precision = profiler.options().precision;
         let slots = SlotTable::build(&cluster, d, p.replica_factor, profiler.device(), precision);
@@ -387,7 +424,7 @@ fn pooled_parity(
         let d = n * cluster.node.devices;
         let r = (cluster.nodes / n).max(1);
         let slots = SlotTable::build(cluster, d, r, profiler.device(), precision);
-        for p in tier_grid(cluster, n, batch_size, tp_max, mem_limit) {
+        for p in tier_grid(g, cluster, n, batch_size, tp_max, mem_limit) {
             let ctx = DpCtx::new(&profiler, &ranges, cluster, &slots, &p);
             let fast = form_stage_dp(&ctx, &mut arena);
             let (reference, _) = form_stage_dp_hashmap(&ctx);

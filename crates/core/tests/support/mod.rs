@@ -221,7 +221,7 @@ pub fn exhaustive_cells(
         let d = d_node * n;
         let r = (cluster.nodes / n).max(1);
         let slots = SlotTable::build(cluster, d, r, cost.device(), cost.options().precision);
-        let cells: Vec<_> = tier_grid(cluster, n, batch_size, tp_max, mem_limit)
+        let cells: Vec<_> = tier_grid(g, cluster, n, batch_size, tp_max, mem_limit)
             .into_iter()
             .map(|p| {
                 let ctx = DpCtx::new(cost, &ranges, cluster, &slots, &p);
@@ -241,8 +241,9 @@ pub fn exhaustive_cells(
 
 /// The `(S, MB, T)` cells of node tier `n` (nodes per pipeline replica)
 /// in Algorithm 2's grid order: `S` ascending, then `MB`, then `T` over
-/// the divisors of the tier's device budget.
+/// the divisors of the tier's device budget that `g`'s split rule allows.
 pub fn tier_grid(
+    g: &TaskGraph,
     cluster: &ClusterSpec,
     n: usize,
     batch_size: usize,
@@ -257,7 +258,7 @@ pub fn tier_grid(
         let mut mb = 1usize;
         while mb <= batch_size / r {
             for t in 1..=tp_max.max(1) {
-                if !d.is_multiple_of(t) || d / t < s {
+                if !d.is_multiple_of(t) || d / t < s || !g.index().allows_tp(t) {
                     continue;
                 }
                 grid.push(DpParams {

@@ -26,13 +26,11 @@ mod calibration;
 mod iteration;
 mod migration;
 mod model;
-pub mod tensor;
 
 pub use calibration::{Calibration, CalibrationError, CALIBRATION_VERSION};
 pub use iteration::{sync_iteration_time, sync_pipeline_iteration, IterationTail, StageGrads};
 pub use migration::{MigrationCost, MigrationModel};
 pub use model::{CalibratedCost, CostModel, CostModelSpec};
-pub use tensor::{megatron_partition, TransformerDims};
 
 use rannc_hw::{ClusterSpec, DeviceSpec};
 

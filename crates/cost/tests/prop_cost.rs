@@ -304,12 +304,12 @@ proptest! {
         });
     }
 
-    /// The Megatron split math itself: raw per-shard compute (before the
-    /// folded activation all-reduce) is nonincreasing in `T`; the stage
-    /// cost charges the all-reduce symmetrically to forward and backward;
-    /// and the per-micro-batch all-reduce volume (the row-split matmul
-    /// outputs, `tp_megatron_parity.rs` pins it to Megatron's) is
-    /// nondecreasing in the micro-batch size.
+    /// The tensor-parallel split math itself: raw per-shard compute
+    /// (before the folded activation all-reduce) is nonincreasing in `T`;
+    /// the stage cost charges the all-reduce symmetrically to forward and
+    /// backward; and the per-micro-batch all-reduce volume (the row-split
+    /// matmul outputs, pinned to Megatron's by the Megatron baseline's
+    /// tests) is nondecreasing in the micro-batch size.
     #[test]
     fn tp_split_compute_and_allreduce_laws(
         mb1 in 1usize..17,

@@ -33,6 +33,8 @@ pub struct GraphIndex {
     non_constant: Vec<bool>,
     /// `split[t]`: `t`'s tensor-parallel split.
     split: Vec<TpSplit>,
+    /// The gcd of every split dimension (`split::split_gcd`).
+    split_gcd: usize,
 }
 
 impl GraphIndex {
@@ -120,6 +122,7 @@ impl GraphIndex {
         }
 
         let split = split::derive(g, &order);
+        let split_gcd = split::split_gcd(g, &split);
         GraphIndex {
             order,
             pos,
@@ -129,6 +132,7 @@ impl GraphIndex {
             pred_list,
             non_constant,
             split,
+            split_gcd,
         }
     }
 
@@ -185,5 +189,11 @@ impl GraphIndex {
     #[inline]
     pub fn split(&self, t: TaskId) -> TpSplit {
         self.split[t.index()]
+    }
+
+    /// Whether tensor-parallel degree `t` divides every split dimension
+    /// of the graph ([`crate::split`]); true for any `t` if none is split.
+    pub fn allows_tp(&self, t: usize) -> bool {
+        self.split_gcd.is_multiple_of(t)
     }
 }

@@ -27,6 +27,10 @@
 //! all-reduce is a tensor-parallel stage's only collective: one per
 //! row-split matmul per pass.
 //!
+//! A degree `T` is legal only if it divides every split dimension (the
+//! last of a column-split output, the first of a head-split one: Tofu's
+//! divisibility condition), so on a transformer it divides the heads.
+//!
 //! [`TaskGraph::index`](crate::TaskGraph::index) runs [`derive`] once per
 //! graph; every reader (the profiler's time, memory and all-reduce
 //! terms, the verifier's certified memory, communication program and
@@ -94,6 +98,26 @@ pub(crate) fn derive(g: &TaskGraph, order: &[TaskId]) -> Vec<TpSplit> {
     split
 }
 
+/// The gcd of `g`'s split dimensions under `split` (module docs): `T` is
+/// legal iff it divides it. `0` when nothing is split: every `T` is.
+pub(crate) fn split_gcd(g: &TaskGraph, split: &[TpSplit]) -> usize {
+    let mut acc = 0;
+    for t in g.task_ids() {
+        let dim = match split[t.index()] {
+            TpSplit::Column => <[usize]>::last,
+            TpSplit::Head => <[usize]>::first,
+            TpSplit::Replicated | TpSplit::Row => continue,
+        };
+        for &v in &g.task(t).outputs {
+            let mut d = dim(g.value(v).shape.dims()).map_or(0, |&d| d);
+            while d != 0 {
+                (acc, d) = (d, acc % d);
+            }
+        }
+    }
+    acc
+}
+
 /// The split an untagged, non-matmul task inherits from its
 /// task-produced inputs.
 fn inherited(g: &TaskGraph, t: TaskId, split: &[TpSplit]) -> TpSplit {
@@ -159,6 +183,19 @@ mod tests {
         let mm = g.task(row).inputs[0];
         assert_eq!(split(mm), TpSplit::Row);
         assert_eq!(split(y), TpSplit::Replicated);
+        // the legal degrees divide both the 4 heads and the hidden 16
+        assert!([1, 2, 4].into_iter().all(|t| g.index().allows_tp(t)));
+        assert!(![3, 8].into_iter().any(|t| g.index().allows_tp(t)));
+    }
+
+    #[test]
+    fn unsplit_graph_allows_every_degree() {
+        let mut b = GraphBuilder::new("plain");
+        let x = b.input("x", [4, 6], DType::F32);
+        let r = b.linear("r", x, 6, 6);
+        b.output(r);
+        let g = b.finish();
+        assert!((1..=16).all(|t| g.index().allows_tp(t)));
     }
 
     #[test]

@@ -105,9 +105,10 @@ pub enum Code {
     /// The profiler's memory estimate diverges from the certified peak
     /// beyond tolerance (the plan was priced with an unreliable number).
     MemoryEstimateDivergence,
-    /// A stage's tensor-parallel degree is zero (error), or its tp-wide
-    /// device groups straddle node boundaries unevenly (warning: the
-    /// uniform intra/inter-node collective pricing is unreliable there).
+    /// A stage's tensor-parallel degree is zero or leaves a split
+    /// dimension of the graph indivisible (error), or its tp-wide device
+    /// groups straddle node boundaries unevenly (warning: the uniform
+    /// intra/inter-node collective pricing is unreliable there).
     TpSlotWidth,
     /// A tensor-parallel collective's membership contradicts the slot
     /// convention: the group must be exactly the `tp` contiguous ranks

@@ -85,7 +85,7 @@ pub fn verify_plan(g: &TaskGraph, plan: &PlanView<'_>, cluster: &ClusterSpec) ->
     }
     check_memory(plan, cluster, &mut r);
     check_devices(plan, cluster, &mut r);
-    check_tensor_parallel(plan, cluster, &mut r);
+    check_tensor_parallel(g, plan, cluster, &mut r);
     r
 }
 
@@ -498,19 +498,29 @@ fn check_devices(plan: &PlanView<'_>, cluster: &ClusterSpec, r: &mut Report) {
     }
 }
 
-/// RV070 (alignment half; the zero-degree half lives in [`check_counts`]):
-/// a tensor-parallel group prices its activation all-reduces with the
-/// cluster's uniform link model, which is only trustworthy when the
+/// RV070 (the zero-degree half lives in [`check_counts`]): a degree the
+/// split rule forbids ([`rannc_graph::GraphIndex::allows_tp`]) is an
+/// error. A tensor-parallel group prices its activation all-reduces with
+/// the cluster's uniform link model, which is only trustworthy when the
 /// `tp`-wide groups nest inside nodes (`node_devices % tp == 0`) or tile
 /// whole nodes (`tp % node_devices == 0`). Anything else straddles the
 /// node boundary unevenly — a warning, not an error: the plan runs, but
 /// its pricing is suspect.
-fn check_tensor_parallel(plan: &PlanView<'_>, cluster: &ClusterSpec, r: &mut Report) {
+fn check_tensor_parallel(
+    g: &TaskGraph,
+    plan: &PlanView<'_>,
+    cluster: &ClusterSpec,
+    r: &mut Report,
+) {
     let node_devices = cluster.node.devices;
     for (i, s) in plan.stages.iter().enumerate() {
         let tp = s.tensor_parallel;
         if tp <= 1 {
             continue; // unsplit stages have no TP groups to align
+        }
+        if !g.index().allows_tp(tp) {
+            let msg = format!("degree {tp} leaves a split dimension (e.g. the heads) indivisible");
+            r.push(Diagnostic::new(Code::TpSlotWidth, Location::Stage(i), msg));
         }
         if node_devices > 0 && !node_devices.is_multiple_of(tp) && !tp.is_multiple_of(node_devices)
         {
@@ -768,7 +778,8 @@ mod tests {
         assert_eq!(d.severity, crate::diag::Severity::Warning, "{d}");
 
         // tp = 4 nests inside an 8-device node; tp = 16 tiles two nodes:
-        // both are aligned and clean of RV070
+        // both are aligned and clean of RV070 (the chain has no split
+        // tasks, so its split rule allows every degree)
         for tp in [4usize, 16] {
             let p = Owned::two_stage(&g);
             let mut view = p.view();

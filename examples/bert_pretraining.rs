@@ -47,12 +47,7 @@ fn main() {
             }
             _ => "OOM".into(),
         };
-        let mega = match megatron(
-            &TransformerDims::from(&cfg),
-            &cluster,
-            batch,
-            Precision::FP32,
-        ) {
+        let mega = match megatron(&TransformerDims::from(&cfg), &profiler, &cluster, batch) {
             BaselineOutcome::Feasible { result, .. } => {
                 largest[1].1 = largest[1].1.max(params);
                 format!("{:.1}/s", result.throughput)

@@ -48,23 +48,21 @@ if grep -rn --include='*.rs' "ring_allreduce_time" crates tests examples \
     echo "FAILED: ring_allreduce_time referenced outside rannc-hw/rannc-cost"
     exit 1
 fi
-# the Megatron column/row-parallel split formulas have exactly one owner
-# (rannc-cost's tensor module); the Megatron baseline may sweep
-# megatron_partition but must never reimplement the math. The baseline's
-# test module keeps one sanctioned verbatim copy — the parity test that
-# pins the moved formulas bit-identical to the pre-move owner.
+# Megatron's analytic model (its allocator headroom and its per-degree
+# evaluation) lives in the Megatron baseline alone: nothing else may
+# reference or restate it.
 if grep -rn --include='*.rs' "ALLOCATOR_OVERHEAD" crates tests examples \
-    | grep -v '^crates/cost/' | grep -v '^crates/baselines/src/megatron.rs'; then
-    echo "FAILED: Megatron split math referenced outside rannc-cost"
+    | grep -v '^crates/baselines/src/megatron.rs:'; then
+    echo "FAILED: Megatron's ALLOCATOR_OVERHEAD referenced outside the Megatron baseline"
     exit 1
 fi
 if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
-    | grep -v '^crates/cost/' | grep -v '^crates/baselines/src/megatron.rs'; then
-    echo "FAILED: megatron_partition called outside rannc-cost / the Megatron baseline"
+    | grep -v '^crates/baselines/src/megatron.rs:'; then
+    echo "FAILED: megatron_partition referenced outside the Megatron baseline"
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, baselines as plans, no deleted search, memo or fixpoint machinery)"
+echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, baselines as plans, Megatron in its baseline, no deleted search, memo or fixpoint machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -231,6 +229,25 @@ fi
 if echo "$NONTEST_SRC" | grep -E 'stages > 1|stages\.len\(\) > 1|s_max > 1' \
     | grep -v '^crates/profile/src/memory.rs:'; then
     echo "FAILED: a checkpoint literal outside the residency rule (rannc_profile::memory)"
+    exit 1
+fi
+
+# Megatron is a baseline, not a cost-model owner: its analytic model lives
+# in crates/baselines/src/megatron.rs behind one entry point priced
+# through the caller's cost model. rannc-cost's tensor module and the
+# second entry point stay deleted, and rannc-cost depends on rannc-models
+# only in its tests.
+if [ -e crates/cost/src/tensor.rs ]; then
+    echo "FAILED: crates/cost/src/tensor.rs is back"
+    exit 1
+fi
+if grep -rn --include='*.rs' "megatron_with" crates tests examples; then
+    echo "FAILED: the second Megatron entry point (megatron_with) is back"
+    exit 1
+fi
+if awk '/^\[/ { section = $0 } section == "[dependencies]" && /rannc-models/' \
+    crates/cost/Cargo.toml | grep .; then
+    echo "FAILED: rannc-cost depends on rannc-models outside [dev-dependencies]"
     exit 1
 fi
 

@@ -29,12 +29,13 @@ fn rannc_trains_larger_models_than_megatron() {
     let cluster = ClusterSpec::v100_cluster(4);
     // Megatron-LM fails on a ~4.1B model...
     let big = BertConfig::enlarged(1536, 144);
+    let g = bert_graph(&big);
+    let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
     assert!(matches!(
-        megatron(&TransformerDims::from(&big), &cluster, 256, Precision::FP32),
+        megatron(&TransformerDims::from(&big), &profiler, &cluster, 256),
         BaselineOutcome::OutOfMemory
     ));
     // ...while RaNNC partitions it fine.
-    let g = bert_graph(&big);
     assert!(
         Rannc::new(PartitionConfig::new(256).with_k(32))
             .partition(&g, &cluster)

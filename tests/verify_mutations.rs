@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rannc::prelude::*;
 use rannc::verify::{
     verify_graph, verify_plan, verify_plan_structure, verify_schedule, Code, CollectiveGroup,
-    CommOp, CommProgram, MsgTag, PhaseKind, Report, ScheduleModel,
+    CommOp, CommProgram, MsgTag, PhaseKind, Report, ScheduleModel, Severity,
 };
 
 /// A genuinely multi-stage plan: a deep MLP on a memory-constrained
@@ -145,6 +145,28 @@ fn structural_subset_catches_decode_visible_mutations() {
     plan.replica_factor = 0;
     let report = verify_plan_structure(&plan.view());
     assert_code(&report, Code::DegenerateCounts, "zero replica_factor");
+}
+
+#[test]
+fn mutation_degree_beyond_head_count_is_rv070() {
+    // BERT 128x4 has 2 attention heads: T = 4 cannot split them
+    let g = bert_graph(&BertConfig::enlarged(128, 4));
+    let cluster = ClusterSpec::v100_cluster(1);
+    let mut plan = Rannc::new(PartitionConfig::new(32).with_k(8).with_tp_max(4))
+        .partition(&g, &cluster)
+        .unwrap();
+    let clean = verify_plan(&g, &plan.view(), &cluster);
+    assert!(!clean.has_code(Code::TpSlotWidth), "{}", clean.render());
+    plan.stages[0].tensor_parallel = 4;
+    let report = verify_plan(&g, &plan.view(), &cluster);
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == Code::TpSlotWidth && d.severity == Severity::Error),
+        "T = 4 on 2 heads should be an RV070 error, got:\n{}",
+        report.render()
+    );
 }
 
 // ---- graph mutations ------------------------------------------------
