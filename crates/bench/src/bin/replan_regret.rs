@@ -1,8 +1,9 @@
 //! Regret of warm replans under cluster churn.
 //!
-//! `Rannc::repartition` warm-starts from the old plan's stages, so a warm
-//! answer can only merge old stages: it cannot raise the stage count or
-//! move a cut inside an old stage. A cold `partition` on the same
+//! `Rannc::repartition` warm-starts from the old plan's stages, so its
+//! scan can only merge old stages and cannot raise the stage count; the
+//! stage-cut refinement then moves the winner's cuts inside old stages
+//! at the same stage count. A cold `partition` on the same
 //! cluster is a point in the planner's own search space. This harness
 //! replays a churn trace, adopts each warm replan as a churning
 //! deployment would, and simulates it against a cold plan of the same

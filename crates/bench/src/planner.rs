@@ -209,6 +209,9 @@ impl BenchReport {
     }
 }
 
+/// Whether two plans agree: value by bit pattern, and every stage by task
+/// set, block range (a refined stage's index in the refined list), device
+/// count, micro-batch and tensor-parallel degree.
 fn solutions_identical(a: &Option<DpSolution>, b: &Option<DpSolution>) -> bool {
     match (a, b) {
         (None, None) => true,
@@ -218,7 +221,8 @@ fn solutions_identical(a: &Option<DpSolution>, b: &Option<DpSolution>) -> bool {
                 && a.replica_factor == b.replica_factor
                 && a.stages.len() == b.stages.len()
                 && a.stages.iter().zip(&b.stages).all(|(x, y)| {
-                    x.block_range == y.block_range
+                    x.set == y.set
+                        && x.block_range == y.block_range
                         && x.devices == y.devices
                         && x.micro_batch == y.micro_batch
                         && x.tensor_parallel == y.tensor_parallel

@@ -68,6 +68,10 @@ pub struct DpStage {
     /// Tasks of the stage (union of its blocks).
     pub set: TaskSet,
     /// Half-open block range `[from, to)` into the input block list.
+    /// Algorithm 2's refined stages ([`crate::refine`]) are cut inside
+    /// blocks and priced as blocks of their own, so for them the range is
+    /// `(i, i + 1)`, the stage's index `i` in the refined list, and the
+    /// stage's `set` says which tasks it holds.
     pub block_range: (usize, usize),
     /// Devices allocated to the stage within one pipeline replica
     /// (= the stage's data-parallel replica count, in tensor-parallel

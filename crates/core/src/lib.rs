@@ -13,9 +13,10 @@
 //! 2. **Block-level** ([`blocks`], [`coarsen`], [`uncoarsen`],
 //!    [`compact`]): group atoms into `k` balanced, convex,
 //!    memory-feasible blocks with a multilevel scheme.
-//! 3. **Stage-level** ([`dp`], [`search`]): Algorithm 1's dynamic program
-//!    over block sequences and device counts, driven by Algorithm 2's
-//!    node/stage/micro-batch search.
+//! 3. **Stage-level** ([`dp`], [`search`], [`refine`]): Algorithm 1's
+//!    dynamic program over block sequences and device counts, driven by
+//!    Algorithm 2's node/stage/micro-batch search, whose winner's stage
+//!    cuts are then refined at atom granularity.
 //!
 //! ```
 //! use rannc_core::{Rannc, PartitionConfig};
@@ -40,6 +41,7 @@ pub mod par;
 pub mod placement;
 pub mod plan;
 pub mod plan_io;
+pub mod refine;
 pub mod replan;
 pub mod search;
 pub mod stagecache;

@@ -10,7 +10,8 @@
 //! first tier with any feasible cell wins; of its cells the one with the
 //! lowest [`score_solution`] is returned, the first minimum in grid order.
 //! [`scan_first_feasible_tier`] returns that whole tier, scored, and
-//! [`form_stage_with`] its winner.
+//! [`form_stage_with`] its winner, with its stage cuts refined at atom
+//! granularity when that scores strictly lower ([`crate::refine`]).
 //!
 //! Aligning `D` to whole nodes keeps inter-stage traffic on NVLink, which
 //! is also why Algorithm 1 plans with the intra-node link (footnote 3).
@@ -35,16 +36,19 @@
 //! `Iterator::min_by` applies in a sequential scan. The set of DPs that
 //! run, and so every search counter, does not depend on the thread
 //! schedule. The `determinism` integration suite pins this contract
-//! against such a scan.
+//! against such a scan, and the refined plan against the test-support
+//! refinement of that scan's winner.
 
 use crate::blocks::Block;
 use crate::dp::{form_stage_dp, DpArena, DpParams, DpSolution};
 use crate::par;
 use crate::placement::SlotTable;
+use crate::refine;
 use crate::stagecache::{DpCtx, RangeTable};
 use rannc_cost::{sync_iteration_time, CostModel, IterationTail, StageGrads};
 use rannc_graph::TaskGraph;
 use rannc_hw::ClusterSpec;
+use rannc_obs::recorder::RefineRec;
 use rannc_profile::CacheStats;
 use std::sync::Mutex;
 
@@ -245,6 +249,19 @@ pub fn scan_first_feasible_tier(
     batch_size: usize,
     opts: &SearchOptions,
 ) -> (Option<TierScan>, SearchStats) {
+    let (scan, stats, _) = scan(g, cost, blocks, cluster, batch_size, opts);
+    (scan, stats)
+}
+
+/// [`scan_first_feasible_tier`], with the range table it built.
+fn scan(
+    g: &TaskGraph,
+    cost: &dyn CostModel,
+    blocks: &[Block],
+    cluster: &ClusterSpec,
+    batch_size: usize,
+    opts: &SearchOptions,
+) -> (Option<TierScan>, SearchStats, RangeTable) {
     debug_assert_eq!(
         g.num_tasks(),
         cost.graph().num_tasks(),
@@ -381,14 +398,15 @@ pub fn scan_first_feasible_tier(
                 cells,
                 winner,
             };
-            return (Some(scan), finish(stats, &arenas));
+            return (Some(scan), finish(stats, &arenas), ranges);
         }
     }
-    (None, finish(stats, &arenas))
+    (None, finish(stats, &arenas), ranges)
 }
 
 /// Algorithm 2's best feasible solution: the winner of
-/// [`scan_first_feasible_tier`], or `None` (INFEASIBLE).
+/// [`scan_first_feasible_tier`] after its stage-cut refinement, or `None`
+/// (INFEASIBLE).
 pub fn form_stage_with(
     g: &TaskGraph,
     cost: &dyn CostModel,
@@ -397,9 +415,63 @@ pub fn form_stage_with(
     batch_size: usize,
     opts: &SearchOptions,
 ) -> (Option<DpSolution>, SearchStats) {
-    let (scan, stats) = scan_first_feasible_tier(g, cost, blocks, cluster, batch_size, opts);
-    let winner = scan.map(|mut t| t.cells.swap_remove(t.winner).scored.expect("feasible").1);
+    let (scan, stats, ranges) = scan(g, cost, blocks, cluster, batch_size, opts);
+    let winner = scan.map(|mut t| {
+        let ScanCell { params, scored } = t.cells.swap_remove(t.winner);
+        let (score, sol) = scored.expect("feasible");
+        refine_winner(cost, &ranges, cluster, &params, score, sol)
+    });
     (winner, stats)
+}
+
+/// Algorithm 2's last step: the winner's stages re-cut at atom
+/// granularity ([`refine::refined_stages`]), priced exactly by one
+/// Algorithm 1 run at the winner's parameters on the tier's placement
+/// table, and kept only if their [`score_solution`] is strictly lower
+/// than the winner's `score`.
+fn refine_winner(
+    cost: &dyn CostModel,
+    ranges: &RangeTable,
+    cluster: &ClusterSpec,
+    p: &DpParams,
+    score: f64,
+    winner: DpSolution,
+) -> DpSolution {
+    let span = rannc_obs::trace::span("refine", "planner").arg_f("bottleneck", winner.value);
+    let precision = cost.options().precision;
+    let slots = SlotTable::build(
+        cluster,
+        p.devices * p.tp,
+        p.replica_factor,
+        cost.device(),
+        precision,
+    );
+    let Some(sets) = refine::refined_stages(cost, ranges, &slots, &winner) else {
+        let _s = span.arg_i("accepted", 0);
+        return winner;
+    };
+    let chain = RangeTable::chain(cost, sets);
+    let ctx = DpCtx::new(cost, &chain, cluster, &slots, p);
+    let refined = form_stage_dp(&ctx, &mut DpArena::new())
+        .map(|sol| (score_solution(&sol, cluster, cost), sol));
+    let accepted = matches!(&refined, Some((v, _)) if *v < score);
+    let outcome = if accepted { "accepted" } else { "rejected" };
+    rannc_obs::metrics::counter(&format!("planner.refine.{outcome}")).inc();
+    let span = span.arg_i("accepted", accepted as i64);
+    let _s = match &refined {
+        Some((_, sol)) => span.arg_f("refined", sol.value),
+        None => span,
+    };
+    rannc_obs::recorder::refinement(|| RefineRec {
+        from_score: score,
+        from_bottleneck: winner.value,
+        to: refined.as_ref().map(|(v, sol)| (*v, sol.value)),
+        accepted,
+    });
+    match refined {
+        Some((_, sol)) if accepted => sol,
+        _ => winner,
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!   recorder;
 //! - a repartition replaces the recording with the degraded search;
 //! - the strict decoder inverts the serializer on real 2D and 3D
-//!   recordings.
+//!   recordings and on one with an accepted stage-cut refinement.
 //!
 //! The recorder is process-global, so every test holds
 //! `rannc_obs::trace::test_guard()` for its whole body.
@@ -57,6 +57,34 @@ fn assert_plans_bit_identical(a: &PartitionPlan, b: &PartitionPlan) {
     }
 }
 
+/// The score a recording's winner must carry: the best feasible cell's,
+/// or, when the refinement of that cell was accepted, the refined one.
+fn winner_score(rec: &Recording) -> f64 {
+    let best = rec
+        .tiers
+        .iter()
+        .flat_map(|t| &t.candidates)
+        .filter_map(|c| match c.outcome {
+            CandidateOutcome::Feasible { score, .. } => Some(score),
+            CandidateOutcome::Infeasible => None,
+        })
+        .fold(f64::INFINITY, f64::min);
+    match &rec.refine {
+        Some(r) => {
+            assert_eq!(
+                r.from_score.to_bits(),
+                best.to_bits(),
+                "refined another cell"
+            );
+            match r.to {
+                Some((score, _)) if r.accepted => score,
+                _ => best,
+            }
+        }
+        None => best,
+    }
+}
+
 #[test]
 fn recorder_is_plan_preserving_and_free_while_disabled() {
     let _guard = rannc_obs::trace::test_guard();
@@ -93,17 +121,9 @@ fn recorder_is_plan_preserving_and_free_while_disabled() {
         plan_on.est_iteration_time.to_bits()
     );
     // the winner's score is rebuilt from the plan with the all-reduce
-    // term the sweep scored cells with: it is the best cell's, bit for bit
-    let best = rec
-        .tiers
-        .iter()
-        .flat_map(|t| &t.candidates)
-        .filter_map(|c| match c.outcome {
-            CandidateOutcome::Feasible { score, .. } => Some(score),
-            CandidateOutcome::Infeasible => None,
-        })
-        .fold(f64::INFINITY, f64::min);
-    assert_eq!(winner.score.to_bits(), best.to_bits());
+    // term the sweep scored cells with: it is the best cell's, bit for
+    // bit, or the accepted stage-cut refinement's
+    assert_eq!(winner.score.to_bits(), winner_score(&rec).to_bits());
     let (candidates, feasible, _) = rec.totals();
     assert!(candidates > 0 && feasible > 0);
 }
@@ -157,6 +177,37 @@ fn repartition_records_the_degraded_search() {
     assert_eq!(ctx.total_devices, degraded.planning_view().total_devices());
     let winner = rec.winner.as_ref().expect("winner");
     assert_eq!(winner.stages.len(), replanned.stages.len());
+}
+
+/// A recording whose stage-cut refinement was accepted (BERT 1024×24 on
+/// 4×8 V100, batch 256, the Fig. 4 setting) round-trips through the
+/// decoder with its refine record, and its winner carries the refined
+/// score.
+#[test]
+fn refined_recording_round_trips_through_the_decoder() {
+    let _guard = rannc_obs::trace::test_guard();
+    let g = bert_graph(&BertConfig::enlarged(1024, 24));
+    let cluster = ClusterSpec::v100_cluster(4);
+    recorder::set_enabled(true);
+    recorder::reset();
+    let plan = Rannc::new(PartitionConfig::new(256).with_verify(VerifyMode::Off))
+        .partition(&g, &cluster)
+        .unwrap();
+    let rec = recorder::take().expect("recording");
+    recorder::set_enabled(false);
+    let refine = rec.refine.as_ref().expect("the refinement ran");
+    assert!(refine.accepted, "the Fig. 4 cell keeps its block cuts");
+    let (score, bottleneck) = refine.to.expect("the re-cut stages were priced");
+    assert!(score < refine.from_score && bottleneck < refine.from_bottleneck);
+    assert_eq!(bottleneck.to_bits(), plan.bottleneck.to_bits());
+    let winner = rec.winner.as_ref().expect("winner");
+    assert_eq!(winner.score.to_bits(), winner_score(&rec).to_bits());
+    let text = recorder::to_json(&rec);
+    let back = Recording::from_json(&text).expect("artifact decodes");
+    assert_eq!(back, rec, "decode is not the inverse of to_json");
+    check_explain(&text).expect("artifact passes its validator");
+    let shown = rannc_obs::explain::render(&text, 3).expect("renders");
+    assert!(shown.contains("stage cuts refined: bottleneck"), "{shown}");
 }
 
 #[test]

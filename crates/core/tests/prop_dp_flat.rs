@@ -3,8 +3,10 @@
 //! must match the HashMap-memo reference DP bit-for-bit — plans AND
 //! costs — on random graphs, device counts, tensor-parallel degrees,
 //! memory bounds, placed clusters and candidate orders, and the
-//! parallel sweep must match the exhaustive sequential scan at every
-//! thread count. The engine walks only finite predecessors; the
+//! parallel sweep must match the exhaustive sequential scan, and its
+//! refined plan the reference refinement, at every thread count. Stages
+//! compare by task set and by `block_range`, which for a refined stage
+//! is its index in the refined stage list. The engine walks only finite predecessors; the
 //! reference walks every pair, and the counts of the two walks must
 //! agree.
 
@@ -23,7 +25,9 @@ use rannc_models::{
 };
 use rannc_obs::trace::{self, ArgVal};
 use rannc_profile::{Profiler, ProfilerOptions};
-use support::{exhaustive_cells, exhaustive_search, form_stage_dp_hashmap, tier_grid, Walk};
+use support::{
+    exhaustive_cells, exhaustive_refined, exhaustive_search, form_stage_dp_hashmap, tier_grid, Walk,
+};
 
 fn graphs() -> impl Strategy<Value = TaskGraph> {
     prop_oneof![
@@ -249,7 +253,8 @@ proptest! {
     }
 
     /// The full grouped/parallel sweep returns the same winner as
-    /// the exhaustive sequential scan, at several thread counts.
+    /// the exhaustive sequential scan, and the same refined plan as the
+    /// reference refinement of that winner, at several thread counts.
     #[test]
     fn parallel_sweep_matches_sequential_reference(
         g in graphs(),
@@ -262,11 +267,16 @@ proptest! {
         let batch_size = 1usize << batch_pow;
 
         let reference = exhaustive_search(&g, &profiler, &blocks, &cluster, batch_size, 1);
+        let refined = exhaustive_refined(&g, &profiler, &blocks, &cluster, batch_size, 1);
         for threads in [1usize, 2, 4] {
             let opts = SearchOptions { threads, tp_max: 1 };
+            let (scan, _stats) =
+                scan_first_feasible_tier(&g, &profiler, &blocks, &cluster, batch_size, &opts);
+            let winner = scan.map(|mut t| t.cells.swap_remove(t.winner).scored.expect("feasible").1);
+            assert_solutions_identical(&winner, &reference, &format!("threads={threads}"));
             let (engine, _stats) =
                 form_stage_with(&g, &profiler, &blocks, &cluster, batch_size, &opts);
-            assert_solutions_identical(&engine, &reference, &format!("threads={threads}"));
+            assert_solutions_identical(&engine, &refined, &format!("threads={threads} refined"));
         }
     }
 }

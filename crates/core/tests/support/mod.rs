@@ -10,7 +10,10 @@
 //! * [`exhaustive_cells`] — Algorithm 2 cell by cell: every grid cell's
 //!   DP result, one fresh arena per cell, on one thread;
 //! * [`exhaustive_search`] — the sequential scan over those cells: first
-//!   minimum of `score_solution`;
+//!   minimum of `score_solution` (the tier scan's winner);
+//! * [`refine_reference`] / [`exhaustive_refined`] — the stage-cut
+//!   refinement priced on a fresh arena, alone and after the scan: what
+//!   `form_stage_with` returns;
 //! * [`walked_range_cost`] — a block range's price from scratch: its
 //!   union rebuilt member by member and walked, never composed from the
 //!   blocks' time sums.
@@ -18,6 +21,7 @@
 // each suite uses a subset of the references
 #![allow(dead_code)]
 
+use rannc_core::refine::refined_stages;
 use rannc_core::search::score_solution;
 use rannc_core::{
     form_stage_dp, Block, DpArena, DpCtx, DpParams, DpSolution, DpStage, RangeTable, SlotTable,
@@ -277,9 +281,10 @@ pub fn tier_grid(
     grid
 }
 
-/// Algorithm 2 as a sequential scan over [`exhaustive_cells`]: the
-/// winner is the first cell of the last tier with the minimal
-/// `score_solution`.
+/// Algorithm 2's tier scan as a sequential scan over
+/// [`exhaustive_cells`]: the winner is the first cell of the last tier
+/// with the minimal `score_solution`. The scan's winner, before the
+/// stage-cut refinement.
 pub fn exhaustive_search(
     g: &TaskGraph,
     cost: &dyn CostModel,
@@ -288,13 +293,74 @@ pub fn exhaustive_search(
     batch_size: usize,
     tp_max: usize,
 ) -> Option<DpSolution> {
+    exhaustive_winner(g, cost, blocks, cluster, batch_size, tp_max).map(|(_, _, sol)| sol)
+}
+
+/// [`exhaustive_search`]'s winner with its cell's parameters and score.
+pub fn exhaustive_winner(
+    g: &TaskGraph,
+    cost: &dyn CostModel,
+    blocks: &[Block],
+    cluster: &ClusterSpec,
+    batch_size: usize,
+    tp_max: usize,
+) -> Option<(DpParams, f64, DpSolution)> {
     let last = exhaustive_cells(g, cost, blocks, cluster, batch_size, tp_max).pop()?;
     last.cells
         .into_iter()
-        .filter_map(|(_, sol)| sol)
-        .map(|sol| (score_solution(&sol, cluster, cost), sol))
-        .min_by(|a, b| a.0.total_cmp(&b.0))
-        .map(|(_, sol)| sol)
+        .filter_map(|(p, sol)| sol.map(|sol| (p, score_solution(&sol, cluster, cost), sol)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+}
+
+/// The stage-cut refinement of a scan winner, from the published cuts:
+/// the winner's stages re-cut by [`refined_stages`] on the tier's
+/// placement table, priced by Algorithm 1 on a fresh arena at the
+/// winner's parameters, and kept only if they score strictly lower.
+pub fn refine_reference(
+    cost: &dyn CostModel,
+    blocks: &[Block],
+    cluster: &ClusterSpec,
+    (p, score, winner): (DpParams, f64, DpSolution),
+) -> DpSolution {
+    let precision = cost.options().precision;
+    let slots = SlotTable::build(
+        cluster,
+        p.devices * p.tp,
+        p.replica_factor,
+        cost.device(),
+        precision,
+    );
+    let Some(sets) = refined_stages(cost, &RangeTable::build(cost, blocks), &slots, &winner) else {
+        return winner;
+    };
+    // the re-cut stages as blocks of a full range table, not a chain
+    let stages: Vec<Block> = (sets.into_iter())
+        .map(|set| Block {
+            set,
+            time: 0.0,
+            mem: 0,
+        })
+        .collect();
+    let ranges = RangeTable::build(cost, &stages);
+    let ctx = DpCtx::new(cost, &ranges, cluster, &slots, &p);
+    match form_stage_dp(&ctx, &mut DpArena::new()) {
+        Some(sol) if score_solution(&sol, cluster, cost) < score => sol,
+        _ => winner,
+    }
+}
+
+/// Algorithm 2 from scratch: [`exhaustive_winner`], then
+/// [`refine_reference`]. What `form_stage_with` must return, bit for bit.
+pub fn exhaustive_refined(
+    g: &TaskGraph,
+    cost: &dyn CostModel,
+    blocks: &[Block],
+    cluster: &ClusterSpec,
+    batch_size: usize,
+    tp_max: usize,
+) -> Option<DpSolution> {
+    let winner = exhaustive_winner(g, cost, blocks, cluster, batch_size, tp_max)?;
+    Some(refine_reference(cost, blocks, cluster, winner))
 }
 
 /// The price of block range `[from, to)` from scratch: the union of the

@@ -223,7 +223,8 @@ pub struct ExplainSummary {
 
 /// Decode a plan flight-recorder artifact and cross-check its winner:
 /// present exactly when some candidate was feasible, and scored exactly
-/// like the best feasible candidate.
+/// like the best feasible candidate, or like its refinement when one was
+/// accepted.
 pub fn explain_recording(text: &str) -> Result<Recording, String> {
     let rec = Recording::from_json(text).map_err(|e| e.to_string())?;
     let best = rec
@@ -246,9 +247,28 @@ pub fn explain_recording(text: &str) -> Result<Recording, String> {
         (Some(_), None) => return Err("winner present but no candidate was feasible".into()),
         (Some(w), Some(best)) => {
             // tolerate only float-format round-off
-            if (w.score - best).abs() > 1e-9 * best.max(1e-30) {
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.max(1e-30);
+            // an accepted stage-cut refinement replaces the best
+            // candidate's score with its own, strictly lower one
+            let (want, what) = match &rec.refine {
+                Some(r) => {
+                    if !close(r.from_score, best) {
+                        return Err(format!(
+                            "refined winner's score {} does not match best feasible \
+                             candidate score {best}",
+                            r.from_score
+                        ));
+                    }
+                    match r.to {
+                        Some((score, _)) if r.accepted => (score, "refined score"),
+                        _ => (best, "best feasible candidate score"),
+                    }
+                }
+                None => (best, "best feasible candidate score"),
+            };
+            if !close(w.score, want) {
                 return Err(format!(
-                    "winner score {} does not match best feasible candidate score {best}",
+                    "winner score {} does not match {what} {want}",
                     w.score
                 ));
             }
@@ -451,6 +471,7 @@ mod tests {
                 bottleneck: 0.25,
                 est_iteration_time: 0.25,
             }),
+            refine: None,
             accounting: Some(AccountingRec {
                 stage_cache_entries: 2,
                 profiler_cache_entries: 3,
@@ -542,6 +563,52 @@ mod tests {
         ];
         for (bad, why) in cases {
             assert_ne!(bad, good, "mutation did not apply: {why}");
+            assert!(check_explain(&bad).is_err(), "accepted artifact with {why}");
+        }
+    }
+
+    /// An accepted refinement moves the winner's score below the best
+    /// candidate's; a refine record must start from that candidate and,
+    /// when accepted, end strictly below it at the winner's score.
+    #[test]
+    fn explain_checker_reads_the_refine_record() {
+        let good = valid_explain();
+        let winner = "\"score\": 0.5, \"bottleneck\": 0.25, \"est_iteration_time\": 0.25";
+        let refined = good.replace(
+            winner,
+            "\"score\": 0.4, \"bottleneck\": 0.2, \"est_iteration_time\": 0.25",
+        );
+        let record = |score: &str, to: &str, accepted: bool| {
+            format!(
+                "  \"refine\": {{\"score\": {score}, \"bottleneck\": 0.25, \
+                 \"refined_score\": {to}, \"refined_bottleneck\": 0.2, \"accepted\": {accepted}}},\n  \"accounting\""
+            )
+        };
+        let with = |text: &str, rec: String| text.replace("  \"accounting\"", &rec);
+        check_explain(&with(&refined, record("0.5", "0.4", true))).expect("accepted refinement");
+        check_explain(&with(&good, record("0.5", "0.6", false))).expect("rejected refinement");
+        for (bad, why) in [
+            (
+                with(&refined, record("0.5", "0.4", false)),
+                "winner moved by a rejected refinement",
+            ),
+            (
+                with(&good, record("0.5", "0.4", true)),
+                "winner not moved by an accepted one",
+            ),
+            (
+                with(&refined, record("0.6", "0.4", true)),
+                "refinement of another candidate",
+            ),
+            (
+                with(&good, record("0.5", "0.6", true)),
+                "accepted without a lower score",
+            ),
+            (
+                with(&good, record("0.5", "null", false)),
+                "half a refined price",
+            ),
+        ] {
             assert!(check_explain(&bad).is_err(), "accepted artifact with {why}");
         }
     }

@@ -87,6 +87,19 @@ pub fn render(text: &str, top_k: usize) -> Result<String, String> {
                 ms(w.score - w.est_iteration_time),
                 ms(w.bottleneck)
             ));
+            if let Some(r) = &rec.refine {
+                let verdict = if r.accepted { "accepted" } else { "rejected" };
+                match r.to {
+                    Some((score, bottleneck)) => out.push_str(&format!(
+                        "stage cuts refined: bottleneck {} -> {} ms, score {} -> {} ms ({verdict})\n",
+                        ms(r.from_bottleneck),
+                        ms(bottleneck),
+                        ms(r.from_score),
+                        ms(score)
+                    )),
+                    None => out.push_str("stage cuts refined: infeasible (rejected)\n"),
+                }
+            }
             // the tp column appears only when some stage is split
             let any_tp = w.stages.iter().any(|s| s.tensor_parallel > 1);
             let tp_hdr = if any_tp {
@@ -346,9 +359,15 @@ mod tests {
                 }],
                 microbatches: 1,
                 replica_factor: 2,
-                score: fwd * 2.0,
-                bottleneck: fwd,
-                est_iteration_time: fwd * 2.0 - 0.0,
+                score: fwd * 1.75,
+                bottleneck: fwd * 0.875,
+                est_iteration_time: fwd * 1.75,
+            }),
+            refine: Some(RefineRec {
+                from_score: fwd * 2.0,
+                from_bottleneck: fwd,
+                to: Some((fwd * 1.75, fwd * 0.875)),
+                accepted: true,
             }),
             accounting: Some(AccountingRec {
                 stage_cache_entries: 7,
@@ -372,6 +391,10 @@ mod tests {
         let out = render(&text, 3).expect("renders");
         assert!(out.contains("mlp-12l"), "{out}");
         assert!(out.contains("stage"), "{out}");
+        assert!(
+            out.contains("stage cuts refined: bottleneck 10.000 -> 8.750 ms, score 20.000 -> 17.500 ms (accepted)"),
+            "{out}"
+        );
         assert!(
             out.contains("runner-up plans (top 1 of 1 feasible)"),
             "{out}"

@@ -286,6 +286,14 @@ impl<'a> Node<'a> {
         }
     }
 
+    /// A boolean.
+    pub fn bool(&self) -> Result<bool, SchemaError> {
+        match self.v {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(self.expected("a boolean")),
+        }
+    }
+
     /// A string.
     pub fn str(&self) -> Result<&'a str, SchemaError> {
         self.v.as_str().ok_or_else(|| self.expected("a string"))

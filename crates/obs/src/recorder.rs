@@ -174,6 +174,22 @@ pub struct WinnerRec {
     pub est_iteration_time: f64,
 }
 
+/// The stage-cut refinement of the scan's winner: its score and
+/// bottleneck before and, when the re-cut stages were priced, after.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RefineRec {
+    /// The scan winner's score, seconds.
+    pub from_score: f64,
+    /// The scan winner's bottleneck, seconds.
+    pub from_bottleneck: f64,
+    /// The re-cut stages' `(score, bottleneck)`; `None` when Algorithm 1
+    /// found them infeasible.
+    pub to: Option<(f64, f64)>,
+    /// Whether the re-cut stages scored strictly lower and replaced the
+    /// winner's.
+    pub accepted: bool,
+}
+
 /// Cache accounting. Entry counts only — hit/miss counts depend on the
 /// thread schedule and would break artifact byte-identity.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -193,6 +209,8 @@ pub struct Recording {
     pub tiers: Vec<TierRec>,
     /// The winning plan's attribution (`None` when infeasible).
     pub winner: Option<WinnerRec>,
+    /// The winner's stage-cut refinement (`None` when it proposed no cut).
+    pub refine: Option<RefineRec>,
     /// Cache accounting.
     pub accounting: Option<AccountingRec>,
 }
@@ -246,11 +264,13 @@ impl Recording {
                 .collect::<Result<Vec<_>, _>>()?;
             let winner = root.get("winner")?.non_null();
             let winner = winner.map(|w| decode_winner(w.obj()?)).transpose()?;
+            let refine = root.opt("refine").map(|r| decode_refine(r.obj()?));
             let acc = root.get("accounting")?.obj()?;
             let rec = Recording {
                 context: Some(context),
                 tiers,
                 winner,
+                refine: refine.transpose()?,
                 accounting: Some(AccountingRec {
                     stage_cache_entries: acc.get("stage_cache_entries")?.u64()?,
                     profiler_cache_entries: acc.get("profiler_cache_entries")?.u64()?,
@@ -354,6 +374,29 @@ fn decode_winner(w: Obj<'_>) -> Result<WinnerRec, SchemaError> {
     })
 }
 
+fn decode_refine(r: Obj<'_>) -> Result<RefineRec, SchemaError> {
+    let to_score = r.get("refined_score")?.non_null();
+    let to_bottleneck = r.get("refined_bottleneck")?.non_null();
+    let to = match (to_score, to_bottleneck) {
+        (Some(s), Some(b)) => Some((seconds(s)?, seconds(b)?)),
+        (None, None) => None,
+        (_, Some(b)) | (Some(b), _) => {
+            return Err(b.error("refined score and bottleneck are null together"))
+        }
+    };
+    let accepted = r.get("accepted")?;
+    let rec = RefineRec {
+        from_score: seconds(r.get("score")?)?,
+        from_bottleneck: seconds(r.get("bottleneck")?)?,
+        to,
+        accepted: accepted.bool()?,
+    };
+    if rec.accepted && !rec.to.is_some_and(|(s, _)| s < rec.from_score) {
+        return Err(accepted.error("accepted without a strictly lower refined score"));
+    }
+    Ok(rec)
+}
+
 /// Start a fresh recording, discarding any previous one. Called by
 /// `form_stage_with` at search entry, so one artifact always describes
 /// exactly one search (for `repartition` that is the replan).
@@ -419,6 +462,18 @@ pub fn set_winner(make: impl FnOnce() -> WinnerRec) {
     if let Some(rec) = lock(&CURRENT).as_mut() {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         rec.winner = Some(make());
+    }
+}
+
+/// Record the winner's stage-cut refinement (closure-deferred like
+/// [`set_context`]).
+pub fn refinement(make: impl FnOnce() -> RefineRec) {
+    if !enabled() {
+        return;
+    }
+    if let Some(rec) = lock(&CURRENT).as_mut() {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        rec.refine = Some(make());
     }
 }
 
@@ -566,6 +621,20 @@ pub fn to_json(rec: &Recording) -> String {
             }
             out.push_str("  },\n");
         }
+    }
+
+    if let Some(r) = &rec.refine {
+        let (to_score, to_bottleneck) = match r.to {
+            Some((s, b)) => (fmt_f64(s), fmt_f64(b)),
+            None => ("null".to_string(), "null".to_string()),
+        };
+        out.push_str(&format!(
+            "  \"refine\": {{\"score\": {}, \"bottleneck\": {}, \"refined_score\": {to_score}, \
+             \"refined_bottleneck\": {to_bottleneck}, \"accepted\": {}}},\n",
+            fmt_f64(r.from_score),
+            fmt_f64(r.from_bottleneck),
+            r.accepted
+        ));
     }
 
     out.push_str(&format!(

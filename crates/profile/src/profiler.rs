@@ -207,6 +207,14 @@ pub struct TimeSums {
     bwd: i128,
 }
 
+impl TimeSums {
+    /// The forward and backward sums as exact integer counts of
+    /// 2⁻⁸⁰ s, for callers that compare or combine sums without rounding.
+    pub fn counts(&self) -> (i128, i128) {
+        (self.fwd, self.bwd)
+    }
+}
+
 impl AddAssign for TimeSums {
     fn add_assign(&mut self, other: TimeSums) {
         self.fwd += other.fwd;
@@ -568,6 +576,15 @@ impl<'g> Profiler<'g> {
         ProfiledSet {
             set: Cow::Borrowed(set),
             stats: self.set_stats(set),
+        }
+    }
+
+    /// [`Profiler::profiled`] of a set it keeps: one statistics walk.
+    pub fn profiled_owned(&self, set: TaskSet) -> ProfiledSet<'static> {
+        let stats = self.set_stats(&set);
+        ProfiledSet {
+            set: Cow::Owned(set),
+            stats,
         }
     }
 

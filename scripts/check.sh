@@ -21,6 +21,12 @@ echo "==> paper-scale stage-DP parity (the benchmark's search grids, against the
 # HashMap-memo reference DP's solution bit for bit
 cargo test --release -q -p rannc-core --offline --test prop_dp_flat -- --ignored
 
+echo "==> paper-scale stage-cut refinement (Fig. 4 grid, bert256-d128, 50 churn events)"
+# ignored in the default run for its size: every refined plan keeps the
+# scan winner's (S, MB, T, R), scores no worse, verifies and certifies under
+# fill-drain, and is bit-identical at 1, 2 and 4 threads
+cargo test --release -q -p rannc-core --offline --test prop_refine -- --ignored
+
 echo "==> paper-scale range-table parity (BERT 2048x256, k 32, all 528 ranges)"
 # ignored in the default run for its size: the boundary-split row walk must
 # give every range the egress of its union and statistics that, with its time
@@ -205,6 +211,34 @@ if [ -n "$DP_CALLS" ]; then
     exit 1
 fi
 
+# The stage-cut refinement is Algorithm 2's last step and has one caller:
+# refine::refined_stages is called only by search's refine_winner, and
+# refine_winner only by form_stage_with, so cold plans, warm replans and
+# ladder rungs all reach it through the one search path (and the
+# benchmark's traced mirror, which calls form_stage_with, sees it too).
+REFINE_CALLS="$(find crates/*/src -name '*.rs' ! -path '*/rannc_benchmark/*' -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    | grep -F 'refined_stages(' | grep -vE '^[^:]+:[0-9]+: *//' \
+    | grep -vE '^crates/core/src/refine\.rs:[0-9]+: pub fn refined_stages\(' || true)"
+if [ "$(echo "$REFINE_CALLS" | grep -c .)" -ne 1 ] \
+    || ! echo "$REFINE_CALLS" | grep -q '^crates/core/src/search\.rs:'; then
+    echo "$REFINE_CALLS"
+    echo "FAILED: refine::refined_stages must be called once, from core::search"
+    exit 1
+fi
+REFINE_CALLERS="$(awk '/^(pub )?fn / { f = $0 } /refine_winner\(/ && !/fn refine_winner/ { print f }' \
+    crates/core/src/search.rs)"
+if [ "$REFINE_CALLERS" != "pub fn form_stage_with(" ]; then
+    echo "$REFINE_CALLERS"
+    echo "FAILED: the refinement (refine_winner) must be called once, from form_stage_with"
+    exit 1
+fi
+if grep -rn --include='*.rs' "refine_winner" crates --exclude-dir=rannc_benchmark \
+    | grep -v '^crates/core/src/search.rs:'; then
+    echo "FAILED: refine_winner referenced outside core::search"
+    exit 1
+fi
+
 # A stage has one residency rule and a baseline is a plan:
 # rannc_profile::memory::Residency is the one place the in-flight count and
 # the checkpointing switch (on whenever S > 1) are written, so no other
@@ -368,6 +402,34 @@ if ! echo "$TP8_PLAN" | grep -qE "x([4-9]|[1-9][0-9]+) tensor"; then
     echo "bert64 --tp-max 8 printed no stage with T >= 4"; exit 1
 fi
 echo "    tensor-parallel smoke clean: T>1 chosen, deep verify passed, 2D unchanged, bert64 T>=4"
+
+echo "==> stage-cut refinement gates (bert256-d128 throughput, Fig. 4 against GPipe-Hybrid)"
+# The benchmark's flagship setting: with the winner's cuts refined at atom
+# granularity the plan must simulate at 21.0 samples/s or more (19.76 with
+# block cuts alone).
+BERT256_TPUT="$(./target/release/rannc-plan --model bert --hidden 2048 --layers 256 \
+    --nodes 16 --batch 1024 2>/dev/null | sed -n 's/^simulated iteration: .* throughput \([0-9.]*\) samples\/s.*/\1/p')"
+if ! awk -v t="$BERT256_TPUT" 'BEGIN { exit !(t != "" && t >= 21.0) }'; then
+    echo "FAILED: bert256-d128 simulates at '$BERT256_TPUT' samples/s (need >= 21.0)"
+    exit 1
+fi
+echo "    bert256-d128 simulates at $BERT256_TPUT samples/s"
+# Fig. 4: RaNNC FP32 at or above GPipe-Hybrid in every cell, and strictly
+# above it on 2048x256 (the table's columns: layers, DataParallel,
+# Megatron fp32/mixed, GPipe-Hybrid, PipeDream-2BW, RaNNC fp32/mixed)
+FIG4="$(./target/release/fig4_bert 2>/dev/null)"
+if ! echo "$FIG4" | awk '
+    /hidden=/ { split($0, h, "hidden="); split(h[2], w, ","); hidden = w[1] }
+    $1 ~ /^[0-9]+$/ && NF == 8 {
+        cells++
+        if ($7 + 0 < $5 + 0) { print "    RaNNC(fp32) " $7 " < GPipe-Hybrid " $5 " at " hidden "x" $1; bad = 1 }
+        if (hidden == 2048 && $1 == 256) { big = ($7 + 0 > $5 + 0) }
+    }
+    END { exit !(cells == 18 && !bad && big) }'; then
+    echo "FAILED: RaNNC FP32 loses to GPipe-Hybrid in a Fig. 4 cell (or not strictly on 2048x256)"
+    exit 1
+fi
+echo "    Fig. 4: RaNNC FP32 >= GPipe-Hybrid in all 18 cells, > on 2048x256"
 
 echo "==> planner-bench smoke (engine vs one-thread baseline, self-checked)"
 # --check exits nonzero on malformed JSON, a plan that differs from the

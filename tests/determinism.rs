@@ -1,13 +1,18 @@
 //! Determinism suite for the parallel partition-search engine.
 //!
-//! The engine's contract is *bit-identical plans*: the concurrent
-//! `(S, MB, T)` sweep with arena memo reuse must choose exactly the plan
-//! an exhaustive sequential scan chooses (the test-support reference:
-//! one fresh arena per candidate) — same stage
-//! boundaries, same device allocation, same micro-batching, same
-//! objective value to the last bit — for every bundled model and
-//! cluster size. Anything less would make planner performance a
-//! behaviour change.
+//! The engine's contract is *bit-identical plans*, in two halves:
+//!
+//! - the concurrent `(S, MB, T)` sweep with arena memo reuse
+//!   (`scan_first_feasible_tier`) must choose exactly the winner an
+//!   exhaustive sequential scan chooses (the test-support reference:
+//!   one fresh arena per candidate) — same stage boundaries, same device
+//!   allocation, same micro-batching, same objective value to the last
+//!   bit;
+//! - `form_stage_with`'s plan must be that winner's stage-cut refinement
+//!   priced from scratch (`support::refine_reference`).
+//!
+//! Both hold for every bundled model and cluster size. Anything less
+//! would make planner performance a behaviour change.
 
 #[path = "../crates/core/tests/support/mod.rs"]
 mod support;
@@ -24,7 +29,23 @@ use rannc::models::{
     ResNetDepth,
 };
 use rannc::profile::{Profiler, ProfilerOptions};
-use support::{exhaustive_cells, exhaustive_search};
+use support::{
+    exhaustive_cells, exhaustive_refined, exhaustive_search, exhaustive_winner, refine_reference,
+};
+
+/// The tier scan's winner, before the stage-cut refinement.
+fn scan_winner(
+    g: &TaskGraph,
+    profiler: &Profiler<'_>,
+    blocks: &[Block],
+    cluster: &ClusterSpec,
+    batch_size: usize,
+    opts: &SearchOptions,
+) -> (Option<DpSolution>, rannc::core::SearchStats) {
+    let (scan, stats) = scan_first_feasible_tier(g, profiler, blocks, cluster, batch_size, opts);
+    let winner = scan.map(|mut t| t.cells.swap_remove(t.winner).scored.expect("feasible").1);
+    (winner, stats)
+}
 
 fn bundled_models() -> Vec<TaskGraph> {
     vec![
@@ -103,8 +124,9 @@ fn assert_identical(seq: &Option<DpSolution>, par: &Option<DpSolution>, label: &
     }
 }
 
-/// Every bundled model, 16 and 32 devices: the parallel engine's plan is
-/// bit-identical to the exhaustive sequential scan's.
+/// Every bundled model, 16 and 32 devices: the parallel engine's winner
+/// is bit-identical to the exhaustive sequential scan's, and its plan to
+/// that winner's refinement.
 #[test]
 fn parallel_engine_matches_sequential_plans() {
     let mut memo_hits = 0;
@@ -118,10 +140,13 @@ fn parallel_engine_matches_sequential_plans() {
                 threads: 4,
                 tp_max: 1,
             };
-            let (par, stats) = form_stage_with(&g, &profiler, &blocks, &cluster, 64, &opts);
+            let (par, stats) = scan_winner(&g, &profiler, &blocks, &cluster, 64, &opts);
             assert_identical(&seq, &par, &label);
             assert!(seq.is_some(), "{label}: expected feasible");
             memo_hits += stats.stage_cache.hits;
+            let refined = exhaustive_refined(&g, &profiler, &blocks, &cluster, 64, 1);
+            let (plan, _) = form_stage_with(&g, &profiler, &blocks, &cluster, 64, &opts);
+            assert_identical(&refined, &plan, &format!("{label} refined"));
         }
     }
     // A tiny model may have only S = 1 candidates, whose DP never
@@ -136,7 +161,7 @@ fn thread_count_does_not_change_the_plan() {
     let g = bert_graph(&BertConfig::tiny());
     let cluster = ClusterSpec::v100_cluster(2);
     let (profiler, blocks) = prep(&g, &cluster);
-    let reference = exhaustive_search(&g, &profiler, &blocks, &cluster, 64, 1);
+    let reference = exhaustive_refined(&g, &profiler, &blocks, &cluster, 64, 1);
     for threads in [1usize, 2, 3, 8, 32] {
         let opts = SearchOptions { threads, tp_max: 1 };
         let (sol, _) = form_stage_with(&g, &profiler, &blocks, &cluster, 64, &opts);
@@ -153,7 +178,7 @@ fn three_axis_sweep_is_thread_deterministic() {
     for g in bundled_models() {
         let cluster = ClusterSpec::v100_cluster(2);
         let (profiler, blocks) = prep(&g, &cluster);
-        let reference = exhaustive_search(&g, &profiler, &blocks, &cluster, 64, 4);
+        let reference = exhaustive_refined(&g, &profiler, &blocks, &cluster, 64, 4);
         assert!(reference.is_some(), "{}: expected feasible 3D plan", g.name);
         for threads in [1usize, 2, 4, 8] {
             let opts = SearchOptions { threads, tp_max: 4 };
@@ -231,8 +256,8 @@ fn tier_scan_matches_the_exhaustive_cells() {
 }
 
 /// Passing `tp_max = 1` explicitly is the historical 2D search: the
-/// engine's plan still matches the exhaustive 2D scan, so the third
-/// axis is strictly opt-in.
+/// engine's winner still matches the exhaustive 2D scan and its plan
+/// that winner's refinement, so the third axis is strictly opt-in.
 #[test]
 fn tp_max_one_reproduces_the_sequential_scan() {
     let g = bert_graph(&BertConfig::tiny());
@@ -243,8 +268,11 @@ fn tp_max_one_reproduces_the_sequential_scan() {
         threads: 4,
         tp_max: 1,
     };
+    let (winner, _) = scan_winner(&g, &profiler, &blocks, &cluster, 64, &opts);
+    assert_identical(&seq, &winner, "tp_max=1");
+    let refined = exhaustive_refined(&g, &profiler, &blocks, &cluster, 64, 1);
     let (par, _) = form_stage_with(&g, &profiler, &blocks, &cluster, 64, &opts);
-    assert_identical(&seq, &par, "tp_max=1");
+    assert_identical(&refined, &par, "tp_max=1 refined");
     assert!(
         par.iter()
             .flat_map(|s| &s.stages)
@@ -254,10 +282,11 @@ fn tp_max_one_reproduces_the_sequential_scan() {
 }
 
 /// Paper-scale grid at 128 devices: the grouped/arena engine
-/// still returns the exhaustive scan's plan bit-for-bit on the models
-/// the paper-scale bench sweeps. The 256-layer BERT is left to the
-/// release-mode bench — profiling its 7.4k tasks in a debug test run
-/// would dominate the whole tier-1 suite.
+/// still returns the exhaustive scan's winner bit-for-bit on the models
+/// the paper-scale bench sweeps, and its plan is that winner's
+/// refinement. The 256-layer BERT is left to the release-mode bench —
+/// profiling its 7.4k tasks in a debug test run would dominate the whole
+/// tier-1 suite.
 #[test]
 fn paper_scale_models_match_at_128_devices() {
     let cluster = ClusterSpec::v100_cluster(16); // 128 devices
@@ -282,15 +311,19 @@ fn paper_scale_models_match_at_128_devices() {
                 profile_batch: 1,
             },
         );
-        let seq = exhaustive_search(&g, &profiler, &blocks, &cluster, 1024, 1);
+        let winner = exhaustive_winner(&g, &profiler, &blocks, &cluster, 1024, 1);
+        let seq = winner.as_ref().map(|(_, _, sol)| sol.clone());
         let opts = SearchOptions {
             threads: 4,
             tp_max: 1,
         };
-        let (par, stats) = form_stage_with(&g, &profiler, &blocks, &cluster, 1024, &opts);
+        let (par, stats) = scan_winner(&g, &profiler, &blocks, &cluster, 1024, &opts);
         assert_identical(&seq, &par, &label);
-        assert!(seq.is_some(), "{label}: expected feasible");
         assert!(stats.stage_cache.hits > 0, "{label}: arena memo never hit");
+        let winner = winner.unwrap_or_else(|| panic!("{label}: expected feasible"));
+        let refined = refine_reference(&profiler, &blocks, &cluster, winner);
+        let (plan, _) = form_stage_with(&g, &profiler, &blocks, &cluster, 1024, &opts);
+        assert_identical(&Some(refined), &plan, &format!("{label} refined"));
     }
 }
 
