@@ -20,8 +20,8 @@
 //!    BERT 2048×256's 7,446 tasks, 0.03% of its time). Whole blocks are
 //!    weighed from the search's own block time sums ([`RangeTable::time`]);
 //!    single atoms are priced only inside the blocks where a cut is
-//!    looked for, from the nearer block end, so a re-cut that moves
-//!    nothing prices a handful of atoms per cut.
+//!    looked for, from the nearer priced end, so a re-cut that moves
+//!    nothing prices a few atoms per cut.
 //! 3. **Clone constants** into every new stage that reads them, as
 //!    [`crate::atomic_partition`] does.
 //!
@@ -191,24 +191,19 @@ pub fn refined_stages(
     Some(sets)
 }
 
-/// The exact weight of every atom prefix at one micro-batch, known where
-/// it was read: at every block boundary, and inside a block from its
-/// start and from its end, as far as a cut search walked.
+/// The exact weight of every atom prefix at one micro-batch, known at
+/// every block boundary from the start, and inside a block from its
+/// start and from its end as far as a cut search has priced it.
 struct Point {
     micro: usize,
-    /// `cum[a]`: the weight of atoms `[0, a)`, valid where known.
+    /// `cum[a]`: the weight of atoms `[0, a)`, where known.
     cum: Vec<i128>,
-    /// Whether `cum[a]` is known.
-    priced: Vec<bool>,
-    /// `cum[a]` in whole 2⁻⁴⁰ s, as an `f64` (far below one atom's
-    /// weight), where it was read; NaN elsewhere.
-    rounded: Vec<f64>,
-    /// Per block: how many of its atoms are known from its start, and
+    /// Per block: how many of its atoms are priced from its start, and
     /// from its end.
     known: Vec<(usize, usize)>,
 }
 
-/// The atoms' cumulative weights at every stage's time point, read
+/// The atoms' cumulative weights at every stage's time point, priced
 /// lazily, and the linear partition over them.
 struct Weights<'a> {
     profiler: &'a Profiler<'a>,
@@ -232,6 +227,11 @@ impl Weights<'_> {
         fwd * (1 + i128::from(self.recompute)) + bwd
     }
 
+    /// The weight of atom `a` at `micro`.
+    fn atom(&self, a: usize, micro: usize) -> i128 {
+        self.weight(self.profiler.time_sums([self.order[a]], micro, self.tp))
+    }
+
     /// The point at `micro` with every block boundary known: each block's
     /// time sums from the range table, less its constants'.
     fn point(&self, ranges: &RangeTable, constants: &[(usize, TaskId)], micro: usize) -> Point {
@@ -244,72 +244,48 @@ impl Weights<'_> {
             block_weight[j] -= self.weight(self.profiler.time_sums([t], micro, self.tp));
         }
         let mut cum = vec![0i128; self.order.len() + 1];
-        let mut priced = vec![false; self.order.len() + 1];
-        priced[0] = true;
         for (bounds, weight) in self.bounds.windows(2).zip(block_weight) {
             cum[bounds[1]] = cum[bounds[0]] + weight;
-            priced[bounds[1]] = true;
         }
         Point {
             micro,
             cum,
-            priced,
-            rounded: vec![f64::NAN; self.order.len() + 1],
             known: vec![(0, 0); nb],
         }
     }
 
-    /// The weight of atoms `[0, a)` at point `k`, rounded, pricing the
-    /// atoms between `a` and the nearer known prefix of its block.
+    /// The weight of atoms `[0, a)` at point `k` in whole 2⁻⁴⁰ s (far
+    /// below one atom's weight), pricing the atoms between `a` and the
+    /// nearer known prefix of its block first. Sums are exact, so a
+    /// prefix priced from either end is the same number.
     fn cum(&mut self, k: usize, a: usize) -> f64 {
-        let p = &mut self.points[k];
-        if !p.rounded[a].is_nan() {
-            return p.rounded[a];
-        }
-        if !p.priced[a] {
-            let j = self.bounds.partition_point(|&b| b <= a) - 1;
-            let (a0, a1) = (self.bounds[j], self.bounds[j + 1]);
-            let (head, tail) = p.known[j];
-            if a - a0 - head <= a1 - a - tail {
-                self.extend(k, j, true, a - a0 - head);
-            } else {
-                self.extend(k, j, false, a1 - a - tail);
+        let j = self.bounds.partition_point(|&b| b <= a) - 1;
+        let a0 = self.bounds[j];
+        if a != a0 {
+            let a1 = self.bounds[j + 1];
+            let micro = self.points[k].micro;
+            let (head, tail) = self.points[k].known[j];
+            let (head, tail) = (a0 + head, a1 - tail);
+            if head < a && a < tail {
+                if a - head <= tail - a {
+                    for i in head..a {
+                        let w = self.atom(i, micro);
+                        let p = &mut self.points[k];
+                        p.cum[i + 1] = p.cum[i] + w;
+                    }
+                    self.points[k].known[j].0 = a - a0;
+                } else {
+                    for i in (a..tail).rev() {
+                        let w = self.atom(i, micro);
+                        let p = &mut self.points[k];
+                        p.cum[i] = p.cum[i + 1] - w;
+                    }
+                    self.points[k].known[j].1 = a1 - a;
+                }
             }
         }
-        let p = &mut self.points[k];
         // 2⁻⁴⁰ s steps fit an i64 up to 2²³ s, and convert in hardware
-        p.rounded[a] = (p.cum[a] >> 40) as i64 as f64;
-        p.rounded[a]
-    }
-
-    /// Price `count` more atoms of block `j` at point `k`, from its start
-    /// (`head`) or from its end.
-    fn extend(&mut self, k: usize, j: usize, head: bool, count: usize) {
-        let (a0, a1) = (self.bounds[j], self.bounds[j + 1]);
-        let (known_head, known_tail) = self.points[k].known[j];
-        let atoms = if head {
-            a0 + known_head..a0 + known_head + count
-        } else {
-            a1 - known_tail - count..a1 - known_tail
-        };
-        let micro = self.points[k].micro;
-        let weights: Vec<i128> = (self.order[atoms.clone()].iter())
-            .map(|&t| self.weight(self.profiler.time_sums([t], micro, self.tp)))
-            .collect();
-        let p = &mut self.points[k];
-        if head {
-            for (i, w) in atoms.zip(weights) {
-                p.cum[i + 1] = p.cum[i] + w;
-                p.priced[i + 1] = true;
-            }
-            p.known[j].0 += count;
-        } else {
-            for (i, w) in atoms.zip(weights).rev() {
-                p.cum[i] = p.cum[i + 1] - w;
-                p.priced[i] = true;
-            }
-            p.known[j].1 += count;
-        }
+        (self.points[k].cum[a] >> 40) as i64 as f64
     }
 
     /// What stage `s` over atoms `[from, to)` weighs, stretched by its
@@ -320,82 +296,91 @@ impl Weights<'_> {
     }
 
     /// The largest `b ≤ last` with `load(s, from, b) ≤ target`, or `None`
-    /// when not even one atom fits. Block boundaries are searched first;
-    /// inside the block the cut falls in, atoms are walked from the end
-    /// the target lies nearer to.
+    /// when not even one atom fits. Block boundaries are binary searched
+    /// first; inside the block the cut falls in, the search gallops from
+    /// the end the target lies nearer to, so it prices atoms near the cut
+    /// only, then bisects.
     fn largest_fit(&mut self, s: usize, from: usize, last: usize, target: f64) -> Option<usize> {
-        if from + 1 > last || self.load(s, from, from + 1) > target {
-            return None;
-        }
         let bounds = self.bounds;
-        // the block boundaries in (from + 1, last], binary searched
         let (mut lo_j, mut hi_j) = (
-            bounds.partition_point(|&b| b <= from + 1),
+            bounds.partition_point(|&b| b <= from),
             bounds.partition_point(|&b| b <= last),
         );
-        let mut fit = from + 1;
+        let mut lo = from;
         while lo_j < hi_j {
             let mid = (lo_j + hi_j) / 2;
             if self.load(s, from, bounds[mid]) <= target {
-                fit = bounds[mid];
+                lo = bounds[mid];
                 lo_j = mid + 1;
             } else {
                 hi_j = mid;
             }
         }
-        // The answer is in [fit, hi], inside one block: binary search the
-        // part of it already priced, or price on from the nearer priced
-        // end, a doubling chunk at a time.
-        let hi = bounds.get(lo_j).map_or(last, |&b| (b - 1).min(last));
-        if hi <= fit {
-            return Some(fit);
-        }
-        let (k, scale) = self.stage_point[s];
-        let j = bounds.partition_point(|&b| b <= fit) - 1;
-        let (a0, a1) = (bounds[j], bounds[j + 1]);
-        let fits = |this: &mut Self, b: usize| this.load(s, from, b) <= target;
-        let mut chunk = 8;
-        let (mut lo, mut hi) = loop {
+        // `lo` fits; the answer is in [lo, hi], inside one block
+        let mut hi = bounds.get(lo_j).map_or(last, |&b| (b - 1).min(last));
+        if lo < hi {
+            // Narrow [lo, hi] to the atoms not priced yet, then gallop into
+            // them from the end the target lies nearer to: the atoms priced
+            // lie between the cut and that end.
+            let (k, scale) = self.stage_point[s];
+            let j = bounds.partition_point(|&b| b <= lo) - 1;
             let (head, tail) = self.points[k].known[j];
-            let priced_head = hi.min(a0 + head);
-            if !fits(self, priced_head) {
-                break (fit, priced_head);
+            for edge in [bounds[j] + head, bounds[j + 1] - tail] {
+                if lo < edge && edge <= hi {
+                    if self.load(s, from, edge) <= target {
+                        lo = edge;
+                    } else {
+                        hi = edge - 1;
+                    }
+                }
             }
-            if priced_head == hi {
-                return Some(hi);
-            }
-            if a1 - tail <= hi && fits(self, (a1 - tail).max(fit)) {
-                break ((a1 - tail).max(fit), hi);
-            }
-            // the cut lies among the unpriced atoms between the two ends
-            let unpriced = a1 - tail - (a0 + head);
             let wanted = self.cum(k, from) + target / scale;
-            let (start, end) = (self.cum(k, a0 + head), self.cum(k, a1 - tail));
-            self.extend(k, j, wanted - start < end - wanted, chunk.min(unpriced));
-            chunk *= 2;
-        };
-        // load(lo) fits and every position in [lo, hi] is priced
+            let from_start = wanted - self.cum(k, lo) <= self.cum(k, hi + 1) - wanted;
+            let mut step = 1;
+            while lo < hi {
+                if from_start {
+                    // up: lo + 1, + 2, + 4, … until one does not fit
+                    let probe = (lo + step).min(hi);
+                    if self.load(s, from, probe) > target {
+                        hi = probe - 1;
+                        break;
+                    }
+                    lo = probe;
+                } else {
+                    // down: hi, − 1, − 2, … until one fits
+                    let probe = (hi + 1).saturating_sub(step).max(lo + 1);
+                    if self.load(s, from, probe) <= target {
+                        lo = probe;
+                        break;
+                    }
+                    hi = probe - 1;
+                }
+                step *= 2;
+            }
+        }
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            if fits(self, mid) {
+            if self.load(s, from, mid) <= target {
                 lo = mid;
             } else {
                 hi = mid - 1;
             }
         }
-        Some(lo)
+        (lo > from).then_some(lo)
     }
 
     /// The balanced cuts `0 = c₀ < c₁ < … < c_S = n` of the atoms, or
     /// `None` when no cut lowers the winner's bottleneck (its cuts are
     /// `current`) by [`MIN_GAIN`] of it. A target is feasible when the
     /// greedy cut, each stage taking as many atoms as fit and leaving one
-    /// for each later stage, covers every atom. The search steps down
-    /// from the winner's bottleneck, doubling the step until a target is
-    /// infeasible, then bisects to 2⁻²⁴ of the bottleneck, so it prices
-    /// atoms near the final cuts only. No target below the mean load at
-    /// the lightest point and slow-down is tried: no cut does better. The
-    /// result is the greedy cut at the smallest feasible target found.
+    /// for each later stage, covers every atom.
+    ///
+    /// The search steps down from the winner's bottleneck, doubling the
+    /// step until a target is infeasible or reaches the floor
+    /// `W / Σ 1/scaleₛ` (`W` the atoms' weight at the smallest
+    /// micro-batch, the lightest point for every atom), below which no
+    /// cut goes, then bisects to 2⁻²⁴ of the bottleneck. The result is
+    /// the greedy cut at the smallest feasible target found.
     fn linear_partition(&mut self, current: &[usize]) -> Option<Vec<usize>> {
         let s_count = current.len() - 1;
         let n = current[s_count];
@@ -415,19 +400,16 @@ impl Weights<'_> {
         let bottleneck = (0..s_count)
             .map(|s| self.load(s, current[s], current[s + 1]))
             .fold(0.0, f64::max);
-        // the smallest micro-batch is the lightest point for every atom
-        let lightest = (self.stage_point.iter())
-            .map(|&(_, scale)| scale)
-            .fold(f64::INFINITY, f64::min);
-        let mean = self.cum(0, n) * lightest / s_count as f64;
+        let speed: f64 = self.stage_point.iter().map(|&(_, scale)| 1.0 / scale).sum();
+        let floor = self.cum(0, n) / speed;
         let mut step = bottleneck * MIN_GAIN;
         let mut hi = bottleneck - step;
         let mut best = greedy(self, hi)?;
         let mut lo = loop {
             step *= 2.0;
             let target = bottleneck - step;
-            if target <= mean {
-                break mean;
+            if target <= floor {
+                break floor;
             }
             match greedy(self, target) {
                 Some(cuts) => (hi, best) = (target, cuts),
@@ -452,16 +434,19 @@ mod tests {
     use crate::atomic::atomic_partition;
     use crate::blocks::{block_partition, BlockLimits};
     use crate::dp::DpStage;
-    use rannc_hw::{ClusterSpec, DeviceSpec, Precision};
+    use rannc_hw::{ClusterSpec, DeviceRank, DeviceSpec, Precision};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::ProfilerOptions;
 
-    /// On a chain (an MLP: every contiguous run of atoms is a stage),
-    /// the re-cut of a lopsided 3-stage winner covers every atom once, in
-    /// order, and its heaviest stage is the smallest any cut of the atoms
-    /// into 3 stages reaches, to the bisection's tolerance.
-    #[test]
-    fn chain_recut_is_min_max_balanced() {
+    /// Re-cut a lopsided 3-stage winner of an MLP (a chain: every
+    /// contiguous run of atoms is a stage) on `cluster`, its stages
+    /// `(devices, micro-batch)` as given, and check the result against
+    /// brute force: the stages cover every atom once, in order, and the
+    /// heaviest, each stage weighing its atoms at its own micro-batch and
+    /// stretched by its own device group's slow-down, is the smallest any
+    /// cut of the atoms into 3 stages reaches, to the bisection's
+    /// tolerance.
+    fn assert_recut_is_min_max_balanced(cluster: &ClusterSpec, specs: [(usize, usize); 3]) {
         let g = mlp_graph(&MlpConfig::deep(256, 256, 16, 10));
         let cost = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let limits = BlockLimits {
@@ -474,51 +459,60 @@ mod tests {
         let ranges = RangeTable::build(&cost, &blocks);
         // stages [0, 1), [1, 2) and [2, nb): the last one carries the rest
         let nb = blocks.len();
-        let stage = |from: usize, to: usize| DpStage {
-            set: ranges.get(from, to).set.tasks().clone(),
-            block_range: (from, to),
-            devices: 1,
-            tensor_parallel: 1,
-            micro_batch: 4,
-            fwd_time: 0.0,
-            bwd_time: 0.0,
-            mem_bytes: 0,
-            param_elems: 0,
-        };
+        let cuts = [0, 1, 2, nb];
         let winner = DpSolution {
-            stages: vec![stage(0, 1), stage(1, 2), stage(2, nb)],
+            stages: (0..3)
+                .map(|s| DpStage {
+                    set: ranges.get(cuts[s], cuts[s + 1]).set.tasks().clone(),
+                    block_range: (cuts[s], cuts[s + 1]),
+                    devices: specs[s].0,
+                    tensor_parallel: 1,
+                    micro_batch: specs[s].1,
+                    fwd_time: 0.0,
+                    bwd_time: 0.0,
+                    mem_bytes: 0,
+                    param_elems: 0,
+                })
+                .collect(),
             value: 0.0,
             microbatches: 4,
             replica_factor: 1,
         };
-        let slots = SlotTable::build(
-            &ClusterSpec::v100_cluster(1),
-            3,
-            1,
-            cost.device(),
-            Precision::FP32,
-        );
+        let width: usize = specs.iter().map(|&(devices, _)| devices).sum();
+        let slots = SlotTable::build(cluster, width, 1, cost.device(), Precision::FP32);
         let sets = refined_stages(&cost, &ranges, &slots, &winner).expect("a lopsided cut moves");
 
-        // the atoms in topological order, each weighed as the balance does
+        // each stage's slow-down, and its weight of an atom as the balance
+        // weighs it (4 micro-batches on 3 stages checkpoint)
+        let mut first_slot = 0;
+        let scales: Vec<f64> = (specs.iter())
+            .map(|&(devices, _)| {
+                first_slot += devices;
+                slots.group_scale(first_slot - devices, first_slot)
+            })
+            .collect();
+        let weight = |s: usize, t: TaskId| {
+            let (fwd, bwd) = cost.time_sums([t], specs[s].1, 1).counts();
+            (2 * fwd + bwd) as f64 * scales[s]
+        };
         let index = g.index();
         let atoms: Vec<TaskId> = (index.order().iter())
             .copied()
             .filter(|t| index.non_constant()[t.index()])
             .collect();
-        let weight = |t: TaskId| {
-            let (fwd, bwd) = cost.time_sums([t], 4, 1).counts();
-            (2 * fwd + bwd) as f64
-        };
         let mut next = 0;
         let mut heaviest = 0.0f64;
-        for set in &sets {
+        for (s, set) in sets.iter().enumerate() {
             let count = atoms[next..]
                 .iter()
                 .take_while(|&&t| set.contains(t))
                 .count();
             assert!(count > 0, "a stage holds no atom");
-            heaviest = heaviest.max(atoms[next..next + count].iter().map(|&t| weight(t)).sum());
+            let load = atoms[next..next + count]
+                .iter()
+                .map(|&t| weight(s, t))
+                .sum();
+            heaviest = heaviest.max(load);
             next += count;
         }
         assert_eq!(
@@ -526,24 +520,38 @@ mod tests {
             atoms.len(),
             "the stages do not cover the atoms in order"
         );
-        let prefix: Vec<f64> = std::iter::once(0.0)
-            .chain(atoms.iter().scan(0.0, |sum, &t| {
-                *sum += weight(t);
-                Some(*sum)
-            }))
-            .collect();
+        let prefix = |s: usize| -> Vec<f64> {
+            std::iter::once(0.0)
+                .chain(atoms.iter().scan(0.0, |sum, &t| {
+                    *sum += weight(s, t);
+                    Some(*sum)
+                }))
+                .collect()
+        };
+        let (p0, p1, p2) = (prefix(0), prefix(1), prefix(2));
         let n = atoms.len();
         let best = (1..n - 1)
             .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-            .map(|(a, b)| {
-                (prefix[a])
-                    .max(prefix[b] - prefix[a])
-                    .max(prefix[n] - prefix[b])
-            })
+            .map(|(a, b)| (p0[a]).max(p1[b] - p1[a]).max(p2[n] - p2[b]))
             .fold(f64::INFINITY, f64::min);
         assert!(
             heaviest <= best * (1.0 + 1e-6),
             "heaviest stage {heaviest} above the best cut's {best}"
         );
+    }
+
+    /// Uniform stages: one device each, one micro-batch, no slow-down.
+    #[test]
+    fn chain_recut_is_min_max_balanced() {
+        assert_recut_is_min_max_balanced(&ClusterSpec::v100_cluster(1), [(1, 4), (1, 4), (1, 4)]);
+    }
+
+    /// Mixed stages: the middle one on two devices at half the
+    /// micro-batch, the last one on a device running at half speed.
+    #[test]
+    fn mixed_recut_is_min_max_balanced() {
+        let slow = DeviceRank { node: 0, local: 3 };
+        let cluster = ClusterSpec::v100_cluster(1).with_degraded_device(slow, 0.5);
+        assert_recut_is_min_max_balanced(&cluster, [(1, 4), (2, 2), (1, 4)]);
     }
 }

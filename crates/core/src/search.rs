@@ -450,8 +450,16 @@ fn refine_winner(
         let _s = span.arg_i("accepted", 0);
         return winner;
     };
-    let chain = RangeTable::chain(cost, sets);
-    let ctx = DpCtx::new(cost, &chain, cluster, &slots, p);
+    // the new stages as the blocks of a range table of their own
+    let stages: Vec<Block> = (sets.into_iter())
+        .map(|set| Block {
+            set,
+            time: 0.0,
+            mem: 0,
+        })
+        .collect();
+    let stage_ranges = RangeTable::build(cost, &stages);
+    let ctx = DpCtx::new(cost, &stage_ranges, cluster, &slots, p);
     let refined = form_stage_dp(&ctx, &mut DpArena::new())
         .map(|sol| (score_solution(&sol, cluster, cost), sol));
     let accepted = matches!(&refined, Some((v, _)) if *v < score);

@@ -39,7 +39,7 @@ use crate::blocks::Block;
 use crate::dp::DpParams;
 use crate::placement::SlotTable;
 use rannc_cost::CostModel;
-use rannc_graph::{TaskId, TaskSet};
+use rannc_graph::TaskSet;
 use rannc_hw::{ClusterSpec, LinkSpec};
 use rannc_profile::{BoundarySplit, Prefix, Profiler, Residency, TimeSums};
 use std::collections::BTreeMap;
@@ -99,14 +99,9 @@ pub struct TimeRow {
 /// Every block-range union of one block partition, row by row: row
 /// `from` holds ranges `[from, from+1) … [from, nb)`. Also the search's
 /// per-block time sums, one [`TimeRow`] per `(micro-batch, tp)` point.
-///
-/// A *chain* table ([`RangeTable::chain`]) holds the single-block ranges
-/// `[i, i + 1)` alone: all that Algorithm 1 reads when it puts `nb`
-/// blocks on `nb` stages.
 pub struct RangeTable {
     nb: usize,
-    /// The blocks split at their boundary; `None` for a chain table.
-    split: Option<BoundarySplit>,
+    split: BoundarySplit,
     ranges: Vec<Prefix>,
     rows: Mutex<BTreeMap<(usize, usize), Arc<TimeRow>>>,
 }
@@ -137,57 +132,15 @@ impl RangeTable {
         }
         RangeTable {
             nb,
-            split: Some(split),
+            split,
             ranges,
             rows: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// The chain table of `sets`: each single-block range walked on its
-    /// own (its statistics and its egress), with no boundary split. Its
-    /// ranges equal those of [`RangeTable::build`] bit for bit;
-    /// [`RangeTable::get`] of a longer range panics.
-    pub fn chain(cost: &dyn CostModel, sets: Vec<TaskSet>) -> Self {
-        let g = cost.graph();
-        let index = g.index();
-        let producers: Vec<TaskId> = (g.outputs().iter())
-            .filter_map(|&v| g.value(v).producer)
-            .collect();
-        // `traverse::egress_bytes`, reading a task's values only when it
-        // has a successor outside the set or produces a model output
-        let egress = |set: &TaskSet| -> usize {
-            (set.iter())
-                .filter(|t| {
-                    producers.contains(t) || index.successors(*t).iter().any(|&s| !set.contains(s))
-                })
-                .flat_map(|t| &g.task(t).outputs)
-                .filter(|&&v| {
-                    let consumers = &g.value(v).consumers;
-                    g.outputs().contains(&v) || consumers.iter().any(|&c| !set.contains(c))
-                })
-                .map(|&v| g.value(v).size_bytes())
-                .sum()
-        };
-        let profiler = cost.profiler();
-        let ranges: Vec<Prefix> = (sets.into_iter())
-            .map(|set| Prefix {
-                egress: egress(&set),
-                set: profiler.profiled_owned(set),
-                repeated: Vec::new(),
-            })
-            .collect();
-        RangeTable {
-            nb: ranges.len(),
-            split: None,
-            ranges,
-            rows: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Boundary rows of the blocks: the value rows a row walk reads (0
-    /// for a chain table, which walks none).
+    /// Boundary rows of the blocks: the value rows a row walk reads.
     pub fn boundary_rows(&self) -> usize {
-        self.split.as_ref().map_or(0, BoundarySplit::boundary_rows)
+        self.split.boundary_rows()
     }
 
     /// Number of blocks the table covers.
@@ -197,19 +150,12 @@ impl RangeTable {
 
     /// The task set of block `i`.
     pub fn block(&self, i: usize) -> &TaskSet {
-        match &self.split {
-            Some(split) => &split.parts()[i],
-            None => self.ranges[i].set.tasks(),
-        }
+        &self.split.parts()[i]
     }
 
     /// The union, statistics and egress of block range `[from, to)`.
     pub fn get(&self, from: usize, to: usize) -> &Prefix {
         debug_assert!(from < to && to <= self.nb, "range [{from}, {to})");
-        if self.split.is_none() {
-            assert_eq!(to, from + 1, "a chain table holds single-block ranges");
-            return &self.ranges[from];
-        }
         // rows before `from` hold nb, nb−1, …, nb−from+1 ranges
         let row = from * self.nb - from * from.saturating_sub(1) / 2;
         &self.ranges[row + to - from - 1]
@@ -236,10 +182,7 @@ impl RangeTable {
     /// of the range's union.
     pub fn time(&self, profiler: &Profiler<'_>, row: &TimeRow, from: usize, to: usize) -> TimeSums {
         let (batch, tp) = (row.batch, row.tp);
-        let blocks = match &self.split {
-            Some(split) => &split.parts()[from..to],
-            None => std::slice::from_ref(self.get(from, to).set.tasks()),
-        };
+        let blocks = &self.split.parts()[from..to];
         let sums = profiler.sum_parts(&row.slots[from..to], blocks, batch, tp);
         let repeated = &self.get(from, to).repeated;
         if repeated.is_empty() {
@@ -465,37 +408,5 @@ mod tests {
             }
         }
         assert_eq!(profiler.cache_stats(), Default::default());
-    }
-
-    /// A chain table's single-block ranges price every stage exactly as
-    /// the full table's do: same set, egress and `DpCtx::eval` result.
-    #[test]
-    fn chain_ranges_price_like_the_full_table() {
-        let (g, blocks) = setup();
-        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let full = RangeTable::build(&profiler, &blocks);
-        let chain = RangeTable::chain(&profiler, blocks.iter().map(|b| b.set.clone()).collect());
-        let cluster = ClusterSpec::v100_cluster(1);
-        let slots = SlotTable::build(&cluster, 4, 1, profiler.device(), Precision::FP32);
-        let p = params(blocks.len().min(4));
-        let (full_ctx, chain_ctx) = (
-            DpCtx::new(&profiler, &full, &cluster, &slots, &p),
-            DpCtx::new(&profiler, &chain, &cluster, &slots, &p),
-        );
-        for i in 0..blocks.len() {
-            assert_eq!(chain.block(i), full.block(i), "block {i}");
-            assert_eq!(
-                chain.get(i, i + 1).egress,
-                full.get(i, i + 1).egress,
-                "block {i}"
-            );
-            for repl in 1..=2 {
-                assert_eq!(
-                    chain_ctx.eval(i, i + 1, repl),
-                    full_ctx.eval(i, i + 1, repl)
-                );
-            }
-        }
-        assert_eq!(chain.boundary_rows(), 0);
     }
 }

@@ -6,9 +6,9 @@
 //! parallel sweep must match the exhaustive sequential scan, and its
 //! refined plan the reference refinement, at every thread count. Stages
 //! compare by task set and by `block_range`, which for a refined stage
-//! is its index in the refined stage list. The engine walks only finite predecessors; the
-//! reference walks every pair, and the counts of the two walks must
-//! agree.
+//! is its index in the refined stage list. The engine walks only finite
+//! predecessors; the reference walks every pair, and the counts of the
+//! two walks must agree.
 
 #[path = "support/mod.rs"]
 mod support;

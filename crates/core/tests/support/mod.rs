@@ -333,7 +333,7 @@ pub fn refine_reference(
     let Some(sets) = refined_stages(cost, &RangeTable::build(cost, blocks), &slots, &winner) else {
         return winner;
     };
-    // the re-cut stages as blocks of a full range table, not a chain
+    // the re-cut stages as the blocks of a range table of their own
     let stages: Vec<Block> = (sets.into_iter())
         .map(|set| Block {
             set,

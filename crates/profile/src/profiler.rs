@@ -579,15 +579,6 @@ impl<'g> Profiler<'g> {
         }
     }
 
-    /// [`Profiler::profiled`] of a set it keeps: one statistics walk.
-    pub fn profiled_owned(&self, set: TaskSet) -> ProfiledSet<'static> {
-        let stats = self.set_stats(&set);
-        ProfiledSet {
-            set: Cow::Owned(set),
-            stats,
-        }
-    }
-
     /// Exact raw time sums of `tasks` at `(batch, tp)`: one walk over the
     /// tasks, each converted to fixed point on its own, so the order of
     /// the tasks does not matter. A task listed twice counts twice.

@@ -171,8 +171,9 @@ fn thread_count_does_not_change_the_plan() {
 
 /// The third search axis: with `tp_max = 4` the concurrent `(S, MB, T)`
 /// sweep is still deterministic — 1, 2, 4 and 8 worker threads all
-/// return the exhaustive scan's plan bit for bit, tensor-parallel
-/// degrees included.
+/// return the refinement of the exhaustive scan's winner
+/// (`support::refine_reference`) bit for bit, tensor-parallel degrees
+/// included.
 #[test]
 fn three_axis_sweep_is_thread_deterministic() {
     for g in bundled_models() {
