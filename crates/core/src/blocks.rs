@@ -15,7 +15,7 @@ use rannc_graph::convex::ConvexChecker;
 use rannc_graph::taskset::Membership;
 use rannc_graph::{TaskGraph, TaskId, TaskSet};
 use rannc_hw::ClusterSpec;
-use rannc_profile::{Residency, TimeSums};
+use rannc_profile::{ProfiledSet, Residency, StatsBound, TimeSums};
 use std::cell::OnceCell;
 
 /// Limits and knobs of the block-level phase.
@@ -109,10 +109,14 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
     /// [`BlockCtx::profile`] of a group whose exact time sums are `sums`:
     /// a statistics walk and no time walk.
     pub fn price(&self, set: &TaskSet, sums: TimeSums) -> (f64, usize) {
-        let profiled = self.cost.profiler().profiled(set);
+        self.price_profiled(&self.cost.profiler().profiled(set), sums)
+    }
+
+    /// [`BlockCtx::price`] of a group whose statistics are walked.
+    pub fn price_profiled(&self, profiled: &ProfiledSet<'_>, sums: TimeSums) -> (f64, usize) {
         let probe = Residency::probe();
         let r = self.cost.stage_price(
-            &profiled,
+            profiled,
             sums,
             self.limits.profile_batch,
             probe.inflight,
@@ -122,20 +126,47 @@ impl<'g, 'p> BlockCtx<'g, 'p> {
         (r.fwd_time + r.bwd_time, r.mem_bytes)
     }
 
-    /// Whether a candidate group fits the device memory bound. Prices
-    /// memory only: exactly [`BlockCtx::profile`]'s memory, without its
-    /// time.
-    pub fn fits(&self, set: &TaskSet) -> bool {
-        let set = self.cost.profiler().profiled(set);
+    /// [`BlockCtx::profile`]'s time of `v ∪ w`, whose exact time sums
+    /// are `sums`, bit for bit, without building the union or walking its
+    /// statistics. A cost model's stage times are its profiler's
+    /// ([`CostModel::stage_price`]).
+    pub fn union_time(&self, (v, w): (&TaskSet, &TaskSet), sums: TimeSums) -> f64 {
+        let (fwd, bwd) = self.cost.profiler().union_times(
+            (v, w),
+            sums,
+            self.limits.profile_batch,
+            Residency::probe().checkpointing,
+            1,
+        );
+        fwd + bwd
+    }
+
+    /// The exact statistics of a group, as a bound: one walk of its
+    /// members.
+    pub fn stats_bound(&self, set: &TaskSet) -> StatsBound {
+        self.cost.profiler().profiled(set).stats_bound()
+    }
+
+    /// Whether every group whose statistics `bound` covers fits the
+    /// device memory bound: [`BlockCtx::profile`]'s memory of the bound,
+    /// which is at least each such group's.
+    pub fn bound_fits(&self, bound: &StatsBound) -> bool {
         let probe = Residency::probe();
-        let mem = self.cost.stage_mem(
-            &set,
+        let mem = self.cost.bound_mem(
+            bound,
             self.limits.profile_batch,
             probe.inflight,
             probe.checkpointing,
             1,
         );
         mem <= self.limits.mem_limit
+    }
+
+    /// Whether a candidate group fits the device memory bound. Prices
+    /// memory only: exactly [`BlockCtx::profile`]'s memory, without its
+    /// time.
+    pub fn fits(&self, set: &TaskSet) -> bool {
+        self.bound_fits(&self.stats_bound(set))
     }
 }
 
@@ -494,7 +525,9 @@ pub fn block_partition(
         let coarse = crate::coarsen::coarsen(&mut ctx, &atomic.sets);
         let _s = span
             .arg_i("levels", coarse.levels as i64)
-            .arg_i("candidates", coarse.candidates as i64);
+            .arg_i("candidates", coarse.candidates as i64)
+            .arg_i("unions", coarse.unions as i64)
+            .arg_i("walked", coarse.walked as i64);
         coarse
     };
     let mut groups = coarse.groups;
@@ -657,6 +690,8 @@ mod tests {
         assert!(walk.moves > 0 && walk.pieces < 2 * coarse.merges.len());
         assert_eq!(walk.rows_rewalked, 2 * walk.moves);
         assert!(coarse.levels > 0 && coarse.candidates >= coarse.merges.len());
+        // at 32 GiB no bound binds: one union per merge, nothing walked
+        assert_eq!((coarse.unions, coarse.walked), (coarse.merges.len(), 0));
 
         let tid = rannc_obs::trace::current_tid();
         let arg = |args: &[(&str, rannc_obs::trace::ArgVal)], key| {
@@ -681,6 +716,8 @@ mod tests {
             let coarsen = span("coarsen");
             assert_eq!(arg(&coarsen.args, "levels"), Some(coarse.levels));
             assert_eq!(arg(&coarsen.args, "candidates"), Some(coarse.candidates));
+            assert_eq!(arg(&coarsen.args, "unions"), Some(coarse.unions));
+            assert_eq!(arg(&coarsen.args, "walked"), Some(coarse.walked));
             let uncoarsen = span("uncoarsen");
             assert_eq!(arg(&uncoarsen.args, "moves"), Some(walk.moves));
             assert_eq!(arg(&uncoarsen.args, "pieces"), Some(walk.pieces));

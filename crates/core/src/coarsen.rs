@@ -12,10 +12,21 @@
 //!
 //! The group adjacency is built once, from the atoms, and contracted after
 //! every level ([`GroupGraph::contract`]).
+//!
+//! A candidate `(v, w)` is priced from its two operands, and only the
+//! winning union is built: time from their composed time sums, then,
+//! only for a candidate that beats the best so far, convexity from two
+//! directed searches between the operands
+//! ([`ConvexChecker::union_is_convex`]) and memory from the sum of their
+//! statistics bounds (the union is walked only when that bound exceeds
+//! the limit).
+//!
+//! [`ConvexChecker::union_is_convex`]: rannc_graph::convex::ConvexChecker::union_is_convex
 
 use crate::blocks::{BlockCtx, GroupGraph};
+use rannc_graph::convex::Span;
 use rannc_graph::TaskSet;
-use rannc_profile::TimeSums;
+use rannc_profile::{StatsBound, TimeSums};
 
 /// One recorded merge: at `level`, groups with task sets `v` and `w`
 /// became `v ∪ w`.
@@ -38,9 +49,27 @@ pub struct CoarsenResult {
     pub merges: Vec<MergeRecord>,
     /// Number of levels executed.
     pub levels: usize,
-    /// Merge candidates tried: adjacent, still-unused pairs whose union
-    /// was tested for convexity.
+    /// Merge candidates priced: adjacent, still-unused pairs.
     pub candidates: usize,
+    /// Union task sets built: one per merge, and one per walked
+    /// candidate that did not become a merge.
+    pub unions: usize,
+    /// Convex candidates that would have won on time but whose summed
+    /// statistics bound exceeded the memory limit, so that their union's
+    /// statistics were walked.
+    pub walked: usize,
+}
+
+/// What coarsening carries for one group, so that a merge is priced from
+/// its operands: the group's exact time sums and the time it was priced
+/// at, its topological span, and a bound on its set statistics (exact for
+/// an atom or a walked union, else the sum of its operands' bounds).
+#[derive(Debug, Clone, Copy)]
+struct Carried {
+    sums: TimeSums,
+    time: f64,
+    span: Span,
+    bound: StatsBound,
 }
 
 /// Run coarsening from the atomic subcomponents down to (at most) `k`
@@ -57,35 +86,52 @@ pub fn coarsen_with(
     mut observe: impl FnMut(&[TaskSet], &GroupGraph),
 ) -> CoarsenResult {
     let k = ctx.limits.k;
-    let mut groups: Vec<TaskSet> = atomic_sets.to_vec();
-    // Only the atoms are walked (independently, so fanned out across
-    // cores). Later levels carry each group's exact time sums and time: a
-    // union's sums are composed from its operands', a merged group keeps
-    // the time its winning union was priced at, an unmerged one its
-    // previous time.
-    let (mut sums, mut times): (Vec<TimeSums>, Vec<f64>) = crate::par::parallel_map(&groups, |s| {
-        let sums = ctx.sums(s);
-        (sums, ctx.price(s, sums).0)
-    })
-    .into_iter()
-    .unzip();
+    // Only the atoms are walked, on a worker while this thread builds the
+    // group graph. Later levels carry what a merge is priced from: a
+    // union's time sums, span and bound are composed from its operands',
+    // a merged group keeps the time its winning union was priced at, an
+    // unmerged one everything it had.
+    let ((mut groups, mut carried), mut graph) = {
+        let ctx = &*ctx;
+        crate::par::join(
+            || {
+                let carried: Vec<Carried> = (atomic_sets.iter())
+                    .map(|s| {
+                        let sums = ctx.sums(s);
+                        let profiled = ctx.cost.profiler().profiled(s);
+                        Carried {
+                            sums,
+                            time: ctx.price_profiled(&profiled, sums).0,
+                            span: ctx.checker.span(s),
+                            bound: profiled.stats_bound(),
+                        }
+                    })
+                    .collect();
+                (atomic_sets.to_vec(), carried)
+            },
+            || GroupGraph::build(ctx.g, atomic_sets),
+        )
+    };
     let mut merges = Vec::new();
     let mut level = 0usize;
-    let mut candidates = 0usize;
-    let mut graph = GroupGraph::build(ctx.g, &groups);
+    let (mut candidates, mut unions, mut walked) = (0usize, 0usize, 0usize);
     observe(&groups, &graph);
 
+    // per-level scratch, sized at the first level
+    let (mut order, mut used, mut into) = (Vec::new(), Vec::new(), Vec::new());
     while groups.len() > k {
         // ascending computation time
-        let mut order: Vec<usize> = (0..groups.len()).collect();
-        order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
+        order.clear();
+        order.extend(0..groups.len());
+        order.sort_by(|&a, &b| carried[a].time.total_cmp(&carried[b].time));
 
-        let mut used = vec![false; groups.len()];
+        used.clear();
+        used.resize(groups.len(), false);
         // `into[i]`: the group of the next level that group `i` joins
-        let mut into = vec![0u32; groups.len()];
+        into.clear();
+        into.resize(groups.len(), 0u32);
         let mut next: Vec<TaskSet> = Vec::with_capacity(groups.len() / 2 + 1);
-        let mut next_sums: Vec<TimeSums> = Vec::with_capacity(next.capacity());
-        let mut next_times: Vec<f64> = Vec::with_capacity(next.capacity());
+        let mut next_carried: Vec<Carried> = Vec::with_capacity(next.capacity());
         let mut merged_any = false;
         let mut remaining = groups.len();
 
@@ -99,32 +145,53 @@ pub fn coarsen_with(
             // pass the rest through.
             if remaining <= k {
                 next.push(take(&mut groups, v));
-                next_sums.push(sums[v]);
-                next_times.push(times[v]);
+                next_carried.push(carried[v]);
                 continue;
             }
-            let mut best: Option<(usize, f64, TaskSet, TimeSums)> = None;
+            // the best merge: partner, time, sums, bound, and the union
+            // if pricing it built one
+            let mut best: Option<(usize, f64, TimeSums, StatsBound, Option<TaskSet>)> = None;
             for w in graph.neighbours(v) {
                 let w = w as usize;
                 if used[w] {
                     continue;
                 }
                 candidates += 1;
-                let union = groups[v].union(&groups[w]);
-                if !ctx.checker.is_convex(&union) {
+                let (cv, cw) = (&carried[v], &carried[w]);
+                let (gv, gw) = (&groups[v], &groups[w]);
+                let sums = ctx.union_sums((gv, cv.sums), (gw, cw.sums));
+                let t = ctx.union_time((gv, gw), sums);
+                // Legality last: the winner is the first strict minimum
+                // among legal candidates, so one that does not beat the
+                // best so far needs no check.
+                if !best.as_ref().is_none_or(|(_, bt, ..)| t < *bt) {
                     continue;
                 }
-                let union_sums = ctx.union_sums((&groups[v], sums[v]), (&groups[w], sums[w]));
-                let (t, mem) = ctx.price(&union, union_sums);
-                if mem > ctx.limits.mem_limit {
+                if !ctx.checker.union_is_convex((gv, cv.span), (gw, cw.span)) {
                     continue;
                 }
-                if best.as_ref().map(|(_, bt, ..)| t < *bt).unwrap_or(true) {
-                    best = Some((w, t, union, union_sums));
+                // the summed bound decides unless it exceeds the limit;
+                // only then is the union built and walked
+                let mut bound = cv.bound + cw.bound;
+                let mut union = None;
+                if !ctx.bound_fits(&bound) {
+                    walked += 1;
+                    unions += 1;
+                    let built = gv.union(gw);
+                    bound = ctx.stats_bound(&built);
+                    if !ctx.bound_fits(&bound) {
+                        continue;
+                    }
+                    union = Some(built);
                 }
+                best = Some((w, t, sums, bound, union));
             }
             match best {
-                Some((w, t, union, union_sums)) => {
+                Some((w, time, sums, bound, union)) => {
+                    let union = union.unwrap_or_else(|| {
+                        unions += 1;
+                        groups[v].union(&groups[w])
+                    });
                     used[w] = true;
                     into[w] = into[v];
                     merges.push(MergeRecord {
@@ -133,27 +200,28 @@ pub fn coarsen_with(
                         w: take(&mut groups, w),
                     });
                     next.push(union);
-                    next_sums.push(union_sums);
-                    next_times.push(t);
+                    next_carried.push(Carried {
+                        sums,
+                        time,
+                        span: carried[v].span.union(carried[w].span),
+                        bound,
+                    });
                     merged_any = true;
                     remaining -= 1; // two groups became one
                 }
                 None => {
                     next.push(take(&mut groups, v));
-                    next_sums.push(sums[v]);
-                    next_times.push(times[v]);
+                    next_carried.push(carried[v]);
                 }
             }
         }
 
+        groups = next;
         if !merged_any {
             // |G_L| == |G_{L+1}|: fixed point
-            groups = next;
             break;
         }
-        groups = next;
-        sums = next_sums;
-        times = next_times;
+        carried = next_carried;
         level += 1;
         if groups.len() > k {
             graph.contract(&into, groups.len());
@@ -166,6 +234,8 @@ pub fn coarsen_with(
         merges,
         levels: level,
         candidates,
+        unions,
+        walked,
     }
 }
 

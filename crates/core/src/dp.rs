@@ -396,6 +396,8 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
     live_rows[0] = (0, 1);
 
     let mut d_min = 1usize;
+    // time slot hits of this run's evaluations, published once
+    let mut slot_hits = 0u64;
 
     for s in 1..=s_max {
         for b in s..=nb - s_max + s {
@@ -439,7 +441,9 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
                             hot[li]
                         } else {
                             *misses += 1;
-                            let entry = match ctx.eval_at(b_prev, b, repl, &mut rows[repl]) {
+                            let priced =
+                                ctx.eval_at(b_prev, b, repl, &mut rows[repl], &mut slot_hits);
+                            let entry = match priced {
                                 Some(c) => {
                                     debug_assert_ne!(c.mem, OVER_MEMORY, "memory sentinel");
                                     cold[li] = Cold {
@@ -515,6 +519,7 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
         }
     }
 
+    ctx.count_slot_hits(slot_hits);
     if v[idx(s_max, nb, d_max)] == INF {
         return None; // INFEASIBLE
     }

@@ -73,6 +73,26 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Run `a` and `b`, `a` on a scoped worker thread concurrently with `b`
+/// on the calling thread when more than one worker is allowed
+/// ([`max_threads`]), else one after the other.
+pub fn join<RA, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB) -> (RA, RB)
+where
+    RA: Send,
+{
+    if max_threads() <= 1 {
+        return (a(), b());
+    }
+    std::thread::scope(|scope| {
+        let a = scope.spawn(a);
+        let rb = b();
+        (
+            a.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            rb,
+        )
+    })
+}
+
 /// Parallel map over a slice with deterministic output order.
 ///
 /// Falls back to a sequential map for small inputs where thread spawn
@@ -167,6 +187,12 @@ mod tests {
         for (i, (x, _)) in out.iter().enumerate() {
             assert_eq!(i, *x);
         }
+    }
+
+    #[test]
+    fn join_returns_both_results_in_order() {
+        let (a, b) = join(|| (0..100u64).sum::<u64>(), || "b");
+        assert_eq!((a, b), (4950, "b"));
     }
 
     #[test]

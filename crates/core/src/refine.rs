@@ -130,10 +130,12 @@ pub fn refined_stages(
         stage_point,
         points: Vec::with_capacity(micros.len()),
     };
+    let mut slot_hits = 0;
     for micro in micros {
-        let point = weights.point(ranges, &constants, micro);
+        let point = weights.point(ranges, &constants, micro, &mut slot_hits);
         weights.points.push(point);
     }
+    cost.profiler().count_hits(slot_hits);
     let current: Vec<usize> = (stages.iter())
         .map(|st| bounds[st.block_range.0])
         .chain([atoms])
@@ -233,12 +235,22 @@ impl Weights<'_> {
     }
 
     /// The point at `micro` with every block boundary known: each block's
-    /// time sums from the range table, less its constants'.
-    fn point(&self, ranges: &RangeTable, constants: &[(usize, TaskId)], micro: usize) -> Point {
+    /// time sums from the range table, less its constants'. Adds the time
+    /// slot hits to `slot_hits`.
+    fn point(
+        &self,
+        ranges: &RangeTable,
+        constants: &[(usize, TaskId)],
+        micro: usize,
+        slot_hits: &mut u64,
+    ) -> Point {
         let nb = self.bounds.len() - 1;
         let row = ranges.row(micro, self.tp);
         let mut block_weight: Vec<i128> = (0..nb)
-            .map(|j| self.weight(ranges.time(self.profiler, &row, j, j + 1)))
+            .map(|j| {
+                let sums = ranges.time_counted(self.profiler, &row, (j, j + 1), slot_hits);
+                self.weight(sums)
+            })
             .collect();
         for &(j, t) in constants {
             block_weight[j] -= self.weight(self.profiler.time_sums([t], micro, self.tp));

@@ -490,7 +490,7 @@ mod tests {
     use rannc_graph::TaskSet;
     use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec, NodeSpec};
     use rannc_models::{mlp_graph, MlpConfig};
-    use rannc_profile::{ProfiledSet, Profiler, ProfilerOptions, TimeSums};
+    use rannc_profile::{ProfiledSet, Profiler, ProfilerOptions, StatsBound, TimeSums};
 
     /// A small test cluster: `nodes` × 2 devices with `mem` bytes each.
     fn small_cluster(nodes: usize, mem: usize) -> ClusterSpec {
@@ -670,6 +670,16 @@ mod tests {
                 *self.mem_ok.lock().unwrap() += 1;
             }
             mem
+        }
+        fn bound_mem(
+            &self,
+            bound: &StatsBound,
+            batch: usize,
+            inflight: usize,
+            ckpt: bool,
+            tp: usize,
+        ) -> usize {
+            self.inner.bound_mem(bound, batch, inflight, ckpt, tp)
         }
         fn comm_bytes(&self, from: &TaskSet, to: &TaskSet, batch: usize) -> usize {
             CostModel::comm_bytes(&self.inner, from, to, batch)

@@ -179,11 +179,28 @@ impl RangeTable {
     /// Exact time sums of range `[from, to)` at `row`'s point: the sum of
     /// its blocks' sums, each filled on first use, minus the extra copies
     /// of tasks several of its blocks hold. Equal, bit for bit, to a walk
-    /// of the range's union.
+    /// of the range's union. Publishes its slot hits at once; the DP and
+    /// the refinement, which read many ranges, count theirs and publish
+    /// them once.
     pub fn time(&self, profiler: &Profiler<'_>, row: &TimeRow, from: usize, to: usize) -> TimeSums {
+        let mut hits = 0;
+        let sums = self.time_counted(profiler, row, (from, to), &mut hits);
+        profiler.count_hits(hits);
+        sums
+    }
+
+    /// [`RangeTable::time`], adding its slot hits to `hits` for the
+    /// caller to publish ([`Profiler::count_hits`]) once.
+    pub(crate) fn time_counted(
+        &self,
+        profiler: &Profiler<'_>,
+        row: &TimeRow,
+        (from, to): (usize, usize),
+        hits: &mut u64,
+    ) -> TimeSums {
         let (batch, tp) = (row.batch, row.tp);
         let blocks = &self.split.parts()[from..to];
-        let sums = profiler.sum_parts(&row.slots[from..to], blocks, batch, tp);
+        let sums = profiler.sum_parts(&row.slots[from..to], blocks, batch, tp, hits);
         let repeated = &self.get(from, to).repeated;
         if repeated.is_empty() {
             sums
@@ -266,23 +283,35 @@ impl<'a> DpCtx<'a> {
         self.slots
     }
 
+    /// Publish time slot hits counted by [`DpCtx::eval_at`] into the
+    /// profiler's [`CacheStats`](rannc_profile::CacheStats).
+    pub(crate) fn count_slot_hits(&self, hits: u64) {
+        self.cost.profiler().count_hits(hits);
+    }
+
     /// Price the stage of blocks `[from, to)` on `repl` data-parallel
     /// units. `None` when the micro-batch would be empty or the stage
     /// exceeds the memory bound.
     pub fn eval(&self, from: usize, to: usize, repl: usize) -> Option<StageCost> {
-        self.eval_at(from, to, repl, &mut None)
+        let mut hits = 0;
+        let cost = self.eval_at(from, to, repl, &mut None, &mut hits);
+        self.count_slot_hits(hits);
+        cost
     }
 
     /// [`DpCtx::eval`] with a caller-kept handle of the time row the
-    /// stage's point prices at, fetched on first use. The point depends
-    /// only on `repl` within a DP arena's memo key, so the arena keeps
-    /// one handle per `repl` and a time lookup takes no lock.
+    /// stage's point prices at, fetched on first use, adding its time
+    /// slot hits to `slot_hits` for the caller to publish once
+    /// ([`DpCtx::count_slot_hits`]). The point depends only on `repl`
+    /// within a DP arena's memo key, so the arena keeps one handle per
+    /// `repl` and a time lookup takes no lock.
     pub(crate) fn eval_at(
         &self,
         from: usize,
         to: usize,
         repl: usize,
         row: &mut Option<Arc<TimeRow>>,
+        slot_hits: &mut u64,
     ) -> Option<StageCost> {
         let micro = self.p.batch_size / self.p.replica_factor / self.p.microbatches / repl;
         if micro == 0 {
@@ -303,7 +332,9 @@ impl<'a> DpCtx<'a> {
         }
         let row = row.get_or_insert_with(|| self.ranges.row(micro, self.p.tp));
         debug_assert_eq!((row.batch, row.tp), (micro, self.p.tp), "stale time row");
-        let time = self.ranges.time(self.cost.profiler(), row, from, to);
+        let time = self
+            .ranges
+            .time_counted(self.cost.profiler(), row, (from, to), slot_hits);
         let prof = self.cost.stage_cost_tp(
             &range.set,
             time,

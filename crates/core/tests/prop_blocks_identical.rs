@@ -3,9 +3,11 @@
 //! `support/blocks.rs` exactly — the same groups and merge records, the
 //! same uncoarsening move count, and the same blocks in the same order with
 //! bit-equal profiled times — on every bundled model family, for several
-//! `k`, a generous and a tight memory bound, and 1 and 2 worker threads.
+//! `k`, a generous and a tight memory bound, and 1 and 2 worker threads,
+//! with profiling noise on and under a calibrated memory factor too.
 //! The group graph the two steps keep current must equal a rebuild from
-//! scratch after every change.
+//! scratch after every change, and coarsening's pair convexity check must
+//! equal a check of the union on every adjacent pair of every level.
 
 #[path = "support/blocks.rs"]
 mod reference;
@@ -13,9 +15,10 @@ mod reference;
 use rannc_core::blocks::{BlockCtx, BlockLimits, GroupGraph};
 use rannc_core::coarsen::MergeRecord;
 use rannc_core::{atomic_partition, block_partition, coarsen, par, uncoarsen, Block};
-use rannc_cost::CostModel;
+use rannc_cost::{CalibratedCost, Calibration, CostModel};
+use rannc_graph::convex::ConvexChecker;
 use rannc_graph::{DType, GraphBuilder, OpKind, TaskGraph, TaskId, TaskSet};
-use rannc_hw::DeviceSpec;
+use rannc_hw::{ClusterSpec, DeviceSpec};
 use rannc_models::{
     bert_graph, gpt_graph, mlp_graph, resnet_graph, t5_graph, BertConfig, GptConfig, MlpConfig,
     ResNetConfig, T5Config,
@@ -57,20 +60,36 @@ fn assert_blocks_identical(got: &[Block], want: &[Block], what: &str) {
     }
 }
 
+/// What one configuration exercised: uncoarsening moves, and coarsening
+/// candidates whose union coarsening walked for memory.
+#[derive(Default)]
+struct Exercised {
+    moves: usize,
+    walked: usize,
+}
+
+impl std::ops::AddAssign for Exercised {
+    fn add_assign(&mut self, other: Exercised) {
+        self.moves += other.moves;
+        self.walked += other.walked;
+    }
+}
+
 /// Every step of the production phase against the reference, on one
-/// configuration. Returns the uncoarsening move count.
-fn check(name: &str, g: &TaskGraph, limits: BlockLimits) -> usize {
-    let profiler = Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+/// configuration priced by `cost`.
+fn check(name: &str, g: &TaskGraph, cost: &dyn CostModel, limits: BlockLimits) -> Exercised {
     let atomic = atomic_partition(g);
     let what = format!(
-        "{name} k={} mem={} threads={}",
+        "{name} {} sigma={} k={} mem={} threads={}",
+        cost.name(),
+        cost.options().noise_sigma,
         limits.k,
         limits.mem_limit,
         par::max_threads()
     );
 
     // coarsening: same groups, same merge hierarchy
-    let mut ctx = BlockCtx::new(g, &profiler, limits);
+    let mut ctx = BlockCtx::new(g, cost, limits);
     let got = coarsen::coarsen(&mut ctx, &atomic.sets);
     let want = reference::coarsen(&mut ctx, &atomic.sets);
     assert_eq!(got.groups, want.groups, "{what}: coarsened groups");
@@ -93,19 +112,27 @@ fn check(name: &str, g: &TaskGraph, limits: BlockLimits) -> usize {
     assert_eq!(got_moves, want_moves, "{what}: uncoarsening moves");
 
     // the whole phase, group for group in order
-    let blocks = block_partition(g, &profiler, &atomic, limits);
-    let (want_blocks, moves) = reference::block_partition(g, &profiler, &atomic, limits);
+    let blocks = block_partition(g, cost, &atomic, limits);
+    let (want_blocks, moves) = reference::block_partition(g, cost, &atomic, limits);
     assert_eq!(moves, got_moves, "{what}: moves inside block_partition");
     assert_blocks_identical(&blocks, &want_blocks, &what);
-    got_moves
+    Exercised {
+        moves: got_moves,
+        walked: got.walked,
+    }
 }
 
-#[test]
-fn block_phase_matches_reference_on_every_model() {
-    let mut total_moves = 0;
-    for (name, g) in models() {
-        let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let tight = tight_limit(&g, &profiler, 2);
+/// [`check`] on every bundled model for 1 and 2 threads, `k` ∈ {4, 8,
+/// 32}, a generous and a tight memory bound, each model priced by
+/// `cost_of` its graph.
+fn check_grid<'g, C: CostModel + 'g>(
+    graphs: &'g [(&'static str, TaskGraph)],
+    cost_of: impl Fn(&'g TaskGraph) -> C,
+) -> Exercised {
+    let mut total = Exercised::default();
+    for (name, g) in graphs {
+        let cost = cost_of(g);
+        let tight = tight_limit(g, &cost, 2);
         for threads in [1, 2] {
             par::set_threads(threads);
             for k in [4, 8, 32] {
@@ -115,32 +142,141 @@ fn block_phase_matches_reference_on_every_model() {
                         mem_limit,
                         profile_batch: 2,
                     };
-                    total_moves += check(name, &g, limits);
+                    total += check(name, g, &cost, limits);
                 }
             }
         }
     }
     par::set_threads(0);
+    total
+}
+
+fn fp32(g: &TaskGraph) -> Profiler<'_> {
+    Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32())
+}
+
+/// Profiling noise on: a union priced from its operands must draw the
+/// noise of the union it never builds.
+fn noisy(g: &TaskGraph) -> Profiler<'_> {
+    let opts = ProfilerOptions::fp32().with_noise(0.05, 17);
+    Profiler::new(g, DeviceSpec::v100_32gb(), opts)
+}
+
+#[test]
+fn block_phase_matches_reference_on_every_model() {
+    let graphs = models();
+    let total = check_grid(&graphs, fp32);
     // the grid must exercise uncoarsening, not only agree on no-ops
-    assert!(total_moves > 0, "no uncoarsening move anywhere in the grid");
+    assert!(total.moves > 0, "no uncoarsening move anywhere in the grid");
+}
+
+#[test]
+fn block_phase_matches_reference_with_profiling_noise() {
+    let graphs = models();
+    let total = check_grid(&graphs, noisy);
+    assert!(total.moves > 0, "no uncoarsening move anywhere in the grid");
+}
+
+#[test]
+fn block_phase_matches_reference_under_calibrated_memory() {
+    // a memory factor other than 1 under the tight bound: summed bounds
+    // exceed the limit, and the exact walk of the union decides through
+    // the calibrated memory
+    let graphs = models();
+    let cluster = ClusterSpec::v100_cluster(1);
+    let cal = Calibration {
+        memory: 1.3,
+        ..Calibration::identity()
+    };
+    let total = check_grid(&graphs, |g| {
+        let opts = ProfilerOptions::fp32();
+        CalibratedCost::new(g, DeviceSpec::v100_32gb(), opts, cal.clone(), &cluster)
+    });
+    assert!(total.moves > 0, "no uncoarsening move anywhere in the grid");
+    assert!(
+        total.walked > 0,
+        "no coarsening candidate fell back to a walk"
+    );
 }
 
 /// Paper scale: BERT 2048×256 (7.4k tasks), k = 32, 32 GiB — the case
-/// the planner benchmark's ledger flagged. Run by `scripts/check.sh`.
+/// the planner benchmark's ledger flagged.
+const PAPER_SCALE: BlockLimits = BlockLimits {
+    k: 32,
+    mem_limit: GENEROUS,
+    profile_batch: 1,
+};
+
+/// The phase at paper scale, and the pair convexity check on every
+/// adjacent pair of every coarsening level. Run by `scripts/check.sh`.
 #[test]
 #[ignore = "paper scale; run with --release -- --ignored"]
 fn block_phase_matches_reference_at_paper_scale() {
     let g = bert_graph(&BertConfig::enlarged(2048, 256));
-    let moves = check(
-        "bert-2048x256",
-        &g,
-        BlockLimits {
-            k: 32,
-            mem_limit: GENEROUS,
-            profile_batch: 1,
-        },
+    let done = check("bert-2048x256", &g, &fp32(&g), PAPER_SCALE);
+    assert!(done.moves > 0, "paper-scale uncoarsening applied no move");
+    let [convex, non_convex] = pair_checks_equal_union_checks("bert-2048x256", &g, PAPER_SCALE);
+    assert!(
+        convex > 0 && non_convex > 0,
+        "{convex} convex, {non_convex} not"
     );
-    assert!(moves > 0, "paper-scale uncoarsening applied no move");
+}
+
+/// The phase at paper scale with profiling noise on: every union priced
+/// from its operands draws the noise of the union. Run by
+/// `scripts/check.sh`.
+#[test]
+#[ignore = "paper scale; run with --release -- --ignored"]
+fn block_phase_matches_reference_at_paper_scale_with_noise() {
+    let g = bert_graph(&BertConfig::enlarged(2048, 256));
+    let done = check("bert-2048x256", &g, &noisy(&g), PAPER_SCALE);
+    assert!(done.moves > 0, "paper-scale uncoarsening applied no move");
+}
+
+/// Coarsen `g` and, at every level, test every adjacent pair of groups
+/// with the pair check against a check of the union. Returns the convex
+/// and non-convex pair counts.
+fn pair_checks_equal_union_checks(name: &str, g: &TaskGraph, limits: BlockLimits) -> [usize; 2] {
+    let profiler = fp32(g);
+    let atomic = atomic_partition(g);
+    let mut ctx = BlockCtx::new(g, &profiler, limits);
+    let mut ck = ConvexChecker::new(g);
+    let mut counts = [0usize; 2];
+    let mut level = 0;
+    coarsen::coarsen_with(&mut ctx, &atomic.sets, |groups, graph| {
+        for (r, v) in groups.iter().enumerate() {
+            for n in graph.neighbours(r) {
+                let w = &groups[n as usize];
+                let want = ck.is_convex(&v.union(w));
+                let got = ck.union_is_convex((v, ck.span(v)), (w, ck.span(w)));
+                assert_eq!(got, want, "{name} level {level}: groups {r} and {n}");
+                counts[usize::from(!want)] += 1;
+            }
+        }
+        level += 1;
+    });
+    counts
+}
+
+#[test]
+fn pair_convexity_equals_union_convexity_on_every_model() {
+    let mut counts = [0usize; 2];
+    for (name, g) in models() {
+        for k in [4, 32] {
+            let limits = BlockLimits {
+                k,
+                mem_limit: GENEROUS,
+                profile_batch: 2,
+            };
+            let [convex, non_convex] = pair_checks_equal_union_checks(name, &g, limits);
+            counts[0] += convex;
+            counts[1] += non_convex;
+        }
+    }
+    assert!(
+        counts[0] > 0 && counts[1] > 0,
+        "{counts:?}: both outcomes must occur"
+    );
 }
 
 /// A chain of three adds `p0 → p1 → p2` sharing one large constant

@@ -9,7 +9,9 @@
 //!   and [`boundary`] tests every task edge's holders; the production
 //!   `GroupGraph`, built once per step and then contracted or patched,
 //!   must equal both after every change;
-//! * [`coarsen`] profiles every merge candidate twice (memory, then time);
+//! * [`coarsen`] builds every merge candidate's union, checks it for
+//!   convexity with a walk from its whole boundary and profiles it
+//!   twice (memory, then time);
 //! * [`uncoarsen`] checks every candidate move for legality first — both
 //!   groups convex, both within device memory — then prices it with four
 //!   whole-group `cut_bytes` scans, and finds the pair's group by testing
@@ -81,7 +83,7 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
     let mut groups: Vec<TaskSet> = atomic_sets.to_vec();
     let mut merges = Vec::new();
     let mut level = 0usize;
-    let mut candidates = 0usize;
+    let (mut candidates, mut walked) = (0usize, 0usize);
 
     while groups.len() > k {
         let adj = adjacency(ctx.g, &groups);
@@ -111,7 +113,11 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
                 }
                 candidates += 1;
                 let union = groups[v].union(&groups[w]);
-                if !ctx.checker.is_convex(&union) || !ctx.fits(&union) {
+                if !ctx.checker.is_convex(&union) {
+                    continue;
+                }
+                walked += 1;
+                if !fits(ctx, &union) {
                     continue;
                 }
                 let t = ctx.profile(&union).0;
@@ -147,6 +153,8 @@ pub fn coarsen(ctx: &mut BlockCtx<'_, '_>, atomic_sets: &[TaskSet]) -> CoarsenRe
         merges,
         levels: level,
         candidates,
+        unions: candidates,
+        walked,
     }
 }
 
@@ -208,10 +216,17 @@ fn eval_move(
     if !ctx.checker.is_convex(&a_rest) || !ctx.checker.is_convex(&b_new) {
         return None;
     }
-    if !ctx.fits(&b_new) || !ctx.fits(&a_rest) {
+    if !fits(ctx, &b_new) || !fits(ctx, &a_rest) {
         return None;
     }
     Some(cut_delta(ctx.g, &groups[a], &groups[b], &a_rest, &b_new))
+}
+
+/// Whether `set` fits the device memory bound, from a full profile of
+/// the set at the phase's probe (one micro-batch, checkpointing on).
+fn fits(ctx: &BlockCtx<'_, '_>, set: &TaskSet) -> bool {
+    let mem = ctx.cost.stage_cost(set, ctx.limits.profile_batch, 1, true);
+    mem.mem_bytes <= ctx.limits.mem_limit
 }
 
 /// Δ = cut(A', B') + cut(B', A') − cut(A, B) − cut(B, A).

@@ -3,7 +3,9 @@
 use crate::{Calibration, CostFactors};
 use rannc_graph::{TaskGraph, TaskSet};
 use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec};
-use rannc_profile::{CacheStats, ProfileResult, ProfiledSet, Profiler, ProfilerOptions, TimeSums};
+use rannc_profile::{
+    CacheStats, ProfileResult, ProfiledSet, Profiler, ProfilerOptions, StatsBound, TimeSums,
+};
 
 /// The single pricing interface for stage compute time, activation
 /// transfer time, collective time, and peak memory.
@@ -42,7 +44,10 @@ pub trait CostModel: Sync {
     /// exact time sums at `(batch, tp)`, walked
     /// ([`Profiler::time_sums`]) or composed from parts. Excludes the
     /// tensor-parallel all-reduce, which [`CostModel::stage_cost_tp`]
-    /// adds.
+    /// adds. The times are the profiler's ([`Profiler::profile`]): a
+    /// model corrects compute through the profiler's per-operator
+    /// factors, so a caller may price a union's time from the profiler
+    /// alone ([`Profiler::union_times`]).
     fn stage_price(
         &self,
         set: &ProfiledSet<'_>,
@@ -112,10 +117,27 @@ pub trait CostModel: Sync {
     /// (and `stage_cost`'s at `tp <= 1`), computed from the
     /// batch-independent set statistics without pricing time. Algorithm 1
     /// checks it first, so a stage over the memory bound is rejected
-    /// before its time is profiled.
+    /// before its time is profiled. [`CostModel::bound_mem`] of the set's
+    /// own statistics.
     fn stage_mem(
         &self,
         set: &ProfiledSet<'_>,
+        batch: usize,
+        inflight: usize,
+        checkpointing: bool,
+        tp: usize,
+    ) -> usize {
+        self.bound_mem(&set.stats_bound(), batch, inflight, checkpointing, tp)
+    }
+
+    /// Peak memory of a stage from a bound on its set statistics
+    /// ([`StatsBound`]): [`CostModel::stage_mem`] of every set the bound
+    /// covers is at most this, and a set's own statistics give exactly
+    /// its memory. Implementations must keep it nondecreasing in the
+    /// bound, so a bound within a memory limit proves a set fits it.
+    fn bound_mem(
+        &self,
+        bound: &StatsBound,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
@@ -176,15 +198,15 @@ impl CostModel for Profiler<'_> {
         self.profile(set, time, batch, inflight, checkpointing, tp)
     }
 
-    fn stage_mem(
+    fn bound_mem(
         &self,
-        set: &ProfiledSet<'_>,
+        bound: &StatsBound,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
     ) -> usize {
-        self.profile_mem(set, batch, inflight, checkpointing, tp)
+        Profiler::bound_mem(self, bound, batch, inflight, checkpointing, tp)
     }
 
     fn comm_bytes(&self, from: &TaskSet, to: &TaskSet, batch: usize) -> usize {
@@ -275,17 +297,18 @@ impl CostModel for CalibratedCost<'_> {
         r
     }
 
-    fn stage_mem(
+    fn bound_mem(
         &self,
-        set: &ProfiledSet<'_>,
+        bound: &StatsBound,
         batch: usize,
         inflight: usize,
         checkpointing: bool,
         tp: usize,
     ) -> usize {
+        // rounding a positive multiple keeps the order of the bytes
         self.calibrated_mem(
             self.profiler
-                .profile_mem(set, batch, inflight, checkpointing, tp),
+                .bound_mem(bound, batch, inflight, checkpointing, tp),
         )
     }
 

@@ -12,9 +12,37 @@
 //! boundary can be pruned to the set's topological window. For the
 //! layer-local sets produced during coarsening this makes each check touch
 //! only a few dozen tasks instead of the whole graph.
+//!
+//! Coarsening tests the union of two convex groups, which needs neither
+//! the union nor a walk from its whole boundary
+//! ([`ConvexChecker::union_is_convex`]): a violating path of a union of
+//! convex sets runs from one operand to the other, so two directed
+//! searches, each pruned to its target's topological span, decide it.
 
 use crate::index::GraphIndex;
 use crate::{TaskGraph, TaskId, TaskSet};
+
+/// The topological span of a task set: its members' smallest and
+/// largest positions in the graph's topological order. The empty set's
+/// span, `(u32::MAX, 0)`, is the identity of [`Span::union`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Smallest member position.
+    pub min: u32,
+    /// Largest member position.
+    pub max: u32,
+}
+
+impl Span {
+    /// The span of the union of two sets: the smaller minimum and the
+    /// larger maximum.
+    pub fn union(self, other: Span) -> Span {
+        Span {
+            min: self.min.min(other.min),
+            max: self.max.max(other.max),
+        }
+    }
+}
 
 /// Reusable convexity checker for one graph.
 ///
@@ -43,6 +71,34 @@ impl<'g> ConvexChecker<'g> {
         }
     }
 
+    /// The topological span of `s`: one pass over its members.
+    pub fn span(&self, s: &TaskSet) -> Span {
+        s.iter().fold(
+            Span {
+                min: u32::MAX,
+                max: 0,
+            },
+            |span, t| {
+                let p = self.pos[t.index()];
+                Span {
+                    min: span.min.min(p),
+                    max: span.max.max(p),
+                }
+            },
+        )
+    }
+
+    /// A fresh stamp: every task reads as unvisited.
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // stamp wrapped: reset buffer
+            self.visited.iter_mut().for_each(|v| *v = 0);
+            self.stamp = 1;
+        }
+        self.stamp
+    }
+
     /// Whether `s` is convex in the graph.
     ///
     /// Empty and singleton sets are trivially convex.
@@ -57,13 +113,7 @@ impl<'g> ConvexChecker<'g> {
         if count <= 1 {
             return true;
         }
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // stamp wrapped: reset buffer
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.stamp = 1;
-        }
-        let stamp = self.stamp;
+        let stamp = self.next_stamp();
         let (visited, stack) = (&mut self.visited, &mut self.stack);
         stack.clear();
         // Seed with successors outside S, pruned to the topo window.
@@ -90,6 +140,63 @@ impl<'g> ConvexChecker<'g> {
             }
         }
         true
+    }
+
+    /// Whether `v ∪ w` is convex, for convex `v` and `w` whose spans are
+    /// `v_span` and `w_span`: exactly [`ConvexChecker::is_convex`] of the
+    /// union, which is never built.
+    ///
+    /// A path that leaves the union and re-enters it holds a segment
+    /// from a member, through non-members only, to a member. Its two
+    /// ends cannot both lie in `v`, nor both in `w`, since each operand
+    /// is convex: the segment runs from `v` to `w` or from `w` to `v`.
+    /// Positions rise along a path, so a segment into `w` stays below
+    /// `max_pos(w)`, and one can leave `w` toward `v` only when
+    /// `min_pos(w) < max_pos(v)`. Each direction is one forward search
+    /// from its source's successors outside the union, pruned below its
+    /// target's largest position, and skipped when the spans rule it
+    /// out.
+    pub fn union_is_convex(
+        &mut self,
+        (v, v_span): (&TaskSet, Span),
+        (w, w_span): (&TaskSet, Span),
+    ) -> bool {
+        let escapes = (v_span.min < w_span.max && self.reaches(v, w, w_span.max))
+            || (w_span.min < v_span.max && self.reaches(w, v, v_span.max));
+        !escapes
+    }
+
+    /// Whether a path of two or more edges runs from `from` to `to` with
+    /// every inner task outside both, searching only below position
+    /// `below`.
+    fn reaches(&mut self, from: &TaskSet, to: &TaskSet, below: u32) -> bool {
+        let (index, pos) = (self.index, self.pos);
+        let outside = |t: TaskId| !from.contains(t) && !to.contains(t);
+        let stamp = self.next_stamp();
+        let (visited, stack) = (&mut self.visited, &mut self.stack);
+        stack.clear();
+        for t in from.iter() {
+            for &succ in index.successors(t) {
+                let i = succ.index();
+                if pos[i] < below && visited[i] != stamp && outside(succ) {
+                    visited[i] = stamp;
+                    stack.push(succ);
+                }
+            }
+        }
+        while let Some(t) = stack.pop() {
+            for &succ in index.successors(t) {
+                if to.contains(succ) {
+                    return true;
+                }
+                let i = succ.index();
+                if pos[i] < below && visited[i] != stamp && outside(succ) {
+                    visited[i] = stamp;
+                    stack.push(succ);
+                }
+            }
+        }
+        false
     }
 }
 
@@ -182,6 +289,60 @@ mod tests {
         let g = chain_with_skip();
         assert!(is_convex(&g, &set(&g, &[1, 2])));
         assert!(!is_convex(&g, &set(&g, &[0, 2])));
+    }
+
+    #[test]
+    fn union_check_equals_the_check_of_the_union() {
+        // every pair of convex sets of the skip chain and of the two
+        // branches, overlapping ones included
+        let chain = chain_with_skip();
+        let mut g = TaskGraph::new("par");
+        let x = g.add_value("x", [4], DType::F32, ValueKind::Input);
+        let vals: Vec<_> = (0..4)
+            .map(|i| g.add_value(format!("v{i}"), [4], DType::F32, ValueKind::Activation))
+            .collect();
+        g.add_task("a", OpKind::Relu, vec![x], vec![vals[0]])
+            .unwrap();
+        g.add_task("b", OpKind::Tanh, vec![vals[0]], vec![vals[1]])
+            .unwrap();
+        g.add_task("c", OpKind::Gelu, vec![x], vec![vals[2]])
+            .unwrap();
+        g.add_task("d", OpKind::Add, vec![vals[2], vals[1]], vec![vals[3]])
+            .unwrap();
+        g.mark_output(vals[3]);
+        let mut outcomes = [0usize; 2];
+        for g in [&chain, &g] {
+            let mut ck = ConvexChecker::new(g);
+            let n = g.num_tasks() as u32;
+            let sets: Vec<TaskSet> = (1u32..1 << n)
+                .map(|bits| {
+                    set(
+                        g,
+                        &(0..n).filter(|i| bits >> i & 1 == 1).collect::<Vec<_>>(),
+                    )
+                })
+                .filter(|s| ck.is_convex(s))
+                .collect();
+            for v in &sets {
+                for w in &sets {
+                    let want = ck.is_convex(&v.union(w));
+                    let got = ck.union_is_convex((v, ck.span(v)), (w, ck.span(w)));
+                    assert_eq!(got, want, "{v:?} ∪ {w:?}");
+                    outcomes[usize::from(want)] += 1;
+                }
+            }
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
+    }
+
+    #[test]
+    fn span_of_a_union_is_the_union_of_spans() {
+        let g = chain_with_skip();
+        let ck = ConvexChecker::new(&g);
+        let (a, b) = (set(&g, &[0, 1]), set(&g, &[3]));
+        assert_eq!(ck.span(&a).union(ck.span(&b)), ck.span(&a.union(&b)));
+        let empty = ck.span(&set(&g, &[]));
+        assert_eq!(empty.union(ck.span(&b)), ck.span(&b));
     }
 
     #[test]

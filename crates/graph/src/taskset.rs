@@ -78,6 +78,31 @@ impl TaskSet {
             .map(move |(j, &w)| (offset + j, w))
     }
 
+    /// The words of `self ∪ other` with their absolute indices: exactly
+    /// [`TaskSet::indexed_words`] of the union, read from both windows
+    /// without building it.
+    pub fn union_words<'a>(
+        &'a self,
+        other: &'a TaskSet,
+    ) -> impl ExactSizeIterator<Item = (usize, u64)> + 'a {
+        self.check_universe(other);
+        let (lo, hi) = match (self.is_empty(), other.is_empty()) {
+            (true, _) => (other.offset, other.end()),
+            (_, true) => (self.offset, self.end()),
+            _ => (self.offset.min(other.offset), self.end().max(other.end())),
+        };
+        (lo..hi).map(move |i| (i, self.word(i) | other.word(i)))
+    }
+
+    /// The word at absolute index `i`: zero outside the window.
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        self.words
+            .get(i.wrapping_sub(self.offset))
+            .copied()
+            .unwrap_or(0)
+    }
+
     /// One past the last window word's absolute index.
     #[inline]
     fn end(&self) -> usize {
@@ -446,6 +471,26 @@ mod tests {
         assert_eq!(words(&direct), words(&unioned));
         assert_eq!(words(&direct), words(&differenced));
         assert_eq!(words(&direct), [(0, 1 << 1), (1, 1), (2, 1 << 1)]);
+    }
+
+    #[test]
+    fn union_words_are_the_words_of_the_union() {
+        // disjoint, overlapping, nested and empty operands, windows with
+        // interior zero words included
+        let sets = [
+            TaskSet::new(400),
+            TaskSet::from_ids(400, ids(&[1, 64])),
+            TaskSet::from_ids(400, ids(&[3, 300])),
+            TaskSet::from_ids(400, ids(&[130, 131])),
+            TaskSet::from_ids(400, ids(&[64, 399])),
+        ];
+        for a in &sets {
+            for b in &sets {
+                let got: Vec<_> = a.union_words(b).collect();
+                let want: Vec<_> = a.union(b).indexed_words().collect();
+                assert_eq!(got, want, "{a:?} ∪ {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //!   tensor-parallel degree) ([`Profiler::sum_parts`]), never by walking
 //!   its members. Memory is priced from the statistics alone
 //!   ([`Profiler::profile_mem`]), so an over-memory stage is never
-//!   timed. Every walk reads flat per-task rows built once per
+//!   timed. Statistics are subadditive under union, so the sum of two
+//!   sets' statistics bounds their union's memory ([`StatsBound`])
+//!   without a walk. Every walk reads flat per-task rows built once per
 //!   [`Profiler`], never the graph. A list of parts is split once at its
 //!   boundary ([`Profiler::boundary_split`]): each part's interior
 //!   values and own tasks add fixed statistics, so a row of prefix
@@ -40,5 +42,5 @@ pub mod profiler;
 pub use memory::{MemoryParams, Residency};
 pub use profiler::{
     BoundarySplit, CacheStats, Prefix, ProfileResult, ProfiledSet, Profiler, ProfilerOptions,
-    TimeSums, MIN_LAUNCH_OVERHEAD,
+    StatsBound, TimeSums, MIN_LAUNCH_OVERHEAD,
 };

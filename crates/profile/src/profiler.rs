@@ -184,6 +184,25 @@ impl SetStats {
     }
 }
 
+/// An upper bound on a task set's statistics, priced for memory by
+/// [`Profiler::bound_mem`]. A set's own statistics
+/// ([`ProfiledSet::stats_bound`]) are its tightest bound, and the sum of
+/// two sets' bounds bounds their union: every statistic is subadditive
+/// under union (a union's parameters, intermediate outputs and ingress
+/// values are each counted by one operand or both), and the memory
+/// formula is nondecreasing in each. So a bound that fits a memory limit
+/// proves that the set fits it, and pricing one costs O(1).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StatsBound(SetStats);
+
+impl Add for StatsBound {
+    type Output = StatsBound;
+    fn add(mut self, other: StatsBound) -> StatsBound {
+        self.0.add(&other.0);
+        self
+    }
+}
+
 /// Fractional bits of the fixed-point time sums: one unit is 2⁻⁸⁰ s.
 const TIME_FRAC_BITS: i32 = 80;
 
@@ -314,6 +333,12 @@ impl ProfiledSet<'_> {
     /// The tasks of the set.
     pub fn tasks(&self) -> &TaskSet {
         &self.set
+    }
+
+    /// The set's statistics as a bound: its exact statistics, so
+    /// [`Profiler::bound_mem`] of it is the set's memory.
+    pub fn stats_bound(&self) -> StatsBound {
+        StatsBound(self.stats)
     }
 }
 
@@ -605,15 +630,18 @@ impl<'g> Profiler<'g> {
     /// are read from `slots[i]`, or walked into it on first read; the
     /// caller keeps one slot per part and point, and hands the same part
     /// to a slot every time. A fill counts one miss, inside the slot's
-    /// one-time initialisation; every other read counts one hit. So the
-    /// counters depend only on which slots are read, never on which
-    /// thread filled one.
+    /// one-time initialisation; every other read adds one hit to `hits`,
+    /// which the caller publishes ([`Profiler::count_hits`]), once per
+    /// batch of reads, so that concurrent readers do not contend on the
+    /// shared counter. So the counters depend only on which slots are
+    /// read, never on which thread filled one.
     pub fn sum_parts(
         &self,
         slots: &[OnceLock<TimeSums>],
         parts: &[TaskSet],
         batch: usize,
         tp: usize,
+        hits: &mut u64,
     ) -> TimeSums {
         debug_assert_eq!(slots.len(), parts.len(), "one slot per part");
         let mut fills = 0u64;
@@ -625,9 +653,16 @@ impl<'g> Profiler<'g> {
                 self.time_sums(part.iter(), batch, tp)
             });
         }
-        self.hits
-            .fetch_add(slots.len() as u64 - fills, Ordering::Relaxed);
+        *hits += slots.len() as u64 - fills;
         sums
+    }
+
+    /// Publish slot hits a caller counted through [`Profiler::sum_parts`]
+    /// into [`Profiler::cache_stats`].
+    pub fn count_hits(&self, hits: u64) {
+        if hits > 0 {
+            self.hits.fetch_add(hits, Ordering::Relaxed);
+        }
     }
 
     /// Profile a candidate stage: the paper's `profile(U, bs)`.
@@ -677,7 +712,37 @@ impl<'g> Profiler<'g> {
         tp: usize,
     ) -> ProfileResult {
         let tp = tp.max(1);
-        let noise = self.noise_factor(&set.set, time_key(batch, tp));
+        let noise = self.noise_factor(set.set.indexed_words(), time_key(batch, tp));
+        let (fwd_time, bwd_time) = self.times(time, noise, checkpointing);
+        ProfileResult {
+            fwd_time,
+            bwd_time,
+            mem_bytes: self.stage_mem_bytes(&set.stats, batch, inflight, checkpointing, tp),
+            param_elems: set.stats.param_elems,
+        }
+    }
+
+    /// The forward and backward times [`Profiler::profile`] gives
+    /// `v ∪ w` at `(batch, tp)` when the union's exact time sums are
+    /// `time`, bit for bit, without building the union or its
+    /// statistics: with noise on, the union's draw hashes its words read
+    /// from both windows ([`TaskSet::union_words`]).
+    pub fn union_times(
+        &self,
+        (v, w): (&TaskSet, &TaskSet),
+        time: TimeSums,
+        batch: usize,
+        checkpointing: bool,
+        tp: usize,
+    ) -> (f64, f64) {
+        let noise = self.noise_factor(v.union_words(w), time_key(batch, tp.max(1)));
+        self.times(time, noise, checkpointing)
+    }
+
+    /// Forward and backward times from exact time sums and a noise
+    /// factor: the one time formula behind [`Profiler::profile`] and
+    /// [`Profiler::union_times`].
+    fn times(&self, time: TimeSums, noise: f64, checkpointing: bool) -> (f64, f64) {
         // per-execution host overhead (sync, input staging)
         let fwd = to_secs(time.fwd) + self.opts.invocation_overhead;
         let mut bwd = to_secs(time.bwd) + self.opts.invocation_overhead;
@@ -685,16 +750,11 @@ impl<'g> Profiler<'g> {
             // recomputation replays the forward pass before backward
             bwd += fwd;
         }
-        ProfileResult {
-            fwd_time: fwd * noise,
-            bwd_time: bwd * noise,
-            mem_bytes: self.stage_mem_bytes(&set.stats, batch, inflight, checkpointing, tp),
-            param_elems: set.stats.param_elems,
-        }
+        (fwd * noise, bwd * noise)
     }
 
     /// Peak memory of a stage from its set statistics: the one memory
-    /// formula behind [`Profiler::profile`] and [`Profiler::profile_mem`].
+    /// formula behind [`Profiler::profile`] and [`Profiler::bound_mem`].
     /// Weight/optimizer state is sharded `tp` ways, and so are the column-
     /// and head-split activations; the rest stay full-size.
     fn stage_mem_bytes(
@@ -729,7 +789,22 @@ impl<'g> Profiler<'g> {
         checkpointing: bool,
         tp: usize,
     ) -> usize {
-        self.stage_mem_bytes(&set.stats, batch, inflight, checkpointing, tp.max(1))
+        self.bound_mem(&set.stats_bound(), batch, inflight, checkpointing, tp)
+    }
+
+    /// [`Profiler::profile_mem`] of a statistics bound: at least the
+    /// memory of every set the bound covers, and exactly it for a set's
+    /// own statistics. Monotone: the formula never decreases as any
+    /// statistic grows, the sharded share at `tp > 1` included.
+    pub fn bound_mem(
+        &self,
+        bound: &StatsBound,
+        batch: usize,
+        inflight: usize,
+        checkpointing: bool,
+        tp: usize,
+    ) -> usize {
+        self.stage_mem_bytes(&bound.0, batch, inflight, checkpointing, tp.max(1))
     }
 
     /// Per-micro-batch, per-pass tensor-parallel all-reduce volume of a
@@ -751,31 +826,32 @@ impl<'g> Profiler<'g> {
         (base as f64 * batch as f64 * self.opts.precision.activation_bytes() as f64 / 4.0) as usize
     }
 
-    /// The measurement-noise factor of `set` at the time point `key`: a
-    /// fixed draw in `[1−σ, 1+σ]` salted by the set's membership hash, or
-    /// exactly 1 without noise.
-    fn noise_factor(&self, set: &TaskSet, key: u64) -> f64 {
+    /// The measurement-noise factor at the time point `key` of the set
+    /// whose indexed words are `words`: a fixed draw in `[1−σ, 1+σ]`
+    /// salted by the set's membership hash, or exactly 1 without noise
+    /// (the words are then never read).
+    fn noise_factor(&self, words: impl Iterator<Item = (usize, u64)>, key: u64) -> f64 {
         if self.opts.noise_sigma == 0.0 {
             return 1.0;
         }
-        let salt = set_key(set) ^ key as u128;
+        let salt = set_key(words) ^ key as u128;
         let h = splitmix(self.opts.noise_seed ^ (salt as u64) ^ ((salt >> 64) as u64));
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
         1.0 + self.opts.noise_sigma * (2.0 * unit - 1.0)
     }
 }
 
-/// 128-bit membership hash of a task set, the noise model's salt: its
-/// non-zero bitset words, each mixed with its absolute word index, folded
-/// into two independent 64-bit lanes. Costs O(window), not O(members) or
-/// O(universe). Equal members give equal windows
-/// ([`TaskSet::indexed_words`]), so the hash is a function of membership
-/// alone, however the set was built; skipping zero words makes it the
-/// fold over the full universe-wide word array.
-fn set_key(set: &TaskSet) -> u128 {
+/// 128-bit membership hash of a task set given by its indexed words
+/// ([`TaskSet::indexed_words`]), the noise model's salt: its non-zero
+/// bitset words, each mixed with its absolute word index, folded into two
+/// independent 64-bit lanes. Costs O(window), not O(members) or
+/// O(universe). Skipping zero words makes it the fold over the full
+/// universe-wide word array, so the hash is a function of membership
+/// alone, however the words were produced.
+fn set_key(words: impl Iterator<Item = (usize, u64)>) -> u128 {
     let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
     let mut h2: u64 = 0x9e37_79b9_7f4a_7c15;
-    for (i, w) in set.indexed_words() {
+    for (i, w) in words {
         if w == 0 {
             continue;
         }
@@ -811,6 +887,20 @@ mod tests {
         bert_graph, gpt_graph, mlp_graph, resnet_graph, t5_graph, BertConfig, GptConfig, MlpConfig,
         ResNetConfig, T5Config,
     };
+
+    /// [`Profiler::sum_parts`] with its hits published at once.
+    fn read(
+        p: &Profiler<'_>,
+        slots: &[OnceLock<TimeSums>],
+        parts: &[TaskSet],
+        batch: usize,
+        tp: usize,
+    ) -> TimeSums {
+        let mut hits = 0;
+        let sums = p.sum_parts(slots, parts, batch, tp, &mut hits);
+        p.count_hits(hits);
+        sums
+    }
 
     fn whole_set(g: &TaskGraph) -> TaskSet {
         TaskSet::from_ids(g.num_tasks(), g.task_ids())
@@ -988,10 +1078,10 @@ mod tests {
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let s = whole_set(&g);
         let (slot, part) = (slots(1), [s.clone()]);
-        let t1 = p.sum_parts(&slot, &part, 4, 1);
+        let t1 = read(&p, &slot, &part, 4, 1);
         // one filled slot
         assert_eq!(p.cache_stats().entries(), 1);
-        let t2 = p.sum_parts(&slot, &part, 4, 1);
+        let t2 = read(&p, &slot, &part, 4, 1);
         assert_eq!(p.cache_stats().entries(), 1);
         assert_eq!(t1, t2);
         // pricing from the slot's sums equals pricing the plain set, and
@@ -1011,11 +1101,11 @@ mod tests {
         let (at4, at8) = (slots(1), slots(1));
         assert_eq!(p.cache_stats(), CacheStats::default());
         // miss
-        let _ = p.sum_parts(&at4, &part, 4, 1);
+        let _ = read(&p, &at4, &part, 4, 1);
         // hit
-        let _ = p.sum_parts(&at4, &part, 4, 1);
+        let _ = read(&p, &at4, &part, 4, 1);
         // batch changed, so another slot: miss
-        let _ = p.sum_parts(&at8, &part, 8, 1);
+        let _ = read(&p, &at8, &part, 8, 1);
         let stats = p.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert_eq!(stats.entries(), 2);
@@ -1031,10 +1121,10 @@ mod tests {
         let s = whole_set(&g);
         let profiled = p.profiled(&s);
         let (slot, part) = (slots(1), [s.clone()]);
-        let _ = p.sum_parts(&slot, &part, 4, 1);
+        let _ = read(&p, &slot, &part, 4, 1);
         let before = p.cache_stats();
         for (inflight, ckpt) in [(8, true), (2, false), (1, false)] {
-            let time = p.sum_parts(&slot, &part, 4, 1);
+            let time = read(&p, &slot, &part, 4, 1);
             assert_eq!(
                 p.profile(&profiled, time, 4, inflight, ckpt, 1),
                 p.profile_set(&s, 4, inflight, ckpt)
@@ -1072,7 +1162,7 @@ mod tests {
                 scope.spawn(|| {
                     for (i, (set, profiled)) in sets.iter().zip(&shared).enumerate() {
                         for (&(batch, tp), slots) in points.iter().zip(&point_slots) {
-                            let time = p.sum_parts(&slots[i..i + 1], &sets[i..i + 1], batch, tp);
+                            let time = read(&p, &slots[i..i + 1], &sets[i..i + 1], batch, tp);
                             let got = p.profile(profiled, time, batch, 2, true, tp);
                             if tp == 1 {
                                 assert_eq!(got, p.profile_set(set, batch, 2, true));
@@ -1304,16 +1394,57 @@ mod tests {
     }
 
     #[test]
+    fn union_pricing_without_the_union_matches_the_union() {
+        // overlapping, disjoint and nested operands with noise on: the
+        // union's times from its operands' windows equal its priced
+        // times, and its operands' summed bounds cover its statistics
+        let g = bert_graph(&BertConfig::tiny());
+        let p = Profiler::new(
+            &g,
+            DeviceSpec::v100_32gb(),
+            ProfilerOptions::fp32().with_noise(0.05, 11),
+        );
+        let n = g.num_tasks() as u32;
+        let range = |lo: u32, hi: u32| TaskSet::from_ids(n as usize, (lo..hi).map(TaskId));
+        let mut loose = 0;
+        for (v, w) in [
+            (range(0, n / 2), range(n / 4, 3 * n / 4)),
+            (range(0, n / 3), range(n / 3, n)),
+            (range(0, n), range(n / 5, n / 4)),
+            (range(n / 2, n), range(0, 70)),
+        ] {
+            let union = v.union(&w);
+            let exact = p.profiled(&union);
+            let bound = p.profiled(&v).stats_bound() + p.profiled(&w).stats_bound();
+            for (batch, tp, ckpt) in [(1, 1, true), (4, 2, false), (3, 4, true)] {
+                let time = p.time_sums(union.iter(), batch, tp);
+                let want = p.profile(&exact, time, batch, 2, ckpt, tp);
+                let (fwd, bwd) = p.union_times((&v, &w), time, batch, ckpt, tp);
+                assert_eq!(fwd.to_bits(), want.fwd_time.to_bits());
+                assert_eq!(bwd.to_bits(), want.bwd_time.to_bits());
+                assert_eq!(
+                    p.bound_mem(&exact.stats_bound(), batch, 2, ckpt, tp),
+                    want.mem_bytes
+                );
+                let bounded = p.bound_mem(&bound, batch, 2, ckpt, tp);
+                assert!(bounded >= want.mem_bytes, "bound below the union's memory");
+                loose += usize::from(bounded > want.mem_bytes);
+            }
+        }
+        assert!(loose > 0, "overlapping operands must give a loose bound");
+    }
+
+    #[test]
     fn set_key_depends_on_word_position() {
         // equal word values at different word indices are different sets
         let set = |ids: &[u32]| TaskSet::from_ids(200, ids.iter().map(|&t| TaskId(t)));
         let keys = [
-            set_key(&set(&[])),
-            set_key(&set(&[0])),
-            set_key(&set(&[64])),
-            set_key(&set(&[0, 64])),
-            set_key(&set(&[64, 128])),
-            set_key(&set(&[0, 128])),
+            key(&set(&[])),
+            key(&set(&[0])),
+            key(&set(&[64])),
+            key(&set(&[0, 64])),
+            key(&set(&[64, 128])),
+            key(&set(&[0, 128])),
         ];
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
@@ -1321,10 +1452,12 @@ mod tests {
             }
         }
         // and the key ignores how the set was built
-        assert_eq!(
-            set_key(&set(&[0, 64])),
-            set_key(&set(&[0]).union(&set(&[64])))
-        );
+        assert_eq!(key(&set(&[0, 64])), key(&set(&[0]).union(&set(&[64]))));
+    }
+
+    /// The membership hash of a set, from its own words.
+    fn key(set: &TaskSet) -> u128 {
+        set_key(set.indexed_words())
     }
 
     /// The membership hash over a set's full universe-wide word array, as
@@ -1369,7 +1502,7 @@ mod tests {
             sets.extend([built.union(other), diff, built]);
         }
         for set in &sets {
-            assert_eq!(set_key(set), dense_set_key(set), "{set:?}");
+            assert_eq!(key(set), dense_set_key(set), "{set:?}");
         }
     }
 
@@ -1390,7 +1523,7 @@ mod tests {
         let part = [s.clone()];
         let price = |i: usize| {
             let (batch, tp) = queries[i];
-            let time = shared.sum_parts(&query_slots[i..i + 1], &part, batch, tp);
+            let time = read(&shared, &query_slots[i..i + 1], &part, batch, tp);
             shared.profile(&profiled, time, batch, 1, false, tp)
         };
         let first: Vec<ProfileResult> = (0..queries.len()).map(price).collect();

@@ -9,9 +9,12 @@ cargo build --release --workspace --offline
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
-echo "==> paper-scale block-phase parity (BERT 2048x256, k 32, against the reference)"
+echo "==> paper-scale block-phase parity (BERT 2048x256, k 32, against the reference, noise off and on)"
 # ignored in the default run for its size: the block phase at paper scale
-# must produce exactly the reference's blocks and uncoarsening moves
+# must produce exactly the reference's blocks and uncoarsening moves; a
+# second run with profiling noise on pins the union noise draw coarsening
+# composes from two operands' windows; and the pair convexity check must
+# equal a check of the union on every adjacent pair of every level
 cargo test --release -q -p rannc-core --offline --test prop_blocks_identical -- --ignored
 
 echo "==> paper-scale stage-DP parity (the benchmark's search grids, against the reference)"
