@@ -14,6 +14,7 @@
 //! [`spec_from_plan`].
 
 use crate::BaselineOutcome;
+use rannc_core::dp::micro_batch;
 use rannc_core::{DpSolution, DpStage, PartitionPlan};
 use rannc_cost::CostModel;
 use rannc_graph::{TaskGraph, TaskSet};
@@ -126,7 +127,7 @@ pub(crate) fn run_split(
     batch_size: usize,
     framework: &Framework,
 ) -> Option<SimResult> {
-    let micro = batch_size / replicas / microbatches;
+    let micro = micro_batch(batch_size, replicas, microbatches, 1);
     if micro == 0 {
         return None;
     }

@@ -18,6 +18,7 @@
 //! of the paper's variant and lives here, not in the planner.
 
 use crate::report::{rannc_cell, Cell, Table};
+use rannc::core::dp::micro_batch;
 use rannc::core::{
     atomic_partition, tier_grids, AtomicPartition, DpParams, DpSolution, DpStage, PartitionPlan,
 };
@@ -211,7 +212,7 @@ fn form_stage_dp_no_coarsening(
     let repl_options: Vec<usize> = (1..=d_max - (s_max - 1)).collect();
     let mut prefix: Vec<Vec<(f64, f64, usize)>> = Vec::with_capacity(repl_options.len());
     for &repl in &repl_options {
-        let micro = p.batch_size / p.replica_factor / p.microbatches / repl;
+        let micro = micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl);
         let mut acc = Vec::with_capacity(n_units + 1);
         acc.push((0.0, 0.0, 0usize));
         if micro == 0 {
@@ -300,7 +301,7 @@ fn form_stage_dp_no_coarsening(
         let (b_prev, d_prev) = parent[idx(s, b, d)];
         let (b_prev, d_prev) = (b_prev as usize, d_prev as usize);
         let repl = d - d_prev;
-        let micro = p.batch_size / p.replica_factor / p.microbatches / repl;
+        let micro = micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl);
         let mut set = TaskSet::new(universe);
         for unit in &atomic.sets[b_prev..b] {
             set.union_with(unit);

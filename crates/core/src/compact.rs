@@ -27,12 +27,12 @@ pub fn compact(ctx: &mut BlockCtx<'_, '_>, groups: Vec<TaskSet>) -> Vec<TaskSet>
     }
     // Each group is walked once; a merged group's exact time sums are
     // composed from its operands', so its time is priced without a walk.
-    let (mut sums, mut times): (Vec<TimeSums>, Vec<f64>) = crate::par::parallel_map(&list, |s| {
-        let sums = ctx.sums(s);
-        (sums, ctx.price(s, sums).0)
-    })
-    .into_iter()
-    .unzip();
+    let (mut sums, mut times): (Vec<TimeSums>, Vec<f64>) = (list.iter())
+        .map(|s| {
+            let sums = ctx.sums(s);
+            (sums, ctx.price(s, sums).0)
+        })
+        .unzip();
 
     while list.len() > k {
         let mut order: Vec<usize> = (0..list.len()).collect();

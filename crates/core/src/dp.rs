@@ -310,6 +310,19 @@ impl DpArena {
     }
 }
 
+/// The micro-batch of a stage on `repl` data-parallel units:
+/// `⌊BS / R / MB / repl⌋` samples, zero when the batch does not reach one
+/// sample per unit. The one micro-batch rule of the stage DP, the
+/// baselines and the ablation.
+pub fn micro_batch(
+    batch_size: usize,
+    replica_factor: usize,
+    microbatches: usize,
+    repl: usize,
+) -> usize {
+    batch_size / replica_factor / microbatches / repl
+}
+
 /// Algorithm 1: `form_stage_dp(B, S, D, BS, R, MB)`.
 ///
 /// Returns `None` when INFEASIBLE (no split of the blocks into `S`
@@ -351,7 +364,7 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
     // per-microbatch samples available to one pipeline replica: a stage
     // on `repl` units gets a micro-batch of `samples / repl`, empty for
     // `repl > samples`
-    let samples = p.batch_size / p.replica_factor / p.microbatches;
+    let samples = micro_batch(p.batch_size, p.replica_factor, p.microbatches, 1);
     if samples == 0 {
         return None;
     }
@@ -533,7 +546,7 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
         let (b_prev, d_prev) = parent[idx(s, b, d)];
         let (b_prev, d_prev) = (b_prev as usize, d_prev as usize);
         let repl = d - d_prev;
-        let micro = samples / repl;
+        let micro = micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl);
         let li = memo_idx(b_prev, b, repl);
         debug_assert_eq!(hot[li].stamp, stamp, "reconstructed stage must be memoised");
         debug_assert_ne!(
@@ -707,7 +720,7 @@ mod tests {
             for d1 in 1..p.devices {
                 let d2 = p.devices - d1;
                 let eval_stage = |from: usize, to: usize, repl: usize| -> Option<(f64, f64)> {
-                    let micro = p.batch_size / p.replica_factor / p.microbatches / repl;
+                    let micro = micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl);
                     if micro == 0 {
                         return None;
                     }

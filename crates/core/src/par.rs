@@ -1,8 +1,10 @@
-//! Minimal scoped-thread parallel map for the profiling and search sweeps.
+//! Minimal scoped-thread fork–join for the block phase and the search
+//! sweep.
 //!
-//! The block-level phase profiles thousands of candidate groups per
-//! coarsening level, and the stage-level search fans each node tier's
-//! `(MB, T)` candidate groups out, one tier at a time. Each evaluation
+//! Coarsening prices its atoms on a worker while the calling thread
+//! builds the group graph ([`join`]), and the stage-level search fans
+//! each node tier's `(MB, T)` candidate groups out, one tier at a time
+//! ([`parallel_map_with`]). Each evaluation
 //! is independent and the profiler is `Sync` without a lock (it keeps
 //! no results; its only mutable state is its atomic slot counters), so
 //! a fork–join map over the standard library's scoped threads gives
@@ -26,7 +28,7 @@ use std::sync::{Mutex, Once};
 /// Process-wide worker-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Force the worker count used by [`parallel_map`] (0 clears the
+/// Force the worker count used by the parallel sweeps (0 clears the
 /// override). Exposed on the CLI as `--threads`.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
@@ -93,25 +95,8 @@ where
     })
 }
 
-/// Parallel map over a slice with deterministic output order.
-///
-/// Falls back to a sequential map for small inputs where thread spawn
-/// overhead would dominate. For coarse-grained items where parallelism
-/// pays off even at small counts, use [`parallel_map_with`].
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    const MIN_PARALLEL: usize = 64;
-    if items.len() < MIN_PARALLEL {
-        return items.iter().map(f).collect();
-    }
-    parallel_map_with(items, max_threads(), f)
-}
-
-/// Parallel map with an explicit worker count and no minimum-size gate.
+/// Parallel map over a slice with an explicit worker count and
+/// deterministic output order.
 ///
 /// Workers claim chunks from a shared cursor, so per-item cost may be
 /// arbitrarily uneven; the output order always matches the input order.
@@ -167,7 +152,7 @@ mod tests {
     fn matches_sequential_small_and_large() {
         for n in [0usize, 1, 10, 64, 1000] {
             let items: Vec<u64> = (0..n as u64).collect();
-            let par = parallel_map(&items, |&x| x * x + 1);
+            let par = parallel_map_with(&items, 4, |&x| x * x + 1);
             let seq: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
             assert_eq!(par, seq, "n = {n}");
         }
@@ -176,7 +161,7 @@ mod tests {
     #[test]
     fn preserves_order_under_load() {
         let items: Vec<usize> = (0..5000).collect();
-        let out = parallel_map(&items, |&x| {
+        let out = parallel_map_with(&items, 4, |&x| {
             // unequal work per item to shuffle completion order
             let mut acc = 0usize;
             for i in 0..(x % 97) {
@@ -200,7 +185,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = AtomicUsize::new(0);
         let items: Vec<u32> = (0..500).collect();
-        let _ = parallel_map(&items, |_| counter.fetch_add(1, Ordering::Relaxed));
+        let _ = parallel_map_with(&items, 4, |_| counter.fetch_add(1, Ordering::Relaxed));
         assert_eq!(counter.load(Ordering::Relaxed), 500);
     }
 
@@ -208,9 +193,8 @@ mod tests {
     fn explicit_worker_count_parallelizes_small_inputs() {
         use std::collections::HashSet;
         use std::sync::Mutex;
-        // 8 items is below parallel_map's gate, but parallel_map_with must
-        // still fan out: with 4 workers and blocking items, at least two
-        // distinct threads participate.
+        // 8 items still fan out: with 4 workers and blocking items, at
+        // least two distinct threads participate.
         let items: Vec<u32> = (0..8).collect();
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
         let out = parallel_map_with(&items, 4, |&x| {

@@ -16,14 +16,12 @@
 //! 2. **Balance.** A linear partition over the atoms' exact time sums
 //!    places the cuts. Stage `s` weighs its atoms at its own micro-batch,
 //!    so a stage with more replicas takes more atoms, and stretches them
-//!    by its device group's slow-down. Constants weigh nothing (two of
-//!    BERT 2048×256's 7,446 tasks, 0.03% of its time). Whole blocks are
-//!    weighed from the search's own block time sums ([`RangeTable::time`]);
-//!    single atoms are priced only inside the blocks where a cut is
-//!    looked for, from the nearer priced end, so a re-cut that moves
-//!    nothing prices a few atoms per cut.
-//! 3. **Clone constants** into every new stage that reads them, as
-//!    [`crate::atomic_partition`] does.
+//!    by its device group's slow-down. Every atom is priced once per
+//!    micro-batch into one exact prefix array, and each greedy cut is a
+//!    binary search over it. Constants weigh nothing (two of BERT
+//!    2048×256's 7,446 tasks, 0.03% of its time).
+//! 3. **Clone constants** into every new stage that holds one of their
+//!    readers, as [`crate::atomic_partition`] does.
 //!
 //! The estimate ignores memory, communication and the split of the
 //! objective into a forward and a backward maximum. So the search prices
@@ -36,25 +34,19 @@ use crate::placement::SlotTable;
 use crate::stagecache::RangeTable;
 use rannc_cost::CostModel;
 use rannc_graph::{TaskId, TaskSet};
-use rannc_profile::{Profiler, Residency, TimeSums};
+use rannc_profile::Residency;
 
 /// The smallest share of the winner's bottleneck a re-cut must shed to
 /// be proposed: 2⁻¹², 0.024%.
 const MIN_GAIN: f64 = 1.0 / 4096.0;
 
-/// The most pieces one block may be cut into: a cloned constant's
-/// readers among the pieces are a bit mask. More pieces than this leave
-/// the winner as it is.
-const MAX_PIECES: usize = 64;
-
 /// The winner's stages re-cut at atom granularity, in pipeline order, or
-/// `None` when the step proposes nothing: a single stage, a balance that
-/// sheds less than 2⁻¹² (`MIN_GAIN`) of the winner's bottleneck, or a block
-/// cut into more than 64 pieces.
+/// `None` when the step proposes nothing: a single stage, or a balance
+/// that sheds less than 2⁻¹² (`MIN_GAIN`) of the winner's bottleneck.
 ///
 /// `winner` is Algorithm 1's solution over the blocks of `ranges`, and
 /// `slots` the placement table of its tier. The result depends on
-/// nothing else (the block time sums are exact), so it is the same on
+/// nothing else (the atom time sums are exact), so it is the same on
 /// every thread count and for any range table of the same blocks.
 pub fn refined_stages(
     cost: &dyn CostModel,
@@ -74,18 +66,14 @@ pub fn refined_stages(
 
     // 1. The atoms block by block, each block's in topological order: one
     //    pass over the graph's order, each atom to its block's run.
-    //    `atom_of[t]` is atom `t`'s place in that order.
     const NONE: u32 = u32::MAX;
-    let mut atom_of = vec![NONE; g.num_tasks()];
+    let mut block_of = vec![NONE; g.num_tasks()];
     let mut bounds = vec![0usize; nb + 1];
-    let mut constants: Vec<(usize, TaskId)> = Vec::new();
     for j in 0..nb {
         for t in ranges.block(j).iter() {
             if non_constant[t.index()] {
-                atom_of[t.index()] = j as u32;
+                block_of[t.index()] = j as u32;
                 bounds[j + 1] += 1;
-            } else {
-                constants.push((j, t));
             }
         }
     }
@@ -96,12 +84,10 @@ pub fn refined_stages(
     let mut order = vec![TaskId(0); atoms];
     let mut next = bounds.clone();
     for &t in index.order() {
-        let j = atom_of[t.index()];
+        let j = block_of[t.index()];
         if j != NONE {
-            let place = &mut next[j as usize];
-            atom_of[t.index()] = *place as u32;
-            order[*place] = t;
-            *place += 1;
+            order[next[j as usize]] = t;
+            next[j as usize] += 1;
         }
     }
 
@@ -121,33 +107,37 @@ pub fn refined_stages(
             (point, scale)
         })
         .collect();
-    let mut weights = Weights {
-        profiler: cost.profiler(),
-        tp: stages[0].tensor_parallel,
-        recompute: Residency::fill_drain(s_count, winner.microbatches).checkpointing,
-        order: &order,
-        bounds: &bounds,
-        stage_point,
-        points: Vec::with_capacity(micros.len()),
-    };
-    let mut slot_hits = 0;
-    for micro in micros {
-        let point = weights.point(ranges, &constants, micro, &mut slot_hits);
-        weights.points.push(point);
-    }
-    cost.profiler().count_hits(slot_hits);
+    // `prefix[k][a]`: the weight of atoms `[0, a)` at micro-batch
+    // `micros[k]`, forward and backward, the forward twice under
+    // checkpointing (it replays the forward pass). Summed exactly, then
+    // held in whole 2⁻⁴⁰ s (far below one atom's weight), which fit an
+    // i64 up to 2²³ s and convert in hardware.
+    let (profiler, tp) = (cost.profiler(), stages[0].tensor_parallel);
+    let forwards =
+        1 + i128::from(Residency::fill_drain(s_count, winner.microbatches).checkpointing);
+    let prefix: Vec<Vec<f64>> = (micros.iter())
+        .map(|&micro| {
+            let mut cum = 0i128;
+            let weights = order.iter().map(|&t| {
+                let (fwd, bwd) = profiler.time_sums([t], micro, tp).counts();
+                cum += fwd * forwards + bwd;
+                (cum >> 40) as i64 as f64
+            });
+            std::iter::once(0.0).chain(weights).collect()
+        })
+        .collect();
     let current: Vec<usize> = (stages.iter())
         .map(|st| bounds[st.block_range.0])
         .chain([atoms])
         .collect();
-    let cuts = weights.linear_partition(&current)?;
+    let cuts = linear_partition(&prefix, &stage_point, &current)?;
     let stage_of = |atom: usize| cuts.partition_point(|&c| c <= atom) - 1;
 
     // 3. The new stages: whole blocks, and the atoms of cut blocks with
     //    the constants they read.
+    let pos = index.positions();
     let mut sets = vec![TaskSet::new(g.num_tasks()); s_count];
     let mut block_constants: Vec<TaskId> = Vec::new();
-    let mut readers: Vec<u64> = Vec::new();
     for j in 0..nb {
         let (block, a0, a1) = (ranges.block(j), bounds[j], bounds[j + 1]);
         // a block of constants alone goes with the stage of the next atom
@@ -157,298 +147,121 @@ pub fn refined_stages(
             sets[first].union_with(block);
             continue;
         }
-        if stage_of(a1 - 1) - first >= MAX_PIECES {
-            return None;
-        }
         for a in a0..a1 {
             sets[stage_of(a)].insert(order[a]);
         }
-        // A constant goes to every piece with a reader; its readers come
-        // after it in topological order, and the block holds them all.
+        // A constant joins every new stage holding one of its readers in
+        // the block. Its readers come after it in topological order and
+        // the block holds them all, so a walk in reverse order places a
+        // reader constant before the constants it reads.
         block_constants.clear();
-        block_constants.extend(constants.iter().filter(|&&(k, _)| k == j).map(|&(_, t)| t));
-        let pos = index.positions();
+        block_constants.extend(block.iter().filter(|t| !non_constant[t.index()]));
         block_constants.sort_unstable_by_key(|t| std::cmp::Reverse(pos[t.index()]));
-        readers.clear();
-        for (i, &t) in block_constants.iter().enumerate() {
-            let mut mask = 0u64;
+        let pieces = first..=stage_of(a1 - 1);
+        for &t in &block_constants {
+            let mut placed = false;
             for &y in index.successors(t).iter().filter(|&&y| block.contains(y)) {
-                mask |= if non_constant[y.index()] {
-                    1 << (stage_of(atom_of[y.index()] as usize) - first)
-                } else {
-                    let k = block_constants[..i].iter().position(|&c| c == y);
-                    readers[k.expect("a reader constant comes later")]
-                };
+                for s in pieces.clone() {
+                    if sets[s].contains(y) {
+                        sets[s].insert(t);
+                        placed = true;
+                    }
+                }
             }
             // a block holds a constant only for a reader it also holds
-            debug_assert_ne!(mask, 0, "constant {t} has no reader in its block");
-            readers.push(mask);
-            let mut bits = mask;
-            while bits != 0 {
-                sets[first + bits.trailing_zeros() as usize].insert(t);
-                bits &= bits - 1;
-            }
+            debug_assert!(placed, "constant {t} has no reader in its block");
         }
     }
     Some(sets)
 }
 
-/// The exact weight of every atom prefix at one micro-batch, known at
-/// every block boundary from the start, and inside a block from its
-/// start and from its end as far as a cut search has priced it.
-struct Point {
-    micro: usize,
-    /// `cum[a]`: the weight of atoms `[0, a)`, where known.
-    cum: Vec<i128>,
-    /// Per block: how many of its atoms are priced from its start, and
-    /// from its end.
-    known: Vec<(usize, usize)>,
-}
-
-/// The atoms' cumulative weights at every stage's time point, priced
-/// lazily, and the linear partition over them.
-struct Weights<'a> {
-    profiler: &'a Profiler<'a>,
-    tp: usize,
-    /// Checkpointing replays the forward pass: it weighs twice.
-    recompute: bool,
-    /// The atoms, block by block, each block's in topological order.
-    order: &'a [TaskId],
-    /// `bounds[j]`: the atoms before block `j`.
-    bounds: &'a [usize],
-    /// Per stage: its point in `points` and its group's slow-down.
-    stage_point: Vec<(usize, f64)>,
-    points: Vec<Point>,
-}
-
-impl Weights<'_> {
-    /// The weight of exact time sums: forward and backward, the forward
-    /// twice under checkpointing.
-    fn weight(&self, sums: TimeSums) -> i128 {
-        let (fwd, bwd) = sums.counts();
-        fwd * (1 + i128::from(self.recompute)) + bwd
+/// The balanced cuts `0 = c₀ < c₁ < … < c_S = n` of the atoms, or `None`
+/// when no cut lowers the winner's bottleneck (its cuts are `current`) by
+/// [`MIN_GAIN`] of it. Stage `s` weighs atoms `[from, to)` as
+/// `prefix[k][to] − prefix[k][from]` stretched by `scale`, where
+/// `(k, scale) = stage_point[s]`. A target is feasible when the greedy
+/// cut, each stage taking as many atoms as fit and leaving one for each
+/// later stage, covers every atom.
+///
+/// The search steps down from the winner's bottleneck, doubling the step
+/// until a target is infeasible or reaches the floor `W / Σ 1/scaleₛ`
+/// (`W` the atoms' weight at the smallest micro-batch, the lightest point
+/// for every atom), below which no cut goes, then bisects to 2⁻²⁴ of the
+/// bottleneck. The result is the greedy cut at the smallest feasible
+/// target found.
+fn linear_partition(
+    prefix: &[Vec<f64>],
+    stage_point: &[(usize, f64)],
+    current: &[usize],
+) -> Option<Vec<usize>> {
+    let s_count = current.len() - 1;
+    let n = current[s_count];
+    let load = |s: usize, from: usize, to: usize| {
+        let (k, scale) = stage_point[s];
+        (prefix[k][to] - prefix[k][from]) * scale
+    };
+    let greedy = |target: f64| -> Option<Vec<usize>> {
+        let mut cuts = Vec::with_capacity(s_count + 1);
+        cuts.push(0);
+        for s in 0..s_count - 1 {
+            let (from, last) = (cuts[s], n - (s_count - 1 - s));
+            // `load(s, from, end)` rises with `end`, so the ends that fit
+            // are a run right after `from`; an empty run fails the target
+            let (k, scale) = stage_point[s];
+            let p = &prefix[k];
+            let fit = p[from + 1..=last].partition_point(|&c| (c - p[from]) * scale <= target);
+            if fit == 0 {
+                return None;
+            }
+            cuts.push(from + fit);
+        }
+        let from = cuts[s_count - 1];
+        (load(s_count - 1, from, n) <= target).then(|| {
+            cuts.push(n);
+            cuts
+        })
+    };
+    let bottleneck = (0..s_count)
+        .map(|s| load(s, current[s], current[s + 1]))
+        .fold(0.0, f64::max);
+    let speed: f64 = stage_point.iter().map(|&(_, scale)| 1.0 / scale).sum();
+    let floor = prefix[0][n] / speed;
+    let mut step = bottleneck * MIN_GAIN;
+    let mut hi = bottleneck - step;
+    let mut best = greedy(hi)?;
+    let mut lo = loop {
+        step *= 2.0;
+        let target = bottleneck - step;
+        if target <= floor {
+            break floor;
+        }
+        match greedy(target) {
+            Some(cuts) => (hi, best) = (target, cuts),
+            None => break target,
+        }
+    };
+    let tolerance = bottleneck / (1u64 << 24) as f64;
+    while hi - lo > tolerance {
+        let mid = 0.5 * (lo + hi);
+        match greedy(mid) {
+            Some(cuts) => (hi, best) = (mid, cuts),
+            None => lo = mid,
+        }
     }
-
-    /// The weight of atom `a` at `micro`.
-    fn atom(&self, a: usize, micro: usize) -> i128 {
-        self.weight(self.profiler.time_sums([self.order[a]], micro, self.tp))
-    }
-
-    /// The point at `micro` with every block boundary known: each block's
-    /// time sums from the range table, less its constants'. Adds the time
-    /// slot hits to `slot_hits`.
-    fn point(
-        &self,
-        ranges: &RangeTable,
-        constants: &[(usize, TaskId)],
-        micro: usize,
-        slot_hits: &mut u64,
-    ) -> Point {
-        let nb = self.bounds.len() - 1;
-        let row = ranges.row(micro, self.tp);
-        let mut block_weight: Vec<i128> = (0..nb)
-            .map(|j| {
-                let sums = ranges.time_counted(self.profiler, &row, (j, j + 1), slot_hits);
-                self.weight(sums)
-            })
-            .collect();
-        for &(j, t) in constants {
-            block_weight[j] -= self.weight(self.profiler.time_sums([t], micro, self.tp));
-        }
-        let mut cum = vec![0i128; self.order.len() + 1];
-        for (bounds, weight) in self.bounds.windows(2).zip(block_weight) {
-            cum[bounds[1]] = cum[bounds[0]] + weight;
-        }
-        Point {
-            micro,
-            cum,
-            known: vec![(0, 0); nb],
-        }
-    }
-
-    /// The weight of atoms `[0, a)` at point `k` in whole 2⁻⁴⁰ s (far
-    /// below one atom's weight), pricing the atoms between `a` and the
-    /// nearer known prefix of its block first. Sums are exact, so a
-    /// prefix priced from either end is the same number.
-    fn cum(&mut self, k: usize, a: usize) -> f64 {
-        let j = self.bounds.partition_point(|&b| b <= a) - 1;
-        let a0 = self.bounds[j];
-        if a != a0 {
-            let a1 = self.bounds[j + 1];
-            let micro = self.points[k].micro;
-            let (head, tail) = self.points[k].known[j];
-            let (head, tail) = (a0 + head, a1 - tail);
-            if head < a && a < tail {
-                if a - head <= tail - a {
-                    for i in head..a {
-                        let w = self.atom(i, micro);
-                        let p = &mut self.points[k];
-                        p.cum[i + 1] = p.cum[i] + w;
-                    }
-                    self.points[k].known[j].0 = a - a0;
-                } else {
-                    for i in (a..tail).rev() {
-                        let w = self.atom(i, micro);
-                        let p = &mut self.points[k];
-                        p.cum[i] = p.cum[i + 1] - w;
-                    }
-                    self.points[k].known[j].1 = a1 - a;
-                }
-            }
-        }
-        // 2⁻⁴⁰ s steps fit an i64 up to 2²³ s, and convert in hardware
-        (self.points[k].cum[a] >> 40) as i64 as f64
-    }
-
-    /// What stage `s` over atoms `[from, to)` weighs, stretched by its
-    /// group's slow-down.
-    fn load(&mut self, s: usize, from: usize, to: usize) -> f64 {
-        let (k, scale) = self.stage_point[s];
-        (self.cum(k, to) - self.cum(k, from)) * scale
-    }
-
-    /// The largest `b ≤ last` with `load(s, from, b) ≤ target`, or `None`
-    /// when not even one atom fits. Block boundaries are binary searched
-    /// first; inside the block the cut falls in, the search gallops from
-    /// the end the target lies nearer to, so it prices atoms near the cut
-    /// only, then bisects.
-    fn largest_fit(&mut self, s: usize, from: usize, last: usize, target: f64) -> Option<usize> {
-        let bounds = self.bounds;
-        let (mut lo_j, mut hi_j) = (
-            bounds.partition_point(|&b| b <= from),
-            bounds.partition_point(|&b| b <= last),
-        );
-        let mut lo = from;
-        while lo_j < hi_j {
-            let mid = (lo_j + hi_j) / 2;
-            if self.load(s, from, bounds[mid]) <= target {
-                lo = bounds[mid];
-                lo_j = mid + 1;
-            } else {
-                hi_j = mid;
-            }
-        }
-        // `lo` fits; the answer is in [lo, hi], inside one block
-        let mut hi = bounds.get(lo_j).map_or(last, |&b| (b - 1).min(last));
-        if lo < hi {
-            // Narrow [lo, hi] to the atoms not priced yet, then gallop into
-            // them from the end the target lies nearer to: the atoms priced
-            // lie between the cut and that end.
-            let (k, scale) = self.stage_point[s];
-            let j = bounds.partition_point(|&b| b <= lo) - 1;
-            let (head, tail) = self.points[k].known[j];
-            for edge in [bounds[j] + head, bounds[j + 1] - tail] {
-                if lo < edge && edge <= hi {
-                    if self.load(s, from, edge) <= target {
-                        lo = edge;
-                    } else {
-                        hi = edge - 1;
-                    }
-                }
-            }
-            let wanted = self.cum(k, from) + target / scale;
-            let from_start = wanted - self.cum(k, lo) <= self.cum(k, hi + 1) - wanted;
-            let mut step = 1;
-            while lo < hi {
-                if from_start {
-                    // up: lo + 1, + 2, + 4, … until one does not fit
-                    let probe = (lo + step).min(hi);
-                    if self.load(s, from, probe) > target {
-                        hi = probe - 1;
-                        break;
-                    }
-                    lo = probe;
-                } else {
-                    // down: hi, − 1, − 2, … until one fits
-                    let probe = (hi + 1).saturating_sub(step).max(lo + 1);
-                    if self.load(s, from, probe) <= target {
-                        lo = probe;
-                        break;
-                    }
-                    hi = probe - 1;
-                }
-                step *= 2;
-            }
-        }
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            if self.load(s, from, mid) <= target {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        (lo > from).then_some(lo)
-    }
-
-    /// The balanced cuts `0 = c₀ < c₁ < … < c_S = n` of the atoms, or
-    /// `None` when no cut lowers the winner's bottleneck (its cuts are
-    /// `current`) by [`MIN_GAIN`] of it. A target is feasible when the
-    /// greedy cut, each stage taking as many atoms as fit and leaving one
-    /// for each later stage, covers every atom.
-    ///
-    /// The search steps down from the winner's bottleneck, doubling the
-    /// step until a target is infeasible or reaches the floor
-    /// `W / Σ 1/scaleₛ` (`W` the atoms' weight at the smallest
-    /// micro-batch, the lightest point for every atom), below which no
-    /// cut goes, then bisects to 2⁻²⁴ of the bottleneck. The result is
-    /// the greedy cut at the smallest feasible target found.
-    fn linear_partition(&mut self, current: &[usize]) -> Option<Vec<usize>> {
-        let s_count = current.len() - 1;
-        let n = current[s_count];
-        let greedy = |this: &mut Self, target: f64| -> Option<Vec<usize>> {
-            let mut cuts = Vec::with_capacity(s_count + 1);
-            cuts.push(0);
-            for s in 0..s_count - 1 {
-                let from = cuts[s];
-                cuts.push(this.largest_fit(s, from, n - (s_count - 1 - s), target)?);
-            }
-            let from = cuts[s_count - 1];
-            (this.load(s_count - 1, from, n) <= target).then(|| {
-                cuts.push(n);
-                cuts
-            })
-        };
-        let bottleneck = (0..s_count)
-            .map(|s| self.load(s, current[s], current[s + 1]))
-            .fold(0.0, f64::max);
-        let speed: f64 = self.stage_point.iter().map(|&(_, scale)| 1.0 / scale).sum();
-        let floor = self.cum(0, n) / speed;
-        let mut step = bottleneck * MIN_GAIN;
-        let mut hi = bottleneck - step;
-        let mut best = greedy(self, hi)?;
-        let mut lo = loop {
-            step *= 2.0;
-            let target = bottleneck - step;
-            if target <= floor {
-                break floor;
-            }
-            match greedy(self, target) {
-                Some(cuts) => (hi, best) = (target, cuts),
-                None => break target,
-            }
-        };
-        let tolerance = bottleneck / (1u64 << 24) as f64;
-        while hi - lo > tolerance {
-            let mid = 0.5 * (lo + hi);
-            match greedy(self, mid) {
-                Some(cuts) => (hi, best) = (mid, cuts),
-                None => lo = mid,
-            }
-        }
-        (best != current).then_some(best)
-    }
+    (best != current).then_some(best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::atomic::atomic_partition;
-    use crate::blocks::{block_partition, BlockLimits};
+    use crate::blocks::{block_partition, Block, BlockLimits};
     use crate::dp::DpStage;
+    use rannc_graph::{DType, GraphBuilder, OpKind};
     use rannc_hw::{ClusterSpec, DeviceRank, DeviceSpec, Precision};
     use rannc_models::{mlp_graph, MlpConfig};
-    use rannc_profile::ProfilerOptions;
+    use rannc_profile::{Profiler, ProfilerOptions};
+    use rannc_verify::{verify_plan, PlanView, StageView};
 
     /// Re-cut a lopsided 3-stage winner of an MLP (a chain: every
     /// contiguous run of atoms is a stage) on `cluster`, its stages
@@ -565,5 +378,110 @@ mod tests {
         let slow = DeviceRank { node: 0, local: 3 };
         let cluster = ClusterSpec::v100_cluster(1).with_degraded_device(slow, 0.5);
         assert_recut_is_min_max_balanced(&cluster, [(1, 4), (2, 2), (1, 4)]);
+    }
+
+    /// A re-cut through a block that holds three constants: a weight
+    /// transpose read on both sides of the new cut (by a side head on the
+    /// first, and on the second through a reshape that is itself a
+    /// constant), and a second transpose read on the second side only.
+    /// Each constant lands in exactly the new stages that hold one of its
+    /// readers, and the refined plan verifies clean.
+    #[test]
+    fn recut_constants_land_with_their_readers() {
+        let mut b = GraphBuilder::new("tied");
+        let x = b.input("x", [8, 256], DType::F32);
+        let (w, v) = (b.param("w", [256, 256]), b.param("v", [256, 256]));
+        let wt = b.transpose(w, [256, 256]);
+        let wr = b.reshape(wt, [256, 256]);
+        let vt = b.transpose(v, [256, 256]);
+        let u = b.param("u0", [256, 256]);
+        let mut h = b.matmul(x, u);
+        let side = b.matmul(h, wt);
+        b.output(side);
+        for i in 1..10 {
+            let weight = if i < 6 {
+                b.param(&format!("u{i}"), [256, 256])
+            } else {
+                wr
+            };
+            h = b.unary(OpKind::Relu, h);
+            h = b.matmul(h, weight);
+        }
+        let y = b.matmul(h, vt);
+        b.output(y);
+        let g = b.finish();
+        let cost = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+
+        // two blocks, one stage each: the first matmul, then the rest
+        let atomic = atomic_partition(&g);
+        let block = |sets: &[TaskSet]| {
+            let mut set = TaskSet::new(g.num_tasks());
+            sets.iter().for_each(|s| set.union_with(s));
+            Block {
+                set,
+                time: 0.0,
+                mem: 0,
+            }
+        };
+        let blocks = [block(&atomic.sets[..1]), block(&atomic.sets[1..])];
+        let ranges = RangeTable::build(&cost, &blocks);
+        let winner = DpSolution {
+            stages: (0..2)
+                .map(|s| DpStage {
+                    set: blocks[s].set.clone(),
+                    block_range: (s, s + 1),
+                    devices: 1,
+                    tensor_parallel: 1,
+                    micro_batch: 4,
+                    fwd_time: 0.0,
+                    bwd_time: 0.0,
+                    mem_bytes: 0,
+                    param_elems: 0,
+                })
+                .collect(),
+            value: 0.0,
+            microbatches: 2,
+            replica_factor: 1,
+        };
+        let cluster = ClusterSpec::v100_cluster(1);
+        let slots = SlotTable::build(&cluster, 2, 1, cost.device(), Precision::FP32);
+        let sets = refined_stages(&cost, &ranges, &slots, &winner).expect("the heavy block is cut");
+
+        let task = |value| g.value(value).producer.expect("a task's output");
+        let (wt, wr, vt, side) = (task(wt), task(wr), task(vt), task(side));
+        let index = g.index();
+        for c in [wt, wr, vt] {
+            for (s, set) in sets.iter().enumerate() {
+                let read = index.successors(c).iter().any(|&y| set.contains(y));
+                assert_eq!(set.contains(c), read, "constant {c} in stage {s}");
+            }
+        }
+        let holders = |c| sets.iter().filter(|set| set.contains(c)).count();
+        // the side head and the reshape's readers sit on both sides of
+        // the cut, inside the second block
+        assert!(blocks[1].set.contains(side) && sets[0].contains(side));
+        assert_eq!(holders(wt), 2, "the shared transpose is cloned");
+        assert_eq!((holders(wr), holders(vt)), (1, 1));
+
+        let plan = PlanView {
+            model: "tied",
+            stages: (sets.iter())
+                .map(|set| StageView {
+                    set,
+                    replicas: 1,
+                    tensor_parallel: 1,
+                    micro_batch: 4,
+                    fwd_time: 1e-3,
+                    bwd_time: 2e-3,
+                    mem_bytes: 1 << 30,
+                    param_elems: 0,
+                })
+                .collect(),
+            microbatches: 2,
+            replica_factor: 1,
+            batch_size: 8,
+        };
+        let report = verify_plan(&g, &plan, &cluster);
+        assert!(!report.has_errors(), "{}", report.render());
     }
 }

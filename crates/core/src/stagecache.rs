@@ -36,7 +36,7 @@
 //! ([`crate::dp::DpArena`]).
 
 use crate::blocks::Block;
-use crate::dp::DpParams;
+use crate::dp::{micro_batch, DpParams};
 use crate::placement::SlotTable;
 use rannc_cost::CostModel;
 use rannc_graph::TaskSet;
@@ -179,9 +179,8 @@ impl RangeTable {
     /// Exact time sums of range `[from, to)` at `row`'s point: the sum of
     /// its blocks' sums, each filled on first use, minus the extra copies
     /// of tasks several of its blocks hold. Equal, bit for bit, to a walk
-    /// of the range's union. Publishes its slot hits at once; the DP and
-    /// the refinement, which read many ranges, count theirs and publish
-    /// them once.
+    /// of the range's union. Publishes its slot hits at once; the DP,
+    /// which reads many ranges, counts its own and publishes them once.
     pub fn time(&self, profiler: &Profiler<'_>, row: &TimeRow, from: usize, to: usize) -> TimeSums {
         let mut hits = 0;
         let sums = self.time_counted(profiler, row, (from, to), &mut hits);
@@ -313,7 +312,8 @@ impl<'a> DpCtx<'a> {
         row: &mut Option<Arc<TimeRow>>,
         slot_hits: &mut u64,
     ) -> Option<StageCost> {
-        let micro = self.p.batch_size / self.p.replica_factor / self.p.microbatches / repl;
+        let p = &self.p;
+        let micro = micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl);
         if micro == 0 {
             return None;
         }

@@ -21,6 +21,7 @@
 // each suite uses a subset of the references
 #![allow(dead_code)]
 
+use rannc_core::dp::micro_batch;
 use rannc_core::refine::refined_stages;
 use rannc_core::search::score_solution;
 use rannc_core::{
@@ -63,7 +64,7 @@ fn dp_hashmap(ctx: &DpCtx, walk: &mut Walk) -> Option<DpSolution> {
     if s_max == 0 || s_max > nb || d_max < s_max || p.microbatches == 0 || p.tp == 0 {
         return None;
     }
-    if p.batch_size / p.replica_factor / p.microbatches == 0 {
+    if micro_batch(p.batch_size, p.replica_factor, p.microbatches, 1) == 0 {
         return None;
     }
 
@@ -98,7 +99,7 @@ fn dp_hashmap(ctx: &DpCtx, walk: &mut Walk) -> Option<DpSolution> {
                             continue;
                         }
                         let repl = d - d_prev;
-                        if p.batch_size / p.replica_factor / p.microbatches / repl == 0 {
+                        if micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl) == 0 {
                             walk.micro_zero += 1;
                             saw_micro_zero = true;
                             continue;
@@ -166,7 +167,7 @@ fn dp_hashmap(ctx: &DpCtx, walk: &mut Walk) -> Option<DpSolution> {
             block_range: (b_prev, b),
             devices: repl,
             tensor_parallel: p.tp,
-            micro_batch: p.batch_size / p.replica_factor / p.microbatches / repl,
+            micro_batch: micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl),
             fwd_time,
             bwd_time,
             mem_bytes: cost.mem,

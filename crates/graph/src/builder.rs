@@ -36,11 +36,6 @@ impl GraphBuilder {
         self.scope = scope.into();
     }
 
-    /// Clear the layer scope.
-    pub fn clear_scope(&mut self) {
-        self.scope.clear();
-    }
-
     fn fresh_name(&mut self, prefix: &str) -> String {
         let n = self.fresh;
         self.fresh += 1;
@@ -260,26 +255,7 @@ impl GraphBuilder {
         kernel: (usize, usize),
         stride: (usize, usize),
     ) -> ValueId {
-        self.pool(OpKind::MaxPool { kernel, stride }, x, kernel, stride)
-    }
-
-    /// Average pooling over `[c,h,w]`.
-    pub fn avg_pool(
-        &mut self,
-        x: ValueId,
-        kernel: (usize, usize),
-        stride: (usize, usize),
-    ) -> ValueId {
-        self.pool(OpKind::AvgPool { kernel, stride }, x, kernel, stride)
-    }
-
-    fn pool(
-        &mut self,
-        op: OpKind,
-        x: ValueId,
-        kernel: (usize, usize),
-        stride: (usize, usize),
-    ) -> ValueId {
+        let op = OpKind::MaxPool { kernel, stride };
         let xs = self.g.value(x).shape.clone();
         assert_eq!(xs.rank(), 3, "pool input must be [c,h,w]");
         let (c, h, w) = (xs.dim(0), xs.dim(1), xs.dim(2));

@@ -39,11 +39,6 @@ impl Rng {
     pub fn below(&mut self, bound: usize) -> usize {
         (self.next_u64() % bound as u64) as usize
     }
-
-    /// Bernoulli draw: true with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit_f64() < p
-    }
 }
 
 #[cfg(test)]

@@ -71,7 +71,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, baselines as plans, Megatron in its baseline, no deleted search, memo or fixpoint machinery)"
+echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, baselines as plans, Megatron in its baseline, no deleted search, memo or fixpoint machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -239,6 +239,23 @@ fi
 if grep -rn --include='*.rs' "refine_winner" crates --exclude-dir=rannc_benchmark \
     | grep -v '^crates/core/src/search.rs:'; then
     echo "FAILED: refine_winner referenced outside core::search"
+    exit 1
+fi
+# The refinement prices every atom once per micro-batch into one exact
+# prefix array and finds each cut by a binary search over it: the lazy
+# pricing (largest_fit's gallop), the reader masks and their piece limit
+# (MAX_PIECES) and its reads of the search's block time rows stay
+# deleted. Compaction maps its groups with a plain iterator (it gets at
+# most k of them on every benchmark workload), so the size-gated
+# parallel_map stays deleted: the search sweep fans out through
+# parallel_map_with and coarsening through join.
+if awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    crates/core/src/refine.rs | grep -E 'largest_fit|MAX_PIECES|time_counted|\.row\('; then
+    echo "FAILED: the refinement's lazy atom pricing or its block time row reads are back"
+    exit 1
+fi
+if grep -rn --include='*.rs' "parallel_map(" crates/*/src; then
+    echo "FAILED: the size-gated par::parallel_map is back"
     exit 1
 fi
 
