@@ -1,8 +1,8 @@
-//! `planner_bench` — end-to-end partition-search timing.
+//! `planner_bench` — block-phase and partition-search timing.
 //!
-//! Times Algorithm 2 twice per bundled model, at one worker thread and
-//! at `--threads`, then writes `BENCH_partition.json` with wall-clock
-//! numbers, thread-scaling speedups, and cache counters.
+//! Times the block phase and Algorithm 2 at `--threads` per bundled
+//! model, then writes `BENCH_partition.json` with wall-clock numbers and
+//! cache counters.
 //!
 //! ```sh
 //! planner_bench                      # full grid, 4 threads
@@ -12,23 +12,22 @@
 //! ```
 //!
 //! With `--check` the binary exits nonzero if the emitted JSON is
-//! malformed, any engine plan differs from the one-thread baseline, the
-//! DP arena memo never hit on any case (the memoization would be dead
-//! weight; a small case may have only single-stage candidates, which
-//! never repeat a lookup), or —
-//! when tracing is off — the observability layer allocated anything
-//! during the timed runs (the zero-overhead-when-disabled contract; the
-//! plan flight recorder is held to the same standard). `--check` also
-//! proves the recorder itself: the explain artifact must be
-//! byte-identical at 1/2/4 worker threads, pass its schema validator,
-//! and leave the chosen plan bit-identical to a recorder-off run.
+//! malformed, a case's profiler hit rate is below
+//! [`planner::PROFILER_HIT_RATE_FLOOR`], the DP arena memo never hit on
+//! any case (the memoization would be dead weight; a small case may have
+//! only single-stage candidates, which never repeat a lookup), or — when
+//! tracing is off — the observability layer allocated anything during
+//! the timed runs (the zero-overhead-when-disabled contract; the plan
+//! flight recorder is held to the same standard). Every check reads the
+//! timed run; plan determinism, the recorder's own contract and the
+//! cost-model and certification gates live in the test suites.
 //!
 //! `--trace-out` / `--metrics-out` / `--obs-summary` export the
 //! observability artifacts of the run; `--explain-out FILE` writes the
 //! flight recording of a full partitioning of the first grid case (after
 //! the timed runs, so timings stay unperturbed); `--baseline FILE`
-//! compares engine times against a committed `BENCH_partition.json` with
-//! a 3% budget; `--cost-model analytical|calibrated:FILE` prices the
+//! compares search times against a committed `BENCH_partition.json` with
+//! a 3% + 5 ms budget per case; `--cost-model analytical|calibrated:FILE` prices the
 //! searches with a different cost model (the default is the analytical
 //! oracle).
 
@@ -171,8 +170,7 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "planner_bench: wrote {out} | geomean speedup {:.2}x over {} case(s)",
-        report.geomean_speedup(),
+        "planner_bench: wrote {out} | {} case(s)",
         report.cases.len()
     );
 
@@ -246,8 +244,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        // the same contract for the plan flight recorder — checked before
-        // the determinism gate below, which legitimately enables it
+        // the same contract for the plan flight recorder
         if explain_out.is_none() && rannc::obs::recorder::alloc_count() != 0 {
             eprintln!(
                 "check failed: recorder disabled but {} recorder allocation(s) recorded",
@@ -257,17 +254,6 @@ fn main() {
         }
         let mut failed = false;
         for c in &report.cases {
-            if !c.plans_identical {
-                eprintln!(
-                    "check failed: {} engine plan differs from baseline",
-                    c.model
-                );
-                failed = true;
-            }
-            if c.profiler_cache.hit_rate() <= 0.0 {
-                eprintln!("check failed: {} profiler cache hit rate is zero", c.model);
-                failed = true;
-            }
             // a block's time slot serves every range and variant of its
             // point: a real hit rate, not just a nonzero one, on every case
             if c.profiler_cache.hit_rate() < planner::PROFILER_HIT_RATE_FLOOR {
@@ -288,56 +274,9 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        // the cost-model seam: switching models must change prices, but
-        // must never produce a plan the strict verifier rejects
-        match planner::check_cost_models(quick) {
-            Ok(lines) => {
-                eprintln!("cost-model check:\n{}", lines.join("\n"));
-            }
-            Err(e) => {
-                eprintln!("check failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        // the certification gate: every bundled model's plan must carry
-        // a liveness-certified peak within device capacity and a
-        // race-free derived communication program
-        match planner::check_certified_memory(quick) {
-            Ok(lines) => {
-                eprintln!("certified-memory check:\n{}", lines.join("\n"));
-            }
-            Err(e) => {
-                eprintln!("check failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        // the flight-recorder gate: deterministic artifact, validator
-        // clean, plan unperturbed by recording
-        match planner::check_explain_determinism(quick) {
-            Ok(lines) => {
-                eprintln!("explain-recorder check:\n{}", lines.join("\n"));
-            }
-            Err(e) => {
-                eprintln!("check failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        // the third-axis gate: on a Megatron-regime case the (S, MB, T)
-        // sweep must pick T > 1, certify, and beat the best 2D plan
-        match planner::check_tp_search() {
-            Ok(lines) => {
-                eprintln!("tensor-parallel check:\n{}", lines.join("\n"));
-            }
-            Err(e) => {
-                eprintln!("check failed: {e}");
-                std::process::exit(1);
-            }
-        }
         eprintln!(
-            "check passed: valid JSON, identical plans, nonzero cache hit rates, \
-             zero obs allocations while disabled, cost models verified, \
-             certified memory within capacity, explain artifact deterministic, \
-             3D sweep live and winning on the tensor-parallel gate"
+            "check passed: valid JSON, profiler hit rates above the floor, DP arena \
+             memo hits, zero obs allocations while disabled"
         );
     }
 }

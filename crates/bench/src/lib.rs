@@ -10,12 +10,11 @@
 //! | Fig. 5 (enlarged ResNet throughput) | `fig5_resnet` | [`fig5::run`] |
 //! | §IV-C coarsening ablation | `coarsening_ablation` | [`ablation::run`] |
 //! | §IV-B loss validation | `loss_validation` | re-uses `rannc::train` |
-//! | planner engine speedup | `planner_bench` | [`planner::run`] |
+//! | planner block-phase and search time | `planner_bench` | [`planner::run`] |
 //! | search score vs simulator rank agreement | `score_regret` | [`regret::TierAgreement`] |
 //!
 //! Binaries accept `--quick` for a reduced grid (used in CI); the default
-//! reproduces the paper's full parameter grid. Criterion micro-benchmarks
-//! of the partitioning phases live in `benches/`.
+//! reproduces the paper's full parameter grid.
 
 pub mod ablation;
 pub mod fig4;

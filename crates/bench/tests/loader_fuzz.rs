@@ -117,9 +117,7 @@ fn sample_report() -> BenchReport {
             tasks: 100,
             blocks: 8,
             prep_seconds: 0.01,
-            seq_seconds: 0.09,
-            engine_seconds: 0.05,
-            plans_identical: true,
+            search_seconds: 0.05,
             plan_stages: 2,
             tp_max: 4,
             plan_tp: vec![1, 2],

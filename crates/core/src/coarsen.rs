@@ -86,32 +86,24 @@ pub fn coarsen_with(
     mut observe: impl FnMut(&[TaskSet], &GroupGraph),
 ) -> CoarsenResult {
     let k = ctx.limits.k;
-    // Only the atoms are walked, on a worker while this thread builds the
-    // group graph. Later levels carry what a merge is priced from: a
-    // union's time sums, span and bound are composed from its operands',
-    // a merged group keeps the time its winning union was priced at, an
-    // unmerged one everything it had.
-    let ((mut groups, mut carried), mut graph) = {
-        let ctx = &*ctx;
-        crate::par::join(
-            || {
-                let carried: Vec<Carried> = (atomic_sets.iter())
-                    .map(|s| {
-                        let sums = ctx.sums(s);
-                        let profiled = ctx.cost.profiler().profiled(s);
-                        Carried {
-                            sums,
-                            time: ctx.price_profiled(&profiled, sums).0,
-                            span: ctx.checker.span(s),
-                            bound: profiled.stats_bound(),
-                        }
-                    })
-                    .collect();
-                (atomic_sets.to_vec(), carried)
-            },
-            || GroupGraph::build(ctx.g, atomic_sets),
-        )
-    };
+    // Only the atoms are walked. Later levels carry what a merge is priced
+    // from: a union's time sums, span and bound are composed from its
+    // operands', a merged group keeps the time its winning union was
+    // priced at, an unmerged one everything it had.
+    let mut carried: Vec<Carried> = (atomic_sets.iter())
+        .map(|s| {
+            let sums = ctx.sums(s);
+            let profiled = ctx.cost.profiler().profiled(s);
+            Carried {
+                sums,
+                time: ctx.price_profiled(&profiled, sums).0,
+                span: ctx.checker.span(s),
+                bound: profiled.stats_bound(),
+            }
+        })
+        .collect();
+    let mut groups = atomic_sets.to_vec();
+    let mut graph = GroupGraph::build(ctx.g, atomic_sets);
     let mut merges = Vec::new();
     let mut level = 0usize;
     let (mut candidates, mut unions, mut walked) = (0usize, 0usize, 0usize);

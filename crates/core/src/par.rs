@@ -1,10 +1,7 @@
-//! Minimal scoped-thread fork–join for the block phase and the search
-//! sweep.
+//! Minimal scoped-thread fork–join for the search sweep.
 //!
-//! Coarsening prices its atoms on a worker while the calling thread
-//! builds the group graph ([`join`]), and the stage-level search fans
-//! each node tier's `(MB, T)` candidate groups out, one tier at a time
-//! ([`parallel_map_with`]). Each evaluation
+//! The stage-level search fans each node tier's `(MB, T)` candidate
+//! groups out, one tier at a time ([`parallel_map_with`]). Each evaluation
 //! is independent and the profiler is `Sync` without a lock (it keeps
 //! no results; its only mutable state is its atomic slot counters), so
 //! a fork–join map over the standard library's scoped threads gives
@@ -73,26 +70,6 @@ pub fn max_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Run `a` and `b`, `a` on a scoped worker thread concurrently with `b`
-/// on the calling thread when more than one worker is allowed
-/// ([`max_threads`]), else one after the other.
-pub fn join<RA, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB) -> (RA, RB)
-where
-    RA: Send,
-{
-    if max_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let a = scope.spawn(a);
-        let rb = b();
-        (
-            a.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
-            rb,
-        )
-    })
 }
 
 /// Parallel map over a slice with an explicit worker count and
@@ -172,12 +149,6 @@ mod tests {
         for (i, (x, _)) in out.iter().enumerate() {
             assert_eq!(i, *x);
         }
-    }
-
-    #[test]
-    fn join_returns_both_results_in_order() {
-        let (a, b) = join(|| (0..100u64).sum::<u64>(), || "b");
-        assert_eq!((a, b), (4950, "b"));
     }
 
     #[test]

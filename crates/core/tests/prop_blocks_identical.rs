@@ -3,8 +3,8 @@
 //! `support/blocks.rs` exactly — the same groups and merge records, the
 //! same uncoarsening move count, and the same blocks in the same order with
 //! bit-equal profiled times — on every bundled model family, for several
-//! `k`, a generous and a tight memory bound, and 1 and 2 worker threads,
-//! with profiling noise on and under a calibrated memory factor too.
+//! `k` and a generous and a tight memory bound, with profiling noise on
+//! and under a calibrated memory factor too.
 //! The group graph the two steps keep current must equal a rebuild from
 //! scratch after every change, and coarsening's pair convexity check must
 //! equal a check of the union on every adjacent pair of every level.
@@ -14,7 +14,7 @@ mod reference;
 
 use rannc_core::blocks::{BlockCtx, BlockLimits, GroupGraph};
 use rannc_core::coarsen::MergeRecord;
-use rannc_core::{atomic_partition, block_partition, coarsen, par, uncoarsen, Block};
+use rannc_core::{atomic_partition, block_partition, coarsen, uncoarsen, Block};
 use rannc_cost::{CalibratedCost, Calibration, CostModel};
 use rannc_graph::convex::ConvexChecker;
 use rannc_graph::{DType, GraphBuilder, OpKind, TaskGraph, TaskId, TaskSet};
@@ -80,12 +80,11 @@ impl std::ops::AddAssign for Exercised {
 fn check(name: &str, g: &TaskGraph, cost: &dyn CostModel, limits: BlockLimits) -> Exercised {
     let atomic = atomic_partition(g);
     let what = format!(
-        "{name} {} sigma={} k={} mem={} threads={}",
+        "{name} {} sigma={} k={} mem={}",
         cost.name(),
         cost.options().noise_sigma,
         limits.k,
         limits.mem_limit,
-        par::max_threads()
     );
 
     // coarsening: same groups, same merge hierarchy
@@ -122,9 +121,8 @@ fn check(name: &str, g: &TaskGraph, cost: &dyn CostModel, limits: BlockLimits) -
     }
 }
 
-/// [`check`] on every bundled model for 1 and 2 threads, `k` ∈ {4, 8,
-/// 32}, a generous and a tight memory bound, each model priced by
-/// `cost_of` its graph.
+/// [`check`] on every bundled model for `k` ∈ {4, 8, 32}, a generous and
+/// a tight memory bound, each model priced by `cost_of` its graph.
 fn check_grid<'g, C: CostModel + 'g>(
     graphs: &'g [(&'static str, TaskGraph)],
     cost_of: impl Fn(&'g TaskGraph) -> C,
@@ -133,21 +131,17 @@ fn check_grid<'g, C: CostModel + 'g>(
     for (name, g) in graphs {
         let cost = cost_of(g);
         let tight = tight_limit(g, &cost, 2);
-        for threads in [1, 2] {
-            par::set_threads(threads);
-            for k in [4, 8, 32] {
-                for mem_limit in [GENEROUS, tight] {
-                    let limits = BlockLimits {
-                        k,
-                        mem_limit,
-                        profile_batch: 2,
-                    };
-                    total += check(name, g, &cost, limits);
-                }
+        for k in [4, 8, 32] {
+            for mem_limit in [GENEROUS, tight] {
+                let limits = BlockLimits {
+                    k,
+                    mem_limit,
+                    profile_batch: 2,
+                };
+                total += check(name, g, &cost, limits);
             }
         }
     }
-    par::set_threads(0);
     total
 }
 

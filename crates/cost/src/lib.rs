@@ -43,10 +43,6 @@ use rannc_hw::{ClusterSpec, DeviceSpec};
 /// the uncalibrated formulas exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostFactors {
-    /// The calibration's global compute factor. Nothing scales by it
-    /// here: per-op compute calibration happens inside the profiler, so
-    /// priced stage times already carry it.
-    pub compute: f64,
     /// Scales point-to-point activation transfer time.
     pub transfer: f64,
     /// Scales gradient all-reduce time for single-node groups.
@@ -61,7 +57,6 @@ impl CostFactors {
     /// The identity factors: every formula unchanged, bit-for-bit.
     pub fn identity() -> Self {
         CostFactors {
-            compute: 1.0,
             transfer: 1.0,
             allreduce_intra: 1.0,
             allreduce_inter: 1.0,
@@ -117,7 +112,6 @@ mod tests {
     fn identity_factors_are_ones() {
         let f = CostFactors::identity();
         assert_eq!(f, CostFactors::default());
-        assert_eq!(f.compute, 1.0);
         assert_eq!(f.transfer, 1.0);
         assert_eq!(f.allreduce_intra, 1.0);
         assert_eq!(f.allreduce_inter, 1.0);

@@ -323,7 +323,6 @@ impl CostModel for CalibratedCost<'_> {
 
     fn factors(&self) -> CostFactors {
         CostFactors {
-            compute: self.cal.compute,
             transfer: self.cal.link_intra,
             allreduce_intra: self.cal.allreduce * self.cal.link_intra,
             allreduce_inter: self.cal.allreduce * self.cal.link_inter,

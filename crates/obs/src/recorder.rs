@@ -13,7 +13,8 @@
 //! disabled recorder allocates nothing ([`alloc_count`] lets benches pin
 //! that), and the search hooks are plan-preserving — a recorded search
 //! returns a bit-identical plan (the `explain_recorder` integration
-//! suite and `planner_bench --check` pin both halves).
+//! suite pins both halves; `planner_bench --check` pins the first over
+//! its timed run).
 //!
 //! **Determinism.** The serialized artifact ([`to_json`], frozen schema
 //! `rannc_explain` v2) is byte-identical across worker-thread counts.
@@ -499,8 +500,8 @@ pub fn take() -> Option<Recording> {
 ///
 /// Field order, formatting ([`fmt_f64`]) and layout are part of the
 /// contract: the same recording always serializes to the same bytes, and
-/// the quick-grid recording itself is byte-identical across worker
-/// thread counts (`planner_bench --check`).
+/// a recording itself is byte-identical across worker thread counts
+/// (`explain_recorder`'s `artifact_is_byte_identical_across_thread_counts`).
 pub fn to_json(rec: &Recording) -> String {
     let ctx = rec.context.clone().unwrap_or_default();
     let acc = rec.accounting.clone().unwrap_or_default();

@@ -37,6 +37,12 @@ echo "==> paper-scale range-table parity (BERT 2048x256, k 32, all 528 ranges)"
 # from-scratch walk of the union
 cargo test --release -q -p rannc-core --offline --test prop_range_table -- --ignored
 
+echo "==> paper-scale thread identity (BERT 2048x256 at 128 devices, k 32, 1/2/4 threads)"
+# ignored in the default run for its size: on the same blocks the search
+# must return a bit-identical plan at 1, 2 and 4 worker threads
+cargo test --release -q -p rannc --offline --test determinism \
+    bert256_plan_is_identical_across_thread_counts -- --ignored
+
 echo "==> paper-scale liveness parity (BERT 2048x256, 4 stages, against the definition)"
 # ignored in the default run for its size: the closed-form stage liveness
 # must equal the brute-force walk over every program point
@@ -71,7 +77,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, baselines as plans, Megatron in its baseline, no deleted search, memo or fixpoint machinery)"
+echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, one search fan-out, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -247,8 +253,9 @@ fi
 # (MAX_PIECES) and its reads of the search's block time rows stay
 # deleted. Compaction maps its groups with a plain iterator (it gets at
 # most k of them on every benchmark workload), so the size-gated
-# parallel_map stays deleted: the search sweep fans out through
-# parallel_map_with and coarsening through join.
+# parallel_map stays deleted, and coarsening prices its atoms and builds
+# its group graph on the calling thread, so par::join stays deleted: the
+# search sweep is the one fan-out (parallel_map_with).
 if awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
     crates/core/src/refine.rs | grep -E 'largest_fit|MAX_PIECES|time_counted|\.row\('; then
     echo "FAILED: the refinement's lazy atom pricing or its block time row reads are back"
@@ -256,6 +263,25 @@ if awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
 fi
 if grep -rn --include='*.rs' "parallel_map(" crates/*/src; then
     echo "FAILED: the size-gated par::parallel_map is back"
+    exit 1
+fi
+if grep -rnE --include='*.rs' "fn join\b|par::join\(" crates/*/src; then
+    echo "FAILED: par::join is back"
+    exit 1
+fi
+
+# planner_bench is a bench: it times the block phase and one search per
+# case at --threads. The one-thread rerun and its speedup geomean stay
+# deleted (thread identity is the determinism suite's), and so do the
+# criterion micro-benches and their vendored stub, which gated nothing.
+if grep -rnE "seq_seconds|geomean_speedup" crates/bench/src BENCH_partition.json \
+    --exclude-dir=rannc_benchmark; then
+    echo "FAILED: planner_bench's one-thread rerun (seq_seconds, geomean_speedup) is back"
+    exit 1
+fi
+if [ -e crates/bench/benches ] || [ -e vendor/criterion ] \
+    || grep -n "criterion" Cargo.toml crates/*/Cargo.toml; then
+    echo "FAILED: the criterion micro-benches or their vendored stub are back"
     exit 1
 fi
 
@@ -393,8 +419,8 @@ echo "==> tensor-parallel smoke (3D sweep picks T>1, deep-verifies, beats 2D)"
 # parallelism alone cannot occupy the node — the (S, MB, T) sweep must
 # shard the stage, and the plan must survive the deep verifier's RV07x
 # tensor-parallel checks. The quantitative half of this gate (3D beats
-# the best 2D plan's simulated iteration) runs inside planner_bench
-# --check below.
+# the best 2D plan's simulated iteration) is end_to_end's
+# tensor_parallel_plan_beats_the_best_2d_plan.
 ./target/release/rannc-plan verify --model bert --hidden 1024 --layers 4 \
     --nodes 1 --batch 4 --k 8 --tp-max 4 --deep >/dev/null \
     || { echo "tensor-parallel deep verify FAILED"; exit 1; }
@@ -451,11 +477,12 @@ if ! echo "$FIG4" | awk '
 fi
 echo "    Fig. 4: RaNNC FP32 >= GPipe-Hybrid in all 18 cells, > on 2048x256"
 
-echo "==> planner-bench smoke (engine vs one-thread baseline, self-checked)"
-# --check exits nonzero on malformed JSON, a plan that differs from the
-# one-thread run, or a memo/cache that never hits. The comparison against
-# the sequential fresh-arena reference scan lives in the determinism and
-# prop_dp_flat suites.
+echo "==> planner-bench smoke (block phase and search at 4 threads, self-checked)"
+# --check reads the timed run and exits nonzero on malformed JSON, a
+# profiler hit rate below its floor, a DP memo that never hits, or an
+# observability allocation while it is disabled. Plan identity across
+# thread counts and against the reference scan lives in the determinism
+# and prop_dp_flat suites.
 ./target/release/planner_bench --quick --threads 4 --check \
     --out BENCH_partition_quick.json \
     || { echo "planner_bench smoke FAILED"; exit 1; }
@@ -464,9 +491,10 @@ rm -f BENCH_partition_quick.json
 echo "==> planner-bench paper-scale smoke (bert-256l at 128 devices, 120 s budget)"
 # The acceptance config of the flat-table DP engine: a ~7.4k-task BERT
 # planned at 128 devices must finish well inside the wall-clock budget
-# and pass the same self-checks (bit-identical plans across thread
-# counts, cache hit rates); its plan is pinned bit-exactly by the
-# benchmark's sim_samples_per_s.
+# and pass the same self-checks (hit-rate floor, memo hits, zero
+# allocations while disabled); its plan is pinned bit-exactly by the
+# benchmark's sim_samples_per_s, and its thread identity by the ignored
+# determinism test above.
 timeout 120 ./target/release/planner_bench --paper-scale --quick --threads 4 \
     --check --repeat 1 --out BENCH_partition_paper_quick.json \
     || { echo "planner_bench paper-scale smoke FAILED (or blew the 120 s budget)"; exit 1; }

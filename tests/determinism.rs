@@ -285,7 +285,7 @@ fn tp_max_one_reproduces_the_sequential_scan() {
 /// Paper-scale grid at 128 devices: the grouped/arena engine
 /// still returns the exhaustive scan's winner bit-for-bit on the models
 /// the paper-scale bench sweeps, and its plan is that winner's
-/// refinement. The 256-layer BERT is left to the release-mode bench —
+/// refinement. The 256-layer BERT is the ignored test below —
 /// profiling its 7.4k tasks in a debug test run would dominate the whole
 /// tier-1 suite.
 #[test]
@@ -325,6 +325,34 @@ fn paper_scale_models_match_at_128_devices() {
         let refined = refine_reference(&profiler, &blocks, &cluster, winner);
         let (plan, _) = form_stage_with(&g, &profiler, &blocks, &cluster, 1024, &opts);
         assert_identical(&Some(refined), &plan, &format!("{label} refined"));
+    }
+}
+
+/// The 256-layer BERT at 128 devices (the benchmark's flagship): on the
+/// same blocks, 1, 2 and 4 worker threads give bit-identical plans.
+/// Ignored in the default run for its size; `scripts/check.sh` runs it in
+/// release mode.
+#[test]
+#[ignore]
+fn bert256_plan_is_identical_across_thread_counts() {
+    let g = bert_graph(&BertConfig::enlarged(2048, 256));
+    let cluster = ClusterSpec::v100_cluster(16); // 128 devices
+    let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+    let atomic = atomic_partition(&g);
+    let blocks = block_partition(
+        &g,
+        &profiler,
+        &atomic,
+        BlockLimits::for_request(&PartitionConfig::new(1024).with_k(32), &cluster),
+    );
+    let plan_at = |threads| {
+        let opts = SearchOptions { threads, tp_max: 1 };
+        form_stage_with(&g, &profiler, &blocks, &cluster, 1024, &opts).0
+    };
+    let one = plan_at(1);
+    assert!(one.is_some(), "bert-256l @ 128 devices: expected feasible");
+    for threads in [2usize, 4] {
+        assert_identical(&one, &plan_at(threads), &format!("threads={threads}"));
     }
 }
 

@@ -153,3 +153,46 @@ fn plan_summary_is_stable() {
     // the whole pipeline is deterministic: identical runs, identical plans
     assert_eq!(plan_a.summary(), plan_b.summary());
 }
+
+/// The third parallelism axis in the Megatron regime: a wide 4-layer
+/// BERT on one 8-GPU node at mini-batch 4, so data parallelism alone
+/// cannot occupy the node. Planned under `VerifyMode::Certify` (the
+/// RV07x tensor-parallel checks and the memory certificate) at
+/// `tp_max` 1 and 4, the 3D sweep must shard a stage (`T > 1`) and its
+/// fill–drain iteration must simulate strictly faster than the best 2D
+/// plan's.
+#[test]
+fn tensor_parallel_plan_beats_the_best_2d_plan() {
+    use rannc::core::VerifyMode;
+    use rannc::pipeline::{simulate_sync, spec_from_plan, SyncSchedule};
+    let g = bert_graph(&BertConfig::enlarged(1024, 4));
+    let cluster = ClusterSpec::v100_cluster(1);
+    let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+    let plan_at = |tp_max: usize| {
+        let cfg = PartitionConfig::new(4)
+            .with_k(8)
+            .with_verify(VerifyMode::Certify)
+            .with_tp_max(tp_max);
+        let plan = Rannc::new(cfg)
+            .partition(&g, &cluster)
+            .unwrap_or_else(|e| panic!("tp_max {tp_max}: {e}"));
+        let spec = spec_from_plan(&plan, &profiler, &cluster).expect("valid pipeline spec");
+        let iteration = simulate_sync(&spec, SyncSchedule::FillDrain, false)
+            .result
+            .iteration_time;
+        (plan, iteration)
+    };
+    let (_, t2d) = plan_at(1);
+    let (plan, t3d) = plan_at(4);
+    let degrees: Vec<usize> = plan.stages.iter().map(|s| s.tensor_parallel).collect();
+    assert!(
+        degrees.iter().any(|&t| t > 1),
+        "the 3D sweep never chose T > 1: {degrees:?}"
+    );
+    assert!(
+        t3d < t2d,
+        "3D plan simulates at {:.3} ms, not faster than the best 2D plan's {:.3} ms",
+        t3d * 1e3,
+        t2d * 1e3
+    );
+}
