@@ -14,6 +14,10 @@
 //! large `T` holds fewer stage counts than one at `T = 1` — does not
 //! leave threads idle behind a static partition.
 //!
+//! The calling thread is worker 0: a map over `w` workers spawns `w − 1`
+//! threads and claims chunks alongside them, so it neither sits idle
+//! in the join nor pays a thread start for the work it could do itself.
+//!
 //! The worker count is resolved by [`max_threads`]: an explicit
 //! [`set_threads`] override wins, then the `RANNC_THREADS` environment
 //! variable, then [`std::thread::available_parallelism`]. The first two
@@ -92,25 +96,29 @@ where
     let chunk = (items.len() / (workers * 8)).max(1);
     let cursor = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
+    let work = || {
+        let mut local: Vec<(usize, Vec<R>)> = Vec::new();
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= items.len() {
+                break;
+            }
+            let end = (start + chunk).min(items.len());
+            local.push((start, items[start..end].iter().map(&f).collect()));
+        }
+        done.lock().unwrap().extend(local);
+    };
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (f, cursor, done) = (&f, &cursor, &done);
+        for w in 1..workers {
+            let work = &work;
             scope.spawn(move || {
                 if rannc_obs::enabled() {
                     rannc_obs::trace::set_thread_name(&format!("worker-{w}"));
                 }
-                let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    let end = (start + chunk).min(items.len());
-                    local.push((start, items[start..end].iter().map(f).collect()));
-                }
-                done.lock().unwrap().extend(local);
+                work();
             });
         }
+        work(); // the calling thread is worker 0
     });
     let mut chunks = done.into_inner().unwrap();
     chunks.sort_unstable_by_key(|&(start, _)| start);
@@ -158,6 +166,24 @@ mod tests {
         let items: Vec<u32> = (0..500).collect();
         let _ = parallel_map_with(&items, 4, |_| counter.fetch_add(1, Ordering::Relaxed));
         assert_eq!(counter.load(Ordering::Relaxed), 500);
+    }
+
+    /// The calling thread claims items too: with two workers one thread
+    /// is spawned, and both it and the caller run items.
+    #[test]
+    fn caller_is_worker_zero() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..8).collect();
+        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        parallel_map_with(&items, 2, |_| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        });
+        let seen = seen.into_inner().unwrap();
+        assert!(seen.contains(&caller), "the caller ran no item");
+        assert_eq!(seen.len(), 2, "one spawned worker besides the caller");
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! groups out over [`crate::par::parallel_map_with`]. Each group runs its
 //! stage counts ascending through one [`DpArena`], whose flat
 //! `(b_prev, b, repl)` memo persists across the group's candidates.
-//! Every cell runs its DP, as in the paper's Algorithm 2.
+//! Every cell runs its DP, as in the paper's Algorithm 2. The arenas
+//! come from a process-wide spare list (`DpArena::draw`) and go back to
+//! it when the search finishes, so a request reuses the last one's
+//! allocations but never its memo entries.
 //!
 //! **Determinism.** The chosen plan is bit-identical to a sequential
 //! scan with a fresh arena per candidate: candidate results are
@@ -106,32 +109,50 @@ pub struct SearchStats {
     pub stage_cache: CacheStats,
 }
 
-/// Pool of [`DpArena`]s for the grouped candidate sweep: a worker takes
-/// an arena for the duration of one `(MB, T)` group and returns it
-/// after, so at most `threads` arenas ever exist per search and each
-/// carries its allocations to the next group it serves. Groups differ in
-/// their memo key, so memo entries never cross groups.
-#[derive(Default)]
+/// One search's [`DpArena`]s: a worker takes an arena for the duration
+/// of one `(MB, T)` group and returns it after, so at most `threads`
+/// arenas serve a search's sweep and each carries its allocations to the
+/// next group it serves; the refinement's DP adds one after the sweep.
+/// Groups differ in their memo key, so memo entries never cross groups.
+/// An arena the pool lacks is drawn from the process-wide spare list,
+/// and when the search finishes (the pool drops) its arenas go back
+/// there, at most `threads` of them.
 struct ArenaPool {
     pool: Mutex<Vec<DpArena>>,
+    threads: usize,
 }
 
 impl ArenaPool {
+    fn new(threads: usize) -> Self {
+        ArenaPool {
+            pool: Mutex::new(Vec::new()),
+            threads,
+        }
+    }
+
     fn take(&self) -> DpArena {
-        self.pool.lock().unwrap().pop().unwrap_or_default()
+        let pooled = self.pool.lock().unwrap().pop();
+        pooled.unwrap_or_else(DpArena::draw)
     }
 
     fn put(&self, arena: DpArena) {
         self.pool.lock().unwrap().push(arena);
     }
 
-    /// Memo counters summed over every arena the search used.
+    /// Memo counters summed over every arena the search's sweep used.
     fn stats(&self) -> CacheStats {
         let pool = self.pool.lock().unwrap();
         CacheStats {
             hits: pool.iter().map(DpArena::hits).sum(),
             misses: pool.iter().map(DpArena::misses).sum(),
         }
+    }
+}
+
+impl Drop for ArenaPool {
+    fn drop(&mut self) {
+        let arenas = std::mem::take(self.pool.get_mut().unwrap());
+        DpArena::shelve(arenas, self.threads);
     }
 }
 
@@ -249,11 +270,12 @@ pub fn scan_first_feasible_tier(
     batch_size: usize,
     opts: &SearchOptions,
 ) -> (Option<TierScan>, SearchStats) {
-    let (scan, stats, _) = scan(g, cost, blocks, cluster, batch_size, opts);
+    let (scan, stats, ..) = scan(g, cost, blocks, cluster, batch_size, opts);
     (scan, stats)
 }
 
-/// [`scan_first_feasible_tier`], with the range table it built.
+/// [`scan_first_feasible_tier`], with the range table it built and its
+/// arenas.
 fn scan(
     g: &TaskGraph,
     cost: &dyn CostModel,
@@ -261,7 +283,7 @@ fn scan(
     cluster: &ClusterSpec,
     batch_size: usize,
     opts: &SearchOptions,
-) -> (Option<TierScan>, SearchStats, RangeTable) {
+) -> (Option<TierScan>, SearchStats, RangeTable, ArenaPool) {
     debug_assert_eq!(
         g.num_tasks(),
         cost.graph().num_tasks(),
@@ -294,7 +316,7 @@ fn scan(
         ranges
     };
 
-    let arenas = ArenaPool::default();
+    let arenas = ArenaPool::new(threads);
 
     for tier in tier_grids(g, cluster, batch_size, opts.tp_max) {
         let (n, d, r, grid) = (tier.nodes, tier.devices, tier.replica_factor, tier.cells);
@@ -398,10 +420,10 @@ fn scan(
                 cells,
                 winner,
             };
-            return (Some(scan), finish(stats, &arenas), ranges);
+            return (Some(scan), finish(stats, &arenas), ranges, arenas);
         }
     }
-    (None, finish(stats, &arenas), ranges)
+    (None, finish(stats, &arenas), ranges, arenas)
 }
 
 /// Algorithm 2's best feasible solution: the winner of
@@ -415,11 +437,11 @@ pub fn form_stage_with(
     batch_size: usize,
     opts: &SearchOptions,
 ) -> (Option<DpSolution>, SearchStats) {
-    let (scan, stats, ranges) = scan(g, cost, blocks, cluster, batch_size, opts);
+    let (scan, stats, ranges, arenas) = scan(g, cost, blocks, cluster, batch_size, opts);
     let winner = scan.map(|mut t| {
         let ScanCell { params, scored } = t.cells.swap_remove(t.winner);
         let (score, sol) = scored.expect("feasible");
-        refine_winner(cost, &ranges, cluster, &params, score, sol)
+        refine_winner(cost, &ranges, cluster, &params, score, sol, &arenas)
     });
     (winner, stats)
 }
@@ -428,7 +450,7 @@ pub fn form_stage_with(
 /// granularity ([`refine::refined_stages`]), priced exactly by one
 /// Algorithm 1 run at the winner's parameters on the tier's placement
 /// table, and kept only if their [`score_solution`] is strictly lower
-/// than the winner's `score`.
+/// than the winner's `score`. Its arena joins the search's pool.
 fn refine_winner(
     cost: &dyn CostModel,
     ranges: &RangeTable,
@@ -436,6 +458,7 @@ fn refine_winner(
     p: &DpParams,
     score: f64,
     winner: DpSolution,
+    arenas: &ArenaPool,
 ) -> DpSolution {
     let span = rannc_obs::trace::span("refine", "planner").arg_f("bottleneck", winner.value);
     let precision = cost.options().precision;
@@ -460,8 +483,12 @@ fn refine_winner(
         .collect();
     let stage_ranges = RangeTable::build(cost, &stages);
     let ctx = DpCtx::new(cost, &stage_ranges, cluster, &slots, p);
-    let refined = form_stage_dp(&ctx, &mut DpArena::new())
-        .map(|sol| (score_solution(&sol, cluster, cost), sol));
+    // drawn from the spare list, not the pool: a sweep arena would be
+    // resized to this DP's few stages and re-sized by the next search
+    let mut arena = DpArena::draw();
+    let refined =
+        form_stage_dp(&ctx, &mut arena).map(|sol| (score_solution(&sol, cluster, cost), sol));
+    arenas.put(arena);
     let accepted = matches!(&refined, Some((v, _)) if *v < score);
     let outcome = if accepted { "accepted" } else { "rejected" };
     rannc_obs::metrics::counter(&format!("planner.refine.{outcome}")).inc();

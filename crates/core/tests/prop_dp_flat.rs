@@ -7,8 +7,10 @@
 //! refined plan the reference refinement, at every thread count. Stages
 //! compare by task set and by `block_range`, which for a refined stage
 //! is its index in the refined stage list. The engine walks only finite
-//! predecessors; the reference walks every pair, and the counts of the
-//! two walks must agree.
+//! predecessors, and of the last row only the answer's cell and the
+//! probes the `d_min` pruning reads; the reference walks every pair of
+//! every cell, counts the pairs the engine walks, and the two counts
+//! must agree.
 
 #[path = "support/mod.rs"]
 mod support;
@@ -26,7 +28,8 @@ use rannc_models::{
 use rannc_obs::trace::{self, ArgVal};
 use rannc_profile::{Profiler, ProfilerOptions};
 use support::{
-    exhaustive_cells, exhaustive_refined, exhaustive_search, form_stage_dp_hashmap, tier_grid, Walk,
+    blocks_of, exhaustive_cells, exhaustive_refined, exhaustive_search, form_stage_dp_hashmap,
+    stage_mem_span, tier_grid, Walk,
 };
 
 fn graphs() -> impl Strategy<Value = TaskGraph> {
@@ -40,49 +43,6 @@ fn graphs() -> impl Strategy<Value = TaskGraph> {
             })
         }),
     ]
-}
-
-fn blocks_of(g: &TaskGraph, k: usize) -> Vec<rannc_core::Block> {
-    let profiler = Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-    let atomic = atomic_partition(g);
-    block_partition(
-        g,
-        &profiler,
-        &atomic,
-        BlockLimits {
-            k,
-            mem_limit: 32 << 30,
-            profile_batch: 2,
-        },
-    )
-}
-
-/// The smallest and largest memory of any block range of `ranges` as
-/// one stage at `batch_size` on one replica: the span a memory bound is
-/// drawn from so that some stages fit and some do not.
-fn stage_mem_span(
-    profiler: &Profiler<'_>,
-    ranges: &RangeTable,
-    cluster: &ClusterSpec,
-    batch_size: usize,
-) -> (usize, usize) {
-    let p = DpParams {
-        stages: 2,
-        devices: 1,
-        batch_size,
-        replica_factor: 1,
-        microbatches: 1,
-        mem_limit: usize::MAX,
-        tp: 1,
-    };
-    let precision = profiler.options().precision;
-    let slots = SlotTable::build(cluster, 1, 1, profiler.device(), precision);
-    let ctx = DpCtx::new(profiler, ranges, cluster, &slots, &p);
-    let nb = ranges.blocks();
-    let mems = (0..nb)
-        .flat_map(|from| (from + 1..=nb).map(move |to| (from, to)))
-        .map(|(from, to)| ctx.eval(from, to, 1).expect("no memory bound").mem);
-    mems.fold((usize::MAX, 0), |(lo, hi), m| (lo.min(m), hi.max(m)))
 }
 
 /// One V100 node, as is (`kind` 0), with device `rank` at half compute
@@ -183,7 +143,8 @@ proptest! {
     /// predecessor lists and `d_min` pruning all occur, and the cluster
     /// may hold a slower device (group time scales above 1) or a
     /// smaller one (a binding group memory). The engine visits exactly
-    /// the reference's finite predecessor pairs.
+    /// the finite predecessor pairs the reference counts for its
+    /// one-cell last row.
     #[test]
     fn arena_reuse_matches_hashmap_dp(
         g in graphs(),
@@ -236,13 +197,13 @@ proptest! {
                         assert_solutions_identical(&fast, &reference, &what);
                         prop_assert_eq!(
                             arena.visits() - before.0,
-                            walk.lookups + walk.micro_zero,
+                            walk.one_cell.lookups + walk.one_cell.micro_zero,
                             "{}: visits",
                             what
                         );
                         prop_assert_eq!(
                             arena.hits() + arena.misses() - before.1,
-                            walk.lookups,
+                            walk.one_cell.lookups,
                             "{}: lookups",
                             what
                         );
@@ -323,9 +284,10 @@ fn arg(args: &[(&str, ArgVal)], key: &str) -> usize {
 
 /// Every `dp` span of a small memory-tight search reports the
 /// predecessor pairs its DP walked and the stages it evaluated. The
-/// walk is exactly the reference's memo lookups plus its micro-batch
-/// skips, so no infeasible predecessor is visited; both counts repeat
-/// run to run, and the evaluations sum to the search's memo misses.
+/// walk is exactly the memo lookups plus micro-batch skips the reference
+/// counts for the one-cell last row, so no infeasible predecessor is
+/// visited; both counts repeat run to run, and the evaluations sum to
+/// the search's memo misses.
 #[test]
 fn dp_spans_count_visits_and_evals() {
     let _serial = trace::test_guard();
@@ -391,7 +353,7 @@ fn dp_spans_count_visits_and_evals() {
         let (_, walk) = form_stage_dp_hashmap(&ctx);
         assert_eq!(
             visits as u64,
-            walk.lookups + walk.micro_zero,
+            walk.one_cell.lookups + walk.one_cell.micro_zero,
             "n={n} S={s} MB={mb} T={t}: {walk:?}"
         );
         skipped.infeasible += walk.infeasible;

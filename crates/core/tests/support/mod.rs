@@ -5,7 +5,8 @@
 //! * [`form_stage_dp_hashmap`] — Algorithm 1 with a per-invocation
 //!   `HashMap` memo and fresh tables every call, evaluating stages
 //!   through the public [`DpCtx::eval`] and walking every predecessor
-//!   pair; it counts what each pair met ([`Walk`]);
+//!   pair; it counts what each pair met, and which pairs the engine's
+//!   one-cell last row walks too ([`Walk`]);
 //! * [`tier_grid`] — one node tier's `(S, MB, T)` cells in grid order;
 //! * [`exhaustive_cells`] — Algorithm 2 cell by cell: every grid cell's
 //!   DP result, one fresh arena per cell, on one thread;
@@ -16,7 +17,9 @@
 //!   `form_stage_with` returns;
 //! * [`walked_range_cost`] — a block range's price from scratch: its
 //!   union rebuilt member by member and walked, never composed from the
-//!   blocks' time sums.
+//!   blocks' time sums;
+//! * [`blocks_of`] / [`stage_mem_span`] — a small graph's blocks and the
+//!   memory span its stages cover, for the DP property tests.
 
 // each suite uses a subset of the references
 #![allow(dead_code)]
@@ -25,13 +28,13 @@ use rannc_core::dp::micro_batch;
 use rannc_core::refine::refined_stages;
 use rannc_core::search::score_solution;
 use rannc_core::{
-    form_stage_dp, Block, DpArena, DpCtx, DpParams, DpSolution, DpStage, RangeTable, SlotTable,
-    StageCost,
+    atomic_partition, block_partition, form_stage_dp, Block, BlockLimits, DpArena, DpCtx, DpParams,
+    DpSolution, DpStage, RangeTable, SlotTable, StageCost,
 };
 use rannc_cost::CostModel;
 use rannc_graph::{TaskGraph, TaskSet};
-use rannc_hw::ClusterSpec;
-use rannc_profile::ProfileResult;
+use rannc_hw::{ClusterSpec, DeviceSpec};
+use rannc_profile::{ProfileResult, Profiler, ProfilerOptions};
 use std::collections::HashMap;
 
 /// What the predecessor pairs `(b_prev, d_prev)` of one DP met.
@@ -39,6 +42,21 @@ use std::collections::HashMap;
 pub struct Walk {
     /// Pairs whose previous stage is infeasible (an infinite cell).
     pub infeasible: u64,
+    /// Pairs skipped because the micro-batch would be empty.
+    pub micro_zero: u64,
+    /// Pairs that looked their stage up in the memo.
+    pub lookups: u64,
+    /// The finite pairs the engine walks: every pair of the rows below
+    /// `S` and of the answer's cell `(S, nb, D)`, and of each probe cell
+    /// `(S, b < nb, D)` up to its first feasible pair (none when the
+    /// `d_min` pruning is off). The rest of the last row is read by
+    /// nothing the engine returns.
+    pub one_cell: Finite,
+}
+
+/// Finite predecessor pairs by what they met.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Finite {
     /// Pairs skipped because the micro-batch would be empty.
     pub micro_zero: u64,
     /// Pairs that looked their stage up in the memo.
@@ -82,6 +100,7 @@ fn dp_hashmap(ctx: &DpCtx, walk: &mut Walk) -> Option<DpSolution> {
     let mut d_min = 1usize;
 
     for s in 1..=s_max {
+        let last = s == s_max;
         for b in s..=nb - s_max + s {
             let d_hi = d_max - (s_max - s);
             let d_lo = d_min.max(s);
@@ -90,6 +109,10 @@ fn dp_hashmap(ctx: &DpCtx, walk: &mut Walk) -> Option<DpSolution> {
             }
             let mut d = d_hi;
             loop {
+                // what the engine walks of this cell: all of it, up to
+                // its first feasible pair, or nothing
+                let whole = !last || (b == nb && d == d_max);
+                let probe = last && b < nb && d == d_max && placed.is_none();
                 let mut found = false;
                 let mut saw_micro_zero = false;
                 for b_prev in (s - 1)..b {
@@ -98,13 +121,16 @@ fn dp_hashmap(ctx: &DpCtx, walk: &mut Walk) -> Option<DpSolution> {
                             walk.infeasible += 1;
                             continue;
                         }
+                        let engine_walks = whole || (probe && !found);
                         let repl = d - d_prev;
                         if micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl) == 0 {
                             walk.micro_zero += 1;
+                            walk.one_cell.micro_zero += u64::from(engine_walks);
                             saw_micro_zero = true;
                             continue;
                         }
                         walk.lookups += 1;
+                        walk.one_cell.lookups += u64::from(engine_walks);
                         let looked_up = *local
                             .entry((b_prev, b, repl))
                             .or_insert_with(|| ctx.eval(b_prev, b, repl));
@@ -391,4 +417,48 @@ pub fn walked_range_cost(
         tp,
         cluster,
     )
+}
+
+/// `g`'s blocks at `k`, planned for one 32 GB V100 at profile batch 2.
+pub fn blocks_of(g: &TaskGraph, k: usize) -> Vec<Block> {
+    let profiler = Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+    let atomic = atomic_partition(g);
+    block_partition(
+        g,
+        &profiler,
+        &atomic,
+        BlockLimits {
+            k,
+            mem_limit: 32 << 30,
+            profile_batch: 2,
+        },
+    )
+}
+
+/// The smallest and largest memory of any block range of `ranges` as
+/// one stage at `batch_size` on one replica: the span a memory bound is
+/// drawn from so that some stages fit and some do not.
+pub fn stage_mem_span(
+    profiler: &Profiler<'_>,
+    ranges: &RangeTable,
+    cluster: &ClusterSpec,
+    batch_size: usize,
+) -> (usize, usize) {
+    let p = DpParams {
+        stages: 2,
+        devices: 1,
+        batch_size,
+        replica_factor: 1,
+        microbatches: 1,
+        mem_limit: usize::MAX,
+        tp: 1,
+    };
+    let precision = profiler.options().precision;
+    let slots = SlotTable::build(cluster, 1, 1, profiler.device(), precision);
+    let ctx = DpCtx::new(profiler, ranges, cluster, &slots, &p);
+    let nb = ranges.blocks();
+    let mems = (0..nb)
+        .flat_map(|from| (from + 1..=nb).map(move |to| (from, to)))
+        .map(|(from, to)| ctx.eval(from, to, 1).expect("no memory bound").mem);
+    mems.fold((usize::MAX, 0), |(lo, hi), m| (lo.min(m), hi.max(m)))
 }

@@ -24,6 +24,14 @@ echo "==> paper-scale stage-DP parity (the benchmark's search grids, against the
 # HashMap-memo reference DP's solution bit for bit
 cargo test --release -q -p rannc-core --offline --test prop_dp_flat -- --ignored
 
+echo "==> small stage-DP sweep (1.76M small DPs against the reference, last-row probes)"
+# ignored in the default run for its size: Algorithm 1 solves one cell of
+# its last row and probes the others only as far as the d_min pruning
+# reads them; every DP of a grid of small graphs, memory bounds, batch
+# sizes, micro-batch counts, device and stage counts must give the
+# reference's answer, which fills the whole row
+cargo test --release -q -p rannc-core --offline --test dp_last_row -- --ignored
+
 echo "==> paper-scale stage-cut refinement (Fig. 4 grid, bert256-d128, 50 churn events)"
 # ignored in the default run for its size: every refined plan keeps the
 # scan winner's (S, MB, T, R), scores no worse, verifies and certifies under
@@ -77,7 +85,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, one search fan-out, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
+echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, one search fan-out, one arena source, one thread spawner, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -255,7 +263,8 @@ fi
 # most k of them on every benchmark workload), so the size-gated
 # parallel_map stays deleted, and coarsening prices its atoms and builds
 # its group graph on the calling thread, so par::join stays deleted: the
-# search sweep is the one fan-out (parallel_map_with).
+# search sweep is the one fan-out (parallel_map_with), and its calling
+# thread is worker 0.
 if awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
     crates/core/src/refine.rs | grep -E 'largest_fit|MAX_PIECES|time_counted|\.row\('; then
     echo "FAILED: the refinement's lazy atom pricing or its block time row reads are back"
@@ -267,6 +276,28 @@ if grep -rn --include='*.rs' "parallel_map(" crates/*/src; then
 fi
 if grep -rnE --include='*.rs' "fn join\b|par::join\(" crates/*/src; then
     echo "FAILED: par::join is back"
+    exit 1
+fi
+# DP arenas outlive the search: the search gets every arena from the
+# process-wide spare list (DpArena::draw, through its pool) and hands it
+# back, so non-test search.rs never builds one.
+if awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    crates/core/src/search.rs | grep -E 'DpArena::(new|default)\(\)'; then
+    echo "FAILED: core::search builds a DpArena instead of drawing a spare"
+    exit 1
+fi
+# The sweep's fan-out is the planner's one source of threads: outside
+# tests, threads are spawned only in core::par. The numeric pipeline
+# trainer (rannc-train's pipeline.rs), which runs one thread per stage,
+# is the one exemption, and the rannc_benchmark package is exempt (it is
+# changed only with the benchmark).
+SPAWN_HITS="$(find crates/*/src -name '*.rs' ! -path '*/rannc_benchmark/*' \
+    ! -path crates/core/src/par.rs ! -path crates/train/src/pipeline.rs -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    | grep -E '(thread::|\.)spawn\(|thread::Builder' | grep -vE '^[^:]+:[0-9]+: *//' || true)"
+if [ -n "$SPAWN_HITS" ]; then
+    echo "$SPAWN_HITS"
+    echo "FAILED: a thread spawned outside core::par"
     exit 1
 fi
 
