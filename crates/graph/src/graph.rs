@@ -1,5 +1,6 @@
 //! The [`TaskGraph`] container: tasks, values and their connectivity.
 
+use crate::costs::TaskCosts;
 use crate::index::GraphIndex;
 use crate::shape::{DType, Shape};
 use crate::split::TpSplit;
@@ -118,7 +119,8 @@ pub struct TaskGraph {
     values: Vec<Value>,
     outputs: Vec<ValueId>,
     /// Whole-graph facts, derived on the first [`TaskGraph::index`] call
-    /// and dropped by every `&mut self` method.
+    /// (the cost rows on the first [`TaskGraph::task_costs`] call) and
+    /// dropped by every `&mut self` method.
     index: OnceLock<GraphIndex>,
 }
 
@@ -141,6 +143,16 @@ impl TaskGraph {
     #[inline]
     pub fn index(&self) -> &GraphIndex {
         self.index.get_or_init(|| GraphIndex::build(self))
+    }
+
+    /// The graph's per-task cost rows ([`crate::costs`]), kept in its
+    /// index: built on the first call (concurrent first callers wait for
+    /// one build) and shared by every later one, on any device and with
+    /// any profiler options, until the graph is edited.
+    #[inline]
+    pub fn task_costs(&self) -> &TaskCosts {
+        let index = self.index();
+        index.costs.get_or_init(|| TaskCosts::build(self, index))
     }
 
     /// Add a value node and return its id.
@@ -221,7 +233,7 @@ impl TaskGraph {
 
     /// Declare task `t`'s tensor-parallel split (`None`: derived by the
     /// split rule, [`crate::split`]). Drops the index, whose derived
-    /// splits depend on every tag.
+    /// splits, and the cost rows that carry them, depend on every tag.
     pub fn set_tp_tag(&mut self, t: TaskId, tag: Option<TpSplit>) {
         self.index.take();
         self.tasks[t.index()].tp_tag = tag;
@@ -455,20 +467,44 @@ mod tests {
     fn every_edit_drops_the_index() {
         let (mut g, x, y) = small_graph();
         let built = |g: &TaskGraph| g.index.get().is_some();
-        g.index();
+        let rows_built = |g: &TaskGraph| g.index.get().is_some_and(|i| i.costs.get().is_some());
+        // build the index and the cost rows before every edit
+        let read = |g: &TaskGraph| {
+            g.task_costs();
+            assert!(rows_built(g));
+        };
+        read(&g);
         g.add_value("z", [8], DType::F32, ValueKind::Activation);
         assert!(!built(&g), "add_value");
-        g.index();
+        assert!(!rows_built(&g), "add_value");
+        read(&g);
         let z = ValueId(g.num_values() as u32 - 1);
         g.add_task("relu2", OpKind::Relu, vec![y], vec![z]).unwrap();
         assert!(!built(&g), "add_task");
-        g.index();
+        assert!(!rows_built(&g), "add_task");
+        read(&g);
         g.mark_output(z);
         assert!(!built(&g), "mark_output");
+        assert!(!rows_built(&g), "mark_output");
         assert_eq!(g.index(), &GraphIndex::build(&g));
         assert_eq!(g.index().order().len(), 3);
         assert!(g.index().non_constant().iter().all(|&nc| nc));
         assert_eq!(g.value(x).consumers, vec![TaskId(0)]);
+
+        let u = g.add_value("u", [8], DType::F32, ValueKind::Activation);
+        read(&g);
+        let tanh = g
+            .add_task_scoped("tanh", OpKind::Tanh, vec![z], vec![u], "l0".into())
+            .unwrap();
+        assert!(!built(&g), "add_task_scoped");
+        assert!(!rows_built(&g), "add_task_scoped");
+        read(&g);
+        assert_eq!(g.task_costs().task(tanh).split, TpSplit::Replicated);
+        g.set_tp_tag(tanh, Some(TpSplit::Column));
+        assert!(!built(&g), "set_tp_tag");
+        assert!(!rows_built(&g), "set_tp_tag");
+        assert_eq!(g.task_costs().task(tanh).split, TpSplit::Column);
+        assert_eq!(g.index(), &GraphIndex::build(&g));
     }
 
     #[test]

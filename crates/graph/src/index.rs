@@ -2,20 +2,25 @@
 //!
 //! The topological order, the per-task positions, the distinct-successor
 //! and distinct-predecessor lists, the non-constant flags (paper
-//! §III-A) and the tensor-parallel splits ([`crate::split`]) are facts of a [`TaskGraph`], not of one partitioning request.
-//! [`TaskGraph::index`] derives them once, on first use, and hands out
-//! the same [`GraphIndex`] to every later reader; every `&mut self`
-//! method of the graph drops it, so it is rebuilt after an edit.
+//! §III-A), the tensor-parallel splits ([`crate::split`]) and the
+//! per-task cost rows ([`crate::costs`]) are facts of a [`TaskGraph`],
+//! not of one partitioning request. [`TaskGraph::index`] derives them
+//! once, on first use (the cost rows on their own first read,
+//! [`TaskGraph::task_costs`]), and hands out the same [`GraphIndex`] to
+//! every later reader; every `&mut self` method of the graph drops it,
+//! so it is rebuilt after an edit.
 //!
 //! The builder here is the only place that runs Kahn's algorithm over a
 //! task graph or builds its successor and predecessor tables.
 
+use crate::costs::TaskCosts;
 use crate::split::{self, TpSplit};
 use crate::{TaskGraph, TaskId, ValueKind};
+use std::sync::OnceLock;
 
 /// Whole-graph facts of one [`TaskGraph`] (see the module docs). Obtain
 /// it through [`TaskGraph::index`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct GraphIndex {
     /// Kahn order; shorter than the task count on a cyclic graph.
     order: Vec<TaskId>,
@@ -35,7 +40,27 @@ pub struct GraphIndex {
     split: Vec<TpSplit>,
     /// The gcd of every split dimension (`split::split_gcd`).
     split_gcd: usize,
+    /// The per-task cost rows, built on their first read.
+    pub(crate) costs: OnceLock<TaskCosts>,
 }
+
+/// Equal when every eagerly derived fact is: the cost rows are built on
+/// demand, so an index that has built them equals one that has not.
+impl PartialEq for GraphIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.order == other.order
+            && self.pos == other.pos
+            && self.succ_start == other.succ_start
+            && self.succ_list == other.succ_list
+            && self.pred_start == other.pred_start
+            && self.pred_list == other.pred_list
+            && self.non_constant == other.non_constant
+            && self.split == other.split
+            && self.split_gcd == other.split_gcd
+    }
+}
+
+impl Eq for GraphIndex {}
 
 impl GraphIndex {
     /// Derive every fact of `g` in one successor walk, one transpose of
@@ -133,6 +158,7 @@ impl GraphIndex {
             non_constant,
             split,
             split_gcd,
+            costs: OnceLock::new(),
         }
     }
 

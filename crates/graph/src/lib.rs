@@ -15,9 +15,9 @@
 //! specializes in:
 //!
 //! * whole-graph facts derived once per graph: topological order and
-//!   per-task position, distinct successors, the non-constant flags and
-//!   the tensor-parallel splits ([`TaskGraph::index`], [`GraphIndex`],
-//!   [`split`]),
+//!   per-task position, distinct successors, the non-constant flags,
+//!   the tensor-parallel splits and the profiler's per-task cost rows
+//!   ([`TaskGraph::index`], [`GraphIndex`], [`split`], [`costs`]),
 //! * adjacency between task sets (do they exchange a value?),
 //! * communication volume across a cut ([`traverse::cut_bytes`]),
 //! * *convexity* of a task set — whether no path leaves the set and
@@ -29,7 +29,9 @@
 
 pub mod builder;
 pub mod convex;
+pub mod costs;
 pub mod dot;
+mod flops;
 pub mod graph;
 pub mod index;
 pub mod op;
@@ -39,6 +41,7 @@ pub mod taskset;
 pub mod traverse;
 
 pub use builder::GraphBuilder;
+pub use costs::TaskCosts;
 pub use graph::{Task, TaskGraph, Value};
 pub use index::GraphIndex;
 pub use op::OpKind;

@@ -1,12 +1,16 @@
 //! The graph index against from-scratch definitions, its invalidation by
-//! edits, and its sharing across clones and threads.
+//! edits, and its sharing across clones, threads and cost models.
 
+use rannc_cost::{CalibratedCost, Calibration, CostModel};
 use rannc_graph::convex::ConvexChecker;
-use rannc_graph::{DType, OpKind, TaskGraph, TaskId, ValueKind};
+use rannc_graph::costs::builds_on_this_thread;
+use rannc_graph::{DType, OpKind, TaskCosts, TaskGraph, TaskId, TaskSet, TpSplit, ValueKind};
+use rannc_hw::{ClusterSpec, DeviceSpec};
 use rannc_models::{
     bert_graph, gpt_graph, mlp_graph, resnet_graph, t5_graph, BertConfig, GptConfig, MlpConfig,
     ResNetConfig, T5Config,
 };
+use rannc_profile::{ProfileResult, Profiler, ProfilerOptions};
 use std::sync::Barrier;
 
 /// Distinct consumers of `t`'s outputs, ascending, from the value links.
@@ -193,4 +197,140 @@ fn concurrent_first_reads_share_one_index() {
     assert_eq!(a, b);
     assert_eq!(a, g.index().order().as_ptr() as usize);
     assert_index_matches_definitions(&g);
+}
+
+/// Every cost model this repository builds on `g`: analytical profilers on
+/// two devices, in both precisions, one with per-op scaling, and a
+/// calibrated model; each must read `g`'s one row table.
+fn assert_models_share_the_rows(g: &TaskGraph) {
+    let rows: &TaskCosts = g.task_costs();
+    let v100 = DeviceSpec::v100_32gb();
+    let profilers = [
+        Profiler::new(g, v100.clone(), ProfilerOptions::fp32()),
+        Profiler::new(g, v100.clone(), ProfilerOptions::mixed()),
+        Profiler::new(g, DeviceSpec::a100_40gb(), ProfilerOptions::fp32()),
+        Profiler::new_scaled(g, v100.clone(), ProfilerOptions::fp32(), |_| 2.0),
+    ];
+    for p in &profilers {
+        assert!(std::ptr::eq(p.rows(), rows), "{}", g.name);
+    }
+    let calibrated = CalibratedCost::new(
+        g,
+        v100,
+        ProfilerOptions::fp32(),
+        Calibration::identity(),
+        &ClusterSpec::v100_cluster(2),
+    );
+    assert!(
+        std::ptr::eq(calibrated.profiler().rows(), rows),
+        "{}",
+        g.name
+    );
+}
+
+#[test]
+fn one_row_table_per_graph_and_one_more_per_edit() {
+    let mut g = mlp_graph(&MlpConfig::deep(16, 16, 3, 4));
+    let builds = builds_on_this_thread();
+    assert_models_share_the_rows(&g);
+    assert_models_share_the_rows(&g);
+    assert_eq!(builds_on_this_thread(), builds + 1, "one build per graph");
+
+    let x = g.add_value("x_extra", [4, 4], DType::F32, ValueKind::Input);
+    assert_models_share_the_rows(&g);
+    assert_eq!(builds_on_this_thread(), builds + 2, "add_value");
+    let w = g.add_value("w_extra", [4, 4], DType::F32, ValueKind::Param);
+    let wt = g.add_value("wt_extra", [4, 4], DType::F32, ValueKind::Activation);
+    let y = g.add_value("y_extra", [4, 4], DType::F32, ValueKind::Activation);
+    assert_models_share_the_rows(&g);
+    assert_eq!(builds_on_this_thread(), builds + 3, "add_value");
+    g.add_task("tr_extra", OpKind::Transpose, vec![w], vec![wt])
+        .unwrap();
+    assert_models_share_the_rows(&g);
+    assert_eq!(builds_on_this_thread(), builds + 4, "add_task");
+    let mm = g
+        .add_task_scoped(
+            "mm_extra",
+            OpKind::MatMul,
+            vec![x, wt],
+            vec![y],
+            "extra".into(),
+        )
+        .unwrap();
+    assert_models_share_the_rows(&g);
+    assert_eq!(builds_on_this_thread(), builds + 5, "add_task_scoped");
+    g.set_tp_tag(mm, Some(TpSplit::Column));
+    assert_models_share_the_rows(&g);
+    assert_eq!(builds_on_this_thread(), builds + 6, "set_tp_tag");
+    assert_eq!(g.task_costs().task(mm).split, TpSplit::Column);
+    g.mark_output(y);
+    assert_models_share_the_rows(&g);
+    assert_eq!(builds_on_this_thread(), builds + 7, "mark_output");
+}
+
+#[test]
+fn concurrent_first_row_reads_share_one_build() {
+    let g = bert_graph(&BertConfig::tiny());
+    let start = Barrier::new(2);
+    // the same table, built by exactly one of the two readers
+    let read = || {
+        let before = builds_on_this_thread();
+        start.wait();
+        let rows = g.task_costs() as *const TaskCosts as usize;
+        (rows, builds_on_this_thread() - before)
+    };
+    let ((a, built_a), (b, built_b)) = std::thread::scope(|s| {
+        let a = s.spawn(read);
+        let b = s.spawn(read);
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, b);
+    assert_eq!(built_a + built_b, 1);
+    assert_eq!(a, g.task_costs() as *const TaskCosts as usize);
+}
+
+/// The whole graph priced at micro-batch 4 on a `tp`-wide group.
+fn price_whole(g: &TaskGraph, tp: usize) -> (ProfileResult, usize) {
+    let p = Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+    let whole = TaskSet::from_ids(g.num_tasks(), g.task_ids());
+    let set = p.profiled(&whole);
+    let time = p.time_sums(whole.iter(), 4, tp);
+    (
+        p.profile(&set, time, 4, 2, false, tp),
+        p.tp_allreduce_bytes(&set, 4),
+    )
+}
+
+#[test]
+fn a_profiler_after_set_tp_tag_prices_the_new_split() {
+    // untag every column-split matmul of a priced graph: a profiler built
+    // afterwards must price the replicated layout exactly as a fresh
+    // graph untagged before its first read does
+    let mut g = bert_graph(&BertConfig::tiny());
+    let columns: Vec<TaskId> = g
+        .task_ids()
+        .filter(|&t| g.task(t).tp_tag == Some(TpSplit::Column))
+        .collect();
+    assert!(!columns.is_empty());
+    let tps = [2, 4];
+    let tagged = tps.map(|tp| price_whole(&g, tp).0);
+    let mut fresh = bert_graph(&BertConfig::tiny());
+    for &t in &columns {
+        g.set_tp_tag(t, None);
+        fresh.set_tp_tag(t, None);
+    }
+    for (tp, tagged) in tps.into_iter().zip(tagged) {
+        let (got, got_ar) = price_whole(&g, tp);
+        let (want, want_ar) = price_whole(&fresh, tp);
+        assert_eq!(got.fwd_time.to_bits(), want.fwd_time.to_bits(), "tp {tp}");
+        assert_eq!(got.bwd_time.to_bits(), want.bwd_time.to_bits(), "tp {tp}");
+        assert_eq!(
+            (got.mem_bytes, got_ar),
+            (want.mem_bytes, want_ar),
+            "tp {tp}"
+        );
+        // and the retag moved the price
+        assert!(got.fwd_time > tagged.fwd_time, "tp {tp}");
+        assert!(got.mem_bytes > tagged.mem_bytes, "tp {tp}");
+    }
 }

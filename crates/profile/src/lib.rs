@@ -11,7 +11,8 @@
 //! * **time** — a roofline model per task: compute time is
 //!   `FLOPs / sustained FLOP/s`, memory time is `bytes / HBM bandwidth`;
 //!   the larger wins, plus a fixed kernel-launch overhead
-//!   ([`flops`], [`Profiler`]);
+//!   ([`Profiler`], from the graph's per-task FLOP and byte rows,
+//!   [`rannc_graph::costs`]);
 //! * **memory** — parameter, gradient, Adam-state and activation footprints
 //!   with and without gradient checkpointing ([`memory`]);
 //! * **reuse** — the profiler keeps no results. A set priced repeatedly
@@ -25,17 +26,17 @@
 //!   timed. Statistics are subadditive under union, so the sum of two
 //!   sets' statistics bounds their union's memory ([`StatsBound`])
 //!   without a walk. Every walk reads flat per-task rows built once per
-//!   [`Profiler`], never the graph. A list of parts is split once at its
-//!   boundary ([`Profiler::boundary_split`]): each part's interior
-//!   values and own tasks add fixed statistics, so a row of prefix
-//!   unions walks only the values that cross parts
+//!   graph ([`rannc_graph::TaskGraph::task_costs`]) and shared by every
+//!   [`Profiler`] of it, never the graph itself. A list of parts is
+//!   split once at its boundary ([`Profiler::boundary_split`]): each
+//!   part's interior values and own tasks add fixed statistics, so a
+//!   row of prefix unions walks only the values that cross parts
 //!   ([`BoundarySplit::prefixes`]). This mirrors how RaNNC amortizes
 //!   profiling across the DP's many candidate stages.
 //!
 //! An optional multiplicative noise model emulates real measurement jitter
 //! so robustness of the partitioning algorithms can be tested.
 
-pub mod flops;
 pub mod memory;
 pub mod profiler;
 

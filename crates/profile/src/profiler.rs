@@ -1,8 +1,8 @@
 //! The `profile(U, batch)` oracle.
 
-use crate::flops::task_flops;
 use crate::memory::MemoryParams;
-use rannc_graph::{traverse, TaskGraph, TaskId, TaskSet, TpSplit, ValueKind};
+use rannc_graph::costs::TaskCost;
+use rannc_graph::{traverse, TaskCosts, TaskGraph, TaskId, TaskSet, TpSplit};
 use rannc_hw::{DeviceSpec, Precision};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -78,64 +78,6 @@ pub struct ProfileResult {
     pub mem_bytes: usize,
     /// Parameter elements in the subcomponent.
     pub param_elems: usize,
-}
-
-/// Per-task precomputed cost data.
-struct TaskCost {
-    flops: f64,
-    /// Byte traffic that scales with the micro-batch (activations).
-    act_bytes: f64,
-    /// Fixed byte traffic (parameter/constant reads).
-    static_bytes: f64,
-    out_act_bytes: usize,
-    /// Dense arithmetic: priced at the precision's matmul peak, and its
-    /// backward (dgrad + wgrad) costs twice its forward.
-    compute_bound: bool,
-    /// The task's tensor-parallel split ([`rannc_graph::split`]).
-    split: TpSplit,
-    /// Non-constant tasks scale with the micro-batch size; constant tasks
-    /// (weight transposes etc.) run once regardless of batch.
-    scales: bool,
-    /// This task's rows in [`Profiler::static_inputs`].
-    params: std::ops::Range<u32>,
-    /// This task's rows in [`Profiler::act_inputs`].
-    acts: std::ops::Range<u32>,
-    /// This task's rows in [`Profiler::outputs`].
-    outs: std::ops::Range<u32>,
-    /// Per-op calibration factor applied to the roofline term (1.0 = the
-    /// pure analytical model; `x * 1.0` is bit-identical to `x`).
-    cal: f64,
-}
-
-/// One static (parameter or constant) input of a task, flattened at
-/// construction so the set-statistics walk never reads the graph.
-#[derive(Debug, Clone, Copy)]
-struct StaticInput {
-    value: u32,
-    /// Parameter elements of the value; 0 for a constant.
-    param_elems: usize,
-}
-
-/// One non-static (activation) input of a task, flattened likewise.
-#[derive(Debug, Clone, Copy)]
-struct ActInput {
-    value: u32,
-    /// Producing task, or [`NO_PRODUCER`] for a graph input. Out of every
-    /// universe, so `TaskSet::contains` is false for it.
-    producer: u32,
-    /// FP32 bytes of one sample of the value.
-    bytes: usize,
-}
-
-/// [`ActInput::producer`] of a value no task produces.
-const NO_PRODUCER: u32 = u32::MAX;
-
-/// One output of a task, flattened likewise. Outputs are never static.
-#[derive(Debug, Clone, Copy)]
-struct Output {
-    value: u32,
-    /// FP32 bytes of one sample of the value.
-    bytes: usize,
 }
 
 /// Batch-independent statistics of a task set: the memory-model inputs
@@ -353,21 +295,24 @@ thread_local! {
 
 /// Analytical stand-in for RaNNC's on-device profiler.
 ///
-/// Construction walks the graph once, flattening each task's cost data
-/// and inputs into per-task rows. Pricing a set is then one pass over its
-/// members that reads only those rows, never the graph. The profiler
-/// keeps no results: a [`ProfiledSet`] carries its own statistics, time
-/// sums live in the caller's slots ([`Profiler::sum_parts`]), and the
-/// hit/miss counters of those slots are the profiler's only mutable
-/// state.
+/// The per-task cost rows (each task's cost data and its inputs and
+/// outputs, flattened) are a fact of the graph
+/// ([`TaskGraph::task_costs`]): built once per graph, on its first
+/// profiler, and borrowed by every later one. Construction reads only
+/// each task's op, for its calibration factor. Pricing a set is then one
+/// pass over its members that reads only those rows, never the graph.
+/// The profiler keeps no results: a [`ProfiledSet`] carries its own
+/// statistics, time sums live in the caller's slots
+/// ([`Profiler::sum_parts`]), and the hit/miss counters of those slots
+/// are the profiler's only mutable state.
 pub struct Profiler<'g> {
     g: &'g TaskGraph,
+    rows: &'g TaskCosts,
     device: DeviceSpec,
     opts: ProfilerOptions,
-    costs: Vec<TaskCost>,
-    static_inputs: Vec<StaticInput>,
-    act_inputs: Vec<ActInput>,
-    outputs: Vec<Output>,
+    /// Per-task calibration factor applied to the roofline term (1.0 = the
+    /// pure analytical model; `x * 1.0` is bit-identical to `x`).
+    cal: Vec<f64>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -395,62 +340,12 @@ impl<'g> Profiler<'g> {
             "launch_overhead {} s is below 2^-27 s: per-task times would not sum exactly",
             opts.launch_overhead
         );
-        let index = g.index();
-        let non_constant = index.non_constant();
-        let mut costs = Vec::with_capacity(g.num_tasks());
-        let mut static_inputs = Vec::new();
-        let mut act_inputs = Vec::new();
-        let mut outputs = Vec::new();
-        for (tid, task) in g.tasks() {
-            let (params_start, acts_start) = (static_inputs.len() as u32, act_inputs.len() as u32);
-            let outs_start = outputs.len() as u32;
-            for &v in &task.inputs {
-                let val = g.value(v);
-                if val.kind.is_static() {
-                    static_inputs.push(StaticInput {
-                        value: v.0,
-                        param_elems: if val.kind == ValueKind::Param {
-                            val.numel()
-                        } else {
-                            0
-                        },
-                    });
-                } else {
-                    act_inputs.push(ActInput {
-                        value: v.0,
-                        producer: val.producer.map_or(NO_PRODUCER, |p| p.0),
-                        bytes: val.size_bytes(),
-                    });
-                }
-            }
-            outputs.extend(task.outputs.iter().map(|&v| Output {
-                value: v.0,
-                bytes: g.value(v).size_bytes(),
-            }));
-            let out_act_bytes = outputs[outs_start as usize..].iter().map(|o| o.bytes).sum();
-            let (act_bytes, static_bytes) = crate::flops::task_bytes_split(g, tid);
-            costs.push(TaskCost {
-                flops: task_flops(g, tid),
-                act_bytes,
-                static_bytes,
-                out_act_bytes,
-                compute_bound: task.op.is_compute_bound(),
-                split: index.split(tid),
-                scales: non_constant[tid.index()],
-                params: params_start..static_inputs.len() as u32,
-                acts: acts_start..act_inputs.len() as u32,
-                outs: outs_start..outputs.len() as u32,
-                cal: scale_of(&task.op),
-            });
-        }
         Profiler {
             g,
+            rows: g.task_costs(),
             device,
             opts,
-            costs,
-            static_inputs,
-            act_inputs,
-            outputs,
+            cal: g.tasks().map(|(_, task)| scale_of(&task.op)).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -459,6 +354,13 @@ impl<'g> Profiler<'g> {
     /// The graph this profiler measures.
     pub fn graph(&self) -> &'g TaskGraph {
         self.g
+    }
+
+    /// The graph's cost rows this profiler reads: the graph's one table
+    /// ([`TaskGraph::task_costs`]), shared with every other profiler of
+    /// it.
+    pub fn rows(&self) -> &'g TaskCosts {
+        self.rows
     }
 
     /// The device model in use.
@@ -487,8 +389,8 @@ impl<'g> Profiler<'g> {
     /// FLOPs, activation traffic, and parameter reads across the group;
     /// the launch overhead is paid in full by every member. Replicated
     /// tasks divide by 1.0, which is exact, so `tp == 1` is the plain
-    /// roofline bit for bit.
-    fn task_fwd_time(&self, c: &TaskCost, batch: usize, tp: usize) -> f64 {
+    /// roofline bit for bit. `cal` is the task's calibration factor.
+    fn task_fwd_time(&self, c: &TaskCost, cal: f64, batch: usize, tp: usize) -> f64 {
         let scale = if c.scales { batch as f64 } else { 1.0 };
         let byte_scale = self.opts.precision.activation_bytes() as f64 / 4.0;
         let split = if c.split.is_split() { tp as f64 } else { 1.0 };
@@ -504,7 +406,7 @@ impl<'g> Profiler<'g> {
         let t_memory = bytes / self.device.mem_bandwidth;
         // Calibration scales the modelled kernel time, not the fixed launch
         // overhead; `cal == 1.0` leaves the sum bit-identical.
-        t_compute.max(t_memory) * c.cal + self.opts.launch_overhead
+        t_compute.max(t_memory) * cal + self.opts.launch_overhead
     }
 
     /// Run `f` on this thread's stamp buffer with `parts` fresh,
@@ -533,10 +435,9 @@ impl<'g> Profiler<'g> {
     /// = those parts ∪ `part`, stamping values first seen here with `cur`.
     /// Parts may overlap: a task of `held`, the earlier parts' union when
     /// it shares tasks with `part` (`None` otherwise), adds nothing. The
-    /// order of the parts is free. Reads only the flat per-task rows
-    /// built at construction; every sum is an exact integer, so any split
-    /// of a set into parts gives the statistics of the set computed in
-    /// one part.
+    /// order of the parts is free. Reads only the graph's flat per-task
+    /// rows; every sum is an exact integer, so any split of a set into
+    /// parts gives the statistics of the set computed in one part.
     fn add_part(
         &self,
         stats: &mut SetStats,
@@ -549,14 +450,14 @@ impl<'g> Profiler<'g> {
             if held.is_some_and(|held| held.contains(t)) {
                 continue;
             }
-            let c = &self.costs[t.index()];
+            let c = self.rows.task(t);
             if c.scales {
                 stats.add(&SetStats::of_outputs(c.out_act_bytes, c.split));
             }
             if cur > base {
                 // an earlier part read this output as ingress (its producer
                 // was outside the union then); now it is produced inside
-                for row in &self.outputs[c.outs.start as usize..c.outs.end as usize] {
+                for row in self.rows.outputs(c) {
                     if (base..cur).contains(&stamps[row.value as usize]) {
                         stats.ingress_bytes -= row.bytes;
                     }
@@ -565,14 +466,14 @@ impl<'g> Profiler<'g> {
             // Static and activation inputs are distinct values, so the
             // two passes share one stamp range without ever stamping the
             // same id; each value counts once per union.
-            for row in &self.static_inputs[c.params.start as usize..c.params.end as usize] {
+            for row in self.rows.static_inputs(c) {
                 let v = row.value as usize;
                 if stamps[v] < base {
                     stamps[v] = cur;
                     stats.param_elems += row.param_elems;
                 }
             }
-            for row in &self.act_inputs[c.acts.start as usize..c.acts.end as usize] {
+            for row in self.rows.act_inputs(c) {
                 let v = row.value as usize;
                 if stamps[v] < base {
                     stamps[v] = cur;
@@ -616,8 +517,8 @@ impl<'g> Profiler<'g> {
         let tp = tp.max(1);
         let mut sums = TimeSums::default();
         for t in tasks {
-            let c = &self.costs[t.index()];
-            let fwd = to_fixed(self.task_fwd_time(c, batch, tp));
+            let c = self.rows.task(t);
+            let fwd = to_fixed(self.task_fwd_time(c, self.cal[t.index()], batch, tp));
             sums.fwd += fwd;
             // backward: dgrad+wgrad for dense ops ≈ 2× forward; ~1× for
             // element-wise / normalization / layout ops.
@@ -883,6 +784,7 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rannc_graph::ValueKind;
     use rannc_models::{
         bert_graph, gpt_graph, mlp_graph, resnet_graph, t5_graph, BertConfig, GptConfig, MlpConfig,
         ResNetConfig, T5Config,
@@ -983,8 +885,8 @@ mod tests {
         let g = bert_graph(&BertConfig::tiny());
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         for t in g.task_ids() {
-            let c = &p.costs[t.index()];
-            let (one, four) = (p.task_fwd_time(c, 8, 1), p.task_fwd_time(c, 8, 4));
+            let c = p.rows.task(t);
+            let (one, four) = (p.task_fwd_time(c, 1.0, 8, 1), p.task_fwd_time(c, 1.0, 8, 4));
             match g.index().split(t) {
                 TpSplit::Replicated => assert_eq!(one.to_bits(), four.to_bits(), "{t}"),
                 _ if c.compute_bound => assert!(four < one, "{t}"),
@@ -996,7 +898,7 @@ mod tests {
         let rows: usize = g
             .task_ids()
             .filter(|&t| g.index().split(t) == TpSplit::Row)
-            .map(|t| p.costs[t.index()].out_act_bytes)
+            .map(|t| p.rows.task(t).out_act_bytes)
             .sum();
         assert!(rows > 0);
         assert_eq!(p.tp_allreduce_bytes(&set, 1), rows);
@@ -1251,10 +1153,10 @@ mod tests {
                 for (batch, tp) in [(1usize, 1usize), (4, 2), (64, 4)] {
                     let fwd: Vec<f64> = g
                         .task_ids()
-                        .map(|t| p.task_fwd_time(&p.costs[t.index()], batch, tp))
+                        .map(|t| p.task_fwd_time(p.rows.task(t), p.cal[t.index()], batch, tp))
                         .collect();
                     let bwd = g.task_ids().zip(&fwd).map(|(t, &f)| {
-                        if p.costs[t.index()].compute_bound {
+                        if p.rows.task(t).compute_bound {
                             2.0 * f
                         } else {
                             f

@@ -12,7 +12,8 @@
 //! part's tasks whose value is not interior to it, with every row of a
 //! task several parts hold.
 
-use super::{ProfiledSet, Profiler, SetStats, NO_PRODUCER};
+use super::{ProfiledSet, Profiler, SetStats};
+use rannc_graph::costs::NO_PRODUCER;
 use rannc_graph::{TaskGraph, TaskId, TaskSet, ValueId, ValueKind};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -152,7 +153,7 @@ impl Profiler<'_> {
             let i = i as u32;
             let mut fixed = SetStats::default();
             for t in part.iter() {
-                let c = &self.costs[t.index()];
+                let c = self.rows.task(t);
                 let cloned = owner[t.index()] != i;
                 let outputs = if c.scales {
                     SetStats::of_outputs(c.out_act_bytes, c.split)
@@ -165,12 +166,12 @@ impl Profiler<'_> {
                 let start = split.rows.len() as u32;
                 // a value interior to part i has every row in tasks i alone
                 // holds, so a cloned task's rows are all boundary rows
-                for row in &self.outputs[c.outs.start as usize..c.outs.end as usize] {
+                for row in self.rows.outputs(c) {
                     if home[row.value as usize] != i {
                         split.push_row(&mut cross, g, &home, row.value, true);
                     }
                 }
-                for row in &self.static_inputs[c.params.start as usize..c.params.end as usize] {
+                for row in self.rows.static_inputs(c) {
                     let v = row.value as usize;
                     if home[v] != i {
                         split.push_row(&mut cross, g, &home, row.value, false);
@@ -178,7 +179,7 @@ impl Profiler<'_> {
                         fixed.param_elems += row.param_elems;
                     }
                 }
-                for row in &self.act_inputs[c.acts.start as usize..c.acts.end as usize] {
+                for row in self.rows.act_inputs(c) {
                     let v = row.value as usize;
                     if home[v] != i {
                         split.push_row(&mut cross, g, &home, row.value, false);

@@ -85,7 +85,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, one search fan-out, one arena source, one thread spawner, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
+echo "==> one-path gate (one stage DP, one graph index, one cost-row table per graph, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, one search fan-out, one arena source, one thread spawner, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -150,6 +150,16 @@ fi
 if grep -rnE --include='*.rs' "(\.|::)task_(successors|predecessors)_into\(" crates/*/src \
     | grep -v '^crates/graph/src/index.rs:'; then
     echo "FAILED: task_successors_into/task_predecessors_into called outside the graph index builder"
+    exit 1
+fi
+
+# The profiler's per-task cost rows are a fact of the graph, built once per
+# graph in its index (TaskGraph::task_costs): the per-task FLOP and byte
+# counts are defined and read only in crates/graph/src/, so no profiler or
+# cost model rebuilds them per request.
+if grep -rnE --include='*.rs' "task_flops\(|task_bytes_split\(" crates tests examples \
+    | grep -v '^crates/graph/src/'; then
+    echo "FAILED: per-task FLOP or byte counting outside crates/graph/src/"
     exit 1
 fi
 
