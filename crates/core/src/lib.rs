@@ -56,7 +56,8 @@ pub use plan::{PartitionPlan, PlanError, StagePlan};
 pub use plan_io::{decode_plan, encode_plan, load_plan, save_plan, PlanIoError};
 pub use replan::{diff_plans, PlanDiff, ReplanOutcome};
 pub use search::{
-    form_stage_with, scan_first_feasible_tier, tier_grids, SearchOptions, SearchStats,
+    form_stage_with, proven_infeasible, scan_first_feasible_tier, tier_grids, SearchOptions,
+    SearchStats,
 };
 pub use stagecache::{DpCtx, RangeTable, StageCost};
 
@@ -211,11 +212,13 @@ impl PlannerStats {
         let search = &self.search;
         format!(
             "planner stats:\n  \
-             search: {} DP candidate(s), {} feasible, {} node tier(s), {} thread(s)\n  \
+             search: {} DP candidate(s), {} feasible, {} proven infeasible by the memory bound, \
+             {} node tier(s), {} thread(s)\n  \
              stage cache: {}\n  \
              profiler cache: {}",
             search.candidates,
             search.feasible,
+            search.pruned,
             search.node_tiers,
             search.threads,
             cache(&search.stage_cache),

@@ -14,7 +14,7 @@ use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, LinkSpec, NodeSpec};
 use rannc_models::{mlp_graph, MlpConfig};
 use rannc_profile::{Profiler, ProfilerOptions};
-use support::{blocks_of, exhaustive_search, tier_grid};
+use support::{blocks_of, exhaustive_search, proven_cells, tier_grid};
 
 /// Two nodes of two V100s. At batch 1 the one-node tier has no cell
 /// (`⌊BS/R⌋ = 0` micro-batches at `R = 2`), so a search runs the two-node
@@ -85,7 +85,8 @@ fn a_drawn_arena_answers_as_a_fresh_one() {
         assert_eq!(a.mem_bytes, b.mem_bytes, "stage memory");
     }
 
-    // the grid's one (MB, T) group through a fresh arena
+    // the grid's one (MB, T) group through a fresh arena, but for the
+    // cells the search's memory-only bound proves INFEASIBLE
     let ranges = RangeTable::build(&profiler, &blocks);
     let mem_limit = cluster.max_memory_bytes();
     let grid = tier_grid(&second, &cluster, 2, BATCH, 1, mem_limit);
@@ -93,7 +94,8 @@ fn a_drawn_arena_answers_as_a_fresh_one() {
     let slots = SlotTable::build(&cluster, 4, 1, profiler.device(), precision);
     let mut fresh = DpArena::new();
     let mut feasible = 0;
-    for p in &grid {
+    let proven = proven_cells(&profiler, &ranges, &grid);
+    for p in (grid.iter().zip(proven)).filter_map(|(p, proven)| (!proven).then_some(p)) {
         let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, p);
         feasible += usize::from(form_stage_dp(&ctx, &mut fresh).is_some());
     }

@@ -29,7 +29,7 @@ use rannc_obs::trace::{self, ArgVal};
 use rannc_profile::{Profiler, ProfilerOptions};
 use support::{
     blocks_of, exhaustive_cells, exhaustive_refined, exhaustive_search, form_stage_dp_hashmap,
-    stage_mem_span, tier_grid, Walk,
+    proven_cells, stage_mem_span, tier_grid, Walk,
 };
 
 fn graphs() -> impl Strategy<Value = TaskGraph> {
@@ -272,14 +272,17 @@ fn scan_skips_degrees_the_head_count_forbids() {
     }
 }
 
+/// The integer argument `key` of a trace event, if it has one.
+fn arg_opt(args: &[(&str, ArgVal)], key: &str) -> Option<usize> {
+    args.iter().find_map(|(k, v)| match v {
+        ArgVal::Int(i) if *k == key => Some(*i as usize),
+        _ => None,
+    })
+}
+
 /// The integer argument `key` of a trace event.
 fn arg(args: &[(&str, ArgVal)], key: &str) -> usize {
-    args.iter()
-        .find_map(|(k, v)| match v {
-            ArgVal::Int(i) if *k == key => Some(*i as usize),
-            _ => None,
-        })
-        .unwrap_or_else(|| panic!("span arg {key}"))
+    arg_opt(args, key).unwrap_or_else(|| panic!("span arg {key}"))
 }
 
 /// Every `dp` span of a small memory-tight search reports the
@@ -287,7 +290,8 @@ fn arg(args: &[(&str, ArgVal)], key: &str) -> usize {
 /// walk is exactly the memo lookups plus micro-batch skips the reference
 /// counts for the one-cell last row, so no infeasible predecessor is
 /// visited; both counts repeat run to run, and the evaluations sum to
-/// the search's memo misses.
+/// the search's memo misses. A cell the memory-only bound proves
+/// INFEASIBLE runs no DP: its span says `proven` and walks nothing.
 #[test]
 fn dp_spans_count_visits_and_evals() {
     let _serial = trace::test_guard();
@@ -318,10 +322,15 @@ fn dp_spans_count_visits_and_evals() {
         rannc_obs::set_enabled(false);
         assert!(sol.is_some());
         // other tests may trace concurrently: keep this thread's spans
-        let spans: Vec<[usize; 6]> = trace::drain_events()
+        let spans: Vec<[usize; 7]> = trace::drain_events()
             .into_iter()
             .filter(|e| e.tid == tid && e.name == "dp")
-            .map(|e| ["n", "S", "MB", "T", "visits", "evals"].map(|key| arg(&e.args, key)))
+            .map(|e| {
+                let [n, s, mb, t, visits, evals] =
+                    ["n", "S", "MB", "T", "visits", "evals"].map(|key| arg(&e.args, key));
+                let proven = arg_opt(&e.args, "proven").unwrap_or(0);
+                [n, s, mb, t, visits, evals, proven]
+            })
             .collect();
         assert_eq!(spans.len(), stats.candidates, "one dp span per grid cell");
         let evals: usize = spans.iter().map(|s| s[5]).sum();
@@ -334,18 +343,29 @@ fn dp_spans_count_visits_and_evals() {
     assert_eq!(runs[0], runs[1], "dp span counts differ between runs");
 
     let mut skipped = Walk::default();
-    for &[n, s, mb, t, visits, _] in &runs[0] {
-        let p = tier_grid(
+    let mut proven_spans = 0;
+    for &[n, s, mb, t, visits, evals, proven] in &runs[0] {
+        let grid = tier_grid(
             &g,
             &cluster,
             n,
             batch_size,
             tp_max,
             cluster.max_memory_bytes(),
-        )
-        .into_iter()
-        .find(|p| (p.stages, p.microbatches, p.tp) == (s, mb, t))
-        .expect("span of a grid cell");
+        );
+        let at = (grid.iter())
+            .position(|p| (p.stages, p.microbatches, p.tp) == (s, mb, t))
+            .expect("span of a grid cell");
+        let p = grid[at];
+        let what = format!("n={n} S={s} MB={mb} T={t}");
+        // the reference skips the cells the bound proves, as the search does
+        let bound = proven_cells(&profiler, &ranges, &grid)[at];
+        assert_eq!(proven == 1, bound, "{what}: proven");
+        if bound {
+            assert_eq!((visits, evals), (0, 0), "{what}: a proven cell ran its DP");
+            proven_spans += 1;
+            continue;
+        }
         let d = n * cluster.node.devices;
         let precision = profiler.options().precision;
         let slots = SlotTable::build(&cluster, d, p.replica_factor, profiler.device(), precision);
@@ -354,11 +374,16 @@ fn dp_spans_count_visits_and_evals() {
         assert_eq!(
             visits as u64,
             walk.one_cell.lookups + walk.one_cell.micro_zero,
-            "n={n} S={s} MB={mb} T={t}: {walk:?}"
+            "{what}: {walk:?}"
         );
         skipped.infeasible += walk.infeasible;
         skipped.micro_zero += walk.micro_zero;
     }
+    assert!(
+        proven_spans > 0 && proven_spans < runs[0].len(),
+        "{proven_spans} of {} cells proven",
+        runs[0].len()
+    );
     assert!(
         skipped.infeasible > 0 && skipped.micro_zero > 0,
         "the search skipped no predecessor: {skipped:?}"

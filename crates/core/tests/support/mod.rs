@@ -12,6 +12,8 @@
 //!   DP result, one fresh arena per cell, on one thread;
 //! * [`exhaustive_search`] — the sequential scan over those cells: first
 //!   minimum of `score_solution` (the tier scan's winner);
+//! * [`proven_cells`] — the cells of a tier grid the search's memory-only
+//!   bound proves INFEASIBLE, so the sweep runs no DP for them;
 //! * [`refine_reference`] / [`exhaustive_refined`] — the stage-cut
 //!   refinement priced on a fresh arena, alone and after the scan: what
 //!   `form_stage_with` returns;
@@ -28,8 +30,8 @@ use rannc_core::dp::micro_batch;
 use rannc_core::refine::refined_stages;
 use rannc_core::search::score_solution;
 use rannc_core::{
-    atomic_partition, block_partition, form_stage_dp, Block, BlockLimits, DpArena, DpCtx, DpParams,
-    DpSolution, DpStage, RangeTable, SlotTable, StageCost,
+    atomic_partition, block_partition, form_stage_dp, proven_infeasible, Block, BlockLimits,
+    DpArena, DpCtx, DpParams, DpSolution, DpStage, RangeTable, SlotTable, StageCost,
 };
 use rannc_cost::CostModel;
 use rannc_graph::{TaskGraph, TaskSet};
@@ -306,6 +308,26 @@ pub fn tier_grid(
         }
     }
     grid
+}
+
+/// The cells of one node tier's `grid` (in grid order) that the search's
+/// memory-only bound proves INFEASIBLE: [`proven_infeasible`] over each
+/// `(MB, T)` group, as the sweep groups them.
+pub fn proven_cells(cost: &dyn CostModel, ranges: &RangeTable, grid: &[DpParams]) -> Vec<bool> {
+    let mut proven = vec![false; grid.len()];
+    let mut keys: Vec<(usize, usize)> = grid.iter().map(|p| (p.microbatches, p.tp)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    for key in keys {
+        let members: Vec<usize> = (0..grid.len())
+            .filter(|&i| (grid[i].microbatches, grid[i].tp) == key)
+            .collect();
+        let group: Vec<DpParams> = members.iter().map(|&i| grid[i]).collect();
+        for (&i, p) in members.iter().zip(proven_infeasible(cost, ranges, &group)) {
+            proven[i] = p;
+        }
+    }
+    proven
 }
 
 /// Algorithm 2's tier scan as a sequential scan over

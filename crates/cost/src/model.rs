@@ -118,7 +118,10 @@ pub trait CostModel: Sync {
     /// batch-independent set statistics without pricing time. Algorithm 1
     /// checks it first, so a stage over the memory bound is rejected
     /// before its time is profiled. [`CostModel::bound_mem`] of the set's
-    /// own statistics.
+    /// own statistics, so it too must be nondecreasing in `batch`: the
+    /// search's fewest-devices bound
+    /// (`rannc_core::search::proven_infeasible`) reads a range that fits
+    /// on `repl` data-parallel units as fitting on every larger count.
     fn stage_mem(
         &self,
         set: &ProfiledSet<'_>,
@@ -134,7 +137,9 @@ pub trait CostModel: Sync {
     /// ([`StatsBound`]): [`CostModel::stage_mem`] of every set the bound
     /// covers is at most this, and a set's own statistics give exactly
     /// its memory. Implementations must keep it nondecreasing in the
-    /// bound, so a bound within a memory limit proves a set fits it.
+    /// bound, so a bound within a memory limit proves a set fits it, and
+    /// nondecreasing in `batch`, so a smaller micro-batch never needs more
+    /// memory ([`CostModel::stage_mem`]).
     fn bound_mem(
         &self,
         bound: &StatsBound,

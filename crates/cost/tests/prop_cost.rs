@@ -155,6 +155,55 @@ proptest! {
         }
     }
 
+    /// Memory-only pricing is nondecreasing in the micro-batch: for both
+    /// shipping models — the analytical profiler and a calibrated model
+    /// with a memory factor — under FP32 and mixed precision, on random
+    /// sets of every model family, at tensor-parallel degrees 1, 2 and 8,
+    /// several in-flight counts and checkpointing on and off, both
+    /// `stage_mem` and `bound_mem` of the set's own statistics. The
+    /// search's fewest-devices bound rests on this: a range that fits on
+    /// `repl` units fits on every larger count.
+    #[test]
+    fn stage_mem_nondecreasing_in_batch(
+        cal in calibrations(),
+        family in 0usize..5,
+        sel in any::<u64>(),
+        mixed in any::<bool>(),
+    ) {
+        let g = family_graph(family);
+        let cluster = ClusterSpec::v100_cluster(2);
+        let set = random_set(&g, sel);
+        let opts = if mixed { ProfilerOptions::mixed() } else { ProfilerOptions::fp32() };
+        let analytical = Profiler::new(&g, cluster.device.clone(), opts);
+        let calibrated = CalibratedCost::new(&g, cluster.device.clone(), opts, cal, &cluster);
+        let models: [(&dyn CostModel, &str); 2] =
+            [(&analytical, "analytical"), (&calibrated, "calibrated")];
+        for (m, label) in models {
+            let profiled = m.profiler().profiled(&set);
+            let bound = profiled.stats_bound();
+            for tp in [1usize, 2, 8] {
+                for inflight in [1usize, 2, 5, 16] {
+                    for ckpt in [false, true] {
+                        let mem = |batch| m.stage_mem(&profiled, batch, inflight, ckpt, tp);
+                        let by_bound = |batch| m.bound_mem(&bound, batch, inflight, ckpt, tp);
+                        for batch in 1usize..64 {
+                            prop_assert!(
+                                mem(batch) <= mem(batch + 1),
+                                "{}: stage_mem, batch {}, tp {}, inflight {}, ckpt {}",
+                                label, batch, tp, inflight, ckpt
+                            );
+                            prop_assert!(
+                                by_bound(batch) <= by_bound(batch + 1),
+                                "{}: bound_mem, batch {}, tp {}, inflight {}, ckpt {}",
+                                label, batch, tp, inflight, ckpt
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Transfer time is nondecreasing in bytes, on both link classes.
     #[test]
     fn transfer_time_nondecreasing_in_bytes(

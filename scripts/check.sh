@@ -24,6 +24,13 @@ echo "==> paper-scale stage-DP parity (the benchmark's search grids, against the
 # HashMap-memo reference DP's solution bit for bit
 cargo test --release -q -p rannc-core --offline --test prop_dp_flat -- --ignored
 
+echo "==> paper-scale memory bound (the benchmark's cold searches: every INFEASIBLE cell proven)"
+# ignored in the default run for its size: the memory-only fewest-devices
+# bound must prove exactly 118 of bert256-d128's 120 cells, 22 of
+# resnet152x8-d128's 56 and 18 of bert64-tp8's 45, every cell whose DP
+# would return INFEASIBLE
+cargo test --release -q -p rannc-core --offline --test prop_bound -- --ignored
+
 echo "==> small stage-DP sweep (1.76M small DPs against the reference, last-row probes)"
 # ignored in the default run for its size: Algorithm 1 solves one cell of
 # its last row and probes the others only as far as the d_min pruning
