@@ -18,25 +18,24 @@
 //! stage that fits has its time profiled (see
 //! [`DpCtx::eval`](crate::stagecache::DpCtx::eval)), so the many
 //! over-memory candidates cost O(1) in their size. The result is what
-//! profiling first would give. The `d_min` incremental pruning of the paper is
-//! implemented: when no feasible split exists at device budget `d`, no
-//! smaller budget is tried again.
+//! profiling first would give. The `d_min` incremental pruning of the
+//! paper is implemented in the rows below the last: when no feasible
+//! split exists at device budget `d`, no smaller budget is tried again.
 //!
-//! The last row solves one cell. The answer is cell `(S, nb, D)`, and
-//! row `S`'s other cells are read only by the pruning. A failure at
-//! `d < D` raises `d_min` to at most `D`, which the answer's cell, computed
-//! first at `b = nb, d = D`, never sees; only a memory-driven failure at
-//! `d = D` reaches it, raising `d_min` past `D` and making the candidate
-//! INFEASIBLE. So for each `b < nb` the last row *probes* `d = D` alone
-//! and stops at its first feasible pair (`found` is all the pruning
-//! reads), skips those cells outright when pruning is off, and at
-//! `b = nb` computes `d = D` alone. The probe is load-bearing: the
-//! pruning discards feasible cells (stage memory is not monotone under
-//! union), and dropping the probe turns such INFEASIBLE answers into
-//! plans. A DP therefore walks its rows below `S`, the answer's cell and
-//! the probes up to their first feasible pair: a resnet152x8-d128 search
-//! walks 125k pairs (95k memo lookups, 30k micro-batch skips), against
-//! 171k when the whole last row was filled.
+//! The last row solves one cell, the answer `(S, nb, D)`. Here the DP
+//! departs from the paper's pseudocode, which runs the row's other cells
+//! `(S, b < nb, ·)` too. The answer reads none of them, but a
+//! memory-driven failure at `d = D` in one raises `d_min` past `D`, and
+//! the pseudocode returns INFEASIBLE although a split into `S` stages
+//! that fit may exist (the pruning's premise fails: stage memory is not
+//! monotone under union). The DP returns that split. Over a sweep of
+//! 1.76M small DPs (`dp_last_row.rs`) 103 answers are such plans. No
+//! plan of the benchmark moves: in its cold searches the memory bound
+//! ([`proven_infeasible`](crate::search::proven_infeasible)) proves
+//! every INFEASIBLE cell before its DP runs, and on heterogeneous
+//! clusters the pruning is off. A DP therefore walks its rows below `S`
+//! and the answer's cell: a resnet152x8-d128 search walks 82,469 pairs
+//! (74,819 memo lookups, 7,650 micro-batch skips).
 //!
 //! The inner loop touches only what it uses. A finished DP row `(s, b)`
 //! records its finite device counts in ascending order, so cell
@@ -231,12 +230,12 @@ impl Hot {
 ///
 /// Contract: an arena must only be reused across DP invocations that
 /// share the graph, cost model, block list and cluster (Algorithm 2's
-/// sweep guarantees this — its per-search arena pool hands an arena to
-/// one worker at a time). The parameter-level inputs are part of
-/// `MemoKey` and checked automatically. Across searches only the
-/// allocations are reused: the search draws its arenas from a
-/// process-wide spare list, each with its memo invalidated, and hands
-/// them back when it finishes.
+/// sweep guarantees this: each `(MB, T)` group runs its DPs through one
+/// arena of its own). The parameter-level inputs are part of `MemoKey`
+/// and checked automatically. Across groups and searches only the
+/// allocations are reused: a group draws its arena from a process-wide
+/// spare list, with its memo invalidated, and hands it back when it is
+/// done.
 #[derive(Default)]
 pub struct DpArena {
     nb: usize,
@@ -293,19 +292,19 @@ impl DpArena {
     }
 
     /// Stage lookups this arena's memo answered since it was made or
-    /// drawn: over one search.
+    /// drawn: over one `(MB, T)` group of a search.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Stage evaluations this arena ran (memo misses) since it was made
-    /// or drawn: over one search.
+    /// or drawn: over one `(MB, T)` group of a search.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Predecessor pairs `(b_prev, d_prev)` the DPs walked since the
-    /// arena was made or drawn (over one search): every one is a finite
+    /// arena was made or drawn (over one group): every one is a finite
     /// cell, so each is a memo lookup or a micro-batch-too-thin skip.
     pub fn visits(&self) -> u64 {
         self.visits
@@ -360,8 +359,8 @@ impl DpArena {
     }
 }
 
-/// The spare [`DpArena`]s searches hand back ([`DpArena::shelve`]) for
-/// the next search to draw ([`DpArena::draw`]).
+/// The spare [`DpArena`]s a search's groups hand back
+/// ([`DpArena::shelve`]) for the next group to draw ([`DpArena::draw`]).
 static SPARE_ARENAS: Mutex<Vec<DpArena>> = Mutex::new(Vec::new());
 
 /// The micro-batch of a stage on `repl` data-parallel units:
@@ -467,19 +466,15 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
     let mut slot_hits = 0u64;
 
     for s in 1..=s_max {
+        // the last row computes its answer (S, nb, D) alone (see the
+        // module doc)
         let last = s == s_max;
-        for b in s..=nb - s_max + s {
-            // In the last row only (S, nb, D) is the answer; a cell
-            // (S, b < nb, D) is a probe, read by the d_min pruning alone
-            // (see the module doc).
-            let probe = last && b < nb;
-            if probe && !prune {
-                continue;
-            }
+        let b_lo = if last { nb } else { s };
+        for b in b_lo..=nb - s_max + s {
             // d descending from D − (S − s) to max(d_min, s); the last
             // row computes d = D alone
             let d_hi = d_max - (s_max - s);
-            let d_lo = if last { d_min.max(d_max) } else { d_min.max(s) };
+            let d_lo = if last { d_max } else { d_min.max(s) };
             if d_hi < d_lo {
                 continue;
             }
@@ -487,7 +482,7 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
             loop {
                 let mut found = false;
                 let mut saw_micro_zero = false;
-                'walk: for b_prev in (s - 1)..b {
+                for b_prev in (s - 1)..b {
                     // Only the finite cells of row (s−1, b_prev), in the
                     // ascending order of the full d_prev walk: an
                     // infeasible previous stage never reaches `found`,
@@ -558,9 +553,6 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
                             entry.cost(&cold[li]).scaled_objectives(scale)
                         };
                         found = true;
-                        if probe {
-                            break 'walk; // the pruning reads nothing more
-                        }
                         let cand_f = tf[idx(s - 1, b_prev, d_prev)].max(obj_f);
                         let cand_b = tb[idx(s - 1, b_prev, d_prev)].max(obj_b);
                         let cand_v = cand_f + cand_b;

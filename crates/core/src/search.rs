@@ -26,9 +26,11 @@
 //! groups out over [`crate::par::parallel_map_with`]. Each group runs its
 //! stage counts ascending through one [`DpArena`], whose flat
 //! `(b_prev, b, repl)` memo persists across the group's candidates. The
-//! arenas come from a process-wide spare list (`DpArena::draw`) and go
-//! back to it when the search finishes, so a request reuses the last
-//! one's allocations but never its memo entries.
+//! group draws the arena from a process-wide spare list (`DpArena::draw`)
+//! and shelves it there when it is done (`DpArena::shelve`), so later
+//! groups and requests reuse its allocations but never its memo entries.
+//! A group returns the arena's memo counters with its results, and
+//! [`SearchStats::stage_cache`] is their sum.
 //!
 //! **The memory bound.** A cell runs its DP unless a memory-only bound
 //! proves it INFEASIBLE first ([`proven_infeasible`]): each group finds,
@@ -52,7 +54,8 @@
 //! `Iterator::min_by` applies in a sequential scan. The set of DPs that
 //! run, and so every search counter, does not depend on the thread
 //! schedule: the bound that skips a cell is a pure function of its
-//! group. The `determinism` integration suite pins this contract
+//! group, and a group's memo counters are those of an arena drawn for
+//! it alone. The `determinism` integration suite pins this contract
 //! against such a scan, and the refined plan against the test-support
 //! refinement of that scan's winner.
 
@@ -67,7 +70,6 @@ use rannc_graph::TaskGraph;
 use rannc_hw::ClusterSpec;
 use rannc_obs::recorder::RefineRec;
 use rannc_profile::{CacheStats, Residency};
-use std::sync::Mutex;
 
 /// Estimated wall time of one training iteration under the synchronous
 /// pipeline for a DP solution: the closed form
@@ -120,62 +122,15 @@ pub struct SearchStats {
     pub node_tiers: usize,
     /// Worker threads the sweep ran with.
     pub threads: usize,
-    /// DP arena memo behaviour: `hits` are memo hits, `misses` (and so
-    /// `entries()`) stage evaluations.
+    /// DP arena memo behaviour, summed over the sweep's `(MB, T)` groups
+    /// (the refinement's DP is not counted): `hits` are memo hits,
+    /// `misses` (and so `entries()`) stage evaluations.
     pub stage_cache: CacheStats,
-}
-
-/// One search's [`DpArena`]s: a worker takes an arena for the duration
-/// of one `(MB, T)` group and returns it after, so at most `threads`
-/// arenas serve a search's sweep and each carries its allocations to the
-/// next group it serves; the refinement's DP adds one after the sweep.
-/// Groups differ in their memo key, so memo entries never cross groups.
-/// An arena the pool lacks is drawn from the process-wide spare list,
-/// and when the search finishes (the pool drops) its arenas go back
-/// there, at most `threads` of them.
-struct ArenaPool {
-    pool: Mutex<Vec<DpArena>>,
-    threads: usize,
-}
-
-impl ArenaPool {
-    fn new(threads: usize) -> Self {
-        ArenaPool {
-            pool: Mutex::new(Vec::new()),
-            threads,
-        }
-    }
-
-    fn take(&self) -> DpArena {
-        let pooled = self.pool.lock().unwrap().pop();
-        pooled.unwrap_or_else(DpArena::draw)
-    }
-
-    fn put(&self, arena: DpArena) {
-        self.pool.lock().unwrap().push(arena);
-    }
-
-    /// Memo counters summed over every arena the search's sweep used.
-    fn stats(&self) -> CacheStats {
-        let pool = self.pool.lock().unwrap();
-        CacheStats {
-            hits: pool.iter().map(DpArena::hits).sum(),
-            misses: pool.iter().map(DpArena::misses).sum(),
-        }
-    }
-}
-
-impl Drop for ArenaPool {
-    fn drop(&mut self) {
-        let arenas = std::mem::take(self.pool.get_mut().unwrap());
-        DpArena::shelve(arenas, self.threads);
-    }
 }
 
 /// Close one search's [`SearchStats`] (exact for this invocation) and add
 /// its totals to the process-global metrics registry (cumulative).
-fn finish(mut stats: SearchStats, arenas: &ArenaPool) -> SearchStats {
-    stats.stage_cache = arenas.stats();
+fn finish(stats: SearchStats) -> SearchStats {
     for (name, n) in [
         ("candidates", stats.candidates),
         ("feasible", stats.feasible),
@@ -425,12 +380,12 @@ pub fn scan_first_feasible_tier(
     batch_size: usize,
     opts: &SearchOptions,
 ) -> (Option<TierScan>, SearchStats) {
-    let (scan, stats, ..) = scan(g, cost, blocks, cluster, batch_size, opts);
-    (scan, stats)
+    let (scan, stats, _) = scan(g, cost, blocks, cluster, batch_size, opts);
+    (scan.map(|(scan, _)| scan), stats)
 }
 
-/// [`scan_first_feasible_tier`], with the range table it built and its
-/// arenas.
+/// [`scan_first_feasible_tier`], with the winning tier's placement table
+/// and the range table it built.
 fn scan(
     g: &TaskGraph,
     cost: &dyn CostModel,
@@ -438,7 +393,7 @@ fn scan(
     cluster: &ClusterSpec,
     batch_size: usize,
     opts: &SearchOptions,
-) -> (Option<TierScan>, SearchStats, RangeTable, ArenaPool) {
+) -> (Option<(TierScan, SlotTable)>, SearchStats, RangeTable) {
     debug_assert_eq!(
         g.num_tasks(),
         cost.graph().num_tasks(),
@@ -470,8 +425,6 @@ fn scan(
         let _s = span.arg_i("boundary_rows", ranges.boundary_rows() as i64);
         ranges
     };
-
-    let arenas = ArenaPool::new(threads);
 
     for tier in tier_grids(g, cluster, batch_size, opts.tp_max) {
         let (n, d, r, grid) = (tier.nodes, tier.devices, tier.replica_factor, tier.cells);
@@ -510,8 +463,10 @@ fn scan(
                 break;
             }
         }
-        // A group returns its cells' DP results and how many of them the
-        // bound proved INFEASIBLE without running the DP.
+        // A group returns its cells' DP results, how many of them the
+        // bound proved INFEASIBLE without running the DP, and the memo
+        // counters of the one arena its DPs share, drawn from the spare
+        // list and shelved again at once.
         let run_group = |&g: &usize| {
             let proven = proofs.get(g).cloned().unwrap_or_else(|| prove(&groups[g]));
             let mut arena = None;
@@ -527,7 +482,7 @@ fn scan(
                         let _dp = (span.arg_i("visits", 0).arg_i("evals", 0)).arg_i("proven", 1);
                         return None;
                     }
-                    let arena = arena.get_or_insert_with(|| arenas.take());
+                    let arena = arena.get_or_insert_with(DpArena::draw);
                     let ctx = DpCtx::new(cost, &ranges, cluster, &slots, p);
                     let (visits, evals) = (arena.visits(), arena.misses());
                     let sol = form_stage_dp(&ctx, arena);
@@ -539,21 +494,18 @@ fn scan(
                     sol
                 })
                 .collect();
-            if let Some(arena) = arena {
-                arenas.put(arena);
-            }
-            (proven.iter().filter(|&&p| p).count(), out)
+            let memo = (arena.as_ref()).map_or_else(CacheStats::default, |a| CacheStats {
+                hits: a.hits(),
+                misses: a.misses(),
+            });
+            DpArena::shelve(arena, threads);
+            (proven.iter().filter(|&&p| p).count(), memo, out)
         };
         let settled = proofs.iter().take_while(|p| p.iter().all(|&p| p)).count();
         let order: Vec<usize> = (0..groups.len()).collect();
         let (inline, fanned) = order.split_at(settled);
-        let mut grouped: Vec<(usize, Vec<Option<DpSolution>>)> =
-            inline.iter().map(run_group).collect();
-        if threads > 1 {
-            grouped.extend(par::parallel_map_with(fanned, threads, run_group));
-        } else {
-            grouped.extend(fanned.iter().map(run_group));
-        }
+        let mut grouped: Vec<_> = inline.iter().map(run_group).collect();
+        grouped.extend(par::parallel_map_with(fanned, threads, run_group));
         drop(sweep);
         // scatter results back to deterministic grid order, scoring each
         // feasible cell once
@@ -563,8 +515,10 @@ fn scan(
                 scored: None,
             })
             .collect();
-        for (members, (proven, outs)) in groups.iter().zip(grouped) {
+        for (members, (proven, memo, outs)) in groups.iter().zip(grouped) {
             stats.pruned += proven;
+            stats.stage_cache.hits += memo.hits;
+            stats.stage_cache.misses += memo.misses;
             for (&i, sol) in members.iter().zip(outs) {
                 cells[i].scored = sol.map(|s| (score_solution(&s, cluster, cost), s));
             }
@@ -596,10 +550,10 @@ fn scan(
                 cells,
                 winner,
             };
-            return (Some(scan), finish(stats, &arenas), ranges, arenas);
+            return (Some((scan, slots)), finish(stats), ranges);
         }
     }
-    (None, finish(stats, &arenas), ranges, arenas)
+    (None, finish(stats), ranges)
 }
 
 /// Algorithm 2's best feasible solution: the winner of
@@ -613,39 +567,32 @@ pub fn form_stage_with(
     batch_size: usize,
     opts: &SearchOptions,
 ) -> (Option<DpSolution>, SearchStats) {
-    let (scan, stats, ranges, arenas) = scan(g, cost, blocks, cluster, batch_size, opts);
-    let winner = scan.map(|mut t| {
+    let (scan, stats, ranges) = scan(g, cost, blocks, cluster, batch_size, opts);
+    let winner = scan.map(|(mut t, slots)| {
         let ScanCell { params, scored } = t.cells.swap_remove(t.winner);
         let (score, sol) = scored.expect("feasible");
-        refine_winner(cost, &ranges, cluster, &params, score, sol, &arenas)
+        let best = (params, score, sol);
+        refine_winner(cost, &ranges, &slots, cluster, best, stats.threads)
     });
     (winner, stats)
 }
 
 /// Algorithm 2's last step: the winner's stages re-cut at atom
 /// granularity ([`refine::refined_stages`]), priced exactly by one
-/// Algorithm 1 run at the winner's parameters on the tier's placement
-/// table, and kept only if their [`score_solution`] is strictly lower
-/// than the winner's `score`. Its arena joins the search's pool.
+/// Algorithm 1 run at the winner's parameters `p` on the tier's
+/// placement table `slots`, and kept only if their [`score_solution`] is
+/// strictly lower than the winner's `score`. Its arena is drawn from the
+/// spare list and shelved there, with at most `threads` spares kept.
 fn refine_winner(
     cost: &dyn CostModel,
     ranges: &RangeTable,
+    slots: &SlotTable,
     cluster: &ClusterSpec,
-    p: &DpParams,
-    score: f64,
-    winner: DpSolution,
-    arenas: &ArenaPool,
+    (p, score, winner): (DpParams, f64, DpSolution),
+    threads: usize,
 ) -> DpSolution {
     let span = rannc_obs::trace::span("refine", "planner").arg_f("bottleneck", winner.value);
-    let precision = cost.options().precision;
-    let slots = SlotTable::build(
-        cluster,
-        p.devices * p.tp,
-        p.replica_factor,
-        cost.device(),
-        precision,
-    );
-    let Some(sets) = refine::refined_stages(cost, ranges, &slots, &winner) else {
+    let Some(sets) = refine::refined_stages(cost, ranges, slots, &winner) else {
         let _s = span.arg_i("accepted", 0);
         return winner;
     };
@@ -658,13 +605,11 @@ fn refine_winner(
         })
         .collect();
     let stage_ranges = RangeTable::build(cost, &stages);
-    let ctx = DpCtx::new(cost, &stage_ranges, cluster, &slots, p);
-    // drawn from the spare list, not the pool: a sweep arena would be
-    // resized to this DP's few stages and re-sized by the next search
+    let ctx = DpCtx::new(cost, &stage_ranges, cluster, slots, &p);
     let mut arena = DpArena::draw();
     let refined =
         form_stage_dp(&ctx, &mut arena).map(|sol| (score_solution(&sol, cluster, cost), sol));
-    arenas.put(arena);
+    DpArena::shelve([arena], threads);
     let accepted = matches!(&refined, Some((v, _)) if *v < score);
     let outcome = if accepted { "accepted" } else { "rejected" };
     rannc_obs::metrics::counter(&format!("planner.refine.{outcome}")).inc();
@@ -694,6 +639,7 @@ mod tests {
     use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec, NodeSpec};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{ProfiledSet, Profiler, ProfilerOptions, StatsBound, TimeSums};
+    use std::sync::Mutex;
 
     /// A small test cluster: `nodes` × 2 devices with `mem` bytes each.
     fn small_cluster(nodes: usize, mem: usize) -> ClusterSpec {

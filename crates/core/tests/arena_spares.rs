@@ -1,6 +1,7 @@
-//! DP arenas outlive the search: a search hands its arenas to a
-//! process-wide spare list, and the next search draws them, reset. Only
-//! the allocations cross searches, never a memo entry. This suite is its
+//! DP arenas outlive the search: each `(MB, T)` group of a search draws
+//! an arena from a process-wide spare list, reset, and hands it back
+//! when the group is done. Only the allocations cross groups and
+//! searches, never a memo entry. This suite is its
 //! own test binary, so no other test's search touches the spare list.
 
 #[path = "support/mod.rs"]
@@ -14,7 +15,7 @@ use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, LinkSpec, NodeSpec};
 use rannc_models::{mlp_graph, MlpConfig};
 use rannc_profile::{Profiler, ProfilerOptions};
-use support::{blocks_of, exhaustive_search, proven_cells, tier_grid};
+use support::{blocks_of, exhaustive_refined, proven_cells, tier_grid};
 
 /// Two nodes of two V100s. At batch 1 the one-node tier has no cell
 /// (`⌊BS/R⌋ = 0` micro-batches at `R = 2`), so a search runs the two-node
@@ -32,11 +33,6 @@ fn cluster() -> ClusterSpec {
 
 const BATCH: usize = 1;
 
-const ONE_THREAD: SearchOptions = SearchOptions {
-    threads: 1,
-    tp_max: 1,
-};
-
 /// `g`'s blocks at `k` and its profiler on `cluster`.
 fn prep<'g>(g: &'g TaskGraph, k: usize, cluster: &ClusterSpec) -> (Vec<Block>, Profiler<'g>) {
     let profiler = Profiler::new(g, cluster.device.clone(), ProfilerOptions::fp32());
@@ -47,8 +43,12 @@ fn prep<'g>(g: &'g TaskGraph, k: usize, cluster: &ClusterSpec) -> (Vec<Block>, P
 /// device budget draws the arena of the first search's sweep. Its last
 /// DP (`S = 4`) left the memo key and table shape the second search's
 /// first DP (`S = 3`) uses, so only the reset's stamp bump keeps the old
-/// memo entries out. The second search must return the reference's
-/// winner and the memo counters of its grid run on a fresh arena.
+/// memo entries out. The second search, a whole request whose
+/// refinement draws and shelves an arena too, must return the
+/// reference's refined plan and the memo counters of its grid run on a
+/// fresh arena, at 1, 2 and 4 threads alike: each `(MB, T)` group draws
+/// one arena of its own, so a search's counters are the sum of its
+/// groups' fresh runs.
 #[test]
 fn a_drawn_arena_answers_as_a_fresh_one() {
     let (k, cluster) = (6, cluster());
@@ -60,31 +60,8 @@ fn a_drawn_arena_answers_as_a_fresh_one() {
     assert_eq!(first_blocks.len(), nb, "block counts differ");
     assert!(nb >= 4, "{nb} blocks cannot fill 4 stages");
 
-    // the whole request, so the refinement's arena is drawn and shelved too
-    let (sol, _) = form_stage_with(
-        &first,
-        &first_cost,
-        &first_blocks,
-        &cluster,
-        BATCH,
-        &ONE_THREAD,
-    );
-    assert!(sol.is_some(), "the first search found no plan");
-    let (scan, stats) =
-        scan_first_feasible_tier(&second, &profiler, &blocks, &cluster, BATCH, &ONE_THREAD);
-
-    let sol = scan.map(|mut t| t.cells.swap_remove(t.winner).scored.expect("feasible").1);
-    let reference = exhaustive_search(&second, &profiler, &blocks, &cluster, BATCH, 1);
-    let (sol, reference) = (sol.expect("a plan"), reference.expect("a reference plan"));
-    assert_eq!(sol.value.to_bits(), reference.value.to_bits(), "objective");
-    assert_eq!(sol.stages.len(), reference.stages.len(), "stage count");
-    for (a, b) in sol.stages.iter().zip(&reference.stages) {
-        assert_eq!(a.set, b.set, "stage tasks");
-        assert_eq!(a.devices, b.devices, "stage devices");
-        assert_eq!(a.fwd_time.to_bits(), b.fwd_time.to_bits(), "stage time");
-        assert_eq!(a.mem_bytes, b.mem_bytes, "stage memory");
-    }
-
+    let reference = exhaustive_refined(&second, &profiler, &blocks, &cluster, BATCH, 1);
+    let reference = reference.expect("a reference plan");
     // the grid's one (MB, T) group through a fresh arena, but for the
     // cells the search's memory-only bound proves INFEASIBLE
     let ranges = RangeTable::build(&profiler, &blocks);
@@ -99,13 +76,47 @@ fn a_drawn_arena_answers_as_a_fresh_one() {
         let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, p);
         feasible += usize::from(form_stage_dp(&ctx, &mut fresh).is_some());
     }
-    assert_eq!(stats.node_tiers, 2, "node tiers");
-    assert_eq!(stats.candidates, grid.len(), "candidates");
-    assert_eq!(stats.feasible, feasible, "feasible");
-    assert_eq!(stats.stage_cache.hits, fresh.hits(), "memo hits");
-    assert_eq!(
-        stats.stage_cache.misses,
-        fresh.misses(),
-        "stage evaluations"
-    );
+
+    for threads in [1, 2, 4] {
+        let opts = SearchOptions { threads, tp_max: 1 };
+        // the sweep alone, so its arena is the last one shelved
+        let (scan, _) =
+            scan_first_feasible_tier(&first, &first_cost, &first_blocks, &cluster, BATCH, &opts);
+        assert!(
+            scan.is_some(),
+            "threads {threads}: the first search found no plan"
+        );
+        let (sol, stats) = form_stage_with(&second, &profiler, &blocks, &cluster, BATCH, &opts);
+        let sol = sol.expect("a plan");
+        let what = format!("threads {threads}");
+        assert_eq!(
+            sol.value.to_bits(),
+            reference.value.to_bits(),
+            "{what}: objective"
+        );
+        assert_eq!(
+            sol.stages.len(),
+            reference.stages.len(),
+            "{what}: stage count"
+        );
+        for (a, b) in sol.stages.iter().zip(&reference.stages) {
+            assert_eq!(a.set, b.set, "{what}: stage tasks");
+            assert_eq!(a.devices, b.devices, "{what}: stage devices");
+            assert_eq!(
+                a.fwd_time.to_bits(),
+                b.fwd_time.to_bits(),
+                "{what}: stage time"
+            );
+            assert_eq!(a.mem_bytes, b.mem_bytes, "{what}: stage memory");
+        }
+        assert_eq!(stats.node_tiers, 2, "{what}: node tiers");
+        assert_eq!(stats.candidates, grid.len(), "{what}: candidates");
+        assert_eq!(stats.feasible, feasible, "{what}: feasible");
+        assert_eq!(stats.stage_cache.hits, fresh.hits(), "{what}: memo hits");
+        assert_eq!(
+            stats.stage_cache.misses,
+            fresh.misses(),
+            "{what}: stage evaluations"
+        );
+    }
 }

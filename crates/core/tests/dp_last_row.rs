@@ -1,15 +1,18 @@
-//! Algorithm 1's last row solves one cell: the answer `(S, nb, D)`, plus a
-//! probe of `(S, b, D)` for each `b < nb`, stopped at its first feasible
-//! pair, because the paper's `d_min` pruning reads those cells. These
-//! tests hold the engine to the reference, which fills the whole row, on
-//! a grid of small DPs, and pin one instance the probe decides: the
-//! pruning discards the feasible cells and the answer is INFEASIBLE, so
-//! an engine without the probe would return a plan.
+//! Algorithm 1's last row solves one cell: the answer `(S, nb, D)`. The
+//! paper's `d_min` pruning also runs the row's other cells `(S, b < nb,
+//! D)`, and where one of them finds no memory-feasible predecessor it
+//! makes the candidate INFEASIBLE, although a split into `S` stages that
+//! fit may exist. The engine runs no such cell, so it returns that split.
+//! These tests hold the engine to the reference, which solves the same
+//! one cell, on a grid of small DPs, and pin one instance the paper's
+//! pruning would call INFEASIBLE.
 
 #[path = "support/mod.rs"]
 mod support;
 
-use rannc_core::{form_stage_dp, DpArena, DpCtx, DpParams, DpSolution, RangeTable, SlotTable};
+use rannc_core::{
+    form_stage_dp, proven_infeasible, DpArena, DpCtx, DpParams, DpSolution, RangeTable, SlotTable,
+};
 use rannc_graph::TaskGraph;
 use rannc_hw::{ClusterSpec, DeviceSpec};
 use rannc_models::{
@@ -104,12 +107,14 @@ fn feasibility(sol: &Option<DpSolution>) -> &'static str {
 }
 
 /// MLP 16×3 at k = 6, S = 4 of D = 8, BS 32, MB 8, at memory bound
-/// step 5 of 40: a last-row probe `(4, b < nb, 8)` finds no memory-feasible
-/// predecessor, `d_min` passes `D`, and the candidate is INFEASIBLE,
-/// although a split of the blocks into 4 stages that fit exists. The
-/// engine must give the reference's answer.
+/// step 5 of 40: a last-row cell `(4, b < nb, 8)` has no memory-feasible
+/// predecessor, so the paper's `d_min` pruning passes `D` and calls the
+/// candidate INFEASIBLE, although a split of the blocks into 4 stages
+/// that fit exists. The engine returns such a split: 4 stages on all 8
+/// devices, each within the memory bound, in a cell the memory-only
+/// bound does not prove.
 #[test]
-fn a_failed_probe_makes_the_candidate_infeasible() {
+fn a_split_the_pruning_would_discard_is_a_plan() {
     let g = mlp_graph(&MlpConfig::deep(16, 16, 3, 4));
     let cluster = ClusterSpec::v100_cluster(1);
     let profiler = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
@@ -129,30 +134,24 @@ fn a_failed_probe_makes_the_candidate_infeasible() {
     let slots = SlotTable::build(&cluster, p.devices, 1, profiler.device(), precision);
     let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, &p);
     let (reference, _) = form_stage_dp_hashmap(&ctx);
-    assert!(reference.is_none(), "the reference found a plan");
-    // a split into 4 stages on 8 devices, every stage within memory
-    let nb = ranges.blocks();
-    let fits = |cuts: [usize; 5], devs: [usize; 4]| {
-        (0..4).all(|i| ctx.eval(cuts[i], cuts[i + 1], devs[i]).is_some())
-    };
-    let feasible = (1..nb).any(|a| {
-        (a + 1..nb).any(|b| {
-            (b + 1..nb).any(|c| {
-                (1..=5).any(|x| {
-                    (1..=6 - x).any(|y| {
-                        (1..=7 - x - y).any(|z| fits([0, a, b, c, nb], [x, y, z, 8 - x - y - z]))
-                    })
-                })
-            })
-        })
-    });
+    let engine = form_stage_dp(&ctx, &mut DpArena::new());
     assert!(
-        feasible,
-        "no memory-feasible split: the case does not test the probe"
+        identical(&engine, &reference),
+        "engine and reference differ"
     );
-    assert!(
-        form_stage_dp(&ctx, &mut DpArena::new()).is_none(),
-        "the engine found a plan the d_min pruning rules out"
+    let sol = engine.expect("the engine found no plan");
+    assert_eq!(sol.stages.len(), 4, "stage count");
+    assert_eq!(sol.devices_per_replica(), 8, "the plan leaves devices idle");
+    for (i, st) in sol.stages.iter().enumerate() {
+        assert!(
+            st.mem_bytes <= p.mem_limit,
+            "stage {i} over the memory bound"
+        );
+    }
+    assert_eq!(
+        proven_infeasible(&profiler, &ranges, &[p]),
+        [false],
+        "the memory-only bound proves a cell with a plan"
     );
 }
 

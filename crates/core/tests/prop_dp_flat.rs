@@ -6,11 +6,10 @@
 //! parallel sweep must match the exhaustive sequential scan, and its
 //! refined plan the reference refinement, at every thread count. Stages
 //! compare by task set and by `block_range`, which for a refined stage
-//! is its index in the refined stage list. The engine walks only finite
-//! predecessors, and of the last row only the answer's cell and the
-//! probes the `d_min` pruning reads; the reference walks every pair of
-//! every cell, counts the pairs the engine walks, and the two counts
-//! must agree.
+//! is its index in the refined stage list. Both DPs compute only the
+//! answer's cell of their last row. The engine walks only finite
+//! predecessors; the reference walks every pair of every cell it
+//! computes and counts the finite ones, and the two counts must agree.
 
 #[path = "support/mod.rs"]
 mod support;
@@ -143,8 +142,7 @@ proptest! {
     /// predecessor lists and `d_min` pruning all occur, and the cluster
     /// may hold a slower device (group time scales above 1) or a
     /// smaller one (a binding group memory). The engine visits exactly
-    /// the finite predecessor pairs the reference counts for its
-    /// one-cell last row.
+    /// the finite predecessor pairs the reference counts.
     #[test]
     fn arena_reuse_matches_hashmap_dp(
         g in graphs(),
@@ -197,13 +195,13 @@ proptest! {
                         assert_solutions_identical(&fast, &reference, &what);
                         prop_assert_eq!(
                             arena.visits() - before.0,
-                            walk.one_cell.lookups + walk.one_cell.micro_zero,
+                            walk.lookups + walk.micro_zero,
                             "{}: visits",
                             what
                         );
                         prop_assert_eq!(
                             arena.hits() + arena.misses() - before.1,
-                            walk.one_cell.lookups,
+                            walk.lookups,
                             "{}: lookups",
                             what
                         );
@@ -288,10 +286,10 @@ fn arg(args: &[(&str, ArgVal)], key: &str) -> usize {
 /// Every `dp` span of a small memory-tight search reports the
 /// predecessor pairs its DP walked and the stages it evaluated. The
 /// walk is exactly the memo lookups plus micro-batch skips the reference
-/// counts for the one-cell last row, so no infeasible predecessor is
-/// visited; both counts repeat run to run, and the evaluations sum to
-/// the search's memo misses. A cell the memory-only bound proves
-/// INFEASIBLE runs no DP: its span says `proven` and walks nothing.
+/// counts, so no infeasible predecessor is visited; both counts repeat
+/// run to run, and the evaluations sum to the search's memo misses. A
+/// cell the memory-only bound proves INFEASIBLE runs no DP: its span
+/// says `proven` and walks nothing.
 #[test]
 fn dp_spans_count_visits_and_evals() {
     let _serial = trace::test_guard();
@@ -373,7 +371,7 @@ fn dp_spans_count_visits_and_evals() {
         let (_, walk) = form_stage_dp_hashmap(&ctx);
         assert_eq!(
             visits as u64,
-            walk.one_cell.lookups + walk.one_cell.micro_zero,
+            walk.lookups + walk.micro_zero,
             "{what}: {walk:?}"
         );
         skipped.infeasible += walk.infeasible;

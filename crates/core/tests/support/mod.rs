@@ -5,8 +5,8 @@
 //! * [`form_stage_dp_hashmap`] — Algorithm 1 with a per-invocation
 //!   `HashMap` memo and fresh tables every call, evaluating stages
 //!   through the public [`DpCtx::eval`] and walking every predecessor
-//!   pair; it counts what each pair met, and which pairs the engine's
-//!   one-cell last row walks too ([`Walk`]);
+//!   pair of every cell it computes; it counts what each pair met
+//!   ([`Walk`]);
 //! * [`tier_grid`] — one node tier's `(S, MB, T)` cells in grid order;
 //! * [`exhaustive_cells`] — Algorithm 2 cell by cell: every grid cell's
 //!   DP result, one fresh arena per cell, on one thread;
@@ -48,25 +48,12 @@ pub struct Walk {
     pub micro_zero: u64,
     /// Pairs that looked their stage up in the memo.
     pub lookups: u64,
-    /// The finite pairs the engine walks: every pair of the rows below
-    /// `S` and of the answer's cell `(S, nb, D)`, and of each probe cell
-    /// `(S, b < nb, D)` up to its first feasible pair (none when the
-    /// `d_min` pruning is off). The rest of the last row is read by
-    /// nothing the engine returns.
-    pub one_cell: Finite,
-}
-
-/// Finite predecessor pairs by what they met.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Finite {
-    /// Pairs skipped because the micro-batch would be empty.
-    pub micro_zero: u64,
-    /// Pairs that looked their stage up in the memo.
-    pub lookups: u64,
 }
 
 /// Algorithm 1 with a `HashMap` memo private to the invocation, and the
-/// counts of what its full predecessor walk met.
+/// counts of what its full predecessor walk met. Its last row computes
+/// the answer's cell `(S, nb, D)` alone, as the engine's does, so the
+/// engine walks exactly its finite pairs: `micro_zero + lookups`.
 pub fn form_stage_dp_hashmap(ctx: &DpCtx) -> (Option<DpSolution>, Walk) {
     let mut walk = Walk::default();
     (dp_hashmap(ctx, &mut walk), walk)
@@ -102,19 +89,16 @@ fn dp_hashmap(ctx: &DpCtx, walk: &mut Walk) -> Option<DpSolution> {
     let mut d_min = 1usize;
 
     for s in 1..=s_max {
+        // the last row is the answer's cell (S, nb, D) alone
         let last = s == s_max;
-        for b in s..=nb - s_max + s {
+        for b in (if last { nb } else { s })..=nb - s_max + s {
             let d_hi = d_max - (s_max - s);
-            let d_lo = d_min.max(s);
+            let d_lo = if last { d_max } else { d_min.max(s) };
             if d_hi < d_lo {
                 continue;
             }
             let mut d = d_hi;
             loop {
-                // what the engine walks of this cell: all of it, up to
-                // its first feasible pair, or nothing
-                let whole = !last || (b == nb && d == d_max);
-                let probe = last && b < nb && d == d_max && placed.is_none();
                 let mut found = false;
                 let mut saw_micro_zero = false;
                 for b_prev in (s - 1)..b {
@@ -123,16 +107,13 @@ fn dp_hashmap(ctx: &DpCtx, walk: &mut Walk) -> Option<DpSolution> {
                             walk.infeasible += 1;
                             continue;
                         }
-                        let engine_walks = whole || (probe && !found);
                         let repl = d - d_prev;
                         if micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl) == 0 {
                             walk.micro_zero += 1;
-                            walk.one_cell.micro_zero += u64::from(engine_walks);
                             saw_micro_zero = true;
                             continue;
                         }
                         walk.lookups += 1;
-                        walk.one_cell.lookups += u64::from(engine_walks);
                         let looked_up = *local
                             .entry((b_prev, b, repl))
                             .or_insert_with(|| ctx.eval(b_prev, b, repl));

@@ -31,12 +31,11 @@ echo "==> paper-scale memory bound (the benchmark's cold searches: every INFEASI
 # would return INFEASIBLE
 cargo test --release -q -p rannc-core --offline --test prop_bound -- --ignored
 
-echo "==> small stage-DP sweep (1.76M small DPs against the reference, last-row probes)"
-# ignored in the default run for its size: Algorithm 1 solves one cell of
-# its last row and probes the others only as far as the d_min pruning
-# reads them; every DP of a grid of small graphs, memory bounds, batch
-# sizes, micro-batch counts, device and stage counts must give the
-# reference's answer, which fills the whole row
+echo "==> small stage-DP sweep (1.76M small DPs against the reference, one last-row cell)"
+# ignored in the default run for its size: Algorithm 1 solves only the
+# answer's cell of its last row; every DP of a grid of small graphs,
+# memory bounds, batch sizes, micro-batch counts, device and stage counts
+# must give the answer of the reference, which solves the same one cell
 cargo test --release -q -p rannc-core --offline --test dp_last_row -- --ignored
 
 echo "==> paper-scale stage-cut refinement (Fig. 4 grid, bert256-d128, 50 churn events)"
@@ -92,7 +91,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one graph index, one cost-row table per graph, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, one search fan-out, one arena source, one thread spawner, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
+echo "==> one-path gate (one stage DP, one last-row cell, one graph index, one cost-row table per graph, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, one search fan-out, one arena source, one thread spawner, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -106,6 +105,13 @@ echo "==> one-path gate (one stage DP, one graph index, one cost-row table per g
 DP_ENTRIES="$(grep -rn --include='*.rs' "pub fn form_stage_dp\b" crates/*/src | wc -l)"
 if [ "$DP_ENTRIES" -ne 1 ]; then
     echo "FAILED: expected exactly one pub fn form_stage_dp in crates/*/src, found $DP_ENTRIES"
+    exit 1
+fi
+# Algorithm 1's last row computes the answer's cell alone: the probes of
+# the row's other cells for the d_min pruning stay deleted.
+if awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    crates/core/src/dp.rs | grep -vE '^[^:]+:[0-9]+: *//' | grep -E "probe|'walk"; then
+    echo "FAILED: a last-row probe is back in crates/core/src/dp.rs"
     exit 1
 fi
 if grep -rnE --include='*.rs' \
@@ -295,12 +301,18 @@ if grep -rnE --include='*.rs' "fn join\b|par::join\(" crates/*/src; then
     echo "FAILED: par::join is back"
     exit 1
 fi
-# DP arenas outlive the search: the search gets every arena from the
-# process-wide spare list (DpArena::draw, through its pool) and hands it
-# back, so non-test search.rs never builds one.
+# DP arenas outlive the search: each (MB, T) group and the refinement
+# draw their arena from the process-wide spare list (DpArena::draw) and
+# shelve it there when done, so non-test search.rs never builds one.
 if awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
     crates/core/src/search.rs | grep -E 'DpArena::(new|default)\(\)'; then
     echo "FAILED: core::search builds a DpArena instead of drawing a spare"
+    exit 1
+fi
+# The spare list is the one arena source: the per-search pool layered
+# over it (ArenaPool) stays deleted.
+if grep -rn --include='*.rs' "ArenaPool" crates/*/src --exclude-dir=rannc_benchmark; then
+    echo "FAILED: the per-search ArenaPool is back in crates/*/src"
     exit 1
 fi
 # The sweep's fan-out is the planner's one source of threads: outside
