@@ -55,14 +55,9 @@ fn main() {
         let refined = Rannc::new(config).partition(&g, &cluster);
         let plan_s = t0.elapsed().as_secs_f64();
         match (scan, refined) {
-            (Some(mut scan), Ok(plan)) => {
-                let winner = scan
-                    .cells
-                    .swap_remove(scan.winner)
-                    .scored
-                    .expect("feasible")
-                    .1;
-                let unrefined = PartitionPlan::from_solution(g.name.clone(), &winner, 256);
+            (Some(scan), Ok(plan)) => {
+                let (_, winner) = scan.cells[scan.winner].solved().expect("feasible");
+                let unrefined = PartitionPlan::from_solution(g.name.clone(), winner, 256);
                 println!(
                     "{:>5} {:>7} {:>5} {:>10.1} {:>8.2} {:>10.1} {:>8.2}",
                     k,

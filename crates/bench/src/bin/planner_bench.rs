@@ -1,14 +1,15 @@
 //! `planner_bench` — block-phase and partition-search timing.
 //!
-//! Times the block phase and Algorithm 2 at `--threads` per bundled
-//! model, then writes `BENCH_partition.json` with wall-clock numbers and
-//! cache counters.
+//! Times the block phase and Algorithm 2 per bundled model, then writes
+//! `BENCH_partition.json` with wall-clock numbers, search and cache
+//! counters and each winner's optimality gap (its score over its score
+//! bound).
 //!
 //! ```sh
-//! planner_bench                      # full grid, 4 threads
+//! planner_bench                      # full grid
 //! planner_bench --quick --check      # CI smoke: small grid + self-validate
 //! planner_bench --paper-scale        # + bert-256l/gpt-96l/resnet152x8 at 128-1024 devices
-//! planner_bench --threads 8 --out /tmp/bench.json
+//! planner_bench --out /tmp/bench.json
 //! ```
 //!
 //! With `--check` the binary exits nonzero if the emitted JSON is
@@ -38,7 +39,6 @@ fn main() {
     let mut quick = false;
     let mut paper = false;
     let mut check = false;
-    let mut threads = 4usize;
     let mut repeats = 3usize;
     let mut tp_max = 1usize;
     let mut out = String::from("BENCH_partition.json");
@@ -79,16 +79,6 @@ fn main() {
                     eprintln!("--baseline needs a path");
                     std::process::exit(2);
                 }));
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    });
             }
             "--tp-max" => {
                 tp_max = args
@@ -144,7 +134,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: planner_bench [--quick] [--paper-scale] [--check] [--threads N] \
+                    "usage: planner_bench [--quick] [--paper-scale] [--check] \
                      [--repeat N] [--tp-max N] [--out FILE] [--trace-out FILE] [--metrics-out FILE] \
                      [--obs-summary] [--explain-out FILE] [--baseline FILE] \
                      [--cost-model analytical|calibrated:FILE]"
@@ -163,7 +153,7 @@ fn main() {
         rannc::obs::set_enabled(true);
     }
 
-    let report = planner::run(quick, paper, threads, repeats, &cost_spec, tp_max);
+    let report = planner::run(quick, paper, repeats, &cost_spec, tp_max);
     let json = planner::to_json(&report);
     if let Err(e) = std::fs::write(&out, &json) {
         eprintln!("cannot write {out}: {e}");
@@ -196,7 +186,7 @@ fn main() {
     if let Some(path) = &explain_out {
         let grid = planner::cases(quick);
         let case = grid.first().expect("non-empty grid");
-        match planner::explain_artifact(case, threads, &cost_spec) {
+        match planner::explain_artifact(case, &cost_spec) {
             Ok((artifact, _plan)) => {
                 if let Err(e) = std::fs::write(path, artifact) {
                     eprintln!("cannot write {path}: {e}");

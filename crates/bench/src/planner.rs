@@ -165,8 +165,6 @@ pub struct CaseResult {
 
 /// A full bench run.
 pub struct BenchReport {
-    /// Worker threads the searches ran with.
-    pub threads: usize,
     /// Quick (CI) grid or the full grid.
     pub quick: bool,
     /// Whether the paper-scale grid (128–1024 devices) was appended.
@@ -180,13 +178,11 @@ pub struct BenchReport {
     pub cases: Vec<CaseResult>,
 }
 
-/// Run one case: the block phase once, then the `threads`-wide search
-/// `repeats` times, each on a fresh cost model. The minimum search wall
+/// Run one case: the block phase once, then the search `repeats` times, each on a fresh cost model. The minimum search wall
 /// time is reported: the standard noise-robust estimator for a
 /// deterministic workload.
 pub fn run_case(
     case: &BenchCase,
-    threads: usize,
     repeats: usize,
     cost: &CostModelSpec,
     tp_max: usize,
@@ -215,7 +211,7 @@ pub fn run_case(
     let prep_seconds = t0.elapsed().as_secs_f64();
 
     let tp_max = tp_max.max(1);
-    let opts = SearchOptions { threads, tp_max };
+    let opts = SearchOptions { tp_max };
     let mut search_seconds = f64::INFINITY;
     let mut last = None;
     for _ in 0..repeats.max(1) {
@@ -252,7 +248,6 @@ pub fn run_case(
 pub fn run(
     quick: bool,
     paper: bool,
-    threads: usize,
     repeats: usize,
     cost: &CostModelSpec,
     tp_max: usize,
@@ -272,7 +267,7 @@ pub fn run(
             cost.name(),
             tp_max.max(1),
         );
-        let r = run_case(&case, threads, repeats, cost, tp_max);
+        let r = run_case(&case, repeats, cost, tp_max);
         eprintln!(
             "  blocks {:.3} s | search {:.3} s | {} stage(s)",
             r.prep_seconds, r.search_seconds, r.plan_stages
@@ -280,7 +275,6 @@ pub fn run(
         results.push(r);
     }
     BenchReport {
-        threads,
         quick,
         paper,
         cost_model: cost.name().to_string(),
@@ -310,11 +304,10 @@ pub fn plans_identical(a: &PartitionPlan, b: &PartitionPlan) -> bool {
 }
 
 /// Partition `case` end-to-end with the flight recorder on and return
-/// the explain artifact (schema v1 JSON). The recorder is switched off
+/// the explain artifact (schema v3 JSON). The recorder is switched off
 /// again before returning, error or not.
 pub fn explain_artifact(
     case: &BenchCase,
-    threads: usize,
     cost: &CostModelSpec,
 ) -> Result<(String, PartitionPlan), String> {
     use rannc::obs::recorder;
@@ -322,7 +315,6 @@ pub fn explain_artifact(
     let cfg = PartitionConfig::new(case.batch)
         .with_k(case.k)
         .with_verify(VerifyMode::Off)
-        .with_threads(threads)
         .with_cost_model(cost.clone());
     recorder::set_enabled(true);
     recorder::reset();
@@ -351,8 +343,7 @@ fn json_cache(stats: &CacheStats) -> String {
 pub fn to_json(report: &BenchReport) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"rannc_planner_search\",\n");
-    out.push_str("  \"version\": 7,\n");
-    out.push_str(&format!("  \"threads\": {},\n", report.threads));
+    out.push_str("  \"version\": 8,\n");
     out.push_str(&format!("  \"tp_max\": {},\n", report.tp_max));
     out.push_str(&format!("  \"quick\": {},\n", report.quick));
     out.push_str(&format!("  \"paper_scale\": {},\n", report.paper));
@@ -365,8 +356,8 @@ pub fn to_json(report: &BenchReport) -> String {
              \"prep_seconds\": {:.6}, \"search_seconds\": {:.6},\n     \
              \"plan_stages\": {}, \
              \"tp_max\": {}, \"plan_tp\": [{}],\n     \
-             \"search\": {{\"candidates\": {}, \"feasible\": {}, \
-             \"node_tiers\": {}, \"threads\": {}}},\n     \
+             \"search\": {{\"candidates\": {}, \"feasible\": {}, \"pruned\": {}, \
+             \"bounded\": {}, \"node_tiers\": {}, \"gap\": {}}},\n     \
              \"stage_cache\": {},\n     \
              \"profiler_cache\": {}}}{}\n",
             c.model,
@@ -386,8 +377,10 @@ pub fn to_json(report: &BenchReport) -> String {
                 .join(", "),
             c.search.candidates,
             c.search.feasible,
+            c.search.pruned,
+            c.search.bounded,
             c.search.node_tiers,
-            c.search.threads,
+            c.search.gap.map_or("null".into(), |g| format!("{g:.6}")),
             json_cache(&c.search.stage_cache),
             json_cache(&c.profiler_cache),
             if i + 1 == report.cases.len() { "" } else { "," },
@@ -513,7 +506,7 @@ mod tests {
 
     #[test]
     fn quick_grid_runs_and_serializes() {
-        let report = run(true, false, 2, 1, &CostModelSpec::Analytical, 1);
+        let report = run(true, false, 1, &CostModelSpec::Analytical, 1);
         assert_eq!(report.cases.len(), 2);
         for c in &report.cases {
             assert!(c.plan_stages > 0, "{}: infeasible", c.model);
@@ -565,13 +558,14 @@ mod tests {
     #[test]
     fn quick_case_with_tp_is_deterministic() {
         let case = &cases(true)[1];
-        let r = run_case(case, 4, 1, &CostModelSpec::Analytical, 4);
-        let one = run_case(case, 1, 1, &CostModelSpec::Analytical, 4);
-        assert_eq!(
-            (&r.plan_tp, r.search.candidates, r.search.feasible),
-            (&one.plan_tp, one.search.candidates, one.search.feasible),
-            "3D sweep reported differently at 1 and 4 threads"
-        );
+        let r = run_case(case, 1, &CostModelSpec::Analytical, 4);
+        let again = run_case(case, 1, &CostModelSpec::Analytical, 4);
+        let report = |r: &CaseResult| {
+            let s = &r.search;
+            let counts = (s.candidates, s.feasible, s.pruned, s.bounded);
+            (r.plan_tp.clone(), counts, s.stage_cache.misses, s.gap)
+        };
+        assert_eq!(report(&r), report(&again), "3D sweep reported differently");
         assert_eq!(r.tp_max, 4);
         assert_eq!(r.plan_tp.len(), r.plan_stages);
         assert!(
@@ -584,7 +578,6 @@ mod tests {
     #[test]
     fn baseline_compare_flags_regressions_only() {
         let mk = |search_seconds: f64| BenchReport {
-            threads: 1,
             quick: true,
             paper: false,
             cost_model: "analytical".into(),

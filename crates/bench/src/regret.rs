@@ -10,7 +10,10 @@
 //! Homogeneous clusters only. The Fig. 4 and Fig. 5 grids search the
 //! default `T = 1` grid, so a cell is named by its `(S, MB)`.
 
-use rannc::core::{atomic_partition, block_partition, scan_first_feasible_tier, BlockLimits};
+use rannc::core::{
+    atomic_partition, block_partition, scan_first_feasible_tier, solve_cell, BlockLimits,
+    CellOutcome, RangeTable,
+};
 use rannc::prelude::*;
 
 /// One feasible cell of the winning tier.
@@ -63,21 +66,33 @@ impl TierAgreement {
         let (scan, _) =
             scan_first_feasible_tier(g, cost, &blocks, cluster, cfg.batch_size, &cfg.search);
         let scan = scan?;
+        // the walk skips the cells its score bound shows cannot win: solve
+        // those here, each through a fresh arena
+        let ranges = RangeTable::build(cost, &blocks);
         let mut cells = Vec::new();
         let mut winner = 0;
         for (i, cell) in scan.cells.iter().enumerate() {
-            let Some((score, sol)) = &cell.scored else {
-                continue;
+            let (score, sol) = match &cell.outcome {
+                CellOutcome::Solved {
+                    score, solution, ..
+                } => (*score, solution.clone()),
+                CellOutcome::Bounded { .. } => {
+                    match solve_cell(cost, &ranges, cluster, &cell.params) {
+                        Some(solved) => solved,
+                        None => continue,
+                    }
+                }
+                CellOutcome::Infeasible => continue,
             };
             if i == scan.winner {
                 winner = cells.len();
             }
-            let plan = PartitionPlan::from_solution(g.name.clone(), sol, cfg.batch_size);
+            let plan = PartitionPlan::from_solution(g.name.clone(), &sol, cfg.batch_size);
             let sim = simulate_plan(&plan, cost, cluster).expect("a feasible cell simulates");
             cells.push(ScoredCell {
                 stages: cell.params.stages,
                 microbatches: cell.params.microbatches,
-                score: *score,
+                score,
                 bottleneck: sol.value,
                 sim: sim.iteration_time,
             });

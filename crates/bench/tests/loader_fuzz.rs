@@ -46,7 +46,7 @@ fn corpus() -> &'static Corpus {
     CORPUS.get_or_init(|| {
         let (explain, plan) = {
             let _guard = rannc::obs::trace::test_guard();
-            planner::explain_artifact(&planner::cases(true)[0], 1, &CostModelSpec::Analytical)
+            planner::explain_artifact(&planner::cases(true)[0], &CostModelSpec::Analytical)
                 .expect("recorded search")
         };
         let calibration = Calibration {
@@ -104,7 +104,6 @@ fn corpus() -> &'static Corpus {
 /// against mutated baselines.
 fn sample_report() -> BenchReport {
     BenchReport {
-        threads: 4,
         quick: true,
         paper: false,
         cost_model: "analytical".into(),
@@ -363,7 +362,12 @@ fn corpus_documents_load() {
     let c = corpus();
     Calibration::from_json(&c.calibration).expect("calibration");
     ClusterEventTrace::from_json(&c.churn).expect("churn trace");
-    check_explain(&c.explain).expect("explain");
+    let explain = check_explain(&c.explain).expect("explain");
+    // the mutants reach every candidate outcome the v3 schema decodes
+    assert!(
+        explain.feasible > 0 && explain.infeasible > 0 && explain.bounded > 0,
+        "explain corpus lacks an outcome: {explain:?}"
+    );
     check_trace(&c.trace).expect("trace");
     check_metrics(&c.metrics).expect("metrics");
     planner::validate_json(&c.report).expect("report");

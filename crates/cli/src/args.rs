@@ -73,8 +73,6 @@ TRAINING OPTIONS:
   --noise <SIGMA>     profiling noise amplitude (default 0)
 
 PLANNER ENGINE OPTIONS:
-  --threads <N>       worker threads for the partition search (default:
-                      RANNC_THREADS env var, else available parallelism)
   --tp-max <N>        largest tensor-parallel degree the (S, MB, T)
                       search may assign per stage (default 1 = the
                       historical pipeline/data-parallel-only search)
@@ -240,8 +238,6 @@ pub struct Args {
     pub k: usize,
     pub mixed: bool,
     pub noise: f64,
-    /// Search-engine worker threads (0 = auto).
-    pub threads: usize,
     /// Largest tensor-parallel degree per stage (1 = 2D search).
     pub tp_max: usize,
     /// Print planner cache/search statistics.
@@ -317,7 +313,6 @@ impl Default for Args {
             k: 32,
             mixed: false,
             noise: 0.0,
-            threads: 0,
             tp_max: 1,
             planner_stats: false,
             cost_model: CostModelArg::default(),
@@ -417,7 +412,6 @@ impl Args {
                         .parse()
                         .map_err(|e| format!("--noise: {e}"))?
                 }
-                "--threads" => a.threads = num(&flag, &mut it)?,
                 "--tp-max" => a.tp_max = num(&flag, &mut it)?,
                 "--planner-stats" => a.planner_stats = true,
                 "--cost-model" => a.cost_model = CostModelArg::parse(&value(&flag, &mut it)?)?,
@@ -660,12 +654,14 @@ mod tests {
 
     #[test]
     fn planner_engine_flags() {
-        let a = parse("--model bert --threads 4 --planner-stats").unwrap();
-        assert_eq!(a.threads, 4);
+        let a = parse("--model bert --planner-stats").unwrap();
         assert!(a.planner_stats);
         let d = parse("--model bert").unwrap();
-        assert_eq!(d.threads, 0, "0 = auto-resolve");
         assert!(!d.planner_stats);
+        assert!(
+            parse("--model bert --threads 4").is_err(),
+            "the search runs on the calling thread: --threads is gone"
+        );
     }
 
     #[test]

@@ -69,9 +69,6 @@ fn main() {
         rannc::obs::recorder::set_enabled(true);
     }
 
-    if args.threads > 0 {
-        rannc::core::par::set_threads(args.threads);
-    }
     let cost_spec = match &args.cost_model {
         CostModelArg::Analytical => CostModelSpec::Analytical,
         CostModelArg::Calibrated(path) => match Calibration::load(std::path::Path::new(path)) {

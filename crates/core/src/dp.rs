@@ -234,8 +234,8 @@ impl Hot {
 /// arena of its own). The parameter-level inputs are part of `MemoKey`
 /// and checked automatically. Across groups and searches only the
 /// allocations are reused: a group draws its arena from a process-wide
-/// spare list, with its memo invalidated, and hands it back when it is
-/// done.
+/// spare list, with its memo invalidated, and hands it back when its
+/// tier's walk is done.
 #[derive(Default)]
 pub struct DpArena {
     nb: usize,
@@ -279,16 +279,11 @@ impl DpArena {
         arena
     }
 
-    /// Hand `arenas` back to the spare list, keeping at most `keep`
-    /// spares there; the rest are freed.
-    pub(crate) fn shelve(arenas: impl IntoIterator<Item = DpArena>, keep: usize) {
-        let mut spare = SPARE_ARENAS.lock().unwrap();
-        for arena in arenas {
-            if spare.len() >= keep {
-                break;
-            }
-            spare.push(arena);
-        }
+    /// Hand `arenas` back to the spare list. Every holder draws before it
+    /// shelves, so the list never holds more arenas than searches held
+    /// at once.
+    pub(crate) fn shelve(arenas: impl IntoIterator<Item = DpArena>) {
+        SPARE_ARENAS.lock().unwrap().extend(arenas);
     }
 
     /// Stage lookups this arena's memo answered since it was made or

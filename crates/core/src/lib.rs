@@ -56,8 +56,8 @@ pub use plan::{PartitionPlan, PlanError, StagePlan};
 pub use plan_io::{decode_plan, encode_plan, load_plan, save_plan, PlanIoError};
 pub use replan::{diff_plans, PlanDiff, ReplanOutcome};
 pub use search::{
-    form_stage_with, proven_infeasible, scan_first_feasible_tier, tier_grids, SearchOptions,
-    SearchStats,
+    form_stage_with, proven_infeasible, scan_first_feasible_tier, score_bound, solve_cell,
+    tier_grids, CellOutcome, SearchOptions, SearchStats,
 };
 pub use stagecache::{DpCtx, RangeTable, StageCost};
 
@@ -104,8 +104,7 @@ pub struct PartitionConfig {
     pub noise_seed: u64,
     /// Static-verification post-pass behaviour (default: [`VerifyMode::Fail`]).
     pub verify: VerifyMode,
-    /// Partition-search engine options (worker threads, tensor-parallel
-    /// bound).
+    /// Partition-search engine options (the tensor-parallel bound).
     pub search: SearchOptions,
     /// Cost model pricing the search (default: [`CostModelSpec::Analytical`]).
     pub cost: CostModelSpec,
@@ -152,10 +151,10 @@ impl PartitionConfig {
         self
     }
 
-    /// Set the search-engine worker thread count (0 = auto-resolve via
-    /// [`par::max_threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.search.threads = threads;
+    /// Does nothing: the search runs on the calling thread. Kept, with
+    /// [`par::set_threads`], only because the frozen benchmark package
+    /// calls it.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -213,14 +212,15 @@ impl PlannerStats {
         format!(
             "planner stats:\n  \
              search: {} DP candidate(s), {} feasible, {} proven infeasible by the memory bound, \
-             {} node tier(s), {} thread(s)\n  \
+             {} bounded by the score bound, {} node tier(s), winner gap {}\n  \
              stage cache: {}\n  \
              profiler cache: {}",
             search.candidates,
             search.feasible,
             search.pruned,
+            search.bounded,
             search.node_tiers,
-            search.threads,
+            search.gap.map_or("-".into(), |g| format!("{g:.3}")),
             cache(&search.stage_cache),
             cache(&self.profiler_cache),
         )

@@ -100,6 +100,15 @@ impl SlotTable {
         debug_assert!(from < to && to <= self.devices);
         self.range_scale[from * (self.devices + 1) + to]
     }
+
+    /// The least compute slow-down of any one slot versus the template:
+    /// below `1.0` when some slot is faster, and never above any
+    /// [`SlotTable::group_scale`].
+    pub fn fastest_scale(&self) -> f64 {
+        (0..self.devices)
+            .map(|a| self.group_scale(a, a + 1))
+            .fold(f64::INFINITY, f64::min)
+    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ const MIN_GAIN: f64 = 1.0 / 4096.0;
 /// `winner` is Algorithm 1's solution over the blocks of `ranges`, and
 /// `slots` the placement table of its tier. The result depends on
 /// nothing else (the atom time sums are exact), so it is the same on
-/// every thread count and for any range table of the same blocks.
+/// every run and for any range table of the same blocks.
 pub fn refined_stages(
     cost: &dyn CostModel,
     ranges: &RangeTable,

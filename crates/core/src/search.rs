@@ -5,63 +5,58 @@
 //! pipeline replica. From `n` it derives the device budget `D = D_node·n`
 //! and the pipeline-replica factor `R = N/n`, then scans stage counts
 //! `S ∈ (D_node·(n−1), D_node·n]`, micro-batch counts `MB = 1, 2, 4, …`
-//! `≤ ⌊BS/R⌋` and tensor-parallel degrees `T ≤ tp_max`, invoking
-//! Algorithm 1 for each cell that a memory bound does not prove
-//! INFEASIBLE ([`tier_grids`] builds each tier's grid). The
-//! first tier with any feasible cell wins; of its cells the one with the
-//! lowest [`score_solution`] is returned, the first minimum in grid order.
-//! [`scan_first_feasible_tier`] returns that whole tier, scored, and
-//! [`form_stage_with`] its winner, with its stage cuts refined at atom
-//! granularity when that scores strictly lower ([`crate::refine`]).
+//! `≤ ⌊BS/R⌋` and tensor-parallel degrees `T ≤ tp_max` ([`tier_grids`]
+//! builds each tier's grid). The first tier with any feasible cell wins;
+//! of its cells the one with the lowest [`score_solution`] is returned,
+//! the first minimum in grid order. [`scan_first_feasible_tier`] returns
+//! that whole tier, and [`form_stage_with`] its winner, with its stage
+//! cuts refined at atom granularity when that scores strictly lower
+//! ([`crate::refine`]).
 //!
 //! Aligning `D` to whole nodes keeps inter-stage traffic on NVLink, which
 //! is also why Algorithm 1 plans with the intra-node link (footnote 3).
 //!
-//! ## The parallel engine
+//! ## The best-first walk
 //!
-//! A node tier's `S × MB × T` candidate grid is embarrassingly parallel:
-//! each cell is one independent `form_stage_dp` invocation.
-//! [`scan_first_feasible_tier`] builds every block-range union once
-//! ([`RangeTable::build`]), groups the grid by `(MB, T)` and fans the
-//! groups out over [`crate::par::parallel_map_with`]. Each group runs its
-//! stage counts ascending through one [`DpArena`], whose flat
-//! `(b_prev, b, repl)` memo persists across the group's candidates. The
-//! group draws the arena from a process-wide spare list (`DpArena::draw`)
-//! and shelves it there when it is done (`DpArena::shelve`), so later
-//! groups and requests reuse its allocations but never its memo entries.
-//! A group returns the arena's memo counters with its results, and
-//! [`SearchStats::stage_cache`] is their sum.
+//! A tier's `S × MB × T` grid holds one independent `form_stage_dp`
+//! invocation per cell, and one cell wins. [`scan_first_feasible_tier`]
+//! builds every block-range union once ([`RangeTable::build`]), groups
+//! the grid by `(MB, T)` and settles every cell on the calling thread:
 //!
-//! **The memory bound.** A cell runs its DP unless a memory-only bound
-//! proves it INFEASIBLE first ([`proven_infeasible`]): each group finds,
-//! per block range, the fewest data-parallel units on which the range
-//! fits memory, and a cell whose `S` stages need more than its `D` units
-//! in total cannot have a split. The proof is exact, so it changes no
-//! result, only the work: on bert256-d128 it proves 118 of 120 cells,
-//! every INFEASIBLE one. A proven cell is recorded INFEASIBLE as a DP's
-//! `None` would be, and counts in [`SearchStats::pruned`]. The calling
-//! thread proves the groups in grid order up to the first with a cell
-//! left to solve and fans out only from there, so a tier the bound
-//! settles (bert256-d128's one-node tier, most churn replans) spawns no
-//! thread.
+//! 1. [`proven_infeasible`] proves, per group, the cells whose `S` stages
+//!    need more than their `D` data-parallel units to fit memory. A proven
+//!    cell is recorded INFEASIBLE and counts in [`SearchStats::pruned`]
+//!    (118 of bert256-d128's 120 cells, every INFEASIBLE one).
+//! 2. Every other cell gets [`score_bound`], a lower bound on the score
+//!    of any solution Algorithm 1 can return for it.
+//! 3. Those cells run best-first, in `(bound, grid index)` order, and a
+//!    cell's DP runs unless its bound is strictly above the best score so
+//!    far. A skipped cell is recorded BOUNDED with its bound and counts in
+//!    [`SearchStats::bounded`]; once one is skipped, all later ones are.
+//!    On resnet152x8-d128, 7 of the 34 open cells run their DP.
 //!
-//! **Determinism.** The chosen plan is bit-identical to a sequential
-//! scan with a fresh arena per candidate: candidate results are
-//! scattered back to grid order before the winner is chosen, every DP
-//! result is a pure function of its parameters (arena memo entries
-//! equal fresh evaluations exactly), and the winner is the *first*
-//! candidate with the minimal score — the same tie-breaking
-//! `Iterator::min_by` applies in a sequential scan. The set of DPs that
-//! run, and so every search counter, does not depend on the thread
-//! schedule: the bound that skips a cell is a pure function of its
-//! group, and a group's memo counters are those of an arena drawn for
-//! it alone. The `determinism` integration suite pins this contract
-//! against such a scan, and the refined plan against the test-support
-//! refinement of that scan's winner.
+//! The cells of one group share one [`DpArena`], whose flat
+//! `(b_prev, b, repl)` memo filled by one stage count answers most
+//! lookups of the next. A group draws it from a process-wide spare list
+//! on its first DP (`DpArena::draw`) and the tier shelves it when its
+//! walk ends (`DpArena::shelve`), so later tiers and requests reuse the
+//! allocations but never a memo entry. [`SearchStats::stage_cache`] sums
+//! the groups' memo counters.
+//!
+//! **Exactness and determinism.** A skipped cell scores at least its
+//! bound, which is above some solved cell's score, so it cannot be a
+//! minimum; a cell that ties the winner has a bound at most the best
+//! score at every step, so its DP runs. The winner is the first minimum
+//! in grid order over the solved cells, the cell a scan that solves
+//! every cell picks. DP results are pure functions of their parameters
+//! (arena memo entries equal fresh evaluations exactly), and the walk's
+//! order, so the set of DPs run and every search counter, is a pure
+//! function of the tier. The `determinism` integration suite pins this
+//! against such a scan with a fresh arena per cell, and the refined plan
+//! against the test-support refinement of that scan's winner.
 
 use crate::blocks::Block;
 use crate::dp::{form_stage_dp, micro_batch, DpArena, DpParams, DpSolution};
-use crate::par;
 use crate::placement::SlotTable;
 use crate::refine;
 use crate::stagecache::{DpCtx, RangeTable};
@@ -85,12 +80,84 @@ pub fn score_solution(sol: &DpSolution, cluster: &ClusterSpec, cost: &dyn CostMo
     sync_iteration_time(sol.stages.len(), sol.microbatches, sol.value, tail)
 }
 
+/// The relative slack [`score_bound`] gives up against floating-point
+/// rounding, `2⁻³⁰`: millions of ulps above the few its prices carry.
+pub const BOUND_SLACK: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// A lower bound on the [`score_solution`] of every solution Algorithm 1
+/// can return for cell `p` on the tier's placement table `slots`, for a
+/// cell the memory bound leaves open (`S ≤ D`, `samples = ⌊BS/R/MB⌋ ≥ 1`):
+/// `tail.after((MB + S − 1)·ρ·W/D)`, where
+///
+/// - `W` is forward plus backward time of the whole block list priced as
+///   one stage ([`CostModel::stage_cost_tp`]) at micro-batch `samples`,
+///   degree `T` and the cell's residency;
+/// - `ρ = min r·⌊samples/r⌋/samples` over `r ∈ [1, min(D − S + 1,
+///   samples)]`, the replica counts a stage can take;
+/// - the tail is the gradient all-reduce of a `⌈P/S⌉`-parameter stage
+///   over `R` replicas, with the cell's own `spans_nodes`, plus the
+///   optimizer step on `⌈P/S⌉·4/T` bytes, `P` the list's parameters.
+///
+/// A stage on `r` units runs `⌊samples/r⌋ ≥ ρ·samples/r` samples, and
+/// its time per sample is nonincreasing in its micro-batch; the split's
+/// `Σ r = D` units and its stages' times, which together are at least
+/// `W` ([`CostModel`]), then give `V ≥ max tᶠ + tᵇ ≥ ρ·W/D`. The largest
+/// stage holds at least `⌈P/S⌉` parameters and all-reduces over at
+/// least `R` replicas. DESIGN.md §14 has the whole proof. Three cases
+/// keep it sound beyond that argument:
+///
+/// - **Faster slots.** A stage on a device group faster than the template
+///   ([`SlotTable::group_scale`] below 1) computes faster: `V`'s bound is
+///   scaled by the fastest slot's scale ([`SlotTable::fastest_scale`])
+///   when it is below 1.
+/// - **Profiling noise.** With amplitude `σ > 0` every priced time is its
+///   noise-free time times a draw in `[1 − σ, 1 + σ]`, `W` included: `V`'s
+///   bound is widened by the noise band, `(1 − σ)/(1 + σ)`.
+/// - **Floating point.** The prices are rounded, so the bound is lowered
+///   by the relative slack [`BOUND_SLACK`].
+pub fn score_bound(
+    cost: &dyn CostModel,
+    ranges: &RangeTable,
+    cluster: &ClusterSpec,
+    slots: &SlotTable,
+    p: &DpParams,
+) -> f64 {
+    let (nb, s, d) = (ranges.blocks(), p.stages, p.devices);
+    let samples = micro_batch(p.batch_size, p.replica_factor, p.microbatches, 1);
+    debug_assert!(
+        1 <= s && s <= d && samples >= 1,
+        "a cell the memory bound leaves open"
+    );
+    let Residency {
+        inflight,
+        checkpointing,
+    } = Residency::fill_drain(s, p.microbatches);
+    let whole = &ranges.get(0, nb).set;
+    let time = ranges.time(cost.profiler(), &ranges.row(samples, p.tp), 0, nb);
+    let w = cost.stage_cost_tp(whole, time, samples, inflight, checkpointing, p.tp, cluster);
+    let rho = (1..=samples.min(d + 1 - s))
+        .map(|r| r * (samples / r))
+        .min()
+        .unwrap_or(samples) as f64
+        / samples as f64;
+    let sigma = cost.options().noise_sigma;
+    let noise = ((1.0 - sigma) / (1.0 + sigma)).max(0.0);
+    let speed = slots.fastest_scale().min(1.0);
+    let v = (w.fwd_time + w.bwd_time) * rho / d as f64 * noise * speed;
+    let grads = StageGrads::of_params(w.param_elems.div_ceil(s), 1, p.tp);
+    let spans_nodes = p.replica_factor > 1 || d * p.tp > cluster.node.devices;
+    let factors = cost.factors();
+    let tail = IterationTail {
+        allreduce: grads.allreduce_time(cluster, factors, p.replica_factor, spans_nodes),
+        optimizer: factors.optimizer_time(&cluster.device, grads.grad_bytes),
+        spans_nodes,
+    };
+    sync_iteration_time(s, p.microbatches, v, tail) * (1.0 - BOUND_SLACK)
+}
+
 /// Tuning knobs of the partition-search engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOptions {
-    /// Worker threads for the `(S, MB, T)` sweep; 0 resolves through
-    /// [`par::max_threads`] (override → `RANNC_THREADS` → hardware).
-    pub threads: usize,
     /// Largest tensor-parallel degree `T` the sweep may try per stage
     /// (the third search axis). `1` disables intra-op partitioning and
     /// reproduces the historical `(S, MB)` grid bit for bit.
@@ -99,18 +166,16 @@ pub struct SearchOptions {
 
 impl Default for SearchOptions {
     fn default() -> Self {
-        SearchOptions {
-            threads: 0,
-            tp_max: 1,
-        }
+        SearchOptions { tp_max: 1 }
     }
 }
 
-/// Counters describing one [`scan_first_feasible_tier`] run.
+/// Counters describing one [`scan_first_feasible_tier`] run. Each is a
+/// pure function of the search's inputs.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
     /// Algorithm 1 candidates: the grid cells of every node tier searched,
-    /// proven ones included.
+    /// proven and bounded ones included.
     pub candidates: usize,
     /// DP invocations that returned a feasible solution.
     pub feasible: usize,
@@ -118,10 +183,15 @@ pub struct SearchStats {
     /// INFEASIBLE, so Algorithm 1 never ran them. Counted in
     /// `candidates`, never in `feasible`.
     pub pruned: usize,
+    /// Grid cells the walk skipped because their [`score_bound`] was
+    /// strictly above a solved cell's score, so Algorithm 1 never ran
+    /// them. Counted in `candidates`, never in `feasible` or `pruned`.
+    pub bounded: usize,
     /// Node tiers (`n` values) examined.
     pub node_tiers: usize,
-    /// Worker threads the sweep ran with.
-    pub threads: usize,
+    /// The scan winner's optimality gap: its score over its own
+    /// [`score_bound`], at least 1. `None` when the search is INFEASIBLE.
+    pub gap: Option<f64>,
     /// DP arena memo behaviour, summed over the sweep's `(MB, T)` groups
     /// (the refinement's DP is not counted): `hits` are memo hits,
     /// `misses` (and so `entries()`) stage evaluations.
@@ -135,6 +205,7 @@ fn finish(stats: SearchStats) -> SearchStats {
         ("candidates", stats.candidates),
         ("feasible", stats.feasible),
         ("pruned", stats.pruned),
+        ("bounded", stats.bounded),
         ("node_tiers", stats.node_tiers),
     ] {
         rannc_obs::metrics::counter(&format!("planner.search.{name}")).add(n as u64);
@@ -251,8 +322,7 @@ fn group_cells(grid: &[DpParams]) -> Vec<Vec<usize>> {
 /// memory bound, and every such split has `Σ r_min ≤ D`. The bound is
 /// `mem_limit`, the largest device's, so on a heterogeneous cluster it is
 /// only looser than the DP's placed per-group check. It is a pure
-/// function of the group, so the cells it proves, like the DPs the
-/// others run, do not depend on the thread schedule.
+/// function of the group.
 pub fn proven_infeasible(
     cost: &dyn CostModel,
     ranges: &RangeTable,
@@ -344,32 +414,68 @@ pub fn proven_infeasible(
         .collect()
 }
 
+/// How one grid cell of a [`TierScan`] ended.
+#[derive(Debug, Clone)]
+pub enum CellOutcome {
+    /// Algorithm 1 ran and returned `solution`, scored `score`
+    /// ([`score_solution`]); `bound` is the cell's [`score_bound`].
+    Solved {
+        /// The solution's [`score_solution`].
+        score: f64,
+        /// The cell's [`score_bound`], at most `score`.
+        bound: f64,
+        /// Algorithm 1's solution.
+        solution: DpSolution,
+    },
+    /// Algorithm 1 never ran: the cell's [`score_bound`], `bound`, is
+    /// strictly above the score of a solved cell of the tier, so the cell
+    /// cannot win.
+    Bounded {
+        /// The cell's [`score_bound`].
+        bound: f64,
+    },
+    /// Algorithm 1 returned INFEASIBLE, or the memory bound proved it
+    /// would ([`proven_infeasible`]).
+    Infeasible,
+}
+
 /// One grid cell of a [`TierScan`].
 #[derive(Debug, Clone)]
 pub struct ScanCell {
     /// The cell's Algorithm 1 inputs.
     pub params: DpParams,
-    /// The cell's [`score_solution`] and DP solution; `None` if infeasible.
-    pub scored: Option<(f64, DpSolution)>,
+    /// How the cell ended.
+    pub outcome: CellOutcome,
 }
 
-/// The first node tier with a feasible cell, every cell solved (or
-/// proven INFEASIBLE) and scored.
+impl ScanCell {
+    /// The cell's score and solution when Algorithm 1 solved it.
+    pub fn solved(&self) -> Option<(f64, &DpSolution)> {
+        match &self.outcome {
+            CellOutcome::Solved {
+                score, solution, ..
+            } => Some((*score, solution)),
+            _ => None,
+        }
+    }
+}
+
+/// The first node tier with a feasible cell, every cell solved, bounded
+/// or proven INFEASIBLE.
 #[derive(Debug, Clone)]
 pub struct TierScan {
     /// Whole-pipeline replicas `R = N/n`.
     pub replica_factor: usize,
     /// Every cell of the tier, in grid order.
     pub cells: Vec<ScanCell>,
-    /// Index in `cells` of the winner: the first feasible cell with the
+    /// Index in `cells` of the winner: the first solved cell with the
     /// minimal score.
     pub winner: usize,
 }
 
-/// Algorithm 2 (`form_stage(N, D_node, BS)`) under explicit engine
-/// options: the tiers of [`tier_grids`] in order, the DP of every cell
-/// the memory bound does not prove INFEASIBLE run, up to the first tier
-/// with a feasible cell. Returns that tier, or
+/// Algorithm 2 (`form_stage(N, D_node, BS)`): the tiers of
+/// [`tier_grids`] in order, each walked best-first (see the module doc),
+/// up to the first tier with a feasible cell. Returns that tier, or
 /// `None` if the model cannot be partitioned onto the cluster at all
 /// (INFEASIBLE), with the search statistics alongside.
 pub fn scan_first_feasible_tier(
@@ -399,21 +505,12 @@ fn scan(
         cost.graph().num_tasks(),
         "blocks of another graph"
     );
-    let threads = if opts.threads == 0 {
-        par::max_threads()
-    } else {
-        opts.threads
-    };
-    rannc_obs::metrics::gauge("planner.search.threads").set(threads as f64);
-    let mut stats = SearchStats {
-        threads,
-        ..SearchStats::default()
-    };
+    let mut stats = SearchStats::default();
 
     // Flight-recorder hook (see `rannc_obs::recorder`): one recording
     // per search, one candidate per grid cell logged in grid order after
-    // each tier's scatter. While the recorder is disabled every hook is
-    // a branch on one relaxed atomic load and allocates nothing.
+    // each tier's walk. While the recorder is disabled every hook is a
+    // branch on one relaxed atomic load and allocates nothing.
     rannc_obs::recorder::begin_search();
 
     // Build every block-range union, with its egress and set statistics,
@@ -430,7 +527,7 @@ fn scan(
         let (n, d, r, grid) = (tier.nodes, tier.devices, tier.replica_factor, tier.cells);
         stats.node_tiers += 1;
         rannc_obs::recorder::tier(n, d, r);
-        // All stage counts of the tier are solved before choosing: for
+        // All cells of the tier are settled before choosing: for
         // memory-tight models the minimum feasible S is often not the
         // fastest one (more stages allow more micro-batches and finer
         // balance), and the paper's "return Best sol in A" picks among
@@ -438,113 +535,116 @@ fn scan(
         stats.candidates += grid.len();
         // one placement table per tier: it depends only on (D, R)
         let slots = SlotTable::build(cluster, d, r, cost.device(), cost.options().precision);
-        // Groups are the parallel work unit; results are scattered back
-        // to grid order below, so the regrouping cannot perturb the
-        // deterministic tie-break.
         let groups = group_cells(&grid);
-        let prove = |members: &[usize]| {
-            let params: Vec<DpParams> = members.iter().map(|&i| grid[i]).collect();
-            proven_infeasible(cost, &ranges, &params)
-        };
         let sweep = rannc_obs::trace::span("sweep", "planner")
             .arg_i("n", n as i64)
             .arg_i("candidates", grid.len() as i64)
             .arg_i("groups", groups.len() as i64);
-        // The calling thread proves the groups in grid order up to the
-        // first with a cell left to solve, so a tier the memory bound
-        // settles spawns no thread. Each later group is proven by the
-        // worker that solves it.
-        let mut proofs: Vec<Vec<bool>> = Vec::new();
-        for members in &groups {
-            let proven = prove(members);
-            let settled = proven.iter().all(|&p| p);
-            proofs.push(proven);
-            if !settled {
-                break;
-            }
-        }
-        // A group returns its cells' DP results, how many of them the
-        // bound proved INFEASIBLE without running the DP, and the memo
-        // counters of the one arena its DPs share, drawn from the spare
-        // list and shelved again at once.
-        let run_group = |&g: &usize| {
-            let proven = proofs.get(g).cloned().unwrap_or_else(|| prove(&groups[g]));
-            let mut arena = None;
-            let out: Vec<Option<DpSolution>> = (groups[g].iter().zip(&proven))
-                .map(|(&i, &proven)| {
-                    let p = &grid[i];
-                    let span = rannc_obs::trace::span("dp", "planner")
-                        .arg_i("S", p.stages as i64)
-                        .arg_i("MB", p.microbatches as i64)
-                        .arg_i("T", p.tp as i64)
-                        .arg_i("n", n as i64);
-                    if proven {
-                        let _dp = (span.arg_i("visits", 0).arg_i("evals", 0)).arg_i("proven", 1);
-                        return None;
-                    }
-                    let arena = arena.get_or_insert_with(DpArena::draw);
-                    let ctx = DpCtx::new(cost, &ranges, cluster, &slots, p);
-                    let (visits, evals) = (arena.visits(), arena.misses());
-                    let sol = form_stage_dp(&ctx, arena);
-                    // predecessor pairs walked and stages evaluated (memo
-                    // misses) by this DP alone
-                    let _dp = span
-                        .arg_i("visits", (arena.visits() - visits) as i64)
-                        .arg_i("evals", (arena.misses() - evals) as i64);
-                    sol
-                })
-                .collect();
-            let memo = (arena.as_ref()).map_or_else(CacheStats::default, |a| CacheStats {
-                hits: a.hits(),
-                misses: a.misses(),
-            });
-            DpArena::shelve(arena, threads);
-            (proven.iter().filter(|&&p| p).count(), memo, out)
+        // one `dp` span per grid cell, proven and bounded ones included
+        let dp_span = |p: &DpParams| {
+            rannc_obs::trace::span("dp", "planner")
+                .arg_i("S", p.stages as i64)
+                .arg_i("MB", p.microbatches as i64)
+                .arg_i("T", p.tp as i64)
+                .arg_i("n", n as i64)
         };
-        let settled = proofs.iter().take_while(|p| p.iter().all(|&p| p)).count();
-        let order: Vec<usize> = (0..groups.len()).collect();
-        let (inline, fanned) = order.split_at(settled);
-        let mut grouped: Vec<_> = inline.iter().map(run_group).collect();
-        grouped.extend(par::parallel_map_with(fanned, threads, run_group));
-        drop(sweep);
-        // scatter results back to deterministic grid order, scoring each
-        // feasible cell once
         let mut cells: Vec<ScanCell> = (grid.iter())
             .map(|&params| ScanCell {
                 params,
-                scored: None,
+                outcome: CellOutcome::Infeasible,
             })
             .collect();
-        for (members, (proven, memo, outs)) in groups.iter().zip(grouped) {
-            stats.pruned += proven;
-            stats.stage_cache.hits += memo.hits;
-            stats.stage_cache.misses += memo.misses;
-            for (&i, sol) in members.iter().zip(outs) {
-                cells[i].scored = sol.map(|s| (score_solution(&s, cluster, cost), s));
+        // The memory bound proves cells INFEASIBLE group by group; the
+        // others get their score bound, as (bound, cell, group).
+        let mut open: Vec<(f64, usize, usize)> = Vec::new();
+        for (group, members) in groups.iter().enumerate() {
+            let params: Vec<DpParams> = members.iter().map(|&i| grid[i]).collect();
+            for (&i, proven) in members
+                .iter()
+                .zip(proven_infeasible(cost, &ranges, &params))
+            {
+                if proven {
+                    stats.pruned += 1;
+                    let span = dp_span(&grid[i]).arg_i("visits", 0).arg_i("evals", 0);
+                    let _dp = span.arg_i("proven", 1);
+                } else {
+                    let bound = score_bound(cost, &ranges, cluster, &slots, &grid[i]);
+                    open.push((bound, i, group));
+                }
             }
         }
+        // Best first, ties in grid order: a cell runs unless its bound is
+        // strictly above the best score so far. Each group's DPs share the
+        // one arena it draws on its first.
+        open.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut arenas: Vec<Option<DpArena>> = groups.iter().map(|_| None).collect();
+        let mut best = f64::INFINITY;
+        for (bound, i, group) in open {
+            let p = &grid[i];
+            let span = dp_span(p);
+            if bound > best {
+                stats.bounded += 1;
+                cells[i].outcome = CellOutcome::Bounded { bound };
+                let span = span.arg_i("visits", 0).arg_i("evals", 0);
+                let _dp = span.arg_i("bounded", 1);
+                continue;
+            }
+            let arena = arenas[group].get_or_insert_with(DpArena::draw);
+            let ctx = DpCtx::new(cost, &ranges, cluster, &slots, p);
+            let (visits, evals) = (arena.visits(), arena.misses());
+            let sol = form_stage_dp(&ctx, arena);
+            // predecessor pairs walked and stages evaluated (memo misses)
+            // by this DP alone
+            let _dp = span
+                .arg_i("visits", (arena.visits() - visits) as i64)
+                .arg_i("evals", (arena.misses() - evals) as i64);
+            if let Some(solution) = sol {
+                let score = score_solution(&solution, cluster, cost);
+                best = best.min(score);
+                stats.feasible += 1;
+                cells[i].outcome = CellOutcome::Solved {
+                    score,
+                    bound,
+                    solution,
+                };
+            }
+        }
+        let arenas: Vec<DpArena> = arenas.into_iter().flatten().collect();
+        for arena in &arenas {
+            stats.stage_cache.hits += arena.hits();
+            stats.stage_cache.misses += arena.misses();
+        }
+        DpArena::shelve(arenas);
+        drop(sweep);
         if rannc_obs::recorder::enabled() {
             use rannc_obs::recorder::{candidate, CandidateOutcome};
-            for ScanCell { params: p, scored } in &cells {
-                let outcome = match scored {
-                    Some((score, s)) => CandidateOutcome::Feasible {
+            for ScanCell { params: p, outcome } in &cells {
+                let outcome = match outcome {
+                    CellOutcome::Solved {
+                        score,
+                        bound,
+                        solution,
+                    } => CandidateOutcome::Feasible {
                         score: *score,
-                        bottleneck: s.value,
+                        bottleneck: solution.value,
+                        bound: *bound,
                     },
-                    None => CandidateOutcome::Infeasible,
+                    CellOutcome::Bounded { bound } => CandidateOutcome::Bounded { bound: *bound },
+                    CellOutcome::Infeasible => CandidateOutcome::Infeasible,
                 };
                 candidate(p.stages, p.microbatches, p.tp, outcome);
             }
         }
-        stats.feasible += cells.iter().filter(|c| c.scored.is_some()).count();
         // Deterministic tie-break: min_by keeps the *first* minimum in grid
-        // order, so the parallel sweep picks the exact candidate a
-        // sequential scan would.
+        // order, the cell a scan that solves every cell picks.
         let winner = (cells.iter().enumerate())
-            .filter_map(|(i, c)| c.scored.as_ref().map(|(score, _)| (i, score)))
-            .min_by(|a, b| a.1.total_cmp(b.1))
+            .filter_map(|(i, c)| c.solved().map(|(score, _)| (i, score)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(i, _)| i);
         if let Some(winner) = winner {
+            if let CellOutcome::Solved { score, bound, .. } = cells[winner].outcome {
+                stats.gap = Some(score / bound);
+            }
             let scan = TierScan {
                 replica_factor: r,
                 cells,
@@ -554,6 +654,23 @@ fn scan(
         }
     }
     (None, finish(stats), ranges)
+}
+
+/// Algorithm 1 on cell `p` of a tier, through a freshly drawn arena,
+/// scored: the result the walk records when it runs the cell. For
+/// harnesses that measure every cell, bounded ones included.
+pub fn solve_cell(
+    cost: &dyn CostModel,
+    ranges: &RangeTable,
+    cluster: &ClusterSpec,
+    p: &DpParams,
+) -> Option<(f64, DpSolution)> {
+    let (d, precision) = (p.devices * p.tp, cost.options().precision);
+    let slots = SlotTable::build(cluster, d, p.replica_factor, cost.device(), precision);
+    let mut arena = DpArena::draw();
+    let sol = form_stage_dp(&DpCtx::new(cost, ranges, cluster, &slots, p), &mut arena);
+    DpArena::shelve([arena]);
+    sol.map(|sol| (score_solution(&sol, cluster, cost), sol))
 }
 
 /// Algorithm 2's best feasible solution: the winner of
@@ -569,10 +686,14 @@ pub fn form_stage_with(
 ) -> (Option<DpSolution>, SearchStats) {
     let (scan, stats, ranges) = scan(g, cost, blocks, cluster, batch_size, opts);
     let winner = scan.map(|(mut t, slots)| {
-        let ScanCell { params, scored } = t.cells.swap_remove(t.winner);
-        let (score, sol) = scored.expect("feasible");
-        let best = (params, score, sol);
-        refine_winner(cost, &ranges, &slots, cluster, best, stats.threads)
+        let ScanCell { params, outcome } = t.cells.swap_remove(t.winner);
+        let CellOutcome::Solved {
+            score, solution, ..
+        } = outcome
+        else {
+            unreachable!("the winner is solved")
+        };
+        refine_winner(cost, &ranges, &slots, cluster, (params, score, solution))
     });
     (winner, stats)
 }
@@ -582,14 +703,13 @@ pub fn form_stage_with(
 /// Algorithm 1 run at the winner's parameters `p` on the tier's
 /// placement table `slots`, and kept only if their [`score_solution`] is
 /// strictly lower than the winner's `score`. Its arena is drawn from the
-/// spare list and shelved there, with at most `threads` spares kept.
+/// spare list and shelved there.
 fn refine_winner(
     cost: &dyn CostModel,
     ranges: &RangeTable,
     slots: &SlotTable,
     cluster: &ClusterSpec,
     (p, score, winner): (DpParams, f64, DpSolution),
-    threads: usize,
 ) -> DpSolution {
     let span = rannc_obs::trace::span("refine", "planner").arg_f("bottleneck", winner.value);
     let Some(sets) = refine::refined_stages(cost, ranges, slots, &winner) else {
@@ -609,7 +729,7 @@ fn refine_winner(
     let mut arena = DpArena::draw();
     let refined =
         form_stage_dp(&ctx, &mut arena).map(|sol| (score_solution(&sol, cluster, cost), sol));
-    DpArena::shelve([arena], threads);
+    DpArena::shelve([arena]);
     let accepted = matches!(&refined, Some((v, _)) if *v < score);
     let outcome = if accepted { "accepted" } else { "rejected" };
     rannc_obs::metrics::counter(&format!("planner.refine.{outcome}")).inc();
@@ -737,7 +857,7 @@ mod tests {
         let cluster = small_cluster(2, mem);
         for tp_max in [1, 2] {
             let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
-            let opts = SearchOptions { threads: 2, tp_max };
+            let opts = SearchOptions { tp_max };
             let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, 32, &opts);
             assert!(sol.is_none());
             // every cell is rejected from its stages' memory: proven by
@@ -806,27 +926,35 @@ mod tests {
         }
     }
 
-    /// The stages within memory that the memory-only bound of the first
-    /// `tiers` node tiers' groups counts: its share of a [`Counting`]
-    /// model's `mem_ok` over a search of those tiers.
-    fn bound_mem_ok(
+    /// What the two bounds of the first `tiers` node tiers count on a
+    /// [`Counting`] model: `(mem_ok, timed)`, their share of a search's
+    /// counts over those tiers. The memory bound prices stage memory
+    /// ([`proven_infeasible`]), and the score bound the time of every
+    /// cell the memory bound leaves open ([`score_bound`]).
+    fn bounds_counted(
         g: &TaskGraph,
         blocks: &[Block],
         cluster: &ClusterSpec,
         batch_size: usize,
         tp_max: usize,
         tiers: usize,
-    ) -> u64 {
+    ) -> (u64, u64) {
         let cost = Counting::new(g, cluster);
         let ranges = RangeTable::build(&cost, blocks);
+        let precision = cost.options().precision;
         for tier in tier_grids(g, cluster, batch_size, tp_max).take(tiers) {
+            let (d, r) = (tier.devices, tier.replica_factor);
+            let slots = SlotTable::build(cluster, d, r, cost.device(), precision);
             for members in group_cells(&tier.cells) {
                 let group: Vec<DpParams> = members.iter().map(|&i| tier.cells[i]).collect();
-                proven_infeasible(&cost, &ranges, &group);
+                let proven = proven_infeasible(&cost, &ranges, &group);
+                for (p, _) in group.iter().zip(proven).filter(|(_, proven)| !proven) {
+                    score_bound(&cost, &ranges, cluster, &slots, p);
+                }
             }
         }
-        let mem_ok = *cost.mem_ok.lock().unwrap();
-        mem_ok
+        let counted = (*cost.mem_ok.lock().unwrap(), *cost.timed.lock().unwrap());
+        counted
     }
 
     impl CostModel for Counting<'_> {
@@ -880,35 +1008,39 @@ mod tests {
     /// In a feasible search under memory pressure, only stages that fit
     /// are timed, and every time comes from block time slots: no more
     /// stages are timed than the DPs found within memory, and each timed
-    /// stage reads at least one slot.
+    /// stage reads at least one slot. The bounds' own pricing is not the
+    /// DPs' and is taken out. Each case runs some DP over stages that do
+    /// not fit, so the ordering is tested.
     #[test]
     fn feasible_search_times_only_memory_feasible_stages() {
         let g = mlp_graph(&MlpConfig::deep(512, 512, 12, 10));
-        let mem = (1usize << 30) + 40 * (1 << 20); // overhead + 40 MB
-        let (_, blocks) = prep(&g, mem);
-        let cluster = small_cluster(2, mem);
-        for tp_max in [1, 2] {
-            let cost = Counting::new(&g, &cluster);
-            let opts = SearchOptions { threads: 2, tp_max };
-            let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, 32, &opts);
-            assert!(sol.is_some());
-            // the DPs' stages within memory: the bound's are not evaluations
-            let bound = bound_mem_ok(&g, &blocks, &cluster, 32, tp_max, stats.node_tiers);
-            let mem_ok = *cost.mem_ok.lock().unwrap() - bound;
-            assert!(
-                mem_ok < stats.stage_cache.misses,
-                "no stage was over memory: the case does not test the ordering"
-            );
-            let timed = *cost.timed.lock().unwrap();
-            assert!(
-                timed <= mem_ok,
-                "tp_max {tp_max}: {timed} stages timed, {mem_ok} stages fit memory"
-            );
-            let slots = cost.cache_stats();
-            assert!(
-                slots.hits + slots.misses >= timed,
-                "tp_max {tp_max}: {slots:?}"
-            );
+        // (device memory above the fixed overhead in MB, batch size): at
+        // 40 MB and batch 32 every stage the walk's DPs evaluate fits
+        for (extra_mb, batch_size) in [(20, 32), (25, 64)] {
+            let mem = (1usize << 30) + extra_mb * (1 << 20); // overhead + extra
+            let (_, blocks) = prep(&g, mem);
+            let cluster = small_cluster(2, mem);
+            for tp_max in [1, 2] {
+                let what = format!("{extra_mb} MB, batch {batch_size}, tp_max {tp_max}");
+                let cost = Counting::new(&g, &cluster);
+                let opts = SearchOptions { tp_max };
+                let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, batch_size, &opts);
+                assert!(sol.is_some(), "{what}");
+                let tiers = stats.node_tiers;
+                let bounds = bounds_counted(&g, &blocks, &cluster, batch_size, tp_max, tiers);
+                let mem_ok = *cost.mem_ok.lock().unwrap() - bounds.0;
+                assert!(
+                    mem_ok < stats.stage_cache.misses,
+                    "{what}: no stage was over memory: the case does not test the ordering"
+                );
+                let timed = *cost.timed.lock().unwrap() - bounds.1;
+                assert!(
+                    timed <= mem_ok,
+                    "{what}: {timed} stages timed, {mem_ok} stages fit memory"
+                );
+                let slots = cost.cache_stats();
+                assert!(slots.hits + slots.misses >= timed, "{what}: {slots:?}");
+            }
         }
     }
 

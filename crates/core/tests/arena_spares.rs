@@ -46,9 +46,8 @@ fn prep<'g>(g: &'g TaskGraph, k: usize, cluster: &ClusterSpec) -> (Vec<Block>, P
 /// memo entries out. The second search, a whole request whose
 /// refinement draws and shelves an arena too, must return the
 /// reference's refined plan and the memo counters of its grid run on a
-/// fresh arena, at 1, 2 and 4 threads alike: each `(MB, T)` group draws
-/// one arena of its own, so a search's counters are the sum of its
-/// groups' fresh runs.
+/// fresh arena: each `(MB, T)` group draws one arena of its own, so a
+/// search's counters are the sum of its groups' fresh runs.
 #[test]
 fn a_drawn_arena_answers_as_a_fresh_one() {
     let (k, cluster) = (6, cluster());
@@ -77,46 +76,41 @@ fn a_drawn_arena_answers_as_a_fresh_one() {
         feasible += usize::from(form_stage_dp(&ctx, &mut fresh).is_some());
     }
 
-    for threads in [1, 2, 4] {
-        let opts = SearchOptions { threads, tp_max: 1 };
-        // the sweep alone, so its arena is the last one shelved
-        let (scan, _) =
-            scan_first_feasible_tier(&first, &first_cost, &first_blocks, &cluster, BATCH, &opts);
-        assert!(
-            scan.is_some(),
-            "threads {threads}: the first search found no plan"
-        );
-        let (sol, stats) = form_stage_with(&second, &profiler, &blocks, &cluster, BATCH, &opts);
-        let sol = sol.expect("a plan");
-        let what = format!("threads {threads}");
+    let opts = SearchOptions { tp_max: 1 };
+    // the sweep alone, so its arena is the last one shelved
+    let (scan, _) =
+        scan_first_feasible_tier(&first, &first_cost, &first_blocks, &cluster, BATCH, &opts);
+    assert!(scan.is_some(), "the first search found no plan");
+    let (sol, stats) = form_stage_with(&second, &profiler, &blocks, &cluster, BATCH, &opts);
+    let sol = sol.expect("a plan");
+    let what = "second search";
+    assert_eq!(
+        sol.value.to_bits(),
+        reference.value.to_bits(),
+        "{what}: objective"
+    );
+    assert_eq!(
+        sol.stages.len(),
+        reference.stages.len(),
+        "{what}: stage count"
+    );
+    for (a, b) in sol.stages.iter().zip(&reference.stages) {
+        assert_eq!(a.set, b.set, "{what}: stage tasks");
+        assert_eq!(a.devices, b.devices, "{what}: stage devices");
         assert_eq!(
-            sol.value.to_bits(),
-            reference.value.to_bits(),
-            "{what}: objective"
+            a.fwd_time.to_bits(),
+            b.fwd_time.to_bits(),
+            "{what}: stage time"
         );
-        assert_eq!(
-            sol.stages.len(),
-            reference.stages.len(),
-            "{what}: stage count"
-        );
-        for (a, b) in sol.stages.iter().zip(&reference.stages) {
-            assert_eq!(a.set, b.set, "{what}: stage tasks");
-            assert_eq!(a.devices, b.devices, "{what}: stage devices");
-            assert_eq!(
-                a.fwd_time.to_bits(),
-                b.fwd_time.to_bits(),
-                "{what}: stage time"
-            );
-            assert_eq!(a.mem_bytes, b.mem_bytes, "{what}: stage memory");
-        }
-        assert_eq!(stats.node_tiers, 2, "{what}: node tiers");
-        assert_eq!(stats.candidates, grid.len(), "{what}: candidates");
-        assert_eq!(stats.feasible, feasible, "{what}: feasible");
-        assert_eq!(stats.stage_cache.hits, fresh.hits(), "{what}: memo hits");
-        assert_eq!(
-            stats.stage_cache.misses,
-            fresh.misses(),
-            "{what}: stage evaluations"
-        );
+        assert_eq!(a.mem_bytes, b.mem_bytes, "{what}: stage memory");
     }
+    assert_eq!(stats.node_tiers, 2, "{what}: node tiers");
+    assert_eq!(stats.candidates, grid.len(), "{what}: candidates");
+    assert_eq!(stats.feasible, feasible, "{what}: feasible");
+    assert_eq!(stats.stage_cache.hits, fresh.hits(), "{what}: memo hits");
+    assert_eq!(
+        stats.stage_cache.misses,
+        fresh.misses(),
+        "{what}: stage evaluations"
+    );
 }

@@ -2,12 +2,13 @@
 //!
 //! - the recorder is plan-preserving (bit-identical plans on vs. off);
 //! - a disabled recorder allocates nothing across a full partitioning;
-//! - the explain artifact is byte-identical for 1/2/4 worker threads and
+//! - the explain artifact is byte-identical from run to run and
 //!   validates under its own checker;
-//! - a recording lists every grid cell, each scored exactly like a
-//!   fresh-arena DP of that cell;
-//! - the search counters do not depend on the thread count or on the
-//!   recorder;
+//! - a recording lists every grid cell, each solved cell scored exactly
+//!   like a fresh-arena DP of that cell and each bounded cell one whose
+//!   fresh DP scores strictly above the winner's and at least its bound;
+//! - the search counters do not depend on the recorder, or on other
+//!   searches running at once on other threads;
 //! - a repartition replaces the recording with the degraded search;
 //! - the strict decoder inverts the serializer on real 2D and 3D
 //!   recordings and on one with an accepted stage-cut refinement.
@@ -30,11 +31,10 @@ use rannc_obs::recorder::{self, CandidateOutcome, Recording};
 use rannc_profile::{Profiler, ProfilerOptions};
 use support::exhaustive_cells;
 
-fn quick_config(threads: usize) -> PartitionConfig {
+fn quick_config() -> PartitionConfig {
     PartitionConfig::new(64)
         .with_k(8)
         .with_verify(VerifyMode::Off)
-        .with_threads(threads)
 }
 
 fn assert_plans_bit_identical(a: &PartitionPlan, b: &PartitionPlan) {
@@ -66,7 +66,7 @@ fn winner_score(rec: &Recording) -> f64 {
         .flat_map(|t| &t.candidates)
         .filter_map(|c| match c.outcome {
             CandidateOutcome::Feasible { score, .. } => Some(score),
-            CandidateOutcome::Infeasible => None,
+            CandidateOutcome::Bounded { .. } | CandidateOutcome::Infeasible => None,
         })
         .fold(f64::INFINITY, f64::min);
     match &rec.refine {
@@ -92,7 +92,7 @@ fn recorder_is_plan_preserving_and_free_while_disabled() {
     recorder::reset();
     let g = mlp_graph(&MlpConfig::deep(64, 64, 8, 10));
     let cluster = ClusterSpec::v100_cluster(2);
-    let rannc = Rannc::new(quick_config(2));
+    let rannc = Rannc::new(quick_config());
 
     // disabled: a full partitioning must not touch the recorder heap
     let allocs_before = recorder::alloc_count();
@@ -124,31 +124,28 @@ fn recorder_is_plan_preserving_and_free_while_disabled() {
     // term the sweep scored cells with: it is the best cell's, bit for
     // bit, or the accepted stage-cut refinement's
     assert_eq!(winner.score.to_bits(), winner_score(&rec).to_bits());
-    let (candidates, feasible, _) = rec.totals();
+    let (candidates, feasible, _, _) = rec.totals();
     assert!(candidates > 0 && feasible > 0);
 }
 
 #[test]
-fn artifact_is_byte_identical_across_thread_counts() {
+fn artifact_is_byte_identical_from_run_to_run() {
     let _guard = rannc_obs::trace::test_guard();
     let g = mlp_graph(&MlpConfig::deep(64, 64, 8, 10));
     let cluster = ClusterSpec::v100_cluster(2);
 
     let mut artifacts = Vec::new();
-    for threads in [1usize, 2, 4] {
+    for _ in 0..2 {
         recorder::set_enabled(true);
         recorder::reset();
-        Rannc::new(quick_config(threads))
-            .partition(&g, &cluster)
-            .unwrap();
+        Rannc::new(quick_config()).partition(&g, &cluster).unwrap();
         let rec = recorder::take().expect("recording");
         recorder::set_enabled(false);
         artifacts.push(recorder::to_json(&rec));
     }
     let summary = check_explain(&artifacts[0]).expect("artifact validates");
     assert!(summary.candidates > 0 && summary.winner_stages > 0);
-    assert_eq!(artifacts[0], artifacts[1], "1 vs 2 threads");
-    assert_eq!(artifacts[0], artifacts[2], "1 vs 4 threads");
+    assert_eq!(artifacts[0], artifacts[1], "first vs second run");
 }
 
 #[test]
@@ -157,7 +154,7 @@ fn repartition_records_the_degraded_search() {
     recorder::set_enabled(false);
     let g = mlp_graph(&MlpConfig::deep(64, 64, 8, 10));
     let cluster = ClusterSpec::v100_cluster(2);
-    let rannc = Rannc::new(quick_config(2));
+    let rannc = Rannc::new(quick_config());
     let plan = rannc.partition(&g, &cluster).unwrap();
 
     let degraded = cluster
@@ -279,14 +276,18 @@ fn recording_lists_every_grid_cell_with_its_fresh_dp_score() {
     let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
     recorder::set_enabled(true);
     recorder::reset();
-    let opts = SearchOptions {
-        threads: 2,
-        tp_max: 1,
-    };
-    let (sol, _) = form_stage_with(&g, &cost, &blocks, &cluster, EXPLAIN_BATCH, &opts);
+    let opts = SearchOptions { tp_max: 1 };
+    let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, EXPLAIN_BATCH, &opts);
     let rec = recorder::take().expect("recording");
     recorder::set_enabled(false);
     assert!(sol.is_some(), "the explain config is feasible");
+    assert!(stats.bounded > 0, "the explain config skips no cell");
+    let best = (rec.tiers.iter().flat_map(|t| &t.candidates))
+        .filter_map(|c| match c.outcome {
+            CandidateOutcome::Feasible { score, .. } => Some(score),
+            _ => None,
+        })
+        .fold(f64::INFINITY, f64::min);
 
     let fresh = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
     let reference = exhaustive_cells(&g, &fresh, &blocks, &cluster, EXPLAIN_BATCH, 1);
@@ -305,7 +306,14 @@ fn recording_lists_every_grid_cell_with_its_fresh_dp_score() {
                 "{cell}: grid order"
             );
             match (&c.outcome, sol) {
-                (CandidateOutcome::Feasible { score, bottleneck }, Some(s)) => {
+                (
+                    CandidateOutcome::Feasible {
+                        score,
+                        bottleneck,
+                        bound,
+                    },
+                    Some(s),
+                ) => {
                     let want_score = score_solution(s, &cluster, &fresh);
                     assert_eq!(score.to_bits(), want_score.to_bits(), "{cell}: score");
                     assert_eq!(
@@ -313,6 +321,14 @@ fn recording_lists_every_grid_cell_with_its_fresh_dp_score() {
                         s.value.to_bits(),
                         "{cell}: bottleneck"
                     );
+                    assert!(bound <= score, "{cell}: bound {bound} > score {score}");
+                }
+                (CandidateOutcome::Bounded { bound }, sol) => {
+                    let fresh_score = sol
+                        .as_ref()
+                        .map_or(f64::INFINITY, |s| score_solution(s, &cluster, &fresh));
+                    assert!(fresh_score > best, "{cell}: skipped, scores {fresh_score}");
+                    assert!(fresh_score >= *bound, "{cell}: scores below bound {bound}");
                 }
                 (CandidateOutcome::Infeasible, None) => {}
                 (outcome, sol) => panic!(
@@ -329,33 +345,53 @@ fn search_counters_do_not_depend_on_threads_or_the_recorder() {
     let _guard = rannc_obs::trace::test_guard();
     let (g, cluster) = explain_case();
     let blocks = blocks_of(&g, &cluster);
-    let mut seen = Vec::new();
-    for recording in [false, true] {
-        for threads in [1usize, 2, 4] {
-            recorder::set_enabled(recording);
-            recorder::reset();
-            let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
-            let opts = SearchOptions { threads, tp_max: 1 };
-            let (_, stats) = form_stage_with(&g, &cost, &blocks, &cluster, EXPLAIN_BATCH, &opts);
-            recorder::set_enabled(false);
-            recorder::reset();
-            // the stage evaluations and memo hits of the DP arenas, and
-            // the blocks' time-slot fills and reads: every run does the same work
-            let work = (
+    // the cells settled each way, the stage evaluations and memo hits of
+    // the DP arenas, and the blocks' time-slot fills and reads: every
+    // search does the same work
+    let search = || {
+        let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let opts = SearchOptions { tp_max: 1 };
+        let (_, stats) = form_stage_with(&g, &cost, &blocks, &cluster, EXPLAIN_BATCH, &opts);
+        (
+            (
                 stats.candidates,
                 stats.feasible,
-                stats.node_tiers,
-                stats.stage_cache.misses,
-                stats.stage_cache.hits,
-                cost.cache_stats().misses,
-                cost.cache_stats().hits,
-            );
-            seen.push((recording, threads, work));
-        }
+                stats.pruned,
+                stats.bounded,
+            ),
+            stats.node_tiers,
+            stats.stage_cache.misses,
+            stats.stage_cache.hits,
+            cost.cache_stats().misses,
+            cost.cache_stats().hits,
+        )
+    };
+    let mut seen = Vec::new();
+    for recording in [false, true] {
+        recorder::set_enabled(recording);
+        recorder::reset();
+        seen.push((format!("recorder {recording}"), search()));
+        recorder::set_enabled(false);
+        recorder::reset();
     }
-    let (_, _, first) = seen[0];
-    assert!(first.1 > 0, "the explain config is feasible");
-    for &(recording, threads, work) in &seen {
-        assert_eq!(work, first, "recorder {recording}, {threads} thread(s)");
+    // three searches at once, sharing the process-wide arena spare list
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..3)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    search()
+                })
+            })
+            .collect();
+        for (i, run) in runs.into_iter().enumerate() {
+            seen.push((format!("thread {i}"), run.join().expect("a search thread")));
+        }
+    });
+    let first = seen[0].1;
+    assert!(first.0 .1 > 0, "the explain config is feasible");
+    for (what, work) in &seen {
+        assert_eq!(*work, first, "{what}");
     }
 }

@@ -1,19 +1,30 @@
-//! The search's memory-only bound ([`proven_infeasible`]) proves a grid
-//! cell INFEASIBLE before Algorithm 1 runs it. Soundness: on random
-//! graphs, memory bounds and clusters, every cell the bound proves makes
-//! a fresh-arena DP return `None`. Tightness: at paper scale the bound
-//! proves every INFEASIBLE cell of the benchmark's search grids.
+//! The search's two bounds. The memory-only bound
+//! ([`proven_infeasible`]) proves a grid cell INFEASIBLE before
+//! Algorithm 1 runs it. Soundness: on random graphs, memory bounds and
+//! clusters, every cell the bound proves makes a fresh-arena DP return
+//! `None`. Tightness: at paper scale the bound proves every INFEASIBLE
+//! cell of the benchmark's search grids.
+//!
+//! The score bound ([`score_bound`]) lets the walk skip cells that
+//! cannot win. Soundness: on random graphs, homogeneous clusters and
+//! ones with a faster and a slower device, with profiling noise off and
+//! on, no cell's bound exceeds its fresh-arena DP's score. At paper
+//! scale, on the Fig. 4/5 grids and the benchmark's settings, every cell
+//! the walk skips scores strictly above the winner when solved.
 
 #[path = "support/mod.rs"]
 mod support;
 
 use proptest::prelude::*;
+use rannc_core::search::score_solution;
 use rannc_core::{
-    form_stage_dp, proven_infeasible, DpArena, DpCtx, PartitionConfig, RangeTable, Rannc,
-    SlotTable, VerifyMode,
+    atomic_partition, block_partition, form_stage_dp, proven_infeasible, scan_first_feasible_tier,
+    score_bound, solve_cell, Block, BlockLimits, CellOutcome, DpArena, DpCtx, PartitionConfig,
+    RangeTable, Rannc, SearchOptions, SearchStats, SlotTable,
 };
+use rannc_faults::ClusterEventTrace;
 use rannc_graph::TaskGraph;
-use rannc_hw::{ClusterSpec, DeviceRank, DeviceSpec};
+use rannc_hw::{ClusterSpec, DeviceRank, DeviceSpec, NodeSpec, Precision};
 use rannc_models::{
     bert_graph, mlp_graph, resnet_graph, BertConfig, MlpConfig, ResNetConfig, ResNetDepth,
 };
@@ -105,6 +116,96 @@ proptest! {
     }
 }
 
+proptest! {
+    // cheap cases, and enough of them that a bound without its
+    // faster-slot or its noise-band widening fails here
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    /// No cell's score bound exceeds the score of its fresh-arena DP, on
+    /// every node tier, for every cell the memory bound leaves open. The
+    /// cluster is homogeneous (`kind` 0), or holds a device 1.5× faster
+    /// than the template (1), one 2× slower (2) or both (3), and
+    /// profiling noise of amplitude 0.1 is off or on. Nodes of two
+    /// devices make tiers of few units, where a split can nearly meet the
+    /// bound.
+    #[test]
+    fn score_bound_is_below_every_fresh_score(
+        g in graphs(),
+        nodes in 1usize..3,
+        per_node in prop_oneof![Just(2usize), Just(8)],
+        batch_pow in 2usize..7,
+        k in 4usize..9,
+        mem_frac in 0.25f64..1.25,
+        kind in 0usize..4,
+        odd_rank in 0usize..8,
+        noise in any::<bool>(),
+        seed in any::<u64>(),
+        tp_max in 1usize..3,
+    ) {
+        let blocks = blocks_of(&g, k);
+        let batch_size = 1usize << batch_pow;
+        let probe = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+        let (lo, hi) = stage_mem_span(
+            &probe,
+            &RangeTable::build(&probe, &blocks),
+            &ClusterSpec::v100_cluster(1),
+            batch_size,
+        );
+        let mem = lo + ((hi - lo) as f64 * mem_frac) as usize;
+        let v100 = ClusterSpec::v100_cluster(nodes);
+        let base = ClusterSpec {
+            device: DeviceSpec::v100_32gb().with_memory(mem),
+            node: NodeSpec {
+                devices: per_node,
+                ..v100.node
+            },
+            ..v100
+        };
+        let (mut fast, mut slow) = (base.device.clone(), base.device.clone());
+        fast.compute_efficiency *= 1.5;
+        slow.compute_efficiency *= 0.5;
+        let rank = |local| DeviceRank { node: 0, local: local % per_node };
+        let cluster = match kind {
+            0 => base,
+            1 => base.with_device_override(rank(odd_rank), fast),
+            2 => base.with_device_override(rank(odd_rank), slow),
+            _ => base
+                .with_device_override(rank(odd_rank), fast)
+                .with_device_override(rank(odd_rank + 1), slow),
+        };
+        let opts = if noise {
+            ProfilerOptions::fp32().with_noise(0.1, seed)
+        } else {
+            ProfilerOptions::fp32()
+        };
+        let profiler = Profiler::new(&g, cluster.device.clone(), opts);
+        let ranges = RangeTable::build(&profiler, &blocks);
+        let precision = profiler.options().precision;
+        let mem_limit = cluster.max_memory_bytes();
+        let mut n = 1;
+        while n <= cluster.nodes {
+            let d = n * cluster.node.devices;
+            let r = (cluster.nodes / n).max(1);
+            let slots = SlotTable::build(&cluster, d, r, profiler.device(), precision);
+            let grid = tier_grid(&g, &cluster, n, batch_size, tp_max, mem_limit);
+            let proven = support::proven_cells(&profiler, &ranges, &grid);
+            for p in grid.iter().zip(proven).filter_map(|(p, proven)| (!proven).then_some(p)) {
+                let bound = score_bound(&profiler, &ranges, &cluster, &slots, p);
+                let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, p);
+                if let Some(sol) = form_stage_dp(&ctx, &mut DpArena::new()) {
+                    let score = score_solution(&sol, &cluster, &profiler);
+                    prop_assert!(
+                        bound <= score,
+                        "n={} S={} MB={} T={} kind={} noise={}: bound {} > score {}",
+                        n, p.stages, p.microbatches, p.tp, kind, noise, bound, score
+                    );
+                }
+            }
+            n *= 2;
+        }
+    }
+}
+
 /// A group's proofs do not depend on which of its cells are asked about:
 /// each cell alone gets the answer it gets among the whole group.
 #[test]
@@ -134,14 +235,71 @@ fn a_cell_is_proven_alone_as_in_its_group() {
     }
 }
 
-/// Paper scale: on the benchmark's three cold-start settings the bound
-/// proves every INFEASIBLE cell of the searched tiers — bert256-d128
-/// 118 of 120 cells, resnet152x8-d128 22 of 56 and bert64-tp8 18 of 45.
-/// Run by `scripts/check.sh`.
-#[test]
-#[ignore = "paper scale; run with --release -- --ignored"]
-fn bound_proves_every_infeasible_cell_at_paper_scale() {
-    let cases = [
+/// One search's winning tier, checked cell by cell: a cell the walk
+/// skipped scores strictly above the winner and at least its bound when
+/// solved through a fresh arena ([`solve_cell`]), and a solved cell
+/// scores at least its bound. Returns the search's counters and how many
+/// skipped cells are feasible, or `None` when the search is INFEASIBLE.
+fn check_walk(
+    label: &str,
+    g: &TaskGraph,
+    cost: &Profiler<'_>,
+    blocks: &[Block],
+    cluster: &ClusterSpec,
+    (batch_size, tp_max): (usize, usize),
+) -> Option<(SearchStats, usize)> {
+    let opts = SearchOptions { tp_max };
+    let (scan, stats) = scan_first_feasible_tier(g, cost, blocks, cluster, batch_size, &opts);
+    let scan = scan?;
+    let (best, _) = scan.cells[scan.winner]
+        .solved()
+        .expect("the winner is solved");
+    let ranges = RangeTable::build(cost, blocks);
+    let mut feasible = 0;
+    for cell in &scan.cells {
+        let p = &cell.params;
+        let what = format!("{label} S={} MB={} T={}", p.stages, p.microbatches, p.tp);
+        match cell.outcome {
+            CellOutcome::Bounded { bound } => {
+                let fresh = solve_cell(cost, &ranges, cluster, p).map(|(score, _)| score);
+                feasible += usize::from(fresh.is_some());
+                let score = fresh.unwrap_or(f64::INFINITY);
+                assert!(score > best, "{what}: skipped, scores {score} <= {best}");
+                assert!(score >= bound, "{what}: scores {score} < bound {bound}");
+            }
+            CellOutcome::Solved { score, bound, .. } => {
+                assert!(bound <= score, "{what}: bound {bound} > score {score}");
+            }
+            CellOutcome::Infeasible => {}
+        }
+    }
+    Some((stats, feasible))
+}
+
+/// The request's blocks: the block phase of `config` on `cluster`.
+fn cold_blocks(
+    g: &TaskGraph,
+    cost: &Profiler<'_>,
+    cluster: &ClusterSpec,
+    config: &PartitionConfig,
+) -> Vec<Block> {
+    let limits = BlockLimits::for_request(config, cluster);
+    block_partition(g, cost, &atomic_partition(g), limits)
+}
+
+/// One of the benchmark's cold-start settings: name, graph, cluster,
+/// config and the expected `(proven, all)` cell counts.
+type Setting = (
+    &'static str,
+    TaskGraph,
+    ClusterSpec,
+    PartitionConfig,
+    (usize, usize),
+);
+
+/// The benchmark's three cold-start settings.
+fn cold_settings() -> [Setting; 3] {
+    [
         (
             "bert256-d128",
             bert_graph(&BertConfig::enlarged(2048, 256)),
@@ -163,20 +321,128 @@ fn bound_proves_every_infeasible_cell_at_paper_scale() {
             PartitionConfig::new(8).with_tp_max(8),
             (18, 45),
         ),
-    ];
-    for (name, g, cluster, config, (pruned, candidates)) in cases {
-        let rannc = Rannc::new(config.with_verify(VerifyMode::Off));
-        let (_, stats) = rannc.partition_with_stats(&g, &cluster).expect(name);
-        let search = &stats.search;
+    ]
+}
+
+/// Paper scale: on the benchmark's three cold-start settings the bound
+/// proves every INFEASIBLE cell of the searched tiers — bert256-d128
+/// 118 of 120 cells, resnet152x8-d128 22 of 56 and bert64-tp8 18 of 45:
+/// every other cell is feasible, solved by the walk or, when its score
+/// bound skipped it, through a fresh arena. Run by `scripts/check.sh`.
+#[test]
+#[ignore = "paper scale; run with --release -- --ignored"]
+fn bound_proves_every_infeasible_cell_at_paper_scale() {
+    for (name, g, cluster, config, (pruned, candidates)) in cold_settings() {
+        let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let blocks = cold_blocks(&g, &cost, &cluster, &config);
+        let search = (config.batch_size, config.search.tp_max);
+        let (stats, bounded_feasible) =
+            check_walk(name, &g, &cost, &blocks, &cluster, search).expect(name);
         assert_eq!(
-            (search.pruned, search.candidates),
+            (stats.pruned, stats.candidates),
             (pruned, candidates),
             "{name}: proven cells of all cells"
         );
         assert_eq!(
-            search.pruned + search.feasible,
-            search.candidates,
+            stats.pruned + stats.feasible + bounded_feasible,
+            stats.candidates,
             "{name}: an INFEASIBLE cell the bound did not prove"
         );
     }
+}
+
+/// Paper scale: every cell the walk skips by its score bound scores
+/// strictly above the winner when solved through a fresh arena — on the
+/// 18 Fig. 4 cells in both precisions, the 6 Fig. 5 cells, the
+/// benchmark's three cold-start settings and the warm replans of the
+/// first 50 events of its churn trace. Run by `scripts/check.sh`.
+#[test]
+#[ignore = "paper scale; run with --release -- --ignored"]
+fn skipped_cells_cannot_win_at_paper_scale() {
+    let skipped = |label: &str,
+                   g: &TaskGraph,
+                   cost: &Profiler<'_>,
+                   blocks: &[Block],
+                   cluster: &ClusterSpec,
+                   search| {
+        let (stats, _) = check_walk(label, g, cost, blocks, cluster, search)?;
+        Some(stats.bounded)
+    };
+    let fp32 = |precision| ProfilerOptions {
+        precision,
+        ..ProfilerOptions::fp32()
+    };
+    let mut fig4 = 0;
+    let cluster = ClusterSpec::v100_cluster(4);
+    for (hidden, layers) in [1024, 1536, 2048]
+        .into_iter()
+        .flat_map(|h| [24, 48, 96, 144, 192, 256].map(|l| (h, l)))
+    {
+        let g = bert_graph(&BertConfig::enlarged(hidden, layers));
+        for precision in [Precision::FP32, Precision::Mixed] {
+            let label = format!("fig4 {hidden}x{layers} {precision:?}");
+            let cost = Profiler::new(&g, cluster.device.clone(), fp32(precision));
+            let config = PartitionConfig::new(256);
+            let blocks = cold_blocks(&g, &cost, &cluster, &config);
+            fig4 += skipped(&label, &g, &cost, &blocks, &cluster, (256, 1)).expect(&label);
+        }
+    }
+    let mut fig5 = 0;
+    for (nodes, batch) in [(4, 512), (1, 128)] {
+        let cluster = ClusterSpec::v100_cluster(nodes);
+        for depth in [ResNetDepth::R50, ResNetDepth::R101, ResNetDepth::R152] {
+            let g = resnet_graph(&ResNetConfig::new(depth, 8));
+            let label = format!("fig5 {} on {nodes} node(s)", g.name);
+            let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+            let blocks = cold_blocks(&g, &cost, &cluster, &PartitionConfig::new(batch));
+            fig5 += skipped(&label, &g, &cost, &blocks, &cluster, (batch, 1)).expect(&label);
+        }
+    }
+    let mut bench = 0;
+    for (name, g, cluster, config, _) in cold_settings() {
+        let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
+        let blocks = cold_blocks(&g, &cost, &cluster, &config);
+        let search = (config.batch_size, config.search.tp_max);
+        bench += skipped(name, &g, &cost, &blocks, &cluster, search).expect(name);
+    }
+    // the churn benchmark's warm replans: each event's search over the
+    // old plan's stages, or the cold search when they admit no plan
+    let g = bert_graph(&BertConfig::enlarged(2048, 256));
+    let base = ClusterSpec::v100_cluster(16);
+    let rannc = Rannc::new(PartitionConfig::new(1024));
+    let mut plan = rannc.partition(&g, &base).expect("the seed plan");
+    let mut cluster = base.clone();
+    let mut churn = 0;
+    for (i, te) in ClusterEventTrace::generate(7, 50, &base, 1500)
+        .events()
+        .iter()
+        .enumerate()
+    {
+        cluster = te.event.apply(&cluster).expect("a generated event applies");
+        let view = cluster.planning_view();
+        let cost = Profiler::new(&g, view.device.clone(), ProfilerOptions::fp32());
+        let label = format!("churn event {i}");
+        let warm: Vec<Block> = (plan.stages.iter())
+            .map(|s| Block {
+                set: s.set.clone(),
+                time: 0.0,
+                mem: 0,
+            })
+            .collect();
+        churn += skipped(&label, &g, &cost, &warm, &view, (1024, 1))
+            .or_else(|| {
+                let blocks = cold_blocks(&g, &cost, &view, &PartitionConfig::new(1024));
+                skipped(&label, &g, &cost, &blocks, &view, (1024, 1))
+            })
+            .expect(&label);
+        plan = rannc
+            .replan_with_backoff(&g, &plan, &cluster, 2)
+            .expect(&label)
+            .plan;
+    }
+    assert_eq!(
+        (fig4, fig5, bench, churn),
+        (343, 211, 51, 0),
+        "skipped cells: Fig. 4, Fig. 5, benchmark settings, churn replans"
+    );
 }

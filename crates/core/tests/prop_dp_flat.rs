@@ -3,8 +3,8 @@
 //! must match the HashMap-memo reference DP bit-for-bit — plans AND
 //! costs — on random graphs, device counts, tensor-parallel degrees,
 //! memory bounds, placed clusters and candidate orders, and the
-//! parallel sweep must match the exhaustive sequential scan, and its
-//! refined plan the reference refinement, at every thread count. Stages
+//! best-first sweep must match the exhaustive sequential scan, and its
+//! refined plan the reference refinement. Stages
 //! compare by task set and by `block_range`, which for a refined stage
 //! is its index in the refined stage list. Both DPs compute only the
 //! answer's cell of their last row. The engine walks only finite
@@ -211,9 +211,9 @@ proptest! {
         }
     }
 
-    /// The full grouped/parallel sweep returns the same winner as
+    /// The full grouped, best-first sweep returns the same winner as
     /// the exhaustive sequential scan, and the same refined plan as the
-    /// reference refinement of that winner, at several thread counts.
+    /// reference refinement of that winner.
     #[test]
     fn parallel_sweep_matches_sequential_reference(
         g in graphs(),
@@ -227,16 +227,14 @@ proptest! {
 
         let reference = exhaustive_search(&g, &profiler, &blocks, &cluster, batch_size, 1);
         let refined = exhaustive_refined(&g, &profiler, &blocks, &cluster, batch_size, 1);
-        for threads in [1usize, 2, 4] {
-            let opts = SearchOptions { threads, tp_max: 1 };
-            let (scan, _stats) =
-                scan_first_feasible_tier(&g, &profiler, &blocks, &cluster, batch_size, &opts);
-            let winner = scan.map(|mut t| t.cells.swap_remove(t.winner).scored.expect("feasible").1);
-            assert_solutions_identical(&winner, &reference, &format!("threads={threads}"));
-            let (engine, _stats) =
-                form_stage_with(&g, &profiler, &blocks, &cluster, batch_size, &opts);
-            assert_solutions_identical(&engine, &refined, &format!("threads={threads} refined"));
-        }
+        let opts = SearchOptions { tp_max: 1 };
+        let (scan, _stats) =
+            scan_first_feasible_tier(&g, &profiler, &blocks, &cluster, batch_size, &opts);
+        let winner = scan.map(|t| t.cells[t.winner].solved().expect("feasible").1.clone());
+        assert_solutions_identical(&winner, &reference, "scan");
+        let (engine, _stats) =
+            form_stage_with(&g, &profiler, &blocks, &cluster, batch_size, &opts);
+        assert_solutions_identical(&engine, &refined, "refined");
     }
 }
 
@@ -251,7 +249,7 @@ fn scan_skips_degrees_the_head_count_forbids() {
     let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
     let blocks = blocks_of(&g, 8);
     let (batch_size, tp_max) = (32, 4);
-    let opts = SearchOptions { threads: 1, tp_max };
+    let opts = SearchOptions { tp_max };
     let (scan, _) = scan_first_feasible_tier(&g, &profiler, &blocks, &cluster, batch_size, &opts);
     let mut degrees: Vec<usize> = scan
         .expect("BERT 128x4 fits one node")
@@ -289,7 +287,8 @@ fn arg(args: &[(&str, ArgVal)], key: &str) -> usize {
 /// counts, so no infeasible predecessor is visited; both counts repeat
 /// run to run, and the evaluations sum to the search's memo misses. A
 /// cell the memory-only bound proves INFEASIBLE runs no DP: its span
-/// says `proven` and walks nothing.
+/// says `proven` and walks nothing; so does a cell the score bound
+/// skips, whose span says `bounded`.
 #[test]
 fn dp_spans_count_visits_and_evals() {
     let _serial = trace::test_guard();
@@ -309,7 +308,7 @@ fn dp_spans_count_visits_and_evals() {
     let blocks = block_partition(&g, &profiler, &atomic, limits);
     let ranges = RangeTable::build(&profiler, &blocks);
     let (batch_size, tp_max) = (32, 2);
-    let opts = SearchOptions { threads: 1, tp_max };
+    let opts = SearchOptions { tp_max };
     let tid = trace::current_tid();
 
     let mut runs = Vec::new();
@@ -320,17 +319,20 @@ fn dp_spans_count_visits_and_evals() {
         rannc_obs::set_enabled(false);
         assert!(sol.is_some());
         // other tests may trace concurrently: keep this thread's spans
-        let spans: Vec<[usize; 7]> = trace::drain_events()
+        let spans: Vec<[usize; 8]> = trace::drain_events()
             .into_iter()
             .filter(|e| e.tid == tid && e.name == "dp")
             .map(|e| {
                 let [n, s, mb, t, visits, evals] =
                     ["n", "S", "MB", "T", "visits", "evals"].map(|key| arg(&e.args, key));
-                let proven = arg_opt(&e.args, "proven").unwrap_or(0);
-                [n, s, mb, t, visits, evals, proven]
+                let [proven, bounded] =
+                    ["proven", "bounded"].map(|key| arg_opt(&e.args, key).unwrap_or(0));
+                [n, s, mb, t, visits, evals, proven, bounded]
             })
             .collect();
         assert_eq!(spans.len(), stats.candidates, "one dp span per grid cell");
+        let bounded = spans.iter().filter(|s| s[7] == 1).count();
+        assert_eq!(bounded, stats.bounded, "one bounded span per bounded cell");
         let evals: usize = spans.iter().map(|s| s[5]).sum();
         assert_eq!(
             evals as u64, stats.stage_cache.misses,
@@ -342,7 +344,7 @@ fn dp_spans_count_visits_and_evals() {
 
     let mut skipped = Walk::default();
     let mut proven_spans = 0;
-    for &[n, s, mb, t, visits, evals, proven] in &runs[0] {
+    for &[n, s, mb, t, visits, evals, proven, bounded] in &runs[0] {
         let grid = tier_grid(
             &g,
             &cluster,
@@ -362,6 +364,10 @@ fn dp_spans_count_visits_and_evals() {
         if bound {
             assert_eq!((visits, evals), (0, 0), "{what}: a proven cell ran its DP");
             proven_spans += 1;
+            continue;
+        }
+        if bounded == 1 {
+            assert_eq!((visits, evals), (0, 0), "{what}: a bounded cell ran its DP");
             continue;
         }
         let d = n * cluster.node.devices;

@@ -11,7 +11,7 @@
 //! - passes `verify_plan` and `PartitionPlan::certify` under the
 //!   fill–drain schedule it runs with no error (a warning such as RV042's
 //!   dropped micro-batch remainder belongs to the winner's shape);
-//! - is bit-identical at 1, 2 and 4 threads.
+//! - is bit-identical from run to run.
 //!
 //! The default run covers the small Fig. 4 cells and three churn events
 //! on BERT 1024×24; `scripts/check.sh` runs the full grid in release mode
@@ -90,11 +90,11 @@ fn check_refinement(
     cluster: &ClusterSpec,
     batch_size: usize,
 ) -> Option<bool> {
-    let opts = |threads| SearchOptions { threads, tp_max: 1 };
-    let scan = scan_first_feasible_tier(g, cost, blocks, cluster, batch_size, &opts(1)).0?;
+    let opts = SearchOptions { tp_max: 1 };
+    let scan = scan_first_feasible_tier(g, cost, blocks, cluster, batch_size, &opts).0?;
     let cell = &scan.cells[scan.winner];
-    let (score, winner) = cell.scored.as_ref().expect("the winner is feasible");
-    let plan = form_stage_with(g, cost, blocks, cluster, batch_size, &opts(1))
+    let (score, winner) = cell.solved().expect("the winner is feasible");
+    let plan = form_stage_with(g, cost, blocks, cluster, batch_size, &opts)
         .0
         .expect("the winner's tier is feasible");
 
@@ -115,7 +115,7 @@ fn check_refinement(
     );
     // no worse than the winner
     let refined = score_solution(&plan, cluster, cost);
-    assert!(refined <= *score, "{label}: score {refined} > {score}");
+    assert!(refined <= score, "{label}: score {refined} > {score}");
 
     // verified and certified
     let p = PartitionPlan::from_solution(g.name.clone(), &plan, batch_size);
@@ -129,14 +129,12 @@ fn check_refinement(
     assert!(!deep.has_errors(), "{label}: {}", deep.render());
     assert_eq!(certified.len(), p.stages.len(), "{label}: certified stages");
 
-    // thread-count independent
-    for threads in [2, 4] {
-        let again = form_stage_with(g, cost, blocks, cluster, batch_size, &opts(threads))
-            .0
-            .expect("feasible");
-        assert_identical(&plan, &again, &format!("{label} threads={threads}"));
-    }
-    Some(refined < *score)
+    // the same from run to run
+    let again = form_stage_with(g, cost, blocks, cluster, batch_size, &opts)
+        .0
+        .expect("feasible");
+    assert_identical(&plan, &again, &format!("{label} again"));
+    Some(refined < score)
 }
 
 /// Fig. 4 cells `hidden × layers` in both precisions; returns how many

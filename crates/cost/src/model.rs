@@ -13,8 +13,23 @@ use rannc_profile::{
 /// The planner, the schedule simulators, the baselines, and fault
 /// replanning all consume this trait, so a plan is priced by exactly the
 /// same code whether it is being searched for, verified, or replayed.
-/// Implementations must be `Sync`: the parallel `(S, MB)` sweep shares
-/// one model across worker threads.
+/// Implementations must be `Sync`: one model may price several searches
+/// on several threads at once.
+///
+/// The search's score bound (`rannc_core::search::score_bound`) relies
+/// on two properties of [`CostModel::stage_cost_tp`]'s forward plus
+/// backward time at a fixed degree and residency, for noise-free
+/// profiling (`prop_cost.rs` tests both on both shipping models):
+///
+/// - **a stage's time per sample is nonincreasing in its micro-batch.**
+///   Each task's time is a max of affine terms in the batch with
+///   nonnegative intercepts (its roofline plus its launch overhead), the
+///   stage adds a fixed invocation overhead and, at `tp > 1`, an α–β
+///   all-reduce of bytes linear in the batch;
+/// - **the stages of a split together cost at least the whole list
+///   priced as one stage**, at the same micro-batch: the tasks' times
+///   add, a task held by two stages is paid twice, and each stage pays
+///   its own overheads and all-reduce latency.
 pub trait CostModel: Sync {
     /// The analytical profiler underneath. It builds the
     /// [`ProfiledSet`]s the model prices: a set's statistics are

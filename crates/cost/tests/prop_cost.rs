@@ -90,6 +90,23 @@ fn random_set(g: &TaskGraph, sel: u64) -> TaskSet {
     )
 }
 
+/// Forward plus backward time of `set` as one stage at `batch`, degree
+/// `tp` and one micro-batch in flight, its all-reduce included
+/// ([`CostModel::stage_cost_tp`]).
+fn stage_time(
+    m: &dyn CostModel,
+    cluster: &ClusterSpec,
+    set: &TaskSet,
+    batch: usize,
+    ckpt: bool,
+    tp: usize,
+) -> f64 {
+    let time = m.profiler().time_sums(set.iter(), batch, tp);
+    let profiled = m.profiler().profiled(set);
+    let r = m.stage_cost_tp(&profiled, time, batch, 1, ckpt, tp, cluster);
+    r.fwd_time + r.bwd_time
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -198,6 +215,96 @@ proptest! {
                                 label, batch, tp, inflight, ckpt
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A stage's forward plus backward time per sample is nonincreasing
+    /// in its micro-batch ([`CostModel`]'s first score-bound property),
+    /// on the grid of `stage_mem_nondecreasing_in_batch`: both shipping
+    /// models, FP32 and mixed precision, random sets of every model
+    /// family, tensor-parallel degrees 1, 2 and 8 (the all-reduce
+    /// included), checkpointing on and off, batch 1–64. Up to a relative
+    /// `1e-12` of rounding, far inside the bound's own slack.
+    #[test]
+    fn stage_time_per_sample_nonincreasing_in_batch(
+        cal in calibrations(),
+        family in 0usize..5,
+        sel in any::<u64>(),
+        mixed in any::<bool>(),
+    ) {
+        let g = family_graph(family);
+        let cluster = ClusterSpec::v100_cluster(2);
+        let set = random_set(&g, sel);
+        let opts = if mixed { ProfilerOptions::mixed() } else { ProfilerOptions::fp32() };
+        let analytical = Profiler::new(&g, cluster.device.clone(), opts);
+        let calibrated = CalibratedCost::new(&g, cluster.device.clone(), opts, cal, &cluster);
+        let models: [(&dyn CostModel, &str); 2] =
+            [(&analytical, "analytical"), (&calibrated, "calibrated")];
+        for (m, label) in models {
+            for tp in [1usize, 2, 8] {
+                for ckpt in [false, true] {
+                    let per_sample = |batch: usize| {
+                        stage_time(m, &cluster, &set, batch, ckpt, tp) / batch as f64
+                    };
+                    for batch in 1usize..64 {
+                        let (now, next) = (per_sample(batch), per_sample(batch + 1));
+                        prop_assert!(
+                            next <= now * (1.0 + 1e-12),
+                            "{}: {} s/sample at batch {}, {} at {}, tp {}, ckpt {}",
+                            label, now, batch, next, batch + 1, tp, ckpt
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The stages of a split together cost at least the whole set priced
+    /// as one stage ([`CostModel`]'s second score-bound property): a
+    /// random set cut into two to four parts, some tasks held by two parts
+    /// as the block phase's cloned constants are, on the same grid.
+    #[test]
+    fn split_stages_cost_at_least_the_whole(
+        cal in calibrations(),
+        family in 0usize..5,
+        sel in any::<u64>(),
+        cut in any::<u64>(),
+        parts in 2usize..5,
+        mixed in any::<bool>(),
+    ) {
+        let g = family_graph(family);
+        let cluster = ClusterSpec::v100_cluster(2);
+        let whole = random_set(&g, sel);
+        let mut split = vec![TaskSet::new(g.num_tasks()); parts];
+        for t in whole.iter() {
+            let h = (t.index() as u64 ^ cut).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let i = (h >> 33) as usize % parts;
+            split[i].insert(t);
+            if h >> 63 == 1 && (h >> 20).is_multiple_of(8) {
+                split[(i + 1) % parts].insert(t);
+            }
+        }
+        let opts = if mixed { ProfilerOptions::mixed() } else { ProfilerOptions::fp32() };
+        let analytical = Profiler::new(&g, cluster.device.clone(), opts);
+        let calibrated = CalibratedCost::new(&g, cluster.device.clone(), opts, cal, &cluster);
+        let models: [(&dyn CostModel, &str); 2] =
+            [(&analytical, "analytical"), (&calibrated, "calibrated")];
+        for (m, label) in models {
+            for tp in [1usize, 2, 8] {
+                for ckpt in [false, true] {
+                    for batch in 1usize..=64 {
+                        let one = stage_time(m, &cluster, &whole, batch, ckpt, tp);
+                        let sum: f64 = (split.iter())
+                            .map(|part| stage_time(m, &cluster, part, batch, ckpt, tp))
+                            .sum();
+                        prop_assert!(
+                            sum >= one * (1.0 - 1e-12),
+                            "{}: {} parts cost {} < whole {}, batch {}, tp {}, ckpt {}",
+                            label, parts, sum, one, batch, tp, ckpt
+                        );
                     }
                 }
             }

@@ -18,9 +18,11 @@
 //! against the frozen schema in [`crate::sink`].
 //!
 //! [`check_explain`] validates a plan flight-recorder artifact
-//! (`rannc_explain` schema v2): [`Recording::from_json`] decodes it
+//! (`rannc_explain` schema v3): [`Recording::from_json`] decodes it
 //! strictly, then [`explain_recording`] cross-checks the winner against
-//! the candidates (its score is the minimum feasible score).
+//! the candidates (its score is the minimum feasible score) and the
+//! score bounds against both (a feasible cell scores at least its bound,
+//! a bounded cell's bound is above the winner's score).
 //!
 //! All three are additive exports: every reader here ignores unknown
 //! keys, and decodes through [`crate::json::decode`].
@@ -217,6 +219,8 @@ pub struct ExplainSummary {
     pub feasible: usize,
     /// Cells whose DP found no placement.
     pub infeasible: usize,
+    /// Cells skipped by their score bound.
+    pub bounded: usize,
     /// Stages of the winning plan (0 when the search was infeasible).
     pub winner_stages: usize,
 }
@@ -224,7 +228,9 @@ pub struct ExplainSummary {
 /// Decode a plan flight-recorder artifact and cross-check its winner:
 /// present exactly when some candidate was feasible, and scored exactly
 /// like the best feasible candidate, or like its refinement when one was
-/// accepted.
+/// accepted. Every feasible cell scores at least its bound, and every
+/// bounded cell's bound is strictly above the best feasible score, so
+/// above the winner's too: a skipped cell could not have won.
 pub fn explain_recording(text: &str) -> Result<Recording, String> {
     let rec = Recording::from_json(text).map_err(|e| e.to_string())?;
     let best = rec
@@ -236,6 +242,28 @@ pub fn explain_recording(text: &str) -> Result<Recording, String> {
             _ => None,
         })
         .reduce(f64::min);
+    let best_score = best.unwrap_or(f64::INFINITY);
+    for (t, c) in rec
+        .tiers
+        .iter()
+        .flat_map(|t| t.candidates.iter().map(move |c| (t, c)))
+    {
+        let cell = format!(
+            "cell (S {}, MB {}, T {}) of tier n = {}",
+            c.stages, c.microbatches, c.tp, t.n
+        );
+        match c.outcome {
+            CandidateOutcome::Feasible { score, bound, .. } if bound > score => {
+                return Err(format!("{cell} scores {score} below its bound {bound}"));
+            }
+            CandidateOutcome::Bounded { bound } if bound <= best_score => {
+                return Err(format!(
+                    "{cell} was skipped with bound {bound}, not above the winner's score {best_score}"
+                ));
+            }
+            _ => {}
+        }
+    }
     match (&rec.winner, best) {
         (None, None) => {}
         (None, Some(_)) => {
@@ -277,15 +305,16 @@ pub fn explain_recording(text: &str) -> Result<Recording, String> {
     Ok(rec)
 }
 
-/// Validate a plan flight-recorder artifact (`rannc_explain` schema v2).
+/// Validate a plan flight-recorder artifact (`rannc_explain` schema v3).
 pub fn check_explain(text: &str) -> Result<ExplainSummary, String> {
     let rec = explain_recording(text)?;
-    let (candidates, feasible, infeasible) = rec.totals();
+    let (candidates, feasible, infeasible, bounded) = rec.totals();
     Ok(ExplainSummary {
         tiers: rec.tiers.len(),
         candidates,
         feasible,
         infeasible,
+        bounded,
         winner_stages: rec.winner.map_or(0, |w| w.stages.len()),
     })
 }
@@ -440,6 +469,7 @@ mod tests {
                         outcome: CandidateOutcome::Feasible {
                             score: 0.5,
                             bottleneck: 0.25,
+                            bound: 0.375,
                         },
                     },
                     CandidateRec {
@@ -447,6 +477,12 @@ mod tests {
                         microbatches: 1,
                         tp: 1,
                         outcome: CandidateOutcome::Infeasible,
+                    },
+                    CandidateRec {
+                        stages: 2,
+                        microbatches: 2,
+                        tp: 1,
+                        outcome: CandidateOutcome::Bounded { bound: 0.75 },
                     },
                 ],
             }],
@@ -484,9 +520,10 @@ mod tests {
     fn explain_checker_accepts_its_own_serialization() {
         let s = check_explain(&valid_explain()).expect("artifact is valid");
         assert_eq!(s.tiers, 1);
-        assert_eq!(s.candidates, 2);
+        assert_eq!(s.candidates, 3);
         assert_eq!(s.feasible, 1);
         assert_eq!(s.infeasible, 1);
+        assert_eq!(s.bounded, 1);
         assert_eq!(s.winner_stages, 1);
     }
 
@@ -503,8 +540,8 @@ mod tests {
                 "wrong schema tag",
             ),
             (
-                good.replace("\"version\": 2", "\"version\": 1"),
-                "version 1 artifact",
+                good.replace("\"version\": 3", "\"version\": 2"),
+                "version 2 artifact",
             ),
             (
                 good.replace("\"outcome\": \"infeasible\"", "\"outcome\": \"maybe\""),
@@ -512,14 +549,38 @@ mod tests {
             ),
             (
                 good.replace(
-                    "\"score\": 0.5, \"bottleneck\": 0.25}",
-                    "\"bottleneck\": 0.25}",
+                    "\"score\": 0.5, \"bottleneck\": 0.25, \"bound\"",
+                    "\"bottleneck\": 0.25, \"bound\"",
                 ),
                 "feasible candidate without a score",
             ),
             (
-                good.replace("\"candidates\": 2", "\"candidates\": 99"),
+                good.replace("\"bound\": 0.375", "\"bound\": 0.625"),
+                "feasible candidate scored below its bound",
+            ),
+            (
+                good.replace(", \"bound\": 0.375", ""),
+                "feasible candidate without a bound",
+            ),
+            (
+                good.replace("\"bound\": 0.75", "\"bound\": 0.5"),
+                "bounded cell whose bound ties the winner's score",
+            ),
+            (
+                good.replace("\"bound\": 0.75", "\"bound\": 0.25"),
+                "bounded cell whose bound is below the winner's score",
+            ),
+            (
+                good.replace(", \"bound\": 0.75}", "}"),
+                "bounded cell without a bound",
+            ),
+            (
+                good.replace("\"candidates\": 3", "\"candidates\": 99"),
                 "accounting total out of sync",
+            ),
+            (
+                good.replace("\"bounded\": 1", "\"bounded\": 0"),
+                "bounded count out of sync",
             ),
             (
                 good.replace("\"winner\": {", "\"winner_\": {"),
@@ -545,7 +606,7 @@ mod tests {
                 "fractional batch size",
             ),
             (
-                good.replace("\"version\": 2", "\"version\": 2.0"),
+                good.replace("\"version\": 3", "\"version\": 3.0"),
                 "version that is not an integer literal",
             ),
             (

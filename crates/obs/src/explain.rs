@@ -1,7 +1,9 @@
 //! Renderer behind `rannc-plan explain` — turns a flight-recorder
-//! artifact ([`crate::recorder`], `rannc_explain` schema v2) into a
-//! per-stage cost-breakdown table, a top-k runner-up list, and a search
-//! account, and diffs two artifacts stage by stage.
+//! artifact ([`crate::recorder`], `rannc_explain` schema v3) into a
+//! per-stage cost-breakdown table, a top-k runner-up list (a cell the
+//! search skipped by its score bound shows as `≥ bound`), and a search
+//! account with the winner's optimality gap, and diffs two artifacts
+//! stage by stage.
 //!
 //! Every entry point decodes the artifact through
 //! [`crate::check::explain_recording`] first, so rendering never has to
@@ -26,31 +28,43 @@ fn pct(delta: f64, base: f64) -> String {
     format!("{:+.1}%", delta / base * 100.0)
 }
 
-/// One feasible candidate lifted out of its tier for the runner-up list.
-struct Feasible {
+/// One feasible or bounded candidate lifted out of its tier for the
+/// runner-up list.
+struct Ranked {
     n: usize,
     stages: usize,
     microbatches: usize,
     tp: usize,
+    /// The score, or for a bounded cell the bound below it.
     score: f64,
+    /// The cell's score bound.
+    bound: f64,
+    /// Whether the search skipped the cell by its bound.
+    bounded: bool,
 }
 
-fn feasible_sorted(rec: &Recording) -> Vec<Feasible> {
+fn ranked(rec: &Recording) -> Vec<Ranked> {
     let mut out = Vec::new();
     for t in &rec.tiers {
         for c in &t.candidates {
-            if let CandidateOutcome::Feasible { score, .. } = c.outcome {
-                out.push(Feasible {
-                    n: t.n,
-                    stages: c.stages,
-                    microbatches: c.microbatches,
-                    tp: c.tp.max(1),
-                    score,
-                });
-            }
+            let (score, bound, bounded) = match c.outcome {
+                CandidateOutcome::Feasible { score, bound, .. } => (score, bound, false),
+                CandidateOutcome::Bounded { bound } => (bound, bound, true),
+                CandidateOutcome::Infeasible => continue,
+            };
+            out.push(Ranked {
+                n: t.n,
+                stages: c.stages,
+                microbatches: c.microbatches,
+                tp: c.tp.max(1),
+                score,
+                bound,
+                bounded,
+            });
         }
     }
-    // score asc; grid order breaks ties (stable sort over in-order scan)
+    // score asc; grid order breaks ties (stable sort over in-order scan).
+    // A bounded cell's bound is above the best score, so the winner leads.
     out.sort_by(|a, b| a.score.total_cmp(&b.score));
     out
 }
@@ -61,7 +75,8 @@ pub fn render(text: &str, top_k: usize) -> Result<String, String> {
     let rec = explain_recording(text)?;
     let ctx = rec.context.clone().unwrap_or_default();
     let acc = rec.accounting.clone().unwrap_or_default();
-    let (total, feas, infeas) = rec.totals();
+    let (total, feas, infeas, bounded) = rec.totals();
+    let ranked = ranked(&rec);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -87,6 +102,13 @@ pub fn render(text: &str, top_k: usize) -> Result<String, String> {
                 ms(w.score - w.est_iteration_time),
                 ms(w.bottleneck)
             ));
+            if let Some(best) = ranked.first() {
+                out.push_str(&format!(
+                    "score bound: {} ms, gap {:.3} (score / bound)\n",
+                    ms(best.bound),
+                    best.score / best.bound
+                ));
+            }
             if let Some(r) = &rec.refine {
                 let verdict = if r.accepted { "accepted" } else { "rejected" };
                 match r.to {
@@ -149,11 +171,10 @@ pub fn render(text: &str, top_k: usize) -> Result<String, String> {
         }
     }
 
-    let ranked = feasible_sorted(&rec);
     if ranked.len() > 1 && top_k > 0 {
         let shown = (ranked.len() - 1).min(top_k);
         out.push_str(&format!(
-            "\nrunner-up plans (top {} of {} feasible):\n",
+            "\nrunner-up plans (top {} of {} feasible or bounded):\n",
             shown,
             ranked.len() - 1
         ));
@@ -164,8 +185,9 @@ pub fn render(text: &str, top_k: usize) -> Result<String, String> {
             } else {
                 String::new()
             };
+            let at_least = if f.bounded { "≥ " } else { "" };
             out.push_str(&format!(
-                "  #{} S={} MB={}{t_str} n={}: score {} ms ({:+.3} ms, {})\n",
+                "  #{} S={} MB={}{t_str} n={}: score {at_least}{} ms ({:+.3} ms, {})\n",
                 i + 1,
                 f.stages,
                 f.microbatches,
@@ -178,11 +200,13 @@ pub fn render(text: &str, top_k: usize) -> Result<String, String> {
     }
 
     out.push_str(&format!(
-        "\nsearch: {} tier(s), {} candidate(s) — {} feasible, {} infeasible\n",
+        "\nsearch: {} tier(s), {} candidate(s) — {} feasible, {} infeasible, \
+         {} bounded\n",
         rec.tiers.len(),
         total,
         feas,
-        infeas
+        infeas,
+        bounded
     ));
     out.push_str(&format!(
         "caches: {} stage-cost entries, {} profiler entries\n",
@@ -287,10 +311,11 @@ pub fn render_diff(a_text: &str, b_text: &str) -> Result<String, String> {
         (None, None) => out.push_str("winner: both searches INFEASIBLE\n"),
     }
 
-    let (at, af, ai) = a.totals();
-    let (bt, bf, bi) = b.totals();
+    let (at, af, ai, ab) = a.totals();
+    let (bt, bf, bi, bb) = b.totals();
     out.push_str(&format!(
-        "\nsearch: candidates {at} -> {bt}, feasible {af} -> {bf}, infeasible {ai} -> {bi}\n"
+        "\nsearch: candidates {at} -> {bt}, feasible {af} -> {bf}, infeasible {ai} -> {bi}, \
+         bounded {ab} -> {bb}\n"
     ));
     Ok(out)
 }
@@ -323,6 +348,7 @@ mod tests {
                         outcome: CandidateOutcome::Feasible {
                             score: fwd * 2.0,
                             bottleneck: fwd,
+                            bound: fwd * 1.6,
                         },
                     },
                     CandidateRec {
@@ -332,6 +358,7 @@ mod tests {
                         outcome: CandidateOutcome::Feasible {
                             score: fwd * 3.0,
                             bottleneck: fwd,
+                            bound: fwd * 1.5,
                         },
                     },
                     CandidateRec {
@@ -339,6 +366,12 @@ mod tests {
                         microbatches: 1,
                         tp: 1,
                         outcome: CandidateOutcome::Infeasible,
+                    },
+                    CandidateRec {
+                        stages: 2,
+                        microbatches: 2,
+                        tp: 1,
+                        outcome: CandidateOutcome::Bounded { bound: fwd * 2.5 },
                     },
                 ],
             }],
@@ -396,11 +429,17 @@ mod tests {
             "{out}"
         );
         assert!(
-            out.contains("runner-up plans (top 1 of 1 feasible)"),
+            out.contains("score bound: 16.000 ms, gap 1.250 (score / bound)"),
             "{out}"
         );
         assert!(
-            out.contains("3 candidate(s) — 2 feasible, 1 infeasible"),
+            out.contains("runner-up plans (top 2 of 2 feasible or bounded)"),
+            "{out}"
+        );
+        assert!(out.contains("#1 S=2 MB=2 n=1: score ≥ 25.000 ms"), "{out}");
+        assert!(out.contains("#2 S=1 MB=2 n=1: score 30.000 ms"), "{out}");
+        assert!(
+            out.contains("4 candidate(s) — 2 feasible, 1 infeasible, 1 bounded"),
             "{out}"
         );
         assert!(out.contains("7 stage-cost entries"), "{out}");
@@ -421,6 +460,7 @@ mod tests {
         assert!(out.contains("4 -> 3 usable device(s)"), "{out}");
         assert!(out.contains("score"), "{out}");
         assert!(out.contains("stage 0: fwd 10.000 -> 14.000"), "{out}");
-        assert!(out.contains("candidates 3 -> 3"), "{out}");
+        assert!(out.contains("candidates 4 -> 4"), "{out}");
+        assert!(out.contains("bounded 1 -> 1"), "{out}");
     }
 }

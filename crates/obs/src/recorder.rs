@@ -3,10 +3,10 @@
 //!
 //! Where [`crate::trace`] answers *where wall-clock time went*, the
 //! recorder answers *why this plan won*: it captures every swept
-//! `(S, MB)` candidate of every node tier with its score or
-//! infeasibility, plus the winner's per-stage cost attribution and the
-//! candidate/cache accounting — the raw material for the
-//! `rannc-plan explain` subcommand.
+//! `(S, MB, T)` candidate of every node tier with its score, its score
+//! bound or its infeasibility, plus the winner's per-stage cost
+//! attribution and the candidate/cache accounting — the raw material
+//! for the `rannc-plan explain` subcommand.
 //!
 //! The cost contract mirrors the tracing layer exactly: every recording
 //! entry point checks [`enabled`] *before touching the heap*, so a
@@ -17,13 +17,11 @@
 //! its timed run).
 //!
 //! **Determinism.** The serialized artifact ([`to_json`], frozen schema
-//! `rannc_explain` v2) is byte-identical across worker-thread counts.
-//! The search runs the DP on every grid cell and records the cells in
-//! grid order after the sweep, so the candidate list is the work a
-//! recorder-off run does. Everything thread-schedule-dependent is
-//! deliberately excluded: no timestamps, no thread ids, and no cache
-//! hit/miss counts (only *entry* counts, which are
-//! schedule-independent).
+//! `rannc_explain` v3) is a pure function of the search's inputs. The
+//! search settles every grid cell (solved, bounded or infeasible) and
+//! records the cells in grid order after each tier's walk, so the
+//! candidate list is the work a recorder-off run does. No timestamps and
+//! no cache hit/miss counts are recorded (only *entry* counts).
 
 use crate::json::{self, escape, fmt_f64, DecodeError, Node, Obj, SchemaError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,7 +61,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// How one swept `(S, MB)` grid cell ended.
+/// How one swept `(S, MB, T)` grid cell ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CandidateOutcome {
     /// The DP found a solution; `score` is the full iteration-time
@@ -74,6 +72,14 @@ pub enum CandidateOutcome {
         score: f64,
         /// DP bottleneck value, seconds.
         bottleneck: f64,
+        /// The cell's score lower bound, at most `score`, seconds.
+        bound: f64,
+    },
+    /// The DP never ran: the cell's score lower bound is strictly above
+    /// a solved cell's score, so the cell cannot win.
+    Bounded {
+        /// The cell's score lower bound, seconds.
+        bound: f64,
     },
     /// The DP ran and found no feasible placement.
     Infeasible,
@@ -191,8 +197,7 @@ pub struct RefineRec {
     pub accepted: bool,
 }
 
-/// Cache accounting. Entry counts only — hit/miss counts depend on the
-/// thread schedule and would break artifact byte-identity.
+/// Cache accounting: entry counts only, the work each cache did.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccountingRec {
     /// Stage evaluations the search's DP arena memos ran.
@@ -218,22 +223,23 @@ pub struct Recording {
 
 impl Recording {
     /// Candidate totals over all tiers: `(candidates, feasible,
-    /// infeasible)`.
-    pub fn totals(&self) -> (usize, usize, usize) {
-        let (mut total, mut feas, mut infeas) = (0, 0, 0);
+    /// infeasible, bounded)`.
+    pub fn totals(&self) -> (usize, usize, usize, usize) {
+        let (mut total, mut feas, mut infeas, mut bounded) = (0, 0, 0, 0);
         for t in &self.tiers {
             for c in &t.candidates {
                 total += 1;
                 match c.outcome {
                     CandidateOutcome::Feasible { .. } => feas += 1,
+                    CandidateOutcome::Bounded { .. } => bounded += 1,
                     CandidateOutcome::Infeasible => infeas += 1,
                 }
             }
         }
-        (total, feas, infeas)
+        (total, feas, infeas, bounded)
     }
 
-    /// Decode a `rannc_explain` v2 artifact — the inverse of [`to_json`].
+    /// Decode a `rannc_explain` v3 artifact — the inverse of [`to_json`].
     ///
     /// Strict where it reads: integers must be exact non-negative
     /// literals (counts and sizes positive), times finite and
@@ -248,7 +254,7 @@ impl Recording {
             if schema.str()? != "rannc_explain" {
                 return Err(schema.error(format!("unknown schema `{}`", schema.str()?)));
             }
-            root.version(2)?;
+            root.version(3)?;
             let cluster = root.get("cluster")?.obj()?;
             let context = ContextRec {
                 model: root.get("model")?.str()?.to_string(),
@@ -277,11 +283,12 @@ impl Recording {
                     profiler_cache_entries: acc.get("profiler_cache_entries")?.u64()?,
                 }),
             };
-            let (total, feas, infeas) = rec.totals();
+            let (total, feas, infeas, bounded) = rec.totals();
             for (key, expect) in [
                 ("candidates", total),
                 ("feasible", feas),
                 ("infeasible", infeas),
+                ("bounded", bounded),
                 ("node_tiers", rec.tiers.len()),
             ] {
                 let field = acc.get(key)?;
@@ -319,6 +326,10 @@ fn decode_tier(t: Obj<'_>) -> Result<TierRec, SchemaError> {
                 "feasible" => CandidateOutcome::Feasible {
                     score: seconds(c.get("score")?)?,
                     bottleneck: seconds(c.get("bottleneck")?)?,
+                    bound: seconds(c.get("bound")?)?,
+                },
+                "bounded" => CandidateOutcome::Bounded {
+                    bound: seconds(c.get("bound")?)?,
                 },
                 "infeasible" => CandidateOutcome::Infeasible,
                 other => return Err(outcome.error(format!("unknown outcome `{other}`"))),
@@ -496,21 +507,21 @@ pub fn take() -> Option<Recording> {
     lock(&CURRENT).take()
 }
 
-/// Serialize a recording to the frozen `rannc_explain` schema v2.
+/// Serialize a recording to the frozen `rannc_explain` schema v3.
 ///
 /// Field order, formatting ([`fmt_f64`]) and layout are part of the
 /// contract: the same recording always serializes to the same bytes, and
-/// a recording itself is byte-identical across worker thread counts
-/// (`explain_recorder`'s `artifact_is_byte_identical_across_thread_counts`).
+/// a recording itself is byte-identical from run to run
+/// (`explain_recorder`'s `artifact_is_byte_identical_from_run_to_run`).
 pub fn to_json(rec: &Recording) -> String {
     let ctx = rec.context.clone().unwrap_or_default();
     let acc = rec.accounting.clone().unwrap_or_default();
-    let (total, feas, infeas) = rec.totals();
+    let (total, feas, infeas, bounded) = rec.totals();
 
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"rannc_explain\",\n");
-    out.push_str("  \"version\": 2,\n");
+    out.push_str("  \"version\": 3,\n");
     out.push_str(&format!("  \"model\": \"{}\",\n", escape(&ctx.model)));
     out.push_str(&format!("  \"batch_size\": {},\n", ctx.batch_size));
     out.push_str(&format!(
@@ -544,11 +555,23 @@ pub fn to_json(rec: &Recording) -> String {
                 out.push_str(&format!("\"tp\": {}, ", c.tp));
             }
             match &c.outcome {
-                CandidateOutcome::Feasible { score, bottleneck } => {
+                CandidateOutcome::Feasible {
+                    score,
+                    bottleneck,
+                    bound,
+                } => {
                     out.push_str(&format!(
-                        "\"outcome\": \"feasible\", \"score\": {}, \"bottleneck\": {}}}",
+                        "\"outcome\": \"feasible\", \"score\": {}, \"bottleneck\": {}, \
+                         \"bound\": {}}}",
                         fmt_f64(*score),
-                        fmt_f64(*bottleneck)
+                        fmt_f64(*bottleneck),
+                        fmt_f64(*bound)
+                    ));
+                }
+                CandidateOutcome::Bounded { bound } => {
+                    out.push_str(&format!(
+                        "\"outcome\": \"bounded\", \"bound\": {}}}",
+                        fmt_f64(*bound)
                     ));
                 }
                 CandidateOutcome::Infeasible => {
@@ -640,10 +663,12 @@ pub fn to_json(rec: &Recording) -> String {
 
     out.push_str(&format!(
         "  \"accounting\": {{\"candidates\": {}, \"feasible\": {}, \"infeasible\": {}, \
-         \"node_tiers\": {}, \"stage_cache_entries\": {}, \"profiler_cache_entries\": {}}}\n",
+         \"bounded\": {}, \"node_tiers\": {}, \"stage_cache_entries\": {}, \
+         \"profiler_cache_entries\": {}}}\n",
         total,
         feas,
         infeas,
+        bounded,
         rec.tiers.len(),
         acc.stage_cache_entries,
         acc.profiler_cache_entries
@@ -668,6 +693,7 @@ mod tests {
             CandidateOutcome::Feasible {
                 score: 0.25,
                 bottleneck: 0.125,
+                bound: 0.125,
             },
         );
         candidate(
@@ -677,9 +703,11 @@ mod tests {
             CandidateOutcome::Feasible {
                 score: 0.5,
                 bottleneck: 0.25,
+                bound: 0.25,
             },
         );
         candidate(2, 1, 1, CandidateOutcome::Infeasible);
+        candidate(2, 2, 1, CandidateOutcome::Bounded { bound: 0.75 });
         set_context(|| ContextRec {
             model: "mlp-test".into(),
             batch_size: 32,
@@ -740,8 +768,8 @@ mod tests {
         let rec = sample();
         set_enabled(false);
         assert_eq!(rec.tiers.len(), 1);
-        assert_eq!(rec.tiers[0].candidates.len(), 3);
-        assert_eq!(rec.totals(), (3, 2, 1));
+        assert_eq!(rec.tiers[0].candidates.len(), 4);
+        assert_eq!(rec.totals(), (4, 2, 1, 1));
         assert!(take().is_none(), "take drains the recording");
     }
 
@@ -757,10 +785,16 @@ mod tests {
         assert_eq!(a, b, "same recording, same bytes");
         let v = crate::json::parse(&a).expect("artifact is valid JSON");
         assert_eq!(v.get("schema").unwrap().as_str(), Some("rannc_explain"));
-        assert_eq!(v.get("version").unwrap().as_f64(), Some(2.0));
+        assert_eq!(v.get("version").unwrap().as_f64(), Some(3.0));
         let acc = v.get("accounting").unwrap();
-        assert_eq!(acc.get("candidates").unwrap().as_f64(), Some(3.0));
+        assert_eq!(acc.get("candidates").unwrap().as_f64(), Some(4.0));
         assert_eq!(acc.get("feasible").unwrap().as_f64(), Some(2.0));
+        assert_eq!(acc.get("bounded").unwrap().as_f64(), Some(1.0));
+        assert_eq!(
+            Recording::from_json(&a).expect("decodes"),
+            rec,
+            "round trip"
+        );
         crate::check::check_explain(&a).expect("artifact passes its validator");
     }
 

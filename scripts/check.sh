@@ -24,11 +24,14 @@ echo "==> paper-scale stage-DP parity (the benchmark's search grids, against the
 # HashMap-memo reference DP's solution bit for bit
 cargo test --release -q -p rannc-core --offline --test prop_dp_flat -- --ignored
 
-echo "==> paper-scale memory bound (the benchmark's cold searches: every INFEASIBLE cell proven)"
+echo "==> paper-scale search bounds (every INFEASIBLE cell proven, no skipped cell can win)"
 # ignored in the default run for its size: the memory-only fewest-devices
 # bound must prove exactly 118 of bert256-d128's 120 cells, 22 of
 # resnet152x8-d128's 56 and 18 of bert64-tp8's 45, every cell whose DP
-# would return INFEASIBLE
+# would return INFEASIBLE; and on the Fig. 4 and Fig. 5 grids, the
+# benchmark's three cold-start settings and 50 churn replans, every cell
+# the score bound skips must score strictly above the winner when its DP
+# runs through a fresh arena
 cargo test --release -q -p rannc-core --offline --test prop_bound -- --ignored
 
 echo "==> small stage-DP sweep (1.76M small DPs against the reference, one last-row cell)"
@@ -41,7 +44,7 @@ cargo test --release -q -p rannc-core --offline --test dp_last_row -- --ignored
 echo "==> paper-scale stage-cut refinement (Fig. 4 grid, bert256-d128, 50 churn events)"
 # ignored in the default run for its size: every refined plan keeps the
 # scan winner's (S, MB, T, R), scores no worse, verifies and certifies under
-# fill-drain, and is bit-identical at 1, 2 and 4 threads
+# fill-drain, and is bit-identical from run to run
 cargo test --release -q -p rannc-core --offline --test prop_refine -- --ignored
 
 echo "==> paper-scale range-table parity (BERT 2048x256, k 32, all 528 ranges)"
@@ -50,12 +53,6 @@ echo "==> paper-scale range-table parity (BERT 2048x256, k 32, all 528 ranges)"
 # composed from the blocks' time sums, price it bit-identically to a
 # from-scratch walk of the union
 cargo test --release -q -p rannc-core --offline --test prop_range_table -- --ignored
-
-echo "==> paper-scale thread identity (BERT 2048x256 at 128 devices, k 32, 1/2/4 threads)"
-# ignored in the default run for its size: on the same blocks the search
-# must return a bit-identical plan at 1, 2 and 4 worker threads
-cargo test --release -q -p rannc --offline --test determinism \
-    bert256_plan_is_identical_across_thread_counts -- --ignored
 
 echo "==> paper-scale liveness parity (BERT 2048x256, 4 stages, against the definition)"
 # ignored in the default run for its size: the closed-form stage liveness
@@ -91,7 +88,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one last-row cell, one graph index, one cost-row table per graph, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, one search fan-out, one arena source, one thread spawner, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
+echo "==> one-path gate (one stage DP, one last-row cell, one graph index, one cost-row table per graph, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, a search on the calling thread, one arena source, one thread spawner, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -285,9 +282,11 @@ fi
 # deleted. Compaction maps its groups with a plain iterator (it gets at
 # most k of them on every benchmark workload), so the size-gated
 # parallel_map stays deleted, and coarsening prices its atoms and builds
-# its group graph on the calling thread, so par::join stays deleted: the
-# search sweep is the one fan-out (parallel_map_with), and its calling
-# thread is worker 0.
+# its group graph on the calling thread, so par::join stays deleted. The
+# search walks each tier best-first on the calling thread, so the sweep's
+# fan-out (parallel_map_with) and the worker count behind it
+# (max_threads, RANNC_THREADS) stay deleted too; par::set_threads is a
+# no-op kept for the benchmark package.
 if awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
     crates/core/src/refine.rs | grep -E 'largest_fit|MAX_PIECES|time_counted|\.row\('; then
     echo "FAILED: the refinement's lazy atom pricing or its block time row reads are back"
@@ -299,6 +298,11 @@ if grep -rn --include='*.rs' "parallel_map(" crates/*/src; then
 fi
 if grep -rnE --include='*.rs' "fn join\b|par::join\(" crates/*/src; then
     echo "FAILED: par::join is back"
+    exit 1
+fi
+if grep -rnE --include='*.rs' "parallel_map_with|max_threads|RANNC_THREADS" \
+    crates tests examples --exclude-dir=rannc_benchmark; then
+    echo "FAILED: the search fan-out or its worker count is back"
     exit 1
 fi
 # DP arenas outlive the search: each (MB, T) group and the refinement
@@ -315,24 +319,23 @@ if grep -rn --include='*.rs' "ArenaPool" crates/*/src --exclude-dir=rannc_benchm
     echo "FAILED: the per-search ArenaPool is back in crates/*/src"
     exit 1
 fi
-# The sweep's fan-out is the planner's one source of threads: outside
-# tests, threads are spawned only in core::par. The numeric pipeline
+# The planner spawns no thread: outside tests, only the numeric pipeline
 # trainer (rannc-train's pipeline.rs), which runs one thread per stage,
-# is the one exemption, and the rannc_benchmark package is exempt (it is
-# changed only with the benchmark).
+# spawns one, and the rannc_benchmark package is exempt (it is changed
+# only with the benchmark).
 SPAWN_HITS="$(find crates/*/src -name '*.rs' ! -path '*/rannc_benchmark/*' \
-    ! -path crates/core/src/par.rs ! -path crates/train/src/pipeline.rs -print0 \
+    ! -path crates/train/src/pipeline.rs -print0 \
     | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
     | grep -E '(thread::|\.)spawn\(|thread::Builder' | grep -vE '^[^:]+:[0-9]+: *//' || true)"
 if [ -n "$SPAWN_HITS" ]; then
     echo "$SPAWN_HITS"
-    echo "FAILED: a thread spawned outside core::par"
+    echo "FAILED: a thread spawned outside the pipeline trainer"
     exit 1
 fi
 
 # planner_bench is a bench: it times the block phase and one search per
-# case at --threads. The one-thread rerun and its speedup geomean stay
-# deleted (thread identity is the determinism suite's), and so do the
+# case. The one-thread rerun and its speedup geomean stay deleted, and so
+# do the
 # criterion micro-benches and their vendored stub, which gated nothing.
 if grep -rnE "seq_seconds|geomean_speedup" crates/bench/src BENCH_partition.json \
     --exclude-dir=rannc_benchmark; then
@@ -537,13 +540,12 @@ if ! echo "$FIG4" | awk '
 fi
 echo "    Fig. 4: RaNNC FP32 >= GPipe-Hybrid in all 18 cells, > on 2048x256"
 
-echo "==> planner-bench smoke (block phase and search at 4 threads, self-checked)"
+echo "==> planner-bench smoke (block phase and search, self-checked)"
 # --check reads the timed run and exits nonzero on malformed JSON, a
 # profiler hit rate below its floor, a DP memo that never hits, or an
-# observability allocation while it is disabled. Plan identity across
-# thread counts and against the reference scan lives in the determinism
-# and prop_dp_flat suites.
-./target/release/planner_bench --quick --threads 4 --check \
+# observability allocation while it is disabled. Plan identity against
+# the reference scan lives in the determinism and prop_dp_flat suites.
+./target/release/planner_bench --quick --check \
     --out BENCH_partition_quick.json \
     || { echo "planner_bench smoke FAILED"; exit 1; }
 rm -f BENCH_partition_quick.json
@@ -553,9 +555,8 @@ echo "==> planner-bench paper-scale smoke (bert-256l at 128 devices, 120 s budge
 # planned at 128 devices must finish well inside the wall-clock budget
 # and pass the same self-checks (hit-rate floor, memo hits, zero
 # allocations while disabled); its plan is pinned bit-exactly by the
-# benchmark's sim_samples_per_s, and its thread identity by the ignored
-# determinism test above.
-timeout 120 ./target/release/planner_bench --paper-scale --quick --threads 4 \
+# benchmark's sim_samples_per_s.
+timeout 120 ./target/release/planner_bench --paper-scale --quick \
     --check --repeat 1 --out BENCH_partition_paper_quick.json \
     || { echo "planner_bench paper-scale smoke FAILED (or blew the 120 s budget)"; exit 1; }
 rm -f BENCH_partition_paper_quick.json

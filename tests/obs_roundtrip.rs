@@ -6,7 +6,8 @@
 //! 2. slices are properly nested per lane (no end-before-start, no
 //!    cross-lane overlap masquerading as parenthood),
 //! 3. span counts match the metric counters — exactly one `dp` slice
-//!    per grid cell of the search,
+//!    per grid cell of the search, the cells settled without a DP
+//!    included,
 //! 4. the simulator timeline renders as per-stage pipeline lanes.
 //!
 //! The obs globals are process-wide, so everything runs under
@@ -76,7 +77,11 @@ fn chrome_trace_roundtrip_bert_16_devices() {
     assert_eq!(
         summary.count_of("dp") as u64,
         candidates,
-        "one `dp` slice per grid cell: every candidate runs its DP"
+        "one `dp` slice per grid cell, proven and bounded cells included"
+    );
+    assert!(
+        stats.search.pruned + stats.search.bounded < stats.search.candidates,
+        "some cell runs its DP"
     );
     assert_eq!(
         stats.search.candidates as u64, candidates,
