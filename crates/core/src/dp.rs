@@ -49,10 +49,10 @@
 //! only for a device group slower than the template and when the
 //! solution is rebuilt.
 
-use crate::stagecache::{DpCtx, StageCost, TimeRow};
+use crate::stagecache::{DpCtx, StageCost};
 use rannc_graph::TaskSet;
 use rannc_profile::Residency;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
 
 /// Inputs of one `form_stage_dp` invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -208,9 +208,8 @@ impl Hot {
 }
 
 /// Reusable cross-candidate scratch of Algorithm 1: the flat DP tables,
-/// the live predecessor lists, the flat `(b_prev, b, repl)` stage-cost
-/// memo, and one time-row handle per `repl` (the micro-batch a stage
-/// prices at depends only on `repl` under one memo key).
+/// the live predecessor lists and the flat `(b_prev, b, repl)` stage-cost
+/// memo.
 ///
 /// The memo is split in two: a 32-byte hot entry (stamp, objective
 /// terms, memory; a stage over the memory bound is a sentinel memory)
@@ -233,7 +232,7 @@ impl Hot {
 /// sweep guarantees this: each `(MB, T)` group runs its DPs through one
 /// arena of its own). The parameter-level inputs are part of `MemoKey`
 /// and checked automatically. Across groups and searches only the
-/// allocations are reused: a group draws its arena from a process-wide
+/// allocations are reused: a group draws its arena from its thread's
 /// spare list, with its memo invalidated, and hands it back when its
 /// tier's walk is done.
 #[derive(Default)]
@@ -252,8 +251,6 @@ pub struct DpArena {
     hot: Vec<Hot>,
     /// Cold half per `(b_prev, b, repl)`, written with its hot half.
     cold: Vec<Cold>,
-    /// Time-row handle per `repl`, fetched on first use under this key.
-    rows: Vec<Option<Arc<TimeRow>>>,
     stamp: u32,
     key: Option<MemoKey>,
     hits: u64,
@@ -267,23 +264,22 @@ impl DpArena {
         DpArena::default()
     }
 
-    /// An arena from the process-wide spare list, or a new one when the
-    /// list is empty. A spare is reset: its memo is invalidated by one
-    /// stamp bump and its counters start from zero, so it answers
-    /// exactly as a new arena would.
+    /// An arena from the thread's spare list, or a new one when the list
+    /// is empty. A spare is reset: its memo is invalidated by one stamp
+    /// bump and its counters start from zero, so it answers exactly as a
+    /// new arena would.
     pub(crate) fn draw() -> DpArena {
-        let spare = SPARE_ARENAS.lock().unwrap().pop();
-        let mut arena = spare.unwrap_or_default();
+        let mut arena = SPARE_ARENAS.with_borrow_mut(Vec::pop).unwrap_or_default();
         arena.invalidate();
         (arena.hits, arena.misses, arena.visits) = (0, 0, 0);
         arena
     }
 
-    /// Hand `arenas` back to the spare list. Every holder draws before it
-    /// shelves, so the list never holds more arenas than searches held
-    /// at once.
+    /// Hand `arenas` back to the thread's spare list. Every holder draws
+    /// before it shelves, so the list never holds more arenas than one
+    /// search held at once.
     pub(crate) fn shelve(arenas: impl IntoIterator<Item = DpArena>) {
-        SPARE_ARENAS.lock().unwrap().extend(arenas);
+        SPARE_ARENAS.with_borrow_mut(|spares| spares.extend(arenas));
     }
 
     /// Stage lookups this arena's memo answered since it was made or
@@ -305,9 +301,8 @@ impl DpArena {
         self.visits
     }
 
-    /// Invalidate every memo entry and time-row handle: one stamp bump.
+    /// Invalidate every memo entry: one stamp bump.
     fn invalidate(&mut self) {
-        self.rows.iter_mut().for_each(|r| *r = None);
         self.stamp = match self.stamp.checked_add(1) {
             Some(s) => s,
             None => {
@@ -333,8 +328,6 @@ impl DpArena {
             self.cold.resize(memo_len, Cold::default());
             self.stamp = 1;
             self.key = Some(key);
-            self.rows.clear();
-            self.rows.resize(ds1, None);
         } else if self.key != Some(key) {
             self.invalidate();
             self.key = Some(key);
@@ -354,9 +347,12 @@ impl DpArena {
     }
 }
 
-/// The spare [`DpArena`]s a search's groups hand back
-/// ([`DpArena::shelve`]) for the next group to draw ([`DpArena::draw`]).
-static SPARE_ARENAS: Mutex<Vec<DpArena>> = Mutex::new(Vec::new());
+thread_local! {
+    /// The spare [`DpArena`]s a search's groups hand back
+    /// ([`DpArena::shelve`]) for the next group on the thread to draw
+    /// ([`DpArena::draw`]).
+    static SPARE_ARENAS: RefCell<Vec<DpArena>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The micro-batch of a stage on `repl` data-parallel units:
 /// `⌊BS / R / MB / repl⌋` samples, zero when the batch does not reach one
@@ -444,7 +440,6 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
         live_rows,
         hot,
         cold,
-        rows,
         stamp,
         hits,
         misses,
@@ -457,8 +452,6 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
     live_rows[0] = (0, 1);
 
     let mut d_min = 1usize;
-    // time slot hits of this run's evaluations, published once
-    let mut slot_hits = 0u64;
 
     for s in 1..=s_max {
         // the last row computes its answer (S, nb, D) alone (see the
@@ -507,9 +500,7 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
                             hot[li]
                         } else {
                             *misses += 1;
-                            let priced =
-                                ctx.eval_at(b_prev, b, repl, &mut rows[repl], &mut slot_hits);
-                            let entry = match priced {
+                            let entry = match ctx.eval(b_prev, b, repl) {
                                 Some(c) => {
                                     debug_assert_ne!(c.mem, OVER_MEMORY, "memory sentinel");
                                     cold[li] = Cold {
@@ -588,7 +579,6 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
         }
     }
 
-    ctx.count_slot_hits(slot_hits);
     if v[idx(s_max, nb, d_max)] == INF {
         return None; // INFEASIBLE
     }

@@ -37,11 +37,19 @@
 //!
 //! The cells of one group share one [`DpArena`], whose flat
 //! `(b_prev, b, repl)` memo filled by one stage count answers most
-//! lookups of the next. A group draws it from a process-wide spare list
-//! on its first DP (`DpArena::draw`) and the tier shelves it when its
-//! walk ends (`DpArena::shelve`), so later tiers and requests reuse the
+//! lookups of the next. A group draws it from its thread's spare list on
+//! its first DP (`DpArena::draw`) and the tier shelves it when its walk
+//! ends (`DpArena::shelve`), so later tiers and requests reuse the
 //! allocations but never a memo entry. [`SearchStats::stage_cache`] sums
 //! the groups' memo counters.
+//!
+//! **One thread.** A search runs on its calling thread from start to
+//! end, and its state is plain single-thread state: the cost model is
+//! not `Sync`, the profiler counts its time-slot fills and reads in
+//! cells, the range table keeps its slot rows in a `RefCell`, and the
+//! arena spare list is thread-local. Searches on different threads may
+//! share their read-only inputs (graph, blocks, cluster), but each needs
+//! a cost model of its own.
 //!
 //! **Exactness and determinism.** A skipped cell scores at least its
 //! bound, which is above some solved cell's score, so it cannot be a
@@ -133,7 +141,7 @@ pub fn score_bound(
         checkpointing,
     } = Residency::fill_drain(s, p.microbatches);
     let whole = &ranges.get(0, nb).set;
-    let time = ranges.time(cost.profiler(), &ranges.row(samples, p.tp), 0, nb);
+    let time = ranges.time(cost.profiler(), (samples, p.tp), 0, nb);
     let w = cost.stage_cost_tp(whole, time, samples, inflight, checkpointing, p.tp, cluster);
     let rho = (1..=samples.min(d + 1 - s))
         .map(|r| r * (samples / r))
@@ -759,7 +767,7 @@ mod tests {
     use rannc_hw::{ClusterSpec, DeviceSpec, LinkSpec, NodeSpec};
     use rannc_models::{mlp_graph, MlpConfig};
     use rannc_profile::{ProfiledSet, Profiler, ProfilerOptions, StatsBound, TimeSums};
-    use std::sync::Mutex;
+    use std::cell::Cell;
 
     /// A small test cluster: `nodes` × 2 devices with `mem` bytes each.
     fn small_cluster(nodes: usize, mem: usize) -> ClusterSpec {
@@ -912,16 +920,16 @@ mod tests {
     /// device and the stages whose time is priced.
     struct Counting<'a> {
         inner: Profiler<'a>,
-        mem_ok: Mutex<u64>,
-        timed: Mutex<u64>,
+        mem_ok: Cell<u64>,
+        timed: Cell<u64>,
     }
 
     impl<'a> Counting<'a> {
         fn new(g: &'a TaskGraph, cluster: &ClusterSpec) -> Self {
             Counting {
                 inner: Profiler::new(g, cluster.device.clone(), ProfilerOptions::fp32()),
-                mem_ok: Mutex::new(0),
-                timed: Mutex::new(0),
+                mem_ok: Cell::new(0),
+                timed: Cell::new(0),
             }
         }
     }
@@ -953,8 +961,7 @@ mod tests {
                 }
             }
         }
-        let counted = (*cost.mem_ok.lock().unwrap(), *cost.timed.lock().unwrap());
-        counted
+        (cost.mem_ok.get(), cost.timed.get())
     }
 
     impl CostModel for Counting<'_> {
@@ -970,7 +977,7 @@ mod tests {
             ckpt: bool,
             tp: usize,
         ) -> rannc_profile::ProfileResult {
-            *self.timed.lock().unwrap() += 1;
+            self.timed.set(self.timed.get() + 1);
             self.inner.stage_price(set, time, batch, inflight, ckpt, tp)
         }
         fn stage_mem(
@@ -983,7 +990,7 @@ mod tests {
         ) -> usize {
             let mem = self.inner.stage_mem(set, batch, inflight, ckpt, tp);
             if mem <= self.inner.device().memory_bytes {
-                *self.mem_ok.lock().unwrap() += 1;
+                self.mem_ok.set(self.mem_ok.get() + 1);
             }
             mem
         }
@@ -1028,12 +1035,12 @@ mod tests {
                 assert!(sol.is_some(), "{what}");
                 let tiers = stats.node_tiers;
                 let bounds = bounds_counted(&g, &blocks, &cluster, batch_size, tp_max, tiers);
-                let mem_ok = *cost.mem_ok.lock().unwrap() - bounds.0;
+                let mem_ok = cost.mem_ok.get() - bounds.0;
                 assert!(
                     mem_ok < stats.stage_cache.misses,
                     "{what}: no stage was over memory: the case does not test the ordering"
                 );
-                let timed = *cost.timed.lock().unwrap() - bounds.1;
+                let timed = cost.timed.get() - bounds.1;
                 assert!(
                     timed <= mem_ok,
                     "{what}: {timed} stages timed, {mem_ok} stages fit memory"

@@ -25,14 +25,15 @@
 //! A range's time is composed, never walked: the table keeps one
 //! search-wide row of exact per-block time sums per `(micro-batch, tp)`
 //! point, each block's filled once on first use, and a range costs the
-//! sum of its blocks' sums ([`RangeTable::time`]).
+//! sum of its blocks' sums ([`RangeTable::time`]). The rows are plain
+//! single-thread state: a search, and so its table, runs on one thread.
 //!
 //! [`DpCtx::eval`] prices one candidate stage: memory first, from the
 //! range's statistics, and time only for a stage that fits. A stage over
 //! the memory bound therefore costs O(1) in its size. The evaluation is a
 //! pure function of `(from, to, repl)` and the context, so a result
-//! cannot depend on which thread or candidate computed it; repeats within
-//! a candidate group are answered by the DP arena's memo
+//! cannot depend on which candidate computed it; repeats within a
+//! candidate group are answered by the DP arena's memo
 //! ([`crate::dp::DpArena`]).
 
 use crate::blocks::Block;
@@ -42,8 +43,8 @@ use rannc_cost::CostModel;
 use rannc_graph::TaskSet;
 use rannc_hw::{ClusterSpec, LinkSpec};
 use rannc_profile::{BoundarySplit, Prefix, Profiler, Residency, TimeSums};
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Evaluated cost of one candidate stage.
 ///
@@ -87,23 +88,19 @@ impl StageCost {
     }
 }
 
-/// Exact time sums of every block at one `(micro-batch, tp)` point, each
-/// filled on first use. Shared by every DP of a search that prices at
-/// this point.
-pub struct TimeRow {
-    batch: usize,
-    tp: usize,
-    slots: Box<[OnceLock<TimeSums>]>,
-}
+/// The exact time sums of every block at one `(micro-batch, tp)` point,
+/// each slot filled on first use.
+type SlotRow = Box<[Cell<Option<TimeSums>>]>;
 
 /// Every block-range union of one block partition, row by row: row
 /// `from` holds ranges `[from, from+1) … [from, nb)`. Also the search's
-/// per-block time sums, one [`TimeRow`] per `(micro-batch, tp)` point.
+/// exact per-block time sums, one slot row per `(micro-batch, tp)` point,
+/// each slot filled on first use.
 pub struct RangeTable {
     nb: usize,
     split: BoundarySplit,
     ranges: Vec<Prefix>,
-    rows: Mutex<BTreeMap<(usize, usize), Arc<TimeRow>>>,
+    rows: RefCell<BTreeMap<(usize, usize), SlotRow>>,
 }
 
 impl RangeTable {
@@ -134,7 +131,7 @@ impl RangeTable {
             nb,
             split,
             ranges,
-            rows: Mutex::new(BTreeMap::new()),
+            rows: RefCell::default(),
         }
     }
 
@@ -161,45 +158,23 @@ impl RangeTable {
         &self.ranges[row + to - from - 1]
     }
 
-    /// The search-wide per-block time sums at `(batch, tp)`, created
-    /// empty on first request. Takes the table's one lock: callers keep
-    /// the handle for as long as they price at this point.
-    pub fn row(&self, batch: usize, tp: usize) -> Arc<TimeRow> {
-        // a panic while inserting leaves the map valid
-        let mut rows = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(rows.entry((batch, tp)).or_insert_with(|| {
-            Arc::new(TimeRow {
-                batch,
-                tp,
-                slots: (0..self.nb).map(|_| OnceLock::new()).collect(),
-            })
-        }))
-    }
-
-    /// Exact time sums of range `[from, to)` at `row`'s point: the sum of
-    /// its blocks' sums, each filled on first use, minus the extra copies
-    /// of tasks several of its blocks hold. Equal, bit for bit, to a walk
-    /// of the range's union. Publishes its slot hits at once; the DP,
-    /// which reads many ranges, counts its own and publishes them once.
-    pub fn time(&self, profiler: &Profiler<'_>, row: &TimeRow, from: usize, to: usize) -> TimeSums {
-        let mut hits = 0;
-        let sums = self.time_counted(profiler, row, (from, to), &mut hits);
-        profiler.count_hits(hits);
-        sums
-    }
-
-    /// [`RangeTable::time`], adding its slot hits to `hits` for the
-    /// caller to publish ([`Profiler::count_hits`]) once.
-    pub(crate) fn time_counted(
+    /// Exact time sums of range `[from, to)` at `(batch, tp)`: the sum
+    /// of its blocks' sums, each filled on first use in the point's slot
+    /// row, minus the extra copies of tasks several of its blocks hold.
+    /// Equal, bit for bit, to a walk of the range's union.
+    pub fn time(
         &self,
         profiler: &Profiler<'_>,
-        row: &TimeRow,
-        (from, to): (usize, usize),
-        hits: &mut u64,
+        (batch, tp): (usize, usize),
+        from: usize,
+        to: usize,
     ) -> TimeSums {
-        let (batch, tp) = (row.batch, row.tp);
+        let mut rows = self.rows.borrow_mut();
+        let row = rows
+            .entry((batch, tp))
+            .or_insert_with(|| (0..self.nb).map(|_| Cell::new(None)).collect());
         let blocks = &self.split.parts()[from..to];
-        let sums = profiler.sum_parts(&row.slots[from..to], blocks, batch, tp, hits);
+        let sums = profiler.sum_parts(&row[from..to], blocks, batch, tp);
         let repeated = &self.get(from, to).repeated;
         if repeated.is_empty() {
             sums
@@ -282,36 +257,10 @@ impl<'a> DpCtx<'a> {
         self.slots
     }
 
-    /// Publish time slot hits counted by [`DpCtx::eval_at`] into the
-    /// profiler's [`CacheStats`](rannc_profile::CacheStats).
-    pub(crate) fn count_slot_hits(&self, hits: u64) {
-        self.cost.profiler().count_hits(hits);
-    }
-
     /// Price the stage of blocks `[from, to)` on `repl` data-parallel
     /// units. `None` when the micro-batch would be empty or the stage
     /// exceeds the memory bound.
     pub fn eval(&self, from: usize, to: usize, repl: usize) -> Option<StageCost> {
-        let mut hits = 0;
-        let cost = self.eval_at(from, to, repl, &mut None, &mut hits);
-        self.count_slot_hits(hits);
-        cost
-    }
-
-    /// [`DpCtx::eval`] with a caller-kept handle of the time row the
-    /// stage's point prices at, fetched on first use, adding its time
-    /// slot hits to `slot_hits` for the caller to publish once
-    /// ([`DpCtx::count_slot_hits`]). The point depends only on `repl`
-    /// within a DP arena's memo key, so the arena keeps one handle per
-    /// `repl` and a time lookup takes no lock.
-    pub(crate) fn eval_at(
-        &self,
-        from: usize,
-        to: usize,
-        repl: usize,
-        row: &mut Option<Arc<TimeRow>>,
-        slot_hits: &mut u64,
-    ) -> Option<StageCost> {
         let p = &self.p;
         let micro = micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl);
         if micro == 0 {
@@ -330,11 +279,9 @@ impl<'a> DpCtx<'a> {
         if mem > self.p.mem_limit {
             return None;
         }
-        let row = row.get_or_insert_with(|| self.ranges.row(micro, self.p.tp));
-        debug_assert_eq!((row.batch, row.tp), (micro, self.p.tp), "stale time row");
         let time = self
             .ranges
-            .time_counted(self.cost.profiler(), row, (from, to), slot_hits);
+            .time(self.cost.profiler(), (micro, self.p.tp), from, to);
         let prof = self.cost.stage_cost_tp(
             &range.set,
             time,

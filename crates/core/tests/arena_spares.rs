@@ -1,8 +1,8 @@
 //! DP arenas outlive the search: each `(MB, T)` group of a search draws
-//! an arena from a process-wide spare list, reset, and hands it back
-//! when the group is done. Only the allocations cross groups and
-//! searches, never a memo entry. This suite is its
-//! own test binary, so no other test's search touches the spare list.
+//! an arena from its thread's spare list, reset, and hands it back when
+//! the group is done. Only the allocations cross groups and searches,
+//! never a memo entry. The spare list is thread-local, so each test sees
+//! only the arenas its own thread's searches shelved.
 
 #[path = "support/mod.rs"]
 mod support;

@@ -8,7 +8,8 @@
 //!   like a fresh-arena DP of that cell and each bounded cell one whose
 //!   fresh DP scores strictly above the winner's and at least its bound;
 //! - the search counters do not depend on the recorder, or on other
-//!   searches running at once on other threads;
+//!   searches running at once on other threads, each with its own cost
+//!   model and arena spare list;
 //! - a repartition replaces the recording with the degraded search;
 //! - the strict decoder inverts the serializer on real 2D and 3D
 //!   recordings and on one with an accepted stage-cut refinement.
@@ -374,7 +375,7 @@ fn search_counters_do_not_depend_on_threads_or_the_recorder() {
         recorder::set_enabled(false);
         recorder::reset();
     }
-    // three searches at once, sharing the process-wide arena spare list
+    // three searches at once, each on its own thread's arena spare list
     let start = std::sync::Barrier::new(3);
     std::thread::scope(|scope| {
         let runs: Vec<_> = (0..3)

@@ -166,7 +166,7 @@ fn check_ranges(
             );
             for &(batch, inflight, ckpt) in pricings {
                 for tp in [1usize, 2, 4] {
-                    let time = ranges.time(&priced, &ranges.row(batch, tp), from, to);
+                    let time = ranges.time(&priced, (batch, tp), from, to);
                     assert_eq!(
                         time,
                         fresh.time_sums(set.iter(), batch, tp),

@@ -13,8 +13,9 @@ use rannc_profile::{
 /// The planner, the schedule simulators, the baselines, and fault
 /// replanning all consume this trait, so a plan is priced by exactly the
 /// same code whether it is being searched for, verified, or replayed.
-/// Implementations must be `Sync`: one model may price several searches
-/// on several threads at once.
+/// A model prices on one thread: the planner runs a search on its calling
+/// thread, and the profiler's slot counters are plain cells, so neither
+/// shipping model is `Sync`.
 ///
 /// The search's score bound (`rannc_core::search::score_bound`) relies
 /// on two properties of [`CostModel::stage_cost_tp`]'s forward plus
@@ -30,7 +31,7 @@ use rannc_profile::{
 ///   priced as one stage**, at the same micro-batch: the tasks' times
 ///   add, a task held by two stages is paid twice, and each stage pays
 ///   its own overheads and all-reduce latency.
-pub trait CostModel: Sync {
+pub trait CostModel {
     /// The analytical profiler underneath. It builds the
     /// [`ProfiledSet`]s the model prices: a set's statistics are
     /// structural, so calibration never changes them, only their price.

@@ -36,7 +36,7 @@ pub use sync::{simulate_sync, SyncSchedule, TimelineEvent};
 pub use trace::{publish_sim_metrics, record_timeline};
 
 use rannc_core::PartitionPlan;
-use rannc_cost::CostModel;
+use rannc_cost::{CostModel, StageGrads};
 use rannc_graph::traverse;
 use rannc_hw::ClusterSpec;
 use rannc_profile::Residency;
@@ -96,7 +96,8 @@ pub fn simulate_plan(
 /// plan produced under profiling noise be evaluated by a clean oracle.
 /// The model's [`CostFactors`](rannc_cost::CostFactors) are embedded into
 /// the spec so downstream pricing (`comm_time` and the iteration `tail`)
-/// stays consistent with the model that built it.
+/// stays consistent with the model that built it. A stage's gradient is
+/// sized by [`StageGrads::of_params`], the rule the search's score uses.
 ///
 /// Every stage is priced on the cost model's device: `cluster`'s device
 /// overrides are not applied, so a degraded or mixed fleet simulates as
@@ -142,7 +143,7 @@ pub fn spec_from_plan(
             fwd_time: prof.fwd_time,
             bwd_time: prof.bwd_time,
             comm_to_next_bytes,
-            grad_bytes: prof.param_elems * 4 / tp,
+            grad_bytes: StageGrads::of_params(prof.param_elems, st.replicas, tp).grad_bytes,
             replicas: st.replicas,
             tensor_parallel: tp,
         });

@@ -5,10 +5,8 @@ use rannc_graph::costs::TaskCost;
 use rannc_graph::{traverse, TaskCosts, TaskGraph, TaskId, TaskSet, TpSplit};
 use rannc_hw::{DeviceSpec, Precision};
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::{Add, AddAssign, Sub, SubAssign};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 mod split;
 pub use split::{BoundarySplit, Prefix};
@@ -304,7 +302,8 @@ thread_local! {
 /// The profiler keeps no results: a [`ProfiledSet`] carries its own
 /// statistics, time sums live in the caller's slots
 /// ([`Profiler::sum_parts`]), and the hit/miss counters of those slots
-/// are the profiler's only mutable state.
+/// are the profiler's only mutable state. A profiler prices on one
+/// thread: its counters are plain cells, so it is not `Sync`.
 pub struct Profiler<'g> {
     g: &'g TaskGraph,
     rows: &'g TaskCosts,
@@ -313,8 +312,8 @@ pub struct Profiler<'g> {
     /// Per-task calibration factor applied to the roofline term (1.0 = the
     /// pure analytical model; `x * 1.0` is bit-identical to `x`).
     cal: Vec<f64>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 impl<'g> Profiler<'g> {
@@ -346,8 +345,8 @@ impl<'g> Profiler<'g> {
             device,
             opts,
             cal: g.tasks().map(|(_, task)| scale_of(&task.op)).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
         }
     }
 
@@ -378,8 +377,8 @@ impl<'g> Profiler<'g> {
     /// hit reads a filled one. Pricing a plain set counts nothing.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
         }
     }
 
@@ -530,40 +529,29 @@ impl<'g> Profiler<'g> {
     /// The summed time sums of `parts` at `(batch, tp)`. Part `i`'s sums
     /// are read from `slots[i]`, or walked into it on first read; the
     /// caller keeps one slot per part and point, and hands the same part
-    /// to a slot every time. A fill counts one miss, inside the slot's
-    /// one-time initialisation; every other read adds one hit to `hits`,
-    /// which the caller publishes ([`Profiler::count_hits`]), once per
-    /// batch of reads, so that concurrent readers do not contend on the
-    /// shared counter. So the counters depend only on which slots are
-    /// read, never on which thread filled one.
+    /// to a slot every time. A fill counts one miss and every other read
+    /// one hit, so the counters depend only on which slots are read.
     pub fn sum_parts(
         &self,
-        slots: &[OnceLock<TimeSums>],
+        slots: &[Cell<Option<TimeSums>>],
         parts: &[TaskSet],
         batch: usize,
         tp: usize,
-        hits: &mut u64,
     ) -> TimeSums {
         debug_assert_eq!(slots.len(), parts.len(), "one slot per part");
         let mut fills = 0u64;
         let mut sums = TimeSums::default();
         for (slot, part) in slots.iter().zip(parts) {
-            sums += *slot.get_or_init(|| {
+            sums += slot.get().unwrap_or_else(|| {
                 fills += 1;
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.time_sums(part.iter(), batch, tp)
+                let filled = self.time_sums(part.iter(), batch, tp);
+                slot.set(Some(filled));
+                filled
             });
         }
-        *hits += slots.len() as u64 - fills;
+        self.misses.set(self.misses.get() + fills);
+        self.hits.set(self.hits.get() + slots.len() as u64 - fills);
         sums
-    }
-
-    /// Publish slot hits a caller counted through [`Profiler::sum_parts`]
-    /// into [`Profiler::cache_stats`].
-    pub fn count_hits(&self, hits: u64) {
-        if hits > 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed);
-        }
     }
 
     /// Profile a candidate stage: the paper's `profile(U, bs)`.
@@ -790,20 +778,6 @@ mod tests {
         ResNetConfig, T5Config,
     };
 
-    /// [`Profiler::sum_parts`] with its hits published at once.
-    fn read(
-        p: &Profiler<'_>,
-        slots: &[OnceLock<TimeSums>],
-        parts: &[TaskSet],
-        batch: usize,
-        tp: usize,
-    ) -> TimeSums {
-        let mut hits = 0;
-        let sums = p.sum_parts(slots, parts, batch, tp, &mut hits);
-        p.count_hits(hits);
-        sums
-    }
-
     fn whole_set(g: &TaskGraph) -> TaskSet {
         TaskSet::from_ids(g.num_tasks(), g.task_ids())
     }
@@ -970,8 +944,8 @@ mod tests {
     }
 
     /// One fresh slot per entry of `n`.
-    fn slots(n: usize) -> Vec<OnceLock<TimeSums>> {
-        (0..n).map(|_| OnceLock::new()).collect()
+    fn slots(n: usize) -> Vec<Cell<Option<TimeSums>>> {
+        (0..n).map(|_| Cell::new(None)).collect()
     }
 
     #[test]
@@ -980,10 +954,10 @@ mod tests {
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let s = whole_set(&g);
         let (slot, part) = (slots(1), [s.clone()]);
-        let t1 = read(&p, &slot, &part, 4, 1);
+        let t1 = p.sum_parts(&slot, &part, 4, 1);
         // one filled slot
         assert_eq!(p.cache_stats().entries(), 1);
-        let t2 = read(&p, &slot, &part, 4, 1);
+        let t2 = p.sum_parts(&slot, &part, 4, 1);
         assert_eq!(p.cache_stats().entries(), 1);
         assert_eq!(t1, t2);
         // pricing from the slot's sums equals pricing the plain set, and
@@ -1003,11 +977,11 @@ mod tests {
         let (at4, at8) = (slots(1), slots(1));
         assert_eq!(p.cache_stats(), CacheStats::default());
         // miss
-        let _ = read(&p, &at4, &part, 4, 1);
+        let _ = p.sum_parts(&at4, &part, 4, 1);
         // hit
-        let _ = read(&p, &at4, &part, 4, 1);
+        let _ = p.sum_parts(&at4, &part, 4, 1);
         // batch changed, so another slot: miss
-        let _ = read(&p, &at8, &part, 8, 1);
+        let _ = p.sum_parts(&at8, &part, 8, 1);
         let stats = p.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert_eq!(stats.entries(), 2);
@@ -1023,10 +997,10 @@ mod tests {
         let s = whole_set(&g);
         let profiled = p.profiled(&s);
         let (slot, part) = (slots(1), [s.clone()]);
-        let _ = read(&p, &slot, &part, 4, 1);
+        let _ = p.sum_parts(&slot, &part, 4, 1);
         let before = p.cache_stats();
         for (inflight, ckpt) in [(8, true), (2, false), (1, false)] {
-            let time = read(&p, &slot, &part, 4, 1);
+            let time = p.sum_parts(&slot, &part, 4, 1);
             assert_eq!(
                 p.profile(&profiled, time, 4, inflight, ckpt, 1),
                 p.profile_set(&s, 4, inflight, ckpt)
@@ -1035,54 +1009,6 @@ mod tests {
         let after = p.cache_stats();
         assert_eq!(after.misses, before.misses, "variants must not recompute");
         assert_eq!(after.hits, before.hits + 3);
-    }
-
-    #[test]
-    fn concurrent_profiling_is_consistent() {
-        // Threads pricing the same shared sets at the same points must
-        // agree with plain pricing exactly (thread-local scratch must not
-        // leak state between concurrent calls), and each (set, point)
-        // slot must miss exactly once whatever the schedule: a racing
-        // read waits for the one fill.
-        let g = bert_graph(&BertConfig::tiny());
-        let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let n = g.num_tasks() as u32;
-        let sets: Vec<TaskSet> = (0..32u32)
-            .map(|i| {
-                let lo = (i * 7) % n;
-                let hi = (lo + 1 + (i * 13) % (n - lo)).min(n);
-                TaskSet::from_ids(n as usize, (lo..hi).map(TaskId))
-            })
-            .collect();
-        let shared: Vec<ProfiledSet<'_>> = sets.iter().map(|s| p.profiled(s)).collect();
-        let points = [(4usize, 1usize), (4, 2), (8, 1)];
-        let point_slots: Vec<Vec<OnceLock<TimeSums>>> =
-            points.iter().map(|_| slots(sets.len())).collect();
-        let threads = 4;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    for (i, (set, profiled)) in sets.iter().zip(&shared).enumerate() {
-                        for (&(batch, tp), slots) in points.iter().zip(&point_slots) {
-                            let time = read(&p, &slots[i..i + 1], &sets[i..i + 1], batch, tp);
-                            let got = p.profile(profiled, time, batch, 2, true, tp);
-                            if tp == 1 {
-                                assert_eq!(got, p.profile_set(set, batch, 2, true));
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let lookups = (threads * sets.len() * points.len()) as u64;
-        let misses = (sets.len() * points.len()) as u64;
-        assert_eq!(
-            p.cache_stats(),
-            CacheStats {
-                hits: lookups - misses,
-                misses
-            }
-        );
     }
 
     /// The exact sum of `values`, correctly rounded to f64: Shewchuk's
@@ -1425,7 +1351,7 @@ mod tests {
         let part = [s.clone()];
         let price = |i: usize| {
             let (batch, tp) = queries[i];
-            let time = read(&shared, &query_slots[i..i + 1], &part, batch, tp);
+            let time = shared.sum_parts(&query_slots[i..i + 1], &part, batch, tp);
             shared.profile(&profiled, time, batch, 1, false, tp)
         };
         let first: Vec<ProfileResult> = (0..queries.len()).map(price).collect();

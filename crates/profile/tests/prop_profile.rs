@@ -240,11 +240,11 @@ proptest! {
         prop_assert_eq!(p.cache_stats(), CacheStats::default());
     }
 
-    /// Every range of a 32-block range table, priced at one point by
-    /// concurrent lookups, prices exactly as the plain set of its tasks,
-    /// and each block's time slot, a distinct set, misses exactly once.
+    /// Every range of a 32-block range table, priced at one point in
+    /// repeated passes, prices exactly as the plain set of its tasks, and
+    /// each block's time slot, a distinct set, misses exactly once.
     #[test]
-    fn range_table_misses_once_per_distinct_set(layers in 1usize..3, threads in 1usize..4) {
+    fn range_table_misses_once_per_distinct_set(layers in 1usize..3, passes in 1usize..4) {
         let g = bert_graph(&BertConfig { layers, ..BertConfig::tiny() });
         let p = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
         let n = g.num_tasks();
@@ -257,23 +257,18 @@ proptest! {
             })
             .collect();
         let ranges = RangeTable::build(&p, &blocks);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let row = ranges.row(4, 1);
-                    for from in 0..nb {
-                        for to in from + 1..=nb {
-                            let range = &ranges.get(from, to).set;
-                            let time = ranges.time(&p, &row, from, to);
-                            let got = p.profile(range, time, 4, 2, false, 1);
-                            assert_eq!(got, p.profile_set(range.tasks(), 4, 2, false));
-                        }
-                    }
-                });
+        for _ in 0..passes {
+            for from in 0..nb {
+                for to in from + 1..=nb {
+                    let range = &ranges.get(from, to).set;
+                    let time = ranges.time(&p, (4, 1), from, to);
+                    let got = p.profile(range, time, 4, 2, false, 1);
+                    prop_assert_eq!(got, p.profile_set(range.tasks(), 4, 2, false));
+                }
             }
-        });
+        }
         // range [f, t) reads t − f slots
-        let reads = (threads * nb * (nb + 1) * (nb + 2) / 6) as u64;
+        let reads = (passes * nb * (nb + 1) * (nb + 2) / 6) as u64;
         prop_assert_eq!(
             p.cache_stats(),
             CacheStats { hits: reads - nb as u64, misses: nb as u64 }

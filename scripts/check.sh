@@ -88,7 +88,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one last-row cell, one graph index, one cost-row table per graph, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, a search on the calling thread, one arena source, one thread spawner, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
+echo "==> one-path gate (one stage DP, one last-row cell, one graph index, one cost-row table per graph, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, a search on the calling thread, plain single-thread planner state, one arena source, one thread spawner, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -96,7 +96,7 @@ echo "==> one-path gate (one stage DP, one last-row cell, one graph index, one c
 # framework stays deleted from the verifier. The profiler keeps no
 # results: its sharded memo and the range-table seeding hint stay
 # deleted, and it holds no lock at all (time sums live in caller-kept
-# one-time slots). The range table has one build path, the boundary
+# Cell slots, and its slot counters are Cells). The range table has one build path, the boundary
 # split: the per-row full walk (profiled_prefixes) stays deleted, and
 # the from-scratch reference lives only in crates/core/tests/support/.
 DP_ENTRIES="$(grep -rn --include='*.rs' "pub fn form_stage_dp\b" crates/*/src | wc -l)"
@@ -132,6 +132,32 @@ if grep -rn --include='*.rs' "profiled_prefixes" crates/*/src; then
 fi
 if grep -rnE --include='*.rs' "try_lock|Mutex|RwLock" crates/profile/src; then
     echo "FAILED: crates/profile/src must hold no lock"
+    exit 1
+fi
+# A search runs on its calling thread, so the state it prices through is
+# plain single-thread state: outside tests, crates/core/src and
+# crates/profile/src name no lock, atomic, OnceLock or Arc (the range
+# table's slot rows sit in a RefCell, the profiler counts in Cells, the
+# arena spare list is thread-local); CostModel declares no Sync
+# supertrait; and the time-row handles, the batched slot-hit publishing
+# and DpCtx::eval_at stay deleted.
+SHARED_STATE="$(find crates/core/src crates/profile/src -name '*.rs' -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    | grep -vE '^[^:]+:[0-9]+: *//' \
+    | grep -E '\b(Mutex|RwLock|OnceLock|Arc)\b|\bAtomic(Bool|Ptr|[UI](8|16|32|64|size))\b|sync::atomic' \
+    || true)"
+if [ -n "$SHARED_STATE" ]; then
+    echo "$SHARED_STATE"
+    echo "FAILED: a lock, atomic, OnceLock or Arc in non-test crates/core/src or crates/profile/src"
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'trait CostModel\b.*\bSync\b' crates/*/src; then
+    echo "FAILED: CostModel declares a Sync supertrait again"
+    exit 1
+fi
+if grep -rnE --include='*.rs' '\b(TimeRow|time_counted|count_hits|count_slot_hits|eval_at)\b' \
+    crates tests examples --exclude-dir=rannc_benchmark; then
+    echo "FAILED: the time-row handles, batched slot-hit publishing or DpCtx::eval_at are back"
     exit 1
 fi
 
@@ -306,7 +332,7 @@ if grep -rnE --include='*.rs' "parallel_map_with|max_threads|RANNC_THREADS" \
     exit 1
 fi
 # DP arenas outlive the search: each (MB, T) group and the refinement
-# draw their arena from the process-wide spare list (DpArena::draw) and
+# draw their arena from the thread's spare list (DpArena::draw) and
 # shelve it there when done, so non-test search.rs never builds one.
 if awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
     crates/core/src/search.rs | grep -E 'DpArena::(new|default)\(\)'; then

@@ -74,8 +74,8 @@ fn prep<'g>(g: &'g TaskGraph, cluster: &ClusterSpec) -> (Profiler<'g>, Vec<Block
 
 /// Field-by-field equality, with objective values compared by bit
 /// pattern — `==` on floats would let `-0.0 == 0.0` or hide NaN drift.
-fn assert_identical(seq: &Option<DpSolution>, par: &Option<DpSolution>, label: &str) {
-    match (seq, par) {
+fn assert_identical(want: &Option<DpSolution>, got: &Option<DpSolution>, label: &str) {
+    match (want, got) {
         (None, None) => {}
         (Some(s), Some(p)) => {
             assert_eq!(
@@ -128,18 +128,18 @@ fn assert_identical(seq: &Option<DpSolution>, par: &Option<DpSolution>, label: &
 /// bit-identical to the exhaustive sequential scan's, and its plan to
 /// that winner's refinement.
 #[test]
-fn parallel_engine_matches_sequential_plans() {
+fn best_first_walk_matches_exhaustive_plans() {
     let mut memo_hits = 0;
     for nodes in [2usize, 4] {
         let cluster = ClusterSpec::v100_cluster(nodes);
         for g in bundled_models() {
             let label = format!("{} @ {} devices", g.name, cluster.total_devices());
             let (profiler, blocks) = prep(&g, &cluster);
-            let seq = exhaustive_search(&g, &profiler, &blocks, &cluster, 64, 1);
+            let want = exhaustive_search(&g, &profiler, &blocks, &cluster, 64, 1);
             let opts = SearchOptions { tp_max: 1 };
-            let (par, stats) = scan_winner(&g, &profiler, &blocks, &cluster, 64, &opts);
-            assert_identical(&seq, &par, &label);
-            assert!(seq.is_some(), "{label}: expected feasible");
+            let (got, stats) = scan_winner(&g, &profiler, &blocks, &cluster, 64, &opts);
+            assert_identical(&want, &got, &label);
+            assert!(want.is_some(), "{label}: expected feasible");
             memo_hits += stats.stage_cache.hits;
             let refined = exhaustive_refined(&g, &profiler, &blocks, &cluster, 64, 1);
             let (plan, _) = form_stage_with(&g, &profiler, &blocks, &cluster, 64, &opts);
@@ -187,8 +187,8 @@ fn thread_count_does_not_change_the_plan() {
 /// The third search axis: with `tp_max = 4` the `(S, MB, T)` walk returns
 /// the refinement of the exhaustive scan's winner
 /// (`support::refine_reference`) bit for bit, tensor-parallel degrees
-/// included, also when four searches run at once on four threads and
-/// share the process-wide arena spare list.
+/// included, also when four searches run at once on four threads, each
+/// with a profiler and an arena spare list of its own.
 #[test]
 fn three_axis_sweep_is_thread_deterministic() {
     for g in bundled_models() {
@@ -199,6 +199,7 @@ fn three_axis_sweep_is_thread_deterministic() {
         let opts = SearchOptions { tp_max: 4 };
         let start = std::sync::Barrier::new(4);
         let search = || {
+            let profiler = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
             start.wait();
             form_stage_with(&g, &profiler, &blocks, &cluster, 64, &opts).0
         };
