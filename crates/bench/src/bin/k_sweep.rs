@@ -56,7 +56,8 @@ fn main() {
         let plan_s = t0.elapsed().as_secs_f64();
         match (scan, refined) {
             (Some(scan), Ok(plan)) => {
-                let (_, winner) = scan.cells[scan.winner].solved().expect("feasible");
+                let winner = scan.winner.expect("a feasible tier has a winner");
+                let (_, winner) = scan.cells[winner].solved().expect("feasible");
                 let unrefined = PartitionPlan::from_solution(g.name.clone(), winner, 256);
                 println!(
                     "{:>5} {:>7} {:>5} {:>10.1} {:>8.2} {:>10.1} {:>8.2}",

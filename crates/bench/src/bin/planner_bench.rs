@@ -17,15 +17,15 @@
 //! [`planner::PROFILER_HIT_RATE_FLOOR`], the DP arena memo never hit on
 //! any case (the memoization would be dead weight; a small case may have
 //! only single-stage candidates, which never repeat a lookup), or — when
-//! tracing is off — the observability layer allocated anything during
-//! the timed runs (the zero-overhead-when-disabled contract; the plan
-//! flight recorder is held to the same standard). Every check reads the
-//! timed run; plan determinism, the recorder's own contract and the
-//! cost-model and certification gates live in the test suites.
+//! tracing is off — the tracing layer allocated anything during the
+//! timed runs (the zero-overhead-when-disabled contract). Every check
+//! reads the timed run; plan determinism, the explain artifact's
+//! contract and the cost-model and certification gates live in the test
+//! suites.
 //!
 //! `--trace-out` / `--metrics-out` / `--obs-summary` export the
 //! observability artifacts of the run; `--explain-out FILE` writes the
-//! flight recording of a full partitioning of the first grid case (after
+//! explain artifact of a full partitioning of the first grid case (after
 //! the timed runs, so timings stay unperturbed); `--baseline FILE`
 //! compares search times against a committed `BENCH_partition.json` with
 //! a 3% + 5 ms budget per case; `--cost-model analytical|calibrated:FILE` prices the
@@ -181,8 +181,8 @@ fn main() {
     if obs_summary {
         println!("\n{}", rannc::obs::sink::summary());
     }
-    // the explain artifact comes from a dedicated recorded run *after*
-    // the timed grid, so recording never perturbs the benchmark numbers
+    // the explain artifact comes from a dedicated run *after* the timed
+    // grid, so explaining never perturbs the benchmark numbers
     if let Some(path) = &explain_out {
         let grid = planner::cases(quick);
         let case = grid.first().expect("non-empty grid");
@@ -198,7 +198,7 @@ fn main() {
                 );
             }
             Err(e) => {
-                eprintln!("cannot record explain artifact: {e}");
+                eprintln!("cannot build explain artifact: {e}");
                 std::process::exit(1);
             }
         }
@@ -234,14 +234,6 @@ fn main() {
             );
             std::process::exit(1);
         }
-        // the same contract for the plan flight recorder
-        if explain_out.is_none() && rannc::obs::recorder::alloc_count() != 0 {
-            eprintln!(
-                "check failed: recorder disabled but {} recorder allocation(s) recorded",
-                rannc::obs::recorder::alloc_count()
-            );
-            std::process::exit(1);
-        }
         let mut failed = false;
         for c in &report.cases {
             // a block's time slot serves every range and variant of its
@@ -266,7 +258,7 @@ fn main() {
         }
         eprintln!(
             "check passed: valid JSON, profiler hit rates above the floor, DP arena \
-             memo hits, zero obs allocations while disabled"
+             memo hits, zero trace allocations while disabled"
         );
     }
 }

@@ -303,27 +303,22 @@ pub fn plans_identical(a: &PartitionPlan, b: &PartitionPlan) -> bool {
         })
 }
 
-/// Partition `case` end-to-end with the flight recorder on and return
-/// the explain artifact (schema v3 JSON). The recorder is switched off
-/// again before returning, error or not.
+/// Partition `case` end-to-end and return the explain artifact of its
+/// search (schema v3 JSON) with the plan.
 pub fn explain_artifact(
     case: &BenchCase,
     cost: &CostModelSpec,
 ) -> Result<(String, PartitionPlan), String> {
-    use rannc::obs::recorder;
     let cluster = ClusterSpec::v100_cluster(case.nodes);
     let cfg = PartitionConfig::new(case.batch)
         .with_k(case.k)
         .with_verify(VerifyMode::Off)
         .with_cost_model(cost.clone());
-    recorder::set_enabled(true);
-    recorder::reset();
-    let res = Rannc::new(cfg).partition(&case.graph, &cluster);
-    let rec = recorder::take();
-    recorder::set_enabled(false);
-    let plan = res.map_err(|e| format!("{}: recorded partition failed: {e}", case.name))?;
-    let rec = rec.ok_or_else(|| format!("{}: recorder enabled but nothing recorded", case.name))?;
-    Ok((recorder::to_json(&rec), plan))
+    let rannc = Rannc::new(cfg);
+    let (plan, stats) = (rannc.partition_with_stats(&case.graph, &cluster))
+        .map_err(|e| format!("{}: explained partition failed: {e}", case.name))?;
+    let rec = rannc.explain(&case.graph, &cluster, &plan, &stats);
+    Ok((rannc::obs::recorder::to_json(&rec), plan))
 }
 
 /// A cache's counters: the DP arena memo's, or the block ranges' time

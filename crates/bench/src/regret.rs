@@ -84,7 +84,7 @@ impl TierAgreement {
                 }
                 CellOutcome::Infeasible => continue,
             };
-            if i == scan.winner {
+            if Some(i) == scan.winner {
                 winner = cells.len();
             }
             let plan = PartitionPlan::from_solution(g.name.clone(), &sol, cfg.batch_size);

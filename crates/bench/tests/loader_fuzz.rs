@@ -44,11 +44,9 @@ struct Corpus {
 fn corpus() -> &'static Corpus {
     static CORPUS: OnceLock<Corpus> = OnceLock::new();
     CORPUS.get_or_init(|| {
-        let (explain, plan) = {
-            let _guard = rannc::obs::trace::test_guard();
+        let (explain, plan) =
             planner::explain_artifact(&planner::cases(true)[0], &CostModelSpec::Analytical)
-                .expect("recorded search")
-        };
+                .expect("explained search");
         let calibration = Calibration {
             compute: 1.05,
             ops: vec![("matmul".into(), 1.12), ("softmax".into(), 0.95)],

@@ -48,12 +48,12 @@ JSON with properly nested slices, and the metrics log must be valid
 JSONL with consistent counter/histogram invariants. Exits nonzero if
 either file fails validation.
 
-The `explain` subcommand renders a plan flight recording written by
+The `explain` subcommand renders a plan explain artifact written by
 --explain-out: the winning plan's per-stage cost breakdown (fwd/bwd
 compute, transfer, all-reduce, optimizer, estimated vs certified peak
 memory), the top-k runner-up plans with cost deltas, and the search's
 candidate/cache account. With --diff it attributes the cost delta
-between two recordings (e.g. before/after a device loss) stage by
+between two artifacts (e.g. before/after a device loss) stage by
 stage. Exits nonzero if an artifact fails its schema validation.
 
 MODEL OPTIONS:
@@ -119,10 +119,10 @@ OBSERVABILITY OPTIONS:
   --obs-summary         print a human-readable metrics summary table
   --trace <FILE>        (obs-check) trace file to validate
   --metrics <FILE>      (obs-check) metrics file to validate
-  --explain-out <FILE>  record the partition search and write the explain
-                        artifact (schema v2 JSON) for `explain`
+  --explain-out <FILE>  write the partition search's explain artifact
+                        (schema v3 JSON) for `explain`
   --lose-device <RANK>  after planning, drop device RANK and replan; the
-                        recording (and the simulated iteration) then
+                        artifact (and the simulated iteration) then
                         reflect the degraded search
   --diff                (explain) compare two artifacts stage by stage
   --top <N>             (explain) runner-up plans to show (default 5)
@@ -147,7 +147,7 @@ pub enum Command {
     Verify,
     /// Validate observability artifacts (trace/metrics files).
     ObsCheck,
-    /// Render a plan flight recording (or diff two of them).
+    /// Render a plan explain artifact (or diff two of them).
     Explain,
 }
 

@@ -64,10 +64,6 @@ fn main() {
     if args.trace_out.is_some() {
         rannc::obs::set_enabled(true);
     }
-    // …and so is the plan flight recorder
-    if args.explain_out.is_some() {
-        rannc::obs::recorder::set_enabled(true);
-    }
 
     let cost_spec = match &args.cost_model {
         CostModelArg::Analytical => CostModelSpec::Analytical,
@@ -118,12 +114,14 @@ fn main() {
         .with_tp_max(args.tp_max);
 
     let rannc = Rannc::new(config);
-    let mut plan = if let Some(path) = &args.load {
+    // the plan, and the stats of the search behind it (`--explain-out`
+    // builds its artifact from them)
+    let (mut plan, mut searched) = if let Some(path) = &args.load {
         // deployment-cache path: reuse a previously saved plan
         match rannc::core::load_plan(std::path::Path::new(path)) {
             Ok(p) => {
                 eprintln!("loaded cached plan from {path}");
-                p
+                (p, None)
             }
             Err(e) => {
                 eprintln!("invalid plan file {path}: {e}");
@@ -141,7 +139,7 @@ fn main() {
                         started.elapsed().as_secs_f64()
                     );
                 }
-                p
+                (p, Some(stats))
             }
             Err(e) => {
                 eprintln!("partitioning failed: {e}");
@@ -157,8 +155,8 @@ fn main() {
         eprintln!("saved plan to {path}");
     }
     if let Some(rank) = args.lose_device {
-        // drop one device and replan; the flight recording (if enabled)
-        // now captures the degraded search, so `explain --diff` can
+        // drop one device and replan; the explain artifact (if asked
+        // for) now describes the degraded search, so `explain --diff` can
         // attribute the cost of the loss
         let dr = rannc::hw::DeviceRank {
             node: rank / cluster.node.devices,
@@ -171,8 +169,8 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        match rannc.repartition(&graph, &plan, &degraded) {
-            Ok(p) => plan = p,
+        match rannc.repartition_with_stats(&graph, &plan, &degraded) {
+            Ok((p, stats)) => (plan, searched) = (p, Some(stats)),
             Err(e) => {
                 eprintln!("replanning after losing device {rank} failed: {e}");
                 std::process::exit(1);
@@ -184,22 +182,16 @@ fn main() {
         cluster = degraded.planning_view();
     }
     if let Some(path) = &args.explain_out {
-        match rannc::obs::recorder::take() {
-            Some(rec) => {
-                let text = rannc::obs::recorder::to_json(&rec);
-                if let Err(e) = std::fs::write(path, text) {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!("wrote explain artifact to {path} — render with `rannc-plan explain`");
-            }
-            None => {
-                eprintln!(
-                    "--explain-out: no search was recorded (a --load'ed plan skips the search)"
-                );
-                std::process::exit(1);
-            }
+        let Some(stats) = &searched else {
+            eprintln!("--explain-out: no search ran (a --load'ed plan skips the search)");
+            std::process::exit(1);
+        };
+        let text = rannc::obs::recorder::to_json(&rannc.explain(&graph, &cluster, &plan, stats));
+        if let Err(e) = std::fs::write(path, text) {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
         }
+        eprintln!("wrote explain artifact to {path} — render with `rannc-plan explain`");
     }
     println!("{}", plan.summary());
 
@@ -281,7 +273,7 @@ fn finish_obs(args: &Args) {
     }
 }
 
-/// The `explain` subcommand: render one flight recording, or attribute
+/// The `explain` subcommand: render one explain artifact, or attribute
 /// the cost delta between two of them.
 fn run_explain(args: &Args) {
     let read = |path: &str| match std::fs::read_to_string(path) {

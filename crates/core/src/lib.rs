@@ -50,7 +50,6 @@ pub mod uncoarsen;
 pub use atomic::{atomic_partition, AtomicPartition};
 pub use blocks::{block_partition, Block, BlockLimits};
 pub use dp::{form_stage_dp, DpArena, DpParams, DpSolution, DpStage};
-pub use explain::annotate_recording;
 pub use placement::SlotTable;
 pub use plan::{PartitionPlan, PlanError, StagePlan};
 pub use plan_io::{decode_plan, encode_plan, load_plan, save_plan, PlanIoError};
@@ -173,8 +172,9 @@ impl PartitionConfig {
 }
 
 /// Observability snapshot of one partitioning run, returned by
-/// [`Rannc::partition_with_stats`] and surfaced by the CLI's
-/// `--planner-stats` flag and the planner bench JSON.
+/// [`Rannc::partition_with_stats`] and [`Rannc::repartition_with_stats`],
+/// surfaced by the CLI's `--planner-stats` flag and the planner bench
+/// JSON, and read by [`Rannc::explain`].
 #[derive(Debug, Clone, Default)]
 pub struct PlannerStats {
     /// Time-sum slot behaviour of the search's blocks (fills are
@@ -352,8 +352,8 @@ impl Rannc {
         self.plan_blocks(graph, cluster, cost, &blocks)
     }
 
-    /// Every request's last step: Algorithm 2 over `blocks`, the plan,
-    /// its flight-recorder annotation and the verification post-pass.
+    /// Every request's last step: Algorithm 2 over `blocks`, the plan and
+    /// the verification post-pass.
     fn plan_blocks(
         &self,
         graph: &TaskGraph,
@@ -387,7 +387,6 @@ impl Rannc {
         publish_cache_metrics("planner.profiler_cache", &stats.profiler_cache);
         let sol = sol.ok_or(PartitionError::Infeasible)?;
         let plan = PartitionPlan::from_solution(graph.name.clone(), &sol, self.config.batch_size);
-        explain::annotate_recording(graph, cost, cluster, &plan, self.config.precision, &stats);
         self.verified(graph, cluster, plan).map(|p| (p, stats))
     }
 
@@ -442,6 +441,19 @@ impl Rannc {
         old_plan: &PartitionPlan,
         degraded: &ClusterSpec,
     ) -> Result<PartitionPlan, PartitionError> {
+        self.repartition_with_stats(graph, old_plan, degraded)
+            .map(|(p, _)| p)
+    }
+
+    /// [`Rannc::repartition`], additionally returning the [`PlannerStats`]
+    /// of the search that produced the plan (the full pipeline's when the
+    /// warm start fell back to it).
+    pub fn repartition_with_stats(
+        &self,
+        graph: &TaskGraph,
+        old_plan: &PartitionPlan,
+        degraded: &ClusterSpec,
+    ) -> Result<(PartitionPlan, PlannerStats), PartitionError> {
         let _root = rannc_obs::trace::span("repartition", "planner")
             .arg_i("old_stages", old_plan.stages.len() as i64);
         let (view, cost) = self.replan_request(graph, degraded)?;
@@ -472,10 +484,10 @@ impl Rannc {
         old_plan: &PartitionPlan,
         view: &ClusterSpec,
         cost: &dyn CostModel,
-    ) -> Result<PartitionPlan, PartitionError> {
+    ) -> Result<(PartitionPlan, PlannerStats), PartitionError> {
         rannc_obs::metrics::counter("planner.repartitions").inc();
         if old_plan.stages.is_empty() {
-            return self.plan_cold(graph, view, cost).map(|(p, _)| p);
+            return self.plan_cold(graph, view, cost);
         }
         // Old stages, in pipeline order, become the warm-start blocks.
         let blocks: Vec<Block> = old_plan
@@ -502,7 +514,6 @@ impl Rannc {
             Err(PartitionError::Infeasible) => self.plan_cold(graph, view, cost),
             other => other,
         }
-        .map(|(p, _)| p)
     }
 }
 

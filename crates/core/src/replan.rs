@@ -142,10 +142,10 @@ impl Rannc {
             } else {
                 // backoff rung: finer blocks, full three-phase replan
                 let finer = Rannc::new(self.config().clone().with_k(self.config().k << attempt));
-                finer.plan_cold(graph, &view, &*cost).map(|(p, _)| p)
+                finer.plan_cold(graph, &view, &*cost)
             };
             match result {
-                Ok(plan) => {
+                Ok((plan, _)) => {
                     let diff = diff_plans(old_plan, &plan);
                     let migration = MigrationModel::for_cluster(&view, self.config().precision)
                         .price(

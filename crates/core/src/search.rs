@@ -11,7 +11,10 @@
 //! the first minimum in grid order. [`scan_first_feasible_tier`] returns
 //! that whole tier, and [`form_stage_with`] its winner, with its stage
 //! cuts refined at atom granularity when that scores strictly lower
-//! ([`crate::refine`]).
+//! ([`crate::refine`]). Both return what the search did alongside:
+//! [`SearchStats::tiers`] holds every settled cell of every tier walked
+//! and [`SearchStats::refine`] the refinement, the values
+//! [`crate::Rannc::explain`] builds the explain artifact from.
 //!
 //! Aligning `D` to whole nodes keeps inter-stage traffic on NVLink, which
 //! is also why Algorithm 1 plans with the intra-node link (footnote 3).
@@ -178,8 +181,9 @@ impl Default for SearchOptions {
     }
 }
 
-/// Counters describing one [`scan_first_feasible_tier`] run. Each is a
-/// pure function of the search's inputs.
+/// What one [`scan_first_feasible_tier`] run did: its counters, the
+/// cells it settled and the winner's refinement. Each is a pure function
+/// of the search's inputs.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
     /// Algorithm 1 candidates: the grid cells of every node tier searched,
@@ -204,6 +208,14 @@ pub struct SearchStats {
     /// (the refinement's DP is not counted): `hits` are memo hits,
     /// `misses` (and so `entries()`) stage evaluations.
     pub stage_cache: CacheStats,
+    /// The node tiers walked, in sweep order: every tier but the last
+    /// holds only INFEASIBLE cells, and the last holds the winner unless
+    /// the search is INFEASIBLE.
+    pub tiers: Vec<TierScan>,
+    /// The scan winner's stage-cut refinement ([`form_stage_with`] only);
+    /// `None` when the search is INFEASIBLE or the refinement proposed no
+    /// cut.
+    pub refine: Option<RefineRec>,
 }
 
 /// Close one search's [`SearchStats`] (exact for this invocation) and add
@@ -468,24 +480,29 @@ impl ScanCell {
     }
 }
 
-/// The first node tier with a feasible cell, every cell solved, bounded
-/// or proven INFEASIBLE.
+/// One node tier the search walked, every cell solved, bounded or
+/// proven INFEASIBLE.
 #[derive(Debug, Clone)]
 pub struct TierScan {
+    /// Compute nodes `n` dedicated to one pipeline replica.
+    pub nodes: usize,
+    /// Device budget `D = D_node·n` of one pipeline replica.
+    pub devices: usize,
     /// Whole-pipeline replicas `R = N/n`.
     pub replica_factor: usize,
     /// Every cell of the tier, in grid order.
     pub cells: Vec<ScanCell>,
     /// Index in `cells` of the winner: the first solved cell with the
-    /// minimal score.
-    pub winner: usize,
+    /// minimal score; `None` when every cell is INFEASIBLE.
+    pub winner: Option<usize>,
 }
 
 /// Algorithm 2 (`form_stage(N, D_node, BS)`): the tiers of
 /// [`tier_grids`] in order, each walked best-first (see the module doc),
 /// up to the first tier with a feasible cell. Returns that tier, or
 /// `None` if the model cannot be partitioned onto the cluster at all
-/// (INFEASIBLE), with the search statistics alongside.
+/// (INFEASIBLE), with the search statistics alongside; the statistics
+/// hold that tier too, as their last.
 pub fn scan_first_feasible_tier(
     g: &TaskGraph,
     cost: &dyn CostModel,
@@ -494,12 +511,13 @@ pub fn scan_first_feasible_tier(
     batch_size: usize,
     opts: &SearchOptions,
 ) -> (Option<TierScan>, SearchStats) {
-    let (scan, stats, _) = scan(g, cost, blocks, cluster, batch_size, opts);
-    (scan.map(|(scan, _)| scan), stats)
+    let (slots, stats, _) = scan(g, cost, blocks, cluster, batch_size, opts);
+    (slots.and(stats.tiers.last().cloned()), stats)
 }
 
 /// [`scan_first_feasible_tier`], with the winning tier's placement table
-/// and the range table it built.
+/// (`None`: INFEASIBLE) and the range table it built. The winning tier
+/// is the last of the statistics' tiers.
 fn scan(
     g: &TaskGraph,
     cost: &dyn CostModel,
@@ -507,19 +525,13 @@ fn scan(
     cluster: &ClusterSpec,
     batch_size: usize,
     opts: &SearchOptions,
-) -> (Option<(TierScan, SlotTable)>, SearchStats, RangeTable) {
+) -> (Option<SlotTable>, SearchStats, RangeTable) {
     debug_assert_eq!(
         g.num_tasks(),
         cost.graph().num_tasks(),
         "blocks of another graph"
     );
     let mut stats = SearchStats::default();
-
-    // Flight-recorder hook (see `rannc_obs::recorder`): one recording
-    // per search, one candidate per grid cell logged in grid order after
-    // each tier's walk. While the recorder is disabled every hook is a
-    // branch on one relaxed atomic load and allocates nothing.
-    rannc_obs::recorder::begin_search();
 
     // Build every block-range union, with its egress and set statistics,
     // before the first DP touches any.
@@ -534,7 +546,6 @@ fn scan(
     for tier in tier_grids(g, cluster, batch_size, opts.tp_max) {
         let (n, d, r, grid) = (tier.nodes, tier.devices, tier.replica_factor, tier.cells);
         stats.node_tiers += 1;
-        rannc_obs::recorder::tier(n, d, r);
         // All cells of the tier are settled before choosing: for
         // memory-tight models the minimum feasible S is often not the
         // fastest one (more stages allow more micro-batches and finer
@@ -624,41 +635,24 @@ fn scan(
         }
         DpArena::shelve(arenas);
         drop(sweep);
-        if rannc_obs::recorder::enabled() {
-            use rannc_obs::recorder::{candidate, CandidateOutcome};
-            for ScanCell { params: p, outcome } in &cells {
-                let outcome = match outcome {
-                    CellOutcome::Solved {
-                        score,
-                        bound,
-                        solution,
-                    } => CandidateOutcome::Feasible {
-                        score: *score,
-                        bottleneck: solution.value,
-                        bound: *bound,
-                    },
-                    CellOutcome::Bounded { bound } => CandidateOutcome::Bounded { bound: *bound },
-                    CellOutcome::Infeasible => CandidateOutcome::Infeasible,
-                };
-                candidate(p.stages, p.microbatches, p.tp, outcome);
-            }
-        }
         // Deterministic tie-break: min_by keeps the *first* minimum in grid
         // order, the cell a scan that solves every cell picks.
         let winner = (cells.iter().enumerate())
             .filter_map(|(i, c)| c.solved().map(|(score, _)| (i, score)))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(i, _)| i);
-        if let Some(winner) = winner {
-            if let CellOutcome::Solved { score, bound, .. } = cells[winner].outcome {
-                stats.gap = Some(score / bound);
-            }
-            let scan = TierScan {
-                replica_factor: r,
-                cells,
-                winner,
-            };
-            return (Some((scan, slots)), finish(stats), ranges);
+        if let Some(CellOutcome::Solved { score, bound, .. }) = winner.map(|w| &cells[w].outcome) {
+            stats.gap = Some(score / bound);
+        }
+        stats.tiers.push(TierScan {
+            nodes: n,
+            devices: d,
+            replica_factor: r,
+            cells,
+            winner,
+        });
+        if winner.is_some() {
+            return (Some(slots), finish(stats), ranges);
         }
     }
     (None, finish(stats), ranges)
@@ -692,16 +686,15 @@ pub fn form_stage_with(
     batch_size: usize,
     opts: &SearchOptions,
 ) -> (Option<DpSolution>, SearchStats) {
-    let (scan, stats, ranges) = scan(g, cost, blocks, cluster, batch_size, opts);
-    let winner = scan.map(|(mut t, slots)| {
-        let ScanCell { params, outcome } = t.cells.swap_remove(t.winner);
-        let CellOutcome::Solved {
-            score, solution, ..
-        } = outcome
-        else {
-            unreachable!("the winner is solved")
-        };
-        refine_winner(cost, &ranges, &slots, cluster, (params, score, solution))
+    let (slots, mut stats, ranges) = scan(g, cost, blocks, cluster, batch_size, opts);
+    let winner = slots.map(|slots| {
+        let tier = stats.tiers.last().expect("a feasible search walks a tier");
+        let cell = &tier.cells[tier.winner.expect("the last tier has the winner")];
+        let (score, solution) = cell.solved().expect("the winner is solved");
+        let best = (cell.params, score, solution.clone());
+        let (solution, refine) = refine_winner(cost, &ranges, &slots, cluster, best);
+        stats.refine = refine;
+        solution
     });
     (winner, stats)
 }
@@ -711,18 +704,19 @@ pub fn form_stage_with(
 /// Algorithm 1 run at the winner's parameters `p` on the tier's
 /// placement table `slots`, and kept only if their [`score_solution`] is
 /// strictly lower than the winner's `score`. Its arena is drawn from the
-/// spare list and shelved there.
+/// spare list and shelved there. Returns the kept solution and the
+/// refinement's record (`None` when it proposed no cut).
 fn refine_winner(
     cost: &dyn CostModel,
     ranges: &RangeTable,
     slots: &SlotTable,
     cluster: &ClusterSpec,
     (p, score, winner): (DpParams, f64, DpSolution),
-) -> DpSolution {
+) -> (DpSolution, Option<RefineRec>) {
     let span = rannc_obs::trace::span("refine", "planner").arg_f("bottleneck", winner.value);
     let Some(sets) = refine::refined_stages(cost, ranges, slots, &winner) else {
         let _s = span.arg_i("accepted", 0);
-        return winner;
+        return (winner, None);
     };
     // the new stages as the blocks of a range table of their own
     let stages: Vec<Block> = (sets.into_iter())
@@ -746,16 +740,17 @@ fn refine_winner(
         Some((_, sol)) => span.arg_f("refined", sol.value),
         None => span,
     };
-    rannc_obs::recorder::refinement(|| RefineRec {
+    let rec = RefineRec {
         from_score: score,
         from_bottleneck: winner.value,
         to: refined.as_ref().map(|(v, sol)| (*v, sol.value)),
         accepted,
-    });
-    match refined {
+    };
+    let kept = match refined {
         Some((_, sol)) if accepted => sol,
         _ => winner,
-    }
+    };
+    (kept, Some(rec))
 }
 
 #[cfg(test)]

@@ -1,21 +1,21 @@
-//! Flight-recorder contract tests for the stage-level search:
+//! Explain-artifact contract tests for the stage-level search:
 //!
-//! - the recorder is plan-preserving (bit-identical plans on vs. off);
-//! - a disabled recorder allocates nothing across a full partitioning;
+//! - the artifact describes the plan `partition` returns, bit for bit;
 //! - the explain artifact is byte-identical from run to run and
 //!   validates under its own checker;
-//! - a recording lists every grid cell, each solved cell scored exactly
+//! - an artifact lists every grid cell, each solved cell scored exactly
 //!   like a fresh-arena DP of that cell and each bounded cell one whose
 //!   fresh DP scores strictly above the winner's and at least its bound;
-//! - the search counters do not depend on the recorder, or on other
-//!   searches running at once on other threads, each with its own cost
-//!   model and arena spare list;
-//! - a repartition replaces the recording with the degraded search;
+//! - the search counters do not depend on other searches running at once
+//!   on other threads, each with its own cost model and arena spare list;
+//! - searches of different models on three threads at once each explain
+//!   their own search, byte for byte as on one thread;
+//! - a repartition's artifact describes the degraded search;
 //! - the strict decoder inverts the serializer on real 2D and 3D
-//!   recordings and on one with an accepted stage-cut refinement.
+//!   artifacts and on one with an accepted stage-cut refinement.
 //!
-//! The recorder is process-global, so every test holds
-//! `rannc_obs::trace::test_guard()` for its whole body.
+//! An artifact is a value built from what the search returned
+//! ([`Rannc::explain`]), so no test shares state with another.
 
 mod support;
 
@@ -36,6 +36,13 @@ fn quick_config() -> PartitionConfig {
     PartitionConfig::new(64)
         .with_k(8)
         .with_verify(VerifyMode::Off)
+}
+
+/// Partition `g` onto `cluster` and explain the search.
+fn explained(rannc: &Rannc, g: &TaskGraph, cluster: &ClusterSpec) -> (PartitionPlan, Recording) {
+    let (plan, stats) = rannc.partition_with_stats(g, cluster).unwrap();
+    let rec = rannc.explain(g, cluster, &plan, &stats);
+    (plan, rec)
 }
 
 fn assert_plans_bit_identical(a: &PartitionPlan, b: &PartitionPlan) {
@@ -87,39 +94,21 @@ fn winner_score(rec: &Recording) -> f64 {
 }
 
 #[test]
-fn recorder_is_plan_preserving_and_free_while_disabled() {
-    let _guard = rannc_obs::trace::test_guard();
-    recorder::set_enabled(false);
-    recorder::reset();
+fn explained_plan_is_the_partitioned_plan() {
     let g = mlp_graph(&MlpConfig::deep(64, 64, 8, 10));
     let cluster = ClusterSpec::v100_cluster(2);
     let rannc = Rannc::new(quick_config());
+    let plan = rannc.partition(&g, &cluster).unwrap();
+    let (explained_plan, rec) = explained(&rannc, &g, &cluster);
+    assert_plans_bit_identical(&plan, &explained_plan);
 
-    // disabled: a full partitioning must not touch the recorder heap
-    let allocs_before = recorder::alloc_count();
-    let plan_off = rannc.partition(&g, &cluster).unwrap();
-    assert_eq!(
-        recorder::alloc_count(),
-        allocs_before,
-        "disabled recorder allocated during partitioning"
-    );
-    assert!(recorder::take().is_none(), "disabled run left a recording");
-
-    // enabled: same plan, bit for bit — recording must not perturb the
-    // search
-    recorder::set_enabled(true);
-    let plan_on = rannc.partition(&g, &cluster).unwrap();
-    let rec = recorder::take().expect("enabled run records");
-    recorder::set_enabled(false);
-    assert_plans_bit_identical(&plan_off, &plan_on);
-
-    // and the recording holds a winner whose shape matches the plan
+    // and the artifact holds a winner whose shape matches the plan
     let winner = rec.winner.as_ref().expect("feasible search has a winner");
-    assert_eq!(winner.stages.len(), plan_on.stages.len());
-    assert_eq!(winner.microbatches, plan_on.microbatches);
+    assert_eq!(winner.stages.len(), plan.stages.len());
+    assert_eq!(winner.microbatches, plan.microbatches);
     assert_eq!(
         winner.est_iteration_time.to_bits(),
-        plan_on.est_iteration_time.to_bits()
+        plan.est_iteration_time.to_bits()
     );
     // the winner's score is rebuilt from the plan with the all-reduce
     // term the sweep scored cells with: it is the best cell's, bit for
@@ -131,19 +120,12 @@ fn recorder_is_plan_preserving_and_free_while_disabled() {
 
 #[test]
 fn artifact_is_byte_identical_from_run_to_run() {
-    let _guard = rannc_obs::trace::test_guard();
     let g = mlp_graph(&MlpConfig::deep(64, 64, 8, 10));
     let cluster = ClusterSpec::v100_cluster(2);
 
-    let mut artifacts = Vec::new();
-    for _ in 0..2 {
-        recorder::set_enabled(true);
-        recorder::reset();
-        Rannc::new(quick_config()).partition(&g, &cluster).unwrap();
-        let rec = recorder::take().expect("recording");
-        recorder::set_enabled(false);
-        artifacts.push(recorder::to_json(&rec));
-    }
+    let artifacts: Vec<String> = (0..2)
+        .map(|_| recorder::to_json(&explained(&Rannc::new(quick_config()), &g, &cluster).1))
+        .collect();
     let summary = check_explain(&artifacts[0]).expect("artifact validates");
     assert!(summary.candidates > 0 && summary.winner_stages > 0);
     assert_eq!(artifacts[0], artifacts[1], "first vs second run");
@@ -151,8 +133,6 @@ fn artifact_is_byte_identical_from_run_to_run() {
 
 #[test]
 fn repartition_records_the_degraded_search() {
-    let _guard = rannc_obs::trace::test_guard();
-    recorder::set_enabled(false);
     let g = mlp_graph(&MlpConfig::deep(64, 64, 8, 10));
     let cluster = ClusterSpec::v100_cluster(2);
     let rannc = Rannc::new(quick_config());
@@ -161,18 +141,15 @@ fn repartition_records_the_degraded_search() {
     let degraded = cluster
         .without_device(DeviceRank { node: 0, local: 5 })
         .unwrap();
-    recorder::set_enabled(true);
-    recorder::reset();
-    let replanned = rannc.repartition(&g, &plan, &degraded).unwrap();
-    let rec = recorder::take().expect("repartition records");
-    recorder::set_enabled(false);
+    let (replanned, stats) = rannc.repartition_with_stats(&g, &plan, &degraded).unwrap();
+    let view = degraded.planning_view();
+    let rec = rannc.explain(&g, &view, &replanned, &stats);
 
     let text = recorder::to_json(&rec);
     let summary = check_explain(&text).expect("degraded artifact validates");
     assert!(summary.candidates > 0);
     // context reflects the degraded planning view, not the full cluster
-    let ctx = rec.context.as_ref().expect("context");
-    assert_eq!(ctx.total_devices, degraded.planning_view().total_devices());
+    assert_eq!(rec.context.total_devices, view.total_devices());
     let winner = rec.winner.as_ref().expect("winner");
     assert_eq!(winner.stages.len(), replanned.stages.len());
 }
@@ -183,16 +160,10 @@ fn repartition_records_the_degraded_search() {
 /// score.
 #[test]
 fn refined_recording_round_trips_through_the_decoder() {
-    let _guard = rannc_obs::trace::test_guard();
     let g = bert_graph(&BertConfig::enlarged(1024, 24));
     let cluster = ClusterSpec::v100_cluster(4);
-    recorder::set_enabled(true);
-    recorder::reset();
-    let plan = Rannc::new(PartitionConfig::new(256).with_verify(VerifyMode::Off))
-        .partition(&g, &cluster)
-        .unwrap();
-    let rec = recorder::take().expect("recording");
-    recorder::set_enabled(false);
+    let rannc = Rannc::new(PartitionConfig::new(256).with_verify(VerifyMode::Off));
+    let (plan, rec) = explained(&rannc, &g, &cluster);
     let refine = rec.refine.as_ref().expect("the refinement ran");
     assert!(refine.accepted, "the Fig. 4 cell keeps its block cuts");
     let (score, bottleneck) = refine.to.expect("the re-cut stages were priced");
@@ -210,24 +181,18 @@ fn refined_recording_round_trips_through_the_decoder() {
 
 #[test]
 fn real_recordings_round_trip_through_the_decoder() {
-    let _guard = rannc_obs::trace::test_guard();
     // Megatron regime (mini-batch 4 on one 8-GPU node), so the 3D sweep
     // records candidates with T > 1
     let g = bert_graph(&BertConfig::enlarged(1024, 4));
     let cluster = ClusterSpec::v100_cluster(1);
     for tp_max in [1usize, 4] {
-        recorder::set_enabled(true);
-        recorder::reset();
-        Rannc::new(
+        let rannc = Rannc::new(
             PartitionConfig::new(4)
                 .with_k(8)
                 .with_verify(VerifyMode::Off)
                 .with_tp_max(tp_max),
-        )
-        .partition(&g, &cluster)
-        .unwrap();
-        let rec = recorder::take().expect("recording");
-        recorder::set_enabled(false);
+        );
+        let (_, rec) = explained(&rannc, &g, &cluster);
         let back = Recording::from_json(&recorder::to_json(&rec)).expect("artifact decodes");
         assert_eq!(
             back, rec,
@@ -271,18 +236,16 @@ fn blocks_of(g: &TaskGraph, cluster: &ClusterSpec) -> Vec<Block> {
 
 #[test]
 fn recording_lists_every_grid_cell_with_its_fresh_dp_score() {
-    let _guard = rannc_obs::trace::test_guard();
     let (g, cluster) = explain_case();
     let blocks = blocks_of(&g, &cluster);
-    let cost = Profiler::new(&g, cluster.device.clone(), ProfilerOptions::fp32());
-    recorder::set_enabled(true);
-    recorder::reset();
-    let opts = SearchOptions { tp_max: 1 };
-    let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, EXPLAIN_BATCH, &opts);
-    let rec = recorder::take().expect("recording");
-    recorder::set_enabled(false);
-    assert!(sol.is_some(), "the explain config is feasible");
-    assert!(stats.bounded > 0, "the explain config skips no cell");
+    let rannc = Rannc::new(
+        PartitionConfig::new(EXPLAIN_BATCH)
+            .with_k(8)
+            .with_verify(VerifyMode::Off),
+    );
+    let (plan, stats) = rannc.partition_with_stats(&g, &cluster).unwrap();
+    assert!(stats.search.bounded > 0, "the explain config bounds a cell");
+    let rec = rannc.explain(&g, &cluster, &plan, &stats);
     let best = (rec.tiers.iter().flat_map(|t| &t.candidates))
         .filter_map(|c| match c.outcome {
             CandidateOutcome::Feasible { score, .. } => Some(score),
@@ -342,8 +305,7 @@ fn recording_lists_every_grid_cell_with_its_fresh_dp_score() {
 }
 
 #[test]
-fn search_counters_do_not_depend_on_threads_or_the_recorder() {
-    let _guard = rannc_obs::trace::test_guard();
+fn search_counters_do_not_depend_on_threads() {
     let (g, cluster) = explain_case();
     let blocks = blocks_of(&g, &cluster);
     // the cells settled each way, the stage evaluations and memo hits of
@@ -367,14 +329,7 @@ fn search_counters_do_not_depend_on_threads_or_the_recorder() {
             cost.cache_stats().hits,
         )
     };
-    let mut seen = Vec::new();
-    for recording in [false, true] {
-        recorder::set_enabled(recording);
-        recorder::reset();
-        seen.push((format!("recorder {recording}"), search()));
-        recorder::set_enabled(false);
-        recorder::reset();
-    }
+    let mut seen = vec![("calling thread".to_string(), search())];
     // three searches at once, each on its own thread's arena spare list
     let start = std::sync::Barrier::new(3);
     std::thread::scope(|scope| {
@@ -395,4 +350,44 @@ fn search_counters_do_not_depend_on_threads_or_the_recorder() {
     for (what, work) in &seen {
         assert_eq!(*work, first, "{what}");
     }
+}
+
+/// Three different models planned and explained at once, one per
+/// thread: each artifact is its own search's, byte for byte the artifact
+/// of that search run alone.
+#[test]
+fn concurrent_searches_each_explain_their_own() {
+    let cases = [
+        (mlp_graph(&MlpConfig::deep(64, 64, 8, 10)), 2),
+        (bert_graph(&BertConfig::enlarged(256, 4)), 2),
+        (bert_graph(&BertConfig::tiny()), 1),
+    ];
+    let artifact = |(g, nodes): &(TaskGraph, usize)| {
+        let cluster = ClusterSpec::v100_cluster(*nodes);
+        recorder::to_json(&explained(&Rannc::new(quick_config()), g, &cluster).1)
+    };
+    let alone: Vec<String> = cases.iter().map(artifact).collect();
+    let start = std::sync::Barrier::new(cases.len());
+    let together: Vec<String> = std::thread::scope(|scope| {
+        let runs: Vec<_> = (cases.iter())
+            .map(|case| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    artifact(case)
+                })
+            })
+            .collect();
+        (runs.into_iter())
+            .map(|run| run.join().expect("an explaining thread"))
+            .collect()
+    });
+    for ((g, _), (a, b)) in cases.iter().zip(alone.iter().zip(&together)) {
+        check_explain(a).expect("artifact validates");
+        assert!(a == b, "{}: the concurrent artifact differs", g.name);
+    }
+    assert!(
+        alone[0] != alone[1] && alone[1] != alone[2],
+        "the models' artifacts are distinct"
+    );
 }

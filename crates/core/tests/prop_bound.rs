@@ -251,7 +251,7 @@ fn check_walk(
     let opts = SearchOptions { tp_max };
     let (scan, stats) = scan_first_feasible_tier(g, cost, blocks, cluster, batch_size, &opts);
     let scan = scan?;
-    let (best, _) = scan.cells[scan.winner]
+    let (best, _) = scan.cells[scan.winner.expect("a feasible tier has a winner")]
         .solved()
         .expect("the winner is solved");
     let ranges = RangeTable::build(cost, blocks);

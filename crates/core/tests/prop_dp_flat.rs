@@ -230,7 +230,10 @@ proptest! {
         let opts = SearchOptions { tp_max: 1 };
         let (scan, _stats) =
             scan_first_feasible_tier(&g, &profiler, &blocks, &cluster, batch_size, &opts);
-        let winner = scan.map(|t| t.cells[t.winner].solved().expect("feasible").1.clone());
+        let winner = scan.map(|t| {
+            let cell = &t.cells[t.winner.expect("a feasible tier has a winner")];
+            cell.solved().expect("feasible").1.clone()
+        });
         assert_solutions_identical(&winner, &reference, "scan");
         let (engine, _stats) =
             form_stage_with(&g, &profiler, &blocks, &cluster, batch_size, &opts);

@@ -92,7 +92,7 @@ fn check_refinement(
 ) -> Option<bool> {
     let opts = SearchOptions { tp_max: 1 };
     let scan = scan_first_feasible_tier(g, cost, blocks, cluster, batch_size, &opts).0?;
-    let cell = &scan.cells[scan.winner];
+    let cell = &scan.cells[scan.winner.expect("a feasible tier has a winner")];
     let (score, winner) = cell.solved().expect("the winner is feasible");
     let plan = form_stage_with(g, cost, blocks, cluster, batch_size, &opts)
         .0

@@ -17,7 +17,7 @@
 //! [`check_metrics`] validates a metrics JSONL export line by line
 //! against the frozen schema in [`crate::sink`].
 //!
-//! [`check_explain`] validates a plan flight-recorder artifact
+//! [`check_explain`] validates a plan explain artifact
 //! (`rannc_explain` schema v3): [`Recording::from_json`] decodes it
 //! strictly, then [`explain_recording`] cross-checks the winner against
 //! the candidates (its score is the minimum feasible score) and the
@@ -225,7 +225,7 @@ pub struct ExplainSummary {
     pub winner_stages: usize,
 }
 
-/// Decode a plan flight-recorder artifact and cross-check its winner:
+/// Decode a plan explain artifact and cross-check its winner:
 /// present exactly when some candidate was feasible, and scored exactly
 /// like the best feasible candidate, or like its refinement when one was
 /// accepted. Every feasible cell scores at least its bound, and every
@@ -305,7 +305,7 @@ pub fn explain_recording(text: &str) -> Result<Recording, String> {
     Ok(rec)
 }
 
-/// Validate a plan flight-recorder artifact (`rannc_explain` schema v3).
+/// Validate a plan explain artifact (`rannc_explain` schema v3).
 pub fn check_explain(text: &str) -> Result<ExplainSummary, String> {
     let rec = explain_recording(text)?;
     let (candidates, feasible, infeasible, bounded) = rec.totals();
@@ -449,14 +449,14 @@ mod tests {
     fn valid_explain() -> String {
         use crate::recorder::*;
         let rec = Recording {
-            context: Some(ContextRec {
+            context: ContextRec {
                 model: "mlp".into(),
                 batch_size: 32,
                 nodes: 2,
                 gpus_per_node: 2,
                 total_devices: 4,
                 cost_model: "analytical".into(),
-            }),
+            },
             tiers: vec![TierRec {
                 n: 1,
                 devices: 2,
@@ -508,10 +508,10 @@ mod tests {
                 est_iteration_time: 0.25,
             }),
             refine: None,
-            accounting: Some(AccountingRec {
+            accounting: AccountingRec {
                 stage_cache_entries: 2,
                 profiler_cache_entries: 3,
-            }),
+            },
         };
         to_json(&rec)
     }

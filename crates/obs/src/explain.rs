@@ -1,5 +1,5 @@
-//! Renderer behind `rannc-plan explain` — turns a flight-recorder
-//! artifact ([`crate::recorder`], `rannc_explain` schema v3) into a
+//! Renderer behind `rannc-plan explain` — turns an explain artifact
+//! ([`crate::recorder`], `rannc_explain` schema v3) into a
 //! per-stage cost-breakdown table, a top-k runner-up list (a cell the
 //! search skipped by its score bound shows as `≥ bound`), and a search
 //! account with the winner's optimality gap, and diffs two artifacts
@@ -73,8 +73,7 @@ fn ranked(rec: &Recording) -> Vec<Ranked> {
 /// runner-ups, search and cache account.
 pub fn render(text: &str, top_k: usize) -> Result<String, String> {
     let rec = explain_recording(text)?;
-    let ctx = rec.context.clone().unwrap_or_default();
-    let acc = rec.accounting.clone().unwrap_or_default();
+    let (ctx, acc) = (&rec.context, &rec.accounting);
     let (total, feas, infeas, bounded) = rec.totals();
     let ranked = ranked(&rec);
 
@@ -231,10 +230,7 @@ fn diff_line(label: &str, a: f64, b: f64) -> String {
 pub fn render_diff(a_text: &str, b_text: &str) -> Result<String, String> {
     let a = explain_recording(a_text).map_err(|e| format!("first artifact: {e}"))?;
     let b = explain_recording(b_text).map_err(|e| format!("second artifact: {e}"))?;
-    let (actx, bctx) = (
-        a.context.clone().unwrap_or_default(),
-        b.context.clone().unwrap_or_default(),
-    );
+    let (actx, bctx) = (&a.context, &b.context);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -324,18 +320,17 @@ pub fn render_diff(a_text: &str, b_text: &str) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::recorder::*;
-    use crate::trace::test_guard;
 
     fn recording(devices: usize, fwd: f64) -> String {
         let rec = Recording {
-            context: Some(ContextRec {
+            context: ContextRec {
                 model: "mlp-12l".into(),
                 batch_size: 64,
                 nodes: 2,
                 gpus_per_node: 2,
                 total_devices: devices,
                 cost_model: "analytical".into(),
-            }),
+            },
             tiers: vec![TierRec {
                 n: 1,
                 devices: 2,
@@ -402,17 +397,16 @@ mod tests {
                 to: Some((fwd * 1.75, fwd * 0.875)),
                 accepted: true,
             }),
-            accounting: Some(AccountingRec {
+            accounting: AccountingRec {
                 stage_cache_entries: 7,
                 profiler_cache_entries: 11,
-            }),
+            },
         };
         to_json(&rec)
     }
 
     #[test]
     fn parse_round_trips_the_recording() {
-        let _g = test_guard();
         let text = recording(4, 0.010);
         let rec = Recording::from_json(&text).expect("valid artifact");
         assert_eq!(to_json(&rec), text, "parse→serialize is the identity");

@@ -24,11 +24,13 @@
 //! validators (and by `rannc-plan obs-check`) lives in [`json`]; the
 //! trace/metrics/explain file validators live in [`check`].
 //!
-//! A third layer with the same cost contract as tracing is the plan
-//! flight [`recorder`]: decision-level telemetry of the partition search
-//! (every swept candidate, the winner's cost attribution, candidate and
-//! cache accounting), serialized to the frozen `rannc_explain` schema v2
-//! and rendered by [`explain`] for the `rannc-plan explain` subcommand.
+//! The explain artifact ([`recorder`]) is not a layer but a value:
+//! decision-level telemetry of one partition search (every swept
+//! candidate, the winner's cost attribution, candidate and cache
+//! accounting), built from what the search returned only when a caller
+//! asks for it, serialized to the frozen `rannc_explain` schema v3 and
+//! rendered by [`explain`] for the `rannc-plan explain` subcommand. It
+//! holds no process-global state.
 //!
 //! ```
 //! use rannc_obs as obs;

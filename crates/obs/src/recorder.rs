@@ -1,64 +1,33 @@
-//! Plan flight recorder — decision-level telemetry of the partition
+//! The explain artifact — decision-level telemetry of one partition
 //! search (Algorithm 2).
 //!
-//! Where [`crate::trace`] answers *where wall-clock time went*, the
-//! recorder answers *why this plan won*: it captures every swept
-//! `(S, MB, T)` candidate of every node tier with its score, its score
-//! bound or its infeasibility, plus the winner's per-stage cost
-//! attribution and the candidate/cache accounting — the raw material
-//! for the `rannc-plan explain` subcommand.
+//! Where [`crate::trace`] answers *where wall-clock time went*, a
+//! [`Recording`] answers *why this plan won*: every swept `(S, MB, T)`
+//! candidate of every node tier with its score, its score bound or its
+//! infeasibility, plus the winner's per-stage cost attribution and the
+//! candidate/cache accounting — the raw material for the `rannc-plan
+//! explain` subcommand.
 //!
-//! The cost contract mirrors the tracing layer exactly: every recording
-//! entry point checks [`enabled`] *before touching the heap*, so a
-//! disabled recorder allocates nothing ([`alloc_count`] lets benches pin
-//! that), and the search hooks are plan-preserving — a recorded search
-//! returns a bit-identical plan (the `explain_recorder` integration
-//! suite pins both halves; `planner_bench --check` pins the first over
-//! its timed run).
+//! A recording is a plain value. The planner builds it from what its
+//! search returned (`rannc_core::Rannc::explain`), only when a caller
+//! asks for one, so a partition that is not explained does no recording
+//! work at all, and searches on different threads each explain their
+//! own.
 //!
 //! **Determinism.** The serialized artifact ([`to_json`], frozen schema
 //! `rannc_explain` v3) is a pure function of the search's inputs. The
 //! search settles every grid cell (solved, bounded or infeasible) and
-//! records the cells in grid order after each tier's walk, so the
-//! candidate list is the work a recorder-off run does. No timestamps and
-//! no cache hit/miss counts are recorded (only *entry* counts).
+//! returns the cells in grid order, so the candidate list is exactly the
+//! work the search did. No timestamps and no cache hit/miss counts are
+//! recorded (only *entry* counts).
 
 use crate::json::{self, escape, fmt_f64, DecodeError, Node, Obj, SchemaError};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
-/// Process-global recorder switch. Off by default; independent of the
-/// tracing flag so `--explain-out` does not drag span recording in.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static CURRENT: Mutex<Option<Recording>> = Mutex::new(None);
-
-/// Turn the flight recorder on or off process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether the flight recorder is currently enabled.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Total records the recorder has allocated since process start. Exactly
-/// 0 while the recorder has never been enabled — the zero-overhead
-/// guarantee `planner_bench --check` pins.
+/// Always 0: a recording is a plain value and this module keeps no
+/// state to allocate. Kept, like `rannc_core::par::set_threads`, only
+/// because the frozen benchmark package calls it.
 pub fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Drop any in-flight recording (test/bench isolation). Does not reset
-/// [`alloc_count`], which is monotone by design.
-pub fn reset() {
-    *lock(&CURRENT) = None;
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+    0
 }
 
 /// How one swept `(S, MB, T)` grid cell ended.
@@ -81,7 +50,8 @@ pub enum CandidateOutcome {
         /// The cell's score lower bound, seconds.
         bound: f64,
     },
-    /// The DP ran and found no feasible placement.
+    /// No feasible placement: the memory bound proved the cell
+    /// INFEASIBLE before its DP could run, or the DP ran and found none.
     Infeasible,
 }
 
@@ -108,11 +78,12 @@ pub struct TierRec {
     pub devices: usize,
     /// Pipeline-replica factor `R = max(N/n, 1)`.
     pub replica_factor: usize,
-    /// The tier's `(S, MB)` grid in deterministic (S asc, MB asc) order.
+    /// The tier's `(S, MB, T)` grid in deterministic order: `S`
+    /// ascending, then `MB`, then `T`.
     pub candidates: Vec<CandidateRec>,
 }
 
-/// What was being planned — stamped by the planner front-end.
+/// What was being planned: model, batch, cluster shape and cost model.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContextRec {
     /// Model/graph name.
@@ -210,7 +181,7 @@ pub struct AccountingRec {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recording {
     /// Planning context (model, cluster, cost model).
-    pub context: Option<ContextRec>,
+    pub context: ContextRec,
     /// Node tiers in sweep order.
     pub tiers: Vec<TierRec>,
     /// The winning plan's attribution (`None` when infeasible).
@@ -218,7 +189,7 @@ pub struct Recording {
     /// The winner's stage-cut refinement (`None` when it proposed no cut).
     pub refine: Option<RefineRec>,
     /// Cache accounting.
-    pub accounting: Option<AccountingRec>,
+    pub accounting: AccountingRec,
 }
 
 impl Recording {
@@ -274,14 +245,14 @@ impl Recording {
             let refine = root.opt("refine").map(|r| decode_refine(r.obj()?));
             let acc = root.get("accounting")?.obj()?;
             let rec = Recording {
-                context: Some(context),
+                context,
                 tiers,
                 winner,
                 refine: refine.transpose()?,
-                accounting: Some(AccountingRec {
+                accounting: AccountingRec {
                     stage_cache_entries: acc.get("stage_cache_entries")?.u64()?,
                     profiler_cache_entries: acc.get("profiler_cache_entries")?.u64()?,
-                }),
+                },
             };
             let (total, feas, infeas, bounded) = rec.totals();
             for (key, expect) in [
@@ -409,104 +380,6 @@ fn decode_refine(r: Obj<'_>) -> Result<RefineRec, SchemaError> {
     Ok(rec)
 }
 
-/// Start a fresh recording, discarding any previous one. Called by
-/// `form_stage_with` at search entry, so one artifact always describes
-/// exactly one search (for `repartition` that is the replan).
-pub fn begin_search() {
-    if !enabled() {
-        return;
-    }
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    *lock(&CURRENT) = Some(Recording::default());
-}
-
-/// Open a new node tier. No-op while disabled or before [`begin_search`].
-pub fn tier(n: usize, devices: usize, replica_factor: usize) {
-    if !enabled() {
-        return;
-    }
-    if let Some(rec) = lock(&CURRENT).as_mut() {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        rec.tiers.push(TierRec {
-            n,
-            devices,
-            replica_factor,
-            candidates: Vec::new(),
-        });
-    }
-}
-
-/// Record one grid cell into the currently open tier.
-pub fn candidate(stages: usize, microbatches: usize, tp: usize, outcome: CandidateOutcome) {
-    if !enabled() {
-        return;
-    }
-    if let Some(rec) = lock(&CURRENT).as_mut() {
-        if let Some(t) = rec.tiers.last_mut() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            t.candidates.push(CandidateRec {
-                stages,
-                microbatches,
-                tp,
-                outcome,
-            });
-        }
-    }
-}
-
-/// Stamp the planning context. The closure runs only while enabled, so
-/// building the (allocating) record stays off the disabled path.
-pub fn set_context(make: impl FnOnce() -> ContextRec) {
-    if !enabled() {
-        return;
-    }
-    if let Some(rec) = lock(&CURRENT).as_mut() {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        rec.context = Some(make());
-    }
-}
-
-/// Stamp the winner's attribution (closure-deferred like [`set_context`]).
-pub fn set_winner(make: impl FnOnce() -> WinnerRec) {
-    if !enabled() {
-        return;
-    }
-    if let Some(rec) = lock(&CURRENT).as_mut() {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        rec.winner = Some(make());
-    }
-}
-
-/// Record the winner's stage-cut refinement (closure-deferred like
-/// [`set_context`]).
-pub fn refinement(make: impl FnOnce() -> RefineRec) {
-    if !enabled() {
-        return;
-    }
-    if let Some(rec) = lock(&CURRENT).as_mut() {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        rec.refine = Some(make());
-    }
-}
-
-/// Stamp the cache accounting (closure-deferred like [`set_context`]).
-pub fn set_accounting(make: impl FnOnce() -> AccountingRec) {
-    if !enabled() {
-        return;
-    }
-    if let Some(rec) = lock(&CURRENT).as_mut() {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        rec.accounting = Some(make());
-    }
-}
-
-/// Take the current recording, leaving the recorder empty. Returns
-/// `None` when nothing was recorded (recorder disabled, or no search ran
-/// since the last take).
-pub fn take() -> Option<Recording> {
-    lock(&CURRENT).take()
-}
-
 /// Serialize a recording to the frozen `rannc_explain` schema v3.
 ///
 /// Field order, formatting ([`fmt_f64`]) and layout are part of the
@@ -514,8 +387,7 @@ pub fn take() -> Option<Recording> {
 /// a recording itself is byte-identical from run to run
 /// (`explain_recorder`'s `artifact_is_byte_identical_from_run_to_run`).
 pub fn to_json(rec: &Recording) -> String {
-    let ctx = rec.context.clone().unwrap_or_default();
-    let acc = rec.accounting.clone().unwrap_or_default();
+    let (ctx, acc) = (&rec.context, &rec.accounting);
     let (total, feas, infeas, bounded) = rec.totals();
 
     let mut out = String::new();
@@ -681,105 +553,88 @@ pub fn to_json(rec: &Recording) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::test_guard;
 
     fn sample() -> Recording {
-        begin_search();
-        tier(1, 2, 2);
-        candidate(
-            1,
-            1,
-            1,
-            CandidateOutcome::Feasible {
+        let candidate = |stages, microbatches, outcome| CandidateRec {
+            stages,
+            microbatches,
+            tp: 1,
+            outcome,
+        };
+        Recording {
+            context: ContextRec {
+                model: "mlp-test".into(),
+                batch_size: 32,
+                nodes: 2,
+                gpus_per_node: 2,
+                total_devices: 4,
+                cost_model: "analytical".into(),
+            },
+            tiers: vec![TierRec {
+                n: 1,
+                devices: 2,
+                replica_factor: 2,
+                candidates: vec![
+                    candidate(
+                        1,
+                        1,
+                        CandidateOutcome::Feasible {
+                            score: 0.25,
+                            bottleneck: 0.125,
+                            bound: 0.125,
+                        },
+                    ),
+                    candidate(
+                        1,
+                        2,
+                        CandidateOutcome::Feasible {
+                            score: 0.5,
+                            bottleneck: 0.25,
+                            bound: 0.25,
+                        },
+                    ),
+                    candidate(2, 1, CandidateOutcome::Infeasible),
+                    candidate(2, 2, CandidateOutcome::Bounded { bound: 0.75 }),
+                ],
+            }],
+            winner: Some(WinnerRec {
+                stages: vec![WinnerStageRec {
+                    tasks: 8,
+                    devices: 2,
+                    tensor_parallel: 1,
+                    micro_batch: 16,
+                    fwd_time: 0.05,
+                    bwd_time: 0.075,
+                    transfer_time: 0.0,
+                    allreduce_time: 0.01,
+                    optimizer_time: 0.002,
+                    mem_estimate_bytes: 1 << 30,
+                    mem_certified_bytes: Some(1 << 29),
+                    param_elems: 4096,
+                }],
+                microbatches: 1,
+                replica_factor: 2,
                 score: 0.25,
                 bottleneck: 0.125,
-                bound: 0.125,
+                est_iteration_time: 0.125,
+            }),
+            refine: None,
+            accounting: AccountingRec {
+                stage_cache_entries: 3,
+                profiler_cache_entries: 5,
             },
-        );
-        candidate(
-            1,
-            2,
-            1,
-            CandidateOutcome::Feasible {
-                score: 0.5,
-                bottleneck: 0.25,
-                bound: 0.25,
-            },
-        );
-        candidate(2, 1, 1, CandidateOutcome::Infeasible);
-        candidate(2, 2, 1, CandidateOutcome::Bounded { bound: 0.75 });
-        set_context(|| ContextRec {
-            model: "mlp-test".into(),
-            batch_size: 32,
-            nodes: 2,
-            gpus_per_node: 2,
-            total_devices: 4,
-            cost_model: "analytical".into(),
-        });
-        set_winner(|| WinnerRec {
-            stages: vec![WinnerStageRec {
-                tasks: 8,
-                devices: 2,
-                tensor_parallel: 1,
-                micro_batch: 16,
-                fwd_time: 0.05,
-                bwd_time: 0.075,
-                transfer_time: 0.0,
-                allreduce_time: 0.01,
-                optimizer_time: 0.002,
-                mem_estimate_bytes: 1 << 30,
-                mem_certified_bytes: Some(1 << 29),
-                param_elems: 4096,
-            }],
-            microbatches: 1,
-            replica_factor: 2,
-            score: 0.25,
-            bottleneck: 0.125,
-            est_iteration_time: 0.125,
-        });
-        set_accounting(|| AccountingRec {
-            stage_cache_entries: 3,
-            profiler_cache_entries: 5,
-        });
-        take().expect("recording present")
+        }
     }
 
     #[test]
-    fn disabled_recorder_allocates_nothing() {
-        let _g = test_guard();
-        set_enabled(false);
-        reset();
-        let before = alloc_count();
-        begin_search();
-        tier(1, 2, 2);
-        candidate(1, 1, 1, CandidateOutcome::Infeasible);
-        set_context(|| panic!("context closure must not run while disabled"));
-        set_winner(|| panic!("winner closure must not run while disabled"));
-        set_accounting(|| panic!("accounting closure must not run while disabled"));
-        assert_eq!(alloc_count(), before, "disabled recorder must not record");
-        assert!(take().is_none());
-    }
-
-    #[test]
-    fn candidates_land_in_the_open_tier() {
-        let _g = test_guard();
-        set_enabled(true);
-        reset();
-        let rec = sample();
-        set_enabled(false);
-        assert_eq!(rec.tiers.len(), 1);
-        assert_eq!(rec.tiers[0].candidates.len(), 4);
-        assert_eq!(rec.totals(), (4, 2, 1, 1));
-        assert!(take().is_none(), "take drains the recording");
+    fn totals_count_every_outcome() {
+        assert_eq!(sample().totals(), (4, 2, 1, 1));
+        assert_eq!(Recording::default().totals(), (0, 0, 0, 0));
     }
 
     #[test]
     fn serialization_is_stable_and_validates() {
-        let _g = test_guard();
-        set_enabled(true);
-        reset();
         let rec = sample();
-        set_enabled(false);
         let a = to_json(&rec);
         let b = to_json(&rec);
         assert_eq!(a, b, "same recording, same bytes");
@@ -796,20 +651,5 @@ mod tests {
             "round trip"
         );
         crate::check::check_explain(&a).expect("artifact passes its validator");
-    }
-
-    #[test]
-    fn begin_search_discards_previous_recording() {
-        let _g = test_guard();
-        set_enabled(true);
-        reset();
-        let _first = sample();
-        begin_search();
-        tier(1, 4, 1);
-        let rec = take().expect("second recording");
-        set_enabled(false);
-        assert_eq!(rec.tiers.len(), 1);
-        assert_eq!(rec.tiers[0].devices, 4);
-        assert!(rec.winner.is_none());
     }
 }

@@ -88,7 +88,7 @@ if grep -rn --include='*.rs' "megatron_partition" crates tests examples \
     exit 1
 fi
 
-echo "==> one-path gate (one stage DP, one last-row cell, one graph index, one cost-row table per graph, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, a search on the calling thread, plain single-thread planner state, one arena source, one thread spawner, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
+echo "==> one-path gate (one stage DP, one last-row cell, one graph index, one cost-row table per graph, one group graph per block-phase step, one iteration closed form, one campaign simulator, one schedule definition, one certify path, one residency rule, one refinement pricing, a search on the calling thread, plain single-thread planner state, one arena source, one thread spawner, an explain artifact built from the search's value, baselines as plans, Megatron in its baseline, no deleted search, memo, fixpoint or bench machinery)"
 # Algorithm 1 has exactly one public entry point, and the cost map, the
 # DP wrappers, the sequential search mode and the pass-through analytical
 # model stay deleted: the reference DP and scan live in test support.
@@ -356,6 +356,27 @@ SPAWN_HITS="$(find crates/*/src -name '*.rs' ! -path '*/rannc_benchmark/*' \
 if [ -n "$SPAWN_HITS" ]; then
     echo "$SPAWN_HITS"
     echo "FAILED: a thread spawned outside the pipeline trainer"
+    exit 1
+fi
+
+# The explain artifact is a value: Rannc::explain builds it from the
+# cells and refinement the search returns. Outside tests,
+# crates/obs/src/recorder.rs declares no static, lock or atomic, and the
+# process-global recorder's switch and hooks (begin_search, the
+# annotate_recording stamp, recorder::set_enabled, recorder::take) stay
+# deleted.
+RECORDER_STATE="$(awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    crates/obs/src/recorder.rs | grep -vE '^[^:]+:[0-9]+: *//' \
+    | grep -E "(^|[^'])\bstatic\b|\b(Mutex|RwLock|OnceLock)\b|\bAtomic[A-Za-z0-9]*\b|sync::atomic" \
+    || true)"
+if [ -n "$RECORDER_STATE" ]; then
+    echo "$RECORDER_STATE"
+    echo "FAILED: a static, lock or atomic in non-test crates/obs/src/recorder.rs"
+    exit 1
+fi
+if grep -rnE --include='*.rs' '\b(begin_search|annotate_recording)\b|recorder::(set_enabled|take)\b' \
+    crates tests examples --exclude-dir=rannc_benchmark; then
+    echo "FAILED: the process-global recorder's switch or hooks are back"
     exit 1
 fi
 

@@ -43,7 +43,10 @@ fn scan_winner(
     opts: &SearchOptions,
 ) -> (Option<DpSolution>, rannc::core::SearchStats) {
     let (scan, stats) = scan_first_feasible_tier(g, profiler, blocks, cluster, batch_size, opts);
-    let winner = scan.map(|t| t.cells[t.winner].solved().expect("feasible").1.clone());
+    let winner = scan.map(|t| {
+        let cell = &t.cells[t.winner.expect("a feasible tier has a winner")];
+        cell.solved().expect("feasible").1.clone()
+    });
     (winner, stats)
 }
 
@@ -285,7 +288,7 @@ fn tier_scan_matches_the_exhaustive_cells() {
                     "{label}: score differs"
                 );
             }
-            assert_eq!(scan.winner, first_min, "{label}: winner differs");
+            assert_eq!(scan.winner, Some(first_min), "{label}: winner differs");
         }
     }
 }
