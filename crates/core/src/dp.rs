@@ -239,6 +239,10 @@ impl Hot {
 pub struct DpArena {
     nb: usize,
     ds1: usize,
+    /// The memo's allocated shape `(nb, ds1)`: `(b_prev, b, repl)` sits at
+    /// `(b_prev·(nb + 1) + b)·ds1 + repl` of these strides, so any DP
+    /// shape that fits in it reuses the memo without a refill.
+    memo_shape: (usize, usize),
     v: Vec<f64>,
     tf: Vec<f64>,
     tb: Vec<f64>,
@@ -314,24 +318,25 @@ impl DpArena {
     }
 
     /// Size the tables for one candidate and invalidate the memo if the
-    /// memo key changed. `dp_rows` is the number of DP rows `(s, b)` for
-    /// this candidate's stage count.
+    /// memo key or the shape changed. `dp_rows` is the number of DP rows
+    /// `(s, b)` for this candidate's stage count. A shape that fits in the
+    /// memo's allocated one is one stamp bump; a larger one grows the memo
+    /// to cover both and refills it.
     fn prepare(&mut self, nb: usize, ds1: usize, key: MemoKey, dp_rows: usize) {
-        let bs1 = nb + 1;
-        let memo_len = nb * bs1 * ds1;
-        if self.nb != nb || self.ds1 != ds1 || self.hot.len() != memo_len {
-            self.nb = nb;
-            self.ds1 = ds1;
+        let (memo_nb, memo_ds1) = self.memo_shape;
+        if nb > memo_nb || ds1 > memo_ds1 {
+            self.memo_shape = (nb.max(memo_nb), ds1.max(memo_ds1));
+            let (memo_nb, memo_ds1) = self.memo_shape;
+            let memo_len = memo_nb * (memo_nb + 1) * memo_ds1;
             self.hot.clear();
             self.hot.resize(memo_len, Hot::EMPTY);
             self.cold.clear();
             self.cold.resize(memo_len, Cold::default());
             self.stamp = 1;
-            self.key = Some(key);
-        } else if self.key != Some(key) {
+        } else if self.nb != nb || self.ds1 != ds1 || self.key != Some(key) {
             self.invalidate();
-            self.key = Some(key);
         }
+        (self.nb, self.ds1, self.key) = (nb, ds1, Some(key));
         let cells = dp_rows * ds1;
         self.v.clear();
         self.v.resize(cells, INF);
@@ -417,7 +422,6 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
     let bs1 = nb + 1;
     let ds1 = d_max + 1;
     let idx = |s: usize, b: usize, d: usize| (s * bs1 + b) * ds1 + d;
-    let memo_idx = |b_prev: usize, b: usize, repl: usize| (b_prev * bs1 + b) * ds1 + repl;
     arena.prepare(
         nb,
         ds1,
@@ -431,6 +435,10 @@ pub fn form_stage_dp(ctx: &DpCtx, arena: &mut DpArena) -> Option<DpSolution> {
         },
         (s_max + 1) * bs1,
     );
+    // the memo is indexed by its allocated shape, which covers this one
+    let (memo_nb, memo_ds1) = arena.memo_shape;
+    let memo_idx =
+        |b_prev: usize, b: usize, repl: usize| (b_prev * (memo_nb + 1) + b) * memo_ds1 + repl;
     let DpArena {
         v,
         tf,

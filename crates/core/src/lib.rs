@@ -55,8 +55,8 @@ pub use plan::{PartitionPlan, PlanError, StagePlan};
 pub use plan_io::{decode_plan, encode_plan, load_plan, save_plan, PlanIoError};
 pub use replan::{diff_plans, PlanDiff, ReplanOutcome};
 pub use search::{
-    form_stage_with, proven_infeasible, scan_first_feasible_tier, score_bound, solve_cell,
-    tier_grids, CellOutcome, SearchOptions, SearchStats,
+    bottleneck_bound, form_stage_with, proven_infeasible, scan_first_feasible_tier, score_bound,
+    solve_cell, tier_grids, CellOutcome, SearchOptions, SearchStats,
 };
 pub use stagecache::{DpCtx, RangeTable, StageCost};
 
@@ -212,7 +212,8 @@ impl PlannerStats {
         format!(
             "planner stats:\n  \
              search: {} DP candidate(s), {} feasible, {} proven infeasible by the memory bound, \
-             {} bounded by the score bound, {} node tier(s), winner gap {}\n  \
+             {} skipped by the score bound or the bottleneck test, {} node tier(s), \
+             winner gap {}\n  \
              stage cache: {}\n  \
              profiler cache: {}",
             search.candidates,

@@ -32,11 +32,16 @@
 //!    (118 of bert256-d128's 120 cells, every INFEASIBLE one).
 //! 2. Every other cell gets [`score_bound`], a lower bound on the score
 //!    of any solution Algorithm 1 can return for it.
-//! 3. Those cells run best-first, in `(bound, grid index)` order, and a
-//!    cell's DP runs unless its bound is strictly above the best score so
-//!    far. A skipped cell is recorded BOUNDED with its bound and counts in
-//!    [`SearchStats::bounded`]; once one is skipped, all later ones are.
-//!    On resnet152x8-d128, 7 of the 34 open cells run their DP.
+//! 3. Those cells run best-first, in `(bound, grid index)` order. A cell
+//!    is skipped when its bound is strictly above the best score so far,
+//!    or, once a cell is solved, when [`bottleneck_bound`] proves that no
+//!    split of it scores at most the best: the memory proof's range DP,
+//!    rerun with each range's need raised to the fewest units on which
+//!    its stage time leaves room for the best score. Any other cell runs
+//!    its DP. A skipped cell is recorded BOUNDED with a lower bound on
+//!    its score strictly above the best score at the time, and counts in
+//!    [`SearchStats::bounded`]. On resnet152x8-d128, 2 of the 34 open
+//!    cells run their DP (27 skipped by their bound, 5 by the test).
 //!
 //! The cells of one group share one [`DpArena`], whose flat
 //! `(b_prev, b, repl)` memo filled by one stage count answers most
@@ -54,12 +59,12 @@
 //! share their read-only inputs (graph, blocks, cluster), but each needs
 //! a cost model of its own.
 //!
-//! **Exactness and determinism.** A skipped cell scores at least its
-//! bound, which is above some solved cell's score, so it cannot be a
-//! minimum; a cell that ties the winner has a bound at most the best
-//! score at every step, so its DP runs. The winner is the first minimum
-//! in grid order over the solved cells, the cell a scan that solves
-//! every cell picks. DP results are pure functions of their parameters
+//! **Exactness and determinism.** A skipped cell scores strictly above
+//! some solved cell's score, so it cannot be a minimum; a cell that ties
+//! the winner has a bound at most the best score at every step and a
+//! split that scores at most it, so its DP runs. The winner is the first
+//! minimum in grid order over the solved cells, the cell a scan that
+//! solves every cell picks. DP results are pure functions of their parameters
 //! (arena memo entries equal fresh evaluations exactly), and the walk's
 //! order, so the set of DPs run and every search counter, is a pure
 //! function of the tier. The `determinism` integration suite pins this
@@ -133,6 +138,18 @@ pub fn score_bound(
     slots: &SlotTable,
     p: &DpParams,
 ) -> f64 {
+    bound_and_tail(cost, ranges, cluster, slots, p).0
+}
+
+/// [`score_bound`] of cell `p`, and the bound on the iteration tail it
+/// adds to its bound on the pipeline.
+fn bound_and_tail(
+    cost: &dyn CostModel,
+    ranges: &RangeTable,
+    cluster: &ClusterSpec,
+    slots: &SlotTable,
+    p: &DpParams,
+) -> (f64, IterationTail) {
     let (nb, s, d) = (ranges.blocks(), p.stages, p.devices);
     let samples = micro_batch(p.batch_size, p.replica_factor, p.microbatches, 1);
     debug_assert!(
@@ -151,10 +168,7 @@ pub fn score_bound(
         .min()
         .unwrap_or(samples) as f64
         / samples as f64;
-    let sigma = cost.options().noise_sigma;
-    let noise = ((1.0 - sigma) / (1.0 + sigma)).max(0.0);
-    let speed = slots.fastest_scale().min(1.0);
-    let v = (w.fwd_time + w.bwd_time) * rho / d as f64 * noise * speed;
+    let v = (w.fwd_time + w.bwd_time) * rho / d as f64 * noise_band(cost) * speed(slots);
     let grads = StageGrads::of_params(w.param_elems.div_ceil(s), 1, p.tp);
     let spans_nodes = p.replica_factor > 1 || d * p.tp > cluster.node.devices;
     let factors = cost.factors();
@@ -163,7 +177,21 @@ pub fn score_bound(
         optimizer: factors.optimizer_time(&cluster.device, grads.grad_bytes),
         spans_nodes,
     };
-    sync_iteration_time(s, p.microbatches, v, tail) * (1.0 - BOUND_SLACK)
+    let bound = sync_iteration_time(s, p.microbatches, v, tail) * (1.0 - BOUND_SLACK);
+    (bound, tail)
+}
+
+/// The noise band `(1 − σ)/(1 + σ)` of the cost model's profiling noise:
+/// the least ratio of two priced times whose noise-free times agree.
+fn noise_band(cost: &dyn CostModel) -> f64 {
+    let sigma = cost.options().noise_sigma;
+    ((1.0 - sigma) / (1.0 + sigma)).max(0.0)
+}
+
+/// The fastest slot's scale of `slots`, capped at 1: no stage of the tier
+/// computes faster than its template price times this.
+fn speed(slots: &SlotTable) -> f64 {
+    slots.fastest_scale().min(1.0)
 }
 
 /// Tuning knobs of the partition-search engine.
@@ -196,8 +224,10 @@ pub struct SearchStats {
     /// `candidates`, never in `feasible`.
     pub pruned: usize,
     /// Grid cells the walk skipped because their [`score_bound`] was
-    /// strictly above a solved cell's score, so Algorithm 1 never ran
-    /// them. Counted in `candidates`, never in `feasible` or `pruned`.
+    /// strictly above a solved cell's score, or their bottleneck test
+    /// ([`bottleneck_bound`]) proved that none of their splits scores at
+    /// most it, so Algorithm 1 never ran them. Counted in `candidates`,
+    /// never in `feasible` or `pruned`.
     pub bounded: usize,
     /// Node tiers (`n` values) examined.
     pub node_tiers: usize,
@@ -348,90 +378,300 @@ pub fn proven_infeasible(
     ranges: &RangeTable,
     cells: &[DpParams],
 ) -> Vec<bool> {
-    let Some(p) = cells.first() else {
-        return Vec::new();
-    };
-    debug_assert!(
-        cells.iter().all(|c| DpParams {
-            stages: p.stages,
-            ..*c
-        } == *p),
-        "cells of one (R, MB, T) group"
-    );
-    const NONE: usize = usize::MAX;
-    let (nb, d) = (ranges.blocks(), p.devices);
-    let samples = micro_batch(p.batch_size, p.replica_factor, p.microbatches, 1);
-    // the fewest units on which [from, to) fits as a stage of an S-stage
-    // split, or NONE above D − (S − 1): the split's other stages hold a
-    // unit each, so a range that needs more proves the cell as surely
-    let r_min = |from: usize, to: usize, stages: usize| {
+    match cells.first() {
+        Some(p) => GroupBounds::new(cost, ranges, p).proven(cells),
+        None => Vec::new(),
+    }
+}
+
+/// The bottleneck test of cell `p` against a score `best`, for a cell the
+/// memory bound leaves open, on the tier's placement table `slots`:
+/// `Some(bound)` when no solution Algorithm 1 can return for the cell
+/// scores at most `best`, with `bound` a lower bound on the cell's score
+/// strictly above `best`; `None` when some split might.
+///
+/// A split that scores at most `best` has a bottleneck
+/// `V ≤ x = (best − tail)/(MB + S − 1)`, `tail` the tail bound of
+/// [`score_bound`]; `best` is raised by the relative slack
+/// [`BOUND_SLACK`] against rounding. Each block range gets a need,
+/// `max(r_min, r_time(x))`: `r_min` the memory proof's
+/// ([`proven_infeasible`]), and `r_time(x)` the fewest units on which the
+/// range's stage-time lower bound
+/// `c·⌊samples/r⌋·w/samples` is at most `x`, where `w` is the range's
+/// forward plus backward time as one stage at micro-batch `samples`,
+/// degree `T` and the cell's residency, and `c` is the noise band times
+/// the fastest slot's scale (capped at 1) times `1 − BOUND_SLACK`. A
+/// stage on `r` units runs `⌊samples/r⌋ ≤ samples` samples and its time
+/// per sample is nonincreasing in its micro-batch, so its `tᶠ + tᵇ` is at
+/// least that lower bound, and `V ≥ maxᵢ (tᶠᵢ + tᵇᵢ)`. Every stage of a
+/// split within `best` therefore has `rᵢ ≥ needᵢ`, and the split
+/// `Σ rᵢ = D ≥ Σ needᵢ`: the cell is skipped when the memory proof's
+/// range DP, run with these needs, finds no split into `S` ranges on at
+/// most `D` units. The recorded bound is `tail + (MB + S − 1)·x⁺`, `x⁺` the
+/// least stage-time lower bound above `x` the test excluded: every split
+/// has a stage on such an excluded `(range, units)` pair. DESIGN.md §14
+/// has the whole proof.
+pub fn bottleneck_bound(
+    cost: &dyn CostModel,
+    ranges: &RangeTable,
+    cluster: &ClusterSpec,
+    slots: &SlotTable,
+    p: &DpParams,
+    best: f64,
+) -> Option<f64> {
+    let (_, tail) = bound_and_tail(cost, ranges, cluster, slots, p);
+    GroupBounds::new(cost, ranges, p).bottleneck(cluster, slots, p.stages, tail, best)
+}
+
+/// A range no unit count the split allows admits; an unreached prefix.
+const NONE: usize = usize::MAX;
+
+/// The range DP of both bounds: `fewest[s]` for `s ∈ [s_min, s_max]`, the
+/// least `Σ need(from, to)` over the splits of the blocks `[0, nb)` into
+/// `s` contiguous ranges, exact up to `d`, or [`NONE`]. A prefix on `d`
+/// units or more leaves no unit for the next range, so it is never
+/// extended; row `s` holds only the prefixes a split into `s_min` ranges
+/// or more can extend, and the last row only the whole list; `need` is
+/// asked only of the ranges an extended prefix reaches.
+fn fewest_units(
+    nb: usize,
+    (s_min, s_max): (usize, usize),
+    d: usize,
+    mut need: impl FnMut(usize, usize) -> usize,
+) -> Vec<usize> {
+    let mut fewest = vec![NONE; s_max + 1];
+    // row[b]: the fewest units that split blocks [0, b) into s ranges
+    let mut row: Vec<usize> = (0..=nb).map(|b| if b == 0 { 0 } else { NONE }).collect();
+    for (s, fewest) in fewest.iter_mut().enumerate().skip(1) {
+        let reach = if s == s_max { nb } else { s };
+        let last = nb - s_min.saturating_sub(s);
+        row = (0..=nb)
+            .map(|b| {
+                if b < reach || b > last {
+                    return NONE;
+                }
+                ((s - 1)..b)
+                    .filter(|&b_prev| row[b_prev] < d)
+                    .map(|b_prev| row[b_prev].saturating_add(need(b_prev, b)))
+                    .min()
+                    .unwrap_or(NONE)
+            })
+            .collect();
+        *fewest = row[nb];
+    }
+    fewest
+}
+
+/// The per-range prices one `(R, MB, T)` group's two bounds share, each
+/// priced on first use and kept for the tier's walk: `r_min`, the fewest
+/// units on which a range fits memory ([`proven_infeasible`]), and `w`, its
+/// forward plus backward time as one stage at micro-batch `samples`
+/// ([`bottleneck_bound`]). Prices sit per residency class: class 0 is
+/// `S = 1`, without checkpointing; class 1 is every `S ≥ 2`, whose
+/// residency is the same for all of them.
+struct GroupBounds<'a> {
+    cost: &'a dyn CostModel,
+    ranges: &'a RangeTable,
+    /// A cell of the group: every parameter but `stages` is the group's.
+    p: DpParams,
+    /// `⌊BS/R/MB⌋`: the micro-batch of a stage on one unit.
+    samples: usize,
+    /// `r_min` per class and range `[from, to)`, at `from·(nb + 1) + to`;
+    /// 0: not yet priced (`r_min ≥ 1`).
+    mem: [Vec<usize>; 2],
+    /// `w` per class and range; NaN: not yet priced.
+    work: [Vec<f64>; 2],
+}
+
+impl<'a> GroupBounds<'a> {
+    fn new(cost: &'a dyn CostModel, ranges: &'a RangeTable, p: &DpParams) -> Self {
+        GroupBounds {
+            cost,
+            ranges,
+            p: *p,
+            samples: micro_batch(p.batch_size, p.replica_factor, p.microbatches, 1),
+            mem: Default::default(),
+            work: Default::default(),
+        }
+    }
+
+    /// The slot of range `[from, to)` in a price table.
+    fn slot(&self, from: usize, to: usize) -> usize {
+        from * (self.ranges.blocks() + 1) + to
+    }
+
+    /// What every stage of a class keeps resident.
+    fn residency(&self, class: usize) -> Residency {
+        Residency::fill_drain(class + 1, self.p.microbatches)
+    }
+
+    /// The most units a stage of a class can take: `min(samples, D − S + 1)`
+    /// at the class's least `S`. The split's other stages hold a unit each.
+    fn top(&self, class: usize) -> usize {
+        self.samples.min(self.p.devices - class)
+    }
+
+    /// `r_min` of range `[from, to)` in `class`, or [`NONE`] when it does
+    /// not fit on [`GroupBounds::top`] units: one [`CostModel::stage_mem`]
+    /// call there and a binary search below.
+    fn r_mem(&mut self, class: usize, from: usize, to: usize) -> usize {
+        let k = self.slot(from, to);
+        if self.mem[class].is_empty() {
+            let nb = self.ranges.blocks();
+            self.mem[class] = vec![0; nb * (nb + 1)];
+        }
+        if self.mem[class][k] != 0 {
+            return self.mem[class][k];
+        }
+        let p = &self.p;
         let Residency {
             inflight,
             checkpointing,
-        } = Residency::fill_drain(stages, p.microbatches);
-        let set = &ranges.get(from, to).set;
+        } = self.residency(class);
+        let set = &self.ranges.get(from, to).set;
         let fits = |repl| {
             let micro = micro_batch(p.batch_size, p.replica_factor, p.microbatches, repl);
-            cost.stage_mem(set, micro, inflight, checkpointing, p.tp) <= p.mem_limit
+            self.cost
+                .stage_mem(set, micro, inflight, checkpointing, p.tp)
+                <= p.mem_limit
         };
-        let top = samples.min(d + 1 - stages);
-        if !fits(top) {
-            return NONE;
-        }
-        let (mut lo, mut hi) = (1, top);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if fits(mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
+        let top = self.top(class);
+        let r = if fits(top) {
+            let (mut lo, mut hi) = (1, top);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if fits(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
             }
-        }
-        lo
-    };
-    // stage counts no cheaper test decides: S ≤ nb, S ≤ D, D ≤ S·samples
-    let open = |s: usize| s >= 1 && s <= nb.min(d) && d <= s * samples;
-    // fewest[s] at checkpointing residency, for s up to the group's
-    // largest open S ≥ 2 (S = 1 is priced without checkpointing below)
-    let s_max = (cells.iter().map(|c| c.stages))
-        .filter(|&s| s >= 2 && open(s))
-        .max();
-    let mut fewest = vec![NONE; s_max.map_or(0, |s| s + 1)];
-    if !fewest.is_empty() {
-        // r_min at checkpointing residency, priced on first use (0: not
-        // yet; r_min ≥ 1)
-        let mut r = vec![0; nb * (nb + 1)];
-        let mut range_min = |from: usize, to: usize| {
-            let k = from * (nb + 1) + to;
-            if r[k] == 0 {
-                r[k] = r_min(from, to, 2);
-            }
-            r[k]
+            lo
+        } else {
+            NONE
         };
-        // row[b]: the fewest units that split blocks [0, b) into s ranges,
-        // exact up to D (a prefix on D units or more leaves no unit for
-        // the next range, so it is never extended)
-        let mut row: Vec<usize> = (0..=nb).map(|b| if b == 0 { 0 } else { NONE }).collect();
-        for (s, fewest) in fewest.iter_mut().enumerate().skip(1) {
-            row = (0..=nb)
-                .map(|b| {
-                    ((s - 1)..b)
-                        .filter(|&b_prev| row[b_prev] < d)
-                        .map(|b_prev| row[b_prev].saturating_add(range_min(b_prev, b)))
-                        .min()
-                        .unwrap_or(NONE)
-                })
-                .collect();
-            *fewest = row[nb];
-        }
+        self.mem[class][k] = r;
+        r
     }
-    (cells.iter())
-        .map(|c| match c.stages {
-            s if !open(s) => true,
-            1 => r_min(0, nb, 1) > d,
-            s => fewest[s] > d,
+
+    /// `w` of range `[from, to)` in `class`: its forward plus backward time
+    /// as one stage ([`CostModel::stage_cost_tp`]) at micro-batch
+    /// `samples`, degree `T` and the class's residency. The time sums
+    /// read the `(samples, T)` slot row [`score_bound`] fills.
+    fn work(&mut self, cluster: &ClusterSpec, class: usize, from: usize, to: usize) -> f64 {
+        let k = self.slot(from, to);
+        if self.work[class].is_empty() {
+            let nb = self.ranges.blocks();
+            self.work[class] = vec![f64::NAN; nb * (nb + 1)];
+        }
+        if self.work[class][k].is_nan() {
+            let (p, samples) = (&self.p, self.samples);
+            let Residency {
+                inflight,
+                checkpointing,
+            } = self.residency(class);
+            let set = &self.ranges.get(from, to).set;
+            let time = self
+                .ranges
+                .time(self.cost.profiler(), (samples, p.tp), from, to);
+            let w =
+                self.cost
+                    .stage_cost_tp(set, time, samples, inflight, checkpointing, p.tp, cluster);
+            self.work[class][k] = w.fwd_time + w.bwd_time;
+        }
+        self.work[class][k]
+    }
+
+    /// [`proven_infeasible`] of `cells`, cells of this group.
+    fn proven(&mut self, cells: &[DpParams]) -> Vec<bool> {
+        debug_assert!(
+            cells.iter().all(|c| DpParams {
+                stages: self.p.stages,
+                ..*c
+            } == self.p),
+            "cells of one (R, MB, T) group"
+        );
+        let (nb, d, samples) = (self.ranges.blocks(), self.p.devices, self.samples);
+        // stage counts no cheaper test decides: S ≤ nb, S ≤ D, D ≤ S·samples
+        let open = |s: usize| s >= 1 && s <= nb.min(d) && d <= s * samples;
+        // fewest[s] at checkpointing residency, for the group's open S ≥ 2
+        // (S = 1 is priced without checkpointing below)
+        let multi = (cells.iter().map(|c| c.stages)).filter(|&s| s >= 2 && open(s));
+        let fewest = match (multi.clone().min(), multi.max()) {
+            (Some(s_min), Some(s_max)) => {
+                fewest_units(nb, (s_min, s_max), d, |from, to| self.r_mem(1, from, to))
+            }
+            _ => Vec::new(),
+        };
+        (cells.iter())
+            .map(|c| match c.stages {
+                s if !open(s) => true,
+                1 => self.r_mem(0, 0, nb) > d,
+                s => fewest[s] > d,
+            })
+            .collect()
+    }
+
+    /// [`bottleneck_bound`] of the group's cell with `s` stages, whose
+    /// tail bound is `tail`, on the tier's `slots`.
+    fn bottleneck(
+        &mut self,
+        cluster: &ClusterSpec,
+        slots: &SlotTable,
+        s: usize,
+        tail: IterationTail,
+        best: f64,
+    ) -> Option<f64> {
+        let (nb, d, samples) = (self.ranges.blocks(), self.p.devices, self.samples);
+        let class = usize::from(s > 1);
+        let top = self.top(class);
+        let mb = self.p.microbatches;
+        // the largest bottleneck a split scoring at most `best` can have,
+        // raised by the slack against rounding in `best − tail`
+        let x = (best * (1.0 + BOUND_SLACK) - tail.after(0.0)) / (mb + s - 1) as f64;
+        let c = noise_band(self.cost) * speed(slots) * (1.0 - BOUND_SLACK);
+        // x⁺: the least stage-time lower bound above x the needs excluded
+        let mut above = f64::INFINITY;
+        let mut needs = vec![0; nb * (nb + 1)];
+        let fewest = fewest_units(nb, (s, s), d, |from, to| {
+            let k = self.slot(from, to);
+            if needs[k] == 0 {
+                let r_mem = self.r_mem(class, from, to);
+                needs[k] = if r_mem == NONE {
+                    NONE
+                } else {
+                    let per_sample = c * self.work(cluster, class, from, to) / samples as f64;
+                    let bound = |r: usize| per_sample * (samples / r) as f64;
+                    if bound(r_mem) <= x {
+                        r_mem
+                    } else if bound(top) > x {
+                        above = above.min(bound(top));
+                        NONE
+                    } else {
+                        // bound(lo − 1) > x ≥ bound(hi): it is nonincreasing
+                        let (mut lo, mut hi) = (r_mem + 1, top);
+                        while lo < hi {
+                            let mid = (lo + hi) / 2;
+                            if bound(mid) <= x {
+                                hi = mid;
+                            } else {
+                                lo = mid + 1;
+                            }
+                        }
+                        above = above.min(bound(lo - 1));
+                        lo
+                    }
+                };
+            }
+            needs[k]
+        });
+        (fewest[s] > d).then(|| {
+            // the cell is open, so some range the DP reached needs more
+            // units for its time than for its memory
+            debug_assert!(above.is_finite(), "a skip without a time-excluded pair");
+            sync_iteration_time(s, mb, above, tail).max(best.next_up())
         })
-        .collect()
+    }
 }
 
 /// How one grid cell of a [`TierScan`] ended.
@@ -447,11 +687,13 @@ pub enum CellOutcome {
         /// Algorithm 1's solution.
         solution: DpSolution,
     },
-    /// Algorithm 1 never ran: the cell's [`score_bound`], `bound`, is
-    /// strictly above the score of a solved cell of the tier, so the cell
-    /// cannot win.
+    /// Algorithm 1 never ran: `bound`, a lower bound on the cell's score,
+    /// is strictly above the score of a solved cell of the tier, so the
+    /// cell cannot win.
     Bounded {
-        /// The cell's [`score_bound`].
+        /// The cell's [`score_bound`] when that is above the best score
+        /// the walk had found, else the bound its bottleneck test records
+        /// ([`bottleneck_bound`]).
         bound: f64,
     },
     /// Algorithm 1 returned INFEASIBLE, or the memory bound proved it
@@ -574,34 +816,44 @@ fn scan(
             })
             .collect();
         // The memory bound proves cells INFEASIBLE group by group; the
-        // others get their score bound, as (bound, cell, group).
-        let mut open: Vec<(f64, usize, usize)> = Vec::new();
+        // others get their score bound, as (bound, cell, group, tail bound).
+        // Each group keeps its range prices for the bottleneck tests.
+        let mut open: Vec<(f64, usize, usize, IterationTail)> = Vec::new();
+        let mut bounds: Vec<GroupBounds> = Vec::with_capacity(groups.len());
         for (group, members) in groups.iter().enumerate() {
             let params: Vec<DpParams> = members.iter().map(|&i| grid[i]).collect();
-            for (&i, proven) in members
-                .iter()
-                .zip(proven_infeasible(cost, &ranges, &params))
-            {
+            let mut group_bounds = GroupBounds::new(cost, &ranges, &params[0]);
+            for (&i, proven) in members.iter().zip(group_bounds.proven(&params)) {
+                let p = &grid[i];
                 if proven {
                     stats.pruned += 1;
-                    let span = dp_span(&grid[i]).arg_i("visits", 0).arg_i("evals", 0);
+                    let span = dp_span(p).arg_i("visits", 0).arg_i("evals", 0);
                     let _dp = span.arg_i("proven", 1);
                 } else {
-                    let bound = score_bound(cost, &ranges, cluster, &slots, &grid[i]);
-                    open.push((bound, i, group));
+                    let (bound, tail) = bound_and_tail(cost, &ranges, cluster, &slots, p);
+                    open.push((bound, i, group, tail));
                 }
             }
+            bounds.push(group_bounds);
         }
         // Best first, ties in grid order: a cell runs unless its bound is
-        // strictly above the best score so far. Each group's DPs share the
-        // one arena it draws on its first.
+        // strictly above the best score so far or, once a cell is solved,
+        // its bottleneck test proves it cannot score at most the best.
+        // Each group's DPs share the one arena it draws on its first.
         open.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut arenas: Vec<Option<DpArena>> = groups.iter().map(|_| None).collect();
         let mut best = f64::INFINITY;
-        for (bound, i, group) in open {
+        for (bound, i, group, tail) in open {
             let p = &grid[i];
             let span = dp_span(p);
-            if bound > best {
+            let skip = if bound > best {
+                Some(bound)
+            } else if best.is_finite() {
+                bounds[group].bottleneck(cluster, &slots, p.stages, tail, best)
+            } else {
+                None
+            };
+            if let Some(bound) = skip {
                 stats.bounded += 1;
                 cells[i].outcome = CellOutcome::Bounded { bound };
                 let span = span.arg_i("visits", 0).arg_i("evals", 0);
@@ -929,30 +1181,48 @@ mod tests {
         }
     }
 
-    /// What the two bounds of the first `tiers` node tiers count on a
-    /// [`Counting`] model: `(mem_ok, timed)`, their share of a search's
-    /// counts over those tiers. The memory bound prices stage memory
-    /// ([`proven_infeasible`]), and the score bound the time of every
-    /// cell the memory bound leaves open ([`score_bound`]).
+    /// What the bounds of a search that walked `tiers` count on a
+    /// [`Counting`] model: `(mem_ok, timed)`, their share of the search's
+    /// counts. The memory bound prices stage memory
+    /// ([`proven_infeasible`]), the score bound the time of every cell the
+    /// memory bound leaves open ([`score_bound`]), and the bottleneck test
+    /// the ranges it reaches ([`bottleneck_bound`]): its tests are replayed
+    /// in the walk's order, against the scores the search recorded, on
+    /// each group's one price table.
     fn bounds_counted(
         g: &TaskGraph,
         blocks: &[Block],
         cluster: &ClusterSpec,
-        batch_size: usize,
-        tp_max: usize,
-        tiers: usize,
+        tiers: &[TierScan],
     ) -> (u64, u64) {
         let cost = Counting::new(g, cluster);
         let ranges = RangeTable::build(&cost, blocks);
         let precision = cost.options().precision;
-        for tier in tier_grids(g, cluster, batch_size, tp_max).take(tiers) {
+        for tier in tiers {
             let (d, r) = (tier.devices, tier.replica_factor);
             let slots = SlotTable::build(cluster, d, r, cost.device(), precision);
-            for members in group_cells(&tier.cells) {
-                let group: Vec<DpParams> = members.iter().map(|&i| tier.cells[i]).collect();
-                let proven = proven_infeasible(&cost, &ranges, &group);
-                for (p, _) in group.iter().zip(proven).filter(|(_, proven)| !proven) {
-                    score_bound(&cost, &ranges, cluster, &slots, p);
+            let grid: Vec<DpParams> = tier.cells.iter().map(|c| c.params).collect();
+            let (mut open, mut bounds) = (Vec::new(), Vec::new());
+            for (group, members) in group_cells(&grid).into_iter().enumerate() {
+                let params: Vec<DpParams> = members.iter().map(|&i| grid[i]).collect();
+                let mut group_bounds = GroupBounds::new(&cost, &ranges, &params[0]);
+                for (&i, proven) in members.iter().zip(group_bounds.proven(&params)) {
+                    if !proven {
+                        let (bound, tail) =
+                            bound_and_tail(&cost, &ranges, cluster, &slots, &grid[i]);
+                        open.push((bound, i, group, tail));
+                    }
+                }
+                bounds.push(group_bounds);
+            }
+            open.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut best = f64::INFINITY;
+            for (bound, i, group, tail) in open {
+                if bound <= best && best.is_finite() {
+                    bounds[group].bottleneck(cluster, &slots, grid[i].stages, tail, best);
+                }
+                if let Some((score, _)) = tier.cells[i].solved() {
+                    best = best.min(score);
                 }
             }
         }
@@ -1028,8 +1298,7 @@ mod tests {
                 let opts = SearchOptions { tp_max };
                 let (sol, stats) = form_stage_with(&g, &cost, &blocks, &cluster, batch_size, &opts);
                 assert!(sol.is_some(), "{what}");
-                let tiers = stats.node_tiers;
-                let bounds = bounds_counted(&g, &blocks, &cluster, batch_size, tp_max, tiers);
+                let bounds = bounds_counted(&g, &blocks, &cluster, &stats.tiers);
                 let mem_ok = cost.mem_ok.get() - bounds.0;
                 assert!(
                     mem_ok < stats.stage_cache.misses,

@@ -1,16 +1,20 @@
-//! The search's two bounds. The memory-only bound
+//! The search's bounds. The memory-only bound
 //! ([`proven_infeasible`]) proves a grid cell INFEASIBLE before
 //! Algorithm 1 runs it. Soundness: on random graphs, memory bounds and
 //! clusters, every cell the bound proves makes a fresh-arena DP return
 //! `None`. Tightness: at paper scale the bound proves every INFEASIBLE
 //! cell of the benchmark's search grids.
 //!
-//! The score bound ([`score_bound`]) lets the walk skip cells that
-//! cannot win. Soundness: on random graphs, homogeneous clusters and
-//! ones with a faster and a slower device, with profiling noise off and
-//! on, no cell's bound exceeds its fresh-arena DP's score. At paper
-//! scale, on the Fig. 4/5 grids and the benchmark's settings, every cell
-//! the walk skips scores strictly above the winner when solved.
+//! The score bound ([`score_bound`]) and the bottleneck test
+//! ([`bottleneck_bound`]) let the walk skip cells that cannot win.
+//! Soundness: on random graphs, homogeneous clusters and ones with a
+//! faster and a slower device, with profiling noise off and on, no
+//! cell's score bound exceeds its fresh-arena DP's score, and the test
+//! never rejects a cell against that score, at any stage count. At paper
+//! scale, on the Fig. 4/5 grids, the benchmark's settings and its churn
+//! replans, every cell the walk skips scores strictly above the winner
+//! when solved: 472, 233, 57 and 0 cells; on resnet152x8-d128, 32 of
+//! its 34 open cells.
 
 #[path = "support/mod.rs"]
 mod support;
@@ -18,9 +22,9 @@ mod support;
 use proptest::prelude::*;
 use rannc_core::search::score_solution;
 use rannc_core::{
-    atomic_partition, block_partition, form_stage_dp, proven_infeasible, scan_first_feasible_tier,
-    score_bound, solve_cell, Block, BlockLimits, CellOutcome, DpArena, DpCtx, PartitionConfig,
-    RangeTable, Rannc, SearchOptions, SearchStats, SlotTable,
+    atomic_partition, block_partition, bottleneck_bound, form_stage_dp, proven_infeasible,
+    scan_first_feasible_tier, score_bound, solve_cell, Block, BlockLimits, CellOutcome, DpArena,
+    DpCtx, DpParams, PartitionConfig, RangeTable, Rannc, SearchOptions, SearchStats, SlotTable,
 };
 use rannc_faults::ClusterEventTrace;
 use rannc_graph::TaskGraph;
@@ -116,93 +120,191 @@ proptest! {
     }
 }
 
+/// One case of the score-bound properties: a graph cut into `k` blocks,
+/// a cluster of `nodes` nodes of `per_node` devices whose memory is drawn
+/// across the stages' memory span (`mem_frac`), homogeneous (`kind` 0) or
+/// holding a device 1.5× faster than the template (1), one 2× slower (2)
+/// or both (3), profiling noise of amplitude 0.1 off or on, a batch of
+/// `2^batch_pow` and `T ≤ tp_max`.
+#[derive(Debug, Clone)]
+struct BoundCase {
+    g: TaskGraph,
+    nodes: usize,
+    per_node: usize,
+    batch_pow: usize,
+    k: usize,
+    mem_frac: f64,
+    kind: usize,
+    odd_rank: usize,
+    noise: bool,
+    seed: u64,
+    tp_max: usize,
+}
+
+/// Nodes of two devices make tiers of few units, where a split can
+/// nearly meet a bound.
+fn bound_cases() -> impl Strategy<Value = BoundCase> {
+    let shape = (
+        graphs(),
+        1usize..3,
+        prop_oneof![Just(2usize), Just(8)],
+        2usize..7,
+        4usize..9,
+    );
+    let devices = (
+        0.25f64..1.25,
+        0usize..4,
+        0usize..8,
+        any::<bool>(),
+        any::<u64>(),
+    );
+    (shape, devices, 1usize..3).prop_map(
+        |((g, nodes, per_node, batch_pow, k), (mem_frac, kind, odd_rank, noise, seed), tp_max)| {
+            BoundCase {
+                g,
+                nodes,
+                per_node,
+                batch_pow,
+                k,
+                mem_frac,
+                kind,
+                odd_rank,
+                noise,
+                seed,
+                tp_max,
+            }
+        },
+    )
+}
+
+/// `check(cost, ranges, cluster, slots, cell, score)` on every cell of
+/// every node tier of `case` that the memory bound leaves open and whose
+/// fresh-arena DP is feasible, `score` that DP's score; `check` panics
+/// on a failed property.
+fn check_solved_cells(
+    case: &BoundCase,
+    mut check: impl FnMut(&Profiler<'_>, &RangeTable, &ClusterSpec, &SlotTable, &DpParams, f64),
+) {
+    let BoundCase {
+        ref g,
+        nodes,
+        per_node,
+        batch_pow,
+        k,
+        mem_frac,
+        kind,
+        odd_rank,
+        noise,
+        seed,
+        tp_max,
+    } = *case;
+    let blocks = blocks_of(g, k);
+    let batch_size = 1usize << batch_pow;
+    let probe = Profiler::new(g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
+    let (lo, hi) = stage_mem_span(
+        &probe,
+        &RangeTable::build(&probe, &blocks),
+        &ClusterSpec::v100_cluster(1),
+        batch_size,
+    );
+    let mem = lo + ((hi - lo) as f64 * mem_frac) as usize;
+    let v100 = ClusterSpec::v100_cluster(nodes);
+    let base = ClusterSpec {
+        device: DeviceSpec::v100_32gb().with_memory(mem),
+        node: NodeSpec {
+            devices: per_node,
+            ..v100.node
+        },
+        ..v100
+    };
+    let (mut fast, mut slow) = (base.device.clone(), base.device.clone());
+    fast.compute_efficiency *= 1.5;
+    slow.compute_efficiency *= 0.5;
+    let rank = |local| DeviceRank {
+        node: 0,
+        local: local % per_node,
+    };
+    let cluster = match kind {
+        0 => base,
+        1 => base.with_device_override(rank(odd_rank), fast),
+        2 => base.with_device_override(rank(odd_rank), slow),
+        _ => base
+            .with_device_override(rank(odd_rank), fast)
+            .with_device_override(rank(odd_rank + 1), slow),
+    };
+    let opts = if noise {
+        ProfilerOptions::fp32().with_noise(0.1, seed)
+    } else {
+        ProfilerOptions::fp32()
+    };
+    let profiler = Profiler::new(g, cluster.device.clone(), opts);
+    let ranges = RangeTable::build(&profiler, &blocks);
+    let precision = profiler.options().precision;
+    let mem_limit = cluster.max_memory_bytes();
+    let mut n = 1;
+    while n <= cluster.nodes {
+        let d = n * cluster.node.devices;
+        let r = (cluster.nodes / n).max(1);
+        let slots = SlotTable::build(&cluster, d, r, profiler.device(), precision);
+        let grid = tier_grid(g, &cluster, n, batch_size, tp_max, mem_limit);
+        let proven = support::proven_cells(&profiler, &ranges, &grid);
+        for p in grid
+            .iter()
+            .zip(proven)
+            .filter_map(|(p, proven)| (!proven).then_some(p))
+        {
+            let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, p);
+            if let Some(sol) = form_stage_dp(&ctx, &mut DpArena::new()) {
+                let score = score_solution(&sol, &cluster, &profiler);
+                check(&profiler, &ranges, &cluster, &slots, p, score);
+            }
+        }
+        n *= 2;
+    }
+}
+
 proptest! {
     // cheap cases, and enough of them that a bound without its
     // faster-slot or its noise-band widening fails here
     #![proptest_config(ProptestConfig::with_cases(600))]
 
     /// No cell's score bound exceeds the score of its fresh-arena DP, on
-    /// every node tier, for every cell the memory bound leaves open. The
-    /// cluster is homogeneous (`kind` 0), or holds a device 1.5× faster
-    /// than the template (1), one 2× slower (2) or both (3), and
-    /// profiling noise of amplitude 0.1 is off or on. Nodes of two
-    /// devices make tiers of few units, where a split can nearly meet the
-    /// bound.
+    /// every node tier, for every cell the memory bound leaves open.
     #[test]
-    fn score_bound_is_below_every_fresh_score(
-        g in graphs(),
-        nodes in 1usize..3,
-        per_node in prop_oneof![Just(2usize), Just(8)],
-        batch_pow in 2usize..7,
-        k in 4usize..9,
-        mem_frac in 0.25f64..1.25,
-        kind in 0usize..4,
-        odd_rank in 0usize..8,
-        noise in any::<bool>(),
-        seed in any::<u64>(),
-        tp_max in 1usize..3,
+    fn score_bound_is_below_every_fresh_score(case in bound_cases()) {
+        check_solved_cells(&case, |cost, ranges, cluster, slots, p, score| {
+            let bound = score_bound(cost, ranges, cluster, slots, p);
+            prop_assert!(
+                bound <= score,
+                "S={} MB={} T={} D={}: bound {} > score {}",
+                p.stages, p.microbatches, p.tp, p.devices, bound, score
+            );
+        });
+    }
+
+    /// The bottleneck test never rejects a cell against its own
+    /// fresh-arena DP score, on every node tier and for every stage count
+    /// `S ≥ 1` the memory bound leaves open; against a lower best score,
+    /// a cell it rejects is recorded with a bound above that best and at
+    /// most the cell's score.
+    #[test]
+    fn bottleneck_test_never_rejects_a_cell_at_its_own_score(
+        case in bound_cases(),
+        below in 0.5f64..1.0,
     ) {
-        let blocks = blocks_of(&g, k);
-        let batch_size = 1usize << batch_pow;
-        let probe = Profiler::new(&g, DeviceSpec::v100_32gb(), ProfilerOptions::fp32());
-        let (lo, hi) = stage_mem_span(
-            &probe,
-            &RangeTable::build(&probe, &blocks),
-            &ClusterSpec::v100_cluster(1),
-            batch_size,
-        );
-        let mem = lo + ((hi - lo) as f64 * mem_frac) as usize;
-        let v100 = ClusterSpec::v100_cluster(nodes);
-        let base = ClusterSpec {
-            device: DeviceSpec::v100_32gb().with_memory(mem),
-            node: NodeSpec {
-                devices: per_node,
-                ..v100.node
-            },
-            ..v100
-        };
-        let (mut fast, mut slow) = (base.device.clone(), base.device.clone());
-        fast.compute_efficiency *= 1.5;
-        slow.compute_efficiency *= 0.5;
-        let rank = |local| DeviceRank { node: 0, local: local % per_node };
-        let cluster = match kind {
-            0 => base,
-            1 => base.with_device_override(rank(odd_rank), fast),
-            2 => base.with_device_override(rank(odd_rank), slow),
-            _ => base
-                .with_device_override(rank(odd_rank), fast)
-                .with_device_override(rank(odd_rank + 1), slow),
-        };
-        let opts = if noise {
-            ProfilerOptions::fp32().with_noise(0.1, seed)
-        } else {
-            ProfilerOptions::fp32()
-        };
-        let profiler = Profiler::new(&g, cluster.device.clone(), opts);
-        let ranges = RangeTable::build(&profiler, &blocks);
-        let precision = profiler.options().precision;
-        let mem_limit = cluster.max_memory_bytes();
-        let mut n = 1;
-        while n <= cluster.nodes {
-            let d = n * cluster.node.devices;
-            let r = (cluster.nodes / n).max(1);
-            let slots = SlotTable::build(&cluster, d, r, profiler.device(), precision);
-            let grid = tier_grid(&g, &cluster, n, batch_size, tp_max, mem_limit);
-            let proven = support::proven_cells(&profiler, &ranges, &grid);
-            for p in grid.iter().zip(proven).filter_map(|(p, proven)| (!proven).then_some(p)) {
-                let bound = score_bound(&profiler, &ranges, &cluster, &slots, p);
-                let ctx = DpCtx::new(&profiler, &ranges, &cluster, &slots, p);
-                if let Some(sol) = form_stage_dp(&ctx, &mut DpArena::new()) {
-                    let score = score_solution(&sol, &cluster, &profiler);
-                    prop_assert!(
-                        bound <= score,
-                        "n={} S={} MB={} T={} kind={} noise={}: bound {} > score {}",
-                        n, p.stages, p.microbatches, p.tp, kind, noise, bound, score
-                    );
-                }
+        check_solved_cells(&case, |cost, ranges, cluster, slots, p, score| {
+            let what = format!("S={} MB={} T={} D={}", p.stages, p.microbatches, p.tp, p.devices);
+            let own = bottleneck_bound(cost, ranges, cluster, slots, p, score);
+            prop_assert!(own.is_none(), "{}: rejected at its own score {}: {:?}", what, score, own);
+            let best = score * below;
+            if let Some(bound) = bottleneck_bound(cost, ranges, cluster, slots, p, best) {
+                prop_assert!(
+                    best < bound && bound <= score,
+                    "{}: rejected against {} with bound {}, scores {}",
+                    what, best, bound, score
+                );
             }
-            n *= 2;
-        }
+        });
     }
 }
 
@@ -351,8 +453,9 @@ fn bound_proves_every_infeasible_cell_at_paper_scale() {
     }
 }
 
-/// Paper scale: every cell the walk skips by its score bound scores
-/// strictly above the winner when solved through a fresh arena — on the
+/// Paper scale: every cell the walk skips, by its score bound or its
+/// bottleneck test, scores strictly above the winner and at least its
+/// recorded bound when solved through a fresh arena — on the
 /// 18 Fig. 4 cells in both precisions, the 6 Fig. 5 cells, the
 /// benchmark's three cold-start settings and the warm replans of the
 /// first 50 events of its churn trace. Run by `scripts/check.sh`.
@@ -442,7 +545,7 @@ fn skipped_cells_cannot_win_at_paper_scale() {
     }
     assert_eq!(
         (fig4, fig5, bench, churn),
-        (343, 211, 51, 0),
+        (472, 233, 57, 0),
         "skipped cells: Fig. 4, Fig. 5, benchmark settings, churn replans"
     );
 }

@@ -30,8 +30,9 @@ echo "==> paper-scale search bounds (every INFEASIBLE cell proven, no skipped ce
 # resnet152x8-d128's 56 and 18 of bert64-tp8's 45, every cell whose DP
 # would return INFEASIBLE; and on the Fig. 4 and Fig. 5 grids, the
 # benchmark's three cold-start settings and 50 churn replans, every cell
-# the score bound skips must score strictly above the winner when its DP
-# runs through a fresh arena
+# the score bound or the bottleneck test skips must score strictly above
+# the winner, and at least its recorded bound, when its DP runs through a
+# fresh arena
 cargo test --release -q -p rannc-core --offline --test prop_bound -- --ignored
 
 echo "==> small stage-DP sweep (1.76M small DPs against the reference, one last-row cell)"
@@ -643,6 +644,14 @@ echo "==> explain smoke (flight recorder -> explain -> device-loss diff)"
 ./target/release/rannc-plan explain --diff \
     "$OBS_TMP/explain_a.json" "$OBS_TMP/explain_b.json" >/dev/null \
     || { echo "explain --diff FAILED"; exit 1; }
+# resnet152x8 at 128 devices skips cells by the bottleneck test: loading
+# its artifact validates every recorded bound against the winner's score
+./target/release/rannc-plan --model resnet --layers 152 --width-factor 8 \
+    --nodes 16 --batch 1024 \
+    --explain-out "$OBS_TMP/explain_resnet.json" >/dev/null 2>&1 \
+    || { echo "explain recording (resnet152x8, 128 devices) FAILED"; exit 1; }
+./target/release/rannc-plan explain "$OBS_TMP/explain_resnet.json" >/dev/null \
+    || { echo "explain rendering (resnet152x8, 128 devices) FAILED"; exit 1; }
 head -c 120 "$OBS_TMP/explain_a.json" > "$OBS_TMP/explain_corrupt.json"
 if ./target/release/rannc-plan explain "$OBS_TMP/explain_corrupt.json" \
     >/dev/null 2>&1; then
